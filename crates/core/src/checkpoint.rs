@@ -1,13 +1,14 @@
 //! Concrete [`Checkpoint`] snapshots for the factorization loops, plus
 //! the [`RecoveryHooks`] handle the drivers use to persist them.
 //!
-//! Both LU_CRTP/ILUT_CRTP drivers (sequential and SPMD) maintain the
-//! *same replicated* loop state — the current Schur complement, the
-//! row/column maps back to original coordinates, the accumulated `L`/`U`
-//! panels, the selected pivots, and the error-indicator trace — so one
-//! snapshot type, [`LuCrtpCheckpoint`], serves both: a snapshot taken by
-//! the SPMD driver can be resumed by the sequential driver (the
-//! degradation ladder's last rung) and vice versa.
+//! The one LU_CRTP/ILUT_CRTP panel loop (`crate::panel`) carries the
+//! *same replicated* state over every engine — the row/column maps back
+//! to original coordinates, the accumulated `L`/`U` panels, the selected
+//! pivots, and the error-indicator trace — and every engine can hand
+//! back the whole current Schur complement, so one snapshot type,
+//! [`LuCrtpCheckpoint`], serves all: a snapshot taken by an SPMD run can
+//! be resumed by the sequential one (the degradation ladder's last
+//! rung) and vice versa.
 //!
 //! Snapshots are taken at a *collective boundary*: the end of an
 //! iteration's loop body, after the Schur complement, indicator
@@ -358,51 +359,6 @@ pub(crate) fn load_resume(
         });
     }
     Ok(Some(ck))
-}
-
-/// Assemble a snapshot of the shared LU/ILUT loop state (the pivot
-/// columns travel as a [`ColumnSelection`] whose `r_diag` concatenates
-/// the per-iteration rank-revealing estimates).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_snapshot(
-    m: usize,
-    n: usize,
-    iterations: usize,
-    rank: usize,
-    indicator: f64,
-    r11: f64,
-    s: &CscMatrix,
-    row_map: &[usize],
-    col_map: &[usize],
-    l_cols: &[Vec<(usize, f64)>],
-    ut_cols: &[Vec<(usize, f64)>],
-    pivot_rows: &[usize],
-    pivot_cols: &[usize],
-    trace: &[IterTrace],
-    ilut: Option<IlutCheckpoint>,
-    numerics: Numerics,
-) -> LuCrtpCheckpoint {
-    LuCrtpCheckpoint {
-        m,
-        n,
-        iterations,
-        rank,
-        indicator,
-        r11,
-        s: s.clone(),
-        row_map: row_map.to_vec(),
-        col_map: col_map.to_vec(),
-        l_cols: l_cols.to_vec(),
-        ut_cols: ut_cols.to_vec(),
-        pivots: ColumnSelection {
-            selected: pivot_cols.to_vec(),
-            r_diag: trace.iter().flat_map(|t| t.r_diag.iter().copied()).collect(),
-        },
-        pivot_rows: pivot_rows.to_vec(),
-        trace: trace.to_vec(),
-        ilut,
-        numerics,
-    }
 }
 
 /// Persist a snapshot; a failed save is recorded as a guard trip, never

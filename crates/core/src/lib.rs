@@ -26,6 +26,7 @@ mod checkpoint;
 mod explore;
 mod lucrtp;
 mod outcome;
+mod panel;
 mod qb;
 mod spmd;
 mod supervised;

@@ -10,11 +10,14 @@
 //! column ids, so `A ≈ L U` directly and
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
 
-use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{lu, pairwise_sum, pairwise_sum_sq, DenseMatrix, Numerics};
+use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit};
+use crate::timers::KernelTimers;
+use lra_dense::{lu, pairwise_sum, pairwise_sum_sq, DenseMatrix, LuFactor, Numerics};
 use lra_ordering::fill_reducing_order;
-use lra_par::{parallel_for, parallel_map_fold, Parallelism};
-use lra_qrtp::{tournament_columns_mode, tournament_rows_dense_mode, TournamentTree};
+use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
+use lra_qrtp::{
+    tournament_columns_mode, tournament_rows_dense_mode, ColumnSelection, TournamentTree,
+};
 use lra_sparse::{CscMatrix, SparseAccumulator};
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
@@ -427,7 +430,8 @@ pub struct IterTrace {
     pub rank: usize,
     /// Error indicator `||A^(i+1)||_F` (eq. 9 / 26).
     pub indicator: f64,
-    /// Entries in the Schur complement.
+    /// Entries in the Schur complement as the next iteration sees it
+    /// (post-threshold for ILUT), on every path.
     pub schur_nnz: usize,
     /// `nnz / (rows*cols)` of the Schur complement — Fig. 1 fill-in.
     pub schur_density: f64,
@@ -578,25 +582,15 @@ impl LuCrtpResult {
     }
 }
 
-/// Internal ILUT state threaded through the shared driver.
-struct IlutState {
-    cfg: IlutOpts,
-    mu: f64,
-    phi: f64,
-    mass_sq: f64,
-    dropped: usize,
-    control_triggered: bool,
-}
-
 /// LU_CRTP (Algorithm 2): deterministic fixed-precision truncated LU
 /// with column and row tournament pivoting.
 pub fn lu_crtp(a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    drive(a, opts, None, None).expect("no hooks, so no resume mode mismatch")
+    run_seq(a, opts, None, None).expect("no hooks, so no resume mode mismatch")
 }
 
 /// ILUT_CRTP (Algorithm 3): incomplete LU_CRTP with thresholding.
 pub fn ilut_crtp(a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    ilut_crtp_checkpointed(a, opts, None).expect("no hooks, so no resume mode mismatch")
+    run_seq(a, &opts.base, Some(opts), None).expect("no hooks, so no resume mode mismatch")
 }
 
 /// [`lu_crtp`] with iteration checkpointing: snapshots the loop state
@@ -611,7 +605,7 @@ pub fn lu_crtp_checkpointed(
     opts: &LuCrtpOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    drive(a, opts, None, hooks)
+    run_seq(a, opts, None, hooks)
 }
 
 /// [`ilut_crtp`] with iteration checkpointing (see
@@ -623,465 +617,179 @@ pub fn ilut_crtp_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    let state = IlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
-    drive(a, &opts.base, Some(state), hooks)
+    run_seq(a, &opts.base, Some(opts), hooks)
 }
 
-#[allow(clippy::too_many_lines)]
-fn drive(
+/// The shared panel loop over the shared-memory engine.
+pub(crate) fn run_seq(
     a: &CscMatrix,
     opts: &LuCrtpOpts,
-    mut ilut: Option<IlutState>,
+    ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    let m = a.rows();
-    let n = a.cols();
-    let par = opts.par;
-    lra_obs::metrics::global().set_gauge(
-        "kernel.numerics_mode",
-        if opts.numerics.is_fast() { 1.0 } else { 0.0 },
-    );
-    let mut timers = KernelTimers::new();
-    let clock = opts.budget.start();
-    let a_norm_f = a.fro_norm();
-    let stop = opts.tau * a_norm_f;
-    let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
-    if a_norm_f == 0.0 {
-        // The zero matrix is its own rank-0 approximation.
-        return Ok(LuCrtpResult {
-            l: CscMatrix::zeros(m, 0),
-            u: CscMatrix::zeros(0, n),
-            pivot_rows: Vec::new(),
-            pivot_cols: Vec::new(),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            breakdown: None,
-            indicator: 0.0,
-            a_norm_f,
-            r11: 0.0,
-            trace: Vec::new(),
-            timers,
-            threshold: ilut.map(|s| ThresholdReport {
-                mu: 0.0,
-                phi: 0.0,
-                dropped: s.dropped,
-                dropped_mass_sq: s.mass_sq,
-                control_triggered: s.control_triggered,
-            }),
-            mem: None,
-            trip: None,
-        });
-    }
-
-    // Kernel scratch reused across all iterations (transpose targets,
-    // ILUT drop target, sparse accumulator for the hybrid Schur path).
-    let mut ws = SchurWorkspace::new();
-    let mut dense_cols_total = 0u64;
-    let mut s: CscMatrix;
-    let mut row_map: Vec<usize>;
-    let mut col_map: Vec<usize>;
-    let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut ut_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut pivot_rows_glob: Vec<usize> = Vec::new();
-    let mut pivot_cols_glob: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterTrace> = Vec::new();
-    let mut rank = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut breakdown = None;
-    let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let mut indicator = a_norm_f;
-    let mut r11 = 0.0f64;
-
-    let resume = match hooks {
-        Some(h) => crate::checkpoint::load_resume(h, m, n, ilut.is_some(), opts.numerics)?,
-        None => None,
-    };
-    if let Some(ck) = resume {
-        // Continue from the snapshot as if never interrupted. The
-        // snapshot's column map already reflects the fill-reducing
-        // preprocessing; timers cover only the resumed portion.
-        s = ck.s;
-        row_map = ck.row_map;
-        col_map = ck.col_map;
-        l_cols = ck.l_cols;
-        ut_cols = ck.ut_cols;
-        pivot_rows_glob = ck.pivot_rows;
-        pivot_cols_glob = ck.pivots.selected;
-        trace = ck.trace;
-        rank = ck.rank;
-        iterations = ck.iterations;
-        indicator = ck.indicator;
-        r11 = ck.r11;
-        if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
-        }
-    } else {
-        // --- Fill-reducing preprocessing (Section V). ---
-        let initial_cols: Vec<usize> = match opts.ordering {
-            OrderingMode::Natural => (0..n).collect(),
-            OrderingMode::FirstIteration | OrderingMode::EveryIteration => {
-                timers.time(KernelId::Permute, || fill_reducing_order(a))
-            }
-        };
-        s = a.select_columns(&initial_cols);
-        row_map = (0..m).collect();
-        col_map = initial_cols;
-    }
-
-    loop {
-        // Budget check at the iteration boundary: the loop-carried
-        // state is consistent here (the same invariant the snapshot
-        // point relies on), so a trip leaves valid partial factors and
-        // a resumable store. A cadence save already covered this
-        // iteration when `should_save` holds; otherwise force one so
-        // the resume handle points at the trip iteration.
-        if !clock.is_unlimited() {
-            if let Some(t) = clock.check(iterations as u64, csc_resident_bytes(&s)) {
-                if let Some(h) = hooks {
-                    if iterations > 0 && !h.should_save(iterations) {
-                        let ck = crate::checkpoint::make_snapshot(
-                            m,
-                            n,
-                            iterations,
-                            rank,
-                            indicator,
-                            r11,
-                            &s,
-                            &row_map,
-                            &col_map,
-                            &l_cols,
-                            &ut_cols,
-                            &pivot_rows_glob,
-                            &pivot_cols_glob,
-                            &trace,
-                            ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                                mu: st.mu,
-                                phi: st.phi,
-                                mass_sq: st.mass_sq,
-                                dropped: st.dropped,
-                                control_triggered: st.control_triggered,
-                            }),
-                            opts.numerics,
-                        );
-                        crate::checkpoint::save_snapshot(h, &ck);
-                    }
-                }
-                lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                    trip: t.clone(),
-                    iteration: iterations,
-                });
-                trip = Some(t);
-                break;
-            }
-        }
-        if s.rows() == 0 || s.cols() == 0 || rank >= rank_cap {
-            if indicator >= stop {
-                breakdown = Some(Breakdown::RankExhausted);
-            }
-            break;
-        }
-        if opts.ordering == OrderingMode::EveryIteration && iterations > 0 {
-            let perm = timers.time(KernelId::Permute, || fill_reducing_order(&s));
-            s = s.select_columns(&perm);
-            col_map = perm.iter().map(|&p| col_map[p]).collect();
-        }
-        let k_want = opts.k.min(s.cols()).min(s.rows()).min(rank_cap - rank);
-
-        // Line 5: column tournament.
-        let sel = timers.time(KernelId::ColTournament, || {
-            tournament_columns_mode(&s, None, k_want, opts.tree, par, opts.numerics)
-        });
-        if iterations == 0 {
-            r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
-        }
-        let k_eff = sel.selected.len();
-        if k_eff == 0 {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Line 6: QR of the selected panel (TSQR: the row-block
-        // decomposition is what parallelizes, matching the paper's use
-        // of tall-skinny QR for the panel factorization).
-        let (qk, panel_r_diag) = timers.time(KernelId::PanelQr, || {
-            let panel = s.gather_columns_dense(&sel.selected);
-            let f = lra_dense::tsqr_mode(&panel, par, opts.numerics);
-            let rd: Vec<f64> = (0..k_eff.min(f.r.rows()))
-                .map(|i| f.r.get(i, i).abs())
-                .collect();
-            (f.q, rd)
-        });
-        if panel_r_diag.iter().any(|v| !v.is_finite()) {
-            lra_recover::record_guard_trip(format!(
-                "non-finite panel R diagonal at iteration {}",
-                iterations + 1
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-
-        // Line 7: row tournament on Q_k^T.
-        let rows = timers.time(KernelId::RowTournament, || {
-            tournament_rows_dense_mode(&qk, k_eff, opts.tree, par, opts.numerics)
-        });
-        if rows.len() < k_eff {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Line 8: permute and split.
-        let (a11, a12, a21, a22, rest_rows, rest_cols) = timers.time(KernelId::Permute, || {
-            s.split_blocks(&rows, &sel.selected)
-        });
-
-        // Line 10: L21 formation.
-        let lu11 = lu(&a11);
-        if lu11.is_singular() {
-            breakdown = Some(Breakdown::SingularPivotBlock);
-            break;
-        }
-        let (x_rows, xt) = timers.time(KernelId::LSolve, || match opts.l_formation {
-            LFormation::Direct => l21_direct(&a21, &lu11, k_eff, &mut ws.tbuf, par),
-            LFormation::QBased => l21_qbased(&qk, &rows, &rest_rows, k_eff, par),
-        });
-
-        // Line 12: Schur complement.
-        let (mut s_next, schur_dense_cols) = timers.time(KernelId::Schur, || {
-            schur_update(
-                &a22,
-                &x_rows,
-                &xt,
-                &a12,
-                opts.dense_switch,
-                &mut ws,
-                par,
-                opts.numerics,
-            )
-        });
-        dense_cols_total += schur_dense_cols;
-
-        // Record factors (line 9/11), in original coordinates.
-        timers.time(KernelId::Concat, || {
-            // `tbuf` last held Ā21^T, which L-solve is done with.
-            a12.transpose_into(&mut ws.tbuf);
-            let a12t = &ws.tbuf;
-            for t in 0..k_eff {
-                // U row: pivot-column entries from Ā11, trailing from Ā12.
-                let mut ucol: Vec<(usize, f64)> = Vec::new();
-                for (p, &c_loc) in sel.selected.iter().enumerate() {
-                    let v = a11.get(t, p);
-                    if v != 0.0 {
-                        ucol.push((col_map[c_loc], v));
-                    }
-                }
-                let (ci, cv) = a12t.col(t);
-                for (&j_rest, &v) in ci.iter().zip(cv) {
-                    ucol.push((col_map[rest_cols[j_rest]], v));
-                }
-                ucol.sort_unstable_by_key(|&(c, _)| c);
-                ut_cols.push(ucol);
-
-                // L column: unit at the pivot row plus L21 entries.
-                let mut lcol: Vec<(usize, f64)> = Vec::new();
-                lcol.push((row_map[rows[t]], 1.0));
-                for (xi, &r_rest) in x_rows.iter().enumerate() {
-                    let v = xt.get(t, xi);
-                    if v != 0.0 {
-                        lcol.push((row_map[rest_rows[r_rest]], v));
-                    }
-                }
-                lcol.sort_unstable_by_key(|&(r, _)| r);
-                l_cols.push(lcol);
-            }
-            pivot_rows_glob.extend(rows.iter().map(|&r| row_map[r]));
-            pivot_cols_glob.extend(sel.selected.iter().map(|&c| col_map[c]));
-        });
-
-        rank += k_eff;
-        iterations += 1;
-
-        // Line 13: error indicator (eq. 9 / 26) — evaluated before any
-        // thresholding, exactly as Algorithm 3 orders lines 7 and 8.
-        indicator = timers.time(KernelId::Indicator, || {
-            schur_fro_norm(&s_next, opts.numerics)
-        });
-        if !indicator.is_finite() {
-            lra_recover::record_guard_trip(format!(
-                "non-finite error indicator at iteration {iterations}"
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        let push_trace = |trace: &mut Vec<IterTrace>, s: &CscMatrix| {
-            trace.push(IterTrace {
-                iteration: iterations,
-                rank,
-                indicator,
-                schur_nnz: s.nnz(),
-                schur_density: s.density(),
-                schur_nnz_per_row: s.nnz_per_row(),
-                r_diag: panel_r_diag.clone(),
-            });
-        };
-        if indicator < stop {
-            converged = true;
-            push_trace(&mut trace, &s_next);
-            break;
-        }
-        if rank >= rank_cap {
-            breakdown = Some(Breakdown::RankExhausted);
-            push_trace(&mut trace, &s_next);
-            break;
-        }
-
-        // ILUT_CRTP lines 5, 8-10: determine mu/phi, drop, control.
-        if let Some(state) = ilut.as_mut() {
-            if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
-            }
-            if state.mu > 0.0 {
-                timers.time(KernelId::Drop, || match state.cfg.strategy {
-                    DropStrategy::Fixed => {
-                        let (mass, count) = s_next.drop_below_into(state.mu, &mut ws.dropbuf);
-                        if (state.mass_sq + mass).sqrt() >= state.phi {
-                            // Control (22): undo, disable thresholding.
-                            state.control_triggered = true;
-                            state.mu = 0.0;
-                        } else {
-                            state.mass_sq += mass;
-                            state.dropped += count;
-                            // Accept the drop; the displaced Schur
-                            // storage becomes next iteration's target.
-                            std::mem::swap(&mut s_next, &mut ws.dropbuf);
-                        }
-                    }
-                    DropStrategy::Aggressive => {
-                        // Sort small entries, drop smallest while the
-                        // budget allows; realize via a cutoff magnitude.
-                        let budget = state.phi * state.phi - state.mass_sq;
-                        if budget > 0.0 {
-                            let mags = s_next.small_entry_magnitudes(state.phi);
-                            let mut run = 0.0;
-                            let mut cutoff = 0.0;
-                            for &v in &mags {
-                                if run + v * v >= budget {
-                                    break;
-                                }
-                                run += v * v;
-                                cutoff = v;
-                            }
-                            if cutoff > 0.0 {
-                                let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                                let (mass, count) =
-                                    s_next.drop_below_into(thr, &mut ws.dropbuf);
-                                if (state.mass_sq + mass).sqrt() < state.phi {
-                                    state.mass_sq += mass;
-                                    state.dropped += count;
-                                    std::mem::swap(&mut s_next, &mut ws.dropbuf);
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Trace the Schur complement as the next iteration will see it
-        // (post-threshold for ILUT_CRTP) — the Fig. 1 fill-in metric.
-        push_trace(&mut trace, &s_next);
-
-        // Advance to the next Schur complement.
-        row_map = rest_rows.iter().map(|&r| row_map[r]).collect();
-        col_map = rest_cols.iter().map(|&c| col_map[c]).collect();
-        s = s_next;
-
-        // Iteration boundary: all loop-carried state is consistent
-        // here, so this is the snapshot point.
-        if let Some(h) = hooks {
-            if h.should_save(iterations) {
-                let ck = crate::checkpoint::make_snapshot(
-                    m,
-                    n,
-                    iterations,
-                    rank,
-                    indicator,
-                    r11,
-                    &s,
-                    &row_map,
-                    &col_map,
-                    &l_cols,
-                    &ut_cols,
-                    &pivot_rows_glob,
-                    &pivot_cols_glob,
-                    &trace,
-                    ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                        mu: st.mu,
-                        phi: st.phi,
-                        mass_sq: st.mass_sq,
-                        dropped: st.dropped,
-                        control_triggered: st.control_triggered,
-                    }),
-                    opts.numerics,
-                );
-                crate::checkpoint::save_snapshot(h, &ck);
-            }
-        }
-        if iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
-            breakdown = Some(Breakdown::RankExhausted);
-            break; // safety net against non-termination
-        }
-    }
-
-    // Assemble factors.
-    let (l, u) = timers.time(KernelId::Concat, || {
-        let l = assemble_csc(m, &l_cols);
-        let ut = assemble_csc(n, &ut_cols);
-        (l, ut.transpose())
-    });
-
-    if opts.dense_switch.is_some() {
-        lra_obs::metrics::global().set_gauge("kernel.dense_switch", dense_cols_total as f64);
-    }
-
-    Ok(LuCrtpResult {
-        l,
-        u,
-        pivot_rows: pivot_rows_glob,
-        pivot_cols: pivot_cols_glob,
-        rank,
-        iterations,
-        converged,
-        breakdown,
-        indicator,
-        a_norm_f,
-        r11,
-        trace,
-        timers,
-        threshold: ilut.map(|s| ThresholdReport {
-            mu: s.mu,
-            phi: s.phi,
-            dropped: s.dropped,
-            dropped_mass_sq: s.mass_sq,
-            control_triggered: s.control_triggered,
-        }),
-        mem: None,
-        trip,
+    drive(None, a, opts, ilut, hooks, |src| SeqEngine {
+        s: src.full(),
+        opts,
+        ws: SchurWorkspace::new(),
+        dense_cols: 0,
     })
+}
+
+/// The shared-memory panel engine: the whole Schur complement in one
+/// [`CscMatrix`], every stage a thread-parallel kernel under
+/// `opts.par`.
+struct SeqEngine<'o> {
+    s: CscMatrix,
+    opts: &'o LuCrtpOpts,
+    /// Kernel scratch reused across all iterations (transpose targets,
+    /// ILUT drop target, sparse accumulator for the hybrid Schur path).
+    ws: SchurWorkspace,
+    /// Columns routed through the dense scatter path.
+    dense_cols: u64,
+}
+
+impl PanelEngine for SeqEngine<'_> {
+    type Pending = std::convert::Infallible;
+
+    fn dims(&self) -> (usize, usize) {
+        (self.s.rows(), self.s.cols())
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        csc_resident_bytes(&self.s)
+    }
+
+    fn reorder(&mut self) -> Option<Vec<usize>> {
+        let perm = fill_reducing_order(&self.s);
+        self.s = self.s.select_columns(&perm);
+        Some(perm)
+    }
+
+    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
+        let o = self.opts;
+        tournament_columns_mode(&self.s, None, k_want, o.tree, o.par, o.numerics)
+    }
+
+    /// TSQR: the row-block decomposition is what parallelizes, matching
+    /// the paper's use of tall-skinny QR for the panel factorization.
+    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
+        let panel = self.s.gather_columns_dense(&sel.selected);
+        let f = lra_dense::tsqr_mode(&panel, self.opts.par, self.opts.numerics);
+        let rd: Vec<f64> = (0..sel.selected.len().min(f.r.rows()))
+            .map(|i| f.r.get(i, i).abs())
+            .collect();
+        (f.q, rd)
+    }
+
+    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+        let o = self.opts;
+        tournament_rows_dense_mode(qk, k_eff, o.tree, o.par, o.numerics)
+    }
+
+    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
+    }
+
+    fn solve_l21(
+        &mut self,
+        sp: &PanelSplit,
+        lu11: &LuFactor,
+        qk: &DenseMatrix,
+        pivot_rows: &[usize],
+    ) -> (Vec<usize>, DenseMatrix) {
+        let (k, par) = (pivot_rows.len(), self.opts.par);
+        match self.opts.l_formation {
+            LFormation::Direct => l21_direct(&sp.a21, lu11, k, &mut self.ws.tbuf, par),
+            LFormation::QBased => l21_qbased(qk, pivot_rows, &sp.rest_rows, k, par),
+        }
+    }
+
+    fn schur_begin(
+        &mut self,
+        sp: &PanelSplit,
+        x_rows: &[usize],
+        xt: &DenseMatrix,
+    ) -> Option<Self::Pending> {
+        let o = self.opts;
+        let (s_next, dense_cols) = schur_update(
+            &sp.a22,
+            x_rows,
+            xt,
+            &sp.a12,
+            o.dense_switch,
+            &mut self.ws,
+            o.par,
+            o.numerics,
+        );
+        self.s = s_next;
+        self.dense_cols += dense_cols;
+        None
+    }
+
+    fn schur_finish(&mut self, pending: Self::Pending, _: &[usize], _: &DenseMatrix) {
+        match pending {}
+    }
+
+    fn u_fragments(
+        &mut self,
+        sp: &PanelSplit,
+        col_map: &[usize],
+        k_eff: usize,
+    ) -> Option<Vec<FactorCol>> {
+        // `tbuf` last held Ā21^T, which L-solve is done with.
+        sp.a12.transpose_into(&mut self.ws.tbuf);
+        Some(u_fragments_of(&self.ws.tbuf, &sp.rest_cols, col_map, k_eff))
+    }
+
+    fn indicator(&self) -> f64 {
+        schur_fro_norm(&self.s, self.opts.numerics)
+    }
+
+    fn schur_nnz(&self) -> usize {
+        self.s.nnz()
+    }
+
+    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
+        self.s.small_entry_magnitudes(cap)
+    }
+
+    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
+        let (mass, count) = self.s.drop_below_into(thr, &mut self.ws.dropbuf);
+        if accept(mass, count) {
+            // The displaced Schur storage becomes next iteration's target.
+            std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
+        }
+    }
+
+    fn gather_schur(&self) -> Option<CscMatrix> {
+        Some(self.s.clone())
+    }
+
+    fn mem_stats(&self) -> Option<MemStats> {
+        if self.opts.dense_switch.is_some() {
+            lra_obs::metrics::global().set_gauge("kernel.dense_switch", self.dense_cols as f64);
+        }
+        None
+    }
+}
+
+/// Per panel row `t`, the trailing `U` entries read off `Ā12^T`:
+/// `(original column, value)` in ascending rest-column order.
+pub(crate) fn u_fragments_of(
+    a12t: &CscMatrix,
+    rest_cols: &[usize],
+    col_map: &[usize],
+    k_eff: usize,
+) -> Vec<FactorCol> {
+    (0..k_eff)
+        .map(|t| {
+            let (ci, cv) = a12t.col(t);
+            ci.iter()
+                .zip(cv)
+                .map(|(&j_rest, &v)| (col_map[rest_cols[j_rest]], v))
+                .collect()
+        })
+        .collect()
 }
 
 /// Resident bytes of a CSC matrix's arrays — the sequential analogue of
@@ -1098,7 +806,7 @@ pub(crate) fn csc_resident_bytes(s: &CscMatrix) -> u64 {
 /// column and across the per-column partials. The reduction shape
 /// depends only on the matrix dimensions, never on the worker count,
 /// so Fast stays deterministic for a fixed input.
-pub(crate) fn schur_fro_norm(s: &CscMatrix, numerics: Numerics) -> f64 {
+fn schur_fro_norm(s: &CscMatrix, numerics: Numerics) -> f64 {
     if numerics.is_fast() {
         let parts: Vec<f64> = (0..s.cols()).map(|j| pairwise_sum_sq(s.col(j).1)).collect();
         pairwise_sum(&parts).sqrt()
@@ -1107,22 +815,14 @@ pub(crate) fn schur_fro_norm(s: &CscMatrix, numerics: Numerics) -> f64 {
     }
 }
 
-fn assemble_csc(rows: usize, cols: &[Vec<(usize, f64)>]) -> CscMatrix {
-    let mut builder = lra_sparse::SparseBuilder::new(rows, cols.len());
-    for col in cols {
-        builder.push_col(col);
-    }
-    builder.finish()
-}
-
 /// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21`.
 /// Returns the nonzero row positions (into the trailing rows) and the
 /// dense `k x nr` matrix `X^T` (column `r` = row `x_rows[r]` of `L21`).
 /// `tbuf` receives the transposed `Ā21` (caller-owned scratch reused
 /// across iterations).
-pub(crate) fn l21_direct(
+fn l21_direct(
     a21: &CscMatrix,
-    lu11: &lra_dense::LuFactor,
+    lu11: &LuFactor,
     k: usize,
     tbuf: &mut CscMatrix,
     par: Parallelism,
@@ -1130,25 +830,15 @@ pub(crate) fn l21_direct(
     a21.transpose_into(tbuf); // rows of Ā21 as columns
     let a21t = &*tbuf;
     let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-    let nr = x_rows.len();
-    let mut xt = DenseMatrix::zeros(k, nr);
-    {
-        let ptr = xt.as_mut_slice().as_mut_ptr() as usize;
-        let x_rows_ref = &x_rows;
-        parallel_for(par, nr, 16, |range| {
-            for c in range {
-                // SAFETY: disjoint columns of xt.
-                let col =
-                    unsafe { std::slice::from_raw_parts_mut((ptr as *mut f64).add(c * k), k) };
-                let (ri, vs) = a21t.col(x_rows_ref[c]);
-                for (&t, &v) in ri.iter().zip(vs) {
-                    col[t] = v;
-                }
-                // Solve x Ā11 = row  <=>  Ā11^T x^T = row^T.
-                lu11.solve_transpose_slice(col);
-            }
-        });
-    }
+    let mut xt = DenseMatrix::zeros(k, x_rows.len());
+    for_each_xt_column(par, &mut xt, |c, col| {
+        let (ri, vs) = a21t.col(x_rows[c]);
+        for (&t, &v) in ri.iter().zip(vs) {
+            col[t] = v;
+        }
+        // Solve x Ā11 = row  <=>  Ā11^T x^T = row^T.
+        lu11.solve_transpose_slice(col);
+    });
     (x_rows, xt)
 }
 
@@ -1165,23 +855,29 @@ fn l21_qbased(
     let q21 = qk.select_rows(rest_rows);
     let lu11 = lu(&q11);
     let nr = rest_rows.len();
-    let x_rows: Vec<usize> = (0..nr).collect();
     let mut xt = DenseMatrix::zeros(k, nr);
-    {
-        let ptr = xt.as_mut_slice().as_mut_ptr() as usize;
-        parallel_for(par, nr, 16, |range| {
-            for c in range {
-                // SAFETY: disjoint columns of xt.
-                let col =
-                    unsafe { std::slice::from_raw_parts_mut((ptr as *mut f64).add(c * k), k) };
-                for t in 0..k {
-                    col[t] = q21.get(c, t);
-                }
-                lu11.solve_transpose_slice(col);
-            }
-        });
-    }
-    (x_rows, xt)
+    for_each_xt_column(par, &mut xt, |c, col| {
+        for t in 0..k {
+            col[t] = q21.get(c, t);
+        }
+        lu11.solve_transpose_slice(col);
+    });
+    ((0..nr).collect(), xt)
+}
+
+/// Run `body(c, column c)` over the (independent) columns of `X^T`, 16
+/// columns to a parallel chunk.
+fn for_each_xt_column(
+    par: Parallelism,
+    xt: &mut DenseMatrix,
+    body: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    let k = xt.rows();
+    parallel_chunks_mut(par, xt.as_mut_slice(), 16 * k, |chunk, cols| {
+        for (i, col) in cols.chunks_mut(k).enumerate() {
+            body(16 * chunk + i, col);
+        }
+    });
 }
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
@@ -1230,14 +926,25 @@ fn schur_update(
     debug_assert_eq!(a12.rows(), xt.rows());
     let (lens, rowidx, values, dense_cols) =
         schur_update_ranged(a22, x_rows, xt, a12, 0..n, dense_switch, ws, par, numerics);
-    let mut colptr = Vec::with_capacity(n + 1);
+    (csc_from_col_lens(m, lens, rowidx, values), dense_cols)
+}
+
+/// A CSC matrix from per-column entry counts and the concatenated
+/// entries — the shape every Schur-update kernel returns.
+pub(crate) fn csc_from_col_lens(
+    rows: usize,
+    lens: Vec<usize>,
+    rowidx: Vec<usize>,
+    values: Vec<f64>,
+) -> CscMatrix {
+    let mut colptr = Vec::with_capacity(lens.len() + 1);
     colptr.push(0);
     let mut run = 0;
-    for l in lens {
+    for l in &lens {
         run += l;
         colptr.push(run);
     }
-    (CscMatrix::from_parts(m, n, colptr, rowidx, values), dense_cols)
+    CscMatrix::from_parts(rows, lens.len(), colptr, rowidx, values)
 }
 
 /// Chunk width (output columns) of the parallel Schur update.

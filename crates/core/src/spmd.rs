@@ -1,11 +1,13 @@
-//! Rank-distributed LU_CRTP over the `lra-comm` SPMD runtime — the
-//! direct structural port of the paper's MPI implementation
-//! (Section V).
+//! Rank-distributed LU_CRTP / ILUT_CRTP over the `lra-comm` SPMD
+//! runtime — the structural port of the paper's MPI implementation
+//! (Section V): the one panel loop ([`crate::panel`]) run over two
+//! SPMD [`PanelEngine`]s that differ only in where the Schur
+//! complement lives.
 //!
-//! Data placement follows the paper's block-column distribution, but
-//! with *rank-owned* storage: each rank holds only its own
-//! [`ColSlice`] shard of the current Schur complement (`O(nnz/np)`
-//! resident per rank), never the full matrix. Per iteration:
+//! **[`SpmdPanelCtx`] — rank-owned shards** (the default,
+//! [`lu_crtp_spmd`]). Each rank holds only its [`ColSlice`] of the
+//! paper's block-column distribution (`O(nnz/np)` resident), never the
+//! full matrix. Per iteration:
 //!
 //! - the column tournament runs its communication-free local stage on
 //!   the owned shard, then `log2(P)` pairwise reduction rounds in
@@ -18,38 +20,36 @@
 //!   replicated);
 //! - the Schur update is computed only for owned columns, with an
 //!   `alltoallv` re-sharding from the old column partition to the new
-//!   one — no rank ever materializes the full Schur complement. By
-//!   default the re-shard is a *posted* exchange
-//!   ([`lra_comm::Ctx::post_alltoallv`]): sends go out immediately,
-//!   factor recording (and its `gatherv`) runs while the wire drains,
-//!   and completion Schur-updates each received piece as it arrives —
-//!   a three-stage software pipeline (post → overlap compute →
-//!   complete) that hides the exchange behind work that was going to
-//!   happen anyway. Re-shard part buffers are recycled across panel
-//!   iterations from a pool, like the [`SchurWorkspace`] scratch. The
-//!   non-overlapped path is kept as [`lu_crtp_spmd_eager`] /
-//!   [`ilut_crtp_spmd_eager`] — the bitwise oracle for the pipeline
-//!   (piece-at-a-time updates tile the new owned range in ascending
-//!   column order, and the kernel computes each column independently,
-//!   so the reordering moves no bits);
+//!   one. By default the re-shard is a *posted* exchange
+//!   ([`lra_comm::Ctx::post_alltoallv`]): the loop's Schur stage has
+//!   two halves, so sends go out in the first, factor recording (and
+//!   its `gatherv`) runs while the wire drains, and the second half
+//!   Schur-updates each received piece as it arrives. Re-shard part
+//!   buffers are recycled across panel iterations from a pool, like
+//!   the [`SchurWorkspace`] scratch. [`Reshard::Eager`] — reachable
+//!   only through [`lu_crtp_spmd_eager`] / [`ilut_crtp_spmd_eager`] —
+//!   blocks in the first half instead and is the bitwise oracle for
+//!   the pipeline (piece-at-a-time updates tile the new owned range in
+//!   ascending column order, and the kernel computes each column
+//!   independently, so the reordering moves no bits);
 //! - the error indicator is a partial-norm allreduce, and ILUT
 //!   thresholding combines per-shard dropped mass through the same
-//!   allreduce tree on every rank.
+//!   allreduce tree on every rank;
+//! - only rank 0 accumulates the factor columns (small per-panel
+//!   fragments travel by `gatherv`); the final `L`/`U` are broadcast
+//!   once at the end, so every rank returns the same result.
 //!
-//! Only rank 0 accumulates the factor columns (small per-panel
-//! fragments travel by `gatherv`); the final `L`/`U` are broadcast
-//! once at the end, so the API contract — every rank returns the same
-//! result — is unchanged.
-//!
-//! The previous fully-replicated driver is kept as
-//! [`lu_crtp_spmd_replicated`] / [`ilut_crtp_spmd_replicated`]: it is
-//! the bitwise oracle for the sharded driver (same column partition,
-//! same arithmetic order, same reduction trees) and the reference the
-//! tests compare against.
+//! **[`ReplicatedEngine`] — every rank holds the whole Schur
+//! complement** ([`lu_crtp_spmd_replicated`]). It calls the same panel
+//! TSQR, row tournament and `L21` solve, and partitions its Schur
+//! update, indicator and dropped-mass partials over the *same* column
+//! ranges and reduction trees the sharded engine owns, so the two are
+//! bit-identical while differing only in resident storage: it is the
+//! reference the sharded engine is tested against.
 //!
 //! Numerics modes: `opts.numerics` reaches the Schur-update kernel
 //! (FMA correction dots in `Fast`) and the error-indicator partials
-//! (tree-reduced per-column sums in `Fast`) in *both* drivers, over
+//! (tree-reduced per-column sums in `Fast`) in *both* engines, over
 //! the *same* column partition — so sharded vs. replicated stays
 //! bitwise-identical within either mode. The SPMD tournament and the
 //! allgather-based panel TSQR keep their bitwise kernels in both
@@ -58,17 +58,14 @@
 //! resume and redistribution paths.
 
 use crate::lucrtp::{
-    schur_update_ranged, validate_matrix, Breakdown, DropStrategy, IlutOpts, InvalidInput,
-    IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace, ThresholdReport,
+    csc_from_col_lens, csc_resident_bytes, schur_update_ranged, u_fragments_of, validate_matrix,
+    IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
 };
-use crate::timers::KernelTimers;
+use crate::panel::{assemble_factors, drive, FactorCol, PanelEngine, PanelSplit, Source};
 use lra_comm::{CommError, Ctx, PendingExchange, RunConfig};
-use lra_dense::{lu, pairwise_sum_sq, qr, DenseMatrix, LuFactor, Numerics};
-use lra_ordering::fill_reducing_order;
+use lra_dense::{pairwise_sum_sq, qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
-use lra_qrtp::{
-    tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection, TournamentTree,
-};
+use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
 use lra_sparse::{gather_csc, slice_columns_recycled, ColSlice, CscMatrix, SparseBuilder};
 use std::ops::Range;
 
@@ -82,6 +79,12 @@ use std::ops::Range;
 /// Each rank keeps only its owned block-column shard of the Schur
 /// complement resident (see the module docs); the result's `mem`
 /// field reports the peak per-rank shard storage.
+///
+/// Three options are not honoured by the SPMD engines and are silently
+/// treated as their defaults: [`crate::OrderingMode::EveryIteration`]
+/// orders once, before the first iteration; [`crate::LFormation::QBased`]
+/// forms `L21` as `Direct`; and `opts.tree` is ignored — the
+/// tournaments always reduce over the binomial rank tree.
 pub fn lu_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
     lu_crtp_spmd_checkpointed(ctx, a, opts, None).expect("no hooks, so no resume mode mismatch")
 }
@@ -99,9 +102,7 @@ pub fn lu_crtp_spmd_checkpointed(
     opts: &LuCrtpOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    lra_obs::trace::span("lu_crtp_spmd", || {
-        drive_spmd_sharded(ctx, a, opts, None, hooks, Reshard::Overlapped)
-    })
+    run_sharded(ctx, a, opts, None, hooks, Reshard::Overlapped)
 }
 
 /// SPMD ILUT_CRTP (Algorithm 3 over ranks): identical distribution to
@@ -121,17 +122,7 @@ pub fn ilut_crtp_spmd_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
-    lra_obs::trace::span("ilut_crtp_spmd", || {
-        drive_spmd_sharded(ctx, a, &opts.base, Some(state), hooks, Reshard::Overlapped)
-    })
+    run_sharded(ctx, a, &opts.base, Some(opts), hooks, Reshard::Overlapped)
 }
 
 /// Non-overlapped sharded LU_CRTP: identical to [`lu_crtp_spmd`]
@@ -141,59 +132,60 @@ pub fn ilut_crtp_spmd_checkpointed(
 /// pinned by tests the same way sharded ≡ replicated is.
 #[doc(hidden)]
 pub fn lu_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    lra_obs::trace::span("lu_crtp_spmd_eager", || {
-        drive_spmd_sharded(ctx, a, opts, None, None, Reshard::Eager)
-            .expect("no hooks, so no resume mode mismatch")
-    })
+    run_sharded(ctx, a, opts, None, None, Reshard::Eager)
+        .expect("no hooks, so no resume mode mismatch")
 }
 
 /// Eager-exchange oracle for [`ilut_crtp_spmd`] (see
 /// [`lu_crtp_spmd_eager`]).
 #[doc(hidden)]
 pub fn ilut_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
-    lra_obs::trace::span("ilut_crtp_spmd_eager", || {
-        drive_spmd_sharded(ctx, a, &opts.base, Some(state), None, Reshard::Eager)
-            .expect("no hooks, so no resume mode mismatch")
-    })
+    run_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Eager)
+        .expect("no hooks, so no resume mode mismatch")
 }
 
-/// The fully-replicated SPMD LU_CRTP driver (every rank holds the
+/// SPMD LU_CRTP over fully replicated storage (every rank holds the
 /// whole Schur complement). Kept as the bitwise oracle for
-/// [`lu_crtp_spmd`]: the sharded driver partitions columns exactly as
-/// this driver partitions its per-rank work, so the two produce
+/// [`lu_crtp_spmd`]: the sharded engine partitions columns exactly as
+/// this one partitions its per-rank work, so the two produce
 /// bit-identical results while differing only in resident storage.
 #[doc(hidden)]
 pub fn lu_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    lra_obs::trace::span("lu_crtp_spmd_replicated", || {
-        drive_spmd_replicated(ctx, a, opts, None, None)
-            .expect("no hooks, so no resume mode mismatch")
-    })
+    run_replicated(ctx, a, opts, None)
 }
 
 /// Replicated-storage oracle for [`ilut_crtp_spmd`] (see
 /// [`lu_crtp_spmd_replicated`]).
 #[doc(hidden)]
 pub fn ilut_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
-    lra_obs::trace::span("ilut_crtp_spmd_replicated", || {
-        drive_spmd_replicated(ctx, a, &opts.base, Some(state), None)
-            .expect("no hooks, so no resume mode mismatch")
-    })
+    run_replicated(ctx, a, &opts.base, Some(opts))
+}
+
+/// Convenience wrapper: run [`lu_crtp_spmd`] on `np` ranks and return
+/// rank 0's result. The tournament tree option is implicit (the SPMD
+/// driver always reduces over the binomial rank tree). Panics if any
+/// rank fails; use [`lu_crtp_dist_checked`] to observe failures.
+pub fn lu_crtp_dist(a: &CscMatrix, opts: &LuCrtpOpts, np: usize) -> LuCrtpResult {
+    let mut results = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, a, opts));
+    results.swap_remove(0)
+}
+
+/// Fault-aware variant of [`lu_crtp_dist`]: validates the input at the
+/// API boundary ([`InvalidInput`] instead of a panic deep inside a
+/// kernel), runs under an explicit [`RunConfig`] (watchdog window,
+/// chaos [`lra_comm::FaultPlan`]), and returns every rank's outcome.
+/// A rank killed mid-factorization surfaces as [`CommError::Failed`] on
+/// the victim and [`CommError::PeerFailed`] on every surviving rank —
+/// no hang.
+pub fn lu_crtp_dist_checked(
+    a: &CscMatrix,
+    opts: &LuCrtpOpts,
+    np: usize,
+    config: &RunConfig,
+) -> Result<Vec<Result<LuCrtpResult, CommError>>, InvalidInput> {
+    opts.validate()?;
+    validate_matrix(a)?;
+    Ok(lra_comm::run_with(np, config, |ctx| lu_crtp_spmd(ctx, a, opts)).results)
 }
 
 /// Convenience wrapper for [`ilut_crtp_spmd`] on `np` ranks. Panics if
@@ -219,44 +211,170 @@ pub fn ilut_crtp_dist_checked(
     Ok(lra_comm::run_with(np, config, |ctx| ilut_crtp_spmd(ctx, a, opts)).results)
 }
 
-struct SpmdIlutState {
-    cfg: IlutOpts,
-    mu: f64,
-    phi: f64,
-    mass_sq: f64,
-    dropped: usize,
-    control_triggered: bool,
+/// The shared panel loop over rank-owned shards.
+pub(crate) fn run_sharded(
+    ctx: &Ctx,
+    a: &CscMatrix,
+    opts: &LuCrtpOpts,
+    ilut: Option<&IlutOpts>,
+    hooks: Option<&crate::RecoveryHooks<'_>>,
+    reshard: Reshard,
+) -> Result<LuCrtpResult, InvalidInput> {
+    let span = match (ilut.is_some(), reshard) {
+        (false, Reshard::Overlapped) => "lu_crtp_spmd",
+        (true, Reshard::Overlapped) => "ilut_crtp_spmd",
+        (false, Reshard::Eager) => "lu_crtp_spmd_eager",
+        (true, Reshard::Eager) => "ilut_crtp_spmd_eager",
+    };
+    lra_obs::trace::span(span, || {
+        drive(Some(ctx), a, opts, ilut, hooks, |src| {
+            SpmdPanelCtx::place(ctx, src, opts, reshard)
+        })
+    })
 }
 
-impl SpmdIlutState {
-    fn report(&self) -> ThresholdReport {
-        ThresholdReport {
-            mu: self.mu,
-            phi: self.phi,
-            dropped: self.dropped,
-            dropped_mass_sq: self.mass_sq,
-            control_triggered: self.control_triggered,
+/// The shared panel loop over replicated storage (never checkpointed:
+/// it exists to be compared against).
+fn run_replicated(
+    ctx: &Ctx,
+    a: &CscMatrix,
+    opts: &LuCrtpOpts,
+    ilut: Option<&IlutOpts>,
+) -> LuCrtpResult {
+    let span = if ilut.is_some() {
+        "ilut_crtp_spmd_replicated"
+    } else {
+        "lu_crtp_spmd_replicated"
+    };
+    lra_obs::trace::span(span, || {
+        drive(Some(ctx), a, opts, ilut, None, |src| ReplicatedEngine {
+            ctx,
+            s: src.full(),
+            opts,
+            ws: SchurWorkspace::new(),
+        })
+    })
+    .expect("no hooks, so no resume mode mismatch")
+}
+
+/// Panel TSQR over rank-owned row blocks of the pivot panel (columns
+/// `cols` of `src`): local QR, allgather the small R factors,
+/// replicated root QR, local Q reconstruction, allgather the Q blocks.
+/// Returns `Q_k` and `|diag(R)|`.
+fn spmd_panel_tsqr(ctx: &Ctx, src: &CscMatrix, cols: &[usize]) -> (DenseMatrix, Vec<f64>) {
+    let (rank, size) = (ctx.rank(), ctx.size());
+    let m_act = src.rows();
+    let k_eff = cols.len();
+    let blocks = split_ranges(m_act, size.min((m_act / k_eff.max(1)).max(1)));
+    let my_block = blocks.get(rank).cloned();
+    let (my_r, my_f) = match &my_block {
+        Some(rg) => {
+            let local = src.gather_columns_rows_dense(cols, rg.clone());
+            let f = qr(&local, Parallelism::SEQ);
+            (f.r(), Some(f))
         }
+        None => (DenseMatrix::zeros(0, k_eff), None),
+    };
+    let all_r: Vec<DenseMatrix> = ctx.allgather(my_r);
+    let mut stacked: Option<DenseMatrix> = None;
+    for r in all_r {
+        if r.rows() == 0 {
+            continue;
+        }
+        stacked = Some(match stacked {
+            None => r,
+            Some(prev) => prev.vcat(&r),
+        });
     }
+    let top = qr(&stacked.expect("empty panel"), Parallelism::SEQ);
+    let panel_r_diag: Vec<f64> = top.r_diag().iter().map(|v| v.abs()).take(k_eff).collect();
+    let qs = top.q_thin(Parallelism::SEQ);
+    // Back-propagate this rank's block of Q.
+    let my_q = match (&my_block, my_f) {
+        (Some(rg), Some(f)) => {
+            // Rows of qs owned by this rank: blocks before ours
+            // contribute min(block_len, k_eff) rows each.
+            let mut off = 0;
+            for (b, brange) in blocks.iter().enumerate() {
+                if b == rank {
+                    break;
+                }
+                off += brange.len().min(k_eff);
+            }
+            let my_rows = rg.len().min(k_eff);
+            let mut piece = DenseMatrix::zeros(rg.len(), k_eff);
+            for j in 0..k_eff {
+                for i in 0..my_rows {
+                    piece.set(i, j, qs.get(off + i, j));
+                }
+            }
+            f.apply_q(&mut piece, Parallelism::SEQ);
+            piece
+        }
+        _ => DenseMatrix::zeros(0, k_eff),
+    };
+    let all_q: Vec<DenseMatrix> = ctx.allgather(my_q);
+    let mut qk = DenseMatrix::zeros(m_act, k_eff);
+    let mut row0 = 0;
+    for q in all_q {
+        if q.rows() == 0 {
+            continue;
+        }
+        qk.set_submatrix(row0, 0, &q);
+        row0 += q.rows();
+    }
+    (qk, panel_r_diag)
 }
 
-/// The per-iteration blocks a rank derives from the (replicated)
-/// pivot panel and its owned shard: `Ā11`/`Ā21` are replicated (they
-/// are `O(b^2)` / `O(b)`-column objects built from the broadcast
-/// panel), `Ā12`/`Ā22` exist only as the owned piece covering the
-/// rank's run of rest columns.
-struct PanelSplit {
-    a11: DenseMatrix,
-    a21: CscMatrix,
-    rest_rows: Vec<usize>,
-    rest_cols: Vec<usize>,
-    /// Positions into `rest_cols` whose columns this rank owns (a
-    /// contiguous run, since both orderings are ascending).
-    my_run: Range<usize>,
-    /// `Ā12` restricted to the owned rest columns.
-    a12_piece: CscMatrix,
-    /// `Ā22` restricted to the owned rest columns.
-    a22_piece: CscMatrix,
+/// Row tournament on `Q_k^T` (replicated input, distributed tree).
+fn spmd_row_tournament(ctx: &Ctx, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+    tournament_columns_spmd(ctx, &qk.transpose(), None, k_eff).selected
+}
+
+/// `L21` solve: `Ā21` rows scattered across ranks, `Ā11` replicated
+/// (broadcast in the paper), result allgathered — the small dense
+/// `X^T` is needed in full by every rank's Schur correction under a
+/// 1-D column distribution. `tbuf` receives `Ā21^T`.
+fn spmd_l21(
+    ctx: &Ctx,
+    a21: &CscMatrix,
+    lu11: &LuFactor,
+    tbuf: &mut CscMatrix,
+) -> (Vec<usize>, DenseMatrix) {
+    let k_eff = a21.cols();
+    a21.transpose_into(tbuf);
+    let a21t = &*tbuf;
+    let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
+    let nr = x_rows.len();
+    let my_range = owned_range(&split_ranges(nr, ctx.size()), ctx.rank());
+    let mut my_xt = DenseMatrix::zeros(k_eff, my_range.len());
+    for (slot, xi) in my_range.enumerate() {
+        let col = my_xt.col_mut(slot);
+        let (ri, vs) = a21t.col(x_rows[xi]);
+        for (&t, &v) in ri.iter().zip(vs) {
+            col[t] = v;
+        }
+        lu11.solve_transpose_slice(col);
+    }
+    let all_xt: Vec<DenseMatrix> = ctx.allgather(my_xt);
+    let mut xt = DenseMatrix::zeros(k_eff, nr);
+    let mut c0 = 0;
+    for part in all_xt {
+        if part.cols() == 0 {
+            continue;
+        }
+        xt.set_submatrix(0, c0, &part);
+        c0 += part.cols();
+    }
+    (x_rows, xt)
+}
+
+/// Combine per-rank dropped `(mass, count)` partials through the same
+/// allreduce tree on every rank.
+fn allreduce_drop(ctx: &Ctx, my_mass: f64, my_count: usize) -> (f64, usize) {
+    let (mass, count) =
+        ctx.allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
+    (mass, count as usize)
 }
 
 /// An in-flight re-shard: the posted `alltoallv` plus the geometry of
@@ -271,16 +389,26 @@ struct PendingReshard<'a> {
     n_rest: usize,
 }
 
-/// Panel engine for the sharded SPMD driver: the communicator, the
-/// rank's owned block-column [`ColSlice`] of the current Schur
-/// complement, and the replicated global dimensions, with one method
-/// per distributed stage of an LU_CRTP iteration. The shard invariant:
+/// Re-shard scheduling of the sharded engine: `Overlapped` posts the
+/// per-panel exchange and hides the wire behind factor recording plus
+/// per-piece Schur updates (the default); `Eager` is the original
+/// blocking exchange, kept as the bitwise oracle for the pipeline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reshard {
+    Overlapped,
+    Eager,
+}
+
+/// Panel engine over rank-owned shards: the communicator, the rank's
+/// owned block-column [`ColSlice`] of the current Schur complement,
+/// and the replicated global dimensions, with one method per
+/// distributed stage of an LU_CRTP iteration. The shard invariant:
 /// after construction and after every re-shard (eager
 /// [`Self::schur_redistribute`] or overlapped
 /// [`Self::complete_reshard`]), this rank owns exactly
 /// `owned_range(split_ranges(n_cur, size),
 /// rank)` — the same partition the replicated oracle uses for its
-/// per-rank work, which is what makes the two drivers bit-identical.
+/// per-rank work, which is what makes the two engines bit-identical.
 struct SpmdPanelCtx<'a> {
     ctx: &'a Ctx,
     rank: usize,
@@ -288,16 +416,16 @@ struct SpmdPanelCtx<'a> {
     shard: ColSlice,
     /// Global column count of the (virtual) Schur complement.
     n_cur: usize,
-    /// Intra-rank worker count for the owned-range kernels (Schur
-    /// update, threshold pass) — `opts.par`.
-    par: Parallelism,
-    /// Fill-aware hybrid threshold for the Schur kernel
-    /// (`opts.dense_switch`).
-    dense_switch: Option<f64>,
-    /// Kernel numerics mode (`opts.numerics`): reaches the Schur
-    /// update and the indicator partials; the distributed tournament
-    /// and panel TSQR stay bitwise in both modes (module docs).
-    numerics: Numerics,
+    /// `opts.par` is the intra-rank worker count for the owned-range
+    /// kernels (Schur update, threshold pass); `opts.numerics` reaches
+    /// the Schur update and the indicator partials — the distributed
+    /// tournament and panel TSQR stay bitwise in both modes (module
+    /// docs).
+    opts: &'a LuCrtpOpts,
+    reshard: Reshard,
+    /// The pivot panel the last column tournament broadcast: the
+    /// `O(m b)` selected columns, whole on every rank.
+    panel: CscMatrix,
     /// Columns this rank routed through the dense scatter path.
     dense_cols: u64,
     /// Kernel scratch reused across iterations (transpose target,
@@ -315,23 +443,30 @@ struct SpmdPanelCtx<'a> {
 }
 
 impl<'a> SpmdPanelCtx<'a> {
-    fn new(
-        ctx: &'a Ctx,
-        shard: ColSlice,
-        n_cur: usize,
-        par: Parallelism,
-        dense_switch: Option<f64>,
-        numerics: Numerics,
-    ) -> Self {
+    fn place(ctx: &'a Ctx, src: Source<'_>, opts: &'a LuCrtpOpts, reshard: Reshard) -> Self {
+        let owned = |n: usize| owned_range(&split_ranges(n, ctx.size()), ctx.rank());
+        let (shard, n_cur) = match src {
+            // Only the owned block of the permuted input is extracted;
+            // the full Schur complement never exists on any rank.
+            Source::Input(a, cols) => {
+                let my = owned(cols.len());
+                let local = a.select_columns(&cols[my.clone()]);
+                (ColSlice::new(my.start, local), cols.len())
+            }
+            // Slice this rank's shard out of the snapshot under the
+            // *current* rank count — resuming a snapshot written by a
+            // larger grid redistributes implicitly.
+            Source::Snapshot(s) => (ColSlice::from_full(&s, owned(s.cols())), s.cols()),
+        };
         let mut eng = SpmdPanelCtx {
             ctx,
             rank: ctx.rank(),
             size: ctx.size(),
             shard,
             n_cur,
-            par,
-            dense_switch,
-            numerics,
+            opts,
+            reshard,
+            panel: CscMatrix::zeros(0, 0),
             dense_cols: 0,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
@@ -342,127 +477,207 @@ impl<'a> SpmdPanelCtx<'a> {
         eng
     }
 
-    /// Slice this rank's shard out of a full (e.g. checkpointed)
-    /// Schur complement under the *current* rank count — resuming a
-    /// snapshot written by a larger grid redistributes implicitly.
-    fn from_full(
-        ctx: &'a Ctx,
-        s: &CscMatrix,
-        par: Parallelism,
-        dense_switch: Option<f64>,
-        numerics: Numerics,
-    ) -> Self {
-        let ranges = split_ranges(s.cols(), ctx.size());
-        let my = owned_range(&ranges, ctx.rank());
-        Self::new(
-            ctx,
-            ColSlice::from_full(s, my),
-            s.cols(),
-            par,
-            dense_switch,
-            numerics,
-        )
-    }
-
     fn note_mem(&mut self) {
         self.peak_bytes = self.peak_bytes.max(self.shard.resident_bytes());
         self.peak_nnz = self.peak_nnz.max(self.shard.nnz());
     }
 
-    fn m_act(&self) -> usize {
-        self.shard.rows()
+    /// Install the Schur-updated columns of the new owned range as the
+    /// shard — the full next Schur complement is never materialized.
+    fn install_shard(
+        &mut self,
+        m_rest: usize,
+        n_rest: usize,
+        my_new: Range<usize>,
+        (lens, rows_out, vals_out, dense_cols): (Vec<usize>, Vec<usize>, Vec<f64>, u64),
+    ) {
+        debug_assert_eq!(lens.len(), my_new.len());
+        self.dense_cols += dense_cols;
+        let next_local = csc_from_col_lens(m_rest, lens, rows_out, vals_out);
+        self.shard = ColSlice::new(my_new.start, next_local);
+        self.n_cur = n_rest;
+        self.note_mem();
+    }
+
+    /// Schur update on owned columns only, with an `alltoallv`
+    /// re-sharding from the old column partition to the new one. Both
+    /// partitions are ascending contiguous tilings, so each (src, dst)
+    /// exchange is one contiguous column run and concatenating the
+    /// received runs in source-rank order reassembles the new owned
+    /// block in order.
+    fn schur_redistribute(&mut self, sp: &PanelSplit, x_rows: &[usize], xt: &DenseMatrix) {
+        let m_rest = sp.a22.rows();
+        let n_rest = sp.rest_cols.len();
+        let new_ranges = split_ranges(n_rest, self.size);
+        let parts = self.build_reshard_parts(sp, &new_ranges);
+        let got = self.ctx.alltoallv(parts);
+        let (p12, p22): (Vec<CscMatrix>, Vec<CscMatrix>) = got.into_iter().unzip();
+        let a12_own = gather_csc(&p12);
+        let a22_own = gather_csc(&p22);
+        self.part_pool.extend(p12);
+        self.part_pool.extend(p22);
+        let updated = schur_update_ranged(
+            &a22_own,
+            x_rows,
+            xt,
+            &a12_own,
+            0..a22_own.cols(),
+            self.opts.dense_switch,
+            &mut self.ws,
+            self.opts.par,
+            self.opts.numerics,
+        );
+        self.install_shard(m_rest, n_rest, owned_range(&new_ranges, self.rank), updated);
+    }
+
+    /// Build the per-destination `(Ā12, Ā22)` column-run parts of the
+    /// re-shard exchange. Part buffers retired by previous iterations
+    /// are recycled from [`Self::part_pool`], so once part sizes reach
+    /// steady state the `2·np` allocations per panel disappear.
+    fn build_reshard_parts(
+        &mut self,
+        sp: &PanelSplit,
+        new_ranges: &[Range<usize>],
+    ) -> Vec<(CscMatrix, CscMatrix)> {
+        let my_run = &sp.my_run;
+        let mut parts: Vec<(CscMatrix, CscMatrix)> = Vec::with_capacity(self.size);
+        for dst in 0..self.size {
+            let drg = owned_range(new_ranges, dst);
+            let lo = my_run.start.max(drg.start);
+            let hi = my_run.end.min(drg.end);
+            let local = if lo < hi {
+                (lo - my_run.start)..(hi - my_run.start)
+            } else {
+                0..0
+            };
+            let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
+            let d22 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
+            parts.push((
+                slice_columns_recycled(&sp.a12, local.clone(), d12),
+                slice_columns_recycled(&sp.a22, local, d22),
+            ));
+        }
+        parts
+    }
+
+    /// Post the re-shard exchange for the just-eliminated panel
+    /// without waiting for it: the sends go out now, the receives wait
+    /// inside the returned [`PendingReshard`]. Work issued between
+    /// this and [`Self::complete_reshard`] — factor recording and its
+    /// `gatherv`, which uses the eager tag namespace, disjoint from
+    /// pending-exchange tags, so the reordering cannot mismatch
+    /// envelopes — runs while the wire drains.
+    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingReshard<'a> {
+        let m_rest = sp.a22.rows();
+        let n_rest = sp.rest_cols.len();
+        let new_ranges = split_ranges(n_rest, self.size);
+        let parts = self.build_reshard_parts(sp, &new_ranges);
+        PendingReshard {
+            pend: self.ctx.post_alltoallv(parts),
+            new_ranges,
+            m_rest,
+            n_rest,
+        }
+    }
+
+    /// Complete a posted re-shard: drain the exchange in source-rank
+    /// order, Schur-updating each `(Ā12, Ā22)` piece the moment it
+    /// arrives — per-piece compute hides the tail of the drain — and
+    /// concatenate the per-piece results. Bitwise-identical to the
+    /// eager [`Self::schur_redistribute`]: the pieces tile the new
+    /// owned range in ascending column order and the kernel computes
+    /// every column independently (same per-column arithmetic, same
+    /// ascending emission), so splitting the single gathered pass at
+    /// piece boundaries moves no bits.
+    fn complete_reshard(&mut self, pr: PendingReshard<'a>, x_rows: &[usize], xt: &DenseMatrix) {
+        let PendingReshard {
+            pend,
+            new_ranges,
+            m_rest,
+            n_rest,
+        } = pr;
+        let my_new = owned_range(&new_ranges, self.rank);
+        let mut lens: Vec<usize> = Vec::with_capacity(my_new.len());
+        let mut rows_out: Vec<usize> = Vec::new();
+        let mut vals_out: Vec<f64> = Vec::new();
+        let mut dc_total = 0u64;
+        {
+            let ws = &mut self.ws;
+            let pool = &mut self.part_pool;
+            let o = self.opts;
+            pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
+                debug_assert_eq!(p22.rows(), m_rest);
+                let (l, r, v, dc) = schur_update_ranged(
+                    &p22,
+                    x_rows,
+                    xt,
+                    &p12,
+                    0..p22.cols(),
+                    o.dense_switch,
+                    ws,
+                    o.par,
+                    o.numerics,
+                );
+                lens.extend(l);
+                rows_out.extend(r);
+                vals_out.extend(v);
+                dc_total += dc;
+                pool.push(p12);
+                pool.push(p22);
+            });
+        }
+        self.install_shard(m_rest, n_rest, my_new, (lens, rows_out, vals_out, dc_total));
+    }
+}
+
+impl<'a> PanelEngine for SpmdPanelCtx<'a> {
+    type Pending = PendingReshard<'a>;
+
+    fn idle_mem() -> Option<MemStats> {
+        Some(MemStats::default())
+    }
+
+    /// Factor columns accumulate on rank 0 only; everyone else
+    /// receives `L`/`U` in the final broadcast.
+    fn keeps_factors(&self) -> bool {
+        self.rank == 0
+    }
+
+    fn dims(&self) -> (usize, usize) {
+        (self.shard.rows(), self.n_cur)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.shard.resident_bytes() as u64
     }
 
     /// Column tournament over the distributed Schur complement; winner
     /// columns travel with their global ids, and the selected panel is
     /// broadcast so every rank holds the `O(m b)` pivot columns.
-    fn col_tournament(&self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want)
+    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
+        let (sel, panel) = tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want);
+        self.panel = panel;
+        sel
     }
 
-    /// Panel TSQR over rank-owned row blocks of the broadcast pivot
-    /// panel: local QR, allgather the small R factors, replicated root
-    /// QR, local Q reconstruction, allgather the Q blocks. Identical
-    /// arithmetic to the replicated oracle — the dense row blocks
-    /// gathered from the compact panel equal those gathered from the
-    /// full Schur complement.
-    fn panel_qr(&self, panel: &CscMatrix, k_eff: usize) -> (Vec<f64>, DenseMatrix) {
-        let m_act = self.m_act();
-        let pidx: Vec<usize> = (0..k_eff).collect();
-        let blocks = split_ranges(m_act, self.size.min((m_act / k_eff.max(1)).max(1)));
-        let my_block = blocks.get(self.rank).cloned();
-        let (my_r, my_f) = match &my_block {
-            Some(rg) => {
-                let local = panel.gather_columns_rows_dense(&pidx, rg.clone());
-                let f = qr(&local, Parallelism::SEQ);
-                (f.r(), Some(f))
-            }
-            None => (DenseMatrix::zeros(0, k_eff), None),
-        };
-        let all_r: Vec<DenseMatrix> = self.ctx.allgather(my_r);
-        let mut stacked: Option<DenseMatrix> = None;
-        for r in all_r {
-            if r.rows() == 0 {
-                continue;
-            }
-            stacked = Some(match stacked {
-                None => r,
-                Some(prev) => prev.vcat(&r),
-            });
-        }
-        let top = qr(&stacked.expect("empty panel"), Parallelism::SEQ);
-        let panel_r_diag: Vec<f64> =
-            top.r_diag().iter().map(|v| v.abs()).take(k_eff).collect();
-        let qs = top.q_thin(Parallelism::SEQ);
-        // Back-propagate this rank's block of Q.
-        let my_q = match (&my_block, my_f) {
-            (Some(rg), Some(f)) => {
-                // Rows of qs owned by this rank: blocks before ours
-                // contribute min(block_len, k_eff) rows each.
-                let mut off = 0;
-                for (b, brange) in blocks.iter().enumerate() {
-                    if b == self.rank {
-                        break;
-                    }
-                    off += brange.len().min(k_eff);
-                }
-                let my_rows = rg.len().min(k_eff);
-                let mut piece = DenseMatrix::zeros(rg.len(), k_eff);
-                for j in 0..k_eff {
-                    for i in 0..my_rows {
-                        piece.set(i, j, qs.get(off + i, j));
-                    }
-                }
-                f.apply_q(&mut piece, Parallelism::SEQ);
-                piece
-            }
-            _ => DenseMatrix::zeros(0, k_eff),
-        };
-        let all_q: Vec<DenseMatrix> = self.ctx.allgather(my_q);
-        let mut qk = DenseMatrix::zeros(m_act, k_eff);
-        let mut row0 = 0;
-        for q in all_q {
-            if q.rows() == 0 {
-                continue;
-            }
-            qk.set_submatrix(row0, 0, &q);
-            row0 += q.rows();
-        }
-        (panel_r_diag, qk)
+    /// Identical arithmetic to the replicated oracle — the dense row
+    /// blocks gathered from the compact panel equal those gathered
+    /// from the full Schur complement.
+    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
+        let pidx: Vec<usize> = (0..sel.selected.len()).collect();
+        spmd_panel_tsqr(self.ctx, &self.panel, &pidx)
     }
 
-    /// The `[Ā11 Ā12; Ā21 Ā22]` split of Algorithm 2 line 8, sharded:
-    /// the pivot blocks come from the replicated panel, the rest
+    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+        spmd_row_tournament(self.ctx, qk, k_eff)
+    }
+
+    /// The pivot blocks come from the replicated panel, the rest
     /// blocks only from the owned columns. Entry classification, sort,
     /// and zero-skipping mirror `CscMatrix::split_blocks` exactly.
-    fn split_panel(
-        &self,
-        panel: &CscMatrix,
-        pivot_rows: &[usize],
-        pivot_cols: &[usize],
-    ) -> PanelSplit {
+    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
         let k = pivot_rows.len();
-        let m_act = self.m_act();
+        let m_act = self.shard.rows();
         const UNSET: usize = usize::MAX;
         let mut row_new = vec![UNSET; m_act];
         for (p, &r) in pivot_rows.iter().enumerate() {
@@ -477,7 +692,7 @@ impl<'a> SpmdPanelCtx<'a> {
             }
         }
         let mut col_is_pivot = vec![false; self.n_cur];
-        for &c in pivot_cols {
+        for &c in &sel.selected {
             debug_assert!(!col_is_pivot[c], "duplicate pivot column");
             col_is_pivot[c] = true;
         }
@@ -488,7 +703,7 @@ impl<'a> SpmdPanelCtx<'a> {
         let mut buf_top: Vec<(usize, f64)> = Vec::new();
         let mut buf_bot: Vec<(usize, f64)> = Vec::new();
         for p in 0..k {
-            let (ri, vs) = panel.col(p);
+            let (ri, vs) = self.panel.col(p);
             buf_bot.clear();
             for (&r, &v) in ri.iter().zip(vs) {
                 let nr = row_new[r];
@@ -533,224 +748,58 @@ impl<'a> SpmdPanelCtx<'a> {
             rest_rows,
             rest_cols,
             my_run,
-            a12_piece: a12.finish(),
-            a22_piece: a22.finish(),
+            a12: a12.finish(),
+            a22: a22.finish(),
         }
     }
 
-    /// `L21` solve: `Ā21` rows scattered across ranks, `Ā11`
-    /// replicated (broadcast in the paper), result allgathered — the
-    /// small dense `X^T` is needed in full by every rank's Schur
-    /// correction under a 1-D column distribution.
     fn solve_l21(
         &mut self,
-        a21: &CscMatrix,
+        sp: &PanelSplit,
         lu11: &LuFactor,
-        k_eff: usize,
+        _qk: &DenseMatrix,
+        _pivot_rows: &[usize],
     ) -> (Vec<usize>, DenseMatrix) {
-        a21.transpose_into(&mut self.ws.tbuf);
-        let a21t = &self.ws.tbuf;
-        let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-        let nr = x_rows.len();
-        let ranges = split_ranges(nr, self.size);
-        let my_range = owned_range(&ranges, self.rank);
-        let mut my_xt = DenseMatrix::zeros(k_eff, my_range.len());
-        for (slot, xi) in my_range.clone().enumerate() {
-            let col = my_xt.col_mut(slot);
-            let (ri, vs) = a21t.col(x_rows[xi]);
-            for (&t, &v) in ri.iter().zip(vs) {
-                col[t] = v;
-            }
-            lu11.solve_transpose_slice(col);
-        }
-        let all_xt: Vec<DenseMatrix> = self.ctx.allgather(my_xt);
-        let mut xt = DenseMatrix::zeros(k_eff, nr);
-        let mut c0 = 0;
-        for part in all_xt {
-            if part.cols() == 0 {
-                continue;
-            }
-            xt.set_submatrix(0, c0, &part);
-            c0 += part.cols();
-        }
-        (x_rows, xt)
+        spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
     }
 
-    /// Schur update on owned columns only, with an `alltoallv`
-    /// re-sharding from the old column partition to the new one. Both
-    /// partitions are ascending contiguous tilings, so each (src, dst)
-    /// exchange is one contiguous column run and concatenating the
-    /// received runs in source-rank order reassembles the new owned
-    /// block in order. The updated shard replaces the old one — the
-    /// full next Schur complement is never materialized.
-    fn schur_redistribute(&mut self, sp: &PanelSplit, x_rows: &[usize], xt: &DenseMatrix) {
-        let m_rest = sp.a22_piece.rows();
-        let n_rest = sp.rest_cols.len();
-        let new_ranges = split_ranges(n_rest, self.size);
-        let parts = self.build_reshard_parts(sp, &new_ranges);
-        let got = self.ctx.alltoallv(parts);
-        let (p12, p22): (Vec<CscMatrix>, Vec<CscMatrix>) = got.into_iter().unzip();
-        let a12_own = gather_csc(&p12);
-        let a22_own = gather_csc(&p22);
-        self.part_pool.extend(p12);
-        self.part_pool.extend(p22);
-        let my_new = owned_range(&new_ranges, self.rank);
-        debug_assert_eq!(a22_own.cols(), my_new.len());
-        let (lens, rows_out, vals_out, dc) = schur_update_ranged(
-            &a22_own,
-            x_rows,
-            xt,
-            &a12_own,
-            0..a22_own.cols(),
-            self.dense_switch,
-            &mut self.ws,
-            self.par,
-            self.numerics,
-        );
-        self.dense_cols += dc;
-        let mut colptr = Vec::with_capacity(lens.len() + 1);
-        colptr.push(0);
-        let mut run = 0usize;
-        for l in lens {
-            run += l;
-            colptr.push(run);
-        }
-        let next_local = CscMatrix::from_parts(m_rest, my_new.len(), colptr, rows_out, vals_out);
-        self.shard = ColSlice::new(my_new.start, next_local);
-        self.n_cur = n_rest;
-        self.note_mem();
-    }
-
-    /// Build the per-destination `(Ā12, Ā22)` column-run parts of the
-    /// re-shard exchange. Part buffers retired by previous iterations
-    /// are recycled from [`Self::part_pool`], so once part sizes reach
-    /// steady state the `2·np` allocations per panel disappear.
-    fn build_reshard_parts(
+    fn schur_begin(
         &mut self,
         sp: &PanelSplit,
-        new_ranges: &[Range<usize>],
-    ) -> Vec<(CscMatrix, CscMatrix)> {
-        let my_run = &sp.my_run;
-        let mut parts: Vec<(CscMatrix, CscMatrix)> = Vec::with_capacity(self.size);
-        for dst in 0..self.size {
-            let drg = owned_range(new_ranges, dst);
-            let lo = my_run.start.max(drg.start);
-            let hi = my_run.end.min(drg.end);
-            let local = if lo < hi {
-                (lo - my_run.start)..(hi - my_run.start)
-            } else {
-                0..0
-            };
-            let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
-            let d22 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
-            parts.push((
-                slice_columns_recycled(&sp.a12_piece, local.clone(), d12),
-                slice_columns_recycled(&sp.a22_piece, local, d22),
-            ));
-        }
-        parts
-    }
-
-    /// Post the re-shard exchange for the just-eliminated panel
-    /// without waiting for it: the sends go out now, the receives wait
-    /// inside the returned [`PendingReshard`]. Work issued between
-    /// this and [`Self::complete_reshard`] — factor recording and its
-    /// `gatherv`, which uses a different tag namespace — runs while
-    /// the wire drains.
-    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingReshard<'a> {
-        let m_rest = sp.a22_piece.rows();
-        let n_rest = sp.rest_cols.len();
-        let new_ranges = split_ranges(n_rest, self.size);
-        let parts = self.build_reshard_parts(sp, &new_ranges);
-        PendingReshard {
-            pend: self.ctx.post_alltoallv(parts),
-            new_ranges,
-            m_rest,
-            n_rest,
+        x_rows: &[usize],
+        xt: &DenseMatrix,
+    ) -> Option<Self::Pending> {
+        match self.reshard {
+            Reshard::Overlapped => Some(self.post_reshard(sp)),
+            Reshard::Eager => {
+                self.schur_redistribute(sp, x_rows, xt);
+                None
+            }
         }
     }
 
-    /// Complete a posted re-shard: drain the exchange in source-rank
-    /// order, Schur-updating each `(Ā12, Ā22)` piece the moment it
-    /// arrives — per-piece compute hides the tail of the drain — and
-    /// concatenate the per-piece results. Bitwise-identical to the
-    /// eager [`Self::schur_redistribute`]: the pieces tile the new
-    /// owned range in ascending column order and the kernel computes
-    /// every column independently (same per-column arithmetic, same
-    /// ascending emission), so splitting the single gathered pass at
-    /// piece boundaries moves no bits.
-    fn complete_reshard(&mut self, pr: PendingReshard<'a>, x_rows: &[usize], xt: &DenseMatrix) {
-        let PendingReshard {
-            pend,
-            new_ranges,
-            m_rest,
-            n_rest,
-        } = pr;
-        let my_new = owned_range(&new_ranges, self.rank);
-        let mut lens: Vec<usize> = Vec::with_capacity(my_new.len());
-        let mut rows_out: Vec<usize> = Vec::new();
-        let mut vals_out: Vec<f64> = Vec::new();
-        let mut dc_total = 0u64;
-        {
-            let ws = &mut self.ws;
-            let pool = &mut self.part_pool;
-            let (dense_switch, par, numerics) = (self.dense_switch, self.par, self.numerics);
-            pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
-                debug_assert_eq!(p22.rows(), m_rest);
-                let (l, r, v, dc) = schur_update_ranged(
-                    &p22,
-                    x_rows,
-                    xt,
-                    &p12,
-                    0..p22.cols(),
-                    dense_switch,
-                    ws,
-                    par,
-                    numerics,
-                );
-                lens.extend(l);
-                rows_out.extend(r);
-                vals_out.extend(v);
-                dc_total += dc;
-                pool.push(p12);
-                pool.push(p22);
-            });
-        }
-        debug_assert_eq!(lens.len(), my_new.len());
-        self.dense_cols += dc_total;
-        let mut colptr = Vec::with_capacity(lens.len() + 1);
-        colptr.push(0);
-        let mut run = 0usize;
-        for l in lens {
-            run += l;
-            colptr.push(run);
-        }
-        let next_local = CscMatrix::from_parts(m_rest, my_new.len(), colptr, rows_out, vals_out);
-        self.shard = ColSlice::new(my_new.start, next_local);
-        self.n_cur = n_rest;
-        self.note_mem();
+    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], xt: &DenseMatrix) {
+        self.complete_reshard(pending, x_rows, xt);
     }
 
-    /// Gather this iteration's `U` fragments — `(global column, value)`
-    /// pairs from each rank's owned `Ā12` piece, keyed by panel row —
-    /// to rank 0, which alone accumulates the factors. Returns `None`
-    /// on every other rank.
-    fn factor_fragments(
-        &self,
+    /// `(global column, value)` pairs from each rank's owned `Ā12`
+    /// piece, keyed by panel row, gathered to rank 0.
+    fn u_fragments(
+        &mut self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
-    ) -> Option<Vec<Vec<(usize, f64)>>> {
-        let mut frags: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k_eff];
+    ) -> Option<Vec<FactorCol>> {
+        let mut frags: Vec<FactorCol> = vec![Vec::new(); k_eff];
         for (slot, j) in sp.my_run.clone().enumerate() {
             let gcol = col_map[sp.rest_cols[j]];
-            let (ri, vs) = sp.a12_piece.col(slot);
+            let (ri, vs) = sp.a12.col(slot);
             for (&t, &v) in ri.iter().zip(vs) {
                 frags[t].push((gcol, v));
             }
         }
         let gathered = self.ctx.gatherv(0, frags)?;
-        let mut out: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k_eff];
+        let mut out: Vec<FactorCol> = vec![Vec::new(); k_eff];
         for rank_frags in gathered {
             for (t, f) in rank_frags.into_iter().enumerate() {
                 out[t].extend(f);
@@ -759,14 +808,14 @@ impl<'a> SpmdPanelCtx<'a> {
         Some(out)
     }
 
-    /// Error indicator `||A^(i+1)||_F`: partial squared norm of the
-    /// owned shard + allreduce — the same per-column summation nesting
-    /// and reduction tree as the replicated oracle. In `Fast` mode the
-    /// per-column sums are tree-reduced ([`pairwise_sum_sq`]) and the
-    /// cross-column accumulation stays ascending, again matching the
-    /// replicated oracle's `Fast` partials column for column.
+    /// Partial squared norm of the owned shard + allreduce — the same
+    /// per-column summation nesting and reduction tree as the
+    /// replicated oracle. In `Fast` mode the per-column sums are
+    /// tree-reduced ([`pairwise_sum_sq`]) and the cross-column
+    /// accumulation stays ascending, again matching the replicated
+    /// oracle's `Fast` partials column for column.
     fn indicator(&self) -> f64 {
-        let local = if self.numerics.is_fast() {
+        let local = if self.opts.numerics.is_fast() {
             let loc = self.shard.local();
             let mut acc = 0.0f64;
             for j in 0..loc.cols() {
@@ -779,1178 +828,229 @@ impl<'a> SpmdPanelCtx<'a> {
         self.ctx.allreduce(local, |x, y| x + y).sqrt()
     }
 
-    /// Global nnz of the distributed Schur complement (exact — integer
-    /// allreduce over shard counts).
-    fn schur_nnz_global(&self) -> usize {
+    /// Exact — integer allreduce over shard counts.
+    fn schur_nnz(&self) -> usize {
         self.ctx.allreduce(self.shard.nnz() as u64, |x, y| x + y) as usize
     }
 
-    /// ILUT_CRTP lines 5, 8-10 over the distributed Schur complement:
-    /// each rank runs the threshold pass over its owned shard in
+    /// Concatenating per-shard candidate lists in rank order and
+    /// sorting yields the full matrix's sorted list.
+    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
+        let all: Vec<Vec<f64>> = self.ctx.allgather(self.shard.small_entry_magnitudes(cap));
+        let mut mags: Vec<f64> = all.concat();
+        mags.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        mags
+    }
+
+    /// Each rank runs the threshold pass over its owned shard in
     /// parallel fixed-width column chunks (per-chunk partials folded in
     /// ascending chunk order, then per-rank partials combined through
-    /// the same allreduce tree on every rank), so the control decision
-    /// (eq. 22) is replicated bit for bit and matches the replicated
+    /// the same allreduce tree on every rank), matching the replicated
     /// oracle's [`CscMatrix::dropped_mass_in_cols_par`] partials.
-    fn ilut_drop(&mut self, state: &mut SpmdIlutState) {
-        match state.cfg.strategy {
-            DropStrategy::Fixed => {
-                let (dropped_shard, my_mass, my_count) =
-                    self.shard.drop_below_par(state.mu, self.par);
-                let (mass, count) = self
-                    .ctx
-                    .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
-                if (state.mass_sq + mass).sqrt() >= state.phi {
-                    state.control_triggered = true;
-                    state.mu = 0.0;
-                } else {
-                    state.mass_sq += mass;
-                    state.dropped += count as usize;
-                    self.shard = dropped_shard;
-                }
-            }
-            DropStrategy::Aggressive => {
-                let budget = state.phi * state.phi - state.mass_sq;
-                if budget <= 0.0 {
-                    return;
-                }
-                // Concatenating per-shard candidate lists in rank order
-                // and sorting yields the full matrix's sorted list.
-                let all: Vec<Vec<f64>> = self
-                    .ctx
-                    .allgather(self.shard.small_entry_magnitudes(state.phi));
-                let mut mags: Vec<f64> = all.concat();
-                mags.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                let mut run = 0.0;
-                let mut cutoff = 0.0;
-                for &v in &mags {
-                    if run + v * v >= budget {
-                        break;
-                    }
-                    run += v * v;
-                    cutoff = v;
-                }
-                if cutoff > 0.0 {
-                    let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                    let (dropped_shard, my_mass, my_count) =
-                        self.shard.drop_below_par(thr, self.par);
-                    let (mass, count) = self
-                        .ctx
-                        .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
-                    if (state.mass_sq + mass).sqrt() < state.phi {
-                        state.mass_sq += mass;
-                        state.dropped += count as usize;
-                        self.shard = dropped_shard;
-                    }
-                }
-            }
+    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
+        let (dropped_shard, my_mass, my_count) = self.shard.drop_below_par(thr, self.opts.par);
+        let (mass, count) = allreduce_drop(self.ctx, my_mass, my_count);
+        if accept(mass, count) {
+            self.shard = dropped_shard;
         }
     }
 
-    /// Sharded snapshot: gather per-rank shard envelopes to rank 0 at
-    /// this collective boundary and let rank 0 write the (full,
-    /// format-unchanged) checkpoint — sequential and supervised
+    /// Gather per-rank shard envelopes to rank 0, which writes the
+    /// (full, format-unchanged) checkpoint — sequential and supervised
     /// consumers keep working, and a resume under a smaller grid
-    /// re-slices the shards. Every rank must call this (it contains a
-    /// collective); only rank 0 touches the store.
-    #[allow(clippy::too_many_arguments)]
-    fn save_checkpoint(
+    /// re-slices the shards.
+    fn gather_schur(&self) -> Option<CscMatrix> {
+        let parts = self.ctx.gatherv(0, self.shard.local().clone())?;
+        Some(gather_csc(&parts))
+    }
+
+    /// Materialize the factors on rank 0, then one final broadcast so
+    /// every rank returns the same result.
+    fn materialize(
         &self,
-        h: &crate::RecoveryHooks<'_>,
         m: usize,
         n: usize,
-        iterations: usize,
-        k_rank: usize,
-        indicator: f64,
-        r11: f64,
-        row_map: &[usize],
-        col_map: &[usize],
-        l_cols: &[Vec<(usize, f64)>],
-        ut_cols: &[Vec<(usize, f64)>],
-        pivot_rows: &[usize],
-        pivot_cols: &[usize],
-        trace: &[IterTrace],
-        ilut: Option<&SpmdIlutState>,
-    ) {
-        let parts = self.ctx.gatherv(0, self.shard.local().clone());
-        if let Some(parts) = parts {
-            let full = gather_csc(&parts);
-            let ck = crate::checkpoint::make_snapshot(
-                m,
-                n,
-                iterations,
-                k_rank,
-                indicator,
-                r11,
-                &full,
-                row_map,
-                col_map,
-                l_cols,
-                ut_cols,
-                pivot_rows,
-                pivot_cols,
-                trace,
-                ilut.map(|st| crate::checkpoint::IlutCheckpoint {
-                    mu: st.mu,
-                    phi: st.phi,
-                    mass_sq: st.mass_sq,
-                    dropped: st.dropped,
-                    control_triggered: st.control_triggered,
-                }),
-                self.numerics,
-            );
-            crate::checkpoint::save_snapshot(h, &ck);
-        }
+        l_cols: &[FactorCol],
+        ut_cols: &[FactorCol],
+    ) -> (CscMatrix, CscMatrix) {
+        let pair = if self.rank == 0 {
+            assemble_factors(m, n, l_cols, ut_cols)
+        } else {
+            (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
+        };
+        self.ctx.broadcast(0, pair)
     }
 
     /// Max-over-ranks peak shard storage plus the summed dense-path
     /// column count (identical on every rank).
-    fn mem_stats(&self) -> MemStats {
+    fn mem_stats(&self) -> Option<MemStats> {
         let (bytes, nnz, dense_cols) = self.ctx.allreduce(
             (self.peak_bytes as u64, self.peak_nnz as u64, self.dense_cols),
             |x, y| (x.0.max(y.0), x.1.max(y.1), x.2 + y.2),
         );
-        MemStats {
+        if self.rank == 0 {
+            let g = lra_obs::metrics::global();
+            g.set_gauge("mem.peak_rank_bytes", bytes as f64);
+            g.set_gauge("mem.peak_rank_nnz", nnz as f64);
+            if self.opts.dense_switch.is_some() {
+                g.set_gauge("kernel.dense_switch", dense_cols as f64);
+            }
+        }
+        Some(MemStats {
             peak_rank_bytes: bytes,
             peak_rank_nnz: nnz,
             dense_switch_cols: dense_cols,
-        }
+        })
     }
 }
 
-#[allow(clippy::too_many_lines)]
-/// Re-shard scheduling of the sharded driver: `Overlapped` posts the
-/// per-panel exchange and hides the wire behind factor recording plus
-/// per-piece Schur updates (the default); `Eager` is the original
-/// blocking exchange, kept as the bitwise oracle for the pipeline.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Reshard {
-    Overlapped,
-    Eager,
+/// Panel engine over fully replicated storage — the bitwise reference
+/// for [`SpmdPanelCtx`]. Every rank holds the whole Schur complement
+/// and splits it with `CscMatrix::split_blocks`; per-rank work (Schur
+/// update, indicator and dropped-mass partials) covers the column
+/// range the sharded engine would own.
+struct ReplicatedEngine<'a> {
+    ctx: &'a Ctx,
+    s: CscMatrix,
+    opts: &'a LuCrtpOpts,
+    ws: SchurWorkspace,
 }
 
-fn drive_spmd_sharded(
-    ctx: &Ctx,
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    mut ilut: Option<SpmdIlutState>,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-    reshard: Reshard,
-) -> Result<LuCrtpResult, InvalidInput> {
-    let m = a.rows();
-    let n = a.cols();
-    let size = ctx.size();
-    let rank = ctx.rank();
-    if rank == 0 {
-        lra_obs::metrics::global().set_gauge(
-            "kernel.numerics_mode",
-            if opts.numerics.is_fast() { 1.0 } else { 0.0 },
+impl ReplicatedEngine<'_> {
+    /// This rank's block of the current column partition.
+    fn my_cols(&self) -> Range<usize> {
+        owned_range(&split_ranges(self.s.cols(), self.ctx.size()), self.ctx.rank())
+    }
+}
+
+impl PanelEngine for ReplicatedEngine<'_> {
+    type Pending = std::convert::Infallible;
+
+    fn dims(&self) -> (usize, usize) {
+        (self.s.rows(), self.s.cols())
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        csc_resident_bytes(&self.s)
+    }
+
+    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
+        tournament_columns_spmd(self.ctx, &self.s, None, k_want)
+    }
+
+    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
+        spmd_panel_tsqr(self.ctx, &self.s, &sel.selected)
+    }
+
+    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+        spmd_row_tournament(self.ctx, qk, k_eff)
+    }
+
+    /// Replicated — the "local row permutations" of Fig. 5.
+    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
+    }
+
+    fn solve_l21(
+        &mut self,
+        sp: &PanelSplit,
+        lu11: &LuFactor,
+        _qk: &DenseMatrix,
+        _pivot_rows: &[usize],
+    ) -> (Vec<usize>, DenseMatrix) {
+        spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
+    }
+
+    /// Block-column distribution + allgather.
+    fn schur_begin(
+        &mut self,
+        sp: &PanelSplit,
+        x_rows: &[usize],
+        xt: &DenseMatrix,
+    ) -> Option<Self::Pending> {
+        let n_rest = sp.a22.cols();
+        let my_range = owned_range(&split_ranges(n_rest, self.ctx.size()), self.ctx.rank());
+        let (lens_p, rows_p, vals_p, _dense) = schur_update_ranged(
+            &sp.a22,
+            x_rows,
+            xt,
+            &sp.a12,
+            my_range,
+            self.opts.dense_switch,
+            &mut self.ws,
+            self.opts.par,
+            self.opts.numerics,
         );
-    }
-    let mut timers = KernelTimers::new();
-    let a_norm_f = a.fro_norm();
-    let stop = opts.tau * a_norm_f;
-    let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
-    if a_norm_f == 0.0 {
-        return Ok(LuCrtpResult {
-            l: CscMatrix::zeros(m, 0),
-            u: CscMatrix::zeros(0, n),
-            pivot_rows: Vec::new(),
-            pivot_cols: Vec::new(),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            breakdown: None,
-            indicator: 0.0,
-            a_norm_f,
-            r11: 0.0,
-            trace: Vec::new(),
-            timers,
-            threshold: ilut.map(|st| st.report()),
-            mem: Some(MemStats::default()),
-            trip: None,
-        });
+        let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
+            self.ctx.allgather((lens_p, rows_p, vals_p));
+        let mut lens = Vec::with_capacity(n_rest);
+        let mut rowidx = Vec::new();
+        let mut values = Vec::new();
+        for (lens_p, rows_p, vals_p) in parts {
+            lens.extend(lens_p);
+            rowidx.extend(rows_p);
+            values.extend(vals_p);
+        }
+        self.s = csc_from_col_lens(sp.a22.rows(), lens, rowidx, values);
+        None
     }
 
-    let mut row_map: Vec<usize>;
-    let mut col_map: Vec<usize>;
-    // Factor columns accumulate on rank 0 only; everyone else keeps
-    // these empty and receives L/U in the final broadcast.
-    let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut ut_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut pivot_rows_glob: Vec<usize> = Vec::new();
-    let mut pivot_cols_glob: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterTrace> = Vec::new();
-    let mut k_rank = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut breakdown = None;
-    let mut indicator = a_norm_f;
-    let mut r11 = 0.0f64;
-    let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let clock = opts.budget.start();
-
-    // Resume: every rank loads the same shared store and re-slices its
-    // own shard for the *current* rank count — a snapshot written by a
-    // larger grid redistributes here with no extra communication.
-    let resume = match hooks {
-        Some(h) => crate::checkpoint::load_resume(h, m, n, ilut.is_some(), opts.numerics)?,
-        None => None,
-    };
-    let mut eng: SpmdPanelCtx<'_>;
-    if let Some(ck) = resume {
-        row_map = ck.row_map;
-        col_map = ck.col_map;
-        if rank == 0 {
-            l_cols = ck.l_cols;
-            ut_cols = ck.ut_cols;
-        }
-        pivot_rows_glob = ck.pivot_rows;
-        pivot_cols_glob = ck.pivots.selected;
-        trace = ck.trace;
-        k_rank = ck.rank;
-        iterations = ck.iterations;
-        indicator = ck.indicator;
-        r11 = ck.r11;
-        if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
-        }
-        eng = SpmdPanelCtx::from_full(ctx, &ck.s, opts.par, opts.dense_switch, opts.numerics);
-    } else {
-        // Preprocessing on rank 0, broadcast (COLAMD is intrinsically
-        // sequential — "we apply COLAMD as a preprocessing step").
-        let initial_cols: Vec<usize> = match opts.ordering {
-            crate::OrderingMode::Natural => (0..n).collect(),
-            _ => {
-                let p = if rank == 0 {
-                    fill_reducing_order(a)
-                } else {
-                    Vec::new()
-                };
-                ctx.broadcast(0, p)
-            }
-        };
-        // Only the owned block of the permuted input is extracted; the
-        // full Schur complement never exists on any rank.
-        let ranges = split_ranges(n, size);
-        let my = owned_range(&ranges, rank);
-        let local = a.select_columns(&initial_cols[my.clone()]);
-        eng = SpmdPanelCtx::new(
-            ctx,
-            ColSlice::new(my.start, local),
-            n,
-            opts.par,
-            opts.dense_switch,
-            opts.numerics,
-        );
-        row_map = (0..m).collect();
-        col_map = initial_cols;
+    fn schur_finish(&mut self, pending: Self::Pending, _: &[usize], _: &DenseMatrix) {
+        match pending {}
     }
 
-    loop {
-        ctx.begin_iteration(iterations as u64 + 1);
-        // Budget check at the iteration boundary: every rank evaluates
-        // its *local* verdict (per-rank shard bytes, its own clock),
-        // then the group agrees on one trip through a fixed allreduce —
-        // the same discipline as poison broadcast, so no rank can break
-        // out of the collective schedule alone. `opts` is replicated,
-        // so the `is_unlimited` branch itself cannot desync the group.
-        if !opts.budget.is_unlimited() {
-            let local = clock.check(iterations as u64, eng.shard.resident_bytes() as u64);
-            let agreed = ctx
-                .allreduce_opt(local.map(|t| t.to_wire()), lra_recover::BudgetTrip::merge_wire)
-                .and_then(|(k, x, y)| lra_recover::BudgetTrip::from_wire(k, x, y));
-            if let Some(t) = agreed {
-                // Trip-boundary snapshot (collective — all ranks agreed,
-                // all ranks enter). Skipped when the cadence already
-                // covered this iteration.
-                if let Some(h) = hooks {
-                    if iterations > 0 && !h.should_save(iterations) {
-                        eng.save_checkpoint(
-                            h,
-                            m,
-                            n,
-                            iterations,
-                            k_rank,
-                            indicator,
-                            r11,
-                            &row_map,
-                            &col_map,
-                            &l_cols,
-                            &ut_cols,
-                            &pivot_rows_glob,
-                            &pivot_cols_glob,
-                            &trace,
-                            ilut.as_ref(),
-                        );
-                    }
-                }
-                if rank == 0 {
-                    lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                        trip: t.clone(),
-                        iteration: iterations,
-                    });
-                }
-                trip = Some(t);
-                break;
-            }
-        }
-        if eng.m_act() == 0 || eng.n_cur == 0 || k_rank >= rank_cap {
-            if indicator >= stop {
-                breakdown = Some(Breakdown::RankExhausted);
-            }
-            break;
-        }
-        let k_want = opts.k.min(eng.n_cur).min(eng.m_act()).min(rank_cap - k_rank);
+    /// Replicated bookkeeping: every rank records every factor column.
+    fn u_fragments(
+        &mut self,
+        sp: &PanelSplit,
+        col_map: &[usize],
+        k_eff: usize,
+    ) -> Option<Vec<FactorCol>> {
+        Some(u_fragments_of(&sp.a12.transpose(), &sp.rest_cols, col_map, k_eff))
+    }
 
-        // Column tournament: distributed matrix, distributed tree.
-        let (sel, panel) = timers.time(crate::KernelId::ColTournament, || {
-            eng.col_tournament(k_want)
-        });
-        if iterations == 0 {
-            r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
-        }
-        let k_eff = sel.selected.len();
-        if k_eff == 0 {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        let mut panel_r_diag: Vec<f64> = Vec::new();
-        let qk = timers.time(crate::KernelId::PanelQr, || {
-            let (d, q) = eng.panel_qr(&panel, k_eff);
-            panel_r_diag = d;
-            q
-        });
-        if panel_r_diag.iter().any(|v| !v.is_finite()) {
-            lra_recover::record_guard_trip(format!(
-                "non-finite panel R diagonal at iteration {}",
-                iterations + 1
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-
-        // Row tournament on Q_k^T (replicated input, distributed tree).
-        let rows = timers.time(crate::KernelId::RowTournament, || {
-            let qt = qk.transpose();
-            tournament_columns_spmd(ctx, &qt, None, k_eff).selected
-        });
-        if rows.len() < k_eff {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Split: replicated pivot blocks, owned rest pieces.
-        let sp = timers.time(crate::KernelId::Permute, || {
-            eng.split_panel(&panel, &rows, &sel.selected)
-        });
-
-        let lu11 = lu(&sp.a11);
-        if lu11.is_singular() {
-            breakdown = Some(Breakdown::SingularPivotBlock);
-            break;
-        }
-
-        let (x_rows, xt) = timers.time(crate::KernelId::LSolve, || {
-            eng.solve_l21(&sp.a21, &lu11, k_eff)
-        });
-
-        // Schur complement on owned columns + re-sharding alltoallv.
-        // Overlapped (the default): post the exchange now — sends
-        // never block — record factors while the wire drains, then
-        // complete, Schur-updating each piece as it arrives. Eager
-        // (the oracle): the original blocking exchange, update, then
-        // record. The factor gatherv uses the eager tag namespace,
-        // disjoint from pending-exchange tags, so the reordering
-        // cannot mismatch envelopes.
-        let pending = match reshard {
-            Reshard::Overlapped => {
-                Some(timers.time(crate::KernelId::Schur, || eng.post_reshard(&sp)))
-            }
-            Reshard::Eager => {
-                timers.time(crate::KernelId::Schur, || {
-                    eng.schur_redistribute(&sp, &x_rows, &xt);
-                });
-                None
-            }
-        };
-
-        // Record factors: fragments gathered to rank 0; pivot lists
-        // are replicated bookkeeping on every rank.
-        timers.time(crate::KernelId::Concat, || {
-            let frags = eng.factor_fragments(&sp, &col_map, k_eff);
-            if let Some(frags) = frags {
-                for (t, frag) in frags.into_iter().enumerate() {
-                    let mut ucol: Vec<(usize, f64)> = Vec::new();
-                    for (p, &c_loc) in sel.selected.iter().enumerate() {
-                        let v = sp.a11.get(t, p);
-                        if v != 0.0 {
-                            ucol.push((col_map[c_loc], v));
-                        }
-                    }
-                    ucol.extend(frag);
-                    // Column keys are globally unique, so the sorted
-                    // order is independent of gather order.
-                    ucol.sort_unstable_by_key(|&(c, _)| c);
-                    ut_cols.push(ucol);
-
-                    let mut lcol: Vec<(usize, f64)> = Vec::new();
-                    lcol.push((row_map[rows[t]], 1.0));
-                    for (xi, &r_rest) in x_rows.iter().enumerate() {
-                        let v = xt.get(t, xi);
-                        if v != 0.0 {
-                            lcol.push((row_map[sp.rest_rows[r_rest]], v));
-                        }
-                    }
-                    lcol.sort_unstable_by_key(|&(r, _)| r);
-                    l_cols.push(lcol);
-                }
-            }
-            pivot_rows_glob.extend(rows.iter().map(|&r| row_map[r]));
-            pivot_cols_glob.extend(sel.selected.iter().map(|&c| col_map[c]));
-        });
-
-        if let Some(pr) = pending {
-            timers.time(crate::KernelId::Schur, || {
-                eng.complete_reshard(pr, &x_rows, &xt);
-            });
-        }
-
-        k_rank += k_eff;
-        iterations += 1;
-
-        // Error indicator: partial squared norm + allreduce over the
-        // genuinely distributed Schur complement.
-        indicator = timers.time(crate::KernelId::Indicator, || eng.indicator());
-        if !indicator.is_finite() {
-            lra_recover::record_guard_trip(format!(
-                "non-finite error indicator at iteration {iterations}"
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        let g_nnz = eng.schur_nnz_global();
-        let m_rest = eng.m_act();
-        let n_rest = eng.n_cur;
-        trace.push(IterTrace {
-            iteration: iterations,
-            rank: k_rank,
-            indicator,
-            schur_nnz: g_nnz,
-            schur_density: if m_rest == 0 || n_rest == 0 {
-                0.0
+    /// Partial squared norm + allreduce (each rank owns a column slice
+    /// in spirit; the replicated matrix makes the local sum trivial,
+    /// but the reduction is still exercised) — the same per-column
+    /// chains as the sharded engine's partials (tree-reduced in Fast,
+    /// flat in Bitwise).
+    fn indicator(&self) -> f64 {
+        let mut local = 0.0f64;
+        for j in self.my_cols() {
+            let (_, vs) = self.s.col(j);
+            local += if self.opts.numerics.is_fast() {
+                pairwise_sum_sq(vs)
             } else {
-                g_nnz as f64 / (m_rest as f64 * n_rest as f64)
-            },
-            schur_nnz_per_row: if m_rest == 0 {
-                0.0
-            } else {
-                g_nnz as f64 / m_rest as f64
-            },
-            r_diag: panel_r_diag.clone(),
-        });
-        if indicator < stop {
-            converged = true;
-            break;
-        }
-        if k_rank >= rank_cap {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        if let Some(state) = ilut.as_mut() {
-            if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
-            }
-            if state.mu > 0.0 {
-                timers.time(crate::KernelId::Drop, || eng.ilut_drop(state));
-            }
-        }
-
-        row_map = sp.rest_rows.iter().map(|&r| row_map[r]).collect();
-        col_map = sp.rest_cols.iter().map(|&c| col_map[c]).collect();
-
-        // Collective boundary: indicator allreduce and sharded drop are
-        // done, so shards + replicated state form a consistent global
-        // snapshot. All ranks enter (the gather is collective).
-        if let Some(h) = hooks {
-            if h.should_save(iterations) {
-                eng.save_checkpoint(
-                    h,
-                    m,
-                    n,
-                    iterations,
-                    k_rank,
-                    indicator,
-                    r11,
-                    &row_map,
-                    &col_map,
-                    &l_cols,
-                    &ut_cols,
-                    &pivot_rows_glob,
-                    &pivot_cols_glob,
-                    &trace,
-                    ilut.as_ref(),
-                );
-            }
-        }
-        if iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-    }
-
-    let mem = eng.mem_stats();
-    if rank == 0 {
-        let g = lra_obs::metrics::global();
-        g.set_gauge("mem.peak_rank_bytes", mem.peak_rank_bytes as f64);
-        g.set_gauge("mem.peak_rank_nnz", mem.peak_rank_nnz as f64);
-        if opts.dense_switch.is_some() {
-            g.set_gauge("kernel.dense_switch", mem.dense_switch_cols as f64);
-        }
-    }
-
-    // Materialize the factors on rank 0, then one final broadcast so
-    // every rank returns the same result.
-    let (l, u) = {
-        let pair = if rank == 0 {
-            let l = {
-                let mut b = SparseBuilder::new(m, l_cols.len());
-                for col in &l_cols {
-                    b.push_col(col);
-                }
-                b.finish()
+                vs.iter().map(|v| v * v).sum::<f64>()
             };
-            let u = {
-                let mut b = SparseBuilder::new(n, ut_cols.len());
-                for col in &ut_cols {
-                    b.push_col(col);
-                }
-                b.finish().transpose()
-            };
-            (l, u)
-        } else {
-            (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
-        };
-        ctx.broadcast(0, pair)
-    };
-    Ok(LuCrtpResult {
-        l,
-        u,
-        pivot_rows: pivot_rows_glob,
-        pivot_cols: pivot_cols_glob,
-        rank: k_rank,
-        iterations,
-        converged,
-        breakdown,
-        indicator,
-        a_norm_f,
-        r11,
-        trace,
-        timers,
-        threshold: ilut.map(|st| st.report()),
-        mem: Some(mem),
-        trip,
-    })
-}
-
-#[allow(clippy::too_many_lines)]
-fn drive_spmd_replicated(
-    ctx: &Ctx,
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    mut ilut: Option<SpmdIlutState>,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    let m = a.rows();
-    let n = a.cols();
-    let size = ctx.size();
-    let rank = ctx.rank();
-    if rank == 0 {
-        lra_obs::metrics::global().set_gauge(
-            "kernel.numerics_mode",
-            if opts.numerics.is_fast() { 1.0 } else { 0.0 },
-        );
-    }
-    let mut timers = KernelTimers::new();
-    let a_norm_f = a.fro_norm();
-    let stop = opts.tau * a_norm_f;
-    let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
-    if a_norm_f == 0.0 {
-        return Ok(LuCrtpResult {
-            l: CscMatrix::zeros(m, 0),
-            u: CscMatrix::zeros(0, n),
-            pivot_rows: Vec::new(),
-            pivot_cols: Vec::new(),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            breakdown: None,
-            indicator: 0.0,
-            a_norm_f,
-            r11: 0.0,
-            trace: Vec::new(),
-            timers,
-            threshold: ilut.map(|st| st.report()),
-            mem: None,
-            trip: None,
-        });
+        }
+        self.ctx.allreduce(local, |a, b| a + b).sqrt()
     }
 
-    let mut s: CscMatrix;
-    let mut row_map: Vec<usize>;
-    let mut col_map: Vec<usize>;
-    let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut ut_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut pivot_rows_glob: Vec<usize> = Vec::new();
-    let mut pivot_cols_glob: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterTrace> = Vec::new();
-    let mut k_rank = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut breakdown = None;
-    let mut indicator = a_norm_f;
-    let mut r11 = 0.0f64;
-    let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let clock = opts.budget.start();
-    // Kernel scratch reused across iterations by the Schur update.
-    let mut schur_ws = SchurWorkspace::new();
-
-    // Resume: every rank loads the same shared store, so all ranks
-    // restore the identical (replicated) snapshot — consistency needs
-    // no extra collective.
-    let resume = match hooks {
-        Some(h) => crate::checkpoint::load_resume(h, m, n, ilut.is_some(), opts.numerics)?,
-        None => None,
-    };
-    if let Some(ck) = resume {
-        s = ck.s;
-        row_map = ck.row_map;
-        col_map = ck.col_map;
-        l_cols = ck.l_cols;
-        ut_cols = ck.ut_cols;
-        pivot_rows_glob = ck.pivot_rows;
-        pivot_cols_glob = ck.pivots.selected;
-        trace = ck.trace;
-        k_rank = ck.rank;
-        iterations = ck.iterations;
-        indicator = ck.indicator;
-        r11 = ck.r11;
-        if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
-        }
-    } else {
-        // Preprocessing on rank 0, broadcast (COLAMD is intrinsically
-        // sequential — "we apply COLAMD as a preprocessing step").
-        let initial_cols: Vec<usize> = match opts.ordering {
-            crate::OrderingMode::Natural => (0..n).collect(),
-            _ => {
-                let p = if rank == 0 {
-                    fill_reducing_order(a)
-                } else {
-                    Vec::new()
-                };
-                ctx.broadcast(0, p)
-            }
-        };
-        s = a.select_columns(&initial_cols);
-        row_map = (0..m).collect();
-        col_map = initial_cols;
+    fn schur_nnz(&self) -> usize {
+        self.s.nnz()
     }
 
-    loop {
-        ctx.begin_iteration(iterations as u64 + 1);
-        // Budget agreement at the iteration boundary — identical
-        // protocol (and identical collective schedule) to the sharded
-        // driver, which keeps this oracle bitwise-aligned with it under
-        // any budget: same verdict, same trip iteration.
-        if !opts.budget.is_unlimited() {
-            let local =
-                clock.check(iterations as u64, crate::lucrtp::csc_resident_bytes(&s));
-            let agreed = ctx
-                .allreduce_opt(local.map(|t| t.to_wire()), lra_recover::BudgetTrip::merge_wire)
-                .and_then(|(k, x, y)| lra_recover::BudgetTrip::from_wire(k, x, y));
-            if let Some(t) = agreed {
-                if let Some(h) = hooks {
-                    if rank == 0 && iterations > 0 && !h.should_save(iterations) {
-                        let ck = crate::checkpoint::make_snapshot(
-                            m,
-                            n,
-                            iterations,
-                            k_rank,
-                            indicator,
-                            r11,
-                            &s,
-                            &row_map,
-                            &col_map,
-                            &l_cols,
-                            &ut_cols,
-                            &pivot_rows_glob,
-                            &pivot_cols_glob,
-                            &trace,
-                            ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                                mu: st.mu,
-                                phi: st.phi,
-                                mass_sq: st.mass_sq,
-                                dropped: st.dropped,
-                                control_triggered: st.control_triggered,
-                            }),
-                            opts.numerics,
-                        );
-                        crate::checkpoint::save_snapshot(h, &ck);
-                    }
-                }
-                if rank == 0 {
-                    lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                        trip: t.clone(),
-                        iteration: iterations,
-                    });
-                }
-                trip = Some(t);
-                break;
-            }
-        }
-        if s.rows() == 0 || s.cols() == 0 || k_rank >= rank_cap {
-            if indicator >= stop {
-                breakdown = Some(Breakdown::RankExhausted);
-            }
-            break;
-        }
-        let k_want = opts.k.min(s.cols()).min(s.rows()).min(rank_cap - k_rank);
+    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
+        self.s.small_entry_magnitudes(cap)
+    }
 
-        // Column tournament: distributed (local stage + log2(P) rounds).
-        let sel = timers.time(crate::KernelId::ColTournament, || {
-            tournament_columns_spmd(ctx, &s, None, k_want)
-        });
-        if iterations == 0 {
-            r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
-        }
-        let k_eff = sel.selected.len();
-        if k_eff == 0 {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Panel TSQR over rank-owned row blocks: local QR, allgather the
-        // small R factors, replicated root QR, local Q reconstruction,
-        // allgather the Q blocks.
-        let m_act = s.rows();
-        let mut panel_r_diag: Vec<f64> = Vec::new();
-        let qk = timers.time(crate::KernelId::PanelQr, || {
-            let blocks = split_ranges(m_act, size.min((m_act / k_eff.max(1)).max(1)));
-            let my_block = blocks.get(rank).cloned();
-            let (my_r, my_f) = match &my_block {
-                Some(rg) => {
-                    let local = s.gather_columns_rows_dense(&sel.selected, rg.clone());
-                    let f = qr(&local, Parallelism::SEQ);
-                    (f.r(), Some(f))
-                }
-                None => (DenseMatrix::zeros(0, k_eff), None),
-            };
-            let all_r: Vec<DenseMatrix> = ctx.allgather(my_r);
-            let mut stacked: Option<DenseMatrix> = None;
-            for r in all_r {
-                if r.rows() == 0 {
-                    continue;
-                }
-                stacked = Some(match stacked {
-                    None => r,
-                    Some(prev) => prev.vcat(&r),
-                });
-            }
-            let top = qr(&stacked.expect("empty panel"), Parallelism::SEQ);
-            panel_r_diag = top.r_diag().iter().map(|v| v.abs()).take(k_eff).collect();
-            let qs = top.q_thin(Parallelism::SEQ);
-            // Back-propagate this rank's block of Q.
-            let my_q = match (&my_block, my_f) {
-                (Some(rg), Some(f)) => {
-                    // Rows of qs owned by this rank: blocks before ours
-                    // contribute min(block_len, k_eff) rows each.
-                    let mut off = 0;
-                    for (b, brange) in blocks.iter().enumerate() {
-                        if b == rank {
-                            break;
-                        }
-                        off += brange.len().min(k_eff);
-                    }
-                    let my_rows = rg.len().min(k_eff);
-                    let mut piece = DenseMatrix::zeros(rg.len(), k_eff);
-                    for j in 0..k_eff {
-                        for i in 0..my_rows {
-                            piece.set(i, j, qs.get(off + i, j));
-                        }
-                    }
-                    f.apply_q(&mut piece, Parallelism::SEQ);
-                    piece
-                }
-                _ => DenseMatrix::zeros(0, k_eff),
-            };
-            let all_q: Vec<DenseMatrix> = ctx.allgather(my_q);
-            let mut qk = DenseMatrix::zeros(m_act, k_eff);
-            let mut row0 = 0;
-            for q in all_q {
-                if q.rows() == 0 {
-                    continue;
-                }
-                qk.set_submatrix(row0, 0, &q);
-                row0 += q.rows();
-            }
-            qk
-        });
-        if panel_r_diag.iter().any(|v| !v.is_finite()) {
-            lra_recover::record_guard_trip(format!(
-                "non-finite panel R diagonal at iteration {}",
-                iterations + 1
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-
-        // Row tournament on Q_k^T (replicated input, distributed tree).
-        let rows = timers.time(crate::KernelId::RowTournament, || {
-            let qt = qk.transpose();
-            tournament_columns_spmd(ctx, &qt, None, k_eff).selected
-        });
-        if rows.len() < k_eff {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-        // Keep determinism: all ranks received identical selections.
-
-        // Split (replicated — the "local row permutations" of Fig. 5).
-        let (a11, a12, a21, a22, rest_rows, rest_cols) =
-            timers.time(crate::KernelId::Permute, || {
-                s.split_blocks(&rows, &sel.selected)
-            });
-
-        let lu11 = lu(&a11);
-        if lu11.is_singular() {
-            breakdown = Some(Breakdown::SingularPivotBlock);
-            break;
-        }
-
-        // L21: Ā21 rows scattered across ranks, Ā11 replicated
-        // (broadcast in the paper), result allgathered.
-        let (x_rows, xt) = timers.time(crate::KernelId::LSolve, || {
-            let a21t = a21.transpose();
-            let x_rows: Vec<usize> =
-                (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-            let nr = x_rows.len();
-            let ranges = split_ranges(nr, size);
-            let my_range = owned_range(&ranges, rank);
-            let mut my_xt = DenseMatrix::zeros(k_eff, my_range.len());
-            for (slot, xi) in my_range.clone().enumerate() {
-                let col = my_xt.col_mut(slot);
-                let (ri, vs) = a21t.col(x_rows[xi]);
-                for (&t, &v) in ri.iter().zip(vs) {
-                    col[t] = v;
-                }
-                lu11.solve_transpose_slice(col);
-            }
-            let all_xt: Vec<DenseMatrix> = ctx.allgather(my_xt);
-            let mut xt = DenseMatrix::zeros(k_eff, nr);
-            let mut c0 = 0;
-            for part in all_xt {
-                if part.cols() == 0 {
-                    continue;
-                }
-                xt.set_submatrix(0, c0, &part);
-                c0 += part.cols();
-            }
-            (x_rows, xt)
-        });
-
-        // Schur complement: block-column distribution + allgather.
-        let mut s_next = timers.time(crate::KernelId::Schur, || {
-            let n_rest = a22.cols();
-            let ranges = split_ranges(n_rest, size);
-            let my_range = owned_range(&ranges, rank);
-            let (lens_p, rows_p, vals_p, _dense) = schur_update_ranged(
-                &a22,
-                &x_rows,
-                &xt,
-                &a12,
-                my_range,
-                opts.dense_switch,
-                &mut schur_ws,
-                opts.par,
-                opts.numerics,
-            );
-            let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
-                ctx.allgather((lens_p, rows_p, vals_p));
-            let mut colptr = Vec::with_capacity(n_rest + 1);
-            colptr.push(0);
-            let mut rowidx = Vec::new();
-            let mut values = Vec::new();
-            let mut run = 0usize;
-            for (lens, rows_p, vals_p) in parts {
-                for l in lens {
-                    run += l;
-                    colptr.push(run);
-                }
-                rowidx.extend(rows_p);
-                values.extend(vals_p);
-            }
-            CscMatrix::from_parts(a22.rows(), n_rest, colptr, rowidx, values)
-        });
-
-        // Record factors (replicated bookkeeping).
-        timers.time(crate::KernelId::Concat, || {
-            let a12t = a12.transpose();
-            for t in 0..k_eff {
-                let mut ucol: Vec<(usize, f64)> = Vec::new();
-                for (p, &c_loc) in sel.selected.iter().enumerate() {
-                    let v = a11.get(t, p);
-                    if v != 0.0 {
-                        ucol.push((col_map[c_loc], v));
-                    }
-                }
-                let (ci, cv) = a12t.col(t);
-                for (&j_rest, &v) in ci.iter().zip(cv) {
-                    ucol.push((col_map[rest_cols[j_rest]], v));
-                }
-                ucol.sort_unstable_by_key(|&(c, _)| c);
-                ut_cols.push(ucol);
-
-                let mut lcol: Vec<(usize, f64)> = Vec::new();
-                lcol.push((row_map[rows[t]], 1.0));
-                for (xi, &r_rest) in x_rows.iter().enumerate() {
-                    let v = xt.get(t, xi);
-                    if v != 0.0 {
-                        lcol.push((row_map[rest_rows[r_rest]], v));
-                    }
-                }
-                lcol.sort_unstable_by_key(|&(r, _)| r);
-                l_cols.push(lcol);
-            }
-            pivot_rows_glob.extend(rows.iter().map(|&r| row_map[r]));
-            pivot_cols_glob.extend(sel.selected.iter().map(|&c| col_map[c]));
-        });
-
-        k_rank += k_eff;
-        iterations += 1;
-
-        // Error indicator: partial squared norm + allreduce (each rank
-        // owns a column slice in spirit; the replicated matrix makes
-        // the local sum trivial, but the reduction is still exercised).
-        indicator = timers.time(crate::KernelId::Indicator, || {
-            let ranges = split_ranges(s_next.cols(), size);
-            let my_range = owned_range(&ranges, rank);
-            let mut local = 0.0f64;
-            for j in my_range {
-                let (_, vs) = s_next.col(j);
-                // Same per-column chains as the sharded driver's
-                // partials (tree-reduced in Fast, flat in Bitwise).
-                local += if opts.numerics.is_fast() {
-                    pairwise_sum_sq(vs)
-                } else {
-                    vs.iter().map(|v| v * v).sum::<f64>()
-                };
-            }
-            ctx.allreduce(local, |a, b| a + b).sqrt()
-        });
-        if !indicator.is_finite() {
-            lra_recover::record_guard_trip(format!(
-                "non-finite error indicator at iteration {iterations}"
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        trace.push(IterTrace {
-            iteration: iterations,
-            rank: k_rank,
-            indicator,
-            schur_nnz: s_next.nnz(),
-            schur_density: s_next.density(),
-            schur_nnz_per_row: s_next.nnz_per_row(),
-            r_diag: panel_r_diag.clone(),
-        });
-        if indicator < stop {
-            converged = true;
-            break;
-        }
-        if k_rank >= rank_cap {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // ILUT_CRTP lines 5, 8-10: per-rank dropped-mass partials over
-        // the same column partition the sharded driver owns, combined
-        // through the same allreduce tree — the oracle stays bitwise
-        // aligned with the sharded thresholding decisions.
-        if let Some(state) = ilut.as_mut() {
-            if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
-            }
-            if state.mu > 0.0 {
-                timers.time(crate::KernelId::Drop, || match state.cfg.strategy {
-                    DropStrategy::Fixed => {
-                        let ranges = split_ranges(s_next.cols(), size);
-                        let my_range = owned_range(&ranges, rank);
-                        let (my_mass, my_count) =
-                            s_next.dropped_mass_in_cols_par(state.mu, my_range, opts.par);
-                        let (mass, count) = ctx
-                            .allreduce((my_mass, my_count as u64), |x, y| {
-                                (x.0 + y.0, x.1 + y.1)
-                            });
-                        if (state.mass_sq + mass).sqrt() >= state.phi {
-                            state.control_triggered = true;
-                            state.mu = 0.0;
-                        } else {
-                            state.mass_sq += mass;
-                            state.dropped += count as usize;
-                            s_next = s_next.drop_below(state.mu).0;
-                        }
-                    }
-                    DropStrategy::Aggressive => {
-                        let budget = state.phi * state.phi - state.mass_sq;
-                        if budget > 0.0 {
-                            let mags = s_next.small_entry_magnitudes(state.phi);
-                            let mut run = 0.0;
-                            let mut cutoff = 0.0;
-                            for &v in &mags {
-                                if run + v * v >= budget {
-                                    break;
-                                }
-                                run += v * v;
-                                cutoff = v;
-                            }
-                            if cutoff > 0.0 {
-                                let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                                let ranges = split_ranges(s_next.cols(), size);
-                                let my_range = owned_range(&ranges, rank);
-                                let (my_mass, my_count) =
-                                    s_next.dropped_mass_in_cols_par(thr, my_range, opts.par);
-                                let (mass, count) = ctx
-                                    .allreduce((my_mass, my_count as u64), |x, y| {
-                                        (x.0 + y.0, x.1 + y.1)
-                                    });
-                                if (state.mass_sq + mass).sqrt() < state.phi {
-                                    state.mass_sq += mass;
-                                    state.dropped += count as usize;
-                                    s_next = s_next.drop_below(thr).0;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        row_map = rest_rows.iter().map(|&r| row_map[r]).collect();
-        col_map = rest_cols.iter().map(|&c| col_map[c]).collect();
-        s = s_next;
-
-        // Collective boundary: the indicator allreduce and (replicated)
-        // drop are done, so every rank reaching this point holds
-        // identical state — rank 0's snapshot is a consistent global
-        // snapshot.
-        if let Some(h) = hooks {
-            if rank == 0 && h.should_save(iterations) {
-                let ck = crate::checkpoint::make_snapshot(
-                    m,
-                    n,
-                    iterations,
-                    k_rank,
-                    indicator,
-                    r11,
-                    &s,
-                    &row_map,
-                    &col_map,
-                    &l_cols,
-                    &ut_cols,
-                    &pivot_rows_glob,
-                    &pivot_cols_glob,
-                    &trace,
-                    ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                        mu: st.mu,
-                        phi: st.phi,
-                        mass_sq: st.mass_sq,
-                        dropped: st.dropped,
-                        control_triggered: st.control_triggered,
-                    }),
-                    opts.numerics,
-                );
-                crate::checkpoint::save_snapshot(h, &ck);
-            }
-        }
-        if iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
+    /// Per-rank dropped-mass partials over the same column partition
+    /// the sharded engine owns, combined through the same allreduce
+    /// tree — the oracle stays bitwise aligned with the sharded
+    /// thresholding decisions.
+    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
+        let (my_mass, my_count) =
+            self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
+        let (mass, count) = allreduce_drop(self.ctx, my_mass, my_count);
+        if accept(mass, count) {
+            self.s = self.s.drop_below(thr).0;
         }
     }
 
-    let l = {
-        let mut b = SparseBuilder::new(m, l_cols.len());
-        for col in &l_cols {
-            b.push_col(col);
-        }
-        b.finish()
-    };
-    let u = {
-        let mut b = SparseBuilder::new(n, ut_cols.len());
-        for col in &ut_cols {
-            b.push_col(col);
-        }
-        b.finish().transpose()
-    };
-    Ok(LuCrtpResult {
-        l,
-        u,
-        pivot_rows: pivot_rows_glob,
-        pivot_cols: pivot_cols_glob,
-        rank: k_rank,
-        iterations,
-        converged,
-        breakdown,
-        indicator,
-        a_norm_f,
-        r11,
-        trace,
-        timers,
-        threshold: ilut.map(|st| st.report()),
-        mem: None,
-        trip,
-    })
-}
-
-/// Convenience wrapper: run [`lu_crtp_spmd`] on `np` ranks and return
-/// rank 0's result. The tournament tree option is implicit (the SPMD
-/// driver always reduces over the binomial rank tree). Panics if any
-/// rank fails; use [`lu_crtp_dist_checked`] to observe failures.
-pub fn lu_crtp_dist(a: &CscMatrix, opts: &LuCrtpOpts, np: usize) -> LuCrtpResult {
-    let _ = TournamentTree::Binary;
-    let mut results = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, a, opts));
-    results.swap_remove(0)
-}
-
-/// Fault-aware variant of [`lu_crtp_dist`]: validates the input at the
-/// API boundary ([`InvalidInput`] instead of a panic deep inside a
-/// kernel), runs under an explicit [`RunConfig`] (watchdog window,
-/// chaos [`lra_comm::FaultPlan`]), and returns every rank's outcome.
-/// A rank killed mid-factorization surfaces as [`CommError::Failed`] on
-/// the victim and [`CommError::PeerFailed`] on every surviving rank —
-/// no hang.
-pub fn lu_crtp_dist_checked(
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    np: usize,
-    config: &RunConfig,
-) -> Result<Vec<Result<LuCrtpResult, CommError>>, InvalidInput> {
-    opts.validate()?;
-    validate_matrix(a)?;
-    Ok(lra_comm::run_with(np, config, |ctx| lu_crtp_spmd(ctx, a, opts)).results)
+    /// Every rank reaching a snapshot point holds identical state, so
+    /// rank 0's copy is a consistent global snapshot.
+    fn gather_schur(&self) -> Option<CscMatrix> {
+        (self.ctx.rank() == 0).then(|| self.s.clone())
+    }
 }

@@ -23,13 +23,12 @@
 //! `CheckpointStore::with_faults`.
 
 use crate::checkpoint::RecoveryHooks;
-use crate::lucrtp::{
-    ilut_crtp_checkpointed, lu_crtp_checkpointed, validate_matrix, IlutOpts, InvalidInput,
-    LuCrtpOpts, LuCrtpResult,
-};
-use crate::spmd::{ilut_crtp_spmd_checkpointed, lu_crtp_spmd_checkpointed};
+use crate::lucrtp::{run_seq, validate_matrix, IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult};
+use crate::spmd::{run_sharded, Reshard};
 use lra_comm::RunConfig;
-use lra_recover::{run_supervised, CheckpointStore, RecoveryError, RecoveryPolicy, Supervised};
+use lra_recover::{
+    run_supervised, CancelToken, CheckpointStore, RecoveryError, RecoveryPolicy, Supervised,
+};
 use lra_sparse::CscMatrix;
 
 /// Why a supervised factorization returned no result.
@@ -84,7 +83,6 @@ pub fn lu_crtp_supervised(
 /// snapshots survive in whatever medium the store uses (memory, disk
 /// generations), and any [`lra_recover::StorageFaultPlan`] attached to
 /// the store is exercised by the recovery path.
-#[allow(clippy::too_many_arguments)]
 pub fn lu_crtp_supervised_with_store(
     a: &CscMatrix,
     opts: &LuCrtpOpts,
@@ -95,39 +93,7 @@ pub fn lu_crtp_supervised_with_store(
     store: &CheckpointStore,
 ) -> Result<Supervised<LuCrtpResult>, SupervisedError> {
     opts.validate()?;
-    validate_matrix(a)?;
-    let hooks = RecoveryHooks::new(store, ckpt_every);
-    // Preflight the store's numerics mode once at the API boundary, so
-    // a mismatched caller-owned store surfaces as a typed error here
-    // instead of repeated rank failures inside the recovery ladder.
-    crate::checkpoint::load_resume(&hooks, a.rows(), a.cols(), false, opts.numerics)?;
-    run_supervised(
-        np,
-        config,
-        policy,
-        |np, cfg, _, token| {
-            // The supervisor's deadline token rides into the driver's
-            // budget: a deadline that expires mid-attempt stops the
-            // ranks cooperatively at the next iteration boundary
-            // (checkpoint taken, partial factors returned) instead of
-            // letting the attempt run to completion.
-            let mut o = opts.clone();
-            o.budget.cancel.push(token.clone());
-            lra_comm::run_with(np, cfg, |ctx| {
-                lu_crtp_spmd_checkpointed(ctx, a, &o, Some(&hooks))
-                    .expect("numerics mode preflighted at the supervised boundary")
-            })
-        },
-        |token| {
-            let mut o = opts.clone();
-            o.budget.cancel.push(token.clone());
-            Some(
-                lu_crtp_checkpointed(a, &o, Some(&hooks))
-                    .expect("numerics mode preflighted at the supervised boundary"),
-            )
-        },
-    )
-    .map_err(SupervisedError::Recovery)
+    supervise(a, opts, None, np, config, policy, RecoveryHooks::new(store, ckpt_every))
 }
 
 /// Supervised [`crate::ilut_crtp_spmd`] (see [`lu_crtp_supervised`]).
@@ -148,7 +114,6 @@ pub fn ilut_crtp_supervised(
 
 /// [`ilut_crtp_supervised`] with a caller-owned [`CheckpointStore`]
 /// (see [`lu_crtp_supervised_with_store`]).
-#[allow(clippy::too_many_arguments)]
 pub fn ilut_crtp_supervised_with_store(
     a: &CscMatrix,
     opts: &IlutOpts,
@@ -159,31 +124,48 @@ pub fn ilut_crtp_supervised_with_store(
     store: &CheckpointStore,
 ) -> Result<Supervised<LuCrtpResult>, SupervisedError> {
     opts.validate()?;
-    validate_matrix(a)?;
     let hooks = RecoveryHooks::new(store, ckpt_every);
-    // Same boundary preflight as `lu_crtp_supervised_with_store`.
-    crate::checkpoint::load_resume(&hooks, a.rows(), a.cols(), true, opts.base.numerics)?;
+    supervise(a, &opts.base, Some(opts), np, config, policy, hooks)
+}
+
+/// The recovery ladder around the panel loop: sharded SPMD attempts,
+/// then the sequential engine, all resuming from `hooks`' store.
+fn supervise(
+    a: &CscMatrix,
+    opts: &LuCrtpOpts,
+    ilut: Option<&IlutOpts>,
+    np: usize,
+    config: &RunConfig,
+    policy: &RecoveryPolicy,
+    hooks: RecoveryHooks<'_>,
+) -> Result<Supervised<LuCrtpResult>, SupervisedError> {
+    validate_matrix(a)?;
+    // Preflight the store's numerics mode once at the API boundary, so
+    // a mismatched caller-owned store surfaces as a typed error here
+    // instead of repeated rank failures inside the recovery ladder.
+    crate::checkpoint::load_resume(&hooks, a.rows(), a.cols(), ilut.is_some(), opts.numerics)?;
+    // The supervisor's deadline token rides into the loop's budget: a
+    // deadline that expires mid-attempt stops the ranks cooperatively
+    // at the next iteration boundary (checkpoint taken, partial factors
+    // returned) instead of letting the attempt run to completion.
+    let with_token = |token: &CancelToken| {
+        let mut o = opts.clone();
+        o.budget.cancel.push(token.clone());
+        o
+    };
+    const PREFLIGHTED: &str = "numerics mode preflighted at the supervised boundary";
     run_supervised(
         np,
         config,
         policy,
         |np, cfg, _, token| {
-            // Same mid-attempt deadline enforcement as the LU variant.
-            let mut o = opts.clone();
-            o.base.budget.cancel.push(token.clone());
+            let o = with_token(token);
             lra_comm::run_with(np, cfg, |ctx| {
-                ilut_crtp_spmd_checkpointed(ctx, a, &o, Some(&hooks))
-                    .expect("numerics mode preflighted at the supervised boundary")
+                run_sharded(ctx, a, &o, ilut, Some(&hooks), Reshard::Overlapped)
+                    .expect(PREFLIGHTED)
             })
         },
-        |token| {
-            let mut o = opts.clone();
-            o.base.budget.cancel.push(token.clone());
-            Some(
-                ilut_crtp_checkpointed(a, &o, Some(&hooks))
-                    .expect("numerics mode preflighted at the supervised boundary"),
-            )
-        },
+        |token| Some(run_seq(a, &with_token(token), ilut, Some(&hooks)).expect(PREFLIGHTED)),
     )
     .map_err(SupervisedError::Recovery)
 }
