@@ -51,9 +51,6 @@ fn bench_panel_r(c: &mut Criterion) {
     g.bench_function("tsqr", |b| {
         b.iter(|| lra_qrtp::panel_r(black_box(&a), &idx, Parallelism::SEQ))
     });
-    g.bench_function("gram_cholesky", |b| {
-        b.iter(|| lra_qrtp::panel_r_gram(black_box(&a), &idx, Parallelism::SEQ))
-    });
     g.finish();
 }
 

@@ -2,8 +2,9 @@
 //! QR with tournament pivoting (QR_TP) — the rank-revealing engine of
 //! LU_CRTP / ILUT_CRTP.
 //!
-//! Two drivers are provided over one node kernel (QRCP of a panel `R`
-//! factor computed by memory-bounded incremental QR):
+//! Three drivers are provided over one node kernel (QRCP of a panel `R`
+//! factor computed by memory-bounded incremental QR over the panel's
+//! row support, so node cost follows the stored entries):
 //! - [`tournament_columns`]: shared-memory, leaves processed with
 //!   `lra-par` workers (flat or binary tree);
 //! - [`tournament_columns_spmd`]: rank-distributed over the `lra-comm`
@@ -22,6 +23,6 @@ pub use lra_dense::Numerics;
 pub use source::ColumnSource;
 pub use spmd::{tournament_columns_spmd, tournament_columns_spmd_sharded};
 pub use tournament::{
-    panel_r, panel_r_gram, panel_r_mode, tournament_columns, tournament_columns_mode,
+    panel_r, panel_r_mode, tournament_columns, tournament_columns_mode,
     tournament_rows_dense, tournament_rows_dense_mode, ColumnSelection, TournamentTree,
 };

@@ -2,58 +2,57 @@
 //!
 //! The column tournament of LU_CRTP selects from the columns of the
 //! sparse Schur complement `A^(i)`; the row tournament selects from the
-//! columns of the dense `Q_k^T`. Both are "a bag of columns you can
-//! gather into dense panels", captured by [`ColumnSource`].
+//! columns of the dense `Q_k^T`. Both are "a bag of columns whose
+//! occupied rows you can gather into dense panels", captured by
+//! [`ColumnSource`]. A row no candidate column has an entry on adds
+//! nothing to the panel's `R^T R`, so a source first reports the rows
+//! that matter and then densifies only those: panel work follows the
+//! stored entries, not the row dimension.
 
 use lra_dense::DenseMatrix;
 use lra_sparse::CscMatrix;
 
-/// A matrix whose columns can be gathered into dense panels chunk by
-/// chunk (rows `lo..hi`), without materializing the whole panel.
+/// A matrix whose columns can be gathered into dense panels, a chunk of
+/// rows at a time, without materializing the whole panel.
 pub trait ColumnSource: Sync {
-    /// Number of rows.
-    fn rows(&self) -> usize;
     /// Number of columns.
     fn cols(&self) -> usize;
-    /// Gather rows `row_range` of the given columns into a dense block
-    /// of shape `row_range.len() x idx.len()`.
-    fn gather(&self, idx: &[usize], row_range: std::ops::Range<usize>) -> DenseMatrix;
-    /// Total number of stored entries in the given columns (used to
-    /// size row chunks; dense sources return `rows * idx.len()`).
-    fn gather_nnz(&self, idx: &[usize]) -> usize;
+    /// Ascending rows outside which columns `idx` are entirely zero.
+    /// Sparse sources return the rows with a stored entry; dense sources
+    /// return every row.
+    fn row_support(&self, idx: &[usize]) -> Vec<usize>;
+    /// Gather the given (ascending) rows of the given columns into a
+    /// dense block of shape `rows.len() x idx.len()`.
+    fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix;
 }
 
 impl ColumnSource for CscMatrix {
-    fn rows(&self) -> usize {
-        CscMatrix::rows(self)
-    }
     fn cols(&self) -> usize {
         CscMatrix::cols(self)
     }
-    fn gather(&self, idx: &[usize], row_range: std::ops::Range<usize>) -> DenseMatrix {
-        self.gather_columns_rows_dense(idx, row_range)
+    fn row_support(&self, idx: &[usize]) -> Vec<usize> {
+        CscMatrix::row_support(self, idx)
     }
-    fn gather_nnz(&self, idx: &[usize]) -> usize {
-        idx.iter().map(|&j| self.col_nnz(j)).sum()
+    fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
+        self.gather_columns_at_rows_dense(idx, rows)
     }
 }
 
 impl ColumnSource for DenseMatrix {
-    fn rows(&self) -> usize {
-        DenseMatrix::rows(self)
-    }
     fn cols(&self) -> usize {
         DenseMatrix::cols(self)
     }
-    fn gather(&self, idx: &[usize], row_range: std::ops::Range<usize>) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(row_range.len(), idx.len());
+    fn row_support(&self, _idx: &[usize]) -> Vec<usize> {
+        (0..self.rows()).collect()
+    }
+    fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(rows.len(), idx.len());
         for (dst, &j) in idx.iter().enumerate() {
-            let src = &self.col(j)[row_range.clone()];
-            out.col_mut(dst).copy_from_slice(src);
+            let src = self.col(j);
+            for (o, &r) in out.col_mut(dst).iter_mut().zip(rows) {
+                *o = src[r];
+            }
         }
         out
-    }
-    fn gather_nnz(&self, idx: &[usize]) -> usize {
-        self.rows() * idx.len()
     }
 }

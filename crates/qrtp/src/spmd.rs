@@ -114,9 +114,9 @@ fn node_select<S: ColumnSource + ?Sized>(
 /// both its id list and the matrix) plus the QRCP `R` diagonal.
 ///
 /// Bitwise-equivalent to [`node_select`] on the full matrix with the
-/// same candidate columns: `panel_r`'s chunking depends only on the row
-/// dimension and candidate count, and its gathers are positional, so a
-/// compact copy of the candidates yields the same dense panels.
+/// same candidate columns: `panel_r`'s chunking depends only on the
+/// candidates' row support and count, and its gathers are positional,
+/// so a compact copy of the candidates yields the same dense panels.
 fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
     let idx: Vec<usize> = (0..cols.cols()).collect();
     let r = panel_r(cols, &idx, Parallelism::SEQ);

@@ -6,15 +6,18 @@
 //! column-pivoted QR of the panel's `R` factor — valid because QRCP
 //! pivots depend only on column inner products, which `R` preserves —
 //! and promotes the `k` winners. The `R` factor itself is computed by a
-//! chunked, memory-bounded incremental QR over row blocks, which is the
-//! sparse-panel substitute for SuiteSparseQR.
+//! chunked, memory-bounded incremental QR over the panel's *row
+//! support* — the rows on which some candidate column has a stored
+//! entry — which is the sparse-panel substitute for SuiteSparseQR: a
+//! node costs `O(k^2 * support) <= O(k^2 * nnz(panel))`, independent of
+//! the row dimension.
 //!
 //! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))` for both flat
 //! and binary trees.
 
 use crate::source::ColumnSource;
 use lra_dense::{qr, qrcp, DenseMatrix, Numerics};
-use lra_par::{parallel_for, Parallelism};
+use lra_par::{parallel_chunks_mut, Parallelism};
 
 /// Shape of the reduction tree (Section V; an ablation axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,105 +81,55 @@ impl ColumnSelection {
 }
 
 /// Memory-bounded `R` factor of the panel formed by columns `idx` of
-/// `src`: incremental QR over row chunks, never materializing more than
-/// `chunk x |idx|` dense data at once.
+/// `src`, computed over the panel's row support only: rows on which no
+/// candidate column has an entry contribute nothing to `R^T R`, so the
+/// support list is cut into chunks of `max(4c, 256)` rows, each chunk is
+/// densified and QR-factored on its own, and the chunk `R`s are folded
+/// left to right by stack-and-requalify. Never more than
+/// `chunk x |idx|` dense data is live per worker, the work is
+/// `O(c^2 * support)`, and a panel whose support fits one chunk is a
+/// single QR. `R` has `min(support, c)` rows, so a panel supported on
+/// fewer rows than it has columns cannot rank more columns than that.
 pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelism) -> DenseMatrix {
-    let m = src.rows();
     let c = idx.len();
     if c == 0 {
         return DenseMatrix::zeros(0, 0);
     }
-    // Chunk height: a few multiples of the panel width, at least 256.
-    let chunk = (4 * c).max(256).min(m.max(1));
-    let nchunks = m.div_ceil(chunk).max(1);
-    if nchunks <= 1 {
-        let panel = src.gather(idx, 0..m);
-        return qr(&panel, par).r();
+    let support = src.row_support(idx);
+    let chunk = (4 * c).max(256);
+    if support.len() <= chunk {
+        return qr(&src.gather_rows(idx, &support), par).r();
     }
-    // Per-chunk Rs in parallel, folded by stack-and-requalify.
+    // Per-chunk Rs in parallel; the fold order is ascending chunk index
+    // whatever the worker count.
     let acc = lra_par::parallel_map_fold(
         par,
-        nchunks,
+        support.len().div_ceil(chunk),
         1,
         None::<DenseMatrix>,
         |range| {
-            let mut local: Option<DenseMatrix> = None;
-            for b in range {
-                let lo = b * chunk;
-                let hi = ((b + 1) * chunk).min(m);
-                let block = src.gather(idx, lo..hi);
-                let r = qr(&block, Parallelism::SEQ).r();
-                local = Some(match local {
-                    None => r,
-                    Some(prev) => qr(&prev.vcat(&r), Parallelism::SEQ).r(),
-                });
-            }
-            local
+            let rows = &support[range.start * chunk..(range.end * chunk).min(support.len())];
+            Some(qr(&src.gather_rows(idx, rows), Parallelism::SEQ).r())
         },
         |a, b| match (a, b) {
-            (None, x) => x,
-            (x, None) => x,
             (Some(x), Some(y)) => Some(qr(&x.vcat(&y), Parallelism::SEQ).r()),
+            (x, None) | (None, x) => x,
         },
     );
-    acc.unwrap_or_else(|| DenseMatrix::zeros(0, c))
+    acc.expect("a support longer than one chunk has chunks")
 }
 
-/// [`panel_r`] with an explicit [`Numerics`] mode. In `Fast` mode the
-/// per-chunk `R` factors are merged by a fixed pairwise binary tree
-/// (the "tournament norms" tree reduction): each merge is one small
-/// stacked QR, and the tree shape depends only on the chunk count —
-/// which the chunk grid derives from the panel shape alone — so Fast
-/// results are deterministic across worker counts, just not equal to
-/// the sequential fold of the `Bitwise` path.
+/// [`panel_r`] with an explicit [`Numerics`] mode. The mode selects no
+/// different arithmetic here: a row-compressed panel has a handful of
+/// chunks, folded in one fixed order that depends only on the support —
+/// deterministic across worker counts in both modes.
 pub fn panel_r_mode<S: ColumnSource + ?Sized>(
     src: &S,
     idx: &[usize],
     par: Parallelism,
-    numerics: Numerics,
+    _numerics: Numerics,
 ) -> DenseMatrix {
-    if !numerics.is_fast() {
-        return panel_r(src, idx, par);
-    }
-    let m = src.rows();
-    let c = idx.len();
-    if c == 0 {
-        return DenseMatrix::zeros(0, 0);
-    }
-    let chunk = (4 * c).max(256).min(m.max(1));
-    let nchunks = m.div_ceil(chunk).max(1);
-    if nchunks <= 1 {
-        let panel = src.gather(idx, 0..m);
-        return qr(&panel, par).r();
-    }
-    // Per-chunk Rs in parallel into fixed slots.
-    let mut level: Vec<DenseMatrix> = vec![DenseMatrix::zeros(0, 0); nchunks];
-    {
-        let ptr = level.as_mut_ptr() as usize;
-        parallel_for(par, nchunks, 1, |range| {
-            for b in range {
-                let lo = b * chunk;
-                let hi = ((b + 1) * chunk).min(m);
-                let block = src.gather(idx, lo..hi);
-                let r = qr(&block, Parallelism::SEQ).r();
-                // SAFETY: each slot written by exactly one task.
-                unsafe { *(ptr as *mut DenseMatrix).add(b) = r };
-            }
-        });
-    }
-    // Fixed binary-tree merge; the odd node passes through unchanged.
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => next.push(qr(&x.vcat(&y), Parallelism::SEQ).r()),
-                None => next.push(x),
-            }
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty merge tree")
+    panel_r(src, idx, par)
 }
 
 /// Rank the candidate columns `idx` at one tournament node: QRCP on the
@@ -244,38 +197,20 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     let block = 2 * k;
     let nblocks = cand.len().div_ceil(block);
     let mut level: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    {
-        let level_ptr = level.as_mut_ptr() as usize;
-        parallel_for(par, nblocks, 1, |range| {
-            for b in range {
-                let lo = b * block;
-                let hi = ((b + 1) * block).min(cand.len());
-                let (sel, _) = node_select(src, &cand[lo..hi], k, Parallelism::SEQ, numerics);
-                // SAFETY: each slot written by one task.
-                unsafe { *(level_ptr as *mut Vec<usize>).add(b) = sel };
-            }
-        });
-    }
+    parallel_chunks_mut(par, &mut level, 1, |b, slot| {
+        let hi = ((b + 1) * block).min(cand.len());
+        slot[0] = node_select(src, &cand[b * block..hi], k, Parallelism::SEQ, numerics).0;
+    });
     match tree {
         TournamentTree::Binary => {
             while level.len() > 1 {
                 let pairs = level.len() / 2;
                 let odd = level.len() % 2 == 1;
                 let mut next: Vec<Vec<usize>> = vec![Vec::new(); pairs + usize::from(odd)];
-                {
-                    let next_ptr = next.as_mut_ptr() as usize;
-                    let level_ref = &level;
-                    parallel_for(par, pairs, 1, |range| {
-                        for p in range {
-                            let mut merged = level_ref[2 * p].clone();
-                            merged.extend_from_slice(&level_ref[2 * p + 1]);
-                            let (sel, _) =
-                                node_select(src, &merged, k, Parallelism::SEQ, numerics);
-                            // SAFETY: disjoint slots.
-                            unsafe { *(next_ptr as *mut Vec<usize>).add(p) = sel };
-                        }
-                    });
-                }
+                parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
+                    let merged = [level[2 * p].as_slice(), &level[2 * p + 1]].concat();
+                    slot[0] = node_select(src, &merged, k, Parallelism::SEQ, numerics).0;
+                });
                 if odd {
                     let last = level.len() - 1;
                     next[pairs] = std::mem::take(&mut level[last]);
@@ -469,6 +404,32 @@ mod tests {
     }
 
     #[test]
+    fn short_support_node_promotes_at_most_support_winners() {
+        // 40 columns that live on 5 rows of a 300-row matrix: rank <= 5,
+        // and R has 5 rows, so no node can promote rounding-noise pivots.
+        let rows = [3usize, 77, 150, 151, 299];
+        let block = rand_dense(rows.len(), 40, 15);
+        let mut coo = CooMatrix::new(300, 40);
+        for j in 0..40 {
+            for (i, &r) in rows.iter().enumerate() {
+                coo.push(r, j, block.get(i, j));
+            }
+        }
+        let a = coo.to_csc();
+        for tree in [TournamentTree::Binary, TournamentTree::Flat] {
+            let sel = tournament_columns(&a, None, 8, tree, Parallelism::new(2));
+            assert_eq!(sel.selected.len(), 5, "{tree:?}: {:?}", sel.selected);
+            assert_eq!(sel.r_diag.len(), 5);
+            assert!(sel.r_diag.iter().all(|d| d.abs() > 1e-8), "{tree:?}: {:?}", sel.r_diag);
+        }
+        // An all-zero panel has an empty support: no winners, no r_diag.
+        let z = CscMatrix::zeros(300, 40);
+        assert_eq!(panel_r(&z, &[0, 1, 2], Parallelism::SEQ).rows(), 0);
+        let sel = tournament_columns(&z, None, 8, TournamentTree::Binary, Parallelism::SEQ);
+        assert!(sel.selected.is_empty() && sel.r_diag.is_empty());
+    }
+
+    #[test]
     fn candidate_subset_respected() {
         let a = rand_sparse(50, 30, 4, 11);
         let cands: Vec<usize> = (10..30).collect();
@@ -487,10 +448,10 @@ mod tests {
 
     #[test]
     fn fast_panel_r_preserves_gram_and_is_np_stable() {
-        // Tall panel so several chunks form and the fast tree actually
-        // merges. The Gram matrix (what pivot ranking consumes) must
-        // match the bitwise fold normwise; the fast result itself must
-        // be bitwise stable across worker counts (shape-only tree).
+        // Tall panel so several support chunks form and the fold
+        // actually merges. The Gram matrix (what pivot ranking consumes)
+        // must match between the modes; the fast result itself must be
+        // bitwise stable across worker counts (support-only fold).
         let a = rand_sparse(1400, 6, 5, 13);
         let idx: Vec<usize> = (0..6).collect();
         let r_bit = panel_r(&a, &idx, Parallelism::SEQ);
@@ -527,99 +488,6 @@ mod tests {
         for (x, y) in s1.r_diag.iter().zip(&s2.r_diag) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-}
-
-/// Ablation variant of [`panel_r`]: compute the panel `R` through the
-/// Gram matrix (`G = P^T P`, `R = chol(G)`). Half the flops of TSQR and
-/// one pass over the data, but it squares the condition number, so
-/// pivot selection can degrade on ill-conditioned panels (the reason
-/// TSQR is the default; see DESIGN.md ablations). Falls back to TSQR
-/// when the Cholesky breaks down.
-pub fn panel_r_gram<S: ColumnSource + ?Sized>(
-    src: &S,
-    idx: &[usize],
-    par: Parallelism,
-) -> DenseMatrix {
-    let m = src.rows();
-    let c = idx.len();
-    if c == 0 {
-        return DenseMatrix::zeros(0, 0);
-    }
-    let chunk = (4 * c).max(256).min(m.max(1));
-    let nchunks = m.div_ceil(chunk).max(1);
-    // G = sum over row chunks of P_chunk^T P_chunk.
-    let gram = lra_par::parallel_map_fold(
-        par,
-        nchunks,
-        1,
-        DenseMatrix::zeros(c, c),
-        |range| {
-            let mut local = DenseMatrix::zeros(c, c);
-            for b in range {
-                let lo = b * chunk;
-                let hi = ((b + 1) * chunk).min(m);
-                let block = src.gather(idx, lo..hi);
-                let g = lra_dense::matmul_tn(&block, &block, Parallelism::SEQ);
-                local.axpy(1.0, &g);
-            }
-            local
-        },
-        |mut a, b| {
-            a.axpy(1.0, &b);
-            a
-        },
-    );
-    match lra_dense::cholesky_upper(&gram) {
-        Some(r) => r,
-        None => panel_r(src, idx, par),
-    }
-}
-
-#[cfg(test)]
-mod gram_tests {
-    use super::*;
-
-    fn rand_sparse(
-        rows: usize,
-        cols: usize,
-        per_col: usize,
-        seed: u64,
-    ) -> lra_sparse::CscMatrix {
-        let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state
-        };
-        let mut coo = lra_sparse::CooMatrix::new(rows, cols);
-        for j in 0..cols {
-            for _ in 0..per_col {
-                let r = (next() % rows as u64) as usize;
-                let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-                coo.push(r, j, v);
-            }
-        }
-        coo.to_csc()
-    }
-
-    #[test]
-    fn gram_r_matches_tsqr_r_gram() {
-        let a = rand_sparse(200, 7, 5, 3);
-        let idx: Vec<usize> = (0..7).collect();
-        let r1 = panel_r(&a, &idx, Parallelism::SEQ);
-        let r2 = panel_r_gram(&a, &idx, Parallelism::new(3));
-        let g1 = lra_dense::matmul_tn(&r1, &r1, Parallelism::SEQ);
-        let g2 = lra_dense::matmul_tn(&r2, &r2, Parallelism::SEQ);
-        assert!(g1.max_abs_diff(&g2) < 1e-9 * (1.0 + g1.max_abs()));
-    }
-
-    #[test]
-    fn gram_pivots_match_on_well_conditioned_panel() {
-        let a = rand_sparse(150, 12, 6, 4);
-        let idx: Vec<usize> = (0..12).collect();
-        let f1 = lra_dense::qrcp(&panel_r(&a, &idx, Parallelism::SEQ), 4);
-        let f2 = lra_dense::qrcp(&panel_r_gram(&a, &idx, Parallelism::SEQ), 4);
-        assert_eq!(f1.selected(4), f2.selected(4));
     }
 
     #[test]

@@ -395,6 +395,63 @@ impl CscMatrix {
         out
     }
 
+    /// Sorted, duplicate-free list of the rows that hold a stored entry
+    /// in at least one of the given columns — the only rows of the
+    /// panel that can contribute to its `R` factor. One pass over the
+    /// columns' row indices into an occupancy bitset plus one pass over
+    /// its words: `O(nnz_panel + rows/64)`, no sort.
+    pub fn row_support(&self, idx: &[usize]) -> Vec<usize> {
+        let mut occupied = vec![0u64; self.rows.div_ceil(64)];
+        for &j in idx {
+            for &r in self.col(j).0 {
+                occupied[r / 64] |= 1 << (r % 64);
+            }
+        }
+        let count = occupied.iter().map(|w| w.count_ones() as usize).sum();
+        let mut support = Vec::with_capacity(count);
+        for (w, &word) in occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                support.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        support
+    }
+
+    /// Gather the given rows (strictly ascending) of the given columns
+    /// into a dense `rows.len() x idx.len()` panel: row `i` of the
+    /// result is row `rows[i]` of `self`; stored entries on other rows
+    /// are skipped. A merge walk over each (sorted) column, so the cost
+    /// is `O(rows.len() + nnz)` per column — with `rows` a chunk of
+    /// [`CscMatrix::row_support`] this is the row-compressed densify of
+    /// R-only TSQR on sparse panels.
+    pub fn gather_columns_at_rows_dense(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly ascending");
+        let mut out = DenseMatrix::zeros(rows.len(), idx.len());
+        let Some(&first) = rows.first() else {
+            return out;
+        };
+        for (dst, &j) in idx.iter().enumerate() {
+            let (ri, vs) = self.col(j);
+            let col = out.col_mut(dst);
+            let mut p = ri.partition_point(|&r| r < first);
+            let mut q = 0;
+            while p < ri.len() && q < rows.len() {
+                match ri[p].cmp(&rows[q]) {
+                    std::cmp::Ordering::Less => p += 1,
+                    std::cmp::Ordering::Greater => q += 1,
+                    std::cmp::Ordering::Equal => {
+                        col[q] = vs[p];
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Drop every entry with `|value| < threshold`; returns the dropped
     /// squared Frobenius mass and count (the `||T̃^(i)||_F^2` bookkeeping
     /// of ILUT_CRTP, Algorithm 3, lines 8-9).
@@ -844,6 +901,20 @@ mod tests {
         assert_eq!(p.get(1, 0), 4.0); // row 2 of col 0
         assert_eq!(p.get(0, 1), 0.0); // row 1 of col 2
         assert_eq!(p.get(1, 1), 5.0);
+    }
+
+    #[test]
+    fn row_support_and_gather_at_rows() {
+        let a = sample();
+        assert_eq!(a.row_support(&[1]), vec![1]);
+        assert_eq!(a.row_support(&[0, 2, 0]), vec![0, 2]);
+        assert_eq!(a.row_support(&[]), Vec::<usize>::new());
+        // Rows 0 and 2 of columns 2, 1: [2 0; 5 0].
+        let p = a.gather_columns_at_rows_dense(&[2, 1], &[0, 2]);
+        assert_eq!((p.rows(), p.cols()), (2, 2));
+        assert_eq!(p.col(0), &[2.0, 5.0]);
+        assert_eq!(p.col(1), &[0.0, 0.0]);
+        assert_eq!(a.gather_columns_at_rows_dense(&[0], &[]).rows(), 0);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! the invariant the sharded checkpoint path relies on.
 
 use crate::csc::CscMatrix;
-use lra_dense::DenseMatrix;
 use std::ops::Range;
 
 /// One rank's owned block-column shard of a virtual matrix: columns
@@ -116,23 +115,6 @@ impl ColSlice {
     pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
         assert!(self.owns(j), "column {j} not owned by shard {:?}", self.col_range());
         self.local.col(j - self.offset)
-    }
-
-    /// Slice-local [`CscMatrix::gather_columns_rows_dense`]: gather the
-    /// given *global* column ids (all owned) into a dense panel.
-    pub fn gather_columns_rows_dense(
-        &self,
-        global_idx: &[usize],
-        row_range: Range<usize>,
-    ) -> DenseMatrix {
-        let local_idx: Vec<usize> = global_idx
-            .iter()
-            .map(|&j| {
-                assert!(self.owns(j), "column {j} not owned by shard {:?}", self.col_range());
-                j - self.offset
-            })
-            .collect();
-        self.local.gather_columns_rows_dense(&local_idx, row_range)
     }
 
     /// Compact copy of the given *global* columns (all owned), in the
@@ -370,10 +352,6 @@ mod tests {
             assert_eq!(ri, fri);
             assert_eq!(vs, fvs);
         }
-        // Dense gather matches gathering the same columns from `a`.
-        let d = s.gather_columns_rows_dense(&[4, 2], 1..4);
-        let full = a.gather_columns_rows_dense(&[4, 2], 1..4);
-        assert_eq!(d, full);
         // Compact extraction is an exact copy.
         let c = s.extract_columns(&[3, 2]);
         assert_eq!(c, a.select_columns(&[3, 2]));

@@ -333,6 +333,182 @@ proptest! {
     }
 }
 
+/// Strategy: a tall, narrow sparse panel whose row support usually
+/// spans several `panel_r` chunks, plus a per-row count of empty rows
+/// to insert in front of each row (and one trailing count).
+fn tall_panel_with_gaps() -> impl Strategy<Value = (CscMatrix, Vec<usize>)> {
+    (300usize..=700, 2usize..=6).prop_flat_map(|(r, c)| {
+        (
+            proptest::collection::vec((0..r, 0..c, -5.0f64..5.0), 200..=1500),
+            proptest::collection::vec(0usize..3, r + 1),
+        )
+            .prop_map(move |(trip, gaps)| {
+                let mut coo = CooMatrix::new(r, c);
+                for (i, j, v) in trip {
+                    coo.push(i, j, v);
+                }
+                (coo.to_csc(), gaps)
+            })
+    })
+}
+
+/// `a` with `gaps[i]` empty rows inserted in front of row `i` and
+/// `gaps[rows]` appended: same stored values in the same order.
+fn insert_empty_rows(a: &CscMatrix, gaps: &[usize]) -> CscMatrix {
+    let mut new_row = Vec::with_capacity(a.rows());
+    let mut shift = 0;
+    for (i, g) in gaps[..a.rows()].iter().enumerate() {
+        shift += g;
+        new_row.push(i + shift);
+    }
+    CscMatrix::from_parts(
+        a.rows() + shift + gaps[a.rows()],
+        a.cols(),
+        a.colptr().to_vec(),
+        a.rowidx().iter().map(|&r| new_row[r]).collect(),
+        a.values().to_vec(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Row-compressed tournament panels: the support + gather pair is an
+    // exact row filter of the full densify, and `panel_r` sees nothing
+    // of a matrix but its occupied rows.
+
+    #[test]
+    fn support_gather_equals_row_filtered_densify(
+        case in sparse_mat(24).prop_flat_map(|a| {
+            let cols = a.cols();
+            (Just(a), proptest::collection::vec(0..cols, 0..=2 * cols), 1usize..9)
+        })
+    ) {
+        let (a, idx, cut) = case;
+        let support = a.row_support(&idx);
+        let mut expect: Vec<usize> = idx.iter().flat_map(|&j| a.col(j).0).copied().collect();
+        expect.sort_unstable();
+        expect.dedup();
+        prop_assert_eq!(&support, &expect);
+        let full = a.gather_columns_dense(&idx);
+        for rows in support.chunks(cut) {
+            let got = a.gather_columns_at_rows_dense(&idx, rows);
+            let want = full.select_rows(rows);
+            prop_assert_eq!((got.rows(), got.cols()), (rows.len(), idx.len()));
+            prop_assert!(bits_eq(got.as_slice(), want.as_slice()));
+        }
+        // An arbitrary ascending row list filters the same way, entries
+        // on unlisted rows skipped.
+        let every_other: Vec<usize> = (0..a.rows()).step_by(2).collect();
+        let got = a.gather_columns_at_rows_dense(&idx, &every_other);
+        prop_assert!(bits_eq(got.as_slice(), full.select_rows(&every_other).as_slice()));
+    }
+
+    #[test]
+    fn panel_r_ignores_inserted_empty_rows(case in tall_panel_with_gaps()) {
+        let (a, gaps) = case;
+        let padded = insert_empty_rows(&a, &gaps);
+        let idx: Vec<usize> = (0..a.cols()).rev().collect();
+        for np in [1, 4] {
+            let r = lra::qrtp::panel_r(&a, &idx, Parallelism::new(np));
+            let r_padded = lra::qrtp::panel_r(&padded, &idx, Parallelism::new(np));
+            prop_assert_eq!((r.rows(), r.cols()), (r_padded.rows(), r_padded.cols()));
+            prop_assert!(bits_eq(r.as_slice(), r_padded.as_slice()), "np={}", np);
+        }
+    }
+}
+
+/// One tournament node two ways: QRCP of the row-compressed `panel_r`
+/// against QRCP of the `R` of a direct dense QR of the whole panel.
+/// Asserts the same pivots and a normwise-equal `R^T R`; returns the
+/// winners.
+fn checked_node(name: &str, a: &CscMatrix, idx: &[usize], k: usize) -> Vec<usize> {
+    let r = lra::qrtp::panel_r(a, idx, Parallelism::SEQ);
+    let r_ref = qr(&a.gather_columns_dense(idx), Parallelism::SEQ).r();
+    let g = matmul_tn(&r, &r, Parallelism::SEQ);
+    let g_ref = matmul_tn(&r_ref, &r_ref, Parallelism::SEQ);
+    let mut diff = g.clone();
+    diff.axpy(-1.0, &g_ref);
+    assert!(
+        diff.fro_norm() <= 1e-10 * (1.0 + g_ref.fro_norm()),
+        "{name}: R^T R off by {:e} (|G| = {:e})",
+        diff.fro_norm(),
+        g_ref.fro_norm()
+    );
+    let f = qrcp(&r, k);
+    let f_ref = qrcp(&r_ref, k);
+    assert_eq!(f.steps, f_ref.steps, "{name}: pivot count");
+    assert_eq!(f.perm[..f.steps], f_ref.perm[..f.steps], "{name}: pivot sequence");
+    f.perm[..f.steps].iter().map(|&p| idx[p]).collect()
+}
+
+#[test]
+fn every_tournament_node_matches_dense_qr_of_the_gathered_panel() {
+    use lra::matgen::{circuit, economic, fluid_block, with_decay};
+    let k = 32;
+    let presets = [
+        ("circuit", with_decay(&circuit(600, 5, 8, 103), 1e-6, 13)),
+        ("fluid", with_decay(&fluid_block(12, 40, 102), 1e-6, 12)),
+        ("economic", with_decay(&economic(640, 16, 105), 1e-6, 15)),
+    ];
+    for (name, a) in &presets {
+        // The binary tree of `tournament_columns`, node by node.
+        let all: Vec<usize> = (0..a.cols()).collect();
+        let mut level: Vec<Vec<usize>> =
+            all.chunks(2 * k).map(|leaf| checked_node(name, a, leaf, k)).collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [x, y] => checked_node(name, a, &[x.as_slice(), y].concat(), k),
+                    _ => pair[0].clone(),
+                })
+                .collect();
+        }
+        let root = checked_node(name, a, &level[0], k);
+        let sel = lra::qrtp::tournament_columns(
+            a,
+            None,
+            k,
+            lra::qrtp::TournamentTree::Binary,
+            Parallelism::new(2),
+        );
+        assert_eq!(sel.selected, root, "{name}: tournament disagrees with its nodes");
+    }
+}
+
+#[test]
+fn stored_zeros_select_like_the_pruned_matrix() {
+    // Explicit zeros widen the row support but add nothing to R^T R.
+    let pruned = lra::matgen::with_decay(&lra::matgen::circuit(400, 5, 6, 9), 1e-6, 9);
+    let (mut colptr, mut rowidx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for j in 0..pruned.cols() {
+        let (ri, vs) = pruned.col(j);
+        let mut col: Vec<(usize, f64)> = ri.iter().copied().zip(vs.iter().copied()).collect();
+        for z in [(7 * j + 3) % pruned.rows(), (13 * j + 5) % pruned.rows()] {
+            if col.iter().all(|e| e.0 != z) {
+                col.push((z, 0.0));
+            }
+        }
+        col.sort_unstable_by_key(|e| e.0);
+        rowidx.extend(col.iter().map(|e| e.0));
+        values.extend(col.iter().map(|e| e.1));
+        colptr.push(rowidx.len());
+    }
+    let padded = CscMatrix::from_parts(pruned.rows(), pruned.cols(), colptr, rowidx, values);
+    assert!(padded.nnz() > pruned.nnz() + pruned.cols());
+    assert_eq!(padded.drop_below(f64::MIN_POSITIVE).0, pruned);
+    for k in [8, 32] {
+        let tree = lra::qrtp::TournamentTree::Binary;
+        let s_pruned = lra::qrtp::tournament_columns(&pruned, None, k, tree, Parallelism::new(2));
+        let s_padded = lra::qrtp::tournament_columns(&padded, None, k, tree, Parallelism::new(2));
+        assert_eq!(s_padded.selected, s_pruned.selected, "k={k}");
+        for (x, y) in s_padded.r_diag.iter().zip(&s_pruned.r_diag) {
+            assert!((x.abs() - y.abs()).abs() <= 1e-10 * (1.0 + y.abs()), "k={k}: {x} vs {y}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
