@@ -15,10 +15,8 @@ use crate::timers::KernelTimers;
 use lra_dense::{lu, pairwise_sum, pairwise_sum_sq, DenseMatrix, LuFactor, Numerics};
 use lra_ordering::fill_reducing_order;
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
-use lra_qrtp::{
-    tournament_columns_mode, tournament_rows_dense_mode, ColumnSelection, TournamentTree,
-};
-use lra_sparse::{CscMatrix, SparseAccumulator};
+use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
+use lra_sparse::CscMatrix;
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
 /// preprocessing — the ablation axis of Fig. 1 (left).
@@ -95,11 +93,6 @@ pub enum InvalidInput {
         /// The offending value.
         value: f64,
     },
-    /// `dense_switch` must be finite and in `(0, 1]` when set.
-    BadDenseSwitch {
-        /// The offending threshold.
-        dense_switch: f64,
-    },
     /// A resume was attempted under a different [`Numerics`] mode than
     /// the checkpoint was written with. Mode fixes the floating-point
     /// chain, so silently switching would break the bitwise-within-mode
@@ -131,9 +124,6 @@ impl std::fmt::Display for InvalidInput {
             }
             InvalidInput::NonFiniteEntry { row, col, value } => {
                 write!(f, "input matrix entry ({row}, {col}) is not finite: {value}")
-            }
-            InvalidInput::BadDenseSwitch { dense_switch } => {
-                write!(f, "dense_switch must be finite and in (0, 1], got {dense_switch}")
             }
             InvalidInput::NumericsModeMismatch { stored, requested } => {
                 write!(
@@ -184,19 +174,11 @@ pub struct LuCrtpOpts {
     pub max_rank: Option<usize>,
     /// How `L21` is computed.
     pub l_formation: LFormation,
-    /// Fill-aware hybrid Schur kernel: when a column's predicted
-    /// density (`min(nnz(a22 col) + |x_rows|, m) / m`) reaches this
-    /// fraction, the column merge switches from the sparse two-pointer
-    /// path to a dense scatter through the sparse accumulator. `None`
-    /// (the default) keeps the always-sparse path; both paths are
-    /// bitwise identical, so this is a pure performance knob — see
-    /// [`DEFAULT_DENSE_SWITCH`] for the benchmarked setting.
-    pub dense_switch: Option<f64>,
     /// Floating-point evaluation mode for the kernel layer:
     /// [`Numerics::Bitwise`] (the default) keeps the reference fp
-    /// chains, [`Numerics::Fast`] opts into FMA micro-kernels, the
-    /// tree-merged panel TSQR / tournament norms, and pairwise-reduced
-    /// error indicators. Fast runs are deterministic within the mode
+    /// chains, [`Numerics::Fast`] opts into the FMA Schur-update chain,
+    /// the tree-merged panel TSQR, and pairwise-reduced error
+    /// indicators. Fast runs are deterministic within the mode
     /// but only normwise-comparable (`O(n * eps * ||A||)`) to Bitwise
     /// runs; checkpoints record the mode and refuse mode-switching
     /// resumes.
@@ -210,14 +192,6 @@ pub struct LuCrtpOpts {
     /// then.
     pub budget: lra_recover::Budget,
 }
-
-/// Benchmark-tuned default for [`LuCrtpOpts::dense_switch`]: switch a
-/// column to the dense scatter path once its predicted fill reaches a
-/// quarter of the column height. At that density the two-pointer merge
-/// and the per-`q` correction gather both touch `O(m)` entries anyway,
-/// so the branch-free scatter wins (`kernel_bench`'s ILUT sweep gates
-/// that this never regresses the always-sparse path).
-pub const DEFAULT_DENSE_SWITCH: f64 = 0.25;
 
 impl LuCrtpOpts {
     /// Defaults matching the paper's setup: first-iteration COLAMD,
@@ -246,7 +220,6 @@ impl LuCrtpOpts {
             par: Parallelism::SEQ,
             max_rank: None,
             l_formation: LFormation::Direct,
-            dense_switch: None,
             numerics: Numerics::Bitwise,
             budget: lra_recover::Budget::unlimited(),
         })
@@ -254,13 +227,7 @@ impl LuCrtpOpts {
 
     /// Re-check the invariants (for options assembled field-by-field).
     pub fn validate(&self) -> Result<(), InvalidInput> {
-        Self::try_new(self.k, self.tau)?;
-        if let Some(d) = self.dense_switch {
-            if !d.is_finite() || d <= 0.0 || d > 1.0 {
-                return Err(InvalidInput::BadDenseSwitch { dense_switch: d });
-            }
-        }
-        Ok(())
+        Self::try_new(self.k, self.tau).map(|_| ())
     }
 
     /// Builder-style parallelism setter.
@@ -278,22 +245,6 @@ impl LuCrtpOpts {
     /// Builder-style rank cap setter.
     pub fn with_max_rank(mut self, max_rank: usize) -> Self {
         self.max_rank = Some(max_rank);
-        self
-    }
-
-    /// Builder-style dense-switch setter (see
-    /// [`LuCrtpOpts::dense_switch`]; pass [`DEFAULT_DENSE_SWITCH`] for
-    /// the benchmarked setting). Panics on an out-of-range threshold;
-    /// assemble the field directly and call [`LuCrtpOpts::validate`]
-    /// for the non-panicking path.
-    pub fn with_dense_switch(mut self, dense_switch: f64) -> Self {
-        if !dense_switch.is_finite() || dense_switch <= 0.0 || dense_switch > 1.0 {
-            panic!(
-                "LuCrtpOpts::with_dense_switch: {}",
-                InvalidInput::BadDenseSwitch { dense_switch }
-            );
-        }
-        self.dense_switch = Some(dense_switch);
         self
     }
 
@@ -415,10 +366,6 @@ pub struct MemStats {
     pub peak_rank_bytes: u64,
     /// Max over ranks of the peak resident Schur-shard nonzeros.
     pub peak_rank_nnz: u64,
-    /// Total Schur-update columns (summed over ranks and iterations)
-    /// that crossed the [`LuCrtpOpts::dense_switch`] threshold and took
-    /// the dense scatter path; `0` when the knob is off.
-    pub dense_switch_cols: u64,
 }
 
 /// One iteration of the factorization trace.
@@ -631,7 +578,6 @@ pub(crate) fn run_seq(
         s: src.full(),
         opts,
         ws: SchurWorkspace::new(),
-        dense_cols: 0,
     })
 }
 
@@ -641,11 +587,9 @@ pub(crate) fn run_seq(
 struct SeqEngine<'o> {
     s: CscMatrix,
     opts: &'o LuCrtpOpts,
-    /// Kernel scratch reused across all iterations (transpose targets,
-    /// ILUT drop target, sparse accumulator for the hybrid Schur path).
+    /// Kernel scratch reused across all iterations (correction vector,
+    /// transpose and ILUT drop targets).
     ws: SchurWorkspace,
-    /// Columns routed through the dense scatter path.
-    dense_cols: u64,
 }
 
 impl PanelEngine for SeqEngine<'_> {
@@ -666,8 +610,7 @@ impl PanelEngine for SeqEngine<'_> {
     }
 
     fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-        let o = self.opts;
-        tournament_columns_mode(&self.s, None, k_want, o.tree, o.par, o.numerics)
+        tournament_columns(&self.s, None, k_want, self.opts.tree, self.opts.par)
     }
 
     /// TSQR: the row-block decomposition is what parallelizes, matching
@@ -682,8 +625,7 @@ impl PanelEngine for SeqEngine<'_> {
     }
 
     fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-        let o = self.opts;
-        tournament_rows_dense_mode(qk, k_eff, o.tree, o.par, o.numerics)
+        tournament_rows_dense(qk, k_eff, self.opts.tree, self.opts.par)
     }
 
     fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
@@ -711,18 +653,7 @@ impl PanelEngine for SeqEngine<'_> {
         xt: &DenseMatrix,
     ) -> Option<Self::Pending> {
         let o = self.opts;
-        let (s_next, dense_cols) = schur_update(
-            &sp.a22,
-            x_rows,
-            xt,
-            &sp.a12,
-            o.dense_switch,
-            &mut self.ws,
-            o.par,
-            o.numerics,
-        );
-        self.s = s_next;
-        self.dense_cols += dense_cols;
+        self.s = schur_update(&sp.a22, x_rows, xt, &sp.a12, &mut self.ws, o.par, o.numerics);
         None
     }
 
@@ -763,13 +694,6 @@ impl PanelEngine for SeqEngine<'_> {
 
     fn gather_schur(&self) -> Option<CscMatrix> {
         Some(self.s.clone())
-    }
-
-    fn mem_stats(&self) -> Option<MemStats> {
-        if self.opts.dense_switch.is_some() {
-            lra_obs::metrics::global().set_gauge("kernel.dense_switch", self.dense_cols as f64);
-        }
-        None
     }
 }
 
@@ -882,12 +806,10 @@ fn for_each_xt_column(
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
-/// nothing: the sparse accumulator behind the dense scatter path, the
-/// per-column correction vector, and the transpose / ILUT-drop target
-/// buffers recycled by [`CscMatrix::transpose_into`] and
-/// [`CscMatrix::drop_below_into`].
+/// nothing: the per-column correction vector, and the transpose /
+/// ILUT-drop target buffers recycled by [`CscMatrix::transpose_into`]
+/// and [`CscMatrix::drop_below_into`].
 pub(crate) struct SchurWorkspace {
-    spa: SparseAccumulator,
     corr: Vec<f64>,
     pub(crate) tbuf: CscMatrix,
     pub(crate) dropbuf: CscMatrix,
@@ -896,7 +818,6 @@ pub(crate) struct SchurWorkspace {
 impl SchurWorkspace {
     pub(crate) fn new() -> Self {
         SchurWorkspace {
-            spa: SparseAccumulator::new(),
             corr: Vec::new(),
             tbuf: CscMatrix::zeros(0, 0),
             dropbuf: CscMatrix::zeros(0, 0),
@@ -907,26 +828,22 @@ impl SchurWorkspace {
 /// `S = Ā22 - X Ā12` with `X` given as dense rows over `x_rows`
 /// (`xt` is `k x nr`, column `r` = the dense row `x_rows[r]` of `X`).
 /// Parallel over output columns; this is where LU_CRTP's fill-in
-/// materializes. Also returns the number of columns the fill-aware
-/// hybrid routed through the dense scatter path.
-#[allow(clippy::too_many_arguments)]
+/// materializes.
 fn schur_update(
     a22: &CscMatrix,
     x_rows: &[usize],
     xt: &DenseMatrix,
     a12: &CscMatrix,
-    dense_switch: Option<f64>,
     ws: &mut SchurWorkspace,
     par: Parallelism,
     numerics: Numerics,
-) -> (CscMatrix, u64) {
+) -> CscMatrix {
     let m = a22.rows();
     let n = a22.cols();
     debug_assert_eq!(a12.cols(), n);
     debug_assert_eq!(a12.rows(), xt.rows());
-    let (lens, rowidx, values, dense_cols) =
-        schur_update_ranged(a22, x_rows, xt, a12, 0..n, dense_switch, ws, par, numerics);
-    (csc_from_col_lens(m, lens, rowidx, values), dense_cols)
+    let (lens, rowidx, values) = schur_update_ranged(a22, x_rows, xt, a12, 0..n, ws, par, numerics);
+    csc_from_col_lens(m, lens, rowidx, values)
 }
 
 /// A CSC matrix from per-column entry counts and the concatenated
@@ -968,70 +885,53 @@ pub(crate) fn schur_update_ranged(
     xt: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
-    dense_switch: Option<f64>,
     ws: &mut SchurWorkspace,
     par: Parallelism,
     numerics: Numerics,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>, u64) {
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     if !par.is_parallel() {
-        return schur_update_cols(a22, x_rows, xt, a12, range, dense_switch, ws, numerics);
+        return schur_update_cols(a22, x_rows, xt, a12, range, ws, numerics);
     }
-    type Partial = (Vec<usize>, Vec<usize>, Vec<f64>, u64);
     let lo = range.start;
     parallel_map_fold(
         par,
         range.len(),
         SCHUR_GRAIN,
-        (Vec::new(), Vec::new(), Vec::new(), 0u64),
-        |r| -> Partial {
+        (Vec::new(), Vec::new(), Vec::new()),
+        |r| {
             let mut chunk_ws = SchurWorkspace::new();
-            schur_update_cols(
-                a22,
-                x_rows,
-                xt,
-                a12,
-                lo + r.start..lo + r.end,
-                dense_switch,
-                &mut chunk_ws,
-                numerics,
-            )
+            let cols = lo + r.start..lo + r.end;
+            schur_update_cols(a22, x_rows, xt, a12, cols, &mut chunk_ws, numerics)
         },
         |mut acc, part| {
             acc.0.extend(part.0);
             acc.1.extend(part.1);
             acc.2.extend(part.2);
-            acc.3 += part.3;
             acc
         },
     )
 }
 
 /// Schur-complement kernel for a contiguous column range: returns the
-/// per-column entry counts, concatenated row indices and values, and
-/// the count of columns that took the dense path. Shared by the
-/// thread-parallel and the SPMD (rank-distributed) drivers.
+/// per-column entry counts and the concatenated row indices and values.
+/// Shared by the thread-parallel and the SPMD (rank-distributed)
+/// drivers.
 ///
-/// Per column the kernel is fill-aware: when `dense_switch` is set and
-/// the column's predicted density `min(nnz(a22 col) + |x_rows|, m) / m`
-/// reaches the threshold, the merge runs as a dense scatter through the
-/// workspace's [`SparseAccumulator`] instead of the sparse two-pointer
-/// walk. Both paths replay identical per-row floating-point chains
-/// (`corr` accumulation in ascending `t`, then `a22 - corr` / `-corr`)
-/// and emit rows ascending with the same drop-exact-zero rule, so the
-/// result is bitwise independent of the threshold — the property the
-/// sharded-vs-replicated oracle tests rely on.
-#[allow(clippy::too_many_arguments)]
+/// Per column: the correction `corr[q] = sum_t a12[t, j] * xt[t, q]` is
+/// accumulated in ascending `t` (fused multiply-adds in Fast mode), then
+/// a sorted two-pointer walk merges the `a22` column with `-corr` at
+/// `x_rows`, dropping exact zeros the update produced. Columns never
+/// read each other, so the result is bitwise independent of how `range`
+/// is cut — the property the sharded-vs-replicated oracle tests rely on.
 pub(crate) fn schur_update_cols(
     a22: &CscMatrix,
     x_rows: &[usize],
     xt: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
-    dense_switch: Option<f64>,
     ws: &mut SchurWorkspace,
     numerics: Numerics,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>, u64) {
-    let m = a22.rows();
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     let k = xt.rows();
     let nr = x_rows.len();
     let fast = numerics.is_fast();
@@ -1040,7 +940,6 @@ pub(crate) fn schur_update_cols(
     let mut lens = Vec::with_capacity(range.len());
     let mut rows_out = Vec::new();
     let mut vals_out = Vec::new();
-    let mut dense_cols = 0u64;
     let xt_data = xt.as_slice();
     for j in range {
         let (ti, tv) = a12.col(j);
@@ -1053,77 +952,47 @@ pub(crate) fn schur_update_cols(
             lens.push(rows_out.len() - before);
             continue;
         }
-        let go_dense = dense_switch
-            .is_some_and(|thr| m > 0 && ((ai.len() + nr).min(m)) as f64 >= thr * m as f64);
-        if go_dense {
-            dense_cols += 1;
-            let spa = &mut ws.spa;
-            spa.begin(m);
-            for (&r, &v) in ai.iter().zip(av) {
-                spa.set_keep(r, v);
-            }
-            for (q, &r) in x_rows.iter().enumerate() {
-                // corr[q] = sum_t a12[t, j] * xt[t, q] over column q of
-                // xt (contiguous), fused with its application. Fast
-                // mode fuses each step (the same chain the sparse path
-                // below replays, so hybrid == sparse holds per mode).
-                let xtc = &xt_data[q * k..q * k + k];
-                let mut acc = 0.0;
-                if fast {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc = v.mul_add(xtc[t], acc);
-                    }
-                } else {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc += v * xtc[t];
-                    }
+        for (q, cr) in ws.corr.iter_mut().enumerate() {
+            let xtc = &xt_data[q * k..q * k + k];
+            let mut acc = 0.0;
+            if fast {
+                for (&t, &v) in ti.iter().zip(tv) {
+                    acc = v.mul_add(xtc[t], acc);
                 }
-                spa.apply_sub(r, acc);
-            }
-            spa.extract_append(&mut rows_out, &mut vals_out);
-        } else {
-            for (q, cr) in ws.corr.iter_mut().enumerate() {
-                let xtc = &xt_data[q * k..q * k + k];
-                let mut acc = 0.0;
-                if fast {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc = v.mul_add(xtc[t], acc);
-                    }
-                } else {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc += v * xtc[t];
-                    }
+            } else {
+                for (&t, &v) in ti.iter().zip(tv) {
+                    acc += v * xtc[t];
                 }
-                *cr = acc;
             }
-            let corr = &ws.corr;
-            // Merge a22 column with -corr at x_rows.
-            let mut p = 0usize; // into a22 col
-            let mut q = 0usize; // into x_rows
-            while p < ai.len() || q < nr {
-                if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
+            *cr = acc;
+        }
+        let corr = &ws.corr;
+        // Merge a22 column with -corr at x_rows.
+        let mut p = 0usize; // into a22 col
+        let mut q = 0usize; // into x_rows
+        while p < ai.len() || q < nr {
+            if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
+                rows_out.push(ai[p]);
+                vals_out.push(av[p]);
+                p += 1;
+            } else if p >= ai.len() || x_rows[q] < ai[p] {
+                let v = -corr[q];
+                if v != 0.0 {
+                    rows_out.push(x_rows[q]);
+                    vals_out.push(v);
+                }
+                q += 1;
+            } else {
+                let v = av[p] - corr[q];
+                if v != 0.0 {
                     rows_out.push(ai[p]);
-                    vals_out.push(av[p]);
-                    p += 1;
-                } else if p >= ai.len() || x_rows[q] < ai[p] {
-                    let v = -corr[q];
-                    if v != 0.0 {
-                        rows_out.push(x_rows[q]);
-                        vals_out.push(v);
-                    }
-                    q += 1;
-                } else {
-                    let v = av[p] - corr[q];
-                    if v != 0.0 {
-                        rows_out.push(ai[p]);
-                        vals_out.push(v);
-                    }
-                    p += 1;
-                    q += 1;
+                    vals_out.push(v);
                 }
+                p += 1;
+                q += 1;
             }
         }
         lens.push(rows_out.len() - before);
     }
-    (lens, rows_out, vals_out, dense_cols)
+    (lens, rows_out, vals_out)
 }

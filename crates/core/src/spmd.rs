@@ -426,10 +426,8 @@ struct SpmdPanelCtx<'a> {
     /// The pivot panel the last column tournament broadcast: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
-    /// Columns this rank routed through the dense scatter path.
-    dense_cols: u64,
-    /// Kernel scratch reused across iterations (transpose target,
-    /// sparse accumulator).
+    /// Kernel scratch reused across iterations (correction vector,
+    /// transpose target).
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
     /// [`Self::build_reshard_parts`] pops donors instead of allocating
@@ -467,7 +465,6 @@ impl<'a> SpmdPanelCtx<'a> {
             opts,
             reshard,
             panel: CscMatrix::zeros(0, 0),
-            dense_cols: 0,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
             peak_bytes: 0,
@@ -489,10 +486,9 @@ impl<'a> SpmdPanelCtx<'a> {
         m_rest: usize,
         n_rest: usize,
         my_new: Range<usize>,
-        (lens, rows_out, vals_out, dense_cols): (Vec<usize>, Vec<usize>, Vec<f64>, u64),
+        (lens, rows_out, vals_out): (Vec<usize>, Vec<usize>, Vec<f64>),
     ) {
         debug_assert_eq!(lens.len(), my_new.len());
-        self.dense_cols += dense_cols;
         let next_local = csc_from_col_lens(m_rest, lens, rows_out, vals_out);
         self.shard = ColSlice::new(my_new.start, next_local);
         self.n_cur = n_rest;
@@ -522,7 +518,6 @@ impl<'a> SpmdPanelCtx<'a> {
             xt,
             &a12_own,
             0..a22_own.cols(),
-            self.opts.dense_switch,
             &mut self.ws,
             self.opts.par,
             self.opts.numerics,
@@ -600,20 +595,18 @@ impl<'a> SpmdPanelCtx<'a> {
         let mut lens: Vec<usize> = Vec::with_capacity(my_new.len());
         let mut rows_out: Vec<usize> = Vec::new();
         let mut vals_out: Vec<f64> = Vec::new();
-        let mut dc_total = 0u64;
         {
             let ws = &mut self.ws;
             let pool = &mut self.part_pool;
             let o = self.opts;
             pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
                 debug_assert_eq!(p22.rows(), m_rest);
-                let (l, r, v, dc) = schur_update_ranged(
+                let (l, r, v) = schur_update_ranged(
                     &p22,
                     x_rows,
                     xt,
                     &p12,
                     0..p22.cols(),
-                    o.dense_switch,
                     ws,
                     o.par,
                     o.numerics,
@@ -621,12 +614,11 @@ impl<'a> SpmdPanelCtx<'a> {
                 lens.extend(l);
                 rows_out.extend(r);
                 vals_out.extend(v);
-                dc_total += dc;
                 pool.push(p12);
                 pool.push(p22);
             });
         }
-        self.install_shard(m_rest, n_rest, my_new, (lens, rows_out, vals_out, dc_total));
+        self.install_shard(m_rest, n_rest, my_new, (lens, rows_out, vals_out));
     }
 }
 
@@ -881,25 +873,20 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         self.ctx.broadcast(0, pair)
     }
 
-    /// Max-over-ranks peak shard storage plus the summed dense-path
-    /// column count (identical on every rank).
+    /// Max-over-ranks peak shard storage (identical on every rank).
     fn mem_stats(&self) -> Option<MemStats> {
-        let (bytes, nnz, dense_cols) = self.ctx.allreduce(
-            (self.peak_bytes as u64, self.peak_nnz as u64, self.dense_cols),
-            |x, y| (x.0.max(y.0), x.1.max(y.1), x.2 + y.2),
+        let (bytes, nnz) = self.ctx.allreduce(
+            (self.peak_bytes as u64, self.peak_nnz as u64),
+            |x, y| (x.0.max(y.0), x.1.max(y.1)),
         );
         if self.rank == 0 {
             let g = lra_obs::metrics::global();
             g.set_gauge("mem.peak_rank_bytes", bytes as f64);
             g.set_gauge("mem.peak_rank_nnz", nnz as f64);
-            if self.opts.dense_switch.is_some() {
-                g.set_gauge("kernel.dense_switch", dense_cols as f64);
-            }
         }
         Some(MemStats {
             peak_rank_bytes: bytes,
             peak_rank_nnz: nnz,
-            dense_switch_cols: dense_cols,
         })
     }
 }
@@ -970,19 +957,17 @@ impl PanelEngine for ReplicatedEngine<'_> {
     ) -> Option<Self::Pending> {
         let n_rest = sp.a22.cols();
         let my_range = owned_range(&split_ranges(n_rest, self.ctx.size()), self.ctx.rank());
-        let (lens_p, rows_p, vals_p, _dense) = schur_update_ranged(
+        let partial = schur_update_ranged(
             &sp.a22,
             x_rows,
             xt,
             &sp.a12,
             my_range,
-            self.opts.dense_switch,
             &mut self.ws,
             self.opts.par,
             self.opts.numerics,
         );
-        let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
-            self.ctx.allgather((lens_p, rows_p, vals_p));
+        let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> = self.ctx.allgather(partial);
         let mut lens = Vec::with_capacity(n_rest);
         let mut rowidx = Vec::new();
         let mut values = Vec::new();

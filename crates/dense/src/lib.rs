@@ -40,4 +40,4 @@ pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{
     bidiagonal_svd_values, bidiagonalize, min_rank_for_tolerance, singular_values,
 };
-pub use tsqr::{tsqr, tsqr_mode, tsqr_r, tsqr_r_mode, tsqr_tree, Tsqr};
+pub use tsqr::{tsqr, tsqr_mode, tsqr_r, tsqr_tree, Tsqr};

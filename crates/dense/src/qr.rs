@@ -5,7 +5,7 @@
 //! (Algorithm 2, line 6) and as the building block of TSQR.
 
 use crate::DenseMatrix;
-use lra_par::{parallel_for, Parallelism};
+use lra_par::{parallel_chunks_mut, Parallelism};
 
 /// Compact Householder QR factorization `A = Q R`.
 ///
@@ -58,6 +58,17 @@ fn apply_householder(v: &[f64], tau: f64, c: &mut [f64]) {
     }
 }
 
+/// Run `body` on every `m`-long column of the column-major `cols`, four
+/// columns to a parallel chunk.
+fn for_each_col_mut(
+    par: Parallelism,
+    cols: &mut [f64],
+    m: usize,
+    body: impl Fn(&mut [f64]) + Sync,
+) {
+    parallel_chunks_mut(par, cols, 4 * m, |_, chunk| chunk.chunks_mut(m).for_each(&body));
+}
+
 /// Compute the Householder QR factorization of `a`.
 ///
 /// Trailing-matrix updates parallelize over columns; the panel itself is
@@ -79,22 +90,11 @@ pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
         if tj == 0.0 {
             continue;
         }
-        // Copy the reflector once so trailing columns can be updated in
-        // parallel without aliasing column j.
-        let v: Vec<f64> = f.col(j)[j..].to_vec();
-        let rows = m - j;
-        let fm_ptr = f.as_mut_slice().as_mut_ptr() as usize;
-        let trailing = n - j - 1;
-        parallel_for(par, trailing, 4, |range| {
-            for t in range {
-                let c = j + 1 + t;
-                // SAFETY: distinct trailing columns are disjoint slices.
-                let cj = unsafe {
-                    std::slice::from_raw_parts_mut((fm_ptr as *mut f64).add(c * m + j), rows)
-                };
-                apply_householder(&v, tj, cj);
-            }
-        });
+        // The reflector lives in column j of the head half, the
+        // trailing columns it updates in the tail half.
+        let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
+        let v = &head[j * m + j..];
+        for_each_col_mut(par, trailing, m, |col| apply_householder(v, tj, &mut col[j..]));
     }
     QrFactor { factors: f, tau }
 }
@@ -149,51 +149,28 @@ impl QrFactor {
     /// `B <- Q B` (apply reflectors in reverse order).
     pub fn apply_q(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_q: row mismatch");
-        let m = self.rows();
         for j in (0..self.rank_bound()).rev() {
-            let tj = self.tau[j];
-            if tj == 0.0 {
-                continue;
-            }
-            let v = &self.factors.col(j)[j..];
-            let ncols = b.cols();
-            let b_ptr = b.as_mut_slice().as_mut_ptr() as usize;
-            let rows = m - j;
-            parallel_for(par, ncols, 4, |range| {
-                for c in range {
-                    // SAFETY: disjoint columns of b.
-                    let cj = unsafe {
-                        std::slice::from_raw_parts_mut((b_ptr as *mut f64).add(c * m + j), rows)
-                    };
-                    apply_householder(v, tj, cj);
-                }
-            });
+            self.apply_reflector(j, b, par);
         }
     }
 
     /// `B <- Q^T B` (apply reflectors in forward order).
     pub fn apply_qt(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_qt: row mismatch");
-        let m = self.rows();
         for j in 0..self.rank_bound() {
-            let tj = self.tau[j];
-            if tj == 0.0 {
-                continue;
-            }
-            let v = &self.factors.col(j)[j..];
-            let ncols = b.cols();
-            let b_ptr = b.as_mut_slice().as_mut_ptr() as usize;
-            let rows = m - j;
-            parallel_for(par, ncols, 4, |range| {
-                for c in range {
-                    // SAFETY: disjoint columns of b.
-                    let cj = unsafe {
-                        std::slice::from_raw_parts_mut((b_ptr as *mut f64).add(c * m + j), rows)
-                    };
-                    apply_householder(v, tj, cj);
-                }
-            });
+            self.apply_reflector(j, b, par);
         }
+    }
+
+    /// `B <- H_j B` for reflector `j` (acts on rows `j..`).
+    fn apply_reflector(&self, j: usize, b: &mut DenseMatrix, par: Parallelism) {
+        let tj = self.tau[j];
+        if tj == 0.0 {
+            return;
+        }
+        let v = &self.factors.col(j)[j..];
+        let m = self.rows();
+        for_each_col_mut(par, b.as_mut_slice(), m, |col| apply_householder(v, tj, &mut col[j..]));
     }
 }
 
@@ -222,19 +199,13 @@ pub fn solve_upper_left(r: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> D
     assert_eq!(r.cols(), n, "solve_upper_left: R must be square");
     assert_eq!(b.rows(), n);
     let mut x = b.clone();
-    let nrhs = x.cols();
-    let x_ptr = x.as_mut_slice().as_mut_ptr() as usize;
-    parallel_for(par, nrhs, 4, |range| {
-        for c in range {
-            // SAFETY: disjoint columns.
-            let xc = unsafe { std::slice::from_raw_parts_mut((x_ptr as *mut f64).add(c * n), n) };
-            for i in (0..n).rev() {
-                let mut s = xc[i];
-                for l in i + 1..n {
-                    s -= r.get(i, l) * xc[l];
-                }
-                xc[i] = s / r.get(i, i);
+    for_each_col_mut(par, x.as_mut_slice(), n, |xc| {
+        for i in (0..n).rev() {
+            let mut s = xc[i];
+            for l in i + 1..n {
+                s -= r.get(i, l) * xc[l];
             }
+            xc[i] = s / r.get(i, i);
         }
     });
     x

@@ -12,7 +12,8 @@
 use crate::numerics::Numerics;
 use crate::qr::{qr, QrFactor};
 use crate::DenseMatrix;
-use lra_par::{parallel_for, split_ranges, Parallelism};
+use lra_par::{parallel_chunks_mut, split_ranges, Parallelism};
+use std::ops::Range;
 
 /// Result of a TSQR factorization with explicit thin `Q`.
 #[derive(Clone, Debug)]
@@ -24,247 +25,65 @@ pub struct Tsqr {
 }
 
 /// Choose the row blocking for `m x n`: every block must have at least
-/// `n` rows for its local `R` to be full size. The blocking depends on
-/// the shape only — never on the worker count — so TSQR results are
-/// bitwise deterministic across `np` (workers merely execute the fixed
-/// block set).
-fn blocking(m: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 || m == 0 {
-        return std::iter::once(0..m).collect();
+/// `n` rows for its local `R` to be full size, so `m <= n` is a single
+/// block. The blocking depends on the shape only — never on the worker
+/// count — so TSQR results are bitwise deterministic across `np`
+/// (workers merely execute the fixed block set).
+fn blocking(m: usize, n: usize) -> Vec<Range<usize>> {
+    if m <= n || n == 0 {
+        return vec![0..m];
     }
     let block_rows = (4 * n).max(256);
-    let nb = (m / block_rows.max(n)).clamp(1, m / n.max(1)).max(1);
-    split_ranges(m, nb)
+    split_ranges(m, (m / block_rows).clamp(1, m / n))
 }
 
-/// R-only TSQR: the `min(m,n) x n` triangular factor of `a`, without
-/// forming `Q`. This is the kernel tournament pivoting runs on candidate
-/// column panels (only column correlations matter for pivot selection).
-pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
-    let m = a.rows();
+/// Per-block local QR factors of `a` (parallel over blocks), or `None`
+/// when the shape gives a single block and the caller factors `a`
+/// directly.
+fn local_qrs(a: &DenseMatrix, par: Parallelism) -> Option<(Vec<Range<usize>>, Vec<QrFactor>)> {
     let n = a.cols();
-    if m <= n {
-        return qr(a, par).r();
+    let blocks = blocking(a.rows(), n);
+    if blocks.len() == 1 {
+        return None;
     }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        return qr(a, par).r();
-    }
-    let mut locals: Vec<DenseMatrix> = vec![DenseMatrix::zeros(0, 0); nb];
-    {
-        let locals_ptr = locals.as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let r = qr(&block, Parallelism::SEQ).r();
-                // SAFETY: each slot b written by exactly one task.
-                unsafe { *(locals_ptr as *mut DenseMatrix).add(b) = r };
-            }
-        });
-    }
-    let mut stacked = locals[0].clone();
-    for loc in &locals[1..] {
-        stacked = stacked.vcat(loc);
-    }
-    qr(&stacked, par).r()
+    let mut slots: Vec<Option<QrFactor>> = vec![None; blocks.len()];
+    parallel_chunks_mut(par, &mut slots, 1, |b, slot| {
+        let block = a.submatrix(blocks[b].start, 0, blocks[b].len(), n);
+        slot[0] = Some(qr(&block, Parallelism::SEQ));
+    });
+    let locals = slots.into_iter().map(|f| f.expect("one local QR per block")).collect();
+    Some((blocks, locals))
 }
 
-/// [`tsqr_r`] with an explicit [`Numerics`] mode: `Fast` merges the
-/// per-block `R` factors in a fixed pairwise binary tree (log2(nb)
-/// small QRs) instead of one tall stacked QR. The tree shape depends
-/// only on the block count, which [`blocking`] derives from the shape
-/// alone, so Fast results stay deterministic across worker counts.
-pub fn tsqr_r_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> DenseMatrix {
-    if !numerics.is_fast() {
-        return tsqr_r(a, par);
-    }
-    let m = a.rows();
-    let n = a.cols();
-    if m <= n {
-        return qr(a, par).r();
-    }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        return qr(a, par).r();
-    }
-    let locals = local_rs(a, &blocks, par);
-    let mut level = locals;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => next.push(qr(&x.vcat(&y), Parallelism::SEQ).r()),
-                None => next.push(x),
-            }
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty merge tree")
-}
-
-/// Per-block local `R` factors (parallel over blocks).
-fn local_rs(a: &DenseMatrix, blocks: &[std::ops::Range<usize>], par: Parallelism) -> Vec<DenseMatrix> {
-    let n = a.cols();
-    let nb = blocks.len();
-    let mut locals: Vec<DenseMatrix> = vec![DenseMatrix::zeros(0, 0); nb];
-    {
-        let locals_ptr = locals.as_mut_ptr() as usize;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let r = qr(&block, Parallelism::SEQ).r();
-                // SAFETY: each slot b written by exactly one task.
-                unsafe { *(locals_ptr as *mut DenseMatrix).add(b) = r };
-            }
-        });
-    }
-    locals
-}
-
-/// Full TSQR with explicit thin `Q`.
-pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
-    let m = a.rows();
-    let n = a.cols();
-    if m <= n {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    // Local QRs (parallel).
-    let mut local_f: Vec<Option<QrFactor>> = vec![None; nb];
-    {
-        let ptr = local_f.as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let f = qr(&block, Parallelism::SEQ);
-                // SAFETY: slot b written once.
-                unsafe { *(ptr as *mut Option<QrFactor>).add(b) = Some(f) };
-            }
-        });
-    }
-    let local_f: Vec<QrFactor> = local_f.into_iter().map(|f| f.unwrap()).collect();
-    // Stack the R factors (each n x n because every block has >= n rows).
-    let mut stacked = local_f[0].r();
-    for f in &local_f[1..] {
+/// The local `R` factors stacked on top of each other (each is `n x n`
+/// because every block has at least `n` rows).
+fn stacked_rs(locals: &[QrFactor]) -> DenseMatrix {
+    let mut stacked = locals[0].r();
+    for f in &locals[1..] {
         stacked = stacked.vcat(&f.r());
     }
-    let top = qr(&stacked, par);
-    let r = top.r();
-    let qs = top.q_thin(par); // (nb*n) x n
-    // Back-propagate: Q block i = Q_i * Qs[i*n..(i+1)*n, :].
-    let mut q = DenseMatrix::zeros(m, n);
-    {
-        let q_ptr = q.as_mut_slice().as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        let local_ref = &local_f;
-        let qs_ref = &qs;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let rows = rg.len();
-                // Expand Qs rows b*n..(b+1)*n to block height and apply Q_i.
-                let mut piece = DenseMatrix::zeros(rows, n);
-                for j in 0..n {
-                    for i in 0..n {
-                        piece.set(i, j, qs_ref.get(b * n + i, j));
-                    }
-                }
-                local_ref[b].apply_q(&mut piece, Parallelism::SEQ);
-                for j in 0..n {
-                    let src = piece.col(j);
-                    // SAFETY: row ranges of distinct blocks are disjoint.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (q_ptr as *mut f64).add(j * m + rg.start),
-                            rows,
-                        )
-                    };
-                    dst.copy_from_slice(src);
-                }
-            }
-        });
-    }
-    Tsqr { q, r }
+    stacked
 }
 
-/// [`tsqr`] with an explicit [`Numerics`] mode: `Fast` routes through
-/// [`tsqr_tree`], the pairwise binary-tree merge.
-pub fn tsqr_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> Tsqr {
-    if numerics.is_fast() {
-        tsqr_tree(a, par)
-    } else {
-        tsqr(a, par)
-    }
+/// Merge by one `(nb*n) x n` root QR of the stacked local `R`s. Returns
+/// `R` and, per block, the `n x n` slice of the root `Q` that block's
+/// local `Q` is multiplied by.
+fn merge_stacked(locals: &[QrFactor], par: Parallelism) -> (DenseMatrix, Vec<DenseMatrix>) {
+    let n = locals[0].cols();
+    let top = qr(&stacked_rs(locals), par);
+    let qs = top.q_thin(par);
+    let coeffs = (0..locals.len()).map(|b| qs.submatrix(b * n, 0, n, n)).collect();
+    (top.r(), coeffs)
 }
 
-/// Tree-reduction TSQR: per-block local QRs, then a fixed pairwise
-/// binary merge of the `n x n` `R` factors (each merge is one `2n x n`
-/// QR), with the thin `Q` reconstructed by back-propagating `n x n`
-/// coefficient blocks down the same tree. Compared to [`tsqr`] this
-/// replaces the single `(nb*n) x n` stacked root QR by `log2(nb)`
-/// levels of small merges — the "tree-reduced panel" of the fast
-/// numerics mode. The merge shape depends only on the block count
-/// (shape-derived), so results are deterministic across worker counts;
-/// they differ from [`tsqr`] only in rounding, normwise `O(n * eps)`.
-pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
-    let m = a.rows();
-    let n = a.cols();
-    if m <= n {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    // Local QRs (parallel). Every block has >= n rows, so every local
-    // (and merged) R is exactly n x n — the tree is shape-uniform.
-    let mut local_f: Vec<Option<QrFactor>> = vec![None; nb];
-    {
-        let ptr = local_f.as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let f = qr(&block, Parallelism::SEQ);
-                // SAFETY: slot b written once.
-                unsafe { *(ptr as *mut Option<QrFactor>).add(b) = Some(f) };
-            }
-        });
-    }
-    let local_f: Vec<QrFactor> = local_f.into_iter().map(|f| f.unwrap()).collect();
-    // Upward sweep: pairwise merges, odd node passes through (None).
+/// Merge by a fixed pairwise binary tree of `2n x n` QRs (an odd node
+/// passes through unchanged). Returns `R` and the per-block `n x n`
+/// coefficients, obtained by pushing the identity down the same tree:
+/// each merge node splits `Q_merge * [C; 0]` between its two children.
+fn merge_tree(locals: &[QrFactor]) -> (DenseMatrix, Vec<DenseMatrix>) {
+    let n = locals[0].cols();
     let mut levels: Vec<Vec<Option<QrFactor>>> = Vec::new();
-    let mut rs: Vec<DenseMatrix> = local_f.iter().map(|f| f.r()).collect();
+    let mut rs: Vec<DenseMatrix> = locals.iter().map(|f| f.r()).collect();
     while rs.len() > 1 {
         let mut facs = Vec::with_capacity(rs.len().div_ceil(2));
         let mut next = Vec::with_capacity(rs.len().div_ceil(2));
@@ -286,14 +105,10 @@ pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
         rs = next;
     }
     let r = rs.pop().expect("non-empty merge tree");
-    // Downward sweep: start from the identity coefficient at the root
-    // and push each node's n x n coefficient block through its merge Q
-    // (`Q_merge * [C; 0]`), splitting it between the two children.
     let mut coeffs: Vec<DenseMatrix> = vec![DenseMatrix::identity(n)];
     for facs in levels.iter().rev() {
         let mut child = Vec::with_capacity(coeffs.len() * 2);
-        for (node, fopt) in facs.iter().enumerate() {
-            let c = &coeffs[node];
+        for (c, fopt) in coeffs.iter().zip(facs) {
             match fopt {
                 Some(f) => {
                     let mut piece = DenseMatrix::zeros(2 * n, n);
@@ -307,36 +122,73 @@ pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
         }
         coeffs = child;
     }
-    debug_assert_eq!(coeffs.len(), nb);
-    // Leaf stage (parallel): block b of Q = Q_b * [C_b; 0].
-    let mut q = DenseMatrix::zeros(m, n);
-    {
-        let q_ptr = q.as_mut_slice().as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        let local_ref = &local_f;
-        let coeffs_ref = &coeffs;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let rows = rg.len();
-                let mut piece = DenseMatrix::zeros(rows, n);
-                piece.set_submatrix(0, 0, &coeffs_ref[b]);
-                local_ref[b].apply_q(&mut piece, Parallelism::SEQ);
-                for j in 0..n {
-                    let src = piece.col(j);
-                    // SAFETY: row ranges of distinct blocks are disjoint.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (q_ptr as *mut f64).add(j * m + rg.start),
-                            rows,
-                        )
-                    };
-                    dst.copy_from_slice(src);
-                }
-            }
-        });
+    debug_assert_eq!(coeffs.len(), locals.len());
+    (r, coeffs)
+}
+
+/// The one TSQR body: local QRs, `merge` of their `R`s, then the leaf
+/// back-propagation `Q block b = Q_b * [C_b; 0]` (parallel over blocks).
+fn tsqr_with(
+    a: &DenseMatrix,
+    par: Parallelism,
+    merge: impl Fn(&[QrFactor]) -> (DenseMatrix, Vec<DenseMatrix>),
+) -> Tsqr {
+    let Some((blocks, locals)) = local_qrs(a, par) else {
+        let f = qr(a, par);
+        return Tsqr {
+            q: f.q_thin(par),
+            r: f.r(),
+        };
+    };
+    let n = a.cols();
+    let (r, mut pieces) = merge(&locals);
+    parallel_chunks_mut(par, &mut pieces, 1, |b, slot| {
+        let mut piece = DenseMatrix::zeros(blocks[b].len(), n);
+        piece.set_submatrix(0, 0, &slot[0]);
+        locals[b].apply_q(&mut piece, Parallelism::SEQ);
+        slot[0] = piece;
+    });
+    let mut q = DenseMatrix::zeros(a.rows(), n);
+    for (rg, piece) in blocks.iter().zip(&pieces) {
+        q.set_submatrix(rg.start, 0, piece);
     }
     Tsqr { q, r }
+}
+
+/// R-only TSQR: the `min(m,n) x n` triangular factor of `a`, without
+/// forming `Q`. This is the kernel tournament pivoting runs on candidate
+/// column panels (only column correlations matter for pivot selection).
+pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
+    match local_qrs(a, par) {
+        Some((_, locals)) => qr(&stacked_rs(&locals), par).r(),
+        None => qr(a, par).r(),
+    }
+}
+
+/// Full TSQR with explicit thin `Q`: the local `R`s are merged by one
+/// stacked root QR.
+pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
+    tsqr_with(a, par, |locals| merge_stacked(locals, par))
+}
+
+/// [`tsqr`] with an explicit [`Numerics`] mode: `Fast` routes through
+/// [`tsqr_tree`], the pairwise binary-tree merge.
+pub fn tsqr_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> Tsqr {
+    if numerics.is_fast() {
+        tsqr_tree(a, par)
+    } else {
+        tsqr(a, par)
+    }
+}
+
+/// Tree-reduction TSQR: compared to [`tsqr`] this replaces the single
+/// `(nb*n) x n` stacked root QR by `log2(nb)` levels of `2n x n` merges
+/// — the "tree-reduced panel" of the fast numerics mode. The merge
+/// shape depends only on the block count (shape-derived), so results
+/// are deterministic across worker counts; they differ from [`tsqr`]
+/// only in rounding, normwise `O(n * eps)`.
+pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
+    tsqr_with(a, par, merge_tree)
 }
 
 #[cfg(test)]
@@ -400,38 +252,47 @@ mod tests {
         assert!(gram_a.max_abs_diff(&gram_r) < 1e-11);
     }
 
-    #[test]
-    fn tsqr_tree_reconstructs_and_is_np_stable() {
-        let a = rand_mat(1100, 8, 6);
-        let t1 = tsqr_tree(&a, Parallelism::new(1));
-        for np in [2, 4, 7] {
-            let t = tsqr_tree(&a, Parallelism::new(np));
-            let prod = matmul(&t.q, &t.r, Parallelism::SEQ);
-            assert!(prod.max_abs_diff(&a) < 1e-12, "np={np}");
-            assert!(t.q.orthogonality_error() < 1e-13, "np={np}");
-            // Bitwise-within-mode: the tree shape is worker-independent.
-            for (x, y) in t.r.as_slice().iter().zip(t1.r.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "np={np}");
-            }
-            for (x, y) in t.q.as_slice().iter().zip(t1.q.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "np={np}");
-            }
+    fn assert_bits(x: &DenseMatrix, y: &DenseMatrix, what: &str) {
+        assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()), "{what}: shape");
+        for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}");
         }
     }
 
     #[test]
-    fn tsqr_r_mode_fast_preserves_gram() {
-        let a = rand_mat(1300, 6, 7);
-        let r_fast = tsqr_r_mode(&a, Parallelism::new(3), Numerics::Fast);
-        assert_eq!(r_fast.rows(), 6);
-        let gram_a = crate::blas::matmul_tn(&a, &a, Parallelism::SEQ);
-        let gram_r = crate::blas::matmul_tn(&r_fast, &r_fast, Parallelism::SEQ);
-        assert!(gram_a.max_abs_diff(&gram_r) < 1e-10 * (1.0 + gram_a.max_abs()));
-        // Bitwise mode through the _mode entry is the plain tsqr_r.
-        let r_bit = tsqr_r_mode(&a, Parallelism::new(3), Numerics::Bitwise);
-        let r_ref = tsqr_r(&a, Parallelism::new(3));
-        for (x, y) in r_bit.as_slice().iter().zip(r_ref.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    fn entry_points_agree_bitwise_and_are_np_stable() {
+        // m <= n, exactly one block, 3 blocks, 5 blocks (the odd node
+        // passes through the tree).
+        for (m, n, nb) in [(6, 8, 1), (200, 8, 1), (800, 8, 3), (1300, 8, 5)] {
+            let a = rand_mat(m, n, m as u64);
+            assert_eq!(blocking(m, n).len(), nb, "{m}x{n}");
+            let one = Parallelism::new(1);
+            let (t1, tree1, r1) = (tsqr(&a, one), tsqr_tree(&a, one), tsqr_r(&a, one));
+            for np in [1, 3] {
+                let par = Parallelism::new(np);
+                let what = format!("{m}x{n} np={np}");
+                let (t, tree) = (tsqr(&a, par), tsqr_tree(&a, par));
+                for f in [&t, &tree] {
+                    let prod = matmul(&f.q, &f.r, Parallelism::SEQ);
+                    assert!(prod.max_abs_diff(&a) < 1e-12, "{what}");
+                    assert!(f.q.orthogonality_error() < 1e-13, "{what}");
+                }
+                // Worker counts only execute the shape-derived block set.
+                assert_bits(&t.q, &t1.q, &what);
+                assert_bits(&t.r, &t1.r, &what);
+                assert_bits(&tree.q, &tree1.q, &what);
+                assert_bits(&tree.r, &tree1.r, &what);
+                assert_bits(&tsqr_r(&a, par), &r1, &what);
+                // The R-only entry is the stacked merge without Q.
+                assert_bits(&t.r, &r1, &what);
+                // The mode entry selects between the two merges.
+                let bit = tsqr_mode(&a, par, Numerics::Bitwise);
+                assert_bits(&bit.q, &t.q, &what);
+                assert_bits(&bit.r, &t.r, &what);
+                let fast = tsqr_mode(&a, par, Numerics::Fast);
+                assert_bits(&fast.q, &tree.q, &what);
+                assert_bits(&fast.r, &tree.r, &what);
+            }
         }
     }
 

@@ -19,10 +19,8 @@ mod source;
 mod spmd;
 mod tournament;
 
-pub use lra_dense::Numerics;
 pub use source::ColumnSource;
 pub use spmd::{tournament_columns_spmd, tournament_columns_spmd_sharded};
 pub use tournament::{
-    panel_r, panel_r_mode, tournament_columns, tournament_columns_mode,
-    tournament_rows_dense, tournament_rows_dense_mode, ColumnSelection, TournamentTree,
+    panel_r, tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree,
 };

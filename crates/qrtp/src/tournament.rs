@@ -16,7 +16,7 @@
 //! and binary trees.
 
 use crate::source::ColumnSource;
-use lra_dense::{qr, qrcp, DenseMatrix, Numerics};
+use lra_dense::{qr, qrcp, DenseMatrix};
 use lra_par::{parallel_chunks_mut, Parallelism};
 
 /// Shape of the reduction tree (Section V; an ablation axis).
@@ -119,19 +119,6 @@ pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelis
     acc.expect("a support longer than one chunk has chunks")
 }
 
-/// [`panel_r`] with an explicit [`Numerics`] mode. The mode selects no
-/// different arithmetic here: a row-compressed panel has a handful of
-/// chunks, folded in one fixed order that depends only on the support —
-/// deterministic across worker counts in both modes.
-pub fn panel_r_mode<S: ColumnSource + ?Sized>(
-    src: &S,
-    idx: &[usize],
-    par: Parallelism,
-    _numerics: Numerics,
-) -> DenseMatrix {
-    panel_r(src, idx, par)
-}
-
 /// Rank the candidate columns `idx` at one tournament node: QRCP on the
 /// panel `R`, returning up to `k` winners (in pivot order) plus the
 /// QRCP `R` diagonal.
@@ -140,9 +127,8 @@ fn node_select<S: ColumnSource + ?Sized>(
     idx: &[usize],
     k: usize,
     par: Parallelism,
-    numerics: Numerics,
 ) -> (Vec<usize>, Vec<f64>) {
-    let r = panel_r_mode(src, idx, par, numerics);
+    let r = panel_r(src, idx, par);
     let f = qrcp(&r, k);
     let winners: Vec<usize> = f.perm[..f.steps.min(k)].iter().map(|&p| idx[p]).collect();
     (winners, f.r_diag())
@@ -160,21 +146,6 @@ pub fn tournament_columns<S: ColumnSource + ?Sized>(
     tree: TournamentTree,
     par: Parallelism,
 ) -> ColumnSelection {
-    tournament_columns_mode(src, candidates, k, tree, par, Numerics::Bitwise)
-}
-
-/// [`tournament_columns`] with an explicit [`Numerics`] mode, threaded
-/// into every node's panel-`R` factorization (see [`panel_r_mode`]).
-/// The tournament structure itself — leaf blocks, merge order, QRCP
-/// ranking — is identical in both modes.
-pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
-    src: &S,
-    candidates: Option<&[usize]>,
-    k: usize,
-    tree: TournamentTree,
-    par: Parallelism,
-    numerics: Numerics,
-) -> ColumnSelection {
     let all: Vec<usize>;
     let cand: &[usize] = match candidates {
         Some(c) => c,
@@ -186,7 +157,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     assert!(k > 0, "tournament with k = 0");
     if cand.len() <= k {
         // Nothing to select; still compute r_diag for the estimate.
-        let (sel, rd) = node_select(src, cand, k, par, numerics);
+        let (sel, rd) = node_select(src, cand, k, par);
         return ColumnSelection {
             selected: sel,
             r_diag: rd,
@@ -199,7 +170,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     let mut level: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
     parallel_chunks_mut(par, &mut level, 1, |b, slot| {
         let hi = ((b + 1) * block).min(cand.len());
-        slot[0] = node_select(src, &cand[b * block..hi], k, Parallelism::SEQ, numerics).0;
+        slot[0] = node_select(src, &cand[b * block..hi], k, Parallelism::SEQ).0;
     });
     match tree {
         TournamentTree::Binary => {
@@ -209,7 +180,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
                 let mut next: Vec<Vec<usize>> = vec![Vec::new(); pairs + usize::from(odd)];
                 parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
                     let merged = [level[2 * p].as_slice(), &level[2 * p + 1]].concat();
-                    slot[0] = node_select(src, &merged, k, Parallelism::SEQ, numerics).0;
+                    slot[0] = node_select(src, &merged, k, Parallelism::SEQ).0;
                 });
                 if odd {
                     let last = level.len() - 1;
@@ -223,7 +194,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
             for b in level.iter().skip(1) {
                 let mut merged = acc.clone();
                 merged.extend_from_slice(b);
-                let (sel, _) = node_select(src, &merged, k, par, numerics);
+                let (sel, _) = node_select(src, &merged, k, par);
                 acc = sel;
             }
             level = vec![acc];
@@ -231,7 +202,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     }
     // Root pass: final ranking of the winners (also yields r_diag).
     let winners = &level[0];
-    let (selected, r_diag) = node_select(src, winners, k, par, numerics);
+    let (selected, r_diag) = node_select(src, winners, k, par);
     ColumnSelection { selected, r_diag }
 }
 
@@ -244,19 +215,8 @@ pub fn tournament_rows_dense(
     tree: TournamentTree,
     par: Parallelism,
 ) -> Vec<usize> {
-    tournament_rows_dense_mode(q, k, tree, par, Numerics::Bitwise)
-}
-
-/// [`tournament_rows_dense`] with an explicit [`Numerics`] mode.
-pub fn tournament_rows_dense_mode(
-    q: &DenseMatrix,
-    k: usize,
-    tree: TournamentTree,
-    par: Parallelism,
-    numerics: Numerics,
-) -> Vec<usize> {
     let qt = q.transpose();
-    tournament_columns_mode(&qt, None, k, tree, par, numerics).selected
+    tournament_columns(&qt, None, k, tree, par).selected
 }
 
 #[cfg(test)]
@@ -292,15 +252,23 @@ mod tests {
 
     #[test]
     fn panel_r_matches_direct_qr() {
-        let a = rand_sparse(300, 6, 4, 1);
-        let idx: Vec<usize> = (0..6).collect();
-        for np in [1, 4] {
-            let r = panel_r(&a, &idx, Parallelism::new(np));
+        // One support chunk, then a support of several chunks so the
+        // fold actually merges.
+        for (a, cols) in [(rand_sparse(300, 6, 4, 1), 6), (rand_sparse(1400, 40, 20, 13), 40)] {
+            let idx: Vec<usize> = (0..cols).collect();
             let direct = lra_dense::qr(&a.to_dense(), Parallelism::SEQ).r();
-            // R is unique up to row signs; compare Gram matrices.
-            let g1 = lra_dense::matmul_tn(&r, &r, Parallelism::SEQ);
             let g2 = lra_dense::matmul_tn(&direct, &direct, Parallelism::SEQ);
-            assert!(g1.max_abs_diff(&g2) < 1e-10, "np={np}");
+            let r1 = panel_r(&a, &idx, Parallelism::new(1));
+            for np in [1, 4] {
+                let r = panel_r(&a, &idx, Parallelism::new(np));
+                // R is unique up to row signs; compare Gram matrices.
+                let g1 = lra_dense::matmul_tn(&r, &r, Parallelism::SEQ);
+                assert!(g1.max_abs_diff(&g2) < 1e-10 * (1.0 + g2.max_abs()), "np={np}");
+                // The fold order depends on the support only.
+                for (x, y) in r.as_slice().iter().zip(r1.as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "np={np}");
+                }
+            }
         }
     }
 
@@ -444,47 +412,6 @@ mod tests {
         let s1 = tournament_columns(&a, None, 8, TournamentTree::Binary, Parallelism::new(1));
         let s2 = tournament_columns(&a, None, 8, TournamentTree::Binary, Parallelism::new(4));
         assert_eq!(s1.selected, s2.selected, "tournament must be deterministic");
-    }
-
-    #[test]
-    fn fast_panel_r_preserves_gram_and_is_np_stable() {
-        // Tall panel so several support chunks form and the fold
-        // actually merges. The Gram matrix (what pivot ranking consumes)
-        // must match between the modes; the fast result itself must be
-        // bitwise stable across worker counts (support-only fold).
-        let a = rand_sparse(1400, 6, 5, 13);
-        let idx: Vec<usize> = (0..6).collect();
-        let r_bit = panel_r(&a, &idx, Parallelism::SEQ);
-        let r_fast = panel_r_mode(&a, &idx, Parallelism::new(1), Numerics::Fast);
-        let g_bit = lra_dense::matmul_tn(&r_bit, &r_bit, Parallelism::SEQ);
-        let g_fast = lra_dense::matmul_tn(&r_fast, &r_fast, Parallelism::SEQ);
-        assert!(g_bit.max_abs_diff(&g_fast) < 1e-10 * (1.0 + g_bit.max_abs()));
-        let r_fast4 = panel_r_mode(&a, &idx, Parallelism::new(4), Numerics::Fast);
-        for (x, y) in r_fast.as_slice().iter().zip(r_fast4.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "fast panel must be np-stable");
-        }
-    }
-
-    #[test]
-    fn fast_tournament_is_np_stable() {
-        let a = rand_sparse(150, 64, 5, 14);
-        let s1 = tournament_columns_mode(
-            &a,
-            None,
-            8,
-            TournamentTree::Binary,
-            Parallelism::new(1),
-            Numerics::Fast,
-        );
-        let s2 = tournament_columns_mode(
-            &a,
-            None,
-            8,
-            TournamentTree::Binary,
-            Parallelism::new(4),
-            Numerics::Fast,
-        );
-        assert_eq!(s1.selected, s2.selected);
         for (x, y) in s1.r_diag.iter().zip(&s2.r_diag) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -750,8 +750,10 @@ mod tests {
         let rollback0 = counter("recover.rollback");
         let back = store.load::<Toy>().unwrap().unwrap();
         assert_eq!(back.xs, vec![1.5], "rolled back to generation 1");
-        assert_eq!(counter("recover.corrupt_checkpoint"), corrupt0 + 1);
-        assert_eq!(counter("recover.rollback"), rollback0 + 1);
+        // The counters are process-global and sibling tests running in
+        // parallel skip corrupt generations too: pin the delta from below.
+        assert!(counter("recover.corrupt_checkpoint") > corrupt0);
+        assert!(counter("recover.rollback") > rollback0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,5 @@
 //! Reusable sparse accumulator (SPA): the dense-scratch workspace
-//! behind the SpGEMM and Schur-update kernels.
+//! behind the SpGEMM kernel.
 //!
 //! The classic Gustavson accumulator keeps a dense value array plus a
 //! pattern list and sorts the pattern before emitting each column. This
@@ -18,10 +18,8 @@
 //! floating-point chain of the reference kernels (`0.0` init followed
 //! by in-visit-order adds), and extraction walks rows in the same
 //! ascending order — so SPA-based kernels are **bitwise identical** to
-//! their sort-based references. The stamp's low bit carries the
-//! emission policy the Schur merge needs: flagged rows are dropped when
-//! their value is exactly zero (computed cancellation), unflagged rows
-//! are emitted unconditionally (pre-existing stored entries).
+//! their sort-based references, including the rule that a row whose
+//! accumulated value is exactly zero is not emitted.
 
 /// Dense scratch + generation stamps + occupancy bitset. Create once,
 /// call [`SparseAccumulator::begin`] per output column, scatter, then
@@ -31,13 +29,13 @@
 pub struct SparseAccumulator {
     /// Dense value scratch, one slot per row.
     vals: Vec<f64>,
-    /// `generation << 1 | drop_if_zero` per row; a row is live for the
-    /// current column iff its stamp's generation matches.
+    /// Generation per row; a row is live for the current column iff its
+    /// stamp matches.
     stamp: Vec<u64>,
     /// Occupancy bitset over rows, cleared lazily over the touched
     /// word range at each [`SparseAccumulator::begin`].
     occ: Vec<u64>,
-    /// Current generation (even; the low stamp bit is the flag).
+    /// Current generation.
     gen: u64,
     /// Touched word range `wlo..=whi` of `occ` (`wlo > whi` = empty).
     wlo: usize,
@@ -79,7 +77,7 @@ impl SparseAccumulator {
         }
         self.wlo = usize::MAX;
         self.whi = 0;
-        self.gen += 2;
+        self.gen += 1;
     }
 
     #[inline]
@@ -96,50 +94,21 @@ impl SparseAccumulator {
 
     /// Gustavson scatter-add: `acc[r] += v`, first touch initializing
     /// the slot to `0.0` (the reference kernels' exact chain — note
-    /// `0.0 + v` is not always bitwise `v`). Rows added this way are
-    /// dropped at extraction when their final value is exactly zero.
+    /// `0.0 + v` is not always bitwise `v`).
     #[inline]
     pub fn scatter_add(&mut self, r: usize, v: f64) {
-        if self.stamp[r] & !1 == self.gen {
+        if self.stamp[r] == self.gen {
             self.vals[r] += v;
         } else {
-            self.stamp[r] = self.gen | 1;
+            self.stamp[r] = self.gen;
             self.vals[r] = 0.0;
             self.vals[r] += v;
             self.mark(r);
         }
     }
 
-    /// Store a pre-existing entry: `acc[r] = v`, emitted at extraction
-    /// unconditionally (even when `v` is exactly zero) unless a later
-    /// [`SparseAccumulator::apply_sub`] touches the row. The row must
-    /// not be live yet (callers scatter each stored column once).
-    #[inline]
-    pub fn set_keep(&mut self, r: usize, v: f64) {
-        debug_assert!(self.stamp[r] & !1 != self.gen, "row scattered twice");
-        self.stamp[r] = self.gen;
-        self.vals[r] = v;
-        self.mark(r);
-    }
-
-    /// Apply a correction: `acc[r] -= v` when the row is live, else
-    /// `acc[r] = -v`. Either way the row becomes drop-if-zero — the
-    /// Schur merge's exact emission policy for rows reached by the
-    /// low-rank correction.
-    #[inline]
-    pub fn apply_sub(&mut self, r: usize, v: f64) {
-        if self.stamp[r] & !1 == self.gen {
-            self.vals[r] -= v;
-            self.stamp[r] = self.gen | 1;
-        } else {
-            self.stamp[r] = self.gen | 1;
-            self.vals[r] = -v;
-            self.mark(r);
-        }
-    }
-
     /// Append the live rows in ascending order to `rows`/`vals`,
-    /// dropping flagged rows whose value is exactly zero.
+    /// dropping rows whose value is exactly zero.
     pub fn extract_append(&self, rows: &mut Vec<usize>, vals: &mut Vec<f64>) {
         if self.wlo > self.whi {
             return;
@@ -151,7 +120,7 @@ impl SparseAccumulator {
                 let r = base + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let v = self.vals[r];
-                if self.stamp[r] & 1 == 0 || v != 0.0 {
+                if v != 0.0 {
                     rows.push(r);
                     vals.push(v);
                 }
@@ -194,20 +163,17 @@ mod tests {
     }
 
     #[test]
-    fn exact_cancellation_dropped_for_flagged_rows_only() {
+    fn exact_cancellation_is_dropped() {
         let mut spa = SparseAccumulator::new();
         spa.begin(8);
         spa.scatter_add(1, 1.0);
         spa.scatter_add(1, -1.0); // cancels -> dropped
-        spa.set_keep(2, 0.0); // stored entry -> kept
-        spa.set_keep(3, 4.0);
-        spa.apply_sub(3, 4.0); // cancels after correction -> dropped
-        spa.apply_sub(4, -2.5); // absent row: becomes 2.5
+        spa.scatter_add(4, 2.5);
         let mut rows = Vec::new();
         let mut vals = Vec::new();
         spa.extract_append(&mut rows, &mut vals);
-        assert_eq!(rows, vec![2, 4]);
-        assert_eq!(vals, vec![0.0, 2.5]);
+        assert_eq!(rows, vec![4]);
+        assert_eq!(vals, vec![2.5]);
     }
 
     #[test]

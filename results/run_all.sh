@@ -1,14 +1,11 @@
 #!/bin/bash
-cd /root/repo
-set -x
-T() { /usr/bin/time -v "$@" ; }
-cargo run --release -p lra-bench --bin table1 > results/table1.txt 2>&1
-cargo run --release -p lra-bench --bin fig1_right > results/fig1_right.txt 2>&1
-cargo run --release -p lra-bench --bin fig1_left > results/fig1_left.txt 2>&1
-cargo run --release -p lra-bench --bin fig4 > results/fig4.txt 2>&1
-cargo run --release -p lra-bench --bin fig5 > results/fig5.txt 2>&1
-cargo run --release -p lra-bench --bin fig6 > results/fig6.txt 2>&1
-cargo run --release -p lra-bench --bin fig2 -- --tsvd > results/fig2.txt 2>&1
-cargo run --release -p lra-bench --bin fig3 > results/fig3.txt 2>&1
-cargo run --release -p lra-bench --bin table2 > results/table2.txt 2>&1
+# Regenerate every table and figure text file under results/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+cargo build --release -p lra-bench
+B=target/release
+for bin in table1 table2 fig1_left fig1_right fig3 fig4 fig5 fig6; do
+  "$B/$bin" > "results/$bin.txt" 2>/dev/null
+done
+"$B/fig2" --tsvd > results/fig2.txt 2>/dev/null
 echo ALL_EXPERIMENTS_DONE

@@ -21,8 +21,8 @@
 //!    is correctly rounded and the pairwise reduction shape depends
 //!    only on operand length, never worker count. So every bitwise
 //!    equivalence the repo pins for Bitwise — resume == uninterrupted,
-//!    sharded == replicated, hybrid == always-sparse — must also hold
-//!    *within* Fast mode, bit for bit.
+//!    sharded == replicated — must also hold *within* Fast mode, bit
+//!    for bit.
 //!
 //! Mode-pinning: checkpoints record the mode in their envelope, and a
 //! resume under the other mode is a typed error, never a silent switch
@@ -298,24 +298,6 @@ fn fast_sharded_matches_fast_replicated_bitwise() {
         let o = oracle.swap_remove(0);
         assert!(s.converged, "np={np}: {:?}", s.breakdown);
         assert_result_bits(&s, &o, &format!("fast sharded np={np}"));
-    }
-}
-
-/// The fill-aware hybrid Schur kernel replays the sparse merge's exact
-/// floating-point chains *per mode*: in Fast mode the dense scatter
-/// path must still agree bitwise with the always-sparse Fast run at
-/// every switch threshold.
-#[test]
-fn fast_hybrid_matches_fast_sparse_bitwise() {
-    let a = lra::matgen::with_decay(&lra::matgen::fluid_block(10, 8, 17), 1e-7, 19);
-    let base = IlutOpts::new(8, 1e-2, 4).with_numerics(Numerics::Fast);
-    let baseline = ilut_crtp(&a, &base);
-    assert!(baseline.converged, "{:?}", baseline.breakdown);
-    for thr in [f64::MIN_POSITIVE, 0.05, 1.0] {
-        let mut opts = base.clone();
-        opts.base = opts.base.with_dense_switch(thr);
-        let hybrid = ilut_crtp(&a, &opts);
-        assert_result_bits(&hybrid, &baseline, &format!("fast hybrid thr={thr}"));
     }
 }
 
