@@ -4,7 +4,7 @@
 //! ILUT_CRTP sweep on a fill-heavy preset that supplies the report's
 //! entries.
 //!
-//! Three claims are enforced, not just measured (exit 1 on regression):
+//! Four claims are enforced, not just measured (exit 1 on regression):
 //!
 //! 1. **Blocked GEMM** must beat the naive triple loop by at least
 //!    [`GEMM_MIN_SPEEDUP`]x at `n = `[`GEMM_N`] (best-of-[`REPS`],
@@ -18,6 +18,13 @@
 //!    (min-across-ranks) `overlap_wait_ns` vs the eager oracle's
 //!    skew-free `alltoallv_wait_ns`, summed over [`OVERLAP_REPS`]
 //!    paired reps.
+//! 4. **Two workers never lose to one**: interleaved best-of
+//!    `t(np=1) / t(np=2)` must reach [`GEMM_PAR2_MIN`] for blocked GEMM
+//!    at `n = `[`GEMM_N`] and [`QB_PAR2_MIN`] for `rand_qb_ei` p=1 on
+//!    the economic preset, whose ~170 Householder and TSQR regions per
+//!    block iteration are the finest-grained in the workspace. Skipped
+//!    (reported, not gated) on a host with fewer than two cores. The
+//!    per-region cost of the `lra-par` pool is reported beside it.
 //!
 //! ```sh
 //! cargo run -p lra-bench --release --bin kernel_bench -- --out BENCH_kernels.json
@@ -26,14 +33,16 @@
 //!
 //! The `BENCH_kernels.json` report (frozen v1 schema) carries one
 //! entry per ILUT run plus dimensionless `kernel.*` gauges
-//! (`gemm_speedup`, `gemm_fast_speedup`, `overlap_hidden_ratio`) under
+//! (`gemm_speedup`, `gemm_fast_speedup`, `overlap_hidden_ratio`,
+//! `gemm_par2_speedup`, `qb_par2_speedup`) under
 //! `metrics`, so CI can diff machine-independent ratios against the
 //! committed baseline in `results/`.
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
-    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, IlutOpts, LuCrtpResult, Parallelism,
+    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, IlutOpts, LuCrtpResult,
+    Parallelism, QbOpts,
 };
 use lra_dense::{matmul, matmul_mode, matmul_naive, DenseMatrix, Numerics};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
@@ -74,6 +83,18 @@ const OVERLAP_MIN_HIDDEN: f64 = 0.5;
 /// is meaningless) contributes almost nothing to either sum, while a
 /// genuinely un-hidden exchange inflates every rep's numerator.
 const OVERLAP_REPS: usize = 5;
+/// Minimum `t(np=1) / t(np=2)` for blocked GEMM at `n = `[`GEMM_N`]
+/// (measured ~1.7x on two cores).
+const GEMM_PAR2_MIN: f64 = 1.2;
+/// Minimum `t(np=1) / t(np=2)` for `rand_qb_ei` p=1: a second worker
+/// must at least pay for its regions (measured ~1.3x on two cores).
+const QB_PAR2_MIN: f64 = 1.0;
+/// Best-of repetitions per side of the QB pair.
+const QB_REPS: usize = 3;
+/// Block size for the QB pair (the benchmark's `k`).
+const QB_K: usize = 32;
+/// Empty two-chunk regions timed for `kernel.region_overhead_s`.
+const REGIONS: usize = 2000;
 
 fn main() {
     let mut out_path = "BENCH_kernels.json".to_string();
@@ -103,6 +124,7 @@ fn main() {
     let gemm_ok = gemm_gate(&reg);
     ilut_sweep(&cfg, &reg, &mut entries);
     let overlap_ok = overlap_gate(&cfg, &reg);
+    let par2_ok = par2_gate(&cfg, &reg);
 
     let report = BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
@@ -122,7 +144,7 @@ fn main() {
         .unwrap_or_else(|err| fail(&format!("cannot write {out_path}: {err}")));
     println!("wrote {out_path} ({} entries)", report.entries.len());
 
-    if !(gemm_ok && overlap_ok) {
+    if !(gemm_ok && overlap_ok && par2_ok) {
         std::process::exit(1);
     }
 }
@@ -373,6 +395,85 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
             100.0 * hidden,
             100.0 * OVERLAP_MIN_HIDDEN
         );
+        return false;
+    }
+    true
+}
+
+/// Gate 4: a second worker must pay for itself — blocked GEMM at
+/// n = [`GEMM_N`] and a whole `rand_qb_ei` p=1 solve, each as the ratio
+/// of interleaved best-of wall times at np=1 and np=2.
+fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
+    let two = Parallelism::new(2);
+
+    // Per-region cost of the pool: caller plus one helper, one empty
+    // chunk each. The untimed first round starts the helper thread.
+    let empty_regions = || {
+        for _ in 0..REGIONS {
+            lra_par::parallel_for(two, 2, 1, |r| {
+                std::hint::black_box(r);
+            });
+        }
+    };
+    empty_regions();
+    let region_s = timed(empty_regions).1 / REGIONS as f64;
+    reg.set_gauge("kernel.region_overhead_s", region_s);
+    println!("par region: {:.2} us per empty np=2 region", 1e6 * region_s);
+
+    // One loop for both pairs, so the GEMM samples are spread over the
+    // seconds the QB solves take: a phase in which the host runs the
+    // two workers on one core (seen for up to a few seconds on shared
+    // runners) then has to outlast the whole gate to fail it.
+    let a = dense_operand(GEMM_N, 1);
+    let b = dense_operand(GEMM_N, 2);
+    let n = if cfg.quick { 2000 } else { 4000 } * cfg.scale.max(1);
+    let econ = lra_matgen::with_decay_rank(&lra_matgen::economic(n, 40, 105), 1e-6, n / 5, 15);
+    let mut gemm = [f64::INFINITY; 2];
+    let mut qb = [f64::INFINITY; 2];
+    for _ in 0..QB_REPS {
+        for (i, par) in [Parallelism::SEQ, two].into_iter().enumerate() {
+            for _ in 0..REPS {
+                let ((), s) = timed(|| {
+                    std::hint::black_box(matmul(&a, &b, par));
+                });
+                gemm[i] = gemm[i].min(s);
+            }
+            let opts = QbOpts::new(QB_K, 1e-2).with_power(1).with_par(par);
+            let (res, s) = timed(|| rand_qb_ei(&econ, &opts));
+            if !res.is_ok_and(|r| r.converged) {
+                eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
+                return false;
+            }
+            qb[i] = qb[i].min(s);
+        }
+    }
+    let gemm_speedup = gemm[0] / gemm[1].max(1e-12);
+    reg.set_gauge("kernel.gemm_par2_speedup", gemm_speedup);
+    let qb_speedup = qb[0] / qb[1].max(1e-12);
+    reg.set_gauge("kernel.qb_par2_speedup", qb_speedup);
+
+    println!(
+        "par2 gemm n={GEMM_N}: np=1 {} np=2 {} speedup {gemm_speedup:.2}x \
+         (gate >= {GEMM_PAR2_MIN}x)",
+        fmt_s(gemm[0]),
+        fmt_s(gemm[1])
+    );
+    println!(
+        "par2 rand_qb_ei p=1 economic{n}: np=1 {} np=2 {} speedup {qb_speedup:.2}x \
+         (gate >= {QB_PAR2_MIN}x)",
+        fmt_s(qb[0]),
+        fmt_s(qb[1])
+    );
+    if lra_par::available_parallelism() < 2 {
+        println!("par2: single-core host, ratios reported but not gated");
+        return true;
+    }
+    if gemm_speedup < GEMM_PAR2_MIN {
+        eprintln!("FAIL: GEMM np=2 speedup {gemm_speedup:.2}x below {GEMM_PAR2_MIN}x");
+        return false;
+    }
+    if qb_speedup < QB_PAR2_MIN {
+        eprintln!("FAIL: rand_qb_ei np=2 speedup {qb_speedup:.2}x below {QB_PAR2_MIN}x");
         return false;
     }
     true

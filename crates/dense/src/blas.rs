@@ -38,9 +38,23 @@ const NR: usize = 4;
 /// the packed block (`NC * k` doubles) stays L2-resident at the
 /// benchmarked `k = 512`.
 const NC: usize = 64;
-/// Grain size (output columns per task) for parallel GEMM loops — a
+/// Smallest grain (output columns per task) for parallel GEMM loops — a
 /// multiple of [`NR`] so full-width tiles form inside every task.
 const COL_GRAIN: usize = 8;
+
+/// Output columns per task of the blocked driver: an even share of the
+/// `n` columns in whole [`NR`] tiles, between [`COL_GRAIN`] and the
+/// [`NC`] block a task packs and sweeps at a time. Every task streams
+/// the whole packed `A` once per block, so a task narrower than it has
+/// to be pays that stream for a fraction of the reuse (8-column tasks
+/// made np = 2 slower than np = 1 at 512^3), and a wider one would
+/// only loop over blocks. Tasks own whole columns, so the grain never
+/// shows in the bits.
+fn blocked_col_grain(n: usize, par: Parallelism) -> usize {
+    n.div_ceil(par.np())
+        .next_multiple_of(NR)
+        .clamp(COL_GRAIN, NC)
+}
 
 /// `C = A * B`.
 pub fn matmul(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
@@ -222,7 +236,7 @@ fn gemm_blocked<const SUB: bool>(
         }
     }
     let c_ptr = c.as_mut_slice().as_mut_ptr() as usize;
-    parallel_for(par, n, COL_GRAIN, |range| {
+    parallel_for(par, n, blocked_col_grain(n, par), |range| {
         let mut col = vec![0.0f64; k];
         let mut bt = vec![0.0f64; NC * k];
         let mut any_zero = [false; NC / NR];

@@ -1,4 +1,5 @@
-//! Minimal data-parallel substrate built on `crossbeam` scoped threads.
+//! Minimal data-parallel substrate: one persistent pool of helper
+//! threads, std only.
 //!
 //! The paper's implementations run on MPI; this crate provides the
 //! shared-memory work-sharing layer used by the dense/sparse kernels
@@ -8,14 +9,31 @@
 //! process counts deterministically (Figs. 4-6 of the paper).
 //!
 //! No rayon: work distribution is a shared atomic chunk counter drained
-//! by `np` scoped worker threads, which is sufficient for the regular,
-//! coarse-grained loops in this project.
+//! by the calling thread plus up to `np - 1` helpers of a lazily
+//! started, process-wide pool (`pool.rs`, the only place a thread is
+//! spawned), which is sufficient for the regular, coarse-grained loops
+//! in this project. A region costs a queue push and a wake-up, not a
+//! thread spawn, and the caller never waits for a helper to start, so
+//! regions may nest and may be opened from several OS threads at once.
+//!
+//! A body must not depend on *which* thread runs a chunk: chunks go to
+//! whoever claims them first, the caller included, and helpers outlive
+//! the region. (Thread-local state set up by the caller is therefore
+//! invisible to helper-run chunks; the workspace's one thread-local
+//! test hook, `numerics_test_hooks` in `lra-dense`, is armed at np=1
+//! only, where every chunk runs on the caller.)
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+mod pool;
 pub mod record;
 pub use record::{is_recording, label_scope, Profile};
+
+/// The result-slot and chunk-iterator locks guard a store or a
+/// `next()`, neither of which can panic.
+const SLOT_LOCK: &str = "lra-par data locks are never held across a panic";
 
 /// Degree of parallelism to use for a kernel invocation.
 ///
@@ -136,21 +154,27 @@ where
         body(0..n);
         return;
     }
+    drain_chunks(workers, nchunks, &|c| body(chunk_range(c, grain, n)));
+}
+
+/// Index range of chunk `c` when `0..n` is cut into `grain`-long chunks.
+fn chunk_range(c: usize, grain: usize, n: usize) -> Range<usize> {
+    let start = c * grain;
+    start..(start + grain).min(n)
+}
+
+/// Run `chunk(c)` once for every `c` in `0..nchunks` on `workers >= 2`
+/// threads, the caller being one of them: indices are claimed from a
+/// shared counter, so each goes to exactly one thread. A panicking
+/// chunk is re-raised after the remaining chunks have drained.
+fn drain_chunks(workers: usize, nchunks: usize, chunk: &(dyn Fn(usize) + Sync)) {
     let next = AtomicUsize::new(0);
-    // A worker panic unwinds out of `scope` after the remaining
-    // workers drain their chunks (std scopes join before propagating).
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= nchunks {
-                    break;
-                }
-                let start = c * grain;
-                let end = (start + grain).min(n);
-                body(start..end);
-            });
+    pool::region(workers - 1, &|| loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        if c >= nchunks {
+            break;
         }
+        chunk(c);
     });
 }
 
@@ -205,33 +229,17 @@ where
         }
         return acc;
     }
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(nchunks);
-    slots.resize_with(nchunks, || None);
-    {
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next = &next;
-                let body = &body;
-                scope.spawn(move || loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= nchunks {
-                        break;
-                    }
-                    let start = c * grain;
-                    let end = (start + grain).min(n);
-                    let val = body(start..end);
-                    // SAFETY: each chunk index `c` is claimed by exactly one
-                    // worker, so writes to slot `c` never alias.
-                    unsafe { *slots_ptr.get().add(c) = Some(val) };
-                });
-            }
-        });
-    }
+    // One lock per chunk result, each taken once by the worker that
+    // claimed the chunk and once below.
+    let slots: Vec<Mutex<Option<T>>> = (0..nchunks).map(|_| Mutex::new(None)).collect();
+    drain_chunks(workers, nchunks, &|c| {
+        let val = body(chunk_range(c, grain, n));
+        *slots[c].lock().expect(SLOT_LOCK) = Some(val);
+    });
     let mut acc = init;
     for slot in slots {
-        acc = fold(acc, slot.expect("chunk result missing"));
+        let val = slot.into_inner().expect(SLOT_LOCK);
+        acc = fold(acc, val.expect("chunk result missing"));
     }
     acc
 }
@@ -269,71 +277,14 @@ where
         }
         return;
     }
-    let base = SendPtr(data.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let body = &body;
-            scope.spawn(move || loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= nchunks {
-                    break;
-                }
-                let start = c * grain;
-                let len = grain.min(n - start);
-                // SAFETY: chunks [start, start+len) are disjoint across
-                // distinct chunk indices, and each index is claimed once.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), len) };
-                body(c, chunk);
-            });
-        }
+    // Chunks are handed out in index order from one shared iterator;
+    // the lock is held for the `next()` only.
+    let chunks = Mutex::new(data.chunks_mut(grain).enumerate());
+    pool::region(workers - 1, &|| loop {
+        let claimed = chunks.lock().expect(SLOT_LOCK).next();
+        let Some((c, chunk)) = claimed else { break };
+        body(c, chunk);
     });
-}
-
-/// Run two closures potentially in parallel and return both results.
-pub fn join<A, B, RA, RB>(par: Parallelism, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if !par.is_parallel() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("join worker panicked");
-        (ra, rb)
-    })
-}
-
-/// Raw pointer wrapper that is `Send`/`Sync`; used only for writes to
-/// provably disjoint regions.
-struct SendPtr<T>(*mut T);
-// Manual impls: `derive(Copy)` would demand `T: Copy`, but only the
-// pointer is copied.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor that forces closures to capture the whole wrapper
-    /// (edition-2021 closures would otherwise capture the raw pointer
-    /// field directly and lose the `Send` impl).
-    #[inline]
-    fn get(self) -> *mut T {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -440,15 +391,6 @@ mod tests {
         for (i, x) in data.iter().enumerate() {
             assert_eq!(*x, i);
         }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(Parallelism::new(2), || 1 + 1, || "x".to_string());
-        assert_eq!(a, 2);
-        assert_eq!(b, "x");
-        let (a, b) = join(Parallelism::SEQ, || 3, || 4);
-        assert_eq!((a, b), (3, 4));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use lra::core::{lu_crtp, rand_qb_ei, Checkpoint, CheckpointStore, LuCrtpOpts, Parallelism, QbOpts};
 use lra::obs::Json;
 use lra::dense::{
-    matmul, matmul_tn, orth, qr, qrcp, singular_values, tsqr, DenseMatrix,
+    matmul, matmul_naive, matmul_nt, matmul_nt_naive, matmul_sub_assign, matmul_sub_assign_naive,
+    matmul_tn, orth, qr, qrcp, singular_values, tsqr, DenseMatrix,
 };
 use lra::sparse::{spgemm, spmm_dense, CooMatrix, CscMatrix};
 use proptest::prelude::*;
@@ -251,6 +252,46 @@ proptest! {
         let c = spmm_dense(&a, &d, Parallelism::new(2));
         let c_ref = matmul(&a.to_dense(), &d, Parallelism::SEQ);
         prop_assert!(c.max_abs_diff(&c_ref) < 1e-10);
+    }
+}
+
+/// Deterministic dense operand; every fourth entry is an exact zero so
+/// the bitwise kernel's zero-skip sweep is taken as well.
+fn gemm_operand(rows: usize, cols: usize, salt: usize) -> DenseMatrix {
+    DenseMatrix::from_fn(rows, cols, |i, j| {
+        let h = (i * 31 + j * 17 + salt * 7) % 97;
+        if h.is_multiple_of(4) { 0.0 } else { h as f64 / 9.7 - 5.0 }
+    })
+}
+
+/// The blocked GEMM family is bitwise the naive loops for every worker
+/// count, at output widths on both sides of the 8-column minimum grain,
+/// the 64-column packed block and a ragged last task (the GEMM half of
+/// `crates/dense/tests/blocked_kernels.rs`, which tier-1 never runs).
+#[test]
+fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
+    let (m, k) = (19, 23);
+    let a = gemm_operand(m, k, 1);
+    for n in [1usize, 7, 8, 33, 64, 65, 130] {
+        let b = gemm_operand(k, n, 2);
+        let bt = gemm_operand(n, k, 3);
+        let c0 = gemm_operand(m, n, 4);
+        let prod = matmul_naive(&a, &b, Parallelism::SEQ);
+        let prod_nt = matmul_nt_naive(&a, &bt, Parallelism::SEQ);
+        let mut diff = c0.clone();
+        matmul_sub_assign_naive(&mut diff, &a, &b, Parallelism::SEQ);
+        for np in [1usize, 2, 3, 5] {
+            let par = Parallelism::new(np);
+            let tag = format!("n={n} np={np}");
+            assert!(bits_eq(matmul(&a, &b, par).as_slice(), prod.as_slice()), "matmul {tag}");
+            assert!(
+                bits_eq(matmul_nt(&a, &bt, par).as_slice(), prod_nt.as_slice()),
+                "matmul_nt {tag}"
+            );
+            let mut c = c0.clone();
+            matmul_sub_assign(&mut c, &a, &b, par);
+            assert!(bits_eq(c.as_slice(), diff.as_slice()), "matmul_sub_assign {tag}");
+        }
     }
 }
 
