@@ -1,24 +1,22 @@
 //! Gated micro-benchmark for the compute kernels under the drivers:
-//! the cache-blocked dense GEMM in both numerics modes and the
+//! the cache-blocked dense GEMM and the
 //! comm/compute overlap of the per-panel re-shard, plus an ungated
 //! ILUT_CRTP sweep on a fill-heavy preset that supplies the report's
 //! entries.
 //!
-//! Four claims are enforced, not just measured (exit 1 on regression):
+//! Three claims are enforced, not just measured (exit 1 on regression):
 //!
 //! 1. **Blocked GEMM** must beat the naive triple loop by at least
 //!    [`GEMM_MIN_SPEEDUP`]x at `n = `[`GEMM_N`] (best-of-[`REPS`],
 //!    sequential, after a bitwise-equality sanity check — the blocked
 //!    kernel is required to reproduce naive summation order exactly).
-//! 2. **Fast GEMM** (FMA tiles) must beat the bitwise blocked kernel
-//!    by at least [`FAST_MIN_SPEEDUP`]x at the same size.
-//! 3. **Overlap** must hide at least [`OVERLAP_MIN_HIDDEN`] of the
+//! 2. **Overlap** must hide at least [`OVERLAP_MIN_HIDDEN`] of the
 //!    re-shard wall the eager sharded driver pays blocked on the wire
 //!    at `np = `[`OVERLAP_NP`]: the overlapped pipeline's skew-free
 //!    (min-across-ranks) `overlap_wait_ns` vs the eager oracle's
 //!    skew-free `alltoallv_wait_ns`, summed over [`OVERLAP_REPS`]
 //!    paired reps.
-//! 4. **Two workers never lose to one**: interleaved best-of
+//! 3. **Two workers never lose to one**: interleaved best-of
 //!    `t(np=1) / t(np=2)` must reach [`GEMM_PAR2_MIN`] for blocked GEMM
 //!    at `n = `[`GEMM_N`] and [`QB_PAR2_MIN`] for `rand_qb_ei` p=1 on
 //!    the economic preset, whose ~170 Householder and TSQR regions per
@@ -33,8 +31,8 @@
 //!
 //! The `BENCH_kernels.json` report (frozen v1 schema) carries one
 //! entry per ILUT run plus dimensionless `kernel.*` gauges
-//! (`gemm_speedup`, `gemm_fast_speedup`, `overlap_hidden_ratio`,
-//! `gemm_par2_speedup`, `qb_par2_speedup`) under
+//! (`gemm_speedup`, `overlap_hidden_ratio`, `gemm_par2_speedup`,
+//! `qb_par2_speedup`) under
 //! `metrics`, so CI can diff machine-independent ratios against the
 //! committed baseline in `results/`.
 
@@ -44,7 +42,7 @@ use lra_core::{
     ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, IlutOpts, LuCrtpResult,
     Parallelism, QbOpts,
 };
-use lra_dense::{matmul, matmul_mode, matmul_naive, DenseMatrix, Numerics};
+use lra_dense::{matmul, matmul_naive, DenseMatrix};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_sparse::CscMatrix;
 
@@ -52,20 +50,9 @@ use lra_sparse::CscMatrix;
 const GEMM_N: usize = 512;
 /// Minimum blocked-over-naive GEMM speedup (measured margin ~2.6-3.0x).
 const GEMM_MIN_SPEEDUP: f64 = 2.0;
-/// Minimum fast-mode (FMA tiles) over bitwise blocked GEMM speedup at
-/// `n = `[`GEMM_N`]. The FMA tile retires one fused op where the
-/// bitwise tile needs a multiply and an add plus a zero-skip branch.
-const FAST_MIN_SPEEDUP: f64 = 1.15;
 /// Best-of repetitions for the GEMM section (best-of damps CI runner
 /// noise; the gated quantities are ratios of bests).
 const REPS: usize = 5;
-/// Paired blocked/fast repetitions per gate round: that pair's gate
-/// margin is fine (1.15x) and both kernels are cheap, so it gets far
-/// more samples than the naive loop.
-const GEMM_FAST_REPS: usize = 12;
-/// Independent median-of-paired-ratio rounds for the fast gate; the
-/// best round's median gates (see the comment at the measurement).
-const FAST_ROUNDS: usize = 3;
 /// Best-of repetitions per ILUT run of the sweep.
 const ILUT_REPS: usize = 7;
 /// Block size for the ILUT sweep.
@@ -160,8 +147,7 @@ fn dense_operand(n: usize, salt: u64) -> DenseMatrix {
     })
 }
 
-/// Gates 1 and 2: blocked GEMM >= [`GEMM_MIN_SPEEDUP`]x naive and fast
-/// GEMM >= [`FAST_MIN_SPEEDUP`]x blocked at n = [`GEMM_N`].
+/// Gate 1: blocked GEMM >= [`GEMM_MIN_SPEEDUP`]x naive at n = [`GEMM_N`].
 fn gemm_gate(reg: &MetricsRegistry) -> bool {
     let a = dense_operand(GEMM_N, 1);
     let b = dense_operand(GEMM_N, 2);
@@ -179,29 +165,10 @@ fn gemm_gate(reg: &MetricsRegistry) -> bool {
         return false;
     }
 
-    // The fast-mode kernel answers a different contract: normwise
-    // agreement with the bitwise result at the accumulation-error
-    // scale (FMA changes the rounding, not the mathematics).
-    let fast = matmul_mode(&a, &b, Parallelism::SEQ, Numerics::Fast);
-    let norm = slow.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt();
-    let diff = fast
-        .as_slice()
-        .iter()
-        .zip(slow.as_slice())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt();
-    let tol = (GEMM_N as f64) * f64::EPSILON * norm;
-    if diff > tol {
-        eprintln!("FAIL: fast GEMM normwise error {diff:e} above n*eps*||C|| = {tol:e}");
-        return false;
-    }
-
     // Interleaved best-of: alternating the kernels keeps runner load
-    // spikes from loading one side of the speedup ratios.
+    // spikes from loading one side of the speedup ratio.
     let mut blocked_s = f64::INFINITY;
     let mut naive_s = f64::INFINITY;
-    let mut fast_s = f64::INFINITY;
     for _ in 0..REPS {
         let ((), s) = timed(|| {
             std::hint::black_box(matmul(&a, &b, Parallelism::SEQ));
@@ -211,60 +178,19 @@ fn gemm_gate(reg: &MetricsRegistry) -> bool {
             std::hint::black_box(matmul_naive(&a, &b, Parallelism::SEQ));
         });
         naive_s = naive_s.min(s);
-        let ((), s) = timed(|| {
-            std::hint::black_box(matmul_mode(&a, &b, Parallelism::SEQ, Numerics::Fast));
-        });
-        fast_s = fast_s.min(s);
-    }
-    // The blocked-vs-fast ratio gates at a much finer margin (1.15x)
-    // than blocked-vs-naive (2x), and both kernels run ~5x faster than
-    // the naive loop, so that pair gets its own treatment: each rep
-    // times blocked and fast back-to-back (same ~30 ms load window)
-    // and a *median* of the per-rep ratios damps load spikes in either
-    // direction without the lucky-window bias a max-of-ratios would
-    // have. [`FAST_ROUNDS`] independent medians are taken and the best
-    // one gates: a contended phase of a shared runner depresses whole
-    // rounds at a time, while a genuinely regressed kernel shows the
-    // same median in every round.
-    let mut fast_speedup: f64 = 0.0;
-    for _ in 0..FAST_ROUNDS {
-        let mut ratios = Vec::with_capacity(GEMM_FAST_REPS);
-        for _ in 0..GEMM_FAST_REPS {
-            let ((), sb) = timed(|| {
-                std::hint::black_box(matmul(&a, &b, Parallelism::SEQ));
-            });
-            blocked_s = blocked_s.min(sb);
-            let ((), sf) = timed(|| {
-                std::hint::black_box(matmul_mode(&a, &b, Parallelism::SEQ, Numerics::Fast));
-            });
-            fast_s = fast_s.min(sf);
-            ratios.push(sb / sf.max(1e-12));
-        }
-        ratios.sort_by(f64::total_cmp);
-        fast_speedup = fast_speedup.max(ratios[ratios.len() / 2]);
     }
     let speedup = naive_s / blocked_s.max(1e-12);
     reg.set_gauge("kernel.gemm_n", GEMM_N as f64);
     reg.set_gauge("kernel.gemm_naive_s", naive_s);
     reg.set_gauge("kernel.gemm_blocked_s", blocked_s);
     reg.set_gauge("kernel.gemm_speedup", speedup);
-    reg.set_gauge("kernel.gemm_fast_s", fast_s);
-    reg.set_gauge("kernel.gemm_fast_speedup", fast_speedup);
     println!(
         "gemm n={GEMM_N}: naive {} blocked {} speedup {speedup:.2}x (gate >= {GEMM_MIN_SPEEDUP}x)",
         fmt_s(naive_s),
         fmt_s(blocked_s)
     );
-    println!(
-        "gemm n={GEMM_N}: fast {} over bitwise {fast_speedup:.2}x (gate >= {FAST_MIN_SPEEDUP}x)",
-        fmt_s(fast_s)
-    );
     if speedup < GEMM_MIN_SPEEDUP {
         eprintln!("FAIL: blocked GEMM speedup {speedup:.2}x below {GEMM_MIN_SPEEDUP}x");
-        return false;
-    }
-    if fast_speedup < FAST_MIN_SPEEDUP {
-        eprintln!("FAIL: fast GEMM speedup {fast_speedup:.2}x below {FAST_MIN_SPEEDUP}x");
         return false;
     }
     true
@@ -309,7 +235,7 @@ fn ilut_sweep(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<BenchE
     println!("ilut sweep: {}", fmt_s(total));
 }
 
-/// Gate 3: the overlapped re-shard hides >= [`OVERLAP_MIN_HIDDEN`] of
+/// Gate 2: the overlapped re-shard hides >= [`OVERLAP_MIN_HIDDEN`] of
 /// the wire wait the eager sharded driver pays at [`OVERLAP_NP`].
 ///
 /// Both quantities come from [`lra_comm::CommStats`] of the same run
@@ -400,7 +326,7 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     true
 }
 
-/// Gate 4: a second worker must pay for itself — blocked GEMM at
+/// Gate 3: a second worker must pay for itself — blocked GEMM at
 /// n = [`GEMM_N`] and a whole `rand_qb_ei` p=1 solve, each as the ratio
 /// of interleaved best-of wall times at np=1 and np=2.
 fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {

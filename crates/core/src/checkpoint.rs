@@ -23,8 +23,8 @@
 //! save → load cycle is bitwise exact, so a resumed run on the same
 //! rank count reproduces the uninterrupted factors bit for bit.
 
-use crate::lucrtp::{InvalidInput, IterTrace};
-use lra_dense::{DenseMatrix, Numerics};
+use crate::lucrtp::IterTrace;
+use lra_dense::DenseMatrix;
 use lra_obs::Json;
 use lra_qrtp::ColumnSelection;
 pub use lra_recover::{Checkpoint, CheckpointStore};
@@ -117,11 +117,6 @@ pub struct LuCrtpCheckpoint {
     pub trace: Vec<IterTrace>,
     /// Threshold state (ILUT_CRTP only).
     pub ilut: Option<IlutCheckpoint>,
-    /// Numerics mode the snapshot was produced under. Resuming in a
-    /// different mode would splice two rounding regimes into one run,
-    /// so a mismatch is a typed error, not a silent restart.
-    /// Snapshots from before the mode existed decode as `Bitwise`.
-    pub numerics: Numerics,
 }
 
 impl Checkpoint for LuCrtpCheckpoint {
@@ -153,10 +148,6 @@ impl Checkpoint for LuCrtpCheckpoint {
                 "trace".to_string(),
                 Json::Arr(self.trace.iter().map(trace_to_json).collect()),
             ),
-            (
-                "numerics".to_string(),
-                Json::Str(self.numerics.as_str().to_string()),
-            ),
         ];
         if let Some(ilut) = &self.ilut {
             fields.push((
@@ -177,6 +168,7 @@ impl Checkpoint for LuCrtpCheckpoint {
     }
 
     fn state_from_json(state: &Json) -> Result<Self, String> {
+        check_numerics_tag(state)?;
         let ilut = match state.get("ilut") {
             None => None,
             Some(j) => Some(IlutCheckpoint {
@@ -212,7 +204,6 @@ impl Checkpoint for LuCrtpCheckpoint {
                 .map(trace_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
             ilut,
-            numerics: numerics_from_json(state)?,
         };
         if ckpt.s.rows() != ckpt.row_map.len() || ckpt.s.cols() != ckpt.col_map.len() {
             return Err(format!(
@@ -252,10 +243,6 @@ pub struct QbCheckpoint {
     pub b_blocks: Vec<DenseMatrix>,
     /// `next_u64` calls consumed from the seeded RNG so far.
     pub rng_draws: u64,
-    /// Numerics mode the snapshot was produced under (see
-    /// [`LuCrtpCheckpoint::numerics`]); pre-mode snapshots decode as
-    /// `Bitwise`.
-    pub numerics: Numerics,
 }
 
 impl Checkpoint for QbCheckpoint {
@@ -283,14 +270,11 @@ impl Checkpoint for QbCheckpoint {
                 Json::Arr(self.b_blocks.iter().map(dense_to_json).collect()),
             ),
             ("rng_draws".to_string(), Json::Num(self.rng_draws as f64)),
-            (
-                "numerics".to_string(),
-                Json::Str(self.numerics.as_str().to_string()),
-            ),
         ])
     }
 
     fn state_from_json(state: &Json) -> Result<Self, String> {
+        check_numerics_tag(state)?;
         let blocks = |key: &'static str| -> Result<Vec<DenseMatrix>, String> {
             state
                 .get(key)
@@ -311,7 +295,6 @@ impl Checkpoint for QbCheckpoint {
                 .get("rng_draws")
                 .and_then(Json::as_u64)
                 .ok_or("missing rng_draws")?,
-            numerics: numerics_from_json(state)?,
         })
     }
 }
@@ -320,23 +303,18 @@ impl Checkpoint for QbCheckpoint {
 /// this run (same matrix shape, same algorithm family). A corrupt or
 /// mismatched snapshot is *not* fatal — the driver records a
 /// `recover.guard_trip` and starts from iteration 0, which is always
-/// correct, just slower. The one exception is a [`Numerics`] mode
-/// mismatch: restarting would silently discard the stored progress and
-/// continuing would splice rounding regimes, so it is a typed error the
-/// caller must resolve (resume in the stored mode, or clear the store).
+/// correct, just slower.
 pub(crate) fn load_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
     want_ilut: bool,
-    numerics: Numerics,
-) -> Result<Option<LuCrtpCheckpoint>, InvalidInput> {
+) -> Option<LuCrtpCheckpoint> {
     let ck = match hooks.store().load::<LuCrtpCheckpoint>() {
-        Ok(Some(ck)) => ck,
-        Ok(None) => return Ok(None),
+        Ok(ck) => ck?,
         Err(e) => {
             lra_recover::record_guard_trip(format!("unusable checkpoint ignored: {e}"));
-            return Ok(None);
+            return None;
         }
     };
     if ck.m != m || ck.n != n {
@@ -344,21 +322,15 @@ pub(crate) fn load_resume(
             "checkpoint for {}x{} ignored for {m}x{n} input",
             ck.m, ck.n
         ));
-        return Ok(None);
+        return None;
     }
     if ck.ilut.is_some() != want_ilut {
         lra_recover::record_guard_trip(
             "checkpoint algorithm family mismatch (LU vs ILUT) ignored".to_string(),
         );
-        return Ok(None);
+        return None;
     }
-    if ck.numerics != numerics {
-        return Err(InvalidInput::NumericsModeMismatch {
-            stored: ck.numerics,
-            requested: numerics,
-        });
-    }
-    Ok(Some(ck))
+    Some(ck)
 }
 
 /// Persist a snapshot; a failed save is recorded as a guard trip, never
@@ -371,20 +343,17 @@ pub(crate) fn save_snapshot(hooks: &RecoveryHooks<'_>, ck: &LuCrtpCheckpoint) {
 
 /// QB-side resume (see [`load_resume`]): the block shapes stand in for
 /// the matrix dimensions, since the snapshot stores no `m`/`n` of its
-/// own. Like the LU side, a [`Numerics`] mode mismatch is a typed
-/// error rather than a silent restart.
+/// own.
 pub(crate) fn load_qb_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
-    numerics: Numerics,
-) -> Result<Option<QbCheckpoint>, crate::qb::QbError> {
+) -> Option<QbCheckpoint> {
     let ck = match hooks.store().load::<QbCheckpoint>() {
-        Ok(Some(ck)) => ck,
-        Ok(None) => return Ok(None),
+        Ok(ck) => ck?,
         Err(e) => {
             lra_recover::record_guard_trip(format!("unusable checkpoint ignored: {e}"));
-            return Ok(None);
+            return None;
         }
     };
     let shapes_ok = ck.q_blocks.iter().all(|q| q.rows() == m)
@@ -394,15 +363,9 @@ pub(crate) fn load_qb_resume(
         lra_recover::record_guard_trip(format!(
             "QB checkpoint block shapes do not fit a {m}x{n} input; ignored"
         ));
-        return Ok(None);
+        return None;
     }
-    if ck.numerics != numerics {
-        return Err(crate::qb::QbError::NumericsModeMismatch {
-            stored: ck.numerics,
-            requested: numerics,
-        });
-    }
-    Ok(Some(ck))
+    Some(ck)
 }
 
 /// Persist a QB snapshot; like [`save_snapshot`], failure is a guard
@@ -415,16 +378,17 @@ pub(crate) fn save_qb_snapshot(hooks: &RecoveryHooks<'_>, ck: &QbCheckpoint) {
 
 // ---- Json helpers -------------------------------------------------
 
-/// Decode the `numerics` tag; snapshots written before the mode existed
-/// carry no tag and decode as [`Numerics::Bitwise`], which is what
-/// produced them.
-fn numerics_from_json(j: &Json) -> Result<Numerics, String> {
-    match j.get("numerics") {
-        None => Ok(Numerics::Bitwise),
-        Some(v) => {
-            let s = v.as_str().ok_or("numerics tag not a string")?;
-            Numerics::parse(s).ok_or_else(|| format!("unknown numerics mode {s:?}"))
-        }
+/// A stored envelope is outside input: builds that had a relaxed
+/// numerics mode tagged every snapshot with the mode that produced it.
+/// No tag, or `"bitwise"`, is this build's arithmetic; any other tag
+/// (a `"fast"` snapshot left in a disk store) is a decode error, so the
+/// driver ignores the snapshot and starts fresh instead of splicing two
+/// rounding regimes into one run.
+fn check_numerics_tag(j: &Json) -> Result<(), String> {
+    match j.get("numerics").map(Json::as_str) {
+        None | Some(Some("bitwise")) => Ok(()),
+        Some(Some(other)) => Err(format!("checkpoint written in {other:?} numerics mode")),
+        Some(None) => Err("numerics tag not a string".to_string()),
     }
 }
 
@@ -614,7 +578,6 @@ mod tests {
                 dropped: 4,
                 control_triggered: false,
             }),
-            numerics: Numerics::Bitwise,
         }
     }
 
@@ -654,20 +617,22 @@ mod tests {
         assert!(err.contains("pivot count"), "{err}");
     }
 
-    #[test]
-    fn qb_checkpoint_roundtrips_blocks_and_draws() {
-        let q = DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0);
-        let b = DenseMatrix::from_fn(2, 4, |i, j| -((i + j) as f64) * 0.3);
-        let ckpt = QbCheckpoint {
+    fn sample_qb_ckpt() -> QbCheckpoint {
+        QbCheckpoint {
             iterations: 2,
             rank: 4,
             e: 0.875,
             history: vec![1.5, 0.9],
-            q_blocks: vec![q.clone()],
-            b_blocks: vec![b.clone()],
+            q_blocks: vec![DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0)],
+            b_blocks: vec![DenseMatrix::from_fn(2, 4, |i, j| -((i + j) as f64) * 0.3)],
             rng_draws: 123456,
-            numerics: Numerics::Fast,
-        };
+        }
+    }
+
+    #[test]
+    fn qb_checkpoint_roundtrips_blocks_and_draws() {
+        let ckpt = sample_qb_ckpt();
+        let (q, b) = (&ckpt.q_blocks[0], &ckpt.b_blocks[0]);
         let store = CheckpointStore::in_memory();
         store.save(&ckpt).unwrap();
         let back: QbCheckpoint = store.load().unwrap().unwrap();
@@ -679,23 +644,34 @@ mod tests {
         assert_eq!(back.b_blocks[0].as_slice(), b.as_slice());
         assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
         assert_eq!(back.history, vec![1.5, 0.9]);
-        assert_eq!(back.numerics, Numerics::Fast);
     }
 
     #[test]
-    fn missing_numerics_tag_decodes_as_bitwise() {
-        // Snapshots from before the mode existed carry no tag; they
-        // were produced by bitwise kernels and must decode that way.
-        let mut ckpt = sample_lu_ckpt();
-        ckpt.numerics = Numerics::Fast;
-        let stripped = match ckpt.state_to_json() {
-            Json::Obj(fields) => {
-                Json::Obj(fields.into_iter().filter(|(k, _)| k != "numerics").collect())
-            }
-            other => other,
-        };
-        let back = LuCrtpCheckpoint::state_from_json(&stripped).unwrap();
-        assert_eq!(back.numerics, Numerics::Bitwise);
+    fn only_an_absent_or_bitwise_numerics_tag_decodes() {
+        // Envelopes are outside input: older builds tagged each one
+        // with the numerics mode that produced it.
+        fn tagged(state: Json, tag: Option<Json>) -> Json {
+            let Json::Obj(mut fields) = state else {
+                panic!("checkpoint state is an object")
+            };
+            fields.extend(tag.map(|t| ("numerics".to_string(), t)));
+            Json::Obj(fields)
+        }
+        let (lu, qb) = (sample_lu_ckpt(), sample_qb_ckpt());
+        for ok in [None, Some(Json::Str("bitwise".to_string()))] {
+            let back = LuCrtpCheckpoint::state_from_json(&tagged(lu.state_to_json(), ok.clone()));
+            assert_eq!(back.unwrap().rank, lu.rank);
+            let back = QbCheckpoint::state_from_json(&tagged(qb.state_to_json(), ok));
+            assert_eq!(back.unwrap().rng_draws, qb.rng_draws);
+        }
+        for bad in [Json::Str("fast".to_string()), Json::Num(1.0)] {
+            let state = tagged(lu.state_to_json(), Some(bad.clone()));
+            let err = LuCrtpCheckpoint::state_from_json(&state).unwrap_err();
+            assert!(err.contains("numerics"), "{err}");
+            let state = tagged(qb.state_to_json(), Some(bad));
+            let err = QbCheckpoint::state_from_json(&state).unwrap_err();
+            assert!(err.contains("numerics"), "{err}");
+        }
     }
 
     #[test]

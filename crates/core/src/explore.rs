@@ -47,6 +47,7 @@
 //! text table and a JSON rendering for CI artifacts.
 
 use crate::lucrtp::{IlutOpts, LuCrtpResult};
+use crate::spmd::{run_sharded, Reshard};
 use crate::supervised::{ilut_crtp_supervised_with_store, SupervisedError};
 use lra_comm::{FaultPlan, RunConfig};
 use lra_obs::{Json, MetricValue};
@@ -725,8 +726,7 @@ fn run_cancel_site(
     // ---- Budgeted run: every rank must return, no rank may fail.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            crate::spmd::ilut_crtp_spmd_checkpointed(ctx, a, &budgeted, Some(&hooks))
-                .expect("fresh store cannot mismatch numerics")
+            run_sharded(ctx, a, &budgeted.base, Some(&budgeted), Some(&hooks), Reshard::Overlapped)
         })
         .results
     }));
@@ -826,8 +826,7 @@ fn run_cancel_site(
     // replay into the uninterrupted run bitwise.
     let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            crate::spmd::ilut_crtp_spmd_checkpointed(ctx, a, opts, Some(&hooks))
-                .expect("resume store was written in the same numerics mode")
+            run_sharded(ctx, a, &opts.base, Some(opts), Some(&hooks), Reshard::Overlapped)
         })
         .results
     }));

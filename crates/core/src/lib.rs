@@ -58,7 +58,6 @@ pub use ubv::{rand_ubv, UbvOpts, UbvResult};
 
 // Re-export the option types callers need alongside.
 pub use lra_comm::{CommError, CommStats, FaultPlan, RunConfig};
-pub use lra_dense::Numerics;
 pub use lra_par::Parallelism;
 pub use lra_qrtp::TournamentTree;
 pub use lra_recover::{

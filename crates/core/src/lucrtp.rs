@@ -12,7 +12,7 @@
 
 use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit};
 use crate::timers::KernelTimers;
-use lra_dense::{lu, pairwise_sum, pairwise_sum_sq, DenseMatrix, LuFactor, Numerics};
+use lra_dense::{lu, DenseMatrix, LuFactor};
 use lra_ordering::fill_reducing_order;
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
@@ -93,17 +93,6 @@ pub enum InvalidInput {
         /// The offending value.
         value: f64,
     },
-    /// A resume was attempted under a different [`Numerics`] mode than
-    /// the checkpoint was written with. Mode fixes the floating-point
-    /// chain, so silently switching would break the bitwise-within-mode
-    /// resume guarantee; the caller must either resume in the stored
-    /// mode or start fresh.
-    NumericsModeMismatch {
-        /// The mode recorded in the checkpoint envelope.
-        stored: Numerics,
-        /// The mode the resuming run requested.
-        requested: Numerics,
-    },
 }
 
 impl std::fmt::Display for InvalidInput {
@@ -124,13 +113,6 @@ impl std::fmt::Display for InvalidInput {
             }
             InvalidInput::NonFiniteEntry { row, col, value } => {
                 write!(f, "input matrix entry ({row}, {col}) is not finite: {value}")
-            }
-            InvalidInput::NumericsModeMismatch { stored, requested } => {
-                write!(
-                    f,
-                    "checkpoint was written in {stored} numerics mode but the resume \
-                     requested {requested}; resume in the stored mode or clear the store"
-                )
             }
         }
     }
@@ -174,15 +156,6 @@ pub struct LuCrtpOpts {
     pub max_rank: Option<usize>,
     /// How `L21` is computed.
     pub l_formation: LFormation,
-    /// Floating-point evaluation mode for the kernel layer:
-    /// [`Numerics::Bitwise`] (the default) keeps the reference fp
-    /// chains, [`Numerics::Fast`] opts into the FMA Schur-update chain,
-    /// the tree-merged panel TSQR, and pairwise-reduced error
-    /// indicators. Fast runs are deterministic within the mode
-    /// but only normwise-comparable (`O(n * eps * ||A||)`) to Bitwise
-    /// runs; checkpoints record the mode and refuse mode-switching
-    /// resumes.
-    pub numerics: Numerics,
     /// Cooperative resource budget (deadline / iteration cap / memory
     /// ceiling / cancel tokens). Checked once per block iteration at
     /// the snapshot boundary; on a trip the driver checkpoints (when
@@ -220,7 +193,6 @@ impl LuCrtpOpts {
             par: Parallelism::SEQ,
             max_rank: None,
             l_formation: LFormation::Direct,
-            numerics: Numerics::Bitwise,
             budget: lra_recover::Budget::unlimited(),
         })
     }
@@ -245,12 +217,6 @@ impl LuCrtpOpts {
     /// Builder-style rank cap setter.
     pub fn with_max_rank(mut self, max_rank: usize) -> Self {
         self.max_rank = Some(max_rank);
-        self
-    }
-
-    /// Builder-style numerics-mode setter (see [`LuCrtpOpts::numerics`]).
-    pub fn with_numerics(mut self, numerics: Numerics) -> Self {
-        self.numerics = numerics;
         self
     }
 
@@ -324,12 +290,6 @@ impl IlutOpts {
             });
         }
         Ok(())
-    }
-
-    /// Builder-style numerics-mode setter on the underlying base opts.
-    pub fn with_numerics(mut self, numerics: Numerics) -> Self {
-        self.base.numerics = numerics;
-        self
     }
 
     /// Builder-style budget setter on the underlying base opts (see
@@ -532,27 +492,25 @@ impl LuCrtpResult {
 /// LU_CRTP (Algorithm 2): deterministic fixed-precision truncated LU
 /// with column and row tournament pivoting.
 pub fn lu_crtp(a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    run_seq(a, opts, None, None).expect("no hooks, so no resume mode mismatch")
+    run_seq(a, opts, None, None)
 }
 
 /// ILUT_CRTP (Algorithm 3): incomplete LU_CRTP with thresholding.
 pub fn ilut_crtp(a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    run_seq(a, &opts.base, Some(opts), None).expect("no hooks, so no resume mode mismatch")
+    run_seq(a, &opts.base, Some(opts), None)
 }
 
 /// [`lu_crtp`] with iteration checkpointing: snapshots the loop state
 /// through `hooks` at the end of each covered iteration, and resumes
-/// from the store's latest snapshot if one is present. Fails with
-/// [`InvalidInput::NumericsModeMismatch`] when the store's latest
-/// snapshot was written under a different [`Numerics`] mode than
-/// `opts.numerics` — a bitwise-within-mode resume guarantee is only
-/// possible when the interrupted and resuming runs agree on the mode.
+/// from the store's latest snapshot if one is present. Always `Ok`: the
+/// vacant `Err` arm retires with the `*_checkpointed` names (ROADMAP
+/// item 1(c)).
 pub fn lu_crtp_checkpointed(
     a: &CscMatrix,
     opts: &LuCrtpOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    run_seq(a, opts, None, hooks)
+    Ok(run_seq(a, opts, None, hooks))
 }
 
 /// [`ilut_crtp`] with iteration checkpointing (see
@@ -564,7 +522,7 @@ pub fn ilut_crtp_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    run_seq(a, &opts.base, Some(opts), hooks)
+    Ok(run_seq(a, &opts.base, Some(opts), hooks))
 }
 
 /// The shared panel loop over the shared-memory engine.
@@ -573,7 +531,7 @@ pub(crate) fn run_seq(
     opts: &LuCrtpOpts,
     ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
+) -> LuCrtpResult {
     drive(None, a, opts, ilut, hooks, |src| SeqEngine {
         s: src.full(),
         opts,
@@ -617,7 +575,7 @@ impl PanelEngine for SeqEngine<'_> {
     /// the paper's use of tall-skinny QR for the panel factorization.
     fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
         let panel = self.s.gather_columns_dense(&sel.selected);
-        let f = lra_dense::tsqr_mode(&panel, self.opts.par, self.opts.numerics);
+        let f = lra_dense::tsqr(&panel, self.opts.par);
         let rd: Vec<f64> = (0..sel.selected.len().min(f.r.rows()))
             .map(|i| f.r.get(i, i).abs())
             .collect();
@@ -652,8 +610,7 @@ impl PanelEngine for SeqEngine<'_> {
         x_rows: &[usize],
         xt: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        let o = self.opts;
-        self.s = schur_update(&sp.a22, x_rows, xt, &sp.a12, &mut self.ws, o.par, o.numerics);
+        self.s = schur_update(&sp.a22, x_rows, xt, &sp.a12, &mut self.ws, self.opts.par);
         None
     }
 
@@ -673,7 +630,7 @@ impl PanelEngine for SeqEngine<'_> {
     }
 
     fn indicator(&self) -> f64 {
-        schur_fro_norm(&self.s, self.opts.numerics)
+        self.s.fro_norm()
     }
 
     fn schur_nnz(&self) -> usize {
@@ -722,21 +679,6 @@ pub(crate) fn csc_resident_bytes(s: &CscMatrix) -> u64 {
     (std::mem::size_of_val(s.colptr())
         + std::mem::size_of_val(s.rowidx())
         + std::mem::size_of_val(s.values())) as u64
-}
-
-/// Mode-dispatched Frobenius norm of a Schur complement. Bitwise mode
-/// keeps the historical flat left-to-right accumulation
-/// ([`CscMatrix::fro_norm`]); Fast mode tree-reduces within each
-/// column and across the per-column partials. The reduction shape
-/// depends only on the matrix dimensions, never on the worker count,
-/// so Fast stays deterministic for a fixed input.
-fn schur_fro_norm(s: &CscMatrix, numerics: Numerics) -> f64 {
-    if numerics.is_fast() {
-        let parts: Vec<f64> = (0..s.cols()).map(|j| pairwise_sum_sq(s.col(j).1)).collect();
-        pairwise_sum(&parts).sqrt()
-    } else {
-        s.fro_norm()
-    }
 }
 
 /// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21`.
@@ -836,13 +778,12 @@ fn schur_update(
     a12: &CscMatrix,
     ws: &mut SchurWorkspace,
     par: Parallelism,
-    numerics: Numerics,
 ) -> CscMatrix {
     let m = a22.rows();
     let n = a22.cols();
     debug_assert_eq!(a12.cols(), n);
     debug_assert_eq!(a12.rows(), xt.rows());
-    let (lens, rowidx, values) = schur_update_ranged(a22, x_rows, xt, a12, 0..n, ws, par, numerics);
+    let (lens, rowidx, values) = schur_update_ranged(a22, x_rows, xt, a12, 0..n, ws, par);
     csc_from_col_lens(m, lens, rowidx, values)
 }
 
@@ -878,7 +819,6 @@ pub(crate) const SCHUR_GRAIN: usize = 32;
 /// within a rank. In sequential mode the caller's workspace is reused
 /// directly (no per-call allocation); in parallel mode each chunk
 /// carries its own workspace, amortized over [`SCHUR_GRAIN`] columns.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn schur_update_ranged(
     a22: &CscMatrix,
     x_rows: &[usize],
@@ -887,10 +827,9 @@ pub(crate) fn schur_update_ranged(
     range: std::ops::Range<usize>,
     ws: &mut SchurWorkspace,
     par: Parallelism,
-    numerics: Numerics,
 ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     if !par.is_parallel() {
-        return schur_update_cols(a22, x_rows, xt, a12, range, ws, numerics);
+        return schur_update_cols(a22, x_rows, xt, a12, range, ws);
     }
     let lo = range.start;
     parallel_map_fold(
@@ -901,7 +840,7 @@ pub(crate) fn schur_update_ranged(
         |r| {
             let mut chunk_ws = SchurWorkspace::new();
             let cols = lo + r.start..lo + r.end;
-            schur_update_cols(a22, x_rows, xt, a12, cols, &mut chunk_ws, numerics)
+            schur_update_cols(a22, x_rows, xt, a12, cols, &mut chunk_ws)
         },
         |mut acc, part| {
             acc.0.extend(part.0);
@@ -918,7 +857,7 @@ pub(crate) fn schur_update_ranged(
 /// drivers.
 ///
 /// Per column: the correction `corr[q] = sum_t a12[t, j] * xt[t, q]` is
-/// accumulated in ascending `t` (fused multiply-adds in Fast mode), then
+/// accumulated in ascending `t`, then
 /// a sorted two-pointer walk merges the `a22` column with `-corr` at
 /// `x_rows`, dropping exact zeros the update produced. Columns never
 /// read each other, so the result is bitwise independent of how `range`
@@ -930,11 +869,9 @@ pub(crate) fn schur_update_cols(
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
     ws: &mut SchurWorkspace,
-    numerics: Numerics,
 ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     let k = xt.rows();
     let nr = x_rows.len();
-    let fast = numerics.is_fast();
     ws.corr.clear();
     ws.corr.resize(nr, 0.0);
     let mut lens = Vec::with_capacity(range.len());
@@ -955,14 +892,8 @@ pub(crate) fn schur_update_cols(
         for (q, cr) in ws.corr.iter_mut().enumerate() {
             let xtc = &xt_data[q * k..q * k + k];
             let mut acc = 0.0;
-            if fast {
-                for (&t, &v) in ti.iter().zip(tv) {
-                    acc = v.mul_add(xtc[t], acc);
-                }
-            } else {
-                for (&t, &v) in ti.iter().zip(tv) {
-                    acc += v * xtc[t];
-                }
+            for (&t, &v) in ti.iter().zip(tv) {
+                acc += v * xtc[t];
             }
             *cr = acc;
         }

@@ -102,8 +102,8 @@ impl<T> Interrupted<T> {
 /// job's [`lra_recover::CheckpointStore`], and [`Parked::unpark`] just
 /// hands back the [`Interrupted`] record so the engine can re-enter the
 /// same checkpointed driver against that store. Because resume is
-/// bitwise within a `Numerics` mode *and* a rank count, the engine must
-/// redisptach on the same number of ranks it originally granted.
+/// bitwise only within a rank count, the engine must redispatch on the
+/// same number of ranks it originally granted.
 #[derive(Debug, Clone)]
 pub struct Parked<T> {
     /// The job this record belongs to.

@@ -17,7 +17,7 @@ use crate::checkpoint::{
     load_resume, save_snapshot, IlutCheckpoint, LuCrtpCheckpoint, RecoveryHooks,
 };
 use crate::lucrtp::{
-    Breakdown, DropStrategy, IlutOpts, InvalidInput, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats,
+    Breakdown, DropStrategy, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats,
     OrderingMode, ThresholdReport,
 };
 use crate::timers::{KernelId, KernelTimers};
@@ -274,13 +274,7 @@ impl LoopState {
     /// Snapshot at an iteration boundary (the pivot columns travel as a
     /// [`ColumnSelection`] whose `r_diag` concatenates the
     /// per-iteration rank-revealing estimates).
-    fn to_checkpoint(
-        &self,
-        m: usize,
-        n: usize,
-        s: CscMatrix,
-        opts: &LuCrtpOpts,
-    ) -> LuCrtpCheckpoint {
+    fn to_checkpoint(&self, m: usize, n: usize, s: CscMatrix) -> LuCrtpCheckpoint {
         LuCrtpCheckpoint {
             m,
             n,
@@ -304,7 +298,6 @@ impl LoopState {
             pivot_rows: self.pivot_rows.clone(),
             trace: self.trace.clone(),
             ilut: self.ilut.clone(),
-            numerics: opts.numerics,
         }
     }
 
@@ -349,11 +342,10 @@ fn save_checkpoint<E: PanelEngine>(
     eng: &E,
     st: &LoopState,
     a: &CscMatrix,
-    opts: &LuCrtpOpts,
     hooks: &RecoveryHooks<'_>,
 ) {
     if let Some(s) = eng.gather_schur() {
-        save_snapshot(hooks, &st.to_checkpoint(a.rows(), a.cols(), s, opts));
+        save_snapshot(hooks, &st.to_checkpoint(a.rows(), a.cols(), s));
     }
 }
 
@@ -414,16 +406,10 @@ pub(crate) fn drive<E: PanelEngine>(
     ilut: Option<&IlutOpts>,
     hooks: Option<&RecoveryHooks<'_>>,
     place: impl FnOnce(Source<'_>) -> E,
-) -> Result<LuCrtpResult, InvalidInput> {
+) -> LuCrtpResult {
     let m = a.rows();
     let n = a.cols();
     let root = comm.is_none_or(|c| c.rank() == 0);
-    if root {
-        lra_obs::metrics::global().set_gauge(
-            "kernel.numerics_mode",
-            if opts.numerics.is_fast() { 1.0 } else { 0.0 },
-        );
-    }
     let mut timers = KernelTimers::new();
     let clock = opts.budget.start();
     let a_norm_f = a.fro_norm();
@@ -435,14 +421,10 @@ pub(crate) fn drive<E: PanelEngine>(
         st.converged = true;
         st.indicator = 0.0; // not `a_norm_f`: an empty sum is -0.0
         let empty = (CscMatrix::zeros(m, 0), CscMatrix::zeros(0, n));
-        return Ok(st.into_result(empty, a_norm_f, timers, E::idle_mem()));
+        return st.into_result(empty, a_norm_f, timers, E::idle_mem());
     }
 
-    let resume = match hooks {
-        Some(h) => load_resume(h, m, n, ilut.is_some(), opts.numerics)?,
-        None => None,
-    };
-    let mut eng = match resume {
+    let mut eng = match hooks.and_then(|h| load_resume(h, m, n, ilut.is_some())) {
         // The snapshot's column map already reflects the fill-reducing
         // preprocessing; timers cover only the resumed portion. Under
         // SPMD every rank loads the same shared store, so the restored
@@ -512,7 +494,7 @@ pub(crate) fn drive<E: PanelEngine>(
                 // resume handle points at the trip iteration.
                 if let Some(h) = hooks {
                     if st.iterations > 0 && !h.should_save(st.iterations) {
-                        save_checkpoint(&eng, &st, a, opts, h);
+                        save_checkpoint(&eng, &st, a, h);
                     }
                 }
                 if root {
@@ -690,7 +672,7 @@ pub(crate) fn drive<E: PanelEngine>(
         // snapshot), so this is the snapshot point.
         if let Some(h) = hooks {
             if h.should_save(st.iterations) {
-                save_checkpoint(&eng, &st, a, opts, h);
+                save_checkpoint(&eng, &st, a, h);
             }
         }
         if st.iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
@@ -703,5 +685,5 @@ pub(crate) fn drive<E: PanelEngine>(
     let factors = timers.time(KernelId::Concat, || {
         eng.materialize(m, n, &st.l_cols, &st.ut_cols)
     });
-    Ok(st.into_result(factors, a_norm_f, timers, mem))
+    st.into_result(factors, a_norm_f, timers, mem)
 }

@@ -7,10 +7,7 @@
 //! reallocating the accumulated factors.
 
 use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{
-    matmul_mode, matmul_sub_assign, matmul_sub_assign_mode, matmul_tn_mode, orth, pairwise_sum_sq,
-    DenseMatrix, Numerics,
-};
+use lra_dense::{matmul, matmul_sub_assign, matmul_tn, orth, DenseMatrix};
 use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
@@ -36,12 +33,6 @@ pub struct QbOpts {
     pub par: Parallelism,
     /// Optional rank cap.
     pub max_rank: Option<usize>,
-    /// Kernel numerics mode: [`Numerics::Bitwise`] (default) replays
-    /// the historical FMA-free kernels; [`Numerics::Fast`] opts into
-    /// fused multiply-add GEMM corrections and tree-reduced block
-    /// norms (still deterministic for a fixed input — see the
-    /// `lra-dense` [`Numerics`] docs).
-    pub numerics: Numerics,
     /// Resource budget / cancellation (default unlimited). Checked at
     /// every block-iteration boundary; a trip stops the loop with the
     /// blocks accumulated so far (see [`QbResult::into_outcome`]).
@@ -58,7 +49,6 @@ impl QbOpts {
             seed: 0x5EED,
             par: Parallelism::SEQ,
             max_rank: None,
-            numerics: Numerics::Bitwise,
             budget: lra_recover::Budget::unlimited(),
         }
     }
@@ -87,12 +77,6 @@ impl QbOpts {
         self
     }
 
-    /// Builder-style numerics mode.
-    pub fn with_numerics(mut self, numerics: Numerics) -> Self {
-        self.numerics = numerics;
-        self
-    }
-
     /// Builder-style budget.
     pub fn with_budget(mut self, budget: lra_recover::Budget) -> Self {
         self.budget = budget;
@@ -109,15 +93,6 @@ pub enum QbError {
         /// The requested tolerance.
         tau: f64,
     },
-    /// A checkpoint written under one [`Numerics`] mode cannot resume
-    /// under another: the spliced run would mix rounding regimes and
-    /// the bitwise-within-mode resume guarantee would be lost.
-    NumericsModeMismatch {
-        /// Mode recorded in the store's snapshot.
-        stored: Numerics,
-        /// Mode the resuming run requested.
-        requested: Numerics,
-    },
 }
 
 impl std::fmt::Display for QbError {
@@ -128,11 +103,6 @@ impl std::fmt::Display for QbError {
                 "tau = {tau:e} is below the RandQB_EI error-indicator floor {QB_INDICATOR_FLOOR:e} \
                  (Theorem 3 of Yu et al.): the Frobenius-difference indicator cannot certify it \
                  in double precision"
-            ),
-            QbError::NumericsModeMismatch { stored, requested } => write!(
-                f,
-                "checkpoint was written in {stored} numerics mode but the resume requested \
-                 {requested}; resume in the stored mode or clear the store"
             ),
         }
     }
@@ -266,23 +236,18 @@ pub fn rand_qb_ei_checkpointed(
     if opts.tau < QB_INDICATOR_FLOOR {
         return Err(QbError::TauBelowIndicatorFloor { tau: opts.tau });
     }
-    lra_obs::trace::span("rand_qb_ei", || rand_qb_ei_inner(a, opts, hooks))
+    Ok(lra_obs::trace::span("rand_qb_ei", || rand_qb_ei_inner(a, opts, hooks)))
 }
 
 fn rand_qb_ei_inner(
     a: &CscMatrix,
     opts: &QbOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<QbResult, QbError> {
+) -> QbResult {
     let m = a.rows();
     let n = a.cols();
     let k = opts.k.min(m).min(n).max(1);
     let par = opts.par;
-    let numerics = opts.numerics;
-    lra_obs::metrics::global().set_gauge(
-        "kernel.numerics_mode",
-        if numerics.is_fast() { 1.0 } else { 0.0 },
-    );
     let mut timers = KernelTimers::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
@@ -290,7 +255,7 @@ fn rand_qb_ei_inner(
     let a_norm_f = a_norm_sq.sqrt();
     if a_norm_f == 0.0 {
         // The zero matrix is its own rank-0 approximation.
-        return Ok(QbResult {
+        return QbResult {
             q: DenseMatrix::zeros(m, 0),
             b: DenseMatrix::zeros(0, n),
             rank: 0,
@@ -301,7 +266,7 @@ fn rand_qb_ei_inner(
             a_norm_f,
             timers,
             trip: None,
-        });
+        };
     }
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
@@ -318,7 +283,7 @@ fn rand_qb_ei_inner(
     let clock = opts.budget.start();
 
     if let Some(h) = hooks {
-        if let Some(ck) = crate::checkpoint::load_qb_resume(h, m, n, numerics)? {
+        if let Some(ck) = crate::checkpoint::load_qb_resume(h, m, n) {
             // Replay the RNG to just past the snapshot point so the
             // continued sketch stream matches an uninterrupted run.
             for _ in 0..ck.rng_draws {
@@ -352,7 +317,6 @@ fn rand_qb_ei_inner(
                             q_blocks: q_blocks.clone(),
                             b_blocks: b_blocks.clone(),
                             rng_draws: draws,
-                            numerics,
                         };
                         crate::checkpoint::save_qb_snapshot(h, &ck);
                     }
@@ -374,8 +338,8 @@ fn rand_qb_ei_inner(
             if !q_blocks.is_empty() {
                 // Y -= Q_K (B_K Ω), blockwise.
                 for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
-                    let t = matmul_mode(bb, &omega, par, numerics);
-                    matmul_sub_assign_mode(&mut y, qb, &t, par, numerics);
+                    let t = matmul(bb, &omega, par);
+                    matmul_sub_assign(&mut y, qb, &t, par);
                 }
             }
             y
@@ -388,17 +352,17 @@ fn rand_qb_ei_inner(
                 // Q̂ = orth(A^T Q_k - B_K^T (Q_K^T Q_k))
                 let mut z = spmm_t_dense(a, &qk, par);
                 for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
-                    let t = matmul_tn_mode(qb, &qk, par, numerics);
+                    let t = matmul_tn(qb, &qk, par);
                     // z -= B_j^T t  (B_j^T is n x kk_block)
                     let bt = bb.transpose();
-                    matmul_sub_assign_mode(&mut z, &bt, &t, par, numerics);
+                    matmul_sub_assign(&mut z, &bt, &t, par);
                 }
                 let qhat = orth(&z, par);
                 // Q_k = orth(A Q̂ - Q_K (B_K Q̂))
                 let mut w = spmm_dense(a, &qhat, par);
                 for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
-                    let t = matmul_mode(bb, &qhat, par, numerics);
-                    matmul_sub_assign_mode(&mut w, qb, &t, par, numerics);
+                    let t = matmul(bb, &qhat, par);
+                    matmul_sub_assign(&mut w, qb, &t, par);
                 }
                 qk = orth(&w, par);
             });
@@ -408,8 +372,8 @@ fn rand_qb_ei_inner(
         timers.time(KernelId::Orth, || {
             if !q_blocks.is_empty() {
                 for qb in &q_blocks {
-                    let t = matmul_tn_mode(qb, &qk, par, numerics);
-                    matmul_sub_assign_mode(&mut qk, qb, &t, par, numerics);
+                    let t = matmul_tn(qb, &qk, par);
+                    matmul_sub_assign(&mut qk, qb, &t, par);
                 }
                 qk = orth(&qk, par);
             }
@@ -420,14 +384,8 @@ fn rand_qb_ei_inner(
             spmm_t_dense(a, &qk, par).transpose()
         });
 
-        // Lines 12-14: expand, update the indicator, test. Fast mode
-        // tree-reduces the block norm; the reduction shape depends
-        // only on the block size, so it stays worker-count invariant.
-        let bk_norm_sq = if numerics.is_fast() {
-            pairwise_sum_sq(bk.as_slice())
-        } else {
-            bk.fro_norm_sq()
-        };
+        // Lines 12-14: expand, update the indicator, test.
+        let bk_norm_sq = bk.fro_norm_sq();
         if !bk_norm_sq.is_finite() {
             // A NaN/Inf sketch would silently corrupt every later
             // block; stop here with the factors accumulated so far.
@@ -463,7 +421,6 @@ fn rand_qb_ei_inner(
                     q_blocks: q_blocks.clone(),
                     b_blocks: b_blocks.clone(),
                     rng_draws: draws,
-                    numerics,
                 };
                 crate::checkpoint::save_qb_snapshot(h, &ck);
             }
@@ -483,7 +440,7 @@ fn rand_qb_ei_inner(
         (q, b)
     });
 
-    Ok(QbResult {
+    QbResult {
         q,
         b,
         rank,
@@ -494,5 +451,5 @@ fn rand_qb_ei_inner(
         a_norm_f,
         timers,
         trip,
-    })
+    }
 }

@@ -46,16 +46,6 @@
 //! ranges and reduction trees the sharded engine owns, so the two are
 //! bit-identical while differing only in resident storage: it is the
 //! reference the sharded engine is tested against.
-//!
-//! Numerics modes: `opts.numerics` reaches the Schur-update kernel
-//! (FMA correction dots in `Fast`) and the error-indicator partials
-//! (tree-reduced per-column sums in `Fast`) in *both* engines, over
-//! the *same* column partition — so sharded vs. replicated stays
-//! bitwise-identical within either mode. The SPMD tournament and the
-//! allgather-based panel TSQR keep their bitwise kernels in both
-//! modes: their arithmetic is shaped by the rank grid, and keeping
-//! them fixed is what lets a `Fast` run remain reproducible across
-//! resume and redistribution paths.
 
 use crate::lucrtp::{
     csc_from_col_lens, csc_resident_bytes, schur_update_ranged, u_fragments_of, validate_matrix,
@@ -63,7 +53,7 @@ use crate::lucrtp::{
 };
 use crate::panel::{assemble_factors, drive, FactorCol, PanelEngine, PanelSplit, Source};
 use lra_comm::{CommError, Ctx, PendingExchange, RunConfig};
-use lra_dense::{pairwise_sum_sq, qr, DenseMatrix, LuFactor};
+use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
 use lra_sparse::{gather_csc, slice_columns_recycled, ColSlice, CscMatrix, SparseBuilder};
@@ -86,7 +76,7 @@ use std::ops::Range;
 /// forms `L21` as `Direct`; and `opts.tree` is ignored — the
 /// tournaments always reduce over the binomial rank tree.
 pub fn lu_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    lu_crtp_spmd_checkpointed(ctx, a, opts, None).expect("no hooks, so no resume mode mismatch")
+    run_sharded(ctx, a, opts, None, None, Reshard::Overlapped)
 }
 
 /// [`lu_crtp_spmd`] with iteration checkpointing: at the end of each
@@ -95,14 +85,15 @@ pub fn lu_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult
 /// every rank resumes from the store's latest snapshot when one is
 /// present, re-slicing its own shard from the snapshot for the
 /// *current* rank count (so an `np -> np-1` shrink redistributes the
-/// shards implicitly). All ranks must share the same store.
+/// shards implicitly). All ranks must share the same store. Always `Ok`
+/// (see [`crate::lu_crtp_checkpointed`]).
 pub fn lu_crtp_spmd_checkpointed(
     ctx: &Ctx,
     a: &CscMatrix,
     opts: &LuCrtpOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    run_sharded(ctx, a, opts, None, hooks, Reshard::Overlapped)
+    Ok(run_sharded(ctx, a, opts, None, hooks, Reshard::Overlapped))
 }
 
 /// SPMD ILUT_CRTP (Algorithm 3 over ranks): identical distribution to
@@ -111,7 +102,7 @@ pub fn lu_crtp_spmd_checkpointed(
 /// are combined through a fixed allreduce tree, so all ranks agree on
 /// the threshold bookkeeping bit for bit.
 pub fn ilut_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    ilut_crtp_spmd_checkpointed(ctx, a, opts, None).expect("no hooks, so no resume mode mismatch")
+    run_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Overlapped)
 }
 
 /// [`ilut_crtp_spmd`] with iteration checkpointing (see
@@ -122,7 +113,7 @@ pub fn ilut_crtp_spmd_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    run_sharded(ctx, a, &opts.base, Some(opts), hooks, Reshard::Overlapped)
+    Ok(run_sharded(ctx, a, &opts.base, Some(opts), hooks, Reshard::Overlapped))
 }
 
 /// Non-overlapped sharded LU_CRTP: identical to [`lu_crtp_spmd`]
@@ -133,7 +124,6 @@ pub fn ilut_crtp_spmd_checkpointed(
 #[doc(hidden)]
 pub fn lu_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
     run_sharded(ctx, a, opts, None, None, Reshard::Eager)
-        .expect("no hooks, so no resume mode mismatch")
 }
 
 /// Eager-exchange oracle for [`ilut_crtp_spmd`] (see
@@ -141,7 +131,6 @@ pub fn lu_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtp
 #[doc(hidden)]
 pub fn ilut_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
     run_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Eager)
-        .expect("no hooks, so no resume mode mismatch")
 }
 
 /// SPMD LU_CRTP over fully replicated storage (every rank holds the
@@ -219,7 +208,7 @@ pub(crate) fn run_sharded(
     ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
     reshard: Reshard,
-) -> Result<LuCrtpResult, InvalidInput> {
+) -> LuCrtpResult {
     let span = match (ilut.is_some(), reshard) {
         (false, Reshard::Overlapped) => "lu_crtp_spmd",
         (true, Reshard::Overlapped) => "ilut_crtp_spmd",
@@ -254,7 +243,6 @@ fn run_replicated(
             ws: SchurWorkspace::new(),
         })
     })
-    .expect("no hooks, so no resume mode mismatch")
 }
 
 /// Panel TSQR over rank-owned row blocks of the pivot panel (columns
@@ -417,10 +405,7 @@ struct SpmdPanelCtx<'a> {
     /// Global column count of the (virtual) Schur complement.
     n_cur: usize,
     /// `opts.par` is the intra-rank worker count for the owned-range
-    /// kernels (Schur update, threshold pass); `opts.numerics` reaches
-    /// the Schur update and the indicator partials — the distributed
-    /// tournament and panel TSQR stay bitwise in both modes (module
-    /// docs).
+    /// kernels (Schur update, threshold pass).
     opts: &'a LuCrtpOpts,
     reshard: Reshard,
     /// The pivot panel the last column tournament broadcast: the
@@ -520,7 +505,6 @@ impl<'a> SpmdPanelCtx<'a> {
             0..a22_own.cols(),
             &mut self.ws,
             self.opts.par,
-            self.opts.numerics,
         );
         self.install_shard(m_rest, n_rest, owned_range(&new_ranges, self.rank), updated);
     }
@@ -598,19 +582,11 @@ impl<'a> SpmdPanelCtx<'a> {
         {
             let ws = &mut self.ws;
             let pool = &mut self.part_pool;
-            let o = self.opts;
+            let par = self.opts.par;
             pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
                 debug_assert_eq!(p22.rows(), m_rest);
-                let (l, r, v) = schur_update_ranged(
-                    &p22,
-                    x_rows,
-                    xt,
-                    &p12,
-                    0..p22.cols(),
-                    ws,
-                    o.par,
-                    o.numerics,
-                );
+                let (l, r, v) =
+                    schur_update_ranged(&p22, x_rows, xt, &p12, 0..p22.cols(), ws, par);
                 lens.extend(l);
                 rows_out.extend(r);
                 vals_out.extend(v);
@@ -802,21 +778,9 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
 
     /// Partial squared norm of the owned shard + allreduce — the same
     /// per-column summation nesting and reduction tree as the
-    /// replicated oracle. In `Fast` mode the per-column sums are
-    /// tree-reduced ([`pairwise_sum_sq`]) and the cross-column
-    /// accumulation stays ascending, again matching the replicated
-    /// oracle's `Fast` partials column for column.
+    /// replicated oracle.
     fn indicator(&self) -> f64 {
-        let local = if self.opts.numerics.is_fast() {
-            let loc = self.shard.local();
-            let mut acc = 0.0f64;
-            for j in 0..loc.cols() {
-                acc += pairwise_sum_sq(loc.col(j).1);
-            }
-            acc
-        } else {
-            self.shard.fro_norm_sq_cols()
-        };
+        let local = self.shard.fro_norm_sq_cols();
         self.ctx.allreduce(local, |x, y| x + y).sqrt()
     }
 
@@ -965,7 +929,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
             my_range,
             &mut self.ws,
             self.opts.par,
-            self.opts.numerics,
         );
         let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> = self.ctx.allgather(partial);
         let mut lens = Vec::with_capacity(n_rest);
@@ -997,17 +960,12 @@ impl PanelEngine for ReplicatedEngine<'_> {
     /// Partial squared norm + allreduce (each rank owns a column slice
     /// in spirit; the replicated matrix makes the local sum trivial,
     /// but the reduction is still exercised) — the same per-column
-    /// chains as the sharded engine's partials (tree-reduced in Fast,
-    /// flat in Bitwise).
+    /// chains as the sharded engine's partials.
     fn indicator(&self) -> f64 {
         let mut local = 0.0f64;
         for j in self.my_cols() {
             let (_, vs) = self.s.col(j);
-            local += if self.opts.numerics.is_fast() {
-                pairwise_sum_sq(vs)
-            } else {
-                vs.iter().map(|v| v * v).sum::<f64>()
-            };
+            local += vs.iter().map(|v| v * v).sum::<f64>();
         }
         self.ctx.allreduce(local, |a, b| a + b).sqrt()
     }

@@ -140,10 +140,6 @@ fn supervise(
     hooks: RecoveryHooks<'_>,
 ) -> Result<Supervised<LuCrtpResult>, SupervisedError> {
     validate_matrix(a)?;
-    // Preflight the store's numerics mode once at the API boundary, so
-    // a mismatched caller-owned store surfaces as a typed error here
-    // instead of repeated rank failures inside the recovery ladder.
-    crate::checkpoint::load_resume(&hooks, a.rows(), a.cols(), ilut.is_some(), opts.numerics)?;
     // The supervisor's deadline token rides into the loop's budget: a
     // deadline that expires mid-attempt stops the ranks cooperatively
     // at the next iteration boundary (checkpoint taken, partial factors
@@ -153,7 +149,6 @@ fn supervise(
         o.budget.cancel.push(token.clone());
         o
     };
-    const PREFLIGHTED: &str = "numerics mode preflighted at the supervised boundary";
     run_supervised(
         np,
         config,
@@ -162,10 +157,9 @@ fn supervise(
             let o = with_token(token);
             lra_comm::run_with(np, cfg, |ctx| {
                 run_sharded(ctx, a, &o, ilut, Some(&hooks), Reshard::Overlapped)
-                    .expect(PREFLIGHTED)
             })
         },
-        |token| Some(run_seq(a, &with_token(token), ilut, Some(&hooks)).expect(PREFLIGHTED)),
+        |token| Some(run_seq(a, &with_token(token), ilut, Some(&hooks))),
     )
     .map_err(SupervisedError::Recovery)
 }

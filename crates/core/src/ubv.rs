@@ -9,10 +9,7 @@
 //! (the small extra cost buys indicator reliability).
 
 use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{
-    matmul_nt, matmul_sub_assign, matmul_sub_assign_mode, matmul_tn_mode, pairwise_sum_sq, qr,
-    DenseMatrix, Numerics,
-};
+use lra_dense::{matmul_nt, matmul_sub_assign, matmul_tn, qr, DenseMatrix};
 use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
@@ -32,8 +29,6 @@ pub struct UbvOpts {
     pub par: Parallelism,
     /// Optional rank cap.
     pub max_rank: Option<usize>,
-    /// Kernel numerics mode (see [`Numerics`]).
-    pub numerics: Numerics,
     /// Resource budget / cancellation (default unlimited). Checked at
     /// every block-iteration boundary; a trip stops the loop with the
     /// blocks accumulated so far. RandUBV has no checkpoint layer, so
@@ -50,15 +45,8 @@ impl UbvOpts {
             seed: 0xB1D,
             par: Parallelism::SEQ,
             max_rank: None,
-            numerics: Numerics::Bitwise,
             budget: lra_recover::Budget::unlimited(),
         }
-    }
-
-    /// Builder: set the kernel [`Numerics`] mode.
-    pub fn with_numerics(mut self, numerics: Numerics) -> Self {
-        self.numerics = numerics;
-        self
     }
 
     /// Builder: set the [`lra_recover::Budget`].
@@ -147,11 +135,10 @@ fn orth_against(
     x: &mut DenseMatrix,
     basis: &[DenseMatrix],
     par: Parallelism,
-    numerics: Numerics,
 ) -> (DenseMatrix, DenseMatrix) {
     for qb in basis {
-        let t = matmul_tn_mode(qb, x, par, numerics);
-        matmul_sub_assign_mode(x, qb, &t, par, numerics);
+        let t = matmul_tn(qb, x, par);
+        matmul_sub_assign(x, qb, &t, par);
     }
     let f = qr(x, par);
     (f.q_thin(par), f.r())
@@ -163,11 +150,6 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     let n = a.cols();
     let k = opts.k.min(m).min(n).max(1);
     let par = opts.par;
-    let numerics = opts.numerics;
-    lra_obs::metrics::global().set_gauge(
-        "kernel.numerics_mode",
-        if numerics.is_fast() { 1.0 } else { 0.0 },
-    );
     let mut timers = KernelTimers::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
@@ -200,7 +182,7 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     // V_1 = orth(randn(n, k)).
     let mut vk = {
         let mut w = randn(n, k, &mut rng);
-        timers.time(KernelId::Orth, || orth_against(&mut w, &[], par, numerics).0)
+        timers.time(KernelId::Orth, || orth_against(&mut w, &[], par).0)
     };
     let mut e = a_norm_sq;
     let mut history = Vec::new();
@@ -229,17 +211,10 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         if let (Some(ul), Some(cl)) = (u_blocks.last(), c_super.last()) {
             // w -= U_{i-1} C_{i-1}^T  where C couples V_i to U_{i-1}.
             let ct = cl.transpose();
-            timers.time(KernelId::Sketch, || {
-                matmul_sub_assign_mode(&mut w, ul, &ct, par, numerics)
-            });
+            timers.time(KernelId::Sketch, || matmul_sub_assign(&mut w, ul, &ct, par));
         }
-        let (uk, bk) =
-            timers.time(KernelId::Orth, || orth_against(&mut w, &u_blocks, par, numerics));
-        e -= if numerics.is_fast() {
-            pairwise_sum_sq(bk.as_slice())
-        } else {
-            bk.fro_norm_sq()
-        };
+        let (uk, bk) = timers.time(KernelId::Orth, || orth_against(&mut w, &u_blocks, par));
+        e -= bk.fro_norm_sq();
         u_blocks.push(uk);
         v_blocks.push(vk.clone());
         b_diag.push(bk.clone());
@@ -258,18 +233,11 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         });
         {
             let bt = bk.transpose();
-            timers.time(KernelId::BUpdate, || {
-                matmul_sub_assign_mode(&mut z, &vk, &bt, par, numerics)
-            });
+            timers.time(KernelId::BUpdate, || matmul_sub_assign(&mut z, &vk, &bt, par));
         }
-        let (vnext, ct) =
-            timers.time(KernelId::Orth, || orth_against(&mut z, &v_blocks, par, numerics));
+        let (vnext, ct) = timers.time(KernelId::Orth, || orth_against(&mut z, &v_blocks, par));
         let c = ct.transpose(); // C_i couples U_i to V_{i+1}
-        e -= if numerics.is_fast() {
-            pairwise_sum_sq(c.as_slice())
-        } else {
-            c.fro_norm_sq()
-        };
+        e -= c.fro_norm_sq();
         c_super.push(c);
         vk = vnext;
         // The C contribution belongs to the same overall indicator: the

@@ -17,27 +17,20 @@ mod blas;
 mod jacobi;
 mod lu;
 mod matrix;
-mod numerics;
 mod qr;
 mod qrcp;
 mod svd;
 mod tsqr;
 
-pub use blas::{
-    matmul, matmul_mode, matmul_nt, matmul_nt_mode, matmul_sub_assign, matmul_sub_assign_mode,
-    matmul_tn, matmul_tn_mode, matvec,
-};
+pub use blas::{matmul, matmul_nt, matmul_sub_assign, matmul_tn, matvec};
 #[doc(hidden)]
 pub use blas::{matmul_naive, matmul_nt_naive, matmul_sub_assign_naive, matmul_tn_naive};
 pub use jacobi::jacobi_svd;
 pub use lu::{cholesky_upper, lu, LuFactor};
 pub use matrix::DenseMatrix;
-#[doc(hidden)]
-pub use numerics::test_hooks as numerics_test_hooks;
-pub use numerics::{pairwise_dot, pairwise_sum, pairwise_sum_sq, Numerics};
 pub use qr::{orth, qr, solve_upper_left, solve_upper_right, QrFactor};
 pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{
     bidiagonal_svd_values, bidiagonalize, min_rank_for_tolerance, singular_values,
 };
-pub use tsqr::{tsqr, tsqr_mode, tsqr_r, tsqr_tree, Tsqr};
+pub use tsqr::{tsqr, tsqr_r, Tsqr};

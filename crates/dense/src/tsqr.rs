@@ -9,7 +9,6 @@
 //! `A = [A_1; ...; A_p] = blkdiag(Q_1..Q_p) * [R_1; ...; R_p]`
 //! `[R_1; ...; R_p] = Q_s R`  =>  `Q = blkdiag(Q_i) * Q_s`.
 
-use crate::numerics::Numerics;
 use crate::qr::{qr, QrFactor};
 use crate::DenseMatrix;
 use lra_par::{parallel_chunks_mut, split_ranges, Parallelism};
@@ -31,7 +30,7 @@ pub struct Tsqr {
 /// (workers merely execute the fixed block set).
 fn blocking(m: usize, n: usize) -> Vec<Range<usize>> {
     if m <= n || n == 0 {
-        return vec![0..m];
+        return std::iter::once(0..m).collect();
     }
     let block_rows = (4 * n).max(256);
     split_ranges(m, (m / block_rows).clamp(1, m / n))
@@ -76,63 +75,10 @@ fn merge_stacked(locals: &[QrFactor], par: Parallelism) -> (DenseMatrix, Vec<Den
     (top.r(), coeffs)
 }
 
-/// Merge by a fixed pairwise binary tree of `2n x n` QRs (an odd node
-/// passes through unchanged). Returns `R` and the per-block `n x n`
-/// coefficients, obtained by pushing the identity down the same tree:
-/// each merge node splits `Q_merge * [C; 0]` between its two children.
-fn merge_tree(locals: &[QrFactor]) -> (DenseMatrix, Vec<DenseMatrix>) {
-    let n = locals[0].cols();
-    let mut levels: Vec<Vec<Option<QrFactor>>> = Vec::new();
-    let mut rs: Vec<DenseMatrix> = locals.iter().map(|f| f.r()).collect();
-    while rs.len() > 1 {
-        let mut facs = Vec::with_capacity(rs.len().div_ceil(2));
-        let mut next = Vec::with_capacity(rs.len().div_ceil(2));
-        let mut it = rs.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => {
-                    let f = qr(&x.vcat(&y), Parallelism::SEQ);
-                    next.push(f.r());
-                    facs.push(Some(f));
-                }
-                None => {
-                    next.push(x);
-                    facs.push(None);
-                }
-            }
-        }
-        levels.push(facs);
-        rs = next;
-    }
-    let r = rs.pop().expect("non-empty merge tree");
-    let mut coeffs: Vec<DenseMatrix> = vec![DenseMatrix::identity(n)];
-    for facs in levels.iter().rev() {
-        let mut child = Vec::with_capacity(coeffs.len() * 2);
-        for (c, fopt) in coeffs.iter().zip(facs) {
-            match fopt {
-                Some(f) => {
-                    let mut piece = DenseMatrix::zeros(2 * n, n);
-                    piece.set_submatrix(0, 0, c);
-                    f.apply_q(&mut piece, Parallelism::SEQ);
-                    child.push(piece.submatrix(0, 0, n, n));
-                    child.push(piece.submatrix(n, 0, n, n));
-                }
-                None => child.push(c.clone()),
-            }
-        }
-        coeffs = child;
-    }
-    debug_assert_eq!(coeffs.len(), locals.len());
-    (r, coeffs)
-}
-
-/// The one TSQR body: local QRs, `merge` of their `R`s, then the leaf
-/// back-propagation `Q block b = Q_b * [C_b; 0]` (parallel over blocks).
-fn tsqr_with(
-    a: &DenseMatrix,
-    par: Parallelism,
-    merge: impl Fn(&[QrFactor]) -> (DenseMatrix, Vec<DenseMatrix>),
-) -> Tsqr {
+/// Full TSQR with explicit thin `Q`: local QRs, one stacked root QR of
+/// their `R`s, then the leaf back-propagation `Q block b = Q_b * [C_b; 0]`
+/// (parallel over blocks).
+pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
     let Some((blocks, locals)) = local_qrs(a, par) else {
         let f = qr(a, par);
         return Tsqr {
@@ -141,7 +87,7 @@ fn tsqr_with(
         };
     };
     let n = a.cols();
-    let (r, mut pieces) = merge(&locals);
+    let (r, mut pieces) = merge_stacked(&locals, par);
     parallel_chunks_mut(par, &mut pieces, 1, |b, slot| {
         let mut piece = DenseMatrix::zeros(blocks[b].len(), n);
         piece.set_submatrix(0, 0, &slot[0]);
@@ -163,32 +109,6 @@ pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
         Some((_, locals)) => qr(&stacked_rs(&locals), par).r(),
         None => qr(a, par).r(),
     }
-}
-
-/// Full TSQR with explicit thin `Q`: the local `R`s are merged by one
-/// stacked root QR.
-pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
-    tsqr_with(a, par, |locals| merge_stacked(locals, par))
-}
-
-/// [`tsqr`] with an explicit [`Numerics`] mode: `Fast` routes through
-/// [`tsqr_tree`], the pairwise binary-tree merge.
-pub fn tsqr_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> Tsqr {
-    if numerics.is_fast() {
-        tsqr_tree(a, par)
-    } else {
-        tsqr(a, par)
-    }
-}
-
-/// Tree-reduction TSQR: compared to [`tsqr`] this replaces the single
-/// `(nb*n) x n` stacked root QR by `log2(nb)` levels of `2n x n` merges
-/// — the "tree-reduced panel" of the fast numerics mode. The merge
-/// shape depends only on the block count (shape-derived), so results
-/// are deterministic across worker counts; they differ from [`tsqr`]
-/// only in rounding, normwise `O(n * eps)`.
-pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
-    tsqr_with(a, par, merge_tree)
 }
 
 #[cfg(test)]
@@ -261,37 +181,25 @@ mod tests {
 
     #[test]
     fn entry_points_agree_bitwise_and_are_np_stable() {
-        // m <= n, exactly one block, 3 blocks, 5 blocks (the odd node
-        // passes through the tree).
+        // m <= n, exactly one block, 3 blocks, 5 blocks.
         for (m, n, nb) in [(6, 8, 1), (200, 8, 1), (800, 8, 3), (1300, 8, 5)] {
             let a = rand_mat(m, n, m as u64);
             assert_eq!(blocking(m, n).len(), nb, "{m}x{n}");
             let one = Parallelism::new(1);
-            let (t1, tree1, r1) = (tsqr(&a, one), tsqr_tree(&a, one), tsqr_r(&a, one));
+            let (t1, r1) = (tsqr(&a, one), tsqr_r(&a, one));
             for np in [1, 3] {
                 let par = Parallelism::new(np);
                 let what = format!("{m}x{n} np={np}");
-                let (t, tree) = (tsqr(&a, par), tsqr_tree(&a, par));
-                for f in [&t, &tree] {
-                    let prod = matmul(&f.q, &f.r, Parallelism::SEQ);
-                    assert!(prod.max_abs_diff(&a) < 1e-12, "{what}");
-                    assert!(f.q.orthogonality_error() < 1e-13, "{what}");
-                }
+                let t = tsqr(&a, par);
+                let prod = matmul(&t.q, &t.r, Parallelism::SEQ);
+                assert!(prod.max_abs_diff(&a) < 1e-12, "{what}");
+                assert!(t.q.orthogonality_error() < 1e-13, "{what}");
                 // Worker counts only execute the shape-derived block set.
                 assert_bits(&t.q, &t1.q, &what);
                 assert_bits(&t.r, &t1.r, &what);
-                assert_bits(&tree.q, &tree1.q, &what);
-                assert_bits(&tree.r, &tree1.r, &what);
                 assert_bits(&tsqr_r(&a, par), &r1, &what);
                 // The R-only entry is the stacked merge without Q.
                 assert_bits(&t.r, &r1, &what);
-                // The mode entry selects between the two merges.
-                let bit = tsqr_mode(&a, par, Numerics::Bitwise);
-                assert_bits(&bit.q, &t.q, &what);
-                assert_bits(&bit.r, &t.r, &what);
-                let fast = tsqr_mode(&a, par, Numerics::Fast);
-                assert_bits(&fast.q, &tree.q, &what);
-                assert_bits(&fast.r, &tree.r, &what);
             }
         }
     }

@@ -19,9 +19,7 @@
 //! A body must not depend on *which* thread runs a chunk: chunks go to
 //! whoever claims them first, the caller included, and helpers outlive
 //! the region. (Thread-local state set up by the caller is therefore
-//! invisible to helper-run chunks; the workspace's one thread-local
-//! test hook, `numerics_test_hooks` in `lra-dense`, is armed at np=1
-//! only, where every chunk runs on the caller.)
+//! invisible to helper-run chunks.)
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -3,7 +3,7 @@
 //! Two requests compute the same factors exactly when they agree on
 //! (a) the matrix bits — captured by `CscMatrix::fingerprint()` — and
 //! (b) every result-determining option: driver, tolerance, block
-//! size, ordering, numerics mode, … — captured by
+//! size, ordering, … — captured by
 //! [`crate::Algorithm::options_digest`] — and (c) the rank-group
 //! size, because tournament merge order (and therefore pivot choice)
 //! depends on how many ranks the tournament runs over. The cache key

@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lra_core::{IlutOpts, LuCrtpOpts, LuCrtpResult, Outcome};
-use lra_dense::Numerics;
 use lra_sparse::CscMatrix;
 
 pub use lra_core::JobId;
@@ -47,13 +46,6 @@ impl Algorithm {
         self.base().tau
     }
 
-    /// The floating-point mode the job runs under. Part of the cache
-    /// key and of the resume identity: a parked job must resume in the
-    /// same mode (the checkpoint layer enforces this).
-    pub fn numerics(&self) -> Numerics {
-        self.base().numerics
-    }
-
     /// Digest of every result-determining option *except* the budget
     /// (budgets carry per-dispatch cancel tokens and do not change
     /// what a completed run computes). Two specs with equal digests,
@@ -65,7 +57,7 @@ impl Algorithm {
         use std::fmt::Write as _;
         let _ = write!(
             s,
-            "{}|k={}|tau={:016x}|ord={:?}|tree={:?}|par={:?}|mr={:?}|lf={:?}|num={}",
+            "{}|k={}|tau={:016x}|ord={:?}|tree={:?}|par={:?}|mr={:?}|lf={:?}",
             self.tag(),
             b.k,
             b.tau.to_bits(),
@@ -74,7 +66,6 @@ impl Algorithm {
             b.par,
             b.max_rank,
             b.l_formation,
-            b.numerics.as_str(),
         );
         if let Algorithm::IlutCrtp(o) = self {
             let _ = write!(

@@ -4,7 +4,7 @@
 //! The lower layers already provide everything a service needs except
 //! the service itself: cooperative budgets and cancellation
 //! (`lra-recover`), checkpointed drivers whose resumes are bitwise
-//! within a numerics mode (`lra-core`), scoped SPMD rank groups with
+//! (`lra-core`), scoped SPMD rank groups with
 //! per-group trace lanes (`lra-comm`), and matrix fingerprints
 //! (`lra-sparse`). This crate composes them into a [`Server`]:
 //!

@@ -611,18 +611,12 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch, budget: lra_recover::Budget) {
     let cfg = RunConfig::default().with_lane_base(d.lane_base);
     let hooks = RecoveryHooks::new(&d.store, inner.cfg.checkpoint_every);
     let matrix = &d.matrix;
-    // A mode-mismatch resume is impossible here: the job's store only
-    // ever sees this job's fixed options.
-    let report = match &algorithm {
-        Algorithm::LuCrtp(o) => lra_comm::run_with(d.ranks, &cfg, |ctx| {
-            lra_core::lu_crtp_spmd_checkpointed(ctx, matrix, o, Some(&hooks))
-                .expect("numerics mode is fixed per job store")
-        }),
-        Algorithm::IlutCrtp(o) => lra_comm::run_with(d.ranks, &cfg, |ctx| {
+    let report = lra_comm::run_with(d.ranks, &cfg, |ctx| match &algorithm {
+        Algorithm::LuCrtp(o) => lra_core::lu_crtp_spmd_checkpointed(ctx, matrix, o, Some(&hooks)),
+        Algorithm::IlutCrtp(o) => {
             lra_core::ilut_crtp_spmd_checkpointed(ctx, matrix, o, Some(&hooks))
-                .expect("numerics mode is fixed per job store")
-        }),
-    };
+        }
+    });
     // Fold the run's communication counters into the global registry
     // so the scrape endpoint can report wire traffic per collective
     // family (`comm.bytes.*`) and the overlap series across jobs.
@@ -630,7 +624,9 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch, budget: lra_recover::Budget) {
         stats.export_metrics(inner.metrics(), rank);
     }
     let mut results = report.unwrap_all();
-    let result = results.swap_remove(0);
+    let result = results
+        .swap_remove(0)
+        .expect("the checkpointed drivers always return Ok");
     let outcome = result.into_outcome();
 
     let mut st = inner.lock();

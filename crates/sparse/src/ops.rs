@@ -5,7 +5,7 @@
 
 use crate::{CscMatrix, SparseAccumulator};
 use lra_dense::DenseMatrix;
-use lra_par::{parallel_for, parallel_map_fold, Parallelism};
+use lra_par::{parallel_chunks_mut, parallel_for, parallel_map_fold, Parallelism};
 
 /// `C = A * D` for sparse `A` (m x n) and dense `D` (n x k).
 ///
@@ -17,21 +17,15 @@ pub fn spmm_dense(a: &CscMatrix, d: &DenseMatrix, par: Parallelism) -> DenseMatr
     let m = a.rows();
     let k = d.cols();
     let mut c = DenseMatrix::zeros(m, k);
-    let c_ptr = c.as_mut_slice().as_mut_ptr() as usize;
-    parallel_for(par, k, 1, |range| {
-        for j in range {
-            // SAFETY: each output column is owned by one task.
-            let cj =
-                unsafe { std::slice::from_raw_parts_mut((c_ptr as *mut f64).add(j * m), m) };
-            let dj = d.col(j);
-            for (col, &w) in dj.iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                let (ri, vs) = a.col(col);
-                for (&r, &v) in ri.iter().zip(vs) {
-                    cj[r] += v * w;
-                }
+    // One output column per chunk.
+    parallel_chunks_mut(par, c.as_mut_slice(), m, |j, cj| {
+        for (col, &w) in d.col(j).iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let (ri, vs) = a.col(col);
+            for (&r, &v) in ri.iter().zip(vs) {
+                cj[r] += v * w;
             }
         }
     });
@@ -56,7 +50,12 @@ pub fn spmm_t_dense(a: &CscMatrix, d: &DenseMatrix, par: Parallelism) -> DenseMa
                 for (&r, &v) in ri.iter().zip(vs) {
                     dot += v * dj[r];
                 }
-                // SAFETY: entry (col, j) written by exactly one task.
+                // SAFETY: `c` is column-major `n x k`, so `j * n + col`
+                // with `col < n` and `j < k` is in bounds, and it is
+                // row `col` of `C`: written only by the task that owns
+                // `col`, and `parallel_for` hands each index of `0..n`
+                // to exactly one task. Nothing reads `c` until the
+                // region has joined.
                 unsafe { *(c_ptr as *mut f64).add(j * n + col) = dot };
             }
         }
@@ -71,13 +70,10 @@ pub fn dense_mul_csc(d: &DenseMatrix, a: &CscMatrix, par: Parallelism) -> DenseM
     let p = d.rows();
     let n = a.cols();
     let mut c = DenseMatrix::zeros(p, n);
-    let c_ptr = c.as_mut_slice().as_mut_ptr() as usize;
-    parallel_for(par, n, 8, |range| {
-        for j in range {
-            // SAFETY: disjoint output columns.
-            let cj =
-                unsafe { std::slice::from_raw_parts_mut((c_ptr as *mut f64).add(j * p), p) };
-            let (ri, vs) = a.col(j);
+    // Eight output columns per chunk.
+    parallel_chunks_mut(par, c.as_mut_slice(), 8 * p, |chunk, cols| {
+        for (i, cj) in cols.chunks_mut(p).enumerate() {
+            let (ri, vs) = a.col(8 * chunk + i);
             for (&r, &v) in ri.iter().zip(vs) {
                 let dr = d.col(r);
                 for (ci, &di) in cj.iter_mut().zip(dr) {

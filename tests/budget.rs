@@ -111,7 +111,7 @@ proptest! {
             }
 
             // Resume with the unlimited budget: bitwise the clean run.
-            let resumed = ilut_crtp_checkpointed(&a, &opts, Some(&hooks)).expect("same mode");
+            let resumed = ilut_crtp_checkpointed(&a, &opts, Some(&hooks)).expect("always Ok");
             prop_assert!(resumed.converged);
             prop_assert_eq!(resumed.iterations, clean.iterations);
             prop_assert_eq!(resumed.rank, clean.rank);

@@ -17,16 +17,8 @@
 //! the downdating indicators), and that the truth never beats the SVD
 //! bound. Swept for `tau` in `{1e-2, 1e-4}`, the paper's extreme
 //! tolerance grid endpoints usable above the indicator floor.
-//!
-//! The same oracle also pins `Numerics::Fast`: FMA kernels and pairwise
-//! reductions change the rounding, not the mathematics, so every
-//! algorithm's estimator must keep the documented 10x tracking factor
-//! in Fast mode too (the Yu/Gu/Li-style normwise-robustness argument).
 
-use lra::core::{
-    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, Numerics, Parallelism, QbOpts,
-    UbvOpts,
-};
+use lra::core::{ilut_crtp, lu_crtp, rand_qb_ei, IlutOpts, LuCrtpOpts, Parallelism, QbOpts};
 use lra::dense::singular_values;
 
 mod common;
@@ -65,69 +57,6 @@ fn ilut_indicator_tracks_svd_truth() {
             let opt = svd_tail_rel(&s, r.rank, a_norm_f);
             assert!(est <= tau * (1.0 + 1e-9), "converged above tau");
             assert_oracle(name, "ilut_crtp", tau, r.rank, est, truth, opt);
-        }
-    }
-}
-
-/// All four algorithms in `Numerics::Fast`: the estimators must keep
-/// the documented 10x tracking factor under FMA kernels and pairwise
-/// reductions at both tolerance-grid endpoints.
-#[test]
-fn all_four_estimators_track_svd_truth_in_fast_mode() {
-    for (name, a) in oracle_matrices() {
-        let s = singular_values(&a.to_dense());
-        let a_norm_f = a.fro_norm();
-        for tau in [1e-2, 1e-4] {
-            let qb = rand_qb_ei(&a, &QbOpts::new(8, tau).with_numerics(Numerics::Fast)).unwrap();
-            assert!(qb.converged, "fast rand_qb_ei on {name} (tau={tau:.0e})");
-            assert_oracle(
-                name,
-                "rand_qb_ei[fast]",
-                tau,
-                qb.rank,
-                qb.indicator / a_norm_f,
-                qb.exact_error(&a, Parallelism::SEQ) / a_norm_f,
-                svd_tail_rel(&s, qb.rank, a_norm_f),
-            );
-
-            let lu = lu_crtp(&a, &LuCrtpOpts::new(8, tau).with_numerics(Numerics::Fast));
-            assert!(lu.converged, "fast lu_crtp on {name} (tau={tau:.0e})");
-            assert_oracle(
-                name,
-                "lu_crtp[fast]",
-                tau,
-                lu.rank,
-                lu.indicator / a_norm_f,
-                lu.exact_error(&a, Parallelism::SEQ) / a_norm_f,
-                svd_tail_rel(&s, lu.rank, a_norm_f),
-            );
-
-            let il = ilut_crtp(
-                &a,
-                &IlutOpts::new(8, tau, lu.iterations.max(1)).with_numerics(Numerics::Fast),
-            );
-            assert!(il.converged, "fast ilut_crtp on {name} (tau={tau:.0e})");
-            assert_oracle(
-                name,
-                "ilut_crtp[fast]",
-                tau,
-                il.rank,
-                il.indicator / a_norm_f,
-                il.exact_error(&a, Parallelism::SEQ) / a_norm_f,
-                svd_tail_rel(&s, il.rank, a_norm_f),
-            );
-
-            let ubv = rand_ubv(&a, &UbvOpts::new(8, tau).with_numerics(Numerics::Fast));
-            assert!(ubv.converged, "fast rand_ubv on {name} (tau={tau:.0e})");
-            assert_oracle(
-                name,
-                "rand_ubv[fast]",
-                tau,
-                ubv.rank,
-                ubv.indicator / a_norm_f,
-                ubv.exact_error(&a, Parallelism::SEQ) / a_norm_f,
-                svd_tail_rel(&s, ubv.rank, a_norm_f),
-            );
         }
     }
 }

@@ -5,7 +5,7 @@ use lra::core::{lu_crtp, rand_qb_ei, Checkpoint, CheckpointStore, LuCrtpOpts, Pa
 use lra::obs::Json;
 use lra::dense::{
     matmul, matmul_naive, matmul_nt, matmul_nt_naive, matmul_sub_assign, matmul_sub_assign_naive,
-    matmul_tn, orth, qr, qrcp, singular_values, tsqr, DenseMatrix,
+    matmul_tn, matmul_tn_naive, orth, qr, qrcp, singular_values, tsqr, DenseMatrix,
 };
 use lra::sparse::{spgemm, spmm_dense, CooMatrix, CscMatrix};
 use proptest::prelude::*;
@@ -272,12 +272,14 @@ fn gemm_operand(rows: usize, cols: usize, salt: usize) -> DenseMatrix {
 fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
     let (m, k) = (19, 23);
     let a = gemm_operand(m, k, 1);
+    let at = gemm_operand(k, m, 5);
     for n in [1usize, 7, 8, 33, 64, 65, 130] {
         let b = gemm_operand(k, n, 2);
         let bt = gemm_operand(n, k, 3);
         let c0 = gemm_operand(m, n, 4);
         let prod = matmul_naive(&a, &b, Parallelism::SEQ);
         let prod_nt = matmul_nt_naive(&a, &bt, Parallelism::SEQ);
+        let prod_tn = matmul_tn_naive(&at, &b, Parallelism::SEQ);
         let mut diff = c0.clone();
         matmul_sub_assign_naive(&mut diff, &a, &b, Parallelism::SEQ);
         for np in [1usize, 2, 3, 5] {
@@ -287,6 +289,10 @@ fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
             assert!(
                 bits_eq(matmul_nt(&a, &bt, par).as_slice(), prod_nt.as_slice()),
                 "matmul_nt {tag}"
+            );
+            assert!(
+                bits_eq(matmul_tn(&at, &b, par).as_slice(), prod_tn.as_slice()),
+                "matmul_tn {tag}"
             );
             let mut c = c0.clone();
             matmul_sub_assign(&mut c, &a, &b, par);

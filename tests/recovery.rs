@@ -6,11 +6,13 @@
 use std::time::Duration;
 
 use lra::core::{
-    explore_fault_space, ilut_crtp_spmd_checkpointed, ilut_crtp_supervised,
-    ilut_crtp_supervised_with_store, lu_crtp_dist_checked, rand_qb_ei, rand_qb_ei_checkpointed,
-    CheckpointStore, ExploreConfig, FaultPlan, IlutOpts, InvalidInput, LuCrtpOpts, QbOpts,
-    RecoveryError, RecoveryHooks, RecoveryPolicy, RunConfig, StorageFaultPlan, SupervisedError,
+    explore_fault_space, ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd_checkpointed,
+    ilut_crtp_supervised, ilut_crtp_supervised_with_store, lu_crtp_dist_checked, rand_qb_ei,
+    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, ExploreConfig, FaultPlan,
+    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbOpts, RecoveryError, RecoveryHooks,
+    RecoveryPolicy, RunConfig, StorageFaultPlan, SupervisedError,
 };
+use lra::obs::Json;
 use lra::sparse::CscMatrix;
 
 mod common;
@@ -224,6 +226,69 @@ fn qb_resume_from_checkpoint_is_bitwise_identical() {
         assert_eq!(run.indicator.to_bits(), reference.indicator.to_bits());
         assert!(bits_eq(run.q.as_slice(), reference.q.as_slice()));
         assert!(bits_eq(run.b.as_slice(), reference.b.as_slice()));
+    }
+}
+
+/// A stored envelope is outside input. Builds that had a relaxed
+/// numerics mode tagged every snapshot with the mode that wrote it; a
+/// `"fast"` snapshot found in a store is an unusable checkpoint — guard
+/// trip, fresh start — never a resume (that would splice two rounding
+/// regimes) and never an error or a panic. The planted snapshot's trace
+/// is doctored, so resuming from it would show in the result.
+#[test]
+fn foreign_numerics_tagged_snapshot_is_ignored_and_the_run_starts_fresh() {
+    struct FastTagged(LuCrtpCheckpoint);
+    impl Checkpoint for FastTagged {
+        const KIND: &'static str = LuCrtpCheckpoint::KIND;
+        fn iteration(&self) -> usize {
+            self.0.iterations
+        }
+        fn state_to_json(&self) -> Json {
+            let Json::Obj(mut fields) = self.0.state_to_json() else {
+                panic!("checkpoint state is an object")
+            };
+            fields.retain(|(key, _)| key != "numerics");
+            fields.push(("numerics".to_string(), Json::Str("fast".to_string())));
+            Json::Obj(fields)
+        }
+        fn state_from_json(_: &Json) -> Result<Self, String> {
+            unreachable!("only ever saved")
+        }
+    }
+
+    let a = fault_matrix(11);
+    let opts = fault_ilut_opts();
+    let reference = ilut_crtp(&a, &opts);
+
+    // A genuine two-iteration snapshot of this very run...
+    let scratch = CheckpointStore::in_memory();
+    let capped = opts
+        .clone()
+        .with_budget(Budget::unlimited().with_iteration_cap(2));
+    ilut_crtp_checkpointed(&a, &capped, Some(&RecoveryHooks::new(&scratch, 1))).unwrap();
+    let mut planted: LuCrtpCheckpoint = scratch.load().unwrap().unwrap();
+    assert_eq!(planted.iterations, 2);
+    // ...doctored and re-tagged as the newest generation of the store
+    // the run under test is handed.
+    planted.trace[0].indicator = 12345.0;
+    let store = CheckpointStore::in_memory();
+    store.save(&FastTagged(planted)).unwrap();
+
+    let trips_before = counter("recover.guard_trip");
+    let got = ilut_crtp_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    assert!(counter("recover.guard_trip") > trips_before);
+
+    assert_eq!(got.iterations, reference.iterations);
+    assert_eq!(got.pivot_rows, reference.pivot_rows);
+    assert_eq!(got.pivot_cols, reference.pivot_cols);
+    assert_eq!(got.indicator.to_bits(), reference.indicator.to_bits());
+    for (g, r) in got.trace.iter().zip(&reference.trace) {
+        assert_eq!(g.indicator.to_bits(), r.indicator.to_bits());
+    }
+    for (g, r) in [(&got.l, &reference.l), (&got.u, &reference.u)] {
+        assert_eq!(g.colptr(), r.colptr());
+        assert_eq!(g.rowidx(), r.rowidx());
+        assert!(bits_eq(g.values(), r.values()));
     }
 }
 

@@ -21,7 +21,7 @@ use lra::sparse::CscMatrix;
 /// the server dispatches, run solo on the same rank count.
 fn solo(a: &CscMatrix, opts: &IlutOpts, np: usize) -> LuCrtpResult {
     let mut results = lra::comm::run_infallible(np, |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, a, opts, None).expect("no hooks, no mode mismatch")
+        ilut_crtp_spmd_checkpointed(ctx, a, opts, None).expect("always Ok")
     });
     results.swap_remove(0)
 }
