@@ -18,17 +18,26 @@
 //! protocol is needed beyond the collectives the algorithm already
 //! performs.
 //!
-//! Serialization goes through the `lra-obs` [`Json`] writer, which
-//! prints finite `f64`s with shortest round-trip formatting: a
-//! save → load cycle is bitwise exact, so a resumed run on the same
-//! rank count reproduces the uninterrupted factors bit for bit.
+//! Serialization is the binary envelope of `lra-recover`: the scalar
+//! loop state rides in the envelope's small JSON header, every array
+//! (the Schur complement, the maps, the `L`/`U` panels, pivots, trace,
+//! the QB blocks) is a section of raw little-endian `u32` indices or
+//! `f64` bits. A save → load cycle is therefore bitwise exact by
+//! construction, so a resumed run on the same rank count reproduces the
+//! uninterrupted factors bit for bit. The snapshot types hold their
+//! arrays as [`Cow`]s: a driver saves one that *borrows* the live loop
+//! state (nothing is cloned, the state is encoded once), a load returns
+//! one that owns what it decoded.
 
 use crate::lucrtp::IterTrace;
+use crate::panel::FactorCol;
 use lra_dense::DenseMatrix;
+use lra_obs::json::obj;
 use lra_obs::Json;
-use lra_qrtp::ColumnSelection;
 pub use lra_recover::{Checkpoint, CheckpointStore};
+use lra_recover::{SectionReader, SectionWriter};
 use lra_sparse::CscMatrix;
+use std::borrow::Cow;
 
 /// Checkpointing configuration threaded into a driver: where snapshots
 /// go and how often they are taken.
@@ -81,9 +90,10 @@ pub struct IlutCheckpoint {
 
 /// Full loop state of LU_CRTP / ILUT_CRTP after `iterations` completed
 /// block iterations — everything needed to continue as if never
-/// interrupted.
+/// interrupted. Borrowed from the running loop when saved, owned when
+/// loaded.
 #[derive(Debug, Clone)]
-pub struct LuCrtpCheckpoint {
+pub struct LuCrtpCheckpoint<'a> {
     /// Original matrix shape (consistency check on resume).
     pub m: usize,
     /// Original column count.
@@ -98,123 +108,123 @@ pub struct LuCrtpCheckpoint {
     /// `|R^(1)(1,1)|` from the first iteration.
     pub r11: f64,
     /// The current (post-drop, for ILUT) Schur complement.
-    pub s: CscMatrix,
+    pub s: Cow<'a, CscMatrix>,
     /// Trailing-row ids (into original coordinates).
-    pub row_map: Vec<usize>,
+    pub row_map: Cow<'a, [usize]>,
     /// Trailing-column ids (into original coordinates).
-    pub col_map: Vec<usize>,
+    pub col_map: Cow<'a, [usize]>,
     /// Accumulated `L` panels (columns, original row ids).
-    pub l_cols: Vec<Vec<(usize, f64)>>,
+    pub l_cols: Cow<'a, [FactorCol]>,
     /// Accumulated `U^T` panels (columns, original column ids).
-    pub ut_cols: Vec<Vec<(usize, f64)>>,
-    /// Selected pivot columns so far, as a tournament
-    /// [`ColumnSelection`] whose `r_diag` carries the concatenated
-    /// rank-revealing `|diag(R)|` estimates.
-    pub pivots: ColumnSelection,
+    pub ut_cols: Cow<'a, [FactorCol]>,
+    /// Selected pivot columns (original ids, factor order); their
+    /// rank-revealing `|diag(R)|` estimates are the trace's `r_diag`.
+    pub pivot_cols: Cow<'a, [usize]>,
     /// Selected pivot rows (original ids, factor order).
-    pub pivot_rows: Vec<usize>,
+    pub pivot_rows: Cow<'a, [usize]>,
     /// Per-iteration trace so far.
-    pub trace: Vec<IterTrace>,
+    pub trace: Cow<'a, [IterTrace]>,
     /// Threshold state (ILUT_CRTP only).
     pub ilut: Option<IlutCheckpoint>,
 }
 
-impl Checkpoint for LuCrtpCheckpoint {
+impl Checkpoint for LuCrtpCheckpoint<'_> {
     const KIND: &'static str = "lu_crtp";
 
     fn iteration(&self) -> usize {
         self.iterations
     }
 
-    fn state_to_json(&self) -> Json {
-        let mut fields = vec![
-            ("m".to_string(), Json::Num(self.m as f64)),
-            ("n".to_string(), Json::Num(self.n as f64)),
-            (
-                "iterations".to_string(),
-                Json::Num(self.iterations as f64),
-            ),
-            ("rank".to_string(), Json::Num(self.rank as f64)),
-            ("indicator".to_string(), Json::Num(self.indicator)),
-            ("r11".to_string(), Json::Num(self.r11)),
-            ("s".to_string(), csc_to_json(&self.s)),
-            ("row_map".to_string(), arr_usize(&self.row_map)),
-            ("col_map".to_string(), arr_usize(&self.col_map)),
-            ("l_cols".to_string(), panels_to_json(&self.l_cols)),
-            ("ut_cols".to_string(), panels_to_json(&self.ut_cols)),
-            ("pivots".to_string(), self.pivots.to_json()),
-            ("pivot_rows".to_string(), arr_usize(&self.pivot_rows)),
-            (
-                "trace".to_string(),
-                Json::Arr(self.trace.iter().map(trace_to_json).collect()),
-            ),
+    fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
+        w.indices("s.colptr", self.s.colptr().iter().copied())?;
+        w.indices("s.rowidx", self.s.rowidx().iter().copied())?;
+        w.f64s("s.values", self.s.values().iter().copied());
+        w.indices("row_map", self.row_map.iter().copied())?;
+        w.indices("col_map", self.col_map.iter().copied())?;
+        put_panels(w, "l", &self.l_cols)?;
+        put_panels(w, "ut", &self.ut_cols)?;
+        w.indices("pivot_cols", self.pivot_cols.iter().copied())?;
+        w.indices("pivot_rows", self.pivot_rows.iter().copied())?;
+        let counts = |t: &IterTrace| [t.iteration, t.rank, t.schur_nnz, t.r_diag.len()];
+        w.indices("trace.counts", self.trace.iter().flat_map(counts))?;
+        let stats = |t: &IterTrace| [t.indicator, t.schur_density, t.schur_nnz_per_row];
+        w.f64s("trace.stats", self.trace.iter().flat_map(stats));
+        let r_diag = self.trace.iter().flat_map(|t| &t.r_diag);
+        w.f64s("trace.r_diag", r_diag.copied());
+
+        let mut state = vec![
+            ("m", Json::Num(self.m as f64)),
+            ("n", Json::Num(self.n as f64)),
+            ("iterations", Json::Num(self.iterations as f64)),
+            ("rank", Json::Num(self.rank as f64)),
+            ("indicator", Json::Num(self.indicator)),
+            ("r11", Json::Num(self.r11)),
         ];
         if let Some(ilut) = &self.ilut {
-            fields.push((
-                "ilut".to_string(),
-                Json::Obj(vec![
-                    ("mu".to_string(), Json::Num(ilut.mu)),
-                    ("phi".to_string(), Json::Num(ilut.phi)),
-                    ("mass_sq".to_string(), Json::Num(ilut.mass_sq)),
-                    ("dropped".to_string(), Json::Num(ilut.dropped as f64)),
-                    (
-                        "control_triggered".to_string(),
-                        Json::Bool(ilut.control_triggered),
-                    ),
-                ]),
-            ));
+            let ilut = obj(vec![
+                ("mu", Json::Num(ilut.mu)),
+                ("phi", Json::Num(ilut.phi)),
+                ("mass_sq", Json::Num(ilut.mass_sq)),
+                ("dropped", Json::Num(ilut.dropped as f64)),
+                ("control_triggered", Json::Bool(ilut.control_triggered)),
+            ]);
+            state.push(("ilut", ilut));
         }
-        Json::Obj(fields)
+        Ok(obj(state))
     }
 
-    fn state_from_json(state: &Json) -> Result<Self, String> {
-        check_numerics_tag(state)?;
+    fn decode(state: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
         let ilut = match state.get("ilut") {
             None => None,
             Some(j) => Some(IlutCheckpoint {
-                mu: get_f64(j, "mu")?,
-                phi: get_f64(j, "phi")?,
-                mass_sq: get_f64(j, "mass_sq")?,
-                dropped: get_usize(j, "dropped")?,
-                control_triggered: j
-                    .get("control_triggered")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing control_triggered")?,
+                mu: get(j, "mu", Json::as_f64)?,
+                phi: get(j, "phi", Json::as_f64)?,
+                mass_sq: get(j, "mass_sq", Json::as_f64)?,
+                dropped: get(j, "dropped", Json::as_usize)?,
+                control_triggered: get(j, "control_triggered", Json::as_bool)?,
             }),
         };
+        let row_map = r.indices("row_map")?;
+        let col_map = r.indices("col_map")?;
+        let counts = r.indices("trace.counts")?;
+        let stats = r.f64s("trace.stats")?;
+        if counts.len() % 4 != 0 || counts.len() * 3 != stats.len() * 4 {
+            return Err("ragged trace sections".to_string());
+        }
+        let r_diag_lens = counts.chunks_exact(4).map(|c| c[3]);
+        let r_diags = split_exact(r.f64s("trace.r_diag")?, r_diag_lens, "trace.r_diag")?;
+        let trace: Vec<IterTrace> = counts
+            .chunks_exact(4)
+            .zip(stats.chunks_exact(3))
+            .zip(r_diags)
+            .map(|((c, f), r_diag)| IterTrace {
+                iteration: c[0],
+                rank: c[1],
+                indicator: f[0],
+                schur_nnz: c[2],
+                schur_density: f[1],
+                schur_nnz_per_row: f[2],
+                r_diag,
+            })
+            .collect();
         let ckpt = LuCrtpCheckpoint {
-            m: get_usize(state, "m")?,
-            n: get_usize(state, "n")?,
-            iterations: get_usize(state, "iterations")?,
-            rank: get_usize(state, "rank")?,
-            indicator: get_f64(state, "indicator")?,
-            r11: get_f64(state, "r11")?,
-            s: csc_from_json(state.get("s").ok_or("missing s")?)?,
-            row_map: get_arr_usize(state, "row_map")?,
-            col_map: get_arr_usize(state, "col_map")?,
-            l_cols: panels_from_json(state.get("l_cols").ok_or("missing l_cols")?)?,
-            ut_cols: panels_from_json(state.get("ut_cols").ok_or("missing ut_cols")?)?,
-            pivots: ColumnSelection::from_json(state.get("pivots").ok_or("missing pivots")?)?,
-            pivot_rows: get_arr_usize(state, "pivot_rows")?,
-            trace: state
-                .get("trace")
-                .and_then(Json::as_arr)
-                .ok_or("missing trace")?
-                .iter()
-                .map(trace_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            m: get(state, "m", Json::as_usize)?,
+            n: get(state, "n", Json::as_usize)?,
+            iterations: get(state, "iterations", Json::as_usize)?,
+            rank: get(state, "rank", Json::as_usize)?,
+            indicator: get(state, "indicator", Json::as_f64)?,
+            r11: get(state, "r11", Json::as_f64)?,
+            s: Cow::Owned(get_csc(r, row_map.len(), col_map.len())?),
+            row_map: row_map.into(),
+            col_map: col_map.into(),
+            l_cols: get_panels(r, "l")?.into(),
+            ut_cols: get_panels(r, "ut")?.into(),
+            pivot_cols: r.indices("pivot_cols")?.into(),
+            pivot_rows: r.indices("pivot_rows")?.into(),
+            trace: trace.into(),
             ilut,
         };
-        if ckpt.s.rows() != ckpt.row_map.len() || ckpt.s.cols() != ckpt.col_map.len() {
-            return Err(format!(
-                "inconsistent checkpoint: schur {}x{} vs maps {}x{}",
-                ckpt.s.rows(),
-                ckpt.s.cols(),
-                ckpt.row_map.len(),
-                ckpt.col_map.len()
-            ));
-        }
-        if ckpt.pivots.selected.len() != ckpt.rank || ckpt.pivot_rows.len() != ckpt.rank {
+        if ckpt.pivot_cols.len() != ckpt.rank || ckpt.pivot_rows.len() != ckpt.rank {
             return Err("inconsistent checkpoint: pivot count != rank".to_string());
         }
         Ok(ckpt)
@@ -228,7 +238,7 @@ impl Checkpoint for LuCrtpCheckpoint {
 /// sketch sequence (and therefore the factors) is bitwise identical to
 /// an uninterrupted run.
 #[derive(Debug, Clone)]
-pub struct QbCheckpoint {
+pub struct QbCheckpoint<'a> {
     /// Completed block iterations.
     pub iterations: usize,
     /// Accumulated rank `K`.
@@ -236,87 +246,83 @@ pub struct QbCheckpoint {
     /// Running residual `E = ||A||_F^2 - sum ||B_j||_F^2`.
     pub e: f64,
     /// Indicator history so far.
-    pub history: Vec<f64>,
+    pub history: Cow<'a, [f64]>,
     /// Accumulated orthonormal blocks.
-    pub q_blocks: Vec<DenseMatrix>,
+    pub q_blocks: Cow<'a, [DenseMatrix]>,
     /// Accumulated coefficient blocks.
-    pub b_blocks: Vec<DenseMatrix>,
+    pub b_blocks: Cow<'a, [DenseMatrix]>,
     /// `next_u64` calls consumed from the seeded RNG so far.
     pub rng_draws: u64,
 }
 
-impl Checkpoint for QbCheckpoint {
+impl Checkpoint for QbCheckpoint<'_> {
     const KIND: &'static str = "rand_qb_ei";
 
     fn iteration(&self) -> usize {
         self.iterations
     }
 
-    fn state_to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "iterations".to_string(),
-                Json::Num(self.iterations as f64),
-            ),
-            ("rank".to_string(), Json::Num(self.rank as f64)),
-            ("e".to_string(), Json::Num(self.e)),
-            ("history".to_string(), arr_f64(&self.history)),
-            (
-                "q_blocks".to_string(),
-                Json::Arr(self.q_blocks.iter().map(dense_to_json).collect()),
-            ),
-            (
-                "b_blocks".to_string(),
-                Json::Arr(self.b_blocks.iter().map(dense_to_json).collect()),
-            ),
-            ("rng_draws".to_string(), Json::Num(self.rng_draws as f64)),
-        ])
+    fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
+        w.f64s("history", self.history.iter().copied());
+        for (name, blocks) in [("q", &self.q_blocks), ("b", &self.b_blocks)] {
+            let shapes = blocks.iter().flat_map(|b| [b.rows(), b.cols()]);
+            w.indices(&format!("{name}.shape"), shapes)?;
+            let data = blocks.iter().flat_map(|b| b.as_slice());
+            w.f64s(&format!("{name}.data"), data.copied());
+        }
+        Ok(obj(vec![
+            ("iterations", Json::Num(self.iterations as f64)),
+            ("rank", Json::Num(self.rank as f64)),
+            ("e", Json::Num(self.e)),
+            ("rng_draws", Json::Num(self.rng_draws as f64)),
+        ]))
     }
 
-    fn state_from_json(state: &Json) -> Result<Self, String> {
-        check_numerics_tag(state)?;
-        let blocks = |key: &'static str| -> Result<Vec<DenseMatrix>, String> {
-            state
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or(format!("missing {key}"))?
-                .iter()
-                .map(dense_from_json)
-                .collect()
+    fn decode(state: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
+        let blocks = |name: &str| -> Result<Vec<DenseMatrix>, String> {
+            let shapes = r.indices(&format!("{name}.shape"))?;
+            if shapes.len() % 2 != 0 {
+                return Err(format!("odd {name}.shape section"));
+            }
+            let sizes = shapes.chunks_exact(2).map(|s| s[0].saturating_mul(s[1]));
+            let data = split_exact(r.f64s(&format!("{name}.data"))?, sizes, name)?;
+            let shaped = shapes.chunks_exact(2).zip(data);
+            Ok(shaped
+                .map(|(s, d)| DenseMatrix::from_column_major(s[0], s[1], d))
+                .collect())
         };
         Ok(QbCheckpoint {
-            iterations: get_usize(state, "iterations")?,
-            rank: get_usize(state, "rank")?,
-            e: get_f64(state, "e")?,
-            history: get_arr_f64(state, "history")?,
-            q_blocks: blocks("q_blocks")?,
-            b_blocks: blocks("b_blocks")?,
-            rng_draws: state
-                .get("rng_draws")
-                .and_then(Json::as_u64)
-                .ok_or("missing rng_draws")?,
+            iterations: get(state, "iterations", Json::as_usize)?,
+            rank: get(state, "rank", Json::as_usize)?,
+            e: get(state, "e", Json::as_f64)?,
+            history: r.f64s("history")?.into(),
+            q_blocks: blocks("q")?.into(),
+            b_blocks: blocks("b")?.into(),
+            rng_draws: get(state, "rng_draws", Json::as_u64)?,
         })
     }
 }
 
+/// The store's latest valid snapshot. An unusable store is *not*
+/// fatal — the driver records a `recover.guard_trip` and starts from
+/// iteration 0, which is always correct, just slower.
+fn load_or_trip<C: Checkpoint>(hooks: &RecoveryHooks<'_>) -> Option<C> {
+    hooks.store().load().unwrap_or_else(|e| {
+        lra_recover::record_guard_trip(format!("unusable checkpoint ignored: {e}"));
+        None
+    })
+}
+
 /// Driver-side resume: load the store's latest snapshot if it matches
-/// this run (same matrix shape, same algorithm family). A corrupt or
-/// mismatched snapshot is *not* fatal — the driver records a
-/// `recover.guard_trip` and starts from iteration 0, which is always
-/// correct, just slower.
+/// this run (same matrix shape, same algorithm family); a mismatched
+/// one is a guard trip and a fresh start, like an unusable one.
 pub(crate) fn load_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
     want_ilut: bool,
-) -> Option<LuCrtpCheckpoint> {
-    let ck = match hooks.store().load::<LuCrtpCheckpoint>() {
-        Ok(ck) => ck?,
-        Err(e) => {
-            lra_recover::record_guard_trip(format!("unusable checkpoint ignored: {e}"));
-            return None;
-        }
-    };
+) -> Option<LuCrtpCheckpoint<'static>> {
+    let ck: LuCrtpCheckpoint = load_or_trip(hooks)?;
     if ck.m != m || ck.n != n {
         lra_recover::record_guard_trip(format!(
             "checkpoint for {}x{} ignored for {m}x{n} input",
@@ -335,7 +341,7 @@ pub(crate) fn load_resume(
 
 /// Persist a snapshot; a failed save is recorded as a guard trip, never
 /// an abort (losing a checkpoint degrades recovery, not correctness).
-pub(crate) fn save_snapshot(hooks: &RecoveryHooks<'_>, ck: &LuCrtpCheckpoint) {
+pub(crate) fn save_snapshot(hooks: &RecoveryHooks<'_>, ck: &impl Checkpoint) {
     if let Err(e) = hooks.store().save(ck) {
         lra_recover::record_guard_trip(format!("checkpoint save failed: {e}"));
     }
@@ -348,14 +354,8 @@ pub(crate) fn load_qb_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
-) -> Option<QbCheckpoint> {
-    let ck = match hooks.store().load::<QbCheckpoint>() {
-        Ok(ck) => ck?,
-        Err(e) => {
-            lra_recover::record_guard_trip(format!("unusable checkpoint ignored: {e}"));
-            return None;
-        }
-    };
+) -> Option<QbCheckpoint<'static>> {
+    let ck: QbCheckpoint = load_or_trip(hooks)?;
     let shapes_ok = ck.q_blocks.iter().all(|q| q.rows() == m)
         && ck.b_blocks.iter().all(|b| b.cols() == n)
         && ck.q_blocks.len() == ck.b_blocks.len();
@@ -368,176 +368,78 @@ pub(crate) fn load_qb_resume(
     Some(ck)
 }
 
-/// Persist a QB snapshot; like [`save_snapshot`], failure is a guard
-/// trip, never an abort.
-pub(crate) fn save_qb_snapshot(hooks: &RecoveryHooks<'_>, ck: &QbCheckpoint) {
-    if let Err(e) = hooks.store().save(ck) {
-        lra_recover::record_guard_trip(format!("checkpoint save failed: {e}"));
+// ---- header and section helpers --------------------------------------
+
+/// Header field `key` of `j`, read through one of `Json`'s `as_*`.
+fn get<'j, T>(j: &'j Json, key: &str, read: fn(&'j Json) -> Option<T>) -> Result<T, String> {
+    j.get(key).and_then(read).ok_or_else(|| format!("missing {key}"))
+}
+
+/// Cut `flat` into consecutive pieces of the given lengths, which must
+/// use it up exactly.
+fn split_exact<T>(
+    flat: Vec<T>,
+    lens: impl IntoIterator<Item = usize>,
+    what: &str,
+) -> Result<Vec<Vec<T>>, String> {
+    let mut rest = flat.into_iter();
+    let mut pieces = Vec::new();
+    for len in lens {
+        let piece: Vec<T> = rest.by_ref().take(len).collect();
+        if piece.len() != len {
+            return Err(format!("{what}: lengths overrun the data"));
+        }
+        pieces.push(piece);
+    }
+    match rest.next() {
+        None => Ok(pieces),
+        Some(_) => Err(format!("{what}: data beyond the lengths")),
     }
 }
 
-// ---- Json helpers -------------------------------------------------
-
-/// A stored envelope is outside input: builds that had a relaxed
-/// numerics mode tagged every snapshot with the mode that produced it.
-/// No tag, or `"bitwise"`, is this build's arithmetic; any other tag
-/// (a `"fast"` snapshot left in a disk store) is a decode error, so the
-/// driver ignores the snapshot and starts fresh instead of splicing two
-/// rounding regimes into one run.
-fn check_numerics_tag(j: &Json) -> Result<(), String> {
-    match j.get("numerics").map(Json::as_str) {
-        None | Some(Some("bitwise")) => Ok(()),
-        Some(Some(other)) => Err(format!("checkpoint written in {other:?} numerics mode")),
-        Some(None) => Err("numerics tag not a string".to_string()),
-    }
-}
-
-fn arr_usize(xs: &[usize]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x as f64)).collect())
-}
-
-fn arr_f64(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
-}
-
-fn get_f64(j: &Json, key: &'static str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing {key}"))
-}
-
-fn get_usize(j: &Json, key: &'static str) -> Result<usize, String> {
-    j.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| format!("missing {key}"))
-}
-
-fn get_arr_usize(j: &Json, key: &'static str) -> Result<Vec<usize>, String> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {key}"))?
-        .iter()
-        .map(|v| v.as_usize().ok_or_else(|| format!("non-index in {key}")))
-        .collect()
-}
-
-fn get_arr_f64(j: &Json, key: &'static str) -> Result<Vec<f64>, String> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {key}"))?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| format!("non-number in {key}")))
-        .collect()
-}
-
-fn csc_to_json(m: &CscMatrix) -> Json {
-    Json::Obj(vec![
-        ("rows".to_string(), Json::Num(m.rows() as f64)),
-        ("cols".to_string(), Json::Num(m.cols() as f64)),
-        ("colptr".to_string(), arr_usize(m.colptr())),
-        ("rowidx".to_string(), arr_usize(m.rowidx())),
-        ("values".to_string(), arr_f64(m.values())),
-    ])
-}
-
-fn csc_from_json(j: &Json) -> Result<CscMatrix, String> {
-    let rows = get_usize(j, "rows")?;
-    let cols = get_usize(j, "cols")?;
-    let colptr = get_arr_usize(j, "colptr")?;
-    let rowidx = get_arr_usize(j, "rowidx")?;
-    let values = get_arr_f64(j, "values")?;
-    if colptr.len() != cols + 1 || rowidx.len() != values.len() {
-        return Err("malformed CSC checkpoint".to_string());
+/// The Schur complement's three arrays; its shape is the maps'. A
+/// stored envelope is outside input, so everything `CscMatrix` would
+/// assert (or index by later) is checked here first.
+fn get_csc(r: &SectionReader<'_>, rows: usize, cols: usize) -> Result<CscMatrix, String> {
+    let colptr = r.indices("s.colptr")?;
+    let rowidx = r.indices("s.rowidx")?;
+    let values = r.f64s("s.values")?;
+    let well_formed = colptr.len() == cols + 1
+        && colptr[0] == 0
+        && colptr.windows(2).all(|w| w[0] <= w[1])
+        && colptr[cols] == rowidx.len()
+        && rowidx.len() == values.len()
+        && rowidx.iter().all(|&i| i < rows);
+    if !well_formed {
+        return Err(format!("malformed {rows}x{cols} Schur complement"));
     }
     Ok(CscMatrix::from_parts(rows, cols, colptr, rowidx, values))
 }
 
-fn dense_to_json(m: &DenseMatrix) -> Json {
-    Json::Obj(vec![
-        ("rows".to_string(), Json::Num(m.rows() as f64)),
-        ("cols".to_string(), Json::Num(m.cols() as f64)),
-        ("data".to_string(), arr_f64(m.as_slice())),
-    ])
+/// Sparse panel columns (`l_cols` / `ut_cols`) as three sections:
+/// per-column lengths, then every index, then every value.
+fn put_panels(w: &mut SectionWriter, name: &str, cols: &[FactorCol]) -> Result<(), String> {
+    w.indices(&format!("{name}.len"), cols.iter().map(Vec::len))?;
+    w.indices(&format!("{name}.idx"), cols.iter().flatten().map(|&(i, _)| i))?;
+    w.f64s(&format!("{name}.val"), cols.iter().flatten().map(|&(_, v)| v));
+    Ok(())
 }
 
-fn dense_from_json(j: &Json) -> Result<DenseMatrix, String> {
-    let rows = get_usize(j, "rows")?;
-    let cols = get_usize(j, "cols")?;
-    let data = get_arr_f64(j, "data")?;
-    if data.len() != rows * cols {
-        return Err("malformed dense checkpoint".to_string());
+fn get_panels(r: &SectionReader<'_>, name: &str) -> Result<Vec<FactorCol>, String> {
+    let idx = r.indices(&format!("{name}.idx"))?;
+    let val = r.f64s(&format!("{name}.val"))?;
+    if idx.len() != val.len() {
+        return Err(format!("ragged {name} panel sections"));
     }
-    Ok(DenseMatrix::from_column_major(rows, cols, data))
-}
-
-/// Sparse panel columns (`l_cols` / `ut_cols`) as per-column index and
-/// value arrays.
-fn panels_to_json(cols: &[Vec<(usize, f64)>]) -> Json {
-    Json::Arr(
-        cols.iter()
-            .map(|col| {
-                Json::Obj(vec![
-                    (
-                        "i".to_string(),
-                        Json::Arr(col.iter().map(|&(i, _)| Json::Num(i as f64)).collect()),
-                    ),
-                    (
-                        "v".to_string(),
-                        Json::Arr(col.iter().map(|&(_, v)| Json::Num(v)).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn panels_from_json(j: &Json) -> Result<Vec<Vec<(usize, f64)>>, String> {
-    j.as_arr()
-        .ok_or("panels not an array")?
-        .iter()
-        .map(|col| {
-            let is = get_arr_usize(col, "i")?;
-            let vs = get_arr_f64(col, "v")?;
-            if is.len() != vs.len() {
-                return Err("ragged panel column".to_string());
-            }
-            Ok(is.into_iter().zip(vs).collect())
-        })
-        .collect()
-}
-
-fn trace_to_json(t: &IterTrace) -> Json {
-    Json::Obj(vec![
-        ("iteration".to_string(), Json::Num(t.iteration as f64)),
-        ("rank".to_string(), Json::Num(t.rank as f64)),
-        ("indicator".to_string(), Json::Num(t.indicator)),
-        ("schur_nnz".to_string(), Json::Num(t.schur_nnz as f64)),
-        ("schur_density".to_string(), Json::Num(t.schur_density)),
-        (
-            "schur_nnz_per_row".to_string(),
-            Json::Num(t.schur_nnz_per_row),
-        ),
-        ("r_diag".to_string(), arr_f64(&t.r_diag)),
-    ])
-}
-
-fn trace_from_json(j: &Json) -> Result<IterTrace, String> {
-    Ok(IterTrace {
-        iteration: get_usize(j, "iteration")?,
-        rank: get_usize(j, "rank")?,
-        indicator: get_f64(j, "indicator")?,
-        schur_nnz: get_usize(j, "schur_nnz")?,
-        schur_density: get_f64(j, "schur_density")?,
-        schur_nnz_per_row: get_f64(j, "schur_nnz_per_row")?,
-        r_diag: get_arr_f64(j, "r_diag")?,
-    })
+    let entries = idx.into_iter().zip(val).collect();
+    split_exact(entries, r.indices(&format!("{name}.len"))?, name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_lu_ckpt() -> LuCrtpCheckpoint {
+    fn sample_lu_ckpt() -> LuCrtpCheckpoint<'static> {
         let s = CscMatrix::from_parts(
             3,
             2,
@@ -552,16 +454,13 @@ mod tests {
             rank: 2,
             indicator: 0.123456789012345,
             r11: 3.25,
-            s,
-            row_map: vec![0, 2, 4],
-            col_map: vec![1, 3],
-            l_cols: vec![vec![(0, 1.0), (3, -0.5)], vec![(1, 1.0)]],
-            ut_cols: vec![vec![(0, 2.0)], vec![(2, 1.0 / 7.0), (3, 4.0)]],
-            pivots: ColumnSelection {
-                selected: vec![2, 0],
-                r_diag: vec![3.25, 0.5],
-            },
-            pivot_rows: vec![1, 3],
+            s: Cow::Owned(s),
+            row_map: vec![0, 2, 4].into(),
+            col_map: vec![1, 3].into(),
+            l_cols: vec![vec![(0, 1.0), (3, -0.5)], vec![(1, 1.0)]].into(),
+            ut_cols: vec![vec![(0, 2.0)], vec![(2, 1.0 / 7.0), (3, 4.0)]].into(),
+            pivot_cols: vec![2, 0].into(),
+            pivot_rows: vec![1, 3].into(),
             trace: vec![IterTrace {
                 iteration: 1,
                 rank: 2,
@@ -570,7 +469,8 @@ mod tests {
                 schur_density: 0.5,
                 schur_nnz_per_row: 1.0,
                 r_diag: vec![3.25, 0.5],
-            }],
+            }]
+            .into(),
             ilut: Some(IlutCheckpoint {
                 mu: 1e-5,
                 phi: 3.25e-2,
@@ -598,7 +498,7 @@ mod tests {
         assert_eq!(back.row_map, ckpt.row_map);
         assert_eq!(back.l_cols, ckpt.l_cols);
         assert_eq!(back.ut_cols, ckpt.ut_cols);
-        assert_eq!(back.pivots.selected, ckpt.pivots.selected);
+        assert_eq!(back.pivot_cols, ckpt.pivot_cols);
         assert_eq!(back.pivot_rows, ckpt.pivot_rows);
         assert_eq!(back.trace.len(), 1);
         assert_eq!(back.trace[0].r_diag, ckpt.trace[0].r_diag);
@@ -610,21 +510,21 @@ mod tests {
     #[test]
     fn inconsistent_checkpoint_is_rejected() {
         let mut ckpt = sample_lu_ckpt();
-        ckpt.pivot_rows.pop(); // now pivot count != rank
+        ckpt.pivot_rows.to_mut().pop(); // now pivot count != rank
         let store = CheckpointStore::in_memory();
         store.save(&ckpt).unwrap();
         let err = store.load::<LuCrtpCheckpoint>().unwrap_err();
         assert!(err.contains("pivot count"), "{err}");
     }
 
-    fn sample_qb_ckpt() -> QbCheckpoint {
+    fn sample_qb_ckpt() -> QbCheckpoint<'static> {
         QbCheckpoint {
             iterations: 2,
             rank: 4,
             e: 0.875,
-            history: vec![1.5, 0.9],
-            q_blocks: vec![DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0)],
-            b_blocks: vec![DenseMatrix::from_fn(2, 4, |i, j| -((i + j) as f64) * 0.3)],
+            history: vec![1.5, 0.9].into(),
+            q_blocks: vec![DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0)].into(),
+            b_blocks: vec![DenseMatrix::from_fn(2, 4, |i, j| -((i + j) as f64) * 0.3)].into(),
             rng_draws: 123456,
         }
     }
@@ -644,34 +544,6 @@ mod tests {
         assert_eq!(back.b_blocks[0].as_slice(), b.as_slice());
         assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
         assert_eq!(back.history, vec![1.5, 0.9]);
-    }
-
-    #[test]
-    fn only_an_absent_or_bitwise_numerics_tag_decodes() {
-        // Envelopes are outside input: older builds tagged each one
-        // with the numerics mode that produced it.
-        fn tagged(state: Json, tag: Option<Json>) -> Json {
-            let Json::Obj(mut fields) = state else {
-                panic!("checkpoint state is an object")
-            };
-            fields.extend(tag.map(|t| ("numerics".to_string(), t)));
-            Json::Obj(fields)
-        }
-        let (lu, qb) = (sample_lu_ckpt(), sample_qb_ckpt());
-        for ok in [None, Some(Json::Str("bitwise".to_string()))] {
-            let back = LuCrtpCheckpoint::state_from_json(&tagged(lu.state_to_json(), ok.clone()));
-            assert_eq!(back.unwrap().rank, lu.rank);
-            let back = QbCheckpoint::state_from_json(&tagged(qb.state_to_json(), ok));
-            assert_eq!(back.unwrap().rng_draws, qb.rng_draws);
-        }
-        for bad in [Json::Str("fast".to_string()), Json::Num(1.0)] {
-            let state = tagged(lu.state_to_json(), Some(bad.clone()));
-            let err = LuCrtpCheckpoint::state_from_json(&state).unwrap_err();
-            assert!(err.contains("numerics"), "{err}");
-            let state = tagged(qb.state_to_json(), Some(bad));
-            let err = QbCheckpoint::state_from_json(&state).unwrap_err();
-            assert!(err.contains("numerics"), "{err}");
-        }
     }
 
     #[test]

@@ -550,8 +550,12 @@ fn run_site(
             };
             let storage = match kind {
                 StorageFaultKind::TornWrite => {
-                    // Keep a prefix long enough to look like JSON but
-                    // short enough to be torn mid-state.
+                    // 97 bytes keep the magic, the version and the
+                    // start of the JSON header. The tear no longer
+                    // lands mid-state as it did in a text envelope (a
+                    // header of about 1 KB precedes the sections), but
+                    // every proper prefix fails validation alike: the
+                    // trailer's length and CRC are gone.
                     StorageFaultPlan::new().torn_write_at(*save_index, 97)
                 }
                 StorageFaultKind::BitFlip => {

@@ -62,5 +62,5 @@ pub use lra_par::Parallelism;
 pub use lra_qrtp::TournamentTree;
 pub use lra_recover::{
     Budget, BudgetTrip, CancelToken, Checkpoint, CheckpointStore, RecoveryError, RecoveryEvent,
-    RecoveryPolicy, StorageFaultKind, StorageFaultPlan, Supervised,
+    RecoveryPolicy, SectionReader, SectionWriter, StorageFaultKind, StorageFaultPlan, Supervised,
 };

@@ -17,6 +17,7 @@ use lra_ordering::fill_reducing_order;
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_sparse::CscMatrix;
+use std::borrow::Cow;
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
 /// preprocessing — the ablation axis of Fig. 1 (left).
@@ -649,8 +650,8 @@ impl PanelEngine for SeqEngine<'_> {
         }
     }
 
-    fn gather_schur(&self) -> Option<CscMatrix> {
-        Some(self.s.clone())
+    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
+        Some(Cow::Borrowed(&self.s))
     }
 }
 

@@ -27,6 +27,7 @@ use lra_ordering::fill_reducing_order;
 use lra_qrtp::ColumnSelection;
 use lra_recover::BudgetTrip;
 use lra_sparse::CscMatrix;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// One sparse factor column under construction: `(original id, value)`.
@@ -174,8 +175,8 @@ pub(crate) trait PanelEngine {
     fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool);
 
     /// The whole current Schur complement for a snapshot, on the one
-    /// rank that writes it.
-    fn gather_schur(&self) -> Option<CscMatrix>;
+    /// rank that writes it — borrowed where the engine holds it whole.
+    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>>;
 
     /// `L` and `U` from the recorded factor columns; identical on
     /// every rank.
@@ -252,15 +253,15 @@ impl LoopState {
     }
 
     /// Continue from a snapshot as if never interrupted.
-    fn from_checkpoint(ck: LuCrtpCheckpoint) -> (Self, CscMatrix) {
+    fn from_checkpoint(ck: LuCrtpCheckpoint<'_>) -> (Self, CscMatrix) {
         let st = LoopState {
-            row_map: ck.row_map,
-            col_map: ck.col_map,
-            l_cols: ck.l_cols,
-            ut_cols: ck.ut_cols,
-            pivot_rows: ck.pivot_rows,
-            pivot_cols: ck.pivots.selected,
-            trace: ck.trace,
+            row_map: ck.row_map.into_owned(),
+            col_map: ck.col_map.into_owned(),
+            l_cols: ck.l_cols.into_owned(),
+            ut_cols: ck.ut_cols.into_owned(),
+            pivot_rows: ck.pivot_rows.into_owned(),
+            pivot_cols: ck.pivot_cols.into_owned(),
+            trace: ck.trace.into_owned(),
             rank: ck.rank,
             iterations: ck.iterations,
             indicator: ck.indicator,
@@ -268,13 +269,12 @@ impl LoopState {
             ilut: ck.ilut,
             ..Default::default()
         };
-        (st, ck.s)
+        (st, ck.s.into_owned())
     }
 
-    /// Snapshot at an iteration boundary (the pivot columns travel as a
-    /// [`ColumnSelection`] whose `r_diag` concatenates the
-    /// per-iteration rank-revealing estimates).
-    fn to_checkpoint(&self, m: usize, n: usize, s: CscMatrix) -> LuCrtpCheckpoint {
+    /// The state at an iteration boundary around the engine's current
+    /// Schur complement — borrowed, nothing is cloned for a save.
+    fn snapshot<'a>(&'a self, m: usize, n: usize, s: Cow<'a, CscMatrix>) -> LuCrtpCheckpoint<'a> {
         LuCrtpCheckpoint {
             m,
             n,
@@ -283,20 +283,13 @@ impl LoopState {
             indicator: self.indicator,
             r11: self.r11,
             s,
-            row_map: self.row_map.clone(),
-            col_map: self.col_map.clone(),
-            l_cols: self.l_cols.clone(),
-            ut_cols: self.ut_cols.clone(),
-            pivots: ColumnSelection {
-                selected: self.pivot_cols.clone(),
-                r_diag: self
-                    .trace
-                    .iter()
-                    .flat_map(|t| t.r_diag.iter().copied())
-                    .collect(),
-            },
-            pivot_rows: self.pivot_rows.clone(),
-            trace: self.trace.clone(),
+            row_map: Cow::Borrowed(&self.row_map),
+            col_map: Cow::Borrowed(&self.col_map),
+            l_cols: Cow::Borrowed(&self.l_cols),
+            ut_cols: Cow::Borrowed(&self.ut_cols),
+            pivot_cols: Cow::Borrowed(&self.pivot_cols),
+            pivot_rows: Cow::Borrowed(&self.pivot_rows),
+            trace: Cow::Borrowed(&self.trace),
             ilut: self.ilut.clone(),
         }
     }
@@ -345,7 +338,7 @@ fn save_checkpoint<E: PanelEngine>(
     hooks: &RecoveryHooks<'_>,
 ) {
     if let Some(s) = eng.gather_schur() {
-        save_snapshot(hooks, &st.to_checkpoint(a.rows(), a.cols(), s));
+        save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
     }
 }
 

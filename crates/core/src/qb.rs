@@ -12,6 +12,7 @@ use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// The double-precision floor below which the Frobenius-update error
 /// indicator of RandQB_EI breaks down (Theorem 3 of Yu et al.; the
@@ -293,9 +294,9 @@ fn rand_qb_ei_inner(
             iterations = ck.iterations;
             rank = ck.rank;
             e = ck.e;
-            history = ck.history;
-            q_blocks = ck.q_blocks;
-            b_blocks = ck.b_blocks;
+            history = ck.history.into_owned();
+            q_blocks = ck.q_blocks.into_owned();
+            b_blocks = ck.b_blocks.into_owned();
             converged = history.last().is_some_and(|&ind| ind < stop);
         }
     }
@@ -313,12 +314,12 @@ fn rand_qb_ei_inner(
                             iterations,
                             rank,
                             e,
-                            history: history.clone(),
-                            q_blocks: q_blocks.clone(),
-                            b_blocks: b_blocks.clone(),
+                            history: Cow::Borrowed(&history),
+                            q_blocks: Cow::Borrowed(&q_blocks),
+                            b_blocks: Cow::Borrowed(&b_blocks),
                             rng_draws: draws,
                         };
-                        crate::checkpoint::save_qb_snapshot(h, &ck);
+                        crate::checkpoint::save_snapshot(h, &ck);
                     }
                 }
                 lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
@@ -417,12 +418,12 @@ fn rand_qb_ei_inner(
                     iterations,
                     rank,
                     e,
-                    history: history.clone(),
-                    q_blocks: q_blocks.clone(),
-                    b_blocks: b_blocks.clone(),
+                    history: Cow::Borrowed(&history),
+                    q_blocks: Cow::Borrowed(&q_blocks),
+                    b_blocks: Cow::Borrowed(&b_blocks),
                     rng_draws: draws,
                 };
-                crate::checkpoint::save_qb_snapshot(h, &ck);
+                crate::checkpoint::save_snapshot(h, &ck);
             }
         }
     }

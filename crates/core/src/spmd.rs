@@ -57,6 +57,7 @@ use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
 use lra_sparse::{gather_csc, slice_columns_recycled, ColSlice, CscMatrix, SparseBuilder};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// SPMD LU_CRTP: every rank calls this with the same `a` and `opts`
@@ -815,9 +816,9 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// (full, format-unchanged) checkpoint — sequential and supervised
     /// consumers keep working, and a resume under a smaller grid
     /// re-slices the shards.
-    fn gather_schur(&self) -> Option<CscMatrix> {
+    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
         let parts = self.ctx.gatherv(0, self.shard.local().clone())?;
-        Some(gather_csc(&parts))
+        Some(Cow::Owned(gather_csc(&parts)))
     }
 
     /// Materialize the factors on rank 0, then one final broadcast so
@@ -993,7 +994,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
 
     /// Every rank reaching a snapshot point holds identical state, so
     /// rank 0's copy is a consistent global snapshot.
-    fn gather_schur(&self) -> Option<CscMatrix> {
-        (self.ctx.rank() == 0).then(|| self.s.clone())
+    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
+        (self.ctx.rank() == 0).then_some(Cow::Borrowed(&self.s))
     }
 }

@@ -40,46 +40,6 @@ pub struct ColumnSelection {
     pub r_diag: Vec<f64>,
 }
 
-impl ColumnSelection {
-    /// Serialize for checkpointing: the tournament's outcome is part of
-    /// the factorization loop state a supervisor snapshots at collective
-    /// boundaries (`lra-recover`). Floats print with shortest
-    /// round-trip formatting, so a serialize → parse cycle is bitwise
-    /// exact.
-    pub fn to_json(&self) -> lra_obs::Json {
-        use lra_obs::Json;
-        Json::Obj(vec![
-            (
-                "selected".to_string(),
-                Json::Arr(self.selected.iter().map(|&c| Json::Num(c as f64)).collect()),
-            ),
-            (
-                "r_diag".to_string(),
-                Json::Arr(self.r_diag.iter().map(|&v| Json::Num(v)).collect()),
-            ),
-        ])
-    }
-
-    /// Rebuild from [`ColumnSelection::to_json`] output.
-    pub fn from_json(j: &lra_obs::Json) -> Result<Self, String> {
-        let selected = j
-            .get("selected")
-            .and_then(lra_obs::Json::as_arr)
-            .ok_or("ColumnSelection missing selected")?
-            .iter()
-            .map(|v| v.as_usize().ok_or("non-index in selected"))
-            .collect::<Result<Vec<usize>, _>>()?;
-        let r_diag = j
-            .get("r_diag")
-            .and_then(lra_obs::Json::as_arr)
-            .ok_or("ColumnSelection missing r_diag")?
-            .iter()
-            .map(|v| v.as_f64().ok_or("non-number in r_diag"))
-            .collect::<Result<Vec<f64>, _>>()?;
-        Ok(ColumnSelection { selected, r_diag })
-    }
-}
-
 /// Memory-bounded `R` factor of the panel formed by columns `idx` of
 /// `src`, computed over the panel's row support only: rows on which no
 /// candidate column has an entry contribute nothing to `R^T R`, so the
@@ -415,22 +375,5 @@ mod tests {
         for (x, y) in s1.r_diag.iter().zip(&s2.r_diag) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn column_selection_json_roundtrip_is_bitwise() {
-        let sel = ColumnSelection {
-            selected: vec![7, 0, 42],
-            r_diag: vec![1.0 / 3.0, -2.5e-300, 9.75],
-        };
-        let back = ColumnSelection::from_json(&sel.to_json()).unwrap();
-        assert_eq!(back.selected, sel.selected);
-        for (a, b) in sel.r_diag.iter().zip(&back.r_diag) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Also exact through the textual form a store persists.
-        let text = sel.to_json().to_string();
-        let reparsed = ColumnSelection::from_json(&lra_obs::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(reparsed.r_diag, sel.r_diag);
     }
 }

@@ -30,6 +30,7 @@
 //! the supervisor always classifies on the *origin* rank's own error.
 
 mod budget;
+mod envelope;
 mod events;
 mod fault;
 mod store;
@@ -37,7 +38,8 @@ mod store;
 pub use budget::{Budget, BudgetClock, BudgetTrip, CancelToken, DeadlineGuard};
 pub use events::{record_event, record_guard_trip, RecoveryEvent};
 pub use fault::{StorageFaultKind, StorageFaultPlan};
-pub use store::{Checkpoint, CheckpointStore, CHECKPOINT_VERSION, DEFAULT_RETENTION};
+pub use envelope::{envelope_header, SectionReader, SectionWriter, CHECKPOINT_VERSION};
+pub use store::{Checkpoint, CheckpointStore, DEFAULT_RETENTION};
 
 use lra_comm::{CommError, RunConfig, RunReport};
 use std::time::{Duration, Instant};

@@ -1,32 +1,28 @@
 //! Checkpoint persistence: checksummed generational envelopes.
 //!
-//! A [`Checkpoint`] is an algorithm-defined snapshot of iteration state
-//! serialized through the `lra-obs` [`Json`] writer. Because that
-//! writer prints finite `f64`s with Rust's shortest round-trip
-//! formatting, a serialize → parse cycle is *bitwise exact* — resuming
-//! from a checkpoint reproduces the uninterrupted run bit for bit (on
-//! the same rank count; the reduction-tree shape depends on `np`). The
-//! same property makes the envelope checksum *recomputable*: parsing a
-//! stored document and re-printing its `state` yields the exact byte
-//! string the CRC was computed over at save time.
+//! A [`Checkpoint`] is an algorithm-defined snapshot of iteration state.
+//! The store frames it as one binary envelope (`envelope.rs` has the
+//! layout): a small JSON header with the scalar loop state and a
+//! section table, every bulk array as raw little-endian words, then the
+//! total length and a CRC-32 over every preceding byte. `f64`s travel
+//! as their own bits, so a save → load cycle is bitwise exact by
+//! construction — resuming from a checkpoint reproduces the
+//! uninterrupted run bit for bit (on the same rank count; the
+//! reduction-tree shape depends on `np`).
 //!
 //! A [`CheckpointStore`] holds a short window of *generations* (default
-//! [`DEFAULT_RETENTION`]) rather than a single latest snapshot. Each
-//! save publishes envelope version [`CHECKPOINT_VERSION`]:
-//!
-//! ```json
-//! {"kind":"lu_crtp","version":2,"generation":7,"iteration":7,
-//!  "crc32":3735928559,"state":{...}}
-//! ```
-//!
-//! where `crc32` covers every other envelope field plus the serialized
-//! state (see the canonical byte string in `envelope_crc`). At load
-//! time the store scans generations newest-first; a generation that is
-//! torn, truncated, bit-flipped, or otherwise fails validation is
+//! [`DEFAULT_RETENTION`]) rather than a single latest snapshot. Each is
+//! one self-contained envelope, validated from its own bytes alone: no
+//! generation references another's, so damage to one never reaches its
+//! neighbours. At load time the store scans generations newest-first
+//! and reads one only after every newer one failed; a generation that
+//! is torn, truncated, bit-flipped, or otherwise fails validation is
 //! skipped with a [`RecoveryEvent::CorruptCheckpoint`] and the scan
 //! *rolls back* to the next older generation
-//! ([`RecoveryEvent::Rollback`]). Version-1 envelopes (no CRC, single
-//! file at the base path) remain readable as the oldest generation.
+//! ([`RecoveryEvent::Rollback`]). The JSON text envelopes of earlier
+//! builds (version 1: a single file at the base path; version 2:
+//! generation files) are outside input of an unsupported format,
+//! skipped the same way and never decoded.
 //!
 //! The on-disk variant is crash-safe: a save writes a unique
 //! per-process temporary file, fsyncs it, atomically renames it to
@@ -40,26 +36,23 @@
 //! save/load indices — deterministic and replayable, mirroring
 //! `lra-comm`'s chaos `FaultPlan`.
 
+use crate::envelope::{self, SectionReader, SectionWriter};
 use crate::events::{record_event, RecoveryEvent};
 use crate::fault::{record_injection, StorageFaultKind, StorageFaultPlan};
-use lra_obs::crc::crc32;
 use lra_obs::Json;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Envelope schema version for newly serialized checkpoints.
-pub const CHECKPOINT_VERSION: u64 = 2;
+use std::sync::{Arc, Mutex};
 
 /// How many generations a store keeps by default. Three survives the
 /// worst single-fault case (newest torn by a crash mid-write, the one
 /// before it suspect) with one known-good snapshot to spare.
 pub const DEFAULT_RETENTION: usize = 3;
 
-/// A resumable snapshot of an iteration-structured algorithm.
-///
-/// Implementations serialize their full loop state: everything needed
-/// to continue from `iteration() + 1` as if the run had never stopped.
+/// A resumable snapshot of an iteration-structured algorithm: the full
+/// loop state, everything needed to continue from `iteration() + 1` as
+/// if the run had never stopped.
 pub trait Checkpoint: Sized {
     /// Stable snapshot-kind discriminator (e.g. `"lu_crtp"`); a store
     /// refuses to load a snapshot of the wrong kind.
@@ -68,20 +61,45 @@ pub trait Checkpoint: Sized {
     /// The last completed iteration this snapshot covers (1-based).
     fn iteration(&self) -> usize;
 
-    /// Serialize the loop state (without the envelope — the store adds
-    /// `kind`/`version`/`generation`/`iteration`/`crc32` around it).
-    fn state_to_json(&self) -> Json;
+    /// Write every bulk array as a section and return the scalar loop
+    /// state for the envelope header (the store adds `kind` /
+    /// `generation` / `iteration` and the frame around both).
+    fn encode(&self, sections: &mut SectionWriter) -> Result<Json, String>;
 
-    /// Rebuild the loop state from [`Checkpoint::state_to_json`]'s
-    /// output.
-    fn state_from_json(state: &Json) -> Result<Self, String>;
+    /// Rebuild the loop state from what [`Checkpoint::encode`] wrote.
+    fn decode(state: &Json, sections: &SectionReader<'_>) -> Result<Self, String>;
 }
 
 enum Inner {
-    /// Published generations, oldest first.
-    Memory(Mutex<Vec<(u64, String)>>),
+    /// Published generations, oldest first; the bytes are immutable and
+    /// shared with whoever is reading them.
+    Memory(Mutex<Vec<(u64, Arc<Vec<u8>>)>>),
     /// Base path; generations live beside it as `<stem>.<gen>.<ext>`.
     Disk(PathBuf),
+}
+
+/// Where one generation's bytes are; nothing is read or copied until a
+/// load gets to it.
+enum Slot {
+    Memory(Arc<Vec<u8>>),
+    File(PathBuf),
+}
+
+impl Slot {
+    /// The stored bytes, exactly as stored (damage must reach `decode`,
+    /// which classifies it). `None`: the file was pruned between the
+    /// scan and the read — a generation that no longer exists, not an
+    /// error.
+    fn read(&self) -> Result<Option<Cow<'_, [u8]>>, String> {
+        match self {
+            Slot::Memory(bytes) => Ok(Some(Cow::Borrowed(bytes.as_slice()))),
+            Slot::File(path) => match std::fs::read(path) {
+                Ok(bytes) => Ok(Some(Cow::Owned(bytes))),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+                Err(e) => Err(format!("checkpoint read {}: {e}", path.display())),
+            },
+        }
+    }
 }
 
 /// Generational persistence for one algorithm run's checkpoints.
@@ -104,10 +122,9 @@ enum Decode {
 }
 
 impl CheckpointStore {
-    /// A store living in this process's memory.
-    pub fn in_memory() -> Self {
+    fn new(inner: Inner) -> Self {
         CheckpointStore {
-            inner: Inner::Memory(Mutex::new(Vec::new())),
+            inner,
             retention: DEFAULT_RETENTION,
             faults: StorageFaultPlan::new(),
             saves: AtomicU64::new(0),
@@ -115,18 +132,18 @@ impl CheckpointStore {
         }
     }
 
+    /// A store living in this process's memory.
+    pub fn in_memory() -> Self {
+        Self::new(Inner::Memory(Mutex::new(Vec::new())))
+    }
+
     /// A store persisting generations beside `path`: a base path of
     /// `dir/ckpt.json` publishes `dir/ckpt.1.json`, `dir/ckpt.2.json`,
-    /// … A legacy version-1 file at exactly `path` is still readable
-    /// (as the oldest generation).
+    /// … A file at exactly `path` is where the earliest builds kept
+    /// their single snapshot: it is scanned last, as generation 0, and
+    /// removed by [`CheckpointStore::clear`].
     pub fn on_disk(path: impl Into<PathBuf>) -> Self {
-        CheckpointStore {
-            inner: Inner::Disk(path.into()),
-            retention: DEFAULT_RETENTION,
-            faults: StorageFaultPlan::new(),
-            saves: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
-        }
+        Self::new(Inner::Disk(path.into()))
     }
 
     /// Keep up to `n` generations (min 1) instead of
@@ -157,18 +174,9 @@ impl CheckpointStore {
         }
 
         let generation = self.next_generation()?;
-        let state = ckpt.state_to_json();
-        let state_text = state.to_string();
-        let crc = envelope_crc(C::KIND, generation, ckpt.iteration() as u64, &state_text);
-        let doc = Json::Obj(vec![
-            ("kind".to_string(), Json::Str(C::KIND.to_string())),
-            ("version".to_string(), Json::Num(CHECKPOINT_VERSION as f64)),
-            ("generation".to_string(), Json::Num(generation as f64)),
-            ("iteration".to_string(), Json::Num(ckpt.iteration() as f64)),
-            ("crc32".to_string(), Json::Num(crc as f64)),
-            ("state".to_string(), state),
-        ]);
-        let mut bytes = doc.to_string().into_bytes();
+        let mut sections = SectionWriter::default();
+        let state = ckpt.encode(&mut sections)?;
+        let mut bytes = sections.seal(C::KIND, generation, ckpt.iteration(), state)?;
 
         if let Some(keep) = self.faults.torn_for(save_index) {
             record_injection(StorageFaultKind::TornWrite);
@@ -190,31 +198,25 @@ impl CheckpointStore {
             Inner::Memory(slot) => {
                 if !crash {
                     let mut gens = slot.lock().unwrap_or_else(|p| p.into_inner());
-                    gens.push((generation, String::from_utf8_lossy(&bytes).into_owned()));
-                    let retain = self.retention;
-                    while gens.len() > retain {
+                    gens.push((generation, Arc::new(bytes)));
+                    while gens.len() > self.retention {
                         gens.remove(0);
                     }
                 }
             }
             Inner::Disk(base) => {
-                let target = generation_path(base, generation);
                 let tmp = tmp_path(base, generation, save_index);
                 write_synced(&tmp, &bytes)?;
-                if crash {
-                    // The "process" died after the tmp fsync but before
-                    // the publish: the generation never becomes visible
-                    // and the tmp file is stranded for `clear`.
-                    record_event(&RecoveryEvent::Checkpoint {
-                        kind: C::KIND,
-                        iteration: ckpt.iteration(),
-                    });
-                    return Ok(());
+                // A crash is the "process" dying after the tmp fsync
+                // but before the publish: the generation never becomes
+                // visible and the tmp file is stranded for `clear`.
+                if !crash {
+                    let target = generation_path(base, generation);
+                    std::fs::rename(&tmp, &target)
+                        .map_err(|e| format!("checkpoint rename to {}: {e}", target.display()))?;
+                    sync_parent_dir(base);
+                    self.prune(base);
                 }
-                std::fs::rename(&tmp, &target)
-                    .map_err(|e| format!("checkpoint rename to {}: {e}", target.display()))?;
-                sync_parent_dir(base);
-                self.prune(base);
             }
         }
 
@@ -237,25 +239,21 @@ impl CheckpointStore {
     /// *not* "file not found", which is a normal fresh start).
     pub fn load<C: Checkpoint>(&self) -> Result<Option<C>, String> {
         let load_index = self.loads.fetch_add(1, Ordering::Relaxed);
-        let mut candidates = self.candidates()?;
-        if candidates.is_empty() {
+        let mut slots = self.slots()?;
+        let Some(&(newest, _)) = slots.first() else {
             return Ok(None);
-        }
-        let newest = candidates[0].0;
+        };
         if self.faults.stale_for(load_index) {
             record_injection(StorageFaultKind::StaleRead);
-            candidates.remove(0);
-            if candidates.is_empty() {
-                return Ok(None);
-            }
+            slots.remove(0);
         }
 
-        let mut rolled_past = false;
-        let mut last_reason = String::new();
-        for (generation, text) in candidates {
-            match decode::<C>(&text, generation) {
+        let mut last_reason = None;
+        for (generation, slot) in slots {
+            let Some(bytes) = slot.read()? else { continue };
+            match decode::<C>(&bytes, generation) {
                 Ok(ckpt) => {
-                    if rolled_past {
+                    if last_reason.is_some() {
                         record_event(&RecoveryEvent::Rollback {
                             from: newest,
                             to: generation,
@@ -268,20 +266,24 @@ impl CheckpointStore {
                         generation,
                         reason: reason.clone(),
                     });
-                    last_reason = reason;
-                    rolled_past = true;
+                    last_reason = Some(reason);
                 }
                 Err(Decode::Hard(e)) => return Err(e),
             }
         }
-        Err(format!(
-            "no valid checkpoint generation (newest was {newest}): {last_reason}"
-        ))
+        match last_reason {
+            // Nothing left to read (stale-only store, or every file
+            // pruned under the scan): a normal fresh start.
+            None => Ok(None),
+            Some(reason) => Err(format!(
+                "no valid checkpoint generation (newest was {newest}): {reason}"
+            )),
+        }
     }
 
-    /// Drop every stored generation, the legacy single-file snapshot,
-    /// and any stranded temporary files (e.g. after a run completes, so
-    /// a later run cannot accidentally resume stale state).
+    /// Drop every stored generation, a base-path file of an earlier
+    /// build, and any stranded temporary files (e.g. after a run
+    /// completes, so a later run cannot accidentally resume stale state).
     pub fn clear(&self) {
         match &self.inner {
             Inner::Memory(slot) => {
@@ -311,72 +313,42 @@ impl CheckpointStore {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// Published generation numbers, oldest first (0 denotes a legacy
-    /// single-file snapshot at the base path).
+    /// Published generation numbers, oldest first (0 denotes a file at
+    /// the base path). Reads ids only, never the envelopes.
     pub fn generations(&self) -> Vec<u64> {
-        match self.candidates() {
-            Ok(mut c) => {
-                c.reverse();
-                c.into_iter().map(|(g, _)| g).collect()
-            }
-            Err(_) => Vec::new(),
+        let slots = self.slots().unwrap_or_default();
+        slots.iter().rev().map(|(g, _)| *g).collect()
+    }
+
+    /// The bytes of the newest generation, if any. `Ok(None)` means no
+    /// snapshot exists; `Err` is a real I/O failure.
+    pub fn raw(&self) -> Result<Option<Vec<u8>>, String> {
+        match self.slots()?.first() {
+            Some((_, slot)) => Ok(slot.read()?.map(Cow::into_owned)),
+            None => Ok(None),
         }
     }
 
-    /// The serialized newest generation, if any. `Ok(None)` means no
-    /// snapshot exists; `Err` is a real I/O failure.
-    pub fn raw(&self) -> Result<Option<String>, String> {
-        Ok(self.candidates()?.into_iter().next().map(|(_, t)| t))
-    }
-
-    /// Next generation number to publish (1 + the newest existing).
+    /// Next generation number to publish (1 + the newest existing; a
+    /// base-path file counts as generation 0, so the first publish is 1
+    /// either way).
     fn next_generation(&self) -> Result<u64, String> {
-        Ok(match &self.inner {
-            Inner::Memory(slot) => slot
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .last()
-                .map(|(g, _)| *g)
-                .unwrap_or(0)
-                + 1,
-            // A legacy v1 file at the base path counts as generation 0,
-            // so the first new publish is 1 either way.
-            Inner::Disk(base) => {
-                disk_generations(base)?.last().map(|(g, _)| *g).unwrap_or(0) + 1
-            }
-        })
+        Ok(self.slots()?.first().map_or(0, |(g, _)| *g) + 1)
     }
 
-    /// All readable generations, newest first, as `(generation, text)`.
-    fn candidates(&self) -> Result<Vec<(u64, String)>, String> {
+    /// Every stored generation, newest first, unread.
+    fn slots(&self) -> Result<Vec<(u64, Slot)>, String> {
         match &self.inner {
             Inner::Memory(slot) => {
                 let gens = slot.lock().unwrap_or_else(|p| p.into_inner());
-                Ok(gens.iter().rev().map(|(g, t)| (*g, t.clone())).collect())
+                let shared = gens.iter().rev();
+                Ok(shared.map(|(g, b)| (*g, Slot::Memory(b.clone()))).collect())
             }
             Inner::Disk(base) => {
-                let mut out = Vec::new();
-                for (generation, path) in disk_generations(base)?.into_iter().rev() {
-                    match std::fs::read(&path) {
-                        // Damaged bytes must reach `decode` (which
-                        // classifies them), so non-UTF-8 reads are
-                        // lossy-converted rather than erroring here.
-                        Ok(bytes) => {
-                            out.push((generation, String::from_utf8_lossy(&bytes).into_owned()))
-                        }
-                        // Pruned between the scan and the read: not an
-                        // error, just a generation that no longer
-                        // exists.
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                        Err(e) => {
-                            return Err(format!("checkpoint read {}: {e}", path.display()))
-                        }
-                    }
-                }
-                match std::fs::read(base) {
-                    Ok(bytes) => out.push((0, String::from_utf8_lossy(&bytes).into_owned())),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(format!("checkpoint read {}: {e}", base.display())),
+                let files = disk_generations(base)?.into_iter().rev();
+                let mut out: Vec<_> = files.map(|(g, path)| (g, Slot::File(path))).collect();
+                if base.exists() {
+                    out.push((0, Slot::File(base.clone())));
                 }
                 Ok(out)
             }
@@ -398,85 +370,32 @@ impl CheckpointStore {
     }
 }
 
-/// The canonical byte string the envelope CRC covers. `\x00` cannot
-/// appear in any field (kind is a Rust identifier-like literal, the
-/// rest are decimal integers / JSON text), so the encoding is
-/// unambiguous.
-fn envelope_crc(kind: &str, generation: u64, iteration: u64, state_text: &str) -> u32 {
-    crc32(
-        format!("{kind}\x00{CHECKPOINT_VERSION}\x00{iteration}\x00{generation}\x00{state_text}")
-            .as_bytes(),
-    )
-}
-
 /// Decode one stored generation. `Corrupt` means "skip and roll back";
-/// `Hard` means the document is fine but the caller is wrong.
-fn decode<C: Checkpoint>(text: &str, generation: u64) -> Result<C, Decode> {
-    let doc = Json::parse(text).map_err(|e| Decode::Corrupt(format!("parse: {e}")))?;
-    let version = doc
-        .get("version")
+/// `Hard` means the envelope is fine but the caller is wrong.
+fn decode<C: Checkpoint>(bytes: &[u8], generation: u64) -> Result<C, Decode> {
+    let (header, sections) = envelope::open(bytes).map_err(Decode::Corrupt)?;
+    let stored_gen = header
+        .get("generation")
         .and_then(Json::as_u64)
-        .ok_or_else(|| Decode::Corrupt("missing version".into()))?;
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| Decode::Corrupt("missing kind".into()))?;
-    let state = doc
-        .get("state")
-        .ok_or_else(|| Decode::Corrupt("missing state".into()))?;
-
-    match version {
-        1 => {
-            // Legacy envelope: no CRC, no generation field. Kind and
-            // state are validated as before.
-            if kind != C::KIND {
-                return Err(Decode::Hard(format!(
-                    "checkpoint kind mismatch: stored {kind:?}, expected {:?}",
-                    C::KIND
-                )));
-            }
-            C::state_from_json(state).map_err(Decode::Corrupt)
-        }
-        2 => {
-            let stored_gen = doc
-                .get("generation")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| Decode::Corrupt("missing generation".into()))?;
-            let iteration = doc
-                .get("iteration")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| Decode::Corrupt("missing iteration".into()))?;
-            let stored_crc = doc
-                .get("crc32")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| Decode::Corrupt("missing crc32".into()))?;
-            let computed = envelope_crc(kind, stored_gen, iteration, &state.to_string());
-            if stored_crc != computed as u64 {
-                return Err(Decode::Corrupt(format!(
-                    "crc mismatch: stored {stored_crc}, computed {computed}"
-                )));
-            }
-            // Generation 0 is the legacy base-path slot; a v2 document
-            // found there is out of place and untrusted.
-            if stored_gen != generation {
-                return Err(Decode::Corrupt(format!(
-                    "generation mismatch: envelope says {stored_gen}, slot is {generation}"
-                )));
-            }
-            // The CRC covers the kind, so a mismatch here is a genuine
-            // cross-load (caller bug), not bit rot.
-            if kind != C::KIND {
-                return Err(Decode::Hard(format!(
-                    "checkpoint kind mismatch: stored {kind:?}, expected {:?}",
-                    C::KIND
-                )));
-            }
-            C::state_from_json(state).map_err(Decode::Corrupt)
-        }
-        v => Err(Decode::Corrupt(format!(
-            "unsupported checkpoint version {v} (supported: 1, {CHECKPOINT_VERSION})"
-        ))),
+        .ok_or_else(|| Decode::Corrupt("missing generation".into()))?;
+    // This build publishes generations from 1 up, so whatever sits in
+    // slot 0 (the base path) is out of place and untrusted.
+    if stored_gen != generation {
+        return Err(Decode::Corrupt(format!(
+            "generation mismatch: envelope says {stored_gen}, slot is {generation}"
+        )));
     }
+    // The CRC covers the kind, so a mismatch here is a genuine
+    // cross-load (caller bug), not bit rot.
+    let kind = header.get("kind").and_then(Json::as_str).unwrap_or_default();
+    if kind != C::KIND {
+        return Err(Decode::Hard(format!(
+            "checkpoint kind mismatch: stored {kind:?}, expected {:?}",
+            C::KIND
+        )));
+    }
+    let state = header.get("state").unwrap_or(&Json::Null);
+    C::decode(state, &sections).map_err(Decode::Corrupt)
 }
 
 /// `dir/ckpt.json` → `dir/ckpt.<gen>.json`; extensionless bases get
@@ -497,10 +416,7 @@ fn generation_path(base: &Path, generation: u64) -> PathBuf {
 fn tmp_path(base: &Path, generation: u64, save_index: u64) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let file = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ckpt".to_string());
+    let file = file_name(base);
     let pid = std::process::id();
     base.with_file_name(format!(".{file}.{generation}.{pid}-{seq}-{save_index}.tmp"))
 }
@@ -509,14 +425,16 @@ fn tmp_path(base: &Path, generation: u64, save_index: u64) -> PathBuf {
 /// `json`). (The old `Path::with_extension` approach collapsed this to
 /// `ckpt.tmp`, colliding across stores and mangling multi-dot names.)
 fn split_name(base: &Path) -> (String, Option<String>) {
-    let name = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ckpt".to_string());
+    let name = file_name(base);
     match name.rfind('.') {
         Some(i) if i > 0 => (name[..i].to_string(), Some(name[i + 1..].to_string())),
         _ => (name, None),
     }
+}
+
+fn file_name(base: &Path) -> String {
+    let name = base.file_name().map(|n| n.to_string_lossy().into_owned());
+    name.unwrap_or_else(|| "ckpt".to_string())
 }
 
 fn parent_dir(base: &Path) -> PathBuf {
@@ -559,11 +477,7 @@ fn disk_generations(base: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
 /// Remove stranded `.{name}.*.tmp` files for `base` (crashed saves).
 fn sweep_tmp_files(base: &Path) {
     let dir = parent_dir(base);
-    let file = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ckpt".to_string());
-    let prefix = format!(".{file}.");
+    let prefix = format!(".{}.", file_name(base));
     if let Ok(entries) = std::fs::read_dir(&dir) {
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -622,25 +536,19 @@ mod tests {
             self.it
         }
 
-        fn state_to_json(&self) -> Json {
-            Json::Obj(vec![(
-                "xs".to_string(),
-                Json::Arr(self.xs.iter().map(|&x| Json::Num(x)).collect()),
-            )])
+        fn encode(&self, sections: &mut SectionWriter) -> Result<Json, String> {
+            sections.f64s("xs", self.xs.iter().copied());
+            Ok(lra_obs::json::obj(vec![("it", Json::Num(self.it as f64))]))
         }
 
-        fn state_from_json(state: &Json) -> Result<Self, String> {
-            let xs = state
-                .get("xs")
-                .and_then(Json::as_arr)
-                .ok_or("missing xs")?
-                .iter()
-                .map(|v| v.as_f64().ok_or("non-number"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            Ok(Toy { it: 0, xs })
+        fn decode(state: &Json, sections: &SectionReader<'_>) -> Result<Self, String> {
+            let it = state.get("it").and_then(Json::as_usize).ok_or("missing it")?;
+            let xs = sections.f64s("xs")?;
+            Ok(Toy { it, xs })
         }
     }
 
+    /// Another kind; its envelopes carry no sections at all.
     #[derive(Debug)]
     struct OtherKind;
 
@@ -651,11 +559,11 @@ mod tests {
             0
         }
 
-        fn state_to_json(&self) -> Json {
-            Json::Null
+        fn encode(&self, _: &mut SectionWriter) -> Result<Json, String> {
+            Ok(Json::Null)
         }
 
-        fn state_from_json(_: &Json) -> Result<Self, String> {
+        fn decode(_: &Json, _: &SectionReader<'_>) -> Result<Self, String> {
             Ok(OtherKind)
         }
     }
@@ -674,11 +582,22 @@ mod tests {
     fn memory_roundtrip_is_bitwise() {
         let store = CheckpointStore::in_memory();
         assert!(store.load::<Toy>().unwrap().is_none());
-        // Values chosen to stress float printing (subnormal, huge,
-        // non-terminating binary fractions).
-        let xs = vec![0.1, -3.5e300, f64::MIN_POSITIVE, 1.0 / 3.0, -0.0];
+        // Values a text format has to work for: subnormal, huge,
+        // non-terminating binary fractions, signed zero, and the
+        // non-finite ones JSON cannot carry at all.
+        let xs = vec![
+            0.1,
+            -3.5e300,
+            f64::MIN_POSITIVE / 4.0,
+            1.0 / 3.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
         store.save(&Toy { it: 7, xs: xs.clone() }).unwrap();
         let back = store.load::<Toy>().unwrap().unwrap();
+        assert_eq!(back.it, 7);
+        assert_eq!(back.xs.len(), xs.len());
         for (a, b) in xs.iter().zip(&back.xs) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
@@ -743,8 +662,8 @@ mod tests {
         // Truncate generation 2 mid-envelope (a torn write at the
         // filesystem level, outside any fault plan).
         let g2 = generation_path(&path, 2);
-        let text = std::fs::read_to_string(&g2).unwrap();
-        std::fs::write(&g2, &text[..text.len() / 2]).unwrap();
+        let bytes = std::fs::read(&g2).unwrap();
+        std::fs::write(&g2, &bytes[..bytes.len() / 2]).unwrap();
 
         let corrupt0 = counter("recover.corrupt_checkpoint");
         let rollback0 = counter("recover.rollback");
@@ -764,11 +683,11 @@ mod tests {
         let store = CheckpointStore::on_disk(&path);
         store.save(&Toy { it: 1, xs: vec![1.0] }).unwrap();
         store.save(&Toy { it: 2, xs: vec![2.0] }).unwrap();
-        // Flip one bit inside generation 2's state payload: the JSON
-        // may still parse, but the CRC must reject it.
+        // Flip one mantissa bit inside generation 2's `xs` section:
+        // every frame field still reads fine, only the CRC objects.
         let g2 = generation_path(&path, 2);
         let mut bytes = std::fs::read(&g2).unwrap();
-        let pos = bytes.len() - 4; // inside "2]}" tail digits
+        let pos = bytes.len() - 12 - 8; // first byte of the last f64
         bytes[pos] ^= 0x01;
         std::fs::write(&g2, &bytes).unwrap();
         let back = store.load::<Toy>().unwrap().unwrap();
@@ -778,45 +697,51 @@ mod tests {
 
     #[test]
     fn all_generations_corrupt_is_a_typed_error() {
+        /// A well-formed "toy" envelope without the section `Toy` needs.
+        struct Hollow;
+        impl Checkpoint for Hollow {
+            const KIND: &'static str = Toy::KIND;
+            fn iteration(&self) -> usize {
+                4
+            }
+            fn encode(&self, _: &mut SectionWriter) -> Result<Json, String> {
+                Ok(lra_obs::json::obj(vec![("it", Json::Num(4.0))]))
+            }
+            fn decode(_: &Json, _: &SectionReader<'_>) -> Result<Self, String> {
+                unreachable!("only ever saved")
+            }
+        }
+        // An inconsistent state decodes as Corrupt; with no older
+        // generation to fall back to, load must surface the reason,
+        // not panic or silently return None.
         let store = CheckpointStore::in_memory();
-        // An inconsistent state (missing xs) decodes as Corrupt; with
-        // no older generation to fall back to, load must surface the
-        // reason, not panic or silently return None.
-        let slot = match &store.inner {
-            Inner::Memory(m) => m,
-            _ => unreachable!(),
-        };
-        let state_text = r#"{"nope":true}"#.to_string();
-        let crc = envelope_crc("toy", 1, 4, &state_text);
-        slot.lock().unwrap().push((
-            1,
-            format!(
-                r#"{{"kind":"toy","version":2,"generation":1,"iteration":4,"crc32":{crc},"state":{state_text}}}"#
-            ),
-        ));
+        store.save(&Hollow).unwrap();
         let err = store.load::<Toy>().unwrap_err();
-        assert!(err.contains("missing xs"), "{err}");
+        assert!(err.contains("missing section xs"), "{err}");
     }
 
     #[test]
-    fn legacy_v1_envelope_still_loads() {
-        let dir = temp_dir("legacy");
-        let path = dir.join("ckpt.json");
-        std::fs::write(
-            &path,
-            r#"{"kind":"toy","version":1,"iteration":5,"state":{"xs":[7.25]}}"#,
-        )
-        .unwrap();
-        let store = CheckpointStore::on_disk(&path);
-        let back = store.load::<Toy>().unwrap().unwrap();
-        assert_eq!(back.xs, vec![7.25]);
-        // New saves publish v2 generations that shadow the legacy file.
-        store.save(&Toy { it: 6, xs: vec![8.0] }).unwrap();
-        assert_eq!(store.load::<Toy>().unwrap().unwrap().xs, vec![8.0]);
-        assert_eq!(store.generations(), vec![0, 1]);
-        store.clear();
-        assert!(store.load::<Toy>().unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+    #[cfg(target_pointer_width = "64")]
+    fn an_index_beyond_u32_fails_the_save_and_preserves_history() {
+        struct Wide(usize);
+        impl Checkpoint for Wide {
+            const KIND: &'static str = "wide";
+            fn iteration(&self) -> usize {
+                1
+            }
+            fn encode(&self, sections: &mut SectionWriter) -> Result<Json, String> {
+                sections.indices("ids", [7, self.0])?;
+                Ok(Json::Null)
+            }
+            fn decode(_: &Json, _: &SectionReader<'_>) -> Result<Self, String> {
+                unreachable!("only ever saved")
+            }
+        }
+        let store = CheckpointStore::in_memory();
+        store.save(&Wide(u32::MAX as usize)).unwrap();
+        let err = store.save(&Wide(u32::MAX as usize + 1)).unwrap_err();
+        assert!(err.contains("does not fit"), "{err}");
+        assert_eq!(store.generations(), vec![1], "nothing truncated, nothing published");
     }
 
     #[test]

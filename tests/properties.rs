@@ -1,7 +1,10 @@
 //! Property-based tests (proptest) over the core numerical invariants
 //! and the durability of the checkpoint envelope format.
 
-use lra::core::{lu_crtp, rand_qb_ei, Checkpoint, CheckpointStore, LuCrtpOpts, Parallelism, QbOpts};
+use lra::core::{
+    lu_crtp, rand_qb_ei, Checkpoint, CheckpointStore, LuCrtpOpts, Parallelism, QbOpts,
+    SectionReader, SectionWriter,
+};
 use lra::obs::Json;
 use lra::dense::{
     matmul, matmul_naive, matmul_nt, matmul_nt_naive, matmul_sub_assign, matmul_sub_assign_naive,
@@ -11,7 +14,7 @@ use lra::sparse::{spgemm, spmm_dense, CooMatrix, CscMatrix};
 use proptest::prelude::*;
 
 mod common;
-use common::bits_eq;
+use common::{bits_eq, counter};
 
 /// Strategy: a random dense matrix with bounded entries.
 fn dense_mat(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -613,30 +616,40 @@ impl Checkpoint for SoakState {
         self.iteration
     }
 
-    fn state_to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("iteration".to_string(), Json::Num(self.iteration as f64)),
-            (
-                "xs".to_string(),
-                Json::Arr(self.xs.iter().map(|&v| Json::Num(v)).collect()),
-            ),
-        ])
+    fn encode(&self, sections: &mut SectionWriter) -> Result<Json, String> {
+        sections.f64s("xs", self.xs.iter().copied());
+        let iteration = Json::Num(self.iteration as f64);
+        Ok(Json::Obj(vec![("iteration".to_string(), iteration)]))
     }
 
-    fn state_from_json(state: &Json) -> Result<Self, String> {
+    fn decode(state: &Json, sections: &SectionReader<'_>) -> Result<Self, String> {
         let iteration = state
             .get("iteration")
             .and_then(Json::as_usize)
             .ok_or("missing iteration")?;
-        let xs = state
-            .get("xs")
-            .and_then(Json::as_arr)
-            .ok_or("missing xs")?
-            .iter()
-            .map(|j| j.as_f64().ok_or_else(|| "non-numeric xs entry".to_string()))
-            .collect::<Result<Vec<f64>, String>>()?;
+        let xs = sections.f64s("xs")?;
         Ok(SoakState { iteration, xs })
     }
+}
+
+/// Apply one byte-level mutation that is guaranteed to change the file:
+/// truncate, flip a bit, overwrite a byte with a different value, or
+/// insert a byte.
+fn damage(path: &std::path::Path, op: usize, pos: usize, operand: usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    match op {
+        0 => bytes.truncate(pos % bytes.len()),
+        1 => {
+            let bit = pos % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        2 => {
+            let at = pos % bytes.len();
+            bytes[at] ^= 1 + (operand % 255) as u8;
+        }
+        _ => bytes.insert(pos % (bytes.len() + 1), operand as u8),
+    }
+    std::fs::write(path, &bytes).unwrap();
 }
 
 /// Strategy: two generation payloads plus one byte-level mutation
@@ -655,13 +668,14 @@ fn envelope_damage() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, usize, usize,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Satellite invariant of the durable checkpoint layer: loading
-    /// after the newest generation file is truncated, bit-flipped,
-    /// byte-overwritten or byte-injected NEVER panics — it serves an
-    /// intact generation bitwise (the damaged one if the mutation was
-    /// semantically a no-op, else the rollback target) or returns a
-    /// typed error. A silent fresh start (`Ok(None)`) while the older
-    /// generation is intact is a durability bug.
+    /// Satellite invariant of the durable checkpoint layer, as strong as
+    /// a whole-envelope CRC makes it: after the newest generation file
+    /// is truncated, bit-flipped, byte-overwritten or byte-injected,
+    /// `load` NEVER panics and NEVER serves the damaged generation —
+    /// it returns the older one bitwise and records the skip and the
+    /// rollback. With the older generation damaged too it returns a
+    /// typed error carrying a reason; a silent fresh start (`Ok(None)`)
+    /// over stored generations is a durability bug.
     #[test]
     fn damaged_envelope_load_rolls_back_or_errors_never_panics(
         (xs1, xs2, op, pos, operand) in envelope_damage()
@@ -677,36 +691,29 @@ proptest! {
         let store = CheckpointStore::on_disk(dir.join("soak.json"));
         store.save(&SoakState { iteration: 1, xs: xs1.clone() }).unwrap();
         store.save(&SoakState { iteration: 2, xs: xs2.clone() }).unwrap();
+        prop_assert_eq!(store.generations(), vec![1, 2]);
 
         // Damage the newest generation file in place.
-        let newest = *store.generations().last().expect("two generations saved");
-        let path = dir.join(format!("soak.{newest}.json"));
-        let mut bytes = std::fs::read(&path).unwrap();
-        match op {
-            0 => bytes.truncate(pos % (bytes.len() + 1)),
-            1 => {
-                let bit = pos % (bytes.len() * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
-            2 => {
-                let at = pos % bytes.len();
-                bytes[at] = operand as u8;
-            }
-            _ => bytes.insert(pos % (bytes.len() + 1), operand as u8),
-        }
-        std::fs::write(&path, &bytes).unwrap();
-
-        let outcome = store.load::<SoakState>();
-        match outcome {
+        damage(&dir.join("soak.2.json"), op, pos, operand);
+        let (corrupt, rollback) = (counter("recover.corrupt_checkpoint"), counter("recover.rollback"));
+        match store.load::<SoakState>() {
             Ok(Some(s)) => prop_assert!(
-                bits_eq(&s.xs, &xs2) || bits_eq(&s.xs, &xs1),
-                "loaded state matches neither surviving generation"
+                s.iteration == 1 && bits_eq(&s.xs, &xs1),
+                "op {op} at {pos}: loaded something other than the intact older generation"
             ),
-            Ok(None) => prop_assert!(
-                false,
-                "silent fresh start although the older generation is intact"
+            other => prop_assert!(false, "op {op} at {pos}: no rollback, got {other:?}"),
+        }
+        prop_assert!(counter("recover.corrupt_checkpoint") > corrupt);
+        prop_assert!(counter("recover.rollback") > rollback);
+
+        // Both generations damaged: a typed error, never a fresh start.
+        damage(&dir.join("soak.1.json"), op, pos, operand);
+        match store.load::<SoakState>() {
+            Err(e) => prop_assert!(
+                e.split_once("): ").is_some_and(|(_, reason)| !reason.is_empty()),
+                "typed error must carry a reason: {e}"
             ),
-            Err(e) => prop_assert!(!e.is_empty(), "typed error must carry a reason"),
+            other => prop_assert!(false, "op {op} at {pos}: damaged store served {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

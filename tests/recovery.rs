@@ -8,15 +8,17 @@ use std::time::Duration;
 use lra::core::{
     explore_fault_space, ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd_checkpointed,
     ilut_crtp_supervised, ilut_crtp_supervised_with_store, lu_crtp_dist_checked, rand_qb_ei,
-    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, ExploreConfig, FaultPlan,
-    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbOpts, RecoveryError, RecoveryHooks,
-    RecoveryPolicy, RunConfig, StorageFaultPlan, SupervisedError,
+    rand_qb_ei_checkpointed, Budget, CheckpointStore, ExploreConfig, FaultPlan, IlutOpts,
+    InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts, RecoveryError,
+    RecoveryHooks, RecoveryPolicy, RunConfig, StorageFaultPlan, SupervisedError,
 };
 use lra::obs::Json;
 use lra::sparse::CscMatrix;
 
 mod common;
-use common::{assert_fixed_precision, bits_eq, counter, fault_ilut_opts, fault_matrix};
+use common::{
+    assert_fixed_precision, bits_eq, counter, fault_ilut_opts, fault_matrix, oracle_matrices,
+};
 
 // ---- Satellite: typed input validation --------------------------------
 
@@ -90,7 +92,7 @@ fn supervised_entry_rejects_invalid_opts_before_spawning() {
 /// from its latest checkpoint on the *same* grid must produce factors
 /// bitwise identical to an uninterrupted run: the snapshot is taken at
 /// a collective boundary where the replicated state is exact, and the
-/// `Json` round trip preserves every f64 bit.
+/// envelope carries every f64 as its own bits.
 #[test]
 fn resume_from_checkpoint_is_bitwise_identical_to_uninterrupted_run() {
     let a = fault_matrix(11);
@@ -229,53 +231,230 @@ fn qb_resume_from_checkpoint_is_bitwise_identical() {
     }
 }
 
-/// A stored envelope is outside input. Builds that had a relaxed
-/// numerics mode tagged every snapshot with the mode that wrote it; a
-/// `"fast"` snapshot found in a store is an unusable checkpoint — guard
-/// trip, fresh start — never a resume (that would splice two rounding
-/// regimes) and never an error or a panic. The planted snapshot's trace
-/// is doctored, so resuming from it would show in the result.
-#[test]
-fn foreign_numerics_tagged_snapshot_is_ignored_and_the_run_starts_fresh() {
-    struct FastTagged(LuCrtpCheckpoint);
-    impl Checkpoint for FastTagged {
-        const KIND: &'static str = LuCrtpCheckpoint::KIND;
-        fn iteration(&self) -> usize {
-            self.0.iterations
-        }
-        fn state_to_json(&self) -> Json {
-            let Json::Obj(mut fields) = self.0.state_to_json() else {
-                panic!("checkpoint state is an object")
-            };
-            fields.retain(|(key, _)| key != "numerics");
-            fields.push(("numerics".to_string(), Json::Str("fast".to_string())));
-            Json::Obj(fields)
-        }
-        fn state_from_json(_: &Json) -> Result<Self, String> {
-            unreachable!("only ever saved")
+// ---- Binary envelopes: round trip, size, earlier formats ---------------
+
+/// The newest envelope of `store`: its length, its header length, and
+/// the `u32` / `f64` word counts its section table declares.
+fn envelope_shape(store: &CheckpointStore) -> (usize, usize, usize, usize) {
+    let bytes = store.raw().unwrap().expect("a generation was saved");
+    let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let header = lra::recover::envelope_header(&bytes).expect("a valid envelope");
+    let words = |ty: &str| -> usize {
+        let table = header.get("sections").and_then(Json::as_arr).unwrap();
+        let of_type = table
+            .iter()
+            .filter(|s| s.get("type").and_then(Json::as_str) == Some(ty));
+        of_type
+            .map(|s| s.get("count").and_then(Json::as_usize).unwrap())
+            .sum()
+    };
+    (bytes.len(), header_len, words("u32"), words("f64"))
+}
+
+/// The size pin that keeps text from coming back unnoticed: an envelope
+/// is its header plus 4 bytes an index word plus 8 bytes a value word
+/// (counted from the checkpoint itself, not from the envelope's own
+/// table — which must agree) plus a fixed frame.
+fn assert_binary_sized(store: &CheckpointStore, index_words: usize, value_words: usize, ctx: &str) {
+    let (len, header_len, table_u32, table_f64) = envelope_shape(store);
+    assert_eq!((table_u32, table_f64), (index_words, value_words), "{ctx}: section table");
+    assert!(
+        len <= header_len + 4 * index_words + 8 * value_words + 64,
+        "{ctx}: {len}-byte envelope for {index_words} index + {value_words} value words"
+    );
+    assert!(header_len < 2048, "{ctx}: {header_len}-byte header holds more than scalars");
+}
+
+fn assert_lu_checkpoint_bitwise(got: &LuCrtpCheckpoint, want: &LuCrtpCheckpoint, ctx: &str) {
+    assert_eq!((got.m, got.n), (want.m, want.n), "{ctx}");
+    assert_eq!((got.iterations, got.rank), (want.iterations, want.rank), "{ctx}");
+    assert_eq!(got.indicator.to_bits(), want.indicator.to_bits(), "{ctx}");
+    assert_eq!(got.r11.to_bits(), want.r11.to_bits(), "{ctx}");
+    assert_eq!((got.s.rows(), got.s.cols()), (want.s.rows(), want.s.cols()), "{ctx}");
+    assert_eq!(got.s.colptr(), want.s.colptr(), "{ctx}");
+    assert_eq!(got.s.rowidx(), want.s.rowidx(), "{ctx}");
+    assert!(bits_eq(got.s.values(), want.s.values()), "{ctx}: schur values");
+    assert_eq!(got.row_map, want.row_map, "{ctx}");
+    assert_eq!(got.col_map, want.col_map, "{ctx}");
+    for (g, w) in [(&got.l_cols, &want.l_cols), (&got.ut_cols, &want.ut_cols)] {
+        assert_eq!(g.len(), w.len(), "{ctx}: panel columns");
+        for (gc, wc) in g.iter().zip(w.iter()) {
+            assert_eq!(gc.len(), wc.len(), "{ctx}: panel column length");
+            for (&(gi, gv), &(wi, wv)) in gc.iter().zip(wc) {
+                assert_eq!((gi, gv.to_bits()), (wi, wv.to_bits()), "{ctx}: panel entry");
+            }
         }
     }
+    assert_eq!(got.pivot_cols, want.pivot_cols, "{ctx}");
+    assert_eq!(got.pivot_rows, want.pivot_rows, "{ctx}");
+    assert_eq!(got.trace.len(), want.trace.len(), "{ctx}");
+    for (g, w) in got.trace.iter().zip(want.trace.iter()) {
+        assert_eq!((g.iteration, g.rank, g.schur_nnz), (w.iteration, w.rank, w.schur_nnz));
+        assert_eq!(g.indicator.to_bits(), w.indicator.to_bits(), "{ctx}");
+        assert_eq!(g.schur_density.to_bits(), w.schur_density.to_bits(), "{ctx}");
+        assert_eq!(g.schur_nnz_per_row.to_bits(), w.schur_nnz_per_row.to_bits(), "{ctx}");
+        assert!(bits_eq(&g.r_diag, &w.r_diag), "{ctx}: trace r_diag");
+    }
+    assert_eq!(got.ilut, want.ilut, "{ctx}");
+    let (g, w) = (got.ilut.as_ref().unwrap(), want.ilut.as_ref().unwrap());
+    for (a, b) in [(g.mu, w.mu), (g.phi, w.phi), (g.mass_sq, w.mass_sq)] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: ilut state");
+    }
+}
 
-    let a = fault_matrix(11);
-    let opts = fault_ilut_opts();
-    let reference = ilut_crtp(&a, &opts);
+/// Checkpoints taken by real runs — sequential and two-rank SPMD
+/// ILUT_CRTP stopped after three iterations on each preset — survive
+/// save → load with every field bitwise equal, `-0.0` and a subnormal
+/// planted in the panels included; the envelope is binary-sized; and the
+/// SPMD-written snapshot still resumes under the sequential driver.
+#[test]
+fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
+    for (name, a) in oracle_matrices() {
+        let opts = IlutOpts::new(8, 1e-3, 4);
+        let capped = opts
+            .clone()
+            .with_budget(Budget::unlimited().with_iteration_cap(3));
+        let seq_store = CheckpointStore::in_memory();
+        ilut_crtp_checkpointed(&a, &capped, Some(&RecoveryHooks::new(&seq_store, 1))).unwrap();
+        let spmd_store = CheckpointStore::in_memory();
+        let hooks = RecoveryHooks::new(&spmd_store, 1);
+        lra::comm::run_infallible(2, |ctx| {
+            ilut_crtp_spmd_checkpointed(ctx, &a, &capped, Some(&hooks)).unwrap()
+        });
 
-    // A genuine two-iteration snapshot of this very run...
-    let scratch = CheckpointStore::in_memory();
-    let capped = opts
-        .clone()
-        .with_budget(Budget::unlimited().with_iteration_cap(2));
-    ilut_crtp_checkpointed(&a, &capped, Some(&RecoveryHooks::new(&scratch, 1))).unwrap();
-    let mut planted: LuCrtpCheckpoint = scratch.load().unwrap().unwrap();
-    assert_eq!(planted.iterations, 2);
-    // ...doctored and re-tagged as the newest generation of the store
-    // the run under test is handed.
-    planted.trace[0].indicator = 12345.0;
+        for (path, store) in [("sequential", &seq_store), ("spmd np=2", &spmd_store)] {
+            let ctx = format!("{name}, {path}");
+            let mut taken: LuCrtpCheckpoint = store.load().unwrap().expect("snapshots taken");
+            assert_eq!(taken.iterations, 3, "{ctx}");
+            taken.l_cols.to_mut()[0][0].1 = -0.0;
+            taken.ut_cols.to_mut()[0][0].1 = f64::MIN_POSITIVE / 8.0;
+            let second = CheckpointStore::in_memory();
+            second.save(&taken).unwrap();
+            let back: LuCrtpCheckpoint = second.load().unwrap().unwrap();
+            assert_lu_checkpoint_bitwise(&back, &taken, &ctx);
+
+            let panel_entries = |cols: &[Vec<(usize, f64)>]| cols.iter().map(Vec::len).sum::<usize>();
+            let entries = panel_entries(&taken.l_cols) + panel_entries(&taken.ut_cols);
+            let r_diags: usize = taken.trace.iter().map(|t| t.r_diag.len()).sum();
+            let index_words = taken.s.colptr().len()
+                + taken.s.rowidx().len()
+                + taken.row_map.len()
+                + taken.col_map.len()
+                + taken.l_cols.len()
+                + taken.ut_cols.len()
+                + entries
+                + taken.pivot_cols.len()
+                + taken.pivot_rows.len()
+                + 4 * taken.trace.len();
+            let value_words = taken.s.values().len() + entries + 3 * taken.trace.len() + r_diags;
+            assert_binary_sized(&second, index_words, value_words, &ctx);
+        }
+
+        // Degradation ladder's last rung: the two-rank snapshot resumed
+        // sequentially continues that run's first three iterations.
+        let snapshot: LuCrtpCheckpoint = spmd_store.load().unwrap().unwrap();
+        let resumed = ilut_crtp_checkpointed(&a, &opts, Some(&hooks)).unwrap();
+        assert!(resumed.converged, "{name}: {:?}", resumed.breakdown);
+        assert_fixed_precision(&resumed, &a, opts.base.tau, name);
+        assert_eq!(resumed.pivot_cols[..snapshot.rank], snapshot.pivot_cols[..], "{name}");
+        for (g, w) in resumed.trace.iter().zip(snapshot.trace.iter()) {
+            assert_eq!(g.indicator.to_bits(), w.indicator.to_bits(), "{name}");
+        }
+    }
+}
+
+/// Same for RandQB_EI (p = 1): blocks, history, residual and the RNG
+/// draw count come back bit for bit.
+#[test]
+fn real_qb_checkpoint_roundtrips_bitwise_in_a_binary_sized_envelope() {
+    let a = lra::matgen::with_decay(&lra::matgen::fem2d(20, 18, 5), 1e-5, 2);
     let store = CheckpointStore::in_memory();
-    store.save(&FastTagged(planted)).unwrap();
+    let opts = QbOpts::new(4, 1e-3).with_power(1);
+    rand_qb_ei_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    let taken: QbCheckpoint = store.load().unwrap().expect("a pre-convergence snapshot");
+    assert!(taken.rng_draws > 0 && !taken.q_blocks.is_empty());
 
+    let second = CheckpointStore::in_memory();
+    second.save(&taken).unwrap();
+    let back: QbCheckpoint = second.load().unwrap().unwrap();
+    assert_eq!((back.iterations, back.rank), (taken.iterations, taken.rank));
+    assert_eq!(back.rng_draws, taken.rng_draws);
+    assert_eq!(back.e.to_bits(), taken.e.to_bits());
+    assert!(bits_eq(&back.history, &taken.history));
+    let mut value_words = taken.history.len();
+    for (g, w) in [(&back.q_blocks, &taken.q_blocks), (&back.b_blocks, &taken.b_blocks)] {
+        assert_eq!(g.len(), w.len());
+        for (gb, wb) in g.iter().zip(w.iter()) {
+            assert_eq!((gb.rows(), gb.cols()), (wb.rows(), wb.cols()));
+            assert!(bits_eq(gb.as_slice(), wb.as_slice()));
+            value_words += wb.as_slice().len();
+        }
+    }
+    let index_words = 2 * (taken.q_blocks.len() + taken.b_blocks.len());
+    assert_binary_sized(&second, index_words, value_words, "rand_qb_ei p=1");
+}
+
+/// The state a build before the binary envelope printed for iteration 1
+/// of the run below (its trace indicator doctored to 12345, so resuming
+/// from it would show), byte for byte.
+const TEXT_STATE: &str = concat!(
+    r#"{"m":10,"n":8,"iterations":1,"rank":2,"indicator":0.7866056620603936,"#,
+    r#""r11":4.2034540706314045,"s":{"rows":8,"cols":6,"colptr":[0,0,6,11,16,21,28],"#,
+    r#""rowidx":[0,1,2,4,5,6,0,1,4,5,7,0,1,4,5,7,0,1,4,5,7,0,1,2,4,5,6,7],"#,
+    r#""values":[0.03659483000597841,-0.4198842248259588,0.4393253974290658,"#,
+    r#"0.023677840519058545,-0.1747234084970969,-0.07170050093847374,"#,
+    r#"-0.015499380179722215,-0.021478456789759116,0.0012316317351706622,"#,
+    r#"0.005623796759065055,0.03638015652565063,0.004143701903370866,"#,
+    r#"-0.08273220378557243,0.004665381100795116,0.001112753659273916,"#,
+    r#"-0.0021991090688419025,0.02687951923158315,-0.0022766245958952508,"#,
+    r#"0.00013054769850651466,-0.009752967627542469,0.024308758579439878,"#,
+    r#"-0.007449116492035168,0.12054780583119637,-0.3907011966454826,"#,
+    r#"-0.006831223487926651,0.15538515456032875,0.06376474403864935,"#,
+    r#"-0.07756557108140813]},"row_map":[0,1,2,3,4,5,7,9],"col_map":[6,5,2,3,4,7],"#,
+    r#""l_cols":[{"i":[0,1,2,4,5,7,8],"v":[0.8987668022193769,0.05176395437387003,"#,
+    r#"-0.050611080568961075,-0.0029190395443133184,0.00218781140938247,"#,
+    r#"0.0008978028494346646,1]},{"i":[2,5,6,7],"v":[-0.0316743776797911,"#,
+    r#"-0.3807291638759512,1,0.8297420213954932]}],"ut_cols":[{"i":[1,5,7],"#,
+    r#""v":[-3.075644851609807,1.2513529420900482,-1.6511523407588165]},{"i":[0,1,5,7],"#,
+    r#""v":[1.0997872938605373,0.5341622527077784,0.4498775148360976,0.39863703396264777]}],"#,
+    r#""pivots":{"selected":[1,0],"r_diag":[4.2034540706314045,1.467547920134791]},"#,
+    r#""pivot_rows":[8,6],"trace":[{"iteration":1,"rank":2,"indicator":12345,"schur_nnz":28,"#,
+    r#""schur_density":0.5833333333333334,"schur_nnz_per_row":3.5,"#,
+    r#""r_diag":[4.2034540706314045,1.467547920134791]}],"#,
+    r#""ilut":{"mu":0.00000016025518405751418,"phi":0.000004203454070631405,"mass_sq":0,"#,
+    r#""dropped":0,"control_triggered":false}}"#,
+);
+
+/// A stored envelope is outside input, and the JSON text envelopes of
+/// earlier builds — a version-1 file at the base path, a version-2
+/// generation file with a valid CRC, either of which those builds would
+/// have resumed from — are input of an unsupported format: skipped as
+/// corrupt, rolled past, guard trip, fresh start; never decoded, never
+/// a panic. New generations are published above them and `clear()`
+/// removes old and new alike.
+#[test]
+fn text_envelopes_of_earlier_builds_are_rolled_past_and_the_run_starts_fresh() {
+    let a = lra::matgen::spectrum(10, 8, &[5.0, 2.0, 1.0, 0.4, 0.1, 0.04], 3, 3);
+    let opts = IlutOpts::new(2, 1e-6, 4);
+    let reference = ilut_crtp(&a, &opts);
+    assert_eq!(reference.iterations, 3);
+
+    let dir = std::env::temp_dir().join(format!("lra_text_envelopes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = format!(r#"{{"kind":"lu_crtp","version":1,"iteration":1,"state":{TEXT_STATE}}}"#);
+    let v2 = format!(
+        r#"{{"kind":"lu_crtp","version":2,"generation":4,"iteration":1,"crc32":1183563517,"state":{TEXT_STATE}}}"#
+    );
+    std::fs::write(dir.join("ckpt.json"), v1).unwrap();
+    std::fs::write(dir.join("ckpt.4.json"), v2).unwrap();
+    let store = CheckpointStore::on_disk(dir.join("ckpt.json"));
+    assert_eq!(store.generations(), vec![0, 4]);
+
+    let corrupt_before = counter("recover.corrupt_checkpoint");
     let trips_before = counter("recover.guard_trip");
     let got = ilut_crtp_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    assert!(counter("recover.corrupt_checkpoint") >= corrupt_before + 2, "both files skipped");
     assert!(counter("recover.guard_trip") > trips_before);
 
     assert_eq!(got.iterations, reference.iterations);
@@ -290,6 +469,16 @@ fn foreign_numerics_tagged_snapshot_is_ignored_and_the_run_starts_fresh() {
         assert_eq!(g.rowidx(), r.rowidx());
         assert!(bits_eq(g.values(), r.values()));
     }
+
+    // Two saves (the converging iteration takes none), both above the
+    // planted generation, which retention 3 still holds.
+    assert_eq!(store.generations(), vec![0, 4, 5, 6]);
+    let newest: LuCrtpCheckpoint = store.load().unwrap().unwrap();
+    assert_eq!(newest.iterations, 2);
+    store.clear();
+    assert!(store.generations().is_empty());
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "clear() removes every format");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- Tentpole: supervised survival of a rank kill ---------------------
