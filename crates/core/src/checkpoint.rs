@@ -22,12 +22,12 @@
 //! loop state rides in the envelope's small JSON header, every array
 //! (the Schur complement, the maps, the `L`/`U` panels, pivots, trace,
 //! the QB blocks) is a section of raw little-endian `u32` indices or
-//! `f64` bits. A save → load cycle is therefore bitwise exact by
-//! construction, so a resumed run on the same rank count reproduces the
+//! `f64` bits, exact by construction; the header's `f64` scalars rely
+//! on the Json writer's shortest round-trip printing, exact when
+//! finite. A resumed run on the same rank count thus reproduces the
 //! uninterrupted factors bit for bit. The snapshot types hold their
-//! arrays as [`Cow`]s: a driver saves one that *borrows* the live loop
-//! state (nothing is cloned, the state is encoded once), a load returns
-//! one that owns what it decoded.
+//! arrays as [`Cow`]s: a driver lends the live loop state (nothing is
+//! cloned, it is encoded once), a load owns what it decoded.
 
 use crate::lucrtp::IterTrace;
 use crate::panel::FactorCol;

@@ -4,11 +4,11 @@
 //! The store frames it as one binary envelope (`envelope.rs` has the
 //! layout): a small JSON header with the scalar loop state and a
 //! section table, every bulk array as raw little-endian words, then the
-//! total length and a CRC-32 over every preceding byte. `f64`s travel
-//! as their own bits, so a save → load cycle is bitwise exact by
-//! construction — resuming from a checkpoint reproduces the
-//! uninterrupted run bit for bit (on the same rank count; the
-//! reduction-tree shape depends on `np`).
+//! total length and a CRC-32 over every preceding byte. Section `f64`s
+//! travel as their own bits, exact by construction; the few `f64`
+//! scalars in the header rely on [`Json`]'s shortest round-trip
+//! printing, exact when finite. Resuming reproduces the uninterrupted
+//! run bit for bit (same rank count; the reduction tree follows `np`).
 //!
 //! A [`CheckpointStore`] holds a short window of *generations* (default
 //! [`DEFAULT_RETENTION`]) rather than a single latest snapshot. Each is
