@@ -18,11 +18,15 @@
 //!    paired reps.
 //! 3. **Two workers never lose to one**: interleaved best-of
 //!    `t(np=1) / t(np=2)` must reach [`GEMM_PAR2_MIN`] for blocked GEMM
-//!    at `n = `[`GEMM_N`] and [`QB_PAR2_MIN`] for `rand_qb_ei` p=1 on
+//!    at `n = `[`GEMM_N`], [`QB_PAR2_MIN`] for `rand_qb_ei` p=1 on
 //!    the economic preset, whose ~170 Householder and TSQR regions per
-//!    block iteration are the finest-grained in the workspace. Skipped
-//!    (reported, not gated) on a host with fewer than two cores. The
-//!    per-region cost of the `lra-par` pool is reported beside it.
+//!    block iteration are the finest-grained in the workspace, and
+//!    [`TS_PAR2_MIN`] for the two kernels that solve is made of at the
+//!    benchmark's shape: `matmul_sub_assign` [`TS_M`]`x`[`QB_K`] `.`
+//!    [`QB_K`]`x`[`QB_K`] (the projection `Y -= Q_j T`) and `orth` of
+//!    [`TS_M`]`x`[`QB_K`]. Skipped (reported, not gated) on a host with
+//!    fewer than two cores. The per-region cost of the `lra-par` pool
+//!    is reported beside it.
 //!
 //! ```sh
 //! cargo run -p lra-bench --release --bin kernel_bench -- --out BENCH_kernels.json
@@ -32,9 +36,9 @@
 //! The `BENCH_kernels.json` report (frozen v1 schema) carries one
 //! entry per ILUT run plus dimensionless `kernel.*` gauges
 //! (`gemm_speedup`, `overlap_hidden_ratio`, `gemm_par2_speedup`,
-//! `qb_par2_speedup`) under
-//! `metrics`, so CI can diff machine-independent ratios against the
-//! committed baseline in `results/`.
+//! `qb_par2_speedup`, `gemm_ts_par2_speedup`, `orth_par2_speedup`)
+//! under `metrics`, so CI can diff machine-independent ratios against
+//! the committed baseline in `results/`.
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_comm::RunConfig;
@@ -42,7 +46,7 @@ use lra_core::{
     ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, IlutOpts, LuCrtpResult,
     Parallelism, QbOpts,
 };
-use lra_dense::{matmul, matmul_naive, DenseMatrix};
+use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, DenseMatrix};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_sparse::CscMatrix;
 
@@ -80,6 +84,21 @@ const QB_PAR2_MIN: f64 = 1.0;
 const QB_REPS: usize = 3;
 /// Block size for the QB pair (the benchmark's `k`).
 const QB_K: usize = 32;
+/// Rows of the tall-skinny pair (the benchmark's `qb_dense` height).
+const TS_M: usize = 4000;
+/// Minimum `t(np=1) / t(np=2)` for the tall-skinny `matmul_sub_assign`
+/// and for `orth` (measured ~2.0x and ~1.8x on two cores).
+const TS_PAR2_MIN: f64 = 1.0;
+/// Samples per side and round of the tall-skinny pair (sub-millisecond
+/// kernels: more samples than [`REPS`] cost nothing).
+const TS_REPS: usize = 20;
+/// Gauges a kernel report must carry for `--validate` to accept it.
+const REQUIRED_GAUGES: [&str; 4] = [
+    "kernel.gemm_ts_s",
+    "kernel.gemm_ts_par2_speedup",
+    "kernel.orth_s",
+    "kernel.orth_par2_speedup",
+];
 /// Empty two-chunk regions timed for `kernel.region_overhead_s`.
 const REGIONS: usize = 2000;
 
@@ -137,8 +156,8 @@ fn main() {
 }
 
 /// Deterministic pseudo-random dense operand (no RNG dependency).
-fn dense_operand(n: usize, salt: u64) -> DenseMatrix {
-    DenseMatrix::from_fn(n, n, |i, j| {
+fn dense_operand(rows: usize, cols: usize, salt: u64) -> DenseMatrix {
+    DenseMatrix::from_fn(rows, cols, |i, j| {
         let h = (i as u64)
             .wrapping_mul(6364136223846793005)
             .wrapping_add((j as u64).wrapping_mul(1442695040888963407))
@@ -149,8 +168,8 @@ fn dense_operand(n: usize, salt: u64) -> DenseMatrix {
 
 /// Gate 1: blocked GEMM >= [`GEMM_MIN_SPEEDUP`]x naive at n = [`GEMM_N`].
 fn gemm_gate(reg: &MetricsRegistry) -> bool {
-    let a = dense_operand(GEMM_N, 1);
-    let b = dense_operand(GEMM_N, 2);
+    let a = dense_operand(GEMM_N, GEMM_N, 1);
+    let b = dense_operand(GEMM_N, GEMM_N, 2);
 
     // The speedup is only meaningful under the bitwise contract.
     let blocked = matmul(&a, &b, Parallelism::SEQ);
@@ -327,8 +346,9 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
 }
 
 /// Gate 3: a second worker must pay for itself — blocked GEMM at
-/// n = [`GEMM_N`] and a whole `rand_qb_ei` p=1 solve, each as the ratio
-/// of interleaved best-of wall times at np=1 and np=2.
+/// n = [`GEMM_N`], a whole `rand_qb_ei` p=1 solve, and that solve's two
+/// tall-skinny kernels, each as the ratio of interleaved best-of wall
+/// times at np=1 and np=2.
 fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     let two = Parallelism::new(2);
 
@@ -346,12 +366,17 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     reg.set_gauge("kernel.region_overhead_s", region_s);
     println!("par region: {:.2} us per empty np=2 region", 1e6 * region_s);
 
-    // One loop for both pairs, so the GEMM samples are spread over the
+    // One loop for all pairs, so the kernel samples are spread over the
     // seconds the QB solves take: a phase in which the host runs the
     // two workers on one core (seen for up to a few seconds on shared
     // runners) then has to outlast the whole gate to fail it.
-    let a = dense_operand(GEMM_N, 1);
-    let b = dense_operand(GEMM_N, 2);
+    let a = dense_operand(GEMM_N, GEMM_N, 1);
+    let b = dense_operand(GEMM_N, GEMM_N, 2);
+    let tall = dense_operand(TS_M, QB_K, 3);
+    let coeff = dense_operand(QB_K, QB_K, 4);
+    let mut y = dense_operand(TS_M, QB_K, 5);
+    let mut gemm_ts = [f64::INFINITY; 2];
+    let mut orth_s = [f64::INFINITY; 2];
     let n = if cfg.quick { 2000 } else { 4000 } * cfg.scale.max(1);
     let econ = lra_matgen::with_decay_rank(&lra_matgen::economic(n, 40, 105), 1e-6, n / 5, 15);
     let mut gemm = [f64::INFINITY; 2];
@@ -363,6 +388,14 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
                     std::hint::black_box(matmul(&a, &b, par));
                 });
                 gemm[i] = gemm[i].min(s);
+            }
+            for _ in 0..TS_REPS {
+                let ((), s) = timed(|| matmul_sub_assign(&mut y, &tall, &coeff, par));
+                gemm_ts[i] = gemm_ts[i].min(s);
+                let ((), s) = timed(|| {
+                    std::hint::black_box(orth(&tall, par));
+                });
+                orth_s[i] = orth_s[i].min(s);
             }
             let opts = QbOpts::new(QB_K, 1e-2).with_power(1).with_par(par);
             let (res, s) = timed(|| rand_qb_ei(&econ, &opts));
@@ -377,6 +410,12 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     reg.set_gauge("kernel.gemm_par2_speedup", gemm_speedup);
     let qb_speedup = qb[0] / qb[1].max(1e-12);
     reg.set_gauge("kernel.qb_par2_speedup", qb_speedup);
+    let gemm_ts_speedup = gemm_ts[0] / gemm_ts[1].max(1e-12);
+    reg.set_gauge("kernel.gemm_ts_s", gemm_ts[0]);
+    reg.set_gauge("kernel.gemm_ts_par2_speedup", gemm_ts_speedup);
+    let orth_speedup = orth_s[0] / orth_s[1].max(1e-12);
+    reg.set_gauge("kernel.orth_s", orth_s[0]);
+    reg.set_gauge("kernel.orth_par2_speedup", orth_speedup);
 
     println!(
         "par2 gemm n={GEMM_N}: np=1 {} np=2 {} speedup {gemm_speedup:.2}x \
@@ -390,6 +429,18 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
         fmt_s(qb[0]),
         fmt_s(qb[1])
     );
+    println!(
+        "par2 matmul_sub_assign {TS_M}x{QB_K}.{QB_K}x{QB_K}: np=1 {} np=2 {} speedup \
+         {gemm_ts_speedup:.2}x (gate >= {TS_PAR2_MIN}x)",
+        fmt_s(gemm_ts[0]),
+        fmt_s(gemm_ts[1])
+    );
+    println!(
+        "par2 orth {TS_M}x{QB_K}: np=1 {} np=2 {} speedup {orth_speedup:.2}x \
+         (gate >= {TS_PAR2_MIN}x)",
+        fmt_s(orth_s[0]),
+        fmt_s(orth_s[1])
+    );
     if lra_par::available_parallelism() < 2 {
         println!("par2: single-core host, ratios reported but not gated");
         return true;
@@ -401,6 +452,12 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     if qb_speedup < QB_PAR2_MIN {
         eprintln!("FAIL: rand_qb_ei np=2 speedup {qb_speedup:.2}x below {QB_PAR2_MIN}x");
         return false;
+    }
+    for (what, speedup) in [("matmul_sub_assign", gemm_ts_speedup), ("orth", orth_speedup)] {
+        if speedup < TS_PAR2_MIN {
+            eprintln!("FAIL: tall-skinny {what} np=2 speedup {speedup:.2}x below {TS_PAR2_MIN}x");
+            return false;
+        }
     }
     true
 }
@@ -450,6 +507,11 @@ fn validate_file(path: &str) {
     report
         .validate()
         .unwrap_or_else(|err| fail(&format!("{path}: invalid report: {err}")));
+    for key in REQUIRED_GAUGES {
+        if report.metrics.get(key).and_then(lra_obs::Json::as_f64).is_none() {
+            fail(&format!("{path}: invalid report: missing gauge {key}"));
+        }
+    }
     println!("{path}: valid kernel report ({} entries)", report.entries.len());
 }
 

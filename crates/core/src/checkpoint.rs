@@ -249,8 +249,9 @@ pub struct QbCheckpoint<'a> {
     pub history: Cow<'a, [f64]>,
     /// Accumulated orthonormal blocks.
     pub q_blocks: Cow<'a, [DenseMatrix]>,
-    /// Accumulated coefficient blocks.
-    pub b_blocks: Cow<'a, [DenseMatrix]>,
+    /// Accumulated coefficient blocks, transposed (`B_j^T`, `n x k_j`)
+    /// as the loop holds them.
+    pub bt_blocks: Cow<'a, [DenseMatrix]>,
     /// `next_u64` calls consumed from the seeded RNG so far.
     pub rng_draws: u64,
 }
@@ -264,7 +265,7 @@ impl Checkpoint for QbCheckpoint<'_> {
 
     fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
         w.f64s("history", self.history.iter().copied());
-        for (name, blocks) in [("q", &self.q_blocks), ("b", &self.b_blocks)] {
+        for (name, blocks) in [("q", &self.q_blocks), ("bt", &self.bt_blocks)] {
             let shapes = blocks.iter().flat_map(|b| [b.rows(), b.cols()]);
             w.indices(&format!("{name}.shape"), shapes)?;
             let data = blocks.iter().flat_map(|b| b.as_slice());
@@ -297,7 +298,7 @@ impl Checkpoint for QbCheckpoint<'_> {
             e: get(state, "e", Json::as_f64)?,
             history: r.f64s("history")?.into(),
             q_blocks: blocks("q")?.into(),
-            b_blocks: blocks("b")?.into(),
+            bt_blocks: blocks("bt")?.into(),
             rng_draws: get(state, "rng_draws", Json::as_u64)?,
         })
     }
@@ -357,8 +358,8 @@ pub(crate) fn load_qb_resume(
 ) -> Option<QbCheckpoint<'static>> {
     let ck: QbCheckpoint = load_or_trip(hooks)?;
     let shapes_ok = ck.q_blocks.iter().all(|q| q.rows() == m)
-        && ck.b_blocks.iter().all(|b| b.cols() == n)
-        && ck.q_blocks.len() == ck.b_blocks.len();
+        && ck.bt_blocks.iter().all(|bt| bt.rows() == n)
+        && ck.q_blocks.len() == ck.bt_blocks.len();
     if !shapes_ok {
         lra_recover::record_guard_trip(format!(
             "QB checkpoint block shapes do not fit a {m}x{n} input; ignored"
@@ -524,7 +525,7 @@ mod tests {
             e: 0.875,
             history: vec![1.5, 0.9].into(),
             q_blocks: vec![DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0)].into(),
-            b_blocks: vec![DenseMatrix::from_fn(2, 4, |i, j| -((i + j) as f64) * 0.3)].into(),
+            bt_blocks: vec![DenseMatrix::from_fn(4, 2, |i, j| -((i + j) as f64) * 0.3)].into(),
             rng_draws: 123456,
         }
     }
@@ -532,7 +533,7 @@ mod tests {
     #[test]
     fn qb_checkpoint_roundtrips_blocks_and_draws() {
         let ckpt = sample_qb_ckpt();
-        let (q, b) = (&ckpt.q_blocks[0], &ckpt.b_blocks[0]);
+        let (q, bt) = (&ckpt.q_blocks[0], &ckpt.bt_blocks[0]);
         let store = CheckpointStore::in_memory();
         store.save(&ckpt).unwrap();
         let back: QbCheckpoint = store.load().unwrap().unwrap();
@@ -541,7 +542,7 @@ mod tests {
         for (a, bb) in q.as_slice().iter().zip(back.q_blocks[0].as_slice()) {
             assert_eq!(a.to_bits(), bb.to_bits());
         }
-        assert_eq!(back.b_blocks[0].as_slice(), b.as_slice());
+        assert_eq!(back.bt_blocks[0].as_slice(), bt.as_slice());
         assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
         assert_eq!(back.history, vec![1.5, 0.9]);
     }

@@ -4,10 +4,14 @@
 //!
 //! `Q_K` and `B_K` are kept as block lists so each iteration's
 //! corrections `A Ω - Q_K (B_K Ω)` cost `O(K k (m + n))` without
-//! reallocating the accumulated factors.
+//! reallocating the accumulated factors. `B_K` is held *transposed*
+//! (`n x k` blocks, which is what `A^T Q_k` produces): `B_j Ω` and
+//! `B_j Q̂` are then `matmul_tn` dot products down contiguous columns
+//! and `Z -= B_j^T T` takes the block as it is, so no block is ever
+//! transposed inside the loop; `B` itself is assembled once at the end.
 
 use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{matmul, matmul_sub_assign, matmul_tn, orth, DenseMatrix};
+use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix};
 use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
@@ -141,9 +145,9 @@ impl QbResult {
     /// Exact error `||A - Q B||_F` (forms the residual blockwise; for
     /// validation).
     pub fn exact_error(&self, a: &CscMatrix, par: Parallelism) -> f64 {
-        let mut resid = spmm_dense(a, &DenseMatrix::identity(a.cols()), par);
-        matmul_sub_assign(&mut resid, &self.q, &self.b, par);
-        resid.fro_norm()
+        residual_norm(a, |cols, resid| {
+            matmul_sub_assign(resid, &self.q, &self.b.select_columns(cols), par);
+        })
     }
 
     /// `max |Q^T Q - I|` — the loss-of-orthogonality metric the paper
@@ -203,6 +207,21 @@ impl QbResult {
             }
         }
     }
+}
+
+/// `||A - H W||_F` of dense factors without ever holding a dense `A`:
+/// the residual is formed on blocks of at most 256 columns —
+/// `subtract(cols, R)` takes `H W(:, cols)` off the densified block —
+/// and the squared norm accumulated in ascending block order.
+pub(crate) fn residual_norm(a: &CscMatrix, subtract: impl Fn(&[usize], &mut DenseMatrix)) -> f64 {
+    let all: Vec<usize> = (0..a.cols()).collect();
+    let mut sq = 0.0;
+    for cols in all.chunks(256) {
+        let mut resid = a.gather_columns_dense(cols);
+        subtract(cols, &mut resid);
+        sq += resid.fro_norm_sq();
+    }
+    sq.sqrt()
 }
 
 /// Standard-normal matrix via Box-Muller (the offline `rand` has no
@@ -273,7 +292,8 @@ fn rand_qb_ei_inner(
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
     let mut q_blocks: Vec<DenseMatrix> = Vec::new();
-    let mut b_blocks: Vec<DenseMatrix> = Vec::new();
+    // B_j^T, each `n x k_j`.
+    let mut bt_blocks: Vec<DenseMatrix> = Vec::new();
     let mut e = a_norm_sq;
     let mut history = Vec::new();
     let mut converged = false;
@@ -296,7 +316,7 @@ fn rand_qb_ei_inner(
             e = ck.e;
             history = ck.history.into_owned();
             q_blocks = ck.q_blocks.into_owned();
-            b_blocks = ck.b_blocks.into_owned();
+            bt_blocks = ck.bt_blocks.into_owned();
             converged = history.last().is_some_and(|&ind| ind < stop);
         }
     }
@@ -316,7 +336,7 @@ fn rand_qb_ei_inner(
                             e,
                             history: Cow::Borrowed(&history),
                             q_blocks: Cow::Borrowed(&q_blocks),
-                            b_blocks: Cow::Borrowed(&b_blocks),
+                            bt_blocks: Cow::Borrowed(&bt_blocks),
                             rng_draws: draws,
                         };
                         crate::checkpoint::save_snapshot(h, &ck);
@@ -336,12 +356,10 @@ fn rand_qb_ei_inner(
         draws += 2 * (n as u64) * (kk as u64);
         let mut y = timers.time(KernelId::Sketch, || {
             let mut y = spmm_dense(a, &omega, par);
-            if !q_blocks.is_empty() {
-                // Y -= Q_K (B_K Ω), blockwise.
-                for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
-                    let t = matmul(bb, &omega, par);
-                    matmul_sub_assign(&mut y, qb, &t, par);
-                }
+            // Y -= Q_K (B_K Ω), blockwise.
+            for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
+                let t = matmul_tn(bt, &omega, par);
+                matmul_sub_assign(&mut y, qb, &t, par);
             }
             y
         });
@@ -352,17 +370,15 @@ fn rand_qb_ei_inner(
             timers.time(KernelId::PowerIter, || {
                 // Q̂ = orth(A^T Q_k - B_K^T (Q_K^T Q_k))
                 let mut z = spmm_t_dense(a, &qk, par);
-                for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
+                for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
                     let t = matmul_tn(qb, &qk, par);
-                    // z -= B_j^T t  (B_j^T is n x kk_block)
-                    let bt = bb.transpose();
-                    matmul_sub_assign(&mut z, &bt, &t, par);
+                    matmul_sub_assign(&mut z, bt, &t, par);
                 }
                 let qhat = orth(&z, par);
                 // Q_k = orth(A Q̂ - Q_K (B_K Q̂))
                 let mut w = spmm_dense(a, &qhat, par);
-                for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
-                    let t = matmul(bb, &qhat, par);
+                for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
+                    let t = matmul_tn(bt, &qhat, par);
                     matmul_sub_assign(&mut w, qb, &t, par);
                 }
                 qk = orth(&w, par);
@@ -380,13 +396,16 @@ fn rand_qb_ei_inner(
             }
         });
 
-        // Line 11: B_k = Q_k^T A.
-        let bk = timers.time(KernelId::BUpdate, || {
-            spmm_t_dense(a, &qk, par).transpose()
-        });
+        // Line 11: B_k = Q_k^T A, kept as B_k^T = A^T Q_k.
+        let btk = timers.time(KernelId::BUpdate, || spmm_t_dense(a, &qk, par));
 
-        // Lines 12-14: expand, update the indicator, test.
-        let bk_norm_sq = bk.fro_norm_sq();
+        // Lines 12-14: expand, update the indicator, test. ||B_k||_F^2
+        // is summed in B_k's column-major order — across the rows of
+        // the stored transpose — which is the order the indicator has
+        // always had.
+        let bt = &btk;
+        let bk_norm_sq: f64 =
+            (0..n).flat_map(|c| (0..kk).map(move |r| bt.get(c, r))).map(|v| v * v).sum();
         if !bk_norm_sq.is_finite() {
             // A NaN/Inf sketch would silently corrupt every later
             // block; stop here with the factors accumulated so far.
@@ -402,7 +421,7 @@ fn rand_qb_ei_inner(
         y = DenseMatrix::zeros(0, 0); // release the sketch early
         let _ = y;
         q_blocks.push(qk);
-        b_blocks.push(bk);
+        bt_blocks.push(btk);
         rank += kk;
         iterations += 1;
         history.push(ind);
@@ -420,7 +439,7 @@ fn rand_qb_ei_inner(
                     e,
                     history: Cow::Borrowed(&history),
                     q_blocks: Cow::Borrowed(&q_blocks),
-                    b_blocks: Cow::Borrowed(&b_blocks),
+                    bt_blocks: Cow::Borrowed(&bt_blocks),
                     rng_draws: draws,
                 };
                 crate::checkpoint::save_snapshot(h, &ck);
@@ -433,9 +452,9 @@ fn rand_qb_ei_inner(
         let mut q = DenseMatrix::zeros(m, rank);
         let mut b = DenseMatrix::zeros(rank, n);
         let mut off = 0;
-        for (qb, bb) in q_blocks.iter().zip(&b_blocks) {
+        for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
             q.set_submatrix(0, off, qb);
-            b.set_submatrix(off, 0, bb);
+            b.set_submatrix(off, 0, &bt.transpose());
             off += qb.cols();
         }
         (q, b)

@@ -87,10 +87,10 @@ pub struct UbvResult {
 impl UbvResult {
     /// Exact error `||A - U B V^T||_F` (validation helper).
     pub fn exact_error(&self, a: &CscMatrix, par: Parallelism) -> f64 {
-        let mut resid = spmm_dense(a, &DenseMatrix::identity(a.cols()), par);
-        let bv = matmul_nt(&self.b, &self.v, par); // K x n
-        matmul_sub_assign(&mut resid, &self.u, &bv, par);
-        resid.fro_norm()
+        crate::qb::residual_norm(a, |cols, resid| {
+            let bvt = matmul_nt(&self.b, &self.v.select_rows(cols), par); // K x |cols|
+            matmul_sub_assign(resid, &self.u, &bvt, par);
+        })
     }
 
     /// Achieved relative tolerance `indicator / ||A||_F`.

@@ -3,9 +3,11 @@
 //! Three orientations cover every use in the low-rank algorithms:
 //! `C = A B` (sketch application), `C = A^T B` (projections
 //! `B_K = Q_K^T A`, Gram-type products) and `C = A B^T` (subtracting
-//! `Q_K (B_K Omega)` style corrections). All parallelize over output
-//! columns through `lra-par`, which is efficient because every variant
-//! writes whole output columns contiguously.
+//! `Q_K (B_K Omega)` style corrections). The `C (-)= A B'` family
+//! parallelizes over *row blocks* of the output through `lra-par` —
+//! the products of the algorithms are tall and skinny, so rows are the
+//! only dimension with enough work to share — and `C = A^T B` over
+//! output columns.
 //!
 //! # Blocked micro-kernels and the bitwise-summation contract
 //!
@@ -19,65 +21,65 @@
 //! `B` entries, so the blocked kernels are **bitwise identical** to the
 //! naive loops for every shape and worker count. That contract is what
 //! lets the SPMD drivers keep their sharded-vs-replicated bitwise
-//! oracle while the kernels go fast; it is pinned by a property test in
-//! `tests/blocked_kernels.rs`.
+//! oracle while the kernels go fast; it is pinned by the property tests
+//! in `crates/dense/tests/blocked_kernels.rs` and, for tier-1, by
+//! `blocked_gemm_matches_naive_bitwise_for_every_np_and_width` in
+//! `tests/properties.rs`.
 
 use crate::DenseMatrix;
-use lra_par::{parallel_for, Parallelism};
+use lra_par::{parallel_chunks_mut, parallel_for, Parallelism};
 
 /// Register-tile height: output rows accumulated per tile (one cache
 /// line of `f64`, two 4-lane vector registers).
 const MR: usize = 8;
 /// Register-tile width: output columns sharing each loaded `A` block.
 const NR: usize = 4;
-/// Column-block width for the packed `B` panel: the blocked driver
-/// packs [`NC`] output columns at a time and sweeps the `A` row panels
-/// *outside* the tile loop, so each 32 KiB `A` panel is read from
-/// memory once per block instead of once per 4-column tile. Sized so
-/// the packed block (`NC * k` doubles) stays L2-resident at the
-/// benchmarked `k = 512`.
+/// Column-block width of the tile sweep: a row-block task runs all its
+/// packed `A` panels against [`NC`] output columns before it moves to
+/// the next [`NC`], so the `NC * k` doubles of packed `B` it reads stay
+/// L2-resident (at the benchmarked `k = 512`) instead of the whole
+/// `n * k`.
 const NC: usize = 64;
-/// Smallest grain (output columns per task) for parallel GEMM loops — a
-/// multiple of [`NR`] so full-width tiles form inside every task.
+/// Smallest grain (output columns per task) for the column-parallel
+/// loops ([`matmul_tn`] and the naive references) — a multiple of
+/// [`NR`] so full-width tiles form inside every task.
 const COL_GRAIN: usize = 8;
+/// Most rows of `A` a task packs at a time.
+const MC: usize = 256;
+/// Doubles of packed `A` a task holds at a time (512 KiB, half a small
+/// L2): wide inner dimensions shrink the row block below [`MC`].
+const A_PACK: usize = 64 * 1024;
+/// Doubles of `B` one packing chunk handles: small right-hand factors
+/// (`32 x 32` coefficients) are packed inline, without a region.
+const B_PACK_GRAIN: usize = 16 * 1024;
 
-/// Output columns per task of the blocked driver: an even share of the
-/// `n` columns in whole [`NR`] tiles, between [`COL_GRAIN`] and the
-/// [`NC`] block a task packs and sweeps at a time. Every task streams
-/// the whole packed `A` once per block, so a task narrower than it has
-/// to be pays that stream for a fraction of the reuse (8-column tasks
-/// made np = 2 slower than np = 1 at 512^3), and a wider one would
-/// only loop over blocks. Tasks own whole columns, so the grain never
-/// shows in the bits.
-fn blocked_col_grain(n: usize, par: Parallelism) -> usize {
-    n.div_ceil(par.np())
-        .next_multiple_of(NR)
-        .clamp(COL_GRAIN, NC)
+/// Rows per task of the blocked driver: whole [`MR`] panels, at most
+/// [`MC`] rows and [`A_PACK`] packed doubles, and few enough that every
+/// worker finds several blocks to claim — when a worker is descheduled
+/// the other takes its blocks, which one block per worker would
+/// strand. Every output element is produced by one tile call that
+/// sweeps the full inner dimension, so the grain never shows in the
+/// bits.
+fn row_block(m: usize, k: usize, par: Parallelism) -> usize {
+    let fits = A_PACK / k / MR * MR;
+    let share = m.div_ceil(4 * par.np()).next_multiple_of(MR);
+    fits.min(share).clamp(MR, MC)
 }
 
 /// `C = A * B`.
 pub fn matmul(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    gemm_blocked::<false>(&mut c, a, par, |j, buf| buf.copy_from_slice(b.col(j)));
+    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+    gemm_blocked::<false>(&mut c, a, par, |l, j| b.col(j)[l]);
     c
 }
 
 /// `C = A * B^T`.
 pub fn matmul_nt(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dimension mismatch");
-    let m = a.rows();
-    let n = b.rows();
-    let mut c = DenseMatrix::zeros(m, n);
-    // B^T column j is row j of B — gather it once per output column
-    // (O(k) against the O(m k) tile work it feeds).
-    gemm_blocked::<false>(&mut c, a, par, |j, buf| {
-        for (l, slot) in buf.iter_mut().enumerate() {
-            *slot = b.get(j, l);
-        }
-    });
+    let mut c = DenseMatrix::zeros(a.rows(), b.rows());
+    // B^T(l, j) = B(j, l): the packing pass is the only strided read.
+    gemm_blocked::<false>(&mut c, a, par, |l, j| b.get(j, l));
     c
 }
 
@@ -86,7 +88,7 @@ pub fn matmul_sub_assign(c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix, 
     assert_eq!(a.cols(), b.rows());
     assert_eq!(c.rows(), a.rows());
     assert_eq!(c.cols(), b.cols());
-    gemm_blocked::<true>(c, a, par, |j, buf| buf.copy_from_slice(b.col(j)));
+    gemm_blocked::<true>(c, a, par, |l, j| b.col(j)[l]);
 }
 
 /// `true` when the CPU supports 4-lane AVX2 doubles at runtime (the
@@ -126,25 +128,60 @@ impl TileIsa {
     }
 }
 
-/// Shared blocked driver for the `C (-)= A * B'` family: `fill_b`
-/// materializes column `j` of the effective right-hand factor into a
-/// task-local panel buffer (a contiguous copy for `matmul` /
-/// `matmul_sub_assign`, a row gather for `matmul_nt` — values are
-/// copied verbatim, so the arithmetic is untouched). `SUB` selects
-/// subtract-accumulate, which preloads the existing `C` tile so the
-/// update order matches the naive in-place loop.
-///
-/// `A` is first repacked into `MR`-tall row panels (`ap[p]` holds rows
-/// `p*MR..p*MR+MR` for every `l`, contiguous in `l`) so the tile's
-/// k-sweep reads a sequential stream instead of striding by `m`; ragged
-/// bottom panels are zero-padded, and the pad lanes are never written
-/// back. Repacking copies values verbatim — the arithmetic, and hence
-/// the bitwise contract, is untouched.
+/// The effective right-hand factor `B'` (`k x n`, entry `(l, j)` read
+/// through `b_at`) packed for the tile kernels: tile `t` covers output
+/// columns `t*NR..` and is stored as `k` rows of [`NR`] values (lanes
+/// past `n` zero), so a sweep reads one contiguous `NR`-row per `l`,
+/// followed by one flag word — nonzero when an active lane of the tile
+/// holds an exact zero, which is what the bitwise kernels pick their
+/// sweep from. Values are copied verbatim. Tiles are packed in
+/// parallel, [`B_PACK_GRAIN`] doubles to a chunk; returns the buffer
+/// and the tile stride `NR * k + 1`.
+fn pack_b(
+    k: usize,
+    n: usize,
+    par: Parallelism,
+    b_at: impl Fn(usize, usize) -> f64 + Sync,
+) -> (Vec<f64>, usize) {
+    let stride = NR * k + 1;
+    let mut packed = vec![0.0f64; n.div_ceil(NR) * stride];
+    let tiles_per_chunk = (B_PACK_GRAIN / stride).max(1);
+    parallel_chunks_mut(par, &mut packed, tiles_per_chunk * stride, |chunk, tiles| {
+        for (t, tile) in tiles.chunks_exact_mut(stride).enumerate() {
+            let j0 = (chunk * tiles_per_chunk + t) * NR;
+            let mut any_zero = false;
+            for jj in 0..NR.min(n - j0) {
+                for l in 0..k {
+                    let v = b_at(l, j0 + jj);
+                    tile[l * NR + jj] = v;
+                    any_zero |= v == 0.0;
+                }
+            }
+            tile[NR * k] = f64::from(u8::from(any_zero));
+        }
+    });
+    (packed, stride)
+}
+
+/// Shared blocked driver for the `C (-)= A * B'` family. `B'` is packed
+/// once ([`pack_b`]); then every task owns [`row_block`] rows of `C`,
+/// repacks *its* rows of `A` into a task-local buffer of `MR`-tall row
+/// panels (`ap[p]` holds rows `p*MR..p*MR+MR` for every `l`, contiguous
+/// in `l`, so a tile's k-sweep reads a sequential stream instead of
+/// striding by `m`; ragged bottom panels are zero-padded, and the pad
+/// lanes are never written back), and sweeps the tile kernels over it.
+/// Nothing proportional to `m * k` is allocated or copied outside the
+/// tasks. Packing copies values verbatim and every output element is
+/// one tile call over the full inner dimension in ascending order, so
+/// the blocking is pure locality — the arithmetic, and hence the
+/// bitwise contract, is untouched. `SUB` selects subtract-accumulate,
+/// which preloads the existing `C` tile so the update order matches
+/// the naive in-place loop.
 fn gemm_blocked<const SUB: bool>(
     c: &mut DenseMatrix,
     a: &DenseMatrix,
     par: Parallelism,
-    fill_b: impl Fn(usize, &mut [f64]) + Sync,
+    b_at: impl Fn(usize, usize) -> f64 + Sync,
 ) {
     let m = c.rows();
     let n = c.cols();
@@ -157,77 +194,49 @@ fn gemm_blocked<const SUB: bool>(
     }
     let isa = TileIsa::pick();
     let a_data = a.as_slice();
-    let n_panels = m.div_ceil(MR);
-    let mut ap = vec![0.0f64; n_panels * MR * k];
-    for l in 0..k {
-        let col = &a_data[l * m..(l + 1) * m];
-        for p in 0..n_panels {
-            let i0 = p * MR;
-            let iw = MR.min(m - i0);
-            let dst = p * MR * k + l * MR;
-            ap[dst..dst + iw].copy_from_slice(&col[i0..i0 + iw]);
-        }
-    }
+    let (bp, stride) = pack_b(k, n, par, b_at);
+    let ntiles = n.div_ceil(NR);
+    let mc = row_block(m, k, par);
     let c_ptr = c.as_mut_slice().as_mut_ptr() as usize;
-    parallel_for(par, n, blocked_col_grain(n, par), |range| {
-        let mut col = vec![0.0f64; k];
-        let mut bt = vec![0.0f64; NC * k];
-        let mut any_zero = [false; NC / NR];
-        let mut jc = range.start;
-        while jc < range.end {
-            // Pack a block of up to NC output columns as k x NR tiles
-            // (tile t at bt[t*NR*k..]) so the panel sweep below reads
-            // one contiguous NR-row per `l` (values copied verbatim),
-            // and scan each tile's active lanes for zeros once — the
-            // bitwise kernel picks its sweep from that flag.
-            let jcw = (range.end - jc).min(NC);
-            let ntiles = jcw.div_ceil(NR);
-            for t in 0..ntiles {
-                let j0 = jc + t * NR;
-                let jw = (jc + jcw - j0).min(NR);
-                let btt = &mut bt[t * NR * k..(t + 1) * NR * k];
-                btt.fill(0.0);
-                for jj in 0..jw {
-                    fill_b(j0 + jj, &mut col);
-                    for (l, &v) in col.iter().enumerate() {
-                        btt[l * NR + jj] = v;
-                    }
+    parallel_for(par, m.div_ceil(mc), 1, |blocks| {
+        let mut ap = vec![0.0f64; mc * k];
+        for block in blocks {
+            let i0 = block * mc;
+            let rows = mc.min(m - i0);
+            for (l, col) in a_data.chunks_exact(m).enumerate() {
+                for (p, seg) in col[i0..i0 + rows].chunks(MR).enumerate() {
+                    let dst = &mut ap[p * MR * k + l * MR..][..MR];
+                    dst[..seg.len()].copy_from_slice(seg);
+                    dst[seg.len()..].fill(0.0);
                 }
-                let mut az = false;
-                for bl in btt.chunks_exact(NR) {
-                    for &blj in bl.iter().take(jw) {
-                        az |= blj == 0.0;
-                    }
-                }
-                any_zero[t] = az;
             }
-            // Panel-outer sweep: each packed A panel is streamed once
-            // per column block and reused across all its tiles. Every
-            // output element still accumulates over the full inner
-            // dimension in ascending order inside one tile call, so
-            // the loop order is pure locality — the arithmetic, and
-            // hence the bitwise contract, is untouched.
-            for (p, panel) in ap.chunks_exact(MR * k).enumerate() {
-                let i0 = p * MR;
-                for t in 0..ntiles {
-                    let j0 = jc + t * NR;
-                    let jw = (jc + jcw - j0).min(NR);
-                    let btt = &bt[t * NR * k..(t + 1) * NR * k];
-                    let az = any_zero[t];
-                    // SAFETY: this task owns output columns `range`,
-                    // and the tile at j0 covers jw <= NR of them.
-                    unsafe {
-                        let cp = c_ptr as *mut f64;
-                        match jw {
-                            4 => tile_dispatch::<4, SUB>(isa, cp, m, i0, j0, panel, btt, az),
-                            3 => tile_dispatch::<3, SUB>(isa, cp, m, i0, j0, panel, btt, az),
-                            2 => tile_dispatch::<2, SUB>(isa, cp, m, i0, j0, panel, btt, az),
-                            _ => tile_dispatch::<1, SUB>(isa, cp, m, i0, j0, panel, btt, az),
+            // Panel-outer sweep inside each column block: a packed A
+            // panel is streamed once per NC columns and reused across
+            // all their tiles.
+            for tc in (0..ntiles).step_by(NC / NR) {
+                let panels = ap.chunks_exact(MR * k).take(rows.div_ceil(MR));
+                for (p, panel) in panels.enumerate() {
+                    for t in tc..(tc + NC / NR).min(ntiles) {
+                        let j0 = t * NR;
+                        let (btt, flag) = bp[t * stride..(t + 1) * stride].split_at(NR * k);
+                        let az = flag[0] != 0.0;
+                        // SAFETY: this task owns output rows
+                        // `i0..i0+rows`; the tile at (i0 + p*MR, j0)
+                        // covers at most MR of them and `n - j0 <= NR`
+                        // columns of the `m x n` buffer behind `c_ptr`.
+                        unsafe {
+                            let cp = c_ptr as *mut f64;
+                            let i = i0 + p * MR;
+                            match n - j0 {
+                                1 => tile_dispatch::<1, SUB>(isa, cp, m, i, j0, panel, btt, az),
+                                2 => tile_dispatch::<2, SUB>(isa, cp, m, i, j0, panel, btt, az),
+                                3 => tile_dispatch::<3, SUB>(isa, cp, m, i, j0, panel, btt, az),
+                                _ => tile_dispatch::<4, SUB>(isa, cp, m, i, j0, panel, btt, az),
+                            }
                         }
                     }
                 }
             }
-            jc += jcw;
         }
     });
 }
@@ -353,8 +362,9 @@ unsafe fn tile_n_avx2<const JW: usize, const SUB: bool>(
 ///
 /// # Safety
 /// `c_ptr` must point to a column-major `m x >= j0+JW` buffer whose
-/// columns `j0..j0+JW` are exclusively owned by the caller; `panel`
-/// must hold one packed `MR x k` panel covering rows `i0..i0+MR` (with
+/// rows `i0..min(i0+MR, m)` of columns `j0..j0+JW` are exclusively
+/// owned by the caller (nothing else is read or written); `panel` must
+/// hold one packed `MR x k` panel covering rows `i0..i0+MR` (with
 /// `i0 < m`, ragged tail zero-padded) and `bt` a `k x NR` row-major B
 /// tile (columns past `JW` ignored); `any_zero` must be true if any
 /// active lane of `bt` is zero.

@@ -14,6 +14,7 @@
 //! process counts.
 
 mod blas;
+mod householder;
 mod jacobi;
 mod lu;
 mod matrix;

@@ -4,7 +4,7 @@
 //! lines 5-10), the panel factorization `qr((A P_c)(:, 1:k))` of LU_CRTP
 //! (Algorithm 2, line 6) and as the building block of TSQR.
 
-use crate::DenseMatrix;
+use crate::{householder, DenseMatrix};
 use lra_par::{parallel_chunks_mut, Parallelism};
 
 /// Compact Householder QR factorization `A = Q R`.
@@ -18,62 +18,32 @@ pub struct QrFactor {
     tau: Vec<f64>,
 }
 
-/// Generate a Householder reflector for the vector `x` (in place).
-///
-/// On return `x[0]` holds `beta` (the new leading entry) and `x[1..]`
-/// the reflector tail `v[1..]` (with `v[0] = 1` implicit). Returns
-/// `tau`; `tau == 0` means the column was already in triangular form.
-fn make_householder(x: &mut [f64]) -> f64 {
-    let alpha = x[0];
-    let tail_sq: f64 = x[1..].iter().map(|v| v * v).sum();
-    if tail_sq == 0.0 {
-        // Already triangular; H = I (works for alpha of any sign).
-        return 0.0;
-    }
-    let normx = (alpha * alpha + tail_sq).sqrt();
-    let beta = if alpha >= 0.0 { -normx } else { normx };
-    let denom = alpha - beta;
-    for v in x[1..].iter_mut() {
-        *v /= denom;
-    }
-    x[0] = beta;
-    (beta - alpha) / beta
-}
-
-/// Apply the reflector `(v, tau)` (with `v[0] = 1` implicit) to a column
-/// slice `c` of equal length.
-#[inline]
-fn apply_householder(v: &[f64], tau: f64, c: &mut [f64]) {
+/// Apply the reflector `(v, tau)` to rows `off..` of every `m`-long
+/// column of the column-major `cols`, one [`householder::GROUP`] of
+/// columns to a parallel chunk. `tau == 0` (`H = I`) opens no region.
+fn apply_reflector_cols(
+    par: Parallelism,
+    v: &[f64],
+    tau: f64,
+    cols: &mut [f64],
+    m: usize,
+    off: usize,
+) {
     if tau == 0.0 {
         return;
     }
-    let mut w = c[0];
-    for (vi, ci) in v[1..].iter().zip(&c[1..]) {
-        w += vi * ci;
-    }
-    w *= tau;
-    c[0] -= w;
-    for (vi, ci) in v[1..].iter().zip(c[1..].iter_mut()) {
-        *ci -= w * vi;
-    }
-}
-
-/// Run `body` on every `m`-long column of the column-major `cols`, four
-/// columns to a parallel chunk.
-fn for_each_col_mut(
-    par: Parallelism,
-    cols: &mut [f64],
-    m: usize,
-    body: impl Fn(&mut [f64]) + Sync,
-) {
-    parallel_chunks_mut(par, cols, 4 * m, |_, chunk| chunk.chunks_mut(m).for_each(&body));
+    parallel_chunks_mut(par, cols, householder::GROUP * m, |_, chunk| {
+        householder::apply_cols(v, tau, chunk, m, off)
+    });
 }
 
 /// Compute the Householder QR factorization of `a`.
 ///
-/// Trailing-matrix updates parallelize over columns; the panel itself is
-/// sequential (standard unblocked algorithm, adequate for the `<= 2k`
-/// wide panels this project factorizes).
+/// Unblocked (level-2) Householder QR: one reflector per column, applied
+/// to the trailing columns four at a time — the groups are the parallel
+/// chunks, and inside one the columns' dot chains overlap (see
+/// `householder.rs`). Every column's arithmetic is the one-column
+/// formula in its order, for any worker count.
 pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
     let mut f = a.clone();
     let m = f.rows();
@@ -82,19 +52,13 @@ pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
     let mut tau = vec![0.0; r];
     for j in 0..r {
         // Generate reflector from column j, rows j..m.
-        let tj = {
-            let col = &mut f.col_mut(j)[j..];
-            make_householder(col)
-        };
+        let tj = householder::make_householder(&mut f.col_mut(j)[j..]);
         tau[j] = tj;
-        if tj == 0.0 {
-            continue;
-        }
         // The reflector lives in column j of the head half, the
         // trailing columns it updates in the tail half.
         let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
         let v = &head[j * m + j..];
-        for_each_col_mut(par, trailing, m, |col| apply_householder(v, tj, &mut col[j..]));
+        apply_reflector_cols(par, v, tj, trailing, m, j);
     }
     QrFactor { factors: f, tau }
 }
@@ -164,13 +128,8 @@ impl QrFactor {
 
     /// `B <- H_j B` for reflector `j` (acts on rows `j..`).
     fn apply_reflector(&self, j: usize, b: &mut DenseMatrix, par: Parallelism) {
-        let tj = self.tau[j];
-        if tj == 0.0 {
-            return;
-        }
         let v = &self.factors.col(j)[j..];
-        let m = self.rows();
-        for_each_col_mut(par, b.as_mut_slice(), m, |col| apply_householder(v, tj, &mut col[j..]));
+        apply_reflector_cols(par, v, self.tau[j], b.as_mut_slice(), self.rows(), j);
     }
 }
 
@@ -199,13 +158,15 @@ pub fn solve_upper_left(r: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> D
     assert_eq!(r.cols(), n, "solve_upper_left: R must be square");
     assert_eq!(b.rows(), n);
     let mut x = b.clone();
-    for_each_col_mut(par, x.as_mut_slice(), n, |xc| {
-        for i in (0..n).rev() {
-            let mut s = xc[i];
-            for l in i + 1..n {
-                s -= r.get(i, l) * xc[l];
+    parallel_chunks_mut(par, x.as_mut_slice(), 4 * n, |_, chunk| {
+        for xc in chunk.chunks_mut(n) {
+            for i in (0..n).rev() {
+                let mut s = xc[i];
+                for l in i + 1..n {
+                    s -= r.get(i, l) * xc[l];
+                }
+                xc[i] = s / r.get(i, i);
             }
-            xc[i] = s / r.get(i, i);
         }
     });
     x

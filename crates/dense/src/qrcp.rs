@@ -9,7 +9,7 @@
 //! downdating and the usual cancellation safeguard (recompute a column
 //! norm exactly when the downdated estimate loses too much accuracy).
 
-use crate::DenseMatrix;
+use crate::{householder, DenseMatrix};
 
 /// Result of a (possibly truncated) column-pivoted QR factorization.
 #[derive(Clone, Debug)]
@@ -85,19 +85,11 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
             norms_ref.swap(j, pj);
         }
         // Householder on column j, rows j..m.
-        let tj = {
-            let col = &mut f.col_mut(j)[j..];
-            make_householder(col)
-        };
+        let tj = householder::make_householder(&mut f.col_mut(j)[j..]);
         tau.push(tj);
         steps = j + 1;
-        if tj != 0.0 {
-            let v: Vec<f64> = f.col(j)[j..].to_vec();
-            for c in j + 1..n {
-                let cj = &mut f.col_mut(c)[j..];
-                apply_householder(&v, tj, cj);
-            }
-        }
+        let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
+        householder::apply_cols(&head[j * m + j..], tj, trailing, m, j);
         // Downdate trailing norms with the LAPACK dgeqp3 safeguard.
         for c in j + 1..n {
             if norms[c] == 0.0 {
@@ -121,40 +113,6 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
         tau,
         perm,
         steps,
-    }
-}
-
-// Reuse the reflector helpers from qr.rs (kept private there): local
-// copies with identical semantics.
-fn make_householder(x: &mut [f64]) -> f64 {
-    let alpha = x[0];
-    let tail_sq: f64 = x[1..].iter().map(|v| v * v).sum();
-    if tail_sq == 0.0 {
-        return 0.0;
-    }
-    let normx = (alpha * alpha + tail_sq).sqrt();
-    let beta = if alpha >= 0.0 { -normx } else { normx };
-    let denom = alpha - beta;
-    for v in x[1..].iter_mut() {
-        *v /= denom;
-    }
-    x[0] = beta;
-    (beta - alpha) / beta
-}
-
-#[inline]
-fn apply_householder(v: &[f64], tau: f64, c: &mut [f64]) {
-    if tau == 0.0 {
-        return;
-    }
-    let mut w = c[0];
-    for (vi, ci) in v[1..].iter().zip(&c[1..]) {
-        w += vi * ci;
-    }
-    w *= tau;
-    c[0] -= w;
-    for (vi, ci) in v[1..].iter().zip(c[1..].iter_mut()) {
-        *ci -= w * vi;
     }
 }
 

@@ -7,6 +7,7 @@
 //! with singular values `s`, the minimum rank for tolerance `tau` is the
 //! smallest `K` with `sqrt(sum_{j>K} s_j^2) < tau * ||A||_F`.
 
+use crate::householder::{self, make_householder};
 use crate::DenseMatrix;
 
 /// Reduce `a` (any shape) to upper-bidiagonal form; returns
@@ -25,17 +26,9 @@ pub fn bidiagonalize(a: &DenseMatrix) -> (Vec<f64>, Vec<f64>) {
     let mut e = vec![0.0; n.saturating_sub(1)];
     for j in 0..n {
         // Left Householder: eliminate below-diagonal entries of column j.
-        let tau_l = {
-            let col = &mut w.col_mut(j)[j..];
-            make_householder(col)
-        };
-        if tau_l != 0.0 {
-            let v: Vec<f64> = w.col(j)[j..].to_vec();
-            for c in j + 1..n {
-                let cj = &mut w.col_mut(c)[j..];
-                apply_householder(&v, tau_l, cj);
-            }
-        }
+        let tau_l = make_householder(&mut w.col_mut(j)[j..]);
+        let (head, trailing) = w.as_mut_slice().split_at_mut((j + 1) * m);
+        householder::apply_cols(&head[j * m + j..], tau_l, trailing, m, j);
         d[j] = w.get(j, j);
         if j + 1 < n {
             // Right Householder: eliminate entries right of the
@@ -289,39 +282,6 @@ pub fn min_rank_for_tolerance(s: &[f64], tau: f64) -> usize {
         tail -= sv * sv;
     }
     s.len()
-}
-
-// Local reflector helpers (same semantics as qr.rs).
-fn make_householder(x: &mut [f64]) -> f64 {
-    let alpha = x[0];
-    let tail_sq: f64 = x[1..].iter().map(|v| v * v).sum();
-    if tail_sq == 0.0 {
-        return 0.0;
-    }
-    let normx = (alpha * alpha + tail_sq).sqrt();
-    let beta = if alpha >= 0.0 { -normx } else { normx };
-    let denom = alpha - beta;
-    for v in x[1..].iter_mut() {
-        *v /= denom;
-    }
-    x[0] = beta;
-    (beta - alpha) / beta
-}
-
-#[inline]
-fn apply_householder(v: &[f64], tau: f64, c: &mut [f64]) {
-    if tau == 0.0 {
-        return;
-    }
-    let mut w = c[0];
-    for (vi, ci) in v[1..].iter().zip(&c[1..]) {
-        w += vi * ci;
-    }
-    w *= tau;
-    c[0] -= w;
-    for (vi, ci) in v[1..].iter().zip(c[1..].iter_mut()) {
-        *ci -= w * vi;
-    }
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //! and the durability of the checkpoint envelope format.
 
 use lra::core::{
-    lu_crtp, rand_qb_ei, Checkpoint, CheckpointStore, LuCrtpOpts, Parallelism, QbOpts,
-    SectionReader, SectionWriter,
+    lu_crtp, rand_qb_ei, rand_ubv, Checkpoint, CheckpointStore, LuCrtpOpts, Parallelism, QbOpts,
+    SectionReader, SectionWriter, UbvOpts,
 };
 use lra::obs::Json;
 use lra::dense::{
     matmul, matmul_naive, matmul_nt, matmul_nt_naive, matmul_sub_assign, matmul_sub_assign_naive,
-    matmul_tn, matmul_tn_naive, orth, qr, qrcp, singular_values, tsqr, DenseMatrix,
+    matmul_tn, matmul_tn_naive, orth, qr, qrcp, singular_values, tsqr, tsqr_r, DenseMatrix,
 };
 use lra::sparse::{spgemm, spmm_dense, CooMatrix, CscMatrix};
 use proptest::prelude::*;
@@ -259,24 +259,36 @@ proptest! {
 }
 
 /// Deterministic dense operand; every fourth entry is an exact zero so
-/// the bitwise kernel's zero-skip sweep is taken as well.
+/// the bitwise kernel's zero-skip sweep is taken as well, and a few are
+/// `-0.0`, which a skipped and an added `0.0 * a` treat differently.
 fn gemm_operand(rows: usize, cols: usize, salt: usize) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |i, j| {
         let h = (i * 31 + j * 17 + salt * 7) % 97;
-        if h.is_multiple_of(4) { 0.0 } else { h as f64 / 9.7 - 5.0 }
+        match h {
+            _ if h.is_multiple_of(4) => 0.0,
+            13 | 58 => -0.0,
+            _ => h as f64 / 9.7 - 5.0,
+        }
     })
 }
 
 /// The blocked GEMM family is bitwise the naive loops for every worker
-/// count, at output widths on both sides of the 8-column minimum grain,
-/// the 64-column packed block and a ragged last task (the GEMM half of
-/// `crates/dense/tests/blocked_kernels.rs`, which tier-1 never runs).
+/// count: at output widths on both sides of the 4-column tile, the
+/// 64-column sweep block and a ragged last tile (the GEMM half of
+/// `crates/dense/tests/blocked_kernels.rs`, which tier-1 never runs),
+/// and — the row-block tasks of `gemm_blocked` — at heights on both
+/// sides of the 8-row panel and the 256-row block, with a ragged last
+/// panel, several blocks per worker (m = 600) and more workers than
+/// row blocks (m <= 8 is one block).
 #[test]
 fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
-    let (m, k) = (19, 23);
-    let a = gemm_operand(m, k, 1);
-    let at = gemm_operand(k, m, 5);
-    for n in [1usize, 7, 8, 33, 64, 65, 130] {
+    let k = 23;
+    let widths = [1usize, 7, 8, 33, 64, 65, 130].map(|n| (19usize, n));
+    let heights = [1usize, 7, 8, 9, 255, 256, 257, 600];
+    let heights = heights.into_iter().flat_map(|m| [1usize, 4, 33, 65].map(|n| (m, n)));
+    for (m, n) in widths.into_iter().chain(heights) {
+        let a = gemm_operand(m, k, 1);
+        let at = gemm_operand(k, m, 5);
         let b = gemm_operand(k, n, 2);
         let bt = gemm_operand(n, k, 3);
         let c0 = gemm_operand(m, n, 4);
@@ -287,7 +299,7 @@ fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
         matmul_sub_assign_naive(&mut diff, &a, &b, Parallelism::SEQ);
         for np in [1usize, 2, 3, 5] {
             let par = Parallelism::new(np);
-            let tag = format!("n={n} np={np}");
+            let tag = format!("m={m} n={n} np={np}");
             assert!(bits_eq(matmul(&a, &b, par).as_slice(), prod.as_slice()), "matmul {tag}");
             assert!(
                 bits_eq(matmul_nt(&a, &bt, par).as_slice(), prod_nt.as_slice()),
@@ -301,6 +313,250 @@ fn blocked_gemm_matches_naive_bitwise_for_every_np_and_width() {
             matmul_sub_assign(&mut c, &a, &b, par);
             assert!(bits_eq(c.as_slice(), diff.as_slice()), "matmul_sub_assign {tag}");
         }
+    }
+}
+
+// ---- Householder kernels against the one-column formula ----------------
+
+/// The reference reflector generator: `x[0] <- beta`, `x[1..] <- v[1..]`
+/// (`v[0] = 1` implicit), returns `tau`.
+fn ref_make_householder(x: &mut [f64]) -> f64 {
+    let alpha = x[0];
+    let tail_sq: f64 = x[1..].iter().map(|v| v * v).sum();
+    if tail_sq == 0.0 {
+        return 0.0;
+    }
+    let normx = (alpha * alpha + tail_sq).sqrt();
+    let beta = if alpha >= 0.0 { -normx } else { normx };
+    let denom = alpha - beta;
+    for v in x[1..].iter_mut() {
+        *v /= denom;
+    }
+    x[0] = beta;
+    (beta - alpha) / beta
+}
+
+/// The one-column formula every factorization's bits are defined by:
+/// one dot chain in ascending row order, then the axpy.
+fn ref_apply(v: &[f64], tau: f64, c: &mut [f64]) {
+    if tau == 0.0 {
+        return;
+    }
+    let mut w = c[0];
+    for (vi, ci) in v[1..].iter().zip(&c[1..]) {
+        w += vi * ci;
+    }
+    w *= tau;
+    c[0] -= w;
+    for (vi, ci) in v[1..].iter().zip(c[1..].iter_mut()) {
+        *ci -= w * vi;
+    }
+}
+
+/// Compact factors and `tau` of unpivoted Householder QR, column by
+/// column.
+fn ref_qr(a: &DenseMatrix) -> (DenseMatrix, Vec<f64>) {
+    let (m, n) = (a.rows(), a.cols());
+    let mut f = a.clone();
+    let mut tau = Vec::new();
+    for j in 0..m.min(n) {
+        let tj = ref_make_householder(&mut f.col_mut(j)[j..]);
+        tau.push(tj);
+        let v = f.col(j)[j..].to_vec();
+        for c in j + 1..n {
+            ref_apply(&v, tj, &mut f.col_mut(c)[j..]);
+        }
+    }
+    (f, tau)
+}
+
+/// `B <- Q B` (`forward = false`) or `B <- Q^T B` from compact factors.
+fn ref_apply_q(f: &DenseMatrix, tau: &[f64], b: &mut DenseMatrix, forward: bool) {
+    let order: Vec<usize> = if forward { (0..tau.len()).collect() } else { (0..tau.len()).rev().collect() };
+    for j in order {
+        for c in 0..b.cols() {
+            ref_apply(&f.col(j)[j..], tau[j], &mut b.col_mut(c)[j..]);
+        }
+    }
+}
+
+fn ref_r(f: &DenseMatrix, steps: usize) -> DenseMatrix {
+    DenseMatrix::from_fn(steps, f.cols(), |i, j| if i <= j { f.get(i, j) } else { 0.0 })
+}
+
+fn ref_q_thin(f: &DenseMatrix, tau: &[f64]) -> DenseMatrix {
+    let mut q = DenseMatrix::from_fn(f.rows(), tau.len(), |i, j| if i == j { 1.0 } else { 0.0 });
+    ref_apply_q(f, tau, &mut q, false);
+    q
+}
+
+/// TSQR over its shape-derived row blocks (at least `max(4n, 256)` rows
+/// and `n` rows each): local QRs, one root QR of the stacked `R`s, and
+/// `Q` block `b` = `Q_b [C_b; 0]`.
+fn ref_tsqr(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
+    let (m, n) = (a.rows(), a.cols());
+    let nb = if m <= n { 1 } else { (m / (4 * n).max(256)).clamp(1, m / n) };
+    if nb == 1 {
+        let (f, tau) = ref_qr(a);
+        return (ref_q_thin(&f, &tau), ref_r(&f, tau.len()));
+    }
+    let blocks = lra::par::split_ranges(m, nb);
+    let locals: Vec<_> = blocks.iter().map(|rg| ref_qr(&a.submatrix(rg.start, 0, rg.len(), n))).collect();
+    let mut stacked = DenseMatrix::zeros(nb * n, n);
+    for (b, (f, _)) in locals.iter().enumerate() {
+        stacked.set_submatrix(b * n, 0, &ref_r(f, n));
+    }
+    let (top, top_tau) = ref_qr(&stacked);
+    let qs = ref_q_thin(&top, &top_tau);
+    let mut q = DenseMatrix::zeros(m, n);
+    for (b, (rg, (f, tau))) in blocks.iter().zip(&locals).enumerate() {
+        let mut piece = DenseMatrix::zeros(rg.len(), n);
+        piece.set_submatrix(0, 0, &qs.submatrix(b * n, 0, n, n));
+        ref_apply_q(f, tau, &mut piece, false);
+        q.set_submatrix(rg.start, 0, &piece);
+    }
+    (q, ref_r(&top, n))
+}
+
+/// Column-pivoted QR with dgeqp3's norm downdating, column by column:
+/// `(factors, tau, perm)`.
+fn ref_qrcp(a: &DenseMatrix) -> (DenseMatrix, Vec<f64>, Vec<usize>) {
+    let (m, n) = (a.rows(), a.cols());
+    let mut f = a.clone();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut tau = Vec::new();
+    let mut norms: Vec<f64> = (0..n).map(|j| f.col(j).iter().map(|v| v * v).sum()).collect();
+    let mut norms_ref = norms.clone();
+    for j in 0..m.min(n) {
+        let (pj, &max_norm) = norms[j..]
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .map(|(off, v)| (j + off, v))
+            .unwrap();
+        if max_norm <= 0.0 {
+            break;
+        }
+        if pj != j {
+            let (cj, cp) = f.two_cols_mut(j, pj);
+            cj.swap_with_slice(cp);
+            perm.swap(j, pj);
+            norms.swap(j, pj);
+            norms_ref.swap(j, pj);
+        }
+        let tj = ref_make_householder(&mut f.col_mut(j)[j..]);
+        tau.push(tj);
+        let v = f.col(j)[j..].to_vec();
+        for c in j + 1..n {
+            ref_apply(&v, tj, &mut f.col_mut(c)[j..]);
+            if norms[c] == 0.0 {
+                continue;
+            }
+            let rjc = f.get(j, c);
+            let temp = (1.0 - (rjc * rjc) / norms[c]).max(0.0);
+            if temp * (norms[c] / norms_ref[c]).max(0.0) <= f64::EPSILON.sqrt() {
+                let exact: f64 = f.col(c)[j + 1..].iter().map(|v| v * v).sum();
+                norms[c] = exact;
+                norms_ref[c] = exact;
+            } else {
+                norms[c] *= temp;
+            }
+        }
+    }
+    (f, tau, perm)
+}
+
+/// `qr`, `tsqr`, `tsqr_r` and `qrcp` walk several columns through each
+/// reflector at once; every column must still get exactly the
+/// one-column formula's additions in its order. Pinned bit for bit
+/// against the references above for column counts on both sides of
+/// every group edge, with a column already in triangular form
+/// (`tau == 0`) and a zero column, for every worker count.
+#[test]
+fn householder_kernels_match_the_one_column_formula_bitwise() {
+    for n in (1usize..=9).chain([31, 32, 33]) {
+        // 40 rows: one TSQR block; 520 rows: two.
+        for m in [40usize, 520] {
+            let mut a = gemm_operand(m, n, n);
+            a.col_mut(0)[1..].fill(0.0);
+            a.set(0, 0, 1.5);
+            if n > 2 {
+                a.col_mut(n / 2).fill(0.0);
+            }
+            let (f_ref, tau_ref) = ref_qr(&a);
+            assert_eq!(tau_ref[0], 0.0, "column 0 is already triangular");
+            assert!(n <= 2 || tau_ref[n / 2] == 0.0, "a zero column stays zero");
+            let rhs = gemm_operand(m, 5, 9);
+            let (mut qt_rhs, mut q_rhs) = (rhs.clone(), rhs.clone());
+            ref_apply_q(&f_ref, &tau_ref, &mut qt_rhs, true);
+            ref_apply_q(&f_ref, &tau_ref, &mut q_rhs, false);
+            let (tq_ref, tr_ref) = ref_tsqr(&a);
+            for np in 1..=3usize {
+                let par = Parallelism::new(np);
+                let tag = format!("{m}x{n} np={np}");
+                let f = qr(&a, par);
+                assert!(bits_eq(f.r().as_slice(), ref_r(&f_ref, n).as_slice()), "qr r {tag}");
+                let diag: Vec<f64> = (0..n).map(|j| f_ref.get(j, j)).collect();
+                assert!(bits_eq(&f.r_diag(), &diag), "qr r_diag {tag}");
+                assert!(
+                    bits_eq(f.q_thin(par).as_slice(), ref_q_thin(&f_ref, &tau_ref).as_slice()),
+                    "qr q_thin {tag}"
+                );
+                let mut b = rhs.clone();
+                f.apply_qt(&mut b, par);
+                assert!(bits_eq(b.as_slice(), qt_rhs.as_slice()), "apply_qt {tag}");
+                let mut b = rhs.clone();
+                f.apply_q(&mut b, par);
+                assert!(bits_eq(b.as_slice(), q_rhs.as_slice()), "apply_q {tag}");
+                let t = tsqr(&a, par);
+                assert!(bits_eq(t.q.as_slice(), tq_ref.as_slice()), "tsqr q {tag}");
+                assert!(bits_eq(t.r.as_slice(), tr_ref.as_slice()), "tsqr r {tag}");
+                assert!(bits_eq(tsqr_r(&a, par).as_slice(), tr_ref.as_slice()), "tsqr_r {tag}");
+            }
+            let (pf_ref, ptau_ref, perm_ref) = ref_qrcp(&a);
+            let p = qrcp(&a, usize::MAX);
+            let tag = format!("qrcp {m}x{n}");
+            assert_eq!(p.perm, perm_ref, "{tag}");
+            assert_eq!(p.steps, ptau_ref.len(), "{tag}");
+            assert!(bits_eq(&p.tau, &ptau_ref), "{tag}: tau");
+            assert!(bits_eq(p.factors.as_slice(), pf_ref.as_slice()), "{tag}: factors");
+            let diag: Vec<f64> = (0..p.steps).map(|j| pf_ref.get(j, j)).collect();
+            assert!(bits_eq(&p.r_diag(), &diag), "{tag}: r_diag");
+        }
+    }
+}
+
+/// `exact_error` of the dense factorizations forms the residual on
+/// blocks of 256 columns; it must still be the norm of the dense
+/// residual `A - H W` it used to form whole — on one block (80 x 60)
+/// and across block edges (30 x 600).
+#[test]
+fn exact_error_of_dense_factors_matches_the_whole_dense_residual() {
+    for (m, n) in [(80usize, 60usize), (30, 600)] {
+        let coo_entries = (0..m * n).filter(|i| i % 7 == 0 || i % 11 == 3);
+        let mut coo = CooMatrix::new(m, n);
+        for i in coo_entries {
+            coo.push(i % m, i / m, ((i * 37 % 101) as f64 - 50.0) / 13.0);
+        }
+        let a = coo.to_csc();
+        let dense_a = a.to_dense();
+        let whole = |h: &DenseMatrix, w: &DenseMatrix| {
+            let mut resid = dense_a.clone();
+            matmul_sub_assign(&mut resid, h, w, Parallelism::SEQ);
+            resid.fro_norm()
+        };
+        let par = Parallelism::new(2);
+
+        let qb = rand_qb_ei(&a, &QbOpts::new(4, 0.3).with_max_rank(12)).unwrap();
+        let (got, want) = (qb.exact_error(&a, par), whole(&qb.q, &qb.b));
+        assert!(want > 0.0 && (got - want).abs() <= 1e-12 * want, "qb {m}x{n}: {got:e} vs {want:e}");
+
+        let mut opts = UbvOpts::new(4, 0.3);
+        opts.max_rank = Some(12);
+        let ubv = rand_ubv(&a, &opts);
+        let bvt = matmul_nt(&ubv.b, &ubv.v, Parallelism::SEQ);
+        let (got, want) = (ubv.exact_error(&a, par), whole(&ubv.u, &bvt));
+        assert!(want > 0.0 && (got - want).abs() <= 1e-12 * want, "ubv {m}x{n}: {got:e} vs {want:e}");
     }
 }
 

@@ -8,9 +8,11 @@ use std::time::Duration;
 use lra::core::{
     explore_fault_space, ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd_checkpointed,
     ilut_crtp_supervised, ilut_crtp_supervised_with_store, lu_crtp_dist_checked, rand_qb_ei,
-    rand_qb_ei_checkpointed, Budget, CheckpointStore, ExploreConfig, FaultPlan, IlutOpts,
+    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, ExploreConfig, FaultPlan,
+    IlutOpts,
     InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts, RecoveryError,
-    RecoveryHooks, RecoveryPolicy, RunConfig, StorageFaultPlan, SupervisedError,
+    RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader, SectionWriter, StorageFaultPlan,
+    SupervisedError,
 };
 use lra::obs::Json;
 use lra::sparse::CscMatrix;
@@ -382,7 +384,7 @@ fn real_qb_checkpoint_roundtrips_bitwise_in_a_binary_sized_envelope() {
     assert_eq!(back.e.to_bits(), taken.e.to_bits());
     assert!(bits_eq(&back.history, &taken.history));
     let mut value_words = taken.history.len();
-    for (g, w) in [(&back.q_blocks, &taken.q_blocks), (&back.b_blocks, &taken.b_blocks)] {
+    for (g, w) in [(&back.q_blocks, &taken.q_blocks), (&back.bt_blocks, &taken.bt_blocks)] {
         assert_eq!(g.len(), w.len());
         for (gb, wb) in g.iter().zip(w.iter()) {
             assert_eq!((gb.rows(), gb.cols()), (wb.rows(), wb.cols()));
@@ -390,8 +392,104 @@ fn real_qb_checkpoint_roundtrips_bitwise_in_a_binary_sized_envelope() {
             value_words += wb.as_slice().len();
         }
     }
-    let index_words = 2 * (taken.q_blocks.len() + taken.b_blocks.len());
+    let index_words = 2 * (taken.q_blocks.len() + taken.bt_blocks.len());
     assert_binary_sized(&second, index_words, value_words, "rand_qb_ei p=1");
+}
+
+/// A RandQB_EI snapshot as builds before the `B^T` block layout wrote
+/// it: same kind and header, coefficient blocks under `b.shape` /
+/// `b.data` as `k x n` matrices.
+struct ParentLayoutQb {
+    iterations: usize,
+    rank: usize,
+    e: f64,
+    rng_draws: u64,
+    history: Vec<f64>,
+    q_blocks: Vec<lra::dense::DenseMatrix>,
+    b_blocks: Vec<lra::dense::DenseMatrix>,
+}
+
+impl Checkpoint for ParentLayoutQb {
+    const KIND: &'static str = "rand_qb_ei";
+
+    fn iteration(&self) -> usize {
+        self.iterations
+    }
+
+    fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
+        w.f64s("history", self.history.iter().copied());
+        for (name, blocks) in [("q", &self.q_blocks), ("b", &self.b_blocks)] {
+            let shapes = blocks.iter().flat_map(|b| [b.rows(), b.cols()]);
+            w.indices(&format!("{name}.shape"), shapes)?;
+            w.f64s(&format!("{name}.data"), blocks.iter().flat_map(|b| b.as_slice()).copied());
+        }
+        Ok(lra::obs::json::obj(vec![
+            ("iterations", Json::Num(self.iterations as f64)),
+            ("rank", Json::Num(self.rank as f64)),
+            ("e", Json::Num(self.e)),
+            ("rng_draws", Json::Num(self.rng_draws as f64)),
+        ]))
+    }
+
+    fn decode(_: &Json, _: &SectionReader<'_>) -> Result<Self, String> {
+        unreachable!("only ever written")
+    }
+}
+
+/// A snapshot in the earlier block layout is input of an unsupported
+/// format, not a `B^T` snapshot to reinterpret: its sections do not
+/// decode, it is skipped as corrupt (guard trip), the run starts from
+/// iteration 0 and publishes above it. The planted state is a genuine
+/// iteration-2 state of this very run with its residual and indicator
+/// doctored, so splicing it in under any reading would show in
+/// `iterations`, the history and the factors.
+#[test]
+fn parent_layout_qb_snapshot_is_rolled_past_not_reinterpreted() {
+    let a = lra::matgen::with_decay(&lra::matgen::fem2d(20, 18, 5), 1e-5, 2);
+    let opts = QbOpts::new(4, 1e-3);
+    let reference = rand_qb_ei(&a, &opts).unwrap();
+    assert!(reference.iterations > 3);
+
+    let two = opts.clone().with_budget(Budget::unlimited().with_iteration_cap(2));
+    let scratch = CheckpointStore::in_memory();
+    rand_qb_ei_checkpointed(&a, &two, Some(&RecoveryHooks::new(&scratch, 1))).unwrap();
+    let taken: QbCheckpoint = scratch.load().unwrap().expect("the trip snapshot");
+    assert_eq!(taken.iterations, 2);
+
+    // Retention beyond the run's saves, so the planted generation is
+    // still listed beside them afterwards.
+    let store = CheckpointStore::in_memory().with_retention(1000);
+    let planted = ParentLayoutQb {
+        iterations: taken.iterations,
+        rank: taken.rank,
+        e: 12345.0,
+        rng_draws: taken.rng_draws,
+        history: vec![12345.0; 2],
+        q_blocks: taken.q_blocks.to_vec(),
+        b_blocks: taken.bt_blocks.iter().map(|bt| bt.transpose()).collect(),
+    };
+    store.save(&planted).unwrap();
+    assert_eq!(store.generations(), vec![1]);
+    assert!(store.load::<QbCheckpoint>().is_err(), "the only generation must not decode");
+
+    let trips_before = counter("recover.guard_trip");
+    let corrupt_before = counter("recover.corrupt_checkpoint");
+    let got = rand_qb_ei_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    assert!(counter("recover.guard_trip") > trips_before);
+    assert!(counter("recover.corrupt_checkpoint") > corrupt_before);
+
+    assert_eq!((got.rank, got.iterations), (reference.rank, reference.iterations));
+    assert!(bits_eq(&got.indicator_history, &reference.indicator_history));
+    assert!(bits_eq(got.q.as_slice(), reference.q.as_slice()));
+    assert!(bits_eq(got.b.as_slice(), reference.b.as_slice()));
+
+    // One save per iteration but the converging one, all above the
+    // planted generation 1.
+    let saves = reference.iterations as u64 - 1;
+    assert_eq!(store.generations(), (1..=1 + saves).collect::<Vec<_>>());
+    let newest: QbCheckpoint = store.load().unwrap().expect("this run's own snapshots");
+    assert_eq!(newest.iterations, reference.iterations - 1);
+    assert!(bits_eq(&newest.history, &reference.indicator_history[..newest.iterations]));
 }
 
 /// The state a build before the binary envelope printed for iteration 1
