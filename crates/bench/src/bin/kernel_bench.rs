@@ -2,7 +2,11 @@
 //! the cache-blocked dense GEMM and the
 //! comm/compute overlap of the per-panel re-shard, plus an ungated
 //! ILUT_CRTP sweep on a fill-heavy preset that supplies the report's
-//! entries.
+//! entries and ungated timings of the two kernels ahead of and inside
+//! every LU_CRTP / ILUT_CRTP iteration that the benchmark's buckets
+//! only show summed: COLAMD on the circuit preset
+//! (`kernel.colamd_s`) and one Schur update of a fully dense
+//! complement (`kernel.schur_dense_s`).
 //!
 //! Three claims are enforced, not just measured (exit 1 on regression):
 //!
@@ -38,13 +42,14 @@
 //! (`gemm_speedup`, `overlap_hidden_ratio`, `gemm_par2_speedup`,
 //! `qb_par2_speedup`, `gemm_ts_par2_speedup`, `orth_par2_speedup`)
 //! under `metrics`, so CI can diff machine-independent ratios against
-//! the committed baseline in `results/`.
+//! the committed baseline in `results/`; the absolute `kernel.*_s`
+//! timings ride along for the trajectory.
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
-    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, IlutOpts, LuCrtpResult,
-    Parallelism, QbOpts,
+    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, schur_update_into, IlutOpts,
+    LuCrtpResult, Parallelism, QbOpts, SchurWorkspace,
 };
 use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, DenseMatrix};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
@@ -92,12 +97,21 @@ const TS_PAR2_MIN: f64 = 1.0;
 /// Samples per side and round of the tall-skinny pair (sub-millisecond
 /// kernels: more samples than [`REPS`] cost nothing).
 const TS_REPS: usize = 20;
+/// Order of the circuit matrix COLAMD is timed on (the benchmark's
+/// `tp_sparse` input).
+const COLAMD_N: usize = 2400;
+/// Order of the fully dense Schur complement of the Schur probe: what
+/// the benchmark's `fill_dense` input has left from its fifth iteration
+/// on.
+const SCHUR_N: usize = 848;
 /// Gauges a kernel report must carry for `--validate` to accept it.
-const REQUIRED_GAUGES: [&str; 4] = [
+const REQUIRED_GAUGES: [&str; 6] = [
     "kernel.gemm_ts_s",
     "kernel.gemm_ts_par2_speedup",
     "kernel.orth_s",
     "kernel.orth_par2_speedup",
+    "kernel.colamd_s",
+    "kernel.schur_dense_s",
 ];
 /// Empty two-chunk regions timed for `kernel.region_overhead_s`.
 const REGIONS: usize = 2000;
@@ -129,6 +143,7 @@ fn main() {
     println!("KERNEL BENCH (schema v{BENCH_SCHEMA_VERSION})");
     let gemm_ok = gemm_gate(&reg);
     ilut_sweep(&cfg, &reg, &mut entries);
+    ordering_and_schur(&reg);
     let overlap_ok = overlap_gate(&cfg, &reg);
     let par2_ok = par2_gate(&cfg, &reg);
 
@@ -252,6 +267,43 @@ fn ilut_sweep(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<BenchE
     }
     reg.set_gauge("kernel.ilut_sparse_s", total);
     println!("ilut sweep: {}", fmt_s(total));
+}
+
+/// COLAMD on the circuit preset and one Schur update of a fully dense
+/// complement at the benchmark's `k` and worker count, best of
+/// [`REPS`]. Measured, not gated.
+fn ordering_and_schur(reg: &MetricsRegistry) {
+    let circuit = lra_matgen::circuit(COLAMD_N, 5, 20, 103);
+    let mut colamd_s = f64::INFINITY;
+    for _ in 0..REPS {
+        let ((), s) = timed(|| {
+            std::hint::black_box(lra_ordering::colamd(&circuit));
+        });
+        colamd_s = colamd_s.min(s);
+    }
+    reg.set_gauge("kernel.colamd_s", colamd_s);
+    println!("colamd circuit{COLAMD_N}: {}", fmt_s(colamd_s));
+
+    let a22 = CscMatrix::from_dense(&dense_operand(SCHUR_N, SCHUR_N, 6));
+    let a12 = CscMatrix::from_dense(&dense_operand(QB_K, SCHUR_N, 7));
+    let x = dense_operand(SCHUR_N, QB_K, 8);
+    let x_rows: Vec<usize> = (0..SCHUR_N).collect();
+    let two = Parallelism::new(2);
+    let mut ws = SchurWorkspace::new();
+    let mut s_next = CscMatrix::zeros(0, 0);
+    // The untimed first update grows the workspace and the target.
+    schur_update_into(&a22, &x_rows, &x, &a12, &mut ws, two, &mut s_next);
+    let mut schur_s = f64::INFINITY;
+    for _ in 0..REPS {
+        let ((), s) = timed(|| schur_update_into(&a22, &x_rows, &x, &a12, &mut ws, two, &mut s_next));
+        schur_s = schur_s.min(s);
+    }
+    reg.set_gauge("kernel.schur_dense_s", schur_s);
+    println!(
+        "schur update dense {SCHUR_N}x{SCHUR_N} k={QB_K} np=2: {} ({} entries)",
+        fmt_s(schur_s),
+        s_next.nnz()
+    );
 }
 
 /// Gate 2: the overlapped re-shard hides >= [`OVERLAP_MIN_HIDDEN`] of

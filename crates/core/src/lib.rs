@@ -42,6 +42,10 @@ pub use lucrtp::{
     IlutOpts, InvalidInput, IterTrace, LFormation, LuCrtpOpts, LuCrtpResult, MemStats,
     OrderingMode, ThresholdReport,
 };
+// The shared Schur-update kernel, reachable for the root test suite's
+// bitwise reference check and `kernel_bench`.
+#[doc(hidden)]
+pub use lucrtp::{schur_update_into, SchurWorkspace, SCHUR_GRAIN};
 pub use outcome::{Interrupted, JobId, Outcome, Parked, ResumeHandle};
 pub use qb::{rand_qb_ei, rand_qb_ei_checkpointed, QbError, QbOpts, QbResult, QB_INDICATOR_FLOOR};
 pub use spmd::{

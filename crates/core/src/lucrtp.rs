@@ -10,10 +10,9 @@
 //! column ids, so `A ≈ L U` directly and
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
 
-use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit};
+use crate::panel::{drive, fill_reducing_order, FactorCol, PanelEngine, PanelSplit};
 use crate::timers::KernelTimers;
 use lra_dense::{lu, DenseMatrix, LuFactor};
-use lra_ordering::fill_reducing_order;
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_sparse::CscMatrix;
@@ -546,8 +545,7 @@ pub(crate) fn run_seq(
 struct SeqEngine<'o> {
     s: CscMatrix,
     opts: &'o LuCrtpOpts,
-    /// Kernel scratch reused across all iterations (correction vector,
-    /// transpose and ILUT drop targets).
+    /// Kernel scratch reused across all iterations.
     ws: SchurWorkspace,
 }
 
@@ -609,9 +607,12 @@ impl PanelEngine for SeqEngine<'_> {
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
-        xt: &DenseMatrix,
+        x: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        self.s = schur_update(&sp.a22, x_rows, xt, &sp.a12, &mut self.ws, self.opts.par);
+        // The split copied what it needs of `s`, whose arrays take the
+        // next Schur complement.
+        let par = self.opts.par;
+        schur_update_into(&sp.a22, x_rows, x, &sp.a12, &mut self.ws, par, &mut self.s);
         None
     }
 
@@ -749,136 +750,197 @@ fn for_each_xt_column(
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
-/// nothing: the per-column correction vector, and the transpose /
-/// ILUT-drop target buffers recycled by [`CscMatrix::transpose_into`]
-/// and [`CscMatrix::drop_below_into`].
-pub(crate) struct SchurWorkspace {
+/// nothing once the buffers have grown: the correction vector of the
+/// sequential path, one output buffer (with its own correction vector)
+/// per [`SCHUR_GRAIN`]-column chunk of the parallel path, and the
+/// transpose / ILUT-drop targets recycled by
+/// [`CscMatrix::transpose_into`] and [`CscMatrix::drop_below_into`].
+pub struct SchurWorkspace {
     corr: Vec<f64>,
+    chunks: Vec<SchurChunk>,
     pub(crate) tbuf: CscMatrix,
     pub(crate) dropbuf: CscMatrix,
 }
 
+/// What one parallel chunk of the Schur update owns between calls.
+#[derive(Default)]
+struct SchurChunk {
+    corr: Vec<f64>,
+    out: ColRun,
+}
+
 impl SchurWorkspace {
-    pub(crate) fn new() -> Self {
+    /// Empty scratch; every buffer grows on first use.
+    pub fn new() -> Self {
         SchurWorkspace {
             corr: Vec::new(),
+            chunks: Vec::new(),
             tbuf: CscMatrix::zeros(0, 0),
             dropbuf: CscMatrix::zeros(0, 0),
         }
     }
 }
 
-/// `S = Ā22 - X Ā12` with `X` given as dense rows over `x_rows`
-/// (`xt` is `k x nr`, column `r` = the dense row `x_rows[r]` of `X`).
-/// Parallel over output columns; this is where LU_CRTP's fill-in
-/// materializes.
-fn schur_update(
+impl Default for SchurWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A run of CSC columns under construction: per-column entry counts and
+/// the concatenated entries — what every Schur-update kernel appends to.
+#[derive(Clone, Default)]
+pub(crate) struct ColRun {
+    pub(crate) lens: Vec<usize>,
+    pub(crate) rowidx: Vec<usize>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl ColRun {
+    /// An empty run over the allocations of a matrix that is done with.
+    pub(crate) fn recycled(retired: CscMatrix) -> Self {
+        let (_, _, lens, rowidx, values) = retired.into_parts();
+        let mut run = ColRun {
+            lens,
+            rowidx,
+            values,
+        };
+        run.clear();
+        run
+    }
+
+    fn clear(&mut self) {
+        self.lens.clear();
+        self.rowidx.clear();
+        self.values.clear();
+    }
+
+    /// Append the columns of `other`.
+    pub(crate) fn extend(&mut self, other: &ColRun) {
+        self.lens.extend_from_slice(&other.lens);
+        self.rowidx.extend_from_slice(&other.rowidx);
+        self.values.extend_from_slice(&other.values);
+    }
+
+    /// The `rows x lens.len()` matrix of these columns; the count array
+    /// becomes the column pointers in place.
+    pub(crate) fn into_csc(self, rows: usize) -> CscMatrix {
+        let ColRun {
+            lens: mut colptr,
+            rowidx,
+            values,
+        } = self;
+        let cols = colptr.len();
+        let mut run = 0;
+        for p in colptr.iter_mut() {
+            run += std::mem::replace(p, run);
+        }
+        colptr.push(run);
+        CscMatrix::from_parts(rows, cols, colptr, rowidx, values)
+    }
+}
+
+/// `S <- Ā22 - X Ā12` with `X` given as its nonzero rows: `x` is
+/// `nr x k`, row `q` = row `x_rows[q]` of `X`. Parallel over output
+/// columns; this is where LU_CRTP's fill-in materializes. `s`'s previous
+/// contents are discarded and its allocations reused.
+#[doc(hidden)]
+pub fn schur_update_into(
     a22: &CscMatrix,
     x_rows: &[usize],
-    xt: &DenseMatrix,
+    x: &DenseMatrix,
     a12: &CscMatrix,
     ws: &mut SchurWorkspace,
     par: Parallelism,
-) -> CscMatrix {
-    let m = a22.rows();
-    let n = a22.cols();
-    debug_assert_eq!(a12.cols(), n);
-    debug_assert_eq!(a12.rows(), xt.rows());
-    let (lens, rowidx, values) = schur_update_ranged(a22, x_rows, xt, a12, 0..n, ws, par);
-    csc_from_col_lens(m, lens, rowidx, values)
-}
-
-/// A CSC matrix from per-column entry counts and the concatenated
-/// entries — the shape every Schur-update kernel returns.
-pub(crate) fn csc_from_col_lens(
-    rows: usize,
-    lens: Vec<usize>,
-    rowidx: Vec<usize>,
-    values: Vec<f64>,
-) -> CscMatrix {
-    let mut colptr = Vec::with_capacity(lens.len() + 1);
-    colptr.push(0);
-    let mut run = 0;
-    for l in &lens {
-        run += l;
-        colptr.push(run);
-    }
-    CscMatrix::from_parts(rows, lens.len(), colptr, rowidx, values)
+    s: &mut CscMatrix,
+) {
+    debug_assert_eq!(a12.cols(), a22.cols());
+    let mut out = ColRun::recycled(std::mem::replace(s, CscMatrix::zeros(0, 0)));
+    schur_update_ranged(a22, x_rows, x, a12, 0..a22.cols(), ws, par, &mut out);
+    *s = out.into_csc(a22.rows());
 }
 
 /// Chunk width (output columns) of the parallel Schur update.
-pub(crate) const SCHUR_GRAIN: usize = 32;
+#[doc(hidden)]
+pub const SCHUR_GRAIN: usize = 32;
 
 /// The one parallel Schur-update helper shared by the sequential
-/// driver, the sharded SPMD driver, and the replicated oracle: runs
-/// [`schur_update_cols`] over `range` in fixed [`SCHUR_GRAIN`]-wide
-/// chunks and concatenates the per-chunk `(lens, rows, vals)` partials
-/// in ascending chunk order. Columns are computed independently, so
-/// the concatenation is bitwise-identical to one sequential pass over
-/// `range` for any worker count — which is what keeps the sharded and
-/// replicated drivers bit-for-bit aligned while both go parallel
-/// within a rank. In sequential mode the caller's workspace is reused
-/// directly (no per-call allocation); in parallel mode each chunk
-/// carries its own workspace, amortized over [`SCHUR_GRAIN`] columns.
+/// driver, the sharded SPMD driver, and the replicated oracle: appends
+/// [`schur_update_cols`] over `range` to `out`. Columns are computed
+/// independently, so the result is bitwise-identical to one sequential
+/// pass over `range` for any worker count — which is what keeps the
+/// sharded and replicated drivers bit-for-bit aligned while both go
+/// parallel within a rank. Sequentially the kernel appends to `out`
+/// directly. In parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the
+/// buffer the workspace keeps for it, and the buffers are appended to
+/// `out` in chunk order: plain copies into capacity `out` already has
+/// when it recycles the previous Schur complement.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn schur_update_ranged(
     a22: &CscMatrix,
     x_rows: &[usize],
-    xt: &DenseMatrix,
+    x: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
     ws: &mut SchurWorkspace,
     par: Parallelism,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    if !par.is_parallel() {
-        return schur_update_cols(a22, x_rows, xt, a12, range, ws);
+    out: &mut ColRun,
+) {
+    let nchunks = range.len().div_ceil(SCHUR_GRAIN);
+    if !par.is_parallel() || nchunks <= 1 {
+        return schur_update_cols(a22, x_rows, x, a12, range, &mut ws.corr, out);
     }
-    let lo = range.start;
-    parallel_map_fold(
-        par,
-        range.len(),
-        SCHUR_GRAIN,
-        (Vec::new(), Vec::new(), Vec::new()),
-        |r| {
-            let mut chunk_ws = SchurWorkspace::new();
-            let cols = lo + r.start..lo + r.end;
-            schur_update_cols(a22, x_rows, xt, a12, cols, &mut chunk_ws)
-        },
-        |mut acc, part| {
-            acc.0.extend(part.0);
-            acc.1.extend(part.1);
-            acc.2.extend(part.2);
-            acc
-        },
-    )
+    if ws.chunks.len() < nchunks {
+        ws.chunks.resize_with(nchunks, SchurChunk::default);
+    }
+    let chunks = &mut ws.chunks[..nchunks];
+    parallel_chunks_mut(par, chunks, 1, |c, chunk| {
+        let SchurChunk { corr, out } = &mut chunk[0];
+        out.clear();
+        let lo = range.start + c * SCHUR_GRAIN;
+        let cols = lo..(lo + SCHUR_GRAIN).min(range.end);
+        schur_update_cols(a22, x_rows, x, a12, cols, corr, out);
+    });
+
+    for chunk in chunks.iter() {
+        out.extend(&chunk.out);
+    }
 }
 
-/// Schur-complement kernel for a contiguous column range: returns the
-/// per-column entry counts and the concatenated row indices and values.
+/// Schur-complement kernel for a contiguous column range: appends the
+/// per-column entry counts and the row indices and values to `out`.
 /// Shared by the thread-parallel and the SPMD (rank-distributed)
 /// drivers.
 ///
-/// Per column: the correction `corr[q] = sum_t a12[t, j] * xt[t, q]` is
-/// accumulated in ascending `t`, then
+/// Per column `j` the correction `corr = X Ā12[:, j]` is accumulated as
+/// one axpy `corr += a12[t, j] * X[:, t]` per stored entry of the `Ā12`
+/// column (stored zeros included), in ascending `t` — per entry of
+/// `corr` the chain `0 + a12[t0, j] x[q, t0] + a12[t1, j] x[q, t1] + …`,
+/// over contiguous vectors and with no dependency between entries. Then
 /// a sorted two-pointer walk merges the `a22` column with `-corr` at
 /// `x_rows`, dropping exact zeros the update produced. Columns never
 /// read each other, so the result is bitwise independent of how `range`
 /// is cut — the property the sharded-vs-replicated oracle tests rely on.
-pub(crate) fn schur_update_cols(
+fn schur_update_cols(
     a22: &CscMatrix,
     x_rows: &[usize],
-    xt: &DenseMatrix,
+    x: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
-    ws: &mut SchurWorkspace,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let k = xt.rows();
+    corr: &mut Vec<f64>,
+    out: &mut ColRun,
+) {
     let nr = x_rows.len();
-    ws.corr.clear();
-    ws.corr.resize(nr, 0.0);
-    let mut lens = Vec::with_capacity(range.len());
-    let mut rows_out = Vec::new();
-    let mut vals_out = Vec::new();
-    let xt_data = xt.as_slice();
+    debug_assert_eq!(x.rows(), nr);
+    debug_assert_eq!(x.cols(), a12.rows());
+    corr.clear();
+    corr.resize(nr, 0.0);
+    let ColRun {
+        lens,
+        rowidx: rows_out,
+        values: vals_out,
+    } = out;
+    lens.reserve(range.len());
     for j in range {
         let (ti, tv) = a12.col(j);
         let (ai, av) = a22.col(j);
@@ -890,15 +952,8 @@ pub(crate) fn schur_update_cols(
             lens.push(rows_out.len() - before);
             continue;
         }
-        for (q, cr) in ws.corr.iter_mut().enumerate() {
-            let xtc = &xt_data[q * k..q * k + k];
-            let mut acc = 0.0;
-            for (&t, &v) in ti.iter().zip(tv) {
-                acc += v * xtc[t];
-            }
-            *cr = acc;
-        }
-        let corr = &ws.corr;
+        corr.fill(0.0);
+        accumulate_correction(corr, x, ti, tv);
         // Merge a22 column with -corr at x_rows.
         let mut p = 0usize; // into a22 col
         let mut q = 0usize; // into x_rows
@@ -926,5 +981,26 @@ pub(crate) fn schur_update_cols(
         }
         lens.push(rows_out.len() - before);
     }
-    (lens, rows_out, vals_out)
+}
+
+/// `corr += Σ_t tv[t] · x[:, ti[t]]`, each entry's sum taken in the
+/// order of `ti`. Four columns of `x` go through `corr` per pass — the
+/// same left-to-right chain per entry as one column at a time, with a
+/// quarter of the loads and stores of `corr`.
+fn accumulate_correction(corr: &mut [f64], x: &DenseMatrix, ti: &[usize], tv: &[f64]) {
+    let nr = corr.len();
+    let (ti4, tv4) = (ti.chunks_exact(4), tv.chunks_exact(4));
+    let (ti_rest, tv_rest) = (ti4.remainder(), tv4.remainder());
+    for (t, v) in ti4.zip(tv4) {
+        let (x0, x1, x2, x3) = (x.col(t[0]), x.col(t[1]), x.col(t[2]), x.col(t[3]));
+        let (x0, x1, x2, x3) = (&x0[..nr], &x1[..nr], &x2[..nr], &x3[..nr]);
+        for q in 0..nr {
+            corr[q] = (((corr[q] + v[0] * x0[q]) + v[1] * x1[q]) + v[2] * x2[q]) + v[3] * x3[q];
+        }
+    }
+    for (&t, &v) in ti_rest.iter().zip(tv_rest) {
+        for (c, &xv) in corr.iter_mut().zip(x.col(t)) {
+            *c += v * xv;
+        }
+    }
 }

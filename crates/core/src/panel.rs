@@ -23,12 +23,20 @@ use crate::lucrtp::{
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix, LuFactor};
-use lra_ordering::fill_reducing_order;
 use lra_qrtp::ColumnSelection;
 use lra_recover::BudgetTrip;
 use lra_sparse::CscMatrix;
 use std::borrow::Cow;
 use std::ops::Range;
+
+/// The fill-reducing preprocessing (COLAMD + etree postorder) under a
+/// span of its own, so a trace of the `Permute` bucket tells the
+/// ordering from the split.
+pub(crate) fn fill_reducing_order(a: &CscMatrix) -> Vec<usize> {
+    lra_obs::trace::span("ordering.fill_reducing_order", || {
+        lra_ordering::fill_reducing_order(a)
+    })
+}
 
 /// One sparse factor column under construction: `(original id, value)`.
 pub(crate) type FactorCol = Vec<(usize, f64)>;
@@ -137,19 +145,21 @@ pub(crate) trait PanelEngine {
         pivot_rows: &[usize],
     ) -> (Vec<usize>, DenseMatrix);
 
-    /// Line 12, first half: start `S = Ā22 - X Ā12`. Whatever is still
-    /// outstanding comes back as `Some` and is completed by
-    /// [`Self::schur_finish`] after the factors are recorded.
+    /// Line 12, first half: start `S = Ā22 - X Ā12`, `x` being the
+    /// `nr x k` nonzero rows of `X` (the transpose of what
+    /// [`Self::solve_l21`] returned). Whatever is still outstanding
+    /// comes back as `Some` and is completed by [`Self::schur_finish`]
+    /// after the factors are recorded.
     fn schur_begin(
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
-        xt: &DenseMatrix,
+        x: &DenseMatrix,
     ) -> Option<Self::Pending>;
 
     /// Line 12, second half; afterwards the engine holds the next Schur
     /// complement.
-    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], xt: &DenseMatrix);
+    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix);
 
     /// This panel's trailing `U` entries per panel row, as
     /// `(original column, value)` — `None` on ranks that keep no
@@ -557,7 +567,12 @@ pub(crate) fn drive<E: PanelEngine>(
         // Line 12: Schur complement. An engine with wire to hide posts
         // its exchange here and completes it after the factors are
         // recorded; the others finish in this half.
-        let pending = timers.time(KernelId::Schur, || eng.schur_begin(&sp, &x_rows, &xt));
+        // The kernel reads `X` one contiguous column per panel row.
+        let (x, pending) = timers.time(KernelId::Schur, || {
+            let x = xt.transpose();
+            let pending = eng.schur_begin(&sp, &x_rows, &x);
+            (x, pending)
+        });
 
         // Record factors (line 9/11), in original coordinates. The
         // pivot lists are replicated bookkeeping on every rank.
@@ -597,7 +612,7 @@ pub(crate) fn drive<E: PanelEngine>(
         });
 
         if let Some(p) = pending {
-            timers.time(KernelId::Schur, || eng.schur_finish(p, &x_rows, &xt));
+            timers.time(KernelId::Schur, || eng.schur_finish(p, &x_rows, &x));
         }
 
         st.rank += k_eff;

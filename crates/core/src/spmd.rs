@@ -48,15 +48,15 @@
 //! reference the sharded engine is tested against.
 
 use crate::lucrtp::{
-    csc_from_col_lens, csc_resident_bytes, schur_update_ranged, u_fragments_of, validate_matrix,
-    IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
+    csc_resident_bytes, schur_update_ranged, u_fragments_of, validate_matrix, ColRun, IlutOpts,
+    InvalidInput, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
 };
 use crate::panel::{assemble_factors, drive, FactorCol, PanelEngine, PanelSplit, Source};
 use lra_comm::{CommError, Ctx, PendingExchange, RunConfig};
 use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
-use lra_sparse::{gather_csc, slice_columns_recycled, ColSlice, CscMatrix, SparseBuilder};
+use lra_sparse::{gather_csc, slice_columns_recycled, BlockSplit, ColSlice, CscMatrix};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -412,8 +412,7 @@ struct SpmdPanelCtx<'a> {
     /// The pivot panel the last column tournament broadcast: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
-    /// Kernel scratch reused across iterations (correction vector,
-    /// transpose target).
+    /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
     /// [`Self::build_reshard_parts`] pops donors instead of allocating
@@ -465,18 +464,18 @@ impl<'a> SpmdPanelCtx<'a> {
         self.peak_nnz = self.peak_nnz.max(self.shard.nnz());
     }
 
+    /// An empty column run over the arrays of the current shard, which
+    /// nothing reads between the split and the next [`Self::install_shard`].
+    fn retire_shard(&mut self) -> ColRun {
+        let retired = std::mem::replace(&mut self.shard, ColSlice::empty(0, 0));
+        ColRun::recycled(retired.into_local())
+    }
+
     /// Install the Schur-updated columns of the new owned range as the
     /// shard — the full next Schur complement is never materialized.
-    fn install_shard(
-        &mut self,
-        m_rest: usize,
-        n_rest: usize,
-        my_new: Range<usize>,
-        (lens, rows_out, vals_out): (Vec<usize>, Vec<usize>, Vec<f64>),
-    ) {
-        debug_assert_eq!(lens.len(), my_new.len());
-        let next_local = csc_from_col_lens(m_rest, lens, rows_out, vals_out);
-        self.shard = ColSlice::new(my_new.start, next_local);
+    fn install_shard(&mut self, m_rest: usize, n_rest: usize, my_new: Range<usize>, cols: ColRun) {
+        debug_assert_eq!(cols.lens.len(), my_new.len());
+        self.shard = ColSlice::new(my_new.start, cols.into_csc(m_rest));
         self.n_cur = n_rest;
         self.note_mem();
     }
@@ -487,7 +486,7 @@ impl<'a> SpmdPanelCtx<'a> {
     /// exchange is one contiguous column run and concatenating the
     /// received runs in source-rank order reassembles the new owned
     /// block in order.
-    fn schur_redistribute(&mut self, sp: &PanelSplit, x_rows: &[usize], xt: &DenseMatrix) {
+    fn schur_redistribute(&mut self, sp: &PanelSplit, x_rows: &[usize], x: &DenseMatrix) {
         let m_rest = sp.a22.rows();
         let n_rest = sp.rest_cols.len();
         let new_ranges = split_ranges(n_rest, self.size);
@@ -498,14 +497,16 @@ impl<'a> SpmdPanelCtx<'a> {
         let a22_own = gather_csc(&p22);
         self.part_pool.extend(p12);
         self.part_pool.extend(p22);
-        let updated = schur_update_ranged(
+        let mut updated = self.retire_shard();
+        schur_update_ranged(
             &a22_own,
             x_rows,
-            xt,
+            x,
             &a12_own,
             0..a22_own.cols(),
             &mut self.ws,
             self.opts.par,
+            &mut updated,
         );
         self.install_shard(m_rest, n_rest, owned_range(&new_ranges, self.rank), updated);
     }
@@ -562,14 +563,14 @@ impl<'a> SpmdPanelCtx<'a> {
 
     /// Complete a posted re-shard: drain the exchange in source-rank
     /// order, Schur-updating each `(Ā12, Ā22)` piece the moment it
-    /// arrives — per-piece compute hides the tail of the drain — and
-    /// concatenate the per-piece results. Bitwise-identical to the
+    /// arrives — per-piece compute hides the tail of the drain — into
+    /// one column run over the retired shard's arrays. Bitwise-identical to the
     /// eager [`Self::schur_redistribute`]: the pieces tile the new
     /// owned range in ascending column order and the kernel computes
     /// every column independently (same per-column arithmetic, same
     /// ascending emission), so splitting the single gathered pass at
     /// piece boundaries moves no bits.
-    fn complete_reshard(&mut self, pr: PendingReshard<'a>, x_rows: &[usize], xt: &DenseMatrix) {
+    fn complete_reshard(&mut self, pr: PendingReshard<'a>, x_rows: &[usize], x: &DenseMatrix) {
         let PendingReshard {
             pend,
             new_ranges,
@@ -577,25 +578,19 @@ impl<'a> SpmdPanelCtx<'a> {
             n_rest,
         } = pr;
         let my_new = owned_range(&new_ranges, self.rank);
-        let mut lens: Vec<usize> = Vec::with_capacity(my_new.len());
-        let mut rows_out: Vec<usize> = Vec::new();
-        let mut vals_out: Vec<f64> = Vec::new();
+        let mut updated = self.retire_shard();
         {
             let ws = &mut self.ws;
             let pool = &mut self.part_pool;
             let par = self.opts.par;
             pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
                 debug_assert_eq!(p22.rows(), m_rest);
-                let (l, r, v) =
-                    schur_update_ranged(&p22, x_rows, xt, &p12, 0..p22.cols(), ws, par);
-                lens.extend(l);
-                rows_out.extend(r);
-                vals_out.extend(v);
+                schur_update_ranged(&p22, x_rows, x, &p12, 0..p22.cols(), ws, par, &mut updated);
                 pool.push(p12);
                 pool.push(p22);
             });
         }
-        self.install_shard(m_rest, n_rest, my_new, (lens, rows_out, vals_out));
+        self.install_shard(m_rest, n_rest, my_new, updated);
     }
 }
 
@@ -642,83 +637,26 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     }
 
     /// The pivot blocks come from the replicated panel, the rest
-    /// blocks only from the owned columns. Entry classification, sort,
-    /// and zero-skipping mirror `CscMatrix::split_blocks` exactly.
+    /// blocks only from the owned columns; the classification and the
+    /// entry routing are `CscMatrix::split_blocks`'s own.
     fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        let k = pivot_rows.len();
-        let m_act = self.shard.rows();
-        const UNSET: usize = usize::MAX;
-        let mut row_new = vec![UNSET; m_act];
-        for (p, &r) in pivot_rows.iter().enumerate() {
-            debug_assert!(row_new[r] == UNSET, "duplicate pivot row");
-            row_new[r] = p;
-        }
-        let mut rest_rows = Vec::with_capacity(m_act - k);
-        for r in 0..m_act {
-            if row_new[r] == UNSET {
-                row_new[r] = k + rest_rows.len();
-                rest_rows.push(r);
-            }
-        }
-        let mut col_is_pivot = vec![false; self.n_cur];
-        for &c in &sel.selected {
-            debug_assert!(!col_is_pivot[c], "duplicate pivot column");
-            col_is_pivot[c] = true;
-        }
-        let rest_cols: Vec<usize> = (0..self.n_cur).filter(|&c| !col_is_pivot[c]).collect();
-
-        let mut a11 = DenseMatrix::zeros(k, k);
-        let mut a21 = SparseBuilder::new(m_act - k, k);
-        let mut buf_top: Vec<(usize, f64)> = Vec::new();
-        let mut buf_bot: Vec<(usize, f64)> = Vec::new();
-        for p in 0..k {
-            let (ri, vs) = self.panel.col(p);
-            buf_bot.clear();
-            for (&r, &v) in ri.iter().zip(vs) {
-                let nr = row_new[r];
-                if nr < k {
-                    a11.set(nr, p, v);
-                } else {
-                    buf_bot.push((nr - k, v));
-                }
-            }
-            buf_bot.sort_unstable_by_key(|&(r, _)| r);
-            a21.push_col(&buf_bot);
-        }
-
+        let split = BlockSplit::new(self.shard.rows(), self.n_cur, pivot_rows, &sel.selected);
+        let (a11, a21) = split.pivot_blocks((0..pivot_rows.len()).map(|p| self.panel.col(p)));
         // The owned rest columns form a contiguous run of `rest_cols`
         // positions (both orderings ascend).
         let rg = self.shard.col_range();
-        let lo = rest_cols.partition_point(|&c| c < rg.start);
-        let hi = rest_cols.partition_point(|&c| c < rg.end);
-        let my_run = lo..hi;
-        let mut a12 = SparseBuilder::new(k, my_run.len());
-        let mut a22 = SparseBuilder::new(m_act - k, my_run.len());
-        for &c in &rest_cols[my_run.clone()] {
-            let (ri, vs) = self.shard.col(c);
-            buf_top.clear();
-            buf_bot.clear();
-            for (&r, &v) in ri.iter().zip(vs) {
-                let nr = row_new[r];
-                if nr < k {
-                    buf_top.push((nr, v));
-                } else {
-                    buf_bot.push((nr - k, v));
-                }
-            }
-            buf_top.sort_unstable_by_key(|&(r, _)| r);
-            buf_bot.sort_unstable_by_key(|&(r, _)| r);
-            a12.push_col(&buf_top);
-            a22.push_col(&buf_bot);
-        }
+        let lo = split.rest_cols.partition_point(|&c| c < rg.start);
+        let hi = split.rest_cols.partition_point(|&c| c < rg.end);
+        let owned = split.rest_cols[lo..hi].iter().map(|&c| self.shard.col(c));
+        let (a12, a22) = split.rest_blocks(owned, self.shard.nnz());
         PanelSplit {
             a11,
-            a21: a21.finish(),
-            rest_rows,
-            rest_cols,
-            my_run,
-            a12: a12.finish(),
-            a22: a22.finish(),
+            a21,
+            rest_rows: split.rest_rows,
+            rest_cols: split.rest_cols,
+            my_run: lo..hi,
+            a12,
+            a22,
         }
     }
 
@@ -736,19 +674,19 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
-        xt: &DenseMatrix,
+        x: &DenseMatrix,
     ) -> Option<Self::Pending> {
         match self.reshard {
             Reshard::Overlapped => Some(self.post_reshard(sp)),
             Reshard::Eager => {
-                self.schur_redistribute(sp, x_rows, xt);
+                self.schur_redistribute(sp, x_rows, x);
                 None
             }
         }
     }
 
-    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], xt: &DenseMatrix) {
-        self.complete_reshard(pending, x_rows, xt);
+    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix) {
+        self.complete_reshard(pending, x_rows, x);
     }
 
     /// `(global column, value)` pairs from each rank's owned `Ā12`
@@ -918,29 +856,27 @@ impl PanelEngine for ReplicatedEngine<'_> {
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
-        xt: &DenseMatrix,
+        x: &DenseMatrix,
     ) -> Option<Self::Pending> {
         let n_rest = sp.a22.cols();
         let my_range = owned_range(&split_ranges(n_rest, self.ctx.size()), self.ctx.rank());
-        let partial = schur_update_ranged(
+        let mut partial = ColRun::default();
+        schur_update_ranged(
             &sp.a22,
             x_rows,
-            xt,
+            x,
             &sp.a12,
             my_range,
             &mut self.ws,
             self.opts.par,
+            &mut partial,
         );
-        let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> = self.ctx.allgather(partial);
-        let mut lens = Vec::with_capacity(n_rest);
-        let mut rowidx = Vec::new();
-        let mut values = Vec::new();
-        for (lens_p, rows_p, vals_p) in parts {
-            lens.extend(lens_p);
-            rowidx.extend(rows_p);
-            values.extend(vals_p);
+        let retired = std::mem::replace(&mut self.s, CscMatrix::zeros(0, 0));
+        let mut next = ColRun::recycled(retired);
+        for part in self.ctx.allgather(partial) {
+            next.extend(&part);
         }
-        self.s = csc_from_col_lens(sp.a22.rows(), lens, rowidx, values);
+        self.s = next.into_csc(sp.a22.rows());
         None
     }
 

@@ -12,124 +12,233 @@
 //! Supercolumn detection and aggressive absorption are omitted — they
 //! accelerate the ordering but do not change its character; this is
 //! documented as a substitution in DESIGN.md.
+//!
+//! Bookkeeping: one indexed binary heap of the `n` columns keyed
+//! `(score, column)`, scores maintained incrementally, and merged rows
+//! found through successor links, so an elimination costs one walk over
+//! the rows it merges plus at most its union's size in heap updates.
+//! `tests/ordering_reference.rs` pins the permutation to the plain
+//! greedy formulation (per-column row lists pruned and rescanned after
+//! every elimination, lazily invalidated heap), entry for entry.
 
 use lra_sparse::CscMatrix;
-use std::collections::BinaryHeap;
 
-struct Row {
-    cols: Vec<usize>,
-    alive: bool,
+/// "No position" / "no successor".
+const NONE: usize = usize::MAX;
+
+/// Binary min-heap over the columns `0..n`, keyed `(score, column)`,
+/// that tracks where every column sits so a score can change in place:
+/// the heap never holds more than `n` entries and never a stale one.
+struct ColumnHeap {
+    /// `(score, column)` keys in heap order.
+    heap: Vec<(usize, usize)>,
+    /// `pos[j]` = index of column `j` in `heap`, [`NONE`] once eliminated.
+    pos: Vec<usize>,
+}
+
+impl ColumnHeap {
+    fn new(scores: impl Iterator<Item = usize>) -> Self {
+        let heap: Vec<(usize, usize)> = scores.enumerate().map(|(j, s)| (s, j)).collect();
+        let n = heap.len();
+        let mut h = ColumnHeap {
+            heap,
+            pos: (0..n).collect(),
+        };
+        for i in (0..n / 2).rev() {
+            h.sift_down(i);
+        }
+        h
+    }
+
+    fn contains(&self, j: usize) -> bool {
+        self.pos[j] != NONE
+    }
+
+    fn place(&mut self, i: usize, key: (usize, usize)) {
+        self.heap[i] = key;
+        self.pos[key.1] = i;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] <= key {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if key <= self.heap[child] {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    /// Remove and return the column of minimum `(score, column)`.
+    fn pop(&mut self) -> Option<usize> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&(_, top)) => {
+                self.place(0, last);
+                self.sift_down(0);
+                top
+            }
+            None => last.1,
+        };
+        self.pos[top] = NONE;
+        Some(top)
+    }
+
+    /// Move live column `j` to `score - lost + gained`. The heap is in
+    /// order before and after: change one key at a time.
+    fn rescore(&mut self, j: usize, lost: usize, gained: usize) {
+        let i = self.pos[j];
+        self.heap[i].0 = self.heap[i].0 - lost + gained;
+        if gained < lost {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+}
+
+/// The end of `r`'s merge chain — `r` itself while `successor[r]` is
+/// [`NONE`] — with the chain compressed onto it. It is the one row that
+/// stands for `r` now: live, or dead for good (a row over the dense cap).
+fn merged_root(successor: &mut [usize], r: usize) -> usize {
+    let mut root = r;
+    while successor[root] != NONE {
+        root = successor[root];
+    }
+    let mut at = r;
+    while at != root {
+        at = std::mem::replace(&mut successor[at], root);
+    }
+    root
 }
 
 /// Compute a fill-reducing column permutation of `a`.
 /// Returns `perm` with `perm[p]` = original column index placed at
 /// position `p`.
+///
+/// The score of a live column `j` is `sum over live rows r of j of
+/// (len(r) - 1)`. A row dies only when a column it holds is eliminated,
+/// and every live column of a dying row is in that elimination's union,
+/// hence in the element row the dying rows merge into. Two things
+/// follow. The scores can be kept current by subtracting the dying
+/// rows' terms while the union is formed and adding the element's term:
+/// no row list is rescanned. And the live rows of a column are the
+/// roots its *original* rows have been merged into, found through one
+/// successor link per row: no column list is ever written.
 pub fn colamd(a: &CscMatrix) -> Vec<usize> {
     let m = a.rows();
     let n = a.cols();
     if n == 0 {
         return Vec::new();
     }
-    // --- Build row/column patterns. ---
-    let at = a.transpose(); // rows of `a` as columns of `at`
     let dense_row_cap = ((10.0 * (n as f64).sqrt()) as usize).max(16);
     let dense_col_cap = ((10.0 * (m as f64).sqrt()) as usize).max(16);
-    let mut rows: Vec<Row> = (0..m)
-        .map(|i| {
-            let (ci, _) = at.col(i);
-            Row {
-                cols: ci.to_vec(),
-                alive: ci.len() <= dense_row_cap && !ci.is_empty(),
-            }
-        })
+    // Row `r` holds the columns `row_cols[row_ptr[r]..row_ptr[r + 1]]`:
+    // first the rows of `a`, then the element rows as they are created.
+    // A row's pattern is never edited; columns eliminated since are
+    // skipped when it is read.
+    let (_, _, mut row_ptr, mut row_cols, _) = a.transpose().into_parts();
+    let mut row_alive: Vec<bool> = row_ptr
+        .windows(2)
+        .map(|w| w[1] > w[0] && w[1] - w[0] <= dense_row_cap)
         .collect();
-    let mut col_rows: Vec<Vec<usize>> = (0..n)
-        .map(|j| {
-            let (ri, _) = a.col(j);
-            ri.to_vec()
-        })
-        .collect();
-    let col_dense: Vec<bool> = (0..n).map(|j| col_rows[j].len() > dense_col_cap).collect();
-    let mut col_alive = vec![true; n];
+    // The row a dead row was merged into.
+    let mut successor = vec![NONE; m];
+    let col_dense: Vec<bool> = (0..n).map(|j| a.col_nnz(j) > dense_col_cap).collect();
 
-    // --- Scores. score(j) = sum over alive rows r of j of (len(r)-1). ---
-    let score_of = |col_rows_j: &[usize], rows: &[Row]| -> usize {
-        let mut s = 0usize;
-        for &r in col_rows_j {
-            if rows[r].alive {
-                s += rows[r].cols.len().saturating_sub(1);
-            }
-        }
-        s.min(usize::MAX / 2)
-    };
-    let mut stamp = vec![0u64; n];
-    // Min-heap via Reverse ordering on (score, col); lazy invalidation
-    // through per-column stamps.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(usize, usize, u64)>> = BinaryHeap::new();
-    for j in 0..n {
-        let s = if col_dense[j] {
-            usize::MAX / 2 + col_rows[j].len()
+    // Dense columns keep one key for good, above every other column's.
+    let mut heap = ColumnHeap::new((0..n).map(|j| {
+        let (ri, _) = a.col(j);
+        if col_dense[j] {
+            usize::MAX / 2 + ri.len()
         } else {
-            score_of(&col_rows[j], &rows)
-        };
-        heap.push(std::cmp::Reverse((s, j, 0)));
-    }
+            ri.iter()
+                .filter(|&&r| row_alive[r])
+                .map(|&r| row_ptr[r + 1] - row_ptr[r] - 1)
+                .sum()
+        }
+    }));
 
     let mut perm = Vec::with_capacity(n);
     let mut mark = vec![false; n];
-    while let Some(std::cmp::Reverse((_, c, st))) = heap.pop() {
-        if !col_alive[c] || st != stamp[c] {
+    // Per union column, the score terms of the rows dying under it.
+    let mut dying = vec![0usize; n];
+    let mut union: Vec<usize> = Vec::new();
+    let mut merged: Vec<usize> = Vec::new();
+    while let Some(c) = heap.pop() {
+        perm.push(c);
+        if col_dense[c] {
+            // Only dense columns are left and their keys are fixed.
             continue;
         }
-        col_alive[c] = false;
-        perm.push(c);
-        if perm.len() == n {
-            break;
-        }
-        // Union of the alive rows of c (minus dead columns and c).
-        let mut union: Vec<usize> = Vec::new();
-        let mut touched_rows: Vec<usize> = Vec::new();
-        for &r in &col_rows[c] {
-            if !rows[r].alive {
+        // Union of the live rows of c (minus eliminated columns); the
+        // rows merge into one element row and die.
+        union.clear();
+        merged.clear();
+        for &r in a.col(c).0 {
+            let r = merged_root(&mut successor, r);
+            if !row_alive[r] {
                 continue;
             }
-            touched_rows.push(r);
-            for &j in &rows[r].cols {
-                if col_alive[j] && !mark[j] {
+            row_alive[r] = false;
+            merged.push(r);
+            let cols = &row_cols[row_ptr[r]..row_ptr[r + 1]];
+            let weight = cols.len() - 1;
+            for &j in cols {
+                if !heap.contains(j) {
+                    continue;
+                }
+                dying[j] += weight;
+                if !mark[j] {
                     mark[j] = true;
                     union.push(j);
                 }
             }
         }
-        for &j in &union {
-            mark[j] = false;
-        }
-        if touched_rows.is_empty() {
+        if merged.is_empty() {
             continue;
         }
-        // Kill merged rows; create the element row.
-        for &r in &touched_rows {
-            rows[r].alive = false;
+        // An element row over the dense-row cap is ignored for scoring
+        // like any other dense row; it is never read, so it stays empty.
+        let elem_alive = !union.is_empty() && union.len() <= dense_row_cap;
+        let elem = row_alive.len();
+        row_alive.push(elem_alive);
+        successor.push(NONE);
+        if elem_alive {
+            row_cols.extend_from_slice(&union);
         }
-        union.sort_unstable();
-        let elem = rows.len();
-        let elem_alive = union.len() <= dense_row_cap && !union.is_empty();
-        rows.push(Row {
-            cols: union.clone(),
-            alive: elem_alive,
-        });
-        // Update affected columns: drop dead rows from their lists, add
-        // the element, recompute scores.
+        row_ptr.push(row_cols.len());
+        for &r in &merged {
+            successor[r] = elem;
+        }
+        let gained = if elem_alive { union.len() - 1 } else { 0 };
         for &j in &union {
-            let list = &mut col_rows[j];
-            list.retain(|&r| rows[r].alive);
-            if elem_alive {
-                list.push(elem);
-            }
+            mark[j] = false;
+            let lost = std::mem::take(&mut dying[j]);
             if !col_dense[j] {
-                let s = score_of(list, &rows);
-                stamp[j] += 1;
-                heap.push(std::cmp::Reverse((s, j, stamp[j])));
+                heap.rescore(j, lost, gained);
             }
         }
     }

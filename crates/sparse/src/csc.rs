@@ -643,76 +643,11 @@ impl CscMatrix {
         pivot_rows: &[usize],
         pivot_cols: &[usize],
     ) -> (DenseMatrix, CscMatrix, CscMatrix, CscMatrix, Vec<usize>, Vec<usize>) {
-        let k = pivot_rows.len();
-        assert_eq!(pivot_cols.len(), k);
-        let m = self.rows;
-        let n = self.cols;
-        const UNSET: usize = usize::MAX;
-        // Row classification: pivot rows -> 0..k, rest -> 0..m-k.
-        let mut row_new = vec![UNSET; m];
-        for (p, &r) in pivot_rows.iter().enumerate() {
-            assert!(row_new[r] == UNSET, "duplicate pivot row");
-            row_new[r] = p;
-        }
-        let mut rest_rows = Vec::with_capacity(m - k);
-        for r in 0..m {
-            if row_new[r] == UNSET {
-                row_new[r] = k + rest_rows.len();
-                rest_rows.push(r);
-            }
-        }
-        let mut col_is_pivot = vec![false; n];
-        for &c in pivot_cols {
-            assert!(!col_is_pivot[c], "duplicate pivot column");
-            col_is_pivot[c] = true;
-        }
-        let rest_cols: Vec<usize> = (0..n).filter(|&c| !col_is_pivot[c]).collect();
-
-        let mut a11 = DenseMatrix::zeros(k, k);
-        let mut a21 = SparseBuilder::new(m - k, k);
-        let mut a12 = SparseBuilder::new(k, n - k);
-        let mut a22 = SparseBuilder::new(m - k, n - k);
-        let mut buf_top: Vec<(usize, f64)> = Vec::new();
-        let mut buf_bot: Vec<(usize, f64)> = Vec::new();
-        for (p, &c) in pivot_cols.iter().enumerate() {
-            let (ri, vs) = self.col(c);
-            buf_bot.clear();
-            for (&r, &v) in ri.iter().zip(vs) {
-                let nr = row_new[r];
-                if nr < k {
-                    a11.set(nr, p, v);
-                } else {
-                    buf_bot.push((nr - k, v));
-                }
-            }
-            buf_bot.sort_unstable_by_key(|&(r, _)| r);
-            a21.push_col(&buf_bot);
-        }
-        for &c in &rest_cols {
-            let (ri, vs) = self.col(c);
-            buf_top.clear();
-            buf_bot.clear();
-            for (&r, &v) in ri.iter().zip(vs) {
-                let nr = row_new[r];
-                if nr < k {
-                    buf_top.push((nr, v));
-                } else {
-                    buf_bot.push((nr - k, v));
-                }
-            }
-            buf_top.sort_unstable_by_key(|&(r, _)| r);
-            buf_bot.sort_unstable_by_key(|&(r, _)| r);
-            a12.push_col(&buf_top);
-            a22.push_col(&buf_bot);
-        }
-        (
-            a11,
-            a12.finish(),
-            a21.finish(),
-            a22.finish(),
-            rest_rows,
-            rest_cols,
-        )
+        let split = BlockSplit::new(self.rows, self.cols, pivot_rows, pivot_cols);
+        let (a11, a21) = split.pivot_blocks(pivot_cols.iter().map(|&c| self.col(c)));
+        let rest = split.rest_cols.iter().map(|&c| self.col(c));
+        let (a12, a22) = split.rest_blocks(rest, self.nnz());
+        (a11, a12, a21, a22, split.rest_rows, split.rest_cols)
     }
 
     /// Per-column nnz counts (degree vector used by the orderings).
@@ -741,6 +676,113 @@ impl CscMatrix {
     }
 }
 
+/// The row and column classification of a panel split (Algorithm 2,
+/// line 8) and the routing of column entries into the four blocks
+/// `[Ā11 Ā12; Ā21 Ā22]` — shared by [`CscMatrix::split_blocks`] and by
+/// engines that hold the pivot columns and the rest columns in
+/// different places (the sharded SPMD driver: a replicated pivot panel,
+/// an owned run of rest columns).
+///
+/// Pivot rows are renumbered `0..k` in pivot order, the other rows
+/// `0..m-k` in their own order; that second map is monotone, so a
+/// column's trailing entries come out ascending as they are read.
+pub struct BlockSplit {
+    k: usize,
+    /// New index per row: a pivot row's position in the pivot order,
+    /// `k +` its position among the rest otherwise.
+    row_new: Vec<usize>,
+    /// Renumbered trailing row -> row of the source.
+    pub rest_rows: Vec<usize>,
+    /// Renumbered trailing column -> column of the source.
+    pub rest_cols: Vec<usize>,
+}
+
+impl BlockSplit {
+    /// Classify the rows and columns of a `rows x cols` matrix.
+    /// Panics on a repeated pivot.
+    pub fn new(rows: usize, cols: usize, pivot_rows: &[usize], pivot_cols: &[usize]) -> Self {
+        let k = pivot_rows.len();
+        assert_eq!(pivot_cols.len(), k);
+        const UNSET: usize = usize::MAX;
+        let mut row_new = vec![UNSET; rows];
+        for (p, &r) in pivot_rows.iter().enumerate() {
+            assert!(row_new[r] == UNSET, "duplicate pivot row");
+            row_new[r] = p;
+        }
+        let mut rest_rows = Vec::with_capacity(rows - k);
+        for (r, new) in row_new.iter_mut().enumerate() {
+            if *new == UNSET {
+                *new = k + rest_rows.len();
+                rest_rows.push(r);
+            }
+        }
+        let mut col_is_pivot = vec![false; cols];
+        for &c in pivot_cols {
+            assert!(!col_is_pivot[c], "duplicate pivot column");
+            col_is_pivot[c] = true;
+        }
+        let rest_cols = (0..cols).filter(|&c| !col_is_pivot[c]).collect();
+        BlockSplit {
+            k,
+            row_new,
+            rest_rows,
+            rest_cols,
+        }
+    }
+
+    /// Route one source column: pivot-row entries go to `top` with their
+    /// pivot position, the others are appended to `bottom`'s open column.
+    fn route(
+        &self,
+        (ri, vs): (&[usize], &[f64]),
+        mut top: impl FnMut(usize, f64),
+        bottom: &mut SparseBuilder,
+    ) {
+        for (&r, &v) in ri.iter().zip(vs) {
+            let new = self.row_new[r];
+            if new < self.k {
+                top(new, v);
+            } else {
+                bottom.push_entry(new - self.k, v);
+            }
+        }
+        bottom.end_col();
+    }
+
+    /// `(Ā11, Ā21)` from the `k` pivot columns, given in pivot order.
+    pub fn pivot_blocks<'a>(
+        &self,
+        pivot_cols: impl Iterator<Item = (&'a [usize], &'a [f64])>,
+    ) -> (DenseMatrix, CscMatrix) {
+        let mut a11 = DenseMatrix::zeros(self.k, self.k);
+        let mut a21 = SparseBuilder::new(self.rest_rows.len(), self.k);
+        for (p, col) in pivot_cols.enumerate() {
+            self.route(col, |t, v| a11.set(t, p, v), &mut a21);
+        }
+        (a11, a21.finish())
+    }
+
+    /// `(Ā12, Ā22)` from rest columns (all of them or a run), in
+    /// ascending order; `nnz` bounds their stored entries.
+    pub fn rest_blocks<'a>(
+        &self,
+        rest_cols: impl ExactSizeIterator<Item = (&'a [usize], &'a [f64])>,
+        nnz: usize,
+    ) -> (CscMatrix, CscMatrix) {
+        let ncols = rest_cols.len();
+        let mut a12 = SparseBuilder::with_capacity(self.k, ncols, nnz.min(self.k * ncols));
+        let mut a22 = SparseBuilder::with_capacity(self.rest_rows.len(), ncols, nnz);
+        let mut top: Vec<(usize, f64)> = Vec::new();
+        for col in rest_cols {
+            top.clear();
+            self.route(col, |t, v| top.push((t, v)), &mut a22);
+            top.sort_unstable_by_key(|&(t, _)| t);
+            a12.push_col(&top);
+        }
+        (a12.finish(), a22.finish())
+    }
+}
+
 /// Incremental column-by-column CSC builder (rows must be pushed
 /// sorted within each column).
 pub struct SparseBuilder {
@@ -765,18 +807,41 @@ impl SparseBuilder {
         }
     }
 
+    /// [`SparseBuilder::new`] with room for `nnz` entries.
+    pub fn with_capacity(rows: usize, cols: usize, nnz: usize) -> Self {
+        let mut b = SparseBuilder::new(rows, cols);
+        b.rowidx.reserve(nnz);
+        b.values.reserve(nnz);
+        b
+    }
+
+    /// Append one entry to the column under construction; rows must
+    /// ascend within it (zero values skipped).
+    pub fn push_entry(&mut self, r: usize, v: f64) {
+        debug_assert!(r < self.rows);
+        if v != 0.0 {
+            debug_assert!(
+                self.rowidx[self.colptr[self.colptr.len() - 1]..].last().is_none_or(|&l| l < r),
+                "rows must ascend within a column"
+            );
+            self.rowidx.push(r);
+            self.values.push(v);
+        }
+    }
+
+    /// Close the column under construction.
+    pub fn end_col(&mut self) {
+        self.colptr.push(self.rowidx.len());
+    }
+
     /// Append the next column from sorted `(row, value)` pairs
     /// (zero values skipped).
     pub fn push_col(&mut self, entries: &[(usize, f64)]) {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         for &(r, v) in entries {
-            debug_assert!(r < self.rows);
-            if v != 0.0 {
-                self.rowidx.push(r);
-                self.values.push(v);
-            }
+            self.push_entry(r, v);
         }
-        self.colptr.push(self.rowidx.len());
+        self.end_col();
     }
 
     /// Finish; panics if the declared column count was not reached.

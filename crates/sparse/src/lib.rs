@@ -22,7 +22,7 @@ mod ops;
 mod spa;
 
 pub use coo::CooMatrix;
-pub use csc::{CscMatrix, SparseBuilder};
+pub use csc::{BlockSplit, CscMatrix, SparseBuilder};
 pub use dist::{gather_csc, scatter_csc, slice_columns_recycled, ColSlice};
 pub use csr::CsrMatrix;
 pub use io::{

@@ -10,4 +10,7 @@ done
 "$B/fig2" --tsvd > results/fig2.txt 2>/dev/null
 # The gated kernel report CI diffs its ratios against.
 "$B/kernel_bench" --out results/BENCH_kernels.json
+# The bitwise fingerprint CI diffs a fresh run against; it changes only
+# when a PR re-rounds on purpose.
+"$B/fingerprint" --out results/FINGERPRINT.txt
 echo ALL_EXPERIMENTS_DONE

@@ -35,6 +35,25 @@ pub fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// SplitMix64: a test's own stream, so a generated case is named by
+/// its seed alone.
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
 /// The small fill-bearing FEM matrix the recovery and fault-explorer
 /// tests interrupt: enough iterations at `k = 4` to kill a rank
 /// mid-factorization, small enough for exhaustive site enumeration.
