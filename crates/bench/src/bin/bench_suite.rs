@@ -19,8 +19,8 @@
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_core::{
-    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_checkpointed, lu_crtp, rand_qb_ei, CheckpointStore,
-    IlutOpts, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, QbOpts, RecoveryHooks, RunConfig,
+    factorize_ranks, ilut_crtp, lu_crtp, rand_qb_ei, CheckpointStore, IlutOpts, LuCrtpCheckpoint,
+    LuCrtpOpts, LuCrtpResult, QbOpts, RecoveryHooks, RunConfig,
 };
 use lra_matgen::TestMatrix;
 use lra_obs::{BenchEntry, BenchReport, Json, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
@@ -156,20 +156,14 @@ fn run_combination(
     push_lu_entry(&mut out, "ilut_crtp", tm, tau, 1, wall, &il, a, par);
 
     // ILUT_CRTP over SPMD ranks (the traced distributed path).
-    let (spmd_report, wall) = timed(|| {
-        lra_comm::run_with(np, &RunConfig::default(), |ctx| {
-            ilut_crtp_spmd(ctx, a, &ilut_opts)
-        })
-    });
+    let on_ranks = |hooks| {
+        factorize_ranks(a, &ilut_opts, np, &RunConfig::default(), hooks).expect("valid input")
+    };
+    let (spmd_report, wall) = timed(|| on_ranks(None));
     for (rank, stats) in spmd_report.stats.iter().enumerate() {
         stats.export_metrics(reg, rank);
     }
-    let dist = spmd_report
-        .results
-        .into_iter()
-        .next()
-        .expect("np >= 1")
-        .expect("fault-free SPMD run");
+    let dist = spmd_report.unwrap_all().swap_remove(0);
     dist.timers.export_metrics(reg, "ilut_crtp_spmd");
     push_lu_entry(&mut out, "ilut_crtp_spmd", tm, tau, np, wall, &dist, a, par);
 
@@ -179,18 +173,8 @@ fn run_combination(
     // stays binary-sized, see `check_checkpoint_size`.
     let store = CheckpointStore::in_memory();
     let hooks = RecoveryHooks::new(&store, 1);
-    let (ckpt_report, ckpt_wall) = timed(|| {
-        lra_comm::run_with(np, &RunConfig::default(), |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, a, &ilut_opts, Some(&hooks))
-        })
-    });
-    let ckpt = ckpt_report
-        .results
-        .into_iter()
-        .next()
-        .expect("np >= 1")
-        .expect("fault-free SPMD run")
-        .expect("the checkpointed drivers always return Ok");
+    let (ckpt_report, ckpt_wall) = timed(|| on_ranks(Some(&hooks)));
+    let ckpt = ckpt_report.unwrap_all().swap_remove(0);
     ckpt.timers.export_metrics(reg, "ilut_crtp_spmd_ckpt");
     reg.set_gauge("recover.checkpoint_overhead_pct", (ckpt_wall / wall - 1.0) * 100.0);
     let envelope = store.raw().ok().flatten().unwrap_or_default();

@@ -14,11 +14,9 @@
 
 use lra_comm::RunConfig;
 use lra_core::{
-    ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd, ilut_crtp_spmd_checkpointed,
-    ilut_crtp_spmd_eager, ilut_crtp_spmd_replicated, lu_crtp, lu_crtp_checkpointed, lu_crtp_spmd,
-    lu_crtp_spmd_eager, lu_crtp_spmd_replicated, rand_qb_ei, rand_qb_ei_checkpointed, rand_ubv,
-    Budget, CheckpointStore, IlutOpts, LuCrtpOpts, LuCrtpResult, OrderingMode, Parallelism, QbOpts,
-    QbResult, RecoveryHooks, UbvOpts,
+    factorize, ilut_crtp, lu_crtp, rand_qb_ei, rand_qb_ei_checkpointed, rand_ubv, Budget,
+    CheckpointStore, Ctx, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult, Method, OrderingMode,
+    Parallelism, QbOpts, QbResult, RecoveryHooks, UbvOpts,
 };
 use lra_dense::{
     matmul, matmul_nt, matmul_sub_assign, matmul_tn, orth, qr, qrcp, singular_values, tsqr, tsqr_r,
@@ -212,10 +210,24 @@ fn orderings(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
     }
 }
 
-fn first_rank<T: Send>(np: usize, body: impl Fn(&lra_comm::Ctx) -> T + Sync) -> T {
-    let run = lra_comm::run_with(np, &RunConfig::default(), body);
-    let first = run.results.into_iter().next().expect("at least one rank");
-    first.expect("rank 0 completed")
+/// One of the SPMD engines, as the `Exec` variant that names it.
+type Engine = for<'c> fn(&'c Ctx) -> Exec<'c>;
+const SHARDED: Engine = |c| Exec::Spmd(c);
+const EAGER: Engine = |c| Exec::SpmdEager(c);
+const REPLICATED: Engine = |c| Exec::SpmdReplicated(c);
+
+/// Rank 0's result of `method` over `np` ranks of `engine`.
+fn on_ranks(
+    np: usize,
+    a: &CscMatrix,
+    method: Method<'_>,
+    engine: Engine,
+    hooks: Option<&RecoveryHooks<'_>>,
+) -> LuCrtpResult {
+    let run = lra_comm::run_with(np, &RunConfig::default(), |ctx| {
+        factorize(a, method, engine(ctx), hooks)
+    });
+    run.unwrap_all().swap_remove(0)
 }
 
 fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
@@ -247,52 +259,49 @@ fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
             out.put(format_args!("lu_crtp {name} ordering={ordering:?}"), h);
         }
         let ilut_opts = IlutOpts::new(k, tau, u_est);
+        let lu_opts = LuCrtpOpts::new(k, tau);
+        let methods = [
+            ("lu_crtp", Method::from(&lu_opts)),
+            ("ilut_crtp", Method::from(&ilut_opts)),
+        ];
         for np in 1..=3 {
-            let mut h = Fnv::new();
-            h.lu(&first_rank(np, |ctx| lu_crtp_spmd(ctx, a, &ilut_opts.base)));
-            h.lu(&first_rank(np, |ctx| lu_crtp_spmd_eager(ctx, a, &ilut_opts.base)));
-            h.lu(&first_rank(np, |ctx| lu_crtp_spmd_replicated(ctx, a, &ilut_opts.base)));
-            out.put(format_args!("lu_crtp_spmd sharded+eager+replicated {name} np={np}"), h);
-            let mut h = Fnv::new();
-            h.lu(&first_rank(np, |ctx| ilut_crtp_spmd(ctx, a, &ilut_opts)));
-            h.lu(&first_rank(np, |ctx| ilut_crtp_spmd_eager(ctx, a, &ilut_opts)));
-            h.lu(&first_rank(np, |ctx| ilut_crtp_spmd_replicated(ctx, a, &ilut_opts)));
-            out.put(format_args!("ilut_crtp_spmd sharded+eager+replicated {name} np={np}"), h);
+            for (tag, method) in methods {
+                let mut h = Fnv::new();
+                for engine in [SHARDED, EAGER, REPLICATED] {
+                    h.lu(&on_ranks(np, a, method, engine, None));
+                }
+                out.put(format_args!("{tag}_spmd sharded+eager+replicated {name} np={np}"), h);
+            }
         }
         // Two ranks, two workers inside each: the parallel kernel path
         // under the SPMD engines.
         let mut inner = ilut_opts.clone();
         inner.base.par = Parallelism::new(2);
         let mut h = Fnv::new();
-        h.lu(&first_rank(2, |ctx| ilut_crtp_spmd(ctx, a, &inner)));
-        h.lu(&first_rank(2, |ctx| ilut_crtp_spmd_replicated(ctx, a, &inner)));
+        for engine in [SHARDED, REPLICATED] {
+            h.lu(&on_ranks(2, a, Method::from(&inner), engine, None));
+        }
         out.put(format_args!("ilut_crtp_spmd sharded+replicated {name} np=2 par=2"), h);
 
         // Stop at an iteration cap with a checkpoint, then resume.
         let capped = Budget::unlimited().with_iteration_cap(2);
+        let stopped_lu = lu_opts.clone().with_budget(capped.clone());
+        let stopped_ilut = ilut_opts.clone().with_budget(capped);
+        let stopped = [Method::from(&stopped_lu), Method::from(&stopped_ilut)];
+        for ((tag, method), stopped) in methods.into_iter().zip(stopped) {
+            let store = CheckpointStore::in_memory();
+            let hooks = RecoveryHooks::new(&store, 1);
+            let mut h = Fnv::new();
+            h.lu(&factorize(a, stopped, Exec::Seq, Some(&hooks)));
+            h.lu(&factorize(a, method, Exec::Seq, Some(&hooks)));
+            out.put(format_args!("{tag} checkpoint+resume {name}"), h);
+        }
         let store = CheckpointStore::in_memory();
         let hooks = RecoveryHooks::new(&store, 1);
         let mut h = Fnv::new();
-        let stopped = LuCrtpOpts::new(k, tau).with_budget(capped.clone());
-        h.lu(&lu_crtp_checkpointed(a, &stopped, Some(&hooks)).expect("always Ok"));
-        h.lu(&lu_crtp_checkpointed(a, &LuCrtpOpts::new(k, tau), Some(&hooks)).expect("always Ok"));
-        out.put(format_args!("lu_crtp checkpoint+resume {name}"), h);
-        let store = CheckpointStore::in_memory();
-        let hooks = RecoveryHooks::new(&store, 1);
-        let mut h = Fnv::new();
-        let stopped = ilut_opts.clone().with_budget(capped.clone());
-        h.lu(&ilut_crtp_checkpointed(a, &stopped, Some(&hooks)).expect("always Ok"));
-        h.lu(&ilut_crtp_checkpointed(a, &ilut_opts, Some(&hooks)).expect("always Ok"));
-        out.put(format_args!("ilut_crtp checkpoint+resume {name}"), h);
-        let store = CheckpointStore::in_memory();
-        let hooks = RecoveryHooks::new(&store, 1);
-        let mut h = Fnv::new();
-        h.lu(&first_rank(2, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, a, &stopped, Some(&hooks)).expect("always Ok")
-        }));
-        h.lu(&first_rank(2, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, a, &ilut_opts, Some(&hooks)).expect("always Ok")
-        }));
+        for method in [Method::from(&stopped_ilut), Method::from(&ilut_opts)] {
+            h.lu(&on_ranks(2, a, method, SHARDED, Some(&hooks)));
+        }
         out.put(format_args!("ilut_crtp_spmd checkpoint+resume {name} np=2"), h);
     }
 }

@@ -48,7 +48,7 @@
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
-    ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, rand_qb_ei, schur_update_into, IlutOpts,
+    factorize, factorize_ranks, ilut_crtp, rand_qb_ei, schur_update_into, Exec, IlutOpts,
     LuCrtpResult, Parallelism, QbOpts, SchurWorkspace,
 };
 use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, DenseMatrix};
@@ -347,7 +347,7 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     let mut posted_total = 0u64;
     for _ in 0..OVERLAP_REPS {
         let report = lra_comm::run_with(OVERLAP_NP, &RunConfig::default(), |ctx| {
-            ilut_crtp_spmd_eager(ctx, &a, &opts)
+            factorize(&a, &opts, Exec::SpmdEager(ctx), None)
         });
         eager_wait += report
             .stats
@@ -357,9 +357,8 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
             .unwrap_or(0);
         report.unwrap_all();
 
-        let report = lra_comm::run_with(OVERLAP_NP, &RunConfig::default(), |ctx| {
-            ilut_crtp_spmd(ctx, &a, &opts)
-        });
+        let report = factorize_ranks(&a, &opts, OVERLAP_NP, &RunConfig::default(), None)
+            .expect("valid input");
         overlap_wait += report
             .stats
             .iter()

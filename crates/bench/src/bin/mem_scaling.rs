@@ -20,7 +20,7 @@
 //! that the overlapped path was engaged while it was measured.
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
-use lra_core::{ilut_crtp_spmd, IlutOpts, LuCrtpResult, MemStats};
+use lra_core::{factorize_ranks, IlutOpts, LuCrtpResult, MemStats};
 use lra_matgen::TestMatrix;
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
 
@@ -64,9 +64,8 @@ fn main() {
         .expect("alltoallv is a collective family");
     for np in [1usize, 4] {
         let (report, wall) = timed(|| {
-            lra_comm::run_with(np, &lra_comm::RunConfig::default(), |ctx| {
-                ilut_crtp_spmd(ctx, a, &opts)
-            })
+            factorize_ranks(a, &opts, np, &lra_comm::RunConfig::default(), None)
+                .expect("valid input")
         });
         let posted: u64 = report.stats.iter().map(|s| s.overlap_posted).sum();
         let wait_ns: u64 = report.stats.iter().map(|s| s.overlap_wait_ns).sum();

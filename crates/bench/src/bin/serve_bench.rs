@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lra_bench::{timed, BenchConfig, USAGE};
-use lra_core::{ilut_crtp_spmd, IlutOpts, LuCrtpResult};
+use lra_core::{factorize_ranks, IlutOpts, LuCrtpResult, RunConfig};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_serve::{Algorithm, JobReport, JobSpec, Server, ServerConfig};
 use lra_sparse::CscMatrix;
@@ -218,8 +218,8 @@ fn tenant_matrix(seed: u64) -> CscMatrix {
 }
 
 fn solo(a: &CscMatrix, opts: &IlutOpts, np: usize) -> LuCrtpResult {
-    let mut r = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, a, opts));
-    r.swap_remove(0)
+    let report = factorize_ranks(a, opts, np, &RunConfig::default(), None).expect("valid input");
+    report.unwrap_all().swap_remove(0)
 }
 
 fn same_bits(x: &LuCrtpResult, y: &LuCrtpResult) -> bool {

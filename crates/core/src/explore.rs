@@ -47,8 +47,8 @@
 //! text table and a JSON rendering for CI artifacts.
 
 use crate::lucrtp::{IlutOpts, LuCrtpResult};
-use crate::spmd::{run_sharded, Reshard};
-use crate::supervised::{ilut_crtp_supervised_with_store, SupervisedError};
+use crate::checkpoint::RecoveryHooks;
+use crate::factorize::{factorize, factorize_supervised, Exec, SupervisedError};
 use lra_comm::{FaultPlan, RunConfig};
 use lra_obs::{Json, MetricValue};
 use lra_par::Parallelism;
@@ -410,16 +410,9 @@ pub fn explore_fault_space(
     // count (iterations and checkpoint saves).
     let probe_store = CheckpointStore::in_memory();
     let clean_cfg = RunConfig::default().with_watchdog(Duration::from_secs(20));
-    let probe = ilut_crtp_supervised_with_store(
-        a,
-        opts,
-        cfg.np,
-        &clean_cfg,
-        &cfg.policy,
-        cfg.ckpt_every,
-        &probe_store,
-    )
-    .map_err(|e| format!("probe run failed: {e}"))?;
+    let probe_hooks = RecoveryHooks::new(&probe_store, cfg.ckpt_every);
+    let probe = factorize_supervised(a, opts, cfg.np, &clean_cfg, &cfg.policy, probe_hooks)
+        .map_err(|e| format!("probe run failed: {e}"))?;
     if probe.attempts != 0 {
         return Err(format!(
             "probe run needed {} recovery action(s) without any injected fault",
@@ -592,15 +585,8 @@ fn run_site(
 
     let corrupt_before = counter("recover.corrupt_checkpoint");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ilut_crtp_supervised_with_store(
-            a,
-            opts,
-            cfg.np,
-            &run_cfg,
-            &cfg.policy,
-            cfg.ckpt_every,
-            &store,
-        )
+        let hooks = RecoveryHooks::new(&store, cfg.ckpt_every);
+        factorize_supervised(a, opts, cfg.np, &run_cfg, &cfg.policy, hooks)
     }));
     let corrupt_skips = counter("recover.corrupt_checkpoint") - corrupt_before;
     store.clear();
@@ -712,7 +698,7 @@ fn run_cancel_site(
         }
         None => CheckpointStore::in_memory(),
     };
-    let hooks = crate::checkpoint::RecoveryHooks::new(&store, cfg.ckpt_every);
+    let hooks = RecoveryHooks::new(&store, cfg.ckpt_every);
     let run_cfg = RunConfig::default().with_watchdog(Duration::from_secs(20));
     // An iteration cap and an external token share the identical check
     // and agreement machinery; the cap pins the trip point exactly.
@@ -730,7 +716,7 @@ fn run_cancel_site(
     // ---- Budgeted run: every rank must return, no rank may fail.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            run_sharded(ctx, a, &budgeted.base, Some(&budgeted), Some(&hooks), Reshard::Overlapped)
+            factorize(a, &budgeted, Exec::Spmd(ctx), Some(&hooks))
         })
         .results
     }));
@@ -830,7 +816,7 @@ fn run_cancel_site(
     // replay into the uninterrupted run bitwise.
     let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            run_sharded(ctx, a, &opts.base, Some(opts), Some(&hooks), Reshard::Overlapped)
+            factorize(a, opts, Exec::Spmd(ctx), Some(&hooks))
         })
         .results
     }));

@@ -18,18 +18,28 @@
 //! - [`rand_ubv`] — randomized block bidiagonalization
 //!   (Hallman 2021), the sequential comparison method of Table II.
 //!
+//! **Execution.** LU_CRTP and ILUT_CRTP are one panel loop, so they
+//! share one entry surface: a [`Method`] (either options type) run
+//! where an [`Exec`] says. [`factorize`] is the single call —
+//! [`Exec::Seq`] on the calling thread ([`lu_crtp`] / [`ilut_crtp`] are
+//! that case by name), [`Exec::Spmd`] as one rank of an `lra-comm`
+//! region, optionally checkpointing through [`RecoveryHooks`].
+//! [`factorize_ranks`] validates the input, spawns the ranks and
+//! returns every rank's outcome and counters; [`factorize_supervised`]
+//! wraps that in the retry / shrink / sequential-fallback ladder.
+//!
 //! All methods report per-kernel timers ([`KernelTimers`]) so the
 //! benchmark harness can regenerate the paper's Figs. 5-6 kernel
 //! breakdowns, and per-iteration traces for the fill-in plots (Fig. 1).
 
 mod checkpoint;
 mod explore;
+mod factorize;
 mod lucrtp;
 mod outcome;
 mod panel;
 mod qb;
 mod spmd;
-mod supervised;
 mod timers;
 mod ubv;
 
@@ -37,10 +47,17 @@ pub use checkpoint::{IlutCheckpoint, LuCrtpCheckpoint, QbCheckpoint, RecoveryHoo
 pub use explore::{
     explore_fault_space, ExploreConfig, ExplorerReport, InjectionSite, SiteOutcome, SiteVerdict,
 };
+pub use factorize::{
+    factorize, factorize_ranks, factorize_supervised, ilut_crtp, lu_crtp, Exec, Method,
+    SupervisedError,
+};
+// Held by `benchmark/src/adapter.rs` only; goes with the benchmark-only
+// PR that moves the adapter to `factorize_ranks` (ROADMAP item 1).
+#[doc(hidden)]
+pub use factorize::ilut_crtp_spmd_checkpointed;
 pub use lucrtp::{
-    ilut_crtp, ilut_crtp_checkpointed, lu_crtp, lu_crtp_checkpointed, Breakdown, DropStrategy,
-    IlutOpts, InvalidInput, IterTrace, LFormation, LuCrtpOpts, LuCrtpResult, MemStats,
-    OrderingMode, ThresholdReport,
+    Breakdown, DropStrategy, IlutOpts, InvalidInput, IterTrace, LFormation, LuCrtpOpts,
+    LuCrtpResult, MemStats, OrderingMode, ThresholdReport,
 };
 // The shared Schur-update kernel, reachable for the root test suite's
 // bitwise reference check and `kernel_bench`.
@@ -48,20 +65,11 @@ pub use lucrtp::{
 pub use lucrtp::{schur_update_into, SchurWorkspace, SCHUR_GRAIN};
 pub use outcome::{Interrupted, JobId, Outcome, Parked, ResumeHandle};
 pub use qb::{rand_qb_ei, rand_qb_ei_checkpointed, QbError, QbOpts, QbResult, QB_INDICATOR_FLOOR};
-pub use spmd::{
-    ilut_crtp_dist, ilut_crtp_dist_checked, ilut_crtp_spmd, ilut_crtp_spmd_checkpointed,
-    ilut_crtp_spmd_eager, ilut_crtp_spmd_replicated, lu_crtp_dist, lu_crtp_dist_checked,
-    lu_crtp_spmd, lu_crtp_spmd_checkpointed, lu_crtp_spmd_eager, lu_crtp_spmd_replicated,
-};
-pub use supervised::{
-    ilut_crtp_supervised, ilut_crtp_supervised_with_store, lu_crtp_supervised,
-    lu_crtp_supervised_with_store, SupervisedError,
-};
 pub use timers::{KernelId, KernelTimers, ALL_KERNELS, N_KERNELS};
 pub use ubv::{rand_ubv, UbvOpts, UbvResult};
 
 // Re-export the option types callers need alongside.
-pub use lra_comm::{CommError, CommStats, FaultPlan, RunConfig};
+pub use lra_comm::{CommError, CommStats, Ctx, FaultPlan, RunConfig, RunReport};
 pub use lra_par::Parallelism;
 pub use lra_qrtp::TournamentTree;
 pub use lra_recover::{

@@ -139,7 +139,7 @@ pub(crate) fn validate_matrix(a: &CscMatrix) -> Result<(), InvalidInput> {
     Ok(())
 }
 
-/// Options for [`lu_crtp`].
+/// Options for [`crate::lu_crtp`].
 #[derive(Debug, Clone)]
 pub struct LuCrtpOpts {
     /// Block size `k`.
@@ -238,7 +238,7 @@ pub enum DropStrategy {
     Aggressive,
 }
 
-/// Options for [`ilut_crtp`].
+/// Options for [`crate::ilut_crtp`].
 #[derive(Debug, Clone)]
 pub struct IlutOpts {
     /// The underlying LU_CRTP configuration.
@@ -487,42 +487,6 @@ impl LuCrtpResult {
         );
         sq.sqrt()
     }
-}
-
-/// LU_CRTP (Algorithm 2): deterministic fixed-precision truncated LU
-/// with column and row tournament pivoting.
-pub fn lu_crtp(a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    run_seq(a, opts, None, None)
-}
-
-/// ILUT_CRTP (Algorithm 3): incomplete LU_CRTP with thresholding.
-pub fn ilut_crtp(a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    run_seq(a, &opts.base, Some(opts), None)
-}
-
-/// [`lu_crtp`] with iteration checkpointing: snapshots the loop state
-/// through `hooks` at the end of each covered iteration, and resumes
-/// from the store's latest snapshot if one is present. Always `Ok`: the
-/// vacant `Err` arm retires with the `*_checkpointed` names (ROADMAP
-/// item 1(c)).
-pub fn lu_crtp_checkpointed(
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    Ok(run_seq(a, opts, None, hooks))
-}
-
-/// [`ilut_crtp`] with iteration checkpointing (see
-/// [`lu_crtp_checkpointed`]). The snapshot carries the threshold state
-/// (`mu`, `phi`, dropped mass), so the resumed run's error estimator
-/// (eq. 26) accounts for entries dropped before the interruption.
-pub fn ilut_crtp_checkpointed(
-    a: &CscMatrix,
-    opts: &IlutOpts,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    Ok(run_seq(a, &opts.base, Some(opts), hooks))
 }
 
 /// The shared panel loop over the shared-memory engine.

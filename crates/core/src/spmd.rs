@@ -5,7 +5,7 @@
 //! complement lives.
 //!
 //! **[`SpmdPanelCtx`] — rank-owned shards** (the default,
-//! [`lu_crtp_spmd`]). Each rank holds only its [`ColSlice`] of the
+//! [`crate::Exec::Spmd`]). Each rank holds only its [`ColSlice`] of the
 //! paper's block-column distribution (`O(nnz/np)` resident), never the
 //! full matrix. Per iteration:
 //!
@@ -27,8 +27,8 @@
 //!   Schur-updates each received piece as it arrives. Re-shard part
 //!   buffers are recycled across panel iterations from a pool, like
 //!   the [`SchurWorkspace`] scratch. [`Reshard::Eager`] — reachable
-//!   only through [`lu_crtp_spmd_eager`] / [`ilut_crtp_spmd_eager`] —
-//!   blocks in the first half instead and is the bitwise oracle for
+//!   only through `Exec::SpmdEager` — blocks in the first half instead
+//!   and is the bitwise oracle for
 //!   the pipeline (piece-at-a-time updates tile the new owned range in
 //!   ascending column order, and the kernel computes each column
 //!   independently, so the reordering moves no bits);
@@ -40,7 +40,7 @@
 //!   once at the end, so every rank returns the same result.
 //!
 //! **[`ReplicatedEngine`] — every rank holds the whole Schur
-//! complement** ([`lu_crtp_spmd_replicated`]). It calls the same panel
+//! complement** (`Exec::SpmdReplicated`). It calls the same panel
 //! TSQR, row tournament and `L21` solve, and partitions its Schur
 //! update, indicator and dropped-mass partials over the *same* column
 //! ranges and reduction trees the sharded engine owns, so the two are
@@ -48,158 +48,17 @@
 //! reference the sharded engine is tested against.
 
 use crate::lucrtp::{
-    csc_resident_bytes, schur_update_ranged, u_fragments_of, validate_matrix, ColRun, IlutOpts,
-    InvalidInput, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
+    csc_resident_bytes, schur_update_ranged, u_fragments_of, ColRun, IlutOpts, LuCrtpOpts,
+    LuCrtpResult, MemStats, SchurWorkspace,
 };
 use crate::panel::{assemble_factors, drive, FactorCol, PanelEngine, PanelSplit, Source};
-use lra_comm::{CommError, Ctx, PendingExchange, RunConfig};
+use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
 use lra_sparse::{gather_csc, slice_columns_recycled, BlockSplit, ColSlice, CscMatrix};
 use std::borrow::Cow;
 use std::ops::Range;
-
-/// SPMD LU_CRTP: every rank calls this with the same `a` and `opts`
-/// inside an [`lra_comm::run`] region; every rank returns the same
-/// result. `opts.par` drives the intra-rank thread parallelism of the
-/// Schur update and the ILUT threshold pass (the default `SEQ` keeps
-/// each rank single-threaded); results are bitwise-independent of the
-/// worker count because every parallel kernel folds fixed-chunk
-/// partials in ascending chunk order.
-/// Each rank keeps only its owned block-column shard of the Schur
-/// complement resident (see the module docs); the result's `mem`
-/// field reports the peak per-rank shard storage.
-///
-/// Three options are not honoured by the SPMD engines and are silently
-/// treated as their defaults: [`crate::OrderingMode::EveryIteration`]
-/// orders once, before the first iteration; [`crate::LFormation::QBased`]
-/// forms `L21` as `Direct`; and `opts.tree` is ignored — the
-/// tournaments always reduce over the binomial rank tree.
-pub fn lu_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    run_sharded(ctx, a, opts, None, None, Reshard::Overlapped)
-}
-
-/// [`lu_crtp_spmd`] with iteration checkpointing: at the end of each
-/// covered iteration — a collective boundary — the shards are gathered
-/// to rank 0, which snapshots the full loop state through `hooks`;
-/// every rank resumes from the store's latest snapshot when one is
-/// present, re-slicing its own shard from the snapshot for the
-/// *current* rank count (so an `np -> np-1` shrink redistributes the
-/// shards implicitly). All ranks must share the same store. Always `Ok`
-/// (see [`crate::lu_crtp_checkpointed`]).
-pub fn lu_crtp_spmd_checkpointed(
-    ctx: &Ctx,
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    Ok(run_sharded(ctx, a, opts, None, hooks, Reshard::Overlapped))
-}
-
-/// SPMD ILUT_CRTP (Algorithm 3 over ranks): identical distribution to
-/// [`lu_crtp_spmd`] plus sharded deterministic thresholding — each
-/// rank drops entries of its own shard and the dropped-mass partials
-/// are combined through a fixed allreduce tree, so all ranks agree on
-/// the threshold bookkeeping bit for bit.
-pub fn ilut_crtp_spmd(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    run_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Overlapped)
-}
-
-/// [`ilut_crtp_spmd`] with iteration checkpointing (see
-/// [`lu_crtp_spmd_checkpointed`]).
-pub fn ilut_crtp_spmd_checkpointed(
-    ctx: &Ctx,
-    a: &CscMatrix,
-    opts: &IlutOpts,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    Ok(run_sharded(ctx, a, &opts.base, Some(opts), hooks, Reshard::Overlapped))
-}
-
-/// Non-overlapped sharded LU_CRTP: identical to [`lu_crtp_spmd`]
-/// except the per-panel re-shard exchange blocks eagerly before
-/// factor recording instead of draining behind it. Kept as the
-/// bitwise oracle for the overlapped pipeline — overlapped ≡ eager is
-/// pinned by tests the same way sharded ≡ replicated is.
-#[doc(hidden)]
-pub fn lu_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    run_sharded(ctx, a, opts, None, None, Reshard::Eager)
-}
-
-/// Eager-exchange oracle for [`ilut_crtp_spmd`] (see
-/// [`lu_crtp_spmd_eager`]).
-#[doc(hidden)]
-pub fn ilut_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    run_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Eager)
-}
-
-/// SPMD LU_CRTP over fully replicated storage (every rank holds the
-/// whole Schur complement). Kept as the bitwise oracle for
-/// [`lu_crtp_spmd`]: the sharded engine partitions columns exactly as
-/// this one partitions its per-rank work, so the two produce
-/// bit-identical results while differing only in resident storage.
-#[doc(hidden)]
-pub fn lu_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    run_replicated(ctx, a, opts, None)
-}
-
-/// Replicated-storage oracle for [`ilut_crtp_spmd`] (see
-/// [`lu_crtp_spmd_replicated`]).
-#[doc(hidden)]
-pub fn ilut_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    run_replicated(ctx, a, &opts.base, Some(opts))
-}
-
-/// Convenience wrapper: run [`lu_crtp_spmd`] on `np` ranks and return
-/// rank 0's result. The tournament tree option is implicit (the SPMD
-/// driver always reduces over the binomial rank tree). Panics if any
-/// rank fails; use [`lu_crtp_dist_checked`] to observe failures.
-pub fn lu_crtp_dist(a: &CscMatrix, opts: &LuCrtpOpts, np: usize) -> LuCrtpResult {
-    let mut results = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, a, opts));
-    results.swap_remove(0)
-}
-
-/// Fault-aware variant of [`lu_crtp_dist`]: validates the input at the
-/// API boundary ([`InvalidInput`] instead of a panic deep inside a
-/// kernel), runs under an explicit [`RunConfig`] (watchdog window,
-/// chaos [`lra_comm::FaultPlan`]), and returns every rank's outcome.
-/// A rank killed mid-factorization surfaces as [`CommError::Failed`] on
-/// the victim and [`CommError::PeerFailed`] on every surviving rank —
-/// no hang.
-pub fn lu_crtp_dist_checked(
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    np: usize,
-    config: &RunConfig,
-) -> Result<Vec<Result<LuCrtpResult, CommError>>, InvalidInput> {
-    opts.validate()?;
-    validate_matrix(a)?;
-    Ok(lra_comm::run_with(np, config, |ctx| lu_crtp_spmd(ctx, a, opts)).results)
-}
-
-/// Convenience wrapper for [`ilut_crtp_spmd`] on `np` ranks. Panics if
-/// any rank fails; use [`ilut_crtp_dist_checked`] to observe failures.
-pub fn ilut_crtp_dist(a: &CscMatrix, opts: &IlutOpts, np: usize) -> LuCrtpResult {
-    let mut results = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, a, opts));
-    results.swap_remove(0)
-}
-
-/// Fault-aware variant of [`ilut_crtp_dist`]: validates the input at
-/// the API boundary ([`InvalidInput`] instead of a panic deep inside a
-/// kernel), runs under an explicit [`RunConfig`] (watchdog window,
-/// chaos [`lra_comm::FaultPlan`]), and returns every rank's outcome
-/// instead of panicking on failure.
-pub fn ilut_crtp_dist_checked(
-    a: &CscMatrix,
-    opts: &IlutOpts,
-    np: usize,
-    config: &RunConfig,
-) -> Result<Vec<Result<LuCrtpResult, CommError>>, InvalidInput> {
-    opts.validate()?;
-    validate_matrix(a)?;
-    Ok(lra_comm::run_with(np, config, |ctx| ilut_crtp_spmd(ctx, a, opts)).results)
-}
 
 /// The shared panel loop over rank-owned shards.
 pub(crate) fn run_sharded(
@@ -225,7 +84,7 @@ pub(crate) fn run_sharded(
 
 /// The shared panel loop over replicated storage (never checkpointed:
 /// it exists to be compared against).
-fn run_replicated(
+pub(crate) fn run_replicated(
     ctx: &Ctx,
     a: &CscMatrix,
     opts: &LuCrtpOpts,

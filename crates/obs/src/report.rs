@@ -33,7 +33,7 @@ pub struct KernelTime {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Algorithm name (`rand_qb_ei`, `lu_crtp`, `ilut_crtp`,
-    /// `rand_ubv`, `lu_crtp_spmd`, …).
+    /// `rand_ubv`, the `ilut_crtp_spmd` report label, …).
     pub algorithm: String,
     /// Matrix label (`M1'`, `S042`, …).
     pub matrix: String,

@@ -8,14 +8,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lra_core::{IlutOpts, LuCrtpOpts, LuCrtpResult, Outcome};
+use lra_core::{IlutOpts, LuCrtpOpts, LuCrtpResult, Method, Outcome};
 use lra_sparse::CscMatrix;
 
 pub use lra_core::JobId;
 
 /// Which factorization driver a job runs. Both variants execute
-/// through the checkpointed SPMD entry points, so every job is
-/// preemptible and resumable regardless of algorithm.
+/// through `lra_core::factorize` on `Exec::Spmd` with checkpoint hooks,
+/// so every job is preemptible and resumable regardless of algorithm.
 #[derive(Debug, Clone)]
 pub enum Algorithm {
     /// Deterministic fixed-precision LU_CRTP (Algorithm 2).
@@ -38,6 +38,23 @@ impl Algorithm {
         match self {
             Algorithm::LuCrtp(o) => o,
             Algorithm::IlutCrtp(o) => &o.base,
+        }
+    }
+
+    /// [`Algorithm::base`], mutably (the scheduler installs the
+    /// per-dispatch budget through it).
+    pub fn base_mut(&mut self) -> &mut LuCrtpOpts {
+        match self {
+            Algorithm::LuCrtp(o) => o,
+            Algorithm::IlutCrtp(o) => &mut o.base,
+        }
+    }
+
+    /// The method and options as `lra_core::factorize` takes them.
+    pub fn method(&self) -> Method<'_> {
+        match self {
+            Algorithm::LuCrtp(o) => Method::LuCrtp(o),
+            Algorithm::IlutCrtp(o) => Method::IlutCrtp(o),
         }
     }
 

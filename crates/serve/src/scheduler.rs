@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use lra_comm::RunConfig;
-use lra_core::{LuCrtpResult, Outcome, RecoveryHooks};
+use lra_core::{factorize, Exec, LuCrtpResult, Outcome, RecoveryHooks};
 use lra_obs::metrics::MetricsRegistry;
 use lra_obs::Json;
 use lra_recover::{CancelToken, CheckpointStore, DeadlineGuard};
@@ -566,7 +566,7 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
     job.preempt = Some(preempt.clone());
     let resuming = job.parked.is_some();
     job.driver_calls += 1;
-    let d = Dispatch {
+    let mut d = Dispatch {
         id,
         matrix: Arc::clone(&job.spec.matrix),
         algorithm: job.spec.algorithm.clone(),
@@ -584,6 +584,7 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
     }
     budget.cancel.push(d.own_cancel.clone());
     budget.cancel.push(d.preempt.clone());
+    d.algorithm.base_mut().budget = budget;
     let m = inner.metrics();
     m.inc_counter("serve.driver_calls", 1);
     m.inc_counter(&format!("serve.job.{}.dispatches", id.0), 1);
@@ -592,30 +593,16 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
     }
     let worker = {
         let inner = Arc::clone(inner);
-        std::thread::spawn(move || run_job(&inner, d, budget))
+        std::thread::spawn(move || run_job(&inner, d))
     };
     st.workers.push(worker);
 }
 
-fn run_job(inner: &Arc<Inner>, d: Dispatch, budget: lra_recover::Budget) {
-    let algorithm = match d.algorithm {
-        Algorithm::LuCrtp(mut o) => {
-            o.budget = budget;
-            Algorithm::LuCrtp(o)
-        }
-        Algorithm::IlutCrtp(mut o) => {
-            o.base.budget = budget;
-            Algorithm::IlutCrtp(o)
-        }
-    };
+fn run_job(inner: &Arc<Inner>, d: Dispatch) {
     let cfg = RunConfig::default().with_lane_base(d.lane_base);
     let hooks = RecoveryHooks::new(&d.store, inner.cfg.checkpoint_every);
-    let matrix = &d.matrix;
-    let report = lra_comm::run_with(d.ranks, &cfg, |ctx| match &algorithm {
-        Algorithm::LuCrtp(o) => lra_core::lu_crtp_spmd_checkpointed(ctx, matrix, o, Some(&hooks)),
-        Algorithm::IlutCrtp(o) => {
-            lra_core::ilut_crtp_spmd_checkpointed(ctx, matrix, o, Some(&hooks))
-        }
+    let report = lra_comm::run_with(d.ranks, &cfg, |ctx| {
+        factorize(&d.matrix, d.algorithm.method(), Exec::Spmd(ctx), Some(&hooks))
     });
     // Fold the run's communication counters into the global registry
     // so the scrape endpoint can report wire traffic per collective
@@ -623,11 +610,7 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch, budget: lra_recover::Budget) {
     for (rank, stats) in report.stats.iter().enumerate() {
         stats.export_metrics(inner.metrics(), rank);
     }
-    let mut results = report.unwrap_all();
-    let result = results
-        .swap_remove(0)
-        .expect("the checkpointed drivers always return Ok");
-    let outcome = result.into_outcome();
+    let outcome = report.unwrap_all().swap_remove(0).into_outcome();
 
     let mut st = inner.lock();
     st.running.remove(&d.id);

@@ -515,7 +515,7 @@ impl CscMatrix {
     }
 
     /// Parallel [`CscMatrix::drop_below`]: the threshold pass runs over
-    /// fixed [`DROP_CHUNK_COLS`]-wide column chunks, and the per-chunk
+    /// fixed `DROP_CHUNK_COLS`-wide column chunks, and the per-chunk
     /// `(kept structure, dropped mass, dropped count)` partials fold in
     /// ascending chunk order. The kept structure is a pure filter, so
     /// it is identical to the sequential result; the dropped mass is
@@ -582,7 +582,7 @@ impl CscMatrix {
     }
 
     /// Parallel [`CscMatrix::dropped_mass_in_cols`]: per-chunk partials
-    /// over fixed [`DROP_CHUNK_COLS`]-wide chunks of `range`, folded in
+    /// over fixed `DROP_CHUNK_COLS`-wide chunks of `range`, folded in
     /// ascending chunk order — the exact chunk partition (relative to
     /// `range.start`) and therefore the exact floating-point grouping
     /// that [`CscMatrix::drop_below_par`] uses over the same columns.

@@ -12,8 +12,8 @@
 //! ```
 
 use lra::core::{
-    lu_crtp, lu_crtp_dist_checked, lu_crtp_supervised, LuCrtpOpts, Parallelism, RecoveryPolicy,
-    RunConfig,
+    factorize_ranks, factorize_supervised, lu_crtp, CheckpointStore, LuCrtpOpts, Parallelism,
+    RecoveryHooks, RecoveryPolicy, RunConfig,
 };
 
 fn main() {
@@ -41,12 +41,13 @@ fn main() {
     let cfg = RunConfig::default();
     for np in [1usize, 2, 4] {
         let t = std::time::Instant::now();
-        // The checked entry point rejects bad inputs up front instead
-        // of panicking a rank mid-collective.
-        let per_rank = lu_crtp_dist_checked(&a, &LuCrtpOpts::new(k, tau), np, &cfg)
+        // `factorize_ranks` rejects bad inputs up front instead of
+        // panicking a rank mid-collective, and reports every rank.
+        let per_rank = factorize_ranks(&a, &LuCrtpOpts::new(k, tau), np, &cfg, None)
             .expect("inputs validated");
         let elapsed = t.elapsed().as_secs_f64();
         let results: Vec<_> = per_rank
+            .results
             .iter()
             .map(|r| r.as_ref().expect("fault-free run"))
             .map(|r| (r.rank, r.factor_nnz(), r.indicator))
@@ -59,16 +60,18 @@ fn main() {
         );
     }
 
-    // Supervised variant: same factorization, but rank failures are
-    // retried/absorbed per the recovery policy instead of panicking.
+    // Supervised variant: same factorization, checkpointed every
+    // iteration, and rank failures are retried/absorbed per the
+    // recovery policy instead of panicking.
     let t = std::time::Instant::now();
-    let supervised = lu_crtp_supervised(
+    let store = CheckpointStore::in_memory();
+    let supervised = factorize_supervised(
         &a,
         &LuCrtpOpts::new(k, tau),
         4,
         &cfg,
         &RecoveryPolicy::default(),
-        1,
+        RecoveryHooks::new(&store, 1),
     )
     .expect("recovery policy not exhausted");
     println!(

@@ -15,9 +15,8 @@
 use std::time::Duration;
 
 use lra::core::{
-    ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd, rand_qb_ei, rand_qb_ei_checkpointed,
-    rand_ubv, Budget, BudgetTrip, CancelToken, CheckpointStore, Outcome, QbOpts, RecoveryHooks,
-    UbvOpts,
+    factorize, ilut_crtp, rand_qb_ei, rand_qb_ei_checkpointed, rand_ubv, Budget, BudgetTrip,
+    CancelToken, CheckpointStore, Exec, Outcome, QbOpts, RecoveryHooks, UbvOpts,
 };
 use proptest::prelude::*;
 
@@ -53,8 +52,7 @@ proptest! {
             let budgeted = opts
                 .clone()
                 .with_budget(Budget::unlimited().with_iteration_cap(cap));
-            let partial =
-                ilut_crtp_checkpointed(&a, &budgeted, Some(&hooks)).expect("fresh store");
+            let partial = factorize(&a, &budgeted, Exec::Seq, Some(&hooks));
 
             if cap >= clean.iterations as u64 {
                 // The cap never fires: the budgeted run is the clean run.
@@ -111,7 +109,7 @@ proptest! {
             }
 
             // Resume with the unlimited budget: bitwise the clean run.
-            let resumed = ilut_crtp_checkpointed(&a, &opts, Some(&hooks)).expect("always Ok");
+            let resumed = factorize(&a, &opts, Exec::Seq, Some(&hooks));
             prop_assert!(resumed.converged);
             prop_assert_eq!(resumed.iterations, clean.iterations);
             prop_assert_eq!(resumed.rank, clean.rank);
@@ -218,7 +216,8 @@ fn spmd_ranks_agree_on_the_merged_trip() {
     let a = fault_matrix(8);
     let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
     for np in [2usize, 4] {
-        let results = lra::comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
+        let results =
+            lra::comm::run_infallible(np, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), None));
         let first = &results[0];
         assert!(
             matches!(first.trip, Some(BudgetTrip::DeadlineExceeded { .. })),

@@ -4,7 +4,7 @@
 //! compiles this module independently and uses a subset.
 #![allow(dead_code)]
 
-use lra::core::{IlutOpts, LuCrtpResult, Parallelism};
+use lra::core::{factorize_ranks, IlutOpts, LuCrtpResult, Method, Parallelism, RunConfig};
 use lra::obs::MetricValue;
 use lra::sparse::CscMatrix;
 
@@ -52,6 +52,15 @@ impl SplitMix64 {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
+}
+
+/// `method` on `np` sharded ranks under the default [`RunConfig`], any
+/// rank failure fatal: rank 0's result (every rank returns the same).
+pub fn dist<'m>(a: &CscMatrix, method: impl Into<Method<'m>>, np: usize) -> LuCrtpResult {
+    factorize_ranks(a, method, np, &RunConfig::default(), None)
+        .expect("valid input")
+        .unwrap_all()
+        .swap_remove(0)
 }
 
 /// The small fill-bearing FEM matrix the recovery and fault-explorer

@@ -3,14 +3,14 @@
 //! rather than panic or loop.
 
 use lra::core::{
-    ilut_crtp, lu_crtp, lu_crtp_dist_checked, rand_qb_ei, rand_ubv, Breakdown, CommError,
-    FaultPlan, IlutOpts, LuCrtpOpts, Parallelism, QbOpts, RunConfig, UbvOpts, ALL_KERNELS,
+    factorize_ranks, ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, Breakdown, CommError, FaultPlan,
+    IlutOpts, LuCrtpOpts, Parallelism, QbOpts, RunConfig, UbvOpts, ALL_KERNELS,
 };
 use lra::sparse::{CooMatrix, CscMatrix};
 use std::time::Duration;
 
 mod common;
-use common::assert_fixed_precision;
+use common::{assert_fixed_precision, dist};
 
 #[test]
 fn qb_on_zero_matrix() {
@@ -143,7 +143,7 @@ fn duplicate_column_matrix() {
 #[test]
 fn comm_spmd_with_more_ranks_than_work() {
     let a = lra::matgen::spectrum(20, 15, &[3.0, 1.0], 4, 7);
-    let r = lra::core::lu_crtp_dist(&a, &LuCrtpOpts::new(2, 1e-9), 8);
+    let r = dist(&a, &LuCrtpOpts::new(2, 1e-9), 8);
     assert!(r.converged, "{:?}", r.breakdown);
     assert!(r.rank <= 4);
 }
@@ -177,8 +177,9 @@ fn lucrtp_dist_rank_killed_mid_tournament_reports_errors() {
     let cfg = RunConfig::default()
         .with_watchdog(Duration::from_secs(10))
         .with_faults(FaultPlan::new().kill_rank_at_op(victim, 5));
-    let results =
-        lu_crtp_dist_checked(&a, &LuCrtpOpts::new(4, 1e-8), np, &cfg).expect("valid input");
+    let results = factorize_ranks(&a, &LuCrtpOpts::new(4, 1e-8), np, &cfg, None)
+        .expect("valid input")
+        .results;
     assert_eq!(results.len(), np);
     match results[victim].as_ref().unwrap_err() {
         CommError::Failed { rank, payload } => {
@@ -212,11 +213,11 @@ fn lucrtp_dist_rank_killed_mid_tournament_reports_errors() {
 fn lucrtp_dist_survives_chaos_delays_with_wellformed_timers() {
     let a = lra::matgen::spectrum(40, 32, &[4.0, 1.5, 0.6, 0.2], 5, 11);
     let opts = LuCrtpOpts::new(4, 1e-8);
-    let reference = lra::core::lu_crtp_dist(&a, &opts, 4);
+    let reference = dist(&a, &opts, 4);
     let cfg = RunConfig::default()
         .with_watchdog(Duration::from_secs(20))
         .with_faults(FaultPlan::new().delay_deliveries(99, Duration::from_micros(200)));
-    let results = lu_crtp_dist_checked(&a, &opts, 4, &cfg).expect("valid input");
+    let results = factorize_ranks(&a, &opts, 4, &cfg, None).expect("valid input").results;
     for (r, res) in results.iter().enumerate() {
         let out = res.as_ref().unwrap_or_else(|e| panic!("rank {r}: {e}"));
         assert_eq!(out.rank, reference.rank, "rank {r}");

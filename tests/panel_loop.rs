@@ -8,12 +8,14 @@
 //! stopped, and what a trace entry means.
 
 use lra::core::{
-    ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_dist, ilut_crtp_spmd_checkpointed,
-    ilut_crtp_spmd_replicated, lu_crtp, lu_crtp_dist, lu_crtp_spmd_replicated, Breakdown, Budget,
-    CheckpointStore, IlutOpts, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Parallelism,
-    RecoveryHooks,
+    factorize, factorize_ranks, Breakdown, Budget, CheckpointStore, CommError, Exec, FaultPlan,
+    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Method, Parallelism,
+    RecoveryHooks, RunConfig,
 };
 use lra::sparse::CscMatrix;
+
+mod common;
+use common::dist;
 
 /// The thresholding-active matrix of `tests/spmd_sharded.rs`.
 fn fill_heavy() -> CscMatrix {
@@ -46,15 +48,13 @@ fn ilut_trace_is_post_threshold_on_every_path() {
     };
 
     let store = CheckpointStore::in_memory();
-    ilut_crtp_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    factorize(&a, &opts, Exec::Seq, Some(&RecoveryHooks::new(&store, 1)));
     check("sequential", &store);
 
     for np in [1usize, 2] {
         let store = CheckpointStore::in_memory();
         let hooks = RecoveryHooks::new(&store, 1);
-        lra::comm::run_infallible(np, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks)).unwrap()
-        });
+        lra::comm::run_infallible(np, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), Some(&hooks)));
         check(&format!("sharded np={np}"), &store);
     }
 }
@@ -76,23 +76,17 @@ fn classify(r: &LuCrtpResult) -> StopClass {
 fn every_path(a: &CscMatrix, opts: &LuCrtpOpts) -> Vec<(String, LuCrtpResult)> {
     let mut ilut = IlutOpts::new(opts.k, opts.tau, 4);
     ilut.base = opts.clone();
-    let mut out = vec![
-        ("lu seq".to_string(), lu_crtp(a, opts)),
-        ("ilut seq".to_string(), ilut_crtp(a, &ilut)),
-    ];
-    for np in [1usize, 3] {
-        out.push((format!("lu sharded np={np}"), lu_crtp_dist(a, opts, np)));
-        out.push((format!("ilut sharded np={np}"), ilut_crtp_dist(a, &ilut, np)));
+    let mut out = Vec::new();
+    for (name, method) in [("lu", Method::from(opts)), ("ilut", Method::from(&ilut))] {
+        out.push((format!("{name} seq"), factorize(a, method, Exec::Seq, None)));
+        for np in [1usize, 3] {
+            out.push((format!("{name} sharded np={np}"), dist(a, method, np)));
+        }
+        let mut rs = lra::comm::run_infallible(2, |ctx| {
+            factorize(a, method, Exec::SpmdReplicated(ctx), None)
+        });
+        out.push((format!("{name} replicated np=2"), rs.swap_remove(0)));
     }
-    let mut rs = lra::comm::run_infallible(2, |ctx| {
-        (
-            lu_crtp_spmd_replicated(ctx, a, opts),
-            ilut_crtp_spmd_replicated(ctx, a, &ilut),
-        )
-    });
-    let (lu, il) = rs.swap_remove(0);
-    out.push(("lu replicated np=2".to_string(), lu));
-    out.push(("ilut replicated np=2".to_string(), il));
     out
 }
 
@@ -144,4 +138,60 @@ fn stop_reason_is_the_same_on_every_engine() {
             }
         }
     }
+}
+
+/// The checked entry point answers a bad method or matrix with the
+/// matching [`InvalidInput`] before any rank is spawned — for ILUT too,
+/// whose `u_estimate` / `phi_factor` arms had no checked caller — and
+/// the replicated oracle refuses checkpoint hooks instead of dropping
+/// them.
+#[test]
+fn bad_input_is_typed_before_any_rank_runs_and_the_oracle_refuses_hooks() {
+    let good = lra::matgen::spectrum(16, 12, &[2.0, 1.0, 0.5], 4, 7);
+    let empty = CscMatrix::from_parts(0, 0, vec![0], vec![], vec![]);
+    let nan = CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, f64::NAN]);
+    let lu = LuCrtpOpts::new(4, 1e-3);
+    let ilut = IlutOpts::new(4, 1e-3, 4);
+    let (mut bad_tau, mut bad_u, mut bad_phi) = (ilut.clone(), ilut.clone(), ilut.clone());
+    bad_tau.base.tau = -1.0;
+    bad_u.u_estimate = 0;
+    bad_phi.phi_factor = f64::NAN;
+    type Check = fn(&InvalidInput) -> bool;
+    let table: [(&str, &CscMatrix, Method<'_>, Check); 6] = [
+        ("empty, lu", &empty, (&lu).into(), |e| matches!(e, InvalidInput::EmptyMatrix { .. })),
+        ("empty, ilut", &empty, (&ilut).into(), |e| matches!(e, InvalidInput::EmptyMatrix { .. })),
+        ("nan entry", &nan, (&lu).into(), |e| {
+            matches!(e, InvalidInput::NonFiniteEntry { row: 1, col: 1, .. })
+        }),
+        ("tau", &good, (&bad_tau).into(), |e| matches!(e, InvalidInput::BadTau { .. })),
+        ("u_estimate", &good, (&bad_u).into(), |e| {
+            matches!(e, InvalidInput::ZeroIterationEstimate)
+        }),
+        ("phi_factor", &good, (&bad_phi).into(), |e| {
+            matches!(e, InvalidInput::BadPhiFactor { .. })
+        }),
+    ];
+    // A plan that kills rank 0 at its first operation: had a rank been
+    // spawned, the call would come back `Ok` with a failed report.
+    let cfg = RunConfig::default().with_faults(FaultPlan::new().kill_rank_at_op(0, 0));
+    for (case, a, method, is_expected) in table {
+        match factorize_ranks(a, method, 2, &cfg, None) {
+            Err(e) => assert!(is_expected(&e), "{case}: got {e:?}"),
+            Ok(_) => panic!("{case}: ranks were spawned on invalid input"),
+        }
+    }
+
+    let store = CheckpointStore::in_memory();
+    let hooks = RecoveryHooks::new(&store, 1);
+    let results = lra::comm::run(1, |ctx| {
+        factorize(&good, &lu, Exec::SpmdReplicated(ctx), Some(&hooks))
+    });
+    match &results[0] {
+        Err(CommError::Failed { payload, .. }) => assert!(
+            payload.contains("Exec::SpmdReplicated is the bitwise oracle for Exec::Spmd"),
+            "{payload}"
+        ),
+        other => panic!("hooks on the replicated oracle must panic, got {other:?}"),
+    }
+    assert_eq!(store.saves(), 0);
 }

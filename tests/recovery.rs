@@ -6,11 +6,9 @@
 use std::time::Duration;
 
 use lra::core::{
-    explore_fault_space, ilut_crtp, ilut_crtp_checkpointed, ilut_crtp_spmd_checkpointed,
-    ilut_crtp_supervised, ilut_crtp_supervised_with_store, lu_crtp_dist_checked, rand_qb_ei,
-    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, ExploreConfig, FaultPlan,
-    IlutOpts,
-    InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts, RecoveryError,
+    explore_fault_space, factorize, factorize_ranks, factorize_supervised, ilut_crtp, rand_qb_ei,
+    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, Exec, ExploreConfig, FaultPlan,
+    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts, RecoveryError,
     RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader, SectionWriter, StorageFaultPlan,
     SupervisedError,
 };
@@ -19,7 +17,7 @@ use lra::sparse::CscMatrix;
 
 mod common;
 use common::{
-    assert_fixed_precision, bits_eq, counter, fault_ilut_opts, fault_matrix, oracle_matrices,
+    assert_fixed_precision, bits_eq, counter, dist, fault_ilut_opts, fault_matrix, oracle_matrices,
 };
 
 // ---- Satellite: typed input validation --------------------------------
@@ -63,7 +61,7 @@ fn bad_phi_factor_is_rejected_by_validate() {
 #[test]
 fn empty_matrix_is_a_typed_error_not_a_rank_panic() {
     let empty = CscMatrix::from_parts(0, 0, vec![0], vec![], vec![]);
-    let err = lu_crtp_dist_checked(&empty, &LuCrtpOpts::new(4, 1e-3), 2, &RunConfig::default())
+    let err = factorize_ranks(&empty, &LuCrtpOpts::new(4, 1e-3), 2, &RunConfig::default(), None)
         .unwrap_err();
     assert!(matches!(err, InvalidInput::EmptyMatrix { .. }));
 }
@@ -73,13 +71,13 @@ fn supervised_entry_rejects_invalid_opts_before_spawning() {
     let a = lra::matgen::spectrum(16, 12, &[2.0, 1.0, 0.5], 4, 7);
     let mut opts = IlutOpts::new(4, 1e-3, 4);
     opts.base.tau = -1.0;
-    let err = ilut_crtp_supervised(
+    let err = factorize_supervised(
         &a,
         &opts,
         2,
         &RunConfig::default(),
         &RecoveryPolicy::default(),
-        1,
+        RecoveryHooks::new(&CheckpointStore::in_memory(), 1),
     )
     .unwrap_err();
     assert!(matches!(
@@ -102,10 +100,7 @@ fn resume_from_checkpoint_is_bitwise_identical_to_uninterrupted_run() {
     let np = 2;
 
     // Uninterrupted reference.
-    let clean = lra::comm::run_with(np, &RunConfig::default(), |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, &a, &opts, None)
-    });
-    let reference = clean.results.into_iter().next().unwrap().unwrap().unwrap();
+    let reference = dist(&a, &opts, np);
     assert!(
         reference.iterations > 3,
         "need enough iterations to interrupt at iteration 3 (got {})",
@@ -119,17 +114,15 @@ fn resume_from_checkpoint_is_bitwise_identical_to_uninterrupted_run() {
     let cfg = RunConfig::default()
         .with_watchdog(Duration::from_secs(20))
         .with_faults(FaultPlan::new().kill_rank_at_iteration(0, 3));
-    let broken = lra::comm::run_with(np, &cfg, |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks))
-    });
+    let broken = factorize_ranks(&a, &opts, np, &cfg, Some(&hooks)).expect("valid input");
     assert!(!broken.all_ok(), "the kill must actually interrupt the run");
     assert!(store.saves() >= 2, "snapshots for iterations 1-2 expected");
 
     // Resume on the same grid from the surviving checkpoint.
-    let resumed = lra::comm::run_with(np, &RunConfig::default(), |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks))
-    });
-    let resumed = resumed.results.into_iter().next().unwrap().unwrap().unwrap();
+    let resumed = factorize_ranks(&a, &opts, np, &RunConfig::default(), Some(&hooks))
+        .expect("valid input")
+        .unwrap_all()
+        .swap_remove(0);
 
     assert_eq!(resumed.rank, reference.rank);
     assert_eq!(resumed.iterations, reference.iterations);
@@ -169,18 +162,16 @@ fn shrink_resume_redistributes_shards_across_fewer_ranks() {
     let cfg = RunConfig::default()
         .with_watchdog(Duration::from_secs(20))
         .with_faults(FaultPlan::new().kill_rank_at_iteration(1, 3));
-    let broken = lra::comm::run_with(3, &cfg, |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks))
-    });
+    let broken = factorize_ranks(&a, &opts, 3, &cfg, Some(&hooks)).expect("valid input");
     assert!(!broken.all_ok(), "the kill must actually interrupt the run");
     assert!(store.saves() >= 1, "at least the iteration-1 snapshot expected");
 
     // Resume twice on the shrunk grid from the np=3-written snapshot.
     let resume = || {
-        let out = lra::comm::run_with(2, &RunConfig::default(), |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks))
-        });
-        out.results.into_iter().next().unwrap().unwrap().unwrap()
+        factorize_ranks(&a, &opts, 2, &RunConfig::default(), Some(&hooks))
+            .expect("valid input")
+            .unwrap_all()
+            .swap_remove(0)
     };
     let first = resume();
     let second = resume();
@@ -317,12 +308,10 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
             .clone()
             .with_budget(Budget::unlimited().with_iteration_cap(3));
         let seq_store = CheckpointStore::in_memory();
-        ilut_crtp_checkpointed(&a, &capped, Some(&RecoveryHooks::new(&seq_store, 1))).unwrap();
+        factorize(&a, &capped, Exec::Seq, Some(&RecoveryHooks::new(&seq_store, 1)));
         let spmd_store = CheckpointStore::in_memory();
         let hooks = RecoveryHooks::new(&spmd_store, 1);
-        lra::comm::run_infallible(2, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &capped, Some(&hooks)).unwrap()
-        });
+        lra::comm::run_infallible(2, |ctx| factorize(&a, &capped, Exec::Spmd(ctx), Some(&hooks)));
 
         for (path, store) in [("sequential", &seq_store), ("spmd np=2", &spmd_store)] {
             let ctx = format!("{name}, {path}");
@@ -355,7 +344,7 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
         // Degradation ladder's last rung: the two-rank snapshot resumed
         // sequentially continues that run's first three iterations.
         let snapshot: LuCrtpCheckpoint = spmd_store.load().unwrap().unwrap();
-        let resumed = ilut_crtp_checkpointed(&a, &opts, Some(&hooks)).unwrap();
+        let resumed = factorize(&a, &opts, Exec::Seq, Some(&hooks));
         assert!(resumed.converged, "{name}: {:?}", resumed.breakdown);
         assert_fixed_precision(&resumed, &a, opts.base.tau, name);
         assert_eq!(resumed.pivot_cols[..snapshot.rank], snapshot.pivot_cols[..], "{name}");
@@ -551,7 +540,7 @@ fn text_envelopes_of_earlier_builds_are_rolled_past_and_the_run_starts_fresh() {
 
     let corrupt_before = counter("recover.corrupt_checkpoint");
     let trips_before = counter("recover.guard_trip");
-    let got = ilut_crtp_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
+    let got = factorize(&a, &opts, Exec::Seq, Some(&RecoveryHooks::new(&store, 1)));
     assert!(counter("recover.corrupt_checkpoint") >= corrupt_before + 2, "both files skipped");
     assert!(counter("recover.guard_trip") > trips_before);
 
@@ -596,7 +585,9 @@ fn supervised_ilut_survives_rank_kill_with_guarantee_intact() {
     let cfg = RunConfig::default()
         .with_watchdog(Duration::from_secs(20))
         .with_faults(FaultPlan::new().kill_rank_at_iteration(1, 2));
-    let out = ilut_crtp_supervised(&a, &opts, 3, &cfg, &RecoveryPolicy::default(), 1)
+    let store = CheckpointStore::in_memory();
+    let hooks = RecoveryHooks::new(&store, 1);
+    let out = factorize_supervised(&a, &opts, 3, &cfg, &RecoveryPolicy::default(), hooks)
         .expect("supervisor must absorb a single rank kill");
 
     assert_eq!(out.final_np, 2, "grid shrinks by one after the kill");
@@ -707,7 +698,7 @@ fn chaos_soak_always_completes_or_fails_typed() {
             report.saves,
             np as u64,
         ));
-        match ilut_crtp_supervised_with_store(&a, &opts, np, &cfg, &policy, 1, &store) {
+        match factorize_supervised(&a, &opts, np, &cfg, &policy, RecoveryHooks::new(&store, 1)) {
             Ok(out) => {
                 assert_fixed_precision(
                     &out.value,
@@ -753,12 +744,7 @@ fn parked_job_resumes_bitwise_from_a_freshly_opened_on_disk_store() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Uninterrupted oracle at the same rank count.
-    let reference = {
-        let mut r = lra::comm::run_infallible(np, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &opts, None).unwrap()
-        });
-        r.swap_remove(0)
-    };
+    let reference = dist(&a, &opts, np);
     assert!(
         reference.iterations > interrupt_at as usize,
         "need room to interrupt"
@@ -775,7 +761,7 @@ fn parked_job_resumes_bitwise_from_a_freshly_opened_on_disk_store() {
             .clone()
             .with_budget(Budget::unlimited().with_iteration_cap(interrupt_at));
         let mut results = lra::comm::run_infallible(np, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &capped, Some(&hooks)).unwrap()
+            factorize(&a, &capped, Exec::Spmd(ctx), Some(&hooks))
         });
         let interrupted = match results.swap_remove(0).into_outcome() {
             Outcome::Interrupted(i) => i,
@@ -802,7 +788,7 @@ fn parked_job_resumes_bitwise_from_a_freshly_opened_on_disk_store() {
         assert_eq!(store.saves(), 0, "fresh handle starts with fresh counters");
         let hooks = RecoveryHooks::new(&store, 1);
         let mut r = lra::comm::run_infallible(np, |ctx| {
-            ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks)).unwrap()
+            factorize(&a, &opts, Exec::Spmd(ctx), Some(&hooks))
         });
         let resumed = r.swap_remove(0);
         assert!(

@@ -11,20 +11,11 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{bits_eq, counter, fault_ilut_opts, fault_matrix};
-use lra::core::{ilut_crtp_spmd_checkpointed, IlutOpts, LuCrtpResult};
+use common::{bits_eq, counter, dist, fault_ilut_opts, fault_matrix};
+use lra::core::{IlutOpts, LuCrtpResult};
 use lra::matgen::{fem2d, with_decay};
 use lra::serve::{AdmissionError, AdmissionPolicy, Algorithm, JobSpec, Server, ServerConfig};
 use lra::sparse::CscMatrix;
-
-/// The uninterrupted oracle: the same checkpointed SPMD entry point
-/// the server dispatches, run solo on the same rank count.
-fn solo(a: &CscMatrix, opts: &IlutOpts, np: usize) -> LuCrtpResult {
-    let mut results = lra::comm::run_infallible(np, |ctx| {
-        ilut_crtp_spmd_checkpointed(ctx, a, opts, None).expect("always Ok")
-    });
-    results.swap_remove(0)
-}
 
 fn assert_same_factors(ours: &LuCrtpResult, oracle: &LuCrtpResult, label: &str) {
     assert_eq!(ours.rank, oracle.rank, "{label}: rank");
@@ -95,9 +86,9 @@ fn preempted_job_resumes_bitwise_identical() {
     // Both jobs — including the preempted-and-resumed one — match
     // their uninterrupted solo oracles bit for bit.
     let victim_result = victim_report.into_result();
-    assert_same_factors(&victim_result, &solo(&victim_a, &victim_opts, 4), "victim");
+    assert_same_factors(&victim_result, &dist(&victim_a, &victim_opts, 4), "victim");
     let urgent_result = urgent_report.into_result();
-    assert_same_factors(&urgent_result, &solo(&urgent_a, &urgent_opts, 4), "urgent");
+    assert_same_factors(&urgent_result, &dist(&urgent_a, &urgent_opts, 4), "urgent");
 }
 
 #[test]
@@ -160,7 +151,7 @@ fn mixed_priority_soak_matches_solo_runs() {
     // Bitwise against the solo oracle at each job's own rank count.
     for (report, &(mi, _, ranks)) in reports.into_iter().zip(&plan) {
         let label = format!("soak job on matrix {mi} at np={ranks}");
-        let oracle = solo(&mats[mi], &opts, ranks);
+        let oracle = dist(&mats[mi], &opts, ranks);
         assert_same_factors(&report.into_result(), &oracle, &label);
     }
 

@@ -1,9 +1,12 @@
 //! Tests for the rank-distributed ILUT_CRTP driver.
 
-use lra_core::{ilut_crtp, ilut_crtp_dist, lu_crtp_dist, IlutOpts, LuCrtpOpts, Parallelism};
+use lra::core::{factorize, ilut_crtp, Exec, IlutOpts, LuCrtpOpts, Parallelism};
 
-fn fill_heavy() -> lra_sparse::CscMatrix {
-    lra_matgen::with_decay(&lra_matgen::fluid_block(12, 10, 31), 1e-7, 33)
+mod common;
+use common::dist;
+
+fn fill_heavy() -> lra::sparse::CscMatrix {
+    lra::matgen::with_decay(&lra::matgen::fluid_block(12, 10, 31), 1e-7, 33)
 }
 
 #[test]
@@ -11,8 +14,8 @@ fn spmd_ilut_converges_with_bounded_error() {
     let a = fill_heavy();
     let tau = 1e-2;
     for np in [1usize, 3, 5] {
-        let lu = lu_crtp_dist(&a, &LuCrtpOpts::new(8, tau), np);
-        let il = ilut_crtp_dist(&a, &IlutOpts::new(8, tau, lu.iterations.max(1)), np);
+        let lu = dist(&a, &LuCrtpOpts::new(8, tau), np);
+        let il = dist(&a, &IlutOpts::new(8, tau, lu.iterations.max(1)), np);
         assert!(il.converged, "np={np}: {:?}", il.breakdown);
         let report = il.threshold.as_ref().expect("threshold report");
         let exact = il.exact_error(&a, Parallelism::SEQ);
@@ -31,8 +34,8 @@ fn spmd_ilut_converges_with_bounded_error() {
 #[test]
 fn spmd_ilut_ranks_agree_and_drop_identically() {
     let a = fill_heavy();
-    let results = lra_comm::run_infallible(4, |ctx| {
-        let r = lra_core::ilut_crtp_spmd(ctx, &a, &IlutOpts::new(8, 1e-2, 4));
+    let results = lra::comm::run_infallible(4, |ctx| {
+        let r = factorize(&a, &IlutOpts::new(8, 1e-2, 4), Exec::Spmd(ctx), None);
         let rep = r.threshold.as_ref().unwrap();
         (
             r.rank,
@@ -55,7 +58,7 @@ fn spmd_ilut_matches_shared_memory_mu() {
     // first tournament picks the same leading pivot magnitude.
     let a = fill_heavy();
     let shared = ilut_crtp(&a, &IlutOpts::new(8, 1e-2, 4));
-    let dist = ilut_crtp_dist(&a, &IlutOpts::new(8, 1e-2, 4), 3);
+    let dist = dist(&a, &IlutOpts::new(8, 1e-2, 4), 3);
     let mu_s = shared.threshold.as_ref().unwrap().mu;
     let mu_d = dist.threshold.as_ref().unwrap().mu;
     // Same formula; |R(1,1)| can differ slightly with merge order.
@@ -70,7 +73,7 @@ fn spmd_ilut_control_triggers_like_shared() {
     let a = fill_heavy();
     let mut opts = IlutOpts::new(8, 1e-2, 1);
     opts.phi_factor = 1e-12;
-    let r = ilut_crtp_dist(&a, &opts, 4);
+    let r = dist(&a, &opts, 4);
     let rep = r.threshold.as_ref().unwrap();
     assert!(rep.control_triggered);
     assert_eq!(rep.mu, 0.0);

@@ -8,10 +8,8 @@
 //! `mem` report excepted, which measure the run rather than the
 //! factorization).
 
-use lra_core::{
-    ilut_crtp_spmd, ilut_crtp_spmd_eager, ilut_crtp_spmd_replicated, lu_crtp_spmd,
-    lu_crtp_spmd_eager, lu_crtp_spmd_replicated, IlutOpts, LuCrtpOpts, LuCrtpResult,
-};
+use lra_comm::Ctx;
+use lra_core::{factorize, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult, Method};
 use lra_sparse::CscMatrix;
 
 fn circuit_matrix() -> CscMatrix {
@@ -91,16 +89,25 @@ fn assert_result_bitwise(sharded: &LuCrtpResult, oracle: &LuCrtpResult, what: &s
     }
 }
 
+/// Rank 0's result of `method` over `np` ranks of the engine `exec`
+/// names.
+fn rank0<'m>(
+    np: usize,
+    a: &CscMatrix,
+    method: impl Into<Method<'m>>,
+    exec: for<'c> fn(&'c Ctx) -> Exec<'c>,
+) -> LuCrtpResult {
+    let method = method.into();
+    lra_comm::run_infallible(np, |ctx| factorize(a, method, exec(ctx), None)).swap_remove(0)
+}
+
 #[test]
 fn sharded_lu_matches_replicated_bitwise() {
     let a = circuit_matrix();
     let opts = LuCrtpOpts::new(8, 1e-3);
     for np in [1usize, 2, 4] {
-        let mut sharded = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, &a, &opts));
-        let mut oracle =
-            lra_comm::run_infallible(np, |ctx| lu_crtp_spmd_replicated(ctx, &a, &opts));
-        let s = sharded.swap_remove(0);
-        let o = oracle.swap_remove(0);
+        let s = rank0(np, &a, &opts, |c| Exec::Spmd(c));
+        let o = rank0(np, &a, &opts, |c| Exec::SpmdReplicated(c));
         assert!(s.converged, "np={np}: {:?}", s.breakdown);
         assert_result_bitwise(&s, &o, &format!("lu np={np}"));
         assert!(s.mem.is_some(), "np={np}: sharded driver must report mem");
@@ -113,11 +120,8 @@ fn sharded_ilut_matches_replicated_bitwise() {
     let a = fill_heavy();
     let opts = IlutOpts::new(8, 1e-2, 4);
     for np in [1usize, 2, 4] {
-        let mut sharded = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
-        let mut oracle =
-            lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd_replicated(ctx, &a, &opts));
-        let s = sharded.swap_remove(0);
-        let o = oracle.swap_remove(0);
+        let s = rank0(np, &a, &opts, |c| Exec::Spmd(c));
+        let o = rank0(np, &a, &opts, |c| Exec::SpmdReplicated(c));
         assert!(s.converged, "np={np}: {:?}", s.breakdown);
         assert!(
             s.threshold.as_ref().unwrap().dropped > 0,
@@ -140,12 +144,11 @@ fn overlapped_lu_matches_eager_bitwise() {
     let opts = LuCrtpOpts::new(8, 1e-3);
     for np in [1usize, 2, 4] {
         let mut over = lra_comm::run_infallible(np, |ctx| {
-            let r = lu_crtp_spmd(ctx, &a, &opts);
+            let r = factorize(&a, &opts, Exec::Spmd(ctx), None);
             (r, ctx.stats())
         });
-        let mut eager = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd_eager(ctx, &a, &opts));
         let (o, stats) = over.swap_remove(0);
-        let e = eager.swap_remove(0);
+        let e = rank0(np, &a, &opts, |c| Exec::SpmdEager(c));
         assert!(o.converged, "np={np}: {:?}", o.breakdown);
         assert_result_bitwise(&o, &e, &format!("overlap lu np={np}"));
         // The default driver really went through the posted path: one
@@ -165,10 +168,8 @@ fn overlapped_ilut_matches_eager_bitwise() {
     let a = fill_heavy();
     let opts = IlutOpts::new(8, 1e-2, 4);
     for np in [1usize, 2, 4] {
-        let mut over = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
-        let mut eager = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd_eager(ctx, &a, &opts));
-        let o = over.swap_remove(0);
-        let e = eager.swap_remove(0);
+        let o = rank0(np, &a, &opts, |c| Exec::Spmd(c));
+        let e = rank0(np, &a, &opts, |c| Exec::SpmdEager(c));
         assert!(o.converged, "np={np}: {:?}", o.breakdown);
         assert!(
             o.threshold.as_ref().unwrap().dropped > 0,
@@ -183,8 +184,7 @@ fn per_rank_memory_shrinks_with_more_ranks() {
     let a = fill_heavy();
     let opts = IlutOpts::new(8, 1e-2, 4);
     let peak = |np: usize| {
-        let mut rs = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
-        rs.swap_remove(0).mem.expect("sharded mem report")
+        rank0(np, &a, &opts, |c| Exec::Spmd(c)).mem.expect("sharded mem report")
     };
     let p1 = peak(1);
     let p4 = peak(4);
@@ -209,7 +209,7 @@ fn per_rank_memory_shrinks_with_more_ranks() {
 fn sharded_results_identical_on_every_rank() {
     let a = fill_heavy();
     let results = lra_comm::run_infallible(3, |ctx| {
-        let r = ilut_crtp_spmd(ctx, &a, &IlutOpts::new(8, 1e-2, 4));
+        let r = factorize(&a, &IlutOpts::new(8, 1e-2, 4), Exec::Spmd(ctx), None);
         (
             r.rank,
             r.pivot_rows,
