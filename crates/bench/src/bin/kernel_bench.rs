@@ -34,7 +34,7 @@
 //!
 //! ```sh
 //! cargo run -p lra-bench --release --bin kernel_bench -- --out BENCH_kernels.json
-//! cargo run -p lra-bench --release --bin kernel_bench -- --validate BENCH_kernels.json
+//! cargo run -p lra-bench --release --bin kernel_bench -- --validate BENCH_kernels.json [results/BENCH_kernels.json]
 //! ```
 //!
 //! The `BENCH_kernels.json` report (frozen v1 schema) carries one
@@ -45,14 +45,15 @@
 //! the committed baseline in `results/`; the absolute `kernel.*_s`
 //! timings ride along for the trajectory.
 
-use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
+use lra_bench::sweep::Run;
+use lra_bench::{fmt_s, read_report, timed, write_report, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
     factorize, factorize_ranks, ilut_crtp, rand_qb_ei, schur_update_into, Exec, IlutOpts,
-    LuCrtpResult, Parallelism, QbOpts, SchurWorkspace,
+    Parallelism, QbOpts, SchurWorkspace,
 };
 use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, DenseMatrix};
-use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
+use lra_obs::{BenchEntry, BenchReport, Json, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_sparse::CscMatrix;
 
 /// GEMM problem size for the speedup gate.
@@ -118,22 +119,17 @@ const REGIONS: usize = 2000;
 
 fn main() {
     let mut out_path = "BENCH_kernels.json".to_string();
-    let mut validate_path: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().unwrap_or_else(|| fail("--out requires a value")),
             "--validate" => {
-                validate_path =
-                    Some(args.next().unwrap_or_else(|| fail("--validate requires a value")));
+                let path = args.next().unwrap_or_else(|| fail("--validate requires a value"));
+                return validate_file(&path, args.next_if(|a| !a.starts_with("--")).as_deref());
             }
             _ => rest.push(a),
         }
-    }
-    if let Some(path) = validate_path {
-        validate_file(&path);
-        return;
     }
     let cfg = BenchConfig::parse_args(&rest).unwrap_or_else(|err| fail(&err));
 
@@ -147,23 +143,7 @@ fn main() {
     let overlap_ok = overlap_gate(&cfg, &reg);
     let par2_ok = par2_gate(&cfg, &reg);
 
-    let report = BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        bench: "kernel_bench".to_string(),
-        quick: cfg.quick,
-        scale: cfg.scale,
-        max_np: 1,
-        entries,
-        metrics: reg.to_json(),
-    };
-    report
-        .validate()
-        .unwrap_or_else(|err| fail(&format!("generated report failed validation: {err}")));
-    let mut text = report.to_json_string();
-    text.push('\n');
-    std::fs::write(&out_path, text)
-        .unwrap_or_else(|err| fail(&format!("cannot write {out_path}: {err}")));
-    println!("wrote {out_path} ({} entries)", report.entries.len());
+    write_report("kernel_bench", &cfg, 1, entries, &reg, &out_path).unwrap_or_else(|err| fail(&err));
 
     if !(gemm_ok && overlap_ok && par2_ok) {
         std::process::exit(1);
@@ -262,7 +242,8 @@ fn ilut_sweep(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<BenchE
             res.rank,
             res.converged
         );
-        entries.push(entry(&a, &label, tau, best_s, &res, "ilut_crtp"));
+        let run = Run::of_lu(res, best_s, &a, Parallelism::SEQ);
+        entries.push(run.bench_entry("ilut_crtp", &label, &a, (tau, BLOCK_K, 1)));
         total += best_s;
     }
     reg.set_gauge("kernel.ilut_sparse_s", total);
@@ -513,61 +494,50 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     true
 }
 
-fn entry(
-    a: &CscMatrix,
-    label: &str,
-    tau: f64,
-    wall: f64,
-    res: &LuCrtpResult,
-    algorithm: &str,
-) -> BenchEntry {
-    let true_rel = res.exact_error(a, Parallelism::SEQ) / res.a_norm_f;
-    BenchEntry {
-        algorithm: algorithm.to_string(),
-        matrix: label.to_string(),
-        rows: a.rows(),
-        cols: a.cols(),
-        nnz: a.nnz(),
-        tau,
-        k: BLOCK_K,
-        np: 1,
-        wall_s: wall,
-        kernels: res
-            .timers
-            .report_with_other(wall)
-            .into_iter()
-            .map(|(kernel, seconds)| KernelTime {
-                kernel: kernel.to_string(),
-                seconds,
-            })
-            .collect(),
-        rank: res.rank,
-        iterations: res.iterations,
-        converged: res.converged,
-        est_rel_err: res.indicator / res.a_norm_f,
-        true_rel_err: true_rel,
-    }
-}
+/// Machine-independent ratios `--validate REPORT BASELINE` holds to
+/// within 20% below the baseline's; the second group is `t(np=1) /
+/// t(np=2)`, which means nothing on a single-core host (the gates do
+/// not read it there either).
+const BASELINE_RATIOS: [&str; 2] = ["kernel.gemm_speedup", "kernel.overlap_hidden_ratio"];
+const BASELINE_PAR2_RATIOS: [&str; 4] = [
+    "kernel.gemm_par2_speedup",
+    "kernel.qb_par2_speedup",
+    "kernel.gemm_ts_par2_speedup",
+    "kernel.orth_par2_speedup",
+];
 
-/// `--validate PATH`: parse + structurally validate an existing report.
-fn validate_file(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|err| fail(&format!("cannot read {path}: {err}")));
-    let report = BenchReport::from_json_str(&text)
-        .unwrap_or_else(|err| fail(&format!("{path}: parse error: {err}")));
-    report
-        .validate()
-        .unwrap_or_else(|err| fail(&format!("{path}: invalid report: {err}")));
+/// `--validate REPORT [BASELINE]`: parse + structurally validate an
+/// existing report; with a baseline (the committed
+/// `results/BENCH_kernels.json`), also hold its dimensionless ratios
+/// to at least 0.8x the baseline's. Absolute seconds are never
+/// compared — they depend on runner and preset.
+fn validate_file(path: &str, baseline: Option<&str>) {
+    let report = read_report(path).unwrap_or_else(|err| fail(&err));
+    let gauge = |r: &BenchReport, key: &str| r.metrics.get(key).and_then(Json::as_f64);
     for key in REQUIRED_GAUGES {
-        if report.metrics.get(key).and_then(lra_obs::Json::as_f64).is_none() {
+        if gauge(&report, key).is_none() {
             fail(&format!("{path}: invalid report: missing gauge {key}"));
         }
     }
     println!("{path}: valid kernel report ({} entries)", report.entries.len());
+    let Some(baseline) = baseline else { return };
+    let base = read_report(baseline).unwrap_or_else(|err| fail(&err));
+    let two_cores = lra_par::available_parallelism() >= 2;
+    let par2: &[&str] = if two_cores { &BASELINE_PAR2_RATIOS } else { &[] };
+    for key in BASELINE_RATIOS.iter().chain(par2) {
+        let (Some(fresh), Some(was)) = (gauge(&report, key), gauge(&base, key)) else {
+            fail(&format!("{key} missing from {path} or {baseline}"));
+        };
+        if fresh < 0.8 * was {
+            eprintln!("FAIL: {key} {fresh:.3} fell >20% below the baseline's {was:.3} ({baseline})");
+            std::process::exit(1);
+        }
+        println!("{key} {fresh:.3} (baseline {was:.3})");
+    }
 }
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("{USAGE} [--out PATH] [--validate PATH]");
+    eprintln!("{USAGE} [--out PATH] [--validate PATH [BASELINE]]");
     std::process::exit(2);
 }

@@ -19,10 +19,11 @@
 //! memory artifact records how much wire traffic the sharding paid and
 //! that the overlapped path was engaged while it was measured.
 
-use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
-use lra_core::{factorize_ranks, IlutOpts, LuCrtpResult, MemStats};
+use lra_bench::sweep::Run;
+use lra_bench::{fmt_s, timed, write_report, BenchConfig, USAGE};
+use lra_core::{factorize_ranks, IlutOpts, MemStats};
 use lra_matgen::TestMatrix;
-use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
+use lra_obs::{BenchEntry, MetricsRegistry, BENCH_SCHEMA_VERSION};
 
 /// Block size for the sweep.
 const BLOCK_K: usize = 16;
@@ -84,27 +85,12 @@ fn main() {
             mem.peak_rank_nnz,
             mem.peak_rank_bytes
         );
-        entries.push(entry(&tm, np, wall, &res, cfg.par()));
+        let run = Run::of_lu(res, wall, a, cfg.par());
+        entries.push(run.bench_entry("ilut_crtp_spmd", &tm.label, a, (TAU, BLOCK_K, np)));
         peaks.push((np, mem));
     }
 
-    let report = BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        bench: "mem_scaling".to_string(),
-        quick: cfg.quick,
-        scale: cfg.scale,
-        max_np: 4,
-        entries,
-        metrics: reg.to_json(),
-    };
-    report
-        .validate()
-        .unwrap_or_else(|err| fail(&format!("generated report failed validation: {err}")));
-    let mut text = report.to_json_string();
-    text.push('\n');
-    std::fs::write(&out_path, text)
-        .unwrap_or_else(|err| fail(&format!("cannot write {out_path}: {err}")));
-    println!("wrote {out_path} ({} entries)", report.entries.len());
+    write_report("mem_scaling", &cfg, 4, entries, &reg, &out_path).unwrap_or_else(|err| fail(&err));
 
     // The tentpole claim: resident Schur storage is O(nnz/np) + panel,
     // so 4x the ranks must at least halve the per-rank peak.
@@ -133,41 +119,6 @@ fn matrix(scale: usize) -> TestMatrix {
         name: "fluid_block+decay".to_string(),
         description: "fill-heavy coupled fluid blocks with spectral decay".to_string(),
         a,
-    }
-}
-
-fn entry(
-    tm: &TestMatrix,
-    np: usize,
-    wall: f64,
-    res: &LuCrtpResult,
-    par: lra_core::Parallelism,
-) -> BenchEntry {
-    let true_rel = res.exact_error(&tm.a, par) / res.a_norm_f;
-    BenchEntry {
-        algorithm: "ilut_crtp_spmd".to_string(),
-        matrix: tm.label.clone(),
-        rows: tm.a.rows(),
-        cols: tm.a.cols(),
-        nnz: tm.a.nnz(),
-        tau: TAU,
-        k: BLOCK_K,
-        np,
-        wall_s: wall,
-        kernels: res
-            .timers
-            .report_with_other(wall)
-            .into_iter()
-            .map(|(kernel, seconds)| KernelTime {
-                kernel: kernel.to_string(),
-                seconds,
-            })
-            .collect(),
-        rank: res.rank,
-        iterations: res.iterations,
-        converged: res.converged,
-        est_rel_err: res.indicator / res.a_norm_f,
-        true_rel_err: true_rel,
     }
 }
 

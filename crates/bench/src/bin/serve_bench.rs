@@ -16,9 +16,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lra_bench::{timed, BenchConfig, USAGE};
+use lra_bench::sweep::Run;
+use lra_bench::{timed, write_report, BenchConfig, USAGE};
 use lra_core::{factorize_ranks, IlutOpts, LuCrtpResult, RunConfig};
-use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
+use lra_obs::{BenchEntry, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_serve::{Algorithm, JobReport, JobSpec, Server, ServerConfig};
 use lra_sparse::CscMatrix;
 
@@ -181,23 +182,7 @@ fn main() {
         ));
     }
 
-    let report = BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        bench: "serve".to_string(),
-        quick: cfg.quick,
-        scale: cfg.scale,
-        max_np: np,
-        entries,
-        metrics: reg.to_json(),
-    };
-    report
-        .validate()
-        .unwrap_or_else(|err| fail(&format!("generated report failed validation: {err}")));
-    let mut text = report.to_json_string();
-    text.push('\n');
-    std::fs::write(&out_path, text)
-        .unwrap_or_else(|err| fail(&format!("cannot write {out_path}: {err}")));
-    println!("wrote {out_path} ({} entries)", report.entries.len());
+    write_report("serve", &cfg, np, entries, &reg, &out_path).unwrap_or_else(|err| fail(&err));
 
     if !failures.is_empty() {
         for f in &failures {
@@ -239,32 +224,14 @@ fn entry(
     r: &JobReport,
     cfg: &BenchConfig,
 ) -> BenchEntry {
-    let res = r.outcome.clone().into_value();
     let wall = r.wall.as_secs_f64();
-    let true_rel = res.exact_error(a, cfg.par()) / res.a_norm_f;
-    BenchEntry {
-        algorithm: label.to_string(),
-        matrix: format!("fem2d({}x{})", a.rows(), a.cols()),
-        rows: a.rows(),
-        cols: a.cols(),
-        nnz: a.nnz(),
-        tau: opts.base.tau,
-        k: opts.base.k,
-        np,
-        wall_s: wall,
-        // Service latency is queueing + parks + kernels; the engine
-        // does not attribute it to kernel buckets, so the whole wall
-        // lands in `other` (the schema's catch-all).
-        kernels: vec![KernelTime {
-            kernel: "other".to_string(),
-            seconds: wall,
-        }],
-        rank: res.rank,
-        iterations: res.iterations,
-        converged: res.converged,
-        est_rel_err: res.indicator / res.a_norm_f,
-        true_rel_err: true_rel,
-    }
+    let run = Run::of_lu(r.outcome.clone().into_value(), wall, a, cfg.par());
+    let matrix = format!("fem2d({}x{})", a.rows(), a.cols());
+    // Service latency is queueing + parks + kernels; the engine does
+    // not attribute it to kernel buckets, so the whole wall lands in
+    // `other` (the schema's catch-all).
+    let kernels = vec![KernelTime { kernel: "other".to_string(), seconds: wall }];
+    BenchEntry { kernels, ..run.bench_entry(label, &matrix, a, (opts.base.tau, opts.base.k, np)) }
 }
 
 fn fail(msg: &str) -> ! {

@@ -1,11 +1,15 @@
-//! Shared helpers for the benchmark binaries that regenerate the
-//! paper's tables and figures (see DESIGN.md for the per-experiment
-//! index and EXPERIMENTS.md for recorded outputs).
+//! The benchmark harness: the memoized run table ([`sweep`]) and the
+//! tables, figures, claims and BENCH report derived from it ([`views`])
+//! behind the `paper` bin, plus the helpers the other bins share (see
+//! DESIGN.md for the per-experiment index and EXPERIMENTS.md for
+//! recorded outputs).
 
+use lra_obs::{BenchEntry, BenchReport, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_par::Parallelism;
 use std::time::Instant;
 
-pub mod figures;
+pub mod sweep;
+pub mod views;
 
 /// Command-line configuration shared by all benchmark binaries.
 #[derive(Debug, Clone)]
@@ -66,36 +70,9 @@ impl BenchConfig {
         Ok(cfg)
     }
 
-    /// Parse from `std::env::args`. On any parse error, prints the
-    /// error and [`USAGE`] to stderr and exits with status 2 (it used
-    /// to panic on unrecognized arguments, burying the usage line in a
-    /// backtrace).
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_args(&args).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        })
-    }
-
     /// Full parallelism under the configured cap.
     pub fn par(&self) -> Parallelism {
         Parallelism::new(self.max_np)
-    }
-
-    /// Doubling `np` sweep `1, 2, 4, ..., max_np`.
-    pub fn np_sweep(&self) -> Vec<usize> {
-        let mut v = Vec::new();
-        let mut np = 1;
-        while np <= self.max_np {
-            v.push(np);
-            np *= 2;
-        }
-        if *v.last().unwrap() != self.max_np {
-            v.push(self.max_np);
-        }
-        v
     }
 }
 
@@ -106,6 +83,39 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t.elapsed().as_secs_f64())
 }
 
+/// Assemble a BENCH v1 report from `entries` and the registry snapshot,
+/// validate it, write it to `path` and say so.
+pub fn write_report(
+    bench: &str,
+    cfg: &BenchConfig,
+    max_np: usize,
+    entries: Vec<BenchEntry>,
+    reg: &MetricsRegistry,
+    path: &str,
+) -> Result<(), String> {
+    let report = BenchReport {
+        schema_version: BENCH_SCHEMA_VERSION,
+        bench: bench.to_string(),
+        quick: cfg.quick,
+        scale: cfg.scale,
+        max_np,
+        entries,
+        metrics: reg.to_json(),
+    };
+    report.validate().map_err(|err| format!("generated report failed validation: {err}"))?;
+    std::fs::write(path, report.to_json_string() + "\n")
+        .map_err(|err| format!("cannot write {path}: {err}"))?;
+    println!("wrote {path} ({} entries)", report.entries.len());
+    Ok(())
+}
+
+/// Read back and structurally validate a `BENCH_*.json` report.
+pub fn read_report(path: &str) -> Result<BenchReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
+    let report = BenchReport::from_json_str(&text).and_then(|r| r.validate().map(|()| r));
+    report.map_err(|err| format!("{path}: invalid report: {err}"))
+}
+
 /// Numerical rank of a matrix from its singular values:
 /// `#{ i : s_i > max(m,n) * eps * s_0 }`.
 pub fn numerical_rank(s: &[f64], m: usize, n: usize) -> usize {
@@ -114,11 +124,6 @@ pub fn numerical_rank(s: &[f64], m: usize, n: usize) -> usize {
     }
     let thresh = m.max(n) as f64 * f64::EPSILON * s[0];
     s.iter().take_while(|&&x| x > thresh).count()
-}
-
-/// Print a horizontal rule sized to a header line.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
 }
 
 /// Format seconds compactly.
@@ -170,17 +175,5 @@ mod tests {
         assert!(err.contains("requires a value"), "{err}");
         let err = BenchConfig::parse_args(&sv(&["--np", "many"])).unwrap_err();
         assert!(err.contains("positive integer"), "{err}");
-    }
-
-    #[test]
-    fn np_sweep_doubles() {
-        let cfg = BenchConfig {
-            scale: 1,
-            large: false,
-            quick: false,
-            max_np: 6,
-            tsvd: false,
-        };
-        assert_eq!(cfg.np_sweep(), vec![1, 2, 4, 6]);
     }
 }

@@ -1,29 +1,37 @@
-//! End-to-end CLI behavior of the bench binaries: bad arguments must
+//! End-to-end CLI behavior of the `paper` binary: bad arguments must
 //! produce a usage message and a non-zero exit, not a panic backtrace.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn paper(args: &[&str]) -> (Output, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_paper")).args(args).output().expect("spawn paper");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out, stderr)
+}
 
 #[test]
 fn unknown_flag_prints_usage_and_exits_nonzero() {
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_suite"))
-        .arg("--bogus")
-        .output()
-        .expect("spawn bench_suite");
+    let (out, stderr) = paper(&["--bogus"]);
     assert_eq!(out.status.code(), Some(2), "status: {:?}", out.status);
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--bogus"), "stderr: {stderr}");
     assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
 
 #[test]
 fn missing_flag_value_exits_nonzero() {
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_suite"))
-        .args(["--scale"])
-        .output()
-        .expect("spawn bench_suite");
+    let (out, stderr) = paper(&["--scale"]);
     assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("requires a value"), "stderr: {stderr}");
+}
+
+#[test]
+fn unknown_view_lists_the_views_and_exits_nonzero() {
+    let (out, stderr) = paper(&["table1", "fig7", "--quick"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr.contains("unknown view \"fig7\""), "stderr: {stderr}");
+    for (name, _) in lra_bench::views::VIEWS {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
 }
 
 #[test]
@@ -32,11 +40,7 @@ fn validate_rejects_malformed_report() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bad.json");
     std::fs::write(&path, "{\"schema_version\":1}").unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_suite"))
-        .args(["--validate", path.to_str().unwrap()])
-        .output()
-        .expect("spawn bench_suite");
+    let (out, stderr) = paper(&["--validate", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invalid report"), "stderr: {stderr}");
 }

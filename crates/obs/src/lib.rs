@@ -18,7 +18,7 @@
 //!   `CommStats` and `Profile` all provide `export_metrics` adapters.
 //! - [`report`] — the machine-readable [`report::BenchReport`] schema
 //!   (per-algorithm wall time, per-kernel breakdown, achieved rank,
-//!   true vs. estimated relative error) that `bench_suite` writes as
+//!   true vs. estimated relative error) the `lra-bench` bins write as
 //!   `BENCH_*.json`, establishing a diffable perf baseline across PRs.
 //! - [`json`] — the minimal JSON value/parser/writer the exporters are
 //!   built on (the build environment vendors no serde).

@@ -1,6 +1,7 @@
 //! The machine-readable benchmark report schema (`BENCH_*.json`).
 //!
-//! `bench_suite` (crates/bench) writes one [`BenchReport`] per run:
+//! Each report-writing bin of crates/bench (`paper`, `kernel_bench`,
+//! `mem_scaling`, `serve_bench`) writes one [`BenchReport`] per run:
 //! per-algorithm wall time, per-kernel time breakdown, achieved rank,
 //! and true vs. estimated relative Frobenius error — the quantities
 //! the paper's accuracy-vs-cost argument is made of (Figs. 4-6,
@@ -81,7 +82,7 @@ impl BenchEntry {
 pub struct BenchReport {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Producing harness (`bench_suite`).
+    /// Producing harness (`paper`, `kernel_bench`, …).
     pub bench: String,
     /// Whether the reduced `--quick` preset ran.
     pub quick: bool,

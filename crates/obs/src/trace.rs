@@ -14,7 +14,7 @@
 //! Tracing is off by default. Every instrumentation point first checks
 //! [`enabled`] — one `Relaxed` atomic load — and returns immediately
 //! without allocating, locking, or reading the clock. Hot kernels can
-//! therefore stay instrumented unconditionally; `bench_suite` run with
+//! therefore stay instrumented unconditionally; the `paper` bin run with
 //! and without `LRA_TRACE` must agree within measurement noise (the
 //! PR's <2% acceptance bound).
 //!

@@ -12,7 +12,7 @@ use lra_obs::{trace, BenchEntry, BenchReport, KernelTime, BENCH_SCHEMA_VERSION};
 fn sample_report() -> BenchReport {
     BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
-        bench: "bench_suite".to_string(),
+        bench: "paper".to_string(),
         quick: true,
         scale: 1,
         max_np: 4,
@@ -52,7 +52,7 @@ fn sample_report() -> BenchReport {
 /// The frozen serialization of [`sample_report`]. This string IS the
 /// schema: field names, order and units (`wall_s`, `seconds`).
 const GOLDEN: &str = concat!(
-    "{\"schema_version\":1,\"bench\":\"bench_suite\",\"quick\":true,",
+    "{\"schema_version\":1,\"bench\":\"paper\",\"quick\":true,",
     "\"scale\":1,\"max_np\":4,\"entries\":[{\"algorithm\":\"lu_crtp\",",
     "\"matrix\":\"M2'\",\"rows\":1200,\"cols\":1200,\"nnz\":45000,",
     "\"tau\":0.01,\"k\":32,\"np\":1,\"wall_s\":0.5,\"kernels\":[",

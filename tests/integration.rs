@@ -4,13 +4,14 @@
 //! qualitative claims at miniature scale.
 
 use lra::core::{
-    ilut_crtp, lu_crtp, rand_qb_ei, IlutOpts, LuCrtpOpts, Parallelism, QbOpts, TournamentTree,
+    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, Parallelism, QbOpts,
+    TournamentTree, UbvOpts,
 };
 use lra::dense::{min_rank_for_tolerance, singular_values};
 use lra::sparse::{read_matrix_market, write_matrix_market};
 
 mod common;
-use common::assert_fixed_precision;
+use common::{assert_fixed_precision, ORACLE_ABS_SLACK, ORACLE_FACTOR};
 
 #[test]
 fn matrix_market_roundtrip_through_factorization() {
@@ -88,6 +89,18 @@ fn ilut_headline_claim_fill_in_reduced_at_same_quality() {
     let e_lu = lu.exact_error(&a, Parallelism::SEQ);
     assert!(e_lu < tau * a.fro_norm());
     assert_fixed_precision(&il, &a, tau, "ilut headline claim");
+    // The estimators the stop rules trust (eq. 26 for ILUT_CRTP, eq. 4
+    // for RandQB_EI) stay within their documented factor of the truth.
+    let qb = rand_qb_ei(&a, &QbOpts::new(8, tau)).unwrap();
+    let pairs = [
+        ("ilut", il.indicator, il.exact_error(&a, Parallelism::SEQ)),
+        ("qb", qb.indicator, qb.exact_error(&a, Parallelism::SEQ)),
+    ];
+    for (name, est, truth) in pairs {
+        let (est, truth) = (est / a.fro_norm(), truth / a.fro_norm());
+        assert!(est <= ORACLE_FACTOR * truth + ORACLE_ABS_SLACK, "{name}: {est} vs {truth}");
+        assert!(est + ORACLE_ABS_SLACK >= truth / ORACLE_FACTOR, "{name}: {est} vs {truth}");
+    }
 }
 
 #[test]
@@ -167,6 +180,14 @@ fn suite_fig1_statistics_hold_on_a_sample() {
         if lu.factor_nnz() > il.factor_nnz() {
             effective += 1;
         }
+        // Table II's iteration columns at a tolerance the indicators
+        // resolve: RandUBV needs no more blocks than RandQB_EI p=0, up
+        // to the one superdiagonal block its indicator counts an
+        // iteration late, and one power iteration never costs blocks.
+        let its = |p| rand_qb_ei(a, &QbOpts::new(k, 1e-2).with_power(p)).unwrap().iterations;
+        let (ubv, p0, p1) = (rand_ubv(a, &UbvOpts::new(k, 1e-2)).iterations, its(0), its(1));
+        assert!(ubv <= p0 + 1, "{}: ubv {ubv} vs p=0 {p0}", tm.label);
+        assert!(p1 <= p0, "{}: p=1 {p1} vs p=0 {p0}", tm.label);
     }
     assert!(tested >= 8);
     assert!(

@@ -3,15 +3,15 @@
 //! premise behind ILUT_CRTP's convergence argument), and RandQB_EI's
 //! indicator history yields the approximated minimum rank of Figs. 2-3.
 
-use lra_core::{lu_crtp, rand_qb_ei, LuCrtpOpts, QbOpts};
-use lra_dense::{min_rank_for_tolerance, singular_values};
+use lra::core::{lu_crtp, rand_qb_ei, LuCrtpOpts, QbOpts};
+use lra::dense::{min_rank_for_tolerance, singular_values};
 
 #[test]
 fn lucrtp_r_diag_tracks_singular_values() {
     // Known spectrum via the generator; LU_CRTP's estimates must track
     // it within modest ratios ("on average close to one").
     let sigmas: Vec<f64> = (0..24).map(|i| 2f64.powf(-(i as f64) / 2.0)).collect();
-    let a = lra_matgen::spectrum(200, 160, &sigmas, 10, 41);
+    let a = lra::matgen::spectrum(200, 160, &sigmas, 10, 41);
     let sv = singular_values(&a.to_dense());
     let r = lu_crtp(&a, &LuCrtpOpts::new(4, 1e-6));
     let est = r.singular_value_estimates();
@@ -34,7 +34,7 @@ fn lucrtp_r_diag_tracks_singular_values() {
 
 #[test]
 fn lucrtp_estimates_are_roughly_decreasing() {
-    let a = lra_matgen::with_decay(&lra_matgen::circuit(200, 4, 3, 43), 1e-6, 44);
+    let a = lra::matgen::with_decay(&lra::matgen::circuit(200, 4, 3, 43), 1e-6, 44);
     let r = lu_crtp(&a, &LuCrtpOpts::new(8, 1e-4));
     let est = r.singular_value_estimates();
     // Monotone up to tournament noise: allow small local inversions.
@@ -46,7 +46,7 @@ fn lucrtp_estimates_are_roughly_decreasing() {
 
 #[test]
 fn qb_min_rank_for_matches_tsvd_reference() {
-    let a = lra_matgen::with_decay(&lra_matgen::economic(300, 6, 45), 1e-6, 46);
+    let a = lra::matgen::with_decay(&lra::matgen::economic(300, 6, 45), 1e-6, 46);
     let sv = singular_values(&a.to_dense());
     let k = 8;
     let tight = rand_qb_ei(&a, &QbOpts::new(k, 1e-3).with_power(2)).unwrap();

@@ -7,8 +7,8 @@
 //! what lets the LU_CRTP drivers swap in the SPA-based kernels without
 //! perturbing their sharded-vs-replicated bitwise oracle.
 
-use lra_par::Parallelism;
-use lra_sparse::{spgemm, spgemm_reference, CscMatrix};
+use lra::par::Parallelism;
+use lra::sparse::{spgemm, spgemm_reference, CscMatrix};
 use proptest::prelude::*;
 
 /// Random CSC matrix built through `from_parts` (NOT the builder, which
