@@ -92,8 +92,8 @@ fn main() {
 /// `--validate REPORT [TRACE]`: parse + structurally validate an
 /// existing report and, when given, the Chrome trace of a traced sweep.
 fn validate(report: &str, trace: Option<&str>) {
-    // `mem_scaling` and `serve_bench` reports are validated here too;
-    // only this binary's own reports carry the checkpoint gauges.
+    // Any BENCH v1 report parses here (`kernel_bench`'s too); only
+    // this binary's own reports carry the checkpoint gauges.
     let r = read_report(report).unwrap_or_else(|err| fail(&err));
     if r.bench == "paper" {
         check_checkpoint_size(&r.metrics)

@@ -41,8 +41,7 @@
 //!
 //! ## Nonblocking collectives
 //!
-//! [`Ctx::post_alltoallv`], [`Ctx::post_scatterv`], and
-//! [`Ctx::post_gatherv`] split a size-aware collective into a *post*
+//! [`Ctx::post_alltoallv`] splits the size-aware exchange into a *post*
 //! (all sends happen immediately — sends never block here) and a
 //! deferred completion barrier on the returned [`PendingExchange`].
 //! Compute run between post and [`PendingExchange::complete`] hides
@@ -93,12 +92,11 @@ const CTRL_POISON: u64 = COLL | (1 << 62);
 /// Nonblocking-exchange namespace: each posted exchange gets a unique
 /// tag `PENDING | (seq << 3) | base`, where `seq` is the rank-local
 /// post counter (kept in lockstep across ranks by the uniform
-/// program-order contract) and `base` is the family's eager collective
-/// tag (4 = scatterv, 5 = gatherv, 6 = alltoallv). Unique tags mean a
-/// pending exchange can never steal — or feed — envelopes belonging to
-/// an eager collective or another pending exchange, no matter how much
-/// compute (including other collectives) runs between post and
-/// complete.
+/// program-order contract) and `base` is the eager `alltoallv` tag (6).
+/// Unique tags mean a pending exchange can never steal — or feed —
+/// envelopes belonging to an eager collective or another pending
+/// exchange, no matter how much compute (including other collectives)
+/// runs between post and complete.
 const PENDING: u64 = COLL | (1 << 61);
 
 /// Poll quantum for blocked receives: the longest a rank can take to
@@ -719,35 +717,6 @@ impl Ctx {
         })
     }
 
-    /// Scatter one (arbitrarily sized) part to each rank from `root`:
-    /// rank `r` returns `parts[r]`. Only the root's `parts` is read
-    /// (it must hold exactly `size` entries); other ranks pass `None`.
-    /// Size-aware counterpart of a broadcast — each rank receives only
-    /// its own share, so payload sizes may differ per destination.
-    pub fn scatterv<M: Send + 'static>(&self, root: usize, parts: Option<Vec<M>>) -> M {
-        unwrap_comm(self.collective("scatterv", || {
-            if self.rank == root {
-                let parts = parts.expect("scatterv: root must supply parts");
-                assert_eq!(
-                    parts.len(),
-                    self.size,
-                    "scatterv: root must supply one part per rank"
-                );
-                let mut own = None;
-                for (dst, part) in parts.into_iter().enumerate() {
-                    if dst == self.rank {
-                        own = Some(part);
-                    } else {
-                        self.send_msg(dst, COLL | 4, part)?;
-                    }
-                }
-                Ok(own.expect("scatterv: own part present"))
-            } else {
-                self.recv_msg::<M>(root, COLL | 4)
-            }
-        }))
-    }
-
     /// Gather one (arbitrarily sized) part from every rank onto `root`:
     /// the root returns `Some(parts)` with `parts[r]` = rank `r`'s
     /// contribution, every other rank returns `None`. Unlike
@@ -822,14 +791,13 @@ impl Ctx {
         }))
     }
 
-    /// Allocate the unique tag for the next nonblocking exchange of
-    /// family `base` (the eager tag low bits: 4/5/6). Every rank posts
-    /// exchanges in the same program order, so rank-local counters
-    /// agree group-wide without communication.
-    fn next_pending_tag(&self, base: u64) -> u64 {
+    /// Allocate the unique tag for the next nonblocking exchange.
+    /// Every rank posts exchanges in the same program order, so
+    /// rank-local counters agree group-wide without communication.
+    fn next_pending_tag(&self) -> u64 {
         let seq = self.pending_seq.get();
         self.pending_seq.set(seq + 1);
-        PENDING | (seq << 3) | base
+        PENDING | (seq << 3) | 6
     }
 
     /// Chaos hook at the completion barrier of a pending exchange: the
@@ -875,7 +843,7 @@ impl Ctx {
     /// recv watchdog — a peer dying mid-overlap surfaces as a typed
     /// [`CommError`] at `complete`, never a hang or a torn result.
     pub fn post_alltoallv<M: Send + 'static>(&self, parts: Vec<M>) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(6);
+        let tag = self.next_pending_tag();
         let slots = unwrap_comm(self.collective("alltoallv.post", || {
             assert_eq!(
                 parts.len(),
@@ -893,86 +861,10 @@ impl Ctx {
             }
             Ok(slots)
         }));
-        self.finish_post(tag, "alltoallv.complete", slots)
-    }
-
-    /// Nonblocking [`Ctx::scatterv`]: the root posts one part to every
-    /// rank now; each rank's [`PendingExchange::complete`] returns a
-    /// one-element vector holding its share. See
-    /// [`Ctx::post_alltoallv`] for overlap and fault semantics.
-    pub fn post_scatterv<M: Send + 'static>(
-        &self,
-        root: usize,
-        parts: Option<Vec<M>>,
-    ) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(4);
-        let slots = unwrap_comm(self.collective("scatterv.post", || {
-            if self.rank == root {
-                let parts = parts.expect("post_scatterv: root must supply parts");
-                assert_eq!(
-                    parts.len(),
-                    self.size,
-                    "post_scatterv: root must supply one part per rank"
-                );
-                let mut own = None;
-                for (dst, part) in parts.into_iter().enumerate() {
-                    if dst == self.rank {
-                        own = Some(part);
-                    } else {
-                        self.send_msg(dst, tag, part)?;
-                    }
-                }
-                Ok(vec![PendingSlot::Ready(
-                    own.expect("post_scatterv: own part present"),
-                )])
-            } else {
-                Ok(vec![PendingSlot::From(root)])
-            }
-        }));
-        self.finish_post(tag, "scatterv.complete", slots)
-    }
-
-    /// Nonblocking [`Ctx::gatherv`]: every rank posts its contribution
-    /// now; the root's [`PendingExchange::complete`] returns all parts
-    /// in rank order, every other rank's returns an empty vector. See
-    /// [`Ctx::post_alltoallv`] for overlap and fault semantics.
-    pub fn post_gatherv<M: Send + 'static>(&self, root: usize, mine: M) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(5);
-        let slots = unwrap_comm(self.collective("gatherv.post", || {
-            if self.rank == root {
-                let mut slots = Vec::with_capacity(self.size);
-                let mut own = Some(mine);
-                for src in 0..self.size {
-                    if src == self.rank {
-                        slots.push(PendingSlot::Ready(
-                            own.take().expect("post_gatherv: own part present"),
-                        ));
-                    } else {
-                        slots.push(PendingSlot::From(src));
-                    }
-                }
-                Ok(slots)
-            } else {
-                self.send_msg(root, tag, mine)?;
-                Ok(Vec::new())
-            }
-        }));
-        self.finish_post(tag, "gatherv.complete", slots)
-    }
-
-    /// Shared tail of every `post_*`: count the post, mark the trace,
-    /// and start the overlap-window clock.
-    fn finish_post<M: Send + 'static>(
-        &self,
-        tag: u64,
-        complete_name: &'static str,
-        slots: Vec<PendingSlot<M>>,
-    ) -> PendingExchange<'_, M> {
         self.stats.borrow_mut().overlap_posted += 1;
         lra_obs::trace::instant("comm.overlap.post");
         PendingExchange {
             ctx: self,
-            complete_name,
             tag,
             slots,
             posted_at: Instant::now(),
@@ -1045,8 +937,7 @@ enum PendingSlot<M> {
 }
 
 /// A posted-but-not-completed nonblocking exchange (see
-/// [`Ctx::post_alltoallv`], [`Ctx::post_scatterv`],
-/// [`Ctx::post_gatherv`]). All sends already happened at post time;
+/// [`Ctx::post_alltoallv`]). All sends already happened at post time;
 /// this handle owns the receive side. Complete it with
 /// [`PendingExchange::complete`] (barrier: returns every part) or
 /// [`PendingExchange::complete_with`] (streaming: hands each part to a
@@ -1062,7 +953,6 @@ enum PendingSlot<M> {
 #[must_use = "a posted exchange must be completed before its results are needed"]
 pub struct PendingExchange<'a, M> {
     ctx: &'a Ctx,
-    complete_name: &'static str,
     tag: u64,
     slots: Vec<PendingSlot<M>>,
     posted_at: Instant,
@@ -1070,11 +960,9 @@ pub struct PendingExchange<'a, M> {
 
 impl<M: Send + 'static> PendingExchange<'_, M> {
     /// Completion barrier: drain every outstanding receive (ascending
-    /// source order) and return the parts in slot order — for
-    /// `post_alltoallv` that is `out[s]` = the part rank `s` addressed
-    /// to us, exactly like the eager [`Ctx::alltoallv`]; for
-    /// `post_scatterv` a one-element vector; for `post_gatherv` all
-    /// parts on the root and an empty vector elsewhere.
+    /// source order) and return the parts in slot order: `out[s]` =
+    /// the part rank `s` addressed to us, exactly like the eager
+    /// [`Ctx::alltoallv`].
     pub fn complete(self) -> Vec<M> {
         let mut out = Vec::with_capacity(self.slots.len());
         self.complete_with(|_, m| out.push(m));
@@ -1104,7 +992,7 @@ impl<M: Send + 'static> PendingExchange<'_, M> {
         ctx.overlap_fault_point();
         let slots = std::mem::take(&mut self.slots);
         let tag = self.tag;
-        unwrap_comm(ctx.collective(self.complete_name, || {
+        unwrap_comm(ctx.collective("alltoallv.complete", || {
             for (i, slot) in slots.into_iter().enumerate() {
                 match slot {
                     PendingSlot::Ready(m) => sink(i, m),
@@ -1377,23 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn scatterv_delivers_each_ranks_part() {
-        for np in [1usize, 2, 3, 5, 8] {
-            for root in [0, np - 1] {
-                let out = run_infallible(np, |ctx| {
-                    let parts = (ctx.rank() == root).then(|| {
-                        (0..ctx.size()).map(|r| vec![r as u64; r + 1]).collect()
-                    });
-                    ctx.scatterv(root, parts)
-                });
-                for (r, v) in out.iter().enumerate() {
-                    assert_eq!(*v, vec![r as u64; r + 1], "np={np} root={root}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gatherv_collects_on_root_only() {
         for np in [1usize, 2, 4, 7] {
             for root in [0, np / 2] {
@@ -1433,26 +1304,26 @@ mod tests {
 
     #[test]
     fn sized_collectives_compose_back_to_back() {
-        // scatterv → alltoallv → gatherv chained repeatedly must not
-        // cross-match messages (distinct internal tags per collective).
+        // alltoallv → gatherv → post_alltoallv chained repeatedly must
+        // not cross-match messages (distinct internal tags per family).
         let out = run_infallible(4, |ctx| {
             let mut acc = 0usize;
             for round in 0..5usize {
-                let parts =
-                    (ctx.rank() == 0).then(|| (0..4).map(|r| r * 10 + round).collect());
-                let mine = ctx.scatterv(0, parts);
-                let swapped = ctx.alltoallv(vec![mine; 4]);
+                let swapped = ctx.alltoallv(vec![ctx.rank() * 10 + round; 4]);
+                let total: usize = swapped.iter().sum();
                 let gathered = ctx.gatherv(3, swapped);
+                let echoed = ctx.post_alltoallv(vec![total; 4]).complete();
+                acc += echoed.into_iter().sum::<usize>();
                 if ctx.rank() == 3 {
                     acc += gathered.unwrap().into_iter().flatten().sum::<usize>();
                 }
             }
             acc
         });
-        // Rank r's scatter value in round q is 10r + q; each rank
-        // broadcasts it via alltoallv, so the gather sums all 16 copies.
+        // Rank r's value in round q is 10r + q; the alltoallv hands every
+        // rank all four, so the echo and the gather each sum 16 values.
         let expect: usize = (0..5).map(|q| 4 * (0..4).map(|r| r * 10 + q).sum::<usize>()).sum();
-        assert_eq!(out, vec![0, 0, 0, expect]);
+        assert_eq!(out, vec![expect, expect, expect, 2 * expect]);
     }
 
     #[test]
@@ -1487,21 +1358,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn post_scatterv_and_gatherv_roundtrip() {
-        let out = run_infallible(4, |ctx| {
-            let parts = (ctx.rank() == 1).then(|| (0..4usize).map(|r| r * r).collect());
-            let pend = ctx.post_scatterv(1, parts);
-            let noise = ctx.allreduce(1usize, |a, b| a + b);
-            let mine = pend.complete().pop().expect("scatterv share");
-            let back = ctx.post_gatherv(2, mine + noise);
-            ctx.barrier();
-            back.complete()
-        });
-        assert!(out[0].is_empty() && out[1].is_empty() && out[3].is_empty());
-        assert_eq!(out[2], vec![4, 5, 8, 13], "r*r + np gathered in rank order");
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Every [`crate::Ctx`] accumulates a [`CommStats`] — message and byte
 //! counts, collective entries, and the high-water mark of the
 //! out-of-order buffer — surfaced per rank by
-//! [`crate::RunReport::stats`]. The counters exist for two consumers:
-//! chaos tests asserting that injected faults actually happened
-//! (drops, delays), and future observability work (the ROADMAP's
-//! production north star needs per-rank traffic accounting before any
-//! sharding decision can be data-driven).
+//! [`crate::RunReport::stats`]. Their readers: chaos tests asserting
+//! that injected faults actually happened (drops, delays),
+//! `kernel_bench`'s overlap gate (`overlap_wait_ns` against
+//! `alltoallv_wait_ns`), the `lra-serve` scrape (`comm.bytes.*`,
+//! `comm.overlap.*` through [`CommStats::export_metrics`]) and the
+//! repository benchmark's `comm.*` rows.
 
 /// Approximate wire size of a message, in bytes.
 ///
@@ -32,13 +33,12 @@ impl<T> MessageSize for T {}
 /// (`alltoallv.post` etc.) attribute to their base family, so the
 /// `comm.bytes.*` series stays comparable across the eager and
 /// overlapped drivers.
-pub const COLLECTIVE_FAMILIES: [&str; 8] = [
+pub const COLLECTIVE_FAMILIES: [&str; 7] = [
     "barrier",
     "broadcast",
     "allgather",
     "reduce",
     "allreduce",
-    "scatterv",
     "gatherv",
     "alltoallv",
 ];
@@ -88,9 +88,8 @@ pub struct CommStats {
     /// Bytes enqueued from inside each collective family, indexed by
     /// [`COLLECTIVE_FAMILIES`]. Point-to-point sends outside any
     /// collective are counted in [`CommStats::bytes_sent`] only.
-    pub bytes_on_wire: [u64; 8],
-    /// Nonblocking exchanges posted via
-    /// [`crate::Ctx::post_alltoallv`] / `post_scatterv` / `post_gatherv`.
+    pub bytes_on_wire: [u64; 7],
+    /// Nonblocking exchanges posted via [`crate::Ctx::post_alltoallv`].
     pub overlap_posted: u64,
     /// Nanoseconds of compute run between posting a nonblocking
     /// exchange and entering its completion barrier — the window the
@@ -221,9 +220,9 @@ mod tests {
 
     #[test]
     fn family_index_strips_subspan_suffix() {
-        assert_eq!(family_index("alltoallv"), Some(7));
-        assert_eq!(family_index("alltoallv.post"), Some(7));
-        assert_eq!(family_index("gatherv.complete"), Some(6));
+        assert_eq!(family_index("alltoallv"), Some(6));
+        assert_eq!(family_index("alltoallv.post"), Some(6));
+        assert_eq!(family_index("gatherv"), Some(5));
         assert_eq!(family_index("not_a_collective"), None);
     }
 

@@ -556,21 +556,6 @@ unsafe fn tn_range(
     }
 }
 
-/// `y = A * x` for a dense vector `x`.
-pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Vec<f64> {
-    assert_eq!(a.cols(), x.len());
-    let mut y = vec![0.0; a.rows()];
-    for (l, &xl) in x.iter().enumerate() {
-        if xl == 0.0 {
-            continue;
-        }
-        for (yi, &ai) in y.iter_mut().zip(a.col(l)) {
-            *yi += xl * ai;
-        }
-    }
-    y
-}
-
 // ---------------------------------------------------------------------
 // Naive references. These are the semantic definition of the blocked
 // kernels above: same k-accumulation order per output element, same
@@ -805,18 +790,6 @@ mod tests {
         let c = matmul_nt(&a, &b, Parallelism::new(2));
         let c_ref = naive_matmul(&a, &b.transpose());
         assert!(c.max_abs_diff(&c_ref) < 1e-13);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = rand_mat(9, 4, 7);
-        let x: Vec<f64> = (0..4).map(|i| i as f64 - 1.5).collect();
-        let y = matvec(&a, &x);
-        let xm = DenseMatrix::from_fn(4, 1, |i, _| x[i]);
-        let y_ref = matmul(&a, &xm, Parallelism::SEQ);
-        for i in 0..9 {
-            assert!((y[i] - y_ref.get(i, 0)).abs() < 1e-13);
-        }
     }
 
     #[test]

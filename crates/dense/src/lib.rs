@@ -23,13 +23,13 @@ mod qrcp;
 mod svd;
 mod tsqr;
 
-pub use blas::{matmul, matmul_nt, matmul_sub_assign, matmul_tn, matvec};
+pub use blas::{matmul, matmul_nt, matmul_sub_assign, matmul_tn};
 #[doc(hidden)]
 pub use blas::{matmul_naive, matmul_nt_naive, matmul_sub_assign_naive, matmul_tn_naive};
 pub use jacobi::jacobi_svd;
-pub use lu::{cholesky_upper, lu, LuFactor};
+pub use lu::{lu, LuFactor};
 pub use matrix::DenseMatrix;
-pub use qr::{orth, qr, solve_upper_left, solve_upper_right, QrFactor};
+pub use qr::{orth, qr, QrFactor};
 pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{
     bidiagonal_svd_values, bidiagonalize, min_rank_for_tolerance, singular_values,

@@ -128,17 +128,8 @@ impl LuFactor {
         }
     }
 
-    /// Solve `A^T X = B` in place (needed for row-wise right solves
-    /// `x A = b` <=> `A^T x^T = b^T`).
-    pub fn solve_transpose_in_place(&self, b: &mut DenseMatrix) {
-        let n = self.n();
-        assert_eq!(b.rows(), n);
-        for c in 0..b.cols() {
-            self.solve_transpose_slice(b.col_mut(c));
-        }
-    }
-
-    /// Solve `A^T x = b` for a single column slice in place.
+    /// Solve `A^T x = b` for a single column slice in place (a row-wise
+    /// right solve `x A = b` <=> `A^T x^T = b^T`).
     pub fn solve_transpose_slice(&self, col: &mut [f64]) {
         let n = self.n();
         assert_eq!(col.len(), n);
@@ -167,15 +158,6 @@ impl LuFactor {
                 col.swap(j, p);
             }
         }
-    }
-
-    /// Solve a single right-hand-side row system `x A = b` (returns `x`).
-    pub fn solve_row(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.n();
-        assert_eq!(b.len(), n);
-        let mut m = DenseMatrix::from_fn(n, 1, |i, _| b[i]);
-        self.solve_transpose_in_place(&mut m);
-        m.col(0).to_vec()
     }
 }
 
@@ -221,24 +203,10 @@ mod tests {
         let x_true = rand_mat(7, 2, 4);
         let b = matmul(&a.transpose(), &x_true, Parallelism::SEQ);
         let mut x = b.clone();
-        f.solve_transpose_in_place(&mut x);
-        assert!(x.max_abs_diff(&x_true) < 1e-10);
-    }
-
-    #[test]
-    fn solve_row_is_right_division() {
-        let a = well_conditioned(6, 5);
-        let f = lu(&a);
-        let b: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
-        let x = f.solve_row(&b);
-        // Check x A = b.
-        for j in 0..6 {
-            let mut s = 0.0;
-            for i in 0..6 {
-                s += x[i] * a.get(i, j);
-            }
-            assert!((s - b[j]).abs() < 1e-10, "col {j}");
+        for c in 0..x.cols() {
+            f.solve_transpose_slice(x.col_mut(c));
         }
+        assert!(x.max_abs_diff(&x_true) < 1e-10);
     }
 
     #[test]
@@ -262,64 +230,5 @@ mod tests {
         f.solve_in_place(&mut b);
         assert!((b.get(0, 0) - 3.0).abs() < 1e-14);
         assert!((b.get(1, 0) - 2.0).abs() < 1e-14);
-    }
-}
-
-/// Cholesky factorization of a symmetric positive-definite matrix:
-/// returns the upper factor `R` with `A = R^T R`, or `None` if a
-/// non-positive pivot is encountered. Used by the Gram-matrix panel-R
-/// ablation of tournament pivoting.
-pub fn cholesky_upper(a: &DenseMatrix) -> Option<DenseMatrix> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "cholesky: matrix must be square");
-    let mut r = DenseMatrix::zeros(n, n);
-    for j in 0..n {
-        let mut d = a.get(j, j);
-        for t in 0..j {
-            let v = r.get(t, j);
-            d -= v * v;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return None;
-        }
-        let dj = d.sqrt();
-        r.set(j, j, dj);
-        for c in j + 1..n {
-            let mut s = a.get(j, c);
-            for t in 0..j {
-                s -= r.get(t, j) * r.get(t, c);
-            }
-            r.set(j, c, s / dj);
-        }
-    }
-    Some(r)
-}
-
-#[cfg(test)]
-mod chol_tests {
-    use super::*;
-    use crate::blas::{matmul, matmul_tn};
-    use lra_par::Parallelism;
-
-    #[test]
-    fn cholesky_reconstructs() {
-        // SPD via Gram matrix.
-        let b = DenseMatrix::from_fn(12, 6, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
-        let g = matmul_tn(&b, &b, Parallelism::SEQ);
-        // Regularize to be safely positive definite.
-        let mut g = g;
-        for i in 0..6 {
-            let v = g.get(i, i);
-            g.set(i, i, v + 1.0);
-        }
-        let r = cholesky_upper(&g).unwrap();
-        let back = matmul(&r.transpose(), &r, Parallelism::SEQ);
-        assert!(back.max_abs_diff(&g) < 1e-10);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // indefinite
-        assert!(cholesky_upper(&a).is_none());
     }
 }

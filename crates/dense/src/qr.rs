@@ -150,57 +150,6 @@ pub fn orth(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     }
 }
 
-/// Solve `R X = B` for upper-triangular `R` (back substitution,
-/// parallel over columns of `B`). `R` must be square with nonzero
-/// diagonal.
-pub fn solve_upper_left(r: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
-    let n = r.rows();
-    assert_eq!(r.cols(), n, "solve_upper_left: R must be square");
-    assert_eq!(b.rows(), n);
-    let mut x = b.clone();
-    parallel_chunks_mut(par, x.as_mut_slice(), 4 * n, |_, chunk| {
-        for xc in chunk.chunks_mut(n) {
-            for i in (0..n).rev() {
-                let mut s = xc[i];
-                for l in i + 1..n {
-                    s -= r.get(i, l) * xc[l];
-                }
-                xc[i] = s / r.get(i, i);
-            }
-        }
-    });
-    x
-}
-
-/// Solve `X R = B` for upper-triangular `R` (i.e. `X = B R^{-1}`),
-/// forward over columns.
-pub fn solve_upper_right(b: &DenseMatrix, r: &DenseMatrix) -> DenseMatrix {
-    let n = r.rows();
-    assert_eq!(r.cols(), n, "solve_upper_right: R must be square");
-    assert_eq!(b.cols(), n);
-    let m = b.rows();
-    let mut x = DenseMatrix::zeros(m, n);
-    for j in 0..n {
-        let mut col: Vec<f64> = b.col(j).to_vec();
-        for l in 0..j {
-            let rlj = r.get(l, j);
-            if rlj == 0.0 {
-                continue;
-            }
-            let xl = x.col(l);
-            for i in 0..m {
-                col[i] -= rlj * xl[i];
-            }
-        }
-        let d = r.get(j, j);
-        for v in &mut col {
-            *v /= d;
-        }
-        x.col_mut(j).copy_from_slice(&col);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,22 +259,6 @@ mod tests {
         assert_eq!(q.cols(), 2);
         // Q columns are unit vectors (reflectors were identity).
         assert!(q.orthogonality_error() < 1e-15);
-    }
-
-    #[test]
-    fn solve_upper_left_right() {
-        let a = rand_mat(8, 8, 9);
-        let f = qr(&a, Parallelism::SEQ);
-        let r = f.r();
-        let b = rand_mat(8, 3, 10);
-        let x = solve_upper_left(&r, &b, Parallelism::new(2));
-        let back = matmul(&r, &x, Parallelism::SEQ);
-        assert!(back.max_abs_diff(&b) < 1e-9);
-
-        let c = rand_mat(5, 8, 11);
-        let y = solve_upper_right(&c, &r);
-        let back2 = matmul(&y, &r, Parallelism::SEQ);
-        assert!(back2.max_abs_diff(&c) < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   The collected events export as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one lane per rank).
 //! - [`metrics`] — a registry of named counters, gauges and
-//!   histograms. The owning crates feed it: `KernelTimers`,
-//!   `CommStats` and `Profile` all provide `export_metrics` adapters.
+//!   histograms. The owning crates feed it: `KernelTimers` and
+//!   `CommStats` both provide `export_metrics` adapters.
 //! - [`report`] — the machine-readable [`report::BenchReport`] schema
 //!   (per-algorithm wall time, per-kernel breakdown, achieved rank,
 //!   true vs. estimated relative error) the `lra-bench` bins write as

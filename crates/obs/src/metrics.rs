@@ -8,9 +8,7 @@
 //! - `lra_core::KernelTimers::export_metrics` — per-kernel seconds as
 //!   histogram observations,
 //! - `lra_comm::CommStats::export_metrics` — per-rank message/byte/
-//!   collective counters,
-//! - `lra_par::Profile::export_metrics` — recorded wall/serial time
-//!   and per-label parallel work as gauges.
+//!   collective counters.
 //!
 //! Names are dotted paths (`comm.rank0.msgs_sent`); the registry keeps
 //! them sorted so snapshots and JSON exports are deterministic.

@@ -1,7 +1,7 @@
 //! The machine-readable benchmark report schema (`BENCH_*.json`).
 //!
-//! Each report-writing bin of crates/bench (`paper`, `kernel_bench`,
-//! `mem_scaling`, `serve_bench`) writes one [`BenchReport`] per run:
+//! Each report-writing bin of crates/bench (`paper`, `kernel_bench`)
+//! writes one [`BenchReport`] per run:
 //! per-algorithm wall time, per-kernel time breakdown, achieved rank,
 //! and true vs. estimated relative Frobenius error — the quantities
 //! the paper's accuracy-vs-cost argument is made of (Figs. 4-6,

@@ -204,19 +204,6 @@ impl Profile {
         }
         out
     }
-
-    /// Feed this profile into a unified metrics registry: gauges
-    /// `par.profile.wall_s`, `par.profile.serial_s`,
-    /// `par.profile.parallel_work_s`, and per-label scope walls under
-    /// `par.profile.label.{label}_s`.
-    pub fn export_metrics(&self, reg: &lra_obs::MetricsRegistry) {
-        reg.set_gauge("par.profile.wall_s", self.wall);
-        reg.set_gauge("par.profile.serial_s", self.serial_time());
-        reg.set_gauge("par.profile.parallel_work_s", self.parallel_work());
-        for (label, wall) in &self.label_wall {
-            reg.set_gauge(&format!("par.profile.label.{label}_s"), *wall);
-        }
-    }
 }
 
 /// Greedy longest-processing-time makespan of `chunks` on `np` workers.
@@ -320,32 +307,6 @@ mod tests {
         assert!(by.iter().any(|(l, _)| *l == "kernel_a"));
         // More workers never slower in the model.
         assert!(profile.simulated_time(8) <= profile.simulated_time(1) + 1e-12);
-    }
-
-    #[test]
-    fn export_metrics_gauges() {
-        let mut label_wall = HashMap::new();
-        label_wall.insert("schur", 3.0);
-        let p = Profile {
-            wall: 10.0,
-            regions: vec![("schur", vec![1.0; 4])],
-            label_wall,
-        };
-        let reg = lra_obs::MetricsRegistry::new();
-        p.export_metrics(&reg);
-        use lra_obs::MetricValue;
-        assert_eq!(
-            reg.get("par.profile.wall_s"),
-            Some(MetricValue::Gauge(10.0))
-        );
-        assert_eq!(
-            reg.get("par.profile.serial_s"),
-            Some(MetricValue::Gauge(6.0))
-        );
-        assert_eq!(
-            reg.get("par.profile.label.schur_s"),
-            Some(MetricValue::Gauge(3.0))
-        );
     }
 
     #[test]

@@ -74,10 +74,6 @@ pub struct ServerConfig {
     pub admission: crate::AdmissionPolicy,
     /// Factor-cache budget in resident bytes (0 disables caching).
     pub cache_capacity_bytes: u64,
-    /// Checkpoint cadence for every job (snapshot every `n` block
-    /// iterations). 1 — the default — parks preempted jobs at the
-    /// exact trip iteration, so a resume repeats no work.
-    pub checkpoint_every: usize,
 }
 
 impl Default for ServerConfig {
@@ -86,7 +82,6 @@ impl Default for ServerConfig {
             ranks: 4,
             admission: crate::AdmissionPolicy::default(),
             cache_capacity_bytes: 64 << 20,
-            checkpoint_every: 1,
         }
     }
 }
@@ -171,7 +166,6 @@ impl Server {
     /// Start a server: spawns the scheduler thread immediately.
     pub fn new(cfg: ServerConfig) -> Self {
         assert!(cfg.ranks > 0, "server needs at least one rank");
-        assert!(cfg.checkpoint_every > 0, "checkpoint cadence must be >= 1");
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: JobQueue::new(),
@@ -416,6 +410,12 @@ impl Drop for Server {
     }
 }
 
+/// A served job's checkpoint cadence: never. `panel::drive` forces a
+/// save at the iteration a budget trips on, which is the only snapshot
+/// a park reads — the per-job store is in memory and guards against no
+/// crash — so a job that is never preempted gathers and encodes nothing.
+const SAVE_AT_TRIP_ONLY: usize = usize::MAX;
+
 /// Everything a worker needs, cloned out under the lock at dispatch.
 struct Dispatch {
     id: JobId,
@@ -600,7 +600,7 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
 
 fn run_job(inner: &Arc<Inner>, d: Dispatch) {
     let cfg = RunConfig::default().with_lane_base(d.lane_base);
-    let hooks = RecoveryHooks::new(&d.store, inner.cfg.checkpoint_every);
+    let hooks = RecoveryHooks::new(&d.store, SAVE_AT_TRIP_ONLY);
     let report = lra_comm::run_with(d.ranks, &cfg, |ctx| {
         factorize(&d.matrix, d.algorithm.method(), Exec::Spmd(ctx), Some(&hooks))
     });
@@ -713,6 +713,10 @@ mod tests {
         JobSpec::new(a, Algorithm::IlutCrtp(IlutOpts::new(4, 1e-3, 8)))
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn admission_rejects_typed() {
         let server = Server::new(
@@ -754,7 +758,6 @@ mod tests {
         assert_eq!(second.driver_calls, 0);
         let r2 = second.into_result();
         assert_eq!(r1.rank, r2.rank);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(r1.l.values()), bits(r2.l.values()));
         assert_eq!(bits(r1.u.values()), bits(r2.u.values()));
         server.shutdown();
@@ -778,5 +781,80 @@ mod tests {
         assert!(report.outcome.is_interrupted());
         assert_eq!(report.preemptions, 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_served_job_saves_only_when_it_is_tripped() {
+        let server = Server::new(ServerConfig::default().with_ranks(3));
+        let store_of = |id: JobId| {
+            let st = server.inner.lock();
+            let job = st
+                .jobs
+                .get(&id)
+                .expect("job finished before its store was read");
+            Arc::clone(&job.store)
+        };
+        // 125 block iterations at k = 2: the victim is still running
+        // when everything below is submitted.
+        let slow = Arc::new(lra_matgen::with_decay(&fem2d(18, 14, 11), 1e-6, 3));
+        let slow_opts = IlutOpts::new(2, 1e-6, 8);
+        let victim = server
+            .submit(
+                JobSpec::new(Arc::clone(&slow), Algorithm::IlutCrtp(slow_opts.clone()))
+                    .with_ranks(2),
+            )
+            .unwrap();
+        server.wait_until_running(victim);
+        let victim_store = store_of(victim);
+        // A whole small job on the idle rank first, so the preemption
+        // below tends to land past the victim's first iteration (the
+        // ledger read keeps the assertion exact when it does not).
+        server.wait(server.submit(spec(5).with_ranks(1)).unwrap());
+        // Queued behind the victim at its priority: never preempted.
+        let calm = server.submit(spec(6).with_ranks(3)).unwrap();
+        let calm_store = store_of(calm);
+        // One idle rank, two wanted: the victim parks.
+        let urgent = server
+            .submit(spec(4).with_ranks(2).with_priority(9))
+            .unwrap();
+        server.wait(urgent);
+        // Parked or resumed, the victim keeps its ledger until it ends.
+        // A trip before the first iteration completes has no state to
+        // save; any later trip saves exactly once.
+        let tripped_past_start = {
+            let st = server.inner.lock();
+            let parked = st.jobs.get(&victim).and_then(|j| j.parked.as_ref());
+            parked
+                .expect("the urgent job ran, so the victim was parked")
+                .resume_iteration()
+                .is_some()
+        };
+        let victim_report = server.wait(victim);
+        let calm_report = server.wait(calm);
+        server.shutdown();
+
+        assert_eq!(calm_report.preemptions, 0);
+        assert!(calm_report.into_result().iterations > 1);
+        assert_eq!(
+            calm_store.saves(),
+            0,
+            "a job that is never tripped never saves"
+        );
+        assert_eq!(victim_report.preemptions, 1);
+        assert_eq!(
+            victim_store.saves(),
+            u64::from(tripped_past_start),
+            "one trip-boundary save per preemption and none in between"
+        );
+        // Resumed from that one forced save, the victim is its solo run.
+        let solo = lra_core::factorize_ranks(&slow, &slow_opts, 2, &RunConfig::default(), None)
+            .expect("valid input")
+            .unwrap_all()
+            .swap_remove(0);
+        let served = victim_report.into_result();
+        assert_eq!(served.pivot_rows, solo.pivot_rows);
+        assert_eq!(served.pivot_cols, solo.pivot_cols);
+        assert_eq!(bits(served.l.values()), bits(solo.l.values()));
+        assert_eq!(bits(served.u.values()), bits(solo.u.values()));
     }
 }

@@ -1,6 +1,6 @@
 //! Coordinate (triplet) sparse matrix, the assembly format.
 
-use crate::{CscMatrix, CsrMatrix};
+use crate::CscMatrix;
 
 /// A sparse matrix in coordinate form: unordered `(row, col, value)`
 /// triplets. Duplicate entries are summed on conversion to CSC, which
@@ -100,12 +100,6 @@ impl CooMatrix {
         }
         CscMatrix::from_parts(self.rows, self.cols, colptr, out_rows, out_vals)
     }
-
-    /// Convert to CSR (same duplicate-summing, zero-dropping semantics
-    /// as [`CooMatrix::to_csc`]).
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_csc(&self.to_csc())
-    }
 }
 
 #[cfg(test)]
@@ -149,24 +143,5 @@ mod tests {
     fn out_of_range_panics() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(2, 0, 1.0);
-    }
-
-    #[test]
-    fn coo_csr_csc_coo_roundtrip() {
-        // Unique positions with nonzero values survive the full format
-        // cycle exactly (no duplicate summing, no zero dropping).
-        let mut coo = CooMatrix::new(4, 3);
-        for &(i, j, v) in &[(3, 0, 1.5), (0, 0, -2.0), (1, 2, 0.25), (2, 1, 7.0)] {
-            coo.push(i, j, v);
-        }
-        let back = coo.to_csr().to_csc().to_coo();
-        assert_eq!(back.rows(), coo.rows());
-        assert_eq!(back.cols(), coo.cols());
-        let canon = |c: &CooMatrix| {
-            let mut t = c.triplets().to_vec();
-            t.sort_by_key(|&(r, c, _)| (c, r));
-            t
-        };
-        assert_eq!(canon(&back), canon(&coo));
     }
 }

@@ -493,27 +493,6 @@ impl CscMatrix {
         (dropped_sq, dropped)
     }
 
-    /// Dropped squared mass and count that [`CscMatrix::drop_below`]
-    /// would record over columns `range` only, accumulated in storage
-    /// order. This is the per-rank partial the distributed ILUT drivers
-    /// combine over a fixed reduction tree: the block-column shard of
-    /// `range` accumulates exactly these terms in exactly this order,
-    /// so replicated and sharded drivers produce bitwise-identical
-    /// partials.
-    pub fn dropped_mass_in_cols(&self, threshold: f64, range: std::ops::Range<usize>) -> (f64, usize) {
-        let lo = self.colptr[range.start];
-        let hi = self.colptr[range.end];
-        let mut dropped_sq = 0.0;
-        let mut dropped = 0usize;
-        for &v in &self.values[lo..hi] {
-            if v.abs() < threshold {
-                dropped_sq += v * v;
-                dropped += 1;
-            }
-        }
-        (dropped_sq, dropped)
-    }
-
     /// Parallel [`CscMatrix::drop_below`]: the threshold pass runs over
     /// fixed `DROP_CHUNK_COLS`-wide column chunks, and the per-chunk
     /// `(kept structure, dropped mass, dropped count)` partials fold in
@@ -581,11 +560,17 @@ impl CscMatrix {
         )
     }
 
-    /// Parallel [`CscMatrix::dropped_mass_in_cols`]: per-chunk partials
-    /// over fixed `DROP_CHUNK_COLS`-wide chunks of `range`, folded in
+    /// Dropped squared mass and count that [`CscMatrix::drop_below_par`]
+    /// would record over columns `range` only: per-chunk partials over
+    /// fixed `DROP_CHUNK_COLS`-wide chunks of `range`, folded in
     /// ascending chunk order — the exact chunk partition (relative to
     /// `range.start`) and therefore the exact floating-point grouping
-    /// that [`CscMatrix::drop_below_par`] uses over the same columns.
+    /// that `drop_below_par` uses over the same columns. This is the
+    /// per-rank partial the replicated ILUT engine combines over a
+    /// fixed reduction tree; the block-column shard of `range`
+    /// accumulates exactly these terms in exactly this order, so
+    /// replicated and sharded engines produce bitwise-identical
+    /// partials.
     pub fn dropped_mass_in_cols_par(
         &self,
         threshold: f64,
@@ -1081,7 +1066,6 @@ mod tests {
         let base = a.fingerprint();
         // Format round trips preserve the stored bits exactly.
         assert_eq!(base, a.to_coo().to_csc().fingerprint());
-        assert_eq!(base, a.to_coo().to_csr().to_csc().fingerprint());
         assert_eq!(base, a.transpose().transpose().fingerprint());
     }
 

@@ -144,27 +144,10 @@ impl ColSlice {
         acc
     }
 
-    /// Slice-local [`CscMatrix::drop_below`]: drop entries with
+    /// Slice-local [`CscMatrix::drop_below_par`]: drop entries with
     /// `|value| < threshold`, returning the thinned shard plus this
-    /// shard's dropped squared mass and count. The mass is accumulated
-    /// in the shard's column-major storage order, i.e. exactly the
-    /// terms (and order) of [`CscMatrix::dropped_mass_in_cols`] over
-    /// this shard's column range on the full matrix.
-    pub fn drop_below(&self, threshold: f64) -> (ColSlice, f64, usize) {
-        let (m, mass, count) = self.local.drop_below(threshold);
-        (
-            ColSlice {
-                offset: self.offset,
-                local: m,
-            },
-            mass,
-            count,
-        )
-    }
-
-    /// Parallel variant of [`ColSlice::drop_below`]: delegates to
-    /// [`CscMatrix::drop_below_par`], so the threshold pass runs over
-    /// fixed-width column chunks of the shard and the dropped-mass
+    /// shard's dropped squared mass and count. The threshold pass runs
+    /// over fixed-width column chunks of the shard, so the dropped-mass
     /// partial is grouped exactly like
     /// [`CscMatrix::dropped_mass_in_cols_par`] over this shard's column
     /// range on the full matrix — the bitwise contract the replicated
@@ -368,15 +351,16 @@ mod tests {
         assert!((total - a.fro_norm_sq()).abs() < 1e-12);
 
         let thr = 1.0;
+        let par = lra_par::Parallelism::new(2);
         let (full_dropped, full_mass, full_count) = a.drop_below(thr);
         let mut shards = Vec::new();
         let mut mass = 0.0;
         let mut count = 0;
         for r in &ranges {
-            let (sd, sm, sc) = ColSlice::from_full(&a, r.clone()).drop_below(thr);
+            let (sd, sm, sc) = ColSlice::from_full(&a, r.clone()).drop_below_par(thr, par);
             // Per-shard mass equals the range-partial on the full matrix
-            // bitwise (same terms, same order).
-            let (rm, rc) = a.dropped_mass_in_cols(thr, r.clone());
+            // bitwise (same terms, same chunk grouping).
+            let (rm, rc) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
             assert_eq!(sm.to_bits(), rm.to_bits());
             assert_eq!(sc, rc);
             shards.push(sd.into_local());
@@ -408,7 +392,7 @@ mod tests {
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.fro_norm_sq_cols(), 0.0);
         assert_eq!(s.col_range(), 3..3);
-        let (d, m, c) = s.drop_below(1.0);
+        let (d, m, c) = s.drop_below_par(1.0, lra_par::Parallelism::SEQ);
         assert_eq!((d.nnz(), m, c), (0, 0.0, 0));
     }
 }

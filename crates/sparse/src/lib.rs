@@ -15,7 +15,6 @@
 
 mod coo;
 mod csc;
-mod csr;
 mod dist;
 mod io;
 mod ops;
@@ -24,12 +23,9 @@ mod spa;
 pub use coo::CooMatrix;
 pub use csc::{BlockSplit, CscMatrix, SparseBuilder};
 pub use dist::{gather_csc, scatter_csc, slice_columns_recycled, ColSlice};
-pub use csr::CsrMatrix;
 pub use io::{
     read_matrix_market, read_matrix_market_file, write_matrix_market, write_matrix_market_file,
     MmError,
 };
-pub use ops::{
-    add_scaled, dense_mul_csc, spgemm, spgemm_reference, spmm_dense, spmm_t_dense, spmv,
-};
+pub use ops::{add_scaled, spgemm, spgemm_reference, spmm_dense, spmm_t_dense, spmv};
 pub use spa::SparseAccumulator;

@@ -63,28 +63,6 @@ pub fn spmm_t_dense(a: &CscMatrix, d: &DenseMatrix, par: Parallelism) -> DenseMa
     c
 }
 
-/// `C = D * A` for dense `D` (p x m) and sparse `A` (m x n); result is
-/// `p x n`. Parallel over the columns of `A`.
-pub fn dense_mul_csc(d: &DenseMatrix, a: &CscMatrix, par: Parallelism) -> DenseMatrix {
-    assert_eq!(d.cols(), a.rows(), "dense_mul_csc: dimension mismatch");
-    let p = d.rows();
-    let n = a.cols();
-    let mut c = DenseMatrix::zeros(p, n);
-    // Eight output columns per chunk.
-    parallel_chunks_mut(par, c.as_mut_slice(), 8 * p, |chunk, cols| {
-        for (i, cj) in cols.chunks_mut(p).enumerate() {
-            let (ri, vs) = a.col(8 * chunk + i);
-            for (&r, &v) in ri.iter().zip(vs) {
-                let dr = d.col(r);
-                for (ci, &di) in cj.iter_mut().zip(dr) {
-                    *ci += v * di;
-                }
-            }
-        }
-    });
-    c
-}
-
 /// `y = A * x` for a dense vector.
 pub fn spmv(a: &CscMatrix, x: &[f64]) -> Vec<f64> {
     assert_eq!(a.cols(), x.len());
@@ -314,15 +292,6 @@ mod tests {
             let c_ref = matmul(&a.to_dense().transpose(), &d, Parallelism::SEQ);
             assert!(c.max_abs_diff(&c_ref) < 1e-12, "np={np}");
         }
-    }
-
-    #[test]
-    fn dense_mul_csc_matches_dense() {
-        let d = rand_dense(7, 14, 5);
-        let a = rand_sparse(14, 9, 3, 6);
-        let c = dense_mul_csc(&d, &a, Parallelism::new(2));
-        let c_ref = matmul(&d, &a.to_dense(), Parallelism::SEQ);
-        assert!(c.max_abs_diff(&c_ref) < 1e-12);
     }
 
     #[test]

@@ -74,8 +74,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn coo_csr_csc_coo_preserves_triples(coo in unique_coo(18)) {
-        let back = coo.to_csr().to_csc().to_coo();
+    fn coo_csc_coo_preserves_triples(coo in unique_coo(18)) {
+        let back = coo.to_csc().to_coo();
         prop_assert_eq!(back.rows(), coo.rows());
         prop_assert_eq!(back.cols(), coo.cols());
         // Exact equality, values included: no rounding anywhere in the
@@ -592,13 +592,15 @@ proptest! {
         let partial: f64 = slices.iter().map(|s| s.fro_norm_sq_cols()).sum();
         prop_assert!((partial - a.fro_norm_sq()).abs() <= 1e-12 * (1.0 + a.fro_norm_sq()));
 
-        // drop_below partials are bitwise the full-matrix range partials,
-        // and the gathered kept shards are exactly the full kept matrix.
+        // drop_below_par partials (the sharded engine's) are bitwise the
+        // full-matrix range partials (the replicated engine's), and the
+        // gathered kept shards are exactly the full kept matrix.
+        let par = Parallelism::new(2);
         let (full_kept, _, _) = a.drop_below(thr);
         let mut kept_parts = Vec::new();
         for (s, r) in slices.iter().zip(&ranges) {
-            let (kept, mass, count) = s.drop_below(thr);
-            let (mass_full, count_full) = a.dropped_mass_in_cols(thr, r.clone());
+            let (kept, mass, count) = s.drop_below_par(thr, par);
+            let (mass_full, count_full) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
             prop_assert_eq!(mass.to_bits(), mass_full.to_bits());
             prop_assert_eq!(count, count_full);
             prop_assert_eq!(kept.offset(), r.start);
