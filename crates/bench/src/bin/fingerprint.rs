@@ -1,6 +1,9 @@
 //! Bitwise fingerprint of everything the solvers compute: one line per
 //! configuration, FNV-1a over the output bits (factors, pivots, ranks,
 //! iteration counts, indicator histories, per-iteration `r_diag`).
+//! Dense kernels come first (full operands, which the Householder
+//! sweep handles) and last (the sparse operands its support walk
+//! handles).
 //!
 //! A change that claims to move no bit shows it by running this before
 //! and after and diffing; the committed `results/FINGERPRINT.txt` is the
@@ -90,6 +93,27 @@ impl Fnv {
         }
     }
 
+    /// `qr` of `a` on `par`: `R`, its diagonal, thin `Q`, `Q^T rhs` and
+    /// `Q Q^T rhs`.
+    fn qr(&mut self, a: &DenseMatrix, mut rhs: DenseMatrix, par: Parallelism) {
+        let f = qr(a, par);
+        self.dense(&f.r());
+        self.f64s(&f.r_diag());
+        self.dense(&f.q_thin(par));
+        f.apply_qt(&mut rhs, par);
+        self.dense(&rhs);
+        f.apply_q(&mut rhs, par);
+        self.dense(&rhs);
+    }
+
+    fn qrcp(&mut self, a: &DenseMatrix, steps: usize) {
+        let f = qrcp(a, steps);
+        self.dense(&f.factors);
+        self.f64s(&f.tau);
+        self.idx(&f.perm);
+        self.word(f.steps as u64);
+    }
+
     fn qb(&mut self, r: &QbResult) {
         self.dense(&r.q);
         self.dense(&r.b);
@@ -154,16 +178,8 @@ fn dense_kernels(out: &mut Lines) {
         }
         for &(m, n) in &[(40, 7), (300, 9), (600, 32), (2400, 64), (33, 33), (20, 45)] {
             let a = operand(m, n, 6);
-            let f = qr(&a, par);
             let mut h = Fnv::new();
-            h.dense(&f.r());
-            h.f64s(&f.r_diag());
-            h.dense(&f.q_thin(par));
-            let mut rhs = operand(m, 5, 7);
-            f.apply_qt(&mut rhs, par);
-            h.dense(&rhs);
-            f.apply_q(&mut rhs, par);
-            h.dense(&rhs);
+            h.qr(&a, operand(m, 5, 7), par);
             h.dense(&orth(&a, par));
             if m >= n {
                 let t = tsqr(&a, par);
@@ -175,12 +191,8 @@ fn dense_kernels(out: &mut Lines) {
         }
     }
     for &(m, n, steps) in &[(128, 64, 64), (90, 120, 90), (200, 40, 4), (64, 64, 16)] {
-        let f = qrcp(&operand(m, n, 8), steps);
         let mut h = Fnv::new();
-        h.dense(&f.factors);
-        h.f64s(&f.tau);
-        h.idx(&f.perm);
-        h.word(f.steps as u64);
+        h.qrcp(&operand(m, n, 8), steps);
         out.put(format_args!("qrcp {m}x{n} steps={steps}"), h);
     }
     let mut h = Fnv::new();
@@ -342,6 +354,40 @@ fn randomized_solvers(out: &mut Lines) {
     }
 }
 
+/// `per_col` entries scattered down every column: what a tournament
+/// leaf gathers on its row support.
+fn scattered(rows: usize, cols: usize, per_col: usize, seed: u64) -> DenseMatrix {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let mut a = DenseMatrix::zeros(rows, cols);
+    for j in 0..cols {
+        for _ in 0..per_col {
+            let i = ((rng.unit() + 1.0) * 0.5 * rows as f64) as usize;
+            a.set(i.min(rows - 1), j, rng.unit());
+        }
+    }
+    a
+}
+
+/// The operands on which reflectors are applied through their nonzeros
+/// (`householder.rs`): a sparse leaf panel, the stacked triangles of
+/// `panel_r`'s fold, and the triangular `R` a tournament node ranks.
+fn sparse_reflectors(out: &mut Lines) {
+    let leaf = scattered(256, 64, 8, 1);
+    let triangle = |seed| qr(&scattered(256, 64, 8, seed), Parallelism::SEQ).r();
+    let stacked = triangle(2).vcat(&triangle(3));
+    for (name, a) in [("sparse-leaf", &leaf), ("stacked-triangles", &stacked)] {
+        for np in 1..=3 {
+            let mut h = Fnv::new();
+            let rhs = scattered(a.rows(), 12, a.rows() / 3, 4);
+            h.qr(a, rhs, Parallelism::new(np));
+            out.put(format_args!("qr {name} {}x{} np={np}", a.rows(), a.cols()), h);
+        }
+    }
+    let mut h = Fnv::new();
+    h.qrcp(&triangle(1), 32);
+    out.put(format_args!("qrcp triangular-R 64x64 steps=32"), h);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_path = match args.as_slice() {
@@ -358,6 +404,7 @@ fn main() {
     orderings(&mut out, &mats);
     lu_solvers(&mut out, &mats);
     randomized_solvers(&mut out);
+    sparse_reflectors(&mut out);
     match out_path {
         None => print!("{}", out.0),
         Some(path) => std::fs::write(&path, &out.0).unwrap_or_else(|e| {

@@ -5,8 +5,11 @@
 //! entries and ungated timings of the two kernels ahead of and inside
 //! every LU_CRTP / ILUT_CRTP iteration that the benchmark's buckets
 //! only show summed: COLAMD on the circuit preset
-//! (`kernel.colamd_s`) and one Schur update of a fully dense
-//! complement (`kernel.schur_dense_s`).
+//! (`kernel.colamd_s`), one Schur update of a fully dense
+//! complement (`kernel.schur_dense_s`), and `qr` of a tournament leaf's
+//! shape holding 8 entries a column and holding none that is zero
+//! (`kernel.qr_sparse_panel_s`, `kernel.qr_dense_panel_s` and their
+//! ratio: what applying a reflector through its nonzeros is worth).
 //!
 //! Three claims are enforced, not just measured (exit 1 on regression):
 //!
@@ -52,7 +55,7 @@ use lra_core::{
     factorize, factorize_ranks, ilut_crtp, rand_qb_ei, schur_update_into, Exec, IlutOpts,
     Parallelism, QbOpts, SchurWorkspace,
 };
-use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, DenseMatrix};
+use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, qr, DenseMatrix};
 use lra_obs::{BenchEntry, BenchReport, Json, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_sparse::CscMatrix;
 
@@ -105,14 +108,23 @@ const COLAMD_N: usize = 2400;
 /// the benchmark's `fill_dense` input has left from its fifth iteration
 /// on.
 const SCHUR_N: usize = 848;
+/// Shape of the `qr` panel pair (a `tp_sparse` leaf at the benchmark's
+/// `k`: `2k` columns on one chunk of row support) and the entries a
+/// column of the sparse one holds.
+const PANEL_M: usize = 256;
+const PANEL_N: usize = 64;
+const PANEL_PER_COL: usize = 8;
 /// Gauges a kernel report must carry for `--validate` to accept it.
-const REQUIRED_GAUGES: [&str; 6] = [
+const REQUIRED_GAUGES: [&str; 9] = [
     "kernel.gemm_ts_s",
     "kernel.gemm_ts_par2_speedup",
     "kernel.orth_s",
     "kernel.orth_par2_speedup",
     "kernel.colamd_s",
     "kernel.schur_dense_s",
+    "kernel.qr_sparse_panel_s",
+    "kernel.qr_dense_panel_s",
+    "kernel.qr_sparse_over_dense_panel",
 ];
 /// Empty two-chunk regions timed for `kernel.region_overhead_s`.
 const REGIONS: usize = 2000;
@@ -140,6 +152,7 @@ fn main() {
     let gemm_ok = gemm_gate(&reg);
     ilut_sweep(&cfg, &reg, &mut entries);
     ordering_and_schur(&reg);
+    qr_panels(&reg);
     let overlap_ok = overlap_gate(&cfg, &reg);
     let par2_ok = par2_gate(&cfg, &reg);
 
@@ -284,6 +297,42 @@ fn ordering_and_schur(reg: &MetricsRegistry) {
         "schur update dense {SCHUR_N}x{SCHUR_N} k={QB_K} np=2: {} ({} entries)",
         fmt_s(schur_s),
         s_next.nnz()
+    );
+}
+
+/// `qr` of a [`PANEL_M`]` x `[`PANEL_N`] panel with [`PANEL_PER_COL`]
+/// scattered entries a column, and of the same shape with every entry
+/// nonzero, interleaved best of [`TS_REPS`]. The first is applied
+/// through reflector supports until fill-in makes the reflectors dense,
+/// the second never is. Measured, not gated.
+fn qr_panels(reg: &MetricsRegistry) {
+    let dense = dense_operand(PANEL_M, PANEL_N, 9);
+    let mut sparse = DenseMatrix::zeros(PANEL_M, PANEL_N);
+    for j in 0..PANEL_N {
+        for t in 0..PANEL_PER_COL {
+            let i = (j * 97 + t * 61 + (j * t) % 13) % PANEL_M;
+            sparse.set(i, j, dense.get(i, j) + 0.75);
+        }
+    }
+    let (mut sparse_s, mut dense_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TS_REPS {
+        let ((), s) = timed(|| {
+            std::hint::black_box(qr(&sparse, Parallelism::SEQ));
+        });
+        sparse_s = sparse_s.min(s);
+        let ((), s) = timed(|| {
+            std::hint::black_box(qr(&dense, Parallelism::SEQ));
+        });
+        dense_s = dense_s.min(s);
+    }
+    let ratio = sparse_s / dense_s.max(1e-12);
+    reg.set_gauge("kernel.qr_sparse_panel_s", sparse_s);
+    reg.set_gauge("kernel.qr_dense_panel_s", dense_s);
+    reg.set_gauge("kernel.qr_sparse_over_dense_panel", ratio);
+    println!(
+        "qr {PANEL_M}x{PANEL_N}: {PANEL_PER_COL} per column {} full {} ratio {ratio:.2}",
+        fmt_s(sparse_s),
+        fmt_s(dense_s)
     );
 }
 

@@ -5,7 +5,7 @@
 //! (Algorithm 2, line 6) and as the building block of TSQR.
 
 use crate::{householder, DenseMatrix};
-use lra_par::{parallel_chunks_mut, Parallelism};
+use lra_par::Parallelism;
 
 /// Compact Householder QR factorization `A = Q R`.
 ///
@@ -18,31 +18,13 @@ pub struct QrFactor {
     tau: Vec<f64>,
 }
 
-/// Apply the reflector `(v, tau)` to rows `off..` of every `m`-long
-/// column of the column-major `cols`, one [`householder::GROUP`] of
-/// columns to a parallel chunk. `tau == 0` (`H = I`) opens no region.
-fn apply_reflector_cols(
-    par: Parallelism,
-    v: &[f64],
-    tau: f64,
-    cols: &mut [f64],
-    m: usize,
-    off: usize,
-) {
-    if tau == 0.0 {
-        return;
-    }
-    parallel_chunks_mut(par, cols, householder::GROUP * m, |_, chunk| {
-        householder::apply_cols(v, tau, chunk, m, off)
-    });
-}
-
 /// Compute the Householder QR factorization of `a`.
 ///
 /// Unblocked (level-2) Householder QR: one reflector per column, applied
-/// to the trailing columns four at a time — the groups are the parallel
-/// chunks, and inside one the columns' dot chains overlap (see
-/// `householder.rs`). Every column's arithmetic is the one-column
+/// to the trailing columns a group at a time — the groups are the
+/// parallel chunks, and inside one the columns' dot chains overlap; a
+/// reflector that is mostly exact zeros is applied through its nonzeros
+/// (see `householder.rs`). Every column's arithmetic is the one-column
 /// formula in its order, for any worker count.
 pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
     let mut f = a.clone();
@@ -50,6 +32,7 @@ pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
     let n = f.cols();
     let r = m.min(n);
     let mut tau = vec![0.0; r];
+    let mut support = Vec::new();
     for j in 0..r {
         // Generate reflector from column j, rows j..m.
         let tj = householder::make_householder(&mut f.col_mut(j)[j..]);
@@ -58,7 +41,7 @@ pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
         // trailing columns it updates in the tail half.
         let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
         let v = &head[j * m + j..];
-        apply_reflector_cols(par, v, tj, trailing, m, j);
+        householder::apply_reflector(Some(par), v, tj, trailing, m, j, &mut support);
     }
     QrFactor { factors: f, tau }
 }
@@ -113,23 +96,32 @@ impl QrFactor {
     /// `B <- Q B` (apply reflectors in reverse order).
     pub fn apply_q(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_q: row mismatch");
+        let mut support = Vec::new();
         for j in (0..self.rank_bound()).rev() {
-            self.apply_reflector(j, b, par);
+            self.apply_reflector(j, b, par, &mut support);
         }
     }
 
     /// `B <- Q^T B` (apply reflectors in forward order).
     pub fn apply_qt(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_qt: row mismatch");
+        let mut support = Vec::new();
         for j in 0..self.rank_bound() {
-            self.apply_reflector(j, b, par);
+            self.apply_reflector(j, b, par, &mut support);
         }
     }
 
     /// `B <- H_j B` for reflector `j` (acts on rows `j..`).
-    fn apply_reflector(&self, j: usize, b: &mut DenseMatrix, par: Parallelism) {
+    fn apply_reflector(
+        &self,
+        j: usize,
+        b: &mut DenseMatrix,
+        par: Parallelism,
+        support: &mut Vec<(usize, f64)>,
+    ) {
         let v = &self.factors.col(j)[j..];
-        apply_reflector_cols(par, v, self.tau[j], b.as_mut_slice(), self.rows(), j);
+        let (tau, m) = (self.tau[j], self.rows());
+        householder::apply_reflector(Some(par), v, tau, b.as_mut_slice(), m, j, support);
     }
 }
 

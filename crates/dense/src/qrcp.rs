@@ -66,14 +66,19 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
     let tol3z = f64::EPSILON.sqrt();
 
     let mut steps = 0;
+    let mut support = Vec::new();
     for j in 0..steps_cap {
-        // Pivot: column with the largest remaining norm.
+        // Pivot: column with the largest remaining norm. `total_cmp`
+        // orders finite non-negative norms as `partial_cmp` does and
+        // still answers once overflowed squares have made a NaN: the
+        // factorization goes on over non-finite columns and the
+        // drivers' `is_finite` checks on `R`'s diagonal stop the run.
         let (pj, &max_norm) = norms[j..]
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(off, v)| (j + off, v))
-            .unwrap();
+            .expect("j < steps_cap <= n");
         if max_norm <= 0.0 {
             break; // exact rank deficiency: nothing left to factor
         }
@@ -89,7 +94,8 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
         tau.push(tj);
         steps = j + 1;
         let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
-        householder::apply_cols(&head[j * m + j..], tj, trailing, m, j);
+        let v = &head[j * m + j..];
+        householder::apply_reflector(None, v, tj, trailing, m, j, &mut support);
         // Downdate trailing norms with the LAPACK dgeqp3 safeguard.
         for c in j + 1..n {
             if norms[c] == 0.0 {

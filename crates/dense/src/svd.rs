@@ -24,11 +24,13 @@ pub fn bidiagonalize(a: &DenseMatrix) -> (Vec<f64>, Vec<f64>) {
     let n = w.cols();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n.saturating_sub(1)];
+    let mut support = Vec::new();
     for j in 0..n {
         // Left Householder: eliminate below-diagonal entries of column j.
         let tau_l = make_householder(&mut w.col_mut(j)[j..]);
         let (head, trailing) = w.as_mut_slice().split_at_mut((j + 1) * m);
-        householder::apply_cols(&head[j * m + j..], tau_l, trailing, m, j);
+        let v = &head[j * m + j..];
+        householder::apply_reflector(None, v, tau_l, trailing, m, j, &mut support);
         d[j] = w.get(j, j);
         if j + 1 < n {
             // Right Householder: eliminate entries right of the

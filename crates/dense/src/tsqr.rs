@@ -1,10 +1,10 @@
 //! Communication-avoiding tall-and-skinny QR (TSQR).
 //!
-//! This substitutes the paper's `El::qr::ExplicitTS` (Elemental) and the
-//! R-only panel factorizations backing tournament pivoting. Rows are
-//! split into one block per worker, each block is factorized
-//! independently, the stacked `R` factors are factorized once more, and
-//! (optionally) the thin `Q` is reconstructed by back-propagation:
+//! This substitutes the paper's `El::qr::ExplicitTS` (Elemental). Rows
+//! are split into blocks (by the shape alone, see `blocking`), each
+//! block is factorized independently, the stacked `R` factors are
+//! factorized once more, and (optionally) the thin `Q` is reconstructed
+//! by back-propagation:
 //!
 //! `A = [A_1; ...; A_p] = blkdiag(Q_1..Q_p) * [R_1; ...; R_p]`
 //! `[R_1; ...; R_p] = Q_s R`  =>  `Q = blkdiag(Q_i) * Q_s`.
@@ -102,8 +102,10 @@ pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
 }
 
 /// R-only TSQR: the `min(m,n) x n` triangular factor of `a`, without
-/// forming `Q`. This is the kernel tournament pivoting runs on candidate
-/// column panels (only column correlations matter for pivot selection).
+/// forming `Q` — the same blocks and root as [`tsqr`]. (Tournament
+/// pivoting does not come through here: `lra-qrtp`'s `panel_r` cuts a
+/// panel's row support into chunks, calls [`qr`] on each and folds the
+/// chunk `R`s left to right.)
 pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     match local_qrs(a, par) {
         Some((_, locals)) => qr(&stacked_rs(&locals), par).r(),

@@ -422,29 +422,44 @@ impl CscMatrix {
     /// Gather the given rows (strictly ascending) of the given columns
     /// into a dense `rows.len() x idx.len()` panel: row `i` of the
     /// result is row `rows[i]` of `self`; stored entries on other rows
-    /// are skipped. A merge walk over each (sorted) column, so the cost
-    /// is `O(rows.len() + nnz)` per column — with `rows` a chunk of
-    /// [`CscMatrix::row_support`] this is the row-compressed densify of
-    /// R-only TSQR on sparse panels.
+    /// are skipped. With `rows` a chunk of [`CscMatrix::row_support`]
+    /// this is the row-compressed densify of R-only TSQR on sparse
+    /// panels. A column is matched against `rows` by a merge walk,
+    /// `O(rows.len() + nnz)`, unless it is so short that a binary
+    /// search per stored entry in what is left of `rows`,
+    /// `O(nnz * log(rows.len()))`, reads less — the tournament's
+    /// columns hold a handful of entries against a support of hundreds.
     pub fn gather_columns_at_rows_dense(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly ascending");
         let mut out = DenseMatrix::zeros(rows.len(), idx.len());
         let Some(&first) = rows.first() else {
             return out;
         };
+        let probes = rows.len().ilog2() as usize + 1;
         for (dst, &j) in idx.iter().enumerate() {
             let (ri, vs) = self.col(j);
             let col = out.col_mut(dst);
             let mut p = ri.partition_point(|&r| r < first);
             let mut q = 0;
-            while p < ri.len() && q < rows.len() {
-                match ri[p].cmp(&rows[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        col[q] = vs[p];
-                        p += 1;
-                        q += 1;
+            if (ri.len() - p) * probes <= rows.len() {
+                for (&r, &v) in ri[p..].iter().zip(&vs[p..]) {
+                    q += rows[q..].partition_point(|&x| x < r);
+                    match rows.get(q) {
+                        Some(&x) if x == r => col[q] = v,
+                        Some(_) => {}
+                        None => break,
+                    }
+                }
+            } else {
+                while p < ri.len() && q < rows.len() {
+                    match ri[p].cmp(&rows[q]) {
+                        std::cmp::Ordering::Less => p += 1,
+                        std::cmp::Ordering::Greater => q += 1,
+                        std::cmp::Ordering::Equal => {
+                            col[q] = vs[p];
+                            p += 1;
+                            q += 1;
+                        }
                     }
                 }
             }
@@ -965,6 +980,37 @@ mod tests {
         assert_eq!(p.col(0), &[2.0, 5.0]);
         assert_eq!(p.col(1), &[0.0, 0.0]);
         assert_eq!(a.gather_columns_at_rows_dense(&[0], &[]).rows(), 0);
+    }
+
+    /// Short columns are located in `rows` by binary search, the others
+    /// by the merge walk; both must read what `get` reads, whatever lies
+    /// before, between and after the stored rows.
+    #[test]
+    fn gather_at_rows_matches_get_for_short_and_long_columns() {
+        let m = 400;
+        let mut coo = crate::CooMatrix::new(m, 6);
+        for r in [3, 57, 58, 200, 399] {
+            coo.push(r, 0, r as f64 + 0.5); // short
+        }
+        for r in (0..m).filter(|r| r % 3 != 1) {
+            coo.push(r, 1, -(r as f64) - 0.25); // long
+        }
+        coo.push(0, 2, 7.0); // one entry, on the first row
+        coo.push(m - 1, 3, 9.0); // one entry, on the last row
+        coo.push(100, 4, 11.0); // no entry on any of `rows` below
+        let a = coo.to_csc(); // column 5 is empty
+        let idx = [5, 0, 1, 2, 3, 4, 0];
+        let every_row: Vec<usize> = (0..m).collect();
+        let inner: Vec<usize> = (10..390).filter(|r| r % 100 != 0).collect();
+        let few = vec![57, 59, 399];
+        for rows in [&every_row[..], &inner, &few, &[58], &[]] {
+            let p = a.gather_columns_at_rows_dense(&idx, rows);
+            assert_eq!((p.rows(), p.cols()), (rows.len(), idx.len()));
+            for (dst, &j) in idx.iter().enumerate() {
+                let want: Vec<f64> = rows.iter().map(|&r| a.get(r, j)).collect();
+                assert_eq!(p.col(dst), &want[..], "column {j} on {} rows", rows.len());
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use lra::core::{
     IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Method, Parallelism,
     RecoveryHooks, RunConfig,
 };
+use lra::dense::DenseMatrix;
 use lra::sparse::CscMatrix;
 
 mod common;
@@ -122,6 +123,30 @@ fn stop_reason_is_the_same_on_every_engine() {
             smooth,
             LuCrtpOpts::new(4, 1e-9).with_budget(Budget::unlimited().with_iteration_cap(2)),
             (false, None, true, true),
+        ),
+        // Every entry is finite, so `validate` passes; every squared
+        // column norm is not.
+        (
+            "entries of 1e160",
+            CscMatrix::from_dense(&DenseMatrix::from_fn(40, 40, |i, j| {
+                (1.0 + ((3 * i + 7 * j) % 11) as f64) * 1e160
+            })),
+            LuCrtpOpts::new(4, 1e-3),
+            (false, Some(Breakdown::NonFinite), false, true),
+        ),
+        // Sparse leaves of 16 columns, where reflectors are applied
+        // through their nonzeros: column 40's squared norm overflows
+        // when its turn comes, and the `inf` must still reach the check
+        // although a skipped `0 * inf` makes no NaN on the way.
+        (
+            "one column of 1e200 in a sparse panel",
+            {
+                let mut a = lra::matgen::circuit(96, 3, 2, 11).to_dense();
+                a.col_mut(40).iter_mut().for_each(|v| *v *= 1e200);
+                CscMatrix::from_dense(&a)
+            },
+            LuCrtpOpts::new(8, 1e-3),
+            (false, Some(Breakdown::NonFinite), false, true),
         ),
     ];
     for (case, a, opts, want) in table {

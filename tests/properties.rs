@@ -418,16 +418,16 @@ fn ref_tsqr(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
     (q, ref_r(&top, n))
 }
 
-/// Column-pivoted QR with dgeqp3's norm downdating, column by column:
-/// `(factors, tau, perm)`.
-fn ref_qrcp(a: &DenseMatrix) -> (DenseMatrix, Vec<f64>, Vec<usize>) {
+/// Column-pivoted QR with dgeqp3's norm downdating, column by column,
+/// stopped after `max_steps` reflectors: `(factors, tau, perm)`.
+fn ref_qrcp(a: &DenseMatrix, max_steps: usize) -> (DenseMatrix, Vec<f64>, Vec<usize>) {
     let (m, n) = (a.rows(), a.cols());
     let mut f = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
     let mut tau = Vec::new();
     let mut norms: Vec<f64> = (0..n).map(|j| f.col(j).iter().map(|v| v * v).sum()).collect();
     let mut norms_ref = norms.clone();
-    for j in 0..m.min(n) {
+    for j in 0..m.min(n).min(max_steps) {
         let (pj, &max_norm) = norms[j..]
             .iter()
             .enumerate()
@@ -466,12 +466,65 @@ fn ref_qrcp(a: &DenseMatrix) -> (DenseMatrix, Vec<f64>, Vec<usize>) {
     (f, tau, perm)
 }
 
-/// `qr`, `tsqr`, `tsqr_r` and `qrcp` walk several columns through each
+/// Every Householder kernel on `a` — `qr` with its `R`, `Q`, `Q rhs`
+/// and `Q^T rhs`, `tsqr`, `tsqr_r`, for every worker count, and `qrcp`
+/// stopped after `steps` — against the one-column references above.
+/// `same` is [`bits_eq`], or `==` where an operand holds `-0.0` and
+/// takes the support walk (the one thing the walk may not reproduce is
+/// the sign of a zero).
+fn check_householder_kernels(
+    a: &DenseMatrix,
+    rhs: &DenseMatrix,
+    steps: usize,
+    same: fn(&[f64], &[f64]) -> bool,
+    what: &str,
+) {
+    let n = a.rows().min(a.cols());
+    let (f_ref, tau_ref) = ref_qr(a);
+    let (mut qt_rhs, mut q_rhs) = (rhs.clone(), rhs.clone());
+    ref_apply_q(&f_ref, &tau_ref, &mut qt_rhs, true);
+    ref_apply_q(&f_ref, &tau_ref, &mut q_rhs, false);
+    let (tq_ref, tr_ref) = ref_tsqr(a);
+    for np in 1..=3usize {
+        let par = Parallelism::new(np);
+        let tag = format!("{what} np={np}");
+        let f = qr(a, par);
+        assert!(same(f.r().as_slice(), ref_r(&f_ref, n).as_slice()), "qr r {tag}");
+        let diag: Vec<f64> = (0..n).map(|j| f_ref.get(j, j)).collect();
+        assert!(same(&f.r_diag(), &diag), "qr r_diag {tag}");
+        assert!(
+            same(f.q_thin(par).as_slice(), ref_q_thin(&f_ref, &tau_ref).as_slice()),
+            "qr q_thin {tag}"
+        );
+        let mut b = rhs.clone();
+        f.apply_qt(&mut b, par);
+        assert!(same(b.as_slice(), qt_rhs.as_slice()), "apply_qt {tag}");
+        let mut b = rhs.clone();
+        f.apply_q(&mut b, par);
+        assert!(same(b.as_slice(), q_rhs.as_slice()), "apply_q {tag}");
+        let t = tsqr(a, par);
+        assert!(same(t.q.as_slice(), tq_ref.as_slice()), "tsqr q {tag}");
+        assert!(same(t.r.as_slice(), tr_ref.as_slice()), "tsqr r {tag}");
+        assert!(same(tsqr_r(a, par).as_slice(), tr_ref.as_slice()), "tsqr_r {tag}");
+    }
+    let (pf_ref, ptau_ref, perm_ref) = ref_qrcp(a, steps);
+    let p = qrcp(a, steps);
+    let tag = format!("qrcp {what}");
+    assert_eq!(p.perm, perm_ref, "{tag}");
+    assert_eq!(p.steps, ptau_ref.len(), "{tag}");
+    assert!(same(&p.tau, &ptau_ref), "{tag}: tau");
+    assert!(same(p.factors.as_slice(), pf_ref.as_slice()), "{tag}: factors");
+    let diag: Vec<f64> = (0..p.steps).map(|j| pf_ref.get(j, j)).collect();
+    assert!(same(&p.r_diag(), &diag), "{tag}: r_diag");
+}
+
+/// `qr`, `tsqr`, `tsqr_r` and `qrcp` carry several columns through each
 /// reflector at once; every column must still get exactly the
 /// one-column formula's additions in its order. Pinned bit for bit
 /// against the references above for column counts on both sides of
 /// every group edge, with a column already in triangular form
-/// (`tau == 0`) and a zero column, for every worker count.
+/// (`tau == 0`) and a zero column, for every worker count. These
+/// operands are three quarters nonzero: every reflector is swept.
 #[test]
 fn householder_kernels_match_the_one_column_formula_bitwise() {
     for n in (1usize..=9).chain([31, 32, 33]) {
@@ -483,46 +536,64 @@ fn householder_kernels_match_the_one_column_formula_bitwise() {
             if n > 2 {
                 a.col_mut(n / 2).fill(0.0);
             }
-            let (f_ref, tau_ref) = ref_qr(&a);
+            let (_, tau_ref) = ref_qr(&a);
             assert_eq!(tau_ref[0], 0.0, "column 0 is already triangular");
             assert!(n <= 2 || tau_ref[n / 2] == 0.0, "a zero column stays zero");
             let rhs = gemm_operand(m, 5, 9);
-            let (mut qt_rhs, mut q_rhs) = (rhs.clone(), rhs.clone());
-            ref_apply_q(&f_ref, &tau_ref, &mut qt_rhs, true);
-            ref_apply_q(&f_ref, &tau_ref, &mut q_rhs, false);
-            let (tq_ref, tr_ref) = ref_tsqr(&a);
-            for np in 1..=3usize {
-                let par = Parallelism::new(np);
-                let tag = format!("{m}x{n} np={np}");
-                let f = qr(&a, par);
-                assert!(bits_eq(f.r().as_slice(), ref_r(&f_ref, n).as_slice()), "qr r {tag}");
-                let diag: Vec<f64> = (0..n).map(|j| f_ref.get(j, j)).collect();
-                assert!(bits_eq(&f.r_diag(), &diag), "qr r_diag {tag}");
-                assert!(
-                    bits_eq(f.q_thin(par).as_slice(), ref_q_thin(&f_ref, &tau_ref).as_slice()),
-                    "qr q_thin {tag}"
-                );
-                let mut b = rhs.clone();
-                f.apply_qt(&mut b, par);
-                assert!(bits_eq(b.as_slice(), qt_rhs.as_slice()), "apply_qt {tag}");
-                let mut b = rhs.clone();
-                f.apply_q(&mut b, par);
-                assert!(bits_eq(b.as_slice(), q_rhs.as_slice()), "apply_q {tag}");
-                let t = tsqr(&a, par);
-                assert!(bits_eq(t.q.as_slice(), tq_ref.as_slice()), "tsqr q {tag}");
-                assert!(bits_eq(t.r.as_slice(), tr_ref.as_slice()), "tsqr r {tag}");
-                assert!(bits_eq(tsqr_r(&a, par).as_slice(), tr_ref.as_slice()), "tsqr_r {tag}");
-            }
-            let (pf_ref, ptau_ref, perm_ref) = ref_qrcp(&a);
-            let p = qrcp(&a, usize::MAX);
-            let tag = format!("qrcp {m}x{n}");
-            assert_eq!(p.perm, perm_ref, "{tag}");
-            assert_eq!(p.steps, ptau_ref.len(), "{tag}");
-            assert!(bits_eq(&p.tau, &ptau_ref), "{tag}: tau");
-            assert!(bits_eq(p.factors.as_slice(), pf_ref.as_slice()), "{tag}: factors");
-            let diag: Vec<f64> = (0..p.steps).map(|j| pf_ref.get(j, j)).collect();
-            assert!(bits_eq(&p.r_diag(), &diag), "{tag}: r_diag");
+            check_householder_kernels(&a, &rhs, usize::MAX, bits_eq, &format!("{m}x{n}"));
         }
+    }
+}
+
+/// `per_col` entries scattered down every column of an `m x n` panel:
+/// what a tournament leaf gathers on its row support.
+fn scattered_panel(m: usize, n: usize, per_col: usize, seed: u64) -> DenseMatrix {
+    let mut rng = common::SplitMix64(seed);
+    let mut a = DenseMatrix::zeros(m, n);
+    for j in 0..n {
+        for _ in 0..per_col {
+            let i = rng.below(m);
+            a.set(i, j, (rng.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0);
+        }
+    }
+    a
+}
+
+/// The same pins where the support walk runs: a reflector that is at
+/// most half nonzero, over at least eight columns, is applied through
+/// its nonzeros. Operands: the `tp_sparse` leaf (8 entries a column on
+/// 256 rows; on 520 rows TSQR's root stacks two triangles) at widths on
+/// both sides of the eight-column guard (`n = 8` never walks, `n = 9`
+/// walks once) and of the eight-wide group (8, 9, 16, 17 columns to
+/// update); two stacked 64 x 64 triangles, the fold of `panel_r`; and a
+/// 64 x 64 upper-triangular `R` ranked by `qrcp(., 32)`, the node's last
+/// step. `rhs` is 12 wide so that `Q rhs` walks too. Bit for bit — and
+/// once more with `-0.0` planted in the operands, where the walk may
+/// keep the sign of a zero the sweep loses: equal values there.
+#[test]
+fn householder_kernels_match_the_one_column_formula_where_the_walk_runs() {
+    let values_eq = |x: &[f64], y: &[f64]| x == y;
+    let plant_negative_zeros = |a: &mut DenseMatrix| {
+        for v in a.as_mut_slice().iter_mut().filter(|v| **v == 0.0).step_by(3) {
+            *v = -0.0;
+        }
+    };
+    let leaf = scattered_panel(256, 64, 8, 1);
+    let triangle = |seed| qr(&scattered_panel(256, 64, 8, seed), Parallelism::SEQ).r();
+    let mut operands: Vec<(String, DenseMatrix, usize)> = Vec::new();
+    for n in [8usize, 9, 10, 16, 17, 18, 64] {
+        for m in [256usize, 520] {
+            operands.push((format!("leaf {m}x{n}"), scattered_panel(m, n, 8, n as u64), usize::MAX));
+        }
+    }
+    operands.push(("stacked triangles".into(), triangle(2).vcat(&triangle(3)), usize::MAX));
+    operands.push(("triangular R".into(), qr(&leaf, Parallelism::SEQ).r(), 32));
+    for (what, a, steps) in &mut operands {
+        let mut rhs = scattered_panel(a.rows(), 12, a.rows() / 3, 77);
+        check_householder_kernels(a, &rhs, *steps, bits_eq, what);
+        plant_negative_zeros(a);
+        plant_negative_zeros(&mut rhs);
+        check_householder_kernels(a, &rhs, *steps, values_eq, &format!("{what} with -0.0"));
     }
 }
 
