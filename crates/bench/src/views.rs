@@ -132,7 +132,8 @@ fn quantiles(series: &mut [f64]) -> String {
 /// Fig. 1 (left): effectiveness of ILUT_CRTP thresholding over the
 /// 197-matrix suite (k = 8, tau = 1e-6, stopped at the numerical rank):
 /// the distribution of `nnz(LU_CRTP factors) / nnz(ILUT_CRTP factors)`
-/// for LU_CRTP with COLAMD once, never and every iteration, the
+/// for LU_CRTP with COLAMD once, never and every iteration, what the
+/// other two orderings cost in wall time against COLAMD once, the
 /// maximum density of `A^(i)`, and the Section VI-A statistics.
 fn fig1_left(sw: &mut Sweep, cfg: &BenchConfig) -> String {
     let (tau, k) = (1e-6, 8);
@@ -142,6 +143,10 @@ fn fig1_left(sw: &mut Sweep, cfg: &BenchConfig) -> String {
         ("  LU_CRTP (COLAMD every iter) ", vec![]),
         ("  LU_CRTP                     ", vec![]),
         ("  ILUT_CRTP                   ", vec![]),
+    ];
+    let mut wall_ratios: [(&str, Vec<f64>); 2] = [
+        ("  no COLAMD / COLAMD first    ", vec![]),
+        ("  COLAMD every / COLAMD first ", vec![]),
     ];
     let mut counts: [(&str, usize); 6] = [
         ("thresholding effective (ratio > 1)", 0),
@@ -171,6 +176,9 @@ fn fig1_left(sw: &mut Sweep, cfg: &BenchConfig) -> String {
         for (i, lu) in lus.iter().enumerate() {
             series[i].1.push(lu.factor_nnz as f64 / il.factor_nnz.max(1) as f64);
         }
+        for (ratios, lu) in wall_ratios.iter_mut().zip(&lus[1..]) {
+            ratios.1.push(lu.wall / lus[0].wall);
+        }
         series[3].1.push(max_density(&lus[0]));
         series[4].1.push(max_density(&il));
         let report = il.threshold.as_ref().expect("ILUT_CRTP reports its threshold");
@@ -193,6 +201,13 @@ fn fig1_left(sw: &mut Sweep, cfg: &BenchConfig) -> String {
         if i == 3 {
             put!(out, "max fill-in density of A^(i):");
         }
+        put!(out, "{label}: {}", quantiles(values));
+    }
+    put!(
+        out,
+        "wall-time ratios of LU_CRTP orderings (lower is cheaper):"
+    );
+    for (label, values) in wall_ratios.iter_mut() {
         put!(out, "{label}: {}", quantiles(values));
     }
     put!(out, "\nSection VI-A statistics:");

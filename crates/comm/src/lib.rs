@@ -61,7 +61,7 @@ mod stats;
 
 pub use error::{CommError, TimeoutDiagnostics};
 pub use fault::FaultPlan;
-pub use stats::{CommStats, MessageSize, COLLECTIVE_FAMILIES};
+pub use stats::{CommStats, MessageSize};
 
 use fault::{RankDelay, RankStall};
 use std::any::Any;
@@ -1352,7 +1352,7 @@ mod tests {
             }
             for st in &stats {
                 assert_eq!(st.overlap_posted, 1, "np={np}");
-                let a2a = COLLECTIVE_FAMILIES.iter().position(|f| *f == "alltoallv").unwrap();
+                let a2a = stats::family_index("alltoallv").unwrap();
                 if np > 1 {
                     assert!(st.bytes_on_wire[a2a] > 0, "np={np}: post traffic attributed");
                 }

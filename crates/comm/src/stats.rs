@@ -33,7 +33,7 @@ impl<T> MessageSize for T {}
 /// (`alltoallv.post` etc.) attribute to their base family, so the
 /// `comm.bytes.*` series stays comparable across the eager and
 /// overlapped drivers.
-pub const COLLECTIVE_FAMILIES: [&str; 7] = [
+pub(crate) const COLLECTIVE_FAMILIES: [&str; 7] = [
     "barrier",
     "broadcast",
     "allgather",
@@ -85,9 +85,10 @@ pub struct CommStats {
     /// Iteration announcements stalled by the fault plan (the
     /// timeout-injection hook [`crate::FaultPlan::stall_rank_at_iteration`]).
     pub fault_stalled: u64,
-    /// Bytes enqueued from inside each collective family, indexed by
-    /// [`COLLECTIVE_FAMILIES`]. Point-to-point sends outside any
-    /// collective are counted in [`CommStats::bytes_sent`] only.
+    /// Bytes enqueued from inside each collective family, in the order
+    /// barrier, broadcast, allgather, reduce, allreduce, gatherv,
+    /// alltoallv. Point-to-point sends outside any collective are
+    /// counted in [`CommStats::bytes_sent`] only.
     pub bytes_on_wire: [u64; 7],
     /// Nonblocking exchanges posted via [`crate::Ctx::post_alltoallv`].
     pub overlap_posted: u64,

@@ -8,7 +8,9 @@
 //! sequential case.
 
 use crate::checkpoint::RecoveryHooks;
-use crate::lucrtp::{run_seq, validate_matrix, IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult};
+use crate::lucrtp::{
+    run_seq, validate_matrix, IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult, OrderingMode,
+};
 use crate::spmd::{run_replicated, run_sharded, Reshard};
 use lra_comm::{Ctx, RunConfig, RunReport};
 use lra_recover::{run_supervised, CancelToken, RecoveryError, RecoveryPolicy, Supervised};
@@ -39,16 +41,32 @@ impl<'a> From<&'a IlutOpts> for Method<'a> {
 }
 
 impl<'a> Method<'a> {
-    /// The API-boundary check of [`factorize_ranks`] and
-    /// [`factorize_supervised`]: the options' own `validate`, then an
-    /// empty or non-finite `a` — an [`InvalidInput`] instead of a panic
-    /// deep inside a kernel. [`factorize`] itself does not call it.
+    /// The API-boundary check of the SPMD entry points
+    /// ([`factorize_ranks`], [`factorize_supervised`], `lra-serve`'s
+    /// admission): the options' own `validate`, then an option only
+    /// [`Exec::Seq`] honours, then an empty or non-finite `a` — an
+    /// [`InvalidInput`] instead of a panic deep inside a kernel.
+    /// [`factorize`] itself does not call it.
     pub fn validate(&self, a: &CscMatrix) -> Result<(), InvalidInput> {
         match self {
             Method::LuCrtp(o) => o.validate()?,
             Method::IlutCrtp(o) => o.validate()?,
         }
+        self.spmd_capable()?;
         validate_matrix(a)
+    }
+
+    /// [`InvalidInput::SequentialOnly`] for an option the SPMD engines
+    /// do not implement: [`OrderingMode::EveryIteration`], Fig. 1
+    /// (left)'s ablation, reorders a Schur complement no rank holds
+    /// whole.
+    fn spmd_capable(self) -> Result<(), InvalidInput> {
+        match self.parts().0.ordering {
+            OrderingMode::EveryIteration => Err(InvalidInput::SequentialOnly {
+                option: "OrderingMode::EveryIteration",
+            }),
+            OrderingMode::Natural | OrderingMode::FirstIteration => Ok(()),
+        }
     }
 
     /// `(LU_CRTP options, ILUT extras)` as the panel loop takes them.
@@ -71,13 +89,6 @@ pub enum Exec<'a> {
     /// block-column shard of the Schur complement resident (`mem`
     /// reports the per-rank peak). `opts.par` is the intra-rank worker
     /// count; results are bitwise-independent of it.
-    ///
-    /// Three options are not honoured by the SPMD engines and are
-    /// silently treated as their defaults:
-    /// [`crate::OrderingMode::EveryIteration`] orders once, before the
-    /// first iteration; [`crate::LFormation::QBased`] forms `L21` as
-    /// `Direct`; and `opts.tree` is ignored — the tournaments always
-    /// reduce over the binomial rank tree.
     Spmd(&'a Ctx),
     /// [`Exec::Spmd`] with the per-panel re-shard exchange blocking
     /// before factor recording instead of draining behind it: the
@@ -100,13 +111,23 @@ pub enum Exec<'a> {
 /// ILUT snapshot carries the threshold state, so the resumed estimator
 /// (eq. 26) still accounts for mass dropped before the interruption.
 /// All ranks of one run must share the same store.
+///
+/// Panics under `Exec::Spmd*` with the [`InvalidInput::SequentialOnly`]
+/// message when `method` asks for [`OrderingMode::EveryIteration`];
+/// [`Method::validate`] answers the same case with the error.
 pub fn factorize<'m>(
     a: &CscMatrix,
     method: impl Into<Method<'m>>,
     exec: Exec<'_>,
     hooks: Option<&RecoveryHooks<'_>>,
 ) -> LuCrtpResult {
-    let (opts, ilut) = method.into().parts();
+    let method = method.into();
+    if !matches!(exec, Exec::Seq) {
+        if let Err(e) = method.spmd_capable() {
+            panic!("factorize under Exec::Spmd: {e}");
+        }
+    }
+    let (opts, ilut) = method.parts();
     match exec {
         Exec::Seq => run_seq(a, opts, ilut, hooks),
         Exec::Spmd(ctx) => run_sharded(ctx, a, opts, ilut, hooks, Reshard::Overlapped),

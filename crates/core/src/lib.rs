@@ -56,8 +56,8 @@ pub use factorize::{
 #[doc(hidden)]
 pub use factorize::ilut_crtp_spmd_checkpointed;
 pub use lucrtp::{
-    Breakdown, DropStrategy, IlutOpts, InvalidInput, IterTrace, LFormation, LuCrtpOpts,
-    LuCrtpResult, MemStats, OrderingMode, ThresholdReport,
+    Breakdown, IlutOpts, InvalidInput, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
+    ThresholdReport,
 };
 // The shared Schur-update kernel, reachable for the root test suite's
 // bitwise reference check and `kernel_bench`.
@@ -71,7 +71,6 @@ pub use ubv::{rand_ubv, UbvOpts, UbvResult};
 // Re-export the option types callers need alongside.
 pub use lra_comm::{CommError, CommStats, Ctx, FaultPlan, RunConfig, RunReport};
 pub use lra_par::Parallelism;
-pub use lra_qrtp::TournamentTree;
 pub use lra_recover::{
     Budget, BudgetTrip, CancelToken, Checkpoint, CheckpointStore, RecoveryError, RecoveryEvent,
     RecoveryPolicy, SectionReader, SectionWriter, StorageFaultKind, StorageFaultPlan, Supervised,

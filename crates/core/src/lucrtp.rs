@@ -12,7 +12,7 @@
 
 use crate::panel::{drive, fill_reducing_order, FactorCol, PanelEngine, PanelSplit};
 use crate::timers::KernelTimers;
-use lra_dense::{lu, DenseMatrix, LuFactor};
+use lra_dense::{DenseMatrix, LuFactor};
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_sparse::CscMatrix;
@@ -29,17 +29,6 @@ pub enum OrderingMode {
     FirstIteration,
     /// Reorder the Schur complement before every iteration.
     EveryIteration,
-}
-
-/// How `L21` is formed (Section II-B3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LFormation {
-    /// `L21 = Ā21 Ā11^{-1}` — exploits the sparsity of `Ā21`.
-    Direct,
-    /// `L21 = Q̄21 Q̄11^{-1}` — the stability-enhancing alternative; its
-    /// entries are bounded by the RRQR guarantees but it is dense
-    /// ("introduces additional small values", exacerbating fill-in).
-    QBased,
 }
 
 /// Why a factorization stopped before reaching the tolerance.
@@ -93,6 +82,12 @@ pub enum InvalidInput {
         /// The offending value.
         value: f64,
     },
+    /// An option that only the sequential engine honours, handed to an
+    /// SPMD entry point.
+    SequentialOnly {
+        /// The option, e.g. `"OrderingMode::EveryIteration"`.
+        option: &'static str,
+    },
 }
 
 impl std::fmt::Display for InvalidInput {
@@ -113,6 +108,9 @@ impl std::fmt::Display for InvalidInput {
             }
             InvalidInput::NonFiniteEntry { row, col, value } => {
                 write!(f, "input matrix entry ({row}, {col}) is not finite: {value}")
+            }
+            InvalidInput::SequentialOnly { option } => {
+                write!(f, "{option} is sequential-only: run it with Exec::Seq")
             }
         }
     }
@@ -148,14 +146,10 @@ pub struct LuCrtpOpts {
     pub tau: f64,
     /// Fill-reducing preprocessing mode.
     pub ordering: OrderingMode,
-    /// Tournament reduction tree shape.
-    pub tree: TournamentTree,
     /// Worker count for all parallel kernels.
     pub par: Parallelism,
     /// Optional rank cap (stop once `K >= max_rank`).
     pub max_rank: Option<usize>,
-    /// How `L21` is computed.
-    pub l_formation: LFormation,
     /// Cooperative resource budget (deadline / iteration cap / memory
     /// ceiling / cancel tokens). Checked once per block iteration at
     /// the snapshot boundary; on a trip the driver checkpoints (when
@@ -168,7 +162,7 @@ pub struct LuCrtpOpts {
 
 impl LuCrtpOpts {
     /// Defaults matching the paper's setup: first-iteration COLAMD,
-    /// binary tournament tree, direct `L21`, sequential.
+    /// sequential.
     ///
     /// Panics on invalid `k`/`tau` with the [`InvalidInput`] message —
     /// use [`LuCrtpOpts::try_new`] for the non-panicking variant.
@@ -189,10 +183,8 @@ impl LuCrtpOpts {
             k,
             tau,
             ordering: OrderingMode::FirstIteration,
-            tree: TournamentTree::Binary,
             par: Parallelism::SEQ,
             max_rank: None,
-            l_formation: LFormation::Direct,
             budget: lra_recover::Budget::unlimited(),
         })
     }
@@ -227,17 +219,6 @@ impl LuCrtpOpts {
     }
 }
 
-/// Thresholding strategy for ILUT_CRTP (Section VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropStrategy {
-    /// Fixed threshold `mu` from eq. 24, with the control (22) undoing a
-    /// violating drop and disabling thresholding.
-    Fixed,
-    /// Aggressive: per iteration, sort entries below the cap and drop
-    /// the smallest while the budget (22) allows.
-    Aggressive,
-}
-
 /// Options for [`crate::ilut_crtp`].
 #[derive(Debug, Clone)]
 pub struct IlutOpts {
@@ -248,12 +229,10 @@ pub struct IlutOpts {
     /// Threshold control `phi` as a multiple of `tau * |R^(1)(1,1)|`
     /// (the paper uses 1.0).
     pub phi_factor: f64,
-    /// Drop strategy.
-    pub strategy: DropStrategy,
 }
 
 impl IlutOpts {
-    /// Paper defaults: `phi = tau * |R^(1)(1,1)|`, fixed threshold.
+    /// Paper defaults: `phi = tau * |R^(1)(1,1)|`.
     ///
     /// `u_estimate` is clamped to at least 1 (matching the historical
     /// behavior); invalid `k`/`tau` panic with the [`InvalidInput`]
@@ -274,7 +253,6 @@ impl IlutOpts {
             base: LuCrtpOpts::try_new(k, tau)?,
             u_estimate,
             phi_factor: 1.0,
-            strategy: DropStrategy::Fixed,
         })
     }
 
@@ -531,7 +509,7 @@ impl PanelEngine for SeqEngine<'_> {
     }
 
     fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-        tournament_columns(&self.s, None, k_want, self.opts.tree, self.opts.par)
+        tournament_columns(&self.s, None, k_want, TournamentTree::Binary, self.opts.par)
     }
 
     /// TSQR: the row-block decomposition is what parallelizes, matching
@@ -546,25 +524,15 @@ impl PanelEngine for SeqEngine<'_> {
     }
 
     fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-        tournament_rows_dense(qk, k_eff, self.opts.tree, self.opts.par)
+        tournament_rows_dense(qk, k_eff, TournamentTree::Binary, self.opts.par)
     }
 
     fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
         PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
     }
 
-    fn solve_l21(
-        &mut self,
-        sp: &PanelSplit,
-        lu11: &LuFactor,
-        qk: &DenseMatrix,
-        pivot_rows: &[usize],
-    ) -> (Vec<usize>, DenseMatrix) {
-        let (k, par) = (pivot_rows.len(), self.opts.par);
-        match self.opts.l_formation {
-            LFormation::Direct => l21_direct(&sp.a21, lu11, k, &mut self.ws.tbuf, par),
-            LFormation::QBased => l21_qbased(qk, pivot_rows, &sp.rest_rows, k, par),
-        }
+    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
+        l21_direct(&sp.a21, lu11, &mut self.ws.tbuf, self.opts.par)
     }
 
     fn schur_begin(
@@ -601,10 +569,6 @@ impl PanelEngine for SeqEngine<'_> {
 
     fn schur_nnz(&self) -> usize {
         self.s.nnz()
-    }
-
-    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
-        self.s.small_entry_magnitudes(cap)
     }
 
     fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
@@ -647,69 +611,34 @@ pub(crate) fn csc_resident_bytes(s: &CscMatrix) -> u64 {
         + std::mem::size_of_val(s.values())) as u64
 }
 
-/// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21`.
-/// Returns the nonzero row positions (into the trailing rows) and the
-/// dense `k x nr` matrix `X^T` (column `r` = row `x_rows[r]` of `L21`).
-/// `tbuf` receives the transposed `Ā21` (caller-owned scratch reused
-/// across iterations).
+/// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21` (Section
+/// II-B3's direct formation). Returns the nonzero row positions (into
+/// the trailing rows) and the dense `k x nr` matrix `X^T` (column `r` =
+/// row `x_rows[r]` of `L21`), 16 independent columns to a parallel
+/// chunk. `tbuf` receives the transposed `Ā21` (caller-owned scratch
+/// reused across iterations).
 fn l21_direct(
     a21: &CscMatrix,
     lu11: &LuFactor,
-    k: usize,
     tbuf: &mut CscMatrix,
     par: Parallelism,
 ) -> (Vec<usize>, DenseMatrix) {
+    let k = a21.cols();
     a21.transpose_into(tbuf); // rows of Ā21 as columns
     let a21t = &*tbuf;
     let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
     let mut xt = DenseMatrix::zeros(k, x_rows.len());
-    for_each_xt_column(par, &mut xt, |c, col| {
-        let (ri, vs) = a21t.col(x_rows[c]);
-        for (&t, &v) in ri.iter().zip(vs) {
-            col[t] = v;
-        }
-        // Solve x Ā11 = row  <=>  Ā11^T x^T = row^T.
-        lu11.solve_transpose_slice(col);
-    });
-    (x_rows, xt)
-}
-
-/// `L21 = Q̄21 Q̄11^{-1}` — the stability variant; dense in every
-/// trailing row.
-fn l21_qbased(
-    qk: &DenseMatrix,
-    pivot_rows: &[usize],
-    rest_rows: &[usize],
-    k: usize,
-    par: Parallelism,
-) -> (Vec<usize>, DenseMatrix) {
-    let q11 = qk.select_rows(pivot_rows);
-    let q21 = qk.select_rows(rest_rows);
-    let lu11 = lu(&q11);
-    let nr = rest_rows.len();
-    let mut xt = DenseMatrix::zeros(k, nr);
-    for_each_xt_column(par, &mut xt, |c, col| {
-        for t in 0..k {
-            col[t] = q21.get(c, t);
-        }
-        lu11.solve_transpose_slice(col);
-    });
-    ((0..nr).collect(), xt)
-}
-
-/// Run `body(c, column c)` over the (independent) columns of `X^T`, 16
-/// columns to a parallel chunk.
-fn for_each_xt_column(
-    par: Parallelism,
-    xt: &mut DenseMatrix,
-    body: impl Fn(usize, &mut [f64]) + Sync,
-) {
-    let k = xt.rows();
     parallel_chunks_mut(par, xt.as_mut_slice(), 16 * k, |chunk, cols| {
         for (i, col) in cols.chunks_mut(k).enumerate() {
-            body(16 * chunk + i, col);
+            let (ri, vs) = a21t.col(x_rows[16 * chunk + i]);
+            for (&t, &v) in ri.iter().zip(vs) {
+                col[t] = v;
+            }
+            // Solve x Ā11 = row  <=>  Ā11^T x^T = row^T.
+            lu11.solve_transpose_slice(col);
         }
     });
+    (x_rows, xt)
 }
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver

@@ -17,8 +17,8 @@ use crate::checkpoint::{
     load_resume, save_snapshot, IlutCheckpoint, LuCrtpCheckpoint, RecoveryHooks,
 };
 use crate::lucrtp::{
-    Breakdown, DropStrategy, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats,
-    OrderingMode, ThresholdReport,
+    Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
+    ThresholdReport,
 };
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
@@ -117,8 +117,10 @@ pub(crate) trait PanelEngine {
     fn resident_bytes(&self) -> u64;
 
     /// [`OrderingMode::EveryIteration`]: fill-reduce the current Schur
-    /// complement and return the column permutation applied. Engines
-    /// that order only once return `None`.
+    /// complement and return the column permutation applied. Only the
+    /// shared-memory engine reorders: the SPMD entry points refuse the
+    /// mode (`InvalidInput::SequentialOnly`), so the SPMD engines never
+    /// reach this and keep the default, which orders nothing.
     fn reorder(&mut self) -> Option<Vec<usize>> {
         None
     }
@@ -137,13 +139,7 @@ pub(crate) trait PanelEngine {
 
     /// Line 10: `L21` as its nonzero trailing-row positions and the
     /// dense `k x nr` `X^T`.
-    fn solve_l21(
-        &mut self,
-        sp: &PanelSplit,
-        lu11: &LuFactor,
-        qk: &DenseMatrix,
-        pivot_rows: &[usize],
-    ) -> (Vec<usize>, DenseMatrix);
+    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix);
 
     /// Line 12, first half: start `S = Ā22 - X Ā12`, `x` being the
     /// `nr x k` nonzero rows of `X` (the transpose of what
@@ -176,9 +172,6 @@ pub(crate) trait PanelEngine {
 
     /// Stored entries of the whole current Schur complement.
     fn schur_nnz(&self) -> usize;
-
-    /// Ascending magnitudes of all entries below `cap`.
-    fn small_magnitudes(&self, cap: f64) -> Vec<f64>;
 
     /// Measure the squared mass and count of the entries below `thr`,
     /// and drop them if `accept(mass, count)` says so.
@@ -352,42 +345,18 @@ fn save_checkpoint<E: PanelEngine>(
     }
 }
 
-/// ILUT_CRTP lines 8–10: drop the Schur entries below the strategy's
-/// threshold unless that would carry the accumulated dropped mass past
-/// `phi` (the control, eq. 22). Every rank holds the same `th` and gets
-/// the same measurement, so the decision is replicated bit for bit.
-fn threshold<E: PanelEngine>(eng: &mut E, strategy: DropStrategy, th: &mut IlutCheckpoint) {
-    let thr = match strategy {
-        DropStrategy::Fixed => th.mu,
-        DropStrategy::Aggressive => {
-            // Sort small entries, drop smallest while the budget
-            // allows; realize via a cutoff magnitude.
-            let budget = th.phi * th.phi - th.mass_sq;
-            if budget <= 0.0 {
-                return;
-            }
-            let mut run = 0.0;
-            let mut cutoff = 0.0;
-            for &v in &eng.small_magnitudes(th.phi) {
-                if run + v * v >= budget {
-                    break;
-                }
-                run += v * v;
-                cutoff = v;
-            }
-            if cutoff <= 0.0 {
-                return;
-            }
-            cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE
-        }
-    };
-    eng.drop_if(thr, |mass, count| {
+/// ILUT_CRTP lines 8–10: drop the Schur entries below `mu` (eq. 24)
+/// unless that would carry the accumulated dropped mass past `phi`; a
+/// drop that would is undone and thresholding is disabled (the
+/// control, eq. 22). Every rank holds the same `th` and gets the same
+/// measurement, so the decision is replicated bit for bit.
+fn threshold<E: PanelEngine>(eng: &mut E, th: &mut IlutCheckpoint) {
+    eng.drop_if(th.mu, |mass, count| {
         let within = (th.mass_sq + mass).sqrt() < th.phi;
         if within {
             th.mass_sq += mass;
             th.dropped += count;
-        } else if strategy == DropStrategy::Fixed {
-            // Control (22): undo, disable thresholding.
+        } else {
             th.control_triggered = true;
             th.mu = 0.0;
         }
@@ -400,8 +369,8 @@ fn threshold<E: PanelEngine>(eng: &mut E, strategy: DropStrategy, th: &mut IlutC
 /// group (`None` sequentially): the loop itself uses it only to agree
 /// on the budget verdict, to broadcast rank 0's fill-reducing order and
 /// to name rank 0 as the one that publishes events and gauges. Only
-/// `u_estimate`, `phi_factor` and `strategy` are read from `ilut`;
-/// everything else comes from `opts`.
+/// `u_estimate` and `phi_factor` are read from `ilut`; everything else
+/// comes from `opts`.
 pub(crate) fn drive<E: PanelEngine>(
     comm: Option<&Ctx>,
     a: &CscMatrix,
@@ -562,7 +531,7 @@ pub(crate) fn drive<E: PanelEngine>(
             st.breakdown = Some(Breakdown::SingularPivotBlock);
             break;
         }
-        let (x_rows, xt) = timers.time(KernelId::LSolve, || eng.solve_l21(&sp, &lu11, &qk, &rows));
+        let (x_rows, xt) = timers.time(KernelId::LSolve, || eng.solve_l21(&sp, &lu11));
 
         // Line 12: Schur complement. An engine with wire to hide posts
         // its exchange here and completes it after the factors are
@@ -641,7 +610,7 @@ pub(crate) fn drive<E: PanelEngine>(
                 th.phi = cfg.phi_factor * opts.tau * st.r11;
             }
             if th.mu > 0.0 {
-                timers.time(KernelId::Drop, || threshold(&mut eng, cfg.strategy, th));
+                timers.time(KernelId::Drop, || threshold(&mut eng, th));
             }
         }
 

@@ -519,13 +519,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         }
     }
 
-    fn solve_l21(
-        &mut self,
-        sp: &PanelSplit,
-        lu11: &LuFactor,
-        _qk: &DenseMatrix,
-        _pivot_rows: &[usize],
-    ) -> (Vec<usize>, DenseMatrix) {
+    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
         spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
     }
 
@@ -585,15 +579,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// Exact — integer allreduce over shard counts.
     fn schur_nnz(&self) -> usize {
         self.ctx.allreduce(self.shard.nnz() as u64, |x, y| x + y) as usize
-    }
-
-    /// Concatenating per-shard candidate lists in rank order and
-    /// sorting yields the full matrix's sorted list.
-    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
-        let all: Vec<Vec<f64>> = self.ctx.allgather(self.shard.small_entry_magnitudes(cap));
-        let mut mags: Vec<f64> = all.concat();
-        mags.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        mags
     }
 
     /// Each rank runs the threshold pass over its owned shard in
@@ -700,13 +685,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
         PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
     }
 
-    fn solve_l21(
-        &mut self,
-        sp: &PanelSplit,
-        lu11: &LuFactor,
-        _qk: &DenseMatrix,
-        _pivot_rows: &[usize],
-    ) -> (Vec<usize>, DenseMatrix) {
+    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
         spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
     }
 
@@ -768,10 +747,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
 
     fn schur_nnz(&self) -> usize {
         self.s.nnz()
-    }
-
-    fn small_magnitudes(&self, cap: f64) -> Vec<f64> {
-        self.s.small_entry_magnitudes(cap)
     }
 
     /// Per-rank dropped-mass partials over the same column partition

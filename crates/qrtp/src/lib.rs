@@ -6,7 +6,7 @@
 //! factor computed by memory-bounded incremental QR over the panel's
 //! row support, so node cost follows the stored entries):
 //! - [`tournament_columns`]: shared-memory, leaves processed with
-//!   `lra-par` workers (flat or binary tree);
+//!   `lra-par` workers, merged up a binary tree;
 //! - [`tournament_columns_spmd`]: rank-distributed over the `lra-comm`
 //!   SPMD runtime, mirroring the paper's MPI reduction tree with its
 //!   communication-free local stage and `log2(P)` global stage;

@@ -12,20 +12,19 @@
 //! node costs `O(k^2 * support) <= O(k^2 * nnz(panel))`, independent of
 //! the row dimension.
 //!
-//! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))` for both flat
-//! and binary trees.
+//! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))`.
 
 use crate::source::ColumnSource;
 use lra_dense::{qr, qrcp, DenseMatrix};
 use lra_par::{parallel_chunks_mut, Parallelism};
 
-/// Shape of the reduction tree (Section V; an ablation axis).
+/// Shape of the reduction tree (Section V). One shape is left; the type
+/// and the `tree` parameters that take it stay only because
+/// `benchmark/src/probes.rs` names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TournamentTree {
-    /// Pairwise merges, `log2(#blocks)` levels — the parallel default.
+    /// Pairwise merges, `log2(#blocks)` levels.
     Binary,
-    /// Sequential accumulation of one block at a time.
-    Flat,
 }
 
 /// Result of a column tournament.
@@ -132,33 +131,20 @@ pub fn tournament_columns<S: ColumnSource + ?Sized>(
         let hi = ((b + 1) * block).min(cand.len());
         slot[0] = node_select(src, &cand[b * block..hi], k, Parallelism::SEQ).0;
     });
-    match tree {
-        TournamentTree::Binary => {
-            while level.len() > 1 {
-                let pairs = level.len() / 2;
-                let odd = level.len() % 2 == 1;
-                let mut next: Vec<Vec<usize>> = vec![Vec::new(); pairs + usize::from(odd)];
-                parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
-                    let merged = [level[2 * p].as_slice(), &level[2 * p + 1]].concat();
-                    slot[0] = node_select(src, &merged, k, Parallelism::SEQ).0;
-                });
-                if odd {
-                    let last = level.len() - 1;
-                    next[pairs] = std::mem::take(&mut level[last]);
-                }
-                level = next;
-            }
+    let TournamentTree::Binary = tree;
+    while level.len() > 1 {
+        let pairs = level.len() / 2;
+        let odd = level.len() % 2 == 1;
+        let mut next: Vec<Vec<usize>> = vec![Vec::new(); pairs + usize::from(odd)];
+        parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
+            let merged = [level[2 * p].as_slice(), &level[2 * p + 1]].concat();
+            slot[0] = node_select(src, &merged, k, Parallelism::SEQ).0;
+        });
+        if odd {
+            let last = level.len() - 1;
+            next[pairs] = std::mem::take(&mut level[last]);
         }
-        TournamentTree::Flat => {
-            let mut acc = std::mem::take(&mut level[0]);
-            for b in level.iter().skip(1) {
-                let mut merged = acc.clone();
-                merged.extend_from_slice(b);
-                let (sel, _) = node_select(src, &merged, k, par);
-                acc = sel;
-            }
-            level = vec![acc];
-        }
+        level = next;
     }
     // Root pass: final ranking of the winners (also yields r_diag).
     let winners = &level[0];
@@ -235,15 +221,13 @@ mod tests {
     #[test]
     fn selects_k_distinct_columns() {
         let a = rand_sparse(100, 40, 5, 2);
-        for tree in [TournamentTree::Binary, TournamentTree::Flat] {
-            let sel = tournament_columns(&a, None, 8, tree, Parallelism::new(4));
-            assert_eq!(sel.selected.len(), 8, "{tree:?}");
-            let mut s = sel.selected.clone();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), 8, "{tree:?}: duplicates");
-            assert!(s.iter().all(|&c| c < 40));
-        }
+        let sel = tournament_columns(&a, None, 8, TournamentTree::Binary, Parallelism::new(4));
+        assert_eq!(sel.selected.len(), 8);
+        let mut s = sel.selected.clone();
+        s.sort_unstable();
+        s.dedup();
+        assert_eq!(s.len(), 8, "duplicates");
+        assert!(s.iter().all(|&c| c < 40));
     }
 
     #[test]
@@ -254,16 +238,14 @@ mod tests {
         let deps = matmul(&base, &mix, Parallelism::SEQ);
         let full = base.hcat(&deps);
         let a = CscMatrix::from_dense(&full);
-        for tree in [TournamentTree::Binary, TournamentTree::Flat] {
-            let sel = tournament_columns(&a, None, 4, tree, Parallelism::new(3));
-            let picked = full.select_columns(&sel.selected);
-            let sv = singular_values(&picked);
-            assert!(
-                sv[3] > 1e-8,
-                "{tree:?}: tournament picked dependent columns {:?} (sv={sv:?})",
-                sel.selected
-            );
-        }
+        let sel = tournament_columns(&a, None, 4, TournamentTree::Binary, Parallelism::new(3));
+        let picked = full.select_columns(&sel.selected);
+        let sv = singular_values(&picked);
+        assert!(
+            sv[3] > 1e-8,
+            "tournament picked dependent columns {:?} (sv={sv:?})",
+            sel.selected
+        );
     }
 
     #[test]
@@ -344,12 +326,10 @@ mod tests {
             }
         }
         let a = coo.to_csc();
-        for tree in [TournamentTree::Binary, TournamentTree::Flat] {
-            let sel = tournament_columns(&a, None, 8, tree, Parallelism::new(2));
-            assert_eq!(sel.selected.len(), 5, "{tree:?}: {:?}", sel.selected);
-            assert_eq!(sel.r_diag.len(), 5);
-            assert!(sel.r_diag.iter().all(|d| d.abs() > 1e-8), "{tree:?}: {:?}", sel.r_diag);
-        }
+        let sel = tournament_columns(&a, None, 8, TournamentTree::Binary, Parallelism::new(2));
+        assert_eq!(sel.selected.len(), 5, "{:?}", sel.selected);
+        assert_eq!(sel.r_diag.len(), 5);
+        assert!(sel.r_diag.iter().all(|d| d.abs() > 1e-8), "{:?}", sel.r_diag);
         // An all-zero panel has an empty support: no winners, no r_diag.
         let z = CscMatrix::zeros(300, 40);
         assert_eq!(panel_r(&z, &[0, 1, 2], Parallelism::SEQ).rows(), 0);

@@ -63,35 +63,28 @@ impl Algorithm {
         self.base().tau
     }
 
-    /// Digest of every result-determining option *except* the budget
-    /// (budgets carry per-dispatch cancel tokens and do not change
-    /// what a completed run computes). Two specs with equal digests,
-    /// equal matrices and equal rank counts produce bitwise-identical
-    /// completed factors, which is exactly what the factor cache needs.
+    /// Digest of every option that determines the factor bits. Left
+    /// out: the budget (it carries per-dispatch cancel tokens and does
+    /// not change what a completed run computes) and `par` (factors
+    /// are bitwise-independent of the intra-rank worker count). Two
+    /// specs with equal digests, equal matrices and equal rank counts
+    /// produce bitwise-identical completed factors, which is exactly
+    /// what the factor cache needs.
     pub fn options_digest(&self) -> u64 {
         let mut s = String::new();
         let b = self.base();
         use std::fmt::Write as _;
         let _ = write!(
             s,
-            "{}|k={}|tau={:016x}|ord={:?}|tree={:?}|par={:?}|mr={:?}|lf={:?}",
+            "{}|k={}|tau={:016x}|ord={:?}|mr={:?}",
             self.tag(),
             b.k,
             b.tau.to_bits(),
             b.ordering,
-            b.tree,
-            b.par,
             b.max_rank,
-            b.l_formation,
         );
         if let Algorithm::IlutCrtp(o) = self {
-            let _ = write!(
-                s,
-                "|u={}|phi={:016x}|strat={:?}",
-                o.u_estimate,
-                o.phi_factor.to_bits(),
-                o.strategy
-            );
+            let _ = write!(s, "|u={}|phi={:016x}", o.u_estimate, o.phi_factor.to_bits());
         }
         let lo = lra_obs::crc::crc32(s.as_bytes());
         let hi = lra_obs::crc::crc32(&s.as_bytes()[s.len() / 2..]);

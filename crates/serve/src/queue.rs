@@ -8,12 +8,16 @@
 //! reorder.
 
 use crate::JobId;
+use lra_core::InvalidInput;
 
 /// Why a submission was refused at the door. Typed so tenants can
 /// distinguish back-off-and-retry conditions (`QueueFull`) from
-/// permanent ones (`MatrixTooLarge`, `RanksUnavailable`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// permanent ones (`Invalid`, `MatrixTooLarge`, `RanksUnavailable`).
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
+    /// The options or the matrix fail `lra_core::Method::validate` —
+    /// what `factorize_ranks` would answer before spawning a rank.
+    Invalid(InvalidInput),
     /// The wait queue is at [`AdmissionPolicy::max_depth`].
     QueueFull {
         /// Current queue depth.
@@ -43,6 +47,7 @@ pub enum AdmissionError {
 impl std::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            AdmissionError::Invalid(e) => write!(f, "invalid job: {e}"),
             AdmissionError::QueueFull { depth, max } => {
                 write!(f, "queue full: depth {depth} at ceiling {max}")
             }

@@ -195,14 +195,19 @@ impl Server {
     /// served from cache) and the returned id can be passed to
     /// [`Server::wait`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, AdmissionError> {
-        // Fingerprint and digest are O(nnz) — compute outside the lock.
+        let inner = &self.inner;
+        // Validation, fingerprint and digest are O(nnz) — all outside
+        // the lock.
+        if let Err(e) = spec.algorithm.method().validate(&spec.matrix) {
+            inner.metrics().inc_counter("serve.admission_rejected", 1);
+            return Err(AdmissionError::Invalid(e));
+        }
         let key = CacheKey {
             fingerprint: spec.matrix.fingerprint(),
             options: spec.algorithm.options_digest(),
             ranks: spec.ranks,
         };
         let matrix_bytes = spec.matrix.resident_bytes();
-        let inner = &self.inner;
         let mut st = inner.lock();
         if st.shutdown {
             return Err(AdmissionError::ShuttingDown);

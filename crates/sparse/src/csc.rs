@@ -615,19 +615,6 @@ impl CscMatrix {
         )
     }
 
-    /// Sorted magnitudes of all entries below `cap` (ascending). Powers
-    /// the "aggressive" sorted-drop thresholding variant of Section VI-A.
-    pub fn small_entry_magnitudes(&self, cap: f64) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .values
-            .iter()
-            .map(|x| x.abs())
-            .filter(|&x| x < cap)
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v
-    }
-
     /// Split into the four blocks of Algorithm 2, line 8, given the
     /// pivot row positions (`k` of them, in pivot order) and pivot
     /// column positions.
@@ -1031,13 +1018,6 @@ mod tests {
         assert_eq!(a22.get(0, 1), 2.0);
         assert_eq!(a22.get(1, 0), 3.0);
         assert_eq!(a22.nnz(), 2);
-    }
-
-    #[test]
-    fn small_entry_magnitudes_sorted() {
-        let a = sample();
-        let mags = a.small_entry_magnitudes(4.5);
-        assert_eq!(mags, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -167,12 +167,6 @@ impl ColSlice {
             count,
         )
     }
-
-    /// Slice-local [`CscMatrix::small_entry_magnitudes`] (sorted
-    /// ascending within the shard).
-    pub fn small_entry_magnitudes(&self, cap: f64) -> Vec<f64> {
-        self.local.small_entry_magnitudes(cap)
-    }
 }
 
 /// Exact structural copy of a contiguous column range (raw array
@@ -370,18 +364,6 @@ mod tests {
         assert_eq!(gather_csc(&shards), full_dropped);
         assert!((mass - full_mass).abs() < 1e-15);
         assert_eq!(count, full_count);
-    }
-
-    #[test]
-    fn slice_small_entry_magnitudes_concat_sorts_to_full() {
-        let a = sample();
-        let ranges = lra_par_split(a.cols(), 4);
-        let mut mags = Vec::new();
-        for r in &ranges {
-            mags.extend(ColSlice::from_full(&a, r.clone()).small_entry_magnitudes(5.0));
-        }
-        mags.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert_eq!(mags, a.small_entry_magnitudes(5.0));
     }
 
     #[test]

@@ -3,23 +3,24 @@
 //! exact errors, the tolerance contract holds, ILUT_CRTP's threshold
 //! control works, and results are deterministic across worker counts.
 
-use lra_core::{
-    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, DropStrategy, IlutOpts, LFormation, LuCrtpOpts,
-    OrderingMode, Parallelism, QbError, QbOpts, UbvOpts,
+use lra::core::{
+    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, OrderingMode, Parallelism,
+    QbError, QbOpts, UbvOpts,
 };
-use lra_dense::matmul_tn;
-use lra_sparse::CscMatrix;
+use lra::dense::matmul_tn;
+use lra::matgen;
+use lra::sparse::CscMatrix;
 
 fn small_fem() -> CscMatrix {
-    lra_matgen::with_decay(&lra_matgen::fem2d(12, 11, 3), 1e-7, 5)
+    matgen::with_decay(&matgen::fem2d(12, 11, 3), 1e-7, 5)
 }
 
 fn small_circuit() -> CscMatrix {
-    lra_matgen::with_decay(&lra_matgen::circuit(150, 4, 3, 7), 1e-7, 9)
+    matgen::with_decay(&matgen::circuit(150, 4, 3, 7), 1e-7, 9)
 }
 
 fn fill_heavy() -> CscMatrix {
-    lra_matgen::with_decay(&lra_matgen::fluid_block(12, 10, 11), 1e-7, 13)
+    matgen::with_decay(&matgen::fluid_block(12, 10, 11), 1e-7, 13)
 }
 
 // ---------- RandQB_EI ----------
@@ -186,7 +187,7 @@ fn lucrtp_exact_low_rank_detected() {
     // Spectrum generator with rank 6 and tiny tail: LU_CRTP should stop
     // at K close to 6.
     let sigmas = [8.0, 4.0, 2.0, 1.0, 0.5, 0.25];
-    let a = lra_matgen::spectrum(120, 100, &sigmas, 10, 21);
+    let a = matgen::spectrum(120, 100, &sigmas, 10, 21);
     let r = lu_crtp(&a, &LuCrtpOpts::new(2, 1e-10));
     assert!(r.converged, "{:?}", r.breakdown);
     assert!(r.rank <= 10, "rank {} too large for a rank-6 matrix", r.rank);
@@ -205,31 +206,6 @@ fn lucrtp_ordering_modes_all_converge() {
         let exact = r.exact_error(&a, Parallelism::SEQ);
         assert!(exact < 1e-2 * r.a_norm_f, "{ordering:?}");
     }
-}
-
-#[test]
-fn lucrtp_qbased_l_formation_works_and_is_denser() {
-    let a = fill_heavy();
-    let direct = lu_crtp(&a, &{
-        let mut o = LuCrtpOpts::new(8, 1e-2);
-        o.l_formation = LFormation::Direct;
-        o
-    });
-    let qbased = lu_crtp(&a, &{
-        let mut o = LuCrtpOpts::new(8, 1e-2);
-        o.l_formation = LFormation::QBased;
-        o
-    });
-    assert!(direct.converged && qbased.converged);
-    let e_q = qbased.exact_error(&a, Parallelism::SEQ);
-    assert!(e_q < 1e-2 * qbased.a_norm_f);
-    // The Q-based L introduces additional (small) nonzeros (§II-B3).
-    assert!(
-        qbased.l.nnz() >= direct.l.nnz(),
-        "qbased {} vs direct {}",
-        qbased.l.nnz(),
-        direct.l.nnz()
-    );
 }
 
 #[test]
@@ -271,7 +247,7 @@ fn lucrtp_zero_matrix_converges_immediately() {
 
 #[test]
 fn lucrtp_k_larger_than_dims() {
-    let a = lra_matgen::banded(10, 2, 5);
+    let a = matgen::banded(10, 2, 5);
     let r = lu_crtp(&a, &LuCrtpOpts::new(64, 1e-10));
     assert!(r.rank <= 10);
     assert!(r.converged, "{:?}", r.breakdown);
@@ -342,28 +318,6 @@ fn ilut_control_triggers_on_absurd_mu() {
 }
 
 #[test]
-fn ilut_aggressive_drops_at_least_fixed() {
-    let a = fill_heavy();
-    let lu_res = lu_crtp(&a, &LuCrtpOpts::new(8, 1e-2));
-    let mut fixed = IlutOpts::new(8, 1e-2, lu_res.iterations.max(1));
-    fixed.strategy = DropStrategy::Fixed;
-    let mut aggr = fixed.clone();
-    aggr.strategy = DropStrategy::Aggressive;
-    let rf = ilut_crtp(&a, &fixed);
-    let ra = ilut_crtp(&a, &aggr);
-    assert!(rf.converged && ra.converged);
-    let ea = ra.exact_error(&a, Parallelism::SEQ);
-    let bound = 1e-2 * ra.a_norm_f + ra.threshold.as_ref().unwrap().dropped_mass_sq.sqrt();
-    assert!(ea <= bound * 1.000001);
-    // Aggressive thresholding uses the full budget, so it drops at
-    // least as much mass as the fixed-mu variant.
-    assert!(
-        ra.threshold.as_ref().unwrap().dropped_mass_sq + 1e-300
-            >= rf.threshold.as_ref().unwrap().dropped_mass_sq,
-    );
-}
-
-#[test]
 fn ilut_with_disabled_thresholding_equals_lu_crtp() {
     // phi_factor = 0 gives a zero drop budget: the control triggers on
     // the first drop attempt and the run degenerates to plain LU_CRTP.
@@ -422,7 +376,7 @@ fn ubv_factors_are_orthonormal_and_b_bidiagonal() {
 fn ubv_b_equals_ut_a_v() {
     let a = small_circuit();
     let r = rand_ubv(&a, &UbvOpts::new(5, 1e-2));
-    let av = lra_sparse::spmm_dense(&a, &r.v, Parallelism::SEQ);
+    let av = lra::sparse::spmm_dense(&a, &r.v, Parallelism::SEQ);
     let utav = matmul_tn(&r.u, &av, Parallelism::SEQ);
     assert!(
         utav.max_abs_diff(&r.b) < 1e-8,
@@ -474,7 +428,7 @@ fn all_methods_agree_on_reachable_quality() {
 
 #[test]
 fn timers_populated_for_each_method() {
-    use lra_core::KernelId;
+    use lra::core::KernelId;
     let a = small_fem();
     let qb = rand_qb_ei(&a, &QbOpts::new(8, 1e-2).with_power(1)).unwrap();
     assert!(!qb.timers.get(KernelId::Sketch).is_zero());

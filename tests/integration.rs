@@ -4,10 +4,10 @@
 //! qualitative claims at miniature scale.
 
 use lra::core::{
-    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, Parallelism, QbOpts,
-    TournamentTree, UbvOpts,
+    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, Parallelism, QbOpts, UbvOpts,
 };
 use lra::dense::{min_rank_for_tolerance, singular_values};
+use lra::qrtp::TournamentTree;
 use lra::sparse::{read_matrix_market, write_matrix_market};
 
 mod common;

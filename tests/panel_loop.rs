@@ -9,8 +9,8 @@
 
 use lra::core::{
     factorize, factorize_ranks, Breakdown, Budget, CheckpointStore, CommError, Exec, FaultPlan,
-    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Method, Parallelism,
-    RecoveryHooks, RunConfig,
+    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Method, OrderingMode,
+    Parallelism, RecoveryHooks, RunConfig,
 };
 use lra::dense::DenseMatrix;
 use lra::sparse::CscMatrix;
@@ -167,22 +167,25 @@ fn stop_reason_is_the_same_on_every_engine() {
 
 /// The checked entry point answers a bad method or matrix with the
 /// matching [`InvalidInput`] before any rank is spawned — for ILUT too,
-/// whose `u_estimate` / `phi_factor` arms had no checked caller — and
-/// the replicated oracle refuses checkpoint hooks instead of dropping
-/// them.
+/// whose `u_estimate` / `phi_factor` arms had no checked caller, and
+/// for the sequential-only every-iteration ordering. Bare `factorize`
+/// under SPMD refuses that ordering by panicking with the same message,
+/// and the replicated oracle refuses checkpoint hooks instead of
+/// dropping them.
 #[test]
 fn bad_input_is_typed_before_any_rank_runs_and_the_oracle_refuses_hooks() {
     let good = lra::matgen::spectrum(16, 12, &[2.0, 1.0, 0.5], 4, 7);
     let empty = CscMatrix::from_parts(0, 0, vec![0], vec![], vec![]);
     let nan = CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, f64::NAN]);
     let lu = LuCrtpOpts::new(4, 1e-3);
+    let every = lu.clone().with_ordering(OrderingMode::EveryIteration);
     let ilut = IlutOpts::new(4, 1e-3, 4);
     let (mut bad_tau, mut bad_u, mut bad_phi) = (ilut.clone(), ilut.clone(), ilut.clone());
     bad_tau.base.tau = -1.0;
     bad_u.u_estimate = 0;
     bad_phi.phi_factor = f64::NAN;
     type Check = fn(&InvalidInput) -> bool;
-    let table: [(&str, &CscMatrix, Method<'_>, Check); 6] = [
+    let table: [(&str, &CscMatrix, Method<'_>, Check); 7] = [
         ("empty, lu", &empty, (&lu).into(), |e| matches!(e, InvalidInput::EmptyMatrix { .. })),
         ("empty, ilut", &empty, (&ilut).into(), |e| matches!(e, InvalidInput::EmptyMatrix { .. })),
         ("nan entry", &nan, (&lu).into(), |e| {
@@ -194,6 +197,11 @@ fn bad_input_is_typed_before_any_rank_runs_and_the_oracle_refuses_hooks() {
         }),
         ("phi_factor", &good, (&bad_phi).into(), |e| {
             matches!(e, InvalidInput::BadPhiFactor { .. })
+        }),
+        ("every-iteration ordering", &good, (&every).into(), |e| {
+            *e == InvalidInput::SequentialOnly {
+                option: "OrderingMode::EveryIteration",
+            }
         }),
     ];
     // A plan that kills rank 0 at its first operation: had a rank been
@@ -208,15 +216,29 @@ fn bad_input_is_typed_before_any_rank_runs_and_the_oracle_refuses_hooks() {
 
     let store = CheckpointStore::in_memory();
     let hooks = RecoveryHooks::new(&store, 1);
-    let results = lra::comm::run(1, |ctx| {
-        factorize(&good, &lu, Exec::SpmdReplicated(ctx), Some(&hooks))
-    });
-    match &results[0] {
-        Err(CommError::Failed { payload, .. }) => assert!(
-            payload.contains("Exec::SpmdReplicated is the bitwise oracle for Exec::Spmd"),
-            "{payload}"
+    let refusals = [
+        (
+            "hooks on the replicated oracle",
+            "Exec::SpmdReplicated is the bitwise oracle for Exec::Spmd",
+            lra::comm::run(1, |ctx| {
+                factorize(&good, &lu, Exec::SpmdReplicated(ctx), Some(&hooks))
+            }),
         ),
-        other => panic!("hooks on the replicated oracle must panic, got {other:?}"),
+        (
+            "every-iteration ordering under SPMD",
+            "OrderingMode::EveryIteration is sequential-only",
+            lra::comm::run(1, |ctx| {
+                factorize(&good, &every, Exec::Spmd(ctx), Some(&hooks))
+            }),
+        ),
+    ];
+    for (case, message, results) in refusals {
+        match &results[0] {
+            Err(CommError::Failed { payload, .. }) => {
+                assert!(payload.contains(message), "{case}: {payload}")
+            }
+            other => panic!("{case} must panic, got {other:?}"),
+        }
     }
     assert_eq!(store.saves(), 0);
 }

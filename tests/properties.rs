@@ -682,18 +682,6 @@ proptest! {
         prop_assert_eq!(kept_gathered.rowidx(), full_kept.rowidx());
         let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(b(kept_gathered.values()), b(full_kept.values()));
-
-        // Concatenated per-shard small-entry magnitudes sort to the same
-        // sequence as the full matrix's (the Aggressive-drop identity).
-        let cap = thr + 1.0;
-        let mut sharded_small: Vec<f64> = slices
-            .iter()
-            .flat_map(|s| s.small_entry_magnitudes(cap))
-            .collect();
-        let mut full_small = a.small_entry_magnitudes(cap);
-        sharded_small.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        full_small.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        prop_assert_eq!(b(&sharded_small), b(&full_small));
     }
 
     #[test]

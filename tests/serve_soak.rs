@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{bits_eq, counter, dist, fault_ilut_opts, fault_matrix};
-use lra::core::{IlutOpts, LuCrtpResult};
+use lra::core::{IlutOpts, InvalidInput, LuCrtpResult, OrderingMode, Parallelism};
 use lra::matgen::{fem2d, with_decay};
 use lra::serve::{AdmissionError, AdmissionPolicy, Algorithm, JobSpec, Server, ServerConfig};
 use lra::sparse::CscMatrix;
@@ -180,7 +180,7 @@ fn repeated_request_is_served_from_cache_without_driver_call() {
     let server = Server::new(ServerConfig::default().with_ranks(2));
     let a = Arc::new(fault_matrix(31));
     let opts = fault_ilut_opts();
-    let submit = || {
+    let submit = |opts: &IlutOpts| {
         server
             .submit(
                 JobSpec::new(Arc::clone(&a), Algorithm::IlutCrtp(opts.clone())).with_ranks(2),
@@ -188,16 +188,27 @@ fn repeated_request_is_served_from_cache_without_driver_call() {
             .unwrap()
     };
 
-    let first = server.wait(submit());
+    let first = server.wait(submit(&opts));
     assert!(!first.from_cache);
     assert_eq!(first.driver_calls, 1);
 
+    // Factor bits do not depend on the intra-rank worker count, so a
+    // request that differs from the first only in `par` is the same
+    // cache entry.
+    let mut more_workers = opts.clone();
+    more_workers.base.par = Parallelism::new(2);
     let hits_before = counter("serve.cache_hit");
     let driver_calls_before = counter("serve.driver_calls");
-    let second = server.wait(submit());
-    assert!(second.from_cache, "identical request must be a cache hit");
-    assert_eq!(second.driver_calls, 0);
-    assert_eq!(counter("serve.cache_hit"), hits_before + 1);
+    let second = server.wait(submit(&opts));
+    let third = server.wait(submit(&more_workers));
+    for (label, hit) in [
+        ("identical request", &second),
+        ("request with par = 2", &third),
+    ] {
+        assert!(hit.from_cache, "{label} must be a cache hit");
+        assert_eq!(hit.driver_calls, 0, "{label}");
+    }
+    assert_eq!(counter("serve.cache_hit"), hits_before + 2);
     assert_eq!(
         counter("serve.driver_calls"),
         driver_calls_before,
@@ -206,8 +217,8 @@ fn repeated_request_is_served_from_cache_without_driver_call() {
 
     // The cached factors are the driver's factors, bit for bit.
     let r1 = first.into_result();
-    let r2 = second.into_result();
-    assert_same_factors(&r2, &r1, "cache hit");
+    assert_same_factors(&second.into_result(), &r1, "cache hit");
+    assert_same_factors(&third.into_result(), &r1, "cache hit with par = 2");
     server.shutdown();
 }
 
@@ -249,6 +260,20 @@ fn admission_control_rejects_over_limit_submissions() {
         .submit(JobSpec::new(Arc::clone(&a), Algorithm::IlutCrtp(fault_ilut_opts())))
         .unwrap_err();
     assert!(matches!(err, AdmissionError::MatrixTooLarge { .. }));
+    // What `factorize_ranks` refuses before spawning a rank, the door
+    // refuses too: an option only the sequential engine honours, and a
+    // matrix with a NaN entry.
+    let mut every = fault_ilut_opts();
+    every.base.ordering = OrderingMode::EveryIteration;
+    let err = server
+        .submit(JobSpec::new(Arc::clone(&a), Algorithm::IlutCrtp(every)))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        AdmissionError::Invalid(InvalidInput::SequentialOnly {
+            option: "OrderingMode::EveryIteration"
+        })
+    );
     let err = server
         .submit(
             JobSpec::new(a, Algorithm::IlutCrtp(fault_ilut_opts())).with_ranks(3),
@@ -258,6 +283,17 @@ fn admission_control_rejects_over_limit_submissions() {
         err,
         AdmissionError::RanksUnavailable { requested: 3, pool: 2 }
     ));
-    assert_eq!(counter("serve.admission_rejected"), rejected_before + 2);
+    let nan = CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, f64::NAN]);
+    let err = server
+        .submit(JobSpec::new(
+            Arc::new(nan),
+            Algorithm::IlutCrtp(fault_ilut_opts()),
+        ))
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        AdmissionError::Invalid(InvalidInput::NonFiniteEntry { row: 1, col: 1, .. })
+    ));
+    assert_eq!(counter("serve.admission_rejected"), rejected_before + 4);
     server.shutdown();
 }

@@ -4,10 +4,10 @@
 //! polynomial bound of Grigori et al., eq. 16 of the paper, is loose;
 //! in practice the ratio is modest, which is what these tests pin).
 
-use lra_dense::{matmul, singular_values, DenseMatrix};
-use lra_par::Parallelism;
-use lra_qrtp::{tournament_columns, TournamentTree};
-use lra_sparse::CscMatrix;
+use lra::dense::{matmul, singular_values, DenseMatrix};
+use lra::par::Parallelism;
+use lra::qrtp::{tournament_columns, TournamentTree};
+use lra::sparse::CscMatrix;
 
 fn rand_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -41,15 +41,10 @@ fn quality_bounded_over_many_seeds() {
         let noise = rand_dense(80, 58, seed * 3 + 3);
         a.axpy(0.01, &noise);
         let sp = CscMatrix::from_dense(&a);
-        for tree in [TournamentTree::Binary, TournamentTree::Flat] {
-            let sel = tournament_columns(&sp, None, k, tree, Parallelism::SEQ);
-            let q = selection_quality(&a, &sel.selected);
-            worst = worst.min(q);
-            assert!(
-                q > 0.02,
-                "seed {seed} {tree:?}: quality {q} collapsed"
-            );
-        }
+        let sel = tournament_columns(&sp, None, k, TournamentTree::Binary, Parallelism::SEQ);
+        let q = selection_quality(&a, &sel.selected);
+        worst = worst.min(q);
+        assert!(q > 0.02, "seed {seed}: quality {q} collapsed");
     }
     // Across all seeds the typical quality is far better than the
     // worst-case exponential bound suggests.
@@ -77,31 +72,6 @@ fn graded_spectrum_selection() {
             sel.selected.iter().all(|&c| c < 3 * k),
             "picked light columns: {:?}",
             sel.selected
-        );
-    }
-}
-
-#[test]
-fn binary_and_flat_trees_similar_quality() {
-    let k = 5;
-    for seed in 0..10u64 {
-        let a = rand_dense(70, 40, 100 + seed);
-        let sp = CscMatrix::from_dense(&a);
-        let qb = selection_quality(
-            &a,
-            &tournament_columns(&sp, None, k, TournamentTree::Binary, Parallelism::SEQ).selected,
-        );
-        let qf = selection_quality(
-            &a,
-            &tournament_columns(&sp, None, k, TournamentTree::Flat, Parallelism::SEQ).selected,
-        );
-        assert!(
-            qb > 0.1 && qf > 0.1,
-            "seed {seed}: binary {qb}, flat {qf}"
-        );
-        assert!(
-            (qb / qf).max(qf / qb) < 10.0,
-            "seed {seed}: trees disagree wildly ({qb} vs {qf})"
         );
     }
 }
