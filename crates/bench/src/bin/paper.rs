@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run -p lra-bench --release --bin paper -- table2 fig3 --quick
 //! cargo run -p lra-bench --release --bin paper -- --out results
+//! cargo run -p lra-bench --release --bin paper -- table2 --mtx bcsstk18.mtx
 //! cargo run -p lra-bench --release --bin paper -- --validate BENCH_paper.json [trace.json]
 //! ```
 //!
@@ -15,6 +16,10 @@
 //! a structural claim of the `claims` view is broken; a timing-decided
 //! claim that flipped against `DIR/claims.txt` is only reported.
 //!
+//! `--mtx PATH` runs Table II on a Matrix Market file (a SuiteSparse
+//! matrix, say) instead of the presets: one row per tolerance of the
+//! grid, k = 32, labelled with the file stem.
+//!
 //! With `LRA_TRACE=path.json` set, a Chrome trace (one lane per SPMD
 //! rank, driver lanes for shared-memory runs) is written on exit;
 //! `--validate REPORT TRACE` checks it alongside the report.
@@ -24,8 +29,10 @@ use lra_bench::views::{
     broken_claims, check_checkpoint_size, claim_flips, write_bench_report, VIEWS,
 };
 use lra_bench::{read_report, BenchConfig, USAGE};
+use lra_matgen::TestMatrix;
 use lra_obs::Json;
 use std::collections::BTreeSet;
+use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,6 +47,7 @@ fn main() {
             .collect()
     };
     let mut out_dir: Option<String> = None;
+    let mut mtx: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
     let mut flags = args[names.len()..].iter().cloned().peekable();
     while let Some(a) = flags.next() {
@@ -47,6 +55,7 @@ fn main() {
             "--out" => {
                 out_dir = Some(flags.next().unwrap_or_else(|| fail("--out requires a value")))
             }
+            "--mtx" => mtx = Some(flags.next().unwrap_or_else(|| fail("--mtx requires a value"))),
             "--validate" => {
                 let report = flags.next().unwrap_or_else(|| fail("--validate requires a value"));
                 return validate(&report, flags.next_if(|a| !a.starts_with("--")).as_deref());
@@ -54,7 +63,14 @@ fn main() {
             _ => rest.push(a),
         }
     }
-    let cfg = BenchConfig::parse_args(&rest).unwrap_or_else(|err| fail(&err));
+    let mut cfg = BenchConfig::parse_args(&rest).unwrap_or_else(|err| fail(&err));
+    cfg.mtx = mtx.map(|path| {
+        let a = lra_sparse::read_matrix_market_file(&path)
+            .unwrap_or_else(|err| fail(&format!("cannot read {path}: {err}")));
+        let stem = Path::new(&path).file_stem().map(|s| s.to_string_lossy().into_owned());
+        let label = stem.unwrap_or_else(|| path.clone());
+        TestMatrix { label, name: "Matrix Market".into(), description: path, a }
+    });
 
     lra_obs::trace::init_from_env();
     let mut sweep = Sweep::new(&cfg);
@@ -136,7 +152,7 @@ fn check_trace(text: &str) -> Result<String, String> {
 fn fail(msg: &str) -> ! {
     let names: Vec<&str> = VIEWS.iter().map(|(name, _)| *name).collect();
     eprintln!("error: {msg}");
-    eprintln!("{USAGE} [--out DIR] [--validate REPORT [TRACE]]");
+    eprintln!("{USAGE} [--out DIR] [--mtx PATH] [--validate REPORT [TRACE]]");
     eprintln!("views (named before the flags; none = all): {}", names.join(" "));
     std::process::exit(2);
 }

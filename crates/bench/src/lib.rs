@@ -4,6 +4,7 @@
 //! DESIGN.md for the per-experiment index and EXPERIMENTS.md for
 //! recorded outputs).
 
+use lra_matgen::TestMatrix;
 use lra_obs::{BenchEntry, BenchReport, MetricsRegistry, BENCH_SCHEMA_VERSION};
 use lra_par::Parallelism;
 use std::time::Instant;
@@ -24,6 +25,9 @@ pub struct BenchConfig {
     pub max_np: usize,
     /// Compute the exact TSVD reference where requested (slow).
     pub tsvd: bool,
+    /// Table II over this matrix instead of the presets (`paper
+    /// --mtx PATH` reads it; no other bin sets it).
+    pub mtx: Option<TestMatrix>,
 }
 
 /// One-line usage string shared by every benchmark binary.
@@ -38,6 +42,7 @@ impl BenchConfig {
             quick: false,
             max_np: lra_par::available_parallelism(),
             tsvd: false,
+            mtx: None,
         }
     }
 

@@ -83,14 +83,22 @@ fn cost_cells(r: &Run) -> [String; 3] {
 /// Table II: RandUBV iterations; iterations, runtime and runtime per
 /// correct digit (`s/dg`) of RandQB_EI p ∈ {0,1,2} and LU_CRTP;
 /// ILUT_CRTP's runtime, `s/dg`, `nnz(LU factors) / nnz(ILUT factors)`
-/// and the threshold `mu` of eq. 24.
+/// and the threshold `mu` of eq. 24. With `--mtx` the one row block is
+/// the user's matrix at k = 32.
 fn table2(sw: &mut Sweep, cfg: &BenchConfig) -> String {
+    let plans = match &cfg.mtx {
+        Some(tm) => {
+            let taus = if cfg.quick { vec![1e-1, 1e-2] } else { vec![1e-1, 1e-2, 1e-3] };
+            vec![(tm.clone(), 32, taus)]
+        }
+        None => table2_plans(cfg),
+    };
     let mut out = String::new();
     put!(out, "TABLE II — runtime per correct digit (np = {})", cfg.max_np);
     put!(out, "mat      tau | its_ubv | its_0   time_0   s/dg_0 | its_1   time_1   s/dg_1 | its_2   time_2   s/dg_2 |    k |   its  time_lu  s/dg_lu |  time_il  s/dg_il  rat_nnz        mu");
     let rule = "-".repeat(175);
     put!(out, "{rule}");
-    for (tm, k, taus) in table2_plans(cfg) {
+    for (tm, k, taus) in plans {
         for tau in taus {
             let ubv = sw.run(&tm, Algo::Ubv, k, tau);
             let ubv = if ubv.converged { ubv.iterations.to_string() } else { "-".to_string() };
@@ -364,9 +372,11 @@ fn fig4(sw: &mut Sweep, cfg: &BenchConfig) -> String {
 const KERNEL_NPS: [usize; 5] = [1, 4, 16, 64, 256];
 
 /// A recorded run's kernels, costliest at np=1 first, each with its
-/// simulated time at every [`KERNEL_NPS`].
-fn kernels_by_np(profile: &Profile) -> Vec<(&'static str, [f64; 5])> {
-    let by_np = KERNEL_NPS.map(|np| profile.simulated_by_label(np));
+/// simulated time at every [`KERNEL_NPS`]; the run's own kernel timers
+/// give each label's wall.
+fn kernels_by_np(run: &Run) -> Vec<(&'static str, [f64; 5])> {
+    let walls = run.timers.report();
+    let by_np = KERNEL_NPS.map(|np| profile(run).simulated_by_label(np, &walls));
     let time =
         |by: &Vec<(&str, f64)>, label| by.iter().find(|(l, _)| *l == label).map_or(0.0, |x| x.1);
     let mut rows: Vec<_> = by_np[0]
@@ -397,7 +407,7 @@ fn kernel_breakdown(
         for &(name, algo) in algos {
             let r = sw.recorded(&tm, algo, k, tau);
             put!(out, "\n--- {} ---\nkernel \\ np   {nps}", header(name, k, &r));
-            for (label, times) in kernels_by_np(profile(&r)).into_iter().take(top) {
+            for (label, times) in kernels_by_np(&r).into_iter().take(top) {
                 put!(out, "{label:<14}{}", cells(times));
             }
             let total = KERNEL_NPS.map(|np| profile(&r).simulated_time(np));
@@ -538,7 +548,7 @@ fn claims(sw: &mut Sweep, cfg: &BenchConfig) -> String {
     for (name, algo) in recorded {
         let r = sw.recorded(&tm, algo, 32, tau);
         let total = profile(&r).simulated_time(1);
-        let mut knees: Vec<(usize, &str)> = kernels_by_np(profile(&r))
+        let mut knees: Vec<(usize, &str)> = kernels_by_np(&r)
             .into_iter()
             .filter(|(_, t)| t[0] >= 0.05 * total)
             .map(|(label, t)| {
@@ -559,9 +569,9 @@ fn claims(sw: &mut Sweep, cfg: &BenchConfig) -> String {
 /// Write `path` as the BENCH v1 report: RandQB_EI, LU_CRTP, ILUT_CRTP
 /// (shared memory), ILUT_CRTP over SPMD ranks and the same with a
 /// snapshot every iteration, k = 32, on M1'–M3' (M1', M2' with
-/// `--quick`). The metrics registry snapshot (comm counters, kernel
-/// histograms, the checkpoint gauges [`check_checkpoint_size`] gates)
-/// rides along.
+/// `--quick`). The metrics registry snapshot (the SPMD run's per-rank
+/// comm counters, the checkpoint gauges [`check_checkpoint_size`]
+/// gates) rides along.
 pub fn write_bench_report(sw: &mut Sweep, cfg: &BenchConfig, path: &str) -> Result<(), String> {
     let reg = MetricsRegistry::new();
     let (np, s, k) = (cfg.max_np.clamp(2, 4), cfg.scale, 32);
@@ -580,17 +590,14 @@ pub fn write_bench_report(sw: &mut Sweep, cfg: &BenchConfig, path: &str) -> Resu
             let runs = algos.map(|(_, algo)| sw.run(tm, algo, k, tau));
             for ((algorithm, algo), r) in algos.iter().zip(&runs) {
                 let ranks = if matches!(algo, Algo::IlutSpmd { .. }) { np } else { 1 };
-                r.timers.export_metrics(&reg, algorithm);
                 entries.push(r.bench_entry(algorithm, &tm.label, &tm.a, (tau, k, ranks)));
             }
             let [.., spmd, ckpt] = &runs;
             for (rank, stats) in spmd.stats.iter().enumerate() {
                 stats.export_metrics(&reg, rank);
             }
-            // The overhead is reported, not gated (no wall-clock
-            // checks); what is gated is the envelope's size.
+            // Gated: the envelope's size (no wall-clock checks).
             let (bytes, words) = ckpt.checkpoint.expect("a checkpointed run sizes its snapshot");
-            reg.set_gauge("recover.checkpoint_overhead_pct", (ckpt.wall / spmd.wall - 1.0) * 100.0);
             reg.set_gauge("recover.checkpoint_bytes", bytes as f64);
             reg.set_gauge("recover.checkpoint_state_words", words as f64);
         }

@@ -44,3 +44,17 @@ fn validate_rejects_malformed_report() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr.contains("invalid report"), "stderr: {stderr}");
 }
+
+#[test]
+fn table2_runs_on_a_matrix_market_file() {
+    let dir = std::env::temp_dir().join("lra_bench_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("decay.mtx");
+    let a = lra_matgen::with_decay(&lra_matgen::fem2d(12, 10, 3), 1e-4, 3);
+    lra_sparse::write_matrix_market_file(&path, &a).unwrap();
+    let (out, stderr) = paper(&["table2", "--mtx", path.to_str().unwrap(), "--quick", "--np", "1"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with("decay ")).collect();
+    assert_eq!(rows.len(), 2, "one row per --quick tolerance: {stdout}");
+}

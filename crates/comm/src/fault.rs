@@ -49,16 +49,15 @@ struct DelaySpec {
 }
 
 /// One injected stall: the rank sleeps `stall` when it announces
-/// `iteration`. When `spent` is set the stall is one-shot *across plan
-/// clones* — a supervisor that clones the plan into every retry
-/// attempt re-injects a recurring stall forever, while a one-shot
-/// stall models a transient hiccup that resolves on retry.
+/// `iteration`, once *across plan clones* — a supervisor clones the
+/// plan into every retry attempt, and the stall models a transient
+/// hiccup that resolves on retry.
 #[derive(Debug, Clone)]
 struct StallSpec {
     rank: usize,
     iteration: u64,
     stall: Duration,
-    spent: Option<Arc<AtomicBool>>,
+    spent: Arc<AtomicBool>,
 }
 
 impl FaultPlan {
@@ -119,7 +118,7 @@ impl FaultPlan {
             rank,
             iteration: iteration.max(1),
             stall,
-            spent: Some(Arc::new(AtomicBool::new(false))),
+            spent: Arc::new(AtomicBool::new(false)),
         });
         self
     }
@@ -137,28 +136,14 @@ impl FaultPlan {
     }
 
     /// Stall `rank` for `stall` when it announces algorithm iteration
-    /// `iteration` (1-based, via [`crate::Ctx::begin_iteration`]). A
-    /// stall longer than the run's watchdog makes every *peer* fail
-    /// with [`crate::CommError::Timeout`] — the deterministic way to
-    /// inject a transient (retryable) failure at a chosen iteration,
-    /// complementing [`FaultPlan::kill_rank_at_iteration`]'s permanent
-    /// one. Recurring: a cloned plan re-injects the stall on every
-    /// execution (see [`FaultPlan::stall_rank_once_at_iteration`]).
-    pub fn stall_rank_at_iteration(mut self, rank: usize, iteration: u64, stall: Duration) -> Self {
-        self.stalls.push(StallSpec {
-            rank,
-            iteration: iteration.max(1),
-            stall,
-            spent: None,
-        });
-        self
-    }
-
-    /// Like [`FaultPlan::stall_rank_at_iteration`], but one-shot across
-    /// clones of this plan: the first execution that reaches the
+    /// `iteration` (1-based, via [`crate::Ctx::begin_iteration`]), once
+    /// across clones of this plan: the first execution that reaches the
     /// iteration stalls, every later one (e.g. a supervisor's retry of
-    /// the same configuration) runs clean. This models a transient
-    /// delay that resolved — the scenario a retry policy exists for.
+    /// the same configuration) runs clean. A stall longer than the
+    /// run's watchdog makes every *peer* fail with
+    /// [`crate::CommError::Timeout`] — a transient (retryable) failure
+    /// at a chosen iteration, complementing
+    /// [`FaultPlan::kill_rank_at_iteration`]'s permanent one.
     pub fn stall_rank_once_at_iteration(
         mut self,
         rank: usize,
@@ -169,7 +154,7 @@ impl FaultPlan {
             rank,
             iteration: iteration.max(1),
             stall,
-            spent: Some(Arc::new(AtomicBool::new(false))),
+            spent: Arc::new(AtomicBool::new(false)),
         });
         self
     }
@@ -285,17 +270,14 @@ impl FaultPlan {
 pub(crate) struct RankStall {
     pub(crate) iteration: u64,
     pub(crate) stall: Duration,
-    spent: Option<Arc<AtomicBool>>,
+    spent: Arc<AtomicBool>,
 }
 
 impl RankStall {
     /// Whether this stall should fire now (consumes the one-shot
-    /// budget shared across plan clones, if any).
+    /// budget shared across plan clones).
     pub(crate) fn arm(&self) -> bool {
-        match &self.spent {
-            None => true,
-            Some(flag) => !flag.swap(true, Ordering::Relaxed),
-        }
+        !self.spent.swap(true, Ordering::Relaxed)
     }
 }
 
@@ -390,15 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn recurring_stall_rearms_but_one_shot_spends_across_clones() {
-        let recurring = FaultPlan::new().stall_rank_at_iteration(1, 2, Duration::from_millis(5));
-        let r = &recurring.stalls_for(1)[0];
-        assert_eq!(r.iteration, 2);
-        assert!(r.arm() && r.arm(), "recurring stall must always fire");
-
+    fn one_shot_stall_spends_across_clones() {
         let once = FaultPlan::new().stall_rank_once_at_iteration(0, 3, Duration::from_millis(5));
         let cloned = once.clone();
         let a = &once.stalls_for(0)[0];
+        assert_eq!(a.iteration, 3);
         assert!(a.arm(), "first arm fires");
         let b = &cloned.stalls_for(0)[0];
         assert!(!b.arm(), "the clone shares the spent flag");

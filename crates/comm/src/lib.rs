@@ -36,8 +36,8 @@
 //!   [`run_with`] can kill a rank at its Nth operation, delay
 //!   deliveries with seeded jitter, and drop individual messages
 //!   (detected by the watchdog). Per-rank [`CommStats`] counters
-//!   (messages, bytes via [`MessageSize`], pending-buffer high-water
-//!   mark) are reported alongside the results.
+//!   (messages and bytes sent via [`MessageSize`], collectives, injected
+//!   faults) are reported alongside the results.
 //!
 //! ## Nonblocking collectives
 //!
@@ -79,8 +79,6 @@ struct Envelope {
     /// `std::any::type_name` of the payload, captured at send time so
     /// type-mismatch diagnostics can name both sides.
     type_name: &'static str,
-    /// Approximate payload size per [`MessageSize`].
-    bytes: usize,
     payload: Payload,
 }
 
@@ -452,7 +450,6 @@ impl Ctx {
                 src: self.rank,
                 tag,
                 type_name: std::any::type_name::<M>(),
-                bytes,
                 payload: Box::new(msg),
             })
             .map_err(|_| self.peer_gone(dst))
@@ -499,14 +496,7 @@ impl Ctx {
                 Ok(env) if env.src == src && env.tag == tag => {
                     return Ok(self.consume(env));
                 }
-                Ok(env) => {
-                    let mut pending = self.pending.borrow_mut();
-                    pending.push(env);
-                    let depth = pending.len();
-                    drop(pending);
-                    let mut st = self.stats.borrow_mut();
-                    st.max_pending = st.max_pending.max(depth);
-                }
+                Ok(env) => self.pending.borrow_mut().push(env),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // Every sender (including our own loop-back clone)
@@ -544,13 +534,8 @@ impl Ctx {
         }))
     }
 
-    /// Account for and downcast a matched envelope.
+    /// Downcast a matched envelope.
     fn consume<M: Send + 'static>(&self, env: Envelope) -> M {
-        {
-            let mut st = self.stats.borrow_mut();
-            st.msgs_received += 1;
-            st.bytes_received += env.bytes as u64;
-        }
         let (src, tag, sent_as) = (env.src, env.tag, env.type_name);
         *env.payload.downcast::<M>().unwrap_or_else(|_| {
             panic!(
@@ -920,7 +905,6 @@ impl Ctx {
                     src: self.rank,
                     tag: CTRL_POISON,
                     type_name: "poison",
-                    bytes: 0,
                     payload: Box::new(()),
                 });
             }
@@ -1643,9 +1627,6 @@ mod tests {
         assert!(report.all_ok());
         assert_eq!(report.stats[0].msgs_sent, 2);
         assert_eq!(report.stats[0].bytes_sent, 16);
-        assert_eq!(report.stats[1].msgs_received, 2);
-        assert_eq!(report.stats[1].bytes_received, 16);
-        assert_eq!(report.stats[1].max_pending, 1);
         assert_eq!(report.stats[0].ops, 2);
         assert_eq!(report.stats[1].ops, 2);
     }

@@ -1,8 +1,8 @@
 //! Per-rank communication counters.
 //!
-//! Every [`crate::Ctx`] accumulates a [`CommStats`] — message and byte
-//! counts, collective entries, and the high-water mark of the
-//! out-of-order buffer — surfaced per rank by
+//! Every [`crate::Ctx`] accumulates a [`CommStats`] — sent message and
+//! byte counts, collective entries, injected faults and the overlap
+//! clocks — surfaced per rank by
 //! [`crate::RunReport::stats`]. Their readers: chaos tests asserting
 //! that injected faults actually happened (drops, delays),
 //! `kernel_bench`'s overlap gate (`overlap_wait_ns` against
@@ -58,21 +58,14 @@ pub struct CommStats {
     /// (messages dropped by a [`crate::FaultPlan`] are *not* counted
     /// here — see [`CommStats::fault_dropped`]).
     pub msgs_sent: u64,
-    /// Messages consumed by this rank (matched receives; buffered
-    /// messages count when they are finally matched).
-    pub msgs_received: u64,
     /// Bytes enqueued, per [`MessageSize`].
     pub bytes_sent: u64,
-    /// Bytes consumed, per [`MessageSize`].
-    pub bytes_received: u64,
     /// Collective operations entered (barrier, broadcast, allgather,
     /// reduce, allreduce).
     pub collectives: u64,
     /// Total communication operations (sends + receives + collective
     /// entries) — the op counter chaos kills index into.
     pub ops: u64,
-    /// High-water mark of the out-of-order pending buffer.
-    pub max_pending: usize,
     /// Last algorithm iteration announced via
     /// [`crate::Ctx::begin_iteration`] (0 when the program never calls
     /// it) — the counter [`crate::FaultPlan::kill_rank_at_iteration`]
@@ -83,7 +76,7 @@ pub struct CommStats {
     /// Deliveries delayed by the fault plan.
     pub fault_delayed: u64,
     /// Iteration announcements stalled by the fault plan (the
-    /// timeout-injection hook [`crate::FaultPlan::stall_rank_at_iteration`]).
+    /// timeout-injection hook [`crate::FaultPlan::stall_rank_once_at_iteration`]).
     pub fault_stalled: u64,
     /// Bytes enqueued from inside each collective family, in the order
     /// barrier, broadcast, allgather, reduce, allreduce, gatherv,
@@ -107,37 +100,27 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Feed this rank's counters into a unified
-    /// [`lra_obs::MetricsRegistry`] under `comm.rank{rank}.*`, and
-    /// accumulate the cross-rank totals under `comm.total.*` (calling
-    /// this once per rank of a [`crate::RunReport`] yields both the
-    /// per-rank shape and the aggregate traffic volume).
+    /// Feed this rank's counters into a [`lra_obs::MetricsRegistry`]
+    /// under `comm.rank{rank}.*`, plus the cross-rank `comm.bytes.*` /
+    /// `comm.overlap.hidden_ns` series the `lra-serve` scrape renders
+    /// (call once per rank of a [`crate::RunReport`]).
     pub fn export_metrics(&self, reg: &lra_obs::MetricsRegistry, rank: usize) {
-        let counters: [(&str, u64); 10] = [
+        let counters: [(&str, u64); 12] = [
             ("iterations", self.iterations),
             ("msgs_sent", self.msgs_sent),
-            ("msgs_received", self.msgs_received),
             ("bytes_sent", self.bytes_sent),
-            ("bytes_received", self.bytes_received),
             ("collectives", self.collectives),
             ("ops", self.ops),
             ("fault_dropped", self.fault_dropped),
             ("fault_delayed", self.fault_delayed),
             ("fault_stalled", self.fault_stalled),
-        ];
-        for (name, value) in counters {
-            reg.inc_counter(&format!("comm.rank{rank}.{name}"), value);
-            reg.inc_counter(&format!("comm.total.{name}"), value);
-        }
-        let overlap: [(&str, u64); 4] = [
             ("overlap_posted", self.overlap_posted),
             ("overlap_hidden_ns", self.overlap_hidden_ns),
             ("overlap_wait_ns", self.overlap_wait_ns),
             ("alltoallv_wait_ns", self.alltoallv_wait_ns),
         ];
-        for (name, value) in overlap {
+        for (name, value) in counters {
             reg.inc_counter(&format!("comm.rank{rank}.{name}"), value);
-            reg.inc_counter(&format!("comm.total.{name}"), value);
         }
         // Per-collective wire traffic: `comm.bytes.<family>` accumulates
         // across ranks (counters add), matching the scrape contract.
@@ -155,10 +138,6 @@ impl CommStats {
         reg.set_gauge(
             "comm.overlap.hidden_ns",
             prev + self.overlap_hidden_ns as f64,
-        );
-        reg.set_gauge(
-            &format!("comm.rank{rank}.max_pending"),
-            self.max_pending as f64,
         );
     }
 }
@@ -181,16 +160,14 @@ mod tests {
     fn default_is_zeroed() {
         let s = CommStats::default();
         assert_eq!(s.msgs_sent, 0);
-        assert_eq!(s.max_pending, 0);
     }
 
     #[test]
-    fn export_metrics_writes_per_rank_and_totals() {
+    fn export_metrics_writes_per_rank() {
         let reg = lra_obs::MetricsRegistry::new();
         let a = CommStats {
             msgs_sent: 3,
             bytes_sent: 24,
-            max_pending: 2,
             ..CommStats::default()
         };
         let b = CommStats {
@@ -210,12 +187,8 @@ mod tests {
             Some(MetricValue::Counter(1))
         );
         assert_eq!(
-            reg.get("comm.total.bytes_sent"),
-            Some(MetricValue::Counter(32))
-        );
-        assert_eq!(
-            reg.get("comm.rank0.max_pending"),
-            Some(MetricValue::Gauge(2.0))
+            reg.get("comm.rank0.bytes_sent"),
+            Some(MetricValue::Counter(24))
         );
     }
 
@@ -248,7 +221,7 @@ mod tests {
         assert_eq!(reg.get("comm.bytes.gatherv"), Some(MetricValue::Counter(7)));
         assert_eq!(reg.get("comm.bytes.barrier"), None, "zero families elided");
         assert_eq!(
-            reg.get("comm.total.overlap_posted"),
+            reg.get("comm.rank0.overlap_posted"),
             Some(MetricValue::Counter(2))
         );
         assert_eq!(

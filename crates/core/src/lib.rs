@@ -63,7 +63,7 @@ pub use lucrtp::{
 // bitwise reference check and `kernel_bench`.
 #[doc(hidden)]
 pub use lucrtp::{schur_update_into, SchurWorkspace, SCHUR_GRAIN};
-pub use outcome::{Interrupted, JobId, Outcome, Parked, ResumeHandle};
+pub use outcome::{Interrupted, Outcome, ResumeHandle};
 pub use qb::{rand_qb_ei, rand_qb_ei_checkpointed, QbError, QbOpts, QbResult, QB_INDICATOR_FLOOR};
 pub use timers::{KernelId, KernelTimers, ALL_KERNELS, N_KERNELS};
 pub use ubv::{rand_ubv, UbvOpts, UbvResult};

@@ -296,8 +296,8 @@ pub struct ThresholdReport {
 /// Peak per-rank memory footprint of a sharded SPMD run. The sharded
 /// driver keeps only a block-column shard of the Schur complement
 /// resident per rank (`O(nnz/np)` plus the `O(b^2)` panel), so these
-/// peaks shrink as ranks are added — the quantity behind the
-/// `mem.peak_rank_bytes` gauge and the CI memory-scaling check.
+/// peaks shrink as ranks are added (pinned by
+/// `tests/spmd_sharded.rs::per_rank_memory_shrinks_with_more_ranks`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemStats {
     /// Max over ranks of the peak resident Schur-shard bytes.
@@ -406,7 +406,6 @@ impl LuCrtpResult {
                 let resume = (self.iterations > 0).then_some(crate::ResumeHandle {
                     kind: "lu_crtp",
                     iteration: self.iterations,
-                    job: None,
                 });
                 crate::Outcome::Interrupted(crate::Interrupted {
                     partial: self,

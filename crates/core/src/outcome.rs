@@ -18,22 +18,11 @@
 //! with a looser budget — the resumed run reproduces the uninterrupted
 //! run bitwise (pinned by the explorer's cancel dimension, see
 //! [`crate::explore_fault_space`]).
-
-/// Identity of one factorization job inside a multi-tenant engine.
-///
-/// The job engine (`lra-serve`) assigns these at admission; the core
-/// layer threads them through [`ResumeHandle`]s and [`Parked`] records
-/// so a preempted run stays attributable across park/resume cycles
-/// (its trace lane, its `serve.job.<id>.*` metrics, its checkpoint
-/// store) without the drivers themselves knowing about jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(pub u64);
-
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job-{}", self.0)
-    }
-}
+//!
+//! The drivers know nothing about jobs. A job engine (`lra-serve`)
+//! keeps its own ledger — job id, preemption count, parked state — and
+//! reads one thing from an interruption: [`ResumeHandle::iteration`],
+//! the iteration its trip-boundary checkpoint covers.
 
 /// Where a budget-tripped run can be picked up again.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +33,6 @@ pub struct ResumeHandle {
     /// The iteration the trip-boundary snapshot covers: a resumed run
     /// continues from exactly here.
     pub iteration: usize,
-    /// Owning job, when the run was driven by a job engine (`None` for
-    /// direct driver calls). Stamped by [`Interrupted::for_job`].
-    pub job: Option<JobId>,
 }
 
 /// A budget-tripped run: the partial result plus everything a caller
@@ -69,69 +55,11 @@ pub struct Interrupted<T> {
 }
 
 impl<T> Interrupted<T> {
-    /// Stamp the owning job onto the resume handle (no-op when the run
-    /// tripped before its first checkpointable iteration).
-    pub fn for_job(mut self, job: JobId) -> Self {
-        if let Some(h) = self.resume.as_mut() {
-            h.job = Some(job);
-        }
-        self
-    }
-
     /// True when the trip was a [`lra_recover::CancelToken`] firing —
     /// the signal a preemptive scheduler uses to distinguish "I stopped
     /// you to reclaim ranks" from the job's own budget running out.
     pub fn is_cancelled(&self) -> bool {
         matches!(self.trip, lra_recover::BudgetTrip::Cancelled)
-    }
-
-    /// Park this interruption as a scheduler-owned record.
-    pub fn park(self, job: JobId) -> Parked<T> {
-        Parked {
-            job,
-            interrupted: self.for_job(job),
-            preemptions: 1,
-        }
-    }
-}
-
-/// A preempted job waiting for ranks: the scheduler's ledger entry
-/// between a preemption and the matching resume.
-///
-/// Parking is pure bookkeeping — the durable resume state lives in the
-/// job's [`lra_recover::CheckpointStore`], and [`Parked::unpark`] just
-/// hands back the [`Interrupted`] record so the engine can re-enter the
-/// same checkpointed driver against that store. Because resume is
-/// bitwise only within a rank count, the engine must redispatch on the
-/// same number of ranks it originally granted.
-#[derive(Debug, Clone)]
-pub struct Parked<T> {
-    /// The job this record belongs to.
-    pub job: JobId,
-    /// The interruption at the most recent preemption, resume handle
-    /// stamped with [`Parked::job`].
-    pub interrupted: Interrupted<T>,
-    /// How many times this job has been preempted so far (≥ 1).
-    pub preemptions: usize,
-}
-
-impl<T> Parked<T> {
-    /// Re-park after another preemption: keep the count, adopt the new
-    /// trip record (which names a later checkpoint).
-    pub fn record_preemption(&mut self, interrupted: Interrupted<T>) {
-        self.interrupted = interrupted.for_job(self.job);
-        self.preemptions += 1;
-    }
-
-    /// The checkpoint iteration a resume would continue from, when the
-    /// run got far enough to snapshot one.
-    pub fn resume_iteration(&self) -> Option<usize> {
-        self.interrupted.resume.as_ref().map(|h| h.iteration)
-    }
-
-    /// Consume the ledger entry for redispatch.
-    pub fn unpark(self) -> Interrupted<T> {
-        self.interrupted
     }
 }
 

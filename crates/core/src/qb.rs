@@ -196,7 +196,6 @@ impl QbResult {
                 let resume = (self.iterations > 0).then_some(crate::ResumeHandle {
                     kind: "rand_qb_ei",
                     iteration: self.iterations,
-                    job: None,
                 });
                 crate::Outcome::Interrupted(crate::Interrupted {
                     partial: self,

@@ -626,11 +626,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
             (self.peak_bytes as u64, self.peak_nnz as u64),
             |x, y| (x.0.max(y.0), x.1.max(y.1)),
         );
-        if self.rank == 0 {
-            let g = lra_obs::metrics::global();
-            g.set_gauge("mem.peak_rank_bytes", bytes as f64);
-            g.set_gauge("mem.peak_rank_nnz", nnz as f64);
-        }
         Some(MemStats {
             peak_rank_bytes: bytes,
             peak_rank_nnz: nnz,

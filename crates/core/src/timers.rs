@@ -140,20 +140,6 @@ impl KernelTimers {
         v.push(("other", (wall_s - self.total().as_secs_f64()).max(0.0)));
         v
     }
-
-    /// Feed the accumulated buckets into a unified metrics registry as
-    /// histogram observations `kernel.{label}_s` (one observation per
-    /// call, so repeated algorithm runs aggregate into count/sum/min/
-    /// max across the sweep) plus a `{prefix}.kernels_total_s` gauge.
-    pub fn export_metrics(&self, reg: &lra_obs::MetricsRegistry, prefix: &str) {
-        for (label, secs) in self.report() {
-            reg.observe(&format!("kernel.{label}_s"), secs);
-        }
-        reg.set_gauge(
-            &format!("{prefix}.kernels_total_s"),
-            self.total().as_secs_f64(),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -198,25 +184,6 @@ mod tests {
         // Wall below the kernel total clamps `other` at zero.
         let r2 = t.report_with_other(0.01);
         assert_eq!(r2.last().unwrap().1, 0.0);
-    }
-
-    #[test]
-    fn export_metrics_observes_buckets() {
-        let mut t = KernelTimers::new();
-        t.add(KernelId::Schur, Duration::from_millis(20));
-        let reg = lra_obs::MetricsRegistry::new();
-        t.export_metrics(&reg, "lu_crtp");
-        match reg.get("kernel.schur_s") {
-            Some(lra_obs::MetricValue::Histogram(h)) => {
-                assert_eq!(h.count, 1);
-                assert!((h.sum - 0.02).abs() < 1e-9);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            reg.get("lu_crtp.kernels_total_s"),
-            Some(lra_obs::MetricValue::Gauge(_))
-        ));
     }
 
     #[test]

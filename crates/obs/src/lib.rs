@@ -1,10 +1,10 @@
-//! Unified observability layer: span tracing, metrics, bench reports.
+//! Observability layer: span tracing, metrics, bench reports.
 //!
-//! The repository previously had three disjoint measurement systems —
-//! per-kernel wall-clock buckets (`lra_core::KernelTimers`), per-rank
-//! communication counters (`lra_comm::CommStats`), and the LPT
-//! strong-scaling simulator (`lra_par::Profile`) — and the benchmark
-//! binaries emitted only free-form text. This crate unifies them:
+//! Each measured number has one recorder. Kernel seconds live in
+//! `lra_core::KernelTimers` (always on: callers read its buckets from
+//! every untraced solve), per-rank message and byte counts in
+//! `lra_comm::CommStats`, and per-chunk `f64` costs for the LPT model
+//! in `lra_par::Profile`. This crate holds what has no other home:
 //!
 //! - [`trace`] — hierarchical span tracing with per-rank timelines.
 //!   Spans carry a lane id (the SPMD rank), a label, and their parent
@@ -13,9 +13,10 @@
 //!   allocation, so instrumented kernels cost nothing in production.
 //!   The collected events export as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one lane per rank).
-//! - [`metrics`] — a registry of named counters, gauges and
-//!   histograms. The owning crates feed it: `KernelTimers` and
-//!   `CommStats` both provide `export_metrics` adapters.
+//! - [`metrics`] — a registry of named counters and gauges for
+//!   events no result struct carries. `CommStats`
+//!   folds a served job's wire traffic in through its
+//!   `export_metrics`; DESIGN.md "Observability" catalogues every name.
 //! - [`report`] — the machine-readable [`report::BenchReport`] schema
 //!   (per-algorithm wall time, per-kernel breakdown, achieved rank,
 //!   true vs. estimated relative error) the `lra-bench` bins write as
@@ -38,6 +39,6 @@ pub mod report;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, ScopedMetrics};
+pub use metrics::{MetricValue, MetricsRegistry};
 pub use report::{BenchEntry, BenchReport, KernelTime, BENCH_SCHEMA_VERSION};
 pub use trace::{SpanGuard, TraceEvent};

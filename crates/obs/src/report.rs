@@ -92,9 +92,9 @@ pub struct BenchReport {
     pub max_np: usize,
     /// Benchmarked combinations.
     pub entries: Vec<BenchEntry>,
-    /// Snapshot of the unified metrics registry (counters from
-    /// `CommStats`, histograms from `KernelTimers`, gauges from
-    /// `lra_par::Profile`). Always a JSON object.
+    /// Snapshot of the bench run's metrics registry (per-rank counters
+    /// from `CommStats`, the bin's own gauges). Always a JSON object;
+    /// per-kernel seconds live in [`BenchEntry::kernels`].
     pub metrics: Json,
 }
 

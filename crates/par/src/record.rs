@@ -17,7 +17,9 @@
 //! dominate at large `np` — while remaining an honest measurement of
 //! the real per-chunk work. Regions can be grouped under kernel labels
 //! (via [`label_scope`]) so the per-kernel breakdowns of Figs. 5-6 can
-//! be simulated per worker count as well. See DESIGN.md
+//! be simulated per worker count as well; the per-label wall times come
+//! from the caller's own kernel clock (`lra_core::KernelTimers`, which
+//! times the same closures), not from a second one here. See DESIGN.md
 //! ("Substitutions").
 
 use std::collections::HashMap;
@@ -34,8 +36,6 @@ pub const UNLABELED: &str = "other";
 struct RecState {
     /// `(label, chunk durations)` per recorded region.
     regions: Vec<(&'static str, Vec<f64>)>,
-    /// Wall time per label scope (serial portions derived later).
-    label_wall: HashMap<&'static str, f64>,
     started: Instant,
     depth: usize,
     label_stack: Vec<&'static str>,
@@ -54,7 +54,6 @@ pub fn start() {
     assert!(guard.is_none(), "cost recording already active");
     *guard = Some(RecState {
         regions: Vec::new(),
-        label_wall: HashMap::new(),
         started: Instant::now(),
         depth: 0,
         label_stack: Vec::new(),
@@ -73,35 +72,27 @@ pub fn finish() -> Profile {
     Profile {
         wall: state.started.elapsed().as_secs_f64(),
         regions: state.regions,
-        label_wall: state.label_wall,
     }
 }
 
-/// Attribute everything recorded inside `f` to `label` (a kernel name).
-/// A no-op passthrough when not recording. Scopes may not nest.
+/// Attribute every region recorded inside `f` to `label` (a kernel
+/// name). A no-op passthrough when not recording. Scopes may not nest.
 pub fn label_scope<T>(label: &'static str, f: impl FnOnce() -> T) -> T {
     if !is_recording() {
         return f();
     }
-    {
-        let mut guard = STATE.lock().unwrap();
-        if let Some(state) = guard.as_mut() {
-            state.label_stack.push(label);
-        }
-    }
-    let t = Instant::now();
+    with_state(|state| state.label_stack.push(label));
     let out = f();
-    let dt = t.elapsed().as_secs_f64();
-    {
-        let mut guard = STATE.lock().unwrap();
-        if let Some(state) = guard.as_mut() {
-            state.label_stack.pop();
-            if state.label_stack.is_empty() {
-                *state.label_wall.entry(label).or_insert(0.0) += dt;
-            }
-        }
-    }
+    with_state(|state| {
+        state.label_stack.pop();
+    });
     out
+}
+
+fn with_state(f: impl FnOnce(&mut RecState)) {
+    if let Some(state) = STATE.lock().unwrap().as_mut() {
+        f(state);
+    }
 }
 
 /// Enter a would-be-parallel region; returns true when this region
@@ -139,8 +130,6 @@ pub struct Profile {
     pub wall: f64,
     /// Per-region `(label, chunk durations)` in execution order.
     pub regions: Vec<(&'static str, Vec<f64>)>,
-    /// Wall time spent inside each label scope.
-    pub label_wall: HashMap<&'static str, f64>,
 }
 
 impl Profile {
@@ -172,10 +161,17 @@ impl Profile {
     }
 
     /// Simulated per-label runtime on `np` workers: each label's serial
-    /// part (its scope wall minus its chunk work) plus its regions'
-    /// makespans. Labels appear in first-seen order; [`UNLABELED`]
-    /// covers work outside any scope.
-    pub fn simulated_by_label(&self, np: usize) -> Vec<(&'static str, f64)> {
+    /// part (its wall in `walls` minus its chunk work) plus its regions'
+    /// makespans. `walls` is the recorded run's `(label, seconds)` per
+    /// scope, as `lra_core::KernelTimers::report` gives them. Labels
+    /// appear in first-seen order, then the `walls` labels that recorded
+    /// no region; [`UNLABELED`] (and any label without a wall) counts
+    /// all its work as parallel.
+    pub fn simulated_by_label(
+        &self,
+        np: usize,
+        walls: &[(&'static str, f64)],
+    ) -> Vec<(&'static str, f64)> {
         let np = np.max(1);
         let mut order: Vec<&'static str> = Vec::new();
         let mut work: HashMap<&'static str, f64> = HashMap::new();
@@ -187,18 +183,15 @@ impl Profile {
             *work.entry(label).or_insert(0.0) += chunks.iter().sum::<f64>();
             *mkspan.entry(label).or_insert(0.0) += lpt_makespan(chunks, np);
         }
-        for label in self.label_wall.keys() {
+        for (label, _) in walls {
             if !order.contains(label) {
                 order.push(label);
             }
         }
         let mut out = Vec::with_capacity(order.len());
         for label in order {
-            let wall = self.label_wall.get(label).copied().unwrap_or_else(|| {
-                // Unlabeled regions: no scope wall; treat all work as
-                // parallel.
-                work.get(label).copied().unwrap_or(0.0)
-            });
+            let wall = walls.iter().find(|(l, _)| *l == label).map(|&(_, w)| w);
+            let wall = wall.unwrap_or_else(|| work.get(label).copied().unwrap_or(0.0));
             let serial = (wall - work.get(label).copied().unwrap_or(0.0)).max(0.0);
             out.push((label, serial + mkspan.get(label).copied().unwrap_or(0.0)));
         }
@@ -263,7 +256,6 @@ mod tests {
         let p = Profile {
             wall: 10.0,
             regions: vec![("a", vec![1.0; 8]), ("b", vec![0.5; 16])],
-            label_wall: HashMap::new(),
         };
         let s1 = p.simulated_speedup(1);
         let s2 = p.simulated_speedup(2);
@@ -280,7 +272,6 @@ mod tests {
         let p = Profile {
             wall: 4.0,
             regions: vec![("x", vec![1.0; 4])],
-            label_wall: HashMap::new(),
         };
         assert!((p.simulated_time(4) - 1.0).abs() < 1e-12);
         assert!((p.simulated_time(64) - 1.0).abs() < 1e-12);
@@ -289,6 +280,9 @@ mod tests {
     #[test]
     fn end_to_end_recording_with_labels() {
         start();
+        // The caller's kernel clock around each scope, as
+        // `KernelTimers::time` keeps it.
+        let t = Instant::now();
         label_scope("kernel_a", || {
             crate::parallel_for(crate::Parallelism::new(8), 64, 8, |r| {
                 // burn a little deterministic time
@@ -299,12 +293,20 @@ mod tests {
                 std::hint::black_box(x);
             });
         });
+        let walls = [("kernel_a", t.elapsed().as_secs_f64()), ("kernel_b", 0.5)];
         let profile = finish();
         assert_eq!(profile.regions.len(), 1);
         assert_eq!(profile.regions[0].0, "kernel_a");
         assert_eq!(profile.regions[0].1.len(), 8);
-        let by = profile.simulated_by_label(4);
-        assert!(by.iter().any(|(l, _)| *l == "kernel_a"));
+        let by = profile.simulated_by_label(4, &walls);
+        let labels: Vec<&str> = by.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["kernel_a", "kernel_b"]);
+        // At one worker a label costs exactly its wall; a label without
+        // regions is all serial.
+        let by1 = profile.simulated_by_label(1, &walls);
+        assert!((by1[0].1 - walls[0].1).abs() < 1e-12);
+        assert_eq!(by1[1].1, 0.5);
+        assert!(by[0].1 <= by1[0].1 + 1e-12);
         // More workers never slower in the model.
         assert!(profile.simulated_time(8) <= profile.simulated_time(1) + 1e-12);
     }

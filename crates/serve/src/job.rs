@@ -11,7 +11,16 @@ use std::time::Duration;
 use lra_core::{IlutOpts, LuCrtpOpts, LuCrtpResult, Method, Outcome};
 use lra_sparse::CscMatrix;
 
-pub use lra_core::JobId;
+/// Identity of one job, assigned at admission. It also names the job's
+/// trace lanes (`id * 64 + rank`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct JobId(pub u64);
+
+impl std::fmt::Display for JobId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job-{}", self.0)
+    }
+}
 
 /// Which factorization driver a job runs. Both variants execute
 /// through `lra_core::factorize` on `Exec::Spmd` with checkpoint hooks,

@@ -21,11 +21,12 @@
 //! - [`FactorCache`] — completed factors keyed by matrix fingerprint +
 //!   options digest + rank count, LRU-evicted under a byte budget, so
 //!   a repeated request returns without running the driver at all;
-//! - observability — every engine event lands in `serve.*` metrics
-//!   (queue depth, admission rejections, preemptions, cache traffic,
-//!   per-job wall and achieved tolerance under `serve.job.<id>.*`),
-//!   and [`Server::scrape`] renders the whole state as one byte-stable
-//!   JSON document.
+//! - observability — engine events are counted once under `serve.*`
+//!   (submissions, admission rejections, driver calls, resumes,
+//!   preemptions, cache hits and misses, completions); per-job wall,
+//!   preemptions and achieved tolerance travel in the [`JobReport`];
+//!   and [`Server::scrape`] renders those counters next to the live
+//!   queue / pool / cache state as one byte-stable JSON document.
 
 mod cache;
 mod job;

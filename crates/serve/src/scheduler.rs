@@ -113,7 +113,10 @@ struct Job {
     store: Arc<CheckpointStore>,
     own_cancel: CancelToken,
     guard: Option<DeadlineGuard>,
-    parked: Option<lra_core::Parked<LuCrtpResult>>,
+    /// The iteration the latest preemption's trip-boundary checkpoint
+    /// covers: `None` until the first preemption, and after a trip that
+    /// came before the first iteration finished.
+    parked: Option<usize>,
     /// The current dispatch's preempt token, while running.
     preempt: Option<CancelToken>,
     /// Set between firing the preempt token and the park landing.
@@ -267,7 +270,6 @@ impl Server {
         );
         st.queue.push(entry);
         inner.metrics().inc_counter("serve.submitted", 1);
-        publish_gauges(inner, &st);
         inner.cv.notify_all();
         Ok(id)
     }
@@ -310,7 +312,7 @@ impl Server {
     pub fn scrape(&self) -> String {
         let (queued, running, parked, done_n, pool_total, pool_busy, grants) = {
             let st = self.inner.lock();
-            let parked = st.jobs.values().filter(|j| j.parked.is_some()).count();
+            let parked = st.jobs.values().filter(|j| j.preemptions > 0).count();
             let grants: Vec<Json> = st
                 .pool
                 .grants()
@@ -339,7 +341,6 @@ impl Server {
         let to_num = |v: lra_obs::MetricValue| match v {
             lra_obs::MetricValue::Counter(c) => Json::Num(c as f64),
             lra_obs::MetricValue::Gauge(g) => Json::Num(g),
-            lra_obs::MetricValue::Histogram(h) => Json::Num(h.mean()),
         };
         let metrics = Json::Obj(
             self.inner
@@ -433,18 +434,6 @@ struct Dispatch {
     lane_base: u64,
 }
 
-fn publish_gauges(inner: &Inner, st: &State) {
-    let m = inner.metrics();
-    m.set_gauge("serve.queue_depth", st.queue.len() as f64);
-    m.set_gauge("serve.pool_busy_ranks", st.pool.busy() as f64);
-}
-
-fn publish_cache_gauges(inner: &Inner, cache: &FactorCache) {
-    inner
-        .metrics()
-        .set_gauge("serve.cache_bytes", cache.bytes() as f64);
-}
-
 fn scheduler_loop(inner: &Arc<Inner>) {
     let mut st = inner.lock();
     loop {
@@ -515,7 +504,6 @@ fn try_dispatch(inner: &Arc<Inner>, st: &mut State) {
             None => break,
         }
     }
-    publish_gauges(inner, st);
     // Placement changed `running`/`queue` without going through a
     // worker: wake observers blocked in `wait_until_running`. (The
     // scheduler itself is not waiting here, so it cannot self-wake.)
@@ -569,7 +557,7 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
     let preempt = CancelToken::new();
     let job = st.jobs.get_mut(&id).expect("queued job is live");
     job.preempt = Some(preempt.clone());
-    let resuming = job.parked.is_some();
+    let resuming = job.preemptions > 0;
     job.driver_calls += 1;
     let mut d = Dispatch {
         id,
@@ -592,7 +580,6 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
     d.algorithm.base_mut().budget = budget;
     let m = inner.metrics();
     m.inc_counter("serve.driver_calls", 1);
-    m.inc_counter(&format!("serve.job.{}.dispatches", id.0), 1);
     if resuming {
         m.inc_counter("serve.resumes", 1);
     }
@@ -634,28 +621,19 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
             // store, so the next dispatch resumes from exactly here.
             let job = st.jobs.get_mut(&d.id).expect("running job is live");
             job.preemptions += 1;
-            match job.parked.take() {
-                None => job.parked = Some(i.park(d.id)),
-                Some(mut p) => {
-                    p.record_preemption(i);
-                    job.parked = Some(p);
-                }
-            }
+            job.parked = i.resume.map(|h| h.iteration);
             let entry = QueueEntry {
                 id: d.id,
                 priority: job.spec.priority,
                 ranks: job.spec.ranks,
             };
             st.queue.push(entry);
-            let m = inner.metrics();
-            m.inc_counter("serve.preemptions", 1);
-            m.inc_counter(&format!("serve.job.{}.preemptions", d.id.0), 1);
+            inner.metrics().inc_counter("serve.preemptions", 1);
         }
         Outcome::Interrupted(i) => {
             // The job's own limits tripped (service deadline, memory
             // ceiling, tenant cancel): close it out with the partial
             // factors and their achieved tolerance.
-            let i = i.for_job(d.id);
             finish(inner, &mut st, d.id, Outcome::Interrupted(i), false);
         }
         Outcome::Completed(result) => {
@@ -664,21 +642,16 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
                 let result = Arc::new(result.clone());
                 let mut cache = inner.cache.lock().unwrap_or_else(|p| p.into_inner());
                 cache.insert(key, result);
-                let (_, _, evictions) = cache.stats();
-                inner.metrics().set_gauge("serve.cache_evictions", evictions as f64);
-                publish_cache_gauges(inner, &cache);
             }
             finish(inner, &mut st, d.id, Outcome::Completed(result), false);
         }
     }
-    publish_gauges(inner, &st);
     drop(st);
     inner.cv.notify_all();
 }
 
-/// Close a job out: build its report, publish its metrics, disarm its
-/// deadline guard, move it to the claimable map. Caller holds the
-/// state lock.
+/// Close a job out: build its report, count it, disarm its deadline
+/// guard, move it to the claimable map. Caller holds the state lock.
 fn finish(inner: &Arc<Inner>, st: &mut State, id: JobId, outcome: Outcome<LuCrtpResult>, from_cache: bool) {
     let job = st.jobs.remove(&id).expect("finishing a live job");
     if let Some(g) = job.guard {
@@ -687,21 +660,15 @@ fn finish(inner: &Arc<Inner>, st: &mut State, id: JobId, outcome: Outcome<LuCrtp
         // contract `many_short_guards_leak_no_threads` pins).
         g.disarm();
     }
-    let wall = job.submitted.elapsed();
     let report = JobReport {
         job: id,
         outcome,
         from_cache,
         preemptions: job.preemptions,
         driver_calls: job.driver_calls,
-        wall,
+        wall: job.submitted.elapsed(),
     };
-    let m = inner.metrics();
-    m.inc_counter("serve.completed", 1);
-    let scoped = m.scoped(format!("serve.job.{}", id.0));
-    scoped.set_gauge("wall_s", wall.as_secs_f64());
-    scoped.set_gauge("achieved_tolerance", report.achieved_tolerance());
-    scoped.set_gauge("from_cache", if from_cache { 1.0 } else { 0.0 });
+    inner.metrics().inc_counter("serve.completed", 1);
     st.done.insert(id, report);
     inner.cv.notify_all();
 }
@@ -823,16 +790,14 @@ mod tests {
             .submit(spec(4).with_ranks(2).with_priority(9))
             .unwrap();
         server.wait(urgent);
-        // Parked or resumed, the victim keeps its ledger until it ends.
-        // A trip before the first iteration completes has no state to
-        // save; any later trip saves exactly once.
+        // Whether still parked or resumed, the victim keeps its ledger
+        // until it ends. A trip before the first iteration completes
+        // has no state to save; any later trip saves exactly once.
         let tripped_past_start = {
             let st = server.inner.lock();
-            let parked = st.jobs.get(&victim).and_then(|j| j.parked.as_ref());
-            parked
-                .expect("the urgent job ran, so the victim was parked")
-                .resume_iteration()
-                .is_some()
+            let job = st.jobs.get(&victim).expect("the victim outlives the urgent job");
+            assert_eq!(job.preemptions, 1, "the urgent job ran, so the victim was parked");
+            job.parked.is_some()
         };
         let victim_report = server.wait(victim);
         let calm_report = server.wait(calm);

@@ -102,7 +102,7 @@ impl ColSlice {
     }
 
     /// Bytes resident in this shard's CSC arrays — the quantity behind
-    /// the `mem.peak_rank_bytes` metric.
+    /// `MemStats::peak_rank_bytes`.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of_val(self.local.colptr())
             + std::mem::size_of_val(self.local.rowidx())

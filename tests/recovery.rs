@@ -732,7 +732,7 @@ fn chaos_soak_always_completes_or_fails_typed() {
 /// the uninterrupted oracle bit for bit.
 #[test]
 fn parked_job_resumes_bitwise_from_a_freshly_opened_on_disk_store() {
-    use lra::core::{Budget, JobId, Outcome};
+    use lra::core::{Budget, Outcome};
 
     let a = fault_matrix(17);
     let opts = fault_ilut_opts();
@@ -769,18 +769,17 @@ fn parked_job_resumes_bitwise_from_a_freshly_opened_on_disk_store() {
             Outcome::Interrupted(i) => i,
             Outcome::Completed(_) => panic!("iteration cap must interrupt the run"),
         };
-        let parked = interrupted.park(JobId(7));
-        assert_eq!(parked.preemptions, 1);
-        let at = parked
-            .resume_iteration()
-            .expect("a capped run past iteration 1 has a resume point");
+        let at = interrupted
+            .resume
+            .expect("a capped run past iteration 1 has a resume point")
+            .iteration;
         assert_eq!(at as u64, interrupt_at);
         assert!(
             store.saves() >= interrupt_at,
             "the trip-boundary snapshots must be on disk"
         );
         at
-        // `store`, `hooks`, `parked` all drop here: no in-memory state
+        // `store`, `hooks`, `interrupted` all drop here: no in-memory state
         // survives into the resume below.
     };
 

@@ -164,7 +164,18 @@ fn mixed_priority_soak_matches_solo_runs() {
         parsed.get("schema").and_then(|s| s.as_str()),
         Some("serve_scrape_v1")
     );
-    assert!(parsed.get("metrics").is_some());
+    // Each `serve.*` number has one recorder: no per-job series (the
+    // `JobReport` carries those) and no gauge mirroring the queue /
+    // pool / cache sections the scrape renders from live state.
+    let Some(lra::obs::Json::Obj(metrics)) = parsed.get("metrics") else {
+        panic!("scrape must carry a metrics object: {scrape}");
+    };
+    let mirrors = ["queue_depth", "pool_busy_ranks", "cache_bytes", "cache_evictions"];
+    for (name, _) in metrics {
+        assert!(!name.starts_with("serve.job."), "per-job series {name}: {scrape}");
+        let mirrored = mirrors.iter().any(|m| name.strip_prefix("serve.") == Some(*m));
+        assert!(!mirrored, "mirror gauge {name}: {scrape}");
+    }
     let comm = parsed.get("comm").expect("scrape must carry a comm section");
     let comm_num = |key: &str| {
         comm.get(key)
