@@ -13,8 +13,9 @@ use crate::lucrtp::{
 };
 use crate::spmd::{run_replicated, run_sharded, Reshard};
 use lra_comm::{Ctx, RunConfig, RunReport};
-use lra_recover::{run_supervised, CancelToken, RecoveryError, RecoveryPolicy, Supervised};
+use lra_recover::{run_supervised, RecoveryError, RecoveryPolicy, Supervised};
 use lra_sparse::CscMatrix;
+use std::time::Instant;
 
 /// Which of the paper's two deterministic methods to run, with its
 /// options. `&LuCrtpOpts` and `&IlutOpts` convert into it, so callers
@@ -243,26 +244,29 @@ pub fn factorize_supervised<'m>(
     let method = method.into();
     method.validate(a)?;
     let (opts, ilut) = method.parts();
-    // The supervisor's deadline token rides into the loop's budget: a
-    // deadline that expires mid-attempt stops the ranks cooperatively
-    // at the next iteration boundary (checkpoint taken, partial factors
-    // returned) instead of letting the attempt run to completion.
-    let with_token = |token: &CancelToken| {
+    // The policy deadline joins the loop's own budget (the earlier
+    // wins), so an attempt that outlives it stops at the next iteration
+    // boundary with a checkpoint and partial factors. Without one the
+    // budget stays as given: an unlimited run pays no agreement
+    // collective.
+    let bounded = |at: Option<Instant>| {
         let mut o = opts.clone();
-        o.budget.cancel.push(token.clone());
+        if let Some(at) = at {
+            o.budget = o.budget.with_deadline(at);
+        }
         o
     };
     run_supervised(
         np,
         config,
         policy,
-        |np, cfg, _, token| {
-            let o = with_token(token);
+        |np, cfg, _, at| {
+            let o = bounded(at);
             lra_comm::run_with(np, cfg, |ctx| {
                 run_sharded(ctx, a, &o, ilut, Some(&hooks), Reshard::Overlapped)
             })
         },
-        |token| Some(run_seq(a, &with_token(token), ilut, Some(&hooks))),
+        |at| Some(run_seq(a, &bounded(at), ilut, Some(&hooks))),
     )
     .map_err(SupervisedError::Recovery)
 }

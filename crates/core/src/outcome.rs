@@ -55,9 +55,9 @@ pub struct Interrupted<T> {
 }
 
 impl<T> Interrupted<T> {
-    /// True when the trip was a [`lra_recover::CancelToken`] firing —
-    /// the signal a preemptive scheduler uses to distinguish "I stopped
-    /// you to reclaim ranks" from the job's own budget running out.
+    /// True when the trip was a [`lra_recover::CancelToken`] firing (a
+    /// deadline trips as `DeadlineExceeded`) — what a preemptive
+    /// scheduler checks, beside its own token, before parking a job.
     pub fn is_cancelled(&self) -> bool {
         matches!(self.trip, lra_recover::BudgetTrip::Cancelled)
     }
@@ -84,14 +84,6 @@ impl<T> Outcome<T> {
         match self {
             Outcome::Completed(v) => v,
             Outcome::Interrupted(i) => i.partial,
-        }
-    }
-
-    /// The completed value, or `None` if the run was interrupted.
-    pub fn completed(self) -> Option<T> {
-        match self {
-            Outcome::Completed(v) => Some(v),
-            Outcome::Interrupted(_) => None,
         }
     }
 

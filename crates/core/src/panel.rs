@@ -383,7 +383,6 @@ pub(crate) fn drive<E: PanelEngine>(
     let n = a.cols();
     let root = comm.is_none_or(|c| c.rank() == 0);
     let mut timers = KernelTimers::new();
-    let clock = opts.budget.start();
     let a_norm_f = a.fro_norm();
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
@@ -453,7 +452,7 @@ pub(crate) fn drive<E: PanelEngine>(
         // of the collective schedule alone. `opts` is replicated, so
         // the `is_unlimited` branch itself cannot desync the group.
         if !opts.budget.is_unlimited() {
-            let local = clock.check(st.iterations as u64, eng.resident_bytes());
+            let local = opts.budget.check(st.iterations as u64, eng.resident_bytes());
             let agreed = match comm {
                 None => local,
                 Some(ctx) => ctx

@@ -300,7 +300,6 @@ fn rand_qb_ei_inner(
     let mut rank = 0usize;
     let mut draws = 0u64;
     let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let clock = opts.budget.start();
 
     if let Some(h) = hooks {
         if let Some(ck) = crate::checkpoint::load_qb_resume(h, m, n) {
@@ -324,9 +323,9 @@ fn rand_qb_ei_inner(
         // Budget check at the block boundary: the accumulated Q/B
         // blocks are the resident factorization state (the input is
         // read-only and the sketch is transient).
-        if !clock.is_unlimited() {
+        if !opts.budget.is_unlimited() {
             let resident = (rank as u64) * ((m + n) as u64) * 8;
-            if let Some(t) = clock.check(iterations as u64, resident) {
+            if let Some(t) = opts.budget.check(iterations as u64, resident) {
                 if let Some(h) = hooks {
                     if iterations > 0 && !h.should_save(iterations) {
                         let ck = crate::checkpoint::QbCheckpoint {

@@ -190,14 +190,13 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     let mut iterations = 0usize;
     let mut rank = 0usize;
     let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let clock = opts.budget.start();
 
     while rank < rank_cap {
         // Budget check at the block boundary; the two bases plus the
         // bidiagonal blocks are the resident factorization state.
-        if !clock.is_unlimited() {
+        if !opts.budget.is_unlimited() {
             let resident = (rank as u64) * ((m + n + 2 * k) as u64) * 8;
-            if let Some(t) = clock.check(iterations as u64, resident) {
+            if let Some(t) = opts.budget.check(iterations as u64, resident) {
                 lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
                     trip: t.clone(),
                     iteration: iterations,

@@ -7,27 +7,25 @@
 //!
 //! - [`CancelToken`] — a shared atomic flag any thread can set; the
 //!   drivers poll it at panel boundaries.
-//! - [`Budget`] — declarative resource limits (wall-clock deadline,
-//!   iteration cap, per-rank memory ceiling) plus any number of cancel
-//!   tokens. [`Budget::start`] captures the entry instant and yields a
-//!   [`BudgetClock`] the iteration loop checks.
+//! - [`Budget`] — declarative resource limits (an absolute wall-clock
+//!   deadline, iteration cap, per-rank memory ceiling) plus any number
+//!   of cancel tokens. The iteration loop calls [`Budget::check`] once
+//!   per boundary.
 //! - [`BudgetTrip`] — the typed verdict of a check, with a stable
 //!   priority order and a fixed-width wire encoding so an SPMD rank
 //!   group can allreduce the verdicts and *agree* on a single trip at
 //!   the same iteration (the same discipline as poison broadcast:
 //!   never desync the group).
-//! - [`DeadlineGuard`] — a timer thread that cancels a token when a
-//!   deadline elapses, giving [`crate::run_supervised`] mid-attempt
-//!   deadline enforcement through the same token the drivers poll.
 //!
 //! Checks are *cooperative*: a trip is only observed at the loop
 //! boundaries the drivers instrument, which is exactly what makes the
 //! partial result consistent (maps updated, Schur complement current,
-//! checkpoint saveable) and the resumed run bitwise-reproducible.
+//! checkpoint saveable) and the resumed run bitwise-reproducible. A
+//! deadline is an [`Instant`]: nothing watches the clock in between.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A shared cancellation flag.
@@ -75,12 +73,10 @@ impl fmt::Debug for CancelToken {
 pub enum BudgetTrip {
     /// A [`CancelToken`] attached to the budget was cancelled.
     Cancelled,
-    /// The wall-clock deadline elapsed.
+    /// The wall-clock deadline passed.
     DeadlineExceeded {
-        /// Time elapsed since [`Budget::start`] when the check fired.
-        elapsed: Duration,
-        /// The configured deadline.
-        deadline: Duration,
+        /// How far past the deadline the check fired (group max under SPMD).
+        late_by: Duration,
     },
     /// Resident factorization state exceeded the per-rank ceiling.
     MemoryCeiling {
@@ -116,9 +112,7 @@ impl BudgetTrip {
     pub fn to_wire(&self) -> (u8, u64, u64) {
         match *self {
             BudgetTrip::Cancelled => (0, 0, 0),
-            BudgetTrip::DeadlineExceeded { elapsed, deadline } => {
-                (1, elapsed.as_micros() as u64, deadline.as_micros() as u64)
-            }
+            BudgetTrip::DeadlineExceeded { late_by } => (1, late_by.as_micros() as u64, 0),
             BudgetTrip::MemoryCeiling {
                 observed_bytes,
                 ceiling_bytes,
@@ -132,8 +126,7 @@ impl BudgetTrip {
         match kind {
             0 => Some(BudgetTrip::Cancelled),
             1 => Some(BudgetTrip::DeadlineExceeded {
-                elapsed: Duration::from_micros(a),
-                deadline: Duration::from_micros(b),
+                late_by: Duration::from_micros(a),
             }),
             2 => Some(BudgetTrip::MemoryCeiling {
                 observed_bytes: a,
@@ -165,12 +158,9 @@ impl fmt::Display for BudgetTrip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BudgetTrip::Cancelled => write!(f, "cancelled via token"),
-            BudgetTrip::DeadlineExceeded { elapsed, deadline } => write!(
-                f,
-                "deadline exceeded ({:.3}s elapsed of {:.3}s)",
-                elapsed.as_secs_f64(),
-                deadline.as_secs_f64()
-            ),
+            BudgetTrip::DeadlineExceeded { late_by } => {
+                write!(f, "deadline exceeded ({:.3}s late)", late_by.as_secs_f64())
+            }
             BudgetTrip::MemoryCeiling {
                 observed_bytes,
                 ceiling_bytes,
@@ -191,8 +181,9 @@ impl fmt::Display for BudgetTrip {
 /// budget shares its cancel tokens (they are handles to shared flags).
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
-    /// Wall-clock limit measured from [`Budget::start`].
-    pub deadline: Option<Duration>,
+    /// Absolute wall-clock deadline: an instant, so queueing, parks and
+    /// retries all count against it and no clone restarts a clock.
+    pub deadline: Option<Instant>,
     /// Maximum completed iterations (panels for LU_CRTP/ILUT, block
     /// steps for RandQB_EI/RandUBV).
     pub max_iterations: Option<u64>,
@@ -218,9 +209,10 @@ impl Budget {
             && self.cancel.is_empty()
     }
 
-    /// Set [`Budget::deadline`].
-    pub fn with_deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
+    /// Bound [`Budget::deadline`] by `at`: a budget keeps the earliest
+    /// deadline it was given.
+    pub fn with_deadline(mut self, at: Instant) -> Self {
+        self.deadline = Some(self.deadline.map_or(at, |d| d.min(at)));
         self
     }
 
@@ -242,44 +234,24 @@ impl Budget {
         self
     }
 
-    /// Capture the entry instant and start the clock the iteration
-    /// loop checks.
-    pub fn start(&self) -> BudgetClock {
-        BudgetClock {
-            budget: self.clone(),
-            started: Instant::now(),
-        }
-    }
-}
-
-/// A started [`Budget`]: the entry instant plus the limits.
-#[derive(Debug, Clone)]
-pub struct BudgetClock {
-    budget: Budget,
-    started: Instant,
-}
-
-impl BudgetClock {
-    /// See [`Budget::is_unlimited`].
-    pub fn is_unlimited(&self) -> bool {
-        self.budget.is_unlimited()
-    }
-
     /// Evaluate every limit against the current state. `iterations` is
     /// the count of *completed* iterations; `resident_bytes` is this
     /// rank's resident factorization state. Returns the
-    /// highest-priority trip, or `None` when the run may continue.
+    /// highest-priority trip, or `None` when the run may continue. Only
+    /// a set deadline reads the clock.
     pub fn check(&self, iterations: u64, resident_bytes: u64) -> Option<BudgetTrip> {
-        if self.budget.cancel.iter().any(CancelToken::is_cancelled) {
+        if self.cancel.iter().any(CancelToken::is_cancelled) {
             return Some(BudgetTrip::Cancelled);
         }
-        if let Some(deadline) = self.budget.deadline {
-            let elapsed = self.started.elapsed();
-            if elapsed >= deadline {
-                return Some(BudgetTrip::DeadlineExceeded { elapsed, deadline });
+        if let Some(deadline) = self.deadline {
+            let now = Instant::now();
+            if now >= deadline {
+                return Some(BudgetTrip::DeadlineExceeded {
+                    late_by: now - deadline,
+                });
             }
         }
-        if let Some(ceiling_bytes) = self.budget.memory_ceiling_bytes {
+        if let Some(ceiling_bytes) = self.memory_ceiling_bytes {
             if resident_bytes > ceiling_bytes {
                 return Some(BudgetTrip::MemoryCeiling {
                     observed_bytes: resident_bytes,
@@ -287,113 +259,12 @@ impl BudgetClock {
                 });
             }
         }
-        if let Some(cap) = self.budget.max_iterations {
+        if let Some(cap) = self.max_iterations {
             if iterations >= cap {
                 return Some(BudgetTrip::IterationCap { iterations, cap });
             }
         }
         None
-    }
-
-    /// Wall time left before the deadline (`None` when no deadline is
-    /// set; zero once it has passed).
-    pub fn remaining_deadline(&self) -> Option<Duration> {
-        self.budget
-            .deadline
-            .map(|d| d.saturating_sub(self.started.elapsed()))
-    }
-}
-
-/// A timer thread that fires a [`CancelToken`] when a deadline elapses.
-///
-/// Disarming the guard — explicitly via [`DeadlineGuard::disarm`] or
-/// implicitly on drop — wakes, stops, **and joins** the watcher thread,
-/// so a run (or a served job) that finishes before its deadline leaves
-/// nothing behind: no timer thread parked until the stale deadline, no
-/// late cancel of a token that may since have been re-attached to other
-/// work. A job engine arming one guard per admitted job can therefore
-/// churn through thousands of short jobs without accumulating watcher
-/// threads (pinned by the `many_short_guards_leak_no_threads`
-/// regression test).
-///
-/// This is how [`crate::run_supervised`] turns
-/// `RecoveryPolicy::deadline` into *mid-attempt* enforcement: the token
-/// rides into the drivers through their [`Budget`], and the drivers
-/// stop cooperatively at the next panel boundary instead of running to
-/// completion.
-pub struct DeadlineGuard {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DeadlineGuard {
-    /// Cancel `token` once `after` has elapsed (unless disarmed first).
-    pub fn arm(token: CancelToken, after: Duration) -> Self {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("lra-deadline-guard".into())
-            .spawn(move || {
-                let (lock, cv) = &*thread_state;
-                // Saturate far-future deadlines instead of overflowing
-                // `Instant` arithmetic: a guard armed with an absurd
-                // duration simply waits until disarmed.
-                let deadline = Instant::now().checked_add(after);
-                let mut disarmed = lock.lock().unwrap();
-                loop {
-                    if *disarmed {
-                        return;
-                    }
-                    let now = Instant::now();
-                    let remaining = match deadline {
-                        Some(d) if now >= d => {
-                            token.cancel();
-                            return;
-                        }
-                        Some(d) => d - now,
-                        None => Duration::from_secs(86_400),
-                    };
-                    let (guard, _) = cv.wait_timeout(disarmed, remaining).unwrap();
-                    disarmed = guard;
-                }
-            })
-            .expect("spawn deadline-guard thread");
-        DeadlineGuard {
-            state,
-            handle: Some(handle),
-        }
-    }
-
-    /// Explicitly stop the watcher and join its thread *now*. Call this
-    /// the moment the guarded work completes: the guard object may be
-    /// parked in a job table whose entry lives on long after the job
-    /// finished, and a merely-forgotten watcher would otherwise sleep
-    /// until the stale deadline (or fire a token that has been reused).
-    /// Disarming is idempotent with drop — a disarmed guard's drop is a
-    /// no-op join of nothing.
-    pub fn disarm(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (lock, cv) = &*self.state;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl fmt::Debug for DeadlineGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeadlineGuard").finish_non_exhaustive()
     }
 }
 
@@ -403,10 +274,9 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_trips() {
-        let clock = Budget::unlimited().start();
-        assert!(clock.is_unlimited());
-        assert_eq!(clock.check(u64::MAX, u64::MAX), None);
-        assert_eq!(clock.remaining_deadline(), None);
+        let budget = Budget::unlimited();
+        assert!(budget.is_unlimited());
+        assert_eq!(budget.check(u64::MAX, u64::MAX), None);
     }
 
     #[test]
@@ -416,24 +286,23 @@ mod tests {
         assert!(!clone.is_cancelled());
         t.cancel();
         assert!(clone.is_cancelled());
-        let clock = Budget::unlimited().with_cancel(clone).start();
-        assert_eq!(clock.check(0, 0), Some(BudgetTrip::Cancelled));
+        let budget = Budget::unlimited().with_cancel(clone);
+        assert_eq!(budget.check(0, 0), Some(BudgetTrip::Cancelled));
     }
 
     #[test]
     fn iteration_cap_and_memory_ceiling_trip() {
-        let clock = Budget::unlimited()
+        let budget = Budget::unlimited()
             .with_iteration_cap(3)
-            .with_memory_ceiling(1000)
-            .start();
-        assert_eq!(clock.check(2, 1000), None);
+            .with_memory_ceiling(1000);
+        assert_eq!(budget.check(2, 1000), None);
         assert!(matches!(
-            clock.check(3, 0),
+            budget.check(3, 0),
             Some(BudgetTrip::IterationCap { iterations: 3, cap: 3 })
         ));
         // Memory outranks the iteration cap.
         assert!(matches!(
-            clock.check(3, 1001),
+            budget.check(3, 1001),
             Some(BudgetTrip::MemoryCeiling {
                 observed_bytes: 1001,
                 ceiling_bytes: 1000
@@ -442,18 +311,21 @@ mod tests {
     }
 
     #[test]
-    fn deadline_trips_and_remaining_saturates() {
-        let clock = Budget::unlimited().with_deadline(Duration::ZERO).start();
+    fn a_passed_deadline_trips_and_the_earliest_deadline_wins() {
+        let passed = Instant::now();
+        let far = passed + Duration::from_secs(3600);
+        let budget = Budget::unlimited().with_deadline(passed);
         assert!(matches!(
-            clock.check(0, 0),
+            budget.check(0, 0),
             Some(BudgetTrip::DeadlineExceeded { .. })
         ));
-        assert_eq!(clock.remaining_deadline(), Some(Duration::ZERO));
-        let far = Budget::unlimited()
-            .with_deadline(Duration::from_secs(3600))
-            .start();
-        assert_eq!(far.check(0, 0), None);
-        assert!(far.remaining_deadline().unwrap() > Duration::from_secs(3500));
+        assert_eq!(Budget::unlimited().with_deadline(far).check(0, 0), None);
+        for b in [
+            Budget::unlimited().with_deadline(far).with_deadline(passed),
+            Budget::unlimited().with_deadline(passed).with_deadline(far),
+        ] {
+            assert_eq!(b.deadline, Some(passed));
+        }
     }
 
     #[test]
@@ -461,8 +333,7 @@ mod tests {
         let trips = [
             BudgetTrip::Cancelled,
             BudgetTrip::DeadlineExceeded {
-                elapsed: Duration::from_micros(1234),
-                deadline: Duration::from_micros(1000),
+                late_by: Duration::from_micros(1234),
             },
             BudgetTrip::MemoryCeiling {
                 observed_bytes: 7,
@@ -477,6 +348,7 @@ mod tests {
             let (k, a, b) = t.to_wire();
             assert_eq!(BudgetTrip::from_wire(k, a, b).as_ref(), Some(t));
         }
+        assert_eq!(trips[1].to_wire(), (1, 1234, 0));
         assert_eq!(BudgetTrip::from_wire(200, 0, 0), None);
 
         // Priority: cancel beats everything; equal kinds take max.
@@ -487,68 +359,5 @@ mod tests {
         let mem_a = (2u8, 10u64, 5u64);
         let mem_b = (2u8, 7u64, 8u64);
         assert_eq!(BudgetTrip::merge_wire(mem_a, mem_b), (2, 10, 8));
-    }
-
-    /// Live threads of this process (Linux: one entry per task).
-    /// Returns `None` on platforms without procfs, where the leak
-    /// regression degrades to the join-semantics assertions.
-    fn live_threads() -> Option<usize> {
-        std::fs::read_dir("/proc/self/task")
-            .ok()
-            .map(|d| d.count())
-    }
-
-    #[test]
-    fn many_short_guards_leak_no_threads() {
-        // Server-shaped lifecycle: a burst of short jobs each arms a
-        // deadline guard and completes well before the deadline. Every
-        // watcher must be disarmed AND joined at completion — both via
-        // the explicit `disarm()` a job engine calls and via drop — so
-        // the process thread count returns to its baseline instead of
-        // accumulating one parked watcher per served job.
-        let baseline = live_threads();
-        for batch in 0..8 {
-            let mut guards = Vec::new();
-            for i in 0..16 {
-                let token = CancelToken::new();
-                let guard = DeadlineGuard::arm(token.clone(), Duration::from_secs(3600));
-                if (batch + i) % 2 == 0 {
-                    guard.disarm(); // explicit completion path
-                    assert!(!token.is_cancelled());
-                } else {
-                    guards.push((guard, token)); // drop path, end of batch
-                }
-            }
-            for (_, token) in &guards {
-                assert!(!token.is_cancelled());
-            }
-            drop(guards);
-        }
-        if let (Some(before), Some(after)) = (baseline, live_threads()) {
-            // Unrelated test threads may come and go; what must NOT
-            // appear is anything like the 128 watchers armed above.
-            assert!(
-                after <= before + 4,
-                "deadline-guard watchers leaked: {before} threads before, {after} after"
-            );
-        }
-    }
-
-    #[test]
-    fn deadline_guard_fires_the_token_and_drop_disarms() {
-        let token = CancelToken::new();
-        let guard = DeadlineGuard::arm(token.clone(), Duration::from_millis(5));
-        let start = Instant::now();
-        while !token.is_cancelled() && start.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(token.is_cancelled(), "guard never fired");
-        drop(guard);
-
-        // A guard dropped before its deadline must not fire.
-        let quiet = CancelToken::new();
-        let g2 = DeadlineGuard::arm(quiet.clone(), Duration::from_secs(3600));
-        drop(g2); // joins the timer thread
-        assert!(!quiet.is_cancelled());
     }
 }

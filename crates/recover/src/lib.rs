@@ -14,11 +14,11 @@
 //!   failures (rank death) shrink the grid by one rank and resume from
 //!   checkpoint; when the grid would shrink below `min_ranks`, the
 //!   supervisor degrades to a caller-supplied sequential fallback.
-//! - [`Budget`] / [`CancelToken`] bound a run cooperatively (wall-clock
-//!   deadline, iteration cap, per-rank memory ceiling, external
-//!   cancellation): drivers check at panel boundaries, checkpoint, and
-//!   return a typed partial result carrying its achieved tolerance
-//!   instead of being killed unilaterally.
+//! - [`Budget`] / [`CancelToken`] bound a run cooperatively (an
+//!   absolute wall-clock deadline, iteration cap, per-rank memory
+//!   ceiling, external cancellation): drivers check at panel
+//!   boundaries, checkpoint, and return a typed partial result carrying
+//!   its achieved tolerance instead of being killed unilaterally.
 //! - Every recovery action is a [`RecoveryEvent`], mirrored into the
 //!   global metrics registry and the Chrome trace by [`record_event`].
 //!
@@ -35,7 +35,7 @@ mod events;
 mod fault;
 mod store;
 
-pub use budget::{Budget, BudgetClock, BudgetTrip, CancelToken, DeadlineGuard};
+pub use budget::{Budget, BudgetTrip, CancelToken};
 pub use events::{record_event, record_guard_trip, RecoveryEvent};
 pub use fault::{StorageFaultKind, StorageFaultPlan};
 pub use envelope::{envelope_header, SectionReader, SectionWriter, CHECKPOINT_VERSION};
@@ -57,8 +57,9 @@ pub struct RecoveryPolicy {
     /// failure that would violate it degrades to the sequential
     /// fallback instead. Default: 1.
     pub min_ranks: usize,
-    /// Wall-clock budget for the whole supervised run (checked before
-    /// each attempt). Default: none.
+    /// Wall-clock budget for the whole supervised run, measured from the
+    /// call: checked before each attempt and handed to every attempt as
+    /// an absolute deadline. Default: none.
     pub deadline: Option<Duration>,
 }
 
@@ -181,20 +182,21 @@ fn primary_error<T>(report: &RunReport<T>) -> Option<&CommError> {
 /// Run `attempt` under `policy`, recovering from failures until it
 /// succeeds, the policy is exhausted, or the deadline passes.
 ///
-/// `attempt(np, config, recoveries, token)` runs the algorithm on an
+/// `attempt(np, config, recoveries, deadline)` runs the algorithm on an
 /// `np`-rank grid (typically via [`lra_comm::run_with`], resuming from
 /// the caller's [`CheckpointStore`]) and returns the raw [`RunReport`].
 /// The algorithms here produce *replicated* output — every rank returns
 /// the same factors — so any `Ok` rank carries the complete result and
 /// a partially-failed report still succeeds.
 ///
-/// `token` is the supervisor's [`CancelToken`]. When
-/// [`RecoveryPolicy::deadline`] is set, a [`DeadlineGuard`] cancels it
-/// mid-attempt once the deadline elapses; attempts that thread it into
-/// their driver [`Budget`] then stop cooperatively at the next panel
-/// boundary and return a partial result, instead of running to
-/// completion past the deadline. The deadline is still checked between
-/// attempts, so budget-unaware attempts keep the old behavior.
+/// `deadline` is [`RecoveryPolicy::deadline`] as an instant, computed
+/// once from the call's start (`None` when no deadline is set or it
+/// lies beyond what an [`Instant`] can represent). Attempts that put it
+/// into their driver [`Budget`] with [`Budget::with_deadline`] stop
+/// cooperatively at the next panel boundary and return a partial
+/// result, instead of running to completion past the deadline. The
+/// supervisor also checks it between attempts, so budget-unaware
+/// attempts still stop there. `fallback` receives the same instant.
 ///
 /// On total failure the supervisor classifies the primary error:
 ///
@@ -216,30 +218,27 @@ pub fn run_supervised<T, A, FB>(
     fallback: FB,
 ) -> Result<Supervised<T>, RecoveryError>
 where
-    A: FnMut(usize, &RunConfig, u64, &CancelToken) -> RunReport<T>,
-    FB: FnOnce(&CancelToken) -> Option<T>,
+    A: FnMut(usize, &RunConfig, u64, Option<Instant>) -> RunReport<T>,
+    FB: FnOnce(Option<Instant>) -> Option<T>,
 {
     let start = Instant::now();
+    // A far-future deadline saturates to "unbounded" instead of
+    // overflowing `Instant` arithmetic.
+    let deadline = policy.deadline.and_then(|d| start.checked_add(d));
     let mut np = np.max(1);
     let mut cfg = config.clone();
     let mut backoff = policy.backoff;
     let mut recoveries: u64 = 0;
     let mut events: Vec<RecoveryEvent> = Vec::new();
     let mut fallback = Some(fallback);
-    let token = CancelToken::new();
-    let _deadline_guard = policy
-        .deadline
-        .map(|d| DeadlineGuard::arm(token.clone(), d));
 
     loop {
-        if let Some(deadline) = policy.deadline {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
             let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return Err(RecoveryError::DeadlineExceeded { elapsed, events });
-            }
+            return Err(RecoveryError::DeadlineExceeded { elapsed, events });
         }
 
-        let report = attempt(np, &cfg, recoveries, &token);
+        let report = attempt(np, &cfg, recoveries, deadline);
         let (origin, transient, last_error) = match primary_error(&report) {
             None => (0, false, String::new()),
             Some(e) => (e.origin_rank(), e.is_transient(), e.to_string()),
@@ -273,8 +272,8 @@ where
             events.push(ev);
             // Never sleep past the deadline: the loop-top check should
             // fire the moment the budget is spent, not a backoff later.
-            let sleep_for = match policy.deadline {
-                Some(deadline) => backoff.min(deadline.saturating_sub(start.elapsed())),
+            let sleep_for = match deadline {
+                Some(at) => backoff.min(at.saturating_duration_since(Instant::now())),
                 None => backoff,
             };
             std::thread::sleep(sleep_for);
@@ -289,7 +288,7 @@ where
                 };
                 record_event(&ev);
                 events.push(ev);
-                if let Some(value) = fallback.take().and_then(|fb| fb(&token)) {
+                if let Some(value) = fallback.take().and_then(|fb| fb(deadline)) {
                     return Ok(Supervised {
                         value,
                         attempts: recoveries,
@@ -495,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_backoff_is_clamped_to_the_remaining_deadline() {
+    fn transient_backoff_is_clamped_to_the_deadline() {
         // A pathological backoff (1 h) with a short deadline: every
         // attempt times out, and without the clamp the supervisor would
         // sleep the full hour before noticing the deadline. With it,
@@ -526,28 +525,51 @@ mod tests {
     }
 
     #[test]
-    fn deadline_guard_cancels_the_token_mid_attempt() {
-        // The attempt cooperatively polls the supervisor's token — the
-        // way budget-aware drivers do — and must observe the
-        // cancellation *during* the attempt, not between attempts.
-        let policy = RecoveryPolicy::default().with_deadline(Duration::from_millis(30));
+    fn every_attempt_and_the_fallback_get_the_policy_deadline() {
+        // The only rank dies and the grid cannot shrink, so the
+        // supervisor degrades: the attempt and the fallback must see one
+        // instant, fixed once from the call's start.
+        let cfg = RunConfig {
+            faults: FaultPlan::default().kill_rank_at_iteration(0, 1),
+            ..RunConfig::default()
+        };
+        let d = Duration::from_secs(3600);
+        let policy = RecoveryPolicy::default().with_deadline(d);
+        let (start, mut seen) = (Instant::now(), Vec::new());
         let got = run_supervised(
             1,
+            &cfg,
+            &policy,
+            |np, cfg, _, at| {
+                seen.push(at);
+                run_with(np, cfg, |ctx| {
+                    sum_grid(ctx);
+                    None
+                })
+            },
+            Some,
+        )
+        .unwrap();
+        let at = got.value.expect("a finite deadline reaches the fallback");
+        assert!(got.degraded && start + d <= at && at <= Instant::now() + d);
+        assert_eq!(seen, vec![Some(at)]);
+    }
+
+    #[test]
+    fn a_far_future_deadline_is_unbounded_not_a_panic() {
+        let policy = RecoveryPolicy::default().with_deadline(Duration::MAX);
+        let got = run_supervised(
+            2,
             &RunConfig::default(),
             &policy,
-            |_, _, _, token| {
-                let start = Instant::now();
-                while !token.is_cancelled() && start.elapsed() < Duration::from_secs(10) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                RunReport {
-                    results: vec![Ok(token.is_cancelled())],
-                    stats: vec![],
-                }
+            |np, cfg, _, at| {
+                assert_eq!(at, None, "Duration::MAX saturates to no deadline");
+                run_with(np, cfg, sum_grid)
             },
             |_| None,
         )
         .unwrap();
-        assert!(got.value, "token must fire mid-attempt at the deadline");
+        assert_eq!(got.attempts, 0);
+        assert_eq!(got.value, (1.0 + 2.0 + 3.0) * 2.0);
     }
 }

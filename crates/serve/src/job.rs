@@ -2,8 +2,9 @@
 //!
 //! A [`JobSpec`] is everything a tenant hands the engine: the matrix
 //! (shared, never copied), which driver to run with which options, a
-//! priority, a rank-group size, and per-job resource limits. The
-//! engine answers with a [`JobReport`] once the job leaves the system.
+//! priority and a rank-group size. The tenant's resource limits are
+//! the options' own [`lra_recover::Budget`]. The engine answers with a
+//! [`JobReport`] once the job leaves the system.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,8 +51,8 @@ impl Algorithm {
         }
     }
 
-    /// [`Algorithm::base`], mutably (the scheduler installs the
-    /// per-dispatch budget through it).
+    /// [`Algorithm::base`], mutably (the scheduler adds each dispatch's
+    /// preempt token to the budget through it).
     pub fn base_mut(&mut self) -> &mut LuCrtpOpts {
         match self {
             Algorithm::LuCrtp(o) => o,
@@ -107,7 +108,9 @@ pub struct JobSpec {
     /// The input matrix. `Arc` so N queued jobs over the same matrix
     /// share one copy; the fingerprint is computed once at admission.
     pub matrix: Arc<CscMatrix>,
-    /// Driver and options.
+    /// Driver and options. The options' `budget` holds the tenant's own
+    /// limits (its deadline spans queueing and parks); a trip closes the
+    /// job with an [`Outcome::Interrupted`] and the partial factors.
     pub algorithm: Algorithm,
     /// Scheduling priority: higher runs first, and a waiting job
     /// preempts running jobs of *strictly lower* priority when the
@@ -118,17 +121,6 @@ pub struct JobSpec {
     /// count, so a preempted job always resumes on the same number of
     /// ranks and the factor cache keys on it.
     pub ranks: usize,
-    /// Service deadline measured from admission (not per dispatch): a
-    /// [`lra_recover::DeadlineGuard`] armed at admission cancels the
-    /// job when it expires, even across park/resume cycles. The tenant
-    /// then receives an [`Outcome::Interrupted`] with the partial
-    /// factors and their achieved tolerance.
-    pub deadline: Option<Duration>,
-    /// Per-rank resident-bytes ceiling forwarded into the driver
-    /// budget ([`lra_recover::Budget::memory_ceiling_bytes`]).
-    pub memory_ceiling_bytes: Option<u64>,
-    /// Tenant-facing label (shows up in the scrape output).
-    pub label: String,
 }
 
 impl JobSpec {
@@ -139,9 +131,6 @@ impl JobSpec {
             algorithm,
             priority: 0,
             ranks: 1,
-            deadline: None,
-            memory_ceiling_bytes: None,
-            label: String::new(),
         }
     }
 
@@ -156,24 +145,6 @@ impl JobSpec {
         self.ranks = ranks;
         self
     }
-
-    /// Set [`JobSpec::deadline`].
-    pub fn with_deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
-    /// Set [`JobSpec::memory_ceiling_bytes`].
-    pub fn with_memory_ceiling(mut self, bytes: u64) -> Self {
-        self.memory_ceiling_bytes = Some(bytes);
-        self
-    }
-
-    /// Set [`JobSpec::label`].
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
 }
 
 /// What the engine hands back when a job leaves the system.
@@ -184,8 +155,9 @@ pub struct JobReport {
     /// The factorization outcome. `Completed` when the run finished on
     /// its own terms (preemptions included — a preempted job is parked
     /// and resumed, never failed); `Interrupted` only when the job's
-    /// *own* limits tripped (service deadline, memory ceiling), with
-    /// the partial factors and achieved tolerance attached.
+    /// *own* budget tripped (deadline, memory ceiling, iteration cap,
+    /// a tenant cancel token), with the partial factors and achieved
+    /// tolerance attached.
     pub outcome: Outcome<LuCrtpResult>,
     /// True when the factors came out of the [`crate::FactorCache`]
     /// without running the driver at all.
@@ -202,14 +174,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Achieved relative tolerance of the returned factors.
-    pub fn achieved_tolerance(&self) -> f64 {
-        match &self.outcome {
-            Outcome::Completed(r) => r.achieved_tolerance(),
-            Outcome::Interrupted(i) => i.achieved_tolerance,
-        }
-    }
-
     /// The factors, however the run ended.
     pub fn into_result(self) -> LuCrtpResult {
         self.outcome.into_value()

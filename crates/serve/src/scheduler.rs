@@ -25,11 +25,13 @@
 //!
 //! # Preemption and resume
 //!
-//! Every dispatch gets a **fresh** preempt [`CancelToken`] alongside
-//! the job's own tokens (service-deadline guard, memory ceiling). When
+//! The tenant's limits are the options' own budget; every dispatch adds
+//! only a **fresh** preempt [`CancelToken`] to it. A deadline in that
+//! budget is an absolute instant, so it spans queueing and parks with
+//! no timer of the engine's own, and trips as `DeadlineExceeded`. When
 //! a run comes back [`Outcome::Interrupted`] with a `Cancelled` trip,
 //! the worker disambiguates by inspecting the tokens directly: preempt
-//! fired and the job's own tokens silent means "the scheduler wanted
+//! fired and the tenant's own tokens silent means "the scheduler wanted
 //! the ranks back" — the job parks (its trip-boundary checkpoint
 //! already sits in its [`CheckpointStore`]) and re-enters the queue at
 //! its priority. Anything else is the tenant's own limit and closes
@@ -45,9 +47,7 @@
 //! # Locking
 //!
 //! Two locks, strict hierarchy: the scheduler state may be held while
-//! taking the cache lock, never the reverse. [`DeadlineGuard`]s are
-//! disarmed (watcher joined) under the state lock — safe because the
-//! watcher thread only fires a token and never touches either lock.
+//! taking the cache lock, never the reverse.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -58,7 +58,7 @@ use lra_comm::RunConfig;
 use lra_core::{factorize, Exec, LuCrtpResult, Outcome, RecoveryHooks};
 use lra_obs::metrics::MetricsRegistry;
 use lra_obs::Json;
-use lra_recover::{CancelToken, CheckpointStore, DeadlineGuard};
+use lra_recover::{CancelToken, CheckpointStore};
 
 use crate::{
     AdmissionError, Algorithm, CacheKey, FactorCache, JobId, JobQueue, JobReport, JobSpec,
@@ -111,8 +111,6 @@ struct Job {
     spec: JobSpec,
     key: CacheKey,
     store: Arc<CheckpointStore>,
-    own_cancel: CancelToken,
-    guard: Option<DeadlineGuard>,
     /// The iteration the latest preemption's trip-boundary checkpoint
     /// covers: `None` until the first preemption, and after a trip that
     /// came before the first iteration finished.
@@ -238,14 +236,6 @@ impl Server {
         }
         let id = JobId(st.next_id);
         st.next_id += 1;
-        let own_cancel = CancelToken::new();
-        // The service deadline spans the job's whole stay — parks
-        // included — so it is a guard armed once at admission, not a
-        // per-dispatch `Budget::deadline` (which would restart on
-        // every resume).
-        let guard = spec
-            .deadline
-            .map(|d| DeadlineGuard::arm(own_cancel.clone(), d));
         let entry = QueueEntry {
             id,
             priority: spec.priority,
@@ -257,8 +247,6 @@ impl Server {
                 spec,
                 key,
                 store: Arc::new(CheckpointStore::in_memory()),
-                own_cancel,
-                guard,
                 parked: None,
                 preempt: None,
                 preempt_pending: false,
@@ -429,7 +417,6 @@ struct Dispatch {
     algorithm: Algorithm,
     ranks: usize,
     store: Arc<CheckpointStore>,
-    own_cancel: CancelToken,
     preempt: CancelToken,
     lane_base: u64,
 }
@@ -565,19 +552,12 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
         algorithm: job.spec.algorithm.clone(),
         ranks: entry.ranks,
         store: Arc::clone(&job.store),
-        own_cancel: job.own_cancel.clone(),
         preempt,
         // Disjoint per-job trace lanes: job N's rank r traces into
         // lane N*64 + r.
         lane_base: id.0 * 64,
     };
-    let mut budget = job.spec.algorithm.base().budget.clone();
-    if let Some(b) = job.spec.memory_ceiling_bytes {
-        budget = budget.with_memory_ceiling(b);
-    }
-    budget.cancel.push(d.own_cancel.clone());
-    budget.cancel.push(d.preempt.clone());
-    d.algorithm.base_mut().budget = budget;
+    d.algorithm.base_mut().budget.cancel.push(d.preempt.clone());
     let m = inner.metrics();
     m.inc_counter("serve.driver_calls", 1);
     if resuming {
@@ -607,14 +587,16 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
     let mut st = inner.lock();
     st.running.remove(&d.id);
     st.pool.release(d.id);
-    {
+    let tenant_cancelled = {
         let job = st.jobs.get_mut(&d.id).expect("running job is live");
         job.preempt = None;
         job.preempt_pending = false;
-    }
+        let own = &job.spec.algorithm.base().budget.cancel;
+        own.iter().any(CancelToken::is_cancelled)
+    };
     match outcome {
         Outcome::Interrupted(i)
-            if i.is_cancelled() && d.preempt.is_cancelled() && !d.own_cancel.is_cancelled() =>
+            if i.is_cancelled() && d.preempt.is_cancelled() && !tenant_cancelled =>
         {
             // The scheduler took the ranks back: park and requeue. The
             // trip-boundary checkpoint already lives in the job's
@@ -631,9 +613,9 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
             inner.metrics().inc_counter("serve.preemptions", 1);
         }
         Outcome::Interrupted(i) => {
-            // The job's own limits tripped (service deadline, memory
-            // ceiling, tenant cancel): close it out with the partial
-            // factors and their achieved tolerance.
+            // The job's own budget tripped (deadline, memory ceiling,
+            // iteration cap, tenant cancel): close it out with the
+            // partial factors and their achieved tolerance.
             finish(inner, &mut st, d.id, Outcome::Interrupted(i), false);
         }
         Outcome::Completed(result) => {
@@ -650,16 +632,10 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
     inner.cv.notify_all();
 }
 
-/// Close a job out: build its report, count it, disarm its deadline
-/// guard, move it to the claimable map. Caller holds the state lock.
+/// Close a job out: build its report, count it, move it to the
+/// claimable map. Caller holds the state lock.
 fn finish(inner: &Arc<Inner>, st: &mut State, id: JobId, outcome: Outcome<LuCrtpResult>, from_cache: bool) {
     let job = st.jobs.remove(&id).expect("finishing a live job");
-    if let Some(g) = job.guard {
-        // Joins the watcher thread; safe under the state lock because
-        // the watcher only ever fires a token (the thread-lifecycle
-        // contract `many_short_guards_leak_no_threads` pins).
-        g.disarm();
-    }
     let report = JobReport {
         job: id,
         outcome,
@@ -678,6 +654,7 @@ mod tests {
     use super::*;
     use lra_core::IlutOpts;
     use lra_matgen::fem2d;
+    use lra_recover::Budget;
     use std::time::Duration;
 
     fn spec(seed: u64) -> JobSpec {
@@ -738,20 +715,28 @@ mod tests {
     #[test]
     fn own_limits_interrupt_with_partial_factors() {
         let server = Server::new(ServerConfig::default().with_ranks(1));
-        // A 1-byte memory ceiling trips deterministically at the first
-        // budget check; the generous deadline exercises the guard
-        // arm/disarm lifecycle without ever firing.
-        let id = server
-            .submit(
-                spec(3)
-                    .with_ranks(1)
-                    .with_memory_ceiling(1)
-                    .with_deadline(Duration::from_secs(600)),
-            )
-            .unwrap();
-        let report = server.wait(id);
-        assert!(report.outcome.is_interrupted());
-        assert_eq!(report.preemptions, 0);
+        let with_budget = |budget: Budget| {
+            let opts = IlutOpts::new(4, 1e-3, 8).with_budget(budget);
+            JobSpec::new(Arc::new(fem2d(6, 5, 3)), Algorithm::IlutCrtp(opts))
+        };
+        // The tenant's limits are the options' own budget. A 1-byte
+        // memory ceiling trips deterministically at the first check;
+        // the far deadline never does.
+        let far = Instant::now() + Duration::from_secs(600);
+        let memory = Budget::unlimited().with_memory_ceiling(1).with_deadline(far);
+        // A tenant token that fired is the tenant's cancel, never a park.
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Budget::unlimited().with_cancel(token);
+        for (budget, label) in [(memory, "memory"), (cancelled, "cancel")] {
+            let report = server.wait(server.submit(with_budget(budget)).unwrap());
+            assert_eq!(report.preemptions, 0);
+            assert_eq!(report.driver_calls, 1);
+            match report.outcome {
+                Outcome::Interrupted(i) => assert_eq!(i.trip.label(), label),
+                Outcome::Completed(_) => panic!("{label}: the job's own budget must trip"),
+            }
+        }
         server.shutdown();
     }
 

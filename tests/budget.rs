@@ -12,7 +12,7 @@
 //! iteration cap — across every driver family, plus the SPMD
 //! agreement invariant (all ranks observe the same merged verdict).
 
-use std::time::Duration;
+use std::time::Instant;
 
 use lra::core::{
     factorize, ilut_crtp, rand_qb_ei, rand_qb_ei_checkpointed, rand_ubv, Budget, BudgetTrip,
@@ -174,20 +174,18 @@ fn cancelled_token_trips_every_driver_immediately() {
     assert_eq!(ubv.indicator.to_bits(), ubv.a_norm_f.to_bits());
 }
 
-/// A deadline of zero trips at the first boundary check with the typed
-/// `DeadlineExceeded` trip carrying the observed elapsed time.
+/// A deadline that has already passed trips at the first boundary
+/// check with the typed `DeadlineExceeded` trip, never `Cancelled`.
 #[test]
 fn zero_deadline_trips_at_the_first_boundary() {
     let a = fault_matrix(6);
-    let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+    let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Instant::now()));
     let r = ilut_crtp(&a, &opts);
-    match r.trip {
-        Some(BudgetTrip::DeadlineExceeded { elapsed, deadline }) => {
-            assert_eq!(deadline, Duration::ZERO);
-            assert!(elapsed >= deadline);
-        }
-        other => panic!("expected a deadline trip, got {other:?}"),
-    }
+    assert!(
+        matches!(r.trip, Some(BudgetTrip::DeadlineExceeded { .. })),
+        "expected a deadline trip, got {:?}",
+        r.trip
+    );
     assert_eq!(r.iterations, 0);
 }
 
@@ -214,7 +212,7 @@ fn memory_ceiling_trip_reports_observed_bytes() {
 #[test]
 fn spmd_ranks_agree_on_the_merged_trip() {
     let a = fault_matrix(8);
-    let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+    let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Instant::now()));
     for np in [2usize, 4] {
         let results =
             lra::comm::run_infallible(np, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), None));

@@ -3,14 +3,14 @@
 //! of rank kills with the fixed-precision guarantee intact, and a chaos
 //! soak over randomized fault plans.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lra::core::{
     explore_fault_space, factorize, factorize_ranks, factorize_supervised, ilut_crtp, rand_qb_ei,
-    rand_qb_ei_checkpointed, Budget, Checkpoint, CheckpointStore, Exec, ExploreConfig, FaultPlan,
-    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts, RecoveryError,
-    RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader, SectionWriter, StorageFaultPlan,
-    SupervisedError,
+    rand_qb_ei_checkpointed, Budget, BudgetTrip, Checkpoint, CheckpointStore, Exec, ExploreConfig,
+    FaultPlan, IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts,
+    RecoveryError, RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader, SectionWriter,
+    StorageFaultPlan, SupervisedError,
 };
 use lra::obs::Json;
 use lra::sparse::CscMatrix;
@@ -609,6 +609,28 @@ fn supervised_ilut_survives_rank_kill_with_guarantee_intact() {
             "{name} instant missing from the trace"
         );
     }
+}
+
+/// A supervised run has one deadline, the earliest it was given: an
+/// already-passed one in the options beats a one-hour policy deadline
+/// and trips as `DeadlineExceeded` inside the first attempt, with no
+/// recovery action and no iteration.
+#[test]
+fn supervised_run_stops_at_the_earliest_deadline() {
+    let a = fault_matrix(13);
+    let opts = fault_ilut_opts().with_budget(Budget::unlimited().with_deadline(Instant::now()));
+    let policy = RecoveryPolicy::default().with_deadline(Duration::from_secs(3600));
+    let store = CheckpointStore::in_memory();
+    let hooks = RecoveryHooks::new(&store, 1);
+    let out = factorize_supervised(&a, &opts, 2, &RunConfig::default(), &policy, hooks)
+        .expect("a deadline trip is a result, not a recovery failure");
+    assert_eq!(out.attempts, 0);
+    assert!(
+        matches!(out.value.trip, Some(BudgetTrip::DeadlineExceeded { .. })),
+        "the options' passed deadline must win, got {:?}",
+        out.value.trip
+    );
+    assert_eq!(out.value.iterations, 0);
 }
 
 // ---- Satellite: chaos soak --------------------------------------------

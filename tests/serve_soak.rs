@@ -9,10 +9,12 @@
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use common::{bits_eq, counter, dist, fault_ilut_opts, fault_matrix};
-use lra::core::{IlutOpts, InvalidInput, LuCrtpResult, OrderingMode, Parallelism};
+use lra::core::{
+    Budget, BudgetTrip, IlutOpts, InvalidInput, LuCrtpResult, OrderingMode, Parallelism,
+};
 use lra::matgen::{fem2d, with_decay};
 use lra::serve::{AdmissionError, AdmissionPolicy, Algorithm, JobSpec, Server, ServerConfig};
 use lra::sparse::CscMatrix;
@@ -52,8 +54,7 @@ fn preempted_job_resumes_bitwise_identical() {
         .submit(
             JobSpec::new(Arc::clone(&victim_a), Algorithm::IlutCrtp(victim_opts.clone()))
                 .with_ranks(4)
-                .with_priority(0)
-                .with_label("victim"),
+                .with_priority(0),
         )
         .unwrap();
     server.wait_until_running(victim);
@@ -62,8 +63,7 @@ fn preempted_job_resumes_bitwise_identical() {
         .submit(
             JobSpec::new(Arc::clone(&urgent_a), Algorithm::IlutCrtp(urgent_opts.clone()))
                 .with_ranks(4)
-                .with_priority(9)
-                .with_label("urgent"),
+                .with_priority(9),
         )
         .unwrap();
 
@@ -119,14 +119,12 @@ fn mixed_priority_soak_matches_solo_runs() {
     ];
     let ids: Vec<_> = plan
         .iter()
-        .enumerate()
-        .map(|(n, &(mi, priority, ranks))| {
+        .map(|&(mi, priority, ranks)| {
             server
                 .submit(
                     JobSpec::new(Arc::clone(&mats[mi]), Algorithm::IlutCrtp(opts.clone()))
                         .with_priority(priority)
-                        .with_ranks(ranks)
-                        .with_label(format!("soak-{n}")),
+                        .with_ranks(ranks),
                 )
                 .unwrap()
         })
@@ -234,24 +232,30 @@ fn repeated_request_is_served_from_cache_without_driver_call() {
 }
 
 #[test]
-fn deadline_guard_closes_job_with_partial_factors() {
+fn a_passed_deadline_closes_the_job_with_partial_factors() {
     let server = Server::new(ServerConfig::default().with_ranks(1));
     let a = Arc::new(slow_matrix(41));
+    // The tenant's deadline is an instant in the options' own budget:
+    // one that has already passed trips at the first boundary, however
+    // fast or slow the machine is.
+    let opts = slow_opts().with_budget(Budget::unlimited().with_deadline(Instant::now()));
     let id = server
-        .submit(
-            JobSpec::new(a, Algorithm::IlutCrtp(slow_opts()))
-                .with_ranks(1)
-                .with_deadline(Duration::from_millis(5))
-                .with_label("deadline"),
-        )
+        .submit(JobSpec::new(a, Algorithm::IlutCrtp(opts)).with_ranks(1))
         .unwrap();
     let report = server.wait(id);
     server.shutdown();
+    assert_eq!(report.preemptions, 0, "a deadline closes the job, never parks it");
     let interrupted = report
         .outcome
         .interrupted()
-        .expect("a 5ms deadline on a many-iteration factorization must trip");
-    assert!(interrupted.is_cancelled(), "deadline guards fire cancel tokens");
+        .expect("a passed deadline must trip");
+    assert!(
+        matches!(interrupted.trip, BudgetTrip::DeadlineExceeded { .. }),
+        "a deadline reports itself, got {:?}",
+        interrupted.trip
+    );
+    assert!(!interrupted.is_cancelled());
+    assert_eq!(interrupted.partial.iterations, 0);
     assert!(interrupted.achieved_tolerance.is_finite());
 }
 
