@@ -388,6 +388,30 @@ fn sparse_reflectors(out: &mut Lines) {
     out.put(format_args!("qrcp triangular-R 64x64 steps=32"), h);
 }
 
+/// Operands at the lane panel's edges (`householder.rs`): a ragged last
+/// lane group (`qr 37x19`), a panel that is one full group (`qr 64x4`),
+/// a `qrcp` whose pivots swap columns across groups, and RandUBV's tall
+/// thin `Q`.
+fn lane_edges(out: &mut Lines) {
+    for (m, n) in [(37, 19), (64, 4)] {
+        for np in 1..=3 {
+            let mut h = Fnv::new();
+            h.qr(&operand(m, n, 10), operand(m, 5, 11), Parallelism::new(np));
+            out.put(format_args!("qr {m}x{n} np={np}"), h);
+        }
+    }
+    let mut h = Fnv::new();
+    h.qrcp(&operand(64, 63, 12), 32);
+    out.put(format_args!("qrcp 64x63 steps=32"), h);
+    let a = operand(4000, 32, 13);
+    for np in 1..=2 {
+        let par = Parallelism::new(np);
+        let mut h = Fnv::new();
+        h.dense(&qr(&a, par).q_thin(par));
+        out.put(format_args!("q_thin 4000x32 np={np}"), h);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_path = match args.as_slice() {
@@ -405,6 +429,7 @@ fn main() {
     lu_solvers(&mut out, &mats);
     randomized_solvers(&mut out);
     sparse_reflectors(&mut out);
+    lane_edges(&mut out);
     match out_path {
         None => print!("{}", out.0),
         Some(path) => std::fs::write(&path, &out.0).unwrap_or_else(|e| {

@@ -26,6 +26,7 @@
 //! `blocked_gemm_matches_naive_bitwise_for_every_np_and_width` in
 //! `tests/properties.rs`.
 
+use crate::isa::TileIsa;
 use crate::DenseMatrix;
 use lra_par::{parallel_chunks_mut, parallel_for, Parallelism};
 
@@ -89,43 +90,6 @@ pub fn matmul_sub_assign(c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix, 
     assert_eq!(c.rows(), a.rows());
     assert_eq!(c.cols(), b.cols());
     gemm_blocked::<true>(c, a, par, |l, j| b.col(j)[l]);
-}
-
-/// `true` when the CPU supports 4-lane AVX2 doubles at runtime (the
-/// crate is still compiled for the baseline target; the wide copies of
-/// the tile kernels are opt-in per call).
-#[inline]
-fn have_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Which codegen copy of the tile kernel one GEMM call routes through.
-/// Picked once per call from the CPU; both copies run the same fp chain
-/// (mul then add, naive zero skip), so the choice never shows in the
-/// bits.
-#[derive(Clone, Copy)]
-enum TileIsa {
-    /// Baseline codegen.
-    Base,
-    /// AVX2 codegen (`fma` off — identical rounding).
-    Avx2,
-}
-
-impl TileIsa {
-    fn pick() -> TileIsa {
-        if have_avx2() {
-            TileIsa::Avx2
-        } else {
-            TileIsa::Base
-        }
-    }
 }
 
 /// The effective right-hand factor `B'` (`k x n`, entry `(l, j)` read

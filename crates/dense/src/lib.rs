@@ -15,6 +15,7 @@
 
 mod blas;
 mod householder;
+mod isa;
 mod jacobi;
 mod lu;
 mod matrix;
@@ -29,6 +30,8 @@ pub use blas::{matmul_naive, matmul_nt_naive, matmul_sub_assign_naive, matmul_tn
 pub use jacobi::jacobi_svd;
 pub use lu::{lu, LuFactor};
 pub use matrix::DenseMatrix;
+#[doc(hidden)]
+pub use qr::qr_reference;
 pub use qr::{orth, qr, QrFactor};
 pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{

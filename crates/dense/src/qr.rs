@@ -4,46 +4,68 @@
 //! lines 5-10), the panel factorization `qr((A P_c)(:, 1:k))` of LU_CRTP
 //! (Algorithm 2, line 6) and as the building block of TSQR.
 
-use crate::{householder, DenseMatrix};
+use crate::householder::{self, LanePanel};
+use crate::DenseMatrix;
 use lra_par::Parallelism;
 
 /// Compact Householder QR factorization `A = Q R`.
 ///
 /// `factors` stores `R` in the upper triangle and the Householder
-/// vectors (with implicit unit diagonal) below it; `tau` stores the
+/// vectors (with implicit unit diagonal) below it, in the lane layout
+/// the factorization ran in (`householder.rs`); `tau` stores the
 /// reflector coefficients, LAPACK-style.
 #[derive(Clone, Debug)]
 pub struct QrFactor {
-    factors: DenseMatrix,
+    factors: LanePanel,
     tau: Vec<f64>,
 }
 
 /// Compute the Householder QR factorization of `a`.
 ///
 /// Unblocked (level-2) Householder QR: one reflector per column, applied
-/// to the trailing columns a group at a time — the groups are the
-/// parallel chunks, and inside one the columns' dot chains overlap; a
-/// reflector that is mostly exact zeros is applied through its nonzeros
-/// (see `householder.rs`). Every column's arithmetic is the one-column
-/// formula in its order, for any worker count.
+/// to the trailing columns of a lane panel — four columns to a vector,
+/// up to sixteen columns' dot chains in flight, a run of lane groups to
+/// a parallel chunk; a reflector that is mostly exact zeros is applied
+/// through its nonzeros (see `householder.rs`). Every column's
+/// arithmetic is the one-column formula in its order, for any worker
+/// count.
 pub fn qr(a: &DenseMatrix, par: Parallelism) -> QrFactor {
-    let mut f = a.clone();
-    let m = f.rows();
-    let n = f.cols();
-    let r = m.min(n);
+    let mut f = LanePanel::from_dense(a);
+    let (m, r) = (a.rows(), a.rows().min(a.cols()));
     let mut tau = vec![0.0; r];
-    let mut support = Vec::new();
-    for j in 0..r {
-        // Generate reflector from column j, rows j..m.
-        let tj = householder::make_householder(&mut f.col_mut(j)[j..]);
-        tau[j] = tj;
-        // The reflector lives in column j of the head half, the
-        // trailing columns it updates in the tail half.
-        let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
-        let v = &head[j * m + j..];
-        householder::apply_reflector(Some(par), v, tj, trailing, m, j, &mut support);
+    let (mut v, mut support) = (vec![0.0; m], Vec::new());
+    let mut tail_sq = None;
+    for (j, tj) in tau.iter_mut().enumerate() {
+        let v = &mut v[..m - j];
+        *tj = f.make_reflector(j, v, tail_sq);
+        tail_sq =
+            householder::apply_reflector(Some(par), v, *tj, &mut f, j + 1, true, &mut support);
+        f.put_reflector(j, v);
     }
     QrFactor { factors: f, tau }
+}
+
+/// Householder QR one column at a time through the one-column formula
+/// — the bitwise reference for [`qr`]. Not part of the supported API
+/// surface.
+#[doc(hidden)]
+pub fn qr_reference(a: &DenseMatrix) -> QrFactor {
+    let mut f = a.clone();
+    let m = f.rows();
+    let r = m.min(f.cols());
+    let mut tau = vec![0.0; r];
+    for j in 0..r {
+        let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
+        let v = &mut head[j * m + j..];
+        tau[j] = householder::make_householder(v);
+        for col in trailing.chunks_exact_mut(m) {
+            householder::apply(v, tau[j], &mut col[j..]);
+        }
+    }
+    QrFactor {
+        factors: LanePanel::from_dense(&f),
+        tau,
+    }
 }
 
 impl QrFactor {
@@ -65,12 +87,11 @@ impl QrFactor {
     /// The `min(m,n) x n` upper-triangular factor `R`.
     pub fn r(&self) -> DenseMatrix {
         let r = self.rank_bound();
-        let n = self.cols();
-        let mut out = DenseMatrix::zeros(r, n);
-        for j in 0..n {
-            let lim = r.min(j + 1);
-            let src = &self.factors.col(j)[..lim];
-            out.col_mut(j)[..lim].copy_from_slice(src);
+        let mut out = DenseMatrix::zeros(r, self.cols());
+        for j in 0..self.cols() {
+            for (x, y) in out.col_mut(j).iter_mut().zip(self.factors.col(j, 0).take(j + 1)) {
+                *x = y;
+            }
         }
         out
     }
@@ -83,45 +104,40 @@ impl QrFactor {
 
     /// Explicit thin `Q` (`m x min(m,n)`) with orthonormal columns.
     pub fn q_thin(&self, par: Parallelism) -> DenseMatrix {
-        let m = self.rows();
         let r = self.rank_bound();
-        let mut q = DenseMatrix::zeros(m, r);
+        let mut q = LanePanel::zeros(self.rows(), r);
         for i in 0..r {
             q.set(i, i, 1.0);
         }
-        self.apply_q(&mut q, par);
-        q
+        self.apply(&mut q, (0..r).rev(), par);
+        q.to_dense()
     }
 
     /// `B <- Q B` (apply reflectors in reverse order).
     pub fn apply_q(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_q: row mismatch");
-        let mut support = Vec::new();
-        for j in (0..self.rank_bound()).rev() {
-            self.apply_reflector(j, b, par, &mut support);
-        }
+        let mut lanes = LanePanel::from_dense(b);
+        self.apply(&mut lanes, (0..self.rank_bound()).rev(), par);
+        *b = lanes.to_dense();
     }
 
     /// `B <- Q^T B` (apply reflectors in forward order).
     pub fn apply_qt(&self, b: &mut DenseMatrix, par: Parallelism) {
         assert_eq!(b.rows(), self.rows(), "apply_qt: row mismatch");
-        let mut support = Vec::new();
-        for j in 0..self.rank_bound() {
-            self.apply_reflector(j, b, par, &mut support);
-        }
+        let mut lanes = LanePanel::from_dense(b);
+        self.apply(&mut lanes, 0..self.rank_bound(), par);
+        *b = lanes.to_dense();
     }
 
-    /// `B <- H_j B` for reflector `j` (acts on rows `j..`).
-    fn apply_reflector(
-        &self,
-        j: usize,
-        b: &mut DenseMatrix,
-        par: Parallelism,
-        support: &mut Vec<(usize, f64)>,
-    ) {
-        let v = &self.factors.col(j)[j..];
-        let (tau, m) = (self.tau[j], self.rows());
-        householder::apply_reflector(Some(par), v, tau, b.as_mut_slice(), m, j, support);
+    /// `B <- H_j B` for each reflector `j` of `order` (each acts on rows
+    /// `j..`).
+    fn apply(&self, b: &mut LanePanel, order: impl Iterator<Item = usize>, par: Parallelism) {
+        let (mut v, mut support) = (Vec::with_capacity(self.rows()), Vec::new());
+        for j in order {
+            v.clear();
+            v.extend(self.factors.col(j, j));
+            householder::apply_reflector(Some(par), &v, self.tau[j], b, 0, false, &mut support);
+        }
     }
 }
 
@@ -131,9 +147,10 @@ impl QrFactor {
 /// input — extra columns then span an arbitrary complement, which is
 /// the conventional `orth` behaviour the RandQB_EI algorithm relies on).
 ///
-/// Tall inputs under parallel execution route through TSQR (the
-/// `El::qr::ExplicitTS` equivalent), whose row-block decomposition is
-/// what lets the orthogonalization scale with workers.
+/// Tall inputs (`m >= 2n`) route through TSQR (the
+/// `El::qr::ExplicitTS` equivalent) at every worker count; its
+/// row-block decomposition is what lets the orthogonalization scale
+/// with workers.
 pub fn orth(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     if a.rows() >= 2 * a.cols() && a.cols() > 0 {
         crate::tsqr::tsqr(a, par).q

@@ -9,7 +9,8 @@
 //! downdating and the usual cancellation safeguard (recompute a column
 //! norm exactly when the downdated estimate loses too much accuracy).
 
-use crate::{householder, DenseMatrix};
+use crate::householder::{self, LanePanel};
+use crate::DenseMatrix;
 
 /// Result of a (possibly truncated) column-pivoted QR factorization.
 #[derive(Clone, Debug)]
@@ -49,23 +50,31 @@ impl QrcpFactor {
 }
 
 /// Column-pivoted QR of `a`, stopping after `max_steps` reflectors
-/// (pass `usize::MAX` for a full factorization).
+/// (pass `usize::MAX` for a full factorization). The factorization runs
+/// on a lane panel (`householder.rs`): a pivot swap exchanges two lanes,
+/// each reflector is written below the diagonal of the column-major
+/// `factors` as it is made, and the rest of `factors` is laid out once,
+/// at the end.
 pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
-    let mut f = a.clone();
-    let m = f.rows();
-    let n = f.cols();
+    let mut f = LanePanel::from_dense(a);
+    let m = a.rows();
+    let n = a.cols();
     let steps_cap = m.min(n).min(max_steps);
     let mut perm: Vec<usize> = (0..n).collect();
     let mut tau = Vec::with_capacity(steps_cap);
 
     // Squared column norms, plus the originals for the safeguard.
     let mut norms: Vec<f64> = (0..n)
-        .map(|j| f.col(j).iter().map(|v| v * v).sum())
+        .map(|j| a.col(j).iter().map(|v| v * v).sum())
         .collect();
     let mut norms_ref = norms.clone();
     let tol3z = f64::EPSILON.sqrt();
 
     let mut steps = 0;
+    // Reflector `j` goes straight to its place below the diagonal of
+    // the column-major `factors`, which is contiguous, as the kernels
+    // read it; the rest is laid out from the panel at the end.
+    let mut factors = DenseMatrix::zeros(m, n);
     let mut support = Vec::new();
     for j in 0..steps_cap {
         // Pivot: column with the largest remaining norm. `total_cmp`
@@ -83,19 +92,17 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
             break; // exact rank deficiency: nothing left to factor
         }
         if pj != j {
-            let (cj, cp) = f.two_cols_mut(j, pj);
-            cj.swap_with_slice(cp);
+            f.swap_cols(j, pj);
             perm.swap(j, pj);
             norms.swap(j, pj);
             norms_ref.swap(j, pj);
         }
         // Householder on column j, rows j..m.
-        let tj = householder::make_householder(&mut f.col_mut(j)[j..]);
+        let v = &mut factors.col_mut(j)[j..];
+        let tj = f.make_reflector(j, v, None);
         tau.push(tj);
         steps = j + 1;
-        let (head, trailing) = f.as_mut_slice().split_at_mut((j + 1) * m);
-        let v = &head[j * m + j..];
-        householder::apply_reflector(None, v, tj, trailing, m, j, &mut support);
+        householder::apply_reflector(None, v, tj, &mut f, j + 1, false, &mut support);
         // Downdate trailing norms with the LAPACK dgeqp3 safeguard.
         for c in j + 1..n {
             if norms[c] == 0.0 {
@@ -106,7 +113,7 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
             let temp2 = temp * (norms[c] / norms_ref[c]).max(0.0);
             if temp2 <= tol3z {
                 // Cancellation: recompute exactly from rows j+1..m.
-                let exact: f64 = f.col(c)[j + 1..].iter().map(|v| v * v).sum();
+                let exact: f64 = f.col(c, j + 1).map(|v| v * v).sum();
                 norms[c] = exact;
                 norms_ref[c] = exact;
             } else {
@@ -114,8 +121,14 @@ pub fn qrcp(a: &DenseMatrix, max_steps: usize) -> QrcpFactor {
             }
         }
     }
+    for j in 0..n {
+        let rows = if j < steps { j } else { m };
+        for (x, y) in factors.col_mut(j)[..rows].iter_mut().zip(f.col(j, 0)) {
+            *x = y;
+        }
+    }
     QrcpFactor {
-        factors: f,
+        factors,
         tau,
         perm,
         steps,

@@ -7,30 +7,29 @@
 //! with singular values `s`, the minimum rank for tolerance `tau` is the
 //! smallest `K` with `sqrt(sum_{j>K} s_j^2) < tau * ||A||_F`.
 
-use crate::householder::{self, make_householder};
+use crate::householder::{self, make_householder, LanePanel};
 use crate::DenseMatrix;
 
 /// Reduce `a` (any shape) to upper-bidiagonal form; returns
 /// `(d, e)` where `d` is the diagonal (length `min(m,n)`) and `e` the
 /// superdiagonal (length `min(m,n) - 1`). Values only (no U/V).
 pub fn bidiagonalize(a: &DenseMatrix) -> (Vec<f64>, Vec<f64>) {
-    // Work on a copy with m >= n.
+    // Work on a lane panel of `a` or `a^T`, whichever has m >= n.
     let mut w = if a.rows() >= a.cols() {
-        a.clone()
+        LanePanel::from_dense(a)
     } else {
-        a.transpose()
+        LanePanel::from_dense(&a.transpose())
     };
     let m = w.rows();
     let n = w.cols();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n.saturating_sub(1)];
-    let mut support = Vec::new();
+    let (mut v, mut support) = (vec![0.0; m], Vec::new());
     for j in 0..n {
         // Left Householder: eliminate below-diagonal entries of column j.
-        let tau_l = make_householder(&mut w.col_mut(j)[j..]);
-        let (head, trailing) = w.as_mut_slice().split_at_mut((j + 1) * m);
-        let v = &head[j * m + j..];
-        householder::apply_reflector(None, v, tau_l, trailing, m, j, &mut support);
+        let v = &mut v[..m - j];
+        let tau_l = w.make_reflector(j, v, None);
+        householder::apply_reflector(None, v, tau_l, &mut w, j + 1, false, &mut support);
         d[j] = w.get(j, j);
         if j + 1 < n {
             // Right Householder: eliminate entries right of the
@@ -42,30 +41,23 @@ pub fn bidiagonalize(a: &DenseMatrix) -> (Vec<f64>, Vec<f64>) {
             e[j] = row[0];
             if tau_r != 0.0 {
                 // Apply the right reflector `v = [1, row[1..]]` (over
-                // columns j+1..n) to rows j+1..m, column-major:
+                // columns j+1..n) to rows j+1..m, a column at a time:
                 // s = tau_r * W[j+1.., j+1..] v, then W -= s v^T.
-                let vtail = row[1..].to_vec();
-                let rows_below = m - (j + 1);
-                let mut s = vec![0.0f64; rows_below];
-                s.copy_from_slice(&w.col(j + 1)[j + 1..]);
+                let vtail = &row[1..];
+                let mut s: Vec<f64> = w.col(j + 1, j + 1).collect();
                 for (t, &vv) in vtail.iter().enumerate() {
-                    let col = &w.col(j + 2 + t)[j + 1..];
-                    for (si, &ci) in s.iter_mut().zip(col) {
+                    for (si, ci) in s.iter_mut().zip(w.col(j + 2 + t, j + 1)) {
                         *si += vv * ci;
                     }
                 }
                 for si in s.iter_mut() {
                     *si *= tau_r;
                 }
-                {
-                    let col = &mut w.col_mut(j + 1)[j + 1..];
-                    for (ci, &si) in col.iter_mut().zip(&s) {
-                        *ci -= si;
-                    }
+                for (ci, &si) in w.col_mut(j + 1, j + 1).zip(&s) {
+                    *ci -= si;
                 }
                 for (t, &vv) in vtail.iter().enumerate() {
-                    let col = &mut w.col_mut(j + 2 + t)[j + 1..];
-                    for (ci, &si) in col.iter_mut().zip(&s) {
+                    for (ci, &si) in w.col_mut(j + 2 + t, j + 1).zip(&s) {
                         *ci -= si * vv;
                     }
                 }

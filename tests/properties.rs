@@ -466,9 +466,10 @@ fn ref_qrcp(a: &DenseMatrix, max_steps: usize) -> (DenseMatrix, Vec<f64>, Vec<us
     (f, tau, perm)
 }
 
-/// Every Householder kernel on `a` — `qr` with its `R`, `Q`, `Q rhs`
-/// and `Q^T rhs`, `tsqr`, `tsqr_r`, for every worker count, and `qrcp`
-/// stopped after `steps` — against the one-column references above.
+/// Every Householder kernel on `a` — `qr` with its `R`, `Q`, `Q rhs`,
+/// `Q^T rhs` and `Q Q^T rhs`, `tsqr`, `tsqr_r`, for every worker count,
+/// and `qrcp` stopped after `steps` — against the one-column references
+/// above.
 /// `same` is [`bits_eq`], or `==` where an operand holds `-0.0` and
 /// takes the support walk (the one thing the walk may not reproduce is
 /// the sign of a zero).
@@ -484,6 +485,8 @@ fn check_householder_kernels(
     let (mut qt_rhs, mut q_rhs) = (rhs.clone(), rhs.clone());
     ref_apply_q(&f_ref, &tau_ref, &mut qt_rhs, true);
     ref_apply_q(&f_ref, &tau_ref, &mut q_rhs, false);
+    let mut q_qt_rhs = qt_rhs.clone();
+    ref_apply_q(&f_ref, &tau_ref, &mut q_qt_rhs, false);
     let (tq_ref, tr_ref) = ref_tsqr(a);
     for np in 1..=3usize {
         let par = Parallelism::new(np);
@@ -499,6 +502,8 @@ fn check_householder_kernels(
         let mut b = rhs.clone();
         f.apply_qt(&mut b, par);
         assert!(same(b.as_slice(), qt_rhs.as_slice()), "apply_qt {tag}");
+        f.apply_q(&mut b, par);
+        assert!(same(b.as_slice(), q_qt_rhs.as_slice()), "apply_q after apply_qt {tag}");
         let mut b = rhs.clone();
         f.apply_q(&mut b, par);
         assert!(same(b.as_slice(), q_rhs.as_slice()), "apply_q {tag}");
@@ -518,16 +523,32 @@ fn check_householder_kernels(
     assert!(same(&p.r_diag(), &diag), "{tag}: r_diag");
 }
 
-/// `qr`, `tsqr`, `tsqr_r` and `qrcp` carry several columns through each
-/// reflector at once; every column must still get exactly the
-/// one-column formula's additions in its order. Pinned bit for bit
-/// against the references above for column counts on both sides of
-/// every group edge, with a column already in triangular form
-/// (`tau == 0`) and a zero column, for every worker count. These
-/// operands are three quarters nonzero: every reflector is swept.
+/// `qr`, `tsqr`, `tsqr_r` and `qrcp` carry columns through each
+/// reflector four to a vector lane, up to sixteen at once; every column
+/// must still get exactly the one-column formula's additions in its
+/// order. Pinned bit for bit against the references above for column
+/// counts on both sides of every lane-group edge and at exact group
+/// widths (4, 8, 12, 32), with a column already in triangular form
+/// (`tau == 0`) and a zero column, for every worker count; on wide
+/// operands (1 x 5, 3 x 9); and on a `qrcp` whose pivots swap columns
+/// across lane groups. These operands are three quarters nonzero:
+/// every reflector is swept.
 #[test]
 fn householder_kernels_match_the_one_column_formula_bitwise() {
-    for n in (1usize..=9).chain([31, 32, 33]) {
+    for (m, n) in [(1usize, 5usize), (3, 9)] {
+        let rhs = gemm_operand(m, 5, 9);
+        check_householder_kernels(&gemm_operand(m, n, n), &rhs, usize::MAX, bits_eq, &format!("{m}x{n}"));
+    }
+    // Column norms growing with the index: the first pivots come from
+    // the last lane group.
+    let mut a = gemm_operand(40, 12, 5);
+    for j in 0..12 {
+        a.col_mut(j).iter_mut().for_each(|x| *x *= (1 + j * j) as f64);
+    }
+    let perm = qrcp(&a, usize::MAX).perm;
+    assert!((0..12).any(|p| perm[p] / 4 != p / 4), "pivots cross lane groups: {perm:?}");
+    check_householder_kernels(&a, &gemm_operand(40, 5, 9), usize::MAX, bits_eq, "graded 40x12");
+    for n in (1usize..=9).chain([12, 31, 32, 33]) {
         // 40 rows: one TSQR block; 520 rows: two.
         for m in [40usize, 520] {
             let mut a = gemm_operand(m, n, n);
@@ -564,12 +585,15 @@ fn scattered_panel(m: usize, n: usize, per_col: usize, seed: u64) -> DenseMatrix
 /// its nonzeros. Operands: the `tp_sparse` leaf (8 entries a column on
 /// 256 rows; on 520 rows TSQR's root stacks two triangles) at widths on
 /// both sides of the eight-column guard (`n = 8` never walks, `n = 9`
-/// walks once) and of the eight-wide group (8, 9, 16, 17 columns to
-/// update); two stacked 64 x 64 triangles, the fold of `panel_r`; and a
-/// 64 x 64 upper-triangular `R` ranked by `qrcp(., 32)`, the node's last
-/// step. `rhs` is 12 wide so that `Q rhs` walks too. Bit for bit — and
-/// once more with `-0.0` planted in the operands, where the walk may
-/// keep the sign of a zero the sweep loses: equal values there.
+/// walks once), at exact lane-group widths (4, 8, 12, 16, 64) and past
+/// them (9, 10, 17, 18); wide sparse operands (1 x 5, 3 x 9); two
+/// stacked 64 x 64 triangles, the fold of `panel_r`; a 64 x 64
+/// upper-triangular `R` ranked by `qrcp(., 32)`, the node's last step;
+/// and the same `R` with its columns graded so that the pivots swap
+/// columns across lane groups. `rhs` is 12 wide so that `Q rhs` walks
+/// too. Bit for bit — and once more with `-0.0` planted in the
+/// operands, where the walk may keep the sign of a zero the sweep
+/// loses: equal values there.
 #[test]
 fn householder_kernels_match_the_one_column_formula_where_the_walk_runs() {
     let values_eq = |x: &[f64], y: &[f64]| x == y;
@@ -581,13 +605,24 @@ fn householder_kernels_match_the_one_column_formula_where_the_walk_runs() {
     let leaf = scattered_panel(256, 64, 8, 1);
     let triangle = |seed| qr(&scattered_panel(256, 64, 8, seed), Parallelism::SEQ).r();
     let mut operands: Vec<(String, DenseMatrix, usize)> = Vec::new();
-    for n in [8usize, 9, 10, 16, 17, 18, 64] {
+    for n in [4usize, 8, 9, 10, 12, 16, 17, 18, 64] {
         for m in [256usize, 520] {
             operands.push((format!("leaf {m}x{n}"), scattered_panel(m, n, 8, n as u64), usize::MAX));
         }
     }
+    for (m, n) in [(1usize, 5usize), (3, 9)] {
+        operands.push((format!("wide {m}x{n}"), scattered_panel(m, n, 1, 5), usize::MAX));
+    }
     operands.push(("stacked triangles".into(), triangle(2).vcat(&triangle(3)), usize::MAX));
-    operands.push(("triangular R".into(), qr(&leaf, Parallelism::SEQ).r(), 32));
+    let r = qr(&leaf, Parallelism::SEQ).r();
+    let mut graded = r.clone();
+    for j in 0..64 {
+        graded.col_mut(j).iter_mut().for_each(|x| *x *= (1 + j * j) as f64);
+    }
+    let perm = qrcp(&graded, 32).perm;
+    assert!((0..32).any(|p| perm[p] / 4 != p / 4), "pivots cross lane groups: {perm:?}");
+    operands.push(("triangular R".into(), r, 32));
+    operands.push(("graded triangular R".into(), graded, 32));
     for (what, a, steps) in &mut operands {
         let mut rhs = scattered_panel(a.rows(), 12, a.rows() / 3, 77);
         check_householder_kernels(a, &rhs, *steps, bits_eq, what);
