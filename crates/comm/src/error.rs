@@ -53,7 +53,8 @@ pub struct TimeoutDiagnostics {
     /// Source rank the blocked receive was matching on.
     pub src: usize,
     /// Tag the blocked receive was matching on (collective tags have
-    /// the top bit set; see [`fmt::Display`] rendering).
+    /// the top bit set and carry the collective's sequence number; the
+    /// [`fmt::Display`] rendering shows them as `coll/<family>#<pc>`).
     pub tag: u64,
     /// How long the watchdog waited before firing.
     pub waited: Duration,
@@ -73,18 +74,22 @@ pub struct TimeoutDiagnostics {
     pub pending: Vec<(usize, u64)>,
 }
 
-/// Render a tag, unfolding the internal collective namespace.
+/// Render a tag, unfolding the internal collective namespace:
+/// `coll/<family>#<collective pc>` for an eager collective,
+/// `pending/<family>#<post seq>` for a posted exchange.
 pub(crate) fn tag_repr(tag: u64) -> String {
-    const COLL: u64 = 1 << 63;
-    const CTRL: u64 = 1 << 62;
-    if tag & COLL != 0 {
-        if tag & CTRL != 0 {
-            "ctrl/poison".to_string()
-        } else {
-            format!("coll/{}", tag & !(COLL | CTRL))
-        }
-    } else {
+    use crate::{COLL, CTRL_POISON, PENDING};
+    if tag & COLL == 0 {
         tag.to_string()
+    } else if tag == CTRL_POISON {
+        "ctrl/poison".to_string()
+    } else {
+        let (space, rest) = if tag & PENDING == PENDING {
+            ("pending", tag & !PENDING)
+        } else {
+            ("coll", tag & !COLL)
+        };
+        format!("{space}/{}#{}", rest & 7, rest >> 3)
     }
 }
 

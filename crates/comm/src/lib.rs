@@ -4,13 +4,23 @@
 //! collectives (broadcast, allgather, tree reductions for tournament
 //! pivoting). This crate reproduces that model with one OS thread per
 //! rank and typed point-to-point channels, so the Rust ports keep the
-//! same SPMD structure — in particular the `log2(P)` global reduction
-//! stages whose cost causes the strong-scaling knees in Fig. 4.
+//! same SPMD structure — in particular the global reduction stages
+//! whose latency causes the strong-scaling knees in Fig. 4.
 //!
 //! Messages are matched by `(source, tag)` with FIFO order per pair,
-//! like MPI. Collectives are built from point-to-point messages over a
-//! binomial tree; all ranks must call collectives in the same program
-//! order (the usual SPMD contract).
+//! like MPI. Collectives are built from point-to-point messages; all
+//! ranks must call collectives in the same program order (the usual
+//! SPMD contract), and every eager collective's tag carries its
+//! sequence number, so a message can only match the collective it was
+//! sent in. `allgather`, `allreduce` and `barrier` finish in **one
+//! round**: every rank sends its value to every peer, and `allreduce`
+//! then replays the binomial tree's fold locally, so every rank holds
+//! the root's bits without a broadcast. That costs each rank `P − 1`
+//! sends instead of one — cheap at the `np ≤ 8` of shared-memory
+//! ranks, where a round of latency costs more than a message.
+//! `broadcast`, `reduce`, `gatherv` and `alltoallv` keep their shapes
+//! (a binomial tree, a tree to the root, a gather to the root and a
+//! personalized exchange).
 //!
 //! ## Fault model
 //!
@@ -83,7 +93,9 @@ struct Envelope {
 }
 
 /// Internal tag namespace for collectives (top bit set so user tags in
-/// `0 .. 2^63` never collide).
+/// `0 .. 2^63` never collide). An eager collective's tag is
+/// `COLL | (pc << 3) | family`, `pc` being its sequence number (see
+/// [`Ctx::collective_pc`]).
 const COLL: u64 = 1 << 63;
 /// Control-channel namespace (top two bits): poison broadcast.
 const CTRL_POISON: u64 = COLL | (1 << 62);
@@ -564,7 +576,17 @@ impl Ctx {
         out
     }
 
-    /// Synchronize all ranks.
+    /// Tag of the running collective's messages of `family`. The
+    /// collective's sequence number rides in the tag — the way a
+    /// pending exchange's `seq` does — so a rank that runs one
+    /// collective ahead of a peer can never feed it: a dropped message
+    /// is caught by the watchdog, not replaced by the next
+    /// collective's.
+    fn coll_tag(&self, family: u64) -> u64 {
+        COLL | (self.coll_pc.get() << 3) | family
+    }
+
+    /// Synchronize all ranks: a one-round [`Ctx::allreduce`] of nothing.
     pub fn barrier(&self) {
         unwrap_comm(self.collective("barrier", || self.allreduce_impl(0u8, |_, _| 0u8)));
     }
@@ -576,43 +598,56 @@ impl Ctx {
         unwrap_comm(self.collective("broadcast", || self.broadcast_impl(root, value)))
     }
 
+    /// In root-relative ranks, `vrank` receives from `vrank` minus its
+    /// lowest set bit, then forwards to `vrank | mask` for every `mask`
+    /// below that bit, highest first.
     fn broadcast_impl<M: Clone + Send + 'static>(
         &self,
         root: usize,
         value: M,
     ) -> Result<M, CommError> {
         let size = self.size;
-        if size == 1 {
-            return Ok(value);
-        }
         let vrank = (self.rank + size - root) % size;
-        let v = if vrank == 0 {
-            value
+        let (v, lowest) = if vrank == 0 {
+            (value, size.next_power_of_two())
         } else {
-            self.recv_msg::<M>(self.bcast_parent(root), COLL | 1)?
+            let lowest = vrank & vrank.wrapping_neg();
+            let parent = (vrank - lowest + root) % size;
+            (self.recv_msg::<M>(parent, self.coll_tag(1))?, lowest)
         };
-        self.forward_bcast(root, v)
+        let mut mask = lowest >> 1;
+        while mask > 0 {
+            let child = vrank | mask;
+            if child < size {
+                self.send_msg((child + root) % size, self.coll_tag(1), v.clone())?;
+            }
+            mask >>= 1;
+        }
+        Ok(v)
     }
 
     /// Gather one value from every rank onto all ranks
-    /// (`out[r]` = rank `r`'s contribution). Gather-to-0 then broadcast.
+    /// (`out[r]` = rank `r`'s contribution), in one round: each rank
+    /// sends its value to every peer.
     pub fn allgather<M: Clone + Send + 'static>(&self, mine: M) -> Vec<M> {
-        unwrap_comm(self.collective("allgather", || {
-            if self.size == 1 {
-                return Ok(vec![mine]);
-            }
-            if self.rank == 0 {
-                let mut all = Vec::with_capacity(self.size);
-                all.push(mine);
-                for src in 1..self.size {
-                    all.push(self.recv_msg::<M>(src, COLL | 2)?);
-                }
-                self.broadcast_impl(0, all)
-            } else {
-                self.send_msg(0, COLL | 2, mine)?;
-                self.broadcast_impl(0, Vec::<M>::new())
-            }
-        }))
+        unwrap_comm(self.collective("allgather", || self.exchange(mine)))
+    }
+
+    /// The one round behind `allgather` and `allreduce`: send `mine` to
+    /// every peer, then receive from each peer in ascending rank order.
+    /// Returns every rank's value in rank order.
+    fn exchange<M: Clone + Send + 'static>(&self, mine: M) -> Result<Vec<M>, CommError> {
+        let tag = self.coll_tag(2);
+        for dst in (0..self.size).filter(|&d| d != self.rank) {
+            self.send_msg(dst, tag, mine.clone())?;
+        }
+        let mut mine = Some(mine);
+        (0..self.size)
+            .map(|src| match mine.take_if(|_| src == self.rank) {
+                Some(v) => Ok(v),
+                None => self.recv_msg::<M>(src, tag),
+            })
+            .collect()
     }
 
     /// Binomial-tree reduction to rank `root`; returns `Some(result)` on
@@ -640,13 +675,13 @@ impl Ctx {
                 let vpeer = vrank | mask;
                 if vpeer < size {
                     let peer = (vpeer + root) % size;
-                    let other = self.recv_msg::<M>(peer, COLL | 3)?;
+                    let other = self.recv_msg::<M>(peer, self.coll_tag(3))?;
                     acc = op(acc, other);
                 }
             } else {
                 let vparent = vrank & !mask;
                 let parent = (vparent + root) % size;
-                self.send_msg(parent, COLL | 3, acc)?;
+                self.send_msg(parent, self.coll_tag(3), acc)?;
                 return Ok(None);
             }
             mask <<= 1;
@@ -654,7 +689,11 @@ impl Ctx {
         Ok(Some(acc))
     }
 
-    /// Reduction whose result is delivered to every rank.
+    /// Reduction whose result is delivered to every rank, in one round:
+    /// the values are exchanged as by [`Ctx::allgather`], and every rank
+    /// folds them in the order [`Ctx::reduce`]`(0, …)`'s binomial tree
+    /// combines them, so each returns the root's bits — for any `op`,
+    /// associative or not.
     pub fn allreduce<M, F>(&self, mine: M, op: F) -> M
     where
         M: Clone + Send + 'static,
@@ -668,15 +707,20 @@ impl Ctx {
         M: Clone + Send + 'static,
         F: Fn(M, M) -> M,
     {
-        match self.reduce_impl(0, mine, &op)? {
-            Some(v) => self.broadcast_impl(0, v),
-            None => {
-                // Participate in the broadcast with a placeholder that
-                // is never read (non-root passes its own value slot).
-                let v = self.recv_msg::<M>(self.bcast_parent(0), COLL | 1)?;
-                self.forward_bcast(0, v)
+        let mut v: Vec<Option<M>> = self.exchange(mine)?.into_iter().map(Some).collect();
+        // The tree of `reduce_impl` at root 0: at level `mask`, every
+        // multiple `i` of `2·mask` absorbs the subtree rooted at
+        // `i + mask`.
+        let size = v.len();
+        let mut mask = 1usize;
+        while mask < size {
+            for i in (0..size - mask).step_by(2 * mask) {
+                let (a, b) = (v[i].take(), v[i + mask].take());
+                v[i] = a.zip(b).map(|(a, b)| op(a, b));
             }
+            mask <<= 1;
         }
+        Ok(v[0].take().expect("allreduce: the fold leaves its result at 0"))
     }
 
     /// Allreduce over *optional* per-rank contributions: ranks with
@@ -717,7 +761,7 @@ impl Ctx {
                         // Placeholder replaced below; keeps rank order.
                         continue;
                     }
-                    all.push((src, self.recv_msg::<M>(src, COLL | 5)?));
+                    all.push((src, self.recv_msg::<M>(src, self.coll_tag(5))?));
                 }
                 let mut out: Vec<Option<M>> = (0..self.size).map(|_| None).collect();
                 out[self.rank] = Some(mine);
@@ -730,7 +774,7 @@ impl Ctx {
                         .collect(),
                 ))
             } else {
-                self.send_msg(root, COLL | 5, mine)?;
+                self.send_msg(root, self.coll_tag(5), mine)?;
                 Ok(None)
             }
         }))
@@ -754,7 +798,7 @@ impl Ctx {
                 if dst == self.rank {
                     own = Some(part);
                 } else {
-                    self.send_msg(dst, COLL | 6, part)?;
+                    self.send_msg(dst, self.coll_tag(6), part)?;
                 }
             }
             // The drain is where the eager exchange pays the wire: each
@@ -767,7 +811,7 @@ impl Ctx {
                 if src == self.rank {
                     out.push(own.take().expect("alltoallv: own part present"));
                 } else {
-                    out.push(self.recv_msg::<M>(src, COLL | 6)?);
+                    out.push(self.recv_msg::<M>(src, self.coll_tag(6))?);
                 }
             }
             self.stats.borrow_mut().alltoallv_wait_ns +=
@@ -854,41 +898,6 @@ impl Ctx {
             slots,
             posted_at: Instant::now(),
         }
-    }
-
-    fn bcast_parent(&self, root: usize) -> usize {
-        let size = self.size;
-        let vrank = (self.rank + size - root) % size;
-        debug_assert!(vrank != 0);
-        let lowest = vrank & vrank.wrapping_neg();
-        let vparent = vrank & !lowest;
-        (vparent + root) % size
-    }
-
-    fn forward_bcast<M: Clone + Send + 'static>(&self, root: usize, v: M) -> Result<M, CommError> {
-        let size = self.size;
-        let vrank = (self.rank + size - root) % size;
-        let lowest = if vrank == 0 {
-            size.next_power_of_two()
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut children = Vec::new();
-        let mut mask = 1usize;
-        while mask < size {
-            if mask < lowest {
-                let child = vrank | mask;
-                if child != vrank && child < size {
-                    children.push(child);
-                }
-            }
-            mask <<= 1;
-        }
-        for &child in children.iter().rev() {
-            let dst = (child + root) % size;
-            self.send_msg(dst, COLL | 1, v.clone())?;
-        }
-        Ok(v)
     }
 
     /// After a primary failure on this rank: record it in the control

@@ -10,8 +10,8 @@
 //! column ids, so `A ≈ L U` directly and
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
 
-use crate::panel::{drive, fill_reducing_order, FactorCol, PanelEngine, PanelSplit};
-use crate::timers::KernelTimers;
+use crate::panel::{drive, fill_reducing_order, FactorCol, Measure, PanelEngine, PanelSplit};
+use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{DenseMatrix, LuFactor};
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
@@ -562,20 +562,25 @@ impl PanelEngine for SeqEngine<'_> {
         Some(u_fragments_of(&self.ws.tbuf, &sp.rest_cols, col_map, k_eff))
     }
 
-    fn indicator(&self) -> f64 {
-        self.s.fro_norm()
-    }
-
-    fn schur_nnz(&self) -> usize {
-        self.s.nnz()
-    }
-
-    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
-        let (mass, count) = self.s.drop_below_into(thr, &mut self.ws.dropbuf);
-        if accept(mass, count) {
-            // The displaced Schur storage becomes next iteration's target.
-            std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
+    /// Nothing to agree on: the drop pass runs only when the loop can
+    /// keep it, into the workspace's drop target.
+    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
+        let indicator = timers.time(KernelId::Indicator, || self.s.fro_norm());
+        let dropped = if thr > 0.0 && indicator >= stop {
+            timers.time(KernelId::Drop, || self.s.drop_below_into(thr, &mut self.ws.dropbuf))
+        } else {
+            (0.0, 0)
+        };
+        Measure {
+            indicator,
+            dropped,
+            nnz: self.s.nnz(),
         }
+    }
+
+    /// The displaced Schur storage becomes the next drop's target.
+    fn commit_drop(&mut self) {
+        std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
     }
 
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {

@@ -167,15 +167,17 @@ pub(crate) trait PanelEngine {
         k_eff: usize,
     ) -> Option<Vec<FactorCol>>;
 
-    /// Line 13: `||A^(i+1)||_F`.
-    fn indicator(&self) -> f64;
+    /// Line 13 and ILUT lines 8–10's measurement, agreed in one step:
+    /// `||A^(i+1)||_F` before any drop, and what a drop of the entries
+    /// below `thr` would remove (nothing is measured at `thr = 0`). An
+    /// engine that knows the indicator before its drop pass skips the
+    /// pass once `indicator < stop`: the loop stops there and would
+    /// discard it. The drop pass is timed under [`KernelId::Drop`],
+    /// the rest under [`KernelId::Indicator`].
+    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure;
 
-    /// Stored entries of the whole current Schur complement.
-    fn schur_nnz(&self) -> usize;
-
-    /// Measure the squared mass and count of the entries below `thr`,
-    /// and drop them if `accept(mass, count)` says so.
-    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool);
+    /// Install the drop the last [`Self::measure`] measured.
+    fn commit_drop(&mut self);
 
     /// The whole current Schur complement for a snapshot, on the one
     /// rank that writes it — borrowed where the engine holds it whole.
@@ -198,6 +200,18 @@ pub(crate) trait PanelEngine {
     fn mem_stats(&self) -> Option<MemStats> {
         None
     }
+}
+
+/// What [`PanelEngine::measure`] agrees on, identical on every rank.
+pub(crate) struct Measure {
+    /// `||A^(i+1)||_F` (eq. 9 / 26), before any drop.
+    pub(crate) indicator: f64,
+    /// Squared mass and count of the entries below the threshold
+    /// (zero when no drop was measured); the count is also what the
+    /// drop takes off `nnz`.
+    pub(crate) dropped: (f64, usize),
+    /// Stored entries of the whole Schur complement, before the drop.
+    pub(crate) nnz: usize,
 }
 
 /// `L` and `U` assembled locally from the recorded columns.
@@ -343,25 +357,6 @@ fn save_checkpoint<E: PanelEngine>(
     if let Some(s) = eng.gather_schur() {
         save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
     }
-}
-
-/// ILUT_CRTP lines 8–10: drop the Schur entries below `mu` (eq. 24)
-/// unless that would carry the accumulated dropped mass past `phi`; a
-/// drop that would is undone and thresholding is disabled (the
-/// control, eq. 22). Every rank holds the same `th` and gets the same
-/// measurement, so the decision is replicated bit for bit.
-fn threshold<E: PanelEngine>(eng: &mut E, th: &mut IlutCheckpoint) {
-    eng.drop_if(th.mu, |mass, count| {
-        let within = (th.mass_sq + mass).sqrt() < th.phi;
-        if within {
-            th.mass_sq += mass;
-            th.dropped += count;
-        } else {
-            th.control_triggered = true;
-            th.mu = 0.0;
-        }
-        within
-    });
 }
 
 /// Run LU_CRTP (`ilut: None`) or ILUT_CRTP over the engine `place`
@@ -586,9 +581,19 @@ pub(crate) fn drive<E: PanelEngine>(
         st.rank += k_eff;
         st.iterations += 1;
 
-        // Line 13: error indicator (eq. 9 / 26) — evaluated before any
-        // thresholding, exactly as Algorithm 3 orders lines 7 and 8.
-        st.indicator = timers.time(KernelId::Indicator, || eng.indicator());
+        // Line 13, error indicator (eq. 9 / 26), evaluated before any
+        // thresholding as Algorithm 3 orders lines 7 and 8, and the
+        // ILUT drop at mu (eq. 24; r11 is known since the first
+        // tournament) measured with it, so one agreement covers both.
+        let mu = match (ilut, &st.ilut) {
+            (Some(cfg), Some(th)) if st.rank < rank_cap => match st.iterations {
+                1 => opts.tau * st.r11 / (cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt()),
+                _ => th.mu,
+            },
+            _ => 0.0,
+        };
+        let ms = eng.measure(mu, stop, &mut timers);
+        st.indicator = ms.indicator;
         if !st.indicator.is_finite() {
             lra_recover::record_guard_trip(format!(
                 "non-finite error indicator at iteration {}",
@@ -597,25 +602,38 @@ pub(crate) fn drive<E: PanelEngine>(
             st.breakdown = Some(Breakdown::NonFinite);
             break;
         }
+        let mut nnz = ms.nnz;
         if st.indicator < stop {
             st.converged = true;
         } else if st.rank >= rank_cap {
             st.breakdown = Some(Breakdown::RankExhausted);
         } else if let (Some(cfg), Some(th)) = (ilut, st.ilut.as_mut()) {
-            // ILUT_CRTP lines 5, 8-10: determine mu/phi, drop, control.
+            // ILUT_CRTP lines 5, 8-10: record mu/phi, then keep the drop
+            // unless it would carry the accumulated dropped mass past
+            // phi; a drop that would is discarded and thresholding is
+            // disabled (the control, eq. 22). Every rank holds the same
+            // `th` and the same agreed measurement, so the decision is
+            // replicated bit for bit.
             if st.iterations == 1 {
-                th.mu =
-                    opts.tau * st.r11 / (cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
+                th.mu = mu;
                 th.phi = cfg.phi_factor * opts.tau * st.r11;
             }
             if th.mu > 0.0 {
-                timers.time(KernelId::Drop, || threshold(&mut eng, th));
+                let (mass, count) = ms.dropped;
+                if (th.mass_sq + mass).sqrt() < th.phi {
+                    th.mass_sq += mass;
+                    th.dropped += count;
+                    timers.time(KernelId::Drop, || eng.commit_drop());
+                    nnz -= count;
+                } else {
+                    th.control_triggered = true;
+                    th.mu = 0.0;
+                }
             }
         }
 
         // Trace the Schur complement as the next iteration will see it
         // (post-threshold for ILUT_CRTP) — the Fig. 1 fill-in metric.
-        let nnz = eng.schur_nnz();
         let (m_rest, n_rest) = eng.dims();
         st.trace.push(IterTrace {
             iteration: st.iterations,
@@ -643,7 +661,7 @@ pub(crate) fn drive<E: PanelEngine>(
         st.col_map = sp.rest_cols.iter().map(|&c| st.col_map[c]).collect();
 
         // Iteration boundary: all loop-carried state is consistent
-        // here (under SPMD the indicator allreduce and the drop are
+        // here (under SPMD the measurement is agreed and the drop is
         // done, so shards + replicated state form a consistent global
         // snapshot), so this is the snapshot point.
         if let Some(h) = hooks {

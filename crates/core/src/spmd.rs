@@ -10,11 +10,12 @@
 //! full matrix. Per iteration:
 //!
 //! - the column tournament runs its communication-free local stage on
-//!   the owned shard, then `log2(P)` pairwise reduction rounds in
-//!   which winner columns travel with their global ids as compact
-//!   panels ([`lra_qrtp::tournament_columns_spmd_sharded`]);
+//!   the owned shard, then one `allreduce` in which winner columns
+//!   travel with their global ids as compact panels and every rank
+//!   replays the pairwise merges and the root pass
+//!   ([`lra_qrtp::tournament_columns_spmd_sharded`]);
 //! - the panel TSQR gathers its row blocks from the (replicated,
-//!   `O(b^2)`-ish) winner panel broadcast by the tournament;
+//!   `O(b^2)`-ish) winner panel the tournament left on every rank;
 //! - `Ā21` rows are scattered for the `L21` solve and the small `X^T`
 //!   is allgathered (a 1-D column distribution keeps the row panel
 //!   replicated);
@@ -32,9 +33,9 @@
 //!   the pipeline (piece-at-a-time updates tile the new owned range in
 //!   ascending column order, and the kernel computes each column
 //!   independently, so the reordering moves no bits);
-//! - the error indicator is a partial-norm allreduce, and ILUT
-//!   thresholding combines per-shard dropped mass through the same
-//!   allreduce tree on every rank;
+//! - the error indicator, the ILUT drop's `(mass, count)` and the Schur
+//!   nonzeros are agreed in one allreduce of per-shard partials, folded
+//!   component by component in the tree every rank replays;
 //! - only rank 0 accumulates the factor columns (small per-panel
 //!   fragments travel by `gatherv`); the final `L`/`U` are broadcast
 //!   once at the end, so every rank returns the same result.
@@ -45,13 +46,15 @@
 //! update, indicator and dropped-mass partials over the *same* column
 //! ranges and reduction trees the sharded engine owns, so the two are
 //! bit-identical while differing only in resident storage: it is the
-//! reference the sharded engine is tested against.
+//! reference the sharded engine is tested against. It keeps its own
+//! indicator and drop allreduces.
 
 use crate::lucrtp::{
     csc_resident_bytes, schur_update_ranged, u_fragments_of, ColRun, IlutOpts, LuCrtpOpts,
     LuCrtpResult, MemStats, SchurWorkspace,
 };
-use crate::panel::{assemble_factors, drive, FactorCol, PanelEngine, PanelSplit, Source};
+use crate::panel::{assemble_factors, drive, FactorCol, Measure, PanelEngine, PanelSplit, Source};
+use crate::timers::{KernelId, KernelTimers};
 use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
@@ -101,6 +104,7 @@ pub(crate) fn run_replicated(
             s: src.full(),
             opts,
             ws: SchurWorkspace::new(),
+            dropped: None,
         })
     })
 }
@@ -217,14 +221,6 @@ fn spmd_l21(
     (x_rows, xt)
 }
 
-/// Combine per-rank dropped `(mass, count)` partials through the same
-/// allreduce tree on every rank.
-fn allreduce_drop(ctx: &Ctx, my_mass: f64, my_count: usize) -> (f64, usize) {
-    let (mass, count) =
-        ctx.allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
-    (mass, count as usize)
-}
-
 /// An in-flight re-shard: the posted `alltoallv` plus the geometry of
 /// the new column partition. Produced by
 /// [`SpmdPanelCtx::post_reshard`], consumed by
@@ -268,9 +264,11 @@ struct SpmdPanelCtx<'a> {
     /// kernels (Schur update, threshold pass).
     opts: &'a LuCrtpOpts,
     reshard: Reshard,
-    /// The pivot panel the last column tournament broadcast: the
+    /// The pivot panel the last column tournament selected: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
+    /// The shard as the last [`PanelEngine::measure`] would drop it.
+    dropped: Option<ColSlice>,
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
@@ -309,6 +307,7 @@ impl<'a> SpmdPanelCtx<'a> {
             opts,
             reshard,
             panel: CscMatrix::zeros(0, 0),
+            dropped: None,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
             peak_bytes: 0,
@@ -475,8 +474,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     }
 
     /// Column tournament over the distributed Schur complement; winner
-    /// columns travel with their global ids, and the selected panel is
-    /// broadcast so every rank holds the `O(m b)` pivot columns.
+    /// columns travel with their global ids, so every rank ends up
+    /// holding the `O(m b)` pivot columns.
     fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
         let (sel, panel) = tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want);
         self.panel = panel;
@@ -568,29 +567,42 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         Some(out)
     }
 
-    /// Partial squared norm of the owned shard + allreduce — the same
-    /// per-column summation nesting and reduction tree as the
-    /// replicated oracle.
-    fn indicator(&self) -> f64 {
-        let local = self.shard.fro_norm_sq_cols();
-        self.ctx.allreduce(local, |x, y| x + y).sqrt()
+    /// One allreduce of the owned shard's partials — squared norm,
+    /// dropped mass and count, nonzeros — each component folded as its
+    /// own allreduce would be, so the indicator and the mass keep the
+    /// replicated oracle's summation nesting and reduction tree (the
+    /// threshold pass groups its partials like the oracle's
+    /// [`CscMatrix::dropped_mass_in_cols_par`]). The indicator is not
+    /// known before the agreement, so the drop is measured even when
+    /// the run turns out to have converged.
+    fn measure(&mut self, thr: f64, _stop: f64, timers: &mut KernelTimers) -> Measure {
+        let norm_sq = timers.time(KernelId::Indicator, || self.shard.fro_norm_sq_cols());
+        self.dropped = None;
+        let (mass, count) = if thr > 0.0 {
+            timers.time(KernelId::Drop, || {
+                let (dropped, mass, count) = self.shard.drop_below_par(thr, self.opts.par);
+                self.dropped = Some(dropped);
+                (mass, count as u64)
+            })
+        } else {
+            (0.0, 0)
+        };
+        let (norm_sq, mass, count, nnz) = timers.time(KernelId::Indicator, || {
+            self.ctx.allreduce(
+                (norm_sq, mass, count, self.shard.nnz() as u64),
+                |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3),
+            )
+        });
+        Measure {
+            indicator: norm_sq.sqrt(),
+            dropped: (mass, count as usize),
+            nnz: nnz as usize,
+        }
     }
 
-    /// Exact — integer allreduce over shard counts.
-    fn schur_nnz(&self) -> usize {
-        self.ctx.allreduce(self.shard.nnz() as u64, |x, y| x + y) as usize
-    }
-
-    /// Each rank runs the threshold pass over its owned shard in
-    /// parallel fixed-width column chunks (per-chunk partials folded in
-    /// ascending chunk order, then per-rank partials combined through
-    /// the same allreduce tree on every rank), matching the replicated
-    /// oracle's [`CscMatrix::dropped_mass_in_cols_par`] partials.
-    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
-        let (dropped_shard, my_mass, my_count) = self.shard.drop_below_par(thr, self.opts.par);
-        let (mass, count) = allreduce_drop(self.ctx, my_mass, my_count);
-        if accept(mass, count) {
-            self.shard = dropped_shard;
+    fn commit_drop(&mut self) {
+        if let Some(dropped) = self.dropped.take() {
+            self.shard = dropped;
         }
     }
 
@@ -643,6 +655,8 @@ struct ReplicatedEngine<'a> {
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
+    /// `s` as the last [`PanelEngine::measure`] would drop it.
+    dropped: Option<CscMatrix>,
 }
 
 impl ReplicatedEngine<'_> {
@@ -727,33 +741,43 @@ impl PanelEngine for ReplicatedEngine<'_> {
         Some(u_fragments_of(&sp.a12.transpose(), &sp.rest_cols, col_map, k_eff))
     }
 
-    /// Partial squared norm + allreduce (each rank owns a column slice
-    /// in spirit; the replicated matrix makes the local sum trivial,
-    /// but the reduction is still exercised) — the same per-column
-    /// chains as the sharded engine's partials.
-    fn indicator(&self) -> f64 {
-        let mut local = 0.0f64;
-        for j in self.my_cols() {
-            let (_, vs) = self.s.col(j);
-            local += vs.iter().map(|v| v * v).sum::<f64>();
+    /// Partial squared norm + allreduce over the column partition the
+    /// sharded engine owns — the same per-column chains as its
+    /// partials. Then, unless that indicator has converged, dropped-mass
+    /// partials over the same partition through an allreduce of their
+    /// own, so the thresholding decisions stay bitwise aligned.
+    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
+        let indicator = timers.time(KernelId::Indicator, || {
+            let mut local = 0.0f64;
+            for j in self.my_cols() {
+                let (_, vs) = self.s.col(j);
+                local += vs.iter().map(|v| v * v).sum::<f64>();
+            }
+            self.ctx.allreduce(local, |a, b| a + b).sqrt()
+        });
+        self.dropped = None;
+        let dropped = if thr > 0.0 && indicator >= stop {
+            timers.time(KernelId::Drop, || {
+                let (my_mass, my_count) =
+                    self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
+                let (mass, count) =
+                    self.ctx.allreduce((my_mass, my_count), |x, y| (x.0 + y.0, x.1 + y.1));
+                self.dropped = Some(self.s.drop_below(thr).0);
+                (mass, count)
+            })
+        } else {
+            (0.0, 0)
+        };
+        Measure {
+            indicator,
+            dropped,
+            nnz: self.s.nnz(),
         }
-        self.ctx.allreduce(local, |a, b| a + b).sqrt()
     }
 
-    fn schur_nnz(&self) -> usize {
-        self.s.nnz()
-    }
-
-    /// Per-rank dropped-mass partials over the same column partition
-    /// the sharded engine owns, combined through the same allreduce
-    /// tree — the oracle stays bitwise aligned with the sharded
-    /// thresholding decisions.
-    fn drop_if(&mut self, thr: f64, accept: impl FnOnce(f64, usize) -> bool) {
-        let (my_mass, my_count) =
-            self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
-        let (mass, count) = allreduce_drop(self.ctx, my_mass, my_count);
-        if accept(mass, count) {
-            self.s = self.s.drop_below(thr).0;
+    fn commit_drop(&mut self) {
+        if let Some(dropped) = self.dropped.take() {
+            self.s = dropped;
         }
     }
 

@@ -9,7 +9,8 @@
 //!   `lra-par` workers, merged up a binary tree;
 //! - [`tournament_columns_spmd`]: rank-distributed over the `lra-comm`
 //!   SPMD runtime, mirroring the paper's MPI reduction tree with its
-//!   communication-free local stage and `log2(P)` global stage;
+//!   communication-free local stage; the global stage is one
+//!   `allreduce` whose op is the tree node;
 //! - [`tournament_columns_spmd_sharded`]: like the SPMD driver, but
 //!   over a *distributed* matrix — each rank holds only its own
 //!   block-column `ColSlice`, and winner columns travel with their ids

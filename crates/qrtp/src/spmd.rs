@@ -1,25 +1,20 @@
 //! Rank-distributed tournament pivoting over the `lra-comm` SPMD
-//! runtime — the direct port of the paper's MPI reduction tree
-//! (Section V).
+//! runtime — the port of the paper's MPI reduction tree (Section V).
 //!
 //! Each rank owns a contiguous block of candidate columns and reduces
-//! them to `k` winners with *no communication* (the local stage); the
-//! winners then compete pairwise over `log2(P)` message rounds (the
-//! global stage). Only column indices travel between ranks — the matrix
-//! itself is shared read-only, matching the paper's observation that
-//! the selected columns are gathered where needed.
+//! them to `k` winners with *no communication* (the local stage). The
+//! global stage is one [`Ctx::allreduce`] whose op is the tree node:
+//! the winner lists travel in one round, and every rank replays the
+//! binomial tree's pairwise merges itself, then the root pass. Only
+//! column indices travel between ranks — the matrix itself is shared
+//! read-only, matching the paper's observation that the selected
+//! columns are gathered where needed.
 
 use crate::source::ColumnSource;
-use crate::tournament::{panel_r, tournament_columns, ColumnSelection, TournamentTree};
+use crate::tournament::{node_select, tournament_columns, ColumnSelection, TournamentTree};
 use lra_comm::Ctx;
-use lra_dense::qrcp;
 use lra_par::{split_ranges, Parallelism};
 use lra_sparse::{gather_csc, ColSlice, CscMatrix};
-
-/// Tag for tournament winner exchanges.
-const TAG_WINNERS: u64 = 0x7101;
-/// Tag for sharded winner exchanges (ids + compact columns).
-const TAG_SHARD_WINNERS: u64 = 0x7102;
 
 /// SPMD column tournament: every rank calls this with the same
 /// arguments; every rank returns the same [`ColumnSelection`].
@@ -37,11 +32,10 @@ pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
             &all
         }
     };
-    let size = ctx.size();
     let rank = ctx.rank();
-    let ranges = split_ranges(cand.len(), size);
+    let ranges = split_ranges(cand.len(), ctx.size());
     // Local reduction: communication-free.
-    let mut winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
+    let winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
         if rank < ranges.len() && !ranges[rank].is_empty() {
             let own = &cand[ranges[rank].clone()];
             if own.len() <= k {
@@ -54,59 +48,17 @@ pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
             Vec::new()
         }
     });
-    // Global binomial reduction: log2(P) rounds of pairwise merges.
-    // (Static span name — rounds are separated by time and parentage in
-    // the trace; a per-round `format!` would allocate with tracing off.)
-    let mut mask = 1usize;
-    while mask < size {
-        let advance = lra_obs::trace::span("qrtp.reduce_round", || {
-            if rank & mask == 0 {
-                let peer = rank | mask;
-                if peer < size {
-                    let theirs: Vec<usize> = ctx.recv(peer, TAG_WINNERS);
-                    if !theirs.is_empty() {
-                        let mut merged = winners.clone();
-                        merged.extend_from_slice(&theirs);
-                        winners = node_select(src, &merged, k).0;
-                    }
-                }
-                true
-            } else {
-                let parent = rank & !mask;
-                ctx.send(parent, TAG_WINNERS, winners.clone());
-                winners.clear();
-                false
-            }
-        });
-        if !advance {
-            break;
-        }
-        mask <<= 1;
-    }
-    // Root ranks the final winners (also producing r_diag) and
-    // broadcasts the result.
-    let (selected, r_diag) = lra_obs::trace::span("qrtp.final_select", || {
-        let result = if rank == 0 {
-            let (selected, r_diag) = node_select(src, &winners, k);
-            (selected, r_diag)
+    // Global stage: the pairwise merges of the binomial tree, then the
+    // root pass (which also yields r_diag), on every rank.
+    let winners = ctx.allreduce(winners, |mine: Vec<usize>, theirs: Vec<usize>| {
+        if theirs.is_empty() {
+            mine
         } else {
-            (Vec::new(), Vec::new())
-        };
-        ctx.broadcast(0, result)
+            node_select(src, &[mine, theirs].concat(), k, Parallelism::SEQ).0
+        }
     });
+    let (selected, r_diag) = node_select(src, &winners, k, Parallelism::SEQ);
     ColumnSelection { selected, r_diag }
-}
-
-/// One tournament node: rank candidate columns via QRCP of the panel R.
-fn node_select<S: ColumnSource + ?Sized>(
-    src: &S,
-    idx: &[usize],
-    k: usize,
-) -> (Vec<usize>, Vec<f64>) {
-    let r = crate::tournament::panel_r(src, idx, Parallelism::SEQ);
-    let f = qrcp(&r, k);
-    let sel: Vec<usize> = f.perm[..f.steps.min(k)].iter().map(|&p| idx[p]).collect();
-    (sel, f.r_diag())
 }
 
 /// One tournament node over a compact candidate matrix: ranks all of
@@ -119,16 +71,14 @@ fn node_select<S: ColumnSource + ?Sized>(
 /// so a compact copy of the candidates yields the same dense panels.
 fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
     let idx: Vec<usize> = (0..cols.cols()).collect();
-    let r = panel_r(cols, &idx, Parallelism::SEQ);
-    let f = qrcp(&r, k);
-    (f.perm[..f.steps.min(k)].to_vec(), f.r_diag())
+    node_select(cols, &idx, k, Parallelism::SEQ)
 }
 
 /// Sharded SPMD column tournament: like [`tournament_columns_spmd`],
 /// but the matrix is *distributed* — each rank holds only its own
 /// block-column [`ColSlice`] of the virtual matrix and winner columns
 /// travel with their ids as compact CSC panels, so no rank ever
-/// materializes more than `O(k)` foreign columns.
+/// materializes more than `O(P k)` foreign columns.
 ///
 /// Every rank returns the same `(selection, panel)`: `selection` holds
 /// *global* column ids of the virtual matrix, and `panel` is the
@@ -144,11 +94,8 @@ pub fn tournament_columns_spmd_sharded(
     shard: &ColSlice,
     k: usize,
 ) -> (ColumnSelection, CscMatrix) {
-    let size = ctx.size();
-    let rank = ctx.rank();
-    let rows = shard.rows();
     // Local reduction: communication-free, over the owned shard only.
-    let mut winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
+    let winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
         if shard.ncols_local() == 0 {
             Vec::new()
         } else if shard.ncols_local() <= k {
@@ -167,60 +114,30 @@ pub fn tournament_columns_spmd_sharded(
             .collect()
         }
     });
-    let mut cols: CscMatrix = if winners.is_empty() {
-        CscMatrix::zeros(rows, 0)
+    let cols = if winners.is_empty() {
+        CscMatrix::zeros(shard.rows(), 0)
     } else {
         shard.extract_columns(&winners)
     };
-    // Global binomial reduction; winner columns ride along as compact
-    // panels so receivers never touch forebearers' shards.
-    let mut mask = 1usize;
-    while mask < size {
-        let advance = lra_obs::trace::span("qrtp.reduce_round", || {
-            if rank & mask == 0 {
-                let peer = rank | mask;
-                if peer < size {
-                    let (their_ids, their_cols): (Vec<usize>, CscMatrix) =
-                        ctx.recv(peer, TAG_SHARD_WINNERS);
-                    if !their_ids.is_empty() {
-                        let mut merged = winners.clone();
-                        merged.extend_from_slice(&their_ids);
-                        let merged_cols = gather_csc(&[cols.clone(), their_cols]);
-                        let (pos, _) = node_select_positions(&merged_cols, k);
-                        winners = pos.iter().map(|&p| merged[p]).collect();
-                        cols = merged_cols.select_columns(&pos);
-                    }
-                }
-                true
-            } else {
-                let parent = rank & !mask;
-                ctx.send(
-                    parent,
-                    TAG_SHARD_WINNERS,
-                    (std::mem::take(&mut winners), std::mem::replace(&mut cols, CscMatrix::zeros(rows, 0))),
-                );
-                false
+    // Global stage: winner columns ride along as compact panels, so no
+    // rank ever touches another rank's shard.
+    let (winners, cols) = ctx.allreduce(
+        (winners, cols),
+        |(mine, mine_cols): (Vec<usize>, CscMatrix), (theirs, their_cols)| {
+            if theirs.is_empty() {
+                return (mine, mine_cols);
             }
-        });
-        if !advance {
-            break;
-        }
-        mask <<= 1;
-    }
-    // Root ranks the final winners and broadcasts ids, r_diag, and the
-    // selected panel together.
-    let (selected, r_diag, panel) = lra_obs::trace::span("qrtp.final_select", || {
-        let result = if rank == 0 {
-            let (pos, r_diag) = node_select_positions(&cols, k);
-            let selected: Vec<usize> = pos.iter().map(|&p| winners[p]).collect();
-            let panel = cols.select_columns(&pos);
-            (selected, r_diag, panel)
-        } else {
-            (Vec::new(), Vec::new(), CscMatrix::zeros(rows, 0))
-        };
-        ctx.broadcast(0, result)
-    });
-    (ColumnSelection { selected, r_diag }, panel)
+            let merged = [mine, theirs].concat();
+            let merged_cols = gather_csc(&[mine_cols, their_cols]);
+            let (pos, _) = node_select_positions(&merged_cols, k);
+            (pos.iter().map(|&p| merged[p]).collect(), merged_cols.select_columns(&pos))
+        },
+    );
+    // The root pass ranks the final winners and yields r_diag and the
+    // selected panel.
+    let (pos, r_diag) = node_select_positions(&cols, k);
+    let selected = pos.iter().map(|&p| winners[p]).collect();
+    (ColumnSelection { selected, r_diag }, cols.select_columns(&pos))
 }
 
 #[cfg(test)]
@@ -322,8 +239,8 @@ mod tests {
                     for (x, y) in rd.iter().zip(rrd) {
                         assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
                     }
-                    // The broadcast panel is an exact copy of the
-                    // selected columns.
+                    // The panel is an exact copy of the selected
+                    // columns.
                     assert_eq!(*panel, a.select_columns(sel), "np={np} k={k}");
                 }
             }

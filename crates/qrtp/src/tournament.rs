@@ -81,7 +81,7 @@ pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelis
 /// Rank the candidate columns `idx` at one tournament node: QRCP on the
 /// panel `R`, returning up to `k` winners (in pivot order) plus the
 /// QRCP `R` diagonal.
-fn node_select<S: ColumnSource + ?Sized>(
+pub(crate) fn node_select<S: ColumnSource + ?Sized>(
     src: &S,
     idx: &[usize],
     k: usize,

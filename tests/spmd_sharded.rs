@@ -8,8 +8,11 @@
 //! `mem` report excepted, which measure the run rather than the
 //! factorization).
 
-use lra_comm::Ctx;
-use lra_core::{factorize, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult, Method};
+use lra_comm::{Ctx, RunConfig};
+use lra_core::{
+    factorize, factorize_ranks, Budget, CancelToken, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult,
+    Method,
+};
 use lra_sparse::CscMatrix;
 
 fn circuit_matrix() -> CscMatrix {
@@ -228,5 +231,32 @@ fn sharded_results_identical_on_every_rank() {
     });
     for r in &results[1..] {
         assert_eq!(r, &results[0], "ranks disagree");
+    }
+}
+
+/// Collectives per panel iteration, on the served victim's shape (two
+/// ranks, ILUT with k = 2 at τ = 1e-6 on `tests/serve_soak.rs`'s victim
+/// matrix, a cancel-token budget): ten per iteration — the budget
+/// verdict, the two tournaments, the TSQR's two allgathers, the `L21`
+/// allgather, the posted re-shard and its completion, the factor
+/// `gatherv` and the one measurement — plus a few per run. An added
+/// agreement fails here instead of slowing `serve_mix`.
+#[test]
+fn collectives_per_iteration_are_pinned() {
+    let a = lra_matgen::with_decay(&lra_matgen::fem2d(24, 20, 11), 1e-6, 3);
+    let opts =
+        IlutOpts::new(2, 1e-6, 8).with_budget(Budget::unlimited().with_cancel(CancelToken::new()));
+    let report = factorize_ranks(&a, &opts, 2, &RunConfig::default(), None).unwrap();
+    let stats = report.stats.clone();
+    let r = report.unwrap_all().swap_remove(0);
+    assert!(r.converged, "{:?}", r.breakdown);
+    for (rank, st) in stats.iter().enumerate() {
+        let per_iteration = st.collectives as f64 / r.iterations as f64;
+        assert!(
+            per_iteration <= 10.05,
+            "rank {rank}: {} collectives over {} iterations = {per_iteration:.3}",
+            st.collectives,
+            r.iterations
+        );
     }
 }
