@@ -225,7 +225,6 @@ fn orderings(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
 /// One of the SPMD engines, as the `Exec` variant that names it.
 type Engine = for<'c> fn(&'c Ctx) -> Exec<'c>;
 const SHARDED: Engine = |c| Exec::Spmd(c);
-const EAGER: Engine = |c| Exec::SpmdEager(c);
 const REPLICATED: Engine = |c| Exec::SpmdReplicated(c);
 
 /// Rank 0's result of `method` over `np` ranks of `engine`.
@@ -279,10 +278,10 @@ fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
         for np in 1..=3 {
             for (tag, method) in methods {
                 let mut h = Fnv::new();
-                for engine in [SHARDED, EAGER, REPLICATED] {
+                for engine in [SHARDED, REPLICATED] {
                     h.lu(&on_ranks(np, a, method, engine, None));
                 }
-                out.put(format_args!("{tag}_spmd sharded+eager+replicated {name} np={np}"), h);
+                out.put(format_args!("{tag}_spmd sharded+replicated {name} np={np}"), h);
             }
         }
         // Two ranks, two workers inside each: the parallel kernel path

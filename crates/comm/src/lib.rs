@@ -16,11 +16,11 @@
 //! round**: every rank sends its value to every peer, and `allreduce`
 //! then replays the binomial tree's fold locally, so every rank holds
 //! the root's bits without a broadcast. That costs each rank `P − 1`
-//! sends instead of one — cheap at the `np ≤ 8` of shared-memory
-//! ranks, where a round of latency costs more than a message.
-//! `broadcast`, `reduce`, `gatherv` and `alltoallv` keep their shapes
-//! (a binomial tree, a tree to the root, a gather to the root and a
-//! personalized exchange).
+//! sends instead of one. At `np = 2`, the only size measured, that is
+//! the tree's one message per rank with a round fewer; what the extra
+//! sends cost at larger `np` is not measured.
+//! `broadcast`, `gatherv` and `alltoallv` keep their shapes (a
+//! binomial tree, a gather to the root and a personalized exchange).
 //!
 //! ## Fault model
 //!
@@ -60,7 +60,7 @@
 //! the window surface as typed [`CommError`]s at the barrier (poison
 //! broadcast + watchdog, same as eager), and per-rank [`CommStats`]
 //! account the hidden window (`overlap_hidden_ns`) against the blocked
-//! drain time (`overlap_wait_ns` vs the eager `alltoallv_wait_ns`).
+//! drain time (`overlap_wait_ns`).
 //!
 //! [`run`] returns `Vec<Result<T, CommError>>`; [`run_infallible`]
 //! unwraps for callers on the happy path.
@@ -588,7 +588,7 @@ impl Ctx {
 
     /// Synchronize all ranks: a one-round [`Ctx::allreduce`] of nothing.
     pub fn barrier(&self) {
-        unwrap_comm(self.collective("barrier", || self.allreduce_impl(0u8, |_, _| 0u8)));
+        unwrap_comm(self.collective("barrier", || self.allreduce_round(0u8, |_, _| 0u8)));
     }
 
     /// Broadcast `value` from `root` to every rank; each rank returns
@@ -650,67 +650,27 @@ impl Ctx {
             .collect()
     }
 
-    /// Binomial-tree reduction to rank `root`; returns `Some(result)` on
-    /// the root, `None` elsewhere. `op(a, b)` must be associative; the
-    /// combination tree is deterministic for a fixed `size`.
-    pub fn reduce<M, F>(&self, root: usize, mine: M, op: F) -> Option<M>
-    where
-        M: Send + 'static,
-        F: Fn(M, M) -> M,
-    {
-        unwrap_comm(self.collective("reduce", || self.reduce_impl(root, mine, &op)))
-    }
-
-    fn reduce_impl<M, F>(&self, root: usize, mine: M, op: &F) -> Result<Option<M>, CommError>
-    where
-        M: Send + 'static,
-        F: Fn(M, M) -> M,
-    {
-        let size = self.size;
-        let vrank = (self.rank + size - root) % size;
-        let mut acc = mine;
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask == 0 {
-                let vpeer = vrank | mask;
-                if vpeer < size {
-                    let peer = (vpeer + root) % size;
-                    let other = self.recv_msg::<M>(peer, self.coll_tag(3))?;
-                    acc = op(acc, other);
-                }
-            } else {
-                let vparent = vrank & !mask;
-                let parent = (vparent + root) % size;
-                self.send_msg(parent, self.coll_tag(3), acc)?;
-                return Ok(None);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
-    }
-
     /// Reduction whose result is delivered to every rank, in one round:
     /// the values are exchanged as by [`Ctx::allgather`], and every rank
-    /// folds them in the order [`Ctx::reduce`]`(0, …)`'s binomial tree
-    /// combines them, so each returns the root's bits — for any `op`,
-    /// associative or not.
+    /// folds them in the order a binomial tree to rank 0 combines them,
+    /// so each returns the same bits — for any `op`, associative or
+    /// not.
     pub fn allreduce<M, F>(&self, mine: M, op: F) -> M
     where
         M: Clone + Send + 'static,
         F: Fn(M, M) -> M,
     {
-        unwrap_comm(self.collective("allreduce", || self.allreduce_impl(mine, op)))
+        unwrap_comm(self.collective("allreduce", || self.allreduce_round(mine, op)))
     }
 
-    fn allreduce_impl<M, F>(&self, mine: M, op: F) -> Result<M, CommError>
+    fn allreduce_round<M, F>(&self, mine: M, op: F) -> Result<M, CommError>
     where
         M: Clone + Send + 'static,
         F: Fn(M, M) -> M,
     {
         let mut v: Vec<Option<M>> = self.exchange(mine)?.into_iter().map(Some).collect();
-        // The tree of `reduce_impl` at root 0: at level `mask`, every
-        // multiple `i` of `2·mask` absorbs the subtree rooted at
-        // `i + mask`.
+        // The binomial tree to rank 0: at level `mask`, every multiple
+        // `i` of `2·mask` absorbs the subtree rooted at `i + mask`.
         let size = v.len();
         let mut mask = 1usize;
         while mask < size {
@@ -801,11 +761,6 @@ impl Ctx {
                     self.send_msg(dst, self.coll_tag(6), part)?;
                 }
             }
-            // The drain is where the eager exchange pays the wire: each
-            // receive blocks until the source rank has posted its sends.
-            // Timed so the overlapped path can be held to the fraction
-            // of this wall time it hides (`kernel_bench` overlap gate).
-            let drain_start = Instant::now();
             let mut out = Vec::with_capacity(self.size);
             for src in 0..self.size {
                 if src == self.rank {
@@ -814,8 +769,6 @@ impl Ctx {
                     out.push(self.recv_msg::<M>(src, self.coll_tag(6))?);
                 }
             }
-            self.stats.borrow_mut().alltoallv_wait_ns +=
-                drain_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             Ok(out)
         }))
     }
@@ -863,8 +816,8 @@ impl Ctx {
     /// handle's [`PendingExchange::complete`]. Compute run between the
     /// post and the completion barrier overlaps the wire: by the time
     /// `complete` drains, slower peers have long since posted, so the
-    /// blocked time the eager drain pays (`alltoallv_wait_ns`) shrinks
-    /// to near zero (`overlap_wait_ns`).
+    /// time left blocked in the drain (`overlap_wait_ns`) shrinks to
+    /// near zero.
     ///
     /// Fault semantics are identical to the eager collective: the post
     /// performs real sends (op-indexed kills, drops, and delays apply),
@@ -1475,15 +1428,11 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums() {
+    fn allreduce_sums() {
         for np in [1usize, 2, 5, 8] {
-            let out =
-                run_infallible(np, |ctx| ctx.reduce(0, ctx.rank() as u64 + 1, |a, b| a + b));
+            let out = run_infallible(np, |ctx| ctx.allreduce(ctx.rank() as u64 + 1, |a, b| a + b));
             let expect: u64 = (1..=np as u64).sum();
-            assert_eq!(out[0], Some(expect), "np={np}");
-            for v in &out[1..] {
-                assert_eq!(*v, None);
-            }
+            assert!(out.iter().all(|&v| v == expect), "np={np}");
         }
     }
 

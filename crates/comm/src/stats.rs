@@ -5,8 +5,8 @@
 //! clocks — surfaced per rank by
 //! [`crate::RunReport::stats`]. Their readers: chaos tests asserting
 //! that injected faults actually happened (drops, delays),
-//! `kernel_bench`'s overlap gate (`overlap_wait_ns` against
-//! `alltoallv_wait_ns`), the `lra-serve` scrape (`comm.bytes.*`,
+//! `kernel_bench`'s overlap gate (`overlap_hidden_ns` against
+//! `overlap_wait_ns`), the `lra-serve` scrape (`comm.bytes.*`,
 //! `comm.overlap.*` through [`CommStats::export_metrics`]) and the
 //! repository benchmark's `comm.*` rows.
 
@@ -30,14 +30,12 @@ impl<T> MessageSize for T {}
 
 /// Logical collective families whose wire traffic is attributed
 /// separately in [`CommStats::bytes_on_wire`]. Nonblocking posts
-/// (`alltoallv.post` etc.) attribute to their base family, so the
-/// `comm.bytes.*` series stays comparable across the eager and
-/// overlapped drivers.
-pub(crate) const COLLECTIVE_FAMILIES: [&str; 7] = [
+/// (`alltoallv.post` etc.) attribute to their base family, so one
+/// re-shard counts as `alltoallv` whether posted or not.
+pub(crate) const COLLECTIVE_FAMILIES: [&str; 6] = [
     "barrier",
     "broadcast",
     "allgather",
-    "reduce",
     "allreduce",
     "gatherv",
     "alltoallv",
@@ -61,7 +59,7 @@ pub struct CommStats {
     /// Bytes enqueued, per [`MessageSize`].
     pub bytes_sent: u64,
     /// Collective operations entered (barrier, broadcast, allgather,
-    /// reduce, allreduce).
+    /// allreduce, gatherv, alltoallv and its post).
     pub collectives: u64,
     /// Total communication operations (sends + receives + collective
     /// entries) — the op counter chaos kills index into.
@@ -79,10 +77,10 @@ pub struct CommStats {
     /// timeout-injection hook [`crate::FaultPlan::stall_rank_once_at_iteration`]).
     pub fault_stalled: u64,
     /// Bytes enqueued from inside each collective family, in the order
-    /// barrier, broadcast, allgather, reduce, allreduce, gatherv,
-    /// alltoallv. Point-to-point sends outside any collective are
-    /// counted in [`CommStats::bytes_sent`] only.
-    pub bytes_on_wire: [u64; 7],
+    /// barrier, broadcast, allgather, allreduce, gatherv, alltoallv.
+    /// Point-to-point sends outside any collective are counted in
+    /// [`CommStats::bytes_sent`] only.
+    pub bytes_on_wire: [u64; 6],
     /// Nonblocking exchanges posted via [`crate::Ctx::post_alltoallv`].
     pub overlap_posted: u64,
     /// Nanoseconds of compute run between posting a nonblocking
@@ -93,10 +91,6 @@ pub struct CommStats {
     /// [`crate::PendingExchange::complete`] (or `complete_with`),
     /// i.e. wire time the overlap failed to hide.
     pub overlap_wait_ns: u64,
-    /// Nanoseconds spent blocked in the eager [`crate::Ctx::alltoallv`]
-    /// receive drain — the non-overlapped re-shard wire time the
-    /// pending-exchange path is measured against.
-    pub alltoallv_wait_ns: u64,
 }
 
 impl CommStats {
@@ -105,7 +99,7 @@ impl CommStats {
     /// `comm.overlap.hidden_ns` series the `lra-serve` scrape renders
     /// (call once per rank of a [`crate::RunReport`]).
     pub fn export_metrics(&self, reg: &lra_obs::MetricsRegistry, rank: usize) {
-        let counters: [(&str, u64); 12] = [
+        let counters: [(&str, u64); 11] = [
             ("iterations", self.iterations),
             ("msgs_sent", self.msgs_sent),
             ("bytes_sent", self.bytes_sent),
@@ -117,7 +111,6 @@ impl CommStats {
             ("overlap_posted", self.overlap_posted),
             ("overlap_hidden_ns", self.overlap_hidden_ns),
             ("overlap_wait_ns", self.overlap_wait_ns),
-            ("alltoallv_wait_ns", self.alltoallv_wait_ns),
         ];
         for (name, value) in counters {
             reg.inc_counter(&format!("comm.rank{rank}.{name}"), value);
@@ -194,9 +187,9 @@ mod tests {
 
     #[test]
     fn family_index_strips_subspan_suffix() {
-        assert_eq!(family_index("alltoallv"), Some(6));
-        assert_eq!(family_index("alltoallv.post"), Some(6));
-        assert_eq!(family_index("gatherv"), Some(5));
+        assert_eq!(family_index("alltoallv"), Some(5));
+        assert_eq!(family_index("alltoallv.post"), Some(5));
+        assert_eq!(family_index("gatherv"), Some(4));
         assert_eq!(family_index("not_a_collective"), None);
     }
 

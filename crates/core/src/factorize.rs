@@ -11,7 +11,7 @@ use crate::checkpoint::RecoveryHooks;
 use crate::lucrtp::{
     run_seq, validate_matrix, IlutOpts, InvalidInput, LuCrtpOpts, LuCrtpResult, OrderingMode,
 };
-use crate::spmd::{run_replicated, run_sharded, Reshard};
+use crate::spmd::{run_replicated, run_sharded};
 use lra_comm::{Ctx, RunConfig, RunReport};
 use lra_recover::{run_supervised, RecoveryError, RecoveryPolicy, Supervised};
 use lra_sparse::CscMatrix;
@@ -91,11 +91,6 @@ pub enum Exec<'a> {
     /// reports the per-rank peak). `opts.par` is the intra-rank worker
     /// count; results are bitwise-independent of it.
     Spmd(&'a Ctx),
-    /// [`Exec::Spmd`] with the per-panel re-shard exchange blocking
-    /// before factor recording instead of draining behind it: the
-    /// bitwise oracle for the overlapped pipeline.
-    #[doc(hidden)]
-    SpmdEager(&'a Ctx),
     /// [`Exec::Spmd`] with the whole Schur complement on every rank,
     /// partitioned into the same column ranges and reduction trees: the
     /// bitwise oracle for the sharded engine. Never checkpointed —
@@ -131,8 +126,7 @@ pub fn factorize<'m>(
     let (opts, ilut) = method.parts();
     match exec {
         Exec::Seq => run_seq(a, opts, ilut, hooks),
-        Exec::Spmd(ctx) => run_sharded(ctx, a, opts, ilut, hooks, Reshard::Overlapped),
-        Exec::SpmdEager(ctx) => run_sharded(ctx, a, opts, ilut, hooks, Reshard::Eager),
+        Exec::Spmd(ctx) => run_sharded(ctx, a, opts, ilut, hooks),
         Exec::SpmdReplicated(ctx) => {
             assert!(
                 hooks.is_none(),
@@ -262,9 +256,7 @@ pub fn factorize_supervised<'m>(
         policy,
         |np, cfg, _, at| {
             let o = bounded(at);
-            lra_comm::run_with(np, cfg, |ctx| {
-                run_sharded(ctx, a, &o, ilut, Some(&hooks), Reshard::Overlapped)
-            })
+            lra_comm::run_with(np, cfg, |ctx| run_sharded(ctx, a, &o, ilut, Some(&hooks)))
         },
         |at| Some(run_seq(a, &bounded(at), ilut, Some(&hooks))),
     )

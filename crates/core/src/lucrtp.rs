@@ -578,9 +578,13 @@ impl PanelEngine for SeqEngine<'_> {
         }
     }
 
-    /// The displaced Schur storage becomes the next drop's target.
-    fn commit_drop(&mut self) {
-        std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
+    /// A kept drop swaps in; the displaced Schur storage becomes the
+    /// next drop's target. A released one stays in `dropbuf`, which is
+    /// scratch.
+    fn settle_drop(&mut self, keep: bool) {
+        if keep {
+            std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
+        }
     }
 
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {

@@ -176,8 +176,10 @@ pub(crate) trait PanelEngine {
     /// the rest under [`KernelId::Indicator`].
     fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure;
 
-    /// Install the drop the last [`Self::measure`] measured.
-    fn commit_drop(&mut self);
+    /// Install (`keep`) or release the drop the last [`Self::measure`]
+    /// measured; the loop calls it after every measurement at `thr > 0`,
+    /// so no dropped copy outlives its decision.
+    fn settle_drop(&mut self, keep: bool);
 
     /// The whole current Schur complement for a snapshot, on the one
     /// rank that writes it — borrowed where the engine holds it whole.
@@ -600,9 +602,11 @@ pub(crate) fn drive<E: PanelEngine>(
                 st.iterations
             ));
             st.breakdown = Some(Breakdown::NonFinite);
+            eng.settle_drop(false);
             break;
         }
         let mut nnz = ms.nnz;
+        let mut keep = false;
         if st.indicator < stop {
             st.converged = true;
         } else if st.rank >= rank_cap {
@@ -623,13 +627,16 @@ pub(crate) fn drive<E: PanelEngine>(
                 if (th.mass_sq + mass).sqrt() < th.phi {
                     th.mass_sq += mass;
                     th.dropped += count;
-                    timers.time(KernelId::Drop, || eng.commit_drop());
+                    keep = true;
                     nnz -= count;
                 } else {
                     th.control_triggered = true;
                     th.mu = 0.0;
                 }
             }
+        }
+        if mu > 0.0 {
+            timers.time(KernelId::Drop, || eng.settle_drop(keep));
         }
 
         // Trace the Schur complement as the next iteration will see it

@@ -21,18 +21,16 @@
 //!   replicated);
 //! - the Schur update is computed only for owned columns, with an
 //!   `alltoallv` re-sharding from the old column partition to the new
-//!   one. By default the re-shard is a *posted* exchange
+//!   one. The re-shard is a *posted* exchange
 //!   ([`lra_comm::Ctx::post_alltoallv`]): the loop's Schur stage has
 //!   two halves, so sends go out in the first, factor recording (and
 //!   its `gatherv`) runs while the wire drains, and the second half
 //!   Schur-updates each received piece as it arrives. Re-shard part
 //!   buffers are recycled across panel iterations from a pool, like
-//!   the [`SchurWorkspace`] scratch. [`Reshard::Eager`] — reachable
-//!   only through `Exec::SpmdEager` — blocks in the first half instead
-//!   and is the bitwise oracle for
-//!   the pipeline (piece-at-a-time updates tile the new owned range in
-//!   ascending column order, and the kernel computes each column
-//!   independently, so the reordering moves no bits);
+//!   the [`SchurWorkspace`] scratch. Piece-at-a-time updates tile the
+//!   new owned range in ascending column order, and the kernel
+//!   computes each column independently, so the pipeline moves no bits
+//!   against the replicated engine's one pass;
 //! - the error indicator, the ILUT drop's `(mass, count)` and the Schur
 //!   nonzeros are agreed in one allreduce of per-shard partials, folded
 //!   component by component in the tree every rank replays;
@@ -70,17 +68,15 @@ pub(crate) fn run_sharded(
     opts: &LuCrtpOpts,
     ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
-    reshard: Reshard,
 ) -> LuCrtpResult {
-    let span = match (ilut.is_some(), reshard) {
-        (false, Reshard::Overlapped) => "lu_crtp_spmd",
-        (true, Reshard::Overlapped) => "ilut_crtp_spmd",
-        (false, Reshard::Eager) => "lu_crtp_spmd_eager",
-        (true, Reshard::Eager) => "ilut_crtp_spmd_eager",
+    let span = if ilut.is_some() {
+        "ilut_crtp_spmd"
+    } else {
+        "lu_crtp_spmd"
     };
     lra_obs::trace::span(span, || {
         drive(Some(ctx), a, opts, ilut, hooks, |src| {
-            SpmdPanelCtx::place(ctx, src, opts, reshard)
+            SpmdPanelCtx::place(ctx, src, opts)
         })
     })
 }
@@ -226,33 +222,22 @@ fn spmd_l21(
 /// [`SpmdPanelCtx::post_reshard`], consumed by
 /// [`SpmdPanelCtx::complete_reshard`]; the compute placed between the
 /// two is what the wire time hides behind.
-struct PendingReshard<'a> {
+struct PendingSchur<'a> {
     pend: PendingExchange<'a, (CscMatrix, CscMatrix)>,
     new_ranges: Vec<Range<usize>>,
     m_rest: usize,
     n_rest: usize,
 }
 
-/// Re-shard scheduling of the sharded engine: `Overlapped` posts the
-/// per-panel exchange and hides the wire behind factor recording plus
-/// per-piece Schur updates (the default); `Eager` is the original
-/// blocking exchange, kept as the bitwise oracle for the pipeline.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Reshard {
-    Overlapped,
-    Eager,
-}
-
 /// Panel engine over rank-owned shards: the communicator, the rank's
 /// owned block-column [`ColSlice`] of the current Schur complement,
 /// and the replicated global dimensions, with one method per
 /// distributed stage of an LU_CRTP iteration. The shard invariant:
-/// after construction and after every re-shard (eager
-/// [`Self::schur_redistribute`] or overlapped
-/// [`Self::complete_reshard`]), this rank owns exactly
-/// `owned_range(split_ranges(n_cur, size),
-/// rank)` — the same partition the replicated oracle uses for its
-/// per-rank work, which is what makes the two engines bit-identical.
+/// after construction and after every re-shard
+/// ([`Self::complete_reshard`]), this rank owns exactly
+/// `owned_range(split_ranges(n_cur, size), rank)` — the same partition
+/// the replicated oracle uses for its per-rank work, which is what
+/// makes the two engines bit-identical.
 struct SpmdPanelCtx<'a> {
     ctx: &'a Ctx,
     rank: usize,
@@ -263,11 +248,11 @@ struct SpmdPanelCtx<'a> {
     /// `opts.par` is the intra-rank worker count for the owned-range
     /// kernels (Schur update, threshold pass).
     opts: &'a LuCrtpOpts,
-    reshard: Reshard,
     /// The pivot panel the last column tournament selected: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
-    /// The shard as the last [`PanelEngine::measure`] would drop it.
+    /// The shard as the last [`PanelEngine::measure`] would drop it,
+    /// held until [`PanelEngine::settle_drop`].
     dropped: Option<ColSlice>,
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
@@ -283,7 +268,7 @@ struct SpmdPanelCtx<'a> {
 }
 
 impl<'a> SpmdPanelCtx<'a> {
-    fn place(ctx: &'a Ctx, src: Source<'_>, opts: &'a LuCrtpOpts, reshard: Reshard) -> Self {
+    fn place(ctx: &'a Ctx, src: Source<'_>, opts: &'a LuCrtpOpts) -> Self {
         let owned = |n: usize| owned_range(&split_ranges(n, ctx.size()), ctx.rank());
         let (shard, n_cur) = match src {
             // Only the owned block of the permuted input is extracted;
@@ -305,7 +290,6 @@ impl<'a> SpmdPanelCtx<'a> {
             shard,
             n_cur,
             opts,
-            reshard,
             panel: CscMatrix::zeros(0, 0),
             dropped: None,
             ws: SchurWorkspace::new(),
@@ -336,37 +320,6 @@ impl<'a> SpmdPanelCtx<'a> {
         self.shard = ColSlice::new(my_new.start, cols.into_csc(m_rest));
         self.n_cur = n_rest;
         self.note_mem();
-    }
-
-    /// Schur update on owned columns only, with an `alltoallv`
-    /// re-sharding from the old column partition to the new one. Both
-    /// partitions are ascending contiguous tilings, so each (src, dst)
-    /// exchange is one contiguous column run and concatenating the
-    /// received runs in source-rank order reassembles the new owned
-    /// block in order.
-    fn schur_redistribute(&mut self, sp: &PanelSplit, x_rows: &[usize], x: &DenseMatrix) {
-        let m_rest = sp.a22.rows();
-        let n_rest = sp.rest_cols.len();
-        let new_ranges = split_ranges(n_rest, self.size);
-        let parts = self.build_reshard_parts(sp, &new_ranges);
-        let got = self.ctx.alltoallv(parts);
-        let (p12, p22): (Vec<CscMatrix>, Vec<CscMatrix>) = got.into_iter().unzip();
-        let a12_own = gather_csc(&p12);
-        let a22_own = gather_csc(&p22);
-        self.part_pool.extend(p12);
-        self.part_pool.extend(p22);
-        let mut updated = self.retire_shard();
-        schur_update_ranged(
-            &a22_own,
-            x_rows,
-            x,
-            &a12_own,
-            0..a22_own.cols(),
-            &mut self.ws,
-            self.opts.par,
-            &mut updated,
-        );
-        self.install_shard(m_rest, n_rest, owned_range(&new_ranges, self.rank), updated);
     }
 
     /// Build the per-destination `(Ā12, Ā22)` column-run parts of the
@@ -401,17 +354,17 @@ impl<'a> SpmdPanelCtx<'a> {
 
     /// Post the re-shard exchange for the just-eliminated panel
     /// without waiting for it: the sends go out now, the receives wait
-    /// inside the returned [`PendingReshard`]. Work issued between
+    /// inside the returned [`PendingSchur`]. Work issued between
     /// this and [`Self::complete_reshard`] — factor recording and its
     /// `gatherv`, which uses the eager tag namespace, disjoint from
     /// pending-exchange tags, so the reordering cannot mismatch
     /// envelopes — runs while the wire drains.
-    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingReshard<'a> {
+    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingSchur<'a> {
         let m_rest = sp.a22.rows();
         let n_rest = sp.rest_cols.len();
         let new_ranges = split_ranges(n_rest, self.size);
         let parts = self.build_reshard_parts(sp, &new_ranges);
-        PendingReshard {
+        PendingSchur {
             pend: self.ctx.post_alltoallv(parts),
             new_ranges,
             m_rest,
@@ -422,14 +375,14 @@ impl<'a> SpmdPanelCtx<'a> {
     /// Complete a posted re-shard: drain the exchange in source-rank
     /// order, Schur-updating each `(Ā12, Ā22)` piece the moment it
     /// arrives — per-piece compute hides the tail of the drain — into
-    /// one column run over the retired shard's arrays. Bitwise-identical to the
-    /// eager [`Self::schur_redistribute`]: the pieces tile the new
-    /// owned range in ascending column order and the kernel computes
-    /// every column independently (same per-column arithmetic, same
-    /// ascending emission), so splitting the single gathered pass at
-    /// piece boundaries moves no bits.
-    fn complete_reshard(&mut self, pr: PendingReshard<'a>, x_rows: &[usize], x: &DenseMatrix) {
-        let PendingReshard {
+    /// one column run over the retired shard's arrays. Both partitions
+    /// are ascending contiguous tilings, so the pieces, in source-rank
+    /// order, tile the new owned range in ascending column order; the
+    /// kernel computes every column independently (same per-column
+    /// arithmetic, same ascending emission), so splitting one pass over
+    /// the gathered range at piece boundaries moves no bits.
+    fn complete_reshard(&mut self, pr: PendingSchur<'a>, x_rows: &[usize], x: &DenseMatrix) {
+        let PendingSchur {
             pend,
             new_ranges,
             m_rest,
@@ -453,7 +406,7 @@ impl<'a> SpmdPanelCtx<'a> {
 }
 
 impl<'a> PanelEngine for SpmdPanelCtx<'a> {
-    type Pending = PendingReshard<'a>;
+    type Pending = PendingSchur<'a>;
 
     fn idle_mem() -> Option<MemStats> {
         Some(MemStats::default())
@@ -525,16 +478,10 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     fn schur_begin(
         &mut self,
         sp: &PanelSplit,
-        x_rows: &[usize],
-        x: &DenseMatrix,
+        _: &[usize],
+        _: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        match self.reshard {
-            Reshard::Overlapped => Some(self.post_reshard(sp)),
-            Reshard::Eager => {
-                self.schur_redistribute(sp, x_rows, x);
-                None
-            }
-        }
+        Some(self.post_reshard(sp))
     }
 
     fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix) {
@@ -577,7 +524,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// the run turns out to have converged.
     fn measure(&mut self, thr: f64, _stop: f64, timers: &mut KernelTimers) -> Measure {
         let norm_sq = timers.time(KernelId::Indicator, || self.shard.fro_norm_sq_cols());
-        self.dropped = None;
         let (mass, count) = if thr > 0.0 {
             timers.time(KernelId::Drop, || {
                 let (dropped, mass, count) = self.shard.drop_below_par(thr, self.opts.par);
@@ -600,8 +546,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         }
     }
 
-    fn commit_drop(&mut self) {
-        if let Some(dropped) = self.dropped.take() {
+    fn settle_drop(&mut self, keep: bool) {
+        if let Some(dropped) = self.dropped.take().filter(|_| keep) {
             self.shard = dropped;
         }
     }
@@ -655,7 +601,8 @@ struct ReplicatedEngine<'a> {
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
-    /// `s` as the last [`PanelEngine::measure`] would drop it.
+    /// `s` as the last [`PanelEngine::measure`] would drop it, held
+    /// until [`PanelEngine::settle_drop`].
     dropped: Option<CscMatrix>,
 }
 
@@ -755,7 +702,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
             }
             self.ctx.allreduce(local, |a, b| a + b).sqrt()
         });
-        self.dropped = None;
         let dropped = if thr > 0.0 && indicator >= stop {
             timers.time(KernelId::Drop, || {
                 let (my_mass, my_count) =
@@ -775,8 +721,8 @@ impl PanelEngine for ReplicatedEngine<'_> {
         }
     }
 
-    fn commit_drop(&mut self) {
-        if let Some(dropped) = self.dropped.take() {
+    fn settle_drop(&mut self, keep: bool) {
+        if let Some(dropped) = self.dropped.take().filter(|_| keep) {
             self.s = dropped;
         }
     }
@@ -785,5 +731,148 @@ impl PanelEngine for ReplicatedEngine<'_> {
     /// rank 0's copy is a consistent global snapshot.
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
         (self.ctx.rank() == 0).then_some(Cow::Borrowed(&self.s))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    /// The sharded engine, noting whether a dropped copy of the shard
+    /// is still held where an iteration starts and where the run ends.
+    struct Watch<'a, 'w> {
+        eng: SpmdPanelCtx<'a>,
+        held: &'w Cell<bool>,
+    }
+
+    impl Watch<'_, '_> {
+        fn note(&self) {
+            self.held.set(self.held.get() || self.eng.dropped.is_some());
+        }
+    }
+
+    impl<'a> PanelEngine for Watch<'a, '_> {
+        type Pending = PendingSchur<'a>;
+
+        fn idle_mem() -> Option<MemStats> {
+            SpmdPanelCtx::idle_mem()
+        }
+        fn keeps_factors(&self) -> bool {
+            self.eng.keeps_factors()
+        }
+        fn dims(&self) -> (usize, usize) {
+            self.eng.dims()
+        }
+        fn resident_bytes(&self) -> u64 {
+            self.eng.resident_bytes()
+        }
+        fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
+            self.note();
+            self.eng.col_tournament(k_want)
+        }
+        fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
+            self.eng.panel_qr(sel)
+        }
+        fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+            self.eng.row_tournament(qk, k_eff)
+        }
+        fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+            self.eng.split(pivot_rows, sel)
+        }
+        fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
+            self.eng.solve_l21(sp, lu11)
+        }
+        fn schur_begin(
+            &mut self,
+            sp: &PanelSplit,
+            x_rows: &[usize],
+            x: &DenseMatrix,
+        ) -> Option<Self::Pending> {
+            self.eng.schur_begin(sp, x_rows, x)
+        }
+        fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix) {
+            self.eng.schur_finish(pending, x_rows, x)
+        }
+        fn u_fragments(
+            &mut self,
+            sp: &PanelSplit,
+            col_map: &[usize],
+            k_eff: usize,
+        ) -> Option<Vec<FactorCol>> {
+            self.eng.u_fragments(sp, col_map, k_eff)
+        }
+        fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
+            self.eng.measure(thr, stop, timers)
+        }
+        fn settle_drop(&mut self, keep: bool) {
+            self.eng.settle_drop(keep)
+        }
+        fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
+            self.eng.gather_schur()
+        }
+        fn materialize(
+            &self,
+            m: usize,
+            n: usize,
+            l_cols: &[FactorCol],
+            ut_cols: &[FactorCol],
+        ) -> (CscMatrix, CscMatrix) {
+            self.eng.materialize(m, n, l_cols, ut_cols)
+        }
+        fn mem_stats(&self) -> Option<MemStats> {
+            self.note();
+            self.eng.mem_stats()
+        }
+    }
+
+    /// A 60 x 60 matrix, about half of it stored, whose entries decay
+    /// along the diagonal: ILUT at `k = 4` drops on every iteration.
+    fn decaying() -> CscMatrix {
+        let dense = DenseMatrix::from_fn(60, 60, |i, j| {
+            let h = (i as u64 * 7919 + j as u64 * 104_729).wrapping_mul(2_654_435_761) >> 7;
+            if h.is_multiple_of(2) {
+                0.0
+            } else {
+                (1.0 + (h % 997) as f64 / 997.0) * 0.8f64.powi((i + j) as i32 / 2)
+            }
+        });
+        CscMatrix::from_dense(&dense)
+    }
+
+    /// Runs `opts` over two watched sharded ranks; rank 0's result and
+    /// whether any rank held a dropped copy past its decision.
+    fn watched(opts: &IlutOpts) -> (LuCrtpResult, bool) {
+        let a = decaying();
+        let out = lra_comm::run_infallible(2, |ctx| {
+            let held = Cell::new(false);
+            let r = drive(Some(ctx), &a, &opts.base, Some(opts), None, |src| Watch {
+                eng: SpmdPanelCtx::place(ctx, src, &opts.base),
+                held: &held,
+            });
+            (r, held.get())
+        });
+        let held = out.iter().any(|(_, h)| *h);
+        (out.into_iter().next().unwrap().0, held)
+    }
+
+    #[test]
+    fn no_dropped_copy_outlives_its_decision() {
+        let (r, held) = watched(&IlutOpts::new(4, 1e-2, 4));
+        let th = r.threshold.as_ref().unwrap();
+        assert!(
+            r.converged && th.dropped > 0 && !th.control_triggered,
+            "{r:?}"
+        );
+        assert!(!held, "converged run: the last measured drop is still held");
+
+        let mut opts = IlutOpts::new(4, 1e-2, 1);
+        opts.phi_factor = 1e-12;
+        let (r, held) = watched(&opts);
+        assert!(r.threshold.as_ref().unwrap().control_triggered, "{r:?}");
+        assert!(
+            !held,
+            "control-triggered run: the discarded drop is still held"
+        );
     }
 }

@@ -6,9 +6,11 @@
 //! combines partials through the same reduction trees — so the two
 //! must agree *bit for bit* on every result field (timers and the
 //! `mem` report excepted, which measure the run rather than the
-//! factorization).
+//! factorization). The sharded driver posts each panel's re-shard and
+//! Schur-updates the pieces as they arrive, so the same pin covers the
+//! overlapped pipeline.
 
-use lra_comm::{Ctx, RunConfig};
+use lra_comm::{CommStats, Ctx, RunConfig};
 use lra_core::{
     factorize, factorize_ranks, Budget, CancelToken, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult,
     Method,
@@ -104,15 +106,33 @@ fn rank0<'m>(
     lra_comm::run_infallible(np, |ctx| factorize(a, method, exec(ctx), None)).swap_remove(0)
 }
 
+/// Rank 0's result of `method` over `np` ranks of the sharded engine,
+/// with rank 0's comm counters.
+fn sharded_rank0<'m>(
+    np: usize,
+    a: &CscMatrix,
+    method: impl Into<Method<'m>>,
+) -> (LuCrtpResult, CommStats) {
+    let method = method.into();
+    lra_comm::run_infallible(np, |ctx| {
+        (factorize(a, method, Exec::Spmd(ctx), None), ctx.stats())
+    })
+    .swap_remove(0)
+}
+
 #[test]
 fn sharded_lu_matches_replicated_bitwise() {
     let a = circuit_matrix();
     let opts = LuCrtpOpts::new(8, 1e-3);
     for np in [1usize, 2, 4] {
-        let s = rank0(np, &a, &opts, |c| Exec::Spmd(c));
+        let (s, stats) = sharded_rank0(np, &a, &opts);
         let o = rank0(np, &a, &opts, |c| Exec::SpmdReplicated(c));
         assert!(s.converged, "np={np}: {:?}", s.breakdown);
         assert_result_bitwise(&s, &o, &format!("lu np={np}"));
+        assert_eq!(
+            stats.overlap_posted, s.iterations as u64,
+            "np={np}: one posted re-shard per panel iteration"
+        );
         assert!(s.mem.is_some(), "np={np}: sharded driver must report mem");
         assert!(o.mem.is_none(), "np={np}: replicated oracle reports no mem");
     }
@@ -123,7 +143,7 @@ fn sharded_ilut_matches_replicated_bitwise() {
     let a = fill_heavy();
     let opts = IlutOpts::new(8, 1e-2, 4);
     for np in [1usize, 2, 4] {
-        let s = rank0(np, &a, &opts, |c| Exec::Spmd(c));
+        let (s, stats) = sharded_rank0(np, &a, &opts);
         let o = rank0(np, &a, &opts, |c| Exec::SpmdReplicated(c));
         assert!(s.converged, "np={np}: {:?}", s.breakdown);
         assert!(
@@ -131,54 +151,10 @@ fn sharded_ilut_matches_replicated_bitwise() {
             "np={np}: expected drops"
         );
         assert_result_bitwise(&s, &o, &format!("ilut np={np}"));
-    }
-}
-
-/// The overlapped re-shard pipeline (post the `alltoallv`, record
-/// factors while the wire drains, Schur-update each piece as it
-/// arrives) vs. its eager blocking oracle: every result field —
-/// factors, pivots, indicator trace, threshold state — must agree bit
-/// for bit, because per-piece updates tile the new owned range in
-/// ascending column order and the kernel computes each column
-/// independently.
-#[test]
-fn overlapped_lu_matches_eager_bitwise() {
-    let a = circuit_matrix();
-    let opts = LuCrtpOpts::new(8, 1e-3);
-    for np in [1usize, 2, 4] {
-        let mut over = lra_comm::run_infallible(np, |ctx| {
-            let r = factorize(&a, &opts, Exec::Spmd(ctx), None);
-            (r, ctx.stats())
-        });
-        let (o, stats) = over.swap_remove(0);
-        let e = rank0(np, &a, &opts, |c| Exec::SpmdEager(c));
-        assert!(o.converged, "np={np}: {:?}", o.breakdown);
-        assert_result_bitwise(&o, &e, &format!("overlap lu np={np}"));
-        // The default driver really went through the posted path: one
-        // posted exchange per iteration, none on the eager oracle.
         assert_eq!(
-            stats.overlap_posted, o.iterations as u64,
+            stats.overlap_posted, s.iterations as u64,
             "np={np}: one posted re-shard per panel iteration"
         );
-    }
-}
-
-/// Same contract for ILUT: the thresholding pass runs on the shard
-/// assembled from per-piece updates, so its dropped-mass bookkeeping
-/// pins the pipeline end to end.
-#[test]
-fn overlapped_ilut_matches_eager_bitwise() {
-    let a = fill_heavy();
-    let opts = IlutOpts::new(8, 1e-2, 4);
-    for np in [1usize, 2, 4] {
-        let o = rank0(np, &a, &opts, |c| Exec::Spmd(c));
-        let e = rank0(np, &a, &opts, |c| Exec::SpmdEager(c));
-        assert!(o.converged, "np={np}: {:?}", o.breakdown);
-        assert!(
-            o.threshold.as_ref().unwrap().dropped > 0,
-            "np={np}: expected drops"
-        );
-        assert_result_bitwise(&o, &e, &format!("overlap ilut np={np}"));
     }
 }
 
