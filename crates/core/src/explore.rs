@@ -48,7 +48,7 @@
 
 use crate::lucrtp::{IlutOpts, LuCrtpResult};
 use crate::checkpoint::RecoveryHooks;
-use crate::factorize::{factorize, factorize_supervised, Exec, SupervisedError};
+use crate::factorize::{factorize_ranks, factorize_supervised, SupervisedError};
 use lra_comm::{FaultPlan, RunConfig};
 use lra_obs::{Json, MetricValue};
 use lra_par::Parallelism;
@@ -715,10 +715,9 @@ fn run_cancel_site(
 
     // ---- Budgeted run: every rank must return, no rank may fail.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            factorize(a, &budgeted, Exec::Spmd(ctx), Some(&hooks))
-        })
-        .results
+        factorize_ranks(a, &budgeted, cfg.np, &run_cfg, Some(&hooks))
+            .expect("the clean run accepted these options")
+            .results
     }));
     let partial = match ran {
         Err(panic) => {
@@ -815,10 +814,9 @@ fn run_cancel_site(
     // ---- Resume with an unlimited budget on the same store: must
     // replay into the uninterrupted run bitwise.
     let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        lra_comm::run_with(cfg.np, &run_cfg, |ctx| {
-            factorize(a, opts, Exec::Spmd(ctx), Some(&hooks))
-        })
-        .results
+        factorize_ranks(a, opts, cfg.np, &run_cfg, Some(&hooks))
+            .expect("the clean run accepted these options")
+            .results
     }));
     store.clear();
     let resumed = match resumed {

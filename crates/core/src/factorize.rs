@@ -184,7 +184,7 @@ pub fn factorize_ranks<'m>(
 }
 
 /// Why [`factorize_supervised`] returned no result.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SupervisedError {
     /// The input failed validation before any rank was spawned.
     Invalid(InvalidInput),

@@ -41,7 +41,7 @@ pub use fault::{StorageFaultKind, StorageFaultPlan};
 pub use envelope::{envelope_header, SectionReader, SectionWriter, CHECKPOINT_VERSION};
 pub use store::{Checkpoint, CheckpointStore, DEFAULT_RETENTION};
 
-use lra_comm::{CommError, RunConfig, RunReport};
+use lra_comm::{CommError, CommStats, RunConfig, RunReport};
 use std::time::{Duration, Instant};
 
 /// How hard [`run_supervised`] tries before giving up.
@@ -101,7 +101,7 @@ impl RecoveryPolicy {
 }
 
 /// Why a supervised run gave up.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RecoveryError {
     /// The policy's retry budget ran out (or the degradation fallback
     /// itself declined / failed).
@@ -168,6 +168,9 @@ pub struct Supervised<T> {
     pub degraded: bool,
     /// Everything the supervisor did along the way.
     pub events: Vec<RecoveryEvent>,
+    /// The returning attempt's per-rank counters (empty when
+    /// `degraded`).
+    pub stats: Vec<CommStats>,
 }
 
 /// Pick the error that explains a fully-failed report: the first
@@ -243,13 +246,15 @@ where
             None => (0, false, String::new()),
             Some(e) => (e.origin_rank(), e.is_transient(), e.to_string()),
         };
-        if let Some(value) = report.results.into_iter().flatten().next() {
+        let RunReport { results, stats } = report;
+        if let Some(value) = results.into_iter().flatten().next() {
             return Ok(Supervised {
                 value,
                 attempts: recoveries,
                 final_np: np,
                 degraded: false,
                 events,
+                stats,
             });
         }
 
@@ -295,6 +300,7 @@ where
                         final_np: np,
                         degraded: true,
                         events,
+                        stats: Vec::new(),
                     });
                 }
                 return Err(RecoveryError::RecoveryExhausted {
@@ -361,6 +367,7 @@ mod tests {
         .unwrap();
         assert_eq!(got.attempts, 1);
         assert_eq!(got.final_np, 2);
+        assert_eq!(got.stats.len(), got.final_np);
         assert!(!got.degraded);
         assert!(matches!(
             got.events[0],
@@ -420,6 +427,7 @@ mod tests {
         )
         .unwrap();
         assert!(got.degraded);
+        assert!(got.stats.is_empty(), "the fallback ran no rank group");
         assert_eq!(got.value, -1.0);
         assert!(matches!(got.events[0], RecoveryEvent::Degrade { .. }));
     }

@@ -14,8 +14,9 @@
 //! Eviction is LRU over a resident-bytes budget: each entry is
 //! charged the factor storage it pins (`L`, `U`, pivot vectors), and
 //! inserting over budget evicts least-recently-used entries first.
-//! Only `Completed` outcomes are cached — a budget-tripped partial
-//! result reflects the *tenant's* limits, not the matrix.
+//! Only `Completed` outcomes that took no recovery action are cached:
+//! a budget-tripped partial result reflects the *tenant's* limits, and
+//! a shrunk grid's factors another rank count, not the request.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -76,11 +77,6 @@ impl FactorCache {
     /// Entries currently resident.
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Factor bytes currently pinned.
@@ -188,7 +184,7 @@ mod tests {
         let r = some_result();
         let mut c = FactorCache::new(result_bytes(&r) - 1);
         c.insert(key(1), r);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.bytes(), 0);
     }
 

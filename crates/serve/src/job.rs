@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lra_core::{IlutOpts, LuCrtpOpts, LuCrtpResult, Method, Outcome};
+use lra_core::{IlutOpts, Interrupted, LuCrtpOpts, LuCrtpResult, Method, Outcome, SupervisedError};
 use lra_sparse::CscMatrix;
 
 /// Identity of one job, assigned at admission. It also names the job's
@@ -24,8 +24,8 @@ impl std::fmt::Display for JobId {
 }
 
 /// Which factorization driver a job runs. Both variants execute
-/// through `lra_core::factorize` on `Exec::Spmd` with checkpoint hooks,
-/// so every job is preemptible and resumable regardless of algorithm.
+/// through `lra_core::factorize_supervised` with checkpoint hooks, so
+/// every job is preemptible, resumable and recovered alike.
 #[derive(Debug, Clone)]
 pub enum Algorithm {
     /// Deterministic fixed-precision LU_CRTP (Algorithm 2).
@@ -66,11 +66,6 @@ impl Algorithm {
             Algorithm::LuCrtp(o) => Method::LuCrtp(o),
             Algorithm::IlutCrtp(o) => Method::IlutCrtp(o),
         }
-    }
-
-    /// The relative tolerance `tau` the job targets.
-    pub fn tau(&self) -> f64 {
-        self.base().tau
     }
 
     /// Digest of every option that determines the factor bits. Left
@@ -147,20 +142,41 @@ impl JobSpec {
     }
 }
 
+/// How a job left the system: the run's [`Outcome`] — `Interrupted`
+/// only when the job's *own* budget tripped, with the partial factors
+/// — or the typed error of a recovery ladder that gave up.
+#[derive(Debug, Clone)]
+pub struct JobOutcome(pub Result<Outcome<LuCrtpResult>, SupervisedError>);
+
+impl JobOutcome {
+    /// True when the job's own budget tripped.
+    pub fn is_interrupted(&self) -> bool {
+        matches!(&self.0, Ok(o) if o.is_interrupted())
+    }
+
+    /// The factors however the run ended; panics, like `unwrap`, on an error.
+    pub fn into_value(self) -> LuCrtpResult {
+        match self.0 {
+            Ok(o) => o.into_value(),
+            Err(e) => panic!("served job failed: {e}"),
+        }
+    }
+
+    /// The interruption record, or `None` if the job completed or failed.
+    pub fn interrupted(self) -> Option<Interrupted<LuCrtpResult>> {
+        self.0.ok().and_then(Outcome::interrupted)
+    }
+}
+
 /// What the engine hands back when a job leaves the system.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// The job this report closes out.
     pub job: JobId,
-    /// The factorization outcome. `Completed` when the run finished on
-    /// its own terms (preemptions included — a preempted job is parked
-    /// and resumed, never failed); `Interrupted` only when the job's
-    /// *own* budget tripped (deadline, memory ceiling, iteration cap,
-    /// a tenant cancel token), with the partial factors and achieved
-    /// tolerance attached.
-    pub outcome: Outcome<LuCrtpResult>,
-    /// True when the factors came out of the [`crate::FactorCache`]
-    /// without running the driver at all.
+    /// The factorization outcome, or the typed failure.
+    pub outcome: JobOutcome,
+    /// True when the factors came out of the factor cache without
+    /// running the driver at all.
     pub from_cache: bool,
     /// How many times the scheduler preempted this job to reclaim
     /// ranks for higher-priority work.
@@ -174,7 +190,7 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// The factors, however the run ended.
+    /// The factors, however the run ended ([`JobOutcome::into_value`]).
     pub fn into_result(self) -> LuCrtpResult {
         self.outcome.into_value()
     }

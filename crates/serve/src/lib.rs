@@ -8,19 +8,22 @@
 //! per-group trace lanes (`lra-comm`), and matrix fingerprints
 //! (`lra-sparse`). This crate composes them into a [`Server`]:
 //!
-//! - [`JobQueue`] + [`AdmissionPolicy`] — typed admission control
+//! - the wait queue + [`AdmissionPolicy`] — typed admission control
 //!   (queue depth, per-job matrix-size ceiling, rank feasibility) and
 //!   a strict-priority FIFO wait queue;
-//! - [`RankPool`] + the scheduler ([`Server`]) — multiplexes a fixed
-//!   pool of SPMD rank slots across concurrent factorizations: small
+//! - the rank pool + the scheduler ([`Server`]) — multiplexes a fixed
+//!   pool of SPMD rank slots across concurrent factorizations, each
+//!   dispatch one `lra_core::factorize_supervised` call: small
 //!   jobs pack onto idle ranks, and a higher-priority arrival preempts
 //!   strictly-lower-priority running jobs through their per-dispatch
 //!   [`lra_recover::CancelToken`], parks the `Outcome::Interrupted`,
 //!   and later resumes from the trip-boundary checkpoint — on the same
-//!   rank count — bitwise identically to an uninterrupted run;
-//! - [`FactorCache`] — completed factors keyed by matrix fingerprint +
+//!   rank count — bitwise identically to an uninterrupted run; a failed
+//!   rank is recovered, or the job ends with a typed [`JobOutcome`];
+//! - the factor cache — completed factors keyed by matrix fingerprint +
 //!   options digest + rank count, LRU-evicted under a byte budget, so
-//!   a repeated request returns without running the driver at all;
+//!   a repeated request returns without running the driver at all
+//!   (a job that needed a recovery action is never cached);
 //! - observability — engine events are counted once under `serve.*`
 //!   (submissions, admission rejections, driver calls, resumes,
 //!   preemptions, cache hits and misses, completions); per-job wall,
@@ -34,8 +37,6 @@ mod pool;
 mod queue;
 mod scheduler;
 
-pub use cache::{CacheKey, FactorCache};
-pub use job::{Algorithm, JobId, JobReport, JobSpec};
-pub use pool::RankPool;
-pub use queue::{AdmissionError, AdmissionPolicy, JobQueue, QueueEntry};
+pub use job::{Algorithm, JobId, JobOutcome, JobReport, JobSpec};
+pub use queue::{AdmissionError, AdmissionPolicy};
 pub use scheduler::{Server, ServerConfig};

@@ -1,7 +1,8 @@
 //! The rank pool: a counted set of SPMD execution slots.
 //!
 //! Ranks here are *logical* slots — each dispatch materializes its
-//! grant as a scoped `lra_comm::run_with(ranks, ..)` group, so the
+//! grant as one `lra_core::factorize_supervised(.., ranks, ..)` call,
+//! held until it returns even if the ladder shrank the grid, so the
 //! pool only has to account capacity, not bind threads. Grants are
 //! tracked per job so the scrape endpoint can attribute busy ranks.
 

@@ -111,11 +111,6 @@ impl JobQueue {
         self.entries.len()
     }
 
-    /// True when nothing waits.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Insert in scheduling order: descending priority, ascending id
     /// within a priority level.
     pub fn push(&mut self, e: QueueEntry) {

@@ -4,12 +4,11 @@
 //! # Scheduling policy
 //!
 //! One scheduler thread owns placement; one worker thread per dispatch
-//! runs the scoped `lra_comm::run_with` rank group. Each round, with
-//! the state lock held, the scheduler:
+//! runs one [`factorize_supervised`] call on the job's grant. Each
+//! round, with the state lock held, the scheduler:
 //!
-//! 1. serves cache hits — a fresh job whose
-//!    [`crate::CacheKey`] is resident completes immediately, consuming
-//!    no ranks and no driver call;
+//! 1. serves cache hits — a fresh job whose cache key is resident
+//!    completes immediately, consuming no ranks and no driver call;
 //! 2. dispatches the highest-priority waiting job whenever the pool's
 //!    idle ranks cover it (repeatedly — equal-priority jobs pack side
 //!    by side onto the pool);
@@ -44,6 +43,14 @@
 //! resume guarantee applies transitively: a preempted-and-resumed job
 //! produces factors bitwise identical to an uninterrupted run.
 //!
+//! # Failures
+//!
+//! The supervised call retries, shrinks or degrades past a failed rank
+//! while the grant stays held; a preempt fired during a retry's backoff
+//! lands at the next attempt's first budget check. A job that needed a
+//! recovery action is never cached (a shrunk grid computes other bits);
+//! one the ladder gave up on closes with a typed `SupervisedError`.
+//!
 //! # Locking
 //!
 //! Two locks, strict hierarchy: the scheduler state may be held while
@@ -55,15 +62,15 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use lra_comm::RunConfig;
-use lra_core::{factorize, Exec, LuCrtpResult, Outcome, RecoveryHooks};
+use lra_core::{factorize_supervised, Outcome, RecoveryHooks};
 use lra_obs::metrics::MetricsRegistry;
 use lra_obs::Json;
-use lra_recover::{CancelToken, CheckpointStore};
+use lra_recover::{CancelToken, CheckpointStore, RecoveryPolicy};
 
-use crate::{
-    AdmissionError, Algorithm, CacheKey, FactorCache, JobId, JobQueue, JobReport, JobSpec,
-    QueueEntry, RankPool,
-};
+use crate::cache::{CacheKey, FactorCache};
+use crate::pool::RankPool;
+use crate::queue::{JobQueue, QueueEntry};
+use crate::{AdmissionError, Algorithm, JobId, JobOutcome, JobReport, JobSpec};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -74,6 +81,9 @@ pub struct ServerConfig {
     pub admission: crate::AdmissionPolicy,
     /// Factor-cache budget in resident bytes (0 disables caching).
     pub cache_capacity_bytes: u64,
+    /// Every dispatch's rank-group template: watchdog window and fault
+    /// plan. The trace-lane base is set per job.
+    pub run: RunConfig,
 }
 
 impl Default for ServerConfig {
@@ -82,6 +92,7 @@ impl Default for ServerConfig {
             ranks: 4,
             admission: crate::AdmissionPolicy::default(),
             cache_capacity_bytes: 64 << 20,
+            run: RunConfig::default(),
         }
     }
 }
@@ -120,6 +131,7 @@ struct Job {
     /// Set between firing the preempt token and the park landing.
     preempt_pending: bool,
     cache_checked: bool,
+    recovered: bool,
     driver_calls: usize,
     preemptions: usize,
     submitted: Instant,
@@ -251,6 +263,7 @@ impl Server {
                 preempt: None,
                 preempt_pending: false,
                 cache_checked: false,
+                recovered: false,
                 driver_calls: 0,
                 preemptions: 0,
                 submitted: Instant::now(),
@@ -524,7 +537,8 @@ fn serve_cache_hits(inner: &Arc<Inner>, st: &mut State) {
             Some(result) => {
                 inner.metrics().inc_counter("serve.cache_hit", 1);
                 st.queue.remove(id);
-                finish(inner, st, id, Outcome::Completed((*result).clone()), true);
+                let outcome = Ok(Outcome::Completed((*result).clone()));
+                finish(inner, st, id, JobOutcome(outcome), true);
             }
             None => {
                 inner.metrics().inc_counter("serve.cache_miss", 1);
@@ -567,35 +581,39 @@ fn dispatch(inner: &Arc<Inner>, st: &mut State, entry: QueueEntry) {
         let inner = Arc::clone(inner);
         std::thread::spawn(move || run_job(&inner, d))
     };
+    st.workers.retain(|w| !w.is_finished());
     st.workers.push(worker);
 }
 
 fn run_job(inner: &Arc<Inner>, d: Dispatch) {
-    let cfg = RunConfig::default().with_lane_base(d.lane_base);
+    let cfg = inner.cfg.run.clone().with_lane_base(d.lane_base);
     let hooks = RecoveryHooks::new(&d.store, SAVE_AT_TRIP_ONLY);
-    let report = lra_comm::run_with(d.ranks, &cfg, |ctx| {
-        factorize(&d.matrix, d.algorithm.method(), Exec::Spmd(ctx), Some(&hooks))
+    let policy = RecoveryPolicy::default();
+    let run = factorize_supervised(&d.matrix, d.algorithm.method(), d.ranks, &cfg, &policy, hooks);
+    let took_action = run.as_ref().is_ok_and(|s| s.attempts > 0);
+    // Fold the returning attempt's communication counters into the
+    // global registry so the scrape endpoint can report wire traffic
+    // per collective family (`comm.bytes.*`) and the overlap series.
+    let outcome = run.map(|s| {
+        for (rank, stats) in s.stats.iter().enumerate() {
+            stats.export_metrics(inner.metrics(), rank);
+        }
+        s.value.into_outcome()
     });
-    // Fold the run's communication counters into the global registry
-    // so the scrape endpoint can report wire traffic per collective
-    // family (`comm.bytes.*`) and the overlap series across jobs.
-    for (rank, stats) in report.stats.iter().enumerate() {
-        stats.export_metrics(inner.metrics(), rank);
-    }
-    let outcome = report.unwrap_all().swap_remove(0).into_outcome();
 
     let mut st = inner.lock();
     st.running.remove(&d.id);
     st.pool.release(d.id);
-    let tenant_cancelled = {
+    let (tenant_cancelled, recovered) = {
         let job = st.jobs.get_mut(&d.id).expect("running job is live");
         job.preempt = None;
         job.preempt_pending = false;
+        job.recovered |= took_action;
         let own = &job.spec.algorithm.base().budget.cancel;
-        own.iter().any(CancelToken::is_cancelled)
+        (own.iter().any(CancelToken::is_cancelled), job.recovered)
     };
     match outcome {
-        Outcome::Interrupted(i)
+        Ok(Outcome::Interrupted(i))
             if i.is_cancelled() && d.preempt.is_cancelled() && !tenant_cancelled =>
         {
             // The scheduler took the ranks back: park and requeue. The
@@ -612,21 +630,19 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
             st.queue.push(entry);
             inner.metrics().inc_counter("serve.preemptions", 1);
         }
-        Outcome::Interrupted(i) => {
-            // The job's own budget tripped (deadline, memory ceiling,
-            // iteration cap, tenant cancel): close it out with the
-            // partial factors and their achieved tolerance.
-            finish(inner, &mut st, d.id, Outcome::Interrupted(i), false);
-        }
-        Outcome::Completed(result) => {
-            if inner.cfg.cache_capacity_bytes > 0 {
+        Ok(Outcome::Completed(result)) => {
+            if inner.cfg.cache_capacity_bytes > 0 && !recovered {
                 let key = st.jobs[&d.id].key;
                 let result = Arc::new(result.clone());
                 let mut cache = inner.cache.lock().unwrap_or_else(|p| p.into_inner());
                 cache.insert(key, result);
             }
-            finish(inner, &mut st, d.id, Outcome::Completed(result), false);
+            finish(inner, &mut st, d.id, JobOutcome(Ok(Outcome::Completed(result))), false);
         }
+        // The job's own budget tripped (deadline, memory ceiling,
+        // iteration cap, tenant cancel) and it closes with the partial
+        // factors, or the recovery ladder gave up and it closes typed.
+        other => finish(inner, &mut st, d.id, JobOutcome(other), false),
     }
     drop(st);
     inner.cv.notify_all();
@@ -634,7 +650,7 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
 
 /// Close a job out: build its report, count it, move it to the
 /// claimable map. Caller holds the state lock.
-fn finish(inner: &Arc<Inner>, st: &mut State, id: JobId, outcome: Outcome<LuCrtpResult>, from_cache: bool) {
+fn finish(inner: &Arc<Inner>, st: &mut State, id: JobId, outcome: JobOutcome, from_cache: bool) {
     let job = st.jobs.remove(&id).expect("finishing a live job");
     let report = JobReport {
         job: id,
@@ -732,12 +748,26 @@ mod tests {
             let report = server.wait(server.submit(with_budget(budget)).unwrap());
             assert_eq!(report.preemptions, 0);
             assert_eq!(report.driver_calls, 1);
-            match report.outcome {
-                Outcome::Interrupted(i) => assert_eq!(i.trip.label(), label),
-                Outcome::Completed(_) => panic!("{label}: the job's own budget must trip"),
+            match report.outcome.0 {
+                Ok(Outcome::Interrupted(i)) => assert_eq!(i.trip.label(), label),
+                _ => panic!("{label}: the job's own budget must trip"),
             }
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn finished_workers_are_not_kept() {
+        let server = Server::new(ServerConfig::default().with_ranks(1).with_cache_capacity(0));
+        let unfinished = || server.inner.lock().workers.iter().any(|w| !w.is_finished());
+        for seed in 0..64 {
+            // Once earlier workers exit, one handle remains whatever the timing.
+            while unfinished() {
+                std::thread::yield_now();
+            }
+            server.wait(server.submit(spec(seed)).unwrap());
+            assert_eq!(server.inner.lock().workers.len(), 1, "after job {seed}");
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 mod common;
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use common::{bits_eq, counter, dist, fault_ilut_opts, fault_matrix};
+use common::{assert_fixed_precision, bits_eq, counter, dist, fault_ilut_opts, fault_matrix};
 use lra::core::{
-    Budget, BudgetTrip, IlutOpts, InvalidInput, LuCrtpResult, OrderingMode, Parallelism,
+    Budget, BudgetTrip, FaultPlan, IlutOpts, InvalidInput, LuCrtpResult, OrderingMode, Parallelism,
+    RecoveryError, RunConfig, SupervisedError,
 };
 use lra::matgen::{fem2d, with_decay};
 use lra::serve::{AdmissionError, AdmissionPolicy, Algorithm, JobSpec, Server, ServerConfig};
@@ -311,4 +312,75 @@ fn admission_control_rejects_over_limit_submissions() {
     ));
     assert_eq!(counter("serve.admission_rejected"), rejected_before + 4);
     server.shutdown();
+}
+
+#[test]
+fn a_killed_rank_is_recovered_and_its_factors_are_never_cached() {
+    // The server's rank-group template reaches every dispatch: rank 1
+    // dies at iteration 2 of each two-rank job, while a one-rank job
+    // has no rank 1 to lose.
+    let run = RunConfig::default().with_faults(FaultPlan::new().kill_rank_at_iteration(1, 2));
+    let server = Server::new(ServerConfig {
+        run,
+        ..ServerConfig::default().with_ranks(2)
+    });
+    let a = Arc::new(fault_matrix(61));
+    let small_a = Arc::new(fault_matrix(62));
+    let opts = fault_ilut_opts();
+    let submit = |a: &Arc<CscMatrix>, ranks: usize| {
+        let spec = JobSpec::new(Arc::clone(a), Algorithm::IlutCrtp(opts.clone()));
+        server.submit(spec.with_ranks(ranks)).unwrap()
+    };
+    let resumes_before = counter("recover.resume");
+
+    let victim = submit(&a, 2);
+    server.wait_until_running(victim);
+    let small = submit(&small_a, 1);
+    let report = server.wait(victim);
+    assert!(!report.outcome.is_interrupted());
+    assert_eq!((report.preemptions, report.driver_calls), (0, 1));
+    let recovered = report.into_result();
+    assert!(recovered.converged);
+    assert_fixed_precision(&recovered, &a, opts.base.tau, "recovered served job");
+    // Sibling tests share the registry, so the count only has a floor.
+    assert!(counter("recover.resume") > resumes_before);
+
+    // The queued job ran on the ranks the recovered one gave back.
+    let small_result = server.wait(small).into_result();
+    let solo = dist(&small_a, &opts, 1);
+    assert_same_factors(&small_result, &solo, "queued one-rank job");
+
+    // A shrunk grid computed other bits than two ranks promise, so the
+    // same request runs the driver again instead of hitting the cache.
+    let again = server.wait(submit(&a, 2));
+    server.shutdown();
+    assert!(!again.from_cache, "a recovered job must not be cached");
+    assert_eq!(again.driver_calls, 1);
+}
+
+#[test]
+fn a_job_the_ladder_gives_up_on_closes_with_a_typed_error() {
+    // Rank 0's first send is lost on every attempt and the watchdog is
+    // short: each attempt times out, the default ladder retries with
+    // backoff until its eight actions are spent, and `wait` returns.
+    let run = RunConfig::default()
+        .with_watchdog(Duration::from_millis(20))
+        .with_faults(FaultPlan::new().drop_nth_send(0, 0));
+    let server = Server::new(ServerConfig {
+        run,
+        ..ServerConfig::default().with_ranks(2)
+    });
+    let a = Arc::new(fault_matrix(71));
+    let spec = JobSpec::new(a, Algorithm::IlutCrtp(fault_ilut_opts())).with_ranks(2);
+    let report = server.wait(server.submit(spec).unwrap());
+    server.shutdown();
+    assert!(!report.outcome.is_interrupted());
+    assert_eq!(report.driver_calls, 1);
+    match &report.outcome.0 {
+        Err(SupervisedError::Recovery(RecoveryError::RecoveryExhausted { attempts, .. })) => {
+            assert_eq!(*attempts, 8, "the default ladder's retry budget")
+        }
+        Err(e) => panic!("expected RecoveryExhausted, got {e}"),
+        Ok(_) => panic!("every attempt lost a message, yet the job returned factors"),
+    }
 }
