@@ -6,7 +6,8 @@
 //! every LU_CRTP / ILUT_CRTP iteration that the benchmark's buckets
 //! only show summed: COLAMD on the circuit preset
 //! (`kernel.colamd_s`), one Schur update of a fully dense
-//! complement (`kernel.schur_dense_s`), and `qr` of a tournament leaf's
+//! complement as `lu_crtp` runs it, in place over runs
+//! (`kernel.schur_dense_s`), and `qr` of a tournament leaf's
 //! shape holding 8 entries a column and holding none that is zero
 //! (`kernel.qr_sparse_panel_s`, `kernel.qr_dense_panel_s` and their
 //! ratio: what applying a reflector through its nonzeros is worth).
@@ -59,12 +60,12 @@ use lra_bench::sweep::Run;
 use lra_bench::{fmt_s, read_report, timed, write_report, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
-    factorize_ranks, ilut_crtp, rand_qb_ei, schur_update_into, IlutOpts, Parallelism, QbOpts,
-    SchurWorkspace,
+    factorize_ranks, ilut_crtp, rand_qb_ei, schur_update_runs, IlutOpts, Parallelism, QbOpts,
+    SchurWorkspace, SCHUR_GRAIN,
 };
 use lra_dense::{matmul, matmul_naive, matmul_sub_assign, orth, qr, qr_reference, DenseMatrix};
 use lra_obs::{BenchEntry, BenchReport, Json, MetricsRegistry, BENCH_SCHEMA_VERSION};
-use lra_sparse::CscMatrix;
+use lra_sparse::{BlockSplit, CscMatrix, CscRuns};
 
 /// GEMM problem size for the speedup gate.
 const GEMM_N: usize = 512;
@@ -290,25 +291,33 @@ fn ordering_and_schur(reg: &MetricsRegistry) {
     reg.set_gauge("kernel.colamd_s", colamd_s);
     println!("colamd circuit{COLAMD_N}: {}", fmt_s(colamd_s));
 
-    let a22 = CscMatrix::from_dense(&dense_operand(SCHUR_N, SCHUR_N, 6));
-    let a12 = CscMatrix::from_dense(&dense_operand(QB_K, SCHUR_N, 7));
+    // The shared-memory engine's update: the old complement in runs,
+    // the panel's `QB_K` pivot columns leading it, `Ā12`/`Ā22` routed
+    // out of the old runs as they are read.
+    let n = SCHUR_N + QB_K;
+    let dense = CscMatrix::from_dense(&dense_operand(n, n, 6));
+    let old = CscRuns::from_csc(&dense, SCHUR_GRAIN);
+    drop(dense);
+    let pivots: Vec<usize> = (0..QB_K).collect();
+    let split = BlockSplit::new(n, n, &pivots, &pivots);
     let x = dense_operand(SCHUR_N, QB_K, 8);
     let x_rows: Vec<usize> = (0..SCHUR_N).collect();
     let two = Parallelism::new(2);
     let mut ws = SchurWorkspace::new();
-    let mut s_next = CscMatrix::zeros(0, 0);
-    // The untimed first update grows the workspace and the target.
-    schur_update_into(&a22, &x_rows, &x, &a12, &mut ws, two, &mut s_next);
+    // The untimed first update grows the workspace.
+    let mut s = old.clone();
+    schur_update_runs(&mut s, &split, &x_rows, &x, &mut ws, two);
     let mut schur_s = f64::INFINITY;
     for _ in 0..REPS {
-        let ((), s) = timed(|| schur_update_into(&a22, &x_rows, &x, &a12, &mut ws, two, &mut s_next));
-        schur_s = schur_s.min(s);
+        s = old.clone();
+        let ((), t) = timed(|| schur_update_runs(&mut s, &split, &x_rows, &x, &mut ws, two));
+        schur_s = schur_s.min(t);
     }
     reg.set_gauge("kernel.schur_dense_s", schur_s);
     println!(
-        "schur update dense {SCHUR_N}x{SCHUR_N} k={QB_K} np=2: {} ({} entries)",
+        "schur update dense {SCHUR_N}x{SCHUR_N} k={QB_K} np=2, in place over runs: {} ({} entries)",
         fmt_s(schur_s),
-        s_next.nnz()
+        s.nnz()
     );
 }
 

@@ -5,18 +5,25 @@
 //!
 //! Both run the same block iteration; ILUT_CRTP additionally drops
 //! Schur-complement entries below a threshold `mu` (eq. 24), guarded by
-//! the threshold control `phi` (eq. 22). Factors are accumulated in
+//! the threshold control `phi` (eq. 22). The shared-memory engine here
+//! keeps the Schur complement as [`SCHUR_GRAIN`]-column runs and holds
+//! one complement at a time: the update reads `Ā12`/`Ā22` in place and
+//! retires old runs as it writes new ones ([`schur_update_runs`]), and a
+//! kept drop filters the runs in place. Factors are accumulated in
 //! *original* coordinates: `L` holds original row ids and `U` original
 //! column ids, so `A ≈ L U` directly and
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
 
-use crate::panel::{drive, fill_reducing_order, FactorCol, Measure, PanelEngine, PanelSplit};
+use crate::panel::{
+    drive, fill_reducing_order, FactorCol, Measure, PanelEngine, PanelSplit, Source,
+};
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{DenseMatrix, LuFactor};
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
-use lra_sparse::CscMatrix;
+use lra_sparse::{BlockSplit, CscMatrix, CscRuns};
 use std::borrow::Cow;
+use std::sync::{Mutex, RwLock};
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
 /// preprocessing — the ablation axis of Fig. 1 (left).
@@ -473,37 +480,74 @@ pub(crate) fn run_seq(
     ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> LuCrtpResult {
-    drive(None, a, opts, ilut, hooks, |src| SeqEngine {
-        s: src.full(),
-        opts,
-        ws: SchurWorkspace::new(),
-    })
+    drive(None, a, opts, ilut, hooks, |src| SeqEngine::place(src, opts))
 }
 
-/// The shared-memory panel engine: the whole Schur complement in one
-/// [`CscMatrix`], every stage a thread-parallel kernel under
-/// `opts.par`.
+/// The shared-memory panel engine: the whole Schur complement as
+/// consecutive [`SCHUR_GRAIN`]-column runs, every stage a
+/// thread-parallel kernel under `opts.par`. The split copies only the
+/// pivot columns; the Schur update reads `Ā12`/`Ā22` in place and
+/// retires old runs as it writes new ones ([`schur_update_runs`]), and
+/// an ILUT drop filters the runs in place, so the engine never holds a
+/// second complement.
 struct SeqEngine<'o> {
-    s: CscMatrix,
+    s: CscRuns,
     opts: &'o LuCrtpOpts,
     /// Kernel scratch reused across all iterations.
     ws: SchurWorkspace,
+    /// The threshold the last [`PanelEngine::measure`] measured a drop
+    /// at, held until [`PanelEngine::settle_drop`].
+    pending_drop: Option<f64>,
+    /// Peak resident bytes and nonzeros of the runs, before any drop.
+    peak: MemStats,
+}
+
+impl<'o> SeqEngine<'o> {
+    fn place(src: Source<'_>, opts: &'o LuCrtpOpts) -> Self {
+        let s = match src {
+            Source::Input(a, cols) => CscRuns::select_columns(a, cols, SCHUR_GRAIN),
+            Source::Snapshot(s) => CscRuns::from_csc(&s, SCHUR_GRAIN),
+        };
+        let mut eng = SeqEngine {
+            s,
+            opts,
+            ws: SchurWorkspace::new(),
+            pending_drop: None,
+            peak: MemStats::default(),
+        };
+        eng.note_mem();
+        eng
+    }
+
+    fn note_mem(&mut self) {
+        let p = &mut self.peak;
+        p.peak_rank_bytes = p.peak_rank_bytes.max(self.s.resident_bytes());
+        p.peak_rank_nnz = p.peak_rank_nnz.max(self.s.nnz() as u64);
+    }
 }
 
 impl PanelEngine for SeqEngine<'_> {
     type Pending = std::convert::Infallible;
+
+    fn idle_mem() -> Option<MemStats> {
+        Some(MemStats::default())
+    }
 
     fn dims(&self) -> (usize, usize) {
         (self.s.rows(), self.s.cols())
     }
 
     fn resident_bytes(&self) -> u64 {
-        csc_resident_bytes(&self.s)
+        self.s.resident_bytes()
     }
 
+    /// The ordering reads one matrix, so the runs are joined for it and
+    /// cut again in the new column order.
     fn reorder(&mut self) -> Option<Vec<usize>> {
-        let perm = fill_reducing_order(&self.s);
-        self.s = self.s.select_columns(&perm);
+        let full = self.s.to_csc();
+        self.s = CscRuns::from_runs(full.rows(), SCHUR_GRAIN, Vec::new());
+        let perm = fill_reducing_order(&full);
+        self.s = CscRuns::select_columns(&full, &perm, SCHUR_GRAIN);
         Some(perm)
     }
 
@@ -526,8 +570,10 @@ impl PanelEngine for SeqEngine<'_> {
         tournament_rows_dense(qk, k_eff, TournamentTree::Binary, self.opts.par)
     }
 
-    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
+    /// Only the pivot columns are copied; the rest stay in the runs.
+    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        let blocks = BlockSplit::new(self.s.rows(), self.s.cols(), pivot_rows, &sel.selected);
+        PanelSplit::new(blocks, sel.selected.iter().map(|&c| self.s.col(c)))
     }
 
     fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
@@ -540,10 +586,8 @@ impl PanelEngine for SeqEngine<'_> {
         x_rows: &[usize],
         x: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        // The split copied what it needs of `s`, whose arrays take the
-        // next Schur complement.
-        let par = self.opts.par;
-        schur_update_into(&sp.a22, x_rows, x, &sp.a12, &mut self.ws, par, &mut self.s);
+        schur_update_runs(&mut self.s, &sp.blocks, x_rows, x, &mut self.ws, self.opts.par);
+        self.note_mem();
         None
     }
 
@@ -551,6 +595,7 @@ impl PanelEngine for SeqEngine<'_> {
         match pending {}
     }
 
+    /// Read off the `Ā12` the Schur update routed into the workspace.
     fn u_fragments(
         &mut self,
         sp: &PanelSplit,
@@ -558,16 +603,21 @@ impl PanelEngine for SeqEngine<'_> {
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
         // `tbuf` last held Ā21^T, which L-solve is done with.
-        sp.a12.transpose_into(&mut self.ws.tbuf);
-        Some(u_fragments_of(&self.ws.tbuf, &sp.rest_cols, col_map, k_eff))
+        let ws = &mut self.ws;
+        ws.a12.transpose_into(&mut ws.tbuf);
+        Some(u_fragments_of(&ws.tbuf, &sp.blocks.rest_cols, col_map, k_eff))
     }
 
-    /// Nothing to agree on: the drop pass runs only when the loop can
-    /// keep it, into the workspace's drop target.
+    /// One read-only pass gives the indicator and the drop's mass, both
+    /// summed in storage order; the drop itself waits for the loop's
+    /// decision and then filters the runs in place.
     fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
-        let indicator = timers.time(KernelId::Indicator, || self.s.fro_norm());
+        let (norm_sq, mass, count) =
+            timers.time(KernelId::Indicator, || self.s.norm_sq_and_mass_below(thr));
+        let indicator = norm_sq.sqrt();
         let dropped = if thr > 0.0 && indicator >= stop {
-            timers.time(KernelId::Drop, || self.s.drop_below_into(thr, &mut self.ws.dropbuf))
+            self.pending_drop = Some(thr);
+            (mass, count)
         } else {
             (0.0, 0)
         };
@@ -578,17 +628,23 @@ impl PanelEngine for SeqEngine<'_> {
         }
     }
 
-    /// A kept drop swaps in; the displaced Schur storage becomes the
-    /// next drop's target. A released one stays in `dropbuf`, which is
-    /// scratch.
     fn settle_drop(&mut self, keep: bool) {
-        if keep {
-            std::mem::swap(&mut self.s, &mut self.ws.dropbuf);
+        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
+            self.s.drop_below_in_place(thr, self.opts.par);
         }
     }
 
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
-        Some(Cow::Borrowed(&self.s))
+        Some(Cow::Owned(self.s.to_csc()))
+    }
+
+    fn release_storage(&mut self) {
+        self.s = CscRuns::from_runs(self.s.rows(), SCHUR_GRAIN, Vec::new());
+        self.ws = SchurWorkspace::new();
+    }
+
+    fn mem_stats(&self) -> Option<MemStats> {
+        Some(self.peak)
     }
 }
 
@@ -609,14 +665,6 @@ pub(crate) fn u_fragments_of(
                 .collect()
         })
         .collect()
-}
-
-/// Resident bytes of a CSC matrix's arrays — the sequential analogue of
-/// `ColSlice::resident_bytes`, fed to the budget's memory ceiling.
-pub(crate) fn csc_resident_bytes(s: &CscMatrix) -> u64 {
-    (std::mem::size_of_val(s.colptr())
-        + std::mem::size_of_val(s.rowidx())
-        + std::mem::size_of_val(s.values())) as u64
 }
 
 /// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21` (Section
@@ -651,23 +699,49 @@ fn l21_direct(
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
-/// nothing once the buffers have grown: the correction vector of the
-/// sequential path, one output buffer (with its own correction vector)
-/// per [`SCHUR_GRAIN`]-column chunk of the parallel path, and the
-/// transpose / ILUT-drop targets recycled by
-/// [`CscMatrix::transpose_into`] and [`CscMatrix::drop_below_into`].
+/// little once the buffers have grown. The ranged kernel (the SPMD
+/// engines) keeps the correction vector of its sequential path and one
+/// output buffer (with its own correction vector) per
+/// [`SCHUR_GRAIN`]-column chunk of its parallel path. The in-place
+/// kernel over runs ([`schur_update_runs`]) keeps one slot per new run
+/// (the run until it is installed, and its columns of `Ā12`), up to one
+/// retired run buffer per worker, per-worker routing scratch, and the
+/// assembled `Ā12`. `tbuf` is the transpose target recycled by
+/// [`CscMatrix::transpose_into`].
 pub struct SchurWorkspace {
     corr: Vec<f64>,
     chunks: Vec<SchurChunk>,
+    slots: Vec<RunSlot>,
+    pool: Vec<CscMatrix>,
+    scratch: Vec<RouteScratch>,
+    pub(crate) a12: CscMatrix,
     pub(crate) tbuf: CscMatrix,
-    pub(crate) dropbuf: CscMatrix,
 }
 
-/// What one parallel chunk of the Schur update owns between calls.
+/// What one parallel chunk of the ranged Schur update owns between
+/// calls.
 #[derive(Default)]
 struct SchurChunk {
     corr: Vec<f64>,
     out: ColRun,
+}
+
+/// One new run of the in-place Schur update: the run, until the update
+/// installs it, and the `Ā12` columns its chunk routed.
+#[derive(Default)]
+struct RunSlot {
+    out: Option<CscMatrix>,
+    a12: ColRun,
+}
+
+/// A worker's scratch in the in-place Schur update: the correction
+/// vector and one routed rest column, `Ā12` part and `Ā22` part.
+#[derive(Default)]
+struct RouteScratch {
+    corr: Vec<f64>,
+    top: Vec<(usize, f64)>,
+    rows: Vec<usize>,
+    vals: Vec<f64>,
 }
 
 impl SchurWorkspace {
@@ -676,8 +750,11 @@ impl SchurWorkspace {
         SchurWorkspace {
             corr: Vec::new(),
             chunks: Vec::new(),
+            slots: Vec::new(),
+            pool: Vec::new(),
+            scratch: Vec::new(),
+            a12: CscMatrix::zeros(0, 0),
             tbuf: CscMatrix::zeros(0, 0),
-            dropbuf: CscMatrix::zeros(0, 0),
         }
     }
 }
@@ -743,8 +820,8 @@ impl ColRun {
 
 /// `S <- Ā22 - X Ā12` with `X` given as its nonzero rows: `x` is
 /// `nr x k`, row `q` = row `x_rows[q]` of `X`. Parallel over output
-/// columns; this is where LU_CRTP's fill-in materializes. `s`'s previous
-/// contents are discarded and its allocations reused.
+/// columns. `s`'s previous contents are discarded and its allocations
+/// reused.
 #[doc(hidden)]
 pub fn schur_update_into(
     a22: &CscMatrix,
@@ -761,21 +838,21 @@ pub fn schur_update_into(
     *s = out.into_csc(a22.rows());
 }
 
-/// Chunk width (output columns) of the parallel Schur update.
+/// Chunk width (output columns) of the parallel Schur update, and the
+/// run width of the shared-memory engine's Schur complement.
 #[doc(hidden)]
 pub const SCHUR_GRAIN: usize = 32;
 
-/// The one parallel Schur-update helper shared by the sequential
-/// driver, the sharded SPMD driver, and the replicated oracle: appends
-/// [`schur_update_cols`] over `range` to `out`. Columns are computed
-/// independently, so the result is bitwise-identical to one sequential
-/// pass over `range` for any worker count — which is what keeps the
-/// sharded and replicated drivers bit-for-bit aligned while both go
-/// parallel within a rank. Sequentially the kernel appends to `out`
-/// directly. In parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the
-/// buffer the workspace keeps for it, and the buffers are appended to
-/// `out` in chunk order: plain copies into capacity `out` already has
-/// when it recycles the previous Schur complement.
+/// The parallel Schur update over materialized blocks, shared by the
+/// sharded SPMD driver and the replicated oracle: appends
+/// [`schur_col`] over the columns `range` of `a22`/`a12` to `out`.
+/// Columns are computed independently, so the result is
+/// bitwise-identical to one sequential pass over `range` for any worker
+/// count — which is what keeps the sharded and replicated drivers bit
+/// for bit aligned while both go parallel within a rank. Sequentially
+/// the kernel appends to `out` directly. In parallel each fixed
+/// [`SCHUR_GRAIN`]-wide chunk fills the buffer the workspace keeps for
+/// it, and the buffers are appended to `out` in chunk order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schur_update_ranged(
     a22: &CscMatrix,
@@ -787,9 +864,19 @@ pub(crate) fn schur_update_ranged(
     par: Parallelism,
     out: &mut ColRun,
 ) {
+    let cols = |range: std::ops::Range<usize>, corr: &mut Vec<f64>, out: &mut ColRun| {
+        corr.clear();
+        corr.resize(x_rows.len(), 0.0);
+        out.lens.reserve(range.len());
+        for j in range {
+            let (ti, tv) = a12.col(j);
+            let (ai, av) = a22.col(j);
+            schur_col((ai, av), (ti, tv), x_rows, x, corr, out);
+        }
+    };
     let nchunks = range.len().div_ceil(SCHUR_GRAIN);
     if !par.is_parallel() || nchunks <= 1 {
-        return schur_update_cols(a22, x_rows, x, a12, range, &mut ws.corr, out);
+        return cols(range, &mut ws.corr, out);
     }
     if ws.chunks.len() < nchunks {
         ws.chunks.resize_with(nchunks, SchurChunk::default);
@@ -799,8 +886,7 @@ pub(crate) fn schur_update_ranged(
         let SchurChunk { corr, out } = &mut chunk[0];
         out.clear();
         let lo = range.start + c * SCHUR_GRAIN;
-        let cols = lo..(lo + SCHUR_GRAIN).min(range.end);
-        schur_update_cols(a22, x_rows, x, a12, cols, corr, out);
+        cols(lo..(lo + SCHUR_GRAIN).min(range.end), corr, out);
     });
 
     for chunk in chunks.iter() {
@@ -808,80 +894,203 @@ pub(crate) fn schur_update_ranged(
     }
 }
 
-/// Schur-complement kernel for a contiguous column range: appends the
-/// per-column entry counts and the row indices and values to `out`.
-/// Shared by the thread-parallel and the SPMD (rank-distributed)
-/// drivers.
-///
-/// Per column `j` the correction `corr = X Ā12[:, j]` is accumulated as
-/// one axpy `corr += a12[t, j] * X[:, t]` per stored entry of the `Ā12`
-/// column (stored zeros included), in ascending `t` — per entry of
-/// `corr` the chain `0 + a12[t0, j] x[q, t0] + a12[t1, j] x[q, t1] + …`,
-/// over contiguous vectors and with no dependency between entries. Then
-/// a sorted two-pointer walk merges the `a22` column with `-corr` at
-/// `x_rows`, dropping exact zeros the update produced. Columns never
-/// read each other, so the result is bitwise independent of how `range`
-/// is cut — the property the sharded-vs-replicated oracle tests rely on.
-fn schur_update_cols(
-    a22: &CscMatrix,
+/// Lock message: the retirement lock guards bookkeeping that cannot
+/// panic, and a run lock is written only once no chunk reads the run.
+const RUN_LOCK: &str = "schur run lock";
+
+/// What the chunks of an in-place Schur update share: how many
+/// unwritten new runs still read each old run, the buffers of retired
+/// old runs, and idle routing scratch.
+struct Retirement {
+    readers: Vec<usize>,
+    pool: Vec<CscMatrix>,
+    scratch: Vec<RouteScratch>,
+}
+
+/// `S <- Ā22 - X Ā12` over a Schur complement kept as runs, in place:
+/// `s` holds `A^(i)` on entry and `A^(i+1)` on return, in runs of the
+/// same width. Nothing of `Ā12`/`Ā22` is materialized: the chunk that
+/// writes new run `c` routes each of its rest columns through `split`
+/// as it reads it, then runs the one per-column kernel [`schur_col`]
+/// the SPMD engines run. Rest columns ascend, so new run `c` reads a
+/// contiguous range of old runs; once every new run that reads old run
+/// `r` is written, `r`'s buffers go to the pool new runs are written
+/// into. The `j`-th rest column sits at old column `j .. j + k`, so each
+/// old run has a few readers, all close to it: chunks are claimed in
+/// ascending order and a stalled one holds back only the runs it reads
+/// itself, so the update holds one complement plus `O(np)` runs. Every
+/// column is computed exactly as [`schur_update_into`] computes it on
+/// the split's `Ā22`/`Ā12`, for any worker count. The routed `Ā12` is
+/// left in `ws.a12` for the `U` factor.
+#[doc(hidden)]
+pub fn schur_update_runs(
+    s: &mut CscRuns,
+    split: &BlockSplit,
     x_rows: &[usize],
     x: &DenseMatrix,
-    a12: &CscMatrix,
-    range: std::ops::Range<usize>,
-    corr: &mut Vec<f64>,
+    ws: &mut SchurWorkspace,
+    par: Parallelism,
+) {
+    let width = s.width();
+    let rows = split.rest_rows.len();
+    let k = s.rows() - rows;
+    let rest = &split.rest_cols;
+    let nruns = rest.len().div_ceil(width);
+    let mut old: Vec<RwLock<Option<CscMatrix>>> =
+        std::mem::replace(s, CscRuns::from_runs(rows, width, Vec::new()))
+            .into_runs()
+            .into_iter()
+            .map(|run| RwLock::new(Some(run)))
+            .collect();
+    // The old runs new run `c` reads.
+    let reads = |c: usize| {
+        let cols = &rest[c * width..((c + 1) * width).min(rest.len())];
+        cols[0] / width..=cols[cols.len() - 1] / width
+    };
+    let mut readers = vec![0usize; old.len()];
+    for c in 0..nruns {
+        for r in reads(c) {
+            readers[r] += 1;
+        }
+    }
+    let mut pool = std::mem::take(&mut ws.pool);
+    for (run, _) in old.iter_mut().zip(&readers).filter(|(_, &n)| n == 0) {
+        pool.extend(run.get_mut().expect(RUN_LOCK).take());
+    }
+    let retirement = Mutex::new(Retirement {
+        readers,
+        pool,
+        scratch: std::mem::take(&mut ws.scratch),
+    });
+    if ws.slots.len() < nruns {
+        ws.slots.resize_with(nruns, RunSlot::default);
+    }
+    parallel_chunks_mut(par, &mut ws.slots[..nruns], 1, |c, slot| {
+        let RunSlot { out: installed, a12 } = &mut slot[0];
+        let cols = &rest[c * width..((c + 1) * width).min(rest.len())];
+        // The old run being read; `cols` ascend, so each is taken once.
+        let mut held = (cols[0] / width, old[cols[0] / width].read().expect(RUN_LOCK));
+        let (buf, mut scr) = {
+            let mut r = retirement.lock().expect(RUN_LOCK);
+            (r.pool.pop(), r.scratch.pop().unwrap_or_default())
+        };
+        let mut out = buf.map(ColRun::recycled).unwrap_or_default();
+        a12.clear();
+        scr.corr.clear();
+        scr.corr.resize(x_rows.len(), 0.0);
+        for &j in cols {
+            if j / width != held.0 {
+                held = (j / width, old[j / width].read().expect(RUN_LOCK));
+            }
+            let run = held.1.as_ref().expect("an old run read after its retirement");
+            scr.rows.clear();
+            scr.vals.clear();
+            split.route_rest(run.col(j % width), &mut scr.top, |r, v| {
+                scr.rows.push(r);
+                scr.vals.push(v);
+            });
+            let at = a12.rowidx.len();
+            a12.lens.push(scr.top.len());
+            a12.rowidx.extend(scr.top.iter().map(|&(t, _)| t));
+            a12.values.extend(scr.top.iter().map(|&(_, v)| v));
+            let a12_col = (&a12.rowidx[at..], &a12.values[at..]);
+            schur_col((&scr.rows, &scr.vals), a12_col, x_rows, x, &mut scr.corr, &mut out);
+        }
+        drop(held);
+        *installed = Some(out.into_csc(rows));
+
+        let mut ret = retirement.lock().expect(RUN_LOCK);
+        ret.scratch.push(scr);
+        for r in reads(c) {
+            ret.readers[r] -= 1;
+            if ret.readers[r] == 0 {
+                let run = old[r].write().expect(RUN_LOCK).take();
+                ret.pool.extend(run);
+            }
+        }
+    });
+    let Retirement {
+        mut pool, scratch, ..
+    } = retirement.into_inner().expect(RUN_LOCK);
+    pool.truncate(par.np());
+    ws.pool = pool;
+    ws.scratch = scratch;
+    let slots = &mut ws.slots[..nruns];
+    let runs = slots.iter_mut().map(|slot| slot.out.take().expect("every run written"));
+    *s = CscRuns::from_runs(rows, width, runs.collect());
+    let mut a12 = ColRun::recycled(std::mem::replace(&mut ws.a12, CscMatrix::zeros(0, 0)));
+    for slot in slots.iter() {
+        a12.extend(&slot.a12);
+    }
+    ws.a12 = a12.into_csc(k);
+}
+
+/// One column of `S = Ā22 - X Ā12`, appended to `out`: the Schur
+/// kernel every engine runs, whatever holds the blocks.
+///
+/// The correction `corr = X Ā12[:, j]` is accumulated as one axpy
+/// `corr += a12[t, j] * X[:, t]` per stored entry of the `Ā12` column
+/// (stored zeros included), in ascending `t` — per entry of `corr` the
+/// chain `0 + a12[t0, j] x[q, t0] + a12[t1, j] x[q, t1] + …`, over
+/// contiguous vectors and with no dependency between entries. Then a
+/// sorted two-pointer walk merges the `Ā22` column with `-corr` at
+/// `x_rows`, dropping exact zeros the update produced. `corr` has
+/// `x_rows.len()` entries. Columns never read each other, so a result
+/// is bitwise independent of how the columns are cut into chunks, runs
+/// or shards — the property the sharded-vs-replicated oracle tests and
+/// the in-place update rely on.
+fn schur_col(
+    (ai, av): (&[usize], &[f64]),
+    (ti, tv): (&[usize], &[f64]),
+    x_rows: &[usize],
+    x: &DenseMatrix,
+    corr: &mut [f64],
     out: &mut ColRun,
 ) {
     let nr = x_rows.len();
     debug_assert_eq!(x.rows(), nr);
-    debug_assert_eq!(x.cols(), a12.rows());
-    corr.clear();
-    corr.resize(nr, 0.0);
+    debug_assert_eq!(corr.len(), nr);
     let ColRun {
         lens,
         rowidx: rows_out,
         values: vals_out,
     } = out;
-    lens.reserve(range.len());
-    for j in range {
-        let (ti, tv) = a12.col(j);
-        let (ai, av) = a22.col(j);
-        let before = rows_out.len();
-        if ti.is_empty() {
-            // No correction touches this column: pure copy.
-            rows_out.extend_from_slice(ai);
-            vals_out.extend_from_slice(av);
-            lens.push(rows_out.len() - before);
-            continue;
-        }
-        corr.fill(0.0);
-        accumulate_correction(corr, x, ti, tv);
-        // Merge a22 column with -corr at x_rows.
-        let mut p = 0usize; // into a22 col
-        let mut q = 0usize; // into x_rows
-        while p < ai.len() || q < nr {
-            if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
-                rows_out.push(ai[p]);
-                vals_out.push(av[p]);
-                p += 1;
-            } else if p >= ai.len() || x_rows[q] < ai[p] {
-                let v = -corr[q];
-                if v != 0.0 {
-                    rows_out.push(x_rows[q]);
-                    vals_out.push(v);
-                }
-                q += 1;
-            } else {
-                let v = av[p] - corr[q];
-                if v != 0.0 {
-                    rows_out.push(ai[p]);
-                    vals_out.push(v);
-                }
-                p += 1;
-                q += 1;
-            }
-        }
+    let before = rows_out.len();
+    if ti.is_empty() {
+        // No correction touches this column: pure copy.
+        rows_out.extend_from_slice(ai);
+        vals_out.extend_from_slice(av);
         lens.push(rows_out.len() - before);
+        return;
     }
+    corr.fill(0.0);
+    accumulate_correction(corr, x, ti, tv);
+    // Merge the Ā22 column with -corr at x_rows.
+    let mut p = 0usize; // into the Ā22 column
+    let mut q = 0usize; // into x_rows
+    while p < ai.len() || q < nr {
+        if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
+            rows_out.push(ai[p]);
+            vals_out.push(av[p]);
+            p += 1;
+        } else if p >= ai.len() || x_rows[q] < ai[p] {
+            let v = -corr[q];
+            if v != 0.0 {
+                rows_out.push(x_rows[q]);
+                vals_out.push(v);
+            }
+            q += 1;
+        } else {
+            let v = av[p] - corr[q];
+            if v != 0.0 {
+                rows_out.push(ai[p]);
+                vals_out.push(v);
+            }
+            p += 1;
+            q += 1;
+        }
+    }
+    lens.push(rows_out.len() - before);
 }
 
 /// `corr += Σ_t tv[t] · x[:, ti[t]]`, each entry's sum taken in the

@@ -9,9 +9,17 @@
 //! the checkpoint cadence and result assembly — and nothing that is
 //! data placement. A [`PanelEngine`] supplies only the stages, over
 //! whatever storage it keeps the Schur complement in: the
-//! shared-memory kernels (`SeqEngine` in `lucrtp.rs`), the rank-owned
-//! shards (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated
-//! oracle (`ReplicatedEngine`, same file).
+//! shared-memory kernels over column runs updated in place
+//! (`SeqEngine` in `lucrtp.rs`), the rank-owned shards (`SpmdPanelCtx`
+//! in `spmd.rs`) or the fully replicated oracle (`ReplicatedEngine`,
+//! same file).
+//!
+//! Memory follows the same split: the loop's [`PanelSplit`] holds only
+//! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification);
+//! the ILUT drop is measured read-only and applied in place only when
+//! the loop keeps it; and when the loop ends the engine's Schur storage
+//! is released before the factors are assembled from the recorded
+//! columns, each of which is freed as it is pushed.
 
 use crate::checkpoint::{
     load_resume, save_snapshot, IlutCheckpoint, LuCrtpCheckpoint, RecoveryHooks,
@@ -25,9 +33,8 @@ use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix, LuFactor};
 use lra_qrtp::ColumnSelection;
 use lra_recover::BudgetTrip;
-use lra_sparse::CscMatrix;
+use lra_sparse::{BlockSplit, CscMatrix};
 use std::borrow::Cow;
-use std::ops::Range;
 
 /// The fill-reducing preprocessing (COLAMD + etree postorder) under a
 /// span of its own, so a trace of the `Permute` bucket tells the
@@ -59,34 +66,27 @@ impl Source<'_> {
     }
 }
 
-/// The `[Ā11 Ā12; Ā21 Ā22]` split of Algorithm 2 line 8. `Ā11`/`Ā21`
-/// are whole on every rank (`O(b^2)` / `O(b)`-column objects);
-/// `Ā12`/`Ā22` cover the rest columns `rest_cols[my_run]` — all of them
-/// for an engine that stores the full matrix, the owned run for a
-/// sharded one.
+/// The `[Ā11 Ā12; Ā21 Ā22]` split of Algorithm 2 line 8, as far as
+/// every engine holds it: `Ā11`/`Ā21`, whole on every rank (`O(b^2)` /
+/// `O(b)`-column objects), and the row/column classification, which
+/// also routes a rest column's entries into `Ā12`/`Ā22`. The rest blocks
+/// belong to the engines: the shared-memory engine reads them in place
+/// inside its Schur update, the SPMD engines materialize the columns
+/// they update.
 pub(crate) struct PanelSplit {
     pub(crate) a11: DenseMatrix,
     pub(crate) a21: CscMatrix,
-    pub(crate) rest_rows: Vec<usize>,
-    pub(crate) rest_cols: Vec<usize>,
-    pub(crate) my_run: Range<usize>,
-    pub(crate) a12: CscMatrix,
-    pub(crate) a22: CscMatrix,
+    pub(crate) blocks: BlockSplit,
 }
 
 impl PanelSplit {
-    /// The split of a fully stored Schur complement.
-    pub(crate) fn of_full(s: &CscMatrix, pivot_rows: &[usize], pivot_cols: &[usize]) -> Self {
-        let (a11, a12, a21, a22, rest_rows, rest_cols) = s.split_blocks(pivot_rows, pivot_cols);
-        PanelSplit {
-            a11,
-            a21,
-            my_run: 0..rest_cols.len(),
-            rest_rows,
-            rest_cols,
-            a12,
-            a22,
-        }
+    /// `Ā11`/`Ā21` from the `k` pivot columns, given in pivot order.
+    pub(crate) fn new<'a>(
+        blocks: BlockSplit,
+        pivot_cols: impl Iterator<Item = (&'a [usize], &'a [f64])>,
+    ) -> Self {
+        let (a11, a21) = blocks.pivot_blocks(pivot_cols);
+        PanelSplit { a11, a21, blocks }
     }
 }
 
@@ -134,8 +134,9 @@ pub(crate) trait PanelEngine {
     /// Line 7: row tournament on `Q_k^T`.
     fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize>;
 
-    /// Line 8: permute and split.
-    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit;
+    /// Line 8: permute and split; an engine that materializes the rest
+    /// blocks keeps them until the next split.
+    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit;
 
     /// Line 10: `L21` as its nonzero trailing-row positions and the
     /// dense `k x nr` `X^T`.
@@ -169,36 +170,41 @@ pub(crate) trait PanelEngine {
 
     /// Line 13 and ILUT lines 8–10's measurement, agreed in one step:
     /// `||A^(i+1)||_F` before any drop, and what a drop of the entries
-    /// below `thr` would remove (nothing is measured at `thr = 0`). An
-    /// engine that knows the indicator before its drop pass skips the
-    /// pass once `indicator < stop`: the loop stops there and would
-    /// discard it. The drop pass is timed under [`KernelId::Drop`],
-    /// the rest under [`KernelId::Indicator`].
+    /// below `thr` would remove (nothing is measured at `thr = 0`). The
+    /// measurement reads the Schur complement and changes nothing; an
+    /// engine that knows the indicator before the drop's figures skips
+    /// them once `indicator < stop`: the loop stops there and would
+    /// discard them. A separate dropped-mass pass is timed under
+    /// [`KernelId::Drop`], the rest under [`KernelId::Indicator`].
     fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure;
 
-    /// Install (`keep`) or release the drop the last [`Self::measure`]
-    /// measured; the loop calls it after every measurement at `thr > 0`,
-    /// so no dropped copy outlives its decision.
+    /// Apply (`keep`) or forget the drop the last [`Self::measure`]
+    /// measured: a kept drop filters the Schur storage in place. The
+    /// loop calls it after every measurement at `thr > 0`, so no
+    /// pending drop outlives its decision.
     fn settle_drop(&mut self, keep: bool);
 
     /// The whole current Schur complement for a snapshot, on the one
     /// rank that writes it — borrowed where the engine holds it whole.
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>>;
 
-    /// `L` and `U` from the recorded factor columns; identical on
-    /// every rank.
+    /// Free the Schur storage and the kernel scratch: the loop is done
+    /// with them, and the factors are assembled next.
+    fn release_storage(&mut self);
+
+    /// `L` and `U` from the recorded factor columns, each freed once it
+    /// is assembled; identical on every rank.
     fn materialize(
         &self,
         m: usize,
         n: usize,
-        l_cols: &[FactorCol],
-        ut_cols: &[FactorCol],
+        l_cols: Vec<FactorCol>,
+        ut_cols: Vec<FactorCol>,
     ) -> (CscMatrix, CscMatrix) {
         assemble_factors(m, n, l_cols, ut_cols)
     }
 
-    /// Peak per-rank storage, where the engine shards it; publishes the
-    /// engine's gauges.
+    /// Peak per-rank Schur storage (`None` for the replicated oracle).
     fn mem_stats(&self) -> Option<MemStats> {
         None
     }
@@ -216,21 +222,25 @@ pub(crate) struct Measure {
     pub(crate) nnz: usize,
 }
 
-/// `L` and `U` assembled locally from the recorded columns.
+/// `L` and `U` assembled locally from the recorded columns. Each
+/// recorded column is freed as soon as it is pushed, so the recorded
+/// columns, `L`, `U^T` and `U` never all coexist.
 pub(crate) fn assemble_factors(
     m: usize,
     n: usize,
-    l_cols: &[FactorCol],
-    ut_cols: &[FactorCol],
+    l_cols: Vec<FactorCol>,
+    ut_cols: Vec<FactorCol>,
 ) -> (CscMatrix, CscMatrix) {
-    let assemble = |rows: usize, cols: &[FactorCol]| {
-        let mut b = lra_sparse::SparseBuilder::new(rows, cols.len());
+    let assemble = |rows: usize, cols: Vec<FactorCol>| {
+        let nnz = cols.iter().map(Vec::len).sum();
+        let mut b = lra_sparse::SparseBuilder::with_capacity(rows, cols.len(), nnz);
         for col in cols {
-            b.push_col(col);
+            b.push_col(&col);
         }
         b.finish()
     };
-    (assemble(m, l_cols), assemble(n, ut_cols).transpose())
+    let l = assemble(m, l_cols);
+    (l, assemble(n, ut_cols).transpose())
 }
 
 /// Everything Algorithm 2/3 carries from one block iteration to the
@@ -559,12 +569,12 @@ pub(crate) fn drive<E: PanelEngine>(
                     st.ut_cols.push(ucol);
 
                     // L column: unit at the pivot row plus L21 entries.
-                    let mut lcol: FactorCol = Vec::new();
+                    let mut lcol: FactorCol = Vec::with_capacity(1 + x_rows.len());
                     lcol.push((st.row_map[rows[t]], 1.0));
                     for (xi, &r_rest) in x_rows.iter().enumerate() {
                         let v = xt.get(t, xi);
                         if v != 0.0 {
-                            lcol.push((st.row_map[sp.rest_rows[r_rest]], v));
+                            lcol.push((st.row_map[sp.blocks.rest_rows[r_rest]], v));
                         }
                     }
                     lcol.sort_unstable_by_key(|&(r, _)| r);
@@ -664,8 +674,8 @@ pub(crate) fn drive<E: PanelEngine>(
         }
 
         // Advance the maps to the next Schur complement.
-        st.row_map = sp.rest_rows.iter().map(|&r| st.row_map[r]).collect();
-        st.col_map = sp.rest_cols.iter().map(|&c| st.col_map[c]).collect();
+        st.row_map = sp.blocks.rest_rows.iter().map(|&r| st.row_map[r]).collect();
+        st.col_map = sp.blocks.rest_cols.iter().map(|&c| st.col_map[c]).collect();
 
         // Iteration boundary: all loop-carried state is consistent
         // here (under SPMD the measurement is agreed and the drop is
@@ -682,9 +692,11 @@ pub(crate) fn drive<E: PanelEngine>(
         }
     }
 
+    // The Schur storage goes before the factors are assembled, and the
+    // recorded columns go as they are assembled.
     let mem = eng.mem_stats();
-    let factors = timers.time(KernelId::Concat, || {
-        eng.materialize(m, n, &st.l_cols, &st.ut_cols)
-    });
+    eng.release_storage();
+    let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));
+    let factors = timers.time(KernelId::Concat, || eng.materialize(m, n, l_cols, ut_cols));
     st.into_result(factors, a_norm_f, timers, mem)
 }

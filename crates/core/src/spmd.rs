@@ -33,7 +33,9 @@
 //!   against the replicated engine's one pass;
 //! - the error indicator, the ILUT drop's `(mass, count)` and the Schur
 //!   nonzeros are agreed in one allreduce of per-shard partials, folded
-//!   component by component in the tree every rank replays;
+//!   component by component in the tree every rank replays; the drop's
+//!   partial is a read-only measurement, and a drop the loop keeps
+//!   filters the shard in place;
 //! - only rank 0 accumulates the factor columns (small per-panel
 //!   fragments travel by `gatherv`); the final `L`/`U` are broadcast
 //!   once at the end, so every rank returns the same result.
@@ -45,11 +47,15 @@
 //! ranges and reduction trees the sharded engine owns, so the two are
 //! bit-identical while differing only in resident storage: it is the
 //! reference the sharded engine is tested against. It keeps its own
-//! indicator and drop allreduces.
+//! indicator and drop allreduces, and drops in place like the others.
+//!
+//! Both materialize the `Ā12`/`Ā22` columns they update (the split
+//! itself carries only `Ā11`, `Ā21` and the classification) and run the
+//! one per-column Schur kernel the shared-memory engine runs in place.
 
 use crate::lucrtp::{
-    csc_resident_bytes, schur_update_ranged, u_fragments_of, ColRun, IlutOpts, LuCrtpOpts,
-    LuCrtpResult, MemStats, SchurWorkspace,
+    schur_update_ranged, u_fragments_of, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, MemStats,
+    SchurWorkspace,
 };
 use crate::panel::{assemble_factors, drive, FactorCol, Measure, PanelEngine, PanelSplit, Source};
 use crate::timers::{KernelId, KernelTimers};
@@ -100,7 +106,9 @@ pub(crate) fn run_replicated(
             s: src.full(),
             opts,
             ws: SchurWorkspace::new(),
-            dropped: None,
+            a12: CscMatrix::zeros(0, 0),
+            a22: CscMatrix::zeros(0, 0),
+            pending_drop: None,
         })
     })
 }
@@ -251,9 +259,14 @@ struct SpmdPanelCtx<'a> {
     /// The pivot panel the last column tournament selected: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
-    /// The shard as the last [`PanelEngine::measure`] would drop it,
-    /// held until [`PanelEngine::settle_drop`].
-    dropped: Option<ColSlice>,
+    /// The last split's `Ā12`/`Ā22` over the owned run `my_run` of its
+    /// rest columns; `Ā22` goes once the re-shard parts are cut from it.
+    a12: CscMatrix,
+    a22: CscMatrix,
+    my_run: Range<usize>,
+    /// The threshold the last [`PanelEngine::measure`] measured a drop
+    /// at, held until [`PanelEngine::settle_drop`].
+    pending_drop: Option<f64>,
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
@@ -291,7 +304,10 @@ impl<'a> SpmdPanelCtx<'a> {
             n_cur,
             opts,
             panel: CscMatrix::zeros(0, 0),
-            dropped: None,
+            a12: CscMatrix::zeros(0, 0),
+            a22: CscMatrix::zeros(0, 0),
+            my_run: 0..0,
+            pending_drop: None,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
             peak_bytes: 0,
@@ -326,12 +342,8 @@ impl<'a> SpmdPanelCtx<'a> {
     /// re-shard exchange. Part buffers retired by previous iterations
     /// are recycled from [`Self::part_pool`], so once part sizes reach
     /// steady state the `2·np` allocations per panel disappear.
-    fn build_reshard_parts(
-        &mut self,
-        sp: &PanelSplit,
-        new_ranges: &[Range<usize>],
-    ) -> Vec<(CscMatrix, CscMatrix)> {
-        let my_run = &sp.my_run;
+    fn build_reshard_parts(&mut self, new_ranges: &[Range<usize>]) -> Vec<(CscMatrix, CscMatrix)> {
+        let my_run = &self.my_run;
         let mut parts: Vec<(CscMatrix, CscMatrix)> = Vec::with_capacity(self.size);
         for dst in 0..self.size {
             let drg = owned_range(new_ranges, dst);
@@ -345,8 +357,8 @@ impl<'a> SpmdPanelCtx<'a> {
             let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
             let d22 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
             parts.push((
-                slice_columns_recycled(&sp.a12, local.clone(), d12),
-                slice_columns_recycled(&sp.a22, local, d22),
+                slice_columns_recycled(&self.a12, local.clone(), d12),
+                slice_columns_recycled(&self.a22, local, d22),
             ));
         }
         parts
@@ -360,10 +372,11 @@ impl<'a> SpmdPanelCtx<'a> {
     /// pending-exchange tags, so the reordering cannot mismatch
     /// envelopes — runs while the wire drains.
     fn post_reshard(&mut self, sp: &PanelSplit) -> PendingSchur<'a> {
-        let m_rest = sp.a22.rows();
-        let n_rest = sp.rest_cols.len();
+        let m_rest = sp.blocks.rest_rows.len();
+        let n_rest = sp.blocks.rest_cols.len();
         let new_ranges = split_ranges(n_rest, self.size);
-        let parts = self.build_reshard_parts(sp, &new_ranges);
+        let parts = self.build_reshard_parts(&new_ranges);
+        self.a22 = CscMatrix::zeros(0, 0);
         PendingSchur {
             pend: self.ctx.post_alltoallv(parts),
             new_ranges,
@@ -450,25 +463,19 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// The pivot blocks come from the replicated panel, the rest
     /// blocks only from the owned columns; the classification and the
     /// entry routing are `CscMatrix::split_blocks`'s own.
-    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        let split = BlockSplit::new(self.shard.rows(), self.n_cur, pivot_rows, &sel.selected);
-        let (a11, a21) = split.pivot_blocks((0..pivot_rows.len()).map(|p| self.panel.col(p)));
+    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        let blocks = BlockSplit::new(self.shard.rows(), self.n_cur, pivot_rows, &sel.selected);
+        let sp = PanelSplit::new(blocks, (0..pivot_rows.len()).map(|p| self.panel.col(p)));
         // The owned rest columns form a contiguous run of `rest_cols`
         // positions (both orderings ascend).
+        let rest = &sp.blocks.rest_cols;
         let rg = self.shard.col_range();
-        let lo = split.rest_cols.partition_point(|&c| c < rg.start);
-        let hi = split.rest_cols.partition_point(|&c| c < rg.end);
-        let owned = split.rest_cols[lo..hi].iter().map(|&c| self.shard.col(c));
-        let (a12, a22) = split.rest_blocks(owned, self.shard.nnz());
-        PanelSplit {
-            a11,
-            a21,
-            rest_rows: split.rest_rows,
-            rest_cols: split.rest_cols,
-            my_run: lo..hi,
-            a12,
-            a22,
-        }
+        let lo = rest.partition_point(|&c| c < rg.start);
+        let hi = rest.partition_point(|&c| c < rg.end);
+        let owned = rest[lo..hi].iter().map(|&c| self.shard.col(c));
+        (self.a12, self.a22) = sp.blocks.rest_blocks(owned, self.shard.nnz());
+        self.my_run = lo..hi;
+        sp
     }
 
     fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
@@ -497,9 +504,9 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
         let mut frags: Vec<FactorCol> = vec![Vec::new(); k_eff];
-        for (slot, j) in sp.my_run.clone().enumerate() {
-            let gcol = col_map[sp.rest_cols[j]];
-            let (ri, vs) = sp.a12.col(slot);
+        for (slot, j) in self.my_run.clone().enumerate() {
+            let gcol = col_map[sp.blocks.rest_cols[j]];
+            let (ri, vs) = self.a12.col(slot);
             for (&t, &v) in ri.iter().zip(vs) {
                 frags[t].push((gcol, v));
             }
@@ -518,16 +525,17 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// dropped mass and count, nonzeros — each component folded as its
     /// own allreduce would be, so the indicator and the mass keep the
     /// replicated oracle's summation nesting and reduction tree (the
-    /// threshold pass groups its partials like the oracle's
-    /// [`CscMatrix::dropped_mass_in_cols_par`]). The indicator is not
-    /// known before the agreement, so the drop is measured even when
-    /// the run turns out to have converged.
+    /// shard's mass is [`CscMatrix::dropped_mass_in_cols_par`] over all
+    /// its columns, grouped as the oracle groups its range). The
+    /// indicator is not known before the agreement, so the drop is
+    /// measured even when the run turns out to have converged.
     fn measure(&mut self, thr: f64, _stop: f64, timers: &mut KernelTimers) -> Measure {
         let norm_sq = timers.time(KernelId::Indicator, || self.shard.fro_norm_sq_cols());
         let (mass, count) = if thr > 0.0 {
             timers.time(KernelId::Drop, || {
-                let (dropped, mass, count) = self.shard.drop_below_par(thr, self.opts.par);
-                self.dropped = Some(dropped);
+                let local = self.shard.local();
+                let (mass, count) = local.dropped_mass_in_cols_par(thr, 0..local.cols(), self.opts.par);
+                self.pending_drop = Some(thr);
                 (mass, count as u64)
             })
         } else {
@@ -547,8 +555,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     }
 
     fn settle_drop(&mut self, keep: bool) {
-        if let Some(dropped) = self.dropped.take().filter(|_| keep) {
-            self.shard = dropped;
+        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
+            self.shard.drop_below_in_place(thr, self.opts.par);
         }
     }
 
@@ -561,14 +569,23 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         Some(Cow::Owned(gather_csc(&parts)))
     }
 
+    fn release_storage(&mut self) {
+        self.shard = ColSlice::empty(0, 0);
+        self.panel = CscMatrix::zeros(0, 0);
+        self.a12 = CscMatrix::zeros(0, 0);
+        self.a22 = CscMatrix::zeros(0, 0);
+        self.ws = SchurWorkspace::new();
+        self.part_pool = Vec::new();
+    }
+
     /// Materialize the factors on rank 0, then one final broadcast so
     /// every rank returns the same result.
     fn materialize(
         &self,
         m: usize,
         n: usize,
-        l_cols: &[FactorCol],
-        ut_cols: &[FactorCol],
+        l_cols: Vec<FactorCol>,
+        ut_cols: Vec<FactorCol>,
     ) -> (CscMatrix, CscMatrix) {
         let pair = if self.rank == 0 {
             assemble_factors(m, n, l_cols, ut_cols)
@@ -593,17 +610,20 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
 
 /// Panel engine over fully replicated storage — the bitwise reference
 /// for [`SpmdPanelCtx`]. Every rank holds the whole Schur complement
-/// and splits it with `CscMatrix::split_blocks`; per-rank work (Schur
-/// update, indicator and dropped-mass partials) covers the column
-/// range the sharded engine would own.
+/// and splits it as `CscMatrix::split_blocks` does; per-rank work
+/// (Schur update, indicator and dropped-mass partials) covers the
+/// column range the sharded engine would own.
 struct ReplicatedEngine<'a> {
     ctx: &'a Ctx,
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
-    /// `s` as the last [`PanelEngine::measure`] would drop it, held
-    /// until [`PanelEngine::settle_drop`].
-    dropped: Option<CscMatrix>,
+    /// The last split's `Ā12`/`Ā22` over all rest columns.
+    a12: CscMatrix,
+    a22: CscMatrix,
+    /// The threshold the last [`PanelEngine::measure`] measured a drop
+    /// at, held until [`PanelEngine::settle_drop`].
+    pending_drop: Option<f64>,
 }
 
 impl ReplicatedEngine<'_> {
@@ -621,7 +641,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
     }
 
     fn resident_bytes(&self) -> u64 {
-        csc_resident_bytes(&self.s)
+        self.s.resident_bytes()
     }
 
     fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
@@ -637,8 +657,13 @@ impl PanelEngine for ReplicatedEngine<'_> {
     }
 
     /// Replicated — the "local row permutations" of Fig. 5.
-    fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        PanelSplit::of_full(&self.s, pivot_rows, &sel.selected)
+    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        let s = &self.s;
+        let blocks = BlockSplit::new(s.rows(), s.cols(), pivot_rows, &sel.selected);
+        let sp = PanelSplit::new(blocks, sel.selected.iter().map(|&c| s.col(c)));
+        let rest = sp.blocks.rest_cols.iter().map(|&c| s.col(c));
+        (self.a12, self.a22) = sp.blocks.rest_blocks(rest, s.nnz());
+        sp
     }
 
     fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
@@ -652,14 +677,14 @@ impl PanelEngine for ReplicatedEngine<'_> {
         x_rows: &[usize],
         x: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        let n_rest = sp.a22.cols();
-        let my_range = owned_range(&split_ranges(n_rest, self.ctx.size()), self.ctx.rank());
+        let a22 = std::mem::replace(&mut self.a22, CscMatrix::zeros(0, 0));
+        let my_range = owned_range(&split_ranges(a22.cols(), self.ctx.size()), self.ctx.rank());
         let mut partial = ColRun::default();
         schur_update_ranged(
-            &sp.a22,
+            &a22,
             x_rows,
             x,
-            &sp.a12,
+            &self.a12,
             my_range,
             &mut self.ws,
             self.opts.par,
@@ -670,7 +695,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
         for part in self.ctx.allgather(partial) {
             next.extend(&part);
         }
-        self.s = next.into_csc(sp.a22.rows());
+        self.s = next.into_csc(sp.blocks.rest_rows.len());
         None
     }
 
@@ -685,7 +710,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
         col_map: &[usize],
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
-        Some(u_fragments_of(&sp.a12.transpose(), &sp.rest_cols, col_map, k_eff))
+        Some(u_fragments_of(&self.a12.transpose(), &sp.blocks.rest_cols, col_map, k_eff))
     }
 
     /// Partial squared norm + allreduce over the column partition the
@@ -706,10 +731,8 @@ impl PanelEngine for ReplicatedEngine<'_> {
             timers.time(KernelId::Drop, || {
                 let (my_mass, my_count) =
                     self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
-                let (mass, count) =
-                    self.ctx.allreduce((my_mass, my_count), |x, y| (x.0 + y.0, x.1 + y.1));
-                self.dropped = Some(self.s.drop_below(thr).0);
-                (mass, count)
+                self.pending_drop = Some(thr);
+                self.ctx.allreduce((my_mass, my_count), |x, y| (x.0 + y.0, x.1 + y.1))
             })
         } else {
             (0.0, 0)
@@ -722,8 +745,8 @@ impl PanelEngine for ReplicatedEngine<'_> {
     }
 
     fn settle_drop(&mut self, keep: bool) {
-        if let Some(dropped) = self.dropped.take().filter(|_| keep) {
-            self.s = dropped;
+        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
+            self.s.drop_below_in_place(thr, self.opts.par);
         }
     }
 
@@ -732,6 +755,13 @@ impl PanelEngine for ReplicatedEngine<'_> {
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
         (self.ctx.rank() == 0).then_some(Cow::Borrowed(&self.s))
     }
+
+    fn release_storage(&mut self) {
+        self.s = CscMatrix::zeros(0, 0);
+        self.a12 = CscMatrix::zeros(0, 0);
+        self.a22 = CscMatrix::zeros(0, 0);
+        self.ws = SchurWorkspace::new();
+    }
 }
 
 #[cfg(test)]
@@ -739,8 +769,8 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    /// The sharded engine, noting whether a dropped copy of the shard
-    /// is still held where an iteration starts and where the run ends.
+    /// The sharded engine, noting whether a measured drop is still
+    /// pending where an iteration starts and where the run ends.
     struct Watch<'a, 'w> {
         eng: SpmdPanelCtx<'a>,
         held: &'w Cell<bool>,
@@ -748,7 +778,7 @@ mod tests {
 
     impl Watch<'_, '_> {
         fn note(&self) {
-            self.held.set(self.held.get() || self.eng.dropped.is_some());
+            self.held.set(self.held.get() || self.eng.pending_drop.is_some());
         }
     }
 
@@ -777,7 +807,7 @@ mod tests {
         fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
             self.eng.row_tournament(qk, k_eff)
         }
-        fn split(&self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
+        fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
             self.eng.split(pivot_rows, sel)
         }
         fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
@@ -811,12 +841,15 @@ mod tests {
         fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
             self.eng.gather_schur()
         }
+        fn release_storage(&mut self) {
+            self.eng.release_storage()
+        }
         fn materialize(
             &self,
             m: usize,
             n: usize,
-            l_cols: &[FactorCol],
-            ut_cols: &[FactorCol],
+            l_cols: Vec<FactorCol>,
+            ut_cols: Vec<FactorCol>,
         ) -> (CscMatrix, CscMatrix) {
             self.eng.materialize(m, n, l_cols, ut_cols)
         }
@@ -841,7 +874,7 @@ mod tests {
     }
 
     /// Runs `opts` over two watched sharded ranks; rank 0's result and
-    /// whether any rank held a dropped copy past its decision.
+    /// whether any rank held a pending drop past its decision.
     fn watched(opts: &IlutOpts) -> (LuCrtpResult, bool) {
         let a = decaying();
         let out = lra_comm::run_infallible(2, |ctx| {

@@ -10,7 +10,7 @@
 //! stored entries, not the row dimension.
 
 use lra_dense::DenseMatrix;
-use lra_sparse::CscMatrix;
+use lra_sparse::{CscMatrix, CscRuns};
 
 /// A matrix whose columns can be gathered into dense panels, a chunk of
 /// rows at a time, without materializing the whole panel.
@@ -32,6 +32,21 @@ impl ColumnSource for CscMatrix {
     }
     fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         CscMatrix::row_support(self, idx)
+    }
+    fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
+        self.gather_columns_at_rows_dense(idx, rows)
+    }
+}
+
+/// The same support and gathers as [`CscMatrix`]'s, over the runs'
+/// columns: a tournament over runs selects what it selects over the
+/// matrix they concatenate to.
+impl ColumnSource for CscRuns {
+    fn cols(&self) -> usize {
+        CscRuns::cols(self)
+    }
+    fn row_support(&self, idx: &[usize]) -> Vec<usize> {
+        CscRuns::row_support(self, idx)
     }
     fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
         self.gather_columns_at_rows_dense(idx, rows)

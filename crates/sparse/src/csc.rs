@@ -4,10 +4,10 @@
 //! relied on by the split/merge kernels of LU_CRTP.
 
 use lra_dense::DenseMatrix;
-use lra_par::{parallel_map_fold, Parallelism};
+use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 
 /// Fixed chunk width (in columns) of the parallel threshold pass
-/// ([`CscMatrix::drop_below_par`] / [`CscMatrix::dropped_mass_in_cols_par`]).
+/// ([`CscMatrix::drop_below_in_place`] / [`CscMatrix::dropped_mass_in_cols_par`]).
 ///
 /// The chunk partition depends only on the column-range length and this
 /// constant — never on the worker count — so the floating-point
@@ -359,15 +359,7 @@ impl CscMatrix {
 
     /// Gather the given columns into a dense `rows x idx.len()` panel.
     pub fn gather_columns_dense(&self, idx: &[usize]) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, idx.len());
-        for (dst, &j) in idx.iter().enumerate() {
-            let (ri, vs) = self.col(j);
-            let col = out.col_mut(dst);
-            for (&r, &v) in ri.iter().zip(vs) {
-                col[r] = v;
-            }
-        }
-        out
+        gather_dense(self.rows, idx, |j| self.col(j))
     }
 
     /// Gather rows `row_range` of the given columns into a dense panel
@@ -401,22 +393,7 @@ impl CscMatrix {
     /// columns' row indices into an occupancy bitset plus one pass over
     /// its words: `O(nnz_panel + rows/64)`, no sort.
     pub fn row_support(&self, idx: &[usize]) -> Vec<usize> {
-        let mut occupied = vec![0u64; self.rows.div_ceil(64)];
-        for &j in idx {
-            for &r in self.col(j).0 {
-                occupied[r / 64] |= 1 << (r % 64);
-            }
-        }
-        let count = occupied.iter().map(|w| w.count_ones() as usize).sum();
-        let mut support = Vec::with_capacity(count);
-        for (w, &word) in occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                support.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        support
+        row_support(self.rows, idx, |j| self.col(j))
     }
 
     /// Gather the given rows (strictly ascending) of the given columns
@@ -430,66 +407,17 @@ impl CscMatrix {
     /// `O(nnz * log(rows.len()))`, reads less — the tournament's
     /// columns hold a handful of entries against a support of hundreds.
     pub fn gather_columns_at_rows_dense(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly ascending");
-        let mut out = DenseMatrix::zeros(rows.len(), idx.len());
-        let Some(&first) = rows.first() else {
-            return out;
-        };
-        let probes = rows.len().ilog2() as usize + 1;
-        for (dst, &j) in idx.iter().enumerate() {
-            let (ri, vs) = self.col(j);
-            let col = out.col_mut(dst);
-            let mut p = ri.partition_point(|&r| r < first);
-            let mut q = 0;
-            if (ri.len() - p) * probes <= rows.len() {
-                for (&r, &v) in ri[p..].iter().zip(&vs[p..]) {
-                    q += rows[q..].partition_point(|&x| x < r);
-                    match rows.get(q) {
-                        Some(&x) if x == r => col[q] = v,
-                        Some(_) => {}
-                        None => break,
-                    }
-                }
-            } else {
-                while p < ri.len() && q < rows.len() {
-                    match ri[p].cmp(&rows[q]) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            col[q] = vs[p];
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-            }
-        }
-        out
+        gather_at_rows(idx, rows, |j| self.col(j))
     }
 
     /// Drop every entry with `|value| < threshold`; returns the dropped
     /// squared Frobenius mass and count (the `||T̃^(i)||_F^2` bookkeeping
-    /// of ILUT_CRTP, Algorithm 3, lines 8-9).
+    /// of ILUT_CRTP, Algorithm 3, lines 8-9), summed in storage order.
     pub fn drop_below(&self, threshold: f64) -> (CscMatrix, f64, usize) {
-        let mut out = CscMatrix::zeros(0, 0);
-        let (dropped_sq, dropped) = self.drop_below_into(threshold, &mut out);
-        (out, dropped_sq, dropped)
-    }
-
-    /// [`CscMatrix::drop_below`] into a caller-owned matrix, reusing its
-    /// buffers — the allocation-free form the ILUT drop loop calls every
-    /// iteration. `out`'s previous contents are discarded; returns the
-    /// dropped squared mass and count.
-    pub fn drop_below_into(&self, threshold: f64, out: &mut CscMatrix) -> (f64, usize) {
-        out.rows = self.rows;
-        out.cols = self.cols;
-        out.colptr.clear();
-        out.colptr.reserve(self.cols + 1);
-        out.colptr.push(0);
-        out.rowidx.clear();
-        out.rowidx.reserve(self.nnz());
-        out.values.clear();
-        out.values.reserve(self.nnz());
+        let mut colptr = Vec::with_capacity(self.cols + 1);
+        colptr.push(0);
+        let mut rowidx = Vec::new();
+        let mut values = Vec::new();
         let mut dropped_sq = 0.0;
         let mut dropped = 0usize;
         for j in 0..self.cols {
@@ -499,93 +427,115 @@ impl CscMatrix {
                     dropped_sq += v * v;
                     dropped += 1;
                 } else {
-                    out.rowidx.push(r);
-                    out.values.push(v);
+                    rowidx.push(r);
+                    values.push(v);
                 }
             }
-            out.colptr.push(out.rowidx.len());
+            colptr.push(rowidx.len());
         }
+        let kept = CscMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            colptr,
+            rowidx,
+            values,
+        };
+        (kept, dropped_sq, dropped)
+    }
+
+    /// [`CscMatrix::drop_below`] in place: the same entries are kept, in
+    /// the arrays the matrix already owns, so a drop never holds a second
+    /// copy. Fixed `DROP_CHUNK_COLS`-wide column chunks each compact
+    /// their own stretch of the arrays in parallel, then the kept
+    /// stretches slide down in chunk order. Returns the dropped squared
+    /// mass and count, the mass grouped per chunk and folded in ascending
+    /// chunk order — bitwise [`CscMatrix::dropped_mass_in_cols_par`] over
+    /// all columns, and [`CscMatrix::drop_below`]'s storage-order sum
+    /// when there is one chunk. Capacity is kept.
+    pub fn drop_below_in_place(&mut self, threshold: f64, par: Parallelism) -> (f64, usize) {
+        /// One chunk's stretch: its column ends (rewritten to kept
+        /// counts, cumulative within the stretch) and its entries.
+        struct Stretch<'a> {
+            start: usize,
+            ends: &'a mut [usize],
+            rows: &'a mut [usize],
+            vals: &'a mut [f64],
+            kept: usize,
+            mass: f64,
+            count: usize,
+        }
+        let mut stretches = Vec::with_capacity(self.cols.div_ceil(DROP_CHUNK_COLS));
+        let (mut ends, mut rows, mut vals) =
+            (&mut self.colptr[1..], &mut self.rowidx[..], &mut self.values[..]);
+        let mut start = 0;
+        while !ends.is_empty() {
+            let width = DROP_CHUNK_COLS.min(ends.len());
+            let (e, e_rest) = std::mem::take(&mut ends).split_at_mut(width);
+            let len = e[e.len() - 1] - start;
+            let (r, r_rest) = std::mem::take(&mut rows).split_at_mut(len);
+            let (v, v_rest) = std::mem::take(&mut vals).split_at_mut(len);
+            stretches.push(Stretch {
+                start,
+                ends: e,
+                rows: r,
+                vals: v,
+                kept: 0,
+                mass: 0.0,
+                count: 0,
+            });
+            (ends, rows, vals) = (e_rest, r_rest, v_rest);
+            start += len;
+        }
+        parallel_chunks_mut(par, &mut stretches, 1, |_, one| {
+            let st = &mut one[0];
+            let (mut p, mut w) = (0, 0);
+            for end in st.ends.iter_mut() {
+                while p < *end - st.start {
+                    let v = st.vals[p];
+                    if v.abs() < threshold {
+                        st.mass += v * v;
+                        st.count += 1;
+                    } else {
+                        st.rows[w] = st.rows[p];
+                        st.vals[w] = v;
+                        w += 1;
+                    }
+                    p += 1;
+                }
+                *end = w;
+            }
+            st.kept = w;
+        });
+        let chunks: Vec<(usize, usize, f64, usize)> =
+            stretches.into_iter().map(|st| (st.start, st.kept, st.mass, st.count)).collect();
+        let (mut dropped_sq, mut dropped, mut w) = (0.0, 0usize, 0usize);
+        for (c, &(start, kept, mass, count)) in chunks.iter().enumerate() {
+            self.rowidx.copy_within(start..start + kept, w);
+            self.values.copy_within(start..start + kept, w);
+            let cols = c * DROP_CHUNK_COLS + 1..((c + 1) * DROP_CHUNK_COLS).min(self.cols) + 1;
+            for e in &mut self.colptr[cols] {
+                *e += w;
+            }
+            w += kept;
+            dropped_sq += mass;
+            dropped += count;
+        }
+        self.rowidx.truncate(w);
+        self.values.truncate(w);
         (dropped_sq, dropped)
     }
 
-    /// Parallel [`CscMatrix::drop_below`]: the threshold pass runs over
-    /// fixed `DROP_CHUNK_COLS`-wide column chunks, and the per-chunk
-    /// `(kept structure, dropped mass, dropped count)` partials fold in
-    /// ascending chunk order. The kept structure is a pure filter, so
-    /// it is identical to the sequential result; the dropped mass is
-    /// grouped per chunk, which is deterministic for a given column
-    /// count regardless of the worker count and matches
-    /// [`CscMatrix::dropped_mass_in_cols_par`] over the same columns.
-    pub fn drop_below_par(&self, threshold: f64, par: Parallelism) -> (CscMatrix, f64, usize) {
-        type Partial = (Vec<usize>, Vec<usize>, Vec<f64>, f64, usize);
-        let n = self.cols;
-        let (lens, rowidx, values, dropped_sq, dropped) = parallel_map_fold(
-            par,
-            n,
-            DROP_CHUNK_COLS,
-            (Vec::new(), Vec::new(), Vec::new(), 0.0, 0usize),
-            |range| -> Partial {
-                let mut lens = Vec::with_capacity(range.len());
-                let mut rows = Vec::new();
-                let mut vals = Vec::new();
-                let mut mass = 0.0f64;
-                let mut count = 0usize;
-                for j in range {
-                    let (ri, vs) = self.col(j);
-                    let before = rows.len();
-                    for (&r, &v) in ri.iter().zip(vs) {
-                        if v.abs() < threshold {
-                            mass += v * v;
-                            count += 1;
-                        } else {
-                            rows.push(r);
-                            vals.push(v);
-                        }
-                    }
-                    lens.push(rows.len() - before);
-                }
-                (lens, rows, vals, mass, count)
-            },
-            |mut acc, part| {
-                acc.0.extend(part.0);
-                acc.1.extend(part.1);
-                acc.2.extend(part.2);
-                acc.3 += part.3;
-                acc.4 += part.4;
-                acc
-            },
-        );
-        let mut colptr = Vec::with_capacity(n + 1);
-        colptr.push(0);
-        let mut run = 0usize;
-        for l in lens {
-            run += l;
-            colptr.push(run);
-        }
-        (
-            CscMatrix {
-                rows: self.rows,
-                cols: n,
-                colptr,
-                rowidx,
-                values,
-            },
-            dropped_sq,
-            dropped,
-        )
-    }
-
-    /// Dropped squared mass and count that [`CscMatrix::drop_below_par`]
-    /// would record over columns `range` only: per-chunk partials over
-    /// fixed `DROP_CHUNK_COLS`-wide chunks of `range`, folded in
-    /// ascending chunk order — the exact chunk partition (relative to
-    /// `range.start`) and therefore the exact floating-point grouping
-    /// that `drop_below_par` uses over the same columns. This is the
-    /// per-rank partial the replicated ILUT engine combines over a
-    /// fixed reduction tree; the block-column shard of `range`
-    /// accumulates exactly these terms in exactly this order, so
-    /// replicated and sharded engines produce bitwise-identical
-    /// partials.
+    /// Dropped squared mass and count of the entries below `threshold`
+    /// in columns `range` only, read without changing anything:
+    /// per-chunk partials over fixed `DROP_CHUNK_COLS`-wide chunks of
+    /// `range`, folded in ascending chunk order — the exact chunk
+    /// partition (relative to `range.start`) and therefore the exact
+    /// floating-point grouping [`CscMatrix::drop_below_in_place`] uses
+    /// over the same columns. This is the per-rank partial both SPMD
+    /// ILUT engines combine over a fixed reduction tree: a block-column
+    /// shard measured over all its columns and the replicated matrix
+    /// measured over the same global range accumulate exactly these
+    /// terms in exactly this order.
     pub fn dropped_mass_in_cols_par(
         &self,
         threshold: f64,
@@ -663,6 +613,83 @@ impl CscMatrix {
     }
 }
 
+/// Column `j` of a matrix, however it is stored, as `(row_indices, values)`.
+pub(crate) trait ColumnAt<'a>: Fn(usize) -> (&'a [usize], &'a [f64]) {}
+impl<'a, F: Fn(usize) -> (&'a [usize], &'a [f64])> ColumnAt<'a> for F {}
+
+/// The given columns of a `rows`-row matrix as a dense panel.
+pub(crate) fn gather_dense<'a>(rows: usize, idx: &[usize], col: impl ColumnAt<'a>) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(rows, idx.len());
+    for (dst, &j) in idx.iter().enumerate() {
+        let (ri, vs) = col(j);
+        let dense = out.col_mut(dst);
+        for (&r, &v) in ri.iter().zip(vs) {
+            dense[r] = v;
+        }
+    }
+    out
+}
+
+/// [`CscMatrix::row_support`] of a `rows`-row matrix, however stored.
+pub(crate) fn row_support<'a>(rows: usize, idx: &[usize], col: impl ColumnAt<'a>) -> Vec<usize> {
+    let mut occupied = vec![0u64; rows.div_ceil(64)];
+    for &j in idx {
+        for &r in col(j).0 {
+            occupied[r / 64] |= 1 << (r % 64);
+        }
+    }
+    let count = occupied.iter().map(|w| w.count_ones() as usize).sum();
+    let mut support = Vec::with_capacity(count);
+    for (w, &word) in occupied.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            support.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    support
+}
+
+/// [`CscMatrix::gather_columns_at_rows_dense`] of a matrix, however
+/// stored.
+pub(crate) fn gather_at_rows<'a>(idx: &[usize], rows: &[usize], col: impl ColumnAt<'a>) -> DenseMatrix {
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly ascending");
+    let mut out = DenseMatrix::zeros(rows.len(), idx.len());
+    let Some(&first) = rows.first() else {
+        return out;
+    };
+    let probes = rows.len().ilog2() as usize + 1;
+    for (dst, &j) in idx.iter().enumerate() {
+        let (ri, vs) = col(j);
+        let dense = out.col_mut(dst);
+        let mut p = ri.partition_point(|&r| r < first);
+        let mut q = 0;
+        if (ri.len() - p) * probes <= rows.len() {
+            for (&r, &v) in ri[p..].iter().zip(&vs[p..]) {
+                q += rows[q..].partition_point(|&x| x < r);
+                match rows.get(q) {
+                    Some(&x) if x == r => dense[q] = v,
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+        } else {
+            while p < ri.len() && q < rows.len() {
+                match ri[p].cmp(&rows[q]) {
+                    std::cmp::Ordering::Less => p += 1,
+                    std::cmp::Ordering::Greater => q += 1,
+                    std::cmp::Ordering::Equal => {
+                        dense[q] = vs[p];
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// The row and column classification of a panel split (Algorithm 2,
 /// line 8) and the routing of column entries into the four blocks
 /// `[Ā11 Ā12; Ā21 Ā22]` — shared by [`CscMatrix::split_blocks`] and by
@@ -718,22 +745,21 @@ impl BlockSplit {
     }
 
     /// Route one source column: pivot-row entries go to `top` with their
-    /// pivot position, the others are appended to `bottom`'s open column.
+    /// pivot position, the others to `bottom` with their trailing row.
     fn route(
         &self,
         (ri, vs): (&[usize], &[f64]),
         mut top: impl FnMut(usize, f64),
-        bottom: &mut SparseBuilder,
+        mut bottom: impl FnMut(usize, f64),
     ) {
         for (&r, &v) in ri.iter().zip(vs) {
             let new = self.row_new[r];
             if new < self.k {
                 top(new, v);
             } else {
-                bottom.push_entry(new - self.k, v);
+                bottom(new - self.k, v);
             }
         }
-        bottom.end_col();
     }
 
     /// `(Ā11, Ā21)` from the `k` pivot columns, given in pivot order.
@@ -744,7 +770,8 @@ impl BlockSplit {
         let mut a11 = DenseMatrix::zeros(self.k, self.k);
         let mut a21 = SparseBuilder::new(self.rest_rows.len(), self.k);
         for (p, col) in pivot_cols.enumerate() {
-            self.route(col, |t, v| a11.set(t, p, v), &mut a21);
+            self.route(col, |t, v| a11.set(t, p, v), |r, v| a21.push_entry(r, v));
+            a21.end_col();
         }
         (a11, a21.finish())
     }
@@ -761,12 +788,41 @@ impl BlockSplit {
         let mut a22 = SparseBuilder::with_capacity(self.rest_rows.len(), ncols, nnz);
         let mut top: Vec<(usize, f64)> = Vec::new();
         for col in rest_cols {
-            top.clear();
-            self.route(col, |t, v| top.push((t, v)), &mut a22);
-            top.sort_unstable_by_key(|&(t, _)| t);
+            self.route_rest(col, &mut top, |r, v| a22.push_entry(r, v));
+            a22.end_col();
             a12.push_col(&top);
         }
         (a12.finish(), a22.finish())
+    }
+
+    /// Route one rest column the way [`BlockSplit::rest_blocks`] does:
+    /// its `Ā12` column as `(pivot position, value)` pairs in ascending
+    /// position (exact zeros left out, as the builder leaves them out)
+    /// replaces `top`'s contents, and its `Ā22` entries — rows
+    /// renumbered, ascending, exact zeros left out — go to `bottom`.
+    /// This is how an engine that never materializes `Ā12` or `Ā22`
+    /// reads a rest column in place.
+    pub fn route_rest(
+        &self,
+        col: (&[usize], &[f64]),
+        top: &mut Vec<(usize, f64)>,
+        mut bottom: impl FnMut(usize, f64),
+    ) {
+        top.clear();
+        self.route(
+            col,
+            |t, v| {
+                if v != 0.0 {
+                    top.push((t, v));
+                }
+            },
+            |r, v| {
+                if v != 0.0 {
+                    bottom(r, v);
+                }
+            },
+        );
+        top.sort_unstable_by_key(|&(t, _)| t);
     }
 }
 
@@ -904,14 +960,15 @@ mod tests {
     }
 
     #[test]
-    fn drop_below_into_matches_drop_below() {
-        let a = sample();
-        let mut out = CscMatrix::identity(9); // stale contents
-        let (mass, count) = a.drop_below_into(2.5, &mut out);
-        let (expect, mass_e, count_e) = a.drop_below(2.5);
-        assert_eq!(out, expect);
-        assert_eq!(mass.to_bits(), mass_e.to_bits());
-        assert_eq!(count, count_e);
+    fn drop_below_in_place_matches_drop_below() {
+        let (expect, mass_e, count_e) = sample().drop_below(2.5);
+        for np in [1, 2] {
+            let mut a = sample();
+            let (mass, count) = a.drop_below_in_place(2.5, Parallelism::new(np));
+            assert_eq!(a, expect);
+            assert_eq!(mass.to_bits(), mass_e.to_bits());
+            assert_eq!(count, count_e);
+        }
     }
 
     #[test]

@@ -144,34 +144,20 @@ impl ColSlice {
         acc
     }
 
-    /// Slice-local [`CscMatrix::drop_below_par`]: drop entries with
-    /// `|value| < threshold`, returning the thinned shard plus this
-    /// shard's dropped squared mass and count. The threshold pass runs
-    /// over fixed-width column chunks of the shard, so the dropped-mass
-    /// partial is grouped exactly like
-    /// [`CscMatrix::dropped_mass_in_cols_par`] over this shard's column
-    /// range on the full matrix — the bitwise contract the replicated
-    /// oracle driver relies on.
-    pub fn drop_below_par(
-        &self,
-        threshold: f64,
-        par: lra_par::Parallelism,
-    ) -> (ColSlice, f64, usize) {
-        let (m, mass, count) = self.local.drop_below_par(threshold, par);
-        (
-            ColSlice {
-                offset: self.offset,
-                local: m,
-            },
-            mass,
-            count,
-        )
+    /// Slice-local [`CscMatrix::drop_below_in_place`]: drop the entries
+    /// with `|value| < threshold` from the owned block, in place,
+    /// returning this shard's dropped squared mass and count. The pass
+    /// runs over fixed-width column chunks of the shard, so the mass is
+    /// grouped exactly like [`CscMatrix::dropped_mass_in_cols_par`] over
+    /// this shard's column range on the full matrix.
+    pub fn drop_below_in_place(&mut self, threshold: f64, par: lra_par::Parallelism) -> (f64, usize) {
+        self.local.drop_below_in_place(threshold, par)
     }
 }
 
 /// Exact structural copy of a contiguous column range (raw array
 /// slicing; explicit zeros preserved).
-fn slice_columns(full: &CscMatrix, range: Range<usize>) -> CscMatrix {
+pub(crate) fn slice_columns(full: &CscMatrix, range: Range<usize>) -> CscMatrix {
     assert!(range.end <= full.cols(), "column range out of bounds");
     let cp = full.colptr();
     let lo = cp[range.start];
@@ -351,13 +337,15 @@ mod tests {
         let mut mass = 0.0;
         let mut count = 0;
         for r in &ranges {
-            let (sd, sm, sc) = ColSlice::from_full(&a, r.clone()).drop_below_par(thr, par);
+            let mut shard = ColSlice::from_full(&a, r.clone());
+            let (sm, sc) = shard.drop_below_in_place(thr, par);
             // Per-shard mass equals the range-partial on the full matrix
             // bitwise (same terms, same chunk grouping).
             let (rm, rc) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
             assert_eq!(sm.to_bits(), rm.to_bits());
             assert_eq!(sc, rc);
-            shards.push(sd.into_local());
+            assert_eq!(shard.offset(), r.start);
+            shards.push(shard.into_local());
             mass += sm;
             count += sc;
         }
@@ -374,7 +362,8 @@ mod tests {
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.fro_norm_sq_cols(), 0.0);
         assert_eq!(s.col_range(), 3..3);
-        let (d, m, c) = s.drop_below_par(1.0, lra_par::Parallelism::SEQ);
-        assert_eq!((d.nnz(), m, c), (0, 0.0, 0));
+        let mut d = s.clone();
+        let (m, c) = d.drop_below_in_place(1.0, lra_par::Parallelism::SEQ);
+        assert_eq!((d, m, c), (s, 0.0, 0));
     }
 }

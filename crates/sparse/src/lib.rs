@@ -11,13 +11,19 @@
 //! - `split_blocks` implements the `[Ā11 Ā12; Ā21 Ā22]` partitioning of
 //!   Algorithm 2 line 8 in one pass.
 //! - `drop_below` returns the dropped Frobenius mass so ILUT_CRTP can
-//!   maintain its threshold-control sum (eq. 22) exactly.
+//!   maintain its threshold-control sum (eq. 22) exactly; the drivers
+//!   measure that mass read-only and then drop in place
+//!   (`drop_below_in_place`), so a drop never holds a second copy.
+//! - `CscRuns` keeps a matrix as consecutive fixed-width column runs,
+//!   the storage that lets a Schur update retire the old complement run
+//!   by run while it writes the new one.
 
 mod coo;
 mod csc;
 mod dist;
 mod io;
 mod ops;
+mod runs;
 mod spa;
 
 pub use coo::CooMatrix;
@@ -28,4 +34,5 @@ pub use io::{
     MmError,
 };
 pub use ops::{add_scaled, spgemm, spgemm_reference, spmm_dense, spmm_t_dense, spmv};
+pub use runs::CscRuns;
 pub use spa::SparseAccumulator;

@@ -698,15 +698,21 @@ proptest! {
         let partial: f64 = slices.iter().map(|s| s.fro_norm_sq_cols()).sum();
         prop_assert!((partial - a.fro_norm_sq()).abs() <= 1e-12 * (1.0 + a.fro_norm_sq()));
 
-        // drop_below_par partials (the sharded engine's) are bitwise the
-        // full-matrix range partials (the replicated engine's), and the
-        // gathered kept shards are exactly the full kept matrix.
+        // A shard's measurement over all its columns and its in-place
+        // drop (the sharded engine's) are bitwise the full-matrix range
+        // partials (the replicated engine's), and the gathered kept
+        // shards are exactly the full kept matrix.
         let par = Parallelism::new(2);
         let (full_kept, _, _) = a.drop_below(thr);
         let mut kept_parts = Vec::new();
         for (s, r) in slices.iter().zip(&ranges) {
-            let (kept, mass, count) = s.drop_below_par(thr, par);
             let (mass_full, count_full) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
+            let local = s.local();
+            let (mass_m, count_m) = local.dropped_mass_in_cols_par(thr, 0..local.cols(), par);
+            prop_assert_eq!(mass_m.to_bits(), mass_full.to_bits());
+            prop_assert_eq!(count_m, count_full);
+            let mut kept = s.clone();
+            let (mass, count) = kept.drop_below_in_place(thr, par);
             prop_assert_eq!(mass.to_bits(), mass_full.to_bits());
             prop_assert_eq!(count, count_full);
             prop_assert_eq!(kept.offset(), r.start);

@@ -1,6 +1,9 @@
 //! The shared Schur-update kernel (`S <- Ā22 - X Ā12`, sequential,
 //! sharded and replicated engines alike) against the gather-dot
-//! formulation it replaced, bit for bit.
+//! formulation it replaced, bit for bit — over materialized blocks
+//! (`schur_update_into`) and in place over a complement kept as runs
+//! (`schur_update_runs`, which routes `Ā12`/`Ā22` out of the old runs
+//! as it reads them and retires them as it writes the new ones).
 //!
 //! The reference below forms every correction entry as one dot chain
 //! `acc = 0; acc += a12[t, j] * x[q, t]` over the stored entries of the
@@ -10,9 +13,9 @@
 //! workspace keeps between calls; neither may move a bit, whatever the
 //! worker count and whatever the workspace held before.
 
-use lra::core::{schur_update_into, Parallelism, SchurWorkspace, SCHUR_GRAIN};
+use lra::core::{schur_update_into, schur_update_runs, Parallelism, SchurWorkspace, SCHUR_GRAIN};
 use lra::dense::DenseMatrix;
-use lra::sparse::CscMatrix;
+use lra::sparse::{BlockSplit, CscMatrix, CscRuns};
 
 mod common;
 use common::{bits_eq, SplitMix64};
@@ -189,6 +192,61 @@ fn a_reused_workspace_and_target_never_leak_an_earlier_call() {
             let want = schur_reference(&c.a22, &c.x_rows, &c.x, &c.a12);
             schur_update_into(&c.a22, &c.x_rows, &c.x, &c.a12, &mut ws, par, &mut s);
             assert_bitwise(&s, &want, &format!("{m}x{n} k={k} np={np} on a reused workspace"));
+        }
+    }
+}
+
+/// `k` distinct positions out of `0..n`, in random (pivot) order.
+fn pivots(rng: &mut SplitMix64, n: usize, k: usize) -> Vec<usize> {
+    let mut all: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = i + rng.below(n - i);
+        all.swap(i, j);
+    }
+    all.truncate(k);
+    all
+}
+
+#[test]
+fn in_place_update_over_runs_matches_split_then_update() {
+    // Pivots at the front, the back and scattered; rest columns that
+    // fill whole runs, a ragged last run, or none at all; one workspace
+    // reused through every shape so stale slots and pooled runs are in
+    // play.
+    let g = SCHUR_GRAIN;
+    let shapes = [
+        (40, 2 * g + 7, 5),
+        (70, 3 * g, 16),
+        (20, g + 1, 1),
+        (33, 9, 9),
+        (90, 4 * g + 16, 32),
+        (12, 12, 12),
+        (50, 2 * g, 3),
+    ];
+    for np in 1..=3 {
+        let par = Parallelism::new(np);
+        let mut rng = SplitMix64(0x2A0 + np as u64);
+        let mut ws = SchurWorkspace::new();
+        for &(m, n, k) in &shapes {
+            let s = sparse(&mut rng, m, n, 6);
+            let mut pivot_cols = pivots(&mut rng, n, k);
+            match rng.below(3) {
+                0 => pivot_cols = (0..k).collect(),
+                1 => pivot_cols = (n - k..n).rev().collect(),
+                _ => {}
+            }
+            let pivot_rows = pivots(&mut rng, m, k);
+            let (_, a12, _, a22, _, _) = s.split_blocks(&pivot_rows, &pivot_cols);
+            let x_rows: Vec<usize> = (0..m - k).filter(|_| rng.below(16) < 11).collect();
+            let x = DenseMatrix::from_fn(x_rows.len(), k, |_, _| value(&mut rng));
+            let want = schur_reference(&a22, &x_rows, &x, &a12);
+
+            let mut runs = CscRuns::from_csc(&s, g);
+            let split = BlockSplit::new(m, n, &pivot_rows, &pivot_cols);
+            schur_update_runs(&mut runs, &split, &x_rows, &x, &mut ws, par);
+            assert_eq!(runs.width(), g);
+            let what = format!("{m}x{n} k={k} np={np} pivots {pivot_cols:?}");
+            assert_bitwise(&runs.to_csc(), &want, &what);
         }
     }
 }

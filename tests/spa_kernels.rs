@@ -73,16 +73,34 @@ proptest! {
     }
 
     #[test]
-    fn drop_below_into_bitwise_eq_drop_below(
-        (a, thr) in (0usize..24, 0usize..16)
-            .prop_flat_map(|(m, n)| (sparse(m, n), 0.0f64..5.0))
+    fn drop_below_in_place_bitwise_eq_drop_below(
+        (a, thr, workers) in (0usize..24, 0usize..16)
+            .prop_flat_map(|(m, n)| (sparse(m, n), 0.0f64..5.0, 1usize..4))
     ) {
-        let mut out = CscMatrix::identity(5); // stale contents
-        let (mass, count) = a.drop_below_into(thr, &mut out);
+        // Fewer columns than one chunk: the mass is one storage-order sum.
         let (expect, mass_e, count_e) = a.drop_below(thr);
-        assert_csc_bitwise(&out, &expect);
+        let mut kept = a.clone();
+        let (mass, count) = kept.drop_below_in_place(thr, Parallelism::new(workers));
+        assert_csc_bitwise(&kept, &expect);
         assert_eq!(mass.to_bits(), mass_e.to_bits());
         assert_eq!(count, count_e);
+    }
+
+    #[test]
+    fn drop_below_in_place_over_many_chunks(
+        (a, thr, workers) in (0usize..12, 0usize..200)
+            .prop_flat_map(|(m, n)| (sparse(m, n), 0.0f64..5.0, 1usize..4))
+    ) {
+        // Exactly `drop_below`'s entries, in the arrays the matrix owned;
+        // the mass grouped per chunk, bitwise the read-only measurement.
+        let (expect, _, count_e) = a.drop_below(thr);
+        let par = Parallelism::new(workers);
+        let (mass_m, count_m) = a.dropped_mass_in_cols_par(thr, 0..a.cols(), par);
+        let mut kept = a.clone();
+        let (mass, count) = kept.drop_below_in_place(thr, par);
+        assert_csc_bitwise(&kept, &expect);
+        assert_eq!(mass.to_bits(), mass_m.to_bits());
+        assert_eq!((count, count_m), (count_e, count_e));
     }
 }
 
