@@ -11,7 +11,11 @@
 //! resumes (including resume-from-cancel) bitwise-identical to the
 //! uninterrupted factors; corrupted generations surfaced as
 //! `recover.corrupt_checkpoint`. The per-site verdict tables are
-//! printed and written as a JSON artifact; any violation exits 1.
+//! printed and written as a JSON artifact; any violation exits 1. The
+//! tables on stdout are deterministic (the artifact's path goes to
+//! stderr): `results/FAULT_EXPLORER.txt` holds them for
+//! `--np 2,4 --sites comm,storage,cancel,overlap`, and CI diffs a fresh
+//! run against it, as it diffs the bitwise fingerprint.
 //!
 //! `--sites comm,overlap,storage,cancel` selects the site families
 //! (default all), so CI can split the comm/storage sweep, the
@@ -153,7 +157,7 @@ fn main() {
     if let Err(e) = std::fs::write(&out_path, artifact.to_string()) {
         fail(&format!("writing {out_path}: {e}"));
     }
-    println!("wrote {out_path}");
+    eprintln!("wrote {out_path}");
 
     if !all_ok {
         eprintln!("fault_explorer: invariant violations detected");

@@ -82,8 +82,9 @@ impl<'a> Method<'a> {
 /// Where one [`factorize`] call runs.
 #[derive(Clone, Copy)]
 pub enum Exec<'a> {
-    /// On the calling thread, the whole Schur complement in one matrix;
-    /// `opts.par` threads every kernel.
+    /// On the calling thread, the Schur complement as 32-column runs
+    /// that each Schur update rewrites in place, so one complement is
+    /// held at a time; `opts.par` threads every kernel.
     Seq,
     /// As one rank of an [`lra_comm::run`] region: every rank makes the
     /// same call and returns the same result, keeping only its owned

@@ -59,10 +59,11 @@ pub use lucrtp::{
     Breakdown, IlutOpts, InvalidInput, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
     ThresholdReport,
 };
-// The shared Schur-update kernel, reachable for the root test suite's
-// bitwise reference check and `kernel_bench`.
+// The Schur-update kernels (over a column accessor, and in place over
+// runs), reachable for the root test suite's bitwise reference checks
+// and `kernel_bench`.
 #[doc(hidden)]
-pub use lucrtp::{schur_update_into, schur_update_runs, SchurWorkspace, SCHUR_GRAIN};
+pub use lucrtp::{schur_update_ranged, schur_update_runs, SchurWorkspace, SCHUR_GRAIN};
 pub use outcome::{Interrupted, Outcome, ResumeHandle};
 pub use qb::{rand_qb_ei, rand_qb_ei_checkpointed, QbError, QbOpts, QbResult, QB_INDICATOR_FLOOR};
 pub use timers::{KernelId, KernelTimers, ALL_KERNELS, N_KERNELS};

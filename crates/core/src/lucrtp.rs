@@ -23,6 +23,7 @@ use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_sparse::{BlockSplit, CscMatrix, CscRuns};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Mutex, RwLock};
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
@@ -591,7 +592,13 @@ impl PanelEngine for SeqEngine<'_> {
         None
     }
 
-    fn schur_finish(&mut self, pending: Self::Pending, _: &[usize], _: &DenseMatrix) {
+    fn schur_finish(
+        &mut self,
+        _: &PanelSplit,
+        pending: Self::Pending,
+        _: &[usize],
+        _: &DenseMatrix,
+    ) {
         match pending {}
     }
 
@@ -650,7 +657,7 @@ impl PanelEngine for SeqEngine<'_> {
 
 /// Per panel row `t`, the trailing `U` entries read off `Ā12^T`:
 /// `(original column, value)` in ascending rest-column order.
-pub(crate) fn u_fragments_of(
+fn u_fragments_of(
     a12t: &CscMatrix,
     rest_cols: &[usize],
     col_map: &[usize],
@@ -699,31 +706,21 @@ fn l21_direct(
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
-/// little once the buffers have grown. The ranged kernel (the SPMD
-/// engines) keeps the correction vector of its sequential path and one
-/// output buffer (with its own correction vector) per
-/// [`SCHUR_GRAIN`]-column chunk of its parallel path. The in-place
+/// little once the buffers have grown. Both kernels route rest columns
+/// through the same per-worker scratch. The ranged kernel
+/// ([`schur_update_ranged`], the SPMD engines) keeps one output buffer
+/// per [`SCHUR_GRAIN`]-column chunk of its parallel path. The in-place
 /// kernel over runs ([`schur_update_runs`]) keeps one slot per new run
 /// (the run until it is installed, and its columns of `Ā12`), up to one
-/// retired run buffer per worker, per-worker routing scratch, and the
-/// assembled `Ā12`. `tbuf` is the transpose target recycled by
-/// [`CscMatrix::transpose_into`].
+/// retired run buffer per worker, and the assembled `Ā12`. `tbuf` is
+/// the transpose target recycled by [`CscMatrix::transpose_into`].
 pub struct SchurWorkspace {
-    corr: Vec<f64>,
-    chunks: Vec<SchurChunk>,
+    chunks: Vec<ColRun>,
     slots: Vec<RunSlot>,
     pool: Vec<CscMatrix>,
     scratch: Vec<RouteScratch>,
     pub(crate) a12: CscMatrix,
     pub(crate) tbuf: CscMatrix,
-}
-
-/// What one parallel chunk of the ranged Schur update owns between
-/// calls.
-#[derive(Default)]
-struct SchurChunk {
-    corr: Vec<f64>,
-    out: ColRun,
 }
 
 /// One new run of the in-place Schur update: the run, until the update
@@ -734,8 +731,8 @@ struct RunSlot {
     a12: ColRun,
 }
 
-/// A worker's scratch in the in-place Schur update: the correction
-/// vector and one routed rest column, `Ā12` part and `Ā22` part.
+/// A worker's scratch in either Schur update: the correction vector and
+/// one routed rest column, `Ā12` part and `Ā22` part.
 #[derive(Default)]
 struct RouteScratch {
     corr: Vec<f64>,
@@ -744,11 +741,32 @@ struct RouteScratch {
     vals: Vec<f64>,
 }
 
+impl RouteScratch {
+    /// Route one rest column of `A^(i)` through `split` and append its
+    /// updated column to `out`; its `Ā12` part stays in `top`.
+    fn update(
+        &mut self,
+        split: &BlockSplit,
+        col: (&[usize], &[f64]),
+        x_rows: &[usize],
+        x: &DenseMatrix,
+        out: &mut ColRun,
+    ) {
+        self.rows.clear();
+        self.vals.clear();
+        split.route_rest(col, &mut self.top, |r, v| {
+            self.rows.push(r);
+            self.vals.push(v);
+        });
+        self.corr.resize(x_rows.len(), 0.0);
+        schur_col((&self.rows, &self.vals), &self.top, x_rows, x, &mut self.corr, out);
+    }
+}
+
 impl SchurWorkspace {
     /// Empty scratch; every buffer grows on first use.
     pub fn new() -> Self {
         SchurWorkspace {
-            corr: Vec::new(),
             chunks: Vec::new(),
             slots: Vec::new(),
             pool: Vec::new(),
@@ -765,77 +783,88 @@ impl Default for SchurWorkspace {
     }
 }
 
-/// A run of CSC columns under construction: per-column entry counts and
-/// the concatenated entries — what every Schur-update kernel appends to.
-#[derive(Clone, Default)]
+/// A run of CSC columns under construction — what every Schur-update
+/// kernel appends to: the column pointers so far (from 0) and the
+/// concatenated entries.
 pub(crate) struct ColRun {
-    pub(crate) lens: Vec<usize>,
-    pub(crate) rowidx: Vec<usize>,
-    pub(crate) values: Vec<f64>,
+    colptr: Vec<usize>,
+    rowidx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Default for ColRun {
+    fn default() -> Self {
+        ColRun {
+            colptr: vec![0],
+            rowidx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
 }
 
 impl ColRun {
-    /// An empty run over the allocations of a matrix that is done with.
-    pub(crate) fn recycled(retired: CscMatrix) -> Self {
-        let (_, _, lens, rowidx, values) = retired.into_parts();
-        let mut run = ColRun {
-            lens,
+    /// The columns of `m`, open for appending.
+    fn open(m: CscMatrix) -> Self {
+        let (_, _, colptr, rowidx, values) = m.into_parts();
+        ColRun {
+            colptr,
             rowidx,
             values,
-        };
+        }
+    }
+
+    /// An empty run over the allocations of a matrix that is done with.
+    pub(crate) fn recycled(retired: CscMatrix) -> Self {
+        let mut run = Self::open(retired);
         run.clear();
         run
     }
 
     fn clear(&mut self) {
-        self.lens.clear();
+        self.colptr.clear();
+        self.colptr.push(0);
         self.rowidx.clear();
         self.values.clear();
     }
 
+    /// Room for `cols` more columns holding `nnz` entries.
+    pub(crate) fn reserve(&mut self, cols: usize, nnz: usize) {
+        self.colptr.reserve(cols);
+        self.rowidx.reserve(nnz);
+        self.values.reserve(nnz);
+    }
+
+    /// Append one column.
+    pub(crate) fn push_col(&mut self, (ri, vs): (&[usize], &[f64])) {
+        self.rowidx.extend_from_slice(ri);
+        self.values.extend_from_slice(vs);
+        self.colptr.push(self.rowidx.len());
+    }
+
+    /// Append one column given as ascending `(row, value)` pairs.
+    fn push_pairs(&mut self, col: &[(usize, f64)]) {
+        self.rowidx.extend(col.iter().map(|&(r, _)| r));
+        self.values.extend(col.iter().map(|&(_, v)| v));
+        self.colptr.push(self.rowidx.len());
+    }
+
     /// Append the columns of `other`.
-    pub(crate) fn extend(&mut self, other: &ColRun) {
-        self.lens.extend_from_slice(&other.lens);
+    fn extend(&mut self, other: &ColRun) {
+        let base = self.rowidx.len();
+        self.colptr.extend(other.colptr[1..].iter().map(|&p| base + p));
         self.rowidx.extend_from_slice(&other.rowidx);
         self.values.extend_from_slice(&other.values);
     }
 
-    /// The `rows x lens.len()` matrix of these columns; the count array
-    /// becomes the column pointers in place.
+    /// The `rows`-row matrix of these columns.
     pub(crate) fn into_csc(self, rows: usize) -> CscMatrix {
         let ColRun {
-            lens: mut colptr,
+            colptr,
             rowidx,
             values,
         } = self;
-        let cols = colptr.len();
-        let mut run = 0;
-        for p in colptr.iter_mut() {
-            run += std::mem::replace(p, run);
-        }
-        colptr.push(run);
-        CscMatrix::from_parts(rows, cols, colptr, rowidx, values)
+        CscMatrix::from_parts(rows, colptr.len() - 1, colptr, rowidx, values)
     }
-}
-
-/// `S <- Ā22 - X Ā12` with `X` given as its nonzero rows: `x` is
-/// `nr x k`, row `q` = row `x_rows[q]` of `X`. Parallel over output
-/// columns. `s`'s previous contents are discarded and its allocations
-/// reused.
-#[doc(hidden)]
-pub fn schur_update_into(
-    a22: &CscMatrix,
-    x_rows: &[usize],
-    x: &DenseMatrix,
-    a12: &CscMatrix,
-    ws: &mut SchurWorkspace,
-    par: Parallelism,
-    s: &mut CscMatrix,
-) {
-    debug_assert_eq!(a12.cols(), a22.cols());
-    let mut out = ColRun::recycled(std::mem::replace(s, CscMatrix::zeros(0, 0)));
-    schur_update_ranged(a22, x_rows, x, a12, 0..a22.cols(), ws, par, &mut out);
-    *s = out.into_csc(a22.rows());
 }
 
 /// Chunk width (output columns) of the parallel Schur update, and the
@@ -843,60 +872,70 @@ pub fn schur_update_into(
 #[doc(hidden)]
 pub const SCHUR_GRAIN: usize = 32;
 
-/// The parallel Schur update over materialized blocks, shared by the
-/// sharded SPMD driver and the replicated oracle: appends
-/// [`schur_col`] over the columns `range` of `a22`/`a12` to `out`.
-/// Columns are computed independently, so the result is
-/// bitwise-identical to one sequential pass over `range` for any worker
-/// count — which is what keeps the sharded and replicated drivers bit
-/// for bit aligned while both go parallel within a rank. Sequentially
-/// the kernel appends to `out` directly. In parallel each fixed
-/// [`SCHUR_GRAIN`]-wide chunk fills the buffer the workspace keeps for
-/// it, and the buffers are appended to `out` in chunk order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn schur_update_ranged(
-    a22: &CscMatrix,
-    x_rows: &[usize],
-    x: &DenseMatrix,
-    a12: &CscMatrix,
-    range: std::ops::Range<usize>,
-    ws: &mut SchurWorkspace,
-    par: Parallelism,
-    out: &mut ColRun,
-) {
-    let cols = |range: std::ops::Range<usize>, corr: &mut Vec<f64>, out: &mut ColRun| {
-        corr.clear();
-        corr.resize(x_rows.len(), 0.0);
-        out.lens.reserve(range.len());
-        for j in range {
-            let (ti, tv) = a12.col(j);
-            let (ai, av) = a22.col(j);
-            schur_col((ai, av), (ti, tv), x_rows, x, corr, out);
-        }
-    };
-    let nchunks = range.len().div_ceil(SCHUR_GRAIN);
-    if !par.is_parallel() || nchunks <= 1 {
-        return cols(range, &mut ws.corr, out);
-    }
-    if ws.chunks.len() < nchunks {
-        ws.chunks.resize_with(nchunks, SchurChunk::default);
-    }
-    let chunks = &mut ws.chunks[..nchunks];
-    parallel_chunks_mut(par, chunks, 1, |c, chunk| {
-        let SchurChunk { corr, out } = &mut chunk[0];
-        out.clear();
-        let lo = range.start + c * SCHUR_GRAIN;
-        cols(lo..(lo + SCHUR_GRAIN).min(range.end), corr, out);
-    });
-
-    for chunk in chunks.iter() {
-        out.extend(&chunk.out);
-    }
-}
-
-/// Lock message: the retirement lock guards bookkeeping that cannot
+/// Lock message: the Schur updates' locks guard bookkeeping that cannot
 /// panic, and a run lock is written only once no chunk reads the run.
 const RUN_LOCK: &str = "schur run lock";
+
+/// `S <- Ā22 - X Ā12` over the rest columns `range` of `split`, each
+/// read through `col` (rest position -> column of `A^(i)`), routed
+/// through `split` as it is read and updated by the one per-column
+/// kernel [`schur_col`]; the new columns are appended to `out`, whose
+/// rows are the trailing ones. The SPMD engines' update: the replicated
+/// oracle reads its own complement, the sharded engine the raw rest
+/// columns the re-shard brought it. `X` is given as its nonzero rows:
+/// `x` is `nr x k`, row `q` = row `x_rows[q]` of `X`.
+///
+/// Columns are computed independently, so the result is bitwise
+/// identical to one sequential pass over `range` for any worker count
+/// and any cut of `range` into calls — which is what keeps the sharded
+/// and replicated engines bit for bit aligned while both go parallel
+/// within a rank. Sequentially the kernel appends to `out` directly. In
+/// parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the buffer the
+/// workspace keeps for it, and the buffers are appended to `out` in
+/// chunk order.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn schur_update_ranged<'a>(
+    col: impl Fn(usize) -> (&'a [usize], &'a [f64]) + Sync,
+    range: Range<usize>,
+    split: &BlockSplit,
+    x_rows: &[usize],
+    x: &DenseMatrix,
+    ws: &mut SchurWorkspace,
+    par: Parallelism,
+    out: &mut CscMatrix,
+) {
+    let rows = split.rest_rows.len();
+    assert_eq!(out.rows(), rows, "the target holds the trailing rows");
+    let idle = Mutex::new(std::mem::take(&mut ws.scratch));
+    let cols = |range: Range<usize>, out: &mut ColRun| {
+        let mut scr = idle.lock().expect(RUN_LOCK).pop().unwrap_or_default();
+        for j in range {
+            scr.update(split, col(j), x_rows, x, out);
+        }
+        idle.lock().expect(RUN_LOCK).push(scr);
+    };
+    let mut run = ColRun::open(std::mem::replace(out, CscMatrix::zeros(0, 0)));
+    let nchunks = range.len().div_ceil(SCHUR_GRAIN);
+    if !par.is_parallel() || nchunks <= 1 {
+        cols(range, &mut run);
+    } else {
+        if ws.chunks.len() < nchunks {
+            ws.chunks.resize_with(nchunks, ColRun::default);
+        }
+        let chunks = &mut ws.chunks[..nchunks];
+        parallel_chunks_mut(par, chunks, 1, |c, chunk| {
+            chunk[0].clear();
+            let lo = range.start + c * SCHUR_GRAIN;
+            cols(lo..(lo + SCHUR_GRAIN).min(range.end), &mut chunk[0]);
+        });
+        for chunk in chunks.iter() {
+            run.extend(chunk);
+        }
+    }
+    ws.scratch = idle.into_inner().expect(RUN_LOCK);
+    *out = run.into_csc(rows);
+}
 
 /// What the chunks of an in-place Schur update share: how many
 /// unwritten new runs still read each old run, the buffers of retired
@@ -919,9 +958,9 @@ struct Retirement {
 /// old run has a few readers, all close to it: chunks are claimed in
 /// ascending order and a stalled one holds back only the runs it reads
 /// itself, so the update holds one complement plus `O(np)` runs. Every
-/// column is computed exactly as [`schur_update_into`] computes it on
-/// the split's `Ā22`/`Ā12`, for any worker count. The routed `Ā12` is
-/// left in `ws.a12` for the `U` factor.
+/// column is computed exactly as [`schur_update_ranged`] computes it,
+/// for any worker count. The routed `Ā12` is left in `ws.a12` for the
+/// `U` factor.
 #[doc(hidden)]
 pub fn schur_update_runs(
     s: &mut CscRuns,
@@ -976,25 +1015,13 @@ pub fn schur_update_runs(
         };
         let mut out = buf.map(ColRun::recycled).unwrap_or_default();
         a12.clear();
-        scr.corr.clear();
-        scr.corr.resize(x_rows.len(), 0.0);
         for &j in cols {
             if j / width != held.0 {
                 held = (j / width, old[j / width].read().expect(RUN_LOCK));
             }
             let run = held.1.as_ref().expect("an old run read after its retirement");
-            scr.rows.clear();
-            scr.vals.clear();
-            split.route_rest(run.col(j % width), &mut scr.top, |r, v| {
-                scr.rows.push(r);
-                scr.vals.push(v);
-            });
-            let at = a12.rowidx.len();
-            a12.lens.push(scr.top.len());
-            a12.rowidx.extend(scr.top.iter().map(|&(t, _)| t));
-            a12.values.extend(scr.top.iter().map(|&(_, v)| v));
-            let a12_col = (&a12.rowidx[at..], &a12.values[at..]);
-            schur_col((&scr.rows, &scr.vals), a12_col, x_rows, x, &mut scr.corr, &mut out);
+            scr.update(split, run.col(j % width), x_rows, x, &mut out);
+            a12.push_pairs(&scr.top);
         }
         drop(held);
         *installed = Some(out.into_csc(rows));
@@ -1026,22 +1053,23 @@ pub fn schur_update_runs(
 }
 
 /// One column of `S = Ā22 - X Ā12`, appended to `out`: the Schur
-/// kernel every engine runs, whatever holds the blocks.
+/// kernel every engine runs, whatever holds `A^(i)`. The column comes
+/// as the split routes it: its `Ā22` part (trailing rows, ascending)
+/// and its `Ā12` part `top` (`(pivot position, value)`, ascending).
 ///
 /// The correction `corr = X Ā12[:, j]` is accumulated as one axpy
-/// `corr += a12[t, j] * X[:, t]` per stored entry of the `Ā12` column
-/// (stored zeros included), in ascending `t` — per entry of `corr` the
-/// chain `0 + a12[t0, j] x[q, t0] + a12[t1, j] x[q, t1] + …`, over
-/// contiguous vectors and with no dependency between entries. Then a
-/// sorted two-pointer walk merges the `Ā22` column with `-corr` at
-/// `x_rows`, dropping exact zeros the update produced. `corr` has
-/// `x_rows.len()` entries. Columns never read each other, so a result
-/// is bitwise independent of how the columns are cut into chunks, runs
-/// or shards — the property the sharded-vs-replicated oracle tests and
-/// the in-place update rely on.
+/// `corr += a12[t, j] * X[:, t]` per entry of `top`, in ascending `t` —
+/// per entry of `corr` the chain `0 + a12[t0, j] x[q, t0] + a12[t1, j]
+/// x[q, t1] + …`, over contiguous vectors and with no dependency
+/// between entries. Then a sorted two-pointer walk merges the `Ā22`
+/// column with `-corr` at `x_rows`, dropping exact zeros the update
+/// produced. `corr` has `x_rows.len()` entries. Columns never read each
+/// other, so a result is bitwise independent of how the columns are cut
+/// into chunks, runs or shards — the property the sharded-vs-replicated
+/// oracle tests and the in-place update rely on.
 fn schur_col(
     (ai, av): (&[usize], &[f64]),
-    (ti, tv): (&[usize], &[f64]),
+    top: &[(usize, f64)],
     x_rows: &[usize],
     x: &DenseMatrix,
     corr: &mut [f64],
@@ -1051,20 +1079,19 @@ fn schur_col(
     debug_assert_eq!(x.rows(), nr);
     debug_assert_eq!(corr.len(), nr);
     let ColRun {
-        lens,
+        colptr,
         rowidx: rows_out,
         values: vals_out,
     } = out;
-    let before = rows_out.len();
-    if ti.is_empty() {
+    if top.is_empty() {
         // No correction touches this column: pure copy.
         rows_out.extend_from_slice(ai);
         vals_out.extend_from_slice(av);
-        lens.push(rows_out.len() - before);
+        colptr.push(rows_out.len());
         return;
     }
     corr.fill(0.0);
-    accumulate_correction(corr, x, ti, tv);
+    accumulate_correction(corr, x, top);
     // Merge the Ā22 column with -corr at x_rows.
     let mut p = 0usize; // into the Ā22 column
     let mut q = 0usize; // into x_rows
@@ -1090,25 +1117,26 @@ fn schur_col(
             q += 1;
         }
     }
-    lens.push(rows_out.len() - before);
+    colptr.push(rows_out.len());
 }
 
-/// `corr += Σ_t tv[t] · x[:, ti[t]]`, each entry's sum taken in the
-/// order of `ti`. Four columns of `x` go through `corr` per pass — the
-/// same left-to-right chain per entry as one column at a time, with a
-/// quarter of the loads and stores of `corr`.
-fn accumulate_correction(corr: &mut [f64], x: &DenseMatrix, ti: &[usize], tv: &[f64]) {
+/// `corr += Σ v · x[:, t]` over the `(t, v)` of `top`, each entry's sum
+/// taken in the order of `top`. Four columns of `x` go through `corr`
+/// per pass — the same left-to-right chain per entry as one column at a
+/// time, with a quarter of the loads and stores of `corr`.
+fn accumulate_correction(corr: &mut [f64], x: &DenseMatrix, top: &[(usize, f64)]) {
     let nr = corr.len();
-    let (ti4, tv4) = (ti.chunks_exact(4), tv.chunks_exact(4));
-    let (ti_rest, tv_rest) = (ti4.remainder(), tv4.remainder());
-    for (t, v) in ti4.zip(tv4) {
-        let (x0, x1, x2, x3) = (x.col(t[0]), x.col(t[1]), x.col(t[2]), x.col(t[3]));
+    let quads = top.chunks_exact(4);
+    let rest = quads.remainder();
+    for e in quads {
+        let (x0, x1, x2, x3) = (x.col(e[0].0), x.col(e[1].0), x.col(e[2].0), x.col(e[3].0));
         let (x0, x1, x2, x3) = (&x0[..nr], &x1[..nr], &x2[..nr], &x3[..nr]);
+        let (v0, v1, v2, v3) = (e[0].1, e[1].1, e[2].1, e[3].1);
         for q in 0..nr {
-            corr[q] = (((corr[q] + v[0] * x0[q]) + v[1] * x1[q]) + v[2] * x2[q]) + v[3] * x3[q];
+            corr[q] = (((corr[q] + v0 * x0[q]) + v1 * x1[q]) + v2 * x2[q]) + v3 * x3[q];
         }
     }
-    for (&t, &v) in ti_rest.iter().zip(tv_rest) {
+    for &(t, v) in rest {
         for (c, &xv) in corr.iter_mut().zip(x.col(t)) {
             *c += v * xv;
         }

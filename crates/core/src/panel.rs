@@ -67,12 +67,13 @@ impl Source<'_> {
 }
 
 /// The `[Ā11 Ā12; Ā21 Ā22]` split of Algorithm 2 line 8, as far as
-/// every engine holds it: `Ā11`/`Ā21`, whole on every rank (`O(b^2)` /
-/// `O(b)`-column objects), and the row/column classification, which
-/// also routes a rest column's entries into `Ā12`/`Ā22`. The rest blocks
-/// belong to the engines: the shared-memory engine reads them in place
-/// inside its Schur update, the SPMD engines materialize the columns
-/// they update.
+/// any engine holds it: `Ā11`/`Ā21`, whole on every rank (`O(b^2)` /
+/// `O(b)`-column objects), and the row/column classification, the same
+/// on every rank, which routes a rest column's entries into `Ā12`/`Ā22`.
+/// No engine materializes `Ā22`: every Schur update routes each rest
+/// column as it reads it, wherever the column is held (the
+/// shared-memory engine's runs, a replicated complement, or a re-shard
+/// piece that carries the raw column to its new owner).
 pub(crate) struct PanelSplit {
     pub(crate) a11: DenseMatrix,
     pub(crate) a21: CscMatrix,
@@ -134,8 +135,9 @@ pub(crate) trait PanelEngine {
     /// Line 7: row tournament on `Q_k^T`.
     fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize>;
 
-    /// Line 8: permute and split; an engine that materializes the rest
-    /// blocks keeps them until the next split.
+    /// Line 8: permute and split. The rest columns stay where the
+    /// engine holds them; the Schur update routes them through the
+    /// split's classification.
     fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit;
 
     /// Line 10: `L21` as its nonzero trailing-row positions and the
@@ -156,7 +158,13 @@ pub(crate) trait PanelEngine {
 
     /// Line 12, second half; afterwards the engine holds the next Schur
     /// complement.
-    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix);
+    fn schur_finish(
+        &mut self,
+        sp: &PanelSplit,
+        pending: Self::Pending,
+        x_rows: &[usize],
+        x: &DenseMatrix,
+    );
 
     /// This panel's trailing `U` entries per panel row, as
     /// `(original column, value)` — `None` on ranks that keep no
@@ -587,7 +595,7 @@ pub(crate) fn drive<E: PanelEngine>(
         });
 
         if let Some(p) = pending {
-            timers.time(KernelId::Schur, || eng.schur_finish(p, &x_rows, &x));
+            timers.time(KernelId::Schur, || eng.schur_finish(&sp, p, &x_rows, &x));
         }
 
         st.rank += k_eff;

@@ -25,7 +25,9 @@
 //!   ([`lra_comm::Ctx::post_alltoallv`]): the loop's Schur stage has
 //!   two halves, so sends go out in the first, factor recording (and
 //!   its `gatherv`) runs while the wire drains, and the second half
-//!   Schur-updates each received piece as it arrives. Re-shard part
+//!   Schur-updates each received piece as it arrives. A piece is the
+//!   sender's raw rest columns, which the receiver routes through the
+//!   replicated classification as it updates them. Re-shard part
 //!   buffers are recycled across panel iterations from a pool, like
 //!   the [`SchurWorkspace`] scratch. Piece-at-a-time updates tile the
 //!   new owned range in ascending column order, and the kernel
@@ -49,13 +51,15 @@
 //! reference the sharded engine is tested against. It keeps its own
 //! indicator and drop allreduces, and drops in place like the others.
 //!
-//! Both materialize the `Ā12`/`Ā22` columns they update (the split
-//! itself carries only `Ā11`, `Ā21` and the classification) and run the
-//! one per-column Schur kernel the shared-memory engine runs in place.
+//! Both hand the Schur kernel its columns the way the shared-memory
+//! engine does: each rest column is routed into its `Ā12`/`Ā22` parts
+//! as [`schur_update_ranged`] reads it, from the replicated complement
+//! or from a re-shard piece, and the `U` fragments are routed out of
+//! the same columns while they are still held. Neither builds a rest
+//! block.
 
 use crate::lucrtp::{
-    schur_update_ranged, u_fragments_of, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, MemStats,
-    SchurWorkspace,
+    schur_update_ranged, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
 };
 use crate::panel::{assemble_factors, drive, FactorCol, Measure, PanelEngine, PanelSplit, Source};
 use crate::timers::{KernelId, KernelTimers};
@@ -63,7 +67,7 @@ use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix, LuFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
-use lra_sparse::{gather_csc, slice_columns_recycled, BlockSplit, ColSlice, CscMatrix};
+use lra_sparse::{gather_csc, BlockSplit, ColSlice, CscMatrix};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -106,8 +110,6 @@ pub(crate) fn run_replicated(
             s: src.full(),
             opts,
             ws: SchurWorkspace::new(),
-            a12: CscMatrix::zeros(0, 0),
-            a22: CscMatrix::zeros(0, 0),
             pending_drop: None,
         })
     })
@@ -225,16 +227,26 @@ fn spmd_l21(
     (x_rows, xt)
 }
 
-/// An in-flight re-shard: the posted `alltoallv` plus the geometry of
-/// the new column partition. Produced by
-/// [`SpmdPanelCtx::post_reshard`], consumed by
-/// [`SpmdPanelCtx::complete_reshard`]; the compute placed between the
-/// two is what the wire time hides behind.
-struct PendingSchur<'a> {
-    pend: PendingExchange<'a, (CscMatrix, CscMatrix)>,
-    new_ranges: Vec<Range<usize>>,
-    m_rest: usize,
-    n_rest: usize,
+/// Per panel row `t`, the trailing `U` entries of the rest columns
+/// `rest` (their ids, ascending) of the current Schur complement, read
+/// through `col` and routed through `blocks`: `(original column, value)`
+/// in ascending rest-column order.
+fn u_fragments_of<'a>(
+    blocks: &BlockSplit,
+    rest: &[usize],
+    col: impl Fn(usize) -> (&'a [usize], &'a [f64]),
+    col_map: &[usize],
+    k_eff: usize,
+) -> Vec<FactorCol> {
+    let mut frags: Vec<FactorCol> = vec![Vec::new(); k_eff];
+    let mut top = Vec::new();
+    for &c in rest {
+        blocks.route_rest(col(c), &mut top, |_, _| {});
+        for &(t, v) in &top {
+            frags[t].push((col_map[c], v));
+        }
+    }
+    frags
 }
 
 /// Panel engine over rank-owned shards: the communicator, the rank's
@@ -259,10 +271,8 @@ struct SpmdPanelCtx<'a> {
     /// The pivot panel the last column tournament selected: the
     /// `O(m b)` selected columns, whole on every rank.
     panel: CscMatrix,
-    /// The last split's `Ā12`/`Ā22` over the owned run `my_run` of its
-    /// rest columns; `Ā22` goes once the re-shard parts are cut from it.
-    a12: CscMatrix,
-    a22: CscMatrix,
+    /// The positions in the last split's rest columns of the ones this
+    /// rank owns.
     my_run: Range<usize>,
     /// The threshold the last [`PanelEngine::measure`] measured a drop
     /// at, held until [`PanelEngine::settle_drop`].
@@ -270,9 +280,9 @@ struct SpmdPanelCtx<'a> {
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
-    /// [`Self::build_reshard_parts`] pops donors instead of allocating
-    /// `2·np` fresh matrices per panel, and the received parts return
-    /// to the pool once their columns are folded into the new shard.
+    /// [`Self::post_reshard`] pops donors instead of allocating `np`
+    /// fresh matrices per panel, and the received parts return to the
+    /// pool once their columns are folded into the new shard.
     /// Pool capacity is scratch, not resident state — it is *not*
     /// counted by [`Self::note_mem`] (the mem gates track the shard).
     part_pool: Vec<CscMatrix>,
@@ -304,8 +314,6 @@ impl<'a> SpmdPanelCtx<'a> {
             n_cur,
             opts,
             panel: CscMatrix::zeros(0, 0),
-            a12: CscMatrix::zeros(0, 0),
-            a22: CscMatrix::zeros(0, 0),
             my_run: 0..0,
             pending_drop: None,
             ws: SchurWorkspace::new(),
@@ -322,104 +330,69 @@ impl<'a> SpmdPanelCtx<'a> {
         self.peak_nnz = self.peak_nnz.max(self.shard.nnz());
     }
 
-    /// An empty column run over the arrays of the current shard, which
-    /// nothing reads between the split and the next [`Self::install_shard`].
-    fn retire_shard(&mut self) -> ColRun {
-        let retired = std::mem::replace(&mut self.shard, ColSlice::empty(0, 0));
-        ColRun::recycled(retired.into_local())
-    }
-
-    /// Install the Schur-updated columns of the new owned range as the
-    /// shard — the full next Schur complement is never materialized.
-    fn install_shard(&mut self, m_rest: usize, n_rest: usize, my_new: Range<usize>, cols: ColRun) {
-        debug_assert_eq!(cols.lens.len(), my_new.len());
-        self.shard = ColSlice::new(my_new.start, cols.into_csc(m_rest));
-        self.n_cur = n_rest;
-        self.note_mem();
-    }
-
-    /// Build the per-destination `(Ā12, Ā22)` column-run parts of the
-    /// re-shard exchange. Part buffers retired by previous iterations
-    /// are recycled from [`Self::part_pool`], so once part sizes reach
-    /// steady state the `2·np` allocations per panel disappear.
-    fn build_reshard_parts(&mut self, new_ranges: &[Range<usize>]) -> Vec<(CscMatrix, CscMatrix)> {
-        let my_run = &self.my_run;
-        let mut parts: Vec<(CscMatrix, CscMatrix)> = Vec::with_capacity(self.size);
-        for dst in 0..self.size {
-            let drg = owned_range(new_ranges, dst);
-            let lo = my_run.start.max(drg.start);
-            let hi = my_run.end.min(drg.end);
-            let local = if lo < hi {
-                (lo - my_run.start)..(hi - my_run.start)
-            } else {
-                0..0
-            };
-            let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
-            let d22 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
-            parts.push((
-                slice_columns_recycled(&self.a12, local.clone(), d12),
-                slice_columns_recycled(&self.a22, local, d22),
-            ));
-        }
-        parts
-    }
-
     /// Post the re-shard exchange for the just-eliminated panel
     /// without waiting for it: the sends go out now, the receives wait
-    /// inside the returned [`PendingSchur`]. Work issued between
-    /// this and [`Self::complete_reshard`] — factor recording and its
-    /// `gatherv`, which uses the eager tag namespace, disjoint from
-    /// pending-exchange tags, so the reordering cannot mismatch
-    /// envelopes — runs while the wire drains.
-    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingSchur<'a> {
-        let m_rest = sp.blocks.rest_rows.len();
-        let n_rest = sp.blocks.rest_cols.len();
-        let new_ranges = split_ranges(n_rest, self.size);
-        let parts = self.build_reshard_parts(&new_ranges);
-        self.a22 = CscMatrix::zeros(0, 0);
-        PendingSchur {
-            pend: self.ctx.post_alltoallv(parts),
-            new_ranges,
-            m_rest,
-            n_rest,
+    /// inside the returned exchange. Each destination's part is cut
+    /// straight from the shard's raw rest columns, into a buffer
+    /// recycled from [`Self::part_pool`]. Work issued between this and
+    /// [`Self::complete_reshard`] — factor recording and its `gatherv`,
+    /// which uses the eager tag namespace, disjoint from pending-exchange
+    /// tags, so the reordering cannot mismatch envelopes — runs while
+    /// the wire drains.
+    fn post_reshard(&mut self, sp: &PanelSplit) -> PendingExchange<'a, CscMatrix> {
+        let rest = &sp.blocks.rest_cols;
+        let new_ranges = split_ranges(rest.len(), self.size);
+        let mut parts = Vec::with_capacity(self.size);
+        for dst in 0..self.size {
+            let drg = owned_range(&new_ranges, dst);
+            let donor = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
+            let mut part = ColRun::recycled(donor);
+            let js = self.my_run.start.max(drg.start)..self.my_run.end.min(drg.end);
+            part.reserve(js.len(), js.clone().map(|j| self.shard.col(rest[j]).0.len()).sum());
+            for j in js {
+                part.push_col(self.shard.col(rest[j]));
+            }
+            parts.push(part.into_csc(self.shard.rows()));
         }
+        self.ctx.post_alltoallv(parts)
     }
 
     /// Complete a posted re-shard: drain the exchange in source-rank
-    /// order, Schur-updating each `(Ā12, Ā22)` piece the moment it
-    /// arrives — per-piece compute hides the tail of the drain — into
-    /// one column run over the retired shard's arrays. Both partitions
-    /// are ascending contiguous tilings, so the pieces, in source-rank
-    /// order, tile the new owned range in ascending column order; the
-    /// kernel computes every column independently (same per-column
-    /// arithmetic, same ascending emission), so splitting one pass over
-    /// the gathered range at piece boundaries moves no bits.
-    fn complete_reshard(&mut self, pr: PendingSchur<'a>, x_rows: &[usize], x: &DenseMatrix) {
-        let PendingSchur {
-            pend,
-            new_ranges,
-            m_rest,
-            n_rest,
-        } = pr;
-        let my_new = owned_range(&new_ranges, self.rank);
-        let mut updated = self.retire_shard();
-        {
-            let ws = &mut self.ws;
-            let pool = &mut self.part_pool;
-            let par = self.opts.par;
-            pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
-                debug_assert_eq!(p22.rows(), m_rest);
-                schur_update_ranged(&p22, x_rows, x, &p12, 0..p22.cols(), ws, par, &mut updated);
-                pool.push(p12);
-                pool.push(p22);
-            });
-        }
-        self.install_shard(m_rest, n_rest, my_new, updated);
+    /// order, Schur-updating each piece the moment it arrives — per-piece
+    /// compute hides the tail of the drain — into the retired shard's
+    /// arrays, which become the new shard; the full next Schur complement
+    /// is never materialized. Both partitions are ascending contiguous
+    /// tilings, so the pieces, in source-rank order, tile the new owned
+    /// range in ascending column order; the kernel routes and computes
+    /// every column independently (same classification on every rank,
+    /// same per-column arithmetic, same ascending emission), so splitting
+    /// one pass over the gathered range at piece boundaries moves no bits.
+    fn complete_reshard(
+        &mut self,
+        sp: &PanelSplit,
+        pend: PendingExchange<'a, CscMatrix>,
+        x_rows: &[usize],
+        x: &DenseMatrix,
+    ) {
+        let (m_rest, n_rest) = (sp.blocks.rest_rows.len(), sp.blocks.rest_cols.len());
+        let my_new = owned_range(&split_ranges(n_rest, self.size), self.rank);
+        let retired = std::mem::replace(&mut self.shard, ColSlice::empty(0, 0));
+        let mut updated = ColRun::recycled(retired.into_local()).into_csc(m_rest);
+        let (ws, pool, par) = (&mut self.ws, &mut self.part_pool, self.opts.par);
+        pend.complete_with(|_src, part: CscMatrix| {
+            let col = |j| part.col(j);
+            schur_update_ranged(col, 0..part.cols(), &sp.blocks, x_rows, x, ws, par, &mut updated);
+            pool.push(part);
+        });
+        debug_assert_eq!(updated.cols(), my_new.len());
+        self.shard = ColSlice::new(my_new.start, updated);
+        self.n_cur = n_rest;
+        self.note_mem();
     }
 }
 
 impl<'a> PanelEngine for SpmdPanelCtx<'a> {
-    type Pending = PendingSchur<'a>;
+    type Pending = PendingExchange<'a, CscMatrix>;
 
     fn idle_mem() -> Option<MemStats> {
         Some(MemStats::default())
@@ -460,22 +433,18 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         spmd_row_tournament(self.ctx, qk, k_eff)
     }
 
-    /// The pivot blocks come from the replicated panel, the rest
-    /// blocks only from the owned columns; the classification and the
-    /// entry routing are `CscMatrix::split_blocks`'s own.
+    /// The pivot blocks come from the replicated panel; the owned rest
+    /// columns stay in the shard until the re-shard cuts them.
     fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
         let blocks = BlockSplit::new(self.shard.rows(), self.n_cur, pivot_rows, &sel.selected);
-        let sp = PanelSplit::new(blocks, (0..pivot_rows.len()).map(|p| self.panel.col(p)));
         // The owned rest columns form a contiguous run of `rest_cols`
         // positions (both orderings ascend).
-        let rest = &sp.blocks.rest_cols;
+        let rest = &blocks.rest_cols;
         let rg = self.shard.col_range();
         let lo = rest.partition_point(|&c| c < rg.start);
         let hi = rest.partition_point(|&c| c < rg.end);
-        let owned = rest[lo..hi].iter().map(|&c| self.shard.col(c));
-        (self.a12, self.a22) = sp.blocks.rest_blocks(owned, self.shard.nnz());
         self.my_run = lo..hi;
-        sp
+        PanelSplit::new(blocks, (0..pivot_rows.len()).map(|p| self.panel.col(p)))
     }
 
     fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
@@ -491,26 +460,28 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         Some(self.post_reshard(sp))
     }
 
-    fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix) {
-        self.complete_reshard(pending, x_rows, x);
+    fn schur_finish(
+        &mut self,
+        sp: &PanelSplit,
+        pending: Self::Pending,
+        x_rows: &[usize],
+        x: &DenseMatrix,
+    ) {
+        self.complete_reshard(sp, pending, x_rows, x);
     }
 
     /// `(global column, value)` pairs from each rank's owned `Ā12`
-    /// piece, keyed by panel row, gathered to rank 0.
+    /// piece, keyed by panel row, gathered to rank 0. The owned rest
+    /// columns are read in the shard, which the re-shard retires only in
+    /// [`PanelEngine::schur_finish`].
     fn u_fragments(
         &mut self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
-        let mut frags: Vec<FactorCol> = vec![Vec::new(); k_eff];
-        for (slot, j) in self.my_run.clone().enumerate() {
-            let gcol = col_map[sp.blocks.rest_cols[j]];
-            let (ri, vs) = self.a12.col(slot);
-            for (&t, &v) in ri.iter().zip(vs) {
-                frags[t].push((gcol, v));
-            }
-        }
+        let owned = &sp.blocks.rest_cols[self.my_run.clone()];
+        let frags = u_fragments_of(&sp.blocks, owned, |c| self.shard.col(c), col_map, k_eff);
         let gathered = self.ctx.gatherv(0, frags)?;
         let mut out: Vec<FactorCol> = vec![Vec::new(); k_eff];
         for rank_frags in gathered {
@@ -572,8 +543,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     fn release_storage(&mut self) {
         self.shard = ColSlice::empty(0, 0);
         self.panel = CscMatrix::zeros(0, 0);
-        self.a12 = CscMatrix::zeros(0, 0);
-        self.a22 = CscMatrix::zeros(0, 0);
         self.ws = SchurWorkspace::new();
         self.part_pool = Vec::new();
     }
@@ -610,7 +579,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
 
 /// Panel engine over fully replicated storage — the bitwise reference
 /// for [`SpmdPanelCtx`]. Every rank holds the whole Schur complement
-/// and splits it as `CscMatrix::split_blocks` does; per-rank work
+/// and classifies it as `CscMatrix::split_blocks` does; per-rank work
 /// (Schur update, indicator and dropped-mass partials) covers the
 /// column range the sharded engine would own.
 struct ReplicatedEngine<'a> {
@@ -618,9 +587,6 @@ struct ReplicatedEngine<'a> {
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
-    /// The last split's `Ā12`/`Ā22` over all rest columns.
-    a12: CscMatrix,
-    a22: CscMatrix,
     /// The threshold the last [`PanelEngine::measure`] measured a drop
     /// at, held until [`PanelEngine::settle_drop`].
     pending_drop: Option<f64>,
@@ -634,7 +600,9 @@ impl ReplicatedEngine<'_> {
 }
 
 impl PanelEngine for ReplicatedEngine<'_> {
-    type Pending = std::convert::Infallible;
+    /// The next complement, installed once the `U` fragments are read
+    /// off this one.
+    type Pending = CscMatrix;
 
     fn dims(&self) -> (usize, usize) {
         (self.s.rows(), self.s.cols())
@@ -660,47 +628,32 @@ impl PanelEngine for ReplicatedEngine<'_> {
     fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
         let s = &self.s;
         let blocks = BlockSplit::new(s.rows(), s.cols(), pivot_rows, &sel.selected);
-        let sp = PanelSplit::new(blocks, sel.selected.iter().map(|&c| s.col(c)));
-        let rest = sp.blocks.rest_cols.iter().map(|&c| s.col(c));
-        (self.a12, self.a22) = sp.blocks.rest_blocks(rest, s.nnz());
-        sp
+        PanelSplit::new(blocks, sel.selected.iter().map(|&c| s.col(c)))
     }
 
     fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
         spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
     }
 
-    /// Block-column distribution + allgather.
+    /// Block-column distribution over the complement, read in place,
+    /// + allgather.
     fn schur_begin(
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
         x: &DenseMatrix,
     ) -> Option<Self::Pending> {
-        let a22 = std::mem::replace(&mut self.a22, CscMatrix::zeros(0, 0));
-        let my_range = owned_range(&split_ranges(a22.cols(), self.ctx.size()), self.ctx.rank());
-        let mut partial = ColRun::default();
-        schur_update_ranged(
-            &a22,
-            x_rows,
-            x,
-            &self.a12,
-            my_range,
-            &mut self.ws,
-            self.opts.par,
-            &mut partial,
-        );
-        let retired = std::mem::replace(&mut self.s, CscMatrix::zeros(0, 0));
-        let mut next = ColRun::recycled(retired);
-        for part in self.ctx.allgather(partial) {
-            next.extend(&part);
-        }
-        self.s = next.into_csc(sp.blocks.rest_rows.len());
-        None
+        let (s, rest) = (&self.s, &sp.blocks.rest_cols);
+        let my_range = owned_range(&split_ranges(rest.len(), self.ctx.size()), self.ctx.rank());
+        let mut partial = CscMatrix::zeros(sp.blocks.rest_rows.len(), 0);
+        let (ws, par) = (&mut self.ws, self.opts.par);
+        let col = |j: usize| s.col(rest[j]);
+        schur_update_ranged(col, my_range, &sp.blocks, x_rows, x, ws, par, &mut partial);
+        Some(gather_csc(&self.ctx.allgather(partial)))
     }
 
-    fn schur_finish(&mut self, pending: Self::Pending, _: &[usize], _: &DenseMatrix) {
-        match pending {}
+    fn schur_finish(&mut self, _: &PanelSplit, next: CscMatrix, _: &[usize], _: &DenseMatrix) {
+        self.s = next;
     }
 
     /// Replicated bookkeeping: every rank records every factor column.
@@ -710,7 +663,8 @@ impl PanelEngine for ReplicatedEngine<'_> {
         col_map: &[usize],
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
-        Some(u_fragments_of(&self.a12.transpose(), &sp.blocks.rest_cols, col_map, k_eff))
+        let rest = &sp.blocks.rest_cols;
+        Some(u_fragments_of(&sp.blocks, rest, |c| self.s.col(c), col_map, k_eff))
     }
 
     /// Partial squared norm + allreduce over the column partition the
@@ -758,8 +712,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
 
     fn release_storage(&mut self) {
         self.s = CscMatrix::zeros(0, 0);
-        self.a12 = CscMatrix::zeros(0, 0);
-        self.a22 = CscMatrix::zeros(0, 0);
         self.ws = SchurWorkspace::new();
     }
 }
@@ -783,7 +735,7 @@ mod tests {
     }
 
     impl<'a> PanelEngine for Watch<'a, '_> {
-        type Pending = PendingSchur<'a>;
+        type Pending = PendingExchange<'a, CscMatrix>;
 
         fn idle_mem() -> Option<MemStats> {
             SpmdPanelCtx::idle_mem()
@@ -821,8 +773,14 @@ mod tests {
         ) -> Option<Self::Pending> {
             self.eng.schur_begin(sp, x_rows, x)
         }
-        fn schur_finish(&mut self, pending: Self::Pending, x_rows: &[usize], x: &DenseMatrix) {
-            self.eng.schur_finish(pending, x_rows, x)
+        fn schur_finish(
+            &mut self,
+            sp: &PanelSplit,
+            pending: Self::Pending,
+            x_rows: &[usize],
+            x: &DenseMatrix,
+        ) {
+            self.eng.schur_finish(sp, pending, x_rows, x)
         }
         fn u_fragments(
             &mut self,

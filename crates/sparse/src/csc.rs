@@ -64,8 +64,7 @@ impl CscMatrix {
 
     /// Decompose into `(rows, cols, colptr, rowidx, values)` — the
     /// inverse of [`CscMatrix::from_parts`]. Exists so hot paths can
-    /// recycle the heap allocations of a matrix they are done with
-    /// (see `lra_sparse::slice_columns_recycled`).
+    /// recycle the heap allocations of a matrix they are done with.
     pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
         (self.rows, self.cols, self.colptr, self.rowidx, self.values)
     }
@@ -573,7 +572,10 @@ impl CscMatrix {
     /// `a11` is dense `k x k`, the other blocks are CSC with rows and
     /// columns renumbered (pivot order first, remaining order after),
     /// and `rest_rows`/`rest_cols` map the renumbered trailing indices
-    /// back to positions in `self`.
+    /// back to positions in `self`. `Ā12`/`Ā22` are every rest column
+    /// routed by [`BlockSplit::route_rest`], as the drivers' Schur
+    /// updates route the columns they read; this materialized form is
+    /// the reference those updates are tested against.
     #[allow(clippy::type_complexity)]
     pub fn split_blocks(
         &self,
@@ -582,9 +584,16 @@ impl CscMatrix {
     ) -> (DenseMatrix, CscMatrix, CscMatrix, CscMatrix, Vec<usize>, Vec<usize>) {
         let split = BlockSplit::new(self.rows, self.cols, pivot_rows, pivot_cols);
         let (a11, a21) = split.pivot_blocks(pivot_cols.iter().map(|&c| self.col(c)));
-        let rest = split.rest_cols.iter().map(|&c| self.col(c));
-        let (a12, a22) = split.rest_blocks(rest, self.nnz());
-        (a11, a12, a21, a22, split.rest_rows, split.rest_cols)
+        let ncols = split.rest_cols.len();
+        let mut a12 = SparseBuilder::new(split.k, ncols);
+        let mut a22 = SparseBuilder::with_capacity(split.rest_rows.len(), ncols, self.nnz());
+        let mut top = Vec::new();
+        for &c in &split.rest_cols {
+            split.route_rest(self.col(c), &mut top, |r, v| a22.push_entry(r, v));
+            a22.end_col();
+            a12.push_col(&top);
+        }
+        (a11, a12.finish(), a21, a22.finish(), split.rest_rows, split.rest_cols)
     }
 
     /// Per-column nnz counts (degree vector used by the orderings).
@@ -693,9 +702,9 @@ pub(crate) fn gather_at_rows<'a>(idx: &[usize], rows: &[usize], col: impl Column
 /// The row and column classification of a panel split (Algorithm 2,
 /// line 8) and the routing of column entries into the four blocks
 /// `[Ā11 Ā12; Ā21 Ā22]` — shared by [`CscMatrix::split_blocks`] and by
-/// engines that hold the pivot columns and the rest columns in
-/// different places (the sharded SPMD driver: a replicated pivot panel,
-/// an owned run of rest columns).
+/// the drivers' Schur updates, which route each rest column as they
+/// read it, wherever it is held (column runs, a replicated complement,
+/// a re-shard piece carrying raw columns to their new owner).
 ///
 /// Pivot rows are renumbered `0..k` in pivot order, the other rows
 /// `0..m-k` in their own order; that second map is monotone, so a
@@ -776,32 +785,12 @@ impl BlockSplit {
         (a11, a21.finish())
     }
 
-    /// `(Ā12, Ā22)` from rest columns (all of them or a run), in
-    /// ascending order; `nnz` bounds their stored entries.
-    pub fn rest_blocks<'a>(
-        &self,
-        rest_cols: impl ExactSizeIterator<Item = (&'a [usize], &'a [f64])>,
-        nnz: usize,
-    ) -> (CscMatrix, CscMatrix) {
-        let ncols = rest_cols.len();
-        let mut a12 = SparseBuilder::with_capacity(self.k, ncols, nnz.min(self.k * ncols));
-        let mut a22 = SparseBuilder::with_capacity(self.rest_rows.len(), ncols, nnz);
-        let mut top: Vec<(usize, f64)> = Vec::new();
-        for col in rest_cols {
-            self.route_rest(col, &mut top, |r, v| a22.push_entry(r, v));
-            a22.end_col();
-            a12.push_col(&top);
-        }
-        (a12.finish(), a22.finish())
-    }
-
-    /// Route one rest column the way [`BlockSplit::rest_blocks`] does:
-    /// its `Ā12` column as `(pivot position, value)` pairs in ascending
-    /// position (exact zeros left out, as the builder leaves them out)
+    /// Route one rest column: its `Ā12` column as `(pivot position,
+    /// value)` pairs in ascending position (exact zeros left out)
     /// replaces `top`'s contents, and its `Ā22` entries — rows
     /// renumbered, ascending, exact zeros left out — go to `bottom`.
-    /// This is how an engine that never materializes `Ā12` or `Ā22`
-    /// reads a rest column in place.
+    /// This is how a Schur update reads a rest column in place, without
+    /// materializing `Ā12` or `Ā22`.
     pub fn route_rest(
         &self,
         col: (&[usize], &[f64]),

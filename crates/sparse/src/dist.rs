@@ -172,32 +172,6 @@ pub(crate) fn slice_columns(full: &CscMatrix, range: Range<usize>) -> CscMatrix 
     )
 }
 
-/// [`ColSlice::from_full`]`.into_local()` with buffer recycling: copy
-/// columns `range` of `full` into the heap arrays of `recycled`
-/// (cleared, capacity kept), producing the same exact structural copy
-/// without fresh allocations once the pool buffers have grown to the
-/// steady-state part size. This is the per-panel re-shard's part
-/// builder — one `(dst)` part per rank per iteration, so without
-/// recycling the exchange allocates `2·np` matrices every panel.
-pub fn slice_columns_recycled(
-    full: &CscMatrix,
-    range: Range<usize>,
-    recycled: CscMatrix,
-) -> CscMatrix {
-    assert!(range.end <= full.cols(), "column range out of bounds");
-    let (_, _, mut colptr, mut rowidx, mut values) = recycled.into_parts();
-    colptr.clear();
-    rowidx.clear();
-    values.clear();
-    let cp = full.colptr();
-    let lo = cp[range.start];
-    let hi = cp[range.end];
-    colptr.extend(cp[range.start..=range.end].iter().map(|&p| p - lo));
-    rowidx.extend_from_slice(&full.rowidx()[lo..hi]);
-    values.extend_from_slice(&full.values()[lo..hi]);
-    CscMatrix::from_parts(full.rows(), range.len(), colptr, rowidx, values)
-}
-
 /// Split a full matrix into per-rank block-column shards (`ranges` as
 /// produced by `lra_par::split_ranges`, tiling `0..cols` in order).
 /// Each part is an exact structural copy; [`gather_csc`] inverts this
@@ -247,29 +221,6 @@ mod tests {
             vec![0, 3, 0, 1, 2, 3, 0, 2, 1],
             vec![1.0, -2.0, 3.0, 0.5, -4.0, 6.0, -0.25, 8.0, 0.125],
         )
-    }
-
-    #[test]
-    fn recycled_slice_matches_fresh_and_reuses_capacity() {
-        let a = sample();
-        for range in [0..3usize, 2..6, 1..1, 0..6] {
-            let fresh = ColSlice::from_full(&a, range.clone()).into_local();
-            // Recycle a buffer bigger than needed: contents must be
-            // identical to the fresh slice, allocation reused.
-            let pool = CscMatrix::from_parts(
-                9,
-                2,
-                vec![0, 4, 8],
-                vec![0, 1, 2, 3, 4, 5, 6, 7],
-                vec![9.0; 8],
-            );
-            let out = slice_columns_recycled(&a, range.clone(), pool);
-            assert_eq!(out, fresh, "range {range:?}");
-            // The donor's heap allocation survives the recycle (its
-            // capacity of 8 values covers every sample range).
-            let (_, _, _, _, values) = out.into_parts();
-            assert!(values.capacity() >= 8, "range {range:?}");
-        }
     }
 
     #[test]

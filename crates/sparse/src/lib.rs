@@ -8,8 +8,10 @@
 //! - CSC is the single compressed format; `transpose()` doubles as the
 //!   CSR view, mirroring how the paper's implementation stores
 //!   `A^(i)` column-distributed for tournament pivoting.
-//! - `split_blocks` implements the `[Ā11 Ā12; Ā21 Ā22]` partitioning of
-//!   Algorithm 2 line 8 in one pass.
+//! - `BlockSplit` classifies the rows and columns of Algorithm 2 line 8's
+//!   `[Ā11 Ā12; Ā21 Ā22]` partitioning and routes a rest column into its
+//!   `Ā12`/`Ā22` parts as a Schur update reads it; `split_blocks`
+//!   materializes all four blocks in one pass, the tests' reference.
 //! - `drop_below` returns the dropped Frobenius mass so ILUT_CRTP can
 //!   maintain its threshold-control sum (eq. 22) exactly; the drivers
 //!   measure that mass read-only and then drop in place
@@ -28,7 +30,7 @@ mod spa;
 
 pub use coo::CooMatrix;
 pub use csc::{BlockSplit, CscMatrix, SparseBuilder};
-pub use dist::{gather_csc, scatter_csc, slice_columns_recycled, ColSlice};
+pub use dist::{gather_csc, scatter_csc, ColSlice};
 pub use io::{
     read_matrix_market, read_matrix_market_file, write_matrix_market, write_matrix_market_file,
     MmError,

@@ -102,28 +102,6 @@ fn transpose_of_product_is_reversed_product() {
 }
 
 #[test]
-fn split_blocks_partitions_every_entry() {
-    let a = rand_sparse(30, 25, 4, 9);
-    let pivot_rows: Vec<usize> = vec![3, 17, 8, 22];
-    let pivot_cols: Vec<usize> = vec![10, 0, 24, 5];
-    let (a11, a12, a21, a22, rest_rows, rest_cols) = a.split_blocks(&pivot_rows, &pivot_cols);
-    let nnz_a11 = lra_sparse::CscMatrix::from_dense(&a11).nnz();
-    assert_eq!(
-        nnz_a11 + a12.nnz() + a21.nnz() + a22.nnz(),
-        a.nnz(),
-        "entries lost or duplicated"
-    );
-    assert_eq!(rest_rows.len(), 26);
-    assert_eq!(rest_cols.len(), 21);
-    // Spot-check value mapping: a22[(i, j)] == a[rest_rows[i], rest_cols[j]].
-    for i in (0..26).step_by(7) {
-        for j in (0..21).step_by(5) {
-            assert_eq!(a22.get(i, j), a.get(rest_rows[i], rest_cols[j]));
-        }
-    }
-}
-
-#[test]
 fn drop_below_extreme_thresholds() {
     let a = rand_sparse(10, 10, 3, 10);
     let (all_kept, mass0, n0) = a.drop_below(0.0);

@@ -1,9 +1,12 @@
 //! The shared Schur-update kernel (`S <- Ā22 - X Ā12`, sequential,
-//! sharded and replicated engines alike) against the gather-dot
-//! formulation it replaced, bit for bit — over materialized blocks
-//! (`schur_update_into`) and in place over a complement kept as runs
-//! (`schur_update_runs`, which routes `Ā12`/`Ā22` out of the old runs
-//! as it reads them and retires them as it writes the new ones).
+//! sharded and replicated engines alike) against `split_blocks` and the
+//! gather-dot formulation it replaced, bit for bit. Every engine hands
+//! the kernel raw columns of `A^(i)` and the split's classification,
+//! and the kernel routes each column into its `Ā12`/`Ā22` parts as it
+//! reads it: `schur_update_ranged` over columns read through an
+//! accessor (a complement read in place, or the raw rest columns a
+//! re-shard piece carries), `schur_update_runs` in place over a
+//! complement kept as runs (retiring old runs as it writes new ones).
 //!
 //! The reference below forms every correction entry as one dot chain
 //! `acc = 0; acc += a12[t, j] * x[q, t]` over the stored entries of the
@@ -11,11 +14,12 @@
 //! runs the same chains as contiguous axpys over the columns of `X`,
 //! and in parallel assembles the result from per-chunk buffers a
 //! workspace keeps between calls; neither may move a bit, whatever the
-//! worker count and whatever the workspace held before.
+//! worker count, however the columns are cut into calls, and whatever
+//! the workspace held before.
 
-use lra::core::{schur_update_into, schur_update_runs, Parallelism, SchurWorkspace, SCHUR_GRAIN};
+use lra::core::{schur_update_ranged, schur_update_runs, Parallelism, SchurWorkspace, SCHUR_GRAIN};
 use lra::dense::DenseMatrix;
-use lra::sparse::{BlockSplit, CscMatrix, CscRuns};
+use lra::sparse::{BlockSplit, CooMatrix, CscMatrix, CscRuns};
 
 mod common;
 use common::{bits_eq, SplitMix64};
@@ -85,16 +89,16 @@ fn value(rng: &mut SplitMix64) -> f64 {
     }
 }
 
-/// A `rows x cols` CSC matrix keeping each position with chance
-/// `fill`/16, stored zeros included, some columns left empty.
-fn sparse(rng: &mut SplitMix64, rows: usize, cols: usize, fill: usize) -> CscMatrix {
+/// A `rows x cols` CSC matrix keeping position `(r, _)` with chance
+/// `fill(r)`/16, stored zeros included, some columns left empty.
+fn sparse(rng: &mut SplitMix64, rows: usize, cols: usize, fill: impl Fn(usize) -> usize) -> CscMatrix {
     let mut colptr = vec![0];
     let mut rowidx = Vec::new();
     let mut values = Vec::new();
     for _ in 0..cols {
         if rng.below(5) > 0 {
             for r in 0..rows {
-                if rng.below(16) < fill {
+                if rng.below(16) < fill(r) {
                     rowidx.push(r);
                     values.push(value(rng));
                 }
@@ -105,37 +109,65 @@ fn sparse(rng: &mut SplitMix64, rows: usize, cols: usize, fill: usize) -> CscMat
     CscMatrix::from_parts(rows, cols, colptr, rowidx, values)
 }
 
-/// One update's operands: `m` trailing rows, `n` columns, panel width
-/// `k`, about `nr_of_16`/16 of the rows touched by `X`.
+/// One update's operands: `A^(i)`, split at `k` pivot columns (leading,
+/// trailing or scattered) and `k` scattered pivot rows, and `X` over
+/// about `nr_of_16`/16 of the trailing rows.
 struct Case {
-    a22: CscMatrix,
+    a: CscMatrix,
+    pivot_rows: Vec<usize>,
+    pivot_cols: Vec<usize>,
+    split: BlockSplit,
     x_rows: Vec<usize>,
     x: DenseMatrix,
-    a12: CscMatrix,
 }
 
+impl Case {
+    /// `split_blocks`, then the gather-dot reference.
+    fn want(&self) -> CscMatrix {
+        let (_, a12, _, a22, _, _) = self.a.split_blocks(&self.pivot_rows, &self.pivot_cols);
+        schur_reference(&a22, &self.x_rows, &self.x, &a12)
+    }
+}
+
+/// An `A^(i)` with `m` trailing rows, `n` rest columns and `k` pivots.
+/// Pivot rows keep an entry with chance `a12_fill`/16 (that is `Ā12`),
+/// the others 5/16.
 fn case(rng: &mut SplitMix64, m: usize, n: usize, k: usize, nr_of_16: usize, a12_fill: usize) -> Case {
+    let pivot_cols = match rng.below(3) {
+        0 => (0..k).collect(),
+        1 => (n..n + k).rev().collect(),
+        _ => pivots(rng, n + k, k),
+    };
+    let pivot_rows = pivots(rng, m + k, k);
+    let mut fill = vec![5; m + k];
+    for &r in &pivot_rows {
+        fill[r] = a12_fill;
+    }
+    let a = sparse(rng, m + k, n + k, |r| fill[r]);
     let x_rows: Vec<usize> = (0..m).filter(|_| rng.below(16) < nr_of_16).collect();
     let x = DenseMatrix::from_fn(x_rows.len(), k, |_, _| value(rng));
-    let a12 = sparse(rng, k, n, a12_fill);
-    // Make some updates cancel exactly: give an `a22` entry the
+    // Make some updates cancel exactly: give a trailing entry the
     // correction's own value now and then (`probe` holds `-corr`
     // wherever that is nonzero).
+    let (_, a12, _, _, rest_rows, rest_cols) = a.split_blocks(&pivot_rows, &pivot_cols);
     let probe = schur_reference(&CscMatrix::zeros(m, n), &x_rows, &x, &a12);
-    let (_, _, colptr, rowidx, mut values) = sparse(rng, m, n, 5).into_parts();
-    for j in 0..n {
-        for p in colptr[j]..colptr[j + 1] {
-            if rng.below(4) == 0 {
-                values[p] = -probe.get(rowidx[p], j);
+    let (_, _, colptr, rowidx, mut values) = a.into_parts();
+    for (j, &c) in rest_cols.iter().enumerate() {
+        for p in colptr[c]..colptr[c + 1] {
+            if let Ok(i) = rest_rows.binary_search(&rowidx[p]) {
+                if rng.below(4) == 0 {
+                    values[p] = -probe.get(i, j);
+                }
             }
         }
     }
-    let a22 = CscMatrix::from_parts(m, n, colptr, rowidx, values);
     Case {
-        a22,
+        a: CscMatrix::from_parts(m + k, n + k, colptr, rowidx, values),
+        split: BlockSplit::new(m + k, n + k, &pivot_rows, &pivot_cols),
+        pivot_rows,
+        pivot_cols,
         x_rows,
         x,
-        a12,
     }
 }
 
@@ -144,6 +176,16 @@ fn assert_bitwise(got: &CscMatrix, want: &CscMatrix, what: &str) {
     assert_eq!(got.colptr(), want.colptr(), "{what}: colptr");
     assert_eq!(got.rowidx(), want.rowidx(), "{what}: rowidx");
     assert!(bits_eq(got.values(), want.values()), "{what}: value bits");
+}
+
+/// Ascending cut points of `0..n`, from 0 to `n`, at most `pieces`
+/// pieces, some of them empty.
+fn cuts(rng: &mut SplitMix64, n: usize, pieces: usize) -> Vec<usize> {
+    let mut at: Vec<usize> = (1..pieces).map(|_| rng.below(n + 1)).collect();
+    at.push(0);
+    at.push(n);
+    at.sort_unstable();
+    at
 }
 
 #[test]
@@ -163,13 +205,24 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
     for &(m, n, k) in &shapes {
         for &(nr_of_16, a12_fill) in &[(0, 6), (3, 2), (9, 6), (16, 16)] {
             let c = case(&mut rng, m, n, k, nr_of_16, a12_fill);
-            let want = schur_reference(&c.a22, &c.x_rows, &c.x, &c.a12);
+            let want = c.want();
+            let rest = &c.split.rest_cols;
             for np in 1..=3 {
-                let mut ws = SchurWorkspace::new();
-                let mut got = CscMatrix::zeros(0, 0);
                 let par = Parallelism::new(np);
-                schur_update_into(&c.a22, &c.x_rows, &c.x, &c.a12, &mut ws, par, &mut got);
-                let what = format!("{m}x{n} k={k} nr={} np={np}", c.x_rows.len());
+                let mut ws = SchurWorkspace::new();
+                // The sharded engine's input: re-shard pieces of raw rest
+                // columns, each updated as it arrives and appended (the
+                // next test reads a complement in place).
+                let at = cuts(&mut rng, n, 4);
+                let mut got = CscMatrix::zeros(m, 0);
+                for piece in at.windows(2) {
+                    let part = c.a.select_columns(&rest[piece[0]..piece[1]]);
+                    let col = |j| part.col(j);
+                    let all = 0..part.cols();
+                    schur_update_ranged(col, all, &c.split, &c.x_rows, &c.x, &mut ws, par, &mut got);
+                }
+                let nr = c.x_rows.len();
+                let what = format!("{m}x{n} k={k} nr={nr} np={np} pivots {:?} pieces {at:?}", c.pivot_cols);
                 assert_bitwise(&got, &want, &what);
             }
         }
@@ -180,7 +233,10 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
 fn a_reused_workspace_and_target_never_leak_an_earlier_call() {
     // Shrinking, then growing: every buffer the workspace and the
     // target hold is at some point larger than the call needs, and the
-    // column count crosses the one-chunk boundary both ways.
+    // column count crosses the one-chunk boundary both ways. The target
+    // is the last result's arrays, emptied, as the sharded engine
+    // writes its new shard into the retired one's; each update comes
+    // in two calls, the second appending to the first.
     let sizes = [(80, 130, 16), (50, 70, 7), (33, 33, 4), (12, 5, 2), (6, 0, 1), (40, 64, 9), (95, 150, 32)];
     for np in 1..=3 {
         let par = Parallelism::new(np);
@@ -189,9 +245,20 @@ fn a_reused_workspace_and_target_never_leak_an_earlier_call() {
         let mut s = CscMatrix::zeros(0, 0);
         for &(m, n, k) in &sizes {
             let c = case(&mut rng, m, n, k, 10, 8);
-            let want = schur_reference(&c.a22, &c.x_rows, &c.x, &c.a12);
-            schur_update_into(&c.a22, &c.x_rows, &c.x, &c.a12, &mut ws, par, &mut s);
-            assert_bitwise(&s, &want, &format!("{m}x{n} k={k} np={np} on a reused workspace"));
+            let want = c.want();
+            let rest = &c.split.rest_cols;
+            let (_, _, mut colptr, mut rowidx, mut values) = s.into_parts();
+            colptr.truncate(1);
+            rowidx.clear();
+            values.clear();
+            s = CscMatrix::from_parts(m, 0, colptr, rowidx, values);
+            let h = cuts(&mut rng, n, 2)[1];
+            let col = |j: usize| c.a.col(rest[j]);
+            for range in [0..h, h..n] {
+                schur_update_ranged(col, range, &c.split, &c.x_rows, &c.x, &mut ws, par, &mut s);
+            }
+            let what = format!("{m}x{n} k={k} np={np} cut {h} on a reused workspace");
+            assert_bitwise(&s, &want, &what);
         }
     }
 }
@@ -228,25 +295,55 @@ fn in_place_update_over_runs_matches_split_then_update() {
         let mut rng = SplitMix64(0x2A0 + np as u64);
         let mut ws = SchurWorkspace::new();
         for &(m, n, k) in &shapes {
-            let s = sparse(&mut rng, m, n, 6);
-            let mut pivot_cols = pivots(&mut rng, n, k);
-            match rng.below(3) {
-                0 => pivot_cols = (0..k).collect(),
-                1 => pivot_cols = (n - k..n).rev().collect(),
-                _ => {}
-            }
-            let pivot_rows = pivots(&mut rng, m, k);
-            let (_, a12, _, a22, _, _) = s.split_blocks(&pivot_rows, &pivot_cols);
-            let x_rows: Vec<usize> = (0..m - k).filter(|_| rng.below(16) < 11).collect();
-            let x = DenseMatrix::from_fn(x_rows.len(), k, |_, _| value(&mut rng));
-            let want = schur_reference(&a22, &x_rows, &x, &a12);
-
-            let mut runs = CscRuns::from_csc(&s, g);
-            let split = BlockSplit::new(m, n, &pivot_rows, &pivot_cols);
-            schur_update_runs(&mut runs, &split, &x_rows, &x, &mut ws, par);
+            let c = case(&mut rng, m - k, n - k, k, 11, 6);
+            let mut runs = CscRuns::from_csc(&c.a, g);
+            schur_update_runs(&mut runs, &c.split, &c.x_rows, &c.x, &mut ws, par);
             assert_eq!(runs.width(), g);
-            let what = format!("{m}x{n} k={k} np={np} pivots {pivot_cols:?}");
-            assert_bitwise(&runs.to_csc(), &want, &what);
+            let what = format!("{m}x{n} k={k} np={np} pivots {:?}", c.pivot_cols);
+            assert_bitwise(&runs.to_csc(), &c.want(), &what);
+        }
+    }
+}
+
+/// A `rows x cols` matrix with `per_col` random entries per column
+/// (repeats summed).
+fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
+    let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    let mut coo = CooMatrix::new(rows, cols);
+    for j in 0..cols {
+        for _ in 0..per_col {
+            let r = (next() % rows as u64) as usize;
+            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            coo.push(r, j, v);
+        }
+    }
+    coo.to_csc()
+}
+
+#[test]
+fn split_blocks_partitions_every_entry() {
+    let a = rand_sparse(30, 25, 4, 9);
+    let pivot_rows: Vec<usize> = vec![3, 17, 8, 22];
+    let pivot_cols: Vec<usize> = vec![10, 0, 24, 5];
+    let (a11, a12, a21, a22, rest_rows, rest_cols) = a.split_blocks(&pivot_rows, &pivot_cols);
+    let nnz_a11 = lra_sparse::CscMatrix::from_dense(&a11).nnz();
+    assert_eq!(
+        nnz_a11 + a12.nnz() + a21.nnz() + a22.nnz(),
+        a.nnz(),
+        "entries lost or duplicated"
+    );
+    assert_eq!(rest_rows.len(), 26);
+    assert_eq!(rest_cols.len(), 21);
+    // Spot-check value mapping: a22[(i, j)] == a[rest_rows[i], rest_cols[j]].
+    for i in (0..26).step_by(7) {
+        for j in (0..21).step_by(5) {
+            assert_eq!(a22.get(i, j), a.get(rest_rows[i], rest_cols[j]));
         }
     }
 }

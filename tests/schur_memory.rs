@@ -1,24 +1,32 @@
-//! One Schur complement at a time: the shared-memory engine's live
-//! bytes over a whole factorization stay within the factors plus a
-//! small multiple of its own largest complement.
+//! One Schur complement at a time: an engine's live bytes over a whole
+//! factorization stay within the factors plus a small multiple of its
+//! own largest Schur storage.
 //!
 //! A counting global allocator over `System` records the peak of live
-//! heap bytes while `lu_crtp` / `ilut_crtp` run on a 600 x 600 matrix
-//! whose Schur complement fills in to dense. The factors (`L`, `U`,
-//! and the recorded columns they are assembled from) may take up to
-//! twice their final size; what is left must fit in 1.75 complements,
-//! the complement being the engine's own `mem.peak_rank_bytes`. A split
-//! copy of `Ā22`, per-chunk output buffers appended into a second
-//! target, or a dropped copy beside the complement each add a whole
-//! complement and break the bound.
+//! heap bytes while a factorization runs on a 600 x 600 matrix whose
+//! Schur complement fills in to dense. For the shared-memory engine
+//! (`lu_crtp` / `ilut_crtp`) the factors (`L`, `U`, and the recorded
+//! columns they are assembled from) may take up to twice their final
+//! size; what is left must fit in 1.75 complements, the complement
+//! being the engine's own `mem.peak_rank_bytes`. A split copy of `Ā22`,
+//! per-chunk output buffers appended into a second target, or a dropped
+//! copy beside the complement each add a whole complement and break the
+//! bound. The sharded engine (`factorize_ranks`, two ranks) may hold
+//! the factors on every rank plus rank 0's assembly, and beside them at
+//! most four of its largest shards per rank: the shard, the re-shard
+//! parts cut from it, and the pooled part buffers they are cut into.
 //!
-//! This file is its own test binary with one test, so nothing else
-//! allocates while it measures.
+//! This file is its own test binary, and its tests take turns, so
+//! nothing else allocates while one measures.
 
-use lra::core::{ilut_crtp, lu_crtp, IlutOpts, LuCrtpOpts, LuCrtpResult, Parallelism};
+use lra::core::{
+    factorize_ranks, ilut_crtp, lu_crtp, IlutOpts, LuCrtpOpts, LuCrtpResult, Method, Parallelism,
+    RunConfig,
+};
 use lra::matgen::{fluid_block, with_decay_rank};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -69,16 +77,35 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held while a test measures.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 /// Peak live bytes while `run` runs, above what was live before it.
-fn peak_of(run: impl FnOnce() -> LuCrtpResult) -> (LuCrtpResult, usize) {
+fn peak_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
     let r = run();
     (r, PEAK.load(Relaxed) - base)
 }
 
+/// Asserts that `r` converged and that its run's `peak` live bytes
+/// leave at most `bound` times `storage` bytes beside `copies` of the
+/// factors.
+fn assert_within(what: &str, r: &LuCrtpResult, peak: usize, copies: f64, storage: u64, bound: f64) {
+    assert!(r.converged, "{what}: {r:?}");
+    let factors = (r.l.resident_bytes() + r.u.resident_bytes()) as f64;
+    let ratio = (peak as f64 - copies * factors) / storage as f64;
+    eprintln!("{what}: peak {peak} B, factors {factors} B, ratio {ratio:.2}");
+    assert!(
+        ratio <= bound,
+        "{what}: peak live {peak} bytes = {copies} x {factors} factor bytes + \
+         {ratio:.2} x {storage} bytes of Schur storage"
+    );
+}
+
 #[test]
 fn the_shared_memory_engine_holds_one_schur_complement() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let a = with_decay_rank(&fluid_block(20, 30, 102), 1e-6, 250, 12);
     assert_eq!((a.rows(), a.cols()), (600, 600));
     let (k, tau) = (16, 1e-4);
@@ -92,7 +119,6 @@ fn the_shared_memory_engine_holds_one_schur_complement() {
                 "lu_crtp" => peak_of(|| lu_crtp(&a, &lu)),
                 _ => peak_of(|| ilut_crtp(&a, &ilut)),
             };
-            assert!(r.converged, "{name} np={np}: {r:?}");
             let mem = r.mem.expect("the shared-memory engine reports mem");
             let dense = 16 * (a.rows() * a.cols()) as u64;
             assert!(
@@ -100,15 +126,24 @@ fn the_shared_memory_engine_holds_one_schur_complement() {
                 "{name} np={np}: the complement should fill in, peak {} of {dense} bytes",
                 mem.peak_rank_bytes
             );
-            let factors = (r.l.resident_bytes() + r.u.resident_bytes()) as f64;
-            let ratio = (peak as f64 - 2.0 * factors) / mem.peak_rank_bytes as f64;
-            eprintln!("{name} np={np}: peak {peak} B, factors {factors} B, ratio {ratio:.2}");
-            assert!(
-                ratio <= 1.75,
-                "{name} np={np}: peak live {peak} bytes = 2 x {factors} factor bytes + \
-                 {ratio:.2} complements of {} bytes",
-                mem.peak_rank_bytes
-            );
+            assert_within(&format!("{name} np={np}"), &r, peak, 2.0, mem.peak_rank_bytes, 1.75);
         }
+    }
+}
+
+#[test]
+fn the_sharded_engine_holds_its_shards_and_one_reshard() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let a = with_decay_rank(&fluid_block(20, 30, 102), 1e-6, 250, 12);
+    let lu = LuCrtpOpts::new(16, 1e-4);
+    let mut ilut = IlutOpts::new(16, 1e-4, 8);
+    ilut.base = lu.clone();
+    let np = 2;
+    for (name, method) in [("lu_crtp", Method::from(&lu)), ("ilut_crtp", Method::from(&ilut))] {
+        let (report, peak) = peak_of(|| factorize_ranks(&a, method, np, &RunConfig::default(), None));
+        let r = report.expect("valid input").unwrap_all().swap_remove(0);
+        let mem = r.mem.expect("the sharded engine reports mem");
+        let shards = np as u64 * mem.peak_rank_bytes;
+        assert_within(&format!("{name} ranks={np}"), &r, peak, (np + 1) as f64, shards, 4.0);
     }
 }
