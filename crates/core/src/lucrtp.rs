@@ -20,7 +20,7 @@ use crate::panel::{
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{DenseMatrix, LuFactor};
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
-use lra_qrtp::{tournament_columns, tournament_rows_dense, ColumnSelection, TournamentTree};
+use lra_qrtp::{tournament_columns, ColumnSelection, TournamentTree};
 use lra_sparse::{BlockSplit, CscMatrix, CscRuns};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -301,17 +301,26 @@ pub struct ThresholdReport {
     pub control_triggered: bool,
 }
 
-/// Peak per-rank memory footprint of a sharded SPMD run. The sharded
-/// driver keeps only a block-column shard of the Schur complement
-/// resident per rank (`O(nnz/np)` plus the `O(b^2)` panel), so these
-/// peaks shrink as ranks are added (pinned by
+/// Peak per-rank Schur storage of a run, read after placement and
+/// after each Schur stage. The shared-memory engine and the replicated
+/// oracle hold the whole complement; the sharded engine keeps only a
+/// block-column shard per rank (`O(nnz/np)`), so its peaks shrink as
+/// ranks are added (pinned by
 /// `tests/spmd_sharded.rs::per_rank_memory_shrinks_with_more_ranks`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemStats {
-    /// Max over ranks of the peak resident Schur-shard bytes.
+    /// Max over ranks of the peak resident Schur-storage bytes.
     pub peak_rank_bytes: u64,
-    /// Max over ranks of the peak resident Schur-shard nonzeros.
+    /// Max over ranks of the peak resident Schur-storage nonzeros.
     pub peak_rank_nnz: u64,
+}
+
+impl MemStats {
+    /// Raise the peaks to a `(bytes, nonzeros)` reading.
+    pub(crate) fn note(&mut self, (bytes, nnz): (u64, u64)) {
+        self.peak_rank_bytes = self.peak_rank_bytes.max(bytes);
+        self.peak_rank_nnz = self.peak_rank_nnz.max(nnz);
+    }
 }
 
 /// One iteration of the factorization trace.
@@ -369,10 +378,9 @@ pub struct LuCrtpResult {
     pub timers: KernelTimers,
     /// Thresholding report (ILUT_CRTP only).
     pub threshold: Option<ThresholdReport>,
-    /// Peak per-rank Schur storage (sharded SPMD driver only; `None`
-    /// for the sequential and replicated drivers, which hold the full
-    /// Schur complement everywhere).
-    pub mem: Option<MemStats>,
+    /// Peak per-rank Schur storage (zero when no matrix was placed: the
+    /// zero matrix).
+    pub mem: MemStats,
     /// Set when a [`LuCrtpOpts::budget`] limit or cancel token stopped
     /// the run at an iteration boundary. The factors are then a valid
     /// rank-`K` approximation whose achieved tolerance is
@@ -486,21 +494,15 @@ pub(crate) fn run_seq(
 
 /// The shared-memory panel engine: the whole Schur complement as
 /// consecutive [`SCHUR_GRAIN`]-column runs, every stage a
-/// thread-parallel kernel under `opts.par`. The split copies only the
-/// pivot columns; the Schur update reads `Ā12`/`Ā22` in place and
-/// retires old runs as it writes new ones ([`schur_update_runs`]), and
-/// an ILUT drop filters the runs in place, so the engine never holds a
-/// second complement.
+/// thread-parallel kernel under `opts.par`. The Schur update reads
+/// `Ā12`/`Ā22` in place and retires old runs as it writes new ones
+/// ([`schur_update_runs`]), and an ILUT drop filters the runs in place,
+/// so the engine never holds a second complement.
 struct SeqEngine<'o> {
     s: CscRuns,
     opts: &'o LuCrtpOpts,
     /// Kernel scratch reused across all iterations.
     ws: SchurWorkspace,
-    /// The threshold the last [`PanelEngine::measure`] measured a drop
-    /// at, held until [`PanelEngine::settle_drop`].
-    pending_drop: Option<f64>,
-    /// Peak resident bytes and nonzeros of the runs, before any drop.
-    peak: MemStats,
 }
 
 impl<'o> SeqEngine<'o> {
@@ -509,37 +511,23 @@ impl<'o> SeqEngine<'o> {
             Source::Input(a, cols) => CscRuns::select_columns(a, cols, SCHUR_GRAIN),
             Source::Snapshot(s) => CscRuns::from_csc(&s, SCHUR_GRAIN),
         };
-        let mut eng = SeqEngine {
+        SeqEngine {
             s,
             opts,
             ws: SchurWorkspace::new(),
-            pending_drop: None,
-            peak: MemStats::default(),
-        };
-        eng.note_mem();
-        eng
-    }
-
-    fn note_mem(&mut self) {
-        let p = &mut self.peak;
-        p.peak_rank_bytes = p.peak_rank_bytes.max(self.s.resident_bytes());
-        p.peak_rank_nnz = p.peak_rank_nnz.max(self.s.nnz() as u64);
+        }
     }
 }
 
 impl PanelEngine for SeqEngine<'_> {
     type Pending = std::convert::Infallible;
 
-    fn idle_mem() -> Option<MemStats> {
-        Some(MemStats::default())
-    }
-
     fn dims(&self) -> (usize, usize) {
         (self.s.rows(), self.s.cols())
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.s.resident_bytes()
+    fn resident(&self) -> (u64, u64) {
+        (self.s.resident_bytes(), self.s.nnz() as u64)
     }
 
     /// The ordering reads one matrix, so the runs are joined for it and
@@ -552,33 +540,15 @@ impl PanelEngine for SeqEngine<'_> {
         Some(perm)
     }
 
-    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-        tournament_columns(&self.s, None, k_want, TournamentTree::Binary, self.opts.par)
-    }
-
-    /// TSQR: the row-block decomposition is what parallelizes, matching
-    /// the paper's use of tall-skinny QR for the panel factorization.
-    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
-        let panel = self.s.gather_columns_dense(&sel.selected);
-        let f = lra_dense::tsqr(&panel, self.opts.par);
-        let rd: Vec<f64> = (0..sel.selected.len().min(f.r.rows()))
-            .map(|i| f.r.get(i, i).abs())
-            .collect();
-        (f.q, rd)
-    }
-
-    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-        tournament_rows_dense(qk, k_eff, TournamentTree::Binary, self.opts.par)
-    }
-
-    /// Only the pivot columns are copied; the rest stay in the runs.
-    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        let blocks = BlockSplit::new(self.s.rows(), self.s.cols(), pivot_rows, &sel.selected);
-        PanelSplit::new(blocks, sel.selected.iter().map(|&c| self.s.col(c)))
-    }
-
-    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
-        l21_direct(&sp.a21, lu11, &mut self.ws.tbuf, self.opts.par)
+    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
+        let sel = tournament_columns(&self.s, None, k_want, TournamentTree::Binary, self.opts.par);
+        let cols = || sel.selected.iter().map(|&c| self.s.col(c));
+        let mut panel = ColRun::default();
+        panel.reserve(sel.selected.len(), cols().map(|(ri, _)| ri.len()).sum());
+        for col in cols() {
+            panel.push_col(col);
+        }
+        (sel, panel.into_csc(self.s.rows()))
     }
 
     fn schur_begin(
@@ -588,7 +558,6 @@ impl PanelEngine for SeqEngine<'_> {
         x: &DenseMatrix,
     ) -> Option<Self::Pending> {
         schur_update_runs(&mut self.s, &sp.blocks, x_rows, x, &mut self.ws, self.opts.par);
-        self.note_mem();
         None
     }
 
@@ -602,28 +571,36 @@ impl PanelEngine for SeqEngine<'_> {
         match pending {}
     }
 
-    /// Read off the `Ā12` the Schur update routed into the workspace.
+    /// Read off the `Ā12` the Schur update routed into the workspace,
+    /// in ascending rest-column order per panel row.
     fn u_fragments(
-        &mut self,
+        &self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
-        // `tbuf` last held Ā21^T, which L-solve is done with.
-        let ws = &mut self.ws;
-        ws.a12.transpose_into(&mut ws.tbuf);
-        Some(u_fragments_of(&ws.tbuf, &sp.blocks.rest_cols, col_map, k_eff))
+        let a12 = &self.ws.a12;
+        let mut len = vec![0usize; k_eff];
+        for &t in a12.rowidx() {
+            len[t] += 1;
+        }
+        let mut frags: Vec<FactorCol> = len.into_iter().map(Vec::with_capacity).collect();
+        for (j, &c) in sp.blocks.rest_cols.iter().enumerate() {
+            let (ti, tv) = a12.col(j);
+            for (&t, &v) in ti.iter().zip(tv) {
+                frags[t].push((col_map[c], v));
+            }
+        }
+        Some(frags)
     }
 
     /// One read-only pass gives the indicator and the drop's mass, both
-    /// summed in storage order; the drop itself waits for the loop's
-    /// decision and then filters the runs in place.
+    /// summed in storage order.
     fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
         let (norm_sq, mass, count) =
             timers.time(KernelId::Indicator, || self.s.norm_sq_and_mass_below(thr));
         let indicator = norm_sq.sqrt();
         let dropped = if thr > 0.0 && indicator >= stop {
-            self.pending_drop = Some(thr);
             (mass, count)
         } else {
             (0.0, 0)
@@ -635,10 +612,8 @@ impl PanelEngine for SeqEngine<'_> {
         }
     }
 
-    fn settle_drop(&mut self, keep: bool) {
-        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
-            self.s.drop_below_in_place(thr, self.opts.par);
-        }
+    fn drop_below(&mut self, thr: f64) {
+        self.s.drop_below_in_place(thr, self.opts.par);
     }
 
     fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
@@ -649,29 +624,6 @@ impl PanelEngine for SeqEngine<'_> {
         self.s = CscRuns::from_runs(self.s.rows(), SCHUR_GRAIN, Vec::new());
         self.ws = SchurWorkspace::new();
     }
-
-    fn mem_stats(&self) -> Option<MemStats> {
-        Some(self.peak)
-    }
-}
-
-/// Per panel row `t`, the trailing `U` entries read off `Ā12^T`:
-/// `(original column, value)` in ascending rest-column order.
-fn u_fragments_of(
-    a12t: &CscMatrix,
-    rest_cols: &[usize],
-    col_map: &[usize],
-    k_eff: usize,
-) -> Vec<FactorCol> {
-    (0..k_eff)
-        .map(|t| {
-            let (ci, cv) = a12t.col(t);
-            ci.iter()
-                .zip(cv)
-                .map(|(&j_rest, &v)| (col_map[rest_cols[j_rest]], v))
-                .collect()
-        })
-        .collect()
 }
 
 /// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21` (Section
@@ -680,7 +632,7 @@ fn u_fragments_of(
 /// row `x_rows[r]` of `L21`), 16 independent columns to a parallel
 /// chunk. `tbuf` receives the transposed `Ā21` (caller-owned scratch
 /// reused across iterations).
-fn l21_direct(
+pub(crate) fn l21_direct(
     a21: &CscMatrix,
     lu11: &LuFactor,
     tbuf: &mut CscMatrix,
@@ -712,15 +664,13 @@ fn l21_direct(
 /// per [`SCHUR_GRAIN`]-column chunk of its parallel path. The in-place
 /// kernel over runs ([`schur_update_runs`]) keeps one slot per new run
 /// (the run until it is installed, and its columns of `Ā12`), up to one
-/// retired run buffer per worker, and the assembled `Ā12`. `tbuf` is
-/// the transpose target recycled by [`CscMatrix::transpose_into`].
+/// retired run buffer per worker, and the assembled `Ā12`.
 pub struct SchurWorkspace {
     chunks: Vec<ColRun>,
     slots: Vec<RunSlot>,
     pool: Vec<CscMatrix>,
     scratch: Vec<RouteScratch>,
-    pub(crate) a12: CscMatrix,
-    pub(crate) tbuf: CscMatrix,
+    a12: CscMatrix,
 }
 
 /// One new run of the in-place Schur update: the run, until the update
@@ -772,7 +722,6 @@ impl SchurWorkspace {
             pool: Vec::new(),
             scratch: Vec::new(),
             a12: CscMatrix::zeros(0, 0),
-            tbuf: CscMatrix::zeros(0, 0),
         }
     }
 }

@@ -5,33 +5,39 @@
 //! distribution. [`drive`] owns everything that *is* Algorithm 2/3 —
 //! budget polling, resume, the stage sequence and its
 //! [`KernelTimers`] buckets, the NaN guards and [`Breakdown`] exits,
-//! factor recording, the ILUT threshold/control decision, the trace,
-//! the checkpoint cadence and result assembly — and nothing that is
-//! data placement. A [`PanelEngine`] supplies only the stages, over
-//! whatever storage it keeps the Schur complement in: the
-//! shared-memory kernels over column runs updated in place
-//! (`SeqEngine` in `lucrtp.rs`), the rank-owned shards (`SpmdPanelCtx`
-//! in `spmd.rs`) or the fully replicated oracle (`ReplicatedEngine`,
-//! same file).
+//! the panel stages that read only the pivot panel (TSQR, the row
+//! tournament on `Q_k^T`, the split and the `L21` solve, over the rank
+//! group when there is one), factor recording, the ILUT
+//! threshold/control decision, the memory peak, the trace, the
+//! checkpoint cadence and result assembly. A [`PanelEngine`] supplies
+//! only where the Schur complement lives: the shared-memory column runs
+//! updated in place (`SeqEngine` in `lucrtp.rs`), the rank-owned shards
+//! (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated oracle
+//! (`ReplicatedEngine`, same file) — its column tournament, Schur
+//! update, `U` fragments, measurement, drop and snapshot.
 //!
 //! Memory follows the same split: the loop's [`PanelSplit`] holds only
-//! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification);
-//! the ILUT drop is measured read-only and applied in place only when
-//! the loop keeps it; and when the loop ends the engine's Schur storage
-//! is released before the factors are assembled from the recorded
-//! columns, each of which is freed as it is pushed.
+//! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification)
+//! and the pivot panel is freed once the split is built; the loop reads
+//! each engine's resident storage after placement and after each Schur
+//! stage and reports the peak; the ILUT drop is measured read-only and
+//! applied in place only when the loop keeps it; and when the loop ends
+//! the engine's Schur storage is released before the factors are
+//! assembled from the recorded columns, each of which is freed as it is
+//! pushed.
 
 use crate::checkpoint::{
     load_resume, save_snapshot, IlutCheckpoint, LuCrtpCheckpoint, RecoveryHooks,
 };
 use crate::lucrtp::{
-    Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
+    l21_direct, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
     ThresholdReport,
 };
+use crate::spmd::{spmd_l21, spmd_panel_tsqr};
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
-use lra_dense::{lu, DenseMatrix, LuFactor};
-use lra_qrtp::ColumnSelection;
+use lra_dense::{lu, DenseMatrix};
+use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_recover::BudgetTrip;
 use lra_sparse::{BlockSplit, CscMatrix};
 use std::borrow::Cow;
@@ -91,8 +97,8 @@ impl PanelSplit {
     }
 }
 
-/// The stages of one block iteration over an engine's own storage of
-/// the Schur complement. Private to `lra-core` and statically
+/// Where an engine keeps the Schur complement `A^(i)`, and the stages
+/// that read or write it there. Private to `lra-core` and statically
 /// dispatched; every method that communicates is collective — the loop
 /// calls it on every rank, in the same order.
 pub(crate) trait PanelEngine {
@@ -100,11 +106,6 @@ pub(crate) trait PanelEngine {
     /// [`Self::schur_finish`] ([`std::convert::Infallible`] for engines
     /// that do all the work in the first half).
     type Pending;
-
-    /// The `mem` report of a run that placed no matrix.
-    fn idle_mem() -> Option<MemStats> {
-        None
-    }
 
     /// Whether this rank accumulates the factor columns.
     fn keeps_factors(&self) -> bool {
@@ -114,8 +115,10 @@ pub(crate) trait PanelEngine {
     /// Active `(rows, columns)` of the current Schur complement.
     fn dims(&self) -> (usize, usize);
 
-    /// Resident bytes this rank charges to the budget's memory ceiling.
-    fn resident_bytes(&self) -> u64;
+    /// This rank's resident Schur storage as `(bytes, nonzeros)`: what
+    /// the budget's memory ceiling is checked against and what the loop
+    /// records as the peak.
+    fn resident(&self) -> (u64, u64);
 
     /// [`OrderingMode::EveryIteration`]: fill-reduce the current Schur
     /// complement and return the column permutation applied. Only the
@@ -126,27 +129,13 @@ pub(crate) trait PanelEngine {
         None
     }
 
-    /// Line 5: column tournament.
-    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection;
-
-    /// Line 6: thin QR of the selected panel — `Q_k` and `|diag(R)|`.
-    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>);
-
-    /// Line 7: row tournament on `Q_k^T`.
-    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize>;
-
-    /// Line 8: permute and split. The rest columns stay where the
-    /// engine holds them; the Schur update routes them through the
-    /// split's classification.
-    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit;
-
-    /// Line 10: `L21` as its nonzero trailing-row positions and the
-    /// dense `k x nr` `X^T`.
-    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix);
+    /// Line 5: column tournament, and the pivot panel — a compact copy
+    /// of the selected columns in pivot order, the same on every rank —
+    /// that the loop's panel stages read.
+    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix);
 
     /// Line 12, first half: start `S = Ā22 - X Ā12`, `x` being the
-    /// `nr x k` nonzero rows of `X` (the transpose of what
-    /// [`Self::solve_l21`] returned). Whatever is still outstanding
+    /// `nr x k` nonzero rows of `X`. Whatever is still outstanding
     /// comes back as `Some` and is completed by [`Self::schur_finish`]
     /// after the factors are recorded.
     fn schur_begin(
@@ -170,7 +159,7 @@ pub(crate) trait PanelEngine {
     /// `(original column, value)` — `None` on ranks that keep no
     /// factors.
     fn u_fragments(
-        &mut self,
+        &self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
@@ -186,11 +175,9 @@ pub(crate) trait PanelEngine {
     /// [`KernelId::Drop`], the rest under [`KernelId::Indicator`].
     fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure;
 
-    /// Apply (`keep`) or forget the drop the last [`Self::measure`]
-    /// measured: a kept drop filters the Schur storage in place. The
-    /// loop calls it after every measurement at `thr > 0`, so no
-    /// pending drop outlives its decision.
-    fn settle_drop(&mut self, keep: bool);
+    /// Drop the entries below `thr` in place: the loop calls it only for
+    /// a drop it keeps, at the threshold [`Self::measure`] measured.
+    fn drop_below(&mut self, thr: f64);
 
     /// The whole current Schur complement for a snapshot, on the one
     /// rank that writes it — borrowed where the engine holds it whole.
@@ -210,11 +197,6 @@ pub(crate) trait PanelEngine {
         ut_cols: Vec<FactorCol>,
     ) -> (CscMatrix, CscMatrix) {
         assemble_factors(m, n, l_cols, ut_cols)
-    }
-
-    /// Peak per-rank Schur storage (`None` for the replicated oracle).
-    fn mem_stats(&self) -> Option<MemStats> {
-        None
     }
 }
 
@@ -336,7 +318,7 @@ impl LoopState {
         (l, u): (CscMatrix, CscMatrix),
         a_norm_f: f64,
         timers: KernelTimers,
-        mem: Option<MemStats>,
+        mem: MemStats,
     ) -> LuCrtpResult {
         LuCrtpResult {
             l,
@@ -381,11 +363,12 @@ fn save_checkpoint<E: PanelEngine>(
 
 /// Run LU_CRTP (`ilut: None`) or ILUT_CRTP over the engine `place`
 /// builds around the starting Schur complement. `comm` is the rank
-/// group (`None` sequentially): the loop itself uses it only to agree
-/// on the budget verdict, to broadcast rank 0's fill-reducing order and
-/// to name rank 0 as the one that publishes events and gauges. Only
-/// `u_estimate` and `phi_factor` are read from `ilut`; everything else
-/// comes from `opts`.
+/// group (`None` sequentially): the loop uses it to agree on the budget
+/// verdict and the memory peak, to broadcast rank 0's fill-reducing
+/// order, to run the panel stages (TSQR, row tournament, `L21`) across
+/// the group, and to name rank 0 as the one that publishes events and
+/// gauges. Only `u_estimate` and `phi_factor` are read from `ilut`;
+/// everything else comes from `opts`.
 pub(crate) fn drive<E: PanelEngine>(
     comm: Option<&Ctx>,
     a: &CscMatrix,
@@ -407,7 +390,7 @@ pub(crate) fn drive<E: PanelEngine>(
         st.converged = true;
         st.indicator = 0.0; // not `a_norm_f`: an empty sum is -0.0
         let empty = (CscMatrix::zeros(m, 0), CscMatrix::zeros(0, n));
-        return st.into_result(empty, a_norm_f, timers, E::idle_mem());
+        return st.into_result(empty, a_norm_f, timers, MemStats::default());
     }
 
     let mut eng = match hooks.and_then(|h| load_resume(h, m, n, ilut.is_some())) {
@@ -452,6 +435,12 @@ pub(crate) fn drive<E: PanelEngine>(
             eng
         }
     };
+    // This rank's peak Schur storage, read after placement and after
+    // each Schur stage; `Ā21^T` for the L21 solve, reused across
+    // iterations.
+    let mut peak = MemStats::default();
+    peak.note(eng.resident());
+    let mut tbuf = CscMatrix::zeros(0, 0);
 
     loop {
         if let Some(ctx) = comm {
@@ -467,12 +456,10 @@ pub(crate) fn drive<E: PanelEngine>(
         // of the collective schedule alone. `opts` is replicated, so
         // the `is_unlimited` branch itself cannot desync the group.
         if !opts.budget.is_unlimited() {
-            let local = opts.budget.check(st.iterations as u64, eng.resident_bytes());
+            let local = opts.budget.check(st.iterations as u64, eng.resident().0);
             let agreed = match comm {
                 None => local,
-                Some(ctx) => ctx
-                    .allreduce_opt(local.map(|t| t.to_wire()), BudgetTrip::merge_wire)
-                    .and_then(|(k, x, y)| BudgetTrip::from_wire(k, x, y)),
+                Some(ctx) => ctx.allreduce_opt(local, BudgetTrip::merge),
             };
             if let Some(t) = agreed {
                 // A cadence save already covered this iteration when
@@ -507,8 +494,9 @@ pub(crate) fn drive<E: PanelEngine>(
         }
         let k_want = opts.k.min(n_act).min(m_act).min(rank_cap - st.rank);
 
-        // Line 5: column tournament.
-        let sel = timers.time(KernelId::ColTournament, || eng.col_tournament(k_want));
+        // Line 5: column tournament. From here to the split the loop
+        // reads only the pivot panel, which every rank holds whole.
+        let (sel, panel) = timers.time(KernelId::ColTournament, || eng.col_tournament(k_want));
         if st.iterations == 0 {
             st.r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
         }
@@ -518,8 +506,18 @@ pub(crate) fn drive<E: PanelEngine>(
             break;
         }
 
-        // Line 6: QR of the selected panel.
-        let (qk, panel_r_diag) = timers.time(KernelId::PanelQr, || eng.panel_qr(&sel));
+        // Line 6: TSQR of the pivot panel — over its row blocks in
+        // parallel, or over rank-owned row blocks under SPMD.
+        let (qk, panel_r_diag) = timers.time(KernelId::PanelQr, || match comm {
+            None => {
+                let f = lra_dense::tsqr(&panel.to_dense(), opts.par);
+                let rd: Vec<f64> = (0..k_eff.min(f.r.rows()))
+                    .map(|i| f.r.get(i, i).abs())
+                    .collect();
+                (f.q, rd)
+            }
+            Some(ctx) => spmd_panel_tsqr(ctx, &panel),
+        });
         if panel_r_diag.iter().any(|v| !v.is_finite()) {
             lra_recover::record_guard_trip(format!(
                 "non-finite panel R diagonal at iteration {}",
@@ -530,14 +528,23 @@ pub(crate) fn drive<E: PanelEngine>(
         }
 
         // Line 7: row tournament on Q_k^T.
-        let rows = timers.time(KernelId::RowTournament, || eng.row_tournament(&qk, k_eff));
+        let rows = timers.time(KernelId::RowTournament, || match comm {
+            None => tournament_rows_dense(&qk, k_eff, TournamentTree::Binary, opts.par),
+            Some(ctx) => tournament_columns_spmd(ctx, &qk.transpose(), None, k_eff).selected,
+        });
         if rows.len() < k_eff {
             st.breakdown = Some(Breakdown::RankExhausted);
             break;
         }
 
-        // Line 8: permute and split.
-        let sp = timers.time(KernelId::Permute, || eng.split(&rows, &sel));
+        // Line 8: permute and split. The rest columns stay where the
+        // engine holds them; its Schur update routes them through the
+        // split's classification.
+        let sp = timers.time(KernelId::Permute, || {
+            let blocks = BlockSplit::new(m_act, n_act, &rows, &sel.selected);
+            PanelSplit::new(blocks, (0..k_eff).map(|p| panel.col(p)))
+        });
+        drop(panel);
 
         // Line 10: L21 formation.
         let lu11 = lu(&sp.a11);
@@ -545,7 +552,10 @@ pub(crate) fn drive<E: PanelEngine>(
             st.breakdown = Some(Breakdown::SingularPivotBlock);
             break;
         }
-        let (x_rows, xt) = timers.time(KernelId::LSolve, || eng.solve_l21(&sp, &lu11));
+        let (x_rows, xt) = timers.time(KernelId::LSolve, || match comm {
+            None => l21_direct(&sp.a21, &lu11, &mut tbuf, opts.par),
+            Some(ctx) => spmd_l21(ctx, &sp.a21, &lu11, &mut tbuf),
+        });
 
         // Line 12: Schur complement. An engine with wire to hide posts
         // its exchange here and completes it after the factors are
@@ -556,6 +566,7 @@ pub(crate) fn drive<E: PanelEngine>(
             let pending = eng.schur_begin(&sp, &x_rows, &x);
             (x, pending)
         });
+        peak.note(eng.resident());
 
         // Record factors (line 9/11), in original coordinates. The
         // pivot lists are replicated bookkeeping on every rank.
@@ -596,6 +607,7 @@ pub(crate) fn drive<E: PanelEngine>(
 
         if let Some(p) = pending {
             timers.time(KernelId::Schur, || eng.schur_finish(&sp, p, &x_rows, &x));
+            peak.note(eng.resident());
         }
 
         st.rank += k_eff;
@@ -620,11 +632,9 @@ pub(crate) fn drive<E: PanelEngine>(
                 st.iterations
             ));
             st.breakdown = Some(Breakdown::NonFinite);
-            eng.settle_drop(false);
             break;
         }
         let mut nnz = ms.nnz;
-        let mut keep = false;
         if st.indicator < stop {
             st.converged = true;
         } else if st.rank >= rank_cap {
@@ -645,16 +655,13 @@ pub(crate) fn drive<E: PanelEngine>(
                 if (th.mass_sq + mass).sqrt() < th.phi {
                     th.mass_sq += mass;
                     th.dropped += count;
-                    keep = true;
                     nnz -= count;
+                    timers.time(KernelId::Drop, || eng.drop_below(mu));
                 } else {
                     th.control_triggered = true;
                     th.mu = 0.0;
                 }
             }
-        }
-        if mu > 0.0 {
-            timers.time(KernelId::Drop, || eng.settle_drop(keep));
         }
 
         // Trace the Schur complement as the next iteration will see it
@@ -700,10 +707,18 @@ pub(crate) fn drive<E: PanelEngine>(
         }
     }
 
-    // The Schur storage goes before the factors are assembled, and the
-    // recorded columns go as they are assembled.
-    let mem = eng.mem_stats();
+    // Under SPMD the report is the group's largest peak, the same on
+    // every rank. The Schur storage goes before the factors are
+    // assembled, and the recorded columns go as they are assembled.
+    let mem = match comm {
+        None => peak,
+        Some(ctx) => ctx.allreduce(peak, |x, y| MemStats {
+            peak_rank_bytes: x.peak_rank_bytes.max(y.peak_rank_bytes),
+            peak_rank_nnz: x.peak_rank_nnz.max(y.peak_rank_nnz),
+        }),
+    };
     eng.release_storage();
+    drop(tbuf);
     let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));
     let factors = timers.time(KernelId::Concat, || eng.materialize(m, n, l_cols, ut_cols));
     st.into_result(factors, a_norm_f, timers, mem)

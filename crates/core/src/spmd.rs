@@ -2,7 +2,13 @@
 //! runtime — the structural port of the paper's MPI implementation
 //! (Section V): the one panel loop ([`crate::panel`]) run over two
 //! SPMD [`PanelEngine`]s that differ only in where the Schur
-//! complement lives.
+//! complement lives. The panel stages that read only the pivot panel
+//! are the loop's, run over the rank group: the panel TSQR
+//! ([`spmd_panel_tsqr`], rank-owned row blocks of the replicated panel,
+//! two `allgather`s), the row tournament on `Q_k^T`
+//! ([`lra_qrtp::tournament_columns_spmd`]) and the `L21` solve
+//! ([`spmd_l21`]: `Ā21` rows scattered, the small `X^T` allgathered,
+//! since a 1-D column distribution keeps the row panel replicated).
 //!
 //! **[`SpmdPanelCtx`] — rank-owned shards** (the default,
 //! [`crate::Exec::Spmd`]). Each rank holds only its [`ColSlice`] of the
@@ -13,12 +19,8 @@
 //!   the owned shard, then one `allreduce` in which winner columns
 //!   travel with their global ids as compact panels and every rank
 //!   replays the pairwise merges and the root pass
-//!   ([`lra_qrtp::tournament_columns_spmd_sharded`]);
-//! - the panel TSQR gathers its row blocks from the (replicated,
-//!   `O(b^2)`-ish) winner panel the tournament left on every rank;
-//! - `Ā21` rows are scattered for the `L21` solve and the small `X^T`
-//!   is allgathered (a 1-D column distribution keeps the row panel
-//!   replicated);
+//!   ([`lra_qrtp::tournament_columns_spmd_sharded`]); the winners'
+//!   compact panel is the pivot panel the loop's stages read;
 //! - the Schur update is computed only for owned columns, with an
 //!   `alltoallv` re-sharding from the old column partition to the new
 //!   one. The re-shard is a *posted* exchange
@@ -35,21 +37,22 @@
 //!   against the replicated engine's one pass;
 //! - the error indicator, the ILUT drop's `(mass, count)` and the Schur
 //!   nonzeros are agreed in one allreduce of per-shard partials, folded
-//!   component by component in the tree every rank replays; the drop's
-//!   partial is a read-only measurement, and a drop the loop keeps
-//!   filters the shard in place;
+//!   component by component in the tree every rank replays; the
+//!   measurement is read-only, and a drop the loop keeps filters the
+//!   shard in place;
 //! - only rank 0 accumulates the factor columns (small per-panel
 //!   fragments travel by `gatherv`); the final `L`/`U` are broadcast
 //!   once at the end, so every rank returns the same result.
 //!
 //! **[`ReplicatedEngine`] — every rank holds the whole Schur
-//! complement** (`Exec::SpmdReplicated`). It calls the same panel
-//! TSQR, row tournament and `L21` solve, and partitions its Schur
-//! update, indicator and dropped-mass partials over the *same* column
-//! ranges and reduction trees the sharded engine owns, so the two are
-//! bit-identical while differing only in resident storage: it is the
-//! reference the sharded engine is tested against. It keeps its own
-//! indicator and drop allreduces, and drops in place like the others.
+//! complement** (`Exec::SpmdReplicated`). The loop runs the same panel
+//! TSQR, row tournament and `L21` solve on its pivot panel, and it
+//! partitions its Schur update, indicator and dropped-mass partials
+//! over the *same* column ranges and reduction trees the sharded engine
+//! owns, so the two are bit-identical while differing only in resident
+//! storage: it is the reference the sharded engine is tested against.
+//! It keeps its own indicator and drop allreduces, and drops in place
+//! like the others.
 //!
 //! Both hand the Schur kernel its columns the way the shared-memory
 //! engine does: each rest column is routed into its `Ā12`/`Ā22` parts
@@ -59,7 +62,7 @@
 //! block.
 
 use crate::lucrtp::{
-    schur_update_ranged, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace,
+    schur_update_ranged, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace,
 };
 use crate::panel::{assemble_factors, drive, FactorCol, Measure, PanelEngine, PanelSplit, Source};
 use crate::timers::{KernelId, KernelTimers};
@@ -110,24 +113,24 @@ pub(crate) fn run_replicated(
             s: src.full(),
             opts,
             ws: SchurWorkspace::new(),
-            pending_drop: None,
         })
     })
 }
 
-/// Panel TSQR over rank-owned row blocks of the pivot panel (columns
-/// `cols` of `src`): local QR, allgather the small R factors,
-/// replicated root QR, local Q reconstruction, allgather the Q blocks.
-/// Returns `Q_k` and `|diag(R)|`.
-fn spmd_panel_tsqr(ctx: &Ctx, src: &CscMatrix, cols: &[usize]) -> (DenseMatrix, Vec<f64>) {
+/// Panel TSQR over rank-owned row blocks of the pivot panel: local QR,
+/// allgather the small R factors, replicated root QR, local Q
+/// reconstruction, allgather the Q blocks. Returns `Q_k` and
+/// `|diag(R)|`.
+pub(crate) fn spmd_panel_tsqr(ctx: &Ctx, panel: &CscMatrix) -> (DenseMatrix, Vec<f64>) {
     let (rank, size) = (ctx.rank(), ctx.size());
-    let m_act = src.rows();
-    let k_eff = cols.len();
+    let m_act = panel.rows();
+    let k_eff = panel.cols();
+    let cols: Vec<usize> = (0..k_eff).collect();
     let blocks = split_ranges(m_act, size.min((m_act / k_eff.max(1)).max(1)));
     let my_block = blocks.get(rank).cloned();
     let (my_r, my_f) = match &my_block {
         Some(rg) => {
-            let local = src.gather_columns_rows_dense(cols, rg.clone());
+            let local = panel.gather_columns_rows_dense(&cols, rg.clone());
             let f = qr(&local, Parallelism::SEQ);
             (f.r(), Some(f))
         }
@@ -184,16 +187,11 @@ fn spmd_panel_tsqr(ctx: &Ctx, src: &CscMatrix, cols: &[usize]) -> (DenseMatrix, 
     (qk, panel_r_diag)
 }
 
-/// Row tournament on `Q_k^T` (replicated input, distributed tree).
-fn spmd_row_tournament(ctx: &Ctx, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-    tournament_columns_spmd(ctx, &qk.transpose(), None, k_eff).selected
-}
-
 /// `L21` solve: `Ā21` rows scattered across ranks, `Ā11` replicated
 /// (broadcast in the paper), result allgathered — the small dense
 /// `X^T` is needed in full by every rank's Schur correction under a
 /// 1-D column distribution. `tbuf` receives `Ā21^T`.
-fn spmd_l21(
+pub(crate) fn spmd_l21(
     ctx: &Ctx,
     a21: &CscMatrix,
     lu11: &LuFactor,
@@ -251,13 +249,11 @@ fn u_fragments_of<'a>(
 
 /// Panel engine over rank-owned shards: the communicator, the rank's
 /// owned block-column [`ColSlice`] of the current Schur complement,
-/// and the replicated global dimensions, with one method per
-/// distributed stage of an LU_CRTP iteration. The shard invariant:
-/// after construction and after every re-shard
-/// ([`Self::complete_reshard`]), this rank owns exactly
-/// `owned_range(split_ranges(n_cur, size), rank)` — the same partition
-/// the replicated oracle uses for its per-rank work, which is what
-/// makes the two engines bit-identical.
+/// and the replicated global dimensions. The shard invariant: after
+/// construction and after every re-shard ([`Self::complete_reshard`]),
+/// this rank owns exactly `owned_range(split_ranges(n_cur, size),
+/// rank)` — the same partition the replicated oracle uses for its
+/// per-rank work, which is what makes the two engines bit-identical.
 struct SpmdPanelCtx<'a> {
     ctx: &'a Ctx,
     rank: usize,
@@ -268,15 +264,6 @@ struct SpmdPanelCtx<'a> {
     /// `opts.par` is the intra-rank worker count for the owned-range
     /// kernels (Schur update, threshold pass).
     opts: &'a LuCrtpOpts,
-    /// The pivot panel the last column tournament selected: the
-    /// `O(m b)` selected columns, whole on every rank.
-    panel: CscMatrix,
-    /// The positions in the last split's rest columns of the ones this
-    /// rank owns.
-    my_run: Range<usize>,
-    /// The threshold the last [`PanelEngine::measure`] measured a drop
-    /// at, held until [`PanelEngine::settle_drop`].
-    pending_drop: Option<f64>,
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
@@ -284,10 +271,9 @@ struct SpmdPanelCtx<'a> {
     /// fresh matrices per panel, and the received parts return to the
     /// pool once their columns are folded into the new shard.
     /// Pool capacity is scratch, not resident state — it is *not*
-    /// counted by [`Self::note_mem`] (the mem gates track the shard).
+    /// counted by [`PanelEngine::resident`] (the mem gates track the
+    /// shard).
     part_pool: Vec<CscMatrix>,
-    peak_bytes: usize,
-    peak_nnz: usize,
 }
 
 impl<'a> SpmdPanelCtx<'a> {
@@ -306,28 +292,23 @@ impl<'a> SpmdPanelCtx<'a> {
             // larger grid redistributes implicitly.
             Source::Snapshot(s) => (ColSlice::from_full(&s, owned(s.cols())), s.cols()),
         };
-        let mut eng = SpmdPanelCtx {
+        SpmdPanelCtx {
             ctx,
             rank: ctx.rank(),
             size: ctx.size(),
             shard,
             n_cur,
             opts,
-            panel: CscMatrix::zeros(0, 0),
-            my_run: 0..0,
-            pending_drop: None,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
-            peak_bytes: 0,
-            peak_nnz: 0,
-        };
-        eng.note_mem();
-        eng
+        }
     }
 
-    fn note_mem(&mut self) {
-        self.peak_bytes = self.peak_bytes.max(self.shard.resident_bytes());
-        self.peak_nnz = self.peak_nnz.max(self.shard.nnz());
+    /// The positions in `rest` (the split's rest columns) of the ones
+    /// this rank owns: a contiguous run, as both orderings ascend.
+    fn owned_run(&self, rest: &[usize]) -> Range<usize> {
+        let rg = self.shard.col_range();
+        rest.partition_point(|&c| c < rg.start)..rest.partition_point(|&c| c < rg.end)
     }
 
     /// Post the re-shard exchange for the just-eliminated panel
@@ -341,13 +322,14 @@ impl<'a> SpmdPanelCtx<'a> {
     /// the wire drains.
     fn post_reshard(&mut self, sp: &PanelSplit) -> PendingExchange<'a, CscMatrix> {
         let rest = &sp.blocks.rest_cols;
+        let my_run = self.owned_run(rest);
         let new_ranges = split_ranges(rest.len(), self.size);
         let mut parts = Vec::with_capacity(self.size);
         for dst in 0..self.size {
             let drg = owned_range(&new_ranges, dst);
             let donor = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
             let mut part = ColRun::recycled(donor);
-            let js = self.my_run.start.max(drg.start)..self.my_run.end.min(drg.end);
+            let js = my_run.start.max(drg.start)..my_run.end.min(drg.end);
             part.reserve(js.len(), js.clone().map(|j| self.shard.col(rest[j]).0.len()).sum());
             for j in js {
                 part.push_col(self.shard.col(rest[j]));
@@ -387,16 +369,11 @@ impl<'a> SpmdPanelCtx<'a> {
         debug_assert_eq!(updated.cols(), my_new.len());
         self.shard = ColSlice::new(my_new.start, updated);
         self.n_cur = n_rest;
-        self.note_mem();
     }
 }
 
 impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     type Pending = PendingExchange<'a, CscMatrix>;
-
-    fn idle_mem() -> Option<MemStats> {
-        Some(MemStats::default())
-    }
 
     /// Factor columns accumulate on rank 0 only; everyone else
     /// receives `L`/`U` in the final broadcast.
@@ -408,47 +385,17 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         (self.shard.rows(), self.n_cur)
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.shard.resident_bytes() as u64
+    fn resident(&self) -> (u64, u64) {
+        (self.shard.resident_bytes() as u64, self.shard.nnz() as u64)
     }
 
     /// Column tournament over the distributed Schur complement; winner
     /// columns travel with their global ids, so every rank ends up
-    /// holding the `O(m b)` pivot columns.
-    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-        let (sel, panel) = tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want);
-        self.panel = panel;
-        sel
-    }
-
-    /// Identical arithmetic to the replicated oracle — the dense row
-    /// blocks gathered from the compact panel equal those gathered
-    /// from the full Schur complement.
-    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
-        let pidx: Vec<usize> = (0..sel.selected.len()).collect();
-        spmd_panel_tsqr(self.ctx, &self.panel, &pidx)
-    }
-
-    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-        spmd_row_tournament(self.ctx, qk, k_eff)
-    }
-
-    /// The pivot blocks come from the replicated panel; the owned rest
-    /// columns stay in the shard until the re-shard cuts them.
-    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        let blocks = BlockSplit::new(self.shard.rows(), self.n_cur, pivot_rows, &sel.selected);
-        // The owned rest columns form a contiguous run of `rest_cols`
-        // positions (both orderings ascend).
-        let rest = &blocks.rest_cols;
-        let rg = self.shard.col_range();
-        let lo = rest.partition_point(|&c| c < rg.start);
-        let hi = rest.partition_point(|&c| c < rg.end);
-        self.my_run = lo..hi;
-        PanelSplit::new(blocks, (0..pivot_rows.len()).map(|p| self.panel.col(p)))
-    }
-
-    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
-        spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
+    /// holding the `O(m b)` pivot columns — the panel the loop's TSQR
+    /// and split read, whose dense row blocks equal those the
+    /// replicated oracle's copy of the same columns gives.
+    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
+        tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want)
     }
 
     fn schur_begin(
@@ -475,12 +422,13 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// columns are read in the shard, which the re-shard retires only in
     /// [`PanelEngine::schur_finish`].
     fn u_fragments(
-        &mut self,
+        &self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
     ) -> Option<Vec<FactorCol>> {
-        let owned = &sp.blocks.rest_cols[self.my_run.clone()];
+        let rest = &sp.blocks.rest_cols;
+        let owned = &rest[self.owned_run(rest)];
         let frags = u_fragments_of(&sp.blocks, owned, |c| self.shard.col(c), col_map, k_eff);
         let gathered = self.ctx.gatherv(0, frags)?;
         let mut out: Vec<FactorCol> = vec![Vec::new(); k_eff];
@@ -506,7 +454,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
             timers.time(KernelId::Drop, || {
                 let local = self.shard.local();
                 let (mass, count) = local.dropped_mass_in_cols_par(thr, 0..local.cols(), self.opts.par);
-                self.pending_drop = Some(thr);
                 (mass, count as u64)
             })
         } else {
@@ -525,10 +472,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         }
     }
 
-    fn settle_drop(&mut self, keep: bool) {
-        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
-            self.shard.drop_below_in_place(thr, self.opts.par);
-        }
+    fn drop_below(&mut self, thr: f64) {
+        self.shard.drop_below_in_place(thr, self.opts.par);
     }
 
     /// Gather per-rank shard envelopes to rank 0, which writes the
@@ -542,7 +487,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
 
     fn release_storage(&mut self) {
         self.shard = ColSlice::empty(0, 0);
-        self.panel = CscMatrix::zeros(0, 0);
         self.ws = SchurWorkspace::new();
         self.part_pool = Vec::new();
     }
@@ -563,18 +507,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         };
         self.ctx.broadcast(0, pair)
     }
-
-    /// Max-over-ranks peak shard storage (identical on every rank).
-    fn mem_stats(&self) -> Option<MemStats> {
-        let (bytes, nnz) = self.ctx.allreduce(
-            (self.peak_bytes as u64, self.peak_nnz as u64),
-            |x, y| (x.0.max(y.0), x.1.max(y.1)),
-        );
-        Some(MemStats {
-            peak_rank_bytes: bytes,
-            peak_rank_nnz: nnz,
-        })
-    }
 }
 
 /// Panel engine over fully replicated storage — the bitwise reference
@@ -587,9 +519,6 @@ struct ReplicatedEngine<'a> {
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
-    /// The threshold the last [`PanelEngine::measure`] measured a drop
-    /// at, held until [`PanelEngine::settle_drop`].
-    pending_drop: Option<f64>,
 }
 
 impl ReplicatedEngine<'_> {
@@ -608,31 +537,14 @@ impl PanelEngine for ReplicatedEngine<'_> {
         (self.s.rows(), self.s.cols())
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.s.resident_bytes()
+    fn resident(&self) -> (u64, u64) {
+        (self.s.resident_bytes(), self.s.nnz() as u64)
     }
 
-    fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-        tournament_columns_spmd(self.ctx, &self.s, None, k_want)
-    }
-
-    fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
-        spmd_panel_tsqr(self.ctx, &self.s, &sel.selected)
-    }
-
-    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-        spmd_row_tournament(self.ctx, qk, k_eff)
-    }
-
-    /// Replicated — the "local row permutations" of Fig. 5.
-    fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-        let s = &self.s;
-        let blocks = BlockSplit::new(s.rows(), s.cols(), pivot_rows, &sel.selected);
-        PanelSplit::new(blocks, sel.selected.iter().map(|&c| s.col(c)))
-    }
-
-    fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
-        spmd_l21(self.ctx, &sp.a21, lu11, &mut self.ws.tbuf)
+    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
+        let sel = tournament_columns_spmd(self.ctx, &self.s, None, k_want);
+        let panel = self.s.select_columns(&sel.selected);
+        (sel, panel)
     }
 
     /// Block-column distribution over the complement, read in place,
@@ -658,7 +570,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
 
     /// Replicated bookkeeping: every rank records every factor column.
     fn u_fragments(
-        &mut self,
+        &self,
         sp: &PanelSplit,
         col_map: &[usize],
         k_eff: usize,
@@ -685,7 +597,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
             timers.time(KernelId::Drop, || {
                 let (my_mass, my_count) =
                     self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
-                self.pending_drop = Some(thr);
                 self.ctx.allreduce((my_mass, my_count), |x, y| (x.0 + y.0, x.1 + y.1))
             })
         } else {
@@ -698,10 +609,8 @@ impl PanelEngine for ReplicatedEngine<'_> {
         }
     }
 
-    fn settle_drop(&mut self, keep: bool) {
-        if let Some(thr) = self.pending_drop.take().filter(|_| keep) {
-            self.s.drop_below_in_place(thr, self.opts.par);
-        }
+    fn drop_below(&mut self, thr: f64) {
+        self.s.drop_below_in_place(thr, self.opts.par);
     }
 
     /// Every rank reaching a snapshot point holds identical state, so
@@ -713,157 +622,5 @@ impl PanelEngine for ReplicatedEngine<'_> {
     fn release_storage(&mut self) {
         self.s = CscMatrix::zeros(0, 0);
         self.ws = SchurWorkspace::new();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::Cell;
-
-    /// The sharded engine, noting whether a measured drop is still
-    /// pending where an iteration starts and where the run ends.
-    struct Watch<'a, 'w> {
-        eng: SpmdPanelCtx<'a>,
-        held: &'w Cell<bool>,
-    }
-
-    impl Watch<'_, '_> {
-        fn note(&self) {
-            self.held.set(self.held.get() || self.eng.pending_drop.is_some());
-        }
-    }
-
-    impl<'a> PanelEngine for Watch<'a, '_> {
-        type Pending = PendingExchange<'a, CscMatrix>;
-
-        fn idle_mem() -> Option<MemStats> {
-            SpmdPanelCtx::idle_mem()
-        }
-        fn keeps_factors(&self) -> bool {
-            self.eng.keeps_factors()
-        }
-        fn dims(&self) -> (usize, usize) {
-            self.eng.dims()
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.eng.resident_bytes()
-        }
-        fn col_tournament(&mut self, k_want: usize) -> ColumnSelection {
-            self.note();
-            self.eng.col_tournament(k_want)
-        }
-        fn panel_qr(&mut self, sel: &ColumnSelection) -> (DenseMatrix, Vec<f64>) {
-            self.eng.panel_qr(sel)
-        }
-        fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
-            self.eng.row_tournament(qk, k_eff)
-        }
-        fn split(&mut self, pivot_rows: &[usize], sel: &ColumnSelection) -> PanelSplit {
-            self.eng.split(pivot_rows, sel)
-        }
-        fn solve_l21(&mut self, sp: &PanelSplit, lu11: &LuFactor) -> (Vec<usize>, DenseMatrix) {
-            self.eng.solve_l21(sp, lu11)
-        }
-        fn schur_begin(
-            &mut self,
-            sp: &PanelSplit,
-            x_rows: &[usize],
-            x: &DenseMatrix,
-        ) -> Option<Self::Pending> {
-            self.eng.schur_begin(sp, x_rows, x)
-        }
-        fn schur_finish(
-            &mut self,
-            sp: &PanelSplit,
-            pending: Self::Pending,
-            x_rows: &[usize],
-            x: &DenseMatrix,
-        ) {
-            self.eng.schur_finish(sp, pending, x_rows, x)
-        }
-        fn u_fragments(
-            &mut self,
-            sp: &PanelSplit,
-            col_map: &[usize],
-            k_eff: usize,
-        ) -> Option<Vec<FactorCol>> {
-            self.eng.u_fragments(sp, col_map, k_eff)
-        }
-        fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
-            self.eng.measure(thr, stop, timers)
-        }
-        fn settle_drop(&mut self, keep: bool) {
-            self.eng.settle_drop(keep)
-        }
-        fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
-            self.eng.gather_schur()
-        }
-        fn release_storage(&mut self) {
-            self.eng.release_storage()
-        }
-        fn materialize(
-            &self,
-            m: usize,
-            n: usize,
-            l_cols: Vec<FactorCol>,
-            ut_cols: Vec<FactorCol>,
-        ) -> (CscMatrix, CscMatrix) {
-            self.eng.materialize(m, n, l_cols, ut_cols)
-        }
-        fn mem_stats(&self) -> Option<MemStats> {
-            self.note();
-            self.eng.mem_stats()
-        }
-    }
-
-    /// A 60 x 60 matrix, about half of it stored, whose entries decay
-    /// along the diagonal: ILUT at `k = 4` drops on every iteration.
-    fn decaying() -> CscMatrix {
-        let dense = DenseMatrix::from_fn(60, 60, |i, j| {
-            let h = (i as u64 * 7919 + j as u64 * 104_729).wrapping_mul(2_654_435_761) >> 7;
-            if h.is_multiple_of(2) {
-                0.0
-            } else {
-                (1.0 + (h % 997) as f64 / 997.0) * 0.8f64.powi((i + j) as i32 / 2)
-            }
-        });
-        CscMatrix::from_dense(&dense)
-    }
-
-    /// Runs `opts` over two watched sharded ranks; rank 0's result and
-    /// whether any rank held a pending drop past its decision.
-    fn watched(opts: &IlutOpts) -> (LuCrtpResult, bool) {
-        let a = decaying();
-        let out = lra_comm::run_infallible(2, |ctx| {
-            let held = Cell::new(false);
-            let r = drive(Some(ctx), &a, &opts.base, Some(opts), None, |src| Watch {
-                eng: SpmdPanelCtx::place(ctx, src, &opts.base),
-                held: &held,
-            });
-            (r, held.get())
-        });
-        let held = out.iter().any(|(_, h)| *h);
-        (out.into_iter().next().unwrap().0, held)
-    }
-
-    #[test]
-    fn no_dropped_copy_outlives_its_decision() {
-        let (r, held) = watched(&IlutOpts::new(4, 1e-2, 4));
-        let th = r.threshold.as_ref().unwrap();
-        assert!(
-            r.converged && th.dropped > 0 && !th.control_triggered,
-            "{r:?}"
-        );
-        assert!(!held, "converged run: the last measured drop is still held");
-
-        let mut opts = IlutOpts::new(4, 1e-2, 1);
-        opts.phi_factor = 1e-12;
-        let (r, held) = watched(&opts);
-        assert!(r.threshold.as_ref().unwrap().control_triggered, "{r:?}");
-        assert!(
-            !held,
-            "control-triggered run: the discarded drop is still held"
-        );
     }
 }

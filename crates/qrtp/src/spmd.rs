@@ -217,37 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_replicated_bitwise() {
-        let a = rand_sparse(100, 48, 4, 1);
-        for np in [1usize, 2, 4, 7] {
-            for k in [3usize, 8] {
-                let replicated = lra_comm::run_infallible(np, |ctx| {
-                    let sel = tournament_columns_spmd(ctx, &a, None, k);
-                    (sel.selected, sel.r_diag)
-                });
-                let sharded = lra_comm::run_infallible(np, |ctx| {
-                    let ranges = split_ranges(a.cols(), ctx.size());
-                    let range = lra_par::owned_range(&ranges, ctx.rank());
-                    let shard = ColSlice::from_full(&a, range);
-                    let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, k);
-                    (sel.selected, sel.r_diag, panel)
-                });
-                for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
-                    let (rsel, rrd) = &replicated[rank];
-                    assert_eq!(sel, rsel, "np={np} k={k} rank={rank}");
-                    assert_eq!(rd.len(), rrd.len());
-                    for (x, y) in rd.iter().zip(rrd) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
-                    }
-                    // The panel is an exact copy of the selected
-                    // columns.
-                    assert_eq!(*panel, a.select_columns(sel), "np={np} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_handles_empty_high_ranks() {
         // More ranks than columns: high ranks own empty shards but must
         // still agree on the result.

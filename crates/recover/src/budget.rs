@@ -12,9 +12,9 @@
 //!   of cancel tokens. The iteration loop calls [`Budget::check`] once
 //!   per boundary.
 //! - [`BudgetTrip`] — the typed verdict of a check, with a stable
-//!   priority order and a fixed-width wire encoding so an SPMD rank
-//!   group can allreduce the verdicts and *agree* on a single trip at
-//!   the same iteration (the same discipline as poison broadcast:
+//!   priority order and a combiner ([`BudgetTrip::merge`]) so an SPMD
+//!   rank group can allreduce the verdicts and *agree* on a single trip
+//!   at the same iteration (the same discipline as poison broadcast:
 //!   never desync the group).
 //!
 //! Checks are *cooperative*: a trip is only observed at the loop
@@ -106,50 +106,55 @@ impl BudgetTrip {
         }
     }
 
-    /// Fixed-width wire encoding `(kind, a, b)` for SPMD agreement.
-    /// `kind` is the priority (0 = highest); durations travel as
-    /// microseconds.
-    pub fn to_wire(&self) -> (u8, u64, u64) {
-        match *self {
-            BudgetTrip::Cancelled => (0, 0, 0),
-            BudgetTrip::DeadlineExceeded { late_by } => (1, late_by.as_micros() as u64, 0),
-            BudgetTrip::MemoryCeiling {
-                observed_bytes,
-                ceiling_bytes,
-            } => (2, observed_bytes, ceiling_bytes),
-            BudgetTrip::IterationCap { iterations, cap } => (3, iterations, cap),
+    /// Position in the priority order (0 = highest).
+    fn priority(&self) -> u8 {
+        match self {
+            BudgetTrip::Cancelled => 0,
+            BudgetTrip::DeadlineExceeded { .. } => 1,
+            BudgetTrip::MemoryCeiling { .. } => 2,
+            BudgetTrip::IterationCap { .. } => 3,
         }
     }
 
-    /// Decode [`BudgetTrip::to_wire`]. Unknown kinds are `None`.
-    pub fn from_wire(kind: u8, a: u64, b: u64) -> Option<BudgetTrip> {
-        match kind {
-            0 => Some(BudgetTrip::Cancelled),
-            1 => Some(BudgetTrip::DeadlineExceeded {
-                late_by: Duration::from_micros(a),
-            }),
-            2 => Some(BudgetTrip::MemoryCeiling {
-                observed_bytes: a,
-                ceiling_bytes: b,
-            }),
-            3 => Some(BudgetTrip::IterationCap {
-                iterations: a,
-                cap: b,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Associative, commutative combiner for wire-encoded verdicts:
-    /// the smaller kind (higher priority) wins; equal kinds merge by
-    /// elementwise max, so e.g. the group-wide memory verdict reports
-    /// the *largest* offending rank. Reducing every rank's optional
-    /// verdict with this yields the same agreed trip on all ranks.
-    pub fn merge_wire(x: (u8, u64, u64), y: (u8, u64, u64)) -> (u8, u64, u64) {
-        match x.0.cmp(&y.0) {
-            std::cmp::Ordering::Less => x,
-            std::cmp::Ordering::Greater => y,
-            std::cmp::Ordering::Equal => (x.0, x.1.max(y.1), x.2.max(y.2)),
+    /// Associative, commutative combiner for SPMD agreement: the
+    /// higher-priority verdict wins; equal variants merge field by
+    /// field by max, so e.g. the group-wide memory verdict reports the
+    /// *largest* offending rank. Reducing every rank's optional verdict
+    /// with this yields the same agreed trip on all ranks.
+    pub fn merge(self, other: BudgetTrip) -> BudgetTrip {
+        use BudgetTrip::*;
+        match (self, other) {
+            (DeadlineExceeded { late_by: a }, DeadlineExceeded { late_by: b }) => {
+                DeadlineExceeded { late_by: a.max(b) }
+            }
+            (
+                MemoryCeiling {
+                    observed_bytes: a,
+                    ceiling_bytes: c,
+                },
+                MemoryCeiling {
+                    observed_bytes: b,
+                    ceiling_bytes: d,
+                },
+            ) => MemoryCeiling {
+                observed_bytes: a.max(b),
+                ceiling_bytes: c.max(d),
+            },
+            (
+                IterationCap {
+                    iterations: a,
+                    cap: c,
+                },
+                IterationCap {
+                    iterations: b,
+                    cap: d,
+                },
+            ) => IterationCap {
+                iterations: a.max(b),
+                cap: c.max(d),
+            },
+            (x, y) if y.priority() < x.priority() => y,
+            (x, _) => x,
         }
     }
 }
@@ -329,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_codec_round_trips_and_merge_prioritizes() {
+    fn merge_prioritizes_and_takes_the_fieldwise_max() {
         let trips = [
             BudgetTrip::Cancelled,
             BudgetTrip::DeadlineExceeded {
@@ -344,20 +349,25 @@ mod tests {
                 cap: 4,
             },
         ];
-        for t in &trips {
-            let (k, a, b) = t.to_wire();
-            assert_eq!(BudgetTrip::from_wire(k, a, b).as_ref(), Some(t));
+        // Priority: the earlier variant beats every later one, either
+        // way round.
+        for (i, x) in trips.iter().enumerate() {
+            for y in &trips[i..] {
+                assert_eq!(x.clone().merge(y.clone()), *x);
+                assert_eq!(y.clone().merge(x.clone()), *x);
+            }
         }
-        assert_eq!(trips[1].to_wire(), (1, 1234, 0));
-        assert_eq!(BudgetTrip::from_wire(200, 0, 0), None);
-
-        // Priority: cancel beats everything; equal kinds take max.
-        let cancel = trips[0].to_wire();
-        let cap = trips[3].to_wire();
-        assert_eq!(BudgetTrip::merge_wire(cap, cancel), cancel);
-        assert_eq!(BudgetTrip::merge_wire(cancel, cap), cancel);
-        let mem_a = (2u8, 10u64, 5u64);
-        let mem_b = (2u8, 7u64, 8u64);
-        assert_eq!(BudgetTrip::merge_wire(mem_a, mem_b), (2, 10, 8));
+        // Equal variants take the max of each field.
+        let mem = |observed_bytes, ceiling_bytes| BudgetTrip::MemoryCeiling {
+            observed_bytes,
+            ceiling_bytes,
+        };
+        assert_eq!(mem(10, 5).merge(mem(7, 8)), mem(10, 8));
+        let late = |ns| BudgetTrip::DeadlineExceeded {
+            late_by: Duration::from_nanos(ns),
+        };
+        assert_eq!(late(1_500).merge(late(2_999)), late(2_999));
+        let cap = |iterations, cap| BudgetTrip::IterationCap { iterations, cap };
+        assert_eq!(cap(3, 9).merge(cap(4, 4)), cap(4, 9));
     }
 }

@@ -358,7 +358,15 @@ impl CscMatrix {
 
     /// Gather the given columns into a dense `rows x idx.len()` panel.
     pub fn gather_columns_dense(&self, idx: &[usize]) -> DenseMatrix {
-        gather_dense(self.rows, idx, |j| self.col(j))
+        let mut out = DenseMatrix::zeros(self.rows, idx.len());
+        for (dst, &j) in idx.iter().enumerate() {
+            let (ri, vs) = self.col(j);
+            let dense = out.col_mut(dst);
+            for (&r, &v) in ri.iter().zip(vs) {
+                dense[r] = v;
+            }
+        }
+        out
     }
 
     /// Gather rows `row_range` of the given columns into a dense panel
@@ -625,19 +633,6 @@ impl CscMatrix {
 /// Column `j` of a matrix, however it is stored, as `(row_indices, values)`.
 pub(crate) trait ColumnAt<'a>: Fn(usize) -> (&'a [usize], &'a [f64]) {}
 impl<'a, F: Fn(usize) -> (&'a [usize], &'a [f64])> ColumnAt<'a> for F {}
-
-/// The given columns of a `rows`-row matrix as a dense panel.
-pub(crate) fn gather_dense<'a>(rows: usize, idx: &[usize], col: impl ColumnAt<'a>) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(rows, idx.len());
-    for (dst, &j) in idx.iter().enumerate() {
-        let (ri, vs) = col(j);
-        let dense = out.col_mut(dst);
-        for (&r, &v) in ri.iter().zip(vs) {
-            dense[r] = v;
-        }
-    }
-    out
-}
 
 /// [`CscMatrix::row_support`] of a `rows`-row matrix, however stored.
 pub(crate) fn row_support<'a>(rows: usize, idx: &[usize], col: impl ColumnAt<'a>) -> Vec<usize> {

@@ -11,7 +11,7 @@
 //! runs concatenated are the matrix's storage order, so every read
 //! matches the equivalent [`CscMatrix`] bit for bit.
 
-use crate::csc::{gather_at_rows, gather_dense, row_support, CscMatrix};
+use crate::csc::{gather_at_rows, row_support, CscMatrix};
 use crate::dist::{gather_csc, slice_columns};
 use lra_dense::DenseMatrix;
 use lra_par::{parallel_chunks_mut, Parallelism};
@@ -123,11 +123,6 @@ impl CscRuns {
     /// [`CscMatrix::row_support`] of the given columns.
     pub fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         row_support(self.rows, idx, |j| self.col(j))
-    }
-
-    /// [`CscMatrix::gather_columns_dense`] of the given columns.
-    pub fn gather_columns_dense(&self, idx: &[usize]) -> DenseMatrix {
-        gather_dense(self.rows, idx, |j| self.col(j))
     }
 
     /// [`CscMatrix::gather_columns_at_rows_dense`] of the given columns.

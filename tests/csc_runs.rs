@@ -105,11 +105,6 @@ fn runs_are_the_same_column_source_as_the_matrix() {
                     _ => support.iter().copied().filter(|_| rng.below(2) == 0).collect(),
                 };
                 assert_dense_bitwise(&r.gather_rows(&idx, &rows), &a.gather_rows(&idx, &rows), &what);
-                assert_dense_bitwise(
-                    &r.gather_columns_dense(&idx),
-                    &a.gather_columns_dense(&idx),
-                    &format!("{what}: dense panel"),
-                );
             }
             if a.rows() > 0 {
                 for np in [1, 2] {

@@ -119,7 +119,7 @@ fn the_shared_memory_engine_holds_one_schur_complement() {
                 "lu_crtp" => peak_of(|| lu_crtp(&a, &lu)),
                 _ => peak_of(|| ilut_crtp(&a, &ilut)),
             };
-            let mem = r.mem.expect("the shared-memory engine reports mem");
+            let mem = r.mem;
             let dense = 16 * (a.rows() * a.cols()) as u64;
             assert!(
                 2 * mem.peak_rank_bytes > dense,
@@ -142,7 +142,7 @@ fn the_sharded_engine_holds_its_shards_and_one_reshard() {
     for (name, method) in [("lu_crtp", Method::from(&lu)), ("ilut_crtp", Method::from(&ilut))] {
         let (report, peak) = peak_of(|| factorize_ranks(&a, method, np, &RunConfig::default(), None));
         let r = report.expect("valid input").unwrap_all().swap_remove(0);
-        let mem = r.mem.expect("the sharded engine reports mem");
+        let mem = r.mem;
         let shards = np as u64 * mem.peak_rank_bytes;
         assert_within(&format!("{name} ranks={np}"), &r, peak, (np + 1) as f64, shards, 4.0);
     }

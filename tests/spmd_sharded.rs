@@ -15,7 +15,9 @@ use lra_core::{
     factorize, factorize_ranks, Budget, CancelToken, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult,
     Method,
 };
-use lra_sparse::CscMatrix;
+use lra_par::split_ranges;
+use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded};
+use lra_sparse::{ColSlice, CooMatrix, CscMatrix};
 
 fn circuit_matrix() -> CscMatrix {
     lra_matgen::with_decay(&lra_matgen::circuit(220, 4, 4, 17), 1e-7, 19)
@@ -120,6 +122,58 @@ fn sharded_rank0<'m>(
     .swap_remove(0)
 }
 
+fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
+    let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state
+    };
+    let mut coo = CooMatrix::new(rows, cols);
+    for j in 0..cols {
+        for _ in 0..per_col {
+            let r = (next() % rows as u64) as usize;
+            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            coo.push(r, j, v);
+        }
+    }
+    coo.to_csc()
+}
+
+/// The sharded column tournament selects what the replicated one
+/// selects, bit for bit, and its panel — the one every SPMD engine
+/// hands to the panel TSQR and the split — is an exact copy of the
+/// selected columns.
+#[test]
+fn sharded_matches_replicated_bitwise() {
+    let a = rand_sparse(100, 48, 4, 1);
+    for np in [1usize, 2, 4, 7] {
+        for k in [3usize, 8] {
+            let replicated = lra_comm::run_infallible(np, |ctx| {
+                let sel = tournament_columns_spmd(ctx, &a, None, k);
+                (sel.selected, sel.r_diag)
+            });
+            let sharded = lra_comm::run_infallible(np, |ctx| {
+                let ranges = split_ranges(a.cols(), ctx.size());
+                let range = lra_par::owned_range(&ranges, ctx.rank());
+                let shard = ColSlice::from_full(&a, range);
+                let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, k);
+                (sel.selected, sel.r_diag, panel)
+            });
+            for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
+                let (rsel, rrd) = &replicated[rank];
+                assert_eq!(sel, rsel, "np={np} k={k} rank={rank}");
+                assert_eq!(rd.len(), rrd.len());
+                for (x, y) in rd.iter().zip(rrd) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
+                }
+                // The panel is an exact copy of the selected
+                // columns.
+                assert_eq!(*panel, a.select_columns(sel), "np={np} k={k}");
+            }
+        }
+    }
+}
+
 #[test]
 fn sharded_lu_matches_replicated_bitwise() {
     let a = circuit_matrix();
@@ -133,8 +187,17 @@ fn sharded_lu_matches_replicated_bitwise() {
             stats.overlap_posted, s.iterations as u64,
             "np={np}: one posted re-shard per panel iteration"
         );
-        assert!(s.mem.is_some(), "np={np}: sharded driver must report mem");
-        assert!(o.mem.is_none(), "np={np}: replicated oracle reports no mem");
+        // The oracle holds the whole complement on every rank; a shard
+        // is at most that.
+        eprintln!("lu np={np}: sharded peak {:?}, replicated peak {:?}", s.mem, o.mem);
+        assert!(s.mem.peak_rank_bytes > 0, "np={np}: sharded driver must report mem");
+        assert!(
+            o.mem.peak_rank_bytes >= s.mem.peak_rank_bytes
+                && o.mem.peak_rank_nnz >= s.mem.peak_rank_nnz,
+            "np={np}: replicated peak {:?} below the sharded peak {:?}",
+            o.mem,
+            s.mem
+        );
     }
 }
 
@@ -166,7 +229,7 @@ fn per_rank_memory_shrinks_with_more_ranks() {
     for k in [8usize, 16] {
         let opts = IlutOpts::new(k, 1e-2, 4);
         let peak = |np: usize| {
-            rank0(np, &a, &opts, |c| Exec::Spmd(c)).mem.expect("sharded mem report")
+            rank0(np, &a, &opts, |c| Exec::Spmd(c)).mem
         };
         let p1 = peak(1);
         let p4 = peak(4);
