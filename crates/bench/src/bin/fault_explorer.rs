@@ -18,9 +18,7 @@
 //! run against it, as it diffs the bitwise fingerprint.
 //!
 //! `--sites comm,overlap,storage,cancel` selects the site families
-//! (default all), so CI can split the comm/storage sweep, the
-//! mid-overlap sweep, and the cancel sweep into separate jobs with
-//! separate artifacts.
+//! (default all), so one family can be explored on its own.
 //!
 //! ```sh
 //! cargo run -p lra-bench --release --bin fault_explorer -- \

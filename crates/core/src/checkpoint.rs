@@ -3,9 +3,10 @@
 //!
 //! The one LU_CRTP/ILUT_CRTP panel loop (`crate::panel`) carries the
 //! *same replicated* state over every engine — the row/column maps back
-//! to original coordinates, the accumulated `L`/`U` panels, the selected
-//! pivots, and the error-indicator trace — and every engine can hand
-//! back the whole current Schur complement, so one snapshot type,
+//! to original coordinates, the selected pivots, the error-indicator
+//! trace and the ILUT threshold state — plus the accumulated `L`/`U`
+//! panels, which rank 0 records, and it joins every rank's piece of the
+//! current Schur complement on rank 0, so one snapshot type,
 //! [`LuCrtpCheckpoint`], serves all: a snapshot taken by an SPMD run can
 //! be resumed by the sequential one (the degradation ladder's last
 //! rung) and vice versa.
@@ -13,10 +14,10 @@
 //! Snapshots are taken at a *collective boundary*: the end of an
 //! iteration's loop body, after the Schur complement, indicator
 //! allreduce, and (for ILUT) the deterministic drop have all completed.
-//! Every rank that reaches that point holds bitwise-identical state, so
-//! rank 0's snapshot is a consistent global snapshot — no coordination
-//! protocol is needed beyond the collectives the algorithm already
-//! performs.
+//! Every rank that reaches that point holds bitwise-identical
+//! replicated state, so rank 0's snapshot is a consistent global
+//! snapshot — no coordination protocol is needed beyond the collectives
+//! the algorithm already performs.
 //!
 //! Serialization is the binary envelope of `lra-recover`: the scalar
 //! loop state rides in the envelope's small JSON header, every array
@@ -29,7 +30,7 @@
 //! arrays as [`Cow`]s: a driver lends the live loop state (nothing is
 //! cloned, it is encoded once), a load owns what it decoded.
 
-use crate::lucrtp::IterTrace;
+use crate::lucrtp::{IterTrace, ThresholdReport};
 use crate::panel::FactorCol;
 use lra_dense::DenseMatrix;
 use lra_obs::json::obj;
@@ -73,21 +74,6 @@ impl<'a> RecoveryHooks<'a> {
     }
 }
 
-/// ILUT-specific threshold state carried inside [`LuCrtpCheckpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IlutCheckpoint {
-    /// Drop threshold `mu` (eq. 24; 0 after the control triggered).
-    pub mu: f64,
-    /// Control bound `phi` (eq. 22).
-    pub phi: f64,
-    /// Accumulated dropped mass `sum ||T̃^(j)||_F^2`.
-    pub mass_sq: f64,
-    /// Total entries dropped so far.
-    pub dropped: usize,
-    /// Whether the control has triggered.
-    pub control_triggered: bool,
-}
-
 /// Full loop state of LU_CRTP / ILUT_CRTP after `iterations` completed
 /// block iterations — everything needed to continue as if never
 /// interrupted. Borrowed from the running loop when saved, owned when
@@ -125,7 +111,7 @@ pub struct LuCrtpCheckpoint<'a> {
     /// Per-iteration trace so far.
     pub trace: Cow<'a, [IterTrace]>,
     /// Threshold state (ILUT_CRTP only).
-    pub ilut: Option<IlutCheckpoint>,
+    pub ilut: Option<ThresholdReport>,
 }
 
 impl Checkpoint for LuCrtpCheckpoint<'_> {
@@ -164,7 +150,7 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
             let ilut = obj(vec![
                 ("mu", Json::Num(ilut.mu)),
                 ("phi", Json::Num(ilut.phi)),
-                ("mass_sq", Json::Num(ilut.mass_sq)),
+                ("mass_sq", Json::Num(ilut.dropped_mass_sq)),
                 ("dropped", Json::Num(ilut.dropped as f64)),
                 ("control_triggered", Json::Bool(ilut.control_triggered)),
             ]);
@@ -176,10 +162,10 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
     fn decode(state: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
         let ilut = match state.get("ilut") {
             None => None,
-            Some(j) => Some(IlutCheckpoint {
+            Some(j) => Some(ThresholdReport {
                 mu: get(j, "mu", Json::as_f64)?,
                 phi: get(j, "phi", Json::as_f64)?,
-                mass_sq: get(j, "mass_sq", Json::as_f64)?,
+                dropped_mass_sq: get(j, "mass_sq", Json::as_f64)?,
                 dropped: get(j, "dropped", Json::as_usize)?,
                 control_triggered: get(j, "control_triggered", Json::as_bool)?,
             }),
@@ -472,10 +458,10 @@ mod tests {
                 r_diag: vec![3.25, 0.5],
             }]
             .into(),
-            ilut: Some(IlutCheckpoint {
+            ilut: Some(ThresholdReport {
                 mu: 1e-5,
                 phi: 3.25e-2,
-                mass_sq: 1e-11,
+                dropped_mass_sq: 1e-11,
                 dropped: 4,
                 control_triggered: false,
             }),

@@ -15,7 +15,7 @@
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
 
 use crate::panel::{
-    drive, fill_reducing_order, FactorCol, Measure, PanelEngine, PanelSplit, Source,
+    drive, fill_reducing_order, FactorCol, PanelEngine, PanelSplit, Partials, Source,
 };
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{DenseMatrix, LuFactor};
@@ -286,10 +286,13 @@ impl IlutOpts {
     }
 }
 
-/// Thresholding outcome recorded by ILUT_CRTP.
-#[derive(Debug, Clone)]
+/// ILUT_CRTP's threshold state: what the loop carries from one
+/// iteration to the next (and a checkpoint saves), and the thresholding
+/// outcome it reports.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdReport {
-    /// The threshold `mu` determined by eq. 24.
+    /// The threshold `mu` determined by eq. 24 (0 once the control
+    /// triggered).
     pub mu: f64,
     /// The control bound `phi`.
     pub phi: f64,
@@ -573,12 +576,7 @@ impl PanelEngine for SeqEngine<'_> {
 
     /// Read off the `Ā12` the Schur update routed into the workspace,
     /// in ascending rest-column order per panel row.
-    fn u_fragments(
-        &self,
-        sp: &PanelSplit,
-        col_map: &[usize],
-        k_eff: usize,
-    ) -> Option<Vec<FactorCol>> {
+    fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol> {
         let a12 = &self.ws.a12;
         let mut len = vec![0usize; k_eff];
         for &t in a12.rowidx() {
@@ -591,38 +589,23 @@ impl PanelEngine for SeqEngine<'_> {
                 frags[t].push((col_map[c], v));
             }
         }
-        Some(frags)
+        frags
     }
 
-    /// One read-only pass gives the indicator and the drop's mass, both
-    /// summed in storage order.
-    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
+    /// One read-only pass gives the squared norm and the drop's mass,
+    /// both summed in storage order.
+    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
         let (norm_sq, mass, count) =
             timers.time(KernelId::Indicator, || self.s.norm_sq_and_mass_below(thr));
-        let indicator = norm_sq.sqrt();
-        let dropped = if thr > 0.0 && indicator >= stop {
-            (mass, count)
-        } else {
-            (0.0, 0)
-        };
-        Measure {
-            indicator,
-            dropped,
-            nnz: self.s.nnz(),
-        }
+        (norm_sq, mass, count as u64, self.s.nnz() as u64)
     }
 
     fn drop_below(&mut self, thr: f64) {
         self.s.drop_below_in_place(thr, self.opts.par);
     }
 
-    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
-        Some(Cow::Owned(self.s.to_csc()))
-    }
-
-    fn release_storage(&mut self) {
-        self.s = CscRuns::from_runs(self.s.rows(), SCHUR_GRAIN, Vec::new());
-        self.ws = SchurWorkspace::new();
+    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
+        Cow::Owned(self.s.to_csc())
     }
 }
 

@@ -7,14 +7,19 @@
 //! [`KernelTimers`] buckets, the NaN guards and [`Breakdown`] exits,
 //! the panel stages that read only the pivot panel (TSQR, the row
 //! tournament on `Q_k^T`, the split and the `L21` solve, over the rank
-//! group when there is one), factor recording, the ILUT
-//! threshold/control decision, the memory peak, the trace, the
-//! checkpoint cadence and result assembly. A [`PanelEngine`] supplies
-//! only where the Schur complement lives: the shared-memory column runs
-//! updated in place (`SeqEngine` in `lucrtp.rs`), the rank-owned shards
-//! (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated oracle
+//! group when there is one), every agreement, gather and broadcast that
+//! does not depend on storage (the measurement, the `U` fragments, the
+//! snapshot, the memory peak and the result), factor recording, the
+//! ILUT threshold/control decision, the trace, the checkpoint cadence
+//! and result assembly. A [`PanelEngine`] supplies only where the Schur
+//! complement lives and computes on it there: the shared-memory column
+//! runs updated in place (`SeqEngine` in `lucrtp.rs`), the rank-owned
+//! shards (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated oracle
 //! (`ReplicatedEngine`, same file) — its column tournament, Schur
-//! update, `U` fragments, measurement, drop and snapshot.
+//! update, `U` fragments, measurement partials, drop and snapshot
+//! piece. The tournament and the Schur update are the only stages whose
+//! communication depends on storage, so they are the only engine calls
+//! that communicate.
 //!
 //! Memory follows the same split: the loop's [`PanelSplit`] holds only
 //! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification)
@@ -22,13 +27,10 @@
 //! each engine's resident storage after placement and after each Schur
 //! stage and reports the peak; the ILUT drop is measured read-only and
 //! applied in place only when the loop keeps it; and when the loop ends
-//! the engine's Schur storage is released before the factors are
-//! assembled from the recorded columns, each of which is freed as it is
-//! pushed.
+//! the engine is dropped before rank 0 assembles the factors from the
+//! recorded columns, each of which is freed as it is pushed.
 
-use crate::checkpoint::{
-    load_resume, save_snapshot, IlutCheckpoint, LuCrtpCheckpoint, RecoveryHooks,
-};
+use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
 use crate::lucrtp::{
     l21_direct, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
     ThresholdReport,
@@ -39,7 +41,7 @@ use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix};
 use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_recover::BudgetTrip;
-use lra_sparse::{BlockSplit, CscMatrix};
+use lra_sparse::{gather_csc, BlockSplit, CscMatrix};
 use std::borrow::Cow;
 
 /// The fill-reducing preprocessing (COLAMD + etree postorder) under a
@@ -99,18 +101,14 @@ impl PanelSplit {
 
 /// Where an engine keeps the Schur complement `A^(i)`, and the stages
 /// that read or write it there. Private to `lra-core` and statically
-/// dispatched; every method that communicates is collective — the loop
-/// calls it on every rank, in the same order.
+/// dispatched. Only [`Self::col_tournament`] and the Schur update
+/// communicate, and they are collective — the loop calls them on every
+/// rank, in the same order; everything else is this rank's local work.
 pub(crate) trait PanelEngine {
     /// A Schur update still in flight between [`Self::schur_begin`] and
     /// [`Self::schur_finish`] ([`std::convert::Infallible`] for engines
     /// that do all the work in the first half).
     type Pending;
-
-    /// Whether this rank accumulates the factor columns.
-    fn keeps_factors(&self) -> bool {
-        true
-    }
 
     /// Active `(rows, columns)` of the current Schur complement.
     fn dims(&self) -> (usize, usize);
@@ -156,66 +154,43 @@ pub(crate) trait PanelEngine {
     );
 
     /// This panel's trailing `U` entries per panel row, as
-    /// `(original column, value)` — `None` on ranks that keep no
-    /// factors.
-    fn u_fragments(
-        &self,
-        sp: &PanelSplit,
-        col_map: &[usize],
-        k_eff: usize,
-    ) -> Option<Vec<FactorCol>>;
+    /// `(original column, value)` in ascending rest-column order, from
+    /// the rest columns this rank holds or would own; the loop gathers
+    /// them to rank 0 in rank order.
+    fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol>;
 
-    /// Line 13 and ILUT lines 8–10's measurement, agreed in one step:
-    /// `||A^(i+1)||_F` before any drop, and what a drop of the entries
-    /// below `thr` would remove (nothing is measured at `thr = 0`). The
-    /// measurement reads the Schur complement and changes nothing; an
-    /// engine that knows the indicator before the drop's figures skips
-    /// them once `indicator < stop`: the loop stops there and would
-    /// discard them. A separate dropped-mass pass is timed under
-    /// [`KernelId::Drop`], the rest under [`KernelId::Indicator`].
-    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure;
+    /// Line 13 and ILUT lines 8–10's measurement, over the Schur storage
+    /// this rank holds or would own: this rank's [`Partials`] of
+    /// `A^(i+1)` before any drop, with what a drop of the entries below
+    /// `thr` would remove (nothing is measured at `thr = 0`). Read-only;
+    /// the loop agrees on the partials. A separate dropped-mass pass is
+    /// timed under [`KernelId::Drop`], the rest under
+    /// [`KernelId::Indicator`].
+    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials;
 
     /// Drop the entries below `thr` in place: the loop calls it only for
     /// a drop it keeps, at the threshold [`Self::measure`] measured.
     fn drop_below(&mut self, thr: f64);
 
-    /// The whole current Schur complement for a snapshot, on the one
-    /// rank that writes it — borrowed where the engine holds it whole.
-    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>>;
-
-    /// Free the Schur storage and the kernel scratch: the loop is done
-    /// with them, and the factors are assembled next.
-    fn release_storage(&mut self);
-
-    /// `L` and `U` from the recorded factor columns, each freed once it
-    /// is assembled; identical on every rank.
-    fn materialize(
-        &self,
-        m: usize,
-        n: usize,
-        l_cols: Vec<FactorCol>,
-        ut_cols: Vec<FactorCol>,
-    ) -> (CscMatrix, CscMatrix) {
-        assemble_factors(m, n, l_cols, ut_cols)
-    }
+    /// This rank's piece of the current Schur complement for a
+    /// snapshot: its columns of the block-column partition, in order
+    /// (the whole complement sequentially), borrowed where the engine
+    /// holds exactly that.
+    fn schur_piece(&self) -> Cow<'_, CscMatrix>;
 }
 
-/// What [`PanelEngine::measure`] agrees on, identical on every rank.
-pub(crate) struct Measure {
-    /// `||A^(i+1)||_F` (eq. 9 / 26), before any drop.
-    pub(crate) indicator: f64,
-    /// Squared mass and count of the entries below the threshold
-    /// (zero when no drop was measured); the count is also what the
-    /// drop takes off `nnz`.
-    pub(crate) dropped: (f64, usize),
-    /// Stored entries of the whole Schur complement, before the drop.
-    pub(crate) nnz: usize,
-}
+/// A rank's measurement partials, `(||A^(i+1)||_F^2, dropped mass,
+/// dropped count, nonzeros)`: the indicator's square (eq. 9 / 26), the
+/// squared mass and count of the entries below the threshold (zero when
+/// no drop was measured; the count is also what the drop takes off the
+/// nonzeros), and the stored entries before the drop. Summed
+/// componentwise over the group, they are the whole Schur complement's.
+pub(crate) type Partials = (f64, f64, u64, u64);
 
 /// `L` and `U` assembled locally from the recorded columns. Each
 /// recorded column is freed as soon as it is pushed, so the recorded
 /// columns, `L`, `U^T` and `U` never all coexist.
-pub(crate) fn assemble_factors(
+fn assemble_factors(
     m: usize,
     n: usize,
     l_cols: Vec<FactorCol>,
@@ -250,7 +225,7 @@ struct LoopState {
     iterations: usize,
     indicator: f64,
     r11: f64,
-    ilut: Option<IlutCheckpoint>,
+    ilut: Option<ThresholdReport>,
     converged: bool,
     breakdown: Option<Breakdown>,
     trip: Option<BudgetTrip>,
@@ -260,11 +235,11 @@ impl LoopState {
     fn new(a_norm_f: f64, ilut: bool) -> Self {
         LoopState {
             indicator: a_norm_f,
-            ilut: ilut.then_some(IlutCheckpoint {
+            ilut: ilut.then_some(ThresholdReport {
                 mu: 0.0,
                 phi: 0.0,
-                mass_sq: 0.0,
                 dropped: 0,
+                dropped_mass_sq: 0.0,
                 control_triggered: false,
             }),
             ..Default::default()
@@ -334,13 +309,7 @@ impl LoopState {
             r11: self.r11,
             trace: self.trace,
             timers,
-            threshold: self.ilut.map(|t| ThresholdReport {
-                mu: t.mu,
-                phi: t.phi,
-                dropped: t.dropped,
-                dropped_mass_sq: t.mass_sq,
-                control_triggered: t.control_triggered,
-            }),
+            threshold: self.ilut,
             mem,
             trip: self.trip,
         }
@@ -348,27 +317,36 @@ impl LoopState {
 }
 
 /// Write a snapshot through `hooks`. Collective under SPMD — every
-/// rank enters; only the rank handed the gathered Schur complement
-/// touches the store.
+/// rank sends its Schur piece to rank 0, which joins them (the full,
+/// format-unchanged complement, so a resume under any grid re-slices
+/// it) and alone touches the store.
 fn save_checkpoint<E: PanelEngine>(
+    comm: Option<&Ctx>,
     eng: &E,
     st: &LoopState,
     a: &CscMatrix,
     hooks: &RecoveryHooks<'_>,
 ) {
-    if let Some(s) = eng.gather_schur() {
-        save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
-    }
+    let s = match comm {
+        None => eng.schur_piece(),
+        Some(ctx) => match ctx.gatherv(0, eng.schur_piece().into_owned()) {
+            Some(parts) => Cow::Owned(gather_csc(&parts)),
+            None => return,
+        },
+    };
+    save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
 }
 
 /// Run LU_CRTP (`ilut: None`) or ILUT_CRTP over the engine `place`
 /// builds around the starting Schur complement. `comm` is the rank
 /// group (`None` sequentially): the loop uses it to agree on the budget
-/// verdict and the memory peak, to broadcast rank 0's fill-reducing
-/// order, to run the panel stages (TSQR, row tournament, `L21`) across
-/// the group, and to name rank 0 as the one that publishes events and
-/// gauges. Only `u_estimate` and `phi_factor` are read from `ilut`;
-/// everything else comes from `opts`.
+/// verdict, the measurement and the memory peak, to broadcast rank 0's
+/// fill-reducing order and the final factors, to run the panel stages
+/// (TSQR, row tournament, `L21`) across the group, to gather the `U`
+/// fragments and the snapshot to rank 0, and to name rank 0 as the one
+/// that records the factor columns and publishes events and gauges.
+/// Only `u_estimate` and `phi_factor` are read from `ilut`; everything
+/// else comes from `opts`.
 pub(crate) fn drive<E: PanelEngine>(
     comm: Option<&Ctx>,
     a: &CscMatrix,
@@ -402,12 +380,11 @@ pub(crate) fn drive<E: PanelEngine>(
         Some(ck) => {
             let s;
             (st, s) = LoopState::from_checkpoint(ck);
-            let eng = place(Source::Snapshot(s));
-            if !eng.keeps_factors() {
+            if !root {
                 st.l_cols = Vec::new();
                 st.ut_cols = Vec::new();
             }
-            eng
+            place(Source::Snapshot(s))
         }
         // Fill-reducing preprocessing (Section V) — on rank 0 and
         // broadcast under SPMD (COLAMD is intrinsically sequential:
@@ -467,7 +444,7 @@ pub(crate) fn drive<E: PanelEngine>(
                 // resume handle points at the trip iteration.
                 if let Some(h) = hooks {
                     if st.iterations > 0 && !h.should_save(st.iterations) {
-                        save_checkpoint(&eng, &st, a, h);
+                        save_checkpoint(comm, &eng, &st, a, h);
                     }
                 }
                 if root {
@@ -568,10 +545,22 @@ pub(crate) fn drive<E: PanelEngine>(
         });
         peak.note(eng.resident());
 
-        // Record factors (line 9/11), in original coordinates. The
-        // pivot lists are replicated bookkeeping on every rank.
+        // Record factors (line 9/11), in original coordinates, on rank 0
+        // only, from the `U` fragments gathered in rank order. The pivot
+        // lists are replicated bookkeeping on every rank.
         timers.time(KernelId::Concat, || {
-            if let Some(frags) = eng.u_fragments(&sp, &st.col_map, k_eff) {
+            let frags = eng.u_fragments(&sp, &st.col_map, k_eff);
+            let frags = match comm {
+                None => Some(frags),
+                Some(ctx) => ctx.gatherv(0, frags).map(|gathered| {
+                    let mut out: Vec<FactorCol> = vec![Vec::new(); k_eff];
+                    for (t, f) in gathered.into_iter().flat_map(|r| r.into_iter().enumerate()) {
+                        out[t].extend(f);
+                    }
+                    out
+                }),
+            };
+            if let Some(frags) = frags {
                 for (t, frag) in frags.into_iter().enumerate() {
                     // U row: pivot-column entries from Ā11, trailing
                     // from Ā12. Column keys are globally unique, so the
@@ -616,7 +605,11 @@ pub(crate) fn drive<E: PanelEngine>(
         // Line 13, error indicator (eq. 9 / 26), evaluated before any
         // thresholding as Algorithm 3 orders lines 7 and 8, and the
         // ILUT drop at mu (eq. 24; r11 is known since the first
-        // tournament) measured with it, so one agreement covers both.
+        // tournament) measured with it, so one agreement covers both:
+        // an allreduce of the partials, each component folded in the
+        // tree every rank replays, exactly as its own allreduce would.
+        // The drop is measured even when the run has converged; the
+        // loop discards it then.
         let mu = match (ilut, &st.ilut) {
             (Some(cfg), Some(th)) if st.rank < rank_cap => match st.iterations {
                 1 => opts.tau * st.r11 / (cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt()),
@@ -624,8 +617,14 @@ pub(crate) fn drive<E: PanelEngine>(
             },
             _ => 0.0,
         };
-        let ms = eng.measure(mu, stop, &mut timers);
-        st.indicator = ms.indicator;
+        let local = eng.measure(mu, &mut timers);
+        let (norm_sq, mass, count, nnz) = match comm {
+            None => local,
+            Some(ctx) => timers.time(KernelId::Indicator, || {
+                ctx.allreduce(local, |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3))
+            }),
+        };
+        st.indicator = norm_sq.sqrt();
         if !st.indicator.is_finite() {
             lra_recover::record_guard_trip(format!(
                 "non-finite error indicator at iteration {}",
@@ -634,7 +633,7 @@ pub(crate) fn drive<E: PanelEngine>(
             st.breakdown = Some(Breakdown::NonFinite);
             break;
         }
-        let mut nnz = ms.nnz;
+        let mut nnz = nnz as usize;
         if st.indicator < stop {
             st.converged = true;
         } else if st.rank >= rank_cap {
@@ -651,11 +650,10 @@ pub(crate) fn drive<E: PanelEngine>(
                 th.phi = cfg.phi_factor * opts.tau * st.r11;
             }
             if th.mu > 0.0 {
-                let (mass, count) = ms.dropped;
-                if (th.mass_sq + mass).sqrt() < th.phi {
-                    th.mass_sq += mass;
-                    th.dropped += count;
-                    nnz -= count;
+                if (th.dropped_mass_sq + mass).sqrt() < th.phi {
+                    th.dropped_mass_sq += mass;
+                    th.dropped += count as usize;
+                    nnz -= count as usize;
                     timers.time(KernelId::Drop, || eng.drop_below(mu));
                 } else {
                     th.control_triggered = true;
@@ -698,7 +696,7 @@ pub(crate) fn drive<E: PanelEngine>(
         // snapshot), so this is the snapshot point.
         if let Some(h) = hooks {
             if h.should_save(st.iterations) {
-                save_checkpoint(&eng, &st, a, h);
+                save_checkpoint(comm, &eng, &st, a, h);
             }
         }
         if st.iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
@@ -708,8 +706,9 @@ pub(crate) fn drive<E: PanelEngine>(
     }
 
     // Under SPMD the report is the group's largest peak, the same on
-    // every rank. The Schur storage goes before the factors are
-    // assembled, and the recorded columns go as they are assembled.
+    // every rank. The engine goes before the factors are assembled, and
+    // the recorded columns go as they are assembled — on rank 0, whose
+    // factors are broadcast so every rank returns the same result.
     let mem = match comm {
         None => peak,
         Some(ctx) => ctx.allreduce(peak, |x, y| MemStats {
@@ -717,9 +716,19 @@ pub(crate) fn drive<E: PanelEngine>(
             peak_rank_nnz: x.peak_rank_nnz.max(y.peak_rank_nnz),
         }),
     };
-    eng.release_storage();
+    drop(eng);
     drop(tbuf);
     let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));
-    let factors = timers.time(KernelId::Concat, || eng.materialize(m, n, l_cols, ut_cols));
+    let factors = timers.time(KernelId::Concat, || {
+        let pair = if root {
+            assemble_factors(m, n, l_cols, ut_cols)
+        } else {
+            (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
+        };
+        match comm {
+            None => pair,
+            Some(ctx) => ctx.broadcast(0, pair),
+        }
+    });
     st.into_result(factors, a_norm_f, timers, mem)
 }

@@ -35,24 +35,18 @@
 //!   new owned range in ascending column order, and the kernel
 //!   computes each column independently, so the pipeline moves no bits
 //!   against the replicated engine's one pass;
-//! - the error indicator, the ILUT drop's `(mass, count)` and the Schur
-//!   nonzeros are agreed in one allreduce of per-shard partials, folded
-//!   component by component in the tree every rank replays; the
-//!   measurement is read-only, and a drop the loop keeps filters the
-//!   shard in place;
-//! - only rank 0 accumulates the factor columns (small per-panel
-//!   fragments travel by `gatherv`); the final `L`/`U` are broadcast
-//!   once at the end, so every rank returns the same result.
+//! - the measurement partials (squared norm, the ILUT drop's mass and
+//!   count, nonzeros) and the `U` fragments are read off the owned
+//!   shard, and a drop the loop keeps filters the shard in place.
 //!
 //! **[`ReplicatedEngine`] — every rank holds the whole Schur
-//! complement** (`Exec::SpmdReplicated`). The loop runs the same panel
-//! TSQR, row tournament and `L21` solve on its pivot panel, and it
-//! partitions its Schur update, indicator and dropped-mass partials
-//! over the *same* column ranges and reduction trees the sharded engine
-//! owns, so the two are bit-identical while differing only in resident
-//! storage: it is the reference the sharded engine is tested against.
-//! It keeps its own indicator and drop allreduces, and drops in place
-//! like the others.
+//! complement** (`Exec::SpmdReplicated`). Its column tournament runs on
+//! the whole complement and its Schur update ends in an `allgather`;
+//! everything else it computes over the column range the sharded
+//! engine would own, through the same code ([`partials`],
+//! [`u_fragments_of`], [`owned_run`]), so the two are bit-identical
+//! while differing only in resident storage: it is the reference the
+//! sharded engine is tested against.
 //!
 //! Both hand the Schur kernel its columns the way the shared-memory
 //! engine does: each rest column is routed into its `Ā12`/`Ā22` parts
@@ -60,11 +54,18 @@
 //! or from a re-shard piece, and the `U` fragments are routed out of
 //! the same columns while they are still held. Neither builds a rest
 //! block.
+//!
+//! Everything else that communicates is the loop's and is the same for
+//! both: one `allreduce` of the measurement partials, the `gatherv` of
+//! the `U` fragments to rank 0 (the only rank that records factor
+//! columns), the snapshot `gatherv`, the memory-peak `allreduce` and
+//! one final `broadcast` of rank 0's `L`/`U`, so every rank returns the
+//! same result.
 
 use crate::lucrtp::{
     schur_update_ranged, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace,
 };
-use crate::panel::{assemble_factors, drive, FactorCol, Measure, PanelEngine, PanelSplit, Source};
+use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit, Partials, Source};
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix, LuFactor};
@@ -225,6 +226,39 @@ pub(crate) fn spmd_l21(
     (x_rows, xt)
 }
 
+/// The positions in `rest` (the split's rest columns, ascending) of the
+/// ones in the column range `cols`: a contiguous run.
+fn owned_run(rest: &[usize], cols: Range<usize>) -> Range<usize> {
+    rest.partition_point(|&c| c < cols.start)..rest.partition_point(|&c| c < cols.end)
+}
+
+/// This rank's [`Partials`] over the columns `cols` of `s`: the squared
+/// norm summed column by column, the mass and count below `thr` grouped
+/// as [`CscMatrix::dropped_mass_in_cols_par`] groups them (nothing at
+/// `thr = 0`), and the stored entries.
+fn partials(
+    s: &CscMatrix,
+    cols: Range<usize>,
+    thr: f64,
+    par: Parallelism,
+    timers: &mut KernelTimers,
+) -> Partials {
+    let norm_sq = timers.time(KernelId::Indicator, || {
+        let mut acc = 0.0f64;
+        for j in cols.clone() {
+            acc += s.col(j).1.iter().map(|v| v * v).sum::<f64>();
+        }
+        acc
+    });
+    let (mass, count) = if thr > 0.0 {
+        timers.time(KernelId::Drop, || s.dropped_mass_in_cols_par(thr, cols.clone(), par))
+    } else {
+        (0.0, 0)
+    };
+    let nnz = s.colptr()[cols.end] - s.colptr()[cols.start];
+    (norm_sq, mass, count as u64, nnz as u64)
+}
+
 /// Per panel row `t`, the trailing `U` entries of the rest columns
 /// `rest` (their ids, ascending) of the current Schur complement, read
 /// through `col` and routed through `blocks`: `(original column, value)`
@@ -304,13 +338,6 @@ impl<'a> SpmdPanelCtx<'a> {
         }
     }
 
-    /// The positions in `rest` (the split's rest columns) of the ones
-    /// this rank owns: a contiguous run, as both orderings ascend.
-    fn owned_run(&self, rest: &[usize]) -> Range<usize> {
-        let rg = self.shard.col_range();
-        rest.partition_point(|&c| c < rg.start)..rest.partition_point(|&c| c < rg.end)
-    }
-
     /// Post the re-shard exchange for the just-eliminated panel
     /// without waiting for it: the sends go out now, the receives wait
     /// inside the returned exchange. Each destination's part is cut
@@ -322,7 +349,7 @@ impl<'a> SpmdPanelCtx<'a> {
     /// the wire drains.
     fn post_reshard(&mut self, sp: &PanelSplit) -> PendingExchange<'a, CscMatrix> {
         let rest = &sp.blocks.rest_cols;
-        let my_run = self.owned_run(rest);
+        let my_run = owned_run(rest, self.shard.col_range());
         let new_ranges = split_ranges(rest.len(), self.size);
         let mut parts = Vec::with_capacity(self.size);
         for dst in 0..self.size {
@@ -375,12 +402,6 @@ impl<'a> SpmdPanelCtx<'a> {
 impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     type Pending = PendingExchange<'a, CscMatrix>;
 
-    /// Factor columns accumulate on rank 0 only; everyone else
-    /// receives `L`/`U` in the final broadcast.
-    fn keeps_factors(&self) -> bool {
-        self.rank == 0
-    }
-
     fn dims(&self) -> (usize, usize) {
         (self.shard.rows(), self.n_cur)
     }
@@ -417,95 +438,29 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         self.complete_reshard(sp, pending, x_rows, x);
     }
 
-    /// `(global column, value)` pairs from each rank's owned `Ā12`
-    /// piece, keyed by panel row, gathered to rank 0. The owned rest
-    /// columns are read in the shard, which the re-shard retires only in
-    /// [`PanelEngine::schur_finish`].
-    fn u_fragments(
-        &self,
-        sp: &PanelSplit,
-        col_map: &[usize],
-        k_eff: usize,
-    ) -> Option<Vec<FactorCol>> {
+    /// `(global column, value)` pairs from the owned `Ā12` piece, keyed
+    /// by panel row. The owned rest columns are read in the shard, which
+    /// the re-shard retires only in [`PanelEngine::schur_finish`].
+    fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol> {
         let rest = &sp.blocks.rest_cols;
-        let owned = &rest[self.owned_run(rest)];
-        let frags = u_fragments_of(&sp.blocks, owned, |c| self.shard.col(c), col_map, k_eff);
-        let gathered = self.ctx.gatherv(0, frags)?;
-        let mut out: Vec<FactorCol> = vec![Vec::new(); k_eff];
-        for rank_frags in gathered {
-            for (t, f) in rank_frags.into_iter().enumerate() {
-                out[t].extend(f);
-            }
-        }
-        Some(out)
+        let owned = &rest[owned_run(rest, self.shard.col_range())];
+        u_fragments_of(&sp.blocks, owned, |c| self.shard.col(c), col_map, k_eff)
     }
 
-    /// One allreduce of the owned shard's partials — squared norm,
-    /// dropped mass and count, nonzeros — each component folded as its
-    /// own allreduce would be, so the indicator and the mass keep the
-    /// replicated oracle's summation nesting and reduction tree (the
-    /// shard's mass is [`CscMatrix::dropped_mass_in_cols_par`] over all
-    /// its columns, grouped as the oracle groups its range). The
-    /// indicator is not known before the agreement, so the drop is
-    /// measured even when the run turns out to have converged.
-    fn measure(&mut self, thr: f64, _stop: f64, timers: &mut KernelTimers) -> Measure {
-        let norm_sq = timers.time(KernelId::Indicator, || self.shard.fro_norm_sq_cols());
-        let (mass, count) = if thr > 0.0 {
-            timers.time(KernelId::Drop, || {
-                let local = self.shard.local();
-                let (mass, count) = local.dropped_mass_in_cols_par(thr, 0..local.cols(), self.opts.par);
-                (mass, count as u64)
-            })
-        } else {
-            (0.0, 0)
-        };
-        let (norm_sq, mass, count, nnz) = timers.time(KernelId::Indicator, || {
-            self.ctx.allreduce(
-                (norm_sq, mass, count, self.shard.nnz() as u64),
-                |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3),
-            )
-        });
-        Measure {
-            indicator: norm_sq.sqrt(),
-            dropped: (mass, count as usize),
-            nnz: nnz as usize,
-        }
+    /// The owned shard's partials: the mass is
+    /// [`CscMatrix::dropped_mass_in_cols_par`] over all its columns,
+    /// grouped as the oracle groups its range.
+    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
+        let local = self.shard.local();
+        partials(local, 0..local.cols(), thr, self.opts.par, timers)
     }
 
     fn drop_below(&mut self, thr: f64) {
         self.shard.drop_below_in_place(thr, self.opts.par);
     }
 
-    /// Gather per-rank shard envelopes to rank 0, which writes the
-    /// (full, format-unchanged) checkpoint — sequential and supervised
-    /// consumers keep working, and a resume under a smaller grid
-    /// re-slices the shards.
-    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
-        let parts = self.ctx.gatherv(0, self.shard.local().clone())?;
-        Some(Cow::Owned(gather_csc(&parts)))
-    }
-
-    fn release_storage(&mut self) {
-        self.shard = ColSlice::empty(0, 0);
-        self.ws = SchurWorkspace::new();
-        self.part_pool = Vec::new();
-    }
-
-    /// Materialize the factors on rank 0, then one final broadcast so
-    /// every rank returns the same result.
-    fn materialize(
-        &self,
-        m: usize,
-        n: usize,
-        l_cols: Vec<FactorCol>,
-        ut_cols: Vec<FactorCol>,
-    ) -> (CscMatrix, CscMatrix) {
-        let pair = if self.rank == 0 {
-            assemble_factors(m, n, l_cols, ut_cols)
-        } else {
-            (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
-        };
-        self.ctx.broadcast(0, pair)
+    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
+        Cow::Borrowed(self.shard.local())
     }
 }
 
@@ -568,59 +523,27 @@ impl PanelEngine for ReplicatedEngine<'_> {
         self.s = next;
     }
 
-    /// Replicated bookkeeping: every rank records every factor column.
-    fn u_fragments(
-        &self,
-        sp: &PanelSplit,
-        col_map: &[usize],
-        k_eff: usize,
-    ) -> Option<Vec<FactorCol>> {
+    /// The fragments of the rest columns the sharded engine owns.
+    fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol> {
         let rest = &sp.blocks.rest_cols;
-        Some(u_fragments_of(&sp.blocks, rest, |c| self.s.col(c), col_map, k_eff))
+        let owned = &rest[owned_run(rest, self.my_cols())];
+        u_fragments_of(&sp.blocks, owned, |c| self.s.col(c), col_map, k_eff)
     }
 
-    /// Partial squared norm + allreduce over the column partition the
-    /// sharded engine owns — the same per-column chains as its
-    /// partials. Then, unless that indicator has converged, dropped-mass
-    /// partials over the same partition through an allreduce of their
-    /// own, so the thresholding decisions stay bitwise aligned.
-    fn measure(&mut self, thr: f64, stop: f64, timers: &mut KernelTimers) -> Measure {
-        let indicator = timers.time(KernelId::Indicator, || {
-            let mut local = 0.0f64;
-            for j in self.my_cols() {
-                let (_, vs) = self.s.col(j);
-                local += vs.iter().map(|v| v * v).sum::<f64>();
-            }
-            self.ctx.allreduce(local, |a, b| a + b).sqrt()
-        });
-        let dropped = if thr > 0.0 && indicator >= stop {
-            timers.time(KernelId::Drop, || {
-                let (my_mass, my_count) =
-                    self.s.dropped_mass_in_cols_par(thr, self.my_cols(), self.opts.par);
-                self.ctx.allreduce((my_mass, my_count), |x, y| (x.0 + y.0, x.1 + y.1))
-            })
-        } else {
-            (0.0, 0)
-        };
-        Measure {
-            indicator,
-            dropped,
-            nnz: self.s.nnz(),
-        }
+    /// Partials over the column range the sharded engine owns — the
+    /// same per-column chains and grouping as its shard's.
+    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
+        partials(&self.s, self.my_cols(), thr, self.opts.par, timers)
     }
 
     fn drop_below(&mut self, thr: f64) {
         self.s.drop_below_in_place(thr, self.opts.par);
     }
 
-    /// Every rank reaching a snapshot point holds identical state, so
-    /// rank 0's copy is a consistent global snapshot.
-    fn gather_schur(&self) -> Option<Cow<'_, CscMatrix>> {
-        (self.ctx.rank() == 0).then_some(Cow::Borrowed(&self.s))
-    }
-
-    fn release_storage(&mut self) {
-        self.s = CscMatrix::zeros(0, 0);
-        self.ws = SchurWorkspace::new();
+    /// The owned column range. Never reached — the oracle is never
+    /// checkpointed — but gathered in rank order it is the whole
+    /// complement, as for the sharded engine.
+    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
+        Cow::Owned(ColSlice::from_full(&self.s, self.my_cols()).into_local())
     }
 }

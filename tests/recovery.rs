@@ -290,7 +290,7 @@ fn assert_lu_checkpoint_bitwise(got: &LuCrtpCheckpoint, want: &LuCrtpCheckpoint,
     }
     assert_eq!(got.ilut, want.ilut, "{ctx}");
     let (g, w) = (got.ilut.as_ref().unwrap(), want.ilut.as_ref().unwrap());
-    for (a, b) in [(g.mu, w.mu), (g.phi, w.phi), (g.mass_sq, w.mass_sq)] {
+    for (a, b) in [(g.mu, w.mu), (g.phi, w.phi), (g.dropped_mass_sq, w.dropped_mass_sq)] {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: ilut state");
     }
 }
