@@ -224,9 +224,9 @@ impl From<InvalidInput> for SupervisedError {
 ///    loop state is replicated and the snapshot is taken at a
 ///    collective boundary; the shrunk grid re-runs only the interrupted
 ///    iteration's work.
-/// 3. **Sequential fallback** (grid would drop below
-///    [`RecoveryPolicy::min_ranks`]): [`Exec::Seq`] resumes from the
-///    same checkpoint — slower, but the fixed-precision guarantee is
+/// 3. **Sequential fallback** (a one-rank attempt failed permanently,
+///    so the grid cannot shrink): [`Exec::Seq`] resumes from the same
+///    checkpoint — slower, but the fixed-precision guarantee is
 ///    identical.
 pub fn factorize_supervised<'m>(
     a: &CscMatrix,

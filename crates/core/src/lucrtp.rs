@@ -19,9 +19,10 @@ use crate::panel::{
 };
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{DenseMatrix, LuFactor};
-use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
+use lra_comm::Ctx;
+use lra_par::{owned_range, parallel_chunks_mut, parallel_map_fold, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns, ColumnSelection, TournamentTree};
-use lra_sparse::{BlockSplit, CscMatrix, CscRuns};
+use lra_sparse::{BlockSplit, ColRun, CscMatrix, CscRuns};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Mutex, RwLock};
@@ -613,9 +614,15 @@ impl PanelEngine for SeqEngine<'_> {
 /// II-B3's direct formation). Returns the nonzero row positions (into
 /// the trailing rows) and the dense `k x nr` matrix `X^T` (column `r` =
 /// row `x_rows[r]` of `L21`), 16 independent columns to a parallel
-/// chunk. `tbuf` receives the transposed `Ā21` (caller-owned scratch
-/// reused across iterations).
-pub(crate) fn l21_direct(
+/// chunk. Under SPMD each rank solves its `split_ranges` share of the
+/// columns (`Ā11` replicated, as broadcast in the paper) and the small
+/// `X^T` is allgathered: every rank's Schur correction needs all of it
+/// under a 1-D column distribution. Columns are solved independently,
+/// so the result is bitwise the same for any rank or worker count.
+/// `tbuf` receives the transposed `Ā21` (caller-owned scratch reused
+/// across iterations).
+pub(crate) fn l21(
+    comm: Option<&Ctx>,
     a21: &CscMatrix,
     lu11: &LuFactor,
     tbuf: &mut CscMatrix,
@@ -625,10 +632,14 @@ pub(crate) fn l21_direct(
     a21.transpose_into(tbuf); // rows of Ā21 as columns
     let a21t = &*tbuf;
     let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-    let mut xt = DenseMatrix::zeros(k, x_rows.len());
+    let mine = match comm {
+        None => 0..x_rows.len(),
+        Some(ctx) => owned_range(&split_ranges(x_rows.len(), ctx.size()), ctx.rank()),
+    };
+    let mut xt = DenseMatrix::zeros(k, mine.len());
     parallel_chunks_mut(par, xt.as_mut_slice(), 16 * k, |chunk, cols| {
         for (i, col) in cols.chunks_mut(k).enumerate() {
-            let (ri, vs) = a21t.col(x_rows[16 * chunk + i]);
+            let (ri, vs) = a21t.col(x_rows[mine.start + 16 * chunk + i]);
             for (&t, &v) in ri.iter().zip(vs) {
                 col[t] = v;
             }
@@ -636,6 +647,15 @@ pub(crate) fn l21_direct(
             lu11.solve_transpose_slice(col);
         }
     });
+    if let Some(ctx) = comm {
+        let parts: Vec<DenseMatrix> = ctx.allgather(xt);
+        xt = DenseMatrix::zeros(k, x_rows.len());
+        let mut c0 = 0;
+        for part in parts {
+            xt.set_submatrix(0, c0, &part);
+            c0 += part.cols();
+        }
+    }
     (x_rows, xt)
 }
 
@@ -712,90 +732,6 @@ impl SchurWorkspace {
 impl Default for SchurWorkspace {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A run of CSC columns under construction — what every Schur-update
-/// kernel appends to: the column pointers so far (from 0) and the
-/// concatenated entries.
-pub(crate) struct ColRun {
-    colptr: Vec<usize>,
-    rowidx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl Default for ColRun {
-    fn default() -> Self {
-        ColRun {
-            colptr: vec![0],
-            rowidx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-}
-
-impl ColRun {
-    /// The columns of `m`, open for appending.
-    fn open(m: CscMatrix) -> Self {
-        let (_, _, colptr, rowidx, values) = m.into_parts();
-        ColRun {
-            colptr,
-            rowidx,
-            values,
-        }
-    }
-
-    /// An empty run over the allocations of a matrix that is done with.
-    pub(crate) fn recycled(retired: CscMatrix) -> Self {
-        let mut run = Self::open(retired);
-        run.clear();
-        run
-    }
-
-    fn clear(&mut self) {
-        self.colptr.clear();
-        self.colptr.push(0);
-        self.rowidx.clear();
-        self.values.clear();
-    }
-
-    /// Room for `cols` more columns holding `nnz` entries.
-    pub(crate) fn reserve(&mut self, cols: usize, nnz: usize) {
-        self.colptr.reserve(cols);
-        self.rowidx.reserve(nnz);
-        self.values.reserve(nnz);
-    }
-
-    /// Append one column.
-    pub(crate) fn push_col(&mut self, (ri, vs): (&[usize], &[f64])) {
-        self.rowidx.extend_from_slice(ri);
-        self.values.extend_from_slice(vs);
-        self.colptr.push(self.rowidx.len());
-    }
-
-    /// Append one column given as ascending `(row, value)` pairs.
-    fn push_pairs(&mut self, col: &[(usize, f64)]) {
-        self.rowidx.extend(col.iter().map(|&(r, _)| r));
-        self.values.extend(col.iter().map(|&(_, v)| v));
-        self.colptr.push(self.rowidx.len());
-    }
-
-    /// Append the columns of `other`.
-    fn extend(&mut self, other: &ColRun) {
-        let base = self.rowidx.len();
-        self.colptr.extend(other.colptr[1..].iter().map(|&p| base + p));
-        self.rowidx.extend_from_slice(&other.rowidx);
-        self.values.extend_from_slice(&other.values);
-    }
-
-    /// The `rows`-row matrix of these columns.
-    pub(crate) fn into_csc(self, rows: usize) -> CscMatrix {
-        let ColRun {
-            colptr,
-            rowidx,
-            values,
-        } = self;
-        CscMatrix::from_parts(rows, colptr.len() - 1, colptr, rowidx, values)
     }
 }
 
@@ -1010,16 +946,9 @@ fn schur_col(
     let nr = x_rows.len();
     debug_assert_eq!(x.rows(), nr);
     debug_assert_eq!(corr.len(), nr);
-    let ColRun {
-        colptr,
-        rowidx: rows_out,
-        values: vals_out,
-    } = out;
     if top.is_empty() {
         // No correction touches this column: pure copy.
-        rows_out.extend_from_slice(ai);
-        vals_out.extend_from_slice(av);
-        colptr.push(rows_out.len());
+        out.push_col((ai, av));
         return;
     }
     corr.fill(0.0);
@@ -1029,27 +958,24 @@ fn schur_col(
     let mut q = 0usize; // into x_rows
     while p < ai.len() || q < nr {
         if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
-            rows_out.push(ai[p]);
-            vals_out.push(av[p]);
+            out.push_entry(ai[p], av[p]);
             p += 1;
         } else if p >= ai.len() || x_rows[q] < ai[p] {
             let v = -corr[q];
             if v != 0.0 {
-                rows_out.push(x_rows[q]);
-                vals_out.push(v);
+                out.push_entry(x_rows[q], v);
             }
             q += 1;
         } else {
             let v = av[p] - corr[q];
             if v != 0.0 {
-                rows_out.push(ai[p]);
-                vals_out.push(v);
+                out.push_entry(ai[p], v);
             }
             p += 1;
             q += 1;
         }
     }
-    colptr.push(rows_out.len());
+    out.end_col();
 }
 
 /// `corr += Σ v · x[:, t]` over the `(t, v)` of `top`, each entry's sum

@@ -32,16 +32,16 @@
 
 use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
 use crate::lucrtp::{
-    l21_direct, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
+    l21, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
     ThresholdReport,
 };
-use crate::spmd::{spmd_l21, spmd_panel_tsqr};
+use crate::spmd::spmd_panel_tsqr;
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix};
 use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_recover::BudgetTrip;
-use lra_sparse::{gather_csc, BlockSplit, CscMatrix};
+use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
 use std::borrow::Cow;
 
 /// The fill-reducing preprocessing (COLAMD + etree postorder) under a
@@ -197,12 +197,12 @@ fn assemble_factors(
     ut_cols: Vec<FactorCol>,
 ) -> (CscMatrix, CscMatrix) {
     let assemble = |rows: usize, cols: Vec<FactorCol>| {
-        let nnz = cols.iter().map(Vec::len).sum();
-        let mut b = lra_sparse::SparseBuilder::with_capacity(rows, cols.len(), nnz);
+        let mut run = ColRun::default();
+        run.reserve(cols.len(), cols.iter().map(Vec::len).sum());
         for col in cols {
-            b.push_col(&col);
+            run.push_pairs(&col);
         }
-        b.finish()
+        run.into_csc(rows)
     };
     let l = assemble(m, l_cols);
     (l, assemble(n, ut_cols).transpose())
@@ -529,10 +529,8 @@ pub(crate) fn drive<E: PanelEngine>(
             st.breakdown = Some(Breakdown::SingularPivotBlock);
             break;
         }
-        let (x_rows, xt) = timers.time(KernelId::LSolve, || match comm {
-            None => l21_direct(&sp.a21, &lu11, &mut tbuf, opts.par),
-            Some(ctx) => spmd_l21(ctx, &sp.a21, &lu11, &mut tbuf),
-        });
+        let (x_rows, xt) =
+            timers.time(KernelId::LSolve, || l21(comm, &sp.a21, &lu11, &mut tbuf, opts.par));
 
         // Line 12: Schur complement. An engine with wire to hide posts
         // its exchange here and completes it after the factors are

@@ -7,13 +7,15 @@
 //! ([`spmd_panel_tsqr`], rank-owned row blocks of the replicated panel,
 //! two `allgather`s), the row tournament on `Q_k^T`
 //! ([`lra_qrtp::tournament_columns_spmd`]) and the `L21` solve
-//! ([`spmd_l21`]: `Ā21` rows scattered, the small `X^T` allgathered,
-//! since a 1-D column distribution keeps the row panel replicated).
+//! ([`crate::lucrtp::l21`]: `Ā21` rows scattered, the small `X^T`
+//! allgathered, since a 1-D column distribution keeps the row panel
+//! replicated).
 //!
 //! **[`SpmdPanelCtx`] — rank-owned shards** (the default,
-//! [`crate::Exec::Spmd`]). Each rank holds only its [`ColSlice`] of the
-//! paper's block-column distribution (`O(nnz/np)` resident), never the
-//! full matrix. Per iteration:
+//! [`crate::Exec::Spmd`]). Each rank holds only its shard of the
+//! paper's block-column distribution — a plain [`CscMatrix`] of its
+//! columns at a global offset, `O(nnz/np)` resident — never the full
+//! matrix. Per iteration:
 //!
 //! - the column tournament runs its communication-free local stage on
 //!   the owned shard, then one `allreduce` in which winner columns
@@ -62,16 +64,14 @@
 //! one final `broadcast` of rank 0's `L`/`U`, so every rank returns the
 //! same result.
 
-use crate::lucrtp::{
-    schur_update_ranged, ColRun, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace,
-};
+use crate::lucrtp::{schur_update_ranged, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace};
 use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit, Partials, Source};
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::{Ctx, PendingExchange};
-use lra_dense::{qr, DenseMatrix, LuFactor};
+use lra_dense::{qr, DenseMatrix};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
-use lra_sparse::{gather_csc, BlockSplit, ColSlice, CscMatrix};
+use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -188,44 +188,6 @@ pub(crate) fn spmd_panel_tsqr(ctx: &Ctx, panel: &CscMatrix) -> (DenseMatrix, Vec
     (qk, panel_r_diag)
 }
 
-/// `L21` solve: `Ā21` rows scattered across ranks, `Ā11` replicated
-/// (broadcast in the paper), result allgathered — the small dense
-/// `X^T` is needed in full by every rank's Schur correction under a
-/// 1-D column distribution. `tbuf` receives `Ā21^T`.
-pub(crate) fn spmd_l21(
-    ctx: &Ctx,
-    a21: &CscMatrix,
-    lu11: &LuFactor,
-    tbuf: &mut CscMatrix,
-) -> (Vec<usize>, DenseMatrix) {
-    let k_eff = a21.cols();
-    a21.transpose_into(tbuf);
-    let a21t = &*tbuf;
-    let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-    let nr = x_rows.len();
-    let my_range = owned_range(&split_ranges(nr, ctx.size()), ctx.rank());
-    let mut my_xt = DenseMatrix::zeros(k_eff, my_range.len());
-    for (slot, xi) in my_range.enumerate() {
-        let col = my_xt.col_mut(slot);
-        let (ri, vs) = a21t.col(x_rows[xi]);
-        for (&t, &v) in ri.iter().zip(vs) {
-            col[t] = v;
-        }
-        lu11.solve_transpose_slice(col);
-    }
-    let all_xt: Vec<DenseMatrix> = ctx.allgather(my_xt);
-    let mut xt = DenseMatrix::zeros(k_eff, nr);
-    let mut c0 = 0;
-    for part in all_xt {
-        if part.cols() == 0 {
-            continue;
-        }
-        xt.set_submatrix(0, c0, &part);
-        c0 += part.cols();
-    }
-    (x_rows, xt)
-}
-
 /// The positions in `rest` (the split's rest columns, ascending) of the
 /// ones in the column range `cols`: a contiguous run.
 fn owned_run(rest: &[usize], cols: Range<usize>) -> Range<usize> {
@@ -282,17 +244,21 @@ fn u_fragments_of<'a>(
 }
 
 /// Panel engine over rank-owned shards: the communicator, the rank's
-/// owned block-column [`ColSlice`] of the current Schur complement,
-/// and the replicated global dimensions. The shard invariant: after
-/// construction and after every re-shard ([`Self::complete_reshard`]),
-/// this rank owns exactly `owned_range(split_ranges(n_cur, size),
-/// rank)` — the same partition the replicated oracle uses for its
-/// per-rank work, which is what makes the two engines bit-identical.
+/// owned block-column shard of the current Schur complement with its
+/// global column offset, and the replicated global dimensions. The
+/// shard invariant: after construction and after every re-shard
+/// ([`Self::complete_reshard`]), this rank owns exactly
+/// `owned_range(split_ranges(n_cur, size), rank)` — the same partition
+/// the replicated oracle uses for its per-rank work, which is what
+/// makes the two engines bit-identical.
 struct SpmdPanelCtx<'a> {
     ctx: &'a Ctx,
     rank: usize,
     size: usize,
-    shard: ColSlice,
+    /// The owned columns `offset .. offset + shard.cols()`, full row
+    /// dimension.
+    shard: CscMatrix,
+    offset: usize,
     /// Global column count of the (virtual) Schur complement.
     n_cur: usize,
     /// `opts.par` is the intra-rank worker count for the owned-range
@@ -313,29 +279,43 @@ struct SpmdPanelCtx<'a> {
 impl<'a> SpmdPanelCtx<'a> {
     fn place(ctx: &'a Ctx, src: Source<'_>, opts: &'a LuCrtpOpts) -> Self {
         let owned = |n: usize| owned_range(&split_ranges(n, ctx.size()), ctx.rank());
-        let (shard, n_cur) = match src {
+        let (shard, offset, n_cur) = match src {
             // Only the owned block of the permuted input is extracted;
             // the full Schur complement never exists on any rank.
             Source::Input(a, cols) => {
                 let my = owned(cols.len());
-                let local = a.select_columns(&cols[my.clone()]);
-                (ColSlice::new(my.start, local), cols.len())
+                (a.select_columns(&cols[my.clone()]), my.start, cols.len())
             }
             // Slice this rank's shard out of the snapshot under the
             // *current* rank count — resuming a snapshot written by a
             // larger grid redistributes implicitly.
-            Source::Snapshot(s) => (ColSlice::from_full(&s, owned(s.cols())), s.cols()),
+            Source::Snapshot(s) => {
+                let my = owned(s.cols());
+                (s.slice_columns(my.clone()), my.start, s.cols())
+            }
         };
         SpmdPanelCtx {
             ctx,
             rank: ctx.rank(),
             size: ctx.size(),
             shard,
+            offset,
             n_cur,
             opts,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
         }
+    }
+
+    /// The owned global column range.
+    fn owned(&self) -> Range<usize> {
+        self.offset..self.offset + self.shard.cols()
+    }
+
+    /// Global column `j`, which this rank owns.
+    fn col(&self, j: usize) -> (&[usize], &[f64]) {
+        debug_assert!(self.owned().contains(&j), "column {j} not owned by {:?}", self.owned());
+        self.shard.col(j - self.offset)
     }
 
     /// Post the re-shard exchange for the just-eliminated panel
@@ -349,7 +329,7 @@ impl<'a> SpmdPanelCtx<'a> {
     /// the wire drains.
     fn post_reshard(&mut self, sp: &PanelSplit) -> PendingExchange<'a, CscMatrix> {
         let rest = &sp.blocks.rest_cols;
-        let my_run = owned_run(rest, self.shard.col_range());
+        let my_run = owned_run(rest, self.owned());
         let new_ranges = split_ranges(rest.len(), self.size);
         let mut parts = Vec::with_capacity(self.size);
         for dst in 0..self.size {
@@ -357,9 +337,9 @@ impl<'a> SpmdPanelCtx<'a> {
             let donor = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
             let mut part = ColRun::recycled(donor);
             let js = my_run.start.max(drg.start)..my_run.end.min(drg.end);
-            part.reserve(js.len(), js.clone().map(|j| self.shard.col(rest[j]).0.len()).sum());
+            part.reserve(js.len(), js.clone().map(|j| self.col(rest[j]).0.len()).sum());
             for j in js {
-                part.push_col(self.shard.col(rest[j]));
+                part.push_col(self.col(rest[j]));
             }
             parts.push(part.into_csc(self.shard.rows()));
         }
@@ -385,8 +365,8 @@ impl<'a> SpmdPanelCtx<'a> {
     ) {
         let (m_rest, n_rest) = (sp.blocks.rest_rows.len(), sp.blocks.rest_cols.len());
         let my_new = owned_range(&split_ranges(n_rest, self.size), self.rank);
-        let retired = std::mem::replace(&mut self.shard, ColSlice::empty(0, 0));
-        let mut updated = ColRun::recycled(retired.into_local()).into_csc(m_rest);
+        let retired = std::mem::replace(&mut self.shard, CscMatrix::zeros(0, 0));
+        let mut updated = ColRun::recycled(retired).into_csc(m_rest);
         let (ws, pool, par) = (&mut self.ws, &mut self.part_pool, self.opts.par);
         pend.complete_with(|_src, part: CscMatrix| {
             let col = |j| part.col(j);
@@ -394,7 +374,8 @@ impl<'a> SpmdPanelCtx<'a> {
             pool.push(part);
         });
         debug_assert_eq!(updated.cols(), my_new.len());
-        self.shard = ColSlice::new(my_new.start, updated);
+        self.shard = updated;
+        self.offset = my_new.start;
         self.n_cur = n_rest;
     }
 }
@@ -407,7 +388,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     }
 
     fn resident(&self) -> (u64, u64) {
-        (self.shard.resident_bytes() as u64, self.shard.nnz() as u64)
+        (self.shard.resident_bytes(), self.shard.nnz() as u64)
     }
 
     /// Column tournament over the distributed Schur complement; winner
@@ -416,7 +397,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// and split read, whose dense row blocks equal those the
     /// replicated oracle's copy of the same columns gives.
     fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want)
+        tournament_columns_spmd_sharded(self.ctx, &self.shard, self.offset, k_want)
     }
 
     fn schur_begin(
@@ -443,16 +424,15 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     /// the re-shard retires only in [`PanelEngine::schur_finish`].
     fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol> {
         let rest = &sp.blocks.rest_cols;
-        let owned = &rest[owned_run(rest, self.shard.col_range())];
-        u_fragments_of(&sp.blocks, owned, |c| self.shard.col(c), col_map, k_eff)
+        let owned = &rest[owned_run(rest, self.owned())];
+        u_fragments_of(&sp.blocks, owned, |c| self.col(c), col_map, k_eff)
     }
 
     /// The owned shard's partials: the mass is
     /// [`CscMatrix::dropped_mass_in_cols_par`] over all its columns,
     /// grouped as the oracle groups its range.
     fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
-        let local = self.shard.local();
-        partials(local, 0..local.cols(), thr, self.opts.par, timers)
+        partials(&self.shard, 0..self.shard.cols(), thr, self.opts.par, timers)
     }
 
     fn drop_below(&mut self, thr: f64) {
@@ -460,7 +440,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     }
 
     fn schur_piece(&self) -> Cow<'_, CscMatrix> {
-        Cow::Borrowed(self.shard.local())
+        Cow::Borrowed(&self.shard)
     }
 }
 
@@ -544,6 +524,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
     /// checkpointed — but gathered in rank order it is the whole
     /// complement, as for the sharded engine.
     fn schur_piece(&self) -> Cow<'_, CscMatrix> {
-        Cow::Owned(ColSlice::from_full(&self.s, self.my_cols()).into_local())
+        Cow::Owned(self.s.slice_columns(self.my_cols()))
     }
 }

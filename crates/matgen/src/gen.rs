@@ -6,7 +6,7 @@
 //! fill-in behaviour under Schur complementation. All generators are
 //! deterministic in their seed.
 
-use lra_sparse::{CooMatrix, CscMatrix};
+use lra_sparse::{ColRun, CooMatrix, CscMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -221,6 +221,20 @@ pub fn geometric_diag(n: usize, rate: f64) -> CscMatrix {
     coo.to_csc()
 }
 
+/// `D_r A D_c` for the diagonal weights `rw` (rows) and `cw` (columns).
+fn scale_rows_cols(a: &CscMatrix, rw: &[f64], cw: &[f64]) -> CscMatrix {
+    let mut out = ColRun::default();
+    out.reserve(a.cols(), a.nnz());
+    for (j, &c) in cw.iter().enumerate() {
+        let (ri, vs) = a.col(j);
+        for (&row, &v) in ri.iter().zip(vs) {
+            out.push_entry(row, v * rw[row] * c);
+        }
+        out.end_col();
+    }
+    out.into_csc(a.rows())
+}
+
 /// Rescale `a` to `D_r A D_c` with exponentially decaying weights
 /// assigned to a *shuffled* index order (so the decay is not aligned
 /// with the structure). `target_tail` is the weight at the last index;
@@ -244,19 +258,7 @@ pub fn with_decay(a: &CscMatrix, target_tail: f64, seed: u64) -> CscMatrix {
     for w in cw.iter_mut() {
         *w = w.sqrt();
     }
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    let mut rowidx = Vec::with_capacity(a.nnz());
-    let mut values = Vec::with_capacity(a.nnz());
-    for j in 0..n {
-        let (ri, vs) = a.col(j);
-        for (&row, &v) in ri.iter().zip(vs) {
-            rowidx.push(row);
-            values.push(v * rw[row] * cw[j]);
-        }
-        colptr.push(rowidx.len());
-    }
-    CscMatrix::from_parts(m, n, colptr, rowidx, values)
+    scale_rows_cols(a, &rw, &cw)
 }
 
 /// Like [`with_decay`], but with a two-regime profile: weights decay
@@ -283,19 +285,7 @@ pub fn with_decay_rank(
     for w in cw.iter_mut() {
         *w = w.sqrt();
     }
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    let mut rowidx = Vec::with_capacity(a.nnz());
-    let mut values = Vec::with_capacity(a.nnz());
-    for j in 0..n {
-        let (ri, vs) = a.col(j);
-        for (&row, &v) in ri.iter().zip(vs) {
-            rowidx.push(row);
-            values.push(v * rw[row] * cw[j]);
-        }
-        colptr.push(rowidx.len());
-    }
-    CscMatrix::from_parts(m, n, colptr, rowidx, values)
+    scale_rows_cols(a, &rw, &cw)
 }
 
 fn decay_weights_ranked(

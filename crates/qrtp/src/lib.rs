@@ -13,8 +13,9 @@
 //!   `allreduce` whose op is the tree node;
 //! - [`tournament_columns_spmd_sharded`]: like the SPMD driver, but
 //!   over a *distributed* matrix — each rank holds only its own
-//!   block-column `ColSlice`, and winner columns travel with their ids
-//!   as compact panels (bitwise-identical selections).
+//!   block-column shard, a plain `CscMatrix` at a column offset, and
+//!   winner columns travel with their ids as compact panels
+//!   (bitwise-identical selections).
 
 mod source;
 mod spmd;

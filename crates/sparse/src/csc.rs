@@ -5,6 +5,7 @@
 
 use lra_dense::DenseMatrix;
 use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
+use std::ops::Range;
 
 /// Fixed chunk width (in columns) of the parallel threshold pass
 /// ([`CscMatrix::drop_below_in_place`] / [`CscMatrix::dropped_mass_in_cols_par`]).
@@ -93,28 +94,17 @@ impl CscMatrix {
 
     /// Convert from dense, dropping exact zeros.
     pub fn from_dense(a: &DenseMatrix) -> Self {
-        let rows = a.rows();
-        let cols = a.cols();
-        let mut colptr = Vec::with_capacity(cols + 1);
-        colptr.push(0);
-        let mut rowidx = Vec::new();
-        let mut values = Vec::new();
-        for j in 0..cols {
+        let mut run = ColRun::default();
+        run.reserve(a.cols(), 0);
+        for j in 0..a.cols() {
             for (i, &v) in a.col(j).iter().enumerate() {
                 if v != 0.0 {
-                    rowidx.push(i);
-                    values.push(v);
+                    run.push_entry(i, v);
                 }
             }
-            colptr.push(rowidx.len());
+            run.end_col();
         }
-        CscMatrix {
-            rows,
-            cols,
-            colptr,
-            rowidx,
-            values,
-        }
+        run.into_csc(a.rows())
     }
 
     /// Densify (intended for tests and small blocks).
@@ -309,22 +299,26 @@ impl CscMatrix {
 
     /// New matrix whose column `p` is `self` column `perm[p]`.
     pub fn select_columns(&self, perm: &[usize]) -> CscMatrix {
-        let mut colptr = Vec::with_capacity(perm.len() + 1);
-        colptr.push(0);
-        let mut rowidx = Vec::new();
-        let mut values = Vec::new();
+        let mut run = ColRun::default();
+        run.reserve(perm.len(), 0);
         for &j in perm {
-            let (ri, vs) = self.col(j);
-            rowidx.extend_from_slice(ri);
-            values.extend_from_slice(vs);
-            colptr.push(rowidx.len());
+            run.push_col(self.col(j));
         }
+        run.into_csc(self.rows)
+    }
+
+    /// The contiguous columns `range` as their own matrix — an exact
+    /// structural copy by raw array slicing (explicit zeros kept): a
+    /// rank's block-column shard of a distributed matrix.
+    pub fn slice_columns(&self, range: Range<usize>) -> CscMatrix {
+        assert!(range.end <= self.cols, "column range out of bounds");
+        let (lo, hi) = (self.colptr[range.start], self.colptr[range.end]);
         CscMatrix {
             rows: self.rows,
-            cols: perm.len(),
-            colptr,
-            rowidx,
-            values,
+            cols: range.len(),
+            colptr: self.colptr[range.start..=range.end].iter().map(|&p| p - lo).collect(),
+            rowidx: self.rowidx[lo..hi].to_vec(),
+            values: self.values[lo..hi].to_vec(),
         }
     }
 
@@ -421,10 +415,8 @@ impl CscMatrix {
     /// squared Frobenius mass and count (the `||T̃^(i)||_F^2` bookkeeping
     /// of ILUT_CRTP, Algorithm 3, lines 8-9), summed in storage order.
     pub fn drop_below(&self, threshold: f64) -> (CscMatrix, f64, usize) {
-        let mut colptr = Vec::with_capacity(self.cols + 1);
-        colptr.push(0);
-        let mut rowidx = Vec::new();
-        let mut values = Vec::new();
+        let mut kept = ColRun::default();
+        kept.reserve(self.cols, 0);
         let mut dropped_sq = 0.0;
         let mut dropped = 0usize;
         for j in 0..self.cols {
@@ -434,20 +426,12 @@ impl CscMatrix {
                     dropped_sq += v * v;
                     dropped += 1;
                 } else {
-                    rowidx.push(r);
-                    values.push(v);
+                    kept.push_entry(r, v);
                 }
             }
-            colptr.push(rowidx.len());
+            kept.end_col();
         }
-        let kept = CscMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            colptr,
-            rowidx,
-            values,
-        };
-        (kept, dropped_sq, dropped)
+        (kept.into_csc(self.rows), dropped_sq, dropped)
     }
 
     /// [`CscMatrix::drop_below`] in place: the same entries are kept, in
@@ -592,16 +576,16 @@ impl CscMatrix {
     ) -> (DenseMatrix, CscMatrix, CscMatrix, CscMatrix, Vec<usize>, Vec<usize>) {
         let split = BlockSplit::new(self.rows, self.cols, pivot_rows, pivot_cols);
         let (a11, a21) = split.pivot_blocks(pivot_cols.iter().map(|&c| self.col(c)));
-        let ncols = split.rest_cols.len();
-        let mut a12 = SparseBuilder::new(split.k, ncols);
-        let mut a22 = SparseBuilder::with_capacity(split.rest_rows.len(), ncols, self.nnz());
+        let (mut a12, mut a22) = (ColRun::default(), ColRun::default());
+        a22.reserve(split.rest_cols.len(), self.nnz());
         let mut top = Vec::new();
         for &c in &split.rest_cols {
             split.route_rest(self.col(c), &mut top, |r, v| a22.push_entry(r, v));
             a22.end_col();
-            a12.push_col(&top);
+            a12.push_pairs(&top);
         }
-        (a11, a12.finish(), a21, a22.finish(), split.rest_rows, split.rest_cols)
+        let (a12, a22) = (a12.into_csc(split.k), a22.into_csc(split.rest_rows.len()));
+        (a11, a12, a21, a22, split.rest_rows, split.rest_cols)
     }
 
     /// Per-column nnz counts (degree vector used by the orderings).
@@ -772,12 +756,19 @@ impl BlockSplit {
         pivot_cols: impl Iterator<Item = (&'a [usize], &'a [f64])>,
     ) -> (DenseMatrix, CscMatrix) {
         let mut a11 = DenseMatrix::zeros(self.k, self.k);
-        let mut a21 = SparseBuilder::new(self.rest_rows.len(), self.k);
+        let mut a21 = ColRun::default();
+        a21.reserve(self.k, 0);
         for (p, col) in pivot_cols.enumerate() {
-            self.route(col, |t, v| a11.set(t, p, v), |r, v| a21.push_entry(r, v));
+            let bottom = |r, v| {
+                if v != 0.0 {
+                    a21.push_entry(r, v);
+                }
+            };
+            self.route(col, |t, v| a11.set(t, p, v), bottom);
             a21.end_col();
         }
-        (a11, a21.finish())
+        assert_eq!(a21.cols(), self.k, "one pivot column per pivot");
+        (a11, a21.into_csc(self.rest_rows.len()))
     }
 
     /// Route one rest column: its `Ā12` column as `(pivot position,
@@ -810,75 +801,107 @@ impl BlockSplit {
     }
 }
 
-/// Incremental column-by-column CSC builder (rows must be pushed
-/// sorted within each column).
-pub struct SparseBuilder {
-    rows: usize,
+/// A run of CSC columns under construction: the column pointers so
+/// far (from 0) and the concatenated entries. Every matrix built column
+/// by column is appended here, rows ascending within each column.
+pub struct ColRun {
     colptr: Vec<usize>,
     rowidx: Vec<usize>,
     values: Vec<f64>,
-    target_cols: usize,
 }
 
-impl SparseBuilder {
-    /// Builder for a `rows x cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        let mut colptr = Vec::with_capacity(cols + 1);
-        colptr.push(0);
-        SparseBuilder {
-            rows,
-            colptr,
+impl Default for ColRun {
+    fn default() -> Self {
+        ColRun {
+            colptr: vec![0],
             rowidx: Vec::new(),
             values: Vec::new(),
-            target_cols: cols,
+        }
+    }
+}
+
+impl ColRun {
+    /// The columns of `m`, open for appending.
+    pub fn open(m: CscMatrix) -> Self {
+        ColRun {
+            colptr: m.colptr,
+            rowidx: m.rowidx,
+            values: m.values,
         }
     }
 
-    /// [`SparseBuilder::new`] with room for `nnz` entries.
-    pub fn with_capacity(rows: usize, cols: usize, nnz: usize) -> Self {
-        let mut b = SparseBuilder::new(rows, cols);
-        b.rowidx.reserve(nnz);
-        b.values.reserve(nnz);
-        b
+    /// An empty run over the allocations of a matrix that is done with.
+    pub fn recycled(retired: CscMatrix) -> Self {
+        let mut run = Self::open(retired);
+        run.clear();
+        run
     }
 
-    /// Append one entry to the column under construction; rows must
-    /// ascend within it (zero values skipped).
+    /// Forget every column, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.colptr.clear();
+        self.colptr.push(0);
+        self.rowidx.clear();
+        self.values.clear();
+    }
+
+    /// Columns closed so far.
+    pub fn cols(&self) -> usize {
+        self.colptr.len() - 1
+    }
+
+    /// Room for `cols` more columns holding `nnz` entries.
+    pub fn reserve(&mut self, cols: usize, nnz: usize) {
+        self.colptr.reserve(cols);
+        self.rowidx.reserve(nnz);
+        self.values.reserve(nnz);
+    }
+
+    /// Append one entry to the open column; rows ascend within it.
+    #[inline]
     pub fn push_entry(&mut self, r: usize, v: f64) {
-        debug_assert!(r < self.rows);
-        if v != 0.0 {
-            debug_assert!(
-                self.rowidx[self.colptr[self.colptr.len() - 1]..].last().is_none_or(|&l| l < r),
-                "rows must ascend within a column"
-            );
-            self.rowidx.push(r);
-            self.values.push(v);
-        }
+        debug_assert!(
+            self.rowidx.len() == self.colptr[self.colptr.len() - 1]
+                || self.rowidx.last().is_some_and(|&l| l < r),
+            "rows must ascend within a column"
+        );
+        self.rowidx.push(r);
+        self.values.push(v);
     }
 
-    /// Close the column under construction.
+    /// Close the open column.
+    #[inline]
     pub fn end_col(&mut self) {
         self.colptr.push(self.rowidx.len());
     }
 
-    /// Append the next column from sorted `(row, value)` pairs
-    /// (zero values skipped).
-    pub fn push_col(&mut self, entries: &[(usize, f64)]) {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        for &(r, v) in entries {
-            self.push_entry(r, v);
-        }
+    /// Append one column.
+    pub fn push_col(&mut self, (ri, vs): (&[usize], &[f64])) {
+        self.rowidx.extend_from_slice(ri);
+        self.values.extend_from_slice(vs);
         self.end_col();
     }
 
-    /// Finish; panics if the declared column count was not reached.
-    pub fn finish(self) -> CscMatrix {
-        assert_eq!(
-            self.colptr.len() - 1,
-            self.target_cols,
-            "SparseBuilder: wrong number of columns pushed"
-        );
-        CscMatrix::from_parts(self.rows, self.target_cols, self.colptr, self.rowidx, self.values)
+    /// Append one column given as ascending `(row, value)` pairs.
+    pub fn push_pairs(&mut self, col: &[(usize, f64)]) {
+        debug_assert!(col.windows(2).all(|w| w[0].0 < w[1].0));
+        self.rowidx.extend(col.iter().map(|&(r, _)| r));
+        self.values.extend(col.iter().map(|&(_, v)| v));
+        self.end_col();
+    }
+
+    /// Append the columns of `other`.
+    pub fn extend(&mut self, other: &ColRun) {
+        let base = self.rowidx.len();
+        self.colptr.extend(other.colptr[1..].iter().map(|&p| base + p));
+        self.rowidx.extend_from_slice(&other.rowidx);
+        self.values.extend_from_slice(&other.values);
+    }
+
+    /// The `rows`-row matrix of these columns.
+    pub fn into_csc(self, rows: usize) -> CscMatrix {
+        let cols = self.cols();
+        CscMatrix::from_parts(rows, cols, self.colptr, self.rowidx, self.values)
     }
 }
 
@@ -1072,11 +1095,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_counts_columns() {
-        let mut b = SparseBuilder::new(3, 2);
-        b.push_col(&[(0, 1.0), (2, -1.0)]);
-        b.push_col(&[]);
-        let m = b.finish();
+    fn col_run_counts_columns() {
+        let mut b = ColRun::default();
+        b.push_pairs(&[(0, 1.0), (2, -1.0)]);
+        b.push_pairs(&[]);
+        let m = b.into_csc(3);
         assert_eq!(m.cols(), 2);
         assert_eq!(m.nnz(), 2);
     }
@@ -1084,11 +1107,11 @@ mod tests {
     /// A small asymmetric fixture with distinct values in every slot so
     /// permutations and value edits are all distinguishable.
     fn fingerprint_fixture() -> CscMatrix {
-        let mut b = SparseBuilder::new(4, 3);
-        b.push_col(&[(0, 1.5), (2, -2.25)]);
-        b.push_col(&[(1, 0.125), (3, 7.0)]);
-        b.push_col(&[(0, -0.5)]);
-        b.finish()
+        let mut b = ColRun::default();
+        b.push_pairs(&[(0, 1.5), (2, -2.25)]);
+        b.push_pairs(&[(1, 0.125), (3, 7.0)]);
+        b.push_pairs(&[(0, -0.5)]);
+        b.into_csc(4)
     }
 
     #[test]

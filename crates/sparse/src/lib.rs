@@ -19,6 +19,10 @@
 //! - `CscRuns` keeps a matrix as consecutive fixed-width column runs,
 //!   the storage that lets a Schur update retire the old complement run
 //!   by run while it writes the new one.
+//! - `ColRun` is the one column-by-column builder: Schur runs, the
+//!   split's blocks and the factors are all appended through it.
+//! - A rank's block-column shard is a plain `CscMatrix` cut by
+//!   `slice_columns`; `scatter_csc`/`gather_csc` split and join them.
 
 mod coo;
 mod csc;
@@ -26,15 +30,13 @@ mod dist;
 mod io;
 mod ops;
 mod runs;
-mod spa;
 
 pub use coo::CooMatrix;
-pub use csc::{BlockSplit, CscMatrix, SparseBuilder};
-pub use dist::{gather_csc, scatter_csc, ColSlice};
+pub use csc::{BlockSplit, ColRun, CscMatrix};
+pub use dist::{gather_csc, scatter_csc};
 pub use io::{
     read_matrix_market, read_matrix_market_file, write_matrix_market, write_matrix_market_file,
     MmError,
 };
 pub use ops::{add_scaled, spgemm, spgemm_reference, spmm_dense, spmm_t_dense, spmv};
 pub use runs::CscRuns;
-pub use spa::SparseAccumulator;

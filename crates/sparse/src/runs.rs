@@ -12,7 +12,7 @@
 //! matches the equivalent [`CscMatrix`] bit for bit.
 
 use crate::csc::{gather_at_rows, row_support, CscMatrix};
-use crate::dist::{gather_csc, slice_columns};
+use crate::dist::gather_csc;
 use lra_dense::DenseMatrix;
 use lra_par::{parallel_chunks_mut, Parallelism};
 
@@ -67,7 +67,7 @@ impl CscRuns {
     pub fn from_csc(a: &CscMatrix, width: usize) -> Self {
         let runs = (0..a.cols())
             .step_by(width.max(1))
-            .map(|lo| slice_columns(a, lo..(lo + width).min(a.cols())))
+            .map(|lo| a.slice_columns(lo..(lo + width).min(a.cols())))
             .collect();
         Self::from_runs(a.rows(), width, runs)
     }

@@ -10,7 +10,7 @@
 
 use lra::comm::{run_infallible, run_with, CommError, Ctx, FaultPlan, RunConfig};
 use lra::qrtp::tournament_columns_spmd_sharded;
-use lra::sparse::{ColSlice, CscMatrix};
+use lra::sparse::CscMatrix;
 use std::time::Duration;
 
 /// The bracket the binomial tree over ranks `0..size` builds, written
@@ -128,8 +128,9 @@ fn a_dropped_tournament_message_times_out() {
     let a = tournament_matrix();
     let select = |ctx: &Ctx, _: usize| {
         let ranges = lra::par::split_ranges(a.cols(), ctx.size());
-        let shard = ColSlice::from_full(&a, lra::par::owned_range(&ranges, ctx.rank()));
-        tournament_columns_spmd_sharded(ctx, &shard, 4).0.selected
+        let range = lra::par::owned_range(&ranges, ctx.rank());
+        let shard = a.slice_columns(range.clone());
+        tournament_columns_spmd_sharded(ctx, &shard, range.start, 4).0.selected
     };
     // The tournament's only messages are its global stage's allreduce:
     // drop the first send of the first of two tournaments.

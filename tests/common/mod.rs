@@ -6,7 +6,7 @@
 
 use lra::core::{factorize_ranks, IlutOpts, LuCrtpResult, Method, Parallelism, RunConfig};
 use lra::obs::MetricValue;
-use lra::sparse::CscMatrix;
+use lra::sparse::{CooMatrix, CscMatrix};
 
 /// Documented multiplicative accuracy of the built-in error estimators
 /// vs the SVD ground truth. Empirically the estimators track the true
@@ -52,6 +52,27 @@ impl SplitMix64 {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
+}
+
+/// A `rows x cols` matrix with `per_col` random entries per column
+/// (repeats summed).
+pub fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
+    let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    let mut coo = CooMatrix::new(rows, cols);
+    for j in 0..cols {
+        for _ in 0..per_col {
+            let r = (next() % rows as u64) as usize;
+            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            coo.push(r, j, v);
+        }
+    }
+    coo.to_csc()
 }
 
 /// `method` on `np` sharded ranks under the default [`RunConfig`], any

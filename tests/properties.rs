@@ -669,9 +669,9 @@ fn exact_error_of_dense_factors_matches_the_whole_dense_residual() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Sharded column storage (ColSlice) must agree with the full matrix:
-    // the SPMD drivers rely on these identities for their bitwise
-    // sharded-vs-replicated equivalence.
+    // Block-column shards (`slice_columns`) must agree with the full
+    // matrix: the SPMD drivers rely on these identities for their
+    // bitwise sharded-vs-replicated equivalence.
 
     #[test]
     fn col_slice_scatter_gather_roundtrip(a in sparse_mat(20), parts in 1usize..6) {
@@ -688,56 +688,30 @@ proptest! {
 
     #[test]
     fn col_slice_ops_agree_with_full_matrix(a in sparse_mat(20), parts in 1usize..6, thr in 0.0f64..3.0) {
-        let ranges = lra::par::split_ranges(a.cols(), parts);
-        let slices: Vec<_> = ranges
-            .iter()
-            .map(|r| lra::sparse::ColSlice::from_full(&a, r.clone()))
-            .collect();
-
-        // Per-shard squared column norms sum to the full Frobenius norm.
-        let partial: f64 = slices.iter().map(|s| s.fro_norm_sq_cols()).sum();
-        prop_assert!((partial - a.fro_norm_sq()).abs() <= 1e-12 * (1.0 + a.fro_norm_sq()));
-
         // A shard's measurement over all its columns and its in-place
         // drop (the sharded engine's) are bitwise the full-matrix range
         // partials (the replicated engine's), and the gathered kept
         // shards are exactly the full kept matrix.
+        let ranges = lra::par::split_ranges(a.cols(), parts);
         let par = Parallelism::new(2);
         let (full_kept, _, _) = a.drop_below(thr);
         let mut kept_parts = Vec::new();
-        for (s, r) in slices.iter().zip(&ranges) {
+        for r in &ranges {
             let (mass_full, count_full) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
-            let local = s.local();
-            let (mass_m, count_m) = local.dropped_mass_in_cols_par(thr, 0..local.cols(), par);
+            let mut kept = a.slice_columns(r.clone());
+            let (mass_m, count_m) = kept.dropped_mass_in_cols_par(thr, 0..kept.cols(), par);
             prop_assert_eq!(mass_m.to_bits(), mass_full.to_bits());
             prop_assert_eq!(count_m, count_full);
-            let mut kept = s.clone();
             let (mass, count) = kept.drop_below_in_place(thr, par);
             prop_assert_eq!(mass.to_bits(), mass_full.to_bits());
             prop_assert_eq!(count, count_full);
-            prop_assert_eq!(kept.offset(), r.start);
-            kept_parts.push(kept.into_local());
+            kept_parts.push(kept);
         }
         let kept_gathered = lra::sparse::gather_csc(&kept_parts);
         prop_assert_eq!(kept_gathered.colptr(), full_kept.colptr());
         prop_assert_eq!(kept_gathered.rowidx(), full_kept.rowidx());
         let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(b(kept_gathered.values()), b(full_kept.values()));
-    }
-
-    #[test]
-    fn col_slice_extract_matches_select(a in sparse_mat(20), parts in 1usize..6) {
-        let ranges = lra::par::split_ranges(a.cols(), parts);
-        for r in &ranges {
-            let s = lra::sparse::ColSlice::from_full(&a, r.clone());
-            let idx: Vec<usize> = r.clone().collect();
-            let sub = s.extract_columns(&idx);
-            let full_sub = a.select_columns(&idx);
-            prop_assert_eq!(sub.colptr(), full_sub.colptr());
-            prop_assert_eq!(sub.rowidx(), full_sub.rowidx());
-            let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(b(sub.values()), b(full_sub.values()));
-        }
     }
 }
 

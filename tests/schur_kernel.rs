@@ -19,10 +19,10 @@
 
 use lra::core::{schur_update_ranged, schur_update_runs, Parallelism, SchurWorkspace, SCHUR_GRAIN};
 use lra::dense::DenseMatrix;
-use lra::sparse::{BlockSplit, CooMatrix, CscMatrix, CscRuns};
+use lra::sparse::{BlockSplit, CscMatrix, CscRuns};
 
 mod common;
-use common::{bits_eq, SplitMix64};
+use common::{bits_eq, rand_sparse, SplitMix64};
 
 fn schur_reference(
     a22: &CscMatrix,
@@ -303,27 +303,6 @@ fn in_place_update_over_runs_matches_split_then_update() {
             assert_bitwise(&runs.to_csc(), &c.want(), &what);
         }
     }
-}
-
-/// A `rows x cols` matrix with `per_col` random entries per column
-/// (repeats summed).
-fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
-    let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state
-    };
-    let mut coo = CooMatrix::new(rows, cols);
-    for j in 0..cols {
-        for _ in 0..per_col {
-            let r = (next() % rows as u64) as usize;
-            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-            coo.push(r, j, v);
-        }
-    }
-    coo.to_csc()
 }
 
 #[test]

@@ -15,9 +15,12 @@ use lra_core::{
     factorize, factorize_ranks, Budget, CancelToken, Exec, IlutOpts, LuCrtpOpts, LuCrtpResult,
     Method,
 };
-use lra_par::split_ranges;
+use lra_par::{split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded};
-use lra_sparse::{ColSlice, CooMatrix, CscMatrix};
+use lra_sparse::CscMatrix;
+
+mod common;
+use common::rand_sparse;
 
 fn circuit_matrix() -> CscMatrix {
     lra_matgen::with_decay(&lra_matgen::circuit(220, 4, 4, 17), 1e-7, 19)
@@ -122,46 +125,33 @@ fn sharded_rank0<'m>(
     .swap_remove(0)
 }
 
-fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
-    let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state
-    };
-    let mut coo = CooMatrix::new(rows, cols);
-    for j in 0..cols {
-        for _ in 0..per_col {
-            let r = (next() % rows as u64) as usize;
-            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-            coo.push(r, j, v);
-        }
-    }
-    coo.to_csc()
-}
-
 /// The sharded column tournament selects what the replicated one
 /// selects, bit for bit, and its panel — the one every SPMD engine
 /// hands to the panel TSQR and the split — is an exact copy of the
-/// selected columns.
+/// selected columns. The 30 x 5 input at np = 8 leaves the high ranks
+/// owning empty shards.
 #[test]
 fn sharded_matches_replicated_bitwise() {
-    let a = rand_sparse(100, 48, 4, 1);
-    for np in [1usize, 2, 4, 7] {
+    let wide = rand_sparse(100, 48, 4, 1);
+    let narrow = rand_sparse(30, 5, 3, 4);
+    for (a, np) in [(&wide, 1usize), (&wide, 2), (&wide, 4), (&wide, 7), (&narrow, 8)] {
         for k in [3usize, 8] {
             let replicated = lra_comm::run_infallible(np, |ctx| {
-                let sel = tournament_columns_spmd(ctx, &a, None, k);
+                let sel = tournament_columns_spmd(ctx, a, None, k);
                 (sel.selected, sel.r_diag)
             });
             let sharded = lra_comm::run_infallible(np, |ctx| {
                 let ranges = split_ranges(a.cols(), ctx.size());
                 let range = lra_par::owned_range(&ranges, ctx.rank());
-                let shard = ColSlice::from_full(&a, range);
-                let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, k);
+                let (shard, offset) = (a.slice_columns(range.clone()), range.start);
+                let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, offset, k);
                 (sel.selected, sel.r_diag, panel)
             });
             for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
                 let (rsel, rrd) = &replicated[rank];
                 assert_eq!(sel, rsel, "np={np} k={k} rank={rank}");
+                assert_eq!(sel, &sharded[0].0, "np={np} k={k}: ranks disagree");
+                assert_eq!(sel.len(), k.min(a.cols()), "np={np} k={k}");
                 assert_eq!(rd.len(), rrd.len());
                 for (x, y) in rd.iter().zip(rrd) {
                     assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
@@ -201,10 +191,15 @@ fn sharded_lu_matches_replicated_bitwise() {
     }
 }
 
+/// Also pins `Exec::Spmd`'s promise that a result is bitwise
+/// independent of the intra-rank worker count: every per-rank stage,
+/// the `L21` solve included, is a parallel region at `par = 2`.
 #[test]
 fn sharded_ilut_matches_replicated_bitwise() {
     let a = fill_heavy();
     let opts = IlutOpts::new(8, 1e-2, 4);
+    let mut par2 = opts.clone();
+    par2.base.par = Parallelism::new(2);
     for np in [1usize, 2, 4] {
         let (s, stats) = sharded_rank0(np, &a, &opts);
         let o = rank0(np, &a, &opts, |c| Exec::SpmdReplicated(c));
@@ -218,6 +213,8 @@ fn sharded_ilut_matches_replicated_bitwise() {
             stats.overlap_posted, s.iterations as u64,
             "np={np}: one posted re-shard per panel iteration"
         );
+        let (p, _) = sharded_rank0(np, &a, &par2);
+        assert_result_bitwise(&p, &s, &format!("ilut np={np} par=2"));
     }
 }
 
