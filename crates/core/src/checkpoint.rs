@@ -218,11 +218,15 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
 }
 
 /// Full loop state of RandQB_EI after `iterations` completed block
-/// iterations: the accumulated `Q`/`B` blocks, the running squared-norm
-/// residual `E`, and the exact number of RNG draws consumed — resuming
-/// burns that many draws from the seeded generator, so the continued
-/// sketch sequence (and therefore the factors) is bitwise identical to
-/// an uninterrupted run.
+/// iterations: the accumulated `Q` and `B^T` bases with their block
+/// widths, the running squared-norm residual `E`, and the exact number
+/// of RNG draws consumed — resuming burns that many draws from the
+/// seeded generator, so the continued sketch sequence (and therefore
+/// the factors) is bitwise identical to an uninterrupted run.
+///
+/// The envelope stores each basis as per-block shapes (`q.shape`:
+/// `m, k_j` per block) and the blocks' columns end to end (`q.data`),
+/// which is the basis buffer as the loop holds it; `bt.*` likewise.
 #[derive(Debug, Clone)]
 pub struct QbCheckpoint<'a> {
     /// Completed block iterations.
@@ -233,11 +237,14 @@ pub struct QbCheckpoint<'a> {
     pub e: f64,
     /// Indicator history so far.
     pub history: Cow<'a, [f64]>,
-    /// Accumulated orthonormal blocks.
-    pub q_blocks: Cow<'a, [DenseMatrix]>,
-    /// Accumulated coefficient blocks, transposed (`B_j^T`, `n x k_j`)
-    /// as the loop holds them.
-    pub bt_blocks: Cow<'a, [DenseMatrix]>,
+    /// Accumulated orthonormal basis `Q_K`, `m x K`: the blocks side
+    /// by side.
+    pub q: Cow<'a, DenseMatrix>,
+    /// Accumulated coefficients, transposed (`B_K^T`, `n x K`) as the
+    /// loop holds them.
+    pub bt: Cow<'a, DenseMatrix>,
+    /// Column count `k_j` of each block, in order; they sum to `rank`.
+    pub widths: Cow<'a, [usize]>,
     /// `next_u64` calls consumed from the seeded RNG so far.
     pub rng_draws: u64,
 }
@@ -251,11 +258,10 @@ impl Checkpoint for QbCheckpoint<'_> {
 
     fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
         w.f64s("history", self.history.iter().copied());
-        for (name, blocks) in [("q", &self.q_blocks), ("bt", &self.bt_blocks)] {
-            let shapes = blocks.iter().flat_map(|b| [b.rows(), b.cols()]);
+        for (name, basis) in [("q", &self.q), ("bt", &self.bt)] {
+            let shapes = self.widths.iter().flat_map(|&k| [basis.rows(), k]);
             w.indices(&format!("{name}.shape"), shapes)?;
-            let data = blocks.iter().flat_map(|b| b.as_slice());
-            w.f64s(&format!("{name}.data"), data.copied());
+            w.f64s(&format!("{name}.data"), basis.as_slice().iter().copied());
         }
         Ok(obj(vec![
             ("iterations", Json::Num(self.iterations as f64)),
@@ -266,25 +272,40 @@ impl Checkpoint for QbCheckpoint<'_> {
     }
 
     fn decode(state: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
-        let blocks = |name: &str| -> Result<Vec<DenseMatrix>, String> {
+        let basis = |name: &str| -> Result<(DenseMatrix, Vec<usize>), String> {
             let shapes = r.indices(&format!("{name}.shape"))?;
             if shapes.len() % 2 != 0 {
                 return Err(format!("odd {name}.shape section"));
             }
-            let sizes = shapes.chunks_exact(2).map(|s| s[0].saturating_mul(s[1]));
-            let data = split_exact(r.f64s(&format!("{name}.data"))?, sizes, name)?;
-            let shaped = shapes.chunks_exact(2).zip(data);
-            Ok(shaped
-                .map(|(s, d)| DenseMatrix::from_column_major(s[0], s[1], d))
-                .collect())
+            let rows = shapes.first().copied().unwrap_or(0);
+            if shapes.chunks_exact(2).any(|s| s[0] != rows) {
+                return Err(format!("ragged {name} blocks"));
+            }
+            let widths: Vec<usize> = shapes.chunks_exact(2).map(|s| s[1]).collect();
+            let len = widths
+                .iter()
+                .try_fold(0usize, |acc, &k| acc.checked_add(rows.checked_mul(k)?));
+            let data = r.f64s(&format!("{name}.data"))?;
+            if len != Some(data.len()) {
+                return Err(format!("{name}: block shapes do not match the data"));
+            }
+            let cols = widths.iter().sum();
+            Ok((DenseMatrix::from_column_major(rows, cols, data), widths))
         };
+        let (q, widths) = basis("q")?;
+        let (bt, bt_widths) = basis("bt")?;
+        let rank = get(state, "rank", Json::as_usize)?;
+        if bt_widths != widths || q.cols() != rank {
+            return Err("inconsistent checkpoint: block widths != rank".to_string());
+        }
         Ok(QbCheckpoint {
             iterations: get(state, "iterations", Json::as_usize)?,
-            rank: get(state, "rank", Json::as_usize)?,
+            rank,
             e: get(state, "e", Json::as_f64)?,
             history: r.f64s("history")?.into(),
-            q_blocks: blocks("q")?.into(),
-            bt_blocks: blocks("bt")?.into(),
+            q: Cow::Owned(q),
+            bt: Cow::Owned(bt),
+            widths: widths.into(),
             rng_draws: get(state, "rng_draws", Json::as_u64)?,
         })
     }
@@ -334,19 +355,16 @@ pub(crate) fn save_snapshot(hooks: &RecoveryHooks<'_>, ck: &impl Checkpoint) {
     }
 }
 
-/// QB-side resume (see [`load_resume`]): the block shapes stand in for
-/// the matrix dimensions, since the snapshot stores no `m`/`n` of its
-/// own.
+/// QB-side resume (see [`load_resume`]): the bases' row counts stand
+/// in for the matrix dimensions, since the snapshot stores no `m`/`n`
+/// of its own.
 pub(crate) fn load_qb_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
 ) -> Option<QbCheckpoint<'static>> {
     let ck: QbCheckpoint = load_or_trip(hooks)?;
-    let shapes_ok = ck.q_blocks.iter().all(|q| q.rows() == m)
-        && ck.bt_blocks.iter().all(|bt| bt.rows() == n)
-        && ck.q_blocks.len() == ck.bt_blocks.len();
-    if !shapes_ok {
+    if ck.q.rows() != m || ck.bt.rows() != n {
         lra_recover::record_guard_trip(format!(
             "QB checkpoint block shapes do not fit a {m}x{n} input; ignored"
         ));
@@ -510,8 +528,9 @@ mod tests {
             rank: 4,
             e: 0.875,
             history: vec![1.5, 0.9].into(),
-            q_blocks: vec![DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 / 7.0)].into(),
-            bt_blocks: vec![DenseMatrix::from_fn(4, 2, |i, j| -((i + j) as f64) * 0.3)].into(),
+            q: Cow::Owned(DenseMatrix::from_fn(3, 4, |i, j| (i * 2 + j) as f64 / 7.0)),
+            bt: Cow::Owned(DenseMatrix::from_fn(5, 4, |i, j| -((i + j) as f64) * 0.3)),
+            widths: vec![3, 1].into(),
             rng_draws: 123456,
         }
     }
@@ -519,18 +538,28 @@ mod tests {
     #[test]
     fn qb_checkpoint_roundtrips_blocks_and_draws() {
         let ckpt = sample_qb_ckpt();
-        let (q, bt) = (&ckpt.q_blocks[0], &ckpt.bt_blocks[0]);
         let store = CheckpointStore::in_memory();
         store.save(&ckpt).unwrap();
         let back: QbCheckpoint = store.load().unwrap().unwrap();
         assert_eq!(back.rng_draws, 123456);
-        assert_eq!(back.q_blocks.len(), 1);
-        for (a, bb) in q.as_slice().iter().zip(back.q_blocks[0].as_slice()) {
+        assert_eq!(back.widths, vec![3, 1]);
+        for (a, bb) in ckpt.q.as_slice().iter().zip(back.q.as_slice()) {
             assert_eq!(a.to_bits(), bb.to_bits());
         }
-        assert_eq!(back.bt_blocks[0].as_slice(), bt.as_slice());
+        assert_eq!(*back.q, *ckpt.q);
+        assert_eq!(*back.bt, *ckpt.bt);
         assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
         assert_eq!(back.history, vec![1.5, 0.9]);
+    }
+
+    #[test]
+    fn qb_checkpoint_with_widths_off_its_rank_is_rejected() {
+        let mut ckpt = sample_qb_ckpt();
+        ckpt.rank = 5;
+        let store = CheckpointStore::in_memory();
+        store.save(&ckpt).unwrap();
+        let err = store.load::<QbCheckpoint>().unwrap_err();
+        assert!(err.contains("block widths"), "{err}");
     }
 
     #[test]

@@ -2,16 +2,21 @@
 //! the efficient error indicator of Yu, Gu & Li, plus the power scheme
 //! and the re-orthogonalization step.
 //!
-//! `Q_K` and `B_K` are kept as block lists so each iteration's
-//! corrections `A Ω - Q_K (B_K Ω)` cost `O(K k (m + n))` without
-//! reallocating the accumulated factors. `B_K` is held *transposed*
-//! (`n x k` blocks, which is what `A^T Q_k` produces): `B_j Ω` and
-//! `B_j Q̂` are then `matmul_tn` dot products down contiguous columns
-//! and `Z -= B_j^T T` takes the block as it is, so no block is ever
-//! transposed inside the loop; `B` itself is assembled once at the end.
+//! `Q_K` and `B_K` are each one column-major buffer that the result
+//! takes as it is: a finished block is appended once, and each
+//! iteration's corrections `A Ω - Q_K (B_K Ω)` read the earlier blocks
+//! one at a time through column-block views ([`DenseMatrix::columns`]),
+//! so they cost `O(K k (m + n))` and copy nothing. Both buffers reserve
+//! their rank cap up front: the pages that are never written are never
+//! backed, and a buffer that never moves leaves no outgrown copy behind
+//! in the allocator. `B_K` is held *transposed* (`n x K`, which is what
+//! `A^T Q_k` produces): `B_j Ω` and `B_j Q̂` are then `matmul_tn` dot
+//! products down contiguous columns and `Z -= B_j^T T` takes the block
+//! as it is; `B` is `B_K^T` transposed in place once at the end, so
+//! the process holds the factors once.
 
 use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix};
+use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix, DenseView};
 use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
@@ -223,11 +228,24 @@ pub(crate) fn residual_norm(a: &CscMatrix, subtract: impl Fn(&[usize], &mut Dens
     sq.sqrt()
 }
 
+/// The blocks of `basis`, `widths[j]` columns each, left to right, as
+/// views into it.
+pub(crate) fn blocks<'a>(
+    basis: &'a DenseMatrix,
+    widths: &'a [usize],
+) -> impl Iterator<Item = DenseView<'a>> + 'a {
+    widths.iter().scan(0, move |off, &w| {
+        *off += w;
+        Some(basis.columns(*off - w..*off))
+    })
+}
+
 /// Standard-normal matrix via Box-Muller (the offline `rand` has no
-/// normal distribution helper). Consumes exactly `2 * rows * cols`
-/// `next_u64` draws — [`QbCheckpoint`](crate::QbCheckpoint) relies on
-/// this count to resume the stream bitwise.
-fn randn(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
+/// normal distribution helper); RandQB_EI's sketches and RandUBV's
+/// start block. Consumes exactly `2 * rows * cols` `next_u64` draws —
+/// [`QbCheckpoint`](crate::QbCheckpoint) relies on this count to
+/// resume the stream bitwise.
+pub(crate) fn randn(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |_, _| {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen();
@@ -242,7 +260,7 @@ pub fn rand_qb_ei(a: &CscMatrix, opts: &QbOpts) -> Result<QbResult, QbError> {
 }
 
 /// [`rand_qb_ei`] with checkpoint/restart: every
-/// `hooks.every()` block iterations the accumulated `Q`/`B` blocks,
+/// `hooks.every()` block iterations the accumulated `Q`/`B^T` bases,
 /// the residual `E`, and the RNG draw count are snapshotted into the
 /// store; a fresh call with the same store resumes after the last
 /// snapshot and produces bitwise-identical factors (the resumed RNG
@@ -290,9 +308,11 @@ fn rand_qb_ei_inner(
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
-    let mut q_blocks: Vec<DenseMatrix> = Vec::new();
-    // B_j^T, each `n x k_j`.
-    let mut bt_blocks: Vec<DenseMatrix> = Vec::new();
+    // Q_K (`m x K`) and B_K^T (`n x K`), block `j` in columns
+    // `sum(widths[..j])..` of each.
+    let mut q = DenseMatrix::with_column_capacity(m, rank_cap);
+    let mut bt = DenseMatrix::with_column_capacity(n, rank_cap);
+    let mut widths: Vec<usize> = Vec::new();
     let mut e = a_norm_sq;
     let mut history = Vec::new();
     let mut converged = false;
@@ -313,15 +333,16 @@ fn rand_qb_ei_inner(
             rank = ck.rank;
             e = ck.e;
             history = ck.history.into_owned();
-            q_blocks = ck.q_blocks.into_owned();
-            bt_blocks = ck.bt_blocks.into_owned();
+            q.append_columns(&*ck.q);
+            bt.append_columns(&*ck.bt);
+            widths = ck.widths.into_owned();
             converged = history.last().is_some_and(|&ind| ind < stop);
         }
     }
 
     while !converged && rank < rank_cap {
-        // Budget check at the block boundary: the accumulated Q/B
-        // blocks are the resident factorization state (the input is
+        // Budget check at the block boundary: the accumulated Q/B^T
+        // bases are the resident factorization state (the input is
         // read-only and the sketch is transient).
         if !opts.budget.is_unlimited() {
             let resident = (rank as u64) * ((m + n) as u64) * 8;
@@ -333,8 +354,9 @@ fn rand_qb_ei_inner(
                             rank,
                             e,
                             history: Cow::Borrowed(&history),
-                            q_blocks: Cow::Borrowed(&q_blocks),
-                            bt_blocks: Cow::Borrowed(&bt_blocks),
+                            q: Cow::Borrowed(&q),
+                            bt: Cow::Borrowed(&bt),
+                            widths: Cow::Borrowed(&widths),
                             rng_draws: draws,
                         };
                         crate::checkpoint::save_snapshot(h, &ck);
@@ -355,9 +377,9 @@ fn rand_qb_ei_inner(
         let mut y = timers.time(KernelId::Sketch, || {
             let mut y = spmm_dense(a, &omega, par);
             // Y -= Q_K (B_K Ω), blockwise.
-            for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
-                let t = matmul_tn(bt, &omega, par);
-                matmul_sub_assign(&mut y, qb, &t, par);
+            for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+                let t = matmul_tn(btj, &omega, par);
+                matmul_sub_assign(&mut y, qj, &t, par);
             }
             y
         });
@@ -368,16 +390,16 @@ fn rand_qb_ei_inner(
             timers.time(KernelId::PowerIter, || {
                 // Q̂ = orth(A^T Q_k - B_K^T (Q_K^T Q_k))
                 let mut z = spmm_t_dense(a, &qk, par);
-                for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
-                    let t = matmul_tn(qb, &qk, par);
-                    matmul_sub_assign(&mut z, bt, &t, par);
+                for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+                    let t = matmul_tn(qj, &qk, par);
+                    matmul_sub_assign(&mut z, btj, &t, par);
                 }
                 let qhat = orth(&z, par);
                 // Q_k = orth(A Q̂ - Q_K (B_K Q̂))
                 let mut w = spmm_dense(a, &qhat, par);
-                for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
-                    let t = matmul_tn(bt, &qhat, par);
-                    matmul_sub_assign(&mut w, qb, &t, par);
+                for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+                    let t = matmul_tn(btj, &qhat, par);
+                    matmul_sub_assign(&mut w, qj, &t, par);
                 }
                 qk = orth(&w, par);
             });
@@ -385,10 +407,10 @@ fn rand_qb_ei_inner(
 
         // Line 10: re-orthogonalization against previous blocks.
         timers.time(KernelId::Orth, || {
-            if !q_blocks.is_empty() {
-                for qb in &q_blocks {
-                    let t = matmul_tn(qb, &qk, par);
-                    matmul_sub_assign(&mut qk, qb, &t, par);
+            if !widths.is_empty() {
+                for qj in blocks(&q, &widths) {
+                    let t = matmul_tn(qj, &qk, par);
+                    matmul_sub_assign(&mut qk, qj, &t, par);
                 }
                 qk = orth(&qk, par);
             }
@@ -401,9 +423,9 @@ fn rand_qb_ei_inner(
         // is summed in B_k's column-major order — across the rows of
         // the stored transpose — which is the order the indicator has
         // always had.
-        let bt = &btk;
+        let btk_ref = &btk;
         let bk_norm_sq: f64 =
-            (0..n).flat_map(|c| (0..kk).map(move |r| bt.get(c, r))).map(|v| v * v).sum();
+            (0..n).flat_map(|c| (0..kk).map(move |r| btk_ref.get(c, r))).map(|v| v * v).sum();
         if !bk_norm_sq.is_finite() {
             // A NaN/Inf sketch would silently corrupt every later
             // block; stop here with the factors accumulated so far.
@@ -418,8 +440,9 @@ fn rand_qb_ei_inner(
         let ind = e.max(0.0).sqrt();
         y = DenseMatrix::zeros(0, 0); // release the sketch early
         let _ = y;
-        q_blocks.push(qk);
-        bt_blocks.push(btk);
+        q.append_columns(&qk);
+        bt.append_columns(&btk);
+        widths.push(kk);
         rank += kk;
         iterations += 1;
         history.push(ind);
@@ -436,8 +459,9 @@ fn rand_qb_ei_inner(
                     rank,
                     e,
                     history: Cow::Borrowed(&history),
-                    q_blocks: Cow::Borrowed(&q_blocks),
-                    bt_blocks: Cow::Borrowed(&bt_blocks),
+                    q: Cow::Borrowed(&q),
+                    bt: Cow::Borrowed(&bt),
+                    widths: Cow::Borrowed(&widths),
                     rng_draws: draws,
                 };
                 crate::checkpoint::save_snapshot(h, &ck);
@@ -445,17 +469,13 @@ fn rand_qb_ei_inner(
         }
     }
 
-    // Concatenate blocks.
-    let (q, b) = timers.time(KernelId::Concat, || {
-        let mut q = DenseMatrix::zeros(m, rank);
-        let mut b = DenseMatrix::zeros(rank, n);
-        let mut off = 0;
-        for (qb, bt) in q_blocks.iter().zip(&bt_blocks) {
-            q.set_submatrix(0, off, qb);
-            b.set_submatrix(off, 0, &bt.transpose());
-            off += qb.cols();
-        }
-        (q, b)
+    // The result takes both buffers: the unused reservation goes back
+    // where it lies, and B = (B^T)^T is transposed in place.
+    let b = timers.time(KernelId::Concat, || {
+        q.shrink_to_fit();
+        bt.shrink_to_fit();
+        bt.transpose_in_place();
+        bt
     });
 
     QbResult {

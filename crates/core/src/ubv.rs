@@ -7,13 +7,20 @@
 //! does roughly the work of RandQB_EI with `p = 0` while often needing
 //! fewer iterations. Full re-orthogonalization is applied to both bases
 //! (the small extra cost buys indicator reliability).
+//!
+//! `U` and `V` are held as RandQB_EI holds `Q` and `B^T`: one
+//! column-major buffer each, reserved to the rank cap, a block
+//! appended once, earlier blocks read through column-block views, and
+//! the buffer handed to the result as it is. Only the small `K x K`
+//! middle factor is assembled from its blocks at the end.
 
+use crate::qb::{blocks, randn};
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{matmul_nt, matmul_sub_assign, matmul_tn, qr, DenseMatrix};
 use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Options for [`rand_ubv`].
 #[derive(Debug, Clone)]
@@ -121,22 +128,15 @@ impl UbvResult {
     }
 }
 
-fn randn(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
-    DenseMatrix::from_fn(rows, cols, |_, _| {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    })
-}
-
-/// Re-orthogonalize `x` against the blocks in `basis`, then QR;
-/// returns `(Q, R)`.
+/// Re-orthogonalize `x` against the blocks of `basis` (`widths[j]`
+/// columns each), then QR; returns `(Q, R)`.
 fn orth_against(
     x: &mut DenseMatrix,
-    basis: &[DenseMatrix],
+    basis: &DenseMatrix,
+    widths: &[usize],
     par: Parallelism,
 ) -> (DenseMatrix, DenseMatrix) {
-    for qb in basis {
+    for qb in blocks(basis, widths) {
         let t = matmul_tn(qb, x, par);
         matmul_sub_assign(x, qb, &t, par);
     }
@@ -173,8 +173,11 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
-    let mut u_blocks: Vec<DenseMatrix> = Vec::new();
-    let mut v_blocks: Vec<DenseMatrix> = Vec::new();
+    // U (`m x K`) and V (`n x K`), block `j` in columns
+    // `sum(widths[..j])..` of each.
+    let mut u = DenseMatrix::with_column_capacity(m, rank_cap);
+    let mut v = DenseMatrix::with_column_capacity(n, rank_cap);
+    let mut widths: Vec<usize> = Vec::new();
     // Diagonal blocks B_i (k x k) and superdiagonal blocks C_i.
     let mut b_diag: Vec<DenseMatrix> = Vec::new();
     let mut c_super: Vec<DenseMatrix> = Vec::new();
@@ -182,7 +185,7 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     // V_1 = orth(randn(n, k)).
     let mut vk = {
         let mut w = randn(n, k, &mut rng);
-        timers.time(KernelId::Orth, || orth_against(&mut w, &[], par).0)
+        timers.time(KernelId::Orth, || orth_against(&mut w, &v, &widths, par).0)
     };
     let mut e = a_norm_sq;
     let mut history = Vec::new();
@@ -207,17 +210,36 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         }
         // U_i R = A V_i - U_{i-1} C_{i-1}^T  (C from the previous step).
         let mut w = timers.time(KernelId::Sketch, || spmm_dense(a, &vk, par));
-        if let (Some(ul), Some(cl)) = (u_blocks.last(), c_super.last()) {
+        if let Some(cl) = c_super.last() {
             // w -= U_{i-1} C_{i-1}^T  where C couples V_i to U_{i-1}.
+            let ul = u.columns(rank - widths[widths.len() - 1]..rank);
             let ct = cl.transpose();
             timers.time(KernelId::Sketch, || matmul_sub_assign(&mut w, ul, &ct, par));
         }
-        let (uk, bk) = timers.time(KernelId::Orth, || orth_against(&mut w, &u_blocks, par));
+        let (mut uk, mut bk) =
+            timers.time(KernelId::Orth, || orth_against(&mut w, &u, &widths, par));
+        // The rank cap takes the leading columns of the last block:
+        // those of U_i R depend on those of V_i alone, and C_{i-1}
+        // keeps the columns that couple U_{i-1} to them.
+        let kk = k.min(rank_cap - rank);
+        if kk < k {
+            uk = uk.submatrix(0, 0, m, kk);
+            bk = bk.submatrix(0, 0, kk, kk);
+            vk = vk.submatrix(0, 0, n, kk);
+            if let Some(c) = c_super.last_mut() {
+                *c = c.submatrix(0, 0, c.rows(), kk);
+            }
+        }
+        // C_{i-1} enters the indicator once its kept width is known.
+        if let Some(c) = c_super.last() {
+            e -= c.fro_norm_sq();
+        }
         e -= bk.fro_norm_sq();
-        u_blocks.push(uk);
-        v_blocks.push(vk.clone());
-        b_diag.push(bk.clone());
-        rank += k;
+        u.append_columns(&uk);
+        v.append_columns(&vk);
+        widths.push(kk);
+        b_diag.push(bk);
+        rank += kk;
         iterations += 1;
         let ind = e.max(0.0).sqrt();
         history.push(ind);
@@ -227,42 +249,35 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         }
 
         // V_{i+1} C_i^T = A^T U_i - V_i B_i^T.
-        let mut z = timers.time(KernelId::BUpdate, || {
-            spmm_t_dense(a, u_blocks.last().unwrap(), par)
-        });
+        let mut z = timers.time(KernelId::BUpdate, || spmm_t_dense(a, &uk, par));
         {
-            let bt = bk.transpose();
-            timers.time(KernelId::BUpdate, || matmul_sub_assign(&mut z, &vk, &bt, par));
+            let vi = v.columns(rank - kk..rank);
+            let bt = b_diag[b_diag.len() - 1].transpose();
+            timers.time(KernelId::BUpdate, || {
+                matmul_sub_assign(&mut z, vi, &bt, par)
+            });
         }
-        let (vnext, ct) = timers.time(KernelId::Orth, || orth_against(&mut z, &v_blocks, par));
-        let c = ct.transpose(); // C_i couples U_i to V_{i+1}
-        e -= c.fro_norm_sq();
-        c_super.push(c);
+        let (vnext, ct) = timers.time(KernelId::Orth, || orth_against(&mut z, &v, &widths, par));
+        c_super.push(ct.transpose()); // C_i couples U_i to V_{i+1}
         vk = vnext;
-        // The C contribution belongs to the same overall indicator: the
-        // next history entry will reflect it.
     }
 
-    // Assemble factors.
-    let (u, v, b) = timers.time(KernelId::Concat, || {
-        let blocks = u_blocks.len();
-        let kk = rank;
-        let mut u = DenseMatrix::zeros(m, kk);
-        let mut v = DenseMatrix::zeros(n, kk);
-        let mut b = DenseMatrix::zeros(kk, kk);
+    // The bases are final; B is assembled from its blocks.
+    let b = timers.time(KernelId::Concat, || {
+        u.shrink_to_fit();
+        v.shrink_to_fit();
+        let mut b = DenseMatrix::zeros(rank, rank);
         let mut off = 0;
-        for i in 0..blocks {
-            u.set_submatrix(0, off, &u_blocks[i]);
-            v.set_submatrix(0, off, &v_blocks[i]);
-            b.set_submatrix(off, off, &b_diag[i]);
-            if i + 1 < blocks && i < c_super.len() {
+        for (i, bi) in b_diag.iter().enumerate() {
+            b.set_submatrix(off, off, bi);
+            if i + 1 < b_diag.len() {
                 // C_i sits on the block superdiagonal: rows of U_i,
                 // columns of V_{i+1}.
-                b.set_submatrix(off, off + b_diag[i].cols(), &c_super[i]);
+                b.set_submatrix(off, off + bi.cols(), &c_super[i]);
             }
-            off += b_diag[i].cols();
+            off += bi.cols();
         }
-        (u, v, b)
+        b
     });
 
     UbvResult {

@@ -27,7 +27,7 @@
 //! `tests/properties.rs`.
 
 use crate::isa::TileIsa;
-use crate::DenseMatrix;
+use crate::{DenseMatrix, DenseView};
 use lra_par::{parallel_chunks_mut, parallel_for, Parallelism};
 
 /// Register-tile height: output rows accumulated per tile (one cache
@@ -71,7 +71,7 @@ fn row_block(m: usize, k: usize, par: Parallelism) -> usize {
 pub fn matmul(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimension mismatch");
     let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    gemm_blocked::<false>(&mut c, a, par, |l, j| b.col(j)[l]);
+    gemm_blocked::<false>(&mut c, a.into(), par, |l, j| b.col(j)[l]);
     c
 }
 
@@ -80,12 +80,19 @@ pub fn matmul_nt(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMat
     assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dimension mismatch");
     let mut c = DenseMatrix::zeros(a.rows(), b.rows());
     // B^T(l, j) = B(j, l): the packing pass is the only strided read.
-    gemm_blocked::<false>(&mut c, a, par, |l, j| b.get(j, l));
+    gemm_blocked::<false>(&mut c, a.into(), par, |l, j| b.get(j, l));
     c
 }
 
 /// `C -= A * B` in place (used for `A Omega - Q (B Omega)` updates).
-pub fn matmul_sub_assign(c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) {
+/// `A` may be a column block of a wider matrix ([`DenseView`]).
+pub fn matmul_sub_assign<'a>(
+    c: &mut DenseMatrix,
+    a: impl Into<DenseView<'a>>,
+    b: &DenseMatrix,
+    par: Parallelism,
+) {
+    let a = a.into();
     assert_eq!(a.cols(), b.rows());
     assert_eq!(c.rows(), a.rows());
     assert_eq!(c.cols(), b.cols());
@@ -143,7 +150,7 @@ fn pack_b(
 /// the naive in-place loop.
 fn gemm_blocked<const SUB: bool>(
     c: &mut DenseMatrix,
-    a: &DenseMatrix,
+    a: DenseView<'_>,
     par: Parallelism,
     b_at: impl Fn(usize, usize) -> f64 + Sync,
 ) {
@@ -407,8 +414,14 @@ unsafe fn tile_n<const JW: usize, const SUB: bool>(
     }
 }
 
-/// `C = A^T * B`.
-pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix, par: Parallelism) -> DenseMatrix {
+/// `C = A^T * B`. `A` may be a column block of a wider matrix
+/// ([`DenseView`]).
+pub fn matmul_tn<'a>(
+    a: impl Into<DenseView<'a>>,
+    b: &DenseMatrix,
+    par: Parallelism,
+) -> DenseMatrix {
+    let a = a.into();
     assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dimension mismatch");
     let m = a.cols();
     let n = b.cols();

@@ -29,7 +29,7 @@ pub use blas::{matmul, matmul_nt, matmul_sub_assign, matmul_tn};
 pub use blas::{matmul_naive, matmul_nt_naive, matmul_sub_assign_naive, matmul_tn_naive};
 pub use jacobi::jacobi_svd;
 pub use lu::{lu, LuFactor};
-pub use matrix::DenseMatrix;
+pub use matrix::{DenseMatrix, DenseView};
 #[doc(hidden)]
 pub use qr::qr_reference;
 pub use qr::{orth, qr, QrFactor};

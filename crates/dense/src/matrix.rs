@@ -1,6 +1,7 @@
 //! Column-major dense matrix of `f64`.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A dense, column-major `rows x cols` matrix of `f64`.
 ///
@@ -162,6 +163,87 @@ impl DenseMatrix {
         out
     }
 
+    /// Transpose in place: the `rows x cols` buffer becomes the
+    /// `cols x rows` one, with no second buffer of its size. With `w`
+    /// the widest divisor of `cols` up to 32, each `rows x w` column
+    /// panel (contiguous) is transposed through a panel-sized scratch,
+    /// which leaves a `rows x (cols / w)` matrix whose entries are runs
+    /// of `w` values; that matrix is then transposed run by run by
+    /// cycle-following ([`transpose_runs`]). The first pass stays inside
+    /// one panel and the second moves whole runs, so neither walks the
+    /// buffer one scattered value at a time. Values are moved, never
+    /// recomputed: the result is bitwise [`transpose`](Self::transpose)'s.
+    pub fn transpose_in_place(&mut self) {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows > 1 && cols > 1 {
+            let w = (1..=cols.min(32))
+                .rev()
+                .find(|w| cols % w == 0)
+                .unwrap_or(1);
+            let mut scratch = vec![0.0; rows * w];
+            for panel in self.data.chunks_exact_mut(rows * w) {
+                for (c, col) in panel.chunks_exact(rows).enumerate() {
+                    for (r, &v) in col.iter().enumerate() {
+                        scratch[c + r * w] = v;
+                    }
+                }
+                panel.copy_from_slice(&scratch);
+            }
+            transpose_runs(&mut self.data, rows, cols / w, w);
+        }
+        self.rows = cols;
+        self.cols = rows;
+    }
+
+    /// An empty `rows x 0` matrix that can take `cols` appended columns
+    /// without moving: it asks the allocator for the whole buffer up
+    /// front. The operating system backs only the pages that get
+    /// written, so reserving a true upper bound costs address space,
+    /// not memory. If the reservation is refused (overflow, or more
+    /// address space than the allocator will map), the matrix grows
+    /// like any `Vec` instead.
+    pub fn with_column_capacity(rows: usize, cols: usize) -> Self {
+        let mut data = Vec::new();
+        if let Some(len) = rows.checked_mul(cols) {
+            let _ = data.try_reserve_exact(len);
+        }
+        DenseMatrix {
+            rows,
+            cols: 0,
+            data,
+        }
+    }
+
+    /// Append `block`'s columns on the right (same row count). Column-
+    /// major storage makes this one copy onto the end of the buffer.
+    pub fn append_columns<'a>(&mut self, block: impl Into<DenseView<'a>>) {
+        let block = block.into();
+        assert_eq!(self.rows, block.rows, "append_columns: row mismatch");
+        self.data.extend_from_slice(block.data);
+        self.cols += block.cols;
+    }
+
+    /// Give back capacity beyond the current columns (see
+    /// [`with_column_capacity`](Self::with_column_capacity)). The
+    /// buffer shrinks where it lies: a smaller `realloc` is not a copy.
+    pub fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+    }
+
+    /// Borrow the columns `range` as a view: whole columns of a
+    /// column-major buffer are one contiguous slice.
+    pub fn columns(&self, range: Range<usize>) -> DenseView<'_> {
+        assert!(
+            range.start <= range.end && range.end <= self.cols,
+            "columns out of range"
+        );
+        DenseView {
+            rows: self.rows,
+            cols: range.len(),
+            data: &self.data[range.start * self.rows..range.end * self.rows],
+        }
+    }
+
     /// Horizontal concatenation `[self, rhs]` (same row count).
     pub fn hcat(&self, rhs: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.rows, rhs.rows, "hcat: row mismatch");
@@ -272,6 +354,74 @@ impl DenseMatrix {
     }
 }
 
+/// Transpose in place the column-major `rows x cols` matrix in `data`
+/// whose entries are runs of `w` consecutive values. The run at
+/// position `i = r + c * rows` belongs at `c + r * cols`; each cycle of
+/// that permutation is walked once, carrying one run, and a bitset
+/// marks the positions already placed.
+fn transpose_runs(data: &mut [f64], rows: usize, cols: usize, w: usize) {
+    let n = rows * cols;
+    let mut placed = vec![0u64; n.div_ceil(64)];
+    let (mut carry, mut held) = (vec![0.0; w], vec![0.0; w]);
+    for start in 0..n {
+        if placed[start / 64] >> (start % 64) & 1 != 0 {
+            continue;
+        }
+        carry.copy_from_slice(&data[start * w..][..w]);
+        let mut i = start;
+        loop {
+            let dest = (i % rows) * cols + i / rows;
+            placed[dest / 64] |= 1 << (dest % 64);
+            let slot = &mut data[dest * w..][..w];
+            held.copy_from_slice(slot);
+            slot.copy_from_slice(&carry);
+            std::mem::swap(&mut carry, &mut held);
+            if dest == start {
+                break;
+            }
+            i = dest;
+        }
+    }
+}
+
+/// A borrowed run of whole columns of a [`DenseMatrix`]
+/// ([`DenseMatrix::columns`]), or all of one. The products that read
+/// their left operand as a plain column-major slice (`matmul_tn`,
+/// `matmul_sub_assign`) take it, so a block of a wider matrix is read
+/// where it lies instead of being copied out.
+#[derive(Clone, Copy, Debug)]
+pub struct DenseView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> DenseView<'a> {
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The viewed columns, column-major.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+}
+
+impl<'a> From<&'a DenseMatrix> for DenseView<'a> {
+    fn from(m: &'a DenseMatrix) -> Self {
+        m.columns(0..m.cols)
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for DenseMatrix {
     type Output = f64;
     #[inline]
@@ -337,6 +487,49 @@ mod tests {
         assert_eq!(t.get(2, 1), 6.0);
         let tt = t.transpose();
         assert_eq!(tt, m);
+    }
+
+    #[test]
+    fn transpose_in_place_is_the_copying_transpose() {
+        let shapes = [
+            (0, 3),
+            (3, 0),
+            (1, 7),
+            (7, 1),
+            (4, 4),
+            (5, 3),
+            (3, 5),
+            (64, 9),
+            (13, 130),
+            (9, 96),
+            (40, 37),
+        ];
+        for (r, c) in shapes {
+            let m = DenseMatrix::from_fn(r, c, |i, j| (i * 1000 + j) as f64 - 0.5);
+            let mut t = m.clone();
+            t.transpose_in_place();
+            assert_eq!(t, m.transpose(), "{r}x{c}");
+        }
+    }
+
+    #[test]
+    fn appended_blocks_read_back_through_column_views() {
+        let a = DenseMatrix::from_fn(4, 2, |i, j| (i + 10 * j) as f64);
+        let b = DenseMatrix::from_fn(4, 3, |i, j| -((i + 10 * j) as f64));
+        let mut m = DenseMatrix::with_column_capacity(4, 5);
+        assert_eq!((m.rows(), m.cols()), (4, 0));
+        m.append_columns(&a);
+        m.append_columns(b.columns(1..3));
+        assert_eq!(m, a.hcat(&b.select_columns(&[1, 2])));
+        let v = m.columns(2..4);
+        assert_eq!((v.rows(), v.cols()), (4, 2));
+        assert_eq!(v.as_slice(), b.columns(1..3).as_slice());
+        m.shrink_to_fit();
+        assert_eq!(m.as_slice().len(), 16);
+        // A reservation the allocator cannot grant still grows.
+        let mut huge = DenseMatrix::with_column_capacity(usize::MAX / 2, 4);
+        huge.append_columns(&DenseMatrix::zeros(usize::MAX / 2, 0));
+        assert_eq!(huge.cols(), 0);
     }
 
     #[test]

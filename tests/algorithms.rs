@@ -387,6 +387,40 @@ fn ubv_b_equals_ut_a_v() {
     );
 }
 
+/// The last block is cut to the rank cap (`min(m, n)` or `max_rank`),
+/// as RandQB_EI cuts its own: the bases stay orthonormal and
+/// `B = U^T A V` still holds on the cut block.
+#[test]
+fn ubv_honours_its_rank_cap() {
+    let dense = lra::dense::DenseMatrix::from_fn(20, 20, |i, j| {
+        ((i * 7 + j * 13) % 17) as f64 - 8.0 + if i == j { 30.0 } else { 0.0 }
+    });
+    let a = CscMatrix::from_dense(&dense);
+    for (max_rank, want) in [(None, 20), (Some(10), 10), (Some(3), 3)] {
+        let mut opts = UbvOpts::new(8, 1e-12);
+        opts.max_rank = max_rank;
+        let r = rand_ubv(&a, &opts);
+        assert_eq!(r.rank, want, "max_rank {max_rank:?}");
+        assert_eq!(
+            (r.u.cols(), r.v.cols(), r.b.rows(), r.b.cols()),
+            (want, want, want, want)
+        );
+        assert!(r.u.orthogonality_error() < 1e-10, "max_rank {max_rank:?}");
+        assert!(r.v.orthogonality_error() < 1e-10, "max_rank {max_rank:?}");
+        let av = lra::sparse::spmm_dense(&a, &r.v, Parallelism::SEQ);
+        let utav = matmul_tn(&r.u, &av, Parallelism::SEQ);
+        assert!(utav.max_abs_diff(&r.b) < 1e-8, "max_rank {max_rank:?}");
+        // The indicator is the Frobenius identity of the returned B
+        // (squared: at full rank both sides are round-off).
+        let identity = a.fro_norm_sq() - r.b.fro_norm_sq();
+        let gap = (r.indicator.powi(2) - identity).abs();
+        assert!(
+            gap < 1e-12 * a.fro_norm_sq(),
+            "max_rank {max_rank:?}: {gap:e}"
+        );
+    }
+}
+
 #[test]
 fn ubv_comparable_iterations_to_qb_p0() {
     // Table II: RandUBV does roughly the work of RandQB_EI(p=0) per

@@ -363,7 +363,7 @@ fn real_qb_checkpoint_roundtrips_bitwise_in_a_binary_sized_envelope() {
     let opts = QbOpts::new(4, 1e-3).with_power(1);
     rand_qb_ei_checkpointed(&a, &opts, Some(&RecoveryHooks::new(&store, 1))).unwrap();
     let taken: QbCheckpoint = store.load().unwrap().expect("a pre-convergence snapshot");
-    assert!(taken.rng_draws > 0 && !taken.q_blocks.is_empty());
+    assert!(taken.rng_draws > 0 && !taken.widths.is_empty());
 
     let second = CheckpointStore::in_memory();
     second.save(&taken).unwrap();
@@ -372,17 +372,27 @@ fn real_qb_checkpoint_roundtrips_bitwise_in_a_binary_sized_envelope() {
     assert_eq!(back.rng_draws, taken.rng_draws);
     assert_eq!(back.e.to_bits(), taken.e.to_bits());
     assert!(bits_eq(&back.history, &taken.history));
+    assert_eq!(back.widths, taken.widths);
     let mut value_words = taken.history.len();
-    for (g, w) in [(&back.q_blocks, &taken.q_blocks), (&back.bt_blocks, &taken.bt_blocks)] {
-        assert_eq!(g.len(), w.len());
-        for (gb, wb) in g.iter().zip(w.iter()) {
-            assert_eq!((gb.rows(), gb.cols()), (wb.rows(), wb.cols()));
-            assert!(bits_eq(gb.as_slice(), wb.as_slice()));
-            value_words += wb.as_slice().len();
-        }
+    for (g, w) in [(&back.q, &taken.q), (&back.bt, &taken.bt)] {
+        assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()));
+        assert!(bits_eq(g.as_slice(), w.as_slice()));
+        value_words += w.as_slice().len();
     }
-    let index_words = 2 * (taken.q_blocks.len() + taken.bt_blocks.len());
+    let index_words = 2 * 2 * taken.widths.len();
     assert_binary_sized(&second, index_words, value_words, "rand_qb_ei p=1");
+}
+
+/// The `widths[j]`-column blocks of `basis`, left to right.
+fn blocks(basis: &lra::dense::DenseMatrix, widths: &[usize]) -> Vec<lra::dense::DenseMatrix> {
+    let mut off = 0;
+    widths
+        .iter()
+        .map(|&k| {
+            off += k;
+            basis.submatrix(0, off - k, basis.rows(), k)
+        })
+        .collect()
 }
 
 /// A RandQB_EI snapshot as builds before the `B^T` block layout wrote
@@ -454,8 +464,8 @@ fn parent_layout_qb_snapshot_is_rolled_past_not_reinterpreted() {
         e: 12345.0,
         rng_draws: taken.rng_draws,
         history: vec![12345.0; 2],
-        q_blocks: taken.q_blocks.to_vec(),
-        b_blocks: taken.bt_blocks.iter().map(|bt| bt.transpose()).collect(),
+        q_blocks: blocks(&taken.q, &taken.widths),
+        b_blocks: blocks(&taken.bt, &taken.widths).iter().map(|bt| bt.transpose()).collect(),
     };
     store.save(&planted).unwrap();
     assert_eq!(store.generations(), vec![1]);
