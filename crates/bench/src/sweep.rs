@@ -295,8 +295,9 @@ fn execute(tm: &TestMatrix, key: &RunKey, u: usize, par: Parallelism) -> Run {
 fn state_words(ck: &LuCrtpCheckpoint) -> usize {
     let panel_entries: usize = ck.l_cols.iter().chain(ck.ut_cols.iter()).map(Vec::len).sum();
     let r_diags: usize = ck.trace.iter().map(|t| t.r_diag.len()).sum();
-    let index_words = ck.s.colptr().len()
-        + ck.s.rowidx().len()
+    let s = ck.schur();
+    let index_words = s.colptr().len()
+        + s.rowidx().len()
         + ck.row_map.len()
         + ck.col_map.len()
         + ck.l_cols.len()
@@ -305,6 +306,6 @@ fn state_words(ck: &LuCrtpCheckpoint) -> usize {
         + ck.pivot_cols.len()
         + ck.pivot_rows.len()
         + 4 * ck.trace.len();
-    let value_words = ck.s.values().len() + panel_entries + 3 * ck.trace.len() + r_diags;
+    let value_words = s.values().len() + panel_entries + 3 * ck.trace.len() + r_diags;
     index_words + value_words
 }

@@ -5,11 +5,11 @@
 //! *same replicated* state over every engine — the row/column maps back
 //! to original coordinates, the selected pivots, the error-indicator
 //! trace and the ILUT threshold state — plus the accumulated `L`/`U`
-//! panels, which rank 0 records, and it joins every rank's piece of the
-//! current Schur complement on rank 0, so one snapshot type,
-//! [`LuCrtpCheckpoint`], serves all: a snapshot taken by an SPMD run can
-//! be resumed by the sequential one (the degradation ladder's last
-//! rung) and vice versa.
+//! panels, which rank 0 records, and rank 0 writes every rank's pieces
+//! of the current Schur complement in order as one matrix, so one
+//! snapshot type, [`LuCrtpCheckpoint`], serves all: a snapshot taken by
+//! an SPMD run can be resumed by the sequential one (the degradation
+//! ladder's last rung) and vice versa.
 //!
 //! Snapshots are taken at a *collective boundary*: the end of an
 //! iteration's loop body, after the Schur complement, indicator
@@ -28,7 +28,8 @@
 //! finite. A resumed run on the same rank count thus reproduces the
 //! uninterrupted factors bit for bit. The snapshot types hold their
 //! arrays as [`Cow`]s: a driver lends the live loop state (nothing is
-//! cloned, it is encoded once), a load owns what it decoded.
+//! cloned: a counting pass sizes the envelope and a second pass writes
+//! it once), a load owns what it decoded.
 
 use crate::lucrtp::{IterTrace, ThresholdReport};
 use crate::panel::FactorCol;
@@ -37,7 +38,7 @@ use lra_obs::json::obj;
 use lra_obs::Json;
 pub use lra_recover::{Checkpoint, CheckpointStore};
 use lra_recover::{SectionReader, SectionWriter};
-use lra_sparse::CscMatrix;
+use lra_sparse::{gather_csc, CscMatrix};
 use std::borrow::Cow;
 
 /// Checkpointing configuration threaded into a driver: where snapshots
@@ -93,8 +94,13 @@ pub struct LuCrtpCheckpoint<'a> {
     pub indicator: f64,
     /// `|R^(1)(1,1)|` from the first iteration.
     pub r11: f64,
-    /// The current (post-drop, for ILUT) Schur complement.
-    pub s: Cow<'a, CscMatrix>,
+    /// The current (post-drop, for ILUT) Schur complement as column
+    /// pieces in order, `row_map.len()` rows each: a save lends the
+    /// sequential engine's runs, or rank 0's shard beside the shards
+    /// gathered from the other ranks, and writes them as one matrix; a
+    /// load decodes that matrix as one piece. [`Self::schur`] reads it
+    /// whole.
+    pub s: Vec<Cow<'a, CscMatrix>>,
     /// Trailing-row ids (into original coordinates).
     pub row_map: Cow<'a, [usize]>,
     /// Trailing-column ids (into original coordinates).
@@ -114,6 +120,35 @@ pub struct LuCrtpCheckpoint<'a> {
     pub ilut: Option<ThresholdReport>,
 }
 
+impl LuCrtpCheckpoint<'_> {
+    /// The Schur complement as one matrix: a single piece (what a load
+    /// holds) borrowed, several joined.
+    pub fn schur(&self) -> Cow<'_, CscMatrix> {
+        match self.s.as_slice() {
+            [one] => Cow::Borrowed(one),
+            pieces => Cow::Owned(join(pieces, self.row_map.len())),
+        }
+    }
+
+    /// Move the Schur complement out as one matrix (a single owned
+    /// piece without a copy), leaving no pieces behind.
+    pub fn take_schur(&mut self) -> CscMatrix {
+        let pieces = std::mem::take(&mut self.s);
+        match <[_; 1]>::try_from(pieces) {
+            Ok([one]) => one.into_owned(),
+            Err(pieces) => join(&pieces, self.row_map.len()),
+        }
+    }
+}
+
+/// Column pieces of `rows` rows joined into one matrix.
+fn join(pieces: &[Cow<'_, CscMatrix>], rows: usize) -> CscMatrix {
+    match pieces {
+        [] => CscMatrix::zeros(rows, 0),
+        _ => gather_csc(pieces),
+    }
+}
+
 impl Checkpoint for LuCrtpCheckpoint<'_> {
     const KIND: &'static str = "lu_crtp";
 
@@ -122,9 +157,17 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
     }
 
     fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
-        w.indices("s.colptr", self.s.colptr().iter().copied())?;
-        w.indices("s.rowidx", self.s.rowidx().iter().copied())?;
-        w.f64s("s.values", self.s.values().iter().copied());
+        // The pieces' arrays end to end; each piece's column pointers
+        // are offset by the entries before it.
+        let mut base = 0;
+        let colptr = self.s.iter().flat_map(|p| {
+            let off = base;
+            base += p.nnz();
+            p.colptr()[1..].iter().map(move |&q| off + q)
+        });
+        w.indices("s.colptr", std::iter::once(0).chain(colptr))?;
+        w.indices("s.rowidx", self.s.iter().flat_map(|p| p.rowidx().iter().copied()))?;
+        w.f64s("s.values", self.s.iter().flat_map(|p| p.values().iter().copied()));
         w.indices("row_map", self.row_map.iter().copied())?;
         w.indices("col_map", self.col_map.iter().copied())?;
         put_panels(w, "l", &self.l_cols)?;
@@ -200,7 +243,7 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
             rank: get(state, "rank", Json::as_usize)?,
             indicator: get(state, "indicator", Json::as_f64)?,
             r11: get(state, "r11", Json::as_f64)?,
-            s: Cow::Owned(get_csc(r, row_map.len(), col_map.len())?),
+            s: vec![Cow::Owned(get_csc(r, row_map.len(), col_map.len())?)],
             row_map: row_map.into(),
             col_map: col_map.into(),
             l_cols: get_panels(r, "l")?.into(),
@@ -459,7 +502,7 @@ mod tests {
             rank: 2,
             indicator: 0.123456789012345,
             r11: 3.25,
-            s: Cow::Owned(s),
+            s: vec![Cow::Owned(s)],
             row_map: vec![0, 2, 4].into(),
             col_map: vec![1, 3].into(),
             l_cols: vec![vec![(0, 1.0), (3, -0.5)], vec![(1, 1.0)]].into(),
@@ -495,9 +538,10 @@ mod tests {
         assert_eq!(back.iterations, 1);
         assert_eq!(back.rank, 2);
         assert_eq!(back.indicator.to_bits(), ckpt.indicator.to_bits());
-        assert_eq!(back.s.colptr(), ckpt.s.colptr());
-        assert_eq!(back.s.rowidx(), ckpt.s.rowidx());
-        for (a, b) in ckpt.s.values().iter().zip(back.s.values()) {
+        assert_eq!(back.s.len(), 1, "a load holds one piece");
+        assert_eq!(back.schur().colptr(), ckpt.schur().colptr());
+        assert_eq!(back.schur().rowidx(), ckpt.schur().rowidx());
+        for (a, b) in ckpt.schur().values().iter().zip(back.schur().values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(back.row_map, ckpt.row_map);
@@ -510,6 +554,31 @@ mod tests {
         let ilut = back.ilut.unwrap();
         assert_eq!(ilut.mu.to_bits(), 1e-5f64.to_bits());
         assert!(!ilut.control_triggered);
+    }
+
+    #[test]
+    fn schur_pieces_write_the_bytes_of_the_joined_matrix() {
+        let whole = sample_lu_ckpt();
+        let s = whole.schur().into_owned();
+        let first = s.slice_columns(0..1);
+        let pieces = LuCrtpCheckpoint {
+            s: vec![
+                Cow::Owned(s.slice_columns(0..0)),
+                Cow::Borrowed(&first),
+                Cow::Owned(s.slice_columns(1..2)),
+            ],
+            ..whole.clone()
+        };
+        let bytes = |ck: &LuCrtpCheckpoint| {
+            let store = CheckpointStore::in_memory();
+            store.save(ck).unwrap();
+            store.raw().unwrap().unwrap()
+        };
+        assert_eq!(bytes(&pieces), bytes(&whole));
+        assert_eq!(*pieces.schur(), s);
+        let mut one = whole;
+        assert_eq!(one.take_schur(), s);
+        assert!(one.s.is_empty());
     }
 
     #[test]

@@ -87,10 +87,11 @@ pub enum Exec<'a> {
     /// held at a time; `opts.par` threads every kernel.
     Seq,
     /// As one rank of an [`lra_comm::run`] region: every rank makes the
-    /// same call and returns the same result, keeping only its owned
-    /// block-column shard of the Schur complement resident (`mem`
-    /// reports the per-rank peak). `opts.par` is the intra-rank worker
-    /// count; results are bitwise-independent of it.
+    /// same call, keeping only its owned block-column shard of the Schur
+    /// complement resident (`mem` reports the per-rank peak), and
+    /// returns the same result, except that only rank 0's carries `L`
+    /// and `U` (the other ranks' are empty). `opts.par` is the
+    /// intra-rank worker count; results are bitwise-independent of it.
     Spmd(&'a Ctx),
     /// [`Exec::Spmd`] with the whole Schur complement on every rank,
     /// partitioned into the same column ranges and reduction trees: the

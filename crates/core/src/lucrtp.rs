@@ -23,7 +23,6 @@ use lra_comm::Ctx;
 use lra_par::{owned_range, parallel_chunks_mut, parallel_map_fold, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns, ColumnSelection, TournamentTree};
 use lra_sparse::{BlockSplit, ColRun, CscMatrix, CscRuns};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Mutex, RwLock};
 
@@ -605,8 +604,9 @@ impl PanelEngine for SeqEngine<'_> {
         self.s.drop_below_in_place(thr, self.opts.par);
     }
 
-    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
-        Cow::Owned(self.s.to_csc())
+    /// The runs themselves: a save writes them in order, joining none.
+    fn schur_pieces(&self) -> Vec<&CscMatrix> {
+        self.s.runs().iter().collect()
     }
 }
 

@@ -9,7 +9,7 @@
 //! tournament on `Q_k^T`, the split and the `L21` solve, over the rank
 //! group when there is one), every agreement, gather and broadcast that
 //! does not depend on storage (the measurement, the `U` fragments, the
-//! snapshot, the memory peak and the result), factor recording, the
+//! snapshot and the memory peak), factor recording, the
 //! ILUT threshold/control decision, the trace, the checkpoint cadence
 //! and result assembly. A [`PanelEngine`] supplies only where the Schur
 //! complement lives and computes on it there: the shared-memory column
@@ -17,7 +17,7 @@
 //! shards (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated oracle
 //! (`ReplicatedEngine`, same file) — its column tournament, Schur
 //! update, `U` fragments, measurement partials, drop and snapshot
-//! piece. The tournament and the Schur update are the only stages whose
+//! pieces. The tournament and the Schur update are the only stages whose
 //! communication depends on storage, so they are the only engine calls
 //! that communicate.
 //!
@@ -26,9 +26,12 @@
 //! and the pivot panel is freed once the split is built; the loop reads
 //! each engine's resident storage after placement and after each Schur
 //! stage and reports the peak; the ILUT drop is measured read-only and
-//! applied in place only when the loop keeps it; and when the loop ends
-//! the engine is dropped before rank 0 assembles the factors from the
-//! recorded columns, each of which is freed as it is pushed.
+//! applied in place only when the loop keeps it; a snapshot borrows the
+//! engine's pieces (under SPMD rank 0 holds one copy of the others'
+//! shards) and is written once into its envelope; and when the loop
+//! ends the engine is dropped before rank 0 assembles the factors from
+//! the recorded columns, each of which is freed as it is pushed. Only
+//! rank 0 returns `L` and `U`.
 
 use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
 use crate::lucrtp::{
@@ -41,7 +44,7 @@ use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix};
 use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_recover::BudgetTrip;
-use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
+use lra_sparse::{BlockSplit, ColRun, CscMatrix};
 use std::borrow::Cow;
 
 /// The fill-reducing preprocessing (COLAMD + etree postorder) under a
@@ -172,11 +175,10 @@ pub(crate) trait PanelEngine {
     /// a drop it keeps, at the threshold [`Self::measure`] measured.
     fn drop_below(&mut self, thr: f64);
 
-    /// This rank's piece of the current Schur complement for a
-    /// snapshot: its columns of the block-column partition, in order
-    /// (the whole complement sequentially), borrowed where the engine
-    /// holds exactly that.
-    fn schur_piece(&self) -> Cow<'_, CscMatrix>;
+    /// This rank's pieces of the current Schur complement for a
+    /// snapshot, borrowed, in column order: gathered in rank order they
+    /// are the whole complement (sequentially, the pieces alone are).
+    fn schur_pieces(&self) -> Vec<&CscMatrix>;
 }
 
 /// A rank's measurement partials, `(||A^(i+1)||_F^2, dropped mass,
@@ -247,7 +249,8 @@ impl LoopState {
     }
 
     /// Continue from a snapshot as if never interrupted.
-    fn from_checkpoint(ck: LuCrtpCheckpoint<'_>) -> (Self, CscMatrix) {
+    fn from_checkpoint(mut ck: LuCrtpCheckpoint<'_>) -> (Self, CscMatrix) {
+        let s = ck.take_schur();
         let st = LoopState {
             row_map: ck.row_map.into_owned(),
             col_map: ck.col_map.into_owned(),
@@ -263,12 +266,17 @@ impl LoopState {
             ilut: ck.ilut,
             ..Default::default()
         };
-        (st, ck.s.into_owned())
+        (st, s)
     }
 
     /// The state at an iteration boundary around the engine's current
     /// Schur complement — borrowed, nothing is cloned for a save.
-    fn snapshot<'a>(&'a self, m: usize, n: usize, s: Cow<'a, CscMatrix>) -> LuCrtpCheckpoint<'a> {
+    fn snapshot<'a>(
+        &'a self,
+        m: usize,
+        n: usize,
+        s: Vec<Cow<'a, CscMatrix>>,
+    ) -> LuCrtpCheckpoint<'a> {
         LuCrtpCheckpoint {
             m,
             n,
@@ -317,9 +325,11 @@ impl LoopState {
 }
 
 /// Write a snapshot through `hooks`. Collective under SPMD — every
-/// rank sends its Schur piece to rank 0, which joins them (the full,
-/// format-unchanged complement, so a resume under any grid re-slices
-/// it) and alone touches the store.
+/// other rank sends rank 0 a copy of its Schur pieces, rank 0 lends its
+/// own and contributes nothing to the gather, and it alone touches the
+/// store, writing the pieces in rank order as the whole,
+/// format-unchanged complement (so a resume under any grid re-slices
+/// it). No rank joins them.
 fn save_checkpoint<E: PanelEngine>(
     comm: Option<&Ctx>,
     eng: &E,
@@ -327,13 +337,17 @@ fn save_checkpoint<E: PanelEngine>(
     a: &CscMatrix,
     hooks: &RecoveryHooks<'_>,
 ) {
-    let s = match comm {
-        None => eng.schur_piece(),
-        Some(ctx) => match ctx.gatherv(0, eng.schur_piece().into_owned()) {
-            Some(parts) => Cow::Owned(gather_csc(&parts)),
+    let mut s: Vec<_> = eng.schur_pieces().into_iter().map(Cow::Borrowed).collect();
+    if let Some(ctx) = comm {
+        let mine: Vec<CscMatrix> = match ctx.rank() {
+            0 => Vec::new(),
+            _ => s.drain(..).map(Cow::into_owned).collect(),
+        };
+        match ctx.gatherv(0, mine) {
+            Some(parts) => s.extend(parts.into_iter().flatten().map(Cow::Owned)),
             None => return,
-        },
-    };
+        }
+    }
     save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
 }
 
@@ -341,10 +355,10 @@ fn save_checkpoint<E: PanelEngine>(
 /// builds around the starting Schur complement. `comm` is the rank
 /// group (`None` sequentially): the loop uses it to agree on the budget
 /// verdict, the measurement and the memory peak, to broadcast rank 0's
-/// fill-reducing order and the final factors, to run the panel stages
-/// (TSQR, row tournament, `L21`) across the group, to gather the `U`
-/// fragments and the snapshot to rank 0, and to name rank 0 as the one
-/// that records the factor columns and publishes events and gauges.
+/// fill-reducing order, to run the panel stages (TSQR, row tournament,
+/// `L21`) across the group, to gather the `U` fragments and the
+/// snapshot to rank 0, and to name rank 0 as the one that records the
+/// factor columns, publishes events and gauges, and returns `L`/`U`.
 /// Only `u_estimate` and `phi_factor` are read from `ilut`; everything
 /// else comes from `opts`.
 pub(crate) fn drive<E: PanelEngine>(
@@ -705,8 +719,9 @@ pub(crate) fn drive<E: PanelEngine>(
 
     // Under SPMD the report is the group's largest peak, the same on
     // every rank. The engine goes before the factors are assembled, and
-    // the recorded columns go as they are assembled — on rank 0, whose
-    // factors are broadcast so every rank returns the same result.
+    // the recorded columns go as they are assembled — on rank 0, the
+    // one rank whose result carries `L` and `U`; every other rank
+    // returns the same result with empty factors.
     let mem = match comm {
         None => peak,
         Some(ctx) => ctx.allreduce(peak, |x, y| MemStats {
@@ -718,14 +733,10 @@ pub(crate) fn drive<E: PanelEngine>(
     drop(tbuf);
     let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));
     let factors = timers.time(KernelId::Concat, || {
-        let pair = if root {
+        if root {
             assemble_factors(m, n, l_cols, ut_cols)
         } else {
             (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
-        };
-        match comm {
-            None => pair,
-            Some(ctx) => ctx.broadcast(0, pair),
         }
     });
     st.into_result(factors, a_norm_f, timers, mem)

@@ -60,9 +60,20 @@
 //! Everything else that communicates is the loop's and is the same for
 //! both: one `allreduce` of the measurement partials, the `gatherv` of
 //! the `U` fragments to rank 0 (the only rank that records factor
-//! columns), the snapshot `gatherv`, the memory-peak `allreduce` and
-//! one final `broadcast` of rank 0's `L`/`U`, so every rank returns the
-//! same result.
+//! columns), the snapshot `gatherv` and the memory-peak `allreduce`.
+//! No factor is broadcast: rank 0 alone assembles and returns `L`/`U`,
+//! and every other rank returns the same result with empty factors.
+//!
+//! A shard's arrays are recycled from the retired shard, so without a
+//! limit they would keep the capacity of the fill peak for the rest of
+//! the run, long after an ILUT drop has thinned the complement. After
+//! each Schur update the sharded engine gives a new shard's spare
+//! capacity back once it exceeds [`SLACK_FACTOR`] times what the shard
+//! holds (plus [`SLACK_FLOOR_BYTES`]), and a pooled re-shard buffer
+//! that large for the part it would receive is dropped and the part
+//! allocated fresh. The check runs after the update and not after the
+//! drop: the next update regrows what a drop-time release gave back,
+//! and that regrowth page-faults.
 
 use crate::lucrtp::{schur_update_ranged, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace};
 use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit, Partials, Source};
@@ -72,7 +83,6 @@ use lra_dense::{qr, DenseMatrix};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
 use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// The shared panel loop over rank-owned shards.
@@ -243,6 +253,21 @@ fn u_fragments_of<'a>(
     frags
 }
 
+/// How many times the bytes it holds a shard or a pooled re-shard
+/// buffer may reserve (beyond [`SLACK_FLOOR_BYTES`]) before its spare
+/// capacity is given back.
+const SLACK_FACTOR: u64 = 4;
+
+/// Spare capacity always kept, so small shards never churn the
+/// allocator.
+const SLACK_FLOOR_BYTES: u64 = 64 << 10;
+
+/// Whether `capacity` bytes reserved for `held` bytes of content is
+/// more than the shard path keeps.
+fn oversized(capacity: u64, held: u64) -> bool {
+    capacity > SLACK_FACTOR * held + SLACK_FLOOR_BYTES
+}
+
 /// Panel engine over rank-owned shards: the communicator, the rank's
 /// owned block-column shard of the current Schur complement with its
 /// global column offset, and the replicated global dimensions. The
@@ -322,11 +347,12 @@ impl<'a> SpmdPanelCtx<'a> {
     /// without waiting for it: the sends go out now, the receives wait
     /// inside the returned exchange. Each destination's part is cut
     /// straight from the shard's raw rest columns, into a buffer
-    /// recycled from [`Self::part_pool`]. Work issued between this and
-    /// [`Self::complete_reshard`] — factor recording and its `gatherv`,
-    /// which uses the eager tag namespace, disjoint from pending-exchange
-    /// tags, so the reordering cannot mismatch envelopes — runs while
-    /// the wire drains.
+    /// recycled from [`Self::part_pool`] unless that buffer is
+    /// [`oversized`] for the part, which is then allocated fresh. Work
+    /// issued between this and [`Self::complete_reshard`] — factor
+    /// recording and its `gatherv`, which uses the eager tag namespace,
+    /// disjoint from pending-exchange tags, so the reordering cannot
+    /// mismatch envelopes — runs while the wire drains.
     fn post_reshard(&mut self, sp: &PanelSplit) -> PendingExchange<'a, CscMatrix> {
         let rest = &sp.blocks.rest_cols;
         let my_run = owned_run(rest, self.owned());
@@ -334,10 +360,15 @@ impl<'a> SpmdPanelCtx<'a> {
         let mut parts = Vec::with_capacity(self.size);
         for dst in 0..self.size {
             let drg = owned_range(&new_ranges, dst);
-            let donor = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
-            let mut part = ColRun::recycled(donor);
             let js = my_run.start.max(drg.start)..my_run.end.min(drg.end);
-            part.reserve(js.len(), js.clone().map(|j| self.col(rest[j]).0.len()).sum());
+            let nnz: usize = js.clone().map(|j| self.col(rest[j]).0.len()).sum();
+            // The part's bytes as `resident_bytes` counts them.
+            let bytes = ((js.len() + 1 + nnz) * size_of::<usize>() + nnz * size_of::<f64>()) as u64;
+            let mut part = match self.part_pool.pop() {
+                Some(donor) if !oversized(donor.capacity_bytes(), bytes) => ColRun::recycled(donor),
+                _ => ColRun::default(),
+            };
+            part.reserve(js.len(), nnz);
             for j in js {
                 part.push_col(self.col(rest[j]));
             }
@@ -356,6 +387,8 @@ impl<'a> SpmdPanelCtx<'a> {
     /// every column independently (same classification on every rank,
     /// same per-column arithmetic, same ascending emission), so splitting
     /// one pass over the gathered range at piece boundaries moves no bits.
+    /// The installed shard gives back its spare capacity once it is
+    /// [`oversized`].
     fn complete_reshard(
         &mut self,
         sp: &PanelSplit,
@@ -374,6 +407,9 @@ impl<'a> SpmdPanelCtx<'a> {
             pool.push(part);
         });
         debug_assert_eq!(updated.cols(), my_new.len());
+        if oversized(updated.capacity_bytes(), updated.resident_bytes()) {
+            updated.shrink_to_fit();
+        }
         self.shard = updated;
         self.offset = my_new.start;
         self.n_cur = n_rest;
@@ -439,8 +475,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         self.shard.drop_below_in_place(thr, self.opts.par);
     }
 
-    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
-        Cow::Borrowed(&self.shard)
+    fn schur_pieces(&self) -> Vec<&CscMatrix> {
+        vec![&self.shard]
     }
 }
 
@@ -520,10 +556,13 @@ impl PanelEngine for ReplicatedEngine<'_> {
         self.s.drop_below_in_place(thr, self.opts.par);
     }
 
-    /// The owned column range. Never reached — the oracle is never
-    /// checkpointed — but gathered in rank order it is the whole
-    /// complement, as for the sharded engine.
-    fn schur_piece(&self) -> Cow<'_, CscMatrix> {
-        Cow::Owned(self.s.slice_columns(self.my_cols()))
+    /// The whole complement on rank 0, nothing elsewhere. Never reached
+    /// — the oracle is never checkpointed — but gathered in rank order
+    /// it is the whole complement, as for the sharded engine.
+    fn schur_pieces(&self) -> Vec<&CscMatrix> {
+        match self.ctx.rank() {
+            0 => vec![&self.s],
+            _ => Vec::new(),
+        }
     }
 }

@@ -169,7 +169,7 @@ impl DenseMatrix {
     /// panel (contiguous) is transposed through a panel-sized scratch,
     /// which leaves a `rows x (cols / w)` matrix whose entries are runs
     /// of `w` values; that matrix is then transposed run by run by
-    /// cycle-following ([`transpose_runs`]). The first pass stays inside
+    /// cycle-following (`transpose_runs`). The first pass stays inside
     /// one panel and the second moves whole runs, so neither walks the
     /// buffer one scattered value at a time. Values are moved, never
     /// recomputed: the result is bitwise [`transpose`](Self::transpose)'s.

@@ -28,6 +28,7 @@
 //! everything else, so a generation is validated from its own bytes
 //! alone and shares none with its neighbours.
 
+use crate::store::Checkpoint;
 use lra_obs::crc::crc32;
 use lra_obs::Json;
 
@@ -40,21 +41,43 @@ const MAGIC: &[u8; 8] = b"LRACKPT\0";
 /// after the sections.
 const FRAME_BYTES: usize = 16 + 12;
 
-/// Collects a checkpoint's bulk arrays as raw little-endian sections.
-#[derive(Default)]
+/// Writes a checkpoint's bulk arrays as raw little-endian sections.
+/// A save runs [`Checkpoint::encode`] through it twice: the first
+/// pass only counts (and checks every index), so the section table and
+/// the envelope's length are known before a byte is written; the second
+/// writes every section straight into the envelope behind its header.
 pub struct SectionWriter {
+    /// The section table, built while counting.
     table: Vec<Json>,
-    body: Vec<u8>,
+    /// Section bytes counted so far.
+    len: usize,
+    /// The envelope being written; `None` while counting.
+    out: Option<Vec<u8>>,
 }
 
 impl SectionWriter {
+    /// A counting pass (`out: None`) or a writing pass into `out`.
+    fn new(out: Option<Vec<u8>>) -> Self {
+        SectionWriter {
+            table: Vec::new(),
+            len: 0,
+            out,
+        }
+    }
+
     /// Append `xs` as the `f64` section `name`.
     pub fn f64s(&mut self, name: &str, xs: impl IntoIterator<Item = f64>) {
-        let start = self.body.len();
-        for x in xs {
-            self.body.extend_from_slice(&x.to_le_bytes());
-        }
-        self.close(name, "f64", (self.body.len() - start) / 8);
+        let count = match &mut self.out {
+            None => xs.into_iter().count(),
+            Some(out) => {
+                let start = out.len();
+                for x in xs {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+                (out.len() - start) / 8
+            }
+        };
+        self.close(name, "f64", count, 8);
     }
 
     /// Append `xs` as the `u32` section `name`; an index that does not
@@ -64,53 +87,77 @@ impl SectionWriter {
         name: &str,
         xs: impl IntoIterator<Item = usize>,
     ) -> Result<(), String> {
-        let start = self.body.len();
-        for x in xs {
-            let word = u32::try_from(x)
-                .map_err(|_| format!("{name}: index {x} does not fit the envelope's u32"))?;
-            self.body.extend_from_slice(&word.to_le_bytes());
+        let word = |x: usize| {
+            u32::try_from(x)
+                .map_err(|_| format!("{name}: index {x} does not fit the envelope's u32"))
+        };
+        let mut count = 0;
+        match &mut self.out {
+            None => {
+                for x in xs {
+                    word(x)?;
+                    count += 1;
+                }
+            }
+            Some(out) => {
+                for x in xs {
+                    out.extend_from_slice(&word(x)?.to_le_bytes());
+                    count += 1;
+                }
+            }
         }
-        self.close(name, "u32", (self.body.len() - start) / 4);
+        self.close(name, "u32", count, 4);
         Ok(())
     }
 
-    fn close(&mut self, name: &str, ty: &str, count: usize) {
-        self.table.push(lra_obs::json::obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("type", Json::Str(ty.to_string())),
-            ("count", Json::Num(count as f64)),
-        ]));
+    fn close(&mut self, name: &str, ty: &str, count: usize, width: usize) {
+        self.len += count * width;
+        if self.out.is_none() {
+            self.table.push(lra_obs::json::obj(vec![
+                ("name", Json::Str(name.to_string())),
+                ("type", Json::Str(ty.to_string())),
+                ("count", Json::Num(count as f64)),
+            ]));
+        }
     }
+}
 
-    /// Frame the collected sections and `state` as one envelope.
-    pub(crate) fn seal(
-        self,
-        kind: &str,
-        generation: u64,
-        iteration: usize,
-        state: Json,
-    ) -> Result<Vec<u8>, String> {
-        let header = lra_obs::json::obj(vec![
-            ("kind", Json::Str(kind.to_string())),
-            ("generation", Json::Num(generation as f64)),
-            ("iteration", Json::Num(iteration as f64)),
-            ("state", state),
-            ("sections", Json::Arr(self.table)),
-        ])
-        .to_string();
-        let header_len = u32::try_from(header.len())
-            .map_err(|_| format!("checkpoint header of {} bytes", header.len()))?;
-        let total = FRAME_BYTES + header.len() + self.body.len();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&header_len.to_le_bytes());
-        out.extend_from_slice(header.as_bytes());
-        out.extend_from_slice(&self.body);
-        out.extend_from_slice(&(total as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&out).to_le_bytes());
-        Ok(out)
+/// Frame `ckpt` as one envelope. A counting pass of its encode sizes
+/// the sections; then the frame, the header and every section are
+/// written into one buffer of the exact final length, and the CRC runs
+/// once over it. No section is held twice.
+pub(crate) fn seal<C: Checkpoint>(ckpt: &C, generation: u64) -> Result<Vec<u8>, String> {
+    let mut counted = SectionWriter::new(None);
+    let state = ckpt.encode(&mut counted)?;
+    let header = lra_obs::json::obj(vec![
+        ("kind", Json::Str(C::KIND.to_string())),
+        ("generation", Json::Num(generation as f64)),
+        ("iteration", Json::Num(ckpt.iteration() as f64)),
+        ("state", state),
+        ("sections", Json::Arr(counted.table)),
+    ])
+    .to_string();
+    let header_len = u32::try_from(header.len())
+        .map_err(|_| format!("checkpoint header of {} bytes", header.len()))?;
+    let total = FRAME_BYTES + header.len() + counted.len;
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.extend_from_slice(&header_len.to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    let mut written = SectionWriter::new(Some(out));
+    ckpt.encode(&mut written)?;
+    if written.len != counted.len {
+        return Err(format!(
+            "checkpoint encode wrote {} section bytes after counting {}",
+            written.len, counted.len
+        ));
     }
+    let mut out = written.out.expect("the writing pass holds the envelope");
+    out.extend_from_slice(&(total as u64).to_le_bytes());
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    debug_assert_eq!(out.len(), total);
+    Ok(out)
 }
 
 /// The sections of one validated envelope, by name.

@@ -177,9 +177,12 @@ fn primary_error<T>(report: &RunReport<T>) -> Option<&CommError> {
 /// `attempt(np, config, recoveries, deadline)` runs the algorithm on an
 /// `np`-rank grid (typically via [`lra_comm::run_with`], resuming from
 /// the caller's [`CheckpointStore`]) and returns the raw [`RunReport`].
-/// The algorithms here produce *replicated* output — every rank returns
-/// the same factors — so any `Ok` rank carries the complete result and
-/// a partially-failed report still succeeds.
+/// Rank 0's value is the attempt's result: the SPMD factorizations
+/// return their factors on rank 0 only (every other rank returns the
+/// replicated fields with empty `L`/`U`). An attempt succeeds when
+/// rank 0 returned `Ok`, whatever the other ranks returned; a report
+/// whose rank 0 erred is a failed attempt, even if other ranks
+/// returned `Ok`.
 ///
 /// `deadline` is [`RecoveryPolicy::deadline`] as an instant, computed
 /// once from the call's start (`None` when no deadline is set or it
@@ -236,7 +239,7 @@ where
             Some(e) => (e.origin_rank(), e.is_transient(), e.to_string()),
         };
         let RunReport { results, stats } = report;
-        if let Some(value) = results.into_iter().flatten().next() {
+        if let Some(Ok(value)) = results.into_iter().next() {
             return Ok(Supervised {
                 value,
                 attempts: recoveries,
@@ -465,28 +468,67 @@ mod tests {
         assert!(matches!(err, RecoveryError::DeadlineExceeded { .. }));
     }
 
+    /// One attempt's report: rank 0's outcome, then rank 1's.
+    fn report(rank0: Result<u32, &str>, rank1: Result<u32, &str>) -> RunReport<u32> {
+        let failed = |rank| {
+            move |payload: &str| CommError::Failed {
+                rank,
+                payload: payload.to_string(),
+            }
+        };
+        RunReport {
+            results: vec![rank0.map_err(failed(0)), rank1.map_err(failed(1))],
+            stats: vec![],
+        }
+    }
+
     #[test]
-    fn partial_failure_with_one_ok_rank_still_succeeds() {
-        // Replicated output: any Ok rank carries the full result.
+    fn a_failure_off_rank_zero_still_returns_rank_zeros_value() {
         let got = run_supervised(
             2,
             &RunConfig::default(),
             &RecoveryPolicy::default(),
-            |_, _, _, _| RunReport {
-                results: vec![
-                    Err(CommError::Failed {
-                        rank: 0,
-                        payload: "late straggler".to_string(),
-                    }),
-                    Ok(99u32),
-                ],
-                stats: vec![],
-            },
+            |_, _, _, _| report(Ok(99), Err("late straggler")),
             |_| None,
         )
         .unwrap();
         assert_eq!(got.value, 99);
         assert_eq!(got.attempts, 0);
+    }
+
+    #[test]
+    fn an_ok_rank_beside_a_failed_rank_zero_is_not_returned() {
+        // Rank 1's value lacks the factors only rank 0 returns: the
+        // attempt failed, and the retry's rank 0 value is the result.
+        let policy = RecoveryPolicy::default().with_backoff(Duration::from_millis(1));
+        let got = run_supervised(
+            2,
+            &RunConfig::default(),
+            &policy,
+            |_, _, recoveries, _| match recoveries {
+                0 => report(Err("died after the last collective"), Ok(1)),
+                _ => report(Ok(7), Ok(1)),
+            },
+            |_| None,
+        )
+        .unwrap();
+        assert_eq!(got.value, 7);
+        assert_eq!(got.attempts, 1);
+
+        let err = run_supervised(
+            2,
+            &RunConfig::default(),
+            &RecoveryPolicy::default().with_max_retries(0),
+            |_, _, _, _| report(Err("died after the last collective"), Ok(1)),
+            |_| None,
+        )
+        .unwrap_err();
+        match err {
+            RecoveryError::RecoveryExhausted { last_error, .. } => {
+                assert!(last_error.contains("died after"), "{last_error}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -174,9 +174,7 @@ impl CheckpointStore {
         }
 
         let generation = self.next_generation()?;
-        let mut sections = SectionWriter::default();
-        let state = ckpt.encode(&mut sections)?;
-        let mut bytes = sections.seal(C::KIND, generation, ckpt.iteration(), state)?;
+        let mut bytes = envelope::seal(ckpt, generation)?;
 
         if let Some(keep) = self.faults.torn_for(save_index) {
             record_injection(StorageFaultKind::TornWrite);
@@ -546,6 +544,36 @@ mod tests {
             let xs = sections.f64s("xs")?;
             Ok(Toy { it, xs })
         }
+    }
+
+    /// Writes one more value on every encode, so the writing pass never
+    /// matches the counting pass.
+    struct Drifting(std::cell::Cell<usize>);
+
+    impl Checkpoint for Drifting {
+        const KIND: &'static str = "drifting";
+
+        fn iteration(&self) -> usize {
+            1
+        }
+
+        fn encode(&self, sections: &mut SectionWriter) -> Result<Json, String> {
+            self.0.set(self.0.get() + 1);
+            sections.f64s("xs", (0..self.0.get()).map(|i| i as f64));
+            Ok(Json::Null)
+        }
+
+        fn decode(_: &Json, _: &SectionReader<'_>) -> Result<Self, String> {
+            Err("never stored".to_string())
+        }
+    }
+
+    #[test]
+    fn an_encode_that_differs_from_its_counting_pass_fails_the_save() {
+        let store = CheckpointStore::in_memory();
+        let err = store.save(&Drifting(std::cell::Cell::new(0))).unwrap_err();
+        assert!(err.contains("after counting"), "{err}");
+        assert!(store.generations().is_empty(), "nothing is published");
     }
 
     /// Another kind; its envelopes carry no sections at all.

@@ -217,6 +217,22 @@ impl CscMatrix {
             + self.values.len() * std::mem::size_of::<f64>()) as u64
     }
 
+    /// Heap bytes reserved by the three CSC arrays: what
+    /// [`CscMatrix::resident_bytes`] counts plus the spare capacity a
+    /// matrix built into a recycled buffer carries.
+    pub fn capacity_bytes(&self) -> u64 {
+        ((self.colptr.capacity() + self.rowidx.capacity()) * std::mem::size_of::<usize>()
+            + self.values.capacity() * std::mem::size_of::<f64>()) as u64
+    }
+
+    /// Give the spare capacity of the three arrays back to the
+    /// allocator; the entries are untouched.
+    pub fn shrink_to_fit(&mut self) {
+        self.colptr.shrink_to_fit();
+        self.rowidx.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
     /// Content fingerprint: a 64-bit digest of the exact stored matrix
     /// (dimensions, column structure, and value *bits*), built from two
     /// independent CRC-32 streams — one over the structure

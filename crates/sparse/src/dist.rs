@@ -15,6 +15,7 @@
 //! the invariant the sharded checkpoint path relies on.
 
 use crate::csc::CscMatrix;
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// Split a full matrix into per-rank block-column shards (`ranges` as
@@ -31,19 +32,20 @@ pub fn scatter_csc(full: &CscMatrix, ranges: &[Range<usize>]) -> Vec<CscMatrix> 
     ranges.iter().map(|r| full.slice_columns(r.clone())).collect()
 }
 
-/// Concatenate block-column shards (in rank order) back into one
-/// matrix by raw array concatenation. All parts must share the row
-/// dimension; `parts` must be non-empty.
-pub fn gather_csc(parts: &[CscMatrix]) -> CscMatrix {
+/// Concatenate block-column shards (in rank order), owned or
+/// borrowed, back into one matrix by raw array concatenation. All parts
+/// must share the row dimension; `parts` must be non-empty.
+pub fn gather_csc<P: Borrow<CscMatrix>>(parts: &[P]) -> CscMatrix {
     assert!(!parts.is_empty(), "gather_csc needs at least one part");
-    let rows = parts[0].rows();
-    let cols: usize = parts.iter().map(|p| p.cols()).sum();
-    let nnz: usize = parts.iter().map(|p| p.nnz()).sum();
+    let parts = || parts.iter().map(Borrow::borrow);
+    let rows = parts().next().map_or(0, CscMatrix::rows);
+    let cols: usize = parts().map(CscMatrix::cols).sum();
+    let nnz: usize = parts().map(CscMatrix::nnz).sum();
     let mut colptr = Vec::with_capacity(cols + 1);
     colptr.push(0);
     let mut rowidx = Vec::with_capacity(nnz);
     let mut values = Vec::with_capacity(nnz);
-    for p in parts {
+    for p in parts() {
         assert_eq!(p.rows(), rows, "row dimension mismatch");
         let base = rowidx.len();
         colptr.extend(p.colptr()[1..].iter().map(|&q| q + base));

@@ -81,6 +81,11 @@ impl CscRuns {
         }
     }
 
+    /// The runs in column order, borrowed.
+    pub fn runs(&self) -> &[CscMatrix] {
+        &self.runs
+    }
+
     /// Consume the matrix, yielding its runs in column order.
     pub fn into_runs(self) -> Vec<CscMatrix> {
         self.runs

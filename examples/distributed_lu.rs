@@ -3,9 +3,9 @@
 //! The paper's implementation is MPI-based; this example drives the
 //! same algorithm through the `lra-comm` runtime (ranks = threads,
 //! binomial-tree collectives) and shows that every rank arrives at the
-//! identical factorization while the tournament's communication pattern
-//! (local reduction, then log2(P) pairwise rounds) is exercised for
-//! real.
+//! identical rank, pivots and indicator (rank 0 alone returns the
+//! factors) while the tournament's communication pattern (local
+//! reduction, then log2(P) pairwise rounds) is exercised for real.
 //!
 //! ```sh
 //! cargo run --release --example distributed_lu
@@ -50,11 +50,14 @@ fn main() {
             .results
             .iter()
             .map(|r| r.as_ref().expect("fault-free run"))
-            .map(|r| (r.rank, r.factor_nnz(), r.indicator))
             .collect();
-        let (rank, nnz, ind) = results[0];
-        // All ranks must agree bit-for-bit on the factorization.
-        assert!(results.iter().all(|&t| t == (rank, nnz, ind)));
+        let (rank, nnz, ind) = (results[0].rank, results[0].factor_nnz(), results[0].indicator);
+        // All ranks agree bit for bit on the rank, pivots and indicator;
+        // rank 0 alone returns the factors.
+        assert!(results.iter().all(|r| {
+            (r.rank, &r.pivot_cols, r.indicator.to_bits())
+                == (rank, &results[0].pivot_cols, ind.to_bits())
+        }));
         println!(
             "SPMD np={np:<2}            : rank {rank}, nnz {nnz}, indicator {ind:.3e}, {elapsed:.3}s (all {np} ranks agree)"
         );

@@ -76,12 +76,41 @@ pub fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMa
 }
 
 /// `method` on `np` sharded ranks under the default [`RunConfig`], any
-/// rank failure fatal: rank 0's result (every rank returns the same).
+/// rank failure fatal: rank 0's result, the one that carries `L` and
+/// `U` (every other rank returns the same result with empty factors).
 pub fn dist<'m>(a: &CscMatrix, method: impl Into<Method<'m>>, np: usize) -> LuCrtpResult {
     factorize_ranks(a, method, np, &RunConfig::default(), None)
         .expect("valid input")
         .unwrap_all()
         .swap_remove(0)
+}
+
+/// The SPMD result contract over one run's per-rank results: every
+/// field but the factors is replicated, compared here bit for bit
+/// against rank 0's, and only rank 0 carries `L`/`U` (every other
+/// rank's are empty).
+pub fn assert_factors_on_rank0_only(results: &[LuCrtpResult], what: &str) {
+    let replicated = |r: &LuCrtpResult| {
+        let trace: Vec<_> = r
+            .trace
+            .iter()
+            .map(|t| (t.iteration, t.rank, t.indicator.to_bits(), t.schur_nnz, t.r_diag.len()))
+            .collect();
+        (
+            (r.rank, r.iterations, r.converged, r.breakdown),
+            (r.pivot_rows.clone(), r.pivot_cols.clone()),
+            (r.indicator.to_bits(), r.a_norm_f.to_bits(), r.r11.to_bits()),
+            (trace, r.threshold.clone(), r.mem, r.trip.clone()),
+        )
+    };
+    let root = replicated(&results[0]);
+    assert_eq!(results[0].l.cols(), results[0].rank, "{what}: rank 0 holds L");
+    assert_eq!(results[0].u.rows(), results[0].rank, "{what}: rank 0 holds U");
+    for (rank, r) in results.iter().enumerate().skip(1) {
+        assert_eq!(replicated(r), root, "{what}: rank {rank} disagrees with rank 0");
+        let shapes = (r.l.nnz(), r.l.cols(), r.u.nnz(), r.u.rows());
+        assert_eq!(shapes, (0, 0, 0, 0), "{what}: rank {rank} holds factors");
+    }
 }
 
 /// The small fill-bearing FEM matrix the recovery and fault-explorer

@@ -40,9 +40,9 @@ fn ilut_trace_is_post_threshold_on_every_path() {
         assert!(ck.ilut.as_ref().unwrap().dropped > 0, "{path}: expected drops");
         let last = ck.trace.last().unwrap();
         assert_eq!(last.iteration, 3, "{path}");
-        assert_eq!(ck.s.nnz(), last.schur_nnz, "{path}: schur_nnz is pre-threshold");
+        assert_eq!(ck.schur().nnz(), last.schur_nnz, "{path}: schur_nnz is pre-threshold");
         assert_eq!(
-            ck.s.density().to_bits(),
+            ck.schur().density().to_bits(),
             last.schur_density.to_bits(),
             "{path}: schur_density is pre-threshold"
         );

@@ -263,10 +263,11 @@ fn assert_lu_checkpoint_bitwise(got: &LuCrtpCheckpoint, want: &LuCrtpCheckpoint,
     assert_eq!((got.iterations, got.rank), (want.iterations, want.rank), "{ctx}");
     assert_eq!(got.indicator.to_bits(), want.indicator.to_bits(), "{ctx}");
     assert_eq!(got.r11.to_bits(), want.r11.to_bits(), "{ctx}");
-    assert_eq!((got.s.rows(), got.s.cols()), (want.s.rows(), want.s.cols()), "{ctx}");
-    assert_eq!(got.s.colptr(), want.s.colptr(), "{ctx}");
-    assert_eq!(got.s.rowidx(), want.s.rowidx(), "{ctx}");
-    assert!(bits_eq(got.s.values(), want.s.values()), "{ctx}: schur values");
+    let (got_s, want_s) = (got.schur(), want.schur());
+    assert_eq!((got_s.rows(), got_s.cols()), (want_s.rows(), want_s.cols()), "{ctx}");
+    assert_eq!(got_s.colptr(), want_s.colptr(), "{ctx}");
+    assert_eq!(got_s.rowidx(), want_s.rowidx(), "{ctx}");
+    assert!(bits_eq(got_s.values(), want_s.values()), "{ctx}: schur values");
     assert_eq!(got.row_map, want.row_map, "{ctx}");
     assert_eq!(got.col_map, want.col_map, "{ctx}");
     for (g, w) in [(&got.l_cols, &want.l_cols), (&got.ut_cols, &want.ut_cols)] {
@@ -327,8 +328,9 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
             let panel_entries = |cols: &[Vec<(usize, f64)>]| cols.iter().map(Vec::len).sum::<usize>();
             let entries = panel_entries(&taken.l_cols) + panel_entries(&taken.ut_cols);
             let r_diags: usize = taken.trace.iter().map(|t| t.r_diag.len()).sum();
-            let index_words = taken.s.colptr().len()
-                + taken.s.rowidx().len()
+            let s = taken.schur();
+            let index_words = s.colptr().len()
+                + s.rowidx().len()
                 + taken.row_map.len()
                 + taken.col_map.len()
                 + taken.l_cols.len()
@@ -337,7 +339,7 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
                 + taken.pivot_cols.len()
                 + taken.pivot_rows.len()
                 + 4 * taken.trace.len();
-            let value_words = taken.s.values().len() + entries + 3 * taken.trace.len() + r_diags;
+            let value_words = s.values().len() + entries + 3 * taken.trace.len() + r_diags;
             assert_binary_sized(&second, index_words, value_words, &ctx);
         }
 

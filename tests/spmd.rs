@@ -3,7 +3,7 @@
 use lra::core::{factorize, lu_crtp, Exec, LuCrtpOpts, Parallelism};
 
 mod common;
-use common::dist;
+use common::{assert_factors_on_rank0_only, dist};
 
 fn test_matrix() -> lra::sparse::CscMatrix {
     lra::matgen::with_decay(&lra::matgen::circuit(250, 4, 4, 17), 1e-7, 19)
@@ -27,16 +27,21 @@ fn spmd_converges_and_meets_tolerance() {
     }
 }
 
+/// Every rank returns the same replicated fields; the factors are rank
+/// 0's alone, and they are the replicated oracle's bit for bit.
 #[test]
 fn spmd_all_ranks_return_identical_results() {
     let a = test_matrix();
-    let results = lra::comm::run_infallible(4, |ctx| {
-        let r = factorize(&a, &LuCrtpOpts::new(8, 1e-2), Exec::Spmd(ctx), None);
-        (r.rank, r.pivot_cols, r.indicator.to_bits(), r.l.nnz())
-    });
-    for r in &results[1..] {
-        assert_eq!(r, &results[0], "ranks disagree");
-    }
+    let opts = LuCrtpOpts::new(8, 1e-2);
+    let results = lra::comm::run_infallible(4, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), None));
+    assert_factors_on_rank0_only(&results, "lu np=4");
+    let oracle = lra::comm::run_infallible(4, |ctx| {
+        factorize(&a, &opts, Exec::SpmdReplicated(ctx), None)
+    })
+    .swap_remove(0);
+    assert_eq!(results[0].l, oracle.l, "rank 0's L");
+    assert_eq!(results[0].u, oracle.u, "rank 0's U");
+    assert!(results[0].l.nnz() > 0);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use lra::core::{factorize, ilut_crtp, Exec, IlutOpts, LuCrtpOpts};
 
 mod common;
-use common::{assert_fixed_precision, dist};
+use common::{assert_factors_on_rank0_only, assert_fixed_precision, dist};
 
 fn fill_heavy() -> lra::sparse::CscMatrix {
     lra::matgen::with_decay(&lra::matgen::fluid_block(12, 10, 31), 1e-7, 33)
@@ -38,23 +38,22 @@ fn spmd_ilut_ranks_agree_and_drop_identically() {
         .into_iter()
         .map(|engine| {
             let results = lra::comm::run_infallible(4, |ctx| {
-                let r = factorize(&a, &IlutOpts::new(8, 1e-2, 4), engine(ctx), None);
-                let rep = r.threshold.as_ref().unwrap();
-                (
-                    r.rank,
-                    r.factor_nnz(),
-                    rep.dropped,
-                    rep.mu.to_bits(),
-                    rep.dropped_mass_sq.to_bits(),
-                    r.l.fingerprint(),
-                    r.u.fingerprint(),
-                )
+                factorize(&a, &IlutOpts::new(8, 1e-2, 4), engine(ctx), None)
             });
-            for r in &results[1..] {
-                assert_eq!(r, &results[0], "ranks diverged in thresholding or factors");
-            }
-            assert!(results[0].2 > 0, "expected drops on a fill-in heavy matrix");
-            results[0]
+            // The threshold report is replicated; the factors are rank 0's.
+            assert_factors_on_rank0_only(&results, "ilut np=4");
+            let r = &results[0];
+            let rep = r.threshold.as_ref().unwrap();
+            assert!(rep.dropped > 0, "expected drops on a fill-in heavy matrix");
+            (
+                r.rank,
+                r.factor_nnz(),
+                rep.dropped,
+                rep.mu.to_bits(),
+                rep.dropped_mass_sq.to_bits(),
+                r.l.fingerprint(),
+                r.u.fingerprint(),
+            )
         })
         .collect();
     assert_eq!(rank0[0], rank0[1], "sharded and replicated engines differ");

@@ -20,7 +20,7 @@ use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded};
 use lra_sparse::CscMatrix;
 
 mod common;
-use common::rand_sparse;
+use common::{assert_factors_on_rank0_only, rand_sparse};
 
 fn circuit_matrix() -> CscMatrix {
     lra_matgen::with_decay(&lra_matgen::circuit(220, 4, 4, 17), 1e-7, 19)
@@ -248,26 +248,17 @@ fn per_rank_memory_shrinks_with_more_ranks() {
     }
 }
 
+/// Every rank returns the same replicated fields (pivots, indicator,
+/// trace, threshold report, memory peak); only rank 0 returns `L`/`U`,
+/// the replicated oracle's bit for bit.
 #[test]
 fn sharded_results_identical_on_every_rank() {
     let a = fill_heavy();
-    let results = lra_comm::run_infallible(3, |ctx| {
-        let r = factorize(&a, &IlutOpts::new(8, 1e-2, 4), Exec::Spmd(ctx), None);
-        (
-            r.rank,
-            r.pivot_rows,
-            r.pivot_cols,
-            r.indicator.to_bits(),
-            r.l.colptr().to_vec(),
-            r.u.colptr().to_vec(),
-            bits(r.l.values()),
-            bits(r.u.values()),
-            r.mem,
-        )
-    });
-    for r in &results[1..] {
-        assert_eq!(r, &results[0], "ranks disagree");
-    }
+    let opts = IlutOpts::new(8, 1e-2, 4);
+    let results = lra_comm::run_infallible(3, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), None));
+    assert_factors_on_rank0_only(&results, "ilut np=3");
+    let oracle = rank0(3, &a, &opts, |c| Exec::SpmdReplicated(c));
+    assert_result_bitwise(&results[0], &oracle, "ilut np=3 rank 0");
 }
 
 /// Collectives per panel iteration, on the served victim's shape (two
