@@ -44,6 +44,8 @@
 //!    through the one-column formula, one reflector at a time) by at
 //!    least [`QR_MIN_SPEEDUP`]x (interleaved best-of-[`QR_REPS`],
 //!    sequential, after checking `R` and `Q` bit for bit against it).
+//!    Each sample is timed in the CPU time of the calling thread, so a
+//!    sample the host preempts is not read as a slow kernel.
 //!    Four columns to a vector lane is what clears it: the column-major
 //!    sweep the lanes replaced read about 1.9x.
 //!
@@ -116,9 +118,6 @@ const TS_REPS: usize = 20;
 const MIN_CPU_PER_WALL: f64 = 1.5;
 /// Most times one np=2 round is repeated after running on one core.
 const ONE_CORE_REPEATS: usize = 3;
-/// Clock ticks per second of the `/proc/self/stat` times (Linux's
-/// `USER_HZ`).
-const USER_HZ: f64 = 100.0;
 /// Order of the circuit matrix COLAMD is timed on (the benchmark's
 /// `tp_sparse` input).
 const COLAMD_N: usize = 2400;
@@ -387,14 +386,8 @@ fn qr_gate(reg: &MetricsRegistry) -> bool {
     }
     let (mut qr_s, mut ref_s) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..QR_REPS {
-        let ((), s) = timed(|| {
-            std::hint::black_box(qr(&a, seq));
-        });
-        qr_s = qr_s.min(s);
-        let ((), s) = timed(|| {
-            std::hint::black_box(qr_reference(&a));
-        });
-        ref_s = ref_s.min(s);
+        qr_s = qr_s.min(thread_cpu_timed(|| qr(&a, seq)));
+        ref_s = ref_s.min(thread_cpu_timed(|| qr_reference(&a)));
     }
     let speedup = ref_s / qr_s.max(1e-12);
     reg.set_gauge("kernel.qr_reference_s", ref_s);
@@ -557,13 +550,13 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
                 return false;
             };
             fold(&mut seq, round_seq);
-            let cpu_before = cpu_seconds();
+            let cpu_before = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
             let (round_par2, wall) = timed(|| side(two));
             let Some(round_par2) = round_par2 else {
                 eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
                 return false;
             };
-            let cpu_per_wall = cpu_seconds()
+            let cpu_per_wall = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID)
                 .zip(cpu_before)
                 .map(|(t1, t0)| (t1 - t0) / wall);
             round_ratios.extend(cpu_per_wall);
@@ -658,15 +651,43 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     true
 }
 
-/// CPU time this process has used, user plus system over all its
-/// threads, from `/proc/self/stat` (`None` where that file is absent).
-fn cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // After the parenthesised command name come the fields from the
-    // third (`state`) on; `utime` and `stime` are the 14th and 15th.
-    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
-    let ticks = |i: usize| fields.get(i - 3)?.parse::<u64>().ok();
-    Some((ticks(14)? + ticks(15)?) as f64 / USER_HZ)
+/// Seconds of CPU time the calling thread spends in `f`; wall seconds
+/// where that clock is not available.
+fn thread_cpu_timed<T>(f: impl FnOnce() -> T) -> f64 {
+    let (cpu0, wall0) = (cpu_seconds(CLOCK_THREAD_CPUTIME_ID), std::time::Instant::now());
+    std::hint::black_box(f());
+    match (cpu0, cpu_seconds(CLOCK_THREAD_CPUTIME_ID)) {
+        (Some(t0), Some(t1)) => t1 - t0,
+        _ => wall0.elapsed().as_secs_f64(),
+    }
+}
+
+/// `clock_gettime` clocks: CPU time, user plus system, of this process
+/// (all its threads) and of the calling thread.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+/// Seconds on a CPU-time `clock` (`None` off Linux).
+fn cpu_seconds(clock: i32) -> Option<f64> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::raw::{c_int, c_long};
+        #[repr(C)]
+        struct Timespec {
+            sec: c_long,
+            nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+        }
+        let mut ts = Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `ts` is a live, writable `struct timespec` (two
+        // `long`s on Linux), and `clock_gettime` writes nothing else.
+        if unsafe { clock_gettime(clock, &mut ts) } == 0 {
+            return Some(ts.sec as f64 + ts.nsec as f64 * 1e-9);
+        }
+    }
+    None
 }
 
 /// Machine-independent ratios `--validate REPORT BASELINE` holds to

@@ -13,7 +13,7 @@ use lra_par::Profile;
 use std::fmt::Write as _;
 
 /// One table, figure or claim sheet as text.
-pub type View = fn(&mut Sweep, &BenchConfig) -> String;
+type View = fn(&mut Sweep, &BenchConfig) -> String;
 
 /// Every view by the name `paper <view>` takes and `<view>.txt` gets.
 pub const VIEWS: [(&str, View); 10] = [

@@ -5,8 +5,13 @@
 //! The paper evaluates a sequential RandUBV against RandQB_EI (its
 //! iteration counts appear in Table II as `its_UBV`): per iteration it
 //! does roughly the work of RandQB_EI with `p = 0` while often needing
-//! fewer iterations. Full re-orthogonalization is applied to both bases
-//! (the small extra cost buys indicator reliability).
+//! fewer iterations. One basis is re-orthogonalized against all of its
+//! earlier blocks, the one of the shorter side (`V` unless `A` is wide),
+//! as Simon and Zha propose: the three-term recurrences
+//! `U_i B_i = A V_i - U_{i-1} C_{i-1}` and
+//! `V_{i+1} C_i^T = A^T U_i - V_i B_i^T` keep each basis orthogonal as
+//! long as the other one is, so a plain QR orthogonalizes each block of
+//! the other basis.
 //!
 //! `U` and `V` are held as RandQB_EI holds `Q` and `B^T`: one
 //! column-major buffer each, reserved to the rank cap, a block
@@ -181,6 +186,10 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     // Diagonal blocks B_i (k x k) and superdiagonal blocks C_i.
     let mut b_diag: Vec<DenseMatrix> = Vec::new();
     let mut c_super: Vec<DenseMatrix> = Vec::new();
+    // Only the basis of the shorter side is swept against its earlier
+    // blocks: on a wide input a `U` left to the recurrence repeats
+    // whole blocks once its rank nears `m`.
+    let wide = m < n;
 
     // V_1 = orth(randn(n, k)).
     let mut vk = {
@@ -208,16 +217,15 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
                 break;
             }
         }
-        // U_i R = A V_i - U_{i-1} C_{i-1}^T  (C from the previous step).
+        // U_i B_i = A V_i - U_{i-1} C_{i-1}  (C from the previous step).
         let mut w = timers.time(KernelId::Sketch, || spmm_dense(a, &vk, par));
         if let Some(cl) = c_super.last() {
-            // w -= U_{i-1} C_{i-1}^T  where C couples V_i to U_{i-1}.
             let ul = u.columns(rank - widths[widths.len() - 1]..rank);
-            let ct = cl.transpose();
-            timers.time(KernelId::Sketch, || matmul_sub_assign(&mut w, ul, &ct, par));
+            timers.time(KernelId::Sketch, || matmul_sub_assign(&mut w, ul, cl, par));
         }
+        let u_sweep: &[usize] = if wide { &widths } else { &[] };
         let (mut uk, mut bk) =
-            timers.time(KernelId::Orth, || orth_against(&mut w, &u, &widths, par));
+            timers.time(KernelId::Orth, || orth_against(&mut w, &u, u_sweep, par));
         // The rank cap takes the leading columns of the last block:
         // those of U_i R depend on those of V_i alone, and C_{i-1}
         // keeps the columns that couple U_{i-1} to them.
@@ -257,7 +265,8 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
                 matmul_sub_assign(&mut z, vi, &bt, par)
             });
         }
-        let (vnext, ct) = timers.time(KernelId::Orth, || orth_against(&mut z, &v, &widths, par));
+        let v_sweep: &[usize] = if wide { &[] } else { &widths };
+        let (vnext, ct) = timers.time(KernelId::Orth, || orth_against(&mut z, &v, v_sweep, par));
         c_super.push(ct.transpose()); // C_i couples U_i to V_{i+1}
         vk = vnext;
     }
@@ -292,5 +301,41 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         a_norm_f,
         timers,
         trip,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lra_dense::matmul;
+
+    /// Every block of `U` factors the three-term step: recomputed from
+    /// the returned factors (`C_{i-1}` is `B`'s superdiagonal block),
+    /// `w = A V_i - U_{i-1} C_{i-1}` equals `U_i B_i` and has nothing
+    /// left along `U_{i-1}`. Subtracting `U_{i-1} C_{i-1}^T` instead
+    /// leaves most of `w` there.
+    #[test]
+    fn each_block_of_u_factors_the_three_term_step() {
+        let (n, k, par) = (90, 6, Parallelism::SEQ);
+        let dense = DenseMatrix::from_fn(n, n, |i, j| {
+            let h = (i * 7919 + j * 104_729) % 1009;
+            (h as f64 / 1009.0 - 0.5) * 0.8f64.powi((i + j) as i32 / 2)
+        });
+        let a = CscMatrix::from_dense(&dense);
+        let r = rand_ubv(&a, &UbvOpts::new(k, 1e-3));
+        assert!(r.converged && r.iterations >= 4 && r.rank < n, "{} its", r.iterations);
+        let av = spmm_dense(&a, &r.v, par);
+        let fro = |x: &DenseMatrix| x.fro_norm_sq().sqrt();
+        for i in 1..r.iterations {
+            let (prev, cur) = ((i - 1) * k, i * k);
+            let c = r.b.submatrix(prev, cur, k, k);
+            let mut w = av.submatrix(0, cur, n, k);
+            matmul_sub_assign(&mut w, r.u.columns(prev..cur), &c, par);
+            let ub = matmul(&r.u.submatrix(0, cur, n, k), &r.b.submatrix(cur, cur, k, k), par);
+            let along = fro(&matmul_tn(r.u.columns(prev..cur), &w, par)) / fro(&w);
+            let off = ub.max_abs_diff(&w) / fro(&w);
+            assert!(along <= 1e-12, "block {i}: ||U_(i-1)^T w|| / ||w|| = {along:e}");
+            assert!(off <= 1e-12, "block {i}: ||w - U_i B_i|| / ||w|| = {off:e}");
+        }
     }
 }

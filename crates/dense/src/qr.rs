@@ -80,7 +80,7 @@ impl QrFactor {
     }
 
     /// Number of reflectors, `min(m, n)`.
-    pub fn rank_bound(&self) -> usize {
+    fn rank_bound(&self) -> usize {
         self.tau.len()
     }
 

@@ -107,7 +107,7 @@ pub fn init_from_env() {
 }
 
 /// The `LRA_TRACE` output path, if configured.
-pub fn env_trace_path() -> Option<String> {
+fn env_trace_path() -> Option<String> {
     std::env::var("LRA_TRACE").ok().filter(|s| !s.is_empty())
 }
 
@@ -288,17 +288,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     Json::Arr(items).to_string()
 }
 
-/// Write all recorded events (without draining) as Chrome trace JSON.
-pub fn write_chrome(path: &str) -> std::io::Result<()> {
-    let events = snapshot_events();
-    std::fs::write(path, chrome_trace_json(&events))
-}
-
-/// If `LRA_TRACE` is set, write the trace there and return the path.
+/// If `LRA_TRACE` is set, write all recorded events (without draining)
+/// there as Chrome trace JSON and return the path.
 pub fn flush_to_env_path() -> std::io::Result<Option<String>> {
     match env_trace_path() {
         Some(path) => {
-            write_chrome(&path)?;
+            std::fs::write(&path, chrome_trace_json(&snapshot_events()))?;
             Ok(Some(path))
         }
         None => Ok(None),

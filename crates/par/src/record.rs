@@ -31,7 +31,7 @@ static RECORDING: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<RecState>> = Mutex::new(None);
 
 /// Label for work outside any [`label_scope`].
-pub const UNLABELED: &str = "other";
+const UNLABELED: &str = "other";
 
 struct RecState {
     /// `(label, chunk durations)` per recorded region.
@@ -133,14 +133,11 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Total time spent inside parallel regions.
-    pub fn parallel_work(&self) -> f64 {
-        self.regions.iter().map(|(_, c)| c.iter().sum::<f64>()).sum()
-    }
-
-    /// Serial remainder (never scales).
-    pub fn serial_time(&self) -> f64 {
-        (self.wall - self.parallel_work()).max(0.0)
+    /// Serial remainder (never scales): the wall minus the time spent
+    /// inside parallel regions.
+    fn serial_time(&self) -> f64 {
+        let parallel_work: f64 = self.regions.iter().map(|(_, c)| c.iter().sum::<f64>()).sum();
+        (self.wall - parallel_work).max(0.0)
     }
 
     /// Simulated runtime on `np` workers: serial time plus the sum of
@@ -165,8 +162,8 @@ impl Profile {
     /// makespans. `walls` is the recorded run's `(label, seconds)` per
     /// scope, as `lra_core::KernelTimers::report` gives them. Labels
     /// appear in first-seen order, then the `walls` labels that recorded
-    /// no region; [`UNLABELED`] (and any label without a wall) counts
-    /// all its work as parallel.
+    /// no region; `"other"` (work outside any [`label_scope`]) and any
+    /// label without a wall count all their work as parallel.
     pub fn simulated_by_label(
         &self,
         np: usize,

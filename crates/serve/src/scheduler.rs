@@ -109,12 +109,6 @@ impl ServerConfig {
         self.admission = admission;
         self
     }
-
-    /// Override the cache budget.
-    pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
-        self.cache_capacity_bytes = bytes;
-        self
-    }
 }
 
 /// A live (queued, running, or parked) job's scheduler-side record.
@@ -758,7 +752,8 @@ mod tests {
 
     #[test]
     fn finished_workers_are_not_kept() {
-        let server = Server::new(ServerConfig::default().with_ranks(1).with_cache_capacity(0));
+        let cfg = ServerConfig { cache_capacity_bytes: 0, ..ServerConfig::default() };
+        let server = Server::new(cfg.with_ranks(1));
         let unfinished = || server.inner.lock().workers.iter().any(|w| !w.is_finished());
         for seed in 0..64 {
             // Once earlier workers exit, one handle remains whatever the timing.

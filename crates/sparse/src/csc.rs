@@ -16,7 +16,7 @@ use std::ops::Range;
 /// over identical column contents (a shard's local columns vs the same
 /// global column range of a replicated matrix) fold bitwise-identical
 /// partials.
-pub const DROP_CHUNK_COLS: usize = 64;
+const DROP_CHUNK_COLS: usize = 64;
 
 /// Compressed sparse column matrix of `f64`.
 #[derive(Clone, Debug, PartialEq)]

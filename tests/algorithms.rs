@@ -7,7 +7,7 @@ use lra::core::{
     ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, IlutOpts, LuCrtpOpts, OrderingMode, Parallelism,
     QbError, QbOpts, UbvOpts,
 };
-use lra::dense::matmul_tn;
+use lra::dense::{matmul_tn, DenseMatrix};
 use lra::matgen;
 use lra::sparse::CscMatrix;
 
@@ -336,38 +336,88 @@ fn ilut_with_disabled_thresholding_equals_lu_crtp() {
 
 // ---------- RandUBV ----------
 
+/// 2000 x 700: RandUBV re-orthogonalizes `V`, the shorter side, and
+/// relies on its recurrence for `U`. Its transpose is the wide case.
+fn tall_economic() -> CscMatrix {
+    matgen::with_decay_rank(&matgen::economic(2000, 40, 105), 1e-6, 400, 15).slice_columns(0..700)
+}
+
+/// `||Q^T Q - I||_F`.
+fn gram_error(q: &DenseMatrix) -> f64 {
+    let mut g = matmul_tn(q, q, Parallelism::SEQ);
+    for i in 0..g.cols() {
+        g.set(i, i, g.get(i, i) - 1.0);
+    }
+    g.fro_norm_sq().sqrt()
+}
+
+/// Rows `(label, A, k, tau)` on which RandUBV must converge with
+/// exact error below `tau ||A||_F`, the indicator within 1e-3 of it,
+/// and `||U^T U - I||_F <= 1e-8`: the three-term recurrence alone
+/// keeps the basis of the longer side orthogonal.
 #[test]
 fn ubv_meets_tolerance() {
-    let a = small_fem();
-    for tau in [1e-1, 1e-3] {
-        let r = rand_ubv(&a, &UbvOpts::new(8, tau));
-        assert!(r.converged, "tau={tau}");
+    let tall = tall_economic();
+    let fem = matgen::with_decay(&matgen::fem2d(20, 20, 3), 1e-9, 5);
+    let rows = [
+        ("fem", small_fem(), 8, 1e-1),
+        ("fem", small_fem(), 8, 1e-3),
+        ("tall", tall.clone(), 16, 1e-3),
+        ("wide", tall.transpose(), 16, 1e-3),
+        ("fem 400", fem, 8, 1e-6),
+    ];
+    for (label, a, k, tau) in rows {
+        let r = rand_ubv(&a, &UbvOpts::new(k, tau));
+        assert!(r.converged, "{label} tau={tau}");
         let exact = r.exact_error(&a, Parallelism::SEQ);
-        assert!(exact < 1.05 * tau * r.a_norm_f, "tau={tau}: {exact}");
+        assert!(exact < tau * r.a_norm_f, "{label} tau={tau}: {exact}");
+        assert!(
+            (r.indicator - exact).abs() <= 1e-3 * exact,
+            "{label} tau={tau}: indicator {} vs exact {exact}",
+            r.indicator
+        );
+        let gram = gram_error(&r.u);
+        assert!(gram <= 1e-8, "{label} tau={tau}: ||U^T U - I||_F = {gram:e}");
     }
 }
 
+/// The last row is why the shorter side, not always `V`, keeps its
+/// sweep: 300 x 900 converges at rank 288, and with `V` swept instead
+/// of `U` it returns `||U^T U - I||_F` = 4.0 (blocks of `U` repeat).
 #[test]
 fn ubv_factors_are_orthonormal_and_b_bidiagonal() {
-    let a = small_circuit();
-    let k = 6;
-    let r = rand_ubv(&a, &UbvOpts::new(k, 1e-2));
-    assert!(r.u.orthogonality_error() < 1e-10);
-    assert!(r.v.orthogonality_error() < 1e-10);
-    // B block upper bidiagonal: zero outside diagonal + first
-    // superdiagonal block row.
-    for bj in 0..r.rank / k {
-        for bi in 0..r.rank / k {
-            if bi == bj || bi + 1 == bj {
-                continue;
-            }
-            for i in 0..k {
-                for j in 0..k {
-                    let v = r.b.get(bi * k + i, bj * k + j);
-                    assert!(
-                        v.abs() < 1e-8,
-                        "B block ({bi},{bj}) entry ({i},{j}) = {v}"
-                    );
+    let tall = tall_economic();
+    let wide_300 =
+        matgen::with_decay_rank(&matgen::economic(900, 40, 105), 1e-6, 180, 15).slice_columns(0..300);
+    let rows = [
+        ("circuit", small_circuit(), 6, 1e-2),
+        ("tall", tall.clone(), 16, 1e-3),
+        ("wide", tall.transpose(), 16, 1e-3),
+        ("wide 300", wide_300.transpose(), 8, 1e-5),
+    ];
+    for (label, a, k, tau) in rows {
+        let r = rand_ubv(&a, &UbvOpts::new(k, tau));
+        assert!(r.u.orthogonality_error() < 1e-10, "{label} tau={tau}");
+        assert!(r.v.orthogonality_error() < 1e-10, "{label} tau={tau}");
+        if r.converged {
+            let gram = gram_error(&r.u);
+            assert!(gram <= 1e-8, "{label} tau={tau}: ||U^T U - I||_F = {gram:e}");
+        }
+        // B block upper bidiagonal: zero outside diagonal + first
+        // superdiagonal block row.
+        for bj in 0..r.rank / k {
+            for bi in 0..r.rank / k {
+                if bi == bj || bi + 1 == bj {
+                    continue;
+                }
+                for i in 0..k {
+                    for j in 0..k {
+                        let v = r.b.get(bi * k + i, bj * k + j);
+                        assert!(
+                            v.abs() < 1e-8,
+                            "{label} tau={tau}: B block ({bi},{bj}) entry ({i},{j}) = {v}"
+                        );
+                    }
                 }
             }
         }
