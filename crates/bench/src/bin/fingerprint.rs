@@ -3,7 +3,10 @@
 //! iteration counts, indicator histories, per-iteration `r_diag`).
 //! Dense kernels come first (full operands, which the Householder
 //! sweep handles) and last (the sparse operands its support walk
-//! handles).
+//! handles). An LU_CRTP / ILUT_CRTP line carries two hashes: the
+//! factors (with the pivots, ranks, per-iteration fill and `r_diag`),
+//! then their measurement (the indicators and ILUT's drop record), so a
+//! change that re-rounds only the measurement moves only the second.
 //!
 //! A change that claims to move no bit shows it by running this before
 //! and after and diffing; the committed `results/FINGERPRINT.txt` is the
@@ -70,7 +73,10 @@ impl Fnv {
         self.f64s(a.values());
     }
 
-    fn lu(&mut self, r: &LuCrtpResult) {
+    /// The factors of an LU_CRTP / ILUT_CRTP run: `L`, `U`, the pivots,
+    /// rank, iterations, `converged`, `r11` and each iteration's
+    /// `schur_nnz` and `r_diag`.
+    fn lu_factors(&mut self, r: &LuCrtpResult) {
         self.csc(&r.l);
         self.csc(&r.u);
         self.idx(&r.pivot_rows);
@@ -78,12 +84,19 @@ impl Fnv {
         self.word(r.rank as u64);
         self.word(r.iterations as u64);
         self.word(u64::from(r.converged));
-        self.word(r.indicator.to_bits());
         self.word(r.r11.to_bits());
         for t in &r.trace {
-            self.word(t.indicator.to_bits());
             self.word(t.schur_nnz as u64);
             self.f64s(&t.r_diag);
+        }
+    }
+
+    /// Its measurement: the final and per-iteration indicator, and
+    /// ILUT's `mu`, dropped count and mass, and control flag.
+    fn lu_measurement(&mut self, r: &LuCrtpResult) {
+        self.word(r.indicator.to_bits());
+        for t in &r.trace {
+            self.word(t.indicator.to_bits());
         }
         if let Some(th) = &r.threshold {
             self.word(th.mu.to_bits());
@@ -129,6 +142,33 @@ struct Lines(String);
 impl Lines {
     fn put(&mut self, name: std::fmt::Arguments<'_>, h: Fnv) {
         writeln!(self.0, "{name} {:016x}", h.0).expect("write to a String");
+    }
+
+    /// One LU_CRTP / ILUT_CRTP line: the factor hash, then the
+    /// measurement hash, so a diff shows which of the two moved.
+    fn put_lu(&mut self, name: std::fmt::Arguments<'_>, h: LuFnv) {
+        writeln!(self.0, "{name} {:016x} {:016x}", h.factors.0, h.measurement.0)
+            .expect("write to a String");
+    }
+}
+
+/// The two hashes of an LU_CRTP / ILUT_CRTP line.
+struct LuFnv {
+    factors: Fnv,
+    measurement: Fnv,
+}
+
+impl LuFnv {
+    fn new() -> Self {
+        LuFnv {
+            factors: Fnv::new(),
+            measurement: Fnv::new(),
+        }
+    }
+
+    fn lu(&mut self, r: &LuCrtpResult) {
+        self.factors.lu_factors(r);
+        self.measurement.lu_measurement(r);
     }
 }
 
@@ -253,21 +293,21 @@ fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
                 let lu_opts = LuCrtpOpts::new(k, tau).with_par(par);
                 let mut ilut_opts = IlutOpts::new(k, tau, u_est);
                 ilut_opts.base.par = par;
-                let mut h = Fnv::new();
+                let mut h = LuFnv::new();
                 h.lu(&lu_crtp(a, &lu_opts));
-                out.put(format_args!("lu_crtp {name} tau={tau:e} par={np}"), h);
-                let mut h = Fnv::new();
+                out.put_lu(format_args!("lu_crtp {name} tau={tau:e} par={np}"), h);
+                let mut h = LuFnv::new();
                 h.lu(&ilut_crtp(a, &ilut_opts));
-                out.put(format_args!("ilut_crtp {name} tau={tau:e} par={np}"), h);
+                out.put_lu(format_args!("ilut_crtp {name} tau={tau:e} par={np}"), h);
             }
         }
         let tau = 1e-3;
         let u_est = lu_crtp(a, &LuCrtpOpts::new(k, tau)).iterations;
         for ordering in [OrderingMode::Natural, OrderingMode::EveryIteration] {
             let opts = LuCrtpOpts::new(k, tau).with_ordering(ordering);
-            let mut h = Fnv::new();
+            let mut h = LuFnv::new();
             h.lu(&lu_crtp(a, &opts));
-            out.put(format_args!("lu_crtp {name} ordering={ordering:?}"), h);
+            out.put_lu(format_args!("lu_crtp {name} ordering={ordering:?}"), h);
         }
         let ilut_opts = IlutOpts::new(k, tau, u_est);
         let lu_opts = LuCrtpOpts::new(k, tau);
@@ -277,22 +317,22 @@ fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
         ];
         for np in 1..=3 {
             for (tag, method) in methods {
-                let mut h = Fnv::new();
+                let mut h = LuFnv::new();
                 for engine in [SHARDED, REPLICATED] {
                     h.lu(&on_ranks(np, a, method, engine, None));
                 }
-                out.put(format_args!("{tag}_spmd sharded+replicated {name} np={np}"), h);
+                out.put_lu(format_args!("{tag}_spmd sharded+replicated {name} np={np}"), h);
             }
         }
         // Two ranks, two workers inside each: the parallel kernel path
         // under the SPMD engines.
         let mut inner = ilut_opts.clone();
         inner.base.par = Parallelism::new(2);
-        let mut h = Fnv::new();
+        let mut h = LuFnv::new();
         for engine in [SHARDED, REPLICATED] {
             h.lu(&on_ranks(2, a, Method::from(&inner), engine, None));
         }
-        out.put(format_args!("ilut_crtp_spmd sharded+replicated {name} np=2 par=2"), h);
+        out.put_lu(format_args!("ilut_crtp_spmd sharded+replicated {name} np=2 par=2"), h);
 
         // Stop at an iteration cap with a checkpoint, then resume.
         let capped = Budget::unlimited().with_iteration_cap(2);
@@ -302,18 +342,18 @@ fn lu_solvers(out: &mut Lines, mats: &[(&'static str, CscMatrix)]) {
         for ((tag, method), stopped) in methods.into_iter().zip(stopped) {
             let store = CheckpointStore::in_memory();
             let hooks = RecoveryHooks::new(&store, 1);
-            let mut h = Fnv::new();
+            let mut h = LuFnv::new();
             h.lu(&factorize(a, stopped, Exec::Seq, Some(&hooks)));
             h.lu(&factorize(a, method, Exec::Seq, Some(&hooks)));
-            out.put(format_args!("{tag} checkpoint+resume {name}"), h);
+            out.put_lu(format_args!("{tag} checkpoint+resume {name}"), h);
         }
         let store = CheckpointStore::in_memory();
         let hooks = RecoveryHooks::new(&store, 1);
-        let mut h = Fnv::new();
+        let mut h = LuFnv::new();
         for method in [Method::from(&stopped_ilut), Method::from(&ilut_opts)] {
             h.lu(&on_ranks(2, a, method, SHARDED, Some(&hooks)));
         }
-        out.put(format_args!("ilut_crtp_spmd checkpoint+resume {name} np=2"), h);
+        out.put_lu(format_args!("ilut_crtp_spmd checkpoint+resume {name} np=2"), h);
     }
 }
 
