@@ -73,39 +73,6 @@ impl Fnv {
         self.f64s(a.values());
     }
 
-    /// The factors of an LU_CRTP / ILUT_CRTP run: `L`, `U`, the pivots,
-    /// rank, iterations, `converged`, `r11` and each iteration's
-    /// `schur_nnz` and `r_diag`.
-    fn lu_factors(&mut self, r: &LuCrtpResult) {
-        self.csc(&r.l);
-        self.csc(&r.u);
-        self.idx(&r.pivot_rows);
-        self.idx(&r.pivot_cols);
-        self.word(r.rank as u64);
-        self.word(r.iterations as u64);
-        self.word(u64::from(r.converged));
-        self.word(r.r11.to_bits());
-        for t in &r.trace {
-            self.word(t.schur_nnz as u64);
-            self.f64s(&t.r_diag);
-        }
-    }
-
-    /// Its measurement: the final and per-iteration indicator, and
-    /// ILUT's `mu`, dropped count and mass, and control flag.
-    fn lu_measurement(&mut self, r: &LuCrtpResult) {
-        self.word(r.indicator.to_bits());
-        for t in &r.trace {
-            self.word(t.indicator.to_bits());
-        }
-        if let Some(th) = &r.threshold {
-            self.word(th.mu.to_bits());
-            self.word(th.dropped as u64);
-            self.word(th.dropped_mass_sq.to_bits());
-            self.word(u64::from(th.control_triggered));
-        }
-    }
-
     /// `qr` of `a` on `par`: `R`, its diagonal, thin `Q`, `Q^T rhs` and
     /// `Q Q^T rhs`.
     fn qr(&mut self, a: &DenseMatrix, mut rhs: DenseMatrix, par: Parallelism) {
@@ -146,29 +113,45 @@ impl Lines {
 
     /// One LU_CRTP / ILUT_CRTP line: the factor hash, then the
     /// measurement hash, so a diff shows which of the two moved.
-    fn put_lu(&mut self, name: std::fmt::Arguments<'_>, h: LuFnv) {
-        writeln!(self.0, "{name} {:016x} {:016x}", h.factors.0, h.measurement.0)
-            .expect("write to a String");
+    fn put_lu(&mut self, name: std::fmt::Arguments<'_>, LuFnv(f, m): LuFnv) {
+        writeln!(self.0, "{name} {:016x} {:016x}", f.0, m.0).expect("write to a String");
     }
 }
 
-/// The two hashes of an LU_CRTP / ILUT_CRTP line.
-struct LuFnv {
-    factors: Fnv,
-    measurement: Fnv,
-}
+/// The two hashes of an LU_CRTP / ILUT_CRTP line: the factors (`L`,
+/// `U`, the pivots, rank, iterations, `converged`, `r11`, and each
+/// iteration's `schur_nnz` and `r_diag`), and their measurement (the
+/// final and per-iteration indicator, and ILUT's `mu`, dropped count
+/// and mass, and control flag).
+struct LuFnv(Fnv, Fnv);
 
 impl LuFnv {
     fn new() -> Self {
-        LuFnv {
-            factors: Fnv::new(),
-            measurement: Fnv::new(),
-        }
+        LuFnv(Fnv::new(), Fnv::new())
     }
 
     fn lu(&mut self, r: &LuCrtpResult) {
-        self.factors.lu_factors(r);
-        self.measurement.lu_measurement(r);
+        let LuFnv(f, m) = self;
+        f.csc(&r.l);
+        f.csc(&r.u);
+        f.idx(&r.pivot_rows);
+        f.idx(&r.pivot_cols);
+        f.word(r.rank as u64);
+        f.word(r.iterations as u64);
+        f.word(u64::from(r.converged));
+        f.word(r.r11.to_bits());
+        m.word(r.indicator.to_bits());
+        for t in &r.trace {
+            f.word(t.schur_nnz as u64);
+            f.f64s(&t.r_diag);
+            m.word(t.indicator.to_bits());
+        }
+        if let Some(th) = &r.threshold {
+            m.word(th.mu.to_bits());
+            m.word(th.dropped as u64);
+            m.word(th.dropped_mass_sq.to_bits());
+            m.word(u64::from(th.control_triggered));
+        }
     }
 }
 

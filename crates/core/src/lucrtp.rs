@@ -8,16 +8,18 @@
 //! the threshold control `phi` (eq. 22). The shared-memory engine here
 //! keeps the Schur complement as [`SCHUR_GRAIN`]-column runs and holds
 //! one complement at a time: the update reads `Ā12`/`Ā22` in place and
-//! retires old runs as it writes new ones ([`schur_update_runs`]), and a
-//! kept drop filters the runs in place. Factors are accumulated in
-//! *original* coordinates: `L` holds original row ids and `U` original
-//! column ids, so `A ≈ L U` directly and
-//! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
+//! retires old runs as it writes new ones ([`schur_update_runs`]),
+//! measuring each column as it writes it (no second pass reads the
+//! complement to measure it), and a kept drop filters the runs in
+//! place. Factors are accumulated in *original* coordinates: `L` holds
+//! original row ids and `U` original column ids, so `A ≈ L U` directly
+//! and `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted
+//! factors.
 
 use crate::panel::{
-    drive, fill_reducing_order, FactorCol, PanelEngine, PanelSplit, Partials, Source,
+    drive, fill_reducing_order, fold_columns, FactorCol, PanelEngine, PanelSplit, Partials, Source,
 };
-use crate::timers::{KernelId, KernelTimers};
+use crate::timers::KernelTimers;
 use lra_dense::{DenseMatrix, LuFactor};
 use lra_comm::Ctx;
 use lra_par::{owned_range, parallel_chunks_mut, parallel_map_fold, split_ranges, Parallelism};
@@ -523,7 +525,9 @@ impl<'o> SeqEngine<'o> {
 }
 
 impl PanelEngine for SeqEngine<'_> {
-    type Pending = std::convert::Infallible;
+    /// The whole update is done in the first half; only its partials
+    /// are handed on.
+    type Pending = Partials;
 
     fn dims(&self) -> (usize, usize) {
         (self.s.rows(), self.s.cols())
@@ -559,19 +563,23 @@ impl PanelEngine for SeqEngine<'_> {
         sp: &PanelSplit,
         x_rows: &[usize],
         x: &DenseMatrix,
-    ) -> Option<Self::Pending> {
-        schur_update_runs(&mut self.s, &sp.blocks, x_rows, x, &mut self.ws, self.opts.par);
-        None
+        thr: f64,
+    ) -> Partials {
+        let mut meas = Vec::with_capacity(sp.blocks.rest_cols.len());
+        let (ws, par) = (&mut self.ws, self.opts.par);
+        schur_update_runs(&mut self.s, &sp.blocks, x_rows, x, thr, ws, par, &mut meas);
+        fold_columns(&meas)
     }
 
     fn schur_finish(
         &mut self,
         _: &PanelSplit,
-        pending: Self::Pending,
+        done: Partials,
         _: &[usize],
         _: &DenseMatrix,
-    ) {
-        match pending {}
+        _: f64,
+    ) -> Partials {
+        done
     }
 
     /// Read off the `Ā12` the Schur update routed into the workspace,
@@ -590,14 +598,6 @@ impl PanelEngine for SeqEngine<'_> {
             }
         }
         frags
-    }
-
-    /// One read-only pass gives the squared norm and the drop's mass,
-    /// both summed in storage order.
-    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
-        let (norm_sq, mass, count) =
-            timers.time(KernelId::Indicator, || self.s.norm_sq_and_mass_below(thr));
-        (norm_sq, mass, count as u64, self.s.nnz() as u64)
     }
 
     fn drop_below(&mut self, thr: f64) {
@@ -664,12 +664,13 @@ pub(crate) fn l21(
 /// little once the buffers have grown. Both kernels route rest columns
 /// through the same per-worker scratch. The ranged kernel
 /// ([`schur_update_ranged`], the SPMD engines) keeps one output buffer
-/// per [`SCHUR_GRAIN`]-column chunk of its parallel path. The in-place
-/// kernel over runs ([`schur_update_runs`]) keeps one slot per new run
-/// (the run until it is installed, and its columns of `Ā12`), up to one
-/// retired run buffer per worker, and the assembled `Ā12`.
+/// and its columns' partials per [`SCHUR_GRAIN`]-column chunk of its
+/// parallel path. The in-place kernel over runs ([`schur_update_runs`])
+/// keeps one slot per new run (the run until it is installed, its
+/// columns of `Ā12` and their partials), up to one retired run buffer
+/// per worker, and the assembled `Ā12`.
 pub struct SchurWorkspace {
-    chunks: Vec<ColRun>,
+    chunks: Vec<(ColRun, Vec<Partials>)>,
     slots: Vec<RunSlot>,
     pool: Vec<CscMatrix>,
     scratch: Vec<RouteScratch>,
@@ -677,11 +678,13 @@ pub struct SchurWorkspace {
 }
 
 /// One new run of the in-place Schur update: the run, until the update
-/// installs it, and the `Ā12` columns its chunk routed.
+/// installs it, the `Ā12` columns its chunk routed and the partials of
+/// the columns it wrote.
 #[derive(Default)]
 struct RunSlot {
     out: Option<CscMatrix>,
     a12: ColRun,
+    meas: Vec<Partials>,
 }
 
 /// A worker's scratch in either Schur update: the correction vector and
@@ -695,16 +698,18 @@ struct RouteScratch {
 }
 
 impl RouteScratch {
-    /// Route one rest column of `A^(i)` through `split` and append its
-    /// updated column to `out`; its `Ā12` part stays in `top`.
+    /// Route one rest column of `A^(i)` through `split`, append its
+    /// updated column to `out` and return that column's partials at
+    /// `thr`; its `Ā12` part stays in `top`.
     fn update(
         &mut self,
         split: &BlockSplit,
         col: (&[usize], &[f64]),
         x_rows: &[usize],
         x: &DenseMatrix,
+        thr: f64,
         out: &mut ColRun,
-    ) {
+    ) -> Partials {
         self.rows.clear();
         self.vals.clear();
         split.route_rest(col, &mut self.top, |r, v| {
@@ -712,7 +717,7 @@ impl RouteScratch {
             self.vals.push(v);
         });
         self.corr.resize(x_rows.len(), 0.0);
-        schur_col((&self.rows, &self.vals), &self.top, x_rows, x, &mut self.corr, out);
+        schur_col((&self.rows, &self.vals), &self.top, x_rows, x, &mut self.corr, thr, out)
     }
 }
 
@@ -748,19 +753,21 @@ const RUN_LOCK: &str = "schur run lock";
 /// read through `col` (rest position -> column of `A^(i)`), routed
 /// through `split` as it is read and updated by the one per-column
 /// kernel [`schur_col`]; the new columns are appended to `out`, whose
-/// rows are the trailing ones. The SPMD engines' update: the replicated
-/// oracle reads its own complement, the sharded engine the raw rest
-/// columns the re-shard brought it. `X` is given as its nonzero rows:
-/// `x` is `nr x k`, row `q` = row `x_rows[q]` of `X`.
+/// rows are the trailing ones, and their partials at `thr` to `meas`,
+/// one `(squared norm, squared mass below thr, count below thr,
+/// entries)` per column in column order. The SPMD engines' update: the
+/// replicated oracle reads its own complement, the sharded engine the
+/// raw rest columns the re-shard brought it. `X` is given as its
+/// nonzero rows: `x` is `nr x k`, row `q` = row `x_rows[q]` of `X`.
 ///
 /// Columns are computed independently, so the result is bitwise
 /// identical to one sequential pass over `range` for any worker count
 /// and any cut of `range` into calls — which is what keeps the sharded
 /// and replicated engines bit for bit aligned while both go parallel
 /// within a rank. Sequentially the kernel appends to `out` directly. In
-/// parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the buffer the
-/// workspace keeps for it, and the buffers are appended to `out` in
-/// chunk order.
+/// parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the buffers the
+/// workspace keeps for it, and the buffers are appended to `out` and
+/// `meas` in chunk order.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn schur_update_ranged<'a>(
@@ -769,36 +776,41 @@ pub fn schur_update_ranged<'a>(
     split: &BlockSplit,
     x_rows: &[usize],
     x: &DenseMatrix,
+    thr: f64,
     ws: &mut SchurWorkspace,
     par: Parallelism,
     out: &mut CscMatrix,
+    meas: &mut Vec<Partials>,
 ) {
     let rows = split.rest_rows.len();
     assert_eq!(out.rows(), rows, "the target holds the trailing rows");
     let idle = Mutex::new(std::mem::take(&mut ws.scratch));
-    let cols = |range: Range<usize>, out: &mut ColRun| {
+    let cols = |range: Range<usize>, out: &mut ColRun, meas: &mut Vec<Partials>| {
         let mut scr = idle.lock().expect(RUN_LOCK).pop().unwrap_or_default();
         for j in range {
-            scr.update(split, col(j), x_rows, x, out);
+            meas.push(scr.update(split, col(j), x_rows, x, thr, out));
         }
         idle.lock().expect(RUN_LOCK).push(scr);
     };
     let mut run = ColRun::open(std::mem::replace(out, CscMatrix::zeros(0, 0)));
     let nchunks = range.len().div_ceil(SCHUR_GRAIN);
     if !par.is_parallel() || nchunks <= 1 {
-        cols(range, &mut run);
+        cols(range, &mut run, meas);
     } else {
         if ws.chunks.len() < nchunks {
-            ws.chunks.resize_with(nchunks, ColRun::default);
+            ws.chunks.resize_with(nchunks, Default::default);
         }
         let chunks = &mut ws.chunks[..nchunks];
         parallel_chunks_mut(par, chunks, 1, |c, chunk| {
-            chunk[0].clear();
+            let (out, part) = &mut chunk[0];
+            out.clear();
+            part.clear();
             let lo = range.start + c * SCHUR_GRAIN;
-            cols(lo..(lo + SCHUR_GRAIN).min(range.end), &mut chunk[0]);
+            cols(lo..(lo + SCHUR_GRAIN).min(range.end), out, part);
         });
-        for chunk in chunks.iter() {
-            run.extend(chunk);
+        for (out, part) in chunks.iter() {
+            run.extend(out);
+            meas.extend_from_slice(part);
         }
     }
     ws.scratch = idle.into_inner().expect(RUN_LOCK);
@@ -827,16 +839,20 @@ struct Retirement {
 /// ascending order and a stalled one holds back only the runs it reads
 /// itself, so the update holds one complement plus `O(np)` runs. Every
 /// column is computed exactly as [`schur_update_ranged`] computes it,
-/// for any worker count. The routed `Ā12` is left in `ws.a12` for the
-/// `U` factor.
+/// for any worker count, and its partials at `thr` are appended to
+/// `meas` in column order, as [`schur_update_ranged`] appends them. The
+/// routed `Ā12` is left in `ws.a12` for the `U` factor.
 #[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
 pub fn schur_update_runs(
     s: &mut CscRuns,
     split: &BlockSplit,
     x_rows: &[usize],
     x: &DenseMatrix,
+    thr: f64,
     ws: &mut SchurWorkspace,
     par: Parallelism,
+    meas: &mut Vec<Partials>,
 ) {
     let width = s.width();
     let rows = split.rest_rows.len();
@@ -873,7 +889,7 @@ pub fn schur_update_runs(
         ws.slots.resize_with(nruns, RunSlot::default);
     }
     parallel_chunks_mut(par, &mut ws.slots[..nruns], 1, |c, slot| {
-        let RunSlot { out: installed, a12 } = &mut slot[0];
+        let RunSlot { out: installed, a12, meas } = &mut slot[0];
         let cols = &rest[c * width..((c + 1) * width).min(rest.len())];
         // The old run being read; `cols` ascend, so each is taken once.
         let mut held = (cols[0] / width, old[cols[0] / width].read().expect(RUN_LOCK));
@@ -883,12 +899,13 @@ pub fn schur_update_runs(
         };
         let mut out = buf.map(ColRun::recycled).unwrap_or_default();
         a12.clear();
+        meas.clear();
         for &j in cols {
             if j / width != held.0 {
                 held = (j / width, old[j / width].read().expect(RUN_LOCK));
             }
             let run = held.1.as_ref().expect("an old run read after its retirement");
-            scr.update(split, run.col(j % width), x_rows, x, &mut out);
+            meas.push(scr.update(split, run.col(j % width), x_rows, x, thr, &mut out));
             a12.push_pairs(&scr.top);
         }
         drop(held);
@@ -916,6 +933,7 @@ pub fn schur_update_runs(
     let mut a12 = ColRun::recycled(std::mem::replace(&mut ws.a12, CscMatrix::zeros(0, 0)));
     for slot in slots.iter() {
         a12.extend(&slot.a12);
+        meas.extend_from_slice(&slot.meas);
     }
     ws.a12 = a12.into_csc(k);
 }
@@ -924,6 +942,11 @@ pub fn schur_update_runs(
 /// kernel every engine runs, whatever holds `A^(i)`. The column comes
 /// as the split routes it: its `Ā22` part (trailing rows, ascending)
 /// and its `Ā12` part `top` (`(pivot position, value)`, ascending).
+/// Returns the column's partials as it writes them (Algorithm 3 line
+/// 13 and the drop's mass at `thr`, read off the complement as it is
+/// written rather than in a second pass): its squared norm, the squared
+/// mass and count of its entries below `thr`, and its length, each sum
+/// taken from `0.0` in row order.
 ///
 /// The correction `corr = X Ā12[:, j]` is accumulated as one axpy
 /// `corr += a12[t, j] * X[:, t]` per entry of `top`, in ascending `t` —
@@ -941,15 +964,21 @@ fn schur_col(
     x_rows: &[usize],
     x: &DenseMatrix,
     corr: &mut [f64],
+    thr: f64,
     out: &mut ColRun,
-) {
+) -> Partials {
     let nr = x_rows.len();
     debug_assert_eq!(x.rows(), nr);
     debug_assert_eq!(corr.len(), nr);
+    let tally = |(norm_sq, mass, count, len): Partials, v: f64| {
+        let (sq, below) = (v * v, v.abs() < thr);
+        (norm_sq + sq, if below { mass + sq } else { mass }, count + u64::from(below), len + 1)
+    };
+    let mut m = (0.0, 0.0, 0, 0);
     if top.is_empty() {
         // No correction touches this column: pure copy.
         out.push_col((ai, av));
-        return;
+        return av.iter().fold(m, |m, &v| tally(m, v));
     }
     corr.fill(0.0);
     accumulate_correction(corr, x, top);
@@ -959,23 +988,27 @@ fn schur_col(
     while p < ai.len() || q < nr {
         if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
             out.push_entry(ai[p], av[p]);
+            m = tally(m, av[p]);
             p += 1;
         } else if p >= ai.len() || x_rows[q] < ai[p] {
             let v = -corr[q];
             if v != 0.0 {
                 out.push_entry(x_rows[q], v);
+                m = tally(m, v);
             }
             q += 1;
         } else {
             let v = av[p] - corr[q];
             if v != 0.0 {
                 out.push_entry(ai[p], v);
+                m = tally(m, v);
             }
             p += 1;
             q += 1;
         }
     }
     out.end_col();
+    m
 }
 
 /// `corr += Σ v · x[:, t]` over the `(t, v)` of `top`, each entry's sum

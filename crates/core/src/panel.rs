@@ -16,22 +16,27 @@
 //! runs updated in place (`SeqEngine` in `lucrtp.rs`), the rank-owned
 //! shards (`SpmdPanelCtx` in `spmd.rs`) or the fully replicated oracle
 //! (`ReplicatedEngine`, same file) — its column tournament, Schur
-//! update, `U` fragments, measurement partials, drop and snapshot
-//! pieces. The tournament and the Schur update are the only stages whose
-//! communication depends on storage, so they are the only engine calls
-//! that communicate.
+//! update, `U` fragments, drop and snapshot pieces. The tournament and
+//! the Schur update are the only stages whose communication depends on
+//! storage, so they are the only engine calls that communicate.
+//!
+//! Line 13's measurement is the Schur kernel's: every engine runs the
+//! one per-column kernel, which records each column's [`Partials`] as it
+//! writes the column, folds them in column order over the columns it
+//! owns, and hands them back from its Schur stage; the loop agrees on
+//! them. No engine reads the complement a second time to measure it.
 //!
 //! Memory follows the same split: the loop's [`PanelSplit`] holds only
 //! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification)
 //! and the pivot panel is freed once the split is built; the loop reads
 //! each engine's resident storage after placement and after each Schur
-//! stage and reports the peak; the ILUT drop is measured read-only and
-//! applied in place only when the loop keeps it; a snapshot borrows the
-//! engine's pieces (under SPMD rank 0 holds one copy of the others'
-//! shards) and is written once into its envelope; and when the loop
-//! ends the engine is dropped before rank 0 assembles the factors from
-//! the recorded columns, each of which is freed as it is pushed. Only
-//! rank 0 returns `L` and `U`.
+//! stage and reports the peak; the ILUT drop is measured as the update
+//! writes the complement and applied in place only when the loop keeps
+//! it; a snapshot borrows the engine's pieces (under SPMD rank 0 holds
+//! one copy of the others' shards) and is written once into its
+//! envelope; and when the loop ends the engine is dropped before rank 0
+//! assembles the factors from the recorded columns, each of which is
+//! freed as it is pushed. Only rank 0 returns `L` and `U`.
 
 use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
 use crate::lucrtp::{
@@ -109,8 +114,8 @@ impl PanelSplit {
 /// rank, in the same order; everything else is this rank's local work.
 pub(crate) trait PanelEngine {
     /// A Schur update still in flight between [`Self::schur_begin`] and
-    /// [`Self::schur_finish`] ([`std::convert::Infallible`] for engines
-    /// that do all the work in the first half).
+    /// [`Self::schur_finish`] (its [`Partials`] alone for an engine that
+    /// does all the work in the first half).
     type Pending;
 
     /// Active `(rows, columns)` of the current Schur complement.
@@ -136,25 +141,30 @@ pub(crate) trait PanelEngine {
     fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix);
 
     /// Line 12, first half: start `S = Ā22 - X Ā12`, `x` being the
-    /// `nr x k` nonzero rows of `X`. Whatever is still outstanding
-    /// comes back as `Some` and is completed by [`Self::schur_finish`]
-    /// after the factors are recorded.
+    /// `nr x k` nonzero rows of `X`, measured at the drop threshold
+    /// `thr` (0 when no drop is measured). What comes back is completed
+    /// by [`Self::schur_finish`] after the factors are recorded.
     fn schur_begin(
         &mut self,
         sp: &PanelSplit,
         x_rows: &[usize],
         x: &DenseMatrix,
-    ) -> Option<Self::Pending>;
+        thr: f64,
+    ) -> Self::Pending;
 
     /// Line 12, second half; afterwards the engine holds the next Schur
-    /// complement.
+    /// complement `A^(i+1)`, before any drop. Returns this rank's
+    /// [`Partials`] of it at `thr`: the kernel's per-column partials
+    /// folded in column order over the columns this rank holds or would
+    /// own.
     fn schur_finish(
         &mut self,
         sp: &PanelSplit,
         pending: Self::Pending,
         x_rows: &[usize],
         x: &DenseMatrix,
-    );
+        thr: f64,
+    ) -> Partials;
 
     /// This panel's trailing `U` entries per panel row, as
     /// `(original column, value)` in ascending rest-column order, from
@@ -162,17 +172,8 @@ pub(crate) trait PanelEngine {
     /// them to rank 0 in rank order.
     fn u_fragments(&self, sp: &PanelSplit, col_map: &[usize], k_eff: usize) -> Vec<FactorCol>;
 
-    /// Line 13 and ILUT lines 8–10's measurement, over the Schur storage
-    /// this rank holds or would own: this rank's [`Partials`] of
-    /// `A^(i+1)` before any drop, with what a drop of the entries below
-    /// `thr` would remove (nothing is measured at `thr = 0`). Read-only;
-    /// the loop agrees on the partials. A separate dropped-mass pass is
-    /// timed under [`KernelId::Drop`], the rest under
-    /// [`KernelId::Indicator`].
-    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials;
-
     /// Drop the entries below `thr` in place: the loop calls it only for
-    /// a drop it keeps, at the threshold [`Self::measure`] measured.
+    /// a drop it keeps, at the threshold the Schur stage measured.
     fn drop_below(&mut self, thr: f64);
 
     /// This rank's pieces of the current Schur complement for a
@@ -181,13 +182,26 @@ pub(crate) trait PanelEngine {
     fn schur_pieces(&self) -> Vec<&CscMatrix>;
 }
 
-/// A rank's measurement partials, `(||A^(i+1)||_F^2, dropped mass,
-/// dropped count, nonzeros)`: the indicator's square (eq. 9 / 26), the
-/// squared mass and count of the entries below the threshold (zero when
-/// no drop was measured; the count is also what the drop takes off the
-/// nonzeros), and the stored entries before the drop. Summed
-/// componentwise over the group, they are the whole Schur complement's.
+/// Measurement partials of a column or of a rank's columns,
+/// `(||A^(i+1)||_F^2, dropped mass, dropped count, nonzeros)`: the
+/// indicator's square (eq. 9 / 26), the squared mass and count of the
+/// entries below the threshold (zero when no drop was measured; the
+/// count is also what the drop takes off the nonzeros), and the stored
+/// entries before the drop. A rank's are its columns' folded in column
+/// order by [`fold_columns`]; summed componentwise over the group by
+/// [`add_partials`], they are the whole Schur complement's.
 pub(crate) type Partials = (f64, f64, u64, u64);
+
+/// Componentwise sum of two [`Partials`].
+pub(crate) fn add_partials(x: Partials, y: Partials) -> Partials {
+    (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3)
+}
+
+/// A rank's [`Partials`]: its columns' folded in column order from
+/// zero, each component one left-to-right chain.
+pub(crate) fn fold_columns(cols: &[Partials]) -> Partials {
+    cols.iter().fold((0.0, 0.0, 0, 0), |acc, &c| add_partials(acc, c))
+}
 
 /// `L` and `U` assembled locally from the recorded columns. Each
 /// recorded column is freed as soon as it is pushed, so the recorded
@@ -546,13 +560,28 @@ pub(crate) fn drive<E: PanelEngine>(
         let (x_rows, xt) =
             timers.time(KernelId::LSolve, || l21(comm, &sp.a21, &lu11, &mut tbuf, opts.par));
 
-        // Line 12: Schur complement. An engine with wire to hide posts
-        // its exchange here and completes it after the factors are
-        // recorded; the others finish in this half.
-        // The kernel reads `X` one contiguous column per panel row.
+        // The ILUT drop threshold mu (eq. 24; r11 is known since the
+        // first tournament), fixed before the update so that the Schur
+        // kernel measures the drop as it writes `A^(i+1)`: 0, measuring
+        // no drop, for LU_CRTP, once the control has disabled
+        // thresholding, or when this panel reaches the rank cap. The
+        // drop is measured even when the run converges; the loop
+        // discards it then.
+        let mu = match (ilut, &st.ilut) {
+            (Some(cfg), Some(th)) if st.rank + k_eff < rank_cap => match st.iterations {
+                0 => opts.tau * st.r11 / (cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt()),
+                _ => th.mu,
+            },
+            _ => 0.0,
+        };
+
+        // Line 12: Schur complement, measured as it is written. An
+        // engine with wire to hide posts its exchange here and completes
+        // it after the factors are recorded; the others finish in this
+        // half. The kernel reads `X` one contiguous column per panel row.
         let (x, pending) = timers.time(KernelId::Schur, || {
             let x = xt.transpose();
-            let pending = eng.schur_begin(&sp, &x_rows, &x);
+            let pending = eng.schur_begin(&sp, &x_rows, &x, mu);
             (x, pending)
         });
         peak.note(eng.resident());
@@ -606,35 +635,21 @@ pub(crate) fn drive<E: PanelEngine>(
                 .extend(sel.selected.iter().map(|&c| st.col_map[c]));
         });
 
-        if let Some(p) = pending {
-            timers.time(KernelId::Schur, || eng.schur_finish(&sp, p, &x_rows, &x));
-            peak.note(eng.resident());
-        }
+        let local =
+            timers.time(KernelId::Schur, || eng.schur_finish(&sp, pending, &x_rows, &x, mu));
+        peak.note(eng.resident());
 
         st.rank += k_eff;
         st.iterations += 1;
 
-        // Line 13, error indicator (eq. 9 / 26), evaluated before any
-        // thresholding as Algorithm 3 orders lines 7 and 8, and the
-        // ILUT drop at mu (eq. 24; r11 is known since the first
-        // tournament) measured with it, so one agreement covers both:
-        // an allreduce of the partials, each component folded in the
-        // tree every rank replays, exactly as its own allreduce would.
-        // The drop is measured even when the run has converged; the
-        // loop discards it then.
-        let mu = match (ilut, &st.ilut) {
-            (Some(cfg), Some(th)) if st.rank < rank_cap => match st.iterations {
-                1 => opts.tau * st.r11 / (cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt()),
-                _ => th.mu,
-            },
-            _ => 0.0,
-        };
-        let local = eng.measure(mu, &mut timers);
+        // Line 13, error indicator (eq. 9 / 26), read off `A^(i+1)`
+        // before any thresholding as Algorithm 3 orders lines 7 and 8,
+        // with the drop at mu, so one agreement covers both: an
+        // allreduce of the partials, each component folded in the tree
+        // every rank replays, exactly as its own allreduce would.
         let (norm_sq, mass, count, nnz) = match comm {
             None => local,
-            Some(ctx) => timers.time(KernelId::Indicator, || {
-                ctx.allreduce(local, |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3))
-            }),
+            Some(ctx) => timers.time(KernelId::Indicator, || ctx.allreduce(local, add_partials)),
         };
         st.indicator = norm_sq.sqrt();
         if !st.indicator.is_finite() {

@@ -144,6 +144,9 @@ pub struct QbResult {
     /// `Some` when a [`lra_recover::Budget`] limit (or cancel token)
     /// stopped the loop before its own stop rule fired.
     pub trip: Option<lra_recover::BudgetTrip>,
+    /// Columns of each block, in order: the last one is narrower when
+    /// the rank cap cut it.
+    widths: Vec<usize>,
 }
 
 impl QbResult {
@@ -164,18 +167,17 @@ impl QbResult {
     /// Approximated minimum rank for a (coarser) tolerance, read off the
     /// indicator history of this run at block resolution — the paper's
     /// "with RandQB_EI, the exact rank approximation can also be
-    /// determined at small cost" (the asterisk series of Figs. 2-3).
-    /// Returns `None` if this run never reached `tau`.
+    /// determined at small cost" (the asterisk series of Figs. 2-3): the
+    /// rank after the first block whose indicator is below
+    /// `tau ||A||_F`. Returns `None` if this run never reached `tau`.
     pub fn min_rank_for(&self, tau: f64) -> Option<usize> {
-        let block = if self.iterations > 0 {
-            self.rank.div_ceil(self.iterations)
-        } else {
+        if self.iterations == 0 {
             return if tau >= 1.0 || self.a_norm_f == 0.0 { Some(0) } else { None };
-        };
+        }
         self.indicator_history
             .iter()
             .position(|&e| e < tau * self.a_norm_f)
-            .map(|i| ((i + 1) * block).min(self.rank))
+            .map(|i| self.widths[..=i].iter().sum())
     }
 
     /// Achieved relative tolerance `indicator / ||A||_F` — the
@@ -303,6 +305,7 @@ fn rand_qb_ei_inner(
             a_norm_f,
             timers,
             trip: None,
+            widths: Vec::new(),
         };
     }
     let stop = opts.tau * a_norm_f;
@@ -489,5 +492,6 @@ fn rand_qb_ei_inner(
         a_norm_f,
         timers,
         trip,
+        widths,
     }
 }

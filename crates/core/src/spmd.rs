@@ -29,26 +29,28 @@
 //!   ([`lra_comm::Ctx::post_alltoallv`]): the loop's Schur stage has
 //!   two halves, so sends go out in the first, factor recording (and
 //!   its `gatherv`) runs while the wire drains, and the second half
-//!   Schur-updates each received piece as it arrives. A piece is the
-//!   sender's raw rest columns, which the receiver routes through the
-//!   replicated classification as it updates them. Re-shard part
+//!   Schur-updates each received piece as it arrives, measuring each
+//!   column as it writes it. A piece is the sender's raw rest columns,
+//!   which the receiver routes through the replicated classification as
+//!   it updates them. Re-shard part
 //!   buffers are recycled across panel iterations from a pool, like
 //!   the [`SchurWorkspace`] scratch. Piece-at-a-time updates tile the
 //!   new owned range in ascending column order, and the kernel
 //!   computes each column independently, so the pipeline moves no bits
 //!   against the replicated engine's one pass;
 //! - the measurement partials (squared norm, the ILUT drop's mass and
-//!   count, nonzeros) and the `U` fragments are read off the owned
-//!   shard, and a drop the loop keeps filters the shard in place.
+//!   count, nonzeros) are the kernel's per-column partials of the new
+//!   shard folded in column order, the `U` fragments are read off the
+//!   owned shard, and a drop the loop keeps filters the shard in place.
 //!
 //! **[`ReplicatedEngine`] — every rank holds the whole Schur
 //! complement** (`Exec::SpmdReplicated`). Its column tournament runs on
 //! the whole complement and its Schur update ends in an `allgather`;
 //! everything else it computes over the column range the sharded
-//! engine would own, through the same code ([`partials`],
-//! [`u_fragments_of`], [`owned_run`]), so the two are bit-identical
-//! while differing only in resident storage: it is the reference the
-//! sharded engine is tested against.
+//! engine would own, through the same code ([`schur_update_ranged`],
+//! [`fold_columns`], [`u_fragments_of`], [`owned_run`]), so the two are
+//! bit-identical while differing only in resident storage: it is the
+//! reference the sharded engine is tested against.
 //!
 //! Both hand the Schur kernel its columns the way the shared-memory
 //! engine does: each rest column is routed into its `Ā12`/`Ā22` parts
@@ -76,8 +78,7 @@
 //! and that regrowth page-faults.
 
 use crate::lucrtp::{schur_update_ranged, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace};
-use crate::panel::{drive, FactorCol, PanelEngine, PanelSplit, Partials, Source};
-use crate::timers::{KernelId, KernelTimers};
+use crate::panel::{drive, fold_columns, FactorCol, PanelEngine, PanelSplit, Partials, Source};
 use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix};
 use lra_par::{owned_range, split_ranges, Parallelism};
@@ -202,33 +203,6 @@ pub(crate) fn spmd_panel_tsqr(ctx: &Ctx, panel: &CscMatrix) -> (DenseMatrix, Vec
 /// ones in the column range `cols`: a contiguous run.
 fn owned_run(rest: &[usize], cols: Range<usize>) -> Range<usize> {
     rest.partition_point(|&c| c < cols.start)..rest.partition_point(|&c| c < cols.end)
-}
-
-/// This rank's [`Partials`] over the columns `cols` of `s`: the squared
-/// norm summed column by column, the mass and count below `thr` grouped
-/// as [`CscMatrix::dropped_mass_in_cols_par`] groups them (nothing at
-/// `thr = 0`), and the stored entries.
-fn partials(
-    s: &CscMatrix,
-    cols: Range<usize>,
-    thr: f64,
-    par: Parallelism,
-    timers: &mut KernelTimers,
-) -> Partials {
-    let norm_sq = timers.time(KernelId::Indicator, || {
-        let mut acc = 0.0f64;
-        for j in cols.clone() {
-            acc += s.col(j).1.iter().map(|v| v * v).sum::<f64>();
-        }
-        acc
-    });
-    let (mass, count) = if thr > 0.0 {
-        timers.time(KernelId::Drop, || s.dropped_mass_in_cols_par(thr, cols.clone(), par))
-    } else {
-        (0.0, 0)
-    };
-    let nnz = s.colptr()[cols.end] - s.colptr()[cols.start];
-    (norm_sq, mass, count as u64, nnz as u64)
 }
 
 /// Per panel row `t`, the trailing `U` entries of the rest columns
@@ -386,24 +360,28 @@ impl<'a> SpmdPanelCtx<'a> {
     /// range in ascending column order; the kernel routes and computes
     /// every column independently (same classification on every rank,
     /// same per-column arithmetic, same ascending emission), so splitting
-    /// one pass over the gathered range at piece boundaries moves no bits.
-    /// The installed shard gives back its spare capacity once it is
-    /// [`oversized`].
+    /// one pass over the gathered range at piece boundaries moves no bits,
+    /// nor does folding the pieces' per-column partials in arrival order:
+    /// that is column order. The installed shard gives back its spare
+    /// capacity once it is [`oversized`]. Returns the new shard's
+    /// partials at `thr`.
     fn complete_reshard(
         &mut self,
         sp: &PanelSplit,
         pend: PendingExchange<'a, CscMatrix>,
         x_rows: &[usize],
         x: &DenseMatrix,
-    ) {
+        thr: f64,
+    ) -> Partials {
         let (m_rest, n_rest) = (sp.blocks.rest_rows.len(), sp.blocks.rest_cols.len());
         let my_new = owned_range(&split_ranges(n_rest, self.size), self.rank);
         let retired = std::mem::replace(&mut self.shard, CscMatrix::zeros(0, 0));
         let mut updated = ColRun::recycled(retired).into_csc(m_rest);
+        let mut meas = Vec::with_capacity(my_new.len());
         let (ws, pool, par) = (&mut self.ws, &mut self.part_pool, self.opts.par);
         pend.complete_with(|_src, part: CscMatrix| {
-            let col = |j| part.col(j);
-            schur_update_ranged(col, 0..part.cols(), &sp.blocks, x_rows, x, ws, par, &mut updated);
+            let (col, cols, split) = (|j| part.col(j), 0..part.cols(), &sp.blocks);
+            schur_update_ranged(col, cols, split, x_rows, x, thr, ws, par, &mut updated, &mut meas);
             pool.push(part);
         });
         debug_assert_eq!(updated.cols(), my_new.len());
@@ -413,6 +391,7 @@ impl<'a> SpmdPanelCtx<'a> {
         self.shard = updated;
         self.offset = my_new.start;
         self.n_cur = n_rest;
+        fold_columns(&meas)
     }
 }
 
@@ -441,8 +420,9 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         sp: &PanelSplit,
         _: &[usize],
         _: &DenseMatrix,
-    ) -> Option<Self::Pending> {
-        Some(self.post_reshard(sp))
+        _: f64,
+    ) -> Self::Pending {
+        self.post_reshard(sp)
     }
 
     fn schur_finish(
@@ -451,8 +431,9 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         pending: Self::Pending,
         x_rows: &[usize],
         x: &DenseMatrix,
-    ) {
-        self.complete_reshard(sp, pending, x_rows, x);
+        thr: f64,
+    ) -> Partials {
+        self.complete_reshard(sp, pending, x_rows, x, thr)
     }
 
     /// `(global column, value)` pairs from the owned `Ā12` piece, keyed
@@ -462,13 +443,6 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         let rest = &sp.blocks.rest_cols;
         let owned = &rest[owned_run(rest, self.owned())];
         u_fragments_of(&sp.blocks, owned, |c| self.col(c), col_map, k_eff)
-    }
-
-    /// The owned shard's partials: the mass is
-    /// [`CscMatrix::dropped_mass_in_cols_par`] over all its columns,
-    /// grouped as the oracle groups its range.
-    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
-        partials(&self.shard, 0..self.shard.cols(), thr, self.opts.par, timers)
     }
 
     fn drop_below(&mut self, thr: f64) {
@@ -483,8 +457,8 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
 /// Panel engine over fully replicated storage — the bitwise reference
 /// for [`SpmdPanelCtx`]. Every rank holds the whole Schur complement
 /// and classifies it as `CscMatrix::split_blocks` does; per-rank work
-/// (Schur update, indicator and dropped-mass partials) covers the
-/// column range the sharded engine would own.
+/// (the Schur update and the partials it measures) covers the column
+/// range the sharded engine would own.
 struct ReplicatedEngine<'a> {
     ctx: &'a Ctx,
     s: CscMatrix,
@@ -501,8 +475,8 @@ impl ReplicatedEngine<'_> {
 
 impl PanelEngine for ReplicatedEngine<'_> {
     /// The next complement, installed once the `U` fragments are read
-    /// off this one.
-    type Pending = CscMatrix;
+    /// off this one, and this rank's partials of it.
+    type Pending = (CscMatrix, Partials);
 
     fn dims(&self) -> (usize, usize) {
         (self.s.rows(), self.s.cols())
@@ -525,18 +499,28 @@ impl PanelEngine for ReplicatedEngine<'_> {
         sp: &PanelSplit,
         x_rows: &[usize],
         x: &DenseMatrix,
-    ) -> Option<Self::Pending> {
+        thr: f64,
+    ) -> Self::Pending {
         let (s, rest) = (&self.s, &sp.blocks.rest_cols);
         let my_range = owned_range(&split_ranges(rest.len(), self.ctx.size()), self.ctx.rank());
         let mut partial = CscMatrix::zeros(sp.blocks.rest_rows.len(), 0);
+        let mut meas = Vec::with_capacity(my_range.len());
         let (ws, par) = (&mut self.ws, self.opts.par);
-        let col = |j: usize| s.col(rest[j]);
-        schur_update_ranged(col, my_range, &sp.blocks, x_rows, x, ws, par, &mut partial);
-        Some(gather_csc(&self.ctx.allgather(partial)))
+        let (col, split) = (|j: usize| s.col(rest[j]), &sp.blocks);
+        schur_update_ranged(col, my_range, split, x_rows, x, thr, ws, par, &mut partial, &mut meas);
+        (gather_csc(&self.ctx.allgather(partial)), fold_columns(&meas))
     }
 
-    fn schur_finish(&mut self, _: &PanelSplit, next: CscMatrix, _: &[usize], _: &DenseMatrix) {
+    fn schur_finish(
+        &mut self,
+        _: &PanelSplit,
+        (next, mine): Self::Pending,
+        _: &[usize],
+        _: &DenseMatrix,
+        _: f64,
+    ) -> Partials {
         self.s = next;
+        mine
     }
 
     /// The fragments of the rest columns the sharded engine owns.
@@ -544,12 +528,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
         let rest = &sp.blocks.rest_cols;
         let owned = &rest[owned_run(rest, self.my_cols())];
         u_fragments_of(&sp.blocks, owned, |c| self.s.col(c), col_map, k_eff)
-    }
-
-    /// Partials over the column range the sharded engine owns — the
-    /// same per-column chains and grouping as its shard's.
-    fn measure(&self, thr: f64, timers: &mut KernelTimers) -> Partials {
-        partials(&self.s, self.my_cols(), thr, self.opts.par, timers)
     }
 
     fn drop_below(&mut self, thr: f64) {

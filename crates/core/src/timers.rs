@@ -20,13 +20,17 @@ pub enum KernelId {
     Permute,
     /// Solve `Ā21 Ā11^{-1}` (the `L21` formation).
     LSolve,
-    /// Schur complement update `Ā22 - L21 Ā12`.
+    /// Schur complement update `Ā22 - L21 Ā12`, with the measurement
+    /// its kernel takes of every column it writes (the indicator's
+    /// square and the ILUT drop's mass).
     Schur,
-    /// Threshold dropping (ILUT_CRTP only).
+    /// Threshold dropping (ILUT_CRTP only): the in-place filter of a
+    /// drop the loop keeps.
     Drop,
     /// Factor concatenation / bookkeeping.
     Concat,
-    /// Error indicator evaluation.
+    /// Error indicator agreement: the SPMD group's allreduce of the
+    /// measurement the Schur kernel took (nothing sequentially).
     Indicator,
     /// Randomized sketch `A Ω` (+ correction) — RandQB_EI.
     Sketch,

@@ -4,18 +4,11 @@
 //! relied on by the split/merge kernels of LU_CRTP.
 
 use lra_dense::DenseMatrix;
-use lra_par::{parallel_chunks_mut, parallel_map_fold, Parallelism};
+use lra_par::{parallel_chunks_mut, Parallelism};
 use std::ops::Range;
 
-/// Fixed chunk width (in columns) of the parallel threshold pass
-/// ([`CscMatrix::drop_below_in_place`] / [`CscMatrix::dropped_mass_in_cols_par`]).
-///
-/// The chunk partition depends only on the column-range length and this
-/// constant — never on the worker count — so the floating-point
-/// grouping of the dropped-mass partial is deterministic, and two scans
-/// over identical column contents (a shard's local columns vs the same
-/// global column range of a replicated matrix) fold bitwise-identical
-/// partials.
+/// Fixed chunk width (in columns) of the parallel in-place drop
+/// ([`CscMatrix::drop_below_in_place`]).
 const DROP_CHUNK_COLS: usize = 64;
 
 /// Compressed sparse column matrix of `f64`.
@@ -454,12 +447,10 @@ impl CscMatrix {
     /// the arrays the matrix already owns, so a drop never holds a second
     /// copy. Fixed `DROP_CHUNK_COLS`-wide column chunks each compact
     /// their own stretch of the arrays in parallel, then the kept
-    /// stretches slide down in chunk order. Returns the dropped squared
-    /// mass and count, the mass grouped per chunk and folded in ascending
-    /// chunk order — bitwise [`CscMatrix::dropped_mass_in_cols_par`] over
-    /// all columns, and [`CscMatrix::drop_below`]'s storage-order sum
-    /// when there is one chunk. Capacity is kept.
-    pub fn drop_below_in_place(&mut self, threshold: f64, par: Parallelism) -> (f64, usize) {
+    /// stretches slide down in chunk order. A pure filter: what it drops
+    /// is measured where the entries are written (the LU/ILUT drivers'
+    /// Schur kernel). Capacity is kept.
+    pub fn drop_below_in_place(&mut self, threshold: f64, par: Parallelism) {
         /// One chunk's stretch: its column ends (rewritten to kept
         /// counts, cumulative within the stretch) and its entries.
         struct Stretch<'a> {
@@ -468,8 +459,6 @@ impl CscMatrix {
             rows: &'a mut [usize],
             vals: &'a mut [f64],
             kept: usize,
-            mass: f64,
-            count: usize,
         }
         let mut stretches = Vec::with_capacity(self.cols.div_ceil(DROP_CHUNK_COLS));
         let (mut ends, mut rows, mut vals) =
@@ -487,8 +476,6 @@ impl CscMatrix {
                 rows: r,
                 vals: v,
                 kept: 0,
-                mass: 0.0,
-                count: 0,
             });
             (ends, rows, vals) = (e_rest, r_rest, v_rest);
             start += len;
@@ -499,10 +486,8 @@ impl CscMatrix {
             for end in st.ends.iter_mut() {
                 while p < *end - st.start {
                     let v = st.vals[p];
-                    if v.abs() < threshold {
-                        st.mass += v * v;
-                        st.count += 1;
-                    } else {
+                    let dropped = v.abs() < threshold;
+                    if !dropped {
                         st.rows[w] = st.rows[p];
                         st.vals[w] = v;
                         w += 1;
@@ -513,10 +498,10 @@ impl CscMatrix {
             }
             st.kept = w;
         });
-        let chunks: Vec<(usize, usize, f64, usize)> =
-            stretches.into_iter().map(|st| (st.start, st.kept, st.mass, st.count)).collect();
-        let (mut dropped_sq, mut dropped, mut w) = (0.0, 0usize, 0usize);
-        for (c, &(start, kept, mass, count)) in chunks.iter().enumerate() {
+        let chunks: Vec<(usize, usize)> =
+            stretches.into_iter().map(|st| (st.start, st.kept)).collect();
+        let mut w = 0;
+        for (c, &(start, kept)) in chunks.iter().enumerate() {
             self.rowidx.copy_within(start..start + kept, w);
             self.values.copy_within(start..start + kept, w);
             let cols = c * DROP_CHUNK_COLS + 1..((c + 1) * DROP_CHUNK_COLS).min(self.cols) + 1;
@@ -524,52 +509,9 @@ impl CscMatrix {
                 *e += w;
             }
             w += kept;
-            dropped_sq += mass;
-            dropped += count;
         }
         self.rowidx.truncate(w);
         self.values.truncate(w);
-        (dropped_sq, dropped)
-    }
-
-    /// Dropped squared mass and count of the entries below `threshold`
-    /// in columns `range` only, read without changing anything:
-    /// per-chunk partials over fixed `DROP_CHUNK_COLS`-wide chunks of
-    /// `range`, folded in ascending chunk order — the exact chunk
-    /// partition (relative to `range.start`) and therefore the exact
-    /// floating-point grouping [`CscMatrix::drop_below_in_place`] uses
-    /// over the same columns. This is the per-rank partial both SPMD
-    /// ILUT engines combine over a fixed reduction tree: a block-column
-    /// shard measured over all its columns and the replicated matrix
-    /// measured over the same global range accumulate exactly these
-    /// terms in exactly this order.
-    pub fn dropped_mass_in_cols_par(
-        &self,
-        threshold: f64,
-        range: std::ops::Range<usize>,
-        par: Parallelism,
-    ) -> (f64, usize) {
-        let lo = range.start;
-        parallel_map_fold(
-            par,
-            range.len(),
-            DROP_CHUNK_COLS,
-            (0.0f64, 0usize),
-            |r| {
-                let p0 = self.colptr[lo + r.start];
-                let p1 = self.colptr[lo + r.end];
-                let mut mass = 0.0f64;
-                let mut count = 0usize;
-                for &v in &self.values[p0..p1] {
-                    if v.abs() < threshold {
-                        mass += v * v;
-                        count += 1;
-                    }
-                }
-                (mass, count)
-            },
-            |acc, part| (acc.0 + part.0, acc.1 + part.1),
-        )
     }
 
     /// Split into the four blocks of Algorithm 2, line 8, given the
@@ -984,13 +926,11 @@ mod tests {
 
     #[test]
     fn drop_below_in_place_matches_drop_below() {
-        let (expect, mass_e, count_e) = sample().drop_below(2.5);
+        let (expect, _, _) = sample().drop_below(2.5);
         for np in [1, 2] {
             let mut a = sample();
-            let (mass, count) = a.drop_below_in_place(2.5, Parallelism::new(np));
+            a.drop_below_in_place(2.5, Parallelism::new(np));
             assert_eq!(a, expect);
-            assert_eq!(mass.to_bits(), mass_e.to_bits());
-            assert_eq!(count, count_e);
         }
     }
 

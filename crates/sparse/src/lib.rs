@@ -12,10 +12,11 @@
 //!   `[Ā11 Ā12; Ā21 Ā22]` partitioning and routes a rest column into its
 //!   `Ā12`/`Ā22` parts as a Schur update reads it; `split_blocks`
 //!   materializes all four blocks in one pass, the tests' reference.
-//! - `drop_below` returns the dropped Frobenius mass so ILUT_CRTP can
-//!   maintain its threshold-control sum (eq. 22) exactly; the drivers
-//!   measure that mass read-only and then drop in place
-//!   (`drop_below_in_place`), so a drop never holds a second copy.
+//! - `drop_below` returns the dropped Frobenius mass, the reference for
+//!   the mass ILUT_CRTP's threshold control sums (eq. 22); the drivers
+//!   measure that mass as their Schur kernel writes the complement and
+//!   drop in place (`drop_below_in_place`, a pure filter), so a drop
+//!   never holds a second copy.
 //! - `CscRuns` keeps a matrix as consecutive fixed-width column runs,
 //!   the storage that lets a Schur update retire the old complement run
 //!   by run while it writes the new one.

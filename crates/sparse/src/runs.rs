@@ -135,35 +135,13 @@ impl CscRuns {
         gather_at_rows(idx, rows, |j| self.col(j))
     }
 
-    /// One read-only pass in storage order: the squared Frobenius norm,
-    /// summed as [`CscMatrix::fro_norm_sq`] sums it, and the squared
-    /// mass and count of the entries with `|value| < threshold`, summed
-    /// as [`CscMatrix::drop_below`] sums them — both bitwise what those
-    /// give on [`CscRuns::to_csc`].
-    pub fn norm_sq_and_mass_below(&self, threshold: f64) -> (f64, f64, usize) {
-        // `Sum` for floats folds from -0.0.
-        let (mut norm_sq, mut mass, mut count) = (-0.0f64, 0.0f64, 0usize);
-        for &v in self.runs.iter().flat_map(|r| r.values()) {
-            norm_sq += v * v;
-            if v.abs() < threshold {
-                mass += v * v;
-                count += 1;
-            }
-        }
-        (norm_sq, mass, count)
-    }
-
     /// Drop the entries with `|value| < threshold` in place, the runs
     /// filtered in parallel, each by [`CscMatrix::drop_below_in_place`];
-    /// keeps exactly [`CscMatrix::drop_below`]'s entries. Returns the
-    /// number dropped (the mass is
-    /// [`CscRuns::norm_sq_and_mass_below`]'s to report).
-    pub fn drop_below_in_place(&mut self, threshold: f64, par: Parallelism) -> usize {
-        let before = self.nnz();
+    /// keeps exactly [`CscMatrix::drop_below`]'s entries.
+    pub fn drop_below_in_place(&mut self, threshold: f64, par: Parallelism) {
         parallel_chunks_mut(par, &mut self.runs, 1, |_, run| {
             run[0].drop_below_in_place(threshold, Parallelism::SEQ);
         });
-        before - self.nnz()
     }
 }
 
@@ -199,22 +177,15 @@ mod tests {
         }
         let empty = CscRuns::from_csc(&CscMatrix::zeros(5, 0), 4);
         assert_eq!(empty.to_csc(), CscMatrix::zeros(5, 0));
-        assert_eq!(
-            empty.norm_sq_and_mass_below(1.0).0.to_bits(),
-            (-0.0f64).to_bits()
-        );
     }
 
     #[test]
-    fn measure_and_drop_match_the_matrix() {
+    fn drop_matches_the_matrix() {
         let a = sample();
-        let (kept, mass, count) = a.drop_below(1.0);
+        let (kept, _, _) = a.drop_below(1.0);
         for width in [1, 3, 7] {
             let mut r = CscRuns::from_csc(&a, width);
-            let (norm_sq, m, c) = r.norm_sq_and_mass_below(1.0);
-            assert_eq!(norm_sq.to_bits(), a.fro_norm_sq().to_bits());
-            assert_eq!((m.to_bits(), c), (mass.to_bits(), count));
-            assert_eq!(r.drop_below_in_place(1.0, Parallelism::new(2)), count);
+            r.drop_below_in_place(1.0, Parallelism::new(2));
             assert_eq!(r.to_csc(), kept);
         }
     }

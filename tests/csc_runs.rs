@@ -1,7 +1,7 @@
 //! The run storage of the shared-memory engine's Schur complement
 //! (`CscRuns`) against the `CscMatrix` its runs concatenate to: the
-//! same columns, the same tournament inputs bit for bit, the same
-//! indicator and drop figures, and an exact round trip — on random
+//! same columns, the same tournament inputs bit for bit, the same kept
+//! entries after a drop, and an exact round trip — on random
 //! matrices and on adversarial ones (empty columns and rows, stored
 //! zeros of both signs, one-column runs, runs wider than the matrix,
 //! a ragged last run).
@@ -124,14 +124,11 @@ fn runs_are_the_same_column_source_as_the_matrix() {
 fn runs_measure_and_drop_like_the_matrix() {
     for (name, a) in matrices() {
         for thr in [0.0, 1e-8, 0.5, f64::INFINITY] {
-            let (kept, mass, count) = a.drop_below(thr);
+            let (kept, _, _) = a.drop_below(thr);
             for width in WIDTHS {
                 let what = format!("{name} width {width} thr {thr}");
                 let mut r = CscRuns::from_csc(&a, width);
-                let (norm_sq, m, c) = r.norm_sq_and_mass_below(thr);
-                assert_eq!(norm_sq.to_bits(), a.fro_norm_sq().to_bits(), "{what}: norm");
-                assert_eq!((m.to_bits(), c), (mass.to_bits(), count), "{what}: mass");
-                assert_eq!(r.drop_below_in_place(thr, Parallelism::new(2)), count, "{what}");
+                r.drop_below_in_place(thr, Parallelism::new(2));
                 let got = r.to_csc();
                 assert_eq!(got, kept, "{what}: kept");
                 assert!(bits_eq(got.values(), kept.values()), "{what}: kept bits");

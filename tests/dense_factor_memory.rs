@@ -47,7 +47,7 @@ fn status_bytes(field: &str) -> u64 {
 }
 
 /// `VmHWM` growth over `solve`, and the factor bytes it returned.
-fn measure(solve: impl FnOnce() -> u64) {
+fn print_vmhwm_growth(solve: impl FnOnce() -> u64) {
     let before = status_bytes("VmHWM");
     let factor_bytes = solve();
     let growth = status_bytes("VmHWM").saturating_sub(before);
@@ -61,7 +61,7 @@ fn measure_rand_qb_ei() {
     let opts = QbOpts::new(K, TAU)
         .with_power(1)
         .with_par(Parallelism::new(2));
-    measure(|| {
+    print_vmhwm_growth(|| {
         let r = rand_qb_ei(&a, &opts).unwrap();
         assert!(r.converged);
         8 * (r.q.as_slice().len() + r.b.as_slice().len()) as u64
@@ -74,7 +74,7 @@ fn measure_rand_ubv() {
     let a = input();
     let mut opts = UbvOpts::new(K, TAU);
     opts.par = Parallelism::new(2);
-    measure(|| {
+    print_vmhwm_growth(|| {
         let r = rand_ubv(&a, &opts);
         assert!(r.converged);
         8 * (r.u.as_slice().len() + r.b.as_slice().len() + r.v.as_slice().len()) as u64

@@ -49,7 +49,7 @@ fn ilut_newest(np: Option<usize>) -> (usize, u32) {
 
 #[test]
 fn sequential_ilut_envelope_bytes_are_pinned() {
-    assert_eq!(ilut_newest(None), (31536, 1770981861));
+    assert_eq!(ilut_newest(None), (31536, 4222327336));
 }
 
 #[test]

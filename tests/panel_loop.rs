@@ -23,40 +23,72 @@ fn fill_heavy() -> CscMatrix {
     lra::matgen::with_decay(&lra::matgen::fluid_block(12, 10, 31), 1e-7, 33)
 }
 
+/// The newest snapshot of `method` on `a`, saved after every
+/// iteration, sequentially (`np = 0`) or over `np` sharded ranks.
+fn newest_snapshot(a: &CscMatrix, method: Method<'_>, np: usize) -> LuCrtpCheckpoint<'static> {
+    let store = CheckpointStore::in_memory();
+    let hooks = RecoveryHooks::new(&store, 1);
+    match np {
+        0 => drop(factorize(a, method, Exec::Seq, Some(&hooks))),
+        _ => drop(lra::comm::run_infallible(np, |ctx| {
+            factorize(a, method, Exec::Spmd(ctx), Some(&hooks))
+        })),
+    }
+    store.load().unwrap().expect("a snapshot was taken")
+}
+
 /// `IterTrace::schur_nnz` is the Schur complement as the next
 /// iteration sees it — after the ILUT drop — on every path. The
 /// checkpoint of a non-final iteration holds exactly that matrix, so
 /// it must agree with the last trace entry. (The SPMD loops used to
-/// push the trace before thresholding.)
+/// push the trace before thresholding.) And the traced indicator, which
+/// the Schur kernel measures as it writes `A^(i+1)`, is that matrix's
+/// norm before the drop: `‖S‖_F` for LU_CRTP, and for ILUT_CRTP
+/// `‖S‖²_F` plus the mass the iteration's drop took, read off the
+/// accumulated mass after it and after the iteration before.
 #[test]
 fn ilut_trace_is_post_threshold_on_every_path() {
     let a = fill_heavy();
     // Stop after three iterations so the newest snapshot is a
     // non-final iteration's, taken after its drop.
-    let opts = IlutOpts::new(8, 1e-2, 4).with_budget(Budget::unlimited().with_iteration_cap(3));
-    let check = |path: &str, store: &CheckpointStore| {
-        let ck: LuCrtpCheckpoint = store.load().unwrap().expect("a snapshot was taken");
-        assert_eq!(ck.iterations, 3, "{path}");
-        assert!(ck.ilut.as_ref().unwrap().dropped > 0, "{path}: expected drops");
-        let last = ck.trace.last().unwrap();
-        assert_eq!(last.iteration, 3, "{path}");
-        assert_eq!(ck.schur().nnz(), last.schur_nnz, "{path}: schur_nnz is pre-threshold");
-        assert_eq!(
-            ck.schur().density().to_bits(),
-            last.schur_density.to_bits(),
-            "{path}: schur_density is pre-threshold"
-        );
+    let cap = |iters| Budget::unlimited().with_iteration_cap(iters);
+    let lu = LuCrtpOpts::new(8, 1e-2).with_budget(cap(3));
+    let ilut = |iters| IlutOpts::new(8, 1e-2, 4).with_budget(cap(iters));
+    let (ilut3, ilut2) = (ilut(3), ilut(2));
+    let close = |got: f64, want: f64, what: &str| {
+        assert!((got - want).abs() <= 1e-13 * want, "{what}: {got:e} against {want:e}");
     };
-
-    let store = CheckpointStore::in_memory();
-    factorize(&a, &opts, Exec::Seq, Some(&RecoveryHooks::new(&store, 1)));
-    check("sequential", &store);
-
-    for np in [1usize, 2] {
-        let store = CheckpointStore::in_memory();
-        let hooks = RecoveryHooks::new(&store, 1);
-        lra::comm::run_infallible(np, |ctx| factorize(&a, &opts, Exec::Spmd(ctx), Some(&hooks)));
-        check(&format!("sharded np={np}"), &store);
+    for np in [0usize, 1, 2] {
+        let path = match np {
+            0 => "sequential".to_string(),
+            _ => format!("sharded np={np}"),
+        };
+        for (name, method) in [("lu", Method::from(&lu)), ("ilut", Method::from(&ilut3))] {
+            let what = format!("{name} {path}");
+            let ck = newest_snapshot(&a, method, np);
+            assert_eq!(ck.iterations, 3, "{what}");
+            let last = ck.trace.last().unwrap();
+            assert_eq!(last.iteration, 3, "{what}");
+            let s = ck.schur();
+            assert_eq!(s.nnz(), last.schur_nnz, "{what}: schur_nnz is pre-threshold");
+            assert_eq!(
+                s.density().to_bits(),
+                last.schur_density.to_bits(),
+                "{what}: schur_density is pre-threshold"
+            );
+            match &ck.ilut {
+                None => close(s.fro_norm(), last.indicator, &format!("{what}: indicator")),
+                Some(th) => {
+                    assert!(th.dropped > 0 && !th.control_triggered, "{what}: expected drops");
+                    let before = newest_snapshot(&a, Method::from(&ilut2), np);
+                    assert_eq!(before.iterations, 2, "{what}");
+                    let taken = th.dropped_mass_sq - before.ilut.as_ref().unwrap().dropped_mass_sq;
+                    assert!(taken > 0.0, "{what}: iteration 3 dropped nothing");
+                    let pre_drop = s.fro_norm_sq() + taken;
+                    close(pre_drop, last.indicator * last.indicator, &format!("{what}: indicator"));
+                }
+            }
+        }
     }
 }
 

@@ -688,23 +688,16 @@ proptest! {
 
     #[test]
     fn col_slice_ops_agree_with_full_matrix(a in sparse_mat(20), parts in 1usize..6, thr in 0.0f64..3.0) {
-        // A shard's measurement over all its columns and its in-place
-        // drop (the sharded engine's) are bitwise the full-matrix range
-        // partials (the replicated engine's), and the gathered kept
-        // shards are exactly the full kept matrix.
+        // A shard's in-place drop (the sharded engine's) keeps exactly
+        // the full matrix's entries of its columns (the replicated
+        // engine's): the gathered kept shards are the full kept matrix.
         let ranges = lra::par::split_ranges(a.cols(), parts);
         let par = Parallelism::new(2);
         let (full_kept, _, _) = a.drop_below(thr);
         let mut kept_parts = Vec::new();
         for r in &ranges {
-            let (mass_full, count_full) = a.dropped_mass_in_cols_par(thr, r.clone(), par);
             let mut kept = a.slice_columns(r.clone());
-            let (mass_m, count_m) = kept.dropped_mass_in_cols_par(thr, 0..kept.cols(), par);
-            prop_assert_eq!(mass_m.to_bits(), mass_full.to_bits());
-            prop_assert_eq!(count_m, count_full);
-            let (mass, count) = kept.drop_below_in_place(thr, par);
-            prop_assert_eq!(mass.to_bits(), mass_full.to_bits());
-            prop_assert_eq!(count, count_full);
+            kept.drop_below_in_place(thr, par);
             kept_parts.push(kept);
         }
         let kept_gathered = lra::sparse::gather_csc(&kept_parts);

@@ -61,4 +61,15 @@ fn qb_min_rank_for_matches_tsvd_reference() {
     }
     // A tolerance the run never reached.
     assert_eq!(tight.min_rank_for(1e-9), None);
+
+    // A rank cap that cuts the last block: blocks of 8 + 8 + 4 columns.
+    // The indicator first falls below 0.5 ||A||_F after the first
+    // block, so the rank read off it is that block's 8 columns — not
+    // the 7 an average block width of 20 / 3 gives.
+    let capped = rand_qb_ei(&a, &QbOpts::new(k, 1e-6).with_power(2).with_max_rank(20)).unwrap();
+    assert_eq!((capped.rank, capped.iterations), (20, 3));
+    let first = capped.indicator_history[0] / capped.a_norm_f;
+    assert!(first < 0.5, "the first block reads {first} ||A||_F");
+    assert_eq!(capped.min_rank_for(0.5), Some(k));
+    assert_eq!(capped.min_rank_for(first * 0.999), Some(2 * k));
 }

@@ -7,6 +7,10 @@
 //! accessor (a complement read in place, or the raw rest columns a
 //! re-shard piece carries), `schur_update_runs` in place over a
 //! complement kept as runs (retiring old runs as it writes new ones).
+//! Both measure each column as they write it — its squared norm, the
+//! squared mass and count of its entries below a drop threshold, and its
+//! length — which must equal a recomputation from the column written,
+//! with `drop_below` as the reference for the mass and the count.
 //!
 //! The reference below forms every correction entry as one dot chain
 //! `acc = 0; acc += a12[t, j] * x[q, t]` over the stored entries of the
@@ -127,6 +131,49 @@ impl Case {
         let (_, a12, _, a22, _, _) = self.a.split_blocks(&self.pivot_rows, &self.pivot_cols);
         schur_reference(&a22, &self.x_rows, &self.x, &a12)
     }
+
+    /// Rest columns with an empty `Ā12` part: the kernel's pure copies.
+    fn pure_copies(&self) -> usize {
+        let (_, a12, _, _, _, _) = self.a.split_blocks(&self.pivot_rows, &self.pivot_cols);
+        (0..a12.cols()).filter(|&j| a12.col_nnz(j) == 0).count()
+    }
+}
+
+/// A drop threshold that drops about half the entries of `s`: the
+/// median magnitude.
+fn half_mu(s: &CscMatrix) -> f64 {
+    let mut mags: Vec<f64> = s.values().iter().map(|v| v.abs()).collect();
+    mags.sort_unstable_by(f64::total_cmp);
+    mags.get(mags.len() / 2).copied().unwrap_or(1.0)
+}
+
+/// One column's partials as the kernels record them: `(squared norm,
+/// squared mass below thr, count below thr, entries)`.
+type Partials = (f64, f64, u64, u64);
+
+/// Each column's partials recomputed from the column: the squared norm
+/// summed from `0.0` in row order, the mass and count `drop_below`
+/// gives for the column alone, and the column's length.
+fn recomputed_partials(s: &CscMatrix, thr: f64) -> Vec<Partials> {
+    (0..s.cols())
+        .map(|j| {
+            let col = s.slice_columns(j..j + 1);
+            let norm_sq = col.values().iter().fold(0.0, |acc: f64, v| acc + v * v);
+            let (_, mass, count) = col.drop_below(thr);
+            (norm_sq, mass, count as u64, col.nnz() as u64)
+        })
+        .collect()
+}
+
+/// The kernel's per-column partials, bit for bit those recomputed from
+/// the columns it wrote (`want`, from [`recomputed_partials`]).
+fn assert_partials(meas: &[Partials], want: &[Partials], what: &str) {
+    assert_eq!(meas.len(), want.len(), "{what}: one partial per column");
+    for (j, (got, want)) in meas.iter().zip(want).enumerate() {
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: column {j} norm");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: column {j} mass");
+        assert_eq!((got.2, got.3), (want.2, want.3), "{what}: column {j} count, length");
+    }
 }
 
 /// An `A^(i)` with `m` trailing rows, `n` rest columns and `k` pivots.
@@ -191,6 +238,7 @@ fn cuts(rng: &mut SplitMix64, n: usize, pieces: usize) -> Vec<usize> {
 #[test]
 fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
     let mut rng = SplitMix64(0x5C4);
+    let mut copies = 0;
     // Column counts on both sides of one and of several chunks.
     let g = SCHUR_GRAIN;
     let shapes = [
@@ -203,30 +251,56 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
         (90, 3 * g + 1, 32),
     ];
     for &(m, n, k) in &shapes {
-        for &(nr_of_16, a12_fill) in &[(0, 6), (3, 2), (9, 6), (16, 16)] {
+        // `a12_fill` 0: every column is a pure copy.
+        for &(nr_of_16, a12_fill) in &[(0, 6), (3, 2), (9, 6), (16, 16), (9, 0)] {
             let c = case(&mut rng, m, n, k, nr_of_16, a12_fill);
             let want = c.want();
+            copies += c.pure_copies();
             let rest = &c.split.rest_cols;
-            for np in 1..=3 {
-                let par = Parallelism::new(np);
-                let mut ws = SchurWorkspace::new();
+            for thr in [0.0, half_mu(&want)] {
+                // Recomputed from the output, which must equal `want`.
+                let want_meas = recomputed_partials(&want, thr);
                 // The sharded engine's input: re-shard pieces of raw rest
                 // columns, each updated as it arrives and appended (the
-                // next test reads a complement in place).
-                let at = cuts(&mut rng, n, 4);
-                let mut got = CscMatrix::zeros(m, 0);
-                for piece in at.windows(2) {
-                    let part = c.a.select_columns(&rest[piece[0]..piece[1]]);
-                    let col = |j| part.col(j);
-                    let all = 0..part.cols();
-                    schur_update_ranged(col, all, &c.split, &c.x_rows, &c.x, &mut ws, par, &mut got);
+                // next test reads a complement in place). Every cut into
+                // two pieces, the worker counts taking turns, then a
+                // random cut into up to four pieces at every count.
+                let mut runs: Vec<(usize, Vec<usize>)> =
+                    (0..=n).map(|h| (1 + h % 4, vec![0, h, n])).collect();
+                runs.extend((1..=4).map(|np| (np, cuts(&mut rng, n, 4))));
+                for (np, at) in runs {
+                    let par = Parallelism::new(np);
+                    let mut ws = SchurWorkspace::new();
+                    let mut got = CscMatrix::zeros(m, 0);
+                    let mut meas = Vec::new();
+                    for piece in at.windows(2) {
+                        let part = c.a.select_columns(&rest[piece[0]..piece[1]]);
+                        let col = |j| part.col(j);
+                        schur_update_ranged(
+                            col,
+                            0..part.cols(),
+                            &c.split,
+                            &c.x_rows,
+                            &c.x,
+                            thr,
+                            &mut ws,
+                            par,
+                            &mut got,
+                            &mut meas,
+                        );
+                    }
+                    let nr = c.x_rows.len();
+                    let what = format!(
+                        "{m}x{n} k={k} nr={nr} np={np} thr={thr} pivots {:?} pieces {at:?}",
+                        c.pivot_cols
+                    );
+                    assert_bitwise(&got, &want, &what);
+                    assert_partials(&meas, &want_meas, &what);
                 }
-                let nr = c.x_rows.len();
-                let what = format!("{m}x{n} k={k} nr={nr} np={np} pivots {:?} pieces {at:?}", c.pivot_cols);
-                assert_bitwise(&got, &want, &what);
             }
         }
     }
+    assert!(copies > 0, "no pure-copy column was covered");
 }
 
 #[test]
@@ -254,11 +328,14 @@ fn a_reused_workspace_and_target_never_leak_an_earlier_call() {
             s = CscMatrix::from_parts(m, 0, colptr, rowidx, values);
             let h = cuts(&mut rng, n, 2)[1];
             let col = |j: usize| c.a.col(rest[j]);
+            let mut meas = Vec::new();
             for range in [0..h, h..n] {
-                schur_update_ranged(col, range, &c.split, &c.x_rows, &c.x, &mut ws, par, &mut s);
+                let (split, xr, x) = (&c.split, &c.x_rows, &c.x);
+                schur_update_ranged(col, range, split, xr, x, 0.0, &mut ws, par, &mut s, &mut meas);
             }
             let what = format!("{m}x{n} k={k} np={np} cut {h} on a reused workspace");
             assert_bitwise(&s, &want, &what);
+            assert_partials(&meas, &recomputed_partials(&s, 0.0), &what);
         }
     }
 }
@@ -290,17 +367,27 @@ fn in_place_update_over_runs_matches_split_then_update() {
         (12, 12, 12),
         (50, 2 * g, 3),
     ];
-    for np in 1..=3 {
+    for np in 1..=4 {
         let par = Parallelism::new(np);
         let mut rng = SplitMix64(0x2A0 + np as u64);
         let mut ws = SchurWorkspace::new();
         for &(m, n, k) in &shapes {
-            let c = case(&mut rng, m - k, n - k, k, 11, 6);
-            let mut runs = CscRuns::from_csc(&c.a, g);
-            schur_update_runs(&mut runs, &c.split, &c.x_rows, &c.x, &mut ws, par);
-            assert_eq!(runs.width(), g);
-            let what = format!("{m}x{n} k={k} np={np} pivots {:?}", c.pivot_cols);
-            assert_bitwise(&runs.to_csc(), &c.want(), &what);
+            // About one case in three routes no `Ā12` entry: all pure
+            // copies.
+            let a12_fill = [6, 2, 0][rng.below(3)];
+            let c = case(&mut rng, m - k, n - k, k, 11, a12_fill);
+            let want = c.want();
+            for thr in [0.0, half_mu(&want)] {
+                let mut runs = CscRuns::from_csc(&c.a, g);
+                let mut meas = Vec::new();
+                let (split, xr, x) = (&c.split, &c.x_rows, &c.x);
+                schur_update_runs(&mut runs, split, xr, x, thr, &mut ws, par, &mut meas);
+                assert_eq!(runs.width(), g);
+                let what = format!("{m}x{n} k={k} np={np} thr={thr} pivots {:?}", c.pivot_cols);
+                let got = runs.to_csc();
+                assert_bitwise(&got, &want, &what);
+                assert_partials(&meas, &recomputed_partials(&got, thr), &what);
+            }
         }
     }
 }
