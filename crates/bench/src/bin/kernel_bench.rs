@@ -42,8 +42,9 @@
 //! 4. **Lane-panel `qr`** of the dense [`PANEL_M`]` x `[`PANEL_N`] leaf
 //!    must beat the one-column reference (`qr_reference`: each column
 //!    through the one-column formula, one reflector at a time) by at
-//!    least [`QR_MIN_SPEEDUP`]x (interleaved best-of-[`QR_REPS`],
-//!    sequential, after checking `R` and `Q` bit for bit against it).
+//!    least [`QR_MIN_SPEEDUP`]x (interleaved best-of-[`QR_REPS`] in
+//!    each of [`QR_ROUNDS`] rounds [`SAMPLE_GAP`] apart, sequential,
+//!    after checking `R` and `Q` bit for bit against it).
 //!    Each sample is timed in the CPU time of the calling thread, so a
 //!    sample the host preempts is not read as a slow kernel.
 //!    Four columns to a vector lane is what clears it: the column-major
@@ -101,8 +102,14 @@ const GEMM_PAR2_MIN: f64 = 1.2;
 /// Minimum `t(np=1) / t(np=2)` for `rand_qb_ei` p=1: a second worker
 /// must at least pay for its regions (measured ~1.3x on two cores).
 const QB_PAR2_MIN: f64 = 1.0;
-/// Best-of repetitions per side of the QB pair.
-const QB_REPS: usize = 3;
+/// Rounds of the np=2 pairs, [`SAMPLE_GAP`] apart, one QB solve per
+/// side and round: the best of each side is taken over several seconds
+/// rather than the ~0.2 s three back-to-back rounds took. The solve's
+/// time is bimodal on a shared host (one mode ~40 % slower), and three
+/// samples a side left the np=2 side in its slow mode often enough to
+/// read 0.92x; a phase in which another tenant loads the second core
+/// now has to outlast the whole window to decide the ratio.
+const QB_REPS: usize = 16;
 /// Block size for the QB pair (the benchmark's `k`).
 const QB_K: usize = 32;
 /// Rows of the tall-skinny pair (the benchmark's `qb_dense` height).
@@ -134,9 +141,16 @@ const PANEL_PER_COL: usize = 8;
 /// Minimum `qr` speedup over `qr_reference` on the dense panel
 /// (measured 2.6-3.3x; the column-major sweep before the lanes ~1.9x).
 const QR_MIN_SPEEDUP: f64 = 2.3;
-/// Interleaved samples per side of the `qr` gate (a few hundred
-/// microseconds each).
-const QR_REPS: usize = 50;
+/// Interleaved samples per side and round of the `qr` gate (a few
+/// hundred microseconds each).
+const QR_REPS: usize = 10;
+/// Rounds of the `qr` gate, [`SAMPLE_GAP`] apart: the best of each side
+/// is taken over about two seconds instead of the ~40 ms fifty
+/// back-to-back pairs took, which a busy co-runner on the other vCPU
+/// could cover whole (it slows `qr` 1.43x and `qr_reference` 1.21x).
+const QR_ROUNDS: usize = 20;
+/// Pause between the rounds of a gate that spreads its samples.
+const SAMPLE_GAP: std::time::Duration = std::time::Duration::from_millis(100);
 /// Gauges a kernel report must carry for `--validate` to accept it.
 const REQUIRED_GAUGES: [&str; 10] = [
     "kernel.gemm_ts_s",
@@ -392,9 +406,14 @@ fn qr_gate(reg: &MetricsRegistry) -> bool {
         return false;
     }
     let (mut qr_s, mut ref_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..QR_REPS {
-        qr_s = qr_s.min(thread_cpu_timed(|| qr(&a, seq)));
-        ref_s = ref_s.min(thread_cpu_timed(|| qr_reference(&a)));
+    for round in 0..QR_ROUNDS {
+        if round > 0 {
+            std::thread::sleep(SAMPLE_GAP);
+        }
+        for _ in 0..QR_REPS {
+            qr_s = qr_s.min(thread_cpu_timed(|| qr(&a, seq)));
+            ref_s = ref_s.min(thread_cpu_timed(|| qr_reference(&a)));
+        }
     }
     let speedup = ref_s / qr_s.max(1e-12);
     reg.set_gauge("kernel.qr_reference_s", ref_s);
@@ -550,7 +569,10 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     let (mut par2, mut par2_one_core) = ([f64::INFINITY; 4], [f64::INFINITY; 4]);
     let (mut round_ratios, mut one_core_ratios): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     let mut two_core_rounds = 0usize;
-    for _ in 0..QB_REPS {
+    for round in 0..QB_REPS {
+        if round > 0 {
+            std::thread::sleep(SAMPLE_GAP);
+        }
         for _ in 0..=ONE_CORE_REPEATS {
             let Some(round_seq) = side(Parallelism::SEQ) else {
                 eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");

@@ -7,8 +7,9 @@ use crate::{fmt_s, timed, BenchConfig};
 use lra_core::{
     factorize_ranks, ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, CheckpointStore, CommStats,
     IlutOpts, IterTrace, KernelTimers, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, OrderingMode,
-    Parallelism, QbOpts, RecoveryHooks, RunConfig, ThresholdReport, UbvOpts,
+    Parallelism, QbOpts, QbResult, RecoveryHooks, RunConfig, ThresholdReport, UbvOpts,
 };
+use lra_dense::DenseMatrix;
 use lra_matgen::TestMatrix;
 use lra_obs::{BenchEntry, KernelTime};
 use lra_par::{record, Profile};
@@ -67,6 +68,9 @@ pub struct Run {
     pub exact: f64,
     /// Indicator after each iteration (randomized methods).
     pub indicator_history: Vec<f64>,
+    /// A RandQB_EI run's result with its factors emptied, for
+    /// [`QbResult::min_rank_for`].
+    pub qb: Option<QbResult>,
     /// `nnz(L) + nnz(U)`, the threshold report and per-iteration Schur
     /// fill (deterministic methods).
     pub factor_nnz: usize,
@@ -259,9 +263,10 @@ fn execute(tm: &TestMatrix, key: &RunKey, u: usize, par: Parallelism) -> Run {
             let mut o = QbOpts::new(k, tau).with_power(p).with_par(run_par);
             o.max_rank = key.max_rank;
             let (r, wall, profile) = measured(rec, || rand_qb_ei(a, &o));
-            let r = r.expect("every view's tolerance is above the indicator floor");
+            let mut r = r.expect("every view's tolerance is above the indicator floor");
             let base = summary!(r, wall, r.exact_error(a, par));
-            Run { profile, indicator_history: r.indicator_history, ..base }
+            (r.q, r.b) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
+            Run { profile, indicator_history: r.indicator_history.clone(), qb: Some(r), ..base }
         }
         Algo::Lu(ordering) => {
             let o = lu_opts.with_ordering(ordering);

@@ -250,8 +250,9 @@ fn fig1_right(sw: &mut Sweep, cfg: &BenchConfig) -> String {
 
 /// Runtime vs. approximation quality — the engine of Figs. 2 and 3.
 /// Per tolerance: the exact minimum rank (TSVD, with `--tsvd`), the
-/// approximated minimum rank (read off the tightest RandQB_EI p=2
-/// run's indicator history, the paper's asterisk series), and
+/// approximated minimum rank (read off the tightest RandQB_EI p=2 run
+/// at column resolution by `QbResult::min_rank_for`, the paper's
+/// asterisk series), and
 /// runtime/rank of RandQB_EI p ∈ {1,2}, LU_CRTP and ILUT_CRTP.
 fn accuracy_vs_cost(
     sw: &mut Sweep,
@@ -286,8 +287,8 @@ fn accuracy_vs_cost(
             let dash = || "-".to_string();
             let min_rank =
                 sv.as_ref().map_or_else(dash, |s| min_rank_for_tolerance(s, tau).to_string());
-            let reached = tight.indicator_history.iter().position(|&e| e < tau * tight.a_norm_f);
-            let approx = reached.map_or_else(dash, |i| ((i + 1) * k).to_string());
+            let reached = tight.qb.as_ref().and_then(|r| r.min_rank_for(tau));
+            let approx = reached.map_or_else(dash, |l| l.to_string());
             let mut row = format!("{tau:>8.0e} | {min_rank:>8} {approx:>9} |");
             for algo in [Algo::Qb(1), Algo::Qb(2), LU, Algo::Ilut] {
                 let r = sw.run(&tm, algo, k, tau);

@@ -17,7 +17,8 @@
 //! factors.
 
 use crate::panel::{
-    drive, fill_reducing_order, fold_columns, FactorCol, PanelEngine, PanelSplit, Partials, Source,
+    block_sums, drive, fill_reducing_order, fold_columns, BlockSums, FactorCol, PanelEngine,
+    PanelSplit, Partials, Source,
 };
 use crate::timers::KernelTimers;
 use lra_dense::{DenseMatrix, LuFactor};
@@ -326,6 +327,14 @@ impl MemStats {
         self.peak_rank_bytes = self.peak_rank_bytes.max(bytes);
         self.peak_rank_nnz = self.peak_rank_nnz.max(nnz);
     }
+
+    /// The larger of two ranks' peaks, componentwise.
+    pub(crate) fn max(self, other: MemStats) -> MemStats {
+        MemStats {
+            peak_rank_bytes: self.peak_rank_bytes.max(other.peak_rank_bytes),
+            peak_rank_nnz: self.peak_rank_nnz.max(other.peak_rank_nnz),
+        }
+    }
 }
 
 /// One iteration of the factorization trace.
@@ -363,15 +372,23 @@ pub struct LuCrtpResult {
     /// Original column ids selected as pivots (the first `K` columns of
     /// `P_c`).
     pub pivot_cols: Vec<usize>,
-    /// Achieved rank `K`.
+    /// Achieved rank `K`. A converged run whose whole last block is
+    /// certified returns the smallest prefix of that block whose
+    /// residual is certified below `tau ||A||_F` (see
+    /// [`LuCrtpResult::indicator`]), so `K` need not be a multiple of
+    /// the block size.
     pub rank: usize,
-    /// Number of block iterations.
+    /// Number of block iterations, the last one counted whole.
     pub iterations: usize,
     /// Whether the tolerance was met.
     pub converged: bool,
     /// Early-stop cause, if any.
     pub breakdown: Option<Breakdown>,
-    /// Final error indicator.
+    /// Final error indicator: `||A^(K+1)||_F` of the last block, or,
+    /// when the run returned a prefix `l` of it, `p_l = ||A^(K+1) +
+    /// Σ_{t>=l} L_t U_t^T||_F` — for LU_CRTP the residual `||A - L
+    /// U||_F` of the returned factors, for ILUT_CRTP that residual less
+    /// the dropped entries. The trace keeps every block's own indicator.
     pub indicator: f64,
     /// `||A||_F` of the input.
     pub a_norm_f: f64,
@@ -608,6 +625,10 @@ impl PanelEngine for SeqEngine<'_> {
     fn schur_pieces(&self) -> Vec<&CscMatrix> {
         self.s.runs().iter().collect()
     }
+
+    fn block_sums(&self, xq: &[usize], xt: &DenseMatrix) -> BlockSums {
+        block_sums(|j| self.s.col(j), &self.ws.a12, xq, xt, self.opts.par)
+    }
 }
 
 /// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21` (Section
@@ -663,14 +684,14 @@ pub(crate) fn l21(
 /// and threaded through every iteration so the inner loops allocate
 /// little once the buffers have grown. Both kernels route rest columns
 /// through the same per-worker scratch. The ranged kernel
-/// ([`schur_update_ranged`], the SPMD engines) keeps one output buffer
-/// and its columns' partials per [`SCHUR_GRAIN`]-column chunk of its
-/// parallel path. The in-place kernel over runs ([`schur_update_runs`])
-/// keeps one slot per new run (the run until it is installed, its
-/// columns of `Ā12` and their partials), up to one retired run buffer
-/// per worker, and the assembled `Ā12`.
+/// ([`schur_update_ranged`], the SPMD engines) keeps one output buffer,
+/// its columns of `Ā12` and their partials per [`SCHUR_GRAIN`]-column
+/// chunk of its parallel path. The in-place kernel over runs
+/// ([`schur_update_runs`]) keeps one slot per new run (the run until it
+/// is installed, its columns of `Ā12` and their partials), up to one
+/// retired run buffer per worker, and the assembled `Ā12`.
 pub struct SchurWorkspace {
-    chunks: Vec<(ColRun, Vec<Partials>)>,
+    chunks: Vec<(ColRun, ColRun, Vec<Partials>)>,
     slots: Vec<RunSlot>,
     pool: Vec<CscMatrix>,
     scratch: Vec<RouteScratch>,
@@ -753,9 +774,10 @@ const RUN_LOCK: &str = "schur run lock";
 /// read through `col` (rest position -> column of `A^(i)`), routed
 /// through `split` as it is read and updated by the one per-column
 /// kernel [`schur_col`]; the new columns are appended to `out`, whose
-/// rows are the trailing ones, and their partials at `thr` to `meas`,
-/// one `(squared norm, squared mass below thr, count below thr,
-/// entries)` per column in column order. The SPMD engines' update: the
+/// rows are the trailing ones, their `Ā12` parts (`(pivot position,
+/// value)`) to `a12`, and their partials at `thr` to `meas`, one
+/// `(squared norm, squared mass below thr, count below thr, entries)`
+/// per column in column order. The SPMD engines' update: the
 /// replicated oracle reads its own complement, the sharded engine the
 /// raw rest columns the re-shard brought it. `X` is given as its
 /// nonzero rows: `x` is `nr x k`, row `q` = row `x_rows[q]` of `X`.
@@ -766,8 +788,8 @@ const RUN_LOCK: &str = "schur run lock";
 /// and replicated engines bit for bit aligned while both go parallel
 /// within a rank. Sequentially the kernel appends to `out` directly. In
 /// parallel each fixed [`SCHUR_GRAIN`]-wide chunk fills the buffers the
-/// workspace keeps for it, and the buffers are appended to `out` and
-/// `meas` in chunk order.
+/// workspace keeps for it, and the buffers are appended to `out`, `a12`
+/// and `meas` in chunk order.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn schur_update_ranged<'a>(
@@ -780,36 +802,40 @@ pub fn schur_update_ranged<'a>(
     ws: &mut SchurWorkspace,
     par: Parallelism,
     out: &mut CscMatrix,
+    a12: &mut ColRun,
     meas: &mut Vec<Partials>,
 ) {
     let rows = split.rest_rows.len();
     assert_eq!(out.rows(), rows, "the target holds the trailing rows");
     let idle = Mutex::new(std::mem::take(&mut ws.scratch));
-    let cols = |range: Range<usize>, out: &mut ColRun, meas: &mut Vec<Partials>| {
+    let cols = |range: Range<usize>, out: &mut ColRun, a12: &mut ColRun, meas: &mut Vec<Partials>| {
         let mut scr = idle.lock().expect(RUN_LOCK).pop().unwrap_or_default();
         for j in range {
             meas.push(scr.update(split, col(j), x_rows, x, thr, out));
+            a12.push_pairs(&scr.top);
         }
         idle.lock().expect(RUN_LOCK).push(scr);
     };
     let mut run = ColRun::open(std::mem::replace(out, CscMatrix::zeros(0, 0)));
     let nchunks = range.len().div_ceil(SCHUR_GRAIN);
     if !par.is_parallel() || nchunks <= 1 {
-        cols(range, &mut run, meas);
+        cols(range, &mut run, a12, meas);
     } else {
         if ws.chunks.len() < nchunks {
             ws.chunks.resize_with(nchunks, Default::default);
         }
         let chunks = &mut ws.chunks[..nchunks];
         parallel_chunks_mut(par, chunks, 1, |c, chunk| {
-            let (out, part) = &mut chunk[0];
+            let (out, top, part) = &mut chunk[0];
             out.clear();
+            top.clear();
             part.clear();
             let lo = range.start + c * SCHUR_GRAIN;
-            cols(lo..(lo + SCHUR_GRAIN).min(range.end), out, part);
+            cols(lo..(lo + SCHUR_GRAIN).min(range.end), out, top, part);
         });
-        for (out, part) in chunks.iter() {
+        for (out, top, part) in chunks.iter() {
             run.extend(out);
+            a12.extend(top);
             meas.extend_from_slice(part);
         }
     }
@@ -1015,7 +1041,7 @@ fn schur_col(
 /// taken in the order of `top`. Four columns of `x` go through `corr`
 /// per pass — the same left-to-right chain per entry as one column at a
 /// time, with a quarter of the loads and stores of `corr`.
-fn accumulate_correction(corr: &mut [f64], x: &DenseMatrix, top: &[(usize, f64)]) {
+pub(crate) fn accumulate_correction(corr: &mut [f64], x: &DenseMatrix, top: &[(usize, f64)]) {
     let nr = corr.len();
     let quads = top.chunks_exact(4);
     let rest = quads.remainder();

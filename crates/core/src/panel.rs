@@ -26,6 +26,14 @@
 //! owns, and hands them back from its Schur stage; the loop agrees on
 //! them. No engine reads the complement a second time to measure it.
 //!
+//! The stop is tested per block, but the returned rank is the column
+//! the certificate needs: when a converged run's whole last block is
+//! certified, every engine sums, once and over the columns it owns, the
+//! `k x k` pieces of every prefix's residual ([`BlockSums`], read off
+//! the complement and the `Ā12` its Schur stage kept); they travel in
+//! the memory-peak allreduce the loop makes anyway, and every rank
+//! keeps the same smallest certified prefix ([`LastBlock::prefix`]).
+//!
 //! Memory follows the same split: the loop's [`PanelSplit`] holds only
 //! what every engine needs of line 8 (`Ā11`, `Ā21`, the classification)
 //! and the pivot panel is freed once the split is built; the loop reads
@@ -40,13 +48,14 @@
 
 use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
 use crate::lucrtp::{
-    l21, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode,
-    ThresholdReport,
+    accumulate_correction, l21, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult,
+    MemStats, OrderingMode, ThresholdReport,
 };
 use crate::spmd::spmd_panel_tsqr;
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix};
+use lra_par::{parallel_map_fold, Parallelism};
 use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
 use lra_recover::BudgetTrip;
 use lra_sparse::{BlockSplit, ColRun, CscMatrix};
@@ -180,6 +189,12 @@ pub(crate) trait PanelEngine {
     /// snapshot, borrowed, in column order: gathered in rank order they
     /// are the whole complement (sequentially, the pieces alone are).
     fn schur_pieces(&self) -> Vec<&CscMatrix>;
+
+    /// On a converged run's stop iteration, before any drop: this
+    /// rank's [`BlockSums`] over the columns of `A^(K+1)` it holds or
+    /// would own, with the `Ā12` its Schur stage routed out of them
+    /// ([`block_sums`]).
+    fn block_sums(&self, xq: &[usize], xt: &DenseMatrix) -> BlockSums;
 }
 
 /// Measurement partials of a column or of a rank's columns,
@@ -201,6 +216,170 @@ pub(crate) fn add_partials(x: Partials, y: Partials) -> Partials {
 /// zero, each component one left-to-right chain.
 pub(crate) fn fold_columns(cols: &[Partials]) -> Partials {
     cols.iter().fold((0.0, 0.0, 0, 0), |acc, &c| add_partials(acc, c))
+}
+
+/// How far below the stop a prefix's certified value must sit, as a
+/// share of its rounding scale (see [`LastBlock::prefix`]): `p_l^2`
+/// is a sum of terms up to the scale in size. LU_CRTP's `p_l` was
+/// measured within 3e-15 `tau ||A||_F` of the dense `||A - L_l
+/// U_l||_F` on every path (`tests/panel_loop.rs`), and the scale is at
+/// least `p_l^2`, so 1e-8 leaves six orders of headroom and costs a
+/// prefix a few parts in 1e9 of `tau` where the terms do not cancel.
+const PREFIX_MARGIN: f64 = 1e-8;
+
+/// A converged run's last-block sums over the columns of `A^(K+1)` a
+/// rank holds: `gram = Ā12 Ā12^T` (`k x k`, its upper triangle `(t,
+/// s >= t)` at `t k + s`; the prefix search reads no other entry) and
+/// `cross[t] = X_t^T A^(K+1) Ā12(t,:)^T`, `X_t` being column `t` of
+/// `X = L21`. Summed over the group they are the pieces of every
+/// prefix's residual that no rank holds whole.
+#[derive(Clone, Debug)]
+pub(crate) struct BlockSums {
+    gram: Vec<f64>,
+    cross: Vec<f64>,
+}
+
+impl BlockSums {
+    fn zeros(k: usize) -> Self {
+        BlockSums {
+            gram: vec![0.0; k * k],
+            cross: vec![0.0; k],
+        }
+    }
+
+    fn add(mut self, other: &BlockSums) -> Self {
+        for (x, y) in self.gram.iter_mut().zip(&other.gram) {
+            *x += y;
+        }
+        for (x, y) in self.cross.iter_mut().zip(&other.cross) {
+            *x += y;
+        }
+        self
+    }
+}
+
+/// This rank's [`BlockSums`] over the columns `0..a12.cols()` of the
+/// complement, read through `col`, with their `Ā12` parts in `a12`
+/// (column `j` of `a12` routed with column `j`). `xq` maps a trailing
+/// row to its row of `X` (`usize::MAX` for none) and `xt` is `X^T`.
+/// Chunked by [`SCHUR_GRAIN`](crate::lucrtp::SCHUR_GRAIN) columns and
+/// folded in chunk order, so the sums are bitwise the same for any
+/// worker count; a column with no `Ā12` entry adds nothing.
+pub(crate) fn block_sums<'a>(
+    col: impl Fn(usize) -> (&'a [usize], &'a [f64]) + Sync,
+    a12: &CscMatrix,
+    xq: &[usize],
+    xt: &DenseMatrix,
+    par: Parallelism,
+) -> BlockSums {
+    let k = xt.rows();
+    let chunk = |range: std::ops::Range<usize>| {
+        let mut sums = BlockSums::zeros(k);
+        let (mut y, mut hits) = (vec![0.0; k], Vec::new());
+        for j in range {
+            let (ts, vs) = a12.col(j);
+            if ts.is_empty() {
+                continue;
+            }
+            // y = X^T A^(K+1)[:, j]: the column's entries on rows of X,
+            // as (row of X, value), through the Schur kernel's
+            // four-rows-a-pass accumulation.
+            let (ri, rv) = col(j);
+            hits.clear();
+            let on_x = ri.iter().zip(rv).filter(|(&r, _)| xq[r] != usize::MAX);
+            hits.extend(on_x.map(|(&r, &v)| (xq[r], v)));
+            y.fill(0.0);
+            accumulate_correction(&mut y, xt, &hits);
+            for (i, (&t, &a)) in ts.iter().zip(vs).enumerate() {
+                for (&s, &b) in ts[i..].iter().zip(&vs[i..]) {
+                    sums.gram[t * k + s] += a * b;
+                }
+                sums.cross[t] += a * y[t];
+            }
+        }
+        sums
+    };
+    let grain = crate::lucrtp::SCHUR_GRAIN;
+    parallel_map_fold(par, a12.cols(), grain, BlockSums::zeros(k), chunk, |acc, s| acc.add(&s))
+}
+
+/// What every rank holds of a converged run's last block, kept for the
+/// stop-time prefix search: the agreed `||A^(K+1)||_F^2`, `G_L = I +
+/// X^T X` and `Ā11 Ā11^T`, each the upper triangle of a `k x k`
+/// matrix laid out as `BlockSums::gram`.
+struct LastBlock {
+    k: usize,
+    norm_sq: f64,
+    gl: Vec<f64>,
+    a11_gram: Vec<f64>,
+}
+
+impl LastBlock {
+    fn new(norm_sq: f64, a11: &DenseMatrix, xt: &DenseMatrix) -> Self {
+        let k = a11.rows();
+        let mut gl = vec![0.0; k * k];
+        for t in 0..k {
+            gl[t * k + t] = 1.0;
+        }
+        for q in 0..xt.cols() {
+            let xc = xt.col(q);
+            for (t, &a) in xc.iter().enumerate() {
+                for (g, &b) in gl[t * k + t..(t + 1) * k].iter_mut().zip(&xc[t..]) {
+                    *g += a * b;
+                }
+            }
+        }
+        let mut a11_gram = vec![0.0; k * k];
+        for t in 0..k {
+            for s in t..k {
+                a11_gram[t * k + s] = (0..k).map(|p| a11.get(t, p) * a11.get(s, p)).sum();
+            }
+        }
+        LastBlock {
+            k,
+            norm_sq,
+            gl,
+            a11_gram,
+        }
+    }
+
+    /// The smallest prefix `l` of the block (`1 <= l <= k`) whose
+    /// certified value is below `stop`, with its `p_l`; `None` when
+    /// only the whole block passes. `p_l = ||A^(K+1) + Σ_{t>=l} L_t
+    /// U_t^T||_F` is read off the sums, `p_l^2 = ||A^(K+1)||^2 + 2
+    /// Σ_{t>=l} c_t + Σ_{s,t>=l} G_L(s,t) G_U(s,t)` with `G_U = Ā11
+    /// Ā11^T + Ā12 Ā12^T`; it passes when `sqrt(p_l^2 + PREFIX_MARGIN
+    /// scale_l) + dropped < stop`, `scale_l` summing the terms'
+    /// magnitudes.
+    fn prefix(&self, sums: &BlockSums, stop: f64, dropped: f64) -> Option<(usize, f64)> {
+        let k = self.k;
+        let h = |t: usize, s: usize| {
+            self.gl[t * k + s] * (self.a11_gram[t * k + s] + sums.gram[t * k + s])
+        };
+        // p_l^2 and scale_l from l = k down: the term of row l joins.
+        let mut p_sq = vec![self.norm_sq; k + 1];
+        let mut scale = vec![self.norm_sq; k + 1];
+        for l in (0..k).rev() {
+            let (c, hll) = (sums.cross[l], h(l, l));
+            let (mut term, mut mag) = (2.0 * c + hll, 2.0 * c.abs() + hll.abs());
+            for t in l + 1..k {
+                term += 2.0 * h(l, t);
+                mag += 2.0 * h(l, t).abs();
+            }
+            p_sq[l] = p_sq[l + 1] + term;
+            scale[l] = scale[l + 1] + mag;
+        }
+        (1..k)
+            .find(|&l| (p_sq[l] + PREFIX_MARGIN * scale[l]).sqrt() + dropped < stop)
+            .map(|l| (l, p_sq[l].max(0.0).sqrt()))
+    }
+}
+
+/// Whether the whole last block is certified: `p_k = ||A^(K+1)||_F`
+/// with its margin, plus the dropped norms, below `stop`. Only then is
+/// a prefix searched.
+fn block_certified(norm_sq: f64, stop: f64, dropped: f64) -> bool {
+    (norm_sq * (1.0 + PREFIX_MARGIN)).sqrt() + dropped < stop
 }
 
 /// `L` and `U` assembled locally from the recorded columns. Each
@@ -260,6 +439,19 @@ impl LoopState {
             }),
             ..Default::default()
         }
+    }
+
+    /// A bound on `Σ_j ||T_j||_F` over the drops kept so far, the
+    /// dropped part of the residual `A - L U = A^(K+1) + Σ_j T_j`: at
+    /// most one drop per iteration before this one was kept, so by
+    /// Cauchy-Schwarz the sum is at most `sqrt((iterations - 1) Σ_j
+    /// ||T_j||_F^2)`. It reads only state a snapshot carries, so a
+    /// resumed run bounds it as the uninterrupted one does. 0 for
+    /// LU_CRTP.
+    fn drop_norm_bound(&self) -> f64 {
+        self.ilut.as_ref().map_or(0.0, |th| {
+            (self.iterations.saturating_sub(1) as f64 * th.dropped_mass_sq).sqrt()
+        })
     }
 
     /// Continue from a snapshot as if never interrupted.
@@ -446,6 +638,7 @@ pub(crate) fn drive<E: PanelEngine>(
     let mut peak = MemStats::default();
     peak.note(eng.resident());
     let mut tbuf = CscMatrix::zeros(0, 0);
+    let mut last: Option<(LastBlock, BlockSums)> = None;
 
     loop {
         if let Some(ctx) = comm {
@@ -709,6 +902,18 @@ pub(crate) fn drive<E: PanelEngine>(
             },
             r_diag: panel_r_diag,
         });
+        // A converged run whose whole last block is certified keeps
+        // what the prefix search needs of it; the engine's sums travel
+        // in the memory-peak allreduce after the loop.
+        if st.converged && block_certified(norm_sq, stop, st.drop_norm_bound()) {
+            last = Some(timers.time(KernelId::Indicator, || {
+                let mut xq = vec![usize::MAX; sp.blocks.rest_rows.len()];
+                for (q, &r) in x_rows.iter().enumerate() {
+                    xq[r] = q;
+                }
+                (LastBlock::new(norm_sq, &sp.a11, &xt), eng.block_sums(&xq, &xt))
+            }));
+        }
         if st.converged || st.breakdown.is_some() {
             break;
         }
@@ -733,17 +938,34 @@ pub(crate) fn drive<E: PanelEngine>(
     }
 
     // Under SPMD the report is the group's largest peak, the same on
-    // every rank. The engine goes before the factors are assembled, and
-    // the recorded columns go as they are assembled — on rank 0, the
-    // one rank whose result carries `L` and `U`; every other rank
-    // returns the same result with empty factors.
-    let mem = match comm {
-        None => peak,
-        Some(ctx) => ctx.allreduce(peak, |x, y| MemStats {
-            peak_rank_bytes: x.peak_rank_bytes.max(y.peak_rank_bytes),
-            peak_rank_nnz: x.peak_rank_nnz.max(y.peak_rank_nnz),
+    // every rank, and the last block's sums are summed over the group
+    // in the same allreduce. The engine goes before the factors are
+    // assembled, and the recorded columns go as they are assembled —
+    // on rank 0, the one rank whose result carries `L` and `U`; every
+    // other rank returns the same result with empty factors.
+    let (last, sums) = last.unzip();
+    let (mem, sums) = match comm {
+        None => (peak, sums),
+        Some(ctx) => ctx.allreduce((peak, sums), |(x, a), (y, b)| {
+            (x.max(y), a.zip(b).map(|(a, b)| a.add(&b)))
         }),
     };
+    // The smallest certified prefix of the last block; every rank
+    // reads it off the same agreed sums.
+    if let (Some(block), Some(sums)) = (last, sums) {
+        let dropped = st.drop_norm_bound();
+        let prefix = timers.time(KernelId::Indicator, || block.prefix(&sums, stop, dropped));
+        if let Some((l, p)) = prefix {
+            st.rank -= block.k - l;
+            st.indicator = p;
+            for cols in [&mut st.pivot_rows, &mut st.pivot_cols] {
+                cols.truncate(st.rank);
+            }
+            for cols in [&mut st.l_cols, &mut st.ut_cols] {
+                cols.truncate(st.rank);
+            }
+        }
+    }
     drop(eng);
     drop(tbuf);
     let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));

@@ -14,6 +14,11 @@
 //! products down contiguous columns and `Z -= B_j^T T` takes the block
 //! as it is; `B` is `B_K^T` transposed in place once at the end, so
 //! the process holds the factors once.
+//!
+//! The stop is tested per block, but Yu, Gu & Li's identity holds row
+//! by row, `||A - Q_l B_l||_F^2 = ||A||_F^2 - Σ_{r<l} ||B(r,:)||^2`: a
+//! converged run returns the smallest prefix of its last block that it
+//! certifies below `tau`, read off the rows of the returned `B`.
 
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix, DenseView};
@@ -22,6 +27,7 @@ use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// The double-precision floor below which the Frobenius-update error
 /// indicator of RandQB_EI breaks down (Theorem 3 of Yu et al.; the
@@ -127,15 +133,18 @@ pub struct QbResult {
     pub q: DenseMatrix,
     /// Coefficient factor, `K x n` (`Q B ≈ A`).
     pub b: DenseMatrix,
-    /// Achieved rank `K`.
+    /// Achieved rank `K`: for a converged run, the smallest prefix of
+    /// the last block that the identity certifies row by row (see
+    /// [`QbResult::min_rank_for`]).
     pub rank: usize,
-    /// Number of block iterations.
+    /// Number of block iterations, the last one counted whole.
     pub iterations: usize,
     /// Whether the tolerance was met before the rank cap.
     pub converged: bool,
-    /// Error-indicator value per iteration (eq. 4).
+    /// Error-indicator value per iteration (eq. 4), each block whole.
     pub indicator_history: Vec<f64>,
-    /// Final indicator.
+    /// Final indicator: `||A - Q B||_F` of the returned factors by the
+    /// identity.
     pub indicator: f64,
     /// `||A||_F`.
     pub a_norm_f: f64,
@@ -145,8 +154,10 @@ pub struct QbResult {
     /// stopped the loop before its own stop rule fired.
     pub trip: Option<lra_recover::BudgetTrip>,
     /// Columns of each block, in order: the last one is narrower when
-    /// the rank cap cut it.
+    /// the rank cap or the stop cut it.
     widths: Vec<usize>,
+    /// `||B(r,:)||^2` of every row of `B`, in row order.
+    row_norms_sq: Vec<f64>,
 }
 
 impl QbResult {
@@ -164,20 +175,23 @@ impl QbResult {
         self.q.orthogonality_error()
     }
 
-    /// Approximated minimum rank for a (coarser) tolerance, read off the
-    /// indicator history of this run at block resolution — the paper's
-    /// "with RandQB_EI, the exact rank approximation can also be
-    /// determined at small cost" (the asterisk series of Figs. 2-3): the
-    /// rank after the first block whose indicator is below
-    /// `tau ||A||_F`. Returns `None` if this run never reached `tau`.
+    /// Approximated minimum rank for a (coarser) tolerance, read off
+    /// this run at column resolution — the paper's "with RandQB_EI, the
+    /// exact rank approximation can also be determined at small cost"
+    /// (the asterisk series of Figs. 2-3): within the first block whose
+    /// indicator is below `tau ||A||_F`, the smallest `l` with
+    /// `||A - Q_l B_l||_F^2 = ||A||_F^2 - Σ_{r<l} ||B(r,:)||^2 <
+    /// (tau ||A||_F)^2` (Yu, Gu & Li's identity, row by row), or that
+    /// block's end. For this run's own `tau` it is the returned rank.
+    /// Returns `None` if this run never reached `tau`.
     pub fn min_rank_for(&self, tau: f64) -> Option<usize> {
         if self.iterations == 0 {
             return if tau >= 1.0 || self.a_norm_f == 0.0 { Some(0) } else { None };
         }
-        self.indicator_history
-            .iter()
-            .position(|&e| e < tau * self.a_norm_f)
-            .map(|i| self.widths[..=i].iter().sum())
+        let i = self.indicator_history.iter().position(|&e| e < tau * self.a_norm_f)?;
+        let start: usize = self.widths[..i].iter().sum();
+        let rows = start..start + self.widths[i];
+        Some(first_rank_below(self.a_norm_f, tau, &self.row_norms_sq, rows).0)
     }
 
     /// Achieved relative tolerance `indicator / ||A||_F` — the
@@ -213,6 +227,27 @@ impl QbResult {
             }
         }
     }
+}
+
+/// The smallest rank `l` in `rows` (the rows of one block of `B`, `l`
+/// counting the rows kept) with `e_l = ||A||_F^2 - Σ_{r<l} ||B(r,:)||^2
+/// < (tau ||A||_F)^2`, the rows subtracted one by one from row 0, and
+/// that `e_l`; the block's end and its `e` when no row passes.
+fn first_rank_below(
+    a_norm_f: f64,
+    tau: f64,
+    row_norms_sq: &[f64],
+    rows: Range<usize>,
+) -> (usize, f64) {
+    let stop_sq = (tau * a_norm_f) * (tau * a_norm_f);
+    let mut e = row_norms_sq[..rows.start].iter().fold(a_norm_f * a_norm_f, |e, r| e - r);
+    for l in rows.clone() {
+        e -= row_norms_sq[l];
+        if e < stop_sq {
+            return (l + 1, e);
+        }
+    }
+    (rows.end, e)
 }
 
 /// `||A - H W||_F` of dense factors without ever holding a dense `A`:
@@ -306,6 +341,7 @@ fn rand_qb_ei_inner(
             timers,
             trip: None,
             widths: Vec::new(),
+            row_norms_sq: Vec::new(),
         };
     }
     let stop = opts.tau * a_norm_f;
@@ -472,12 +508,39 @@ fn rand_qb_ei_inner(
         }
     }
 
+    // A converged run returns the smallest prefix of its last block
+    // that the row identity certifies, read off the rows of `B` — the
+    // columns of `B^T` — so a resumed run, whose `B^T` is bitwise the
+    // same, cuts at the same row.
+    let mut row_norms_sq: Vec<f64> =
+        (0..rank).map(|r| bt.col(r).iter().map(|v| v * v).sum()).collect();
+    let mut indicator = history.last().copied().unwrap_or(a_norm_f);
+    let blocks_rank = rank;
+    if converged {
+        let last = widths.last_mut().expect("a converged run has a block");
+        let (cut, e) = first_rank_below(a_norm_f, opts.tau, &row_norms_sq, rank - *last..rank);
+        if cut < rank {
+            *last -= rank - cut;
+            rank = cut;
+            q.truncate_columns(rank);
+            row_norms_sq.truncate(rank);
+            indicator = e.max(0.0).sqrt();
+        }
+    }
+
     // The result takes both buffers: the unused reservation goes back
-    // where it lies, and B = (B^T)^T is transposed in place.
+    // where it lies, and B = (B^T)^T is transposed in place — whole
+    // blocks first, whose width keeps the transpose's runs long (a cut
+    // width such as 542 = 2 · 271 would leave it runs of 2), then the
+    // cut rows go.
     let b = timers.time(KernelId::Concat, || {
         q.shrink_to_fit();
         bt.shrink_to_fit();
         bt.transpose_in_place();
+        if rank < blocks_rank {
+            bt.truncate_rows(rank);
+            bt.shrink_to_fit();
+        }
         bt
     });
 
@@ -487,11 +550,12 @@ fn rand_qb_ei_inner(
         rank,
         iterations,
         converged,
-        indicator: history.last().copied().unwrap_or(a_norm_f),
+        indicator,
         indicator_history: history,
         a_norm_f,
         timers,
         trip,
         widths,
+        row_norms_sq,
     }
 }

@@ -78,7 +78,10 @@
 //! and that regrowth page-faults.
 
 use crate::lucrtp::{schur_update_ranged, IlutOpts, LuCrtpOpts, LuCrtpResult, SchurWorkspace};
-use crate::panel::{drive, fold_columns, FactorCol, PanelEngine, PanelSplit, Partials, Source};
+use crate::panel::{
+    block_sums, drive, fold_columns, BlockSums, FactorCol, PanelEngine, PanelSplit, Partials,
+    Source,
+};
 use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix};
 use lra_par::{owned_range, split_ranges, Parallelism};
@@ -125,6 +128,7 @@ pub(crate) fn run_replicated(
             s: src.full(),
             opts,
             ws: SchurWorkspace::new(),
+            a12: CscMatrix::zeros(0, 0),
         })
     })
 }
@@ -265,6 +269,9 @@ struct SpmdPanelCtx<'a> {
     opts: &'a LuCrtpOpts,
     /// Kernel scratch reused across iterations.
     ws: SchurWorkspace,
+    /// The `Ā12` parts of the owned columns, routed out of them by the
+    /// last Schur update (column `j` with shard column `j`).
+    a12: CscMatrix,
     /// Retired re-shard part buffers recycled across panel iterations:
     /// [`Self::post_reshard`] pops donors instead of allocating `np`
     /// fresh matrices per panel, and the received parts return to the
@@ -302,6 +309,7 @@ impl<'a> SpmdPanelCtx<'a> {
             n_cur,
             opts,
             ws: SchurWorkspace::new(),
+            a12: CscMatrix::zeros(0, 0),
             part_pool: Vec::new(),
         }
     }
@@ -377,13 +385,16 @@ impl<'a> SpmdPanelCtx<'a> {
         let my_new = owned_range(&split_ranges(n_rest, self.size), self.rank);
         let retired = std::mem::replace(&mut self.shard, CscMatrix::zeros(0, 0));
         let mut updated = ColRun::recycled(retired).into_csc(m_rest);
+        let mut a12 = ColRun::recycled(std::mem::replace(&mut self.a12, CscMatrix::zeros(0, 0)));
         let mut meas = Vec::with_capacity(my_new.len());
         let (ws, pool, par) = (&mut self.ws, &mut self.part_pool, self.opts.par);
         pend.complete_with(|_src, part: CscMatrix| {
             let (col, cols, split) = (|j| part.col(j), 0..part.cols(), &sp.blocks);
-            schur_update_ranged(col, cols, split, x_rows, x, thr, ws, par, &mut updated, &mut meas);
+            let (out, top) = (&mut updated, &mut a12);
+            schur_update_ranged(col, cols, split, x_rows, x, thr, ws, par, out, top, &mut meas);
             pool.push(part);
         });
+        self.a12 = a12.into_csc(sp.a11.rows());
         debug_assert_eq!(updated.cols(), my_new.len());
         if oversized(updated.capacity_bytes(), updated.resident_bytes()) {
             updated.shrink_to_fit();
@@ -452,6 +463,11 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     fn schur_pieces(&self) -> Vec<&CscMatrix> {
         vec![&self.shard]
     }
+
+    fn block_sums(&self, xq: &[usize], xt: &DenseMatrix) -> BlockSums {
+        let shard = &self.shard;
+        block_sums(|j| shard.col(j), &self.a12, xq, xt, self.opts.par)
+    }
 }
 
 /// Panel engine over fully replicated storage — the bitwise reference
@@ -464,6 +480,9 @@ struct ReplicatedEngine<'a> {
     s: CscMatrix,
     opts: &'a LuCrtpOpts,
     ws: SchurWorkspace,
+    /// The `Ā12` parts of the columns this rank updated last, as the
+    /// sharded engine keeps them.
+    a12: CscMatrix,
 }
 
 impl ReplicatedEngine<'_> {
@@ -504,10 +523,12 @@ impl PanelEngine for ReplicatedEngine<'_> {
         let (s, rest) = (&self.s, &sp.blocks.rest_cols);
         let my_range = owned_range(&split_ranges(rest.len(), self.ctx.size()), self.ctx.rank());
         let mut partial = CscMatrix::zeros(sp.blocks.rest_rows.len(), 0);
+        let mut a12 = ColRun::recycled(std::mem::replace(&mut self.a12, CscMatrix::zeros(0, 0)));
         let mut meas = Vec::with_capacity(my_range.len());
         let (ws, par) = (&mut self.ws, self.opts.par);
-        let (col, split) = (|j: usize| s.col(rest[j]), &sp.blocks);
-        schur_update_ranged(col, my_range, split, x_rows, x, thr, ws, par, &mut partial, &mut meas);
+        let (col, split, out) = (|j: usize| s.col(rest[j]), &sp.blocks, &mut partial);
+        schur_update_ranged(col, my_range, split, x_rows, x, thr, ws, par, out, &mut a12, &mut meas);
+        self.a12 = a12.into_csc(sp.a11.rows());
         (gather_csc(&self.ctx.allgather(partial)), fold_columns(&meas))
     }
 
@@ -542,5 +563,11 @@ impl PanelEngine for ReplicatedEngine<'_> {
             0 => vec![&self.s],
             _ => Vec::new(),
         }
+    }
+
+    /// Over the columns the sharded engine owns, as it sums them.
+    fn block_sums(&self, xq: &[usize], xt: &DenseMatrix) -> BlockSums {
+        let (s, off) = (&self.s, self.my_cols().start);
+        block_sums(|j| s.col(off + j), &self.a12, xq, xt, self.opts.par)
     }
 }

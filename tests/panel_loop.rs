@@ -274,3 +274,103 @@ fn bad_input_is_typed_before_any_rank_runs_and_the_oracle_refuses_hooks() {
     }
     assert_eq!(store.saves(), 0);
 }
+
+/// `||A - L_l U_l||_F` for every prefix `l = 0..=rank` of a result's
+/// factors, from dense residuals.
+fn prefix_errors(a: &CscMatrix, r: &LuCrtpResult) -> Vec<f64> {
+    let (l, u) = (r.l.to_dense(), r.u.to_dense());
+    let mut res = a.to_dense();
+    let mut out = vec![res.fro_norm()];
+    for t in 0..r.rank {
+        for j in 0..res.cols() {
+            let ut = u.get(t, j);
+            if ut != 0.0 {
+                for (x, &lt) in res.col_mut(j).iter_mut().zip(l.col(t)) {
+                    *x -= lt * ut;
+                }
+            }
+        }
+        out.push(res.fro_norm());
+    }
+    out
+}
+
+/// The sequential path (`np = 0`) or `np` sharded ranks.
+fn on_path<'m>(a: &CscMatrix, method: impl Into<Method<'m>>, np: usize) -> LuCrtpResult {
+    match np {
+        0 => factorize(a, method.into(), Exec::Seq, None),
+        _ => dist(a, method, np),
+    }
+}
+
+/// LU_CRTP stops at the smallest prefix `l` of its last block whose
+/// residual, read off the stop-time sums, is below `tau ||A||_F`. Its
+/// pivots do not depend on `tau`, so one run to a small `tau` gives the
+/// dense `||A - L_l U_l||_F` of every prefix a run at a larger `tau`
+/// can return; `tau` is then set just above each prefix's residual in
+/// blocks 2-4, so that every `l` there is tried. On every path the
+/// returned prefix meets `tau`, no shorter prefix of the block does,
+/// and its indicator `p_l` is the dense residual; the block's own
+/// indicator `p_K = ||A^(K+1)||_F` is the dense residual at its end.
+#[test]
+fn lu_returns_the_smallest_certified_prefix_on_every_path() {
+    let a = fill_heavy();
+    let k = 8;
+    let a_norm = a.fro_norm();
+    for np in [0usize, 1, 2, 3] {
+        let reference = on_path(&a, &LuCrtpOpts::new(k, 1e-6), np);
+        let errors = prefix_errors(&a, &reference);
+        assert!(reference.rank >= 4 * k, "np={np}: rank {}", reference.rank);
+        let (mut cut, mut worst) = (0, 0.0f64);
+        for l in k + 1..=4 * k {
+            let tau = errors[l] / a_norm * (1.0 + 1e-5);
+            let r = on_path(&a, &LuCrtpOpts::new(k, tau), np);
+            let what = format!("np={np} tau={tau:e}");
+            assert!(r.converged, "{what}");
+            assert_eq!(r.pivot_cols[..], reference.pivot_cols[..r.rank], "{what}: pivots");
+            let (end, stop) = (r.iterations * k, tau * a_norm);
+            assert!(end - k < r.rank && r.rank <= end, "{what}: rank {}", r.rank);
+            assert!(errors[r.rank] < stop, "{what}: returned prefix misses tau");
+            for (shorter, &e) in errors.iter().enumerate().take(r.rank).skip(end - k) {
+                assert!(e >= stop * (1.0 - 1e-6), "{what}: {shorter} passes");
+            }
+            worst = worst.max((r.indicator - errors[r.rank]).abs() / stop);
+            let block = r.trace.last().unwrap().indicator;
+            worst = worst.max((block - errors[end]).abs() / stop);
+            cut += usize::from(r.rank < end);
+        }
+        assert!(worst < 1e-9, "np={np}: p_l off the dense residual by {worst:e} tau");
+        assert!(cut > k, "np={np}: only {cut} runs were cut inside their last block");
+    }
+}
+
+/// ILUT_CRTP cuts its last block only where `p_l` plus the bound on
+/// the dropped norms, `sqrt((iterations - 1) Σ_j ||T_j||_F^2)`, is
+/// below `tau ||A||_F`: on every path and at every cut the returned
+/// factors' exact error is at most that sum, and below `tau ||A||_F`.
+#[test]
+fn ilut_cut_is_certified_by_the_dropped_norm_bound() {
+    let a = fill_heavy();
+    let k = 8;
+    let a_norm = a.fro_norm();
+    let mut cut = 0;
+    for np in [0usize, 1, 2, 3] {
+        for tau in [1e-2, 5e-3, 2e-3, 1e-3] {
+            for u in [2, 4, 8] {
+                let r = on_path(&a, &IlutOpts::new(k, tau, u), np);
+                let what = format!("np={np} tau={tau} u={u}");
+                assert!(r.converged, "{what}");
+                let th = r.threshold.as_ref().unwrap();
+                let dropped = ((r.iterations - 1) as f64 * th.dropped_mass_sq).sqrt();
+                let exact = r.exact_error(&a, Parallelism::SEQ);
+                assert!(exact <= r.indicator * (1.0 + 1e-9) + dropped, "{what}: {exact:e}");
+                assert!(exact < tau * a_norm, "{what}: {exact:e}");
+                if r.rank < r.iterations * k {
+                    assert!(r.indicator + dropped < tau * a_norm, "{what}: uncertified cut");
+                    cut += 1;
+                }
+            }
+        }
+    }
+    assert!(cut > 0, "no run was cut inside its last block");
+}

@@ -23,7 +23,7 @@
 
 use lra::core::{schur_update_ranged, schur_update_runs, Parallelism, SchurWorkspace, SCHUR_GRAIN};
 use lra::dense::DenseMatrix;
-use lra::sparse::{BlockSplit, CscMatrix, CscRuns};
+use lra::sparse::{BlockSplit, ColRun, CscMatrix, CscRuns};
 
 mod common;
 use common::{bits_eq, rand_sparse, SplitMix64};
@@ -255,6 +255,7 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
         for &(nr_of_16, a12_fill) in &[(0, 6), (3, 2), (9, 6), (16, 16), (9, 0)] {
             let c = case(&mut rng, m, n, k, nr_of_16, a12_fill);
             let want = c.want();
+            let (_, want_a12, _, _, _, _) = c.a.split_blocks(&c.pivot_rows, &c.pivot_cols);
             copies += c.pure_copies();
             let rest = &c.split.rest_cols;
             for thr in [0.0, half_mu(&want)] {
@@ -272,6 +273,7 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
                     let par = Parallelism::new(np);
                     let mut ws = SchurWorkspace::new();
                     let mut got = CscMatrix::zeros(m, 0);
+                    let mut top = ColRun::default();
                     let mut meas = Vec::new();
                     for piece in at.windows(2) {
                         let part = c.a.select_columns(&rest[piece[0]..piece[1]]);
@@ -286,6 +288,7 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
                             &mut ws,
                             par,
                             &mut got,
+                            &mut top,
                             &mut meas,
                         );
                     }
@@ -295,6 +298,7 @@ fn kernel_matches_the_gather_dot_reference_bit_for_bit() {
                         c.pivot_cols
                     );
                     assert_bitwise(&got, &want, &what);
+                    assert_bitwise(&top.into_csc(k), &want_a12, &format!("{what}: Ā12"));
                     assert_partials(&meas, &want_meas, &what);
                 }
             }
@@ -328,10 +332,10 @@ fn a_reused_workspace_and_target_never_leak_an_earlier_call() {
             s = CscMatrix::from_parts(m, 0, colptr, rowidx, values);
             let h = cuts(&mut rng, n, 2)[1];
             let col = |j: usize| c.a.col(rest[j]);
-            let mut meas = Vec::new();
+            let (mut top, mut meas) = (ColRun::default(), Vec::new());
             for range in [0..h, h..n] {
-                let (split, xr, x) = (&c.split, &c.x_rows, &c.x);
-                schur_update_ranged(col, range, split, xr, x, 0.0, &mut ws, par, &mut s, &mut meas);
+                let (split, xr, x, out) = (&c.split, &c.x_rows, &c.x, &mut s);
+                schur_update_ranged(col, range, split, xr, x, 0.0, &mut ws, par, out, &mut top, &mut meas);
             }
             let what = format!("{m}x{n} k={k} np={np} cut {h} on a reused workspace");
             assert_bitwise(&s, &want, &what);
