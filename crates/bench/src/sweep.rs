@@ -66,8 +66,6 @@ pub struct Run {
     /// RandUBV, whose error no view reads (Table II lists its
     /// iterations only) and whose residual costs a dense `m x n` GEMM.
     pub exact: f64,
-    /// Indicator after each iteration (randomized methods).
-    pub indicator_history: Vec<f64>,
     /// A RandQB_EI run's result with its factors emptied, for
     /// [`QbResult::min_rank_for`].
     pub qb: Option<QbResult>,
@@ -257,7 +255,7 @@ fn execute(tm: &TestMatrix, key: &RunKey, u: usize, par: Parallelism) -> Run {
             let mut o = UbvOpts::new(k, tau);
             (o.par, o.max_rank) = (run_par, key.max_rank);
             let (r, wall, profile) = measured(rec, || rand_ubv(a, &o));
-            Run { profile, indicator_history: r.indicator_history, ..summary!(r, wall, f64::NAN) }
+            Run { profile, ..summary!(r, wall, f64::NAN) }
         }
         Algo::Qb(p) => {
             let mut o = QbOpts::new(k, tau).with_power(p).with_par(run_par);
@@ -266,7 +264,7 @@ fn execute(tm: &TestMatrix, key: &RunKey, u: usize, par: Parallelism) -> Run {
             let mut r = r.expect("every view's tolerance is above the indicator floor");
             let base = summary!(r, wall, r.exact_error(a, par));
             (r.q, r.b) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
-            Run { profile, indicator_history: r.indicator_history.clone(), qb: Some(r), ..base }
+            Run { profile, qb: Some(r), ..base }
         }
         Algo::Lu(ordering) => {
             let o = lu_opts.with_ordering(ordering);

@@ -281,15 +281,14 @@ pub(crate) fn block_sums<'a>(
             if ts.is_empty() {
                 continue;
             }
-            // y = X^T A^(K+1)[:, j]: the column's entries on rows of X,
-            // as (row of X, value), through the Schur kernel's
-            // four-rows-a-pass accumulation.
+            // y = X^T A^(K+1)[:, j] on the rows `ts` of `Ā12(:, j)`,
+            // from the column's entries on rows of X as (row of X,
+            // value).
             let (ri, rv) = col(j);
             hits.clear();
             let on_x = ri.iter().zip(rv).filter(|(&r, _)| xq[r] != usize::MAX);
             hits.extend(on_x.map(|(&r, &v)| (xq[r], v)));
-            y.fill(0.0);
-            accumulate_correction(&mut y, xt, &hits);
+            x_transpose_times(&mut y, xt, &hits, ts);
             for (i, (&t, &a)) in ts.iter().zip(vs).enumerate() {
                 for (&s, &b) in ts[i..].iter().zip(&vs[i..]) {
                     sums.gram[t * k + s] += a * b;
@@ -301,6 +300,23 @@ pub(crate) fn block_sums<'a>(
     };
     let grain = crate::lucrtp::SCHUR_GRAIN;
     parallel_map_fold(par, a12.cols(), grain, BlockSums::zeros(k), chunk, |acc, s| acc.add(&s))
+}
+
+/// `y = X^T A^(K+1)[:, j]` from the column's `hits` on rows of X, as
+/// (row of X, value), on at least the rows `ts` of `Ā12(:, j)`: one
+/// sum over `hits` per row of `ts` when it holds at most one row in
+/// eight, otherwise every row through the Schur kernel's
+/// four-rows-a-pass accumulation. Either way `y[t]` is the sum of
+/// `v X(q, t)` from zero in the order of `hits`, bitwise.
+fn x_transpose_times(y: &mut [f64], xt: &DenseMatrix, hits: &[(usize, f64)], ts: &[usize]) {
+    if 8 * ts.len() <= y.len() {
+        for &t in ts {
+            y[t] = hits.iter().fold(0.0, |s, &(q, v)| s + v * xt.col(q)[t]);
+        }
+    } else {
+        y.fill(0.0);
+        accumulate_correction(y, xt, hits);
+    }
 }
 
 /// What every rank holds of a converged run's last block, kept for the
@@ -977,4 +993,28 @@ pub(crate) fn drive<E: PanelEngine>(
         }
     });
     st.into_result(factors, a_norm_f, timers, mem)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both paths of `x_transpose_times` give the same bits on the rows
+    /// of `ts`, whichever one a column's support selects.
+    #[test]
+    fn x_transpose_paths_agree_bitwise() {
+        let k = 32;
+        let xt = DenseMatrix::from_fn(k, 40, |t, q| ((t * 40 + q) as f64 * 0.37).sin() * 1e3);
+        let hits: Vec<(usize, f64)> =
+            (0..23).map(|i| ((i * 17) % 40, ((i as f64) * 1.3).cos() / 7.0)).collect();
+        for ts in [vec![5], vec![0, 9, 31], vec![1, 2, 3, 4], (0..k).collect()] {
+            let mut y = vec![0.0; k];
+            x_transpose_times(&mut y, &xt, &hits, &ts);
+            let mut all = vec![0.0; k];
+            accumulate_correction(&mut all, &xt, &hits);
+            for &t in &ts {
+                assert_eq!(y[t].to_bits(), all[t].to_bits(), "ts={ts:?} row {t}");
+            }
+        }
+    }
 }

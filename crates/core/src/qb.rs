@@ -153,10 +153,12 @@ pub struct QbResult {
     /// `Some` when a [`lra_recover::Budget`] limit (or cancel token)
     /// stopped the loop before its own stop rule fired.
     pub trip: Option<lra_recover::BudgetTrip>,
-    /// Columns of each block, in order: the last one is narrower when
-    /// the rank cap or the stop cut it.
+    /// Columns of each block the run computed, in order: the last one
+    /// is narrower when the rank cap cut it, and whole when the stop
+    /// did.
     widths: Vec<usize>,
-    /// `||B(r,:)||^2` of every row of `B`, in row order.
+    /// `||B(r,:)||^2` of every row of `B` the run computed, in row
+    /// order, the rows the stop cut included.
     row_norms_sq: Vec<f64>,
 }
 
@@ -182,8 +184,10 @@ impl QbResult {
     /// indicator is below `tau ||A||_F`, the smallest `l` with
     /// `||A - Q_l B_l||_F^2 = ||A||_F^2 - Σ_{r<l} ||B(r,:)||^2 <
     /// (tau ||A||_F)^2` (Yu, Gu & Li's identity, row by row), or that
-    /// block's end. For this run's own `tau` it is the returned rank.
-    /// Returns `None` if this run never reached `tau`.
+    /// block's end. For this run's own `tau` it is the returned rank;
+    /// for a finer `tau` it can lie past it, in rows of the last block
+    /// that the stop cut: the rank a run to that `tau` with the same
+    /// options returns. Returns `None` if this run never reached `tau`.
     pub fn min_rank_for(&self, tau: f64) -> Option<usize> {
         if self.iterations == 0 {
             return if tau >= 1.0 || self.a_norm_f == 0.0 { Some(0) } else { None };
@@ -511,19 +515,18 @@ fn rand_qb_ei_inner(
     // A converged run returns the smallest prefix of its last block
     // that the row identity certifies, read off the rows of `B` — the
     // columns of `B^T` — so a resumed run, whose `B^T` is bitwise the
-    // same, cuts at the same row.
-    let mut row_norms_sq: Vec<f64> =
+    // same, cuts at the same row. `widths` and `row_norms_sq` keep the
+    // cut rows for `min_rank_for`.
+    let row_norms_sq: Vec<f64> =
         (0..rank).map(|r| bt.col(r).iter().map(|v| v * v).sum()).collect();
     let mut indicator = history.last().copied().unwrap_or(a_norm_f);
     let blocks_rank = rank;
     if converged {
-        let last = widths.last_mut().expect("a converged run has a block");
-        let (cut, e) = first_rank_below(a_norm_f, opts.tau, &row_norms_sq, rank - *last..rank);
+        let last = *widths.last().expect("a converged run has a block");
+        let (cut, e) = first_rank_below(a_norm_f, opts.tau, &row_norms_sq, rank - last..rank);
         if cut < rank {
-            *last -= rank - cut;
             rank = cut;
             q.truncate_columns(rank);
-            row_norms_sq.truncate(rank);
             indicator = e.max(0.0).sqrt();
         }
     }

@@ -91,18 +91,21 @@ fn qb_min_rank_for_matches_tsvd_reference() {
 
     // A rank cap that cuts the last block: blocks of 8 + 8 + 4 columns.
     // The indicator first falls below 0.5 ||A||_F after the first
-    // block, so the rank read off it lies in that block's 8 columns;
-    // just below the first block's indicator it lies in the second
-    // block's 8 (not in 7 + 7 from an average width of 20 / 3).
+    // block, and the rank read off it is that block's last row, 8;
+    // just below the first block's indicator it is the second block's
+    // first row, 9. Blocks of the average width 20 / 3 would read 7
+    // and 14.
     let capped = rand_qb_ei(&a, &QbOpts::new(k, 1e-6).with_power(2).with_max_rank(20)).unwrap();
     assert_eq!((capped.rank, capped.iterations), (20, 3));
     let first = capped.indicator_history[0] / capped.a_norm_f;
     assert!(first < 0.5, "the first block reads {first} ||A||_F");
-    for (tau, blocks) in [(0.5, 1..=k), (first * 0.999, k + 1..=2 * k)] {
+    for (tau, want) in [(0.5, k), (first * 0.999, k + 1)] {
         let got = capped.min_rank_for(tau).unwrap();
-        assert!(blocks.contains(&got), "tau={tau}: {got} outside {blocks:?}");
+        assert_eq!(got, want, "tau={tau}");
         assert!(got >= min_rank_for_tolerance(&sv, tau));
-        assert!(got <= block_answer(&capped, tau, capped.rank));
+        let stop = tau * capped.a_norm_f;
+        assert!(prefix_error(&a, &capped.q, &capped.b, got) < stop, "tau={tau}");
+        assert!(prefix_error(&a, &capped.q, &capped.b, got - 1) >= stop, "tau={tau}");
     }
 }
 
@@ -125,7 +128,20 @@ fn qb_returns_the_smallest_certified_prefix() {
             assert!(exact < stop, "{what}: {exact:e} against {stop:e}");
             assert!(prefix_error(&a, &r.q, &r.b, r.rank - 1) >= stop, "{what}");
             assert!((r.indicator - exact).abs() <= 1e-6 * stop, "{what}: indicator");
-            cut += usize::from(r.rank < r.iterations * k);
+            if r.rank < r.iterations * k {
+                cut += 1;
+                // A finer tolerance that the last block still meets
+                // reads a rank off the rows the stop cut: the rank a
+                // run to it returns, whose factors meet it.
+                let block = r.indicator_history.last().unwrap() / r.a_norm_f;
+                let finer = (block + tau) / 2.0;
+                let got = r.min_rank_for(finer).expect("the last block meets it");
+                let rerun = rand_qb_ei(&a, &QbOpts::new(k, finer).with_power(p)).unwrap();
+                assert_eq!(got, rerun.rank, "{what}: finer {finer:e}");
+                assert!(got >= r.rank, "{what}: finer {finer:e}");
+                let exact = prefix_error(&a, &rerun.q, &rerun.b, got);
+                assert!(exact < finer * r.a_norm_f, "{what}: finer {finer:e}");
+            }
         }
     }
     assert!(cut > 0, "no run was cut inside its last block");
