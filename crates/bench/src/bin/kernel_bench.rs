@@ -34,11 +34,11 @@
 //!    [`TS_M`]`x`[`QB_K`]. Skipped (reported, not gated) on a host with
 //!    fewer than two cores. Process CPU time is read around each
 //!    round's np=2 samples: a round that used less than
-//!    [`MIN_CPU_PER_WALL`] CPU seconds per wall second ran on one core,
-//!    is repeated (at most [`ONE_CORE_REPEATS`] times) and is not
-//!    judged; if no round got two cores the gate fails on the host
-//!    condition and prints the ratios. The per-region cost of the
-//!    `lra-par` pool is reported beside it.
+//!    [`MIN_CPU_PER_WALL`] CPU seconds per wall second ran on one core
+//!    and does not count, and rounds go on until [`QB_REPS`] got two
+//!    cores, up to [`PAR2_WALL_LIMIT`] from the first. Only when none
+//!    did the gate fails on the host condition and prints the ratios.
+//!    The per-region cost of the `lra-par` pool is reported beside it.
 //! 4. **Lane-panel `qr`** of the dense [`PANEL_M`]` x `[`PANEL_N`] leaf
 //!    must beat the one-column reference (`qr_reference`: each column
 //!    through the one-column formula, one reflector at a time) by at
@@ -102,8 +102,8 @@ const GEMM_PAR2_MIN: f64 = 1.2;
 /// Minimum `t(np=1) / t(np=2)` for `rand_qb_ei` p=1: a second worker
 /// must at least pay for its regions (measured ~1.3x on two cores).
 const QB_PAR2_MIN: f64 = 1.0;
-/// Rounds of the np=2 pairs, [`SAMPLE_GAP`] apart, one QB solve per
-/// side and round: the best of each side is taken over several seconds
+/// Two-core rounds of the np=2 pairs, [`SAMPLE_GAP`] apart, one QB
+/// solve per side and round: the best of each side is taken over several seconds
 /// rather than the ~0.2 s three back-to-back rounds took. The solve's
 /// time is bimodal on a shared host (one mode ~40 % slower), and three
 /// samples a side left the np=2 side in its slow mode often enough to
@@ -123,8 +123,10 @@ const TS_REPS: usize = 20;
 /// Process CPU seconds per wall second below which an np=2 round ran on
 /// one core (two busy workers read about 2).
 const MIN_CPU_PER_WALL: f64 = 1.5;
-/// Most times one np=2 round is repeated after running on one core.
-const ONE_CORE_REPEATS: usize = 3;
+/// Wall time from the first np=2 round after which no more rounds are
+/// added for those that ran on one core: a one-core spell covered all
+/// 16 rounds of a `--quick` run (~10 s) in 1 of 16 runs.
+const PAR2_WALL_LIMIT: std::time::Duration = std::time::Duration::from_secs(70);
 /// Order of the circuit matrix COLAMD is timed on (the benchmark's
 /// `tp_sparse` input).
 const COLAMD_N: usize = 2400;
@@ -563,48 +565,49 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     };
     // A round whose np=2 side used less than MIN_CPU_PER_WALL seconds
     // of process CPU time per second of wall time ran on one core: it
-    // is repeated, and its np=2 samples are judged only if no round
+    // does not count, and its np=2 samples are judged only if no round
     // got two cores — in which case the gate fails on the host.
     let mut seq = [f64::INFINITY; 4];
     let (mut par2, mut par2_one_core) = ([f64::INFINITY; 4], [f64::INFINITY; 4]);
     let (mut round_ratios, mut one_core_ratios): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     let mut two_core_rounds = 0usize;
-    for round in 0..QB_REPS {
+    let started = std::time::Instant::now();
+    for round in 0.. {
+        if two_core_rounds >= QB_REPS || started.elapsed() > PAR2_WALL_LIMIT {
+            break;
+        }
         if round > 0 {
             std::thread::sleep(SAMPLE_GAP);
         }
-        for _ in 0..=ONE_CORE_REPEATS {
-            let Some(round_seq) = side(Parallelism::SEQ) else {
-                eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
-                return false;
-            };
-            fold(&mut seq, round_seq);
-            let cpu_before = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
-            let (round_par2, wall) = timed(|| side(two));
-            let Some(round_par2) = round_par2 else {
-                eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
-                return false;
-            };
-            let cpu_per_wall = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID)
-                .zip(cpu_before)
-                .map(|(t1, t0)| (t1 - t0) / wall);
-            round_ratios.extend(cpu_per_wall);
-            match cpu_per_wall {
-                Some(ratio) if gated && ratio < MIN_CPU_PER_WALL => {
-                    one_core_ratios.push(ratio);
-                    fold(&mut par2_one_core, round_par2);
-                }
-                _ => {
-                    fold(&mut par2, round_par2);
-                    two_core_rounds += 1;
-                    break;
-                }
+        let Some(round_seq) = side(Parallelism::SEQ) else {
+            eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
+            return false;
+        };
+        fold(&mut seq, round_seq);
+        let cpu_before = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
+        let (round_par2, wall) = timed(|| side(two));
+        let Some(round_par2) = round_par2 else {
+            eprintln!("FAIL: rand_qb_ei p=1 did not converge on economic{n}");
+            return false;
+        };
+        let cpu_per_wall = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID)
+            .zip(cpu_before)
+            .map(|(t1, t0)| (t1 - t0) / wall);
+        round_ratios.extend(cpu_per_wall);
+        match cpu_per_wall {
+            Some(ratio) if gated && ratio < MIN_CPU_PER_WALL => {
+                one_core_ratios.push(ratio);
+                fold(&mut par2_one_core, round_par2);
+            }
+            _ => {
+                fold(&mut par2, round_par2);
+                two_core_rounds += 1;
             }
         }
     }
     let ratios: Vec<String> = one_core_ratios.iter().map(|r| format!("{r:.2}")).collect();
     println!(
-        "par2: np=2 CPU/wall per round {}; {} round(s) on one core, repeated",
+        "par2: np=2 CPU/wall per round {}; {} round(s) on one core, not counted",
         round_ratios
             .iter()
             .map(|r| format!("{r:.2}"))
@@ -657,8 +660,9 @@ fn par2_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     }
     if two_core_rounds == 0 {
         eprintln!(
-            "FAIL: every np=2 round ran on one core (CPU/wall {} < {MIN_CPU_PER_WALL}): the host \
-             did not give the two workers two cores, so no np=2 speedup was measured",
+            "FAIL: every np=2 round ran on one core (CPU/wall {} < {MIN_CPU_PER_WALL}) for \
+             {PAR2_WALL_LIMIT:?}: the host did not give the two workers two cores, so no np=2 \
+             speedup was measured",
             ratios.join(", ")
         );
         return false;

@@ -425,11 +425,7 @@ impl LuCrtpResult {
     /// quantifies the degraded-but-valid approximation the partial
     /// factors provide.
     pub fn achieved_tolerance(&self) -> f64 {
-        if self.a_norm_f == 0.0 {
-            0.0
-        } else {
-            self.indicator / self.a_norm_f
-        }
+        crate::outcome::achieved_tolerance(self.indicator, self.a_norm_f)
     }
 
     /// Classify this result as a typed [`crate::Outcome`]:
@@ -437,22 +433,8 @@ impl LuCrtpResult {
     /// the achieved tolerance and a resume handle pointing at the trip
     /// iteration (meaningful when the run was checkpointed).
     pub fn into_outcome(self) -> crate::Outcome<LuCrtpResult> {
-        match self.trip.clone() {
-            None => crate::Outcome::Completed(self),
-            Some(trip) => {
-                let achieved_tolerance = self.achieved_tolerance();
-                let resume = (self.iterations > 0).then_some(crate::ResumeHandle {
-                    kind: "lu_crtp",
-                    iteration: self.iterations,
-                });
-                crate::Outcome::Interrupted(crate::Interrupted {
-                    partial: self,
-                    trip,
-                    achieved_tolerance,
-                    resume,
-                })
-            }
-        }
+        let (trip, tol, its) = (self.trip.clone(), self.achieved_tolerance(), self.iterations);
+        crate::outcome::classify(trip, tol, Some("lu_crtp"), its, self)
     }
 
     /// Rank-revealing singular-value estimates: `|diag(R^(i))|` of each

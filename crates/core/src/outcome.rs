@@ -23,6 +23,20 @@
 //! keeps its own ledger — job id, preemption count, parked state — and
 //! reads one thing from an interruption: [`ResumeHandle::iteration`],
 //! the iteration its trip-boundary checkpoint covers.
+//!
+//! # One stop contract
+//!
+//! The three block loops — `drive` (LU_CRTP / ILUT_CRTP on every
+//! engine), `rand_qb_ei` and `rand_ubv` — stop by rules written once
+//! here: [`budget_trip`] at every block boundary, [`non_finite`] on
+//! every value the stop reads (an overflowed norm stops the run
+//! unconverged; it never certifies), and [`achieved_tolerance`] /
+//! [`classify`] behind every result's `achieved_tolerance()` and
+//! `into_outcome()`, the checkpoint kind the only per-method input.
+
+use crate::RecoveryHooks;
+use lra_comm::Ctx;
+use lra_recover::{Budget, BudgetTrip, RecoveryEvent};
 
 /// Where a budget-tripped run can be picked up again.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,4 +108,82 @@ impl<T> Outcome<T> {
             Outcome::Interrupted(i) => Some(i),
         }
     }
+}
+
+/// The block-boundary budget step of every block loop, after
+/// `iterations` blocks, holding `resident` bytes of factorization
+/// state. With an unlimited budget it does nothing. Otherwise a rank
+/// group agrees on one verdict through a fixed allreduce (the budget is
+/// replicated, so the group takes the same branch and no rank leaves
+/// the collective schedule alone); on a trip, `save` snapshots the
+/// boundary unless the checkpoint cadence already did, so the resume
+/// handle names the trip iteration, and the root records the event.
+pub(crate) fn budget_trip(
+    budget: &Budget,
+    comm: Option<&Ctx>,
+    iterations: usize,
+    resident: u64,
+    hooks: Option<&RecoveryHooks<'_>>,
+    save: impl FnOnce(&RecoveryHooks<'_>),
+) -> Option<BudgetTrip> {
+    if budget.is_unlimited() {
+        return None;
+    }
+    let local = budget.check(iterations as u64, resident);
+    let trip = match comm {
+        None => local,
+        Some(ctx) => ctx.allreduce_opt(local, BudgetTrip::merge),
+    }?;
+    if let Some(h) = hooks.filter(|h| iterations > 0 && !h.should_save(iterations)) {
+        save(h);
+    }
+    if comm.is_none_or(|c| c.rank() == 0) {
+        let event = RecoveryEvent::BudgetTrip { trip: trip.clone(), iteration: iterations };
+        lra_recover::record_event(&event);
+    }
+    Some(trip)
+}
+
+/// The non-finite guard: `true`, after recording a guard trip, when any
+/// of `values` is NaN or infinite; the loop then stops unconverged with
+/// the blocks it has. Going on would corrupt every later block, and an
+/// identity clamped with `max(0.0)` would read a NaN as a zero residual.
+pub(crate) fn non_finite(what: &str, iteration: usize, values: &[f64]) -> bool {
+    let bad = values.iter().any(|v| !v.is_finite());
+    if bad {
+        lra_recover::record_guard_trip(format!("{what} at iteration {iteration}"));
+    }
+    bad
+}
+
+/// Achieved relative tolerance `indicator / ||A||_F`, 0 for the zero
+/// matrix.
+pub(crate) fn achieved_tolerance(indicator: f64, a_norm_f: f64) -> f64 {
+    if a_norm_f == 0.0 {
+        0.0
+    } else {
+        indicator / a_norm_f
+    }
+}
+
+/// [`Outcome::Interrupted`] exactly when a budget trip stopped the run,
+/// with a resume handle when the method checkpoints (`resume_kind`) and
+/// at least one of its `iterations` completed.
+pub(crate) fn classify<T>(
+    trip: Option<BudgetTrip>,
+    achieved_tolerance: f64,
+    resume_kind: Option<&'static str>,
+    iterations: usize,
+    partial: T,
+) -> Outcome<T> {
+    let Some(trip) = trip else {
+        return Outcome::Completed(partial);
+    };
+    let resume = resume_kind.filter(|_| iterations > 0);
+    Outcome::Interrupted(Interrupted {
+        partial,
+        trip,
+        achieved_tolerance,
+        resume: resume.map(|kind| ResumeHandle { kind, iteration: iterations }),
+    })
 }

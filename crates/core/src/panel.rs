@@ -51,6 +51,7 @@ use crate::lucrtp::{
     accumulate_correction, l21, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult,
     MemStats, OrderingMode, ThresholdReport,
 };
+use crate::outcome::{budget_trip, non_finite};
 use crate::spmd::spmd_panel_tsqr;
 use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
@@ -660,39 +661,15 @@ pub(crate) fn drive<E: PanelEngine>(
         if let Some(ctx) = comm {
             ctx.begin_iteration(st.iterations as u64 + 1);
         }
-        // Budget check at the iteration boundary: the loop-carried
-        // state is consistent here (the same invariant the snapshot
-        // point relies on), so a trip leaves valid partial factors and
-        // a resumable store. Under SPMD every rank evaluates its
-        // *local* verdict (its own resident bytes, its own clock), then
-        // the group agrees on one trip through a fixed allreduce — the
-        // same discipline as poison broadcast, so no rank can break out
-        // of the collective schedule alone. `opts` is replicated, so
-        // the `is_unlimited` branch itself cannot desync the group.
-        if !opts.budget.is_unlimited() {
-            let local = opts.budget.check(st.iterations as u64, eng.resident().0);
-            let agreed = match comm {
-                None => local,
-                Some(ctx) => ctx.allreduce_opt(local, BudgetTrip::merge),
-            };
-            if let Some(t) = agreed {
-                // A cadence save already covered this iteration when
-                // `should_save` holds; otherwise force one so the
-                // resume handle points at the trip iteration.
-                if let Some(h) = hooks {
-                    if st.iterations > 0 && !h.should_save(st.iterations) {
-                        save_checkpoint(comm, &eng, &st, a, h);
-                    }
-                }
-                if root {
-                    lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                        trip: t.clone(),
-                        iteration: st.iterations,
-                    });
-                }
-                st.trip = Some(t);
-                break;
-            }
+        // Budget check at the iteration boundary, where the loop-carried
+        // state is consistent: a trip leaves valid partial factors and a
+        // resumable store.
+        let resident = eng.resident().0;
+        st.trip = budget_trip(&opts.budget, comm, st.iterations, resident, hooks, |h| {
+            save_checkpoint(comm, &eng, &st, a, h)
+        });
+        if st.trip.is_some() {
+            break;
         }
         let (m_act, n_act) = eng.dims();
         if m_act == 0 || n_act == 0 || st.rank >= rank_cap {
@@ -732,11 +709,7 @@ pub(crate) fn drive<E: PanelEngine>(
             }
             Some(ctx) => spmd_panel_tsqr(ctx, &panel),
         });
-        if panel_r_diag.iter().any(|v| !v.is_finite()) {
-            lra_recover::record_guard_trip(format!(
-                "non-finite panel R diagonal at iteration {}",
-                st.iterations + 1
-            ));
+        if non_finite("non-finite panel R diagonal", st.iterations + 1, &panel_r_diag) {
             st.breakdown = Some(Breakdown::NonFinite);
             break;
         }
@@ -861,11 +834,7 @@ pub(crate) fn drive<E: PanelEngine>(
             Some(ctx) => timers.time(KernelId::Indicator, || ctx.allreduce(local, add_partials)),
         };
         st.indicator = norm_sq.sqrt();
-        if !st.indicator.is_finite() {
-            lra_recover::record_guard_trip(format!(
-                "non-finite error indicator at iteration {}",
-                st.iterations
-            ));
+        if non_finite("non-finite error indicator", st.iterations, &[st.indicator]) {
             st.breakdown = Some(Breakdown::NonFinite);
             break;
         }

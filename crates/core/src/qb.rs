@@ -20,6 +20,7 @@
 //! converged run returns the smallest prefix of its last block that it
 //! certifies below `tau`, read off the rows of the returned `B`.
 
+use crate::outcome::{budget_trip, non_finite};
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix, DenseView};
 use lra_par::Parallelism;
@@ -201,11 +202,7 @@ impl QbResult {
     /// Achieved relative tolerance `indicator / ||A||_F` — the
     /// quantified accuracy of the factors, degraded or not.
     pub fn achieved_tolerance(&self) -> f64 {
-        if self.a_norm_f == 0.0 {
-            0.0
-        } else {
-            self.indicator / self.a_norm_f
-        }
+        crate::outcome::achieved_tolerance(self.indicator, self.a_norm_f)
     }
 
     /// Fold this result into the typed [`crate::Outcome`] contract: a
@@ -214,22 +211,8 @@ impl QbResult {
     /// completed) a resume handle naming the `"rand_qb_ei"` checkpoint
     /// kind.
     pub fn into_outcome(self) -> crate::Outcome<QbResult> {
-        match self.trip.clone() {
-            None => crate::Outcome::Completed(self),
-            Some(trip) => {
-                let achieved_tolerance = self.achieved_tolerance();
-                let resume = (self.iterations > 0).then_some(crate::ResumeHandle {
-                    kind: "rand_qb_ei",
-                    iteration: self.iterations,
-                });
-                crate::Outcome::Interrupted(crate::Interrupted {
-                    partial: self,
-                    trip,
-                    achieved_tolerance,
-                    resume,
-                })
-            }
-        }
+        let (trip, tol, its) = (self.trip.clone(), self.achieved_tolerance(), self.iterations);
+        crate::outcome::classify(trip, tol, Some("rand_qb_ei"), its, self)
     }
 }
 
@@ -331,23 +314,6 @@ fn rand_qb_ei_inner(
 
     let a_norm_sq = a.fro_norm_sq();
     let a_norm_f = a_norm_sq.sqrt();
-    if a_norm_f == 0.0 {
-        // The zero matrix is its own rank-0 approximation.
-        return QbResult {
-            q: DenseMatrix::zeros(m, 0),
-            b: DenseMatrix::zeros(0, n),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            indicator: 0.0,
-            indicator_history: Vec::new(),
-            a_norm_f,
-            timers,
-            trip: None,
-            widths: Vec::new(),
-            row_norms_sq: Vec::new(),
-        };
-    }
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
@@ -358,13 +324,14 @@ fn rand_qb_ei_inner(
     let mut widths: Vec<usize> = Vec::new();
     let mut e = a_norm_sq;
     let mut history = Vec::new();
-    let mut converged = false;
+    // The zero matrix is its own rank-0 approximation.
+    let mut converged = a_norm_f == 0.0;
     let mut iterations = 0usize;
     let mut rank = 0usize;
     let mut draws = 0u64;
     let mut trip: Option<lra_recover::BudgetTrip> = None;
 
-    if let Some(h) = hooks {
+    if let Some(h) = hooks.filter(|_| !converged) {
         if let Some(ck) = crate::checkpoint::load_qb_resume(h, m, n) {
             // Replay the RNG to just past the snapshot point so the
             // continued sketch stream matches an uninterrupted run.
@@ -383,35 +350,39 @@ fn rand_qb_ei_inner(
         }
     }
 
-    while !converged && rank < rank_cap {
-        // Budget check at the block boundary: the accumulated Q/B^T
-        // bases are the resident factorization state (the input is
-        // read-only and the sketch is transient).
-        if !opts.budget.is_unlimited() {
-            let resident = (rank as u64) * ((m + n) as u64) * 8;
-            if let Some(t) = opts.budget.check(iterations as u64, resident) {
-                if let Some(h) = hooks {
-                    if iterations > 0 && !h.should_save(iterations) {
-                        let ck = crate::checkpoint::QbCheckpoint {
-                            iterations,
-                            rank,
-                            e,
-                            history: Cow::Borrowed(&history),
-                            q: Cow::Borrowed(&q),
-                            bt: Cow::Borrowed(&bt),
-                            widths: Cow::Borrowed(&widths),
-                            rng_draws: draws,
-                        };
-                        crate::checkpoint::save_snapshot(h, &ck);
-                    }
-                }
-                lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                    trip: t.clone(),
-                    iteration: iterations,
-                });
-                trip = Some(t);
-                break;
+    // The blocks a loaded snapshot already covers.
+    let resumed = iterations;
+    loop {
+        // Block boundary: every loop variable that feeds the next block
+        // is final for the last one, so this is the snapshot point, on
+        // the checkpoint cadence or forced by a budget trip. The
+        // accumulated Q/B^T bases are the resident factorization state
+        // (the input is read-only and the sketch is transient).
+        let save = |h: &crate::RecoveryHooks<'_>| {
+            let ck = crate::checkpoint::QbCheckpoint {
+                iterations,
+                rank,
+                e,
+                history: Cow::Borrowed(&history),
+                q: Cow::Borrowed(&q),
+                bt: Cow::Borrowed(&bt),
+                widths: Cow::Borrowed(&widths),
+                rng_draws: draws,
+            };
+            crate::checkpoint::save_snapshot(h, &ck);
+        };
+        if let Some(h) = hooks {
+            if iterations > resumed && !converged && h.should_save(iterations) {
+                save(h);
             }
+        }
+        if converged || rank >= rank_cap {
+            break;
+        }
+        let resident = (rank as u64) * ((m + n) as u64) * 8;
+        trip = budget_trip(&opts.budget, None, iterations, resident, hooks, save);
+        if trip.is_some() {
+            break;
         }
         let kk = k.min(rank_cap - rank);
         // Line 4-5: sketch and correct.
@@ -469,13 +440,7 @@ fn rand_qb_ei_inner(
         let btk_ref = &btk;
         let bk_norm_sq: f64 =
             (0..n).flat_map(|c| (0..kk).map(move |r| btk_ref.get(c, r))).map(|v| v * v).sum();
-        if !bk_norm_sq.is_finite() {
-            // A NaN/Inf sketch would silently corrupt every later
-            // block; stop here with the factors accumulated so far.
-            lra_recover::record_guard_trip(format!(
-                "rand_qb_ei: non-finite B block norm at iteration {}",
-                iterations + 1
-            ));
+        if non_finite("rand_qb_ei: non-finite B block norm", iterations + 1, &[bk_norm_sq]) {
             break;
         }
         e -= bk_norm_sq;
@@ -489,27 +454,7 @@ fn rand_qb_ei_inner(
         rank += kk;
         iterations += 1;
         history.push(ind);
-        if ind < stop {
-            converged = true;
-            break;
-        }
-        // Snapshot at the iteration boundary: every loop variable that
-        // feeds the next iteration is final for this one.
-        if let Some(h) = hooks {
-            if h.should_save(iterations) {
-                let ck = crate::checkpoint::QbCheckpoint {
-                    iterations,
-                    rank,
-                    e,
-                    history: Cow::Borrowed(&history),
-                    q: Cow::Borrowed(&q),
-                    bt: Cow::Borrowed(&bt),
-                    widths: Cow::Borrowed(&widths),
-                    rng_draws: draws,
-                };
-                crate::checkpoint::save_snapshot(h, &ck);
-            }
-        }
+        converged = ind < stop;
     }
 
     // A converged run returns the smallest prefix of its last block
@@ -519,31 +464,26 @@ fn rand_qb_ei_inner(
     // cut rows for `min_rank_for`.
     let row_norms_sq: Vec<f64> =
         (0..rank).map(|r| bt.col(r).iter().map(|v| v * v).sum()).collect();
-    let mut indicator = history.last().copied().unwrap_or(a_norm_f);
-    let blocks_rank = rank;
-    if converged {
-        let last = *widths.last().expect("a converged run has a block");
+    // No block: the zero matrix (indicator 0, where its empty norm sum
+    // reads -0.0) or a stop before the first one.
+    let no_block = if converged { 0.0 } else { a_norm_f };
+    let mut indicator = history.last().copied().unwrap_or(no_block);
+    if let (true, Some(&last)) = (converged, widths.last()) {
         let (cut, e) = first_rank_below(a_norm_f, opts.tau, &row_norms_sq, rank - last..rank);
         if cut < rank {
             rank = cut;
             q.truncate_columns(rank);
+            bt.truncate_columns(rank);
             indicator = e.max(0.0).sqrt();
         }
     }
 
     // The result takes both buffers: the unused reservation goes back
-    // where it lies, and B = (B^T)^T is transposed in place — whole
-    // blocks first, whose width keeps the transpose's runs long (a cut
-    // width such as 542 = 2 · 271 would leave it runs of 2), then the
-    // cut rows go.
+    // where it lies, and B = (B^T)^T is transposed in place.
     let b = timers.time(KernelId::Concat, || {
         q.shrink_to_fit();
         bt.shrink_to_fit();
         bt.transpose_in_place();
-        if rank < blocks_rank {
-            bt.truncate_rows(rank);
-            bt.shrink_to_fit();
-        }
         bt
     });
 

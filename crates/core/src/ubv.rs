@@ -19,6 +19,7 @@
 //! the buffer handed to the result as it is. Only the small `K x K`
 //! middle factor is assembled from its blocks at the end.
 
+use crate::outcome::{budget_trip, non_finite};
 use crate::qb::{blocks, randn};
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{matmul_nt, matmul_sub_assign, matmul_tn, qr, DenseMatrix};
@@ -107,29 +108,15 @@ impl UbvResult {
 
     /// Achieved relative tolerance `indicator / ||A||_F`.
     pub fn achieved_tolerance(&self) -> f64 {
-        if self.a_norm_f == 0.0 {
-            0.0
-        } else {
-            self.indicator / self.a_norm_f
-        }
+        crate::outcome::achieved_tolerance(self.indicator, self.a_norm_f)
     }
 
     /// Fold into the typed [`crate::Outcome`] contract. RandUBV has no
     /// checkpoint layer, so an interruption never carries a resume
     /// handle — continuing means starting over.
     pub fn into_outcome(self) -> crate::Outcome<UbvResult> {
-        match self.trip.clone() {
-            None => crate::Outcome::Completed(self),
-            Some(trip) => {
-                let achieved_tolerance = self.achieved_tolerance();
-                crate::Outcome::Interrupted(crate::Interrupted {
-                    partial: self,
-                    trip,
-                    achieved_tolerance,
-                    resume: None,
-                })
-            }
-        }
+        let (trip, tol, its) = (self.trip.clone(), self.achieved_tolerance(), self.iterations);
+        crate::outcome::classify(trip, tol, None, its, self)
     }
 }
 
@@ -160,21 +147,6 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
 
     let a_norm_sq = a.fro_norm_sq();
     let a_norm_f = a_norm_sq.sqrt();
-    if a_norm_f == 0.0 {
-        return UbvResult {
-            u: DenseMatrix::zeros(m, 0),
-            b: DenseMatrix::zeros(0, 0),
-            v: DenseMatrix::zeros(n, 0),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            indicator: 0.0,
-            indicator_history: Vec::new(),
-            a_norm_f,
-            timers,
-            trip: None,
-        };
-    }
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
@@ -198,24 +170,19 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     };
     let mut e = a_norm_sq;
     let mut history = Vec::new();
-    let mut converged = false;
+    // The zero matrix is its own rank-0 approximation.
+    let mut converged = a_norm_f == 0.0;
     let mut iterations = 0usize;
     let mut rank = 0usize;
     let mut trip: Option<lra_recover::BudgetTrip> = None;
 
-    while rank < rank_cap {
+    while !converged && rank < rank_cap {
         // Budget check at the block boundary; the two bases plus the
         // bidiagonal blocks are the resident factorization state.
-        if !opts.budget.is_unlimited() {
-            let resident = (rank as u64) * ((m + n + 2 * k) as u64) * 8;
-            if let Some(t) = opts.budget.check(iterations as u64, resident) {
-                lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                    trip: t.clone(),
-                    iteration: iterations,
-                });
-                trip = Some(t);
-                break;
-            }
+        let resident = (rank as u64) * ((m + n + 2 * k) as u64) * 8;
+        trip = budget_trip(&opts.budget, None, iterations, resident, None, |_| {});
+        if trip.is_some() {
+            break;
         }
         // U_i B_i = A V_i - U_{i-1} C_{i-1}  (C from the previous step).
         let mut w = timers.time(KernelId::Sketch, || spmm_dense(a, &vk, par));
@@ -239,10 +206,13 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
             }
         }
         // C_{i-1} enters the indicator once its kept width is known.
-        if let Some(c) = c_super.last() {
-            e -= c.fro_norm_sq();
+        let c_norm_sq = c_super.last().map_or(0.0, DenseMatrix::fro_norm_sq);
+        let b_norm_sq = bk.fro_norm_sq();
+        if non_finite("rand_ubv: non-finite block norm", iterations + 1, &[c_norm_sq, b_norm_sq]) {
+            break;
         }
-        e -= bk.fro_norm_sq();
+        e -= c_norm_sq;
+        e -= b_norm_sq;
         u.append_columns(&uk);
         v.append_columns(&vk);
         widths.push(kk);
@@ -271,6 +241,9 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         vk = vnext;
     }
 
+    // No block: the zero matrix (indicator 0, where its empty norm sum
+    // reads -0.0) or a stop before the first one.
+    let no_block = if converged { 0.0 } else { a_norm_f };
     // The bases are final; B is assembled from its blocks.
     let b = timers.time(KernelId::Concat, || {
         u.shrink_to_fit();
@@ -296,7 +269,7 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         rank,
         iterations,
         converged,
-        indicator: history.last().copied().unwrap_or(a_norm_f),
+        indicator: history.last().copied().unwrap_or(no_block),
         indicator_history: history,
         a_norm_f,
         timers,

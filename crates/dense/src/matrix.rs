@@ -164,32 +164,43 @@ impl DenseMatrix {
     }
 
     /// Transpose in place: the `rows x cols` buffer becomes the
-    /// `cols x rows` one, with no second buffer of its size. With `w`
-    /// the widest divisor of `cols` up to 32, each `rows x w` column
-    /// panel (contiguous) is transposed through a panel-sized scratch,
-    /// which leaves a `rows x (cols / w)` matrix whose entries are runs
-    /// of `w` values; that matrix is then transposed run by run by
-    /// cycle-following (`transpose_runs`). The first pass stays inside
-    /// one panel and the second moves whole runs, so neither walks the
-    /// buffer one scattered value at a time. Values are moved, never
-    /// recomputed: the result is bitwise [`transpose`](Self::transpose)'s.
+    /// `cols x rows` one, with no second buffer of its size. With
+    /// `w = min(cols, 32)`, each `rows x w` column panel (contiguous) is
+    /// transposed through a panel-sized scratch, which leaves a
+    /// `rows x (body / w)` matrix, `body` the columns of whole panels,
+    /// whose entries are runs of `w` values; that matrix is then
+    /// transposed run by run by cycle-following (`transpose_runs`). The
+    /// ragged panel of the last `cols % w` columns is transposed the same
+    /// way, and each row then moves out to its full length with its
+    /// ragged values after it. No pass walks the buffer one scattered
+    /// value at a time, whatever the divisors of `cols`. Values are
+    /// moved, never recomputed: the result is bitwise
+    /// [`transpose`](Self::transpose)'s.
     pub fn transpose_in_place(&mut self) {
         let (rows, cols) = (self.rows, self.cols);
         if rows > 1 && cols > 1 {
-            let w = (1..=cols.min(32))
-                .rev()
-                .find(|w| cols % w == 0)
-                .unwrap_or(1);
+            let w = cols.min(32);
+            let (body, t) = (cols - cols % w, cols % w);
             let mut scratch = vec![0.0; rows * w];
-            for panel in self.data.chunks_exact_mut(rows * w) {
+            for panel in self.data.chunks_mut(rows * w) {
+                let pw = panel.len() / rows;
                 for (c, col) in panel.chunks_exact(rows).enumerate() {
                     for (r, &v) in col.iter().enumerate() {
-                        scratch[c + r * w] = v;
+                        scratch[c + r * pw] = v;
                     }
                 }
-                panel.copy_from_slice(&scratch);
+                panel.copy_from_slice(&scratch[..panel.len()]);
             }
-            transpose_runs(&mut self.data, rows, cols / w, w);
+            transpose_runs(&mut self.data[..rows * body], rows, body / w, w);
+            // The ragged panel went through the scratch last. Last row
+            // first: a row's new place lies at or after its old one and
+            // after every earlier row's.
+            if t > 0 {
+                for r in (0..rows).rev() {
+                    self.data.copy_within(r * body..(r + 1) * body, r * cols);
+                    self.data[r * cols + body..][..t].copy_from_slice(&scratch[r * t..][..t]);
+                }
+            }
         }
         self.rows = cols;
         self.cols = rows;
@@ -525,6 +536,8 @@ mod tests {
             (13, 130),
             (9, 96),
             (40, 37),
+            (37, 541),
+            (37, 542),
         ];
         for (r, c) in shapes {
             let m = DenseMatrix::from_fn(r, c, |i, j| (i * 1000 + j) as f64 - 0.5);

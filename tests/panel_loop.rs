@@ -8,9 +8,9 @@
 //! stopped, and what a trace entry means.
 
 use lra::core::{
-    factorize, factorize_ranks, Breakdown, Budget, CheckpointStore, CommError, Exec, FaultPlan,
-    IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult, Method, OrderingMode,
-    Parallelism, RecoveryHooks, RunConfig,
+    factorize, factorize_ranks, rand_qb_ei, rand_ubv, Breakdown, Budget, CheckpointStore,
+    CommError, Exec, FaultPlan, IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, LuCrtpResult,
+    Method, OrderingMode, Parallelism, QbOpts, RecoveryHooks, RunConfig, UbvOpts,
 };
 use lra::dense::DenseMatrix;
 use lra::sparse::CscMatrix;
@@ -126,7 +126,10 @@ fn every_path(a: &CscMatrix, opts: &LuCrtpOpts) -> Vec<(String, LuCrtpResult)> {
 /// Why a run stops is decided by the loop, not by the engine: each
 /// degenerate or bounded input must be classified identically on every
 /// path, and a run that reports convergence must satisfy the
-/// fixed-precision bound.
+/// fixed-precision bound. On the rows no engine can certify (an
+/// overflowed norm), RandQB_EI and RandUBV, at the row's `k` and `tau`,
+/// must not converge either (or RandQB_EI refuses with its typed
+/// error), and neither may report an achieved tolerance below `tau`.
 #[test]
 fn stop_reason_is_the_same_on_every_engine() {
     let smooth = lra::matgen::with_decay(&lra::matgen::fem2d(8, 6, 5), 1e-6, 3);
@@ -192,6 +195,25 @@ fn stop_reason_is_the_same_on_every_engine() {
                     "{case}: {path}: ||A - LU||_F = {err:e} misses tau * ||A||_F = {:e}",
                     opts.tau * r.a_norm_f
                 );
+            }
+        }
+        if want.1 == Some(Breakdown::NonFinite) {
+            let qb = rand_qb_ei(&a, &QbOpts::new(opts.k, opts.tau));
+            let ubv = rand_ubv(&a, &UbvOpts::new(opts.k, opts.tau));
+            let cells = [
+                ("rand_qb_ei", qb.ok().map(|r| (r.converged, r.achieved_tolerance()))),
+                ("rand_ubv", Some((ubv.converged, ubv.achieved_tolerance()))),
+            ];
+            // (`None`: the typed `QbError`. A NaN tolerance, the ratio
+            // of two overflowed norms, is not below tau either.)
+            for (method, cell) in cells {
+                if let Some((converged, achieved)) = cell {
+                    assert!(!converged, "{case}: {method} converged");
+                    assert!(
+                        achieved >= opts.tau || achieved.is_nan(),
+                        "{case}: {method} achieved tolerance {achieved:e} below tau"
+                    );
+                }
             }
         }
     }
