@@ -296,19 +296,20 @@ fn execute(tm: &TestMatrix, key: &RunKey, u: usize, par: Parallelism) -> Run {
 /// Index + value words in a loop snapshot, counted from the decoded
 /// state rather than from the envelope's own section table.
 fn state_words(ck: &LuCrtpCheckpoint) -> usize {
-    let panel_entries: usize = ck.l_cols.iter().chain(ck.ut_cols.iter()).map(Vec::len).sum();
-    let r_diags: usize = ck.trace.iter().map(|t| t.r_diag.len()).sum();
+    let st = &ck.state;
+    let panel_entries: usize = st.l_cols.iter().chain(st.ut_cols.iter()).map(Vec::len).sum();
+    let r_diags: usize = st.trace.iter().map(|t| t.r_diag.len()).sum();
     let s = ck.schur();
     let index_words = s.colptr().len()
         + s.rowidx().len()
-        + ck.row_map.len()
-        + ck.col_map.len()
-        + ck.l_cols.len()
-        + ck.ut_cols.len()
+        + st.row_map.len()
+        + st.col_map.len()
+        + st.l_cols.len()
+        + st.ut_cols.len()
         + panel_entries
-        + ck.pivot_cols.len()
-        + ck.pivot_rows.len()
-        + 4 * ck.trace.len();
-    let value_words = s.values().len() + panel_entries + 3 * ck.trace.len() + r_diags;
+        + st.pivot_cols.len()
+        + st.pivot_rows.len()
+        + 4 * st.trace.len();
+    let value_words = s.values().len() + panel_entries + 3 * st.trace.len() + r_diags;
     index_words + value_words
 }

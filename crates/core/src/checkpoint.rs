@@ -26,10 +26,17 @@
 //! `f64` bits, exact by construction; the header's `f64` scalars rely
 //! on the Json writer's shortest round-trip printing, exact when
 //! finite. A resumed run on the same rank count thus reproduces the
-//! uninterrupted factors bit for bit. The snapshot types hold their
-//! arrays as [`Cow`]s: a driver lends the live loop state (nothing is
-//! cloned: a counting pass sizes the envelope and a second pass writes
-//! it once), a load owns what it decoded.
+//! uninterrupted factors bit for bit.
+//!
+//! Each checkpointed loop carries its state in one record, declared
+//! once: [`LuLoopState`] for LU_CRTP / ILUT_CRTP and [`QbCheckpoint`]
+//! for RandQB_EI. The loop owns the record; a save borrows it whole
+//! ([`LuCrtpCheckpoint`] lends it as a [`Cow`] beside the engine's
+//! Schur pieces, so nothing is cloned: a counting pass sizes the
+//! envelope and a second pass writes it once), and a resume moves the
+//! loaded record back in whole. A new loop-carried value is one field
+//! of its record plus its lines in that record's `encode` and
+//! `decode`; no driver names it on the way to or from the store.
 
 use crate::lucrtp::{IterTrace, ThresholdReport};
 use crate::panel::FactorCol;
@@ -75,16 +82,13 @@ impl<'a> RecoveryHooks<'a> {
     }
 }
 
-/// Full loop state of LU_CRTP / ILUT_CRTP after `iterations` completed
-/// block iterations — everything needed to continue as if never
-/// interrupted. Borrowed from the running loop when saved, owned when
-/// loaded.
-#[derive(Debug, Clone)]
-pub struct LuCrtpCheckpoint<'a> {
-    /// Original matrix shape (consistency check on resume).
-    pub m: usize,
-    /// Original column count.
-    pub n: usize,
+/// What LU_CRTP / ILUT_CRTP carries from one block iteration to the
+/// next, apart from the Schur complement, which the engine places: the
+/// panel loop owns one and a snapshot borrows it whole. Everything
+/// needed to continue after `iterations` completed block iterations as
+/// if never interrupted.
+#[derive(Debug, Clone, Default)]
+pub struct LuLoopState {
     /// Completed block iterations.
     pub iterations: usize,
     /// Accumulated rank `K`.
@@ -94,30 +98,48 @@ pub struct LuCrtpCheckpoint<'a> {
     pub indicator: f64,
     /// `|R^(1)(1,1)|` from the first iteration.
     pub r11: f64,
-    /// The current (post-drop, for ILUT) Schur complement as column
-    /// pieces in order, `row_map.len()` rows each: a save lends the
-    /// sequential engine's runs, or rank 0's shard beside the shards
-    /// gathered from the other ranks, and writes them as one matrix; a
-    /// load decodes that matrix as one piece. [`Self::schur`] reads it
-    /// whole.
-    pub s: Vec<Cow<'a, CscMatrix>>,
-    /// Trailing-row ids (into original coordinates).
-    pub row_map: Cow<'a, [usize]>,
-    /// Trailing-column ids (into original coordinates).
-    pub col_map: Cow<'a, [usize]>,
-    /// Accumulated `L` panels (columns, original row ids).
-    pub l_cols: Cow<'a, [FactorCol]>,
-    /// Accumulated `U^T` panels (columns, original column ids).
-    pub ut_cols: Cow<'a, [FactorCol]>,
+    /// Trailing-row ids (into original coordinates): the Schur
+    /// complement has `row_map.len()` rows.
+    pub row_map: Vec<usize>,
+    /// Trailing-column ids (into original coordinates): the Schur
+    /// complement has `col_map.len()` columns.
+    pub col_map: Vec<usize>,
+    /// Accumulated `L` panels (columns, original row ids); rank 0's
+    /// alone under SPMD.
+    pub l_cols: Vec<FactorCol>,
+    /// Accumulated `U^T` panels (columns, original column ids); rank
+    /// 0's alone under SPMD.
+    pub ut_cols: Vec<FactorCol>,
     /// Selected pivot columns (original ids, factor order); their
     /// rank-revealing `|diag(R)|` estimates are the trace's `r_diag`.
-    pub pivot_cols: Cow<'a, [usize]>,
+    pub pivot_cols: Vec<usize>,
     /// Selected pivot rows (original ids, factor order).
-    pub pivot_rows: Cow<'a, [usize]>,
+    pub pivot_rows: Vec<usize>,
     /// Per-iteration trace so far.
-    pub trace: Cow<'a, [IterTrace]>,
+    pub trace: Vec<IterTrace>,
     /// Threshold state (ILUT_CRTP only).
     pub ilut: Option<ThresholdReport>,
+}
+
+/// A snapshot of LU_CRTP / ILUT_CRTP at a block boundary: the loop's
+/// [`LuLoopState`] and the Schur complement it runs on, with the
+/// input's shape. Borrowed from the running loop when saved, owned
+/// when loaded.
+#[derive(Debug, Clone)]
+pub struct LuCrtpCheckpoint<'a> {
+    /// Original matrix shape (consistency check on resume).
+    pub m: usize,
+    /// Original column count.
+    pub n: usize,
+    /// The current (post-drop, for ILUT) Schur complement as column
+    /// pieces in order, `state.row_map.len()` rows each: a save lends
+    /// the sequential engine's runs, or rank 0's shard beside the
+    /// shards gathered from the other ranks, and writes them as one
+    /// matrix; a load decodes that matrix as one piece. [`Self::schur`]
+    /// reads it whole.
+    pub s: Vec<Cow<'a, CscMatrix>>,
+    /// The loop-carried state.
+    pub state: Cow<'a, LuLoopState>,
 }
 
 impl LuCrtpCheckpoint<'_> {
@@ -126,7 +148,7 @@ impl LuCrtpCheckpoint<'_> {
     pub fn schur(&self) -> Cow<'_, CscMatrix> {
         match self.s.as_slice() {
             [one] => Cow::Borrowed(one),
-            pieces => Cow::Owned(join(pieces, self.row_map.len())),
+            pieces => Cow::Owned(join(pieces, self.state.row_map.len())),
         }
     }
 
@@ -136,7 +158,7 @@ impl LuCrtpCheckpoint<'_> {
         let pieces = std::mem::take(&mut self.s);
         match <[_; 1]>::try_from(pieces) {
             Ok([one]) => one.into_owned(),
-            Err(pieces) => join(&pieces, self.row_map.len()),
+            Err(pieces) => join(&pieces, self.state.row_map.len()),
         }
     }
 }
@@ -153,7 +175,7 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
     const KIND: &'static str = "lu_crtp";
 
     fn iteration(&self) -> usize {
-        self.iterations
+        self.state.iterations
     }
 
     fn encode(&self, w: &mut SectionWriter) -> Result<Json, String> {
@@ -168,28 +190,29 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
         w.indices("s.colptr", std::iter::once(0).chain(colptr))?;
         w.indices("s.rowidx", self.s.iter().flat_map(|p| p.rowidx().iter().copied()))?;
         w.f64s("s.values", self.s.iter().flat_map(|p| p.values().iter().copied()));
-        w.indices("row_map", self.row_map.iter().copied())?;
-        w.indices("col_map", self.col_map.iter().copied())?;
-        put_panels(w, "l", &self.l_cols)?;
-        put_panels(w, "ut", &self.ut_cols)?;
-        w.indices("pivot_cols", self.pivot_cols.iter().copied())?;
-        w.indices("pivot_rows", self.pivot_rows.iter().copied())?;
+        let st = &*self.state;
+        w.indices("row_map", st.row_map.iter().copied())?;
+        w.indices("col_map", st.col_map.iter().copied())?;
+        put_panels(w, "l", &st.l_cols)?;
+        put_panels(w, "ut", &st.ut_cols)?;
+        w.indices("pivot_cols", st.pivot_cols.iter().copied())?;
+        w.indices("pivot_rows", st.pivot_rows.iter().copied())?;
         let counts = |t: &IterTrace| [t.iteration, t.rank, t.schur_nnz, t.r_diag.len()];
-        w.indices("trace.counts", self.trace.iter().flat_map(counts))?;
+        w.indices("trace.counts", st.trace.iter().flat_map(counts))?;
         let stats = |t: &IterTrace| [t.indicator, t.schur_density, t.schur_nnz_per_row];
-        w.f64s("trace.stats", self.trace.iter().flat_map(stats));
-        let r_diag = self.trace.iter().flat_map(|t| &t.r_diag);
+        w.f64s("trace.stats", st.trace.iter().flat_map(stats));
+        let r_diag = st.trace.iter().flat_map(|t| &t.r_diag);
         w.f64s("trace.r_diag", r_diag.copied());
 
-        let mut state = vec![
+        let mut header = vec![
             ("m", Json::Num(self.m as f64)),
             ("n", Json::Num(self.n as f64)),
-            ("iterations", Json::Num(self.iterations as f64)),
-            ("rank", Json::Num(self.rank as f64)),
-            ("indicator", Json::Num(self.indicator)),
-            ("r11", Json::Num(self.r11)),
+            ("iterations", Json::Num(st.iterations as f64)),
+            ("rank", Json::Num(st.rank as f64)),
+            ("indicator", Json::Num(st.indicator)),
+            ("r11", Json::Num(st.r11)),
         ];
-        if let Some(ilut) = &self.ilut {
+        if let Some(ilut) = &st.ilut {
             let ilut = obj(vec![
                 ("mu", Json::Num(ilut.mu)),
                 ("phi", Json::Num(ilut.phi)),
@@ -197,13 +220,13 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
                 ("dropped", Json::Num(ilut.dropped as f64)),
                 ("control_triggered", Json::Bool(ilut.control_triggered)),
             ]);
-            state.push(("ilut", ilut));
+            header.push(("ilut", ilut));
         }
-        Ok(obj(state))
+        Ok(obj(header))
     }
 
-    fn decode(state: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
-        let ilut = match state.get("ilut") {
+    fn decode(header: &Json, r: &SectionReader<'_>) -> Result<Self, String> {
+        let ilut = match header.get("ilut") {
             None => None,
             Some(j) => Some(ThresholdReport {
                 mu: get(j, "mu", Json::as_f64)?,
@@ -236,34 +259,34 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
                 r_diag,
             })
             .collect();
-        let ckpt = LuCrtpCheckpoint {
-            m: get(state, "m", Json::as_usize)?,
-            n: get(state, "n", Json::as_usize)?,
-            iterations: get(state, "iterations", Json::as_usize)?,
-            rank: get(state, "rank", Json::as_usize)?,
-            indicator: get(state, "indicator", Json::as_f64)?,
-            r11: get(state, "r11", Json::as_f64)?,
-            s: vec![Cow::Owned(get_csc(r, row_map.len(), col_map.len())?)],
-            row_map: row_map.into(),
-            col_map: col_map.into(),
-            l_cols: get_panels(r, "l")?.into(),
-            ut_cols: get_panels(r, "ut")?.into(),
-            pivot_cols: r.indices("pivot_cols")?.into(),
-            pivot_rows: r.indices("pivot_rows")?.into(),
-            trace: trace.into(),
+        let state = LuLoopState {
+            iterations: get(header, "iterations", Json::as_usize)?,
+            rank: get(header, "rank", Json::as_usize)?,
+            indicator: get(header, "indicator", Json::as_f64)?,
+            r11: get(header, "r11", Json::as_f64)?,
+            row_map,
+            col_map,
+            l_cols: get_panels(r, "l")?,
+            ut_cols: get_panels(r, "ut")?,
+            pivot_cols: r.indices("pivot_cols")?,
+            pivot_rows: r.indices("pivot_rows")?,
+            trace,
             ilut,
         };
-        if ckpt.pivot_cols.len() != ckpt.rank || ckpt.pivot_rows.len() != ckpt.rank {
+        if state.pivot_cols.len() != state.rank || state.pivot_rows.len() != state.rank {
             return Err("inconsistent checkpoint: pivot count != rank".to_string());
         }
-        Ok(ckpt)
+        let (m, n) = (get(header, "m", Json::as_usize)?, get(header, "n", Json::as_usize)?);
+        let s = vec![Cow::Owned(get_csc(r, state.row_map.len(), state.col_map.len())?)];
+        Ok(LuCrtpCheckpoint { m, n, s, state: Cow::Owned(state) })
     }
 }
 
-/// Full loop state of RandQB_EI after `iterations` completed block
-/// iterations: the accumulated `Q` and `B^T` bases with their block
-/// widths, the running squared-norm residual `E`, and the exact number
-/// of RNG draws consumed — resuming burns that many draws from the
+/// What RandQB_EI carries from one block iteration to the next: the
+/// accumulated `Q` and `B^T` bases with their block widths, the running
+/// squared-norm residual `E`, and the exact number of RNG draws
+/// consumed. The loop owns one, a save borrows it whole, and a resume
+/// moves the loaded one back in and burns that many draws from the
 /// seeded generator, so the continued sketch sequence (and therefore
 /// the factors) is bitwise identical to an uninterrupted run.
 ///
@@ -271,7 +294,7 @@ impl Checkpoint for LuCrtpCheckpoint<'_> {
 /// `m, k_j` per block) and the blocks' columns end to end (`q.data`),
 /// which is the basis buffer as the loop holds it; `bt.*` likewise.
 #[derive(Debug, Clone)]
-pub struct QbCheckpoint<'a> {
+pub struct QbCheckpoint {
     /// Completed block iterations.
     pub iterations: usize,
     /// Accumulated rank `K`.
@@ -279,20 +302,20 @@ pub struct QbCheckpoint<'a> {
     /// Running residual `E = ||A||_F^2 - sum ||B_j||_F^2`.
     pub e: f64,
     /// Indicator history so far.
-    pub history: Cow<'a, [f64]>,
+    pub history: Vec<f64>,
     /// Accumulated orthonormal basis `Q_K`, `m x K`: the blocks side
     /// by side.
-    pub q: Cow<'a, DenseMatrix>,
+    pub q: DenseMatrix,
     /// Accumulated coefficients, transposed (`B_K^T`, `n x K`) as the
     /// loop holds them.
-    pub bt: Cow<'a, DenseMatrix>,
+    pub bt: DenseMatrix,
     /// Column count `k_j` of each block, in order; they sum to `rank`.
-    pub widths: Cow<'a, [usize]>,
+    pub widths: Vec<usize>,
     /// `next_u64` calls consumed from the seeded RNG so far.
     pub rng_draws: u64,
 }
 
-impl Checkpoint for QbCheckpoint<'_> {
+impl Checkpoint for QbCheckpoint {
     const KIND: &'static str = "rand_qb_ei";
 
     fn iteration(&self) -> usize {
@@ -345,10 +368,10 @@ impl Checkpoint for QbCheckpoint<'_> {
             iterations: get(state, "iterations", Json::as_usize)?,
             rank,
             e: get(state, "e", Json::as_f64)?,
-            history: r.f64s("history")?.into(),
-            q: Cow::Owned(q),
-            bt: Cow::Owned(bt),
-            widths: widths.into(),
+            history: r.f64s("history")?,
+            q,
+            bt,
+            widths,
             rng_draws: get(state, "rng_draws", Json::as_u64)?,
         })
     }
@@ -381,7 +404,7 @@ pub(crate) fn load_resume(
         ));
         return None;
     }
-    if ck.ilut.is_some() != want_ilut {
+    if ck.state.ilut.is_some() != want_ilut {
         lra_recover::record_guard_trip(
             "checkpoint algorithm family mismatch (LU vs ILUT) ignored".to_string(),
         );
@@ -405,7 +428,7 @@ pub(crate) fn load_qb_resume(
     hooks: &RecoveryHooks<'_>,
     m: usize,
     n: usize,
-) -> Option<QbCheckpoint<'static>> {
+) -> Option<QbCheckpoint> {
     let ck: QbCheckpoint = load_or_trip(hooks)?;
     if ck.q.rows() != m || ck.bt.rows() != n {
         lra_recover::record_guard_trip(format!(
@@ -481,160 +504,4 @@ fn get_panels(r: &SectionReader<'_>, name: &str) -> Result<Vec<FactorCol>, Strin
     }
     let entries = idx.into_iter().zip(val).collect();
     split_exact(entries, r.indices(&format!("{name}.len"))?, name)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_lu_ckpt() -> LuCrtpCheckpoint<'static> {
-        let s = CscMatrix::from_parts(
-            3,
-            2,
-            vec![0, 2, 3],
-            vec![0, 2, 1],
-            vec![0.1, -7.0 / 3.0, 5.5e-12],
-        );
-        LuCrtpCheckpoint {
-            m: 5,
-            n: 4,
-            iterations: 1,
-            rank: 2,
-            indicator: 0.123456789012345,
-            r11: 3.25,
-            s: vec![Cow::Owned(s)],
-            row_map: vec![0, 2, 4].into(),
-            col_map: vec![1, 3].into(),
-            l_cols: vec![vec![(0, 1.0), (3, -0.5)], vec![(1, 1.0)]].into(),
-            ut_cols: vec![vec![(0, 2.0)], vec![(2, 1.0 / 7.0), (3, 4.0)]].into(),
-            pivot_cols: vec![2, 0].into(),
-            pivot_rows: vec![1, 3].into(),
-            trace: vec![IterTrace {
-                iteration: 1,
-                rank: 2,
-                indicator: 0.123456789012345,
-                schur_nnz: 3,
-                schur_density: 0.5,
-                schur_nnz_per_row: 1.0,
-                r_diag: vec![3.25, 0.5],
-            }]
-            .into(),
-            ilut: Some(ThresholdReport {
-                mu: 1e-5,
-                phi: 3.25e-2,
-                dropped_mass_sq: 1e-11,
-                dropped: 4,
-                control_triggered: false,
-            }),
-        }
-    }
-
-    #[test]
-    fn lu_checkpoint_roundtrips_bitwise_through_a_store() {
-        let store = CheckpointStore::in_memory();
-        let ckpt = sample_lu_ckpt();
-        store.save(&ckpt).unwrap();
-        let back: LuCrtpCheckpoint = store.load().unwrap().unwrap();
-        assert_eq!(back.iterations, 1);
-        assert_eq!(back.rank, 2);
-        assert_eq!(back.indicator.to_bits(), ckpt.indicator.to_bits());
-        assert_eq!(back.s.len(), 1, "a load holds one piece");
-        assert_eq!(back.schur().colptr(), ckpt.schur().colptr());
-        assert_eq!(back.schur().rowidx(), ckpt.schur().rowidx());
-        for (a, b) in ckpt.schur().values().iter().zip(back.schur().values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(back.row_map, ckpt.row_map);
-        assert_eq!(back.l_cols, ckpt.l_cols);
-        assert_eq!(back.ut_cols, ckpt.ut_cols);
-        assert_eq!(back.pivot_cols, ckpt.pivot_cols);
-        assert_eq!(back.pivot_rows, ckpt.pivot_rows);
-        assert_eq!(back.trace.len(), 1);
-        assert_eq!(back.trace[0].r_diag, ckpt.trace[0].r_diag);
-        let ilut = back.ilut.unwrap();
-        assert_eq!(ilut.mu.to_bits(), 1e-5f64.to_bits());
-        assert!(!ilut.control_triggered);
-    }
-
-    #[test]
-    fn schur_pieces_write_the_bytes_of_the_joined_matrix() {
-        let whole = sample_lu_ckpt();
-        let s = whole.schur().into_owned();
-        let first = s.slice_columns(0..1);
-        let pieces = LuCrtpCheckpoint {
-            s: vec![
-                Cow::Owned(s.slice_columns(0..0)),
-                Cow::Borrowed(&first),
-                Cow::Owned(s.slice_columns(1..2)),
-            ],
-            ..whole.clone()
-        };
-        let bytes = |ck: &LuCrtpCheckpoint| {
-            let store = CheckpointStore::in_memory();
-            store.save(ck).unwrap();
-            store.raw().unwrap().unwrap()
-        };
-        assert_eq!(bytes(&pieces), bytes(&whole));
-        assert_eq!(*pieces.schur(), s);
-        let mut one = whole;
-        assert_eq!(one.take_schur(), s);
-        assert!(one.s.is_empty());
-    }
-
-    #[test]
-    fn inconsistent_checkpoint_is_rejected() {
-        let mut ckpt = sample_lu_ckpt();
-        ckpt.pivot_rows.to_mut().pop(); // now pivot count != rank
-        let store = CheckpointStore::in_memory();
-        store.save(&ckpt).unwrap();
-        let err = store.load::<LuCrtpCheckpoint>().unwrap_err();
-        assert!(err.contains("pivot count"), "{err}");
-    }
-
-    fn sample_qb_ckpt() -> QbCheckpoint<'static> {
-        QbCheckpoint {
-            iterations: 2,
-            rank: 4,
-            e: 0.875,
-            history: vec![1.5, 0.9].into(),
-            q: Cow::Owned(DenseMatrix::from_fn(3, 4, |i, j| (i * 2 + j) as f64 / 7.0)),
-            bt: Cow::Owned(DenseMatrix::from_fn(5, 4, |i, j| -((i + j) as f64) * 0.3)),
-            widths: vec![3, 1].into(),
-            rng_draws: 123456,
-        }
-    }
-
-    #[test]
-    fn qb_checkpoint_roundtrips_blocks_and_draws() {
-        let ckpt = sample_qb_ckpt();
-        let store = CheckpointStore::in_memory();
-        store.save(&ckpt).unwrap();
-        let back: QbCheckpoint = store.load().unwrap().unwrap();
-        assert_eq!(back.rng_draws, 123456);
-        assert_eq!(back.widths, vec![3, 1]);
-        for (a, bb) in ckpt.q.as_slice().iter().zip(back.q.as_slice()) {
-            assert_eq!(a.to_bits(), bb.to_bits());
-        }
-        assert_eq!(*back.q, *ckpt.q);
-        assert_eq!(*back.bt, *ckpt.bt);
-        assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
-        assert_eq!(back.history, vec![1.5, 0.9]);
-    }
-
-    #[test]
-    fn qb_checkpoint_with_widths_off_its_rank_is_rejected() {
-        let mut ckpt = sample_qb_ckpt();
-        ckpt.rank = 5;
-        let store = CheckpointStore::in_memory();
-        store.save(&ckpt).unwrap();
-        let err = store.load::<QbCheckpoint>().unwrap_err();
-        assert!(err.contains("block widths"), "{err}");
-    }
-
-    #[test]
-    fn lu_and_qb_kinds_do_not_cross_load() {
-        let store = CheckpointStore::in_memory();
-        store.save(&sample_lu_ckpt()).unwrap();
-        assert!(store.load::<QbCheckpoint>().is_err());
-    }
 }

@@ -43,7 +43,7 @@ mod spmd;
 mod timers;
 mod ubv;
 
-pub use checkpoint::{LuCrtpCheckpoint, QbCheckpoint, RecoveryHooks};
+pub use checkpoint::{LuCrtpCheckpoint, LuLoopState, QbCheckpoint, RecoveryHooks};
 pub use explore::{
     explore_fault_space, ExploreConfig, ExplorerReport, InjectionSite, SiteOutcome, SiteVerdict,
 };

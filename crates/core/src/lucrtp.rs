@@ -528,10 +528,6 @@ impl PanelEngine for SeqEngine<'_> {
     /// are handed on.
     type Pending = Partials;
 
-    fn dims(&self) -> (usize, usize) {
-        (self.s.rows(), self.s.cols())
-    }
-
     fn resident(&self) -> (u64, u64) {
         (self.s.resident_bytes(), self.s.nnz() as u64)
     }

@@ -46,7 +46,7 @@
 //! assembles the factors from the recorded columns, each of which is
 //! freed as it is pushed. Only rank 0 returns `L` and `U`.
 
-use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, RecoveryHooks};
+use crate::checkpoint::{load_resume, save_snapshot, LuCrtpCheckpoint, LuLoopState, RecoveryHooks};
 use crate::lucrtp::{
     accumulate_correction, l21, Breakdown, IlutOpts, IterTrace, LuCrtpOpts, LuCrtpResult,
     MemStats, OrderingMode, ThresholdReport,
@@ -127,9 +127,6 @@ pub(crate) trait PanelEngine {
     /// [`Self::schur_finish`] (its [`Partials`] alone for an engine that
     /// does all the work in the first half).
     type Pending;
-
-    /// Active `(rows, columns)` of the current Schur complement.
-    fn dims(&self) -> (usize, usize);
 
     /// This rank's resident Schur storage as `(bytes, nonzeros)`: what
     /// the budget's memory ceiling is checked against and what the loop
@@ -420,32 +417,20 @@ fn assemble_factors(
     (l, assemble(n, ut_cols).transpose())
 }
 
-/// Everything Algorithm 2/3 carries from one block iteration to the
-/// next, apart from the Schur complement itself (which the engine
-/// places) — i.e. a [`LuCrtpCheckpoint`] minus `s`, plus the reason the
-/// loop stopped.
+/// Why the loop stopped. The loop decides it anew on every run; a
+/// snapshot never carries it.
 #[derive(Default)]
-struct LoopState {
-    row_map: Vec<usize>,
-    col_map: Vec<usize>,
-    l_cols: Vec<FactorCol>,
-    ut_cols: Vec<FactorCol>,
-    pivot_rows: Vec<usize>,
-    pivot_cols: Vec<usize>,
-    trace: Vec<IterTrace>,
-    rank: usize,
-    iterations: usize,
-    indicator: f64,
-    r11: f64,
-    ilut: Option<ThresholdReport>,
+struct Exit {
     converged: bool,
     breakdown: Option<Breakdown>,
     trip: Option<BudgetTrip>,
 }
 
-impl LoopState {
-    fn new(a_norm_f: f64, ilut: bool) -> Self {
-        LoopState {
+impl LuLoopState {
+    /// The state before the first iteration: the indicator is
+    /// `||A||_F`, and ILUT_CRTP's threshold state starts empty.
+    fn start(a_norm_f: f64, ilut: bool) -> Self {
+        LuLoopState {
             indicator: a_norm_f,
             ilut: ilut.then_some(ThresholdReport {
                 mu: 0.0,
@@ -471,56 +456,9 @@ impl LoopState {
         })
     }
 
-    /// Continue from a snapshot as if never interrupted.
-    fn from_checkpoint(mut ck: LuCrtpCheckpoint<'_>) -> (Self, CscMatrix) {
-        let s = ck.take_schur();
-        let st = LoopState {
-            row_map: ck.row_map.into_owned(),
-            col_map: ck.col_map.into_owned(),
-            l_cols: ck.l_cols.into_owned(),
-            ut_cols: ck.ut_cols.into_owned(),
-            pivot_rows: ck.pivot_rows.into_owned(),
-            pivot_cols: ck.pivot_cols.into_owned(),
-            trace: ck.trace.into_owned(),
-            rank: ck.rank,
-            iterations: ck.iterations,
-            indicator: ck.indicator,
-            r11: ck.r11,
-            ilut: ck.ilut,
-            ..Default::default()
-        };
-        (st, s)
-    }
-
-    /// The state at an iteration boundary around the engine's current
-    /// Schur complement — borrowed, nothing is cloned for a save.
-    fn snapshot<'a>(
-        &'a self,
-        m: usize,
-        n: usize,
-        s: Vec<Cow<'a, CscMatrix>>,
-    ) -> LuCrtpCheckpoint<'a> {
-        LuCrtpCheckpoint {
-            m,
-            n,
-            iterations: self.iterations,
-            rank: self.rank,
-            indicator: self.indicator,
-            r11: self.r11,
-            s,
-            row_map: Cow::Borrowed(&self.row_map),
-            col_map: Cow::Borrowed(&self.col_map),
-            l_cols: Cow::Borrowed(&self.l_cols),
-            ut_cols: Cow::Borrowed(&self.ut_cols),
-            pivot_cols: Cow::Borrowed(&self.pivot_cols),
-            pivot_rows: Cow::Borrowed(&self.pivot_rows),
-            trace: Cow::Borrowed(&self.trace),
-            ilut: self.ilut.clone(),
-        }
-    }
-
     fn into_result(
         self,
+        exit: Exit,
         (l, u): (CscMatrix, CscMatrix),
         a_norm_f: f64,
         timers: KernelTimers,
@@ -533,8 +471,8 @@ impl LoopState {
             pivot_cols: self.pivot_cols,
             rank: self.rank,
             iterations: self.iterations,
-            converged: self.converged,
-            breakdown: self.breakdown,
+            converged: exit.converged,
+            breakdown: exit.breakdown,
             indicator: self.indicator,
             a_norm_f,
             r11: self.r11,
@@ -542,7 +480,7 @@ impl LoopState {
             timers,
             threshold: self.ilut,
             mem,
-            trip: self.trip,
+            trip: exit.trip,
         }
     }
 }
@@ -556,7 +494,7 @@ impl LoopState {
 fn save_checkpoint<E: PanelEngine>(
     comm: Option<&Ctx>,
     eng: &E,
-    st: &LoopState,
+    st: &LuLoopState,
     a: &CscMatrix,
     hooks: &RecoveryHooks<'_>,
 ) {
@@ -571,7 +509,8 @@ fn save_checkpoint<E: PanelEngine>(
             None => return,
         }
     }
-    save_snapshot(hooks, &st.snapshot(a.rows(), a.cols(), s));
+    let state = Cow::Borrowed(st);
+    save_snapshot(hooks, &LuCrtpCheckpoint { m: a.rows(), n: a.cols(), s, state });
 }
 
 /// Run LU_CRTP (`ilut: None`) or ILUT_CRTP over the engine `place`
@@ -599,13 +538,14 @@ pub(crate) fn drive<E: PanelEngine>(
     let a_norm_f = a.fro_norm();
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
-    let mut st = LoopState::new(a_norm_f, ilut.is_some());
+    let mut st = LuLoopState::start(a_norm_f, ilut.is_some());
+    let mut exit = Exit::default();
     if a_norm_f == 0.0 {
         // The zero matrix is its own rank-0 approximation.
-        st.converged = true;
+        exit.converged = true;
         st.indicator = 0.0; // not `a_norm_f`: an empty sum is -0.0
         let empty = (CscMatrix::zeros(m, 0), CscMatrix::zeros(0, n));
-        return st.into_result(empty, a_norm_f, timers, MemStats::default());
+        return st.into_result(exit, empty, a_norm_f, timers, MemStats::default());
     }
 
     let mut eng = match hooks.and_then(|h| load_resume(h, m, n, ilut.is_some())) {
@@ -614,9 +554,9 @@ pub(crate) fn drive<E: PanelEngine>(
         // SPMD every rank loads the same shared store, so the restored
         // state is consistent with no extra collective, and an engine
         // that shards re-slices for the *current* rank count.
-        Some(ck) => {
-            let s;
-            (st, s) = LoopState::from_checkpoint(ck);
+        Some(mut ck) => {
+            let s = ck.take_schur();
+            st = ck.state.into_owned();
             if !root {
                 st.l_cols = Vec::new();
                 st.ut_cols = Vec::new();
@@ -665,16 +605,17 @@ pub(crate) fn drive<E: PanelEngine>(
         // state is consistent: a trip leaves valid partial factors and a
         // resumable store.
         let resident = eng.resident().0;
-        st.trip = budget_trip(&opts.budget, comm, st.iterations, resident, hooks, |h| {
+        exit.trip = budget_trip(&opts.budget, comm, st.iterations, resident, hooks, |h| {
             save_checkpoint(comm, &eng, &st, a, h)
         });
-        if st.trip.is_some() {
+        if exit.trip.is_some() {
             break;
         }
-        let (m_act, n_act) = eng.dims();
+        // The active complement is as large as the maps into it.
+        let (m_act, n_act) = (st.row_map.len(), st.col_map.len());
         if m_act == 0 || n_act == 0 || st.rank >= rank_cap {
             if st.indicator >= stop {
-                st.breakdown = Some(Breakdown::RankExhausted);
+                exit.breakdown = Some(Breakdown::RankExhausted);
             }
             break;
         }
@@ -693,7 +634,7 @@ pub(crate) fn drive<E: PanelEngine>(
         }
         let k_eff = sel.selected.len();
         if k_eff == 0 {
-            st.breakdown = Some(Breakdown::RankExhausted);
+            exit.breakdown = Some(Breakdown::RankExhausted);
             break;
         }
 
@@ -710,7 +651,7 @@ pub(crate) fn drive<E: PanelEngine>(
             Some(ctx) => spmd_panel_tsqr(ctx, &panel),
         });
         if non_finite("non-finite panel R diagonal", st.iterations + 1, &panel_r_diag) {
-            st.breakdown = Some(Breakdown::NonFinite);
+            exit.breakdown = Some(Breakdown::NonFinite);
             break;
         }
 
@@ -720,7 +661,7 @@ pub(crate) fn drive<E: PanelEngine>(
             Some(ctx) => tournament_columns_spmd(ctx, &qk.transpose(), None, k_eff).selected,
         });
         if rows.len() < k_eff {
-            st.breakdown = Some(Breakdown::RankExhausted);
+            exit.breakdown = Some(Breakdown::RankExhausted);
             break;
         }
 
@@ -736,7 +677,7 @@ pub(crate) fn drive<E: PanelEngine>(
         // Line 10: L21 formation.
         let lu11 = lu(&sp.a11);
         if lu11.is_singular() {
-            st.breakdown = Some(Breakdown::SingularPivotBlock);
+            exit.breakdown = Some(Breakdown::SingularPivotBlock);
             break;
         }
         let (x_rows, xt) =
@@ -835,14 +776,14 @@ pub(crate) fn drive<E: PanelEngine>(
         };
         st.indicator = norm_sq.sqrt();
         if non_finite("non-finite error indicator", st.iterations, &[st.indicator]) {
-            st.breakdown = Some(Breakdown::NonFinite);
+            exit.breakdown = Some(Breakdown::NonFinite);
             break;
         }
         let mut nnz = nnz as usize;
         if st.indicator < stop {
-            st.converged = true;
+            exit.converged = true;
         } else if st.rank >= rank_cap {
-            st.breakdown = Some(Breakdown::RankExhausted);
+            exit.breakdown = Some(Breakdown::RankExhausted);
         } else if let (Some(cfg), Some(th)) = (ilut, st.ilut.as_mut()) {
             // ILUT_CRTP lines 5, 8-10: record mu/phi, then keep the drop
             // unless it would carry the accumulated dropped mass past
@@ -869,7 +810,7 @@ pub(crate) fn drive<E: PanelEngine>(
 
         // Trace the Schur complement as the next iteration will see it
         // (post-threshold for ILUT_CRTP) — the Fig. 1 fill-in metric.
-        let (m_rest, n_rest) = eng.dims();
+        let (m_rest, n_rest) = (sp.blocks.rest_rows.len(), sp.blocks.rest_cols.len());
         st.trace.push(IterTrace {
             iteration: st.iterations,
             rank: st.rank,
@@ -890,7 +831,7 @@ pub(crate) fn drive<E: PanelEngine>(
         // A converged run whose whole last block is certified keeps
         // what the prefix search needs of it; the engine's sums travel
         // in the memory-peak allreduce after the loop.
-        if st.converged && block_certified(norm_sq, stop, st.drop_norm_bound()) {
+        if exit.converged && block_certified(norm_sq, stop, st.drop_norm_bound()) {
             last = Some(timers.time(KernelId::Indicator, || {
                 let mut xq = vec![usize::MAX; sp.blocks.rest_rows.len()];
                 for (q, &r) in x_rows.iter().enumerate() {
@@ -899,7 +840,7 @@ pub(crate) fn drive<E: PanelEngine>(
                 (LastBlock::new(norm_sq, &sp.a11, &xt), eng.block_sums(&xq, &xt))
             }));
         }
-        if st.converged || st.breakdown.is_some() {
+        if exit.converged || exit.breakdown.is_some() {
             break;
         }
 
@@ -917,7 +858,7 @@ pub(crate) fn drive<E: PanelEngine>(
             }
         }
         if st.iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
-            st.breakdown = Some(Breakdown::RankExhausted);
+            exit.breakdown = Some(Breakdown::RankExhausted);
             break; // safety net against non-termination
         }
     }
@@ -961,7 +902,7 @@ pub(crate) fn drive<E: PanelEngine>(
             (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
         }
     });
-    st.into_result(factors, a_norm_f, timers, mem)
+    st.into_result(exit, factors, a_norm_f, timers, mem)
 }
 
 #[cfg(test)]

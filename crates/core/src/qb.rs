@@ -20,6 +20,7 @@
 //! converged run returns the smallest prefix of its last block that it
 //! certifies below `tau`, read off the rows of the returned `B`.
 
+use crate::checkpoint::QbCheckpoint;
 use crate::outcome::{budget_trip, non_finite};
 use crate::timers::{KernelId, KernelTimers};
 use lra_dense::{matmul_sub_assign, matmul_tn, orth, DenseMatrix, DenseView};
@@ -27,7 +28,6 @@ use lra_par::Parallelism;
 use lra_sparse::{spmm_dense, spmm_t_dense, CscMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// The double-precision floor below which the Frobenius-update error
@@ -267,8 +267,7 @@ pub(crate) fn blocks<'a>(
 /// Standard-normal matrix via Box-Muller (the offline `rand` has no
 /// normal distribution helper); RandQB_EI's sketches and RandUBV's
 /// start block. Consumes exactly `2 * rows * cols` `next_u64` draws —
-/// [`QbCheckpoint`](crate::QbCheckpoint) relies on this count to
-/// resume the stream bitwise.
+/// [`QbCheckpoint`] relies on this count to resume the stream bitwise.
 pub(crate) fn randn(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |_, _| {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -312,86 +311,76 @@ fn rand_qb_ei_inner(
     let mut timers = KernelTimers::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
-    let a_norm_sq = a.fro_norm_sq();
-    let a_norm_f = a_norm_sq.sqrt();
+    let a_norm_f = a.fro_norm();
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
     // Q_K (`m x K`) and B_K^T (`n x K`), block `j` in columns
     // `sum(widths[..j])..` of each.
-    let mut q = DenseMatrix::with_column_capacity(m, rank_cap);
-    let mut bt = DenseMatrix::with_column_capacity(n, rank_cap);
-    let mut widths: Vec<usize> = Vec::new();
-    let mut e = a_norm_sq;
-    let mut history = Vec::new();
+    let mut st = QbCheckpoint {
+        iterations: 0,
+        rank: 0,
+        e: a.fro_norm_sq(),
+        history: Vec::new(),
+        q: DenseMatrix::with_column_capacity(m, rank_cap),
+        bt: DenseMatrix::with_column_capacity(n, rank_cap),
+        widths: Vec::new(),
+        rng_draws: 0,
+    };
     // The zero matrix is its own rank-0 approximation.
     let mut converged = a_norm_f == 0.0;
-    let mut iterations = 0usize;
-    let mut rank = 0usize;
-    let mut draws = 0u64;
     let mut trip: Option<lra_recover::BudgetTrip> = None;
 
     if let Some(h) = hooks.filter(|_| !converged) {
-        if let Some(ck) = crate::checkpoint::load_qb_resume(h, m, n) {
+        if let Some(mut ck) = crate::checkpoint::load_qb_resume(h, m, n) {
+            // The loaded bases go into buffers that reserve the rank
+            // cap, as the fresh ones do.
+            for basis in [&mut ck.q, &mut ck.bt] {
+                let mut reserved = DenseMatrix::with_column_capacity(basis.rows(), rank_cap);
+                reserved.append_columns(&*basis);
+                *basis = reserved;
+            }
+            st = ck;
             // Replay the RNG to just past the snapshot point so the
             // continued sketch stream matches an uninterrupted run.
-            for _ in 0..ck.rng_draws {
+            for _ in 0..st.rng_draws {
                 rng.next_u64();
             }
-            draws = ck.rng_draws;
-            iterations = ck.iterations;
-            rank = ck.rank;
-            e = ck.e;
-            history = ck.history.into_owned();
-            q.append_columns(&*ck.q);
-            bt.append_columns(&*ck.bt);
-            widths = ck.widths.into_owned();
-            converged = history.last().is_some_and(|&ind| ind < stop);
+            converged = st.history.last().is_some_and(|&ind| ind < stop);
         }
     }
 
     // The blocks a loaded snapshot already covers.
-    let resumed = iterations;
+    let resumed = st.iterations;
     loop {
         // Block boundary: every loop variable that feeds the next block
         // is final for the last one, so this is the snapshot point, on
         // the checkpoint cadence or forced by a budget trip. The
         // accumulated Q/B^T bases are the resident factorization state
         // (the input is read-only and the sketch is transient).
-        let save = |h: &crate::RecoveryHooks<'_>| {
-            let ck = crate::checkpoint::QbCheckpoint {
-                iterations,
-                rank,
-                e,
-                history: Cow::Borrowed(&history),
-                q: Cow::Borrowed(&q),
-                bt: Cow::Borrowed(&bt),
-                widths: Cow::Borrowed(&widths),
-                rng_draws: draws,
-            };
-            crate::checkpoint::save_snapshot(h, &ck);
-        };
+        let save = |h: &crate::RecoveryHooks<'_>| crate::checkpoint::save_snapshot(h, &st);
         if let Some(h) = hooks {
-            if iterations > resumed && !converged && h.should_save(iterations) {
+            if st.iterations > resumed && !converged && h.should_save(st.iterations) {
                 save(h);
             }
         }
-        if converged || rank >= rank_cap {
+        if converged || st.rank >= rank_cap {
             break;
         }
-        let resident = (rank as u64) * ((m + n) as u64) * 8;
-        trip = budget_trip(&opts.budget, None, iterations, resident, hooks, save);
+        let resident = (st.rank as u64) * ((m + n) as u64) * 8;
+        trip = budget_trip(&opts.budget, None, st.iterations, resident, hooks, save);
         if trip.is_some() {
             break;
         }
-        let kk = k.min(rank_cap - rank);
+        let (q, bt, widths) = (&st.q, &st.bt, &st.widths);
+        let kk = k.min(rank_cap - st.rank);
         // Line 4-5: sketch and correct.
         let omega = randn(n, kk, &mut rng);
-        draws += 2 * (n as u64) * (kk as u64);
+        st.rng_draws += 2 * (n as u64) * (kk as u64);
         let mut y = timers.time(KernelId::Sketch, || {
             let mut y = spmm_dense(a, &omega, par);
             // Y -= Q_K (B_K Ω), blockwise.
-            for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+            for (qj, btj) in blocks(q, widths).zip(blocks(bt, widths)) {
                 let t = matmul_tn(btj, &omega, par);
                 matmul_sub_assign(&mut y, qj, &t, par);
             }
@@ -404,14 +393,14 @@ fn rand_qb_ei_inner(
             timers.time(KernelId::PowerIter, || {
                 // Q̂ = orth(A^T Q_k - B_K^T (Q_K^T Q_k))
                 let mut z = spmm_t_dense(a, &qk, par);
-                for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+                for (qj, btj) in blocks(q, widths).zip(blocks(bt, widths)) {
                     let t = matmul_tn(qj, &qk, par);
                     matmul_sub_assign(&mut z, btj, &t, par);
                 }
                 let qhat = orth(&z, par);
                 // Q_k = orth(A Q̂ - Q_K (B_K Q̂))
                 let mut w = spmm_dense(a, &qhat, par);
-                for (qj, btj) in blocks(&q, &widths).zip(blocks(&bt, &widths)) {
+                for (qj, btj) in blocks(q, widths).zip(blocks(bt, widths)) {
                     let t = matmul_tn(btj, &qhat, par);
                     matmul_sub_assign(&mut w, qj, &t, par);
                 }
@@ -422,7 +411,7 @@ fn rand_qb_ei_inner(
         // Line 10: re-orthogonalization against previous blocks.
         timers.time(KernelId::Orth, || {
             if !widths.is_empty() {
-                for qj in blocks(&q, &widths) {
+                for qj in blocks(q, widths) {
                     let t = matmul_tn(qj, &qk, par);
                     matmul_sub_assign(&mut qk, qj, &t, par);
                 }
@@ -440,23 +429,24 @@ fn rand_qb_ei_inner(
         let btk_ref = &btk;
         let bk_norm_sq: f64 =
             (0..n).flat_map(|c| (0..kk).map(move |r| btk_ref.get(c, r))).map(|v| v * v).sum();
-        if non_finite("rand_qb_ei: non-finite B block norm", iterations + 1, &[bk_norm_sq]) {
+        if non_finite("rand_qb_ei: non-finite B block norm", st.iterations + 1, &[bk_norm_sq]) {
             break;
         }
-        e -= bk_norm_sq;
+        st.e -= bk_norm_sq;
         // Guard tiny negative round-off.
-        let ind = e.max(0.0).sqrt();
+        let ind = st.e.max(0.0).sqrt();
         y = DenseMatrix::zeros(0, 0); // release the sketch early
         let _ = y;
-        q.append_columns(&qk);
-        bt.append_columns(&btk);
-        widths.push(kk);
-        rank += kk;
-        iterations += 1;
-        history.push(ind);
+        st.q.append_columns(&qk);
+        st.bt.append_columns(&btk);
+        st.widths.push(kk);
+        st.rank += kk;
+        st.iterations += 1;
+        st.history.push(ind);
         converged = ind < stop;
     }
 
+    let QbCheckpoint { iterations, mut rank, history, mut q, mut bt, widths, .. } = st;
     // A converged run returns the smallest prefix of its last block
     // that the row identity certifies, read off the rows of `B` — the
     // columns of `B^T` — so a resumed run, whose `B^T` is bitwise the

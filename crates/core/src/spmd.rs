@@ -246,14 +246,14 @@ fn oversized(capacity: u64, held: u64) -> bool {
     capacity > SLACK_FACTOR * held + SLACK_FLOOR_BYTES
 }
 
-/// Panel engine over rank-owned shards: the communicator, the rank's
-/// owned block-column shard of the current Schur complement with its
-/// global column offset, and the replicated global dimensions. The
-/// shard invariant: after construction and after every re-shard
-/// ([`Self::complete_reshard`]), this rank owns exactly
-/// `owned_range(split_ranges(n_cur, size), rank)` — the same partition
-/// the replicated oracle uses for its per-rank work, which is what
-/// makes the two engines bit-identical.
+/// Panel engine over rank-owned shards: the communicator and the
+/// rank's owned block-column shard of the current Schur complement
+/// with its global column offset. The shard invariant: after
+/// construction and after every re-shard ([`Self::complete_reshard`]),
+/// this rank owns exactly `owned_range(split_ranges(n, size), rank)`
+/// of the complement's `n` columns (the loop's column map) — the same
+/// partition the replicated oracle uses for its per-rank work, which is
+/// what makes the two engines bit-identical.
 struct SpmdPanelCtx<'a> {
     ctx: &'a Ctx,
     rank: usize,
@@ -262,8 +262,6 @@ struct SpmdPanelCtx<'a> {
     /// dimension.
     shard: CscMatrix,
     offset: usize,
-    /// Global column count of the (virtual) Schur complement.
-    n_cur: usize,
     /// `opts.par` is the intra-rank worker count for the owned-range
     /// kernels (Schur update, threshold pass).
     opts: &'a LuCrtpOpts,
@@ -285,19 +283,19 @@ struct SpmdPanelCtx<'a> {
 impl<'a> SpmdPanelCtx<'a> {
     fn place(ctx: &'a Ctx, src: Source<'_>, opts: &'a LuCrtpOpts) -> Self {
         let owned = |n: usize| owned_range(&split_ranges(n, ctx.size()), ctx.rank());
-        let (shard, offset, n_cur) = match src {
+        let (shard, offset) = match src {
             // Only the owned block of the permuted input is extracted;
             // the full Schur complement never exists on any rank.
             Source::Input(a, cols) => {
                 let my = owned(cols.len());
-                (a.select_columns(&cols[my.clone()]), my.start, cols.len())
+                (a.select_columns(&cols[my.clone()]), my.start)
             }
             // Slice this rank's shard out of the snapshot under the
             // *current* rank count — resuming a snapshot written by a
             // larger grid redistributes implicitly.
             Source::Snapshot(s) => {
                 let my = owned(s.cols());
-                (s.slice_columns(my.clone()), my.start, s.cols())
+                (s.slice_columns(my.clone()), my.start)
             }
         };
         SpmdPanelCtx {
@@ -306,7 +304,6 @@ impl<'a> SpmdPanelCtx<'a> {
             size: ctx.size(),
             shard,
             offset,
-            n_cur,
             opts,
             ws: SchurWorkspace::new(),
             a12: CscMatrix::zeros(0, 0),
@@ -401,17 +398,12 @@ impl<'a> SpmdPanelCtx<'a> {
         }
         self.shard = updated;
         self.offset = my_new.start;
-        self.n_cur = n_rest;
         fold_columns(&meas)
     }
 }
 
 impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     type Pending = PendingExchange<'a, CscMatrix>;
-
-    fn dims(&self) -> (usize, usize) {
-        (self.shard.rows(), self.n_cur)
-    }
 
     fn resident(&self) -> (u64, u64) {
         (self.shard.resident_bytes(), self.shard.nnz() as u64)
@@ -496,10 +488,6 @@ impl PanelEngine for ReplicatedEngine<'_> {
     /// The next complement, installed once the `U` fragments are read
     /// off this one, and this rank's partials of it.
     type Pending = (CscMatrix, Partials);
-
-    fn dims(&self) -> (usize, usize) {
-        (self.s.rows(), self.s.cols())
-    }
 
     fn resident(&self) -> (u64, u64) {
         (self.s.resident_bytes(), self.s.nnz() as u64)

@@ -145,8 +145,7 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
     let mut timers = KernelTimers::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
-    let a_norm_sq = a.fro_norm_sq();
-    let a_norm_f = a_norm_sq.sqrt();
+    let a_norm_f = a.fro_norm();
     let stop = opts.tau * a_norm_f;
     let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
 
@@ -168,7 +167,7 @@ pub fn rand_ubv(a: &CscMatrix, opts: &UbvOpts) -> UbvResult {
         let mut w = randn(n, k, &mut rng);
         timers.time(KernelId::Orth, || orth_against(&mut w, &v, &widths, par).0)
     };
-    let mut e = a_norm_sq;
+    let mut e = a.fro_norm_sq();
     let mut history = Vec::new();
     // The zero matrix is its own rank-0 approximation.
     let mut converged = a_norm_f == 0.0;

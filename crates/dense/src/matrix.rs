@@ -243,19 +243,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Keep the first `rows` rows (no-op if there are fewer): each
-    /// column's head moves down to its new place, in order, in the same
-    /// buffer, whose capacity is kept.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            for j in 1..self.cols {
-                self.data.copy_within(j * self.rows..j * self.rows + rows, j * rows);
-            }
-            self.data.truncate(rows * self.cols);
-            self.rows = rows;
-        }
-    }
-
     /// Give back capacity beyond the current columns (see
     /// [`with_column_capacity`](Self::with_column_capacity)). The
     /// buffer shrinks where it lies: a smaller `realloc` is not a copy.
@@ -551,9 +538,6 @@ mod tests {
     fn truncation_keeps_the_leading_block() {
         let m = DenseMatrix::from_fn(7, 5, |i, j| (i * 10 + j) as f64);
         for keep in 0..=8 {
-            let mut r = m.clone();
-            r.truncate_rows(keep);
-            assert_eq!(r, m.submatrix(0, 0, keep.min(7), 5), "rows {keep}");
             let mut c = m.clone();
             c.truncate_columns(keep);
             assert_eq!(c, m.submatrix(0, 0, 7, keep.min(5)), "columns {keep}");

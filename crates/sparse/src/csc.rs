@@ -188,9 +188,21 @@ impl CscMatrix {
         }
     }
 
-    /// Frobenius norm.
+    /// Frobenius norm. When the plain sum of squares overflows although
+    /// every entry is finite, the squares are summed scaled by the
+    /// largest entry, as LAPACK's `dnrm2` scales them; otherwise it is
+    /// `fro_norm_sq().sqrt()`, bit for bit.
     pub fn fro_norm(&self) -> f64 {
-        self.fro_norm_sq().sqrt()
+        let plain = self.fro_norm_sq().sqrt();
+        if plain.is_finite() {
+            return plain;
+        }
+        match self.max_abs() {
+            big if big.is_finite() => {
+                big * self.values.iter().map(|v| (v / big) * (v / big)).sum::<f64>().sqrt()
+            }
+            _ => plain,
+        }
     }
 
     /// Squared Frobenius norm.

@@ -43,7 +43,7 @@ fn ilut_newest(np: Option<usize>) -> (usize, u32) {
     assert!(r.iterations > 4, "{} iterations save too little", r.iterations);
     let ck: LuCrtpCheckpoint = store.load().unwrap().expect("a generation was saved");
     // More than one 32-column run: the sequential engine lends several.
-    assert!(ck.col_map.len() > 32, "{} columns left to save", ck.col_map.len());
+    assert!(ck.state.col_map.len() > 32, "{} columns left to save", ck.state.col_map.len());
     newest(&store)
 }
 

@@ -66,8 +66,8 @@ fn ilut_trace_is_post_threshold_on_every_path() {
         for (name, method) in [("lu", Method::from(&lu)), ("ilut", Method::from(&ilut3))] {
             let what = format!("{name} {path}");
             let ck = newest_snapshot(&a, method, np);
-            assert_eq!(ck.iterations, 3, "{what}");
-            let last = ck.trace.last().unwrap();
+            assert_eq!(ck.state.iterations, 3, "{what}");
+            let last = ck.state.trace.last().unwrap();
             assert_eq!(last.iteration, 3, "{what}");
             let s = ck.schur();
             assert_eq!(s.nnz(), last.schur_nnz, "{what}: schur_nnz is pre-threshold");
@@ -76,13 +76,14 @@ fn ilut_trace_is_post_threshold_on_every_path() {
                 last.schur_density.to_bits(),
                 "{what}: schur_density is pre-threshold"
             );
-            match &ck.ilut {
+            match &ck.state.ilut {
                 None => close(s.fro_norm(), last.indicator, &format!("{what}: indicator")),
                 Some(th) => {
                     assert!(th.dropped > 0 && !th.control_triggered, "{what}: expected drops");
                     let before = newest_snapshot(&a, Method::from(&ilut2), np);
-                    assert_eq!(before.iterations, 2, "{what}");
-                    let taken = th.dropped_mass_sq - before.ilut.as_ref().unwrap().dropped_mass_sq;
+                    assert_eq!(before.state.iterations, 2, "{what}");
+                    let earlier = before.state.ilut.as_ref().unwrap();
+                    let taken = th.dropped_mass_sq - earlier.dropped_mass_sq;
                     assert!(taken > 0.0, "{what}: iteration 3 dropped nothing");
                     let pre_drop = s.fro_norm_sq() + taken;
                     close(pre_drop, last.indicator * last.indicator, &format!("{what}: indicator"));
@@ -126,10 +127,11 @@ fn every_path(a: &CscMatrix, opts: &LuCrtpOpts) -> Vec<(String, LuCrtpResult)> {
 /// Why a run stops is decided by the loop, not by the engine: each
 /// degenerate or bounded input must be classified identically on every
 /// path, and a run that reports convergence must satisfy the
-/// fixed-precision bound. On the rows no engine can certify (an
-/// overflowed norm), RandQB_EI and RandUBV, at the row's `k` and `tau`,
-/// must not converge either (or RandQB_EI refuses with its typed
-/// error), and neither may report an achieved tolerance below `tau`.
+/// fixed-precision bound. On the rows no engine can certify (squared
+/// norms that overflow), RandQB_EI and RandUBV, at the row's `k` and
+/// `tau`, must not converge either; every method and path reports the
+/// finite `||A||_F` of the scaled sum, and none an achieved tolerance
+/// below `tau`.
 #[test]
 fn stop_reason_is_the_same_on_every_engine() {
     let smooth = lra::matgen::with_decay(&lra::matgen::fem2d(8, 6, 5), 1e-6, 3);
@@ -185,8 +187,9 @@ fn stop_reason_is_the_same_on_every_engine() {
         ),
     ];
     for (case, a, opts, want) in table {
-        for (path, r) in every_path(&a, &opts) {
-            assert_eq!(classify(&r), want, "{case}: {path}");
+        let paths = every_path(&a, &opts);
+        for (path, r) in &paths {
+            assert_eq!(classify(r), want, "{case}: {path}");
             if r.converged {
                 let err = r.exact_error(&a, Parallelism::SEQ);
                 // (`err == 0.0`: the zero matrix, where the bound is 0.)
@@ -198,22 +201,31 @@ fn stop_reason_is_the_same_on_every_engine() {
             }
         }
         if want.1 == Some(Breakdown::NonFinite) {
-            let qb = rand_qb_ei(&a, &QbOpts::new(opts.k, opts.tau));
+            // Every entry is finite, so `||A||_F` is too: the squares
+            // overflow, the norm does not. The reference scales by a
+            // power of two, which rounds nothing.
+            let a_norm_f = a.fro_norm();
+            let (down, up) = (2f64.powi(-600), 2f64.powi(600));
+            let squares: f64 = a.values().iter().map(|v| (v * down) * (v * down)).sum();
+            let reference = up * squares.sqrt();
+            assert!(a_norm_f.is_finite(), "{case}: ||A||_F = {a_norm_f:e}");
+            assert!((a_norm_f - reference).abs() <= 1e-14 * reference, "{case}: {a_norm_f:e}");
+            let qb = rand_qb_ei(&a, &QbOpts::new(opts.k, opts.tau)).expect("tau above the floor");
             let ubv = rand_ubv(&a, &UbvOpts::new(opts.k, opts.tau));
-            let cells = [
-                ("rand_qb_ei", qb.ok().map(|r| (r.converged, r.achieved_tolerance()))),
-                ("rand_ubv", Some((ubv.converged, ubv.achieved_tolerance()))),
+            let mut cells = vec![
+                ("rand_qb_ei", (qb.converged, qb.a_norm_f, qb.achieved_tolerance())),
+                ("rand_ubv", (ubv.converged, ubv.a_norm_f, ubv.achieved_tolerance())),
             ];
-            // (`None`: the typed `QbError`. A NaN tolerance, the ratio
-            // of two overflowed norms, is not below tau either.)
-            for (method, cell) in cells {
-                if let Some((converged, achieved)) = cell {
-                    assert!(!converged, "{case}: {method} converged");
-                    assert!(
-                        achieved >= opts.tau || achieved.is_nan(),
-                        "{case}: {method} achieved tolerance {achieved:e} below tau"
-                    );
-                }
+            for (path, r) in &paths {
+                cells.push((path, (r.converged, r.a_norm_f, r.achieved_tolerance())));
+            }
+            for (method, (converged, norm, achieved)) in cells {
+                assert!(!converged, "{case}: {method} converged");
+                assert_eq!(norm.to_bits(), a_norm_f.to_bits(), "{case}: {method} ||A||_F");
+                assert!(
+                    achieved >= opts.tau,
+                    "{case}: {method} achieved tolerance {achieved:e} below tau"
+                );
             }
         }
     }

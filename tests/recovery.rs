@@ -8,12 +8,14 @@ use std::time::{Duration, Instant};
 use lra::core::{
     explore_fault_space, factorize, factorize_ranks, factorize_supervised, ilut_crtp, rand_qb_ei,
     rand_qb_ei_checkpointed, Budget, BudgetTrip, Checkpoint, CheckpointStore, Exec, ExploreConfig,
-    FaultPlan, IlutOpts, InvalidInput, LuCrtpCheckpoint, LuCrtpOpts, QbCheckpoint, QbOpts,
-    RecoveryError, RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader, SectionWriter,
-    StorageFaultPlan, SupervisedError,
+    FaultPlan, IlutOpts, InvalidInput, IterTrace, LuCrtpCheckpoint, LuCrtpOpts, LuLoopState,
+    QbCheckpoint, QbOpts, RecoveryError, RecoveryHooks, RecoveryPolicy, RunConfig, SectionReader,
+    SectionWriter, StorageFaultPlan, SupervisedError, ThresholdReport,
 };
+use lra::dense::DenseMatrix;
 use lra::obs::Json;
 use lra::sparse::CscMatrix;
+use std::borrow::Cow;
 
 mod common;
 use common::{
@@ -226,6 +228,161 @@ fn qb_resume_from_checkpoint_is_bitwise_identical() {
 
 // ---- Binary envelopes: round trip, size, earlier formats ---------------
 
+/// A hand-made LU_CRTP snapshot: a 3 x 2 Schur complement with a
+/// value of no short decimal form and a tiny one, two panel columns
+/// each side, one trace entry, ILUT state.
+fn sample_lu_ckpt() -> LuCrtpCheckpoint<'static> {
+    let s = CscMatrix::from_parts(
+        3,
+        2,
+        vec![0, 2, 3],
+        vec![0, 2, 1],
+        vec![0.1, -7.0 / 3.0, 5.5e-12],
+    );
+    let state = LuLoopState {
+        iterations: 1,
+        rank: 2,
+        indicator: 0.123456789012345,
+        r11: 3.25,
+        row_map: vec![0, 2, 4],
+        col_map: vec![1, 3],
+        l_cols: vec![vec![(0, 1.0), (3, -0.5)], vec![(1, 1.0)]],
+        ut_cols: vec![vec![(0, 2.0)], vec![(2, 1.0 / 7.0), (3, 4.0)]],
+        pivot_cols: vec![2, 0],
+        pivot_rows: vec![1, 3],
+        trace: vec![IterTrace {
+            iteration: 1,
+            rank: 2,
+            indicator: 0.123456789012345,
+            schur_nnz: 3,
+            schur_density: 0.5,
+            schur_nnz_per_row: 1.0,
+            r_diag: vec![3.25, 0.5],
+        }],
+        ilut: Some(ThresholdReport {
+            mu: 1e-5,
+            phi: 3.25e-2,
+            dropped_mass_sq: 1e-11,
+            dropped: 4,
+            control_triggered: false,
+        }),
+    };
+    LuCrtpCheckpoint { m: 5, n: 4, s: vec![Cow::Owned(s)], state: Cow::Owned(state) }
+}
+
+#[test]
+fn lu_checkpoint_roundtrips_bitwise_through_a_store() {
+    let store = CheckpointStore::in_memory();
+    let ckpt = sample_lu_ckpt();
+    store.save(&ckpt).unwrap();
+    let back: LuCrtpCheckpoint = store.load().unwrap().unwrap();
+    let (got, want) = (&back.state, &ckpt.state);
+    assert_eq!(got.iterations, 1);
+    assert_eq!(got.rank, 2);
+    assert_eq!(got.indicator.to_bits(), want.indicator.to_bits());
+    assert_eq!(back.s.len(), 1, "a load holds one piece");
+    assert_eq!(back.schur().colptr(), ckpt.schur().colptr());
+    assert_eq!(back.schur().rowidx(), ckpt.schur().rowidx());
+    for (a, b) in ckpt.schur().values().iter().zip(back.schur().values()) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!(got.row_map, want.row_map);
+    assert_eq!(got.l_cols, want.l_cols);
+    assert_eq!(got.ut_cols, want.ut_cols);
+    assert_eq!(got.pivot_cols, want.pivot_cols);
+    assert_eq!(got.pivot_rows, want.pivot_rows);
+    assert_eq!(got.trace.len(), 1);
+    assert_eq!(got.trace[0].r_diag, want.trace[0].r_diag);
+    let ilut = got.ilut.as_ref().unwrap();
+    assert_eq!(ilut.mu.to_bits(), 1e-5f64.to_bits());
+    assert!(!ilut.control_triggered);
+}
+
+/// A snapshot lent as several column pieces writes the bytes of the
+/// same snapshot holding the joined matrix, and reads back as it.
+#[test]
+fn schur_pieces_write_the_bytes_of_the_joined_matrix() {
+    let whole = sample_lu_ckpt();
+    let s = whole.schur().into_owned();
+    let first = s.slice_columns(0..1);
+    let pieces = LuCrtpCheckpoint {
+        s: vec![
+            Cow::Owned(s.slice_columns(0..0)),
+            Cow::Borrowed(&first),
+            Cow::Owned(s.slice_columns(1..2)),
+        ],
+        ..whole.clone()
+    };
+    let bytes = |ck: &LuCrtpCheckpoint| {
+        let store = CheckpointStore::in_memory();
+        store.save(ck).unwrap();
+        store.raw().unwrap().unwrap()
+    };
+    assert_eq!(bytes(&pieces), bytes(&whole));
+    assert_eq!(*pieces.schur(), s);
+    let mut one = whole;
+    assert_eq!(one.take_schur(), s);
+    assert!(one.s.is_empty());
+}
+
+#[test]
+fn inconsistent_checkpoint_is_rejected() {
+    let mut ckpt = sample_lu_ckpt();
+    ckpt.state.to_mut().pivot_rows.pop(); // now pivot count != rank
+    let store = CheckpointStore::in_memory();
+    store.save(&ckpt).unwrap();
+    let err = store.load::<LuCrtpCheckpoint>().unwrap_err();
+    assert!(err.contains("pivot count"), "{err}");
+}
+
+/// A hand-made RandQB_EI snapshot: two blocks of widths 3 and 1.
+fn sample_qb_ckpt() -> QbCheckpoint {
+    QbCheckpoint {
+        iterations: 2,
+        rank: 4,
+        e: 0.875,
+        history: vec![1.5, 0.9],
+        q: DenseMatrix::from_fn(3, 4, |i, j| (i * 2 + j) as f64 / 7.0),
+        bt: DenseMatrix::from_fn(5, 4, |i, j| -((i + j) as f64) * 0.3),
+        widths: vec![3, 1],
+        rng_draws: 123456,
+    }
+}
+
+#[test]
+fn qb_checkpoint_roundtrips_blocks_and_draws() {
+    let ckpt = sample_qb_ckpt();
+    let store = CheckpointStore::in_memory();
+    store.save(&ckpt).unwrap();
+    let back: QbCheckpoint = store.load().unwrap().unwrap();
+    assert_eq!(back.rng_draws, 123456);
+    assert_eq!(back.widths, vec![3, 1]);
+    for (a, bb) in ckpt.q.as_slice().iter().zip(back.q.as_slice()) {
+        assert_eq!(a.to_bits(), bb.to_bits());
+    }
+    assert_eq!(back.q, ckpt.q);
+    assert_eq!(back.bt, ckpt.bt);
+    assert_eq!(back.e.to_bits(), 0.875f64.to_bits());
+    assert_eq!(back.history, vec![1.5, 0.9]);
+}
+
+#[test]
+fn qb_checkpoint_with_widths_off_its_rank_is_rejected() {
+    let mut ckpt = sample_qb_ckpt();
+    ckpt.rank = 5;
+    let store = CheckpointStore::in_memory();
+    store.save(&ckpt).unwrap();
+    let err = store.load::<QbCheckpoint>().unwrap_err();
+    assert!(err.contains("block widths"), "{err}");
+}
+
+#[test]
+fn lu_and_qb_kinds_do_not_cross_load() {
+    let store = CheckpointStore::in_memory();
+    store.save(&sample_lu_ckpt()).unwrap();
+    assert!(store.load::<QbCheckpoint>().is_err());
+}
+
 /// The newest envelope of `store`: its length, its header length, and
 /// the `u32` / `f64` word counts its section table declares.
 fn envelope_shape(store: &CheckpointStore) -> (usize, usize, usize, usize) {
@@ -260,17 +417,18 @@ fn assert_binary_sized(store: &CheckpointStore, index_words: usize, value_words:
 
 fn assert_lu_checkpoint_bitwise(got: &LuCrtpCheckpoint, want: &LuCrtpCheckpoint, ctx: &str) {
     assert_eq!((got.m, got.n), (want.m, want.n), "{ctx}");
-    assert_eq!((got.iterations, got.rank), (want.iterations, want.rank), "{ctx}");
-    assert_eq!(got.indicator.to_bits(), want.indicator.to_bits(), "{ctx}");
-    assert_eq!(got.r11.to_bits(), want.r11.to_bits(), "{ctx}");
+    let (gs, ws) = (&got.state, &want.state);
+    assert_eq!((gs.iterations, gs.rank), (ws.iterations, ws.rank), "{ctx}");
+    assert_eq!(gs.indicator.to_bits(), ws.indicator.to_bits(), "{ctx}");
+    assert_eq!(gs.r11.to_bits(), ws.r11.to_bits(), "{ctx}");
     let (got_s, want_s) = (got.schur(), want.schur());
     assert_eq!((got_s.rows(), got_s.cols()), (want_s.rows(), want_s.cols()), "{ctx}");
     assert_eq!(got_s.colptr(), want_s.colptr(), "{ctx}");
     assert_eq!(got_s.rowidx(), want_s.rowidx(), "{ctx}");
     assert!(bits_eq(got_s.values(), want_s.values()), "{ctx}: schur values");
-    assert_eq!(got.row_map, want.row_map, "{ctx}");
-    assert_eq!(got.col_map, want.col_map, "{ctx}");
-    for (g, w) in [(&got.l_cols, &want.l_cols), (&got.ut_cols, &want.ut_cols)] {
+    assert_eq!(gs.row_map, ws.row_map, "{ctx}");
+    assert_eq!(gs.col_map, ws.col_map, "{ctx}");
+    for (g, w) in [(&gs.l_cols, &ws.l_cols), (&gs.ut_cols, &ws.ut_cols)] {
         assert_eq!(g.len(), w.len(), "{ctx}: panel columns");
         for (gc, wc) in g.iter().zip(w.iter()) {
             assert_eq!(gc.len(), wc.len(), "{ctx}: panel column length");
@@ -279,18 +437,18 @@ fn assert_lu_checkpoint_bitwise(got: &LuCrtpCheckpoint, want: &LuCrtpCheckpoint,
             }
         }
     }
-    assert_eq!(got.pivot_cols, want.pivot_cols, "{ctx}");
-    assert_eq!(got.pivot_rows, want.pivot_rows, "{ctx}");
-    assert_eq!(got.trace.len(), want.trace.len(), "{ctx}");
-    for (g, w) in got.trace.iter().zip(want.trace.iter()) {
+    assert_eq!(gs.pivot_cols, ws.pivot_cols, "{ctx}");
+    assert_eq!(gs.pivot_rows, ws.pivot_rows, "{ctx}");
+    assert_eq!(gs.trace.len(), ws.trace.len(), "{ctx}");
+    for (g, w) in gs.trace.iter().zip(ws.trace.iter()) {
         assert_eq!((g.iteration, g.rank, g.schur_nnz), (w.iteration, w.rank, w.schur_nnz));
         assert_eq!(g.indicator.to_bits(), w.indicator.to_bits(), "{ctx}");
         assert_eq!(g.schur_density.to_bits(), w.schur_density.to_bits(), "{ctx}");
         assert_eq!(g.schur_nnz_per_row.to_bits(), w.schur_nnz_per_row.to_bits(), "{ctx}");
         assert!(bits_eq(&g.r_diag, &w.r_diag), "{ctx}: trace r_diag");
     }
-    assert_eq!(got.ilut, want.ilut, "{ctx}");
-    let (g, w) = (got.ilut.as_ref().unwrap(), want.ilut.as_ref().unwrap());
+    assert_eq!(gs.ilut, ws.ilut, "{ctx}");
+    let (g, w) = (gs.ilut.as_ref().unwrap(), ws.ilut.as_ref().unwrap());
     for (a, b) in [(g.mu, w.mu), (g.phi, w.phi), (g.dropped_mass_sq, w.dropped_mass_sq)] {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: ilut state");
     }
@@ -317,29 +475,30 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
         for (path, store) in [("sequential", &seq_store), ("spmd np=2", &spmd_store)] {
             let ctx = format!("{name}, {path}");
             let mut taken: LuCrtpCheckpoint = store.load().unwrap().expect("snapshots taken");
-            assert_eq!(taken.iterations, 3, "{ctx}");
-            taken.l_cols.to_mut()[0][0].1 = -0.0;
-            taken.ut_cols.to_mut()[0][0].1 = f64::MIN_POSITIVE / 8.0;
+            assert_eq!(taken.state.iterations, 3, "{ctx}");
+            taken.state.to_mut().l_cols[0][0].1 = -0.0;
+            taken.state.to_mut().ut_cols[0][0].1 = f64::MIN_POSITIVE / 8.0;
             let second = CheckpointStore::in_memory();
             second.save(&taken).unwrap();
             let back: LuCrtpCheckpoint = second.load().unwrap().unwrap();
             assert_lu_checkpoint_bitwise(&back, &taken, &ctx);
 
+            let st = &taken.state;
             let panel_entries = |cols: &[Vec<(usize, f64)>]| cols.iter().map(Vec::len).sum::<usize>();
-            let entries = panel_entries(&taken.l_cols) + panel_entries(&taken.ut_cols);
-            let r_diags: usize = taken.trace.iter().map(|t| t.r_diag.len()).sum();
+            let entries = panel_entries(&st.l_cols) + panel_entries(&st.ut_cols);
+            let r_diags: usize = st.trace.iter().map(|t| t.r_diag.len()).sum();
             let s = taken.schur();
             let index_words = s.colptr().len()
                 + s.rowidx().len()
-                + taken.row_map.len()
-                + taken.col_map.len()
-                + taken.l_cols.len()
-                + taken.ut_cols.len()
+                + st.row_map.len()
+                + st.col_map.len()
+                + st.l_cols.len()
+                + st.ut_cols.len()
                 + entries
-                + taken.pivot_cols.len()
-                + taken.pivot_rows.len()
-                + 4 * taken.trace.len();
-            let value_words = s.values().len() + entries + 3 * taken.trace.len() + r_diags;
+                + st.pivot_cols.len()
+                + st.pivot_rows.len()
+                + 4 * st.trace.len();
+            let value_words = s.values().len() + entries + 3 * st.trace.len() + r_diags;
             assert_binary_sized(&second, index_words, value_words, &ctx);
         }
 
@@ -349,8 +508,9 @@ fn real_lu_checkpoints_roundtrip_bitwise_in_binary_sized_envelopes() {
         let resumed = factorize(&a, &opts, Exec::Seq, Some(&hooks));
         assert!(resumed.converged, "{name}: {:?}", resumed.breakdown);
         assert_fixed_precision(&resumed, &a, opts.base.tau, name);
-        assert_eq!(resumed.pivot_cols[..snapshot.rank], snapshot.pivot_cols[..], "{name}");
-        for (g, w) in resumed.trace.iter().zip(snapshot.trace.iter()) {
+        let carried = &snapshot.state;
+        assert_eq!(resumed.pivot_cols[..carried.rank], carried.pivot_cols[..], "{name}");
+        for (g, w) in resumed.trace.iter().zip(carried.trace.iter()) {
             assert_eq!(g.indicator.to_bits(), w.indicator.to_bits(), "{name}");
         }
     }
@@ -573,7 +733,7 @@ fn text_envelopes_of_earlier_builds_are_rolled_past_and_the_run_starts_fresh() {
     // planted generation, which retention 3 still holds.
     assert_eq!(store.generations(), vec![0, 4, 5, 6]);
     let newest: LuCrtpCheckpoint = store.load().unwrap().unwrap();
-    assert_eq!(newest.iterations, 2);
+    assert_eq!(newest.state.iterations, 2);
     store.clear();
     assert!(store.generations().is_empty());
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "clear() removes every format");
