@@ -1,7 +1,10 @@
 //! Truncated LU factorization with column and row tournament pivoting
 //! (LU_CRTP, Algorithm 2) and its incomplete thresholding variant
 //! (ILUT_CRTP, Algorithm 3) — the paper's deterministic fixed-precision
-//! methods.
+//! methods. Here the column tournament's leaves and merges rank a random
+//! sketch of the complement (`lra_qrtp::Omega`, hashed from a fixed
+//! internal seed and the input's row ids), so a run is reproducible bit
+//! for bit but its pivots are chosen on the sketch.
 //!
 //! Both run the same block iteration; ILUT_CRTP additionally drops
 //! Schur-complement entries below a threshold `mu` (eq. 24), guarded by
@@ -24,7 +27,7 @@ use crate::timers::KernelTimers;
 use lra_dense::{DenseMatrix, LuFactor};
 use lra_comm::Ctx;
 use lra_par::{owned_range, parallel_chunks_mut, parallel_map_fold, split_ranges, Parallelism};
-use lra_qrtp::{tournament_columns, ColumnSelection, TournamentTree};
+use lra_qrtp::{tournament_columns_sketched, ColumnSelection, Omega, Sketch};
 use lra_sparse::{BlockSplit, ColRun, CscMatrix, CscRuns};
 use std::ops::Range;
 use std::sync::{Mutex, RwLock};
@@ -507,6 +510,9 @@ struct SeqEngine<'o> {
     opts: &'o LuCrtpOpts,
     /// Kernel scratch reused across all iterations.
     ws: SchurWorkspace,
+    /// The column tournament's sketch of the complement, its buffer
+    /// reused across iterations.
+    sketch: Sketch,
 }
 
 impl<'o> SeqEngine<'o> {
@@ -519,6 +525,7 @@ impl<'o> SeqEngine<'o> {
             s,
             opts,
             ws: SchurWorkspace::new(),
+            sketch: Sketch::default(),
         }
     }
 }
@@ -542,8 +549,15 @@ impl PanelEngine for SeqEngine<'_> {
         Some(perm)
     }
 
-    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        let sel = tournament_columns(&self.s, None, k_want, TournamentTree::Binary, self.opts.par);
+    fn col_tournament(
+        &mut self,
+        k_want: usize,
+        omega: &Omega,
+        row_ids: &[usize],
+    ) -> (ColumnSelection, CscMatrix) {
+        let (s, par) = (&self.s, self.opts.par);
+        omega.sketch(row_ids, s.cols(), |j| s.col(j), &mut self.sketch, par);
+        let sel = tournament_columns_sketched(s, &self.sketch, k_want, par);
         let cols = || sel.selected.iter().map(|&c| self.s.col(c));
         let mut panel = ColRun::default();
         panel.reserve(sel.selected.len(), cols().map(|(ri, _)| ri.len()).sum());

@@ -57,7 +57,9 @@ use crate::timers::{KernelId, KernelTimers};
 use lra_comm::Ctx;
 use lra_dense::{lu, DenseMatrix};
 use lra_par::{parallel_map_fold, Parallelism};
-use lra_qrtp::{tournament_columns_spmd, tournament_rows_dense, ColumnSelection, TournamentTree};
+use lra_qrtp::{
+    tournament_columns_spmd, tournament_rows_dense, ColumnSelection, Omega, TournamentTree,
+};
 use lra_recover::BudgetTrip;
 use lra_sparse::{BlockSplit, ColRun, CscMatrix};
 use std::borrow::Cow;
@@ -144,8 +146,16 @@ pub(crate) trait PanelEngine {
 
     /// Line 5: column tournament, and the pivot panel — a compact copy
     /// of the selected columns in pivot order, the same on every rank —
-    /// that the loop's panel stages read.
-    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix);
+    /// that the loop's panel stages read. The engine sketches the
+    /// complement it holds with `omega`, row `i` of the complement being
+    /// the input's row `row_ids[i]`, into a buffer it keeps for the
+    /// solve, and the tournament's leaves and merges rank that sketch.
+    fn col_tournament(
+        &mut self,
+        k_want: usize,
+        omega: &Omega,
+        row_ids: &[usize],
+    ) -> (ColumnSelection, CscMatrix);
 
     /// Line 12, first half: start `S = Ā22 - X Ā12`, `x` being the
     /// `nr x k` nonzero rows of `X`, measured at the drop threshold
@@ -596,6 +606,10 @@ pub(crate) fn drive<E: PanelEngine>(
     peak.note(eng.resident());
     let mut tbuf = CscMatrix::zeros(0, 0);
     let mut last: Option<(LastBlock, BlockSums)> = None;
+    // The column tournament's sketching matrix, 2k columns: a pure
+    // function of the input's row id, so every engine, chunking and
+    // resumed run sketches a column the same way.
+    let omega = timers.time(KernelId::ColTournament, || Omega::new(m, 2 * opts.k));
 
     loop {
         if let Some(ctx) = comm {
@@ -628,7 +642,9 @@ pub(crate) fn drive<E: PanelEngine>(
 
         // Line 5: column tournament. From here to the split the loop
         // reads only the pivot panel, which every rank holds whole.
-        let (sel, panel) = timers.time(KernelId::ColTournament, || eng.col_tournament(k_want));
+        let (sel, panel) = timers.time(KernelId::ColTournament, || {
+            eng.col_tournament(k_want, &omega, &st.row_map)
+        });
         if st.iterations == 0 {
             st.r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
         }
@@ -894,6 +910,7 @@ pub(crate) fn drive<E: PanelEngine>(
     }
     drop(eng);
     drop(tbuf);
+    drop(omega);
     let (l_cols, ut_cols) = (std::mem::take(&mut st.l_cols), std::mem::take(&mut st.ut_cols));
     let factors = timers.time(KernelId::Concat, || {
         if root {

@@ -17,12 +17,13 @@
 //! columns at a global offset, `O(nnz/np)` resident — never the full
 //! matrix. Per iteration:
 //!
-//! - the column tournament runs its communication-free local stage on
-//!   the owned shard, then one `allreduce` in which winner columns
-//!   travel with their global ids as compact panels and every rank
-//!   replays the pairwise merges and the root pass
-//!   ([`lra_qrtp::tournament_columns_spmd_sharded`]); the winners'
-//!   compact panel is the pivot panel the loop's stages read;
+//! - the column tournament sketches the owned shard, runs its
+//!   communication-free local stage on it, then one `allreduce` in
+//!   which winner columns travel with their global ids and their
+//!   sketch columns as compact panels and every rank replays the
+//!   pairwise merges and the root pass
+//!   ([`lra_qrtp::tournament_columns_spmd_sharded_sketched`]); the
+//!   winners' compact panel is the pivot panel the loop's stages read;
 //! - the Schur update is computed only for owned columns, with an
 //!   `alltoallv` re-sharding from the old column partition to the new
 //!   one. The re-shard is a *posted* exchange
@@ -44,8 +45,8 @@
 //!   owned shard, and a drop the loop keeps filters the shard in place.
 //!
 //! **[`ReplicatedEngine`] — every rank holds the whole Schur
-//! complement** (`Exec::SpmdReplicated`). Its column tournament runs on
-//! the whole complement and its Schur update ends in an `allgather`;
+//! complement** (`Exec::SpmdReplicated`). Its column tournament sketches
+//! and runs on the whole complement and its Schur update ends in an `allgather`;
 //! everything else it computes over the column range the sharded
 //! engine would own, through the same code ([`schur_update_ranged`],
 //! [`fold_columns`], [`u_fragments_of`], [`owned_run`]), so the two are
@@ -85,7 +86,10 @@ use crate::panel::{
 use lra_comm::{Ctx, PendingExchange};
 use lra_dense::{qr, DenseMatrix};
 use lra_par::{owned_range, split_ranges, Parallelism};
-use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection};
+use lra_qrtp::{
+    tournament_columns_spmd_sharded_sketched, tournament_columns_spmd_sketched, ColumnSelection,
+    Omega, Sketch,
+};
 use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
 use std::ops::Range;
 
@@ -129,6 +133,7 @@ pub(crate) fn run_replicated(
             opts,
             ws: SchurWorkspace::new(),
             a12: CscMatrix::zeros(0, 0),
+            sketch: Sketch::default(),
         })
     })
 }
@@ -278,6 +283,9 @@ struct SpmdPanelCtx<'a> {
     /// counted by [`PanelEngine::resident`] (the mem gates track the
     /// shard).
     part_pool: Vec<CscMatrix>,
+    /// The column tournament's sketch of the shard, its buffer reused
+    /// across iterations.
+    sketch: Sketch,
 }
 
 impl<'a> SpmdPanelCtx<'a> {
@@ -308,6 +316,7 @@ impl<'a> SpmdPanelCtx<'a> {
             ws: SchurWorkspace::new(),
             a12: CscMatrix::zeros(0, 0),
             part_pool: Vec::new(),
+            sketch: Sketch::default(),
         }
     }
 
@@ -409,13 +418,21 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
         (self.shard.resident_bytes(), self.shard.nnz() as u64)
     }
 
-    /// Column tournament over the distributed Schur complement; winner
-    /// columns travel with their global ids, so every rank ends up
+    /// Column tournament over the distributed Schur complement: each
+    /// rank sketches its shard, and winner columns travel with their
+    /// global ids and their sketch columns, so every rank ends up
     /// holding the `O(m b)` pivot columns — the panel the loop's TSQR
     /// and split read, whose dense row blocks equal those the
     /// replicated oracle's copy of the same columns gives.
-    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        tournament_columns_spmd_sharded(self.ctx, &self.shard, self.offset, k_want)
+    fn col_tournament(
+        &mut self,
+        k_want: usize,
+        omega: &Omega,
+        row_ids: &[usize],
+    ) -> (ColumnSelection, CscMatrix) {
+        let shard = &self.shard;
+        omega.sketch(row_ids, shard.cols(), |j| shard.col(j), &mut self.sketch, self.opts.par);
+        tournament_columns_spmd_sharded_sketched(self.ctx, shard, self.offset, k_want, &self.sketch)
     }
 
     fn schur_begin(
@@ -475,6 +492,8 @@ struct ReplicatedEngine<'a> {
     /// The `Ā12` parts of the columns this rank updated last, as the
     /// sharded engine keeps them.
     a12: CscMatrix,
+    /// The column tournament's sketch of the whole complement.
+    sketch: Sketch,
 }
 
 impl ReplicatedEngine<'_> {
@@ -493,8 +512,16 @@ impl PanelEngine for ReplicatedEngine<'_> {
         (self.s.resident_bytes(), self.s.nnz() as u64)
     }
 
-    fn col_tournament(&mut self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        let sel = tournament_columns_spmd(self.ctx, &self.s, None, k_want);
+    /// Sketches the whole complement on every rank.
+    fn col_tournament(
+        &mut self,
+        k_want: usize,
+        omega: &Omega,
+        row_ids: &[usize],
+    ) -> (ColumnSelection, CscMatrix) {
+        let s = &self.s;
+        omega.sketch(row_ids, s.cols(), |j| s.col(j), &mut self.sketch, self.opts.par);
+        let sel = tournament_columns_spmd_sketched(self.ctx, s, &self.sketch, k_want);
         let panel = self.s.select_columns(&sel.selected);
         (sel, panel)
     }

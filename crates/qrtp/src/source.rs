@@ -17,6 +17,8 @@ use lra_sparse::{CscMatrix, CscRuns};
 pub trait ColumnSource: Sync {
     /// Number of columns.
     fn cols(&self) -> usize;
+    /// Stored entries of column `j` (every row for a dense source).
+    fn col_nnz(&self, j: usize) -> usize;
     /// Ascending rows outside which columns `idx` are entirely zero.
     /// Sparse sources return the rows with a stored entry; dense sources
     /// return every row.
@@ -29,6 +31,9 @@ pub trait ColumnSource: Sync {
 impl ColumnSource for CscMatrix {
     fn cols(&self) -> usize {
         CscMatrix::cols(self)
+    }
+    fn col_nnz(&self, j: usize) -> usize {
+        self.col(j).0.len()
     }
     fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         CscMatrix::row_support(self, idx)
@@ -45,6 +50,9 @@ impl ColumnSource for CscRuns {
     fn cols(&self) -> usize {
         CscRuns::cols(self)
     }
+    fn col_nnz(&self, j: usize) -> usize {
+        self.col(j).0.len()
+    }
     fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         CscRuns::row_support(self, idx)
     }
@@ -56,6 +64,9 @@ impl ColumnSource for CscRuns {
 impl ColumnSource for DenseMatrix {
     fn cols(&self) -> usize {
         DenseMatrix::cols(self)
+    }
+    fn col_nnz(&self, _j: usize) -> usize {
+        self.rows()
     }
     fn row_support(&self, _idx: &[usize]) -> Vec<usize> {
         (0..self.rows()).collect()

@@ -10,68 +10,98 @@
 //! read-only, matching the paper's observation that the selected
 //! columns are gathered where needed.
 
+use crate::sketch::Sketch;
 use crate::source::ColumnSource;
-use crate::tournament::{node_select, tournament_columns, ColumnSelection, TournamentTree};
+use crate::tournament::{
+    node_select, rank_node, reduce, stored, tournament_columns, ColumnSelection, TournamentTree,
+    TreeArea,
+};
 use lra_comm::Ctx;
 use lra_par::{split_ranges, Parallelism};
 use lra_sparse::{gather_csc, CscMatrix};
+use std::cell::Cell;
 
 /// SPMD column tournament: every rank calls this with the same
-/// arguments; every rank returns the same [`ColumnSelection`].
+/// arguments; every rank returns the same [`ColumnSelection`] (its
+/// `area` excepted: each rank reports its own local stage and the
+/// merges it replays). Every node ranks its exact panel.
 pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
     ctx: &Ctx,
     src: &S,
     candidates: Option<&[usize]>,
     k: usize,
 ) -> ColumnSelection {
-    let all: Vec<usize>;
-    let cand: &[usize] = match candidates {
-        Some(c) => c,
-        None => {
-            all = (0..src.cols()).collect();
-            &all
-        }
-    };
+    match candidates {
+        Some(c) => spmd(ctx, src, None, c, k),
+        None => spmd(ctx, src, None, &(0..src.cols()).collect::<Vec<_>>(), k),
+    }
+}
+
+/// [`tournament_columns_spmd`] over all columns of `src`, with
+/// `sketch`, the sketch of every column of `src`, on every rank: the
+/// local stage and the merges rank sketches unless their exact panel
+/// is short (`tournament_columns_sketched`), and columns with no stored
+/// entry are not candidates.
+pub fn tournament_columns_spmd_sketched<S: ColumnSource + ?Sized>(
+    ctx: &Ctx,
+    src: &S,
+    sketch: &Sketch,
+    k: usize,
+) -> ColumnSelection {
+    spmd(ctx, src, Some(sketch), &(0..src.cols()).collect::<Vec<_>>(), k)
+}
+
+/// The local stage of a sketched tree over a rank's candidates `own`:
+/// the stored ones if at most `k`, else the tree's last merge's winners
+/// (no root pass: the global stage merges them again).
+fn local_sketched<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: &Sketch,
+    own: &[usize],
+    k: usize,
+) -> (Vec<usize>, TreeArea) {
+    let own = stored(src, own);
+    match own.len() <= k {
+        true => (own, TreeArea::default()),
+        false => reduce(src, Some(sketch), &own, k, Parallelism::SEQ),
+    }
+}
+
+fn spmd<S: ColumnSource + ?Sized>(
+    ctx: &Ctx,
+    src: &S,
+    sketch: Option<&Sketch>,
+    cand: &[usize],
+    k: usize,
+) -> ColumnSelection {
     let rank = ctx.rank();
     let ranges = split_ranges(cand.len(), ctx.size());
+    let own = match ranges.get(rank) {
+        Some(r) => &cand[r.clone()],
+        None => &[][..],
+    };
     // Local reduction: communication-free.
-    let winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
-        if rank < ranges.len() && !ranges[rank].is_empty() {
-            let own = &cand[ranges[rank].clone()];
-            if own.len() <= k {
-                own.to_vec()
-            } else {
-                tournament_columns(src, Some(own), k, TournamentTree::Binary, Parallelism::SEQ)
-                    .selected
-            }
-        } else {
-            Vec::new()
+    let (winners, local) = lra_obs::trace::span("qrtp.local_stage", || match sketch {
+        Some(sk) => local_sketched(src, sk, own, k),
+        None if own.len() <= k => (own.to_vec(), TreeArea::default()),
+        None => {
+            let sel = tournament_columns(src, Some(own), k, TournamentTree::Binary, Parallelism::SEQ);
+            (sel.selected, sel.area)
         }
     });
     // Global stage: the pairwise merges of the binomial tree, then the
     // root pass (which also yields r_diag), on every rank.
+    let area = Cell::new(local);
     let winners = ctx.allreduce(winners, |mine: Vec<usize>, theirs: Vec<usize>| {
         if theirs.is_empty() {
-            mine
-        } else {
-            node_select(src, &[mine, theirs].concat(), k, Parallelism::SEQ).0
+            return mine;
         }
+        let (w, a) = rank_node(src, sketch, &[mine, theirs].concat(), k);
+        area.set(area.get().add(a));
+        w
     });
     let (selected, r_diag) = node_select(src, &winners, k, Parallelism::SEQ);
-    ColumnSelection { selected, r_diag }
-}
-
-/// One tournament node over a compact candidate matrix: ranks all of
-/// its columns, returning winning *positions* (so the caller can slice
-/// both its id list and the matrix) plus the QRCP `R` diagonal.
-///
-/// Bitwise-equivalent to [`node_select`] on the full matrix with the
-/// same candidate columns: `panel_r`'s chunking depends only on the
-/// candidates' row support and count, and its gathers are positional,
-/// so a compact copy of the candidates yields the same dense panels.
-fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
-    let idx: Vec<usize> = (0..cols.cols()).collect();
-    node_select(cols, &idx, k, Parallelism::SEQ)
+    ColumnSelection { selected, r_diag, area: area.get() }
 }
 
 /// Sharded SPMD column tournament: like [`tournament_columns_spmd`],
@@ -89,42 +119,82 @@ fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
 /// Produces bitwise-identical selections to running
 /// [`tournament_columns_spmd`] on the replicated matrix: the ownership
 /// partition here *is* the `split_ranges` partition the replicated
-/// local stage uses, and every node works on the same dense panels.
+/// local stage uses, and every node works on the same dense panels:
+/// `panel_r`'s chunking depends only on the candidates' row support and
+/// count, and its gathers are positional, so a compact copy of the
+/// candidates yields the same panels.
 pub fn tournament_columns_spmd_sharded(
     ctx: &Ctx,
     local: &CscMatrix,
     offset: usize,
     k: usize,
 ) -> (ColumnSelection, CscMatrix) {
+    sharded(ctx, local, offset, k, None)
+}
+
+/// [`tournament_columns_spmd_sharded`] with `sketch`, the sketch of the
+/// shard's columns: winners' sketch columns travel beside their exact
+/// columns in the global stage's one `allreduce`, and every node ranks
+/// as [`tournament_columns_spmd_sketched`]'s does on the replicated
+/// matrix with the sketch of all its columns, bit for bit.
+pub fn tournament_columns_spmd_sharded_sketched(
+    ctx: &Ctx,
+    local: &CscMatrix,
+    offset: usize,
+    k: usize,
+    sketch: &Sketch,
+) -> (ColumnSelection, CscMatrix) {
+    sharded(ctx, local, offset, k, Some(sketch))
+}
+
+fn sharded(
+    ctx: &Ctx,
+    local: &CscMatrix,
+    offset: usize,
+    k: usize,
+    sketch: Option<&Sketch>,
+) -> (ColumnSelection, CscMatrix) {
     // Local reduction: communication-free, over the owned shard only.
-    let winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
-        if local.cols() <= k {
-            (0..local.cols()).collect()
-        } else {
-            tournament_columns(local, None, k, TournamentTree::Binary, Parallelism::SEQ).selected
+    let (winners, local_area) = lra_obs::trace::span("qrtp.local_stage", || {
+        let all: Vec<usize> = (0..local.cols()).collect();
+        match sketch {
+            Some(sk) => local_sketched(local, sk, &all, k),
+            None if local.cols() <= k => (all, TreeArea::default()),
+            None => {
+                let sel = tournament_columns(local, None, k, TournamentTree::Binary, Parallelism::SEQ);
+                (sel.selected, sel.area)
+            }
         }
     });
     let cols = local.select_columns(&winners);
+    let sk = sketch.map(|s| s.select(&winners)).unwrap_or_default();
     let winners: Vec<usize> = winners.iter().map(|&c| c + offset).collect();
-    // Global stage: winner columns ride along as compact panels, so no
-    // rank ever touches another rank's shard.
-    let (winners, cols) = ctx.allreduce(
-        (winners, cols),
-        |(mine, mine_cols): (Vec<usize>, CscMatrix), (theirs, their_cols)| {
+    // Global stage: winner columns and their sketches ride along as
+    // compact panels, so no rank ever touches another rank's shard.
+    let area = Cell::new(local_area);
+    let (winners, cols, _) = ctx.allreduce(
+        (winners, cols, sk),
+        |(mine, mine_cols, mine_sk): (Vec<usize>, CscMatrix, Sketch), (theirs, their_cols, their_sk)| {
             if theirs.is_empty() {
-                return (mine, mine_cols);
+                return (mine, mine_cols, mine_sk);
             }
             let merged = [mine, theirs].concat();
             let merged_cols = gather_csc(&[mine_cols, their_cols]);
-            let (pos, _) = node_select_positions(&merged_cols, k);
-            (pos.iter().map(|&p| merged[p]).collect(), merged_cols.select_columns(&pos))
+            let merged_sk = mine_sk.concat(&their_sk);
+            let all: Vec<usize> = (0..merged.len()).collect();
+            let (pos, a) = rank_node(&merged_cols, sketch.map(|_| &merged_sk), &all, k);
+            area.set(area.get().add(a));
+            let ids = pos.iter().map(|&p| merged[p]).collect();
+            (ids, merged_cols.select_columns(&pos), merged_sk.select(&pos))
         },
     );
     // The root pass ranks the final winners and yields r_diag and the
     // selected panel.
-    let (pos, r_diag) = node_select_positions(&cols, k);
+    let all: Vec<usize> = (0..cols.cols()).collect();
+    let (pos, r_diag) = node_select(&cols, &all, k, Parallelism::SEQ);
     let selected = pos.iter().map(|&p| winners[p]).collect();
-    (ColumnSelection { selected, r_diag }, cols.select_columns(&pos))
+    let sel = ColumnSelection { selected, r_diag, area: area.get() };
+    (sel, cols.select_columns(&pos))
 }
 
 #[cfg(test)]

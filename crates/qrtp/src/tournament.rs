@@ -3,19 +3,30 @@
 //! Finds the `k` "most linearly independent" columns of a matrix with a
 //! reduction tree (Section V of the paper, after Grigori/Cayrols/
 //! Demmel). Each node ranks its `<= 2k` candidate columns by
-//! column-pivoted QR of the panel's `R` factor — valid because QRCP
-//! pivots depend only on column inner products, which `R` preserves —
-//! and promotes the `k` winners. The `R` factor itself is computed by a
-//! chunked, memory-bounded incremental QR over the panel's *row
-//! support* — the rows on which some candidate column has a stored
-//! entry — which is the sparse-panel substitute for SuiteSparseQR: a
-//! node costs `O(k^2 * support) <= O(k^2 * nnz(panel))`, independent of
-//! the row dimension.
+//! column-pivoted QR and promotes the `k` winners.
+//!
+//! An *exact* node runs QRCP on the panel's `R` factor — valid because
+//! QRCP pivots depend only on column inner products, which `R`
+//! preserves. The `R` factor itself is computed by a chunked,
+//! memory-bounded incremental QR over the panel's *row support* — the
+//! rows on which some candidate column has a stored entry — which is
+//! the sparse-panel substitute for SuiteSparseQR: a node costs
+//! `O(k^2 * support) <= O(k^2 * nnz(panel))`, independent of the row
+//! dimension.
+//!
+//! Given a [`Sketch`] of the source's columns, a leaf or merge whose
+//! row support is longer than `EXACT_ROWS_PER_SKETCH_ROW * r` ranks
+//! the `r x <= 2k` sketch of its candidates instead, and columns with
+//! no stored entry are not candidates; a node on a shorter support
+//! still ranks its exact panel, which is then no larger than the
+//! sketch. The root pass ranks the final winners on their exact
+//! columns either way, so the selection's `r_diag` is exact.
 //!
 //! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))`.
 
+use crate::sketch::Sketch;
 use crate::source::ColumnSource;
-use lra_dense::{qr, qrcp, DenseMatrix};
+use lra_dense::{qr, qrcp, DenseMatrix, QrcpFactor};
 use lra_par::{parallel_chunks_mut, Parallelism};
 
 /// Shape of the reduction tree (Section V). One shape is left; the type
@@ -25,6 +36,40 @@ use lra_par::{parallel_chunks_mut, Parallelism};
 pub enum TournamentTree {
     /// Pairwise merges, `log2(#blocks)` levels.
     Binary,
+}
+
+/// A sketched tree's node ranks its exact panel when the panel's row
+/// support is at most this many times the sketch's rows. Below 4, a
+/// nearly empty ILUT complement (a few thousand entries over thousands
+/// of columns) pays more for sketching every column than its short
+/// exact panels cost.
+const EXACT_ROWS_PER_SKETCH_ROW: usize = 4;
+
+/// The area a tournament tree factored: the sum, over its leaves and
+/// merges (not the root pass), of rows ranked times columns — support
+/// rows for a node that ranked its exact panel, sketch rows for one
+/// that ranked its sketch. A deterministic measure of what the nodes
+/// pay.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeArea {
+    /// Area of the nodes that ranked their exact panel.
+    pub exact: u64,
+    /// Area of the nodes that ranked their sketch.
+    pub sketched: u64,
+}
+
+impl TreeArea {
+    /// Both parts together.
+    pub fn total(&self) -> u64 {
+        self.exact + self.sketched
+    }
+
+    pub(crate) fn add(self, other: TreeArea) -> TreeArea {
+        TreeArea {
+            exact: self.exact + other.exact,
+            sketched: self.sketched + other.sketched,
+        }
+    }
 }
 
 /// Result of a column tournament.
@@ -37,6 +82,8 @@ pub struct ColumnSelection {
     /// `|r_diag[0]|` is the `|R^(1)(1,1)|` estimate of `||A||_2` used by
     /// ILUT_CRTP (eq. 23-24).
     pub r_diag: Vec<f64>,
+    /// The area the tree's leaves and merges factored on this rank.
+    pub area: TreeArea,
 }
 
 /// Memory-bounded `R` factor of the panel formed by columns `idx` of
@@ -50,14 +97,23 @@ pub struct ColumnSelection {
 /// single QR. `R` has `min(support, c)` rows, so a panel supported on
 /// fewer rows than it has columns cannot rank more columns than that.
 pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelism) -> DenseMatrix {
-    let c = idx.len();
-    if c == 0 {
+    if idx.is_empty() {
         return DenseMatrix::zeros(0, 0);
     }
-    let support = src.row_support(idx);
+    panel_r_over(src, idx, &src.row_support(idx), par)
+}
+
+/// [`panel_r`] over the panel's row support `support`.
+fn panel_r_over<S: ColumnSource + ?Sized>(
+    src: &S,
+    idx: &[usize],
+    support: &[usize],
+    par: Parallelism,
+) -> DenseMatrix {
+    let c = idx.len();
     let chunk = (4 * c).max(256);
     if support.len() <= chunk {
-        return qr(&src.gather_rows(idx, &support), par).r();
+        return qr(&src.gather_rows(idx, support), par).r();
     }
     // Per-chunk Rs in parallel; the fold order is ascending chunk index
     // whatever the worker count.
@@ -78,23 +134,117 @@ pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelis
     acc.expect("a support longer than one chunk has chunks")
 }
 
-/// Rank the candidate columns `idx` at one tournament node: QRCP on the
-/// panel `R`, returning up to `k` winners (in pivot order) plus the
-/// QRCP `R` diagonal.
+/// Up to `k` winners of a node's QRCP, in pivot order, as ids of `idx`.
+fn winners(f: &QrcpFactor, idx: &[usize], k: usize) -> Vec<usize> {
+    f.perm[..f.steps.min(k)].iter().map(|&p| idx[p]).collect()
+}
+
+/// The root pass: rank the candidate columns `idx` by QRCP on their
+/// exact panel `R`, returning up to `k` winners (in pivot order) plus
+/// the QRCP `R` diagonal.
 pub(crate) fn node_select<S: ColumnSource + ?Sized>(
     src: &S,
     idx: &[usize],
     k: usize,
     par: Parallelism,
 ) -> (Vec<usize>, Vec<f64>) {
-    let r = panel_r(src, idx, par);
-    let f = qrcp(&r, k);
-    let winners: Vec<usize> = f.perm[..f.steps.min(k)].iter().map(|&p| idx[p]).collect();
-    (winners, f.r_diag())
+    let f = qrcp(&panel_r(src, idx, par), k);
+    (winners(&f, idx, k), f.r_diag())
+}
+
+/// One leaf or merge: up to `k` winners among `idx`, and the area the
+/// node factored. Without a sketch, or when the candidates' row support
+/// is at most [`EXACT_ROWS_PER_SKETCH_ROW`] times the sketch's rows, it
+/// ranks the exact panel (the same winners, bit for bit, as
+/// [`node_select`]); otherwise it ranks the candidates' sketch columns.
+pub(crate) fn rank_node<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: Option<&Sketch>,
+    idx: &[usize],
+    k: usize,
+) -> (Vec<usize>, TreeArea) {
+    let support = src.row_support(idx);
+    match sketch {
+        Some(sk) if support.len() > EXACT_ROWS_PER_SKETCH_ROW * sk.r() => {
+            let f = qrcp(&sk.gather(idx), k);
+            let area = TreeArea { exact: 0, sketched: (sk.r() * idx.len()) as u64 };
+            (winners(&f, idx, k), area)
+        }
+        _ => {
+            let f = qrcp(&panel_r_over(src, idx, &support, Parallelism::SEQ), k);
+            let area = TreeArea { exact: (support.len() * idx.len()) as u64, sketched: 0 };
+            (winners(&f, idx, k), area)
+        }
+    }
+}
+
+/// The candidates a sketched tree ranks: those of `cand` with a stored
+/// entry.
+pub(crate) fn stored<S: ColumnSource + ?Sized>(src: &S, cand: &[usize]) -> Vec<usize> {
+    cand.iter().copied().filter(|&j| src.col_nnz(j) > 0).collect()
+}
+
+/// The leaves and merges of the tree over `cand` (more than `k`
+/// candidates): the last merge's winners, in its pivot order, and the
+/// area the nodes factored. Leaves are blocks of `2k` consecutive
+/// candidates, ranked in parallel (the communication-free "local
+/// reduction" of Section V); each node is sequential, so the result
+/// does not depend on `par`.
+pub(crate) fn reduce<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: Option<&Sketch>,
+    cand: &[usize],
+    k: usize,
+    par: Parallelism,
+) -> (Vec<usize>, TreeArea) {
+    let block = 2 * k;
+    let nblocks = cand.len().div_ceil(block);
+    let mut level: Vec<(Vec<usize>, TreeArea)> = vec![Default::default(); nblocks];
+    parallel_chunks_mut(par, &mut level, 1, |b, slot| {
+        let hi = ((b + 1) * block).min(cand.len());
+        slot[0] = rank_node(src, sketch, &cand[b * block..hi], k);
+    });
+    let mut area = level.iter().fold(TreeArea::default(), |a, (_, x)| a.add(*x));
+    while level.len() > 1 {
+        let pairs = level.len() / 2;
+        let odd = level.len() % 2 == 1;
+        let mut next: Vec<(Vec<usize>, TreeArea)> = vec![Default::default(); pairs + usize::from(odd)];
+        parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
+            let merged = [level[2 * p].0.as_slice(), &level[2 * p + 1].0].concat();
+            slot[0] = rank_node(src, sketch, &merged, k);
+        });
+        area = next[..pairs].iter().fold(area, |a, (_, x)| a.add(*x));
+        if odd {
+            let last = level.len() - 1;
+            next[pairs] = (std::mem::take(&mut level[last].0), TreeArea::default());
+        }
+        level = next;
+    }
+    (std::mem::take(&mut level[0].0), area)
+}
+
+/// The tree over `cand`, then the root pass over its winners.
+fn tournament<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: Option<&Sketch>,
+    cand: &[usize],
+    k: usize,
+    par: Parallelism,
+) -> ColumnSelection {
+    assert!(k > 0, "tournament with k = 0");
+    let (winners, area) = match cand.len() <= k {
+        // Nothing to select; the root pass still yields r_diag.
+        true => (cand.to_vec(), TreeArea::default()),
+        false => reduce(src, sketch, cand, k, par),
+    };
+    // Root pass: final ranking of the winners (also yields r_diag).
+    let (selected, r_diag) = node_select(src, &winners, k, par);
+    ColumnSelection { selected, r_diag, area }
 }
 
 /// Select the `k` "most linearly independent" columns among `candidates`
-/// (defaults to all columns of `src` when `candidates` is `None`).
+/// (defaults to all columns of `src` when `candidates` is `None`), every
+/// node ranking its exact panel.
 ///
 /// Returns fewer than `k` winners only if the candidates' numerical
 /// rank is below `k` (trailing exact-zero pivots are dropped).
@@ -105,51 +255,25 @@ pub fn tournament_columns<S: ColumnSource + ?Sized>(
     tree: TournamentTree,
     par: Parallelism,
 ) -> ColumnSelection {
-    let all: Vec<usize>;
-    let cand: &[usize] = match candidates {
-        Some(c) => c,
-        None => {
-            all = (0..src.cols()).collect();
-            &all
-        }
-    };
-    assert!(k > 0, "tournament with k = 0");
-    if cand.len() <= k {
-        // Nothing to select; still compute r_diag for the estimate.
-        let (sel, rd) = node_select(src, cand, k, par);
-        return ColumnSelection {
-            selected: sel,
-            r_diag: rd,
-        };
-    }
-    // Leaf stage: blocks of 2k columns, selected in parallel (this is
-    // the communication-free "local reduction" of Section V).
-    let block = 2 * k;
-    let nblocks = cand.len().div_ceil(block);
-    let mut level: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    parallel_chunks_mut(par, &mut level, 1, |b, slot| {
-        let hi = ((b + 1) * block).min(cand.len());
-        slot[0] = node_select(src, &cand[b * block..hi], k, Parallelism::SEQ).0;
-    });
     let TournamentTree::Binary = tree;
-    while level.len() > 1 {
-        let pairs = level.len() / 2;
-        let odd = level.len() % 2 == 1;
-        let mut next: Vec<Vec<usize>> = vec![Vec::new(); pairs + usize::from(odd)];
-        parallel_chunks_mut(par, &mut next[..pairs], 1, |p, slot| {
-            let merged = [level[2 * p].as_slice(), &level[2 * p + 1]].concat();
-            slot[0] = node_select(src, &merged, k, Parallelism::SEQ).0;
-        });
-        if odd {
-            let last = level.len() - 1;
-            next[pairs] = std::mem::take(&mut level[last]);
-        }
-        level = next;
+    match candidates {
+        Some(c) => tournament(src, None, c, k, par),
+        None => tournament(src, None, &(0..src.cols()).collect::<Vec<_>>(), k, par),
     }
-    // Root pass: final ranking of the winners (also yields r_diag).
-    let winners = &level[0];
-    let (selected, r_diag) = node_select(src, winners, k, par);
-    ColumnSelection { selected, r_diag }
+}
+
+/// [`tournament_columns`] over the columns of `src` with a stored entry,
+/// each leaf and merge ranking `sketch` (the sketch of every column of
+/// `src`) unless its exact panel is short; the root pass ranks the
+/// winners' exact columns.
+pub fn tournament_columns_sketched<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: &Sketch,
+    k: usize,
+    par: Parallelism,
+) -> ColumnSelection {
+    let cand = stored(src, &(0..src.cols()).collect::<Vec<_>>());
+    tournament(src, Some(sketch), &cand, k, par)
 }
 
 /// Row tournament: select the `k` "most linearly independent" *rows* of

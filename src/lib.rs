@@ -19,8 +19,8 @@
 //! | Method | Kind | Factors | Error control | Returned rank certified by |
 //! |---|---|---|---|---|
 //! | [`core::rand_qb_ei`] | randomized | dense `Q B` | indicator eq. 4 (floor `2.1e-7`) | the identity row by row, `\|\|A - Q_l B_l\|\|_F^2 = \|\|A\|\|_F^2 - Σ_{r<l} \|\|B(r,:)\|\|^2`: the smallest certified prefix of the last block |
-//! | [`core::lu_crtp`] | deterministic | sparse `L U` | indicator `\|\|A^(i+1)\|\|_F` | the exact identity `\|\|A - L_l U_l\|\|_F = \|\|A^(K+1) + Σ_{t>=l} L_t U_t^T\|\|_F`: the smallest certified prefix of the last block |
-//! | [`core::ilut_crtp`] | deterministic + thresholding | sparser `L U` | estimator eq. 26 | inside the last block, the triangle bound `p_l + Σ_j \|\|T_j\|\|_F` over the dropped `T_j`; the block stop itself is still the estimator's, uncertified |
+//! | [`core::lu_crtp`] | deterministic from a fixed internal seed; the column tournament chooses its pivots on a random sketch | sparse `L U` | indicator `\|\|A^(i+1)\|\|_F` | the exact identity `\|\|A - L_l U_l\|\|_F = \|\|A^(K+1) + Σ_{t>=l} L_t U_t^T\|\|_F`: the smallest certified prefix of the last block |
+//! | [`core::ilut_crtp`] | as LU_CRTP, + thresholding | sparser `L U` | estimator eq. 26 | inside the last block, the triangle bound `p_l + Σ_j \|\|T_j\|\|_F` over the dropped `T_j`; the block stop itself is still the estimator's, uncertified |
 //! | [`core::rand_ubv`] | randomized | dense `U B V^T` | Frobenius update | block resolution: the last block is kept whole |
 //!
 //! ## Quickstart

@@ -49,12 +49,12 @@ fn ilut_newest(np: Option<usize>) -> (usize, u32) {
 
 #[test]
 fn sequential_ilut_envelope_bytes_are_pinned() {
-    assert_eq!(ilut_newest(None), (31536, 4222327336));
+    assert_eq!(ilut_newest(None), (31845, 1217238846));
 }
 
 #[test]
 fn sharded_ilut_envelope_bytes_are_pinned() {
-    assert_eq!(ilut_newest(Some(2)), (31536, 3966662880));
+    assert_eq!(ilut_newest(Some(2)), (31845, 918753931));
 }
 
 #[test]
