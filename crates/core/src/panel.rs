@@ -5,11 +5,12 @@
 //! distribution. [`drive`] owns everything that *is* Algorithm 2/3 —
 //! budget polling, resume, the stage sequence and its
 //! [`KernelTimers`] buckets, the NaN guards and [`Breakdown`] exits,
-//! the panel stages that read only the pivot panel (TSQR, the row
-//! tournament on `Q_k^T`, the split and the `L21` solve, over the rank
-//! group when there is one), every agreement, gather and broadcast that
-//! does not depend on storage (the measurement, the `U` fragments, the
-//! snapshot and the memory peak), factor recording, the
+//! the panel stages that read only the pivot panel (TSQR and the row
+//! tournament on `Q_k^T`, both over the panel's row support, the split
+//! and the `L21` solve, over the rank group when there is one), every
+//! agreement, gather and broadcast that does not depend on storage
+//! (the measurement, the `U` fragments, the snapshot and the memory
+//! peak), factor recording, the
 //! ILUT threshold/control decision, the trace, the checkpoint cadence
 //! and result assembly. A [`PanelEngine`] supplies only where the Schur
 //! complement lives and computes on it there: the shared-memory column
@@ -654,27 +655,41 @@ pub(crate) fn drive<E: PanelEngine>(
             break;
         }
 
-        // Line 6: TSQR of the pivot panel — over its row blocks in
-        // parallel, or over rank-owned row blocks under SPMD.
-        let (qk, panel_r_diag) = timers.time(KernelId::PanelQr, || match comm {
-            None => {
-                let f = lra_dense::tsqr(&panel.to_dense(), opts.par);
-                let rd: Vec<f64> = (0..k_eff.min(f.r.rows()))
-                    .map(|i| f.r.get(i, i).abs())
-                    .collect();
-                (f.q, rd)
-            }
-            Some(ctx) => spmd_panel_tsqr(ctx, &panel),
+        // Line 6: TSQR of the pivot panel over its row support `S`, the
+        // rows where some pivot column has a stored entry — over its row
+        // blocks in parallel, or over rank-owned blocks of `S` under
+        // SPMD. Every rank holds the panel whole, so `S` costs no
+        // collective. `Q_k = P R^-1` is zero off `S`: those rows can
+        // never be pivots, and `Q_S` is `Q_k` on `S`.
+        let (support, qs, panel_r_diag) = timers.time(KernelId::PanelQr, || {
+            let cols: Vec<usize> = (0..k_eff).collect();
+            let support = panel.row_support(&cols);
+            let (qs, rd) = match comm {
+                None => {
+                    let on_s = panel.gather_columns_at_rows_dense(&cols, &support);
+                    let f = lra_dense::tsqr(&on_s, opts.par);
+                    let rd: Vec<f64> = (0..k_eff.min(f.r.rows()))
+                        .map(|i| f.r.get(i, i).abs())
+                        .collect();
+                    (f.q, rd)
+                }
+                Some(ctx) => spmd_panel_tsqr(ctx, &panel, &support),
+            };
+            (support, qs, rd)
         });
         if non_finite("non-finite panel R diagonal", st.iterations + 1, &panel_r_diag) {
             exit.breakdown = Some(Breakdown::NonFinite);
             break;
         }
 
-        // Line 7: row tournament on Q_k^T.
-        let rows = timers.time(KernelId::RowTournament, || match comm {
-            None => tournament_rows_dense(&qk, k_eff, TournamentTree::Binary, opts.par),
-            Some(ctx) => tournament_columns_spmd(ctx, &qk.transpose(), None, k_eff).selected,
+        // Line 7: row tournament on Q_S^T, its winners mapped back
+        // through `S`.
+        let rows: Vec<usize> = timers.time(KernelId::RowTournament, || {
+            let won = match comm {
+                None => tournament_rows_dense(&qs, k_eff, TournamentTree::Binary, opts.par),
+                Some(ctx) => tournament_columns_spmd(ctx, &qs.transpose(), None, k_eff).selected,
+            };
+            won.into_iter().map(|i| support[i]).collect()
         });
         if rows.len() < k_eff {
             exit.breakdown = Some(Breakdown::RankExhausted);

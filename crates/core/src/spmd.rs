@@ -4,8 +4,8 @@
 //! SPMD [`PanelEngine`]s that differ only in where the Schur
 //! complement lives. The panel stages that read only the pivot panel
 //! are the loop's, run over the rank group: the panel TSQR
-//! ([`spmd_panel_tsqr`], rank-owned row blocks of the replicated panel,
-//! two `allgather`s), the row tournament on `Q_k^T`
+//! ([`spmd_panel_tsqr`], rank-owned blocks of the replicated panel's
+//! row support, two `allgather`s), the row tournament on `Q_k^T`
 //! ([`lra_qrtp::tournament_columns_spmd`]) and the `L21` solve
 //! ([`crate::lucrtp::l21`]: `Ā21` rows scattered, the small `X^T`
 //! allgathered, since a 1-D column distribution keeps the row panel
@@ -138,20 +138,25 @@ pub(crate) fn run_replicated(
     })
 }
 
-/// Panel TSQR over rank-owned row blocks of the pivot panel: local QR,
-/// allgather the small R factors, replicated root QR, local Q
-/// reconstruction, allgather the Q blocks. Returns `Q_k` and
-/// `|diag(R)|`.
-pub(crate) fn spmd_panel_tsqr(ctx: &Ctx, panel: &CscMatrix) -> (DenseMatrix, Vec<f64>) {
+/// Panel TSQR over rank-owned row blocks of the pivot panel's rows
+/// `support` (ascending; every row off it is zero): local QR, allgather
+/// the small R factors, replicated root QR, local Q reconstruction,
+/// allgather the Q blocks. Returns `Q_S`, row `i` being `Q_k`'s row
+/// `support[i]`, and `|diag(R)|`.
+pub(crate) fn spmd_panel_tsqr(
+    ctx: &Ctx,
+    panel: &CscMatrix,
+    support: &[usize],
+) -> (DenseMatrix, Vec<f64>) {
     let (rank, size) = (ctx.rank(), ctx.size());
-    let m_act = panel.rows();
+    let m_s = support.len();
     let k_eff = panel.cols();
     let cols: Vec<usize> = (0..k_eff).collect();
-    let blocks = split_ranges(m_act, size.min((m_act / k_eff.max(1)).max(1)));
+    let blocks = split_ranges(m_s, size.min((m_s / k_eff.max(1)).max(1)));
     let my_block = blocks.get(rank).cloned();
     let (my_r, my_f) = match &my_block {
         Some(rg) => {
-            let local = panel.gather_columns_rows_dense(&cols, rg.clone());
+            let local = panel.gather_columns_at_rows_dense(&cols, &support[rg.clone()]);
             let f = qr(&local, Parallelism::SEQ);
             (f.r(), Some(f))
         }
@@ -196,16 +201,16 @@ pub(crate) fn spmd_panel_tsqr(ctx: &Ctx, panel: &CscMatrix) -> (DenseMatrix, Vec
         _ => DenseMatrix::zeros(0, k_eff),
     };
     let all_q: Vec<DenseMatrix> = ctx.allgather(my_q);
-    let mut qk = DenseMatrix::zeros(m_act, k_eff);
+    let mut q_s = DenseMatrix::zeros(m_s, k_eff);
     let mut row0 = 0;
     for q in all_q {
         if q.rows() == 0 {
             continue;
         }
-        qk.set_submatrix(row0, 0, &q);
+        q_s.set_submatrix(row0, 0, &q);
         row0 += q.rows();
     }
-    (qk, panel_r_diag)
+    (q_s, panel_r_diag)
 }
 
 /// The positions in `rest` (the split's rest columns, ascending) of the

@@ -7,8 +7,8 @@
 //! QR over the panel's row support (so node cost follows the stored
 //! entries), or, given a [`Sketch`] `Ω^T A` of the columns (drawn by
 //! [`Omega`]), the candidates' sketch columns when their exact panel
-//! would be longer (the `_sketched` entry points; the root pass stays
-//! exact):
+//! would be taller than `max(r, 64)` rows (the `_sketched` entry
+//! points; the root pass stays exact):
 //! - [`tournament_columns`]: shared-memory, leaves processed with
 //!   `lra-par` workers, merged up a binary tree;
 //! - [`tournament_columns_spmd`]: rank-distributed over the `lra-comm`

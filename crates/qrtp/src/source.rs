@@ -23,6 +23,10 @@ pub trait ColumnSource: Sync {
     /// Sparse sources return the rows with a stored entry; dense sources
     /// return every row.
     fn row_support(&self, idx: &[usize]) -> Vec<usize>;
+    /// `min(self.row_support(idx).len(), cap + 1)`: the support's
+    /// length, counted no further than one row past `cap`, so a caller
+    /// that only asks whether it exceeds `cap` never builds the list.
+    fn row_support_len_capped(&self, idx: &[usize], cap: usize) -> usize;
     /// Gather the given (ascending) rows of the given columns into a
     /// dense block of shape `rows.len() x idx.len()`.
     fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix;
@@ -37,6 +41,9 @@ impl ColumnSource for CscMatrix {
     }
     fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         CscMatrix::row_support(self, idx)
+    }
+    fn row_support_len_capped(&self, idx: &[usize], cap: usize) -> usize {
+        CscMatrix::row_support_len_capped(self, idx, cap)
     }
     fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
         self.gather_columns_at_rows_dense(idx, rows)
@@ -56,6 +63,9 @@ impl ColumnSource for CscRuns {
     fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         CscRuns::row_support(self, idx)
     }
+    fn row_support_len_capped(&self, idx: &[usize], cap: usize) -> usize {
+        CscRuns::row_support_len_capped(self, idx, cap)
+    }
     fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
         self.gather_columns_at_rows_dense(idx, rows)
     }
@@ -70,6 +80,9 @@ impl ColumnSource for DenseMatrix {
     }
     fn row_support(&self, _idx: &[usize]) -> Vec<usize> {
         (0..self.rows()).collect()
+    }
+    fn row_support_len_capped(&self, _idx: &[usize], cap: usize) -> usize {
+        self.rows().min(cap.saturating_add(1))
     }
     fn gather_rows(&self, idx: &[usize], rows: &[usize]) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(rows.len(), idx.len());

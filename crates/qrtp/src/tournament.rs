@@ -15,12 +15,14 @@
 //! dimension.
 //!
 //! Given a [`Sketch`] of the source's columns, a leaf or merge whose
-//! row support is longer than `EXACT_ROWS_PER_SKETCH_ROW * r` ranks
-//! the `r x <= 2k` sketch of its candidates instead, and columns with
-//! no stored entry are not candidates; a node on a shorter support
-//! still ranks its exact panel, which is then no larger than the
-//! sketch. The root pass ranks the final winners on their exact
-//! columns either way, so the selection's `r_diag` is exact.
+//! row support has more than `max(r, 64)` rows ranks the `r x <= 2k`
+//! sketch of its candidates instead, and columns with no stored entry
+//! are not candidates; a node on a support no longer than that still
+//! ranks its exact panel, which is then at most as tall as the sketch
+//! (or 64 rows, for a sketch shorter than that). The length is counted
+//! only up to the cap, so a sketched node never lists its support. The
+//! root pass ranks the final winners on their exact columns either
+//! way, so the selection's `r_diag` is exact.
 //!
 //! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))`.
 
@@ -38,12 +40,14 @@ pub enum TournamentTree {
     Binary,
 }
 
-/// A sketched tree's node ranks its exact panel when the panel's row
-/// support is at most this many times the sketch's rows. Below 4, a
-/// nearly empty ILUT complement (a few thousand entries over thousands
-/// of columns) pays more for sketching every column than its short
-/// exact panels cost.
-const EXACT_ROWS_PER_SKETCH_ROW: usize = 4;
+/// A sketched tree's node ranks its exact panel only when the panel's
+/// row support has at most `max(r, EXACT_ROWS_FLOOR)` rows, `r` being
+/// the sketch's: a taller exact panel costs more QR than the sketch the
+/// node has already paid for and picks the same columns. The floor
+/// keeps a small-`k` tree (a served job at k = 2 or 4 sketches onto 4
+/// or 8 rows) from ranking so coarse a sketch that ILUT stops just
+/// above `tau` more often.
+const EXACT_ROWS_FLOOR: usize = 64;
 
 /// The area a tournament tree factored: the sum, over its leaves and
 /// merges (not the root pass), of rows ranked times columns — support
@@ -154,28 +158,35 @@ pub(crate) fn node_select<S: ColumnSource + ?Sized>(
 
 /// One leaf or merge: up to `k` winners among `idx`, and the area the
 /// node factored. Without a sketch, or when the candidates' row support
-/// is at most [`EXACT_ROWS_PER_SKETCH_ROW`] times the sketch's rows, it
-/// ranks the exact panel (the same winners, bit for bit, as
-/// [`node_select`]); otherwise it ranks the candidates' sketch columns.
+/// has at most `max(r, `[`EXACT_ROWS_FLOOR`]`)` rows, it ranks the
+/// exact panel (the same winners, bit for bit, as [`node_select`]);
+/// otherwise it ranks the candidates' sketch columns, having counted
+/// the support only as far as the cap.
 pub(crate) fn rank_node<S: ColumnSource + ?Sized>(
     src: &S,
     sketch: Option<&Sketch>,
     idx: &[usize],
     k: usize,
 ) -> (Vec<usize>, TreeArea) {
-    let support = src.row_support(idx);
     match sketch {
-        Some(sk) if support.len() > EXACT_ROWS_PER_SKETCH_ROW * sk.r() => {
+        Some(sk) if src.row_support_len_capped(idx, exact_cap(sk)) > exact_cap(sk) => {
             let f = qrcp(&sk.gather(idx), k);
             let area = TreeArea { exact: 0, sketched: (sk.r() * idx.len()) as u64 };
             (winners(&f, idx, k), area)
         }
         _ => {
+            let support = src.row_support(idx);
             let f = qrcp(&panel_r_over(src, idx, &support, Parallelism::SEQ), k);
             let area = TreeArea { exact: (support.len() * idx.len()) as u64, sketched: 0 };
             (winners(&f, idx, k), area)
         }
     }
+}
+
+/// The most support rows a node of a tree sketched by `sk` ranks
+/// exactly.
+fn exact_cap(sk: &Sketch) -> usize {
+    sk.r().max(EXACT_ROWS_FLOOR)
 }
 
 /// The candidates a sketched tree ranks: those of `cand` with a stored
@@ -459,6 +470,35 @@ mod tests {
         assert_eq!(panel_r(&z, &[0, 1, 2], Parallelism::SEQ).rows(), 0);
         let sel = tournament_columns(&z, None, 8, TournamentTree::Binary, Parallelism::SEQ);
         assert!(sel.selected.is_empty() && sel.r_diag.is_empty());
+    }
+
+    /// A sketched node ranks its exact panel up to `max(r, 64)` support
+    /// rows and its sketch one row past that: the floor holds for a
+    /// 12-row sketch, the sketch's rows for an 80-row one.
+    #[test]
+    fn node_is_exact_up_to_the_cap_and_sketched_past_it() {
+        for (k, cap) in [(6usize, 64usize), (40, 80)] {
+            let (m, c) = (400, 2 * k);
+            let omega = crate::Omega::new(m, 2 * k);
+            let idx: Vec<usize> = (0..c).collect();
+            for support in [cap - 1, cap, cap + 1, cap + 7] {
+                // Column j holds rows j, j + c, j + 2c, ... below `support`.
+                let mut coo = CooMatrix::new(m, c);
+                for r in 0..support {
+                    coo.push(r, r % c, ((r * 7 + 3) as f64).sin() + 2.0);
+                }
+                let a = coo.to_csc();
+                let rows: Vec<usize> = (0..m).collect();
+                let mut sk = Sketch::default();
+                omega.sketch(&rows, c, |j| a.col(j), &mut sk, Parallelism::SEQ);
+                let (won, area) = rank_node(&a, Some(&sk), &idx, k);
+                assert_eq!(won.len(), k, "k={k} support={support}");
+                match support <= cap {
+                    true => assert_eq!(area, TreeArea { exact: (support * c) as u64, sketched: 0 }),
+                    false => assert_eq!(area, TreeArea { exact: 0, sketched: (2 * k * c) as u64 }),
+                }
+            }
+        }
     }
 
     #[test]

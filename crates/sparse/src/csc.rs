@@ -384,31 +384,6 @@ impl CscMatrix {
         out
     }
 
-    /// Gather rows `row_range` of the given columns into a dense panel
-    /// of shape `row_range.len() x idx.len()` (the chunked densify used
-    /// by R-only TSQR on sparse panels).
-    pub fn gather_columns_rows_dense(
-        &self,
-        idx: &[usize],
-        row_range: std::ops::Range<usize>,
-    ) -> DenseMatrix {
-        let h = row_range.len();
-        let mut out = DenseMatrix::zeros(h, idx.len());
-        for (dst, &j) in idx.iter().enumerate() {
-            let (ri, vs) = self.col(j);
-            let start = ri.partition_point(|&r| r < row_range.start);
-            let col = out.col_mut(dst);
-            for p in start..ri.len() {
-                let r = ri[p];
-                if r >= row_range.end {
-                    break;
-                }
-                col[r - row_range.start] = vs[p];
-            }
-        }
-        out
-    }
-
     /// Sorted, duplicate-free list of the rows that hold a stored entry
     /// in at least one of the given columns — the only rows of the
     /// panel that can contribute to its `R` factor. One pass over the
@@ -416,6 +391,13 @@ impl CscMatrix {
     /// its words: `O(nnz_panel + rows/64)`, no sort.
     pub fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         row_support(self.rows, idx, |j| self.col(j))
+    }
+
+    /// `min(self.row_support(idx).len(), cap + 1)`, without the list:
+    /// the count stops at the first row past `cap`, so telling a
+    /// support longer than `cap` reads only the entries up to that row.
+    pub fn row_support_len_capped(&self, idx: &[usize], cap: usize) -> usize {
+        row_support_len_capped(self.rows, idx, cap, |j| self.col(j))
     }
 
     /// Gather the given rows (strictly ascending) of the given columns
@@ -606,6 +588,31 @@ pub(crate) fn row_support<'a>(rows: usize, idx: &[usize], col: impl ColumnAt<'a>
         }
     }
     support
+}
+
+/// [`CscMatrix::row_support_len_capped`] of a `rows`-row matrix,
+/// however stored.
+pub(crate) fn row_support_len_capped<'a>(
+    rows: usize,
+    idx: &[usize],
+    cap: usize,
+    col: impl ColumnAt<'a>,
+) -> usize {
+    let mut occupied = vec![0u64; rows.div_ceil(64)];
+    let mut count = 0;
+    for &j in idx {
+        for &r in col(j).0 {
+            let (word, bit) = (&mut occupied[r / 64], 1 << (r % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                count += 1;
+                if count > cap {
+                    return count;
+                }
+            }
+        }
+    }
+    count
 }
 
 /// [`CscMatrix::gather_columns_at_rows_dense`] of a matrix, however
@@ -975,16 +982,6 @@ mod tests {
         assert_eq!(d.nnz(), 3);
         assert_eq!(d.get(0, 0), 0.0);
         assert_eq!(d.get(2, 0), 4.0);
-    }
-
-    #[test]
-    fn gather_columns_rows_dense_chunk() {
-        let a = sample();
-        let p = a.gather_columns_rows_dense(&[0, 2], 1..3);
-        assert_eq!(p.rows(), 2);
-        assert_eq!(p.get(1, 0), 4.0); // row 2 of col 0
-        assert_eq!(p.get(0, 1), 0.0); // row 1 of col 2
-        assert_eq!(p.get(1, 1), 5.0);
     }
 
     #[test]

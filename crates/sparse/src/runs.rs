@@ -11,7 +11,7 @@
 //! runs concatenated are the matrix's storage order, so every read
 //! matches the equivalent [`CscMatrix`] bit for bit.
 
-use crate::csc::{gather_at_rows, row_support, CscMatrix};
+use crate::csc::{gather_at_rows, row_support, row_support_len_capped, CscMatrix};
 use crate::dist::gather_csc;
 use lra_dense::DenseMatrix;
 use lra_par::{parallel_chunks_mut, Parallelism};
@@ -128,6 +128,11 @@ impl CscRuns {
     /// [`CscMatrix::row_support`] of the given columns.
     pub fn row_support(&self, idx: &[usize]) -> Vec<usize> {
         row_support(self.rows, idx, |j| self.col(j))
+    }
+
+    /// [`CscMatrix::row_support_len_capped`] of the given columns.
+    pub fn row_support_len_capped(&self, idx: &[usize], cap: usize) -> usize {
+        row_support_len_capped(self.rows, idx, cap, |j| self.col(j))
     }
 
     /// [`CscMatrix::gather_columns_at_rows_dense`] of the given columns.

@@ -54,6 +54,20 @@ impl SplitMix64 {
     }
 }
 
+/// `P_r A P_c`, both permutations drawn from `seed`.
+pub fn shuffled(a: &CscMatrix, seed: u64) -> CscMatrix {
+    let mut rng = SplitMix64(seed);
+    let mut perm = |n: usize| {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.below(i + 1));
+        }
+        p
+    };
+    let (rows, cols) = (perm(a.rows()), perm(a.cols()));
+    a.permute_rows(&rows).select_columns(&cols)
+}
+
 /// A `rows x cols` matrix with `per_col` random entries per column
 /// (repeats summed).
 pub fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {

@@ -120,6 +120,40 @@ fn runs_are_the_same_column_source_as_the_matrix() {
     }
 }
 
+/// The capped support count a sketched tournament node picks its path
+/// by is the support's length counted no further than one row past the
+/// cap, on every column source: `capped > cap` exactly when
+/// `row_support(idx).len() > cap`, for every cap from 0 to the length
+/// plus one.
+#[test]
+fn capped_support_count_decides_like_the_support_list() {
+    let mut rng = SplitMix64(0xCA9);
+    let check = |src: &dyn ColumnSource, idx: &[usize], what: &str| {
+        let len = src.row_support(idx).len();
+        for cap in 0..=len + 1 {
+            let capped = src.row_support_len_capped(idx, cap);
+            assert_eq!(capped, len.min(cap + 1), "{what} cap {cap}");
+            assert_eq!(capped > cap, len > cap, "{what} cap {cap}");
+        }
+    };
+    for (name, a) in matrices() {
+        if a.cols() == 0 {
+            continue;
+        }
+        let dense = a.to_dense();
+        for trial in 0..6 {
+            // Candidate columns across run boundaries, repeats included.
+            let idx: Vec<usize> = (0..1 + rng.below(40)).map(|_| rng.below(a.cols())).collect();
+            let what = format!("{name} trial {trial}");
+            check(&a, &idx, &format!("{what} csc"));
+            check(&dense, &idx, &format!("{what} dense"));
+            for width in WIDTHS {
+                check(&CscRuns::from_csc(&a, width), &idx, &format!("{what} runs width {width}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn runs_measure_and_drop_like_the_matrix() {
     for (name, a) in matrices() {

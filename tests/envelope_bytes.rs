@@ -49,12 +49,12 @@ fn ilut_newest(np: Option<usize>) -> (usize, u32) {
 
 #[test]
 fn sequential_ilut_envelope_bytes_are_pinned() {
-    assert_eq!(ilut_newest(None), (31845, 1217238846));
+    assert_eq!(ilut_newest(None), (31656, 3944666612));
 }
 
 #[test]
 fn sharded_ilut_envelope_bytes_are_pinned() {
-    assert_eq!(ilut_newest(Some(2)), (31845, 918753931));
+    assert_eq!(ilut_newest(Some(2)), (32315, 2833536029));
 }
 
 #[test]

@@ -408,3 +408,82 @@ fn ilut_cut_is_certified_by_the_dropped_norm_bound() {
     }
     assert!(cut > 0, "no run was cut inside its last block");
 }
+
+/// Lines 6 and 7 run over the pivot panel's row support. On a shuffled
+/// `tp_sparse`-shaped input at k = 32, on every engine, each
+/// iteration's pivot rows are rows where its pivot panel has a stored
+/// entry, and the panel `R` diagonal the trace records (TSQR of the
+/// support rows alone) is a full-height TSQR's of the same panel. An
+/// iteration's complement is read off the snapshot an iteration cap
+/// leaves (the first one's is the input in its fill-reducing order);
+/// the replicated oracle, which takes no hooks, must pick the sharded
+/// engine's pivots and `r_diag` bit for bit.
+#[test]
+fn row_stages_run_over_the_panel_row_support_on_every_engine() {
+    use lra::matgen::{circuit, with_decay_rank};
+    let a = common::shuffled(&with_decay_rank(&circuit(2400, 5, 20, 103), 1e-6, 700, 13), 7);
+    let (k, iters) = (32, 4);
+    let opts = |cap: u64| {
+        let budget = match cap {
+            0 => Budget::unlimited(),
+            _ => Budget::unlimited().with_iteration_cap(cap),
+        };
+        LuCrtpOpts::new(k, 1e-12).with_max_rank(iters * k).with_budget(budget)
+    };
+    // `np = 0` sequential, otherwise `np` sharded ranks.
+    let run = |opts: &LuCrtpOpts, np: usize, hooks: Option<&RecoveryHooks<'_>>| match np {
+        0 => factorize(&a, opts, Exec::Seq, hooks),
+        _ => lra::comm::run_infallible(np, |ctx| factorize(&a, opts, Exec::Spmd(ctx), hooks))
+            .swap_remove(0),
+    };
+    let order = lra::ordering::fill_reducing_order(&a);
+    for np in [0, 2] {
+        let full = run(&opts(0), np, None);
+        assert_eq!(full.iterations, iters, "np={np}");
+        for i in 0..iters {
+            let what = format!("np={np} iteration {}", i + 1);
+            // The complement iteration i + 1 pivots on, with its maps.
+            let (schur, row_map, col_map) = match i {
+                0 => (a.select_columns(&order), (0..a.rows()).collect(), order.clone()),
+                _ => {
+                    let store = CheckpointStore::in_memory();
+                    run(&opts(i as u64), np, Some(&RecoveryHooks::new(&store, 1)));
+                    let ck: LuCrtpCheckpoint<'static> = store.load().unwrap().expect("a snapshot");
+                    assert_eq!(ck.state.iterations, i, "{what}");
+                    let state = ck.state.clone().into_owned();
+                    (ck.schur().into_owned(), state.row_map, state.col_map)
+                }
+            };
+            let at = |map: &Vec<usize>, id: usize| map.iter().position(|&x| x == id).unwrap();
+            let pivots = i * k..(i + 1) * k;
+            let cols: Vec<usize> =
+                full.pivot_cols[pivots.clone()].iter().map(|&c| at(&col_map, c)).collect();
+            let panel = schur.select_columns(&cols);
+            let support = panel.row_support(&(0..k).collect::<Vec<_>>());
+            assert!(support.len() < schur.rows(), "{what}: the support is every row");
+            for &r in &full.pivot_rows[pivots] {
+                let on_support = support.binary_search(&at(&row_map, r)).is_ok();
+                assert!(on_support, "{what}: pivot row {r} off the support");
+            }
+            let f = lra::dense::tsqr(&panel.to_dense(), Parallelism::SEQ);
+            let want: Vec<f64> = (0..k).map(|t| f.r.get(t, t).abs()).collect();
+            let got = &full.trace[i].r_diag;
+            let scale = want.iter().fold(0.0f64, |x, &y| x.max(y));
+            assert_eq!(got.len(), k, "{what}");
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= 1e-12 * scale, "{what}: r_diag[{t}] {g} against {w}");
+            }
+        }
+        if np == 2 {
+            let oracle = lra::comm::run_infallible(2, |ctx| {
+                factorize(&a, &opts(0), Exec::SpmdReplicated(ctx), None)
+            })
+            .swap_remove(0);
+            assert_eq!(oracle.pivot_rows, full.pivot_rows);
+            assert_eq!(oracle.pivot_cols, full.pivot_cols);
+            for (o, s) in oracle.trace.iter().zip(&full.trace) {
+                assert!(common::bits_eq(&o.r_diag, &s.r_diag), "replicated r_diag");
+            }
+        }
+    }
+}

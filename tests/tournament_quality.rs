@@ -16,7 +16,7 @@ use lra::qrtp::{
 use lra::sparse::{CooMatrix, CscMatrix};
 
 mod common;
-use common::SplitMix64;
+use common::{shuffled, SplitMix64};
 
 fn rand_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -82,9 +82,10 @@ fn quality_bounded_over_many_seeds() {
 }
 
 /// The same seeds through the sketched tree: its 80-row leaves are
-/// longer than 4 x the 12 sketch rows, so every leaf and merge ranks
-/// its sketch, and the selection keeps the exact tree's bound and
-/// stays within 2 x of its median quality.
+/// longer than the 64-row floor on exact panels (the sketch has 12
+/// rows), so every leaf and merge ranks its sketch, and the selection
+/// keeps the exact tree's bound and stays within 2 x of its median
+/// quality.
 #[test]
 fn sketched_quality_bounded_over_many_seeds() {
     let k = 6;
@@ -129,20 +130,6 @@ fn sketched_selection_is_the_same_for_any_worker_count() {
     }
 }
 
-/// `P_r A P_c`, both permutations drawn from `seed`.
-fn shuffled(a: &CscMatrix, seed: u64) -> CscMatrix {
-    let mut rng = SplitMix64(seed);
-    let mut perm = |n: usize| {
-        let mut p: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            p.swap(i, rng.below(i + 1));
-        }
-        p
-    };
-    let (rows, cols) = (perm(a.rows()), perm(a.cols()));
-    a.permute_rows(&rows).select_columns(&cols)
-}
-
 /// The first tournament of a `tp_sparse`-shaped (2 400², 8 entries a
 /// column) and a `fill_dense`-shaped (1 200², 71 a column) shuffled
 /// input at k = 32: the sketched tree factors at most half the area
@@ -167,12 +154,17 @@ fn sketched_tree_factors_at_most_half_the_exact_area() {
 }
 
 /// A nearly empty ILUT complement, as M5′'s is after its first drop
-/// (about 5 000 entries over 7 900 columns, k = 64): no node's support
-/// is longer than 4 x its 128 sketch rows, so every leaf and merge
-/// ranks its exact panel.
+/// (about 5 000 entries over 7 900 columns, k = 64, a 128-row sketch):
+/// a node ranks its exact panel only when its support has at most
+/// `max(128, 64)` rows, and sketches it otherwise. The tree is replayed
+/// node by node — each leaf and merge of more than k candidates as the
+/// one node of a tournament over its columns — and every node's area
+/// follows the rule, both kinds occur, and the nodes sum to the tree's
+/// area; that tree factors no more area than the all-exact tree over
+/// the same candidates.
 #[test]
-fn nearly_empty_complement_ranks_every_node_exactly() {
-    let (m, n) = (8000, 7900);
+fn nearly_empty_complement_ranks_only_short_nodes_exactly() {
+    let (m, n, k) = (8000, 7900, 64);
     let mut rng = SplitMix64(5);
     let mut coo = CooMatrix::new(m, n);
     for _ in 0..5000 {
@@ -180,9 +172,49 @@ fn nearly_empty_complement_ranks_every_node_exactly() {
         coo.push(i, j, (rng.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
     }
     let a = coo.to_csc();
-    let sel = sketched(&a, 64, Parallelism::new(2));
-    assert_eq!(sel.selected.len(), 64);
-    assert!(sel.area.sketched == 0 && sel.area.exact > 0, "{:?}", sel.area);
+    let par = Parallelism::new(2);
+    let sel = sketched(&a, k, par);
+    assert_eq!(sel.selected.len(), k);
+    // (exact area, sketched area, exact nodes, sketched nodes)
+    let mut sum = (0u64, 0u64, 0, 0);
+    let mut node = |cand: &[usize]| -> Vec<usize> {
+        let (support, c) = (a.row_support(cand).len() as u64, cand.len() as u64);
+        let want = match support <= 2 * k as u64 {
+            true => (support * c, 0),
+            false => (0, 2 * k as u64 * c),
+        };
+        let exact = usize::from(want.1 == 0);
+        sum = (sum.0 + want.0, sum.1 + want.1, sum.2 + exact, sum.3 + 1 - exact);
+        if cand.len() <= k {
+            return cand.to_vec();
+        }
+        let one = sketched(&a.select_columns(cand), k, par);
+        let what = format!("{} candidates, support {support}", cand.len());
+        assert_eq!((one.area.exact, one.area.sketched), want, "{what}");
+        one.selected.iter().map(|&p| cand[p]).collect()
+    };
+    let stored: Vec<usize> = (0..n).filter(|&j| !a.col(j).0.is_empty()).collect();
+    let mut level: Vec<Vec<usize>> = stored.chunks(2 * k).map(&mut node).collect();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [l, r] => node(&[l.as_slice(), r].concat()),
+                _ => pair[0].clone(),
+            })
+            .collect();
+    }
+    let (exact_area, sketched_area, exact_nodes, sketched_nodes) = sum;
+    let nodes = format!("{exact_nodes} exact, {sketched_nodes} sketched");
+    assert!(exact_nodes > 0 && sketched_nodes > 0, "{nodes}");
+    assert_eq!((exact_area, sketched_area), (sel.area.exact, sel.area.sketched));
+    let (mut got, mut replayed) = (sel.selected.clone(), level.swap_remove(0));
+    got.sort_unstable();
+    replayed.sort_unstable();
+    assert_eq!(got, replayed, "the replayed tree's winners");
+    let exact = tournament_columns(&a, Some(&stored), k, TournamentTree::Binary, par).area;
+    assert_eq!(exact.sketched, 0);
+    assert!(sel.area.total() <= exact.total(), "{:?} against all-exact {exact:?}", sel.area);
 }
 
 #[test]
