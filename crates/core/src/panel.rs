@@ -687,7 +687,7 @@ pub(crate) fn drive<E: PanelEngine>(
         let rows: Vec<usize> = timers.time(KernelId::RowTournament, || {
             let won = match comm {
                 None => tournament_rows_dense(&qs, k_eff, TournamentTree::Binary, opts.par),
-                Some(ctx) => tournament_columns_spmd(ctx, &qs.transpose(), None, k_eff).selected,
+                Some(ctx) => tournament_columns_spmd(ctx, &qs.transpose(), k_eff, None).selected,
             };
             won.into_iter().map(|i| support[i]).collect()
         });

@@ -22,7 +22,7 @@
 //!   which winner columns travel with their global ids and their
 //!   sketch columns as compact panels and every rank replays the
 //!   pairwise merges and the root pass
-//!   ([`lra_qrtp::tournament_columns_spmd_sharded_sketched`]); the
+//!   ([`lra_qrtp::tournament_columns_spmd_sharded`]); the
 //!   winners' compact panel is the pivot panel the loop's stages read;
 //! - the Schur update is computed only for owned columns, with an
 //!   `alltoallv` re-sharding from the old column partition to the new
@@ -84,11 +84,10 @@ use crate::panel::{
     Source,
 };
 use lra_comm::{Ctx, PendingExchange};
-use lra_dense::{qr, DenseMatrix};
+use lra_dense::{qr, tsqr_block_q, tsqr_root, DenseMatrix, QrFactor};
 use lra_par::{owned_range, split_ranges, Parallelism};
 use lra_qrtp::{
-    tournament_columns_spmd_sharded_sketched, tournament_columns_spmd_sketched, ColumnSelection,
-    Omega, Sketch,
+    tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection, Omega, Sketch,
 };
 use lra_sparse::{gather_csc, BlockSplit, ColRun, CscMatrix};
 use std::ops::Range;
@@ -139,78 +138,33 @@ pub(crate) fn run_replicated(
 }
 
 /// Panel TSQR over rank-owned row blocks of the pivot panel's rows
-/// `support` (ascending; every row off it is zero): local QR, allgather
-/// the small R factors, replicated root QR, local Q reconstruction,
-/// allgather the Q blocks. Returns `Q_S`, row `i` being `Q_k`'s row
-/// `support[i]`, and `|diag(R)|`.
+/// `support` (ascending; every row off it is zero): local `qr`,
+/// allgather the small `R` factors, the shared root merge
+/// ([`lra_dense::tsqr_root`]) on every rank, this rank's block of `Q`
+/// ([`lra_dense::tsqr_block_q`]), allgather the `Q` blocks. A rank
+/// past the last block sends empty factors. Returns `Q_S`, row `i`
+/// being `Q_k`'s row `support[i]`, and `|diag(R)|`.
 pub(crate) fn spmd_panel_tsqr(
     ctx: &Ctx,
     panel: &CscMatrix,
     support: &[usize],
 ) -> (DenseMatrix, Vec<f64>) {
-    let (rank, size) = (ctx.rank(), ctx.size());
-    let m_s = support.len();
-    let k_eff = panel.cols();
+    let (m_s, k_eff) = (support.len(), panel.cols());
     let cols: Vec<usize> = (0..k_eff).collect();
-    let blocks = split_ranges(m_s, size.min((m_s / k_eff.max(1)).max(1)));
-    let my_block = blocks.get(rank).cloned();
-    let (my_r, my_f) = match &my_block {
-        Some(rg) => {
-            let local = panel.gather_columns_at_rows_dense(&cols, &support[rg.clone()]);
-            let f = qr(&local, Parallelism::SEQ);
-            (f.r(), Some(f))
-        }
-        None => (DenseMatrix::zeros(0, k_eff), None),
-    };
-    let all_r: Vec<DenseMatrix> = ctx.allgather(my_r);
-    let mut stacked: Option<DenseMatrix> = None;
-    for r in all_r {
-        if r.rows() == 0 {
-            continue;
-        }
-        stacked = Some(match stacked {
-            None => r,
-            Some(prev) => prev.vcat(&r),
-        });
-    }
-    let top = qr(&stacked.expect("empty panel"), Parallelism::SEQ);
-    let panel_r_diag: Vec<f64> = top.r_diag().iter().map(|v| v.abs()).take(k_eff).collect();
-    let qs = top.q_thin(Parallelism::SEQ);
-    // Back-propagate this rank's block of Q.
-    let my_q = match (&my_block, my_f) {
-        (Some(rg), Some(f)) => {
-            // Rows of qs owned by this rank: blocks before ours
-            // contribute min(block_len, k_eff) rows each.
-            let mut off = 0;
-            for (b, brange) in blocks.iter().enumerate() {
-                if b == rank {
-                    break;
-                }
-                off += brange.len().min(k_eff);
-            }
-            let my_rows = rg.len().min(k_eff);
-            let mut piece = DenseMatrix::zeros(rg.len(), k_eff);
-            for j in 0..k_eff {
-                for i in 0..my_rows {
-                    piece.set(i, j, qs.get(off + i, j));
-                }
-            }
-            f.apply_q(&mut piece, Parallelism::SEQ);
-            piece
-        }
-        _ => DenseMatrix::zeros(0, k_eff),
-    };
-    let all_q: Vec<DenseMatrix> = ctx.allgather(my_q);
+    let blocks = split_ranges(m_s, ctx.size().min((m_s / k_eff.max(1)).max(1)));
+    let local = blocks.get(ctx.rank()).map(|rg| {
+        qr(&panel.gather_columns_at_rows_dense(&cols, &support[rg.clone()]), Parallelism::SEQ)
+    });
+    let empty = || DenseMatrix::zeros(0, k_eff);
+    let rs = ctx.allgather(local.as_ref().map_or_else(empty, QrFactor::r));
+    let (r, mut coeffs) = tsqr_root(&rs, Parallelism::SEQ);
+    let r_diag = (0..r.rows()).map(|i| r.get(i, i).abs()).collect();
+    let mine = local.map_or_else(empty, |f| tsqr_block_q(&f, &coeffs.swap_remove(ctx.rank())));
     let mut q_s = DenseMatrix::zeros(m_s, k_eff);
-    let mut row0 = 0;
-    for q in all_q {
-        if q.rows() == 0 {
-            continue;
-        }
-        q_s.set_submatrix(row0, 0, &q);
-        row0 += q.rows();
+    for (rg, q) in blocks.iter().zip(ctx.allgather(mine)) {
+        q_s.set_submatrix(rg.start, 0, &q);
     }
-    (q_s, panel_r_diag)
+    (q_s, r_diag)
 }
 
 /// The positions in `rest` (the split's rest columns, ascending) of the
@@ -437,7 +391,7 @@ impl<'a> PanelEngine for SpmdPanelCtx<'a> {
     ) -> (ColumnSelection, CscMatrix) {
         let shard = &self.shard;
         omega.sketch(row_ids, shard.cols(), |j| shard.col(j), &mut self.sketch, self.opts.par);
-        tournament_columns_spmd_sharded_sketched(self.ctx, shard, self.offset, k_want, &self.sketch)
+        tournament_columns_spmd_sharded(self.ctx, shard, self.offset, k_want, Some(&self.sketch))
     }
 
     fn schur_begin(
@@ -526,7 +480,7 @@ impl PanelEngine for ReplicatedEngine<'_> {
     ) -> (ColumnSelection, CscMatrix) {
         let s = &self.s;
         omega.sketch(row_ids, s.cols(), |j| s.col(j), &mut self.sketch, self.opts.par);
-        let sel = tournament_columns_spmd_sketched(self.ctx, s, &self.sketch, k_want);
+        let sel = tournament_columns_spmd(self.ctx, s, k_want, Some(&self.sketch));
         let panel = self.s.select_columns(&sel.selected);
         (sel, panel)
     }

@@ -37,4 +37,4 @@ pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{
     bidiagonal_svd_values, bidiagonalize, min_rank_for_tolerance, singular_values,
 };
-pub use tsqr::{tsqr, tsqr_r, Tsqr};
+pub use tsqr::{tsqr, tsqr_block_q, tsqr_r, tsqr_root, Tsqr};

@@ -8,6 +8,11 @@
 //!
 //! `A = [A_1; ...; A_p] = blkdiag(Q_1..Q_p) * [R_1; ...; R_p]`
 //! `[R_1; ...; R_p] = Q_s R`  =>  `Q = blkdiag(Q_i) * Q_s`.
+//!
+//! The root merge ([`tsqr_root`]) and one block's back-propagation
+//! ([`tsqr_block_q`]) are public, so a TSQR whose blocks live on
+//! different ranks (the SPMD panel TSQR of `lra-core`, which gathers
+//! the local `R`s between the two) runs the same arithmetic.
 
 use crate::qr::{qr, QrFactor};
 use crate::DenseMatrix;
@@ -54,30 +59,44 @@ fn local_qrs(a: &DenseMatrix, par: Parallelism) -> Option<(Vec<Range<usize>>, Ve
     Some((blocks, locals))
 }
 
-/// The local `R` factors stacked on top of each other (each is `n x n`
-/// because every block has at least `n` rows).
-fn stacked_rs(locals: &[QrFactor]) -> DenseMatrix {
-    let mut stacked = locals[0].r();
-    for f in &locals[1..] {
-        stacked = stacked.vcat(&f.r());
-    }
-    stacked
+/// The local `R` factors `rs` stacked on top of each other, in order.
+fn stacked(rs: &[DenseMatrix]) -> DenseMatrix {
+    rs[1..].iter().fold(rs[0].clone(), |acc, r| acc.vcat(r))
 }
 
-/// Merge by one `(nb*n) x n` root QR of the stacked local `R`s. Returns
-/// `R` and, per block, the `n x n` slice of the root `Q` that block's
-/// local `Q` is multiplied by.
-fn merge_stacked(locals: &[QrFactor], par: Parallelism) -> (DenseMatrix, Vec<DenseMatrix>) {
-    let n = locals[0].cols();
-    let top = qr(&stacked_rs(locals), par);
+/// TSQR's root merge: one QR of the local `R` factors `rs` (at least
+/// one, all with the same columns) stacked in order. Returns `R` and, per local factor, its rows' slice `C_b` of
+/// the root's thin `Q` — as many rows as that factor has, none for an
+/// empty one.
+pub fn tsqr_root(rs: &[DenseMatrix], par: Parallelism) -> (DenseMatrix, Vec<DenseMatrix>) {
+    let top = qr(&stacked(rs), par);
     let qs = top.q_thin(par);
-    let coeffs = (0..locals.len()).map(|b| qs.submatrix(b * n, 0, n, n)).collect();
-    (top.r(), coeffs)
+    let mut row0 = 0;
+    let slices = rs
+        .iter()
+        .map(|r| {
+            let c = qs.submatrix(row0, 0, r.rows(), qs.cols());
+            row0 += r.rows();
+            c
+        })
+        .collect();
+    (top.r(), slices)
+}
+
+/// TSQR's back-propagation for one row block: the block's rows of the
+/// thin `Q`, `Q_b [C_b; 0]`, from its local factor `local` and its
+/// slice `c` of the root `Q` ([`tsqr_root`]). Sequential: it is one
+/// block's share of the work.
+pub fn tsqr_block_q(local: &QrFactor, c: &DenseMatrix) -> DenseMatrix {
+    let mut piece = DenseMatrix::zeros(local.rows(), c.cols());
+    piece.set_submatrix(0, 0, c);
+    local.apply_q(&mut piece, Parallelism::SEQ);
+    piece
 }
 
 /// Full TSQR with explicit thin `Q`: local QRs, one stacked root QR of
-/// their `R`s, then the leaf back-propagation `Q block b = Q_b * [C_b; 0]`
-/// (parallel over blocks).
+/// their `R`s, then each block's back-propagation (parallel over
+/// blocks).
 pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
     let Some((blocks, locals)) = local_qrs(a, par) else {
         let f = qr(a, par);
@@ -86,15 +105,12 @@ pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
             r: f.r(),
         };
     };
-    let n = a.cols();
-    let (r, mut pieces) = merge_stacked(&locals, par);
+    let rs: Vec<DenseMatrix> = locals.iter().map(QrFactor::r).collect();
+    let (r, mut pieces) = tsqr_root(&rs, par);
     parallel_chunks_mut(par, &mut pieces, 1, |b, slot| {
-        let mut piece = DenseMatrix::zeros(blocks[b].len(), n);
-        piece.set_submatrix(0, 0, &slot[0]);
-        locals[b].apply_q(&mut piece, Parallelism::SEQ);
-        slot[0] = piece;
+        slot[0] = tsqr_block_q(&locals[b], &slot[0]);
     });
-    let mut q = DenseMatrix::zeros(a.rows(), n);
+    let mut q = DenseMatrix::zeros(a.rows(), a.cols());
     for (rg, piece) in blocks.iter().zip(&pieces) {
         q.set_submatrix(rg.start, 0, piece);
     }
@@ -108,7 +124,10 @@ pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
 /// chunk `R`s left to right.)
 pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
     match local_qrs(a, par) {
-        Some((_, locals)) => qr(&stacked_rs(&locals), par).r(),
+        Some((_, locals)) => {
+            let rs: Vec<DenseMatrix> = locals.iter().map(QrFactor::r).collect();
+            qr(&stacked(&rs), par).r()
+        }
         None => qr(a, par).r(),
     }
 }

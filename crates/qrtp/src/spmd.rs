@@ -2,93 +2,49 @@
 //! runtime — the port of the paper's MPI reduction tree (Section V).
 //!
 //! Each rank owns a contiguous block of candidate columns and reduces
-//! them to `k` winners with *no communication* (the local stage). The
-//! global stage is one [`Ctx::allreduce`] whose op is the tree node:
-//! the winner lists travel in one round, and every rank replays the
-//! binomial tree's pairwise merges itself, then the root pass. Only
-//! column indices travel between ranks — the matrix itself is shared
-//! read-only, matching the paper's observation that the selected
-//! columns are gathered where needed.
+//! them to `k` winners with *no communication* (the local stage,
+//! written once for both drivers). The global stage is one
+//! [`Ctx::allreduce`] whose op is the tree node: the winner lists
+//! travel in one round, and every rank replays the binomial tree's
+//! pairwise merges itself, then the root pass.
+//!
+//! [`tournament_columns_spmd`] reads a matrix every rank holds, so only
+//! column indices travel between ranks, matching the paper's
+//! observation that the selected columns are gathered where needed;
+//! [`tournament_columns_spmd_sharded`] reads one block-column shard
+//! per rank, so winner columns travel with their ids. Both take the
+//! sketch the nodes rank as an `Option`: `None` ranks every node's
+//! exact panel.
 
 use crate::sketch::Sketch;
 use crate::source::ColumnSource;
-use crate::tournament::{
-    node_select, rank_node, reduce, stored, tournament_columns, ColumnSelection, TournamentTree,
-    TreeArea,
-};
+use crate::tournament::{node_select, rank_node, reduce, stored, ColumnSelection, TreeArea};
 use lra_comm::Ctx;
 use lra_par::{split_ranges, Parallelism};
 use lra_sparse::{gather_csc, CscMatrix};
 use std::cell::Cell;
 
-/// SPMD column tournament: every rank calls this with the same
-/// arguments; every rank returns the same [`ColumnSelection`] (its
-/// `area` excepted: each rank reports its own local stage and the
-/// merges it replays). Every node ranks its exact panel.
+/// SPMD column tournament over all columns of `src`: every rank calls
+/// this with the same arguments; every rank returns the same
+/// [`ColumnSelection`] (its `area` excepted: each rank reports its own
+/// local stage and the merges it replays). Without a sketch every node
+/// ranks its exact panel; with `sketch`, the sketch of every column of
+/// `src`, on every rank, the local stage and the merges rank sketches
+/// unless their exact panel is short (`tournament_columns_sketched`),
+/// and columns with no stored entry are not candidates.
 pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
     ctx: &Ctx,
     src: &S,
-    candidates: Option<&[usize]>,
     k: usize,
-) -> ColumnSelection {
-    match candidates {
-        Some(c) => spmd(ctx, src, None, c, k),
-        None => spmd(ctx, src, None, &(0..src.cols()).collect::<Vec<_>>(), k),
-    }
-}
-
-/// [`tournament_columns_spmd`] over all columns of `src`, with
-/// `sketch`, the sketch of every column of `src`, on every rank: the
-/// local stage and the merges rank sketches unless their exact panel
-/// is short (`tournament_columns_sketched`), and columns with no stored
-/// entry are not candidates.
-pub fn tournament_columns_spmd_sketched<S: ColumnSource + ?Sized>(
-    ctx: &Ctx,
-    src: &S,
-    sketch: &Sketch,
-    k: usize,
-) -> ColumnSelection {
-    spmd(ctx, src, Some(sketch), &(0..src.cols()).collect::<Vec<_>>(), k)
-}
-
-/// The local stage of a sketched tree over a rank's candidates `own`:
-/// the stored ones if at most `k`, else the tree's last merge's winners
-/// (no root pass: the global stage merges them again).
-fn local_sketched<S: ColumnSource + ?Sized>(
-    src: &S,
-    sketch: &Sketch,
-    own: &[usize],
-    k: usize,
-) -> (Vec<usize>, TreeArea) {
-    let own = stored(src, own);
-    match own.len() <= k {
-        true => (own, TreeArea::default()),
-        false => reduce(src, Some(sketch), &own, k, Parallelism::SEQ),
-    }
-}
-
-fn spmd<S: ColumnSource + ?Sized>(
-    ctx: &Ctx,
-    src: &S,
     sketch: Option<&Sketch>,
-    cand: &[usize],
-    k: usize,
 ) -> ColumnSelection {
-    let rank = ctx.rank();
-    let ranges = split_ranges(cand.len(), ctx.size());
-    let own = match ranges.get(rank) {
-        Some(r) => &cand[r.clone()],
+    let all: Vec<usize> = (0..src.cols()).collect();
+    let ranges = split_ranges(all.len(), ctx.size());
+    let own = match ranges.get(ctx.rank()) {
+        Some(r) => &all[r.clone()],
         None => &[][..],
     };
-    // Local reduction: communication-free.
-    let (winners, local) = lra_obs::trace::span("qrtp.local_stage", || match sketch {
-        Some(sk) => local_sketched(src, sk, own, k),
-        None if own.len() <= k => (own.to_vec(), TreeArea::default()),
-        None => {
-            let sel = tournament_columns(src, Some(own), k, TournamentTree::Binary, Parallelism::SEQ);
-            (sel.selected, sel.area)
-        }
-    });
+    let (winners, local) = local_stage(src, sketch, own, k);
     // Global stage: the pairwise merges of the binomial tree, then the
     // root pass (which also yields r_diag), on every rank.
     let area = Cell::new(local);
@@ -104,12 +60,40 @@ fn spmd<S: ColumnSource + ?Sized>(
     ColumnSelection { selected, r_diag, area: area.get() }
 }
 
+/// The communication-free local stage over a rank's candidates `own`:
+/// the candidates (the stored ones, given a sketch) if at most `k`,
+/// else the tree's winners — after its root pass without a sketch,
+/// after its last merge with one (the global stage merges them again).
+fn local_stage<S: ColumnSource + ?Sized>(
+    src: &S,
+    sketch: Option<&Sketch>,
+    own: &[usize],
+    k: usize,
+) -> (Vec<usize>, TreeArea) {
+    lra_obs::trace::span("qrtp.local_stage", || {
+        let own = match sketch {
+            Some(_) => stored(src, own),
+            None => own.to_vec(),
+        };
+        if own.len() <= k {
+            return (own, TreeArea::default());
+        }
+        let (winners, area) = reduce(src, sketch, &own, k, Parallelism::SEQ);
+        match sketch {
+            Some(_) => (winners, area),
+            None => (node_select(src, &winners, k, Parallelism::SEQ).0, area),
+        }
+    })
+}
+
 /// Sharded SPMD column tournament: like [`tournament_columns_spmd`],
 /// but the matrix is *distributed* — each rank holds only `local`, its
 /// own block-column shard of the virtual matrix (full row dimension,
-/// first column at global column `offset`), and winner columns travel
-/// with their ids as compact CSC panels, so no rank ever materializes
-/// more than `O(P k)` foreign columns.
+/// first column at global column `offset`), and `sketch` is the sketch
+/// of the shard's columns. Winner columns travel with their ids (and
+/// their sketch columns) as compact CSC panels in the global stage's
+/// one `allreduce`, so no rank ever materializes more than `O(P k)`
+/// foreign columns.
 ///
 /// Every rank returns the same `(selection, panel)`: `selection` holds
 /// *global* column ids of the virtual matrix, and `panel` is the
@@ -117,55 +101,22 @@ fn spmd<S: ColumnSource + ?Sized>(
 /// in pivot order) the caller feeds to TSQR and the block split.
 ///
 /// Produces bitwise-identical selections to running
-/// [`tournament_columns_spmd`] on the replicated matrix: the ownership
-/// partition here *is* the `split_ranges` partition the replicated
-/// local stage uses, and every node works on the same dense panels:
-/// `panel_r`'s chunking depends only on the candidates' row support and
-/// count, and its gathers are positional, so a compact copy of the
-/// candidates yields the same panels.
+/// [`tournament_columns_spmd`] on the replicated matrix (with the
+/// sketch of all its columns): the ownership partition here *is* the
+/// `split_ranges` partition the replicated local stage uses, and every
+/// node works on the same dense panels: `panel_r`'s chunking depends
+/// only on the candidates' row support and count, and its gathers are
+/// positional, so a compact copy of the candidates yields the same
+/// panels.
 pub fn tournament_columns_spmd_sharded(
-    ctx: &Ctx,
-    local: &CscMatrix,
-    offset: usize,
-    k: usize,
-) -> (ColumnSelection, CscMatrix) {
-    sharded(ctx, local, offset, k, None)
-}
-
-/// [`tournament_columns_spmd_sharded`] with `sketch`, the sketch of the
-/// shard's columns: winners' sketch columns travel beside their exact
-/// columns in the global stage's one `allreduce`, and every node ranks
-/// as [`tournament_columns_spmd_sketched`]'s does on the replicated
-/// matrix with the sketch of all its columns, bit for bit.
-pub fn tournament_columns_spmd_sharded_sketched(
-    ctx: &Ctx,
-    local: &CscMatrix,
-    offset: usize,
-    k: usize,
-    sketch: &Sketch,
-) -> (ColumnSelection, CscMatrix) {
-    sharded(ctx, local, offset, k, Some(sketch))
-}
-
-fn sharded(
     ctx: &Ctx,
     local: &CscMatrix,
     offset: usize,
     k: usize,
     sketch: Option<&Sketch>,
 ) -> (ColumnSelection, CscMatrix) {
-    // Local reduction: communication-free, over the owned shard only.
-    let (winners, local_area) = lra_obs::trace::span("qrtp.local_stage", || {
-        let all: Vec<usize> = (0..local.cols()).collect();
-        match sketch {
-            Some(sk) => local_sketched(local, sk, &all, k),
-            None if local.cols() <= k => (all, TreeArea::default()),
-            None => {
-                let sel = tournament_columns(local, None, k, TournamentTree::Binary, Parallelism::SEQ);
-                (sel.selected, sel.area)
-            }
-        }
-    });
+    let all: Vec<usize> = (0..local.cols()).collect();
+    let (winners, local_area) = local_stage(local, sketch, &all, k);
     let cols = local.select_columns(&winners);
     let sk = sketch.map(|s| s.select(&winners)).unwrap_or_default();
     let winners: Vec<usize> = winners.iter().map(|&c| c + offset).collect();
@@ -233,7 +184,7 @@ mod tests {
         let a = rand_sparse(100, 48, 4, 1);
         for np in [1usize, 2, 4, 7] {
             let results = lra_comm::run_infallible(np, |ctx| {
-                tournament_columns_spmd(ctx, &a, None, 8).selected
+                tournament_columns_spmd(ctx, &a, 8, None).selected
             });
             for r in &results[1..] {
                 assert_eq!(r, &results[0], "np={np}: ranks disagree");
@@ -254,7 +205,7 @@ mod tests {
         let full = base.hcat(&deps);
         let a = CscMatrix::from_dense(&full);
         let results = lra_comm::run_infallible(4, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 5).selected
+            tournament_columns_spmd(ctx, &a, 5, None).selected
         });
         let picked = full.select_columns(&results[0]);
         let sv = singular_values(&picked);
@@ -265,7 +216,7 @@ mod tests {
     fn more_ranks_than_candidates() {
         let a = rand_sparse(30, 5, 3, 4);
         let results = lra_comm::run_infallible(8, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 3).selected
+            tournament_columns_spmd(ctx, &a, 3, None).selected
         });
         assert_eq!(results[0].len(), 3);
         for r in &results {
@@ -277,7 +228,7 @@ mod tests {
     fn r_diag_broadcast_everywhere() {
         let a = rand_sparse(64, 32, 4, 5);
         let results = lra_comm::run_infallible(3, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 4).r_diag
+            tournament_columns_spmd(ctx, &a, 4, None).r_diag
         });
         assert!(!results[0].is_empty());
         for r in &results[1..] {

@@ -130,7 +130,7 @@ fn a_dropped_tournament_message_times_out() {
         let ranges = lra::par::split_ranges(a.cols(), ctx.size());
         let range = lra::par::owned_range(&ranges, ctx.rank());
         let shard = a.slice_columns(range.clone());
-        tournament_columns_spmd_sharded(ctx, &shard, range.start, 4).0.selected
+        tournament_columns_spmd_sharded(ctx, &shard, range.start, 4, None).0.selected
     };
     // The tournament's only messages are its global stage's allreduce:
     // drop the first send of the first of two tournaments.

@@ -39,7 +39,7 @@ fn spmd_tournament_agrees_with_shared_memory_quality() {
         Parallelism::new(4),
     );
     let spmd = lra::comm::run_infallible(4, |ctx| {
-        lra::qrtp::tournament_columns_spmd(ctx, &a, None, k).selected
+        lra::qrtp::tournament_columns_spmd(ctx, &a, k, None).selected
     });
     // Different merge orders may pick different columns, but both picks
     // must be comparably independent: compare smallest singular values.

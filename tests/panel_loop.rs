@@ -161,6 +161,17 @@ fn stop_reason_is_the_same_on_every_engine() {
             LuCrtpOpts::new(4, 1e-9).with_budget(Budget::unlimited().with_iteration_cap(2)),
             (false, None, true, true),
         ),
+        // The pivot panel's row support is one row, so the SPMD panel
+        // TSQR has one block and every rank but rank 0 holds none.
+        (
+            "every entry on one row",
+            CscMatrix::from_dense(&DenseMatrix::from_fn(60, 40, |i, j| match i {
+                17 => 1.0 + ((5 * j) % 13) as f64,
+                _ => 0.0,
+            })),
+            LuCrtpOpts::new(4, 1e-3),
+            (true, None, false, true),
+        ),
         // Every entry is finite, so `validate` passes; every squared
         // column norm is not.
         (

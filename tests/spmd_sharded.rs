@@ -16,7 +16,7 @@ use lra_core::{
     Method,
 };
 use lra_par::{split_ranges, Parallelism};
-use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded};
+use lra_qrtp::{tournament_columns_spmd, tournament_columns_spmd_sharded, Omega, Sketch};
 use lra_sparse::CscMatrix;
 
 mod common;
@@ -126,39 +126,55 @@ fn sharded_rank0<'m>(
 }
 
 /// The sharded column tournament selects what the replicated one
-/// selects, bit for bit, and its panel — the one every SPMD engine
-/// hands to the panel TSQR and the split — is an exact copy of the
-/// selected columns. The 30 x 5 input at np = 8 leaves the high ranks
-/// owning empty shards.
+/// selects, bit for bit, unsketched and sketched, and its panel — the
+/// one every SPMD engine hands to the panel TSQR and the split — is an
+/// exact copy of the selected columns. The sketched replicated side
+/// ranks the sketch of all columns, the sharded side its shard's. The
+/// 30 x 5 input at np = 8 leaves the high ranks owning empty shards;
+/// the 400 x 48 one has nodes whose support passes the exact-node cap,
+/// so its sketched runs rank sketches.
 #[test]
 fn sharded_matches_replicated_bitwise() {
     let wide = rand_sparse(100, 48, 4, 1);
     let narrow = rand_sparse(30, 5, 3, 4);
-    for (a, np) in [(&wide, 1usize), (&wide, 2), (&wide, 4), (&wide, 7), (&narrow, 8)] {
-        for k in [3usize, 8] {
+    let tall = rand_sparse(400, 48, 12, 7);
+    let sketch_of = |omega: &Omega, a: &CscMatrix| {
+        let rows: Vec<usize> = (0..a.rows()).collect();
+        let mut sk = Sketch::default();
+        omega.sketch(&rows, a.cols(), |j| a.col(j), &mut sk, Parallelism::SEQ);
+        sk
+    };
+    let cases = [(&wide, 1usize), (&wide, 2), (&wide, 4), (&wide, 7), (&narrow, 8), (&tall, 3)];
+    for (a, np) in cases {
+        for (k, sketched) in [3usize, 8].into_iter().flat_map(|k| [(k, false), (k, true)]) {
+            let what = format!("np={np} k={k} sketched={sketched}");
+            let omega = Omega::new(a.rows(), 2 * k);
+            let full = sketch_of(&omega, a);
             let replicated = lra_comm::run_infallible(np, |ctx| {
-                let sel = tournament_columns_spmd(ctx, a, None, k);
-                (sel.selected, sel.r_diag)
+                let sel = tournament_columns_spmd(ctx, a, k, sketched.then_some(&full));
+                (sel.selected, sel.r_diag, sel.area.sketched)
             });
+            if sketched && a.rows() == 400 {
+                assert!(replicated.iter().any(|r| r.2 > 0), "{what}: no node ranked a sketch");
+            }
             let sharded = lra_comm::run_infallible(np, |ctx| {
                 let ranges = split_ranges(a.cols(), ctx.size());
                 let range = lra_par::owned_range(&ranges, ctx.rank());
                 let (shard, offset) = (a.slice_columns(range.clone()), range.start);
-                let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, offset, k);
+                let sk = sketch_of(&omega, &shard);
+                let (sel, panel) =
+                    tournament_columns_spmd_sharded(ctx, &shard, offset, k, sketched.then_some(&sk));
                 (sel.selected, sel.r_diag, panel)
             });
             for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
-                let (rsel, rrd) = &replicated[rank];
-                assert_eq!(sel, rsel, "np={np} k={k} rank={rank}");
-                assert_eq!(sel, &sharded[0].0, "np={np} k={k}: ranks disagree");
-                assert_eq!(sel.len(), k.min(a.cols()), "np={np} k={k}");
-                assert_eq!(rd.len(), rrd.len());
-                for (x, y) in rd.iter().zip(rrd) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
-                }
+                let (rsel, rrd, _) = &replicated[rank];
+                assert_eq!(sel, rsel, "{what} rank={rank}");
+                assert_eq!(sel, &sharded[0].0, "{what}: ranks disagree");
+                assert_eq!(sel.len(), k.min(a.cols()), "{what}");
+                assert_eq!(bits(rd), bits(rrd), "{what}");
                 // The panel is an exact copy of the selected
                 // columns.
-                assert_eq!(*panel, a.select_columns(sel), "np={np} k={k}");
+                assert_eq!(*panel, a.select_columns(sel), "{what}");
             }
         }
     }
